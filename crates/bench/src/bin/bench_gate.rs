@@ -14,9 +14,12 @@
 //! per-metric `tol` (schema v2) are gated against `baseline × tol`;
 //! the rest are printed but not gated unless `--latency-tolerance Y` is
 //! given, in which case each must stay below `baseline × Y` (the
-//! serve-latency p99 gate). A `throughput` metric's own `tol` overrides
-//! the global divisor. Any metric present on one side only, a `tol`
-//! mismatch, or a schema-version/bench-name mismatch, fails the gate.
+//! serve-latency p99 gate). `ratio` metrics — in-run quotients such as
+//! ddc ÷ fenwick-nd, which travel across machines — fail above
+//! `baseline × tol`, so tightening the committed value ratchets the
+//! gate. A `throughput` metric's own `tol` overrides the global
+//! divisor. Any metric present on one side only, a `tol` mismatch, or a
+//! schema-version/bench-name mismatch, fails the gate.
 
 use ddc_bench::json::{gate_with_latency, BenchReport, SCHEMA_VERSION};
 

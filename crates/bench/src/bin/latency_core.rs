@@ -11,9 +11,12 @@
 //! sorted sample. `--json` writes `BENCH_latency_core.json` (schema v2):
 //! latency metrics carry per-metric `tol` ceilings so the CI perf-smoke
 //! gate catches order-of-magnitude regressions on the hot path without
-//! flaking on shared-runner jitter, and the seeded stored-values-touched
-//! counts ride along as exact-match `count` metrics — machine-independent
-//! evidence of the algorithmic shape.
+//! flaking on shared-runner jitter, the in-run `dyn-ddc ÷ fenwick-nd`
+//! p50 ratios are gated at their committed value × 1.5 (machine speed
+//! cancels, so this one catches a 2× regression and is ratcheted down
+//! with every step toward ROADMAP's ≤ 1.5), and the seeded
+//! stored-values-touched counts ride along as exact-match `count`
+//! metrics — machine-independent evidence of the algorithmic shape.
 
 use std::time::Instant;
 
@@ -35,6 +38,9 @@ const OPS: usize = 30_000;
 /// stable; p99 breathes more on shared runners.
 const P50_TOL: f64 = 6.0;
 const P99_TOL: f64 = 10.0;
+/// Ceiling on the in-run `dyn-ddc ÷ fenwick-nd` p50 ratios, as a
+/// multiple of the committed value.
+const RATIO_TOL: f64 = 1.5;
 
 struct Quantiles {
     p50: u64,
@@ -141,8 +147,11 @@ fn main() {
     );
 
     let mut report = BenchReport::new("latency_core");
-    for (label, kind) in engines {
-        let row = measure(label, kind);
+    let rows: Vec<EngineRow> = engines
+        .into_iter()
+        .map(|(label, kind)| measure(label, kind))
+        .collect();
+    for row in &rows {
         print_row(
             &[
                 row.label.into(),
@@ -178,6 +187,22 @@ fn main() {
             format!("reads_per_prefix.d2.{}", row.label),
             MetricKind::Count,
             row.reads_per_prefix,
+        );
+    }
+    let row = |label: &str| rows.iter().find(|r| r.label == label).expect("engine row");
+    let (ddc, fenwick) = (row("dyn-ddc"), row("fenwick-nd"));
+    println!();
+    for (op, ours, theirs) in [
+        ("update", &ddc.update, &fenwick.update),
+        ("prefix", &ddc.prefix, &fenwick.prefix),
+    ] {
+        let ratio = ours.p50 as f64 / theirs.p50 as f64;
+        println!("{op} p50, dyn-ddc ÷ fenwick-nd: {ratio:.2}");
+        report.push_gated(
+            format!("{op}.d2.dyn-ddc_over_fenwick-nd"),
+            MetricKind::Ratio,
+            ratio,
+            RATIO_TOL,
         );
     }
     report.push("config.side", MetricKind::Count, SIDE as f64);

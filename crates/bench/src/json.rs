@@ -270,6 +270,11 @@ pub enum MetricKind {
     /// when the metric carries a `tol` (or the gate is given a global
     /// `--latency-tolerance`); informational otherwise.
     LatencyNs,
+    /// In-run ratio of two measurements of the same run (e.g. ddc ÷
+    /// fenwick-nd p50): machine speed cancels, so it travels across
+    /// runners. Gated against `baseline × tol` when it carries a `tol`;
+    /// informational otherwise.
+    Ratio,
     /// Anything else worth recording: informational, never gated.
     Info,
 }
@@ -280,6 +285,7 @@ impl MetricKind {
             MetricKind::Count => "count",
             MetricKind::Throughput => "throughput",
             MetricKind::LatencyNs => "latency_ns",
+            MetricKind::Ratio => "ratio",
             MetricKind::Info => "info",
         }
     }
@@ -289,6 +295,7 @@ impl MetricKind {
             "count" => Ok(MetricKind::Count),
             "throughput" => Ok(MetricKind::Throughput),
             "latency_ns" => Ok(MetricKind::LatencyNs),
+            "ratio" => Ok(MetricKind::Ratio),
             "info" => Ok(MetricKind::Info),
             other => Err(format!("unknown metric kind {other:?}")),
         }
@@ -304,12 +311,13 @@ pub struct Metric {
     pub kind: MetricKind,
     /// The measured value.
     pub value: f64,
-    /// Per-metric gate tolerance (schema v2). For `LatencyNs` the gate
-    /// enforces `current ≤ baseline × tol` even without a global
-    /// latency tolerance; for `Throughput` it overrides the global
-    /// floor divisor. `Count` and `Info` metrics ignore it. The
-    /// tolerance lives in the metric (and therefore in the committed
-    /// baseline) so every gated bound is reviewable in the diff.
+    /// Per-metric gate tolerance (schema v2). For `LatencyNs` and
+    /// `Ratio` the gate enforces `current ≤ baseline × tol` (latencies
+    /// even without a global latency tolerance); for `Throughput` it
+    /// overrides the global floor divisor. `Count` and `Info` metrics
+    /// ignore it. The tolerance lives in the metric (and therefore in
+    /// the committed baseline) so every gated bound is reviewable in
+    /// the diff.
     pub tol: Option<f64>,
 }
 
@@ -572,28 +580,37 @@ pub fn gate_with_latency(
                     ));
                 }
             }
-            MetricKind::LatencyNs => match base.tol.or(latency_tolerance) {
-                Some(t) if base.value > 0.0 => {
-                    let ceiling = base.value * t;
-                    if cur.value > ceiling {
-                        failures.push(format!(
-                            "latency ceiling: {} = {:.0}ns > {:.0}ns (baseline {:.0}ns × {t})",
-                            base.name, cur.value, ceiling, base.value
-                        ));
-                    } else {
+            MetricKind::LatencyNs | MetricKind::Ratio => {
+                // Only latencies take the global flag; a ratio is gated
+                // by its own committed tolerance or not at all.
+                let (what, tol, digits, unit) = match base.kind {
+                    MetricKind::Ratio => ("ratio", base.tol, 2, ""),
+                    _ => ("latency", base.tol.or(latency_tolerance), 0, "ns"),
+                };
+                match tol {
+                    Some(t) if base.value > 0.0 => {
+                        let ceiling = base.value * t;
+                        if cur.value > ceiling {
+                            failures.push(format!(
+                                "{what} ceiling: {} = {:.digits$}{unit} > {:.digits$}{unit} \
+                                 (baseline {:.digits$}{unit} × {t})",
+                                base.name, cur.value, ceiling, base.value
+                            ));
+                        } else {
+                            lines.push(format!(
+                                "ok    {} = {:.digits$}{unit} (ceiling {:.digits$}{unit})",
+                                base.name, cur.value, ceiling
+                            ));
+                        }
+                    }
+                    _ => {
                         lines.push(format!(
-                            "ok    {} = {:.0}ns (ceiling {:.0}ns)",
-                            base.name, cur.value, ceiling
+                            "info  {} = {} (baseline {})",
+                            base.name, cur.value, base.value
                         ));
                     }
                 }
-                _ => {
-                    lines.push(format!(
-                        "info  {} = {} (baseline {})",
-                        base.name, cur.value, base.value
-                    ));
-                }
-            },
+            }
             MetricKind::Info => {
                 lines.push(format!(
                     "info  {} = {} (baseline {})",
@@ -734,6 +751,22 @@ mod tests {
         slow.push_gated("p99", MetricKind::LatencyNs, 6_000.0, 5.0);
         let err = gate(&base, &slow, 3.0).unwrap_err();
         assert!(err.contains("latency ceiling"), "{err}");
+    }
+
+    #[test]
+    fn ratio_is_gated_against_its_committed_value_times_tol() {
+        let mut base = BenchReport::new("t");
+        base.push_gated("ddc_over_fenwick", MetricKind::Ratio, 2.0, 1.5);
+        let mut ok = BenchReport::new("t");
+        ok.push_gated("ddc_over_fenwick", MetricKind::Ratio, 2.9, 1.5);
+        assert!(gate(&base, &ok, 3.0).is_ok());
+        // 3.1 > 2.0 × 1.5, and no global flag loosens a ratio.
+        let mut worse = BenchReport::new("t");
+        worse.push_gated("ddc_over_fenwick", MetricKind::Ratio, 3.1, 1.5);
+        let err = gate_with_latency(&base, &worse, 3.0, Some(50.0)).unwrap_err();
+        assert!(err.contains("ratio ceiling"), "{err}");
+        let back = BenchReport::parse(&base.to_json()).unwrap();
+        assert_eq!(back.metrics[0].kind, MetricKind::Ratio);
     }
 
     #[test]

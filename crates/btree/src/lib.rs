@@ -11,7 +11,7 @@
 #![warn(clippy::all)]
 
 mod bc_tree;
-mod blocked;
+pub mod blocked;
 mod fenwick;
 mod segtree;
 mod store;

@@ -87,8 +87,8 @@ impl PagerConfig {
 /// Which backend holds the leaf-block arena of a [`crate::DdcTree`].
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum LeafBackend {
-    /// In-memory slab (`Vec<Option<LeafBlock>>` + free list) — the PR 7
-    /// arena, zero indirection, unbounded memory.
+    /// In-memory slab (every block a fixed-size run of one flat `Vec`,
+    /// plus a free list) — zero indirection, unbounded memory.
     Mem,
     /// Leaf blocks serialized onto fixed-size pages behind a buffer
     /// pool with a configurable memory cap (ROADMAP #1). Requested via

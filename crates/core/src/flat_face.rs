@@ -7,7 +7,7 @@
 //! region contains the changed cell — the Figure 13 dependency cascade
 //! that makes Basic-DDC updates `O(n^{d-1})` (§3.3) and motivates §4.
 
-use ddc_array::{AbelianGroup, NdArray, OpCounter, Region, Shape};
+use ddc_array::{AbelianGroup, NdArray, OpSnapshot, Region, Shape};
 
 /// A cumulative `(d−1)`-dimensional row-sum group with direct storage.
 #[derive(Clone, Debug)]
@@ -25,24 +25,22 @@ impl<G: AbelianGroup> FlatFace<G> {
     }
 
     /// Cumulative row-sum value at `idx` — one read (§3 query path).
-    pub(crate) fn prefix(&self, idx: &[usize], counter: &OpCounter) -> G {
-        counter.read(1);
+    pub(crate) fn prefix(&self, idx: &[usize], ops: &mut OpSnapshot) -> G {
+        ops.reads += 1;
         self.cum.get(idx)
     }
 
     /// Adds `delta` to the raw slab at `idx`: every cumulative cell
     /// dominating `idx` absorbs the difference (the §3.3 cascade).
-    pub(crate) fn add(&mut self, idx: &[usize], delta: G, counter: &OpCounter) {
+    pub(crate) fn add(&mut self, idx: &[usize], delta: G, ops: &mut OpSnapshot) {
         let hi: Vec<usize> = self.cum.shape().dims().iter().map(|&n| n - 1).collect();
         let dominated = Region::new(idx, &hi);
         let mut buf = vec![0usize; idx.len()];
         let mut iter = dominated.iter_points();
-        let mut written = 0u64;
         while iter.next_into(&mut buf) {
             self.cum.add_assign(&buf, delta);
-            written += 1;
+            ops.writes += 1;
         }
-        counter.write(written);
     }
 
     /// Bulk-fills from a raw (non-cumulative) array by one running-sum
@@ -80,22 +78,22 @@ mod tests {
     #[test]
     fn one_dimensional_face_cascade() {
         // A 2-D cube's row-sum group: Figure 13's X_1..X_6 dependencies.
-        let c = OpCounter::new();
+        let mut c = OpSnapshot::default();
         let mut f = FlatFace::<i64>::zeroed(Shape::new(&[6]));
-        f.add(&[0], 14, &c); // row 1 sum becomes 14 → all X values shift
-        assert_eq!(c.snapshot().writes, 6);
+        f.add(&[0], 14, &mut c); // row 1 sum becomes 14 → all X values shift
+        assert_eq!(c.writes, 6);
         for i in 0..6 {
-            assert_eq!(f.prefix(&[i], &c), 14);
+            assert_eq!(f.prefix(&[i], &mut c), 14);
         }
-        f.add(&[2], 10, &c);
-        assert_eq!(f.prefix(&[1], &c), 14);
-        assert_eq!(f.prefix(&[2], &c), 24);
-        assert_eq!(f.prefix(&[5], &c), 24);
+        f.add(&[2], 10, &mut c);
+        assert_eq!(f.prefix(&[1], &mut c), 14);
+        assert_eq!(f.prefix(&[2], &mut c), 24);
+        assert_eq!(f.prefix(&[5], &mut c), 24);
     }
 
     #[test]
     fn two_dimensional_face_matches_prefix_sums() {
-        let c = OpCounter::new();
+        let mut c = OpSnapshot::default();
         let mut f = FlatFace::<i64>::zeroed(Shape::new(&[4, 4]));
         let mut raw = NdArray::<i64>::zeroed(Shape::new(&[4, 4]));
         let updates = [
@@ -105,22 +103,26 @@ mod tests {
             ([0, 3], 4),
         ];
         for (p, v) in updates {
-            f.add(&p, v, &c);
+            f.add(&p, v, &mut c);
             raw.add_assign(&p, v);
         }
         for point in raw.shape().iter_points() {
-            assert_eq!(f.prefix(&point, &c), raw.prefix_sum(&point), "{point:?}");
+            assert_eq!(
+                f.prefix(&point, &mut c),
+                raw.prefix_sum(&point),
+                "{point:?}"
+            );
         }
     }
 
     #[test]
     fn update_cost_is_dominated_region_size() {
-        let c = OpCounter::new();
+        let mut c = OpSnapshot::default();
         let mut f = FlatFace::<i64>::zeroed(Shape::new(&[8, 8]));
-        f.add(&[0, 0], 1, &c);
-        assert_eq!(c.snapshot().writes, 64); // worst case rewrites the face
-        c.reset();
-        f.add(&[7, 7], 1, &c);
-        assert_eq!(c.snapshot().writes, 1); // best case touches one value
+        f.add(&[0, 0], 1, &mut c);
+        assert_eq!(c.writes, 64); // worst case rewrites the face
+        c = OpSnapshot::default();
+        f.add(&[7, 7], 1, &mut c);
+        assert_eq!(c.writes, 1); // best case touches one value
     }
 }

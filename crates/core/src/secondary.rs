@@ -1,9 +1,13 @@
-//! Secondary structures: how one overlay row-sum group is stored.
+//! Secondary structures: how one out-of-line overlay row-sum group is
+//! stored.
 //!
 //! Section 4.2: "the overlay box values of a d-dimensional data cube can
 //! be stored as (d−1)-dimensional data cubes using Dynamic Data Cubes,
 //! recursively; when d = 2, we use the B^c tree to store the row sum
-//! values." [`Secondary`] is that recursion, with three extra arms:
+//! values." [`Secondary`] is that recursion for every group that does
+//! not live inline in the tree's level slab (the default d = 2 base
+//! case — the B^c tree's blocked layout — does; see `tree::arena`),
+//! with three extra arms:
 //!
 //! * `Flat` — the Basic DDC's direct arrays (§3), kept so the §3.3 cost
 //!   analysis can be measured against §4 on identical trees;
@@ -11,9 +15,14 @@
 //!   ablation; lazy sparse store for §5 workloads);
 //! * `Empty` — nothing materialized yet: an all-zero group occupies no
 //!   memory, which is how empty regions of a sparse cube stay free (§5).
+//!
+//! Costs are accumulated into the caller's [`OpSnapshot`] so a tree
+//! operation bumps its [`ddc_array::OpCounter`] once; only the
+//! self-counting one-dimensional stores still need a before/after
+//! snapshot around the call.
 
-use ddc_array::{AbelianGroup, OpCounter};
-use ddc_btree::{BcTree, BlockedBc, CumulativeStore, Fenwick, SparseSegTree};
+use ddc_array::{AbelianGroup, OpSnapshot};
+use ddc_btree::{BcTree, CumulativeStore, Fenwick, SparseSegTree};
 
 use crate::config::{BaseStore, DdcConfig, Mode};
 use crate::flat_face::FlatFace;
@@ -27,9 +36,6 @@ pub(crate) enum Secondary<G: AbelianGroup> {
     Empty,
     /// Basic mode (§3): cumulative values stored directly.
     Flat(FlatFace<G>),
-    /// Dynamic mode base case, default layout: the B^c tree flattened
-    /// into implicit blocked arrays (branchless hot path).
-    Blocked(BlockedBc<G>),
     /// Dynamic mode base case (§4.1): one-dimensional group in the
     /// pointer-based B^c tree.
     Bc(BcTree<G>),
@@ -42,6 +48,10 @@ pub(crate) enum Secondary<G: AbelianGroup> {
     Tree(Box<DdcTree<G>>),
 }
 
+/// One-dimensional blocked groups are face runs of the level slab, never
+/// a [`Secondary`].
+const BLOCKED_IS_INLINE: &str = "blocked one-dimensional faces live inline in the level slab";
+
 impl<G: AbelianGroup> Secondary<G> {
     /// Materializes the appropriate structure for a group with `face_dims`
     /// dimensions of extent `k` each.
@@ -52,7 +62,7 @@ impl<G: AbelianGroup> Secondary<G> {
             Mode::Dynamic => {
                 if face_dims == 1 {
                     match config.base {
-                        BaseStore::Blocked => Secondary::Blocked(BlockedBc::zeroed(k)),
+                        BaseStore::Blocked => unreachable!("{BLOCKED_IS_INLINE}"),
                         BaseStore::Bc { fanout } => Secondary::Bc(BcTree::zeroed(fanout, k)),
                         BaseStore::Fenwick => Secondary::Fen(Fenwick::zeroed(k)),
                         BaseStore::SparseSeg => Secondary::Seg(SparseSegTree::zeroed(k)),
@@ -80,9 +90,7 @@ impl<G: AbelianGroup> Secondary<G> {
             Mode::Dynamic => {
                 if raw.shape().ndim() == 1 {
                     match config.base {
-                        BaseStore::Blocked => {
-                            Secondary::Blocked(BlockedBc::from_values(raw.as_slice()))
-                        }
+                        BaseStore::Blocked => unreachable!("{BLOCKED_IS_INLINE}"),
                         BaseStore::Bc { fanout } => {
                             Secondary::Bc(BcTree::from_values(fanout, raw.as_slice()))
                         }
@@ -100,20 +108,14 @@ impl<G: AbelianGroup> Secondary<G> {
 
     /// Cumulative group value at `idx` (each coordinate `< k`); `Empty`
     /// groups are implicit zeros.
-    pub(crate) fn prefix(&self, idx: &[usize], counter: &OpCounter) -> G {
+    pub(crate) fn prefix(&self, idx: &[usize], ops: &mut OpSnapshot) -> G {
         match self {
             Secondary::Empty => G::ZERO,
-            Secondary::Flat(f) => f.prefix(idx, counter),
-            Secondary::Blocked(t) => absorb_read(t, idx[0], counter),
-            Secondary::Bc(t) => absorb_read(t, idx[0], counter),
-            Secondary::Fen(t) => absorb_read(t, idx[0], counter),
-            Secondary::Seg(t) => absorb_read(t, idx[0], counter),
-            Secondary::Tree(t) => {
-                let before = t.ops();
-                let v = t.prefix_sum(idx);
-                counter.absorb(t.ops() - before);
-                v
-            }
+            Secondary::Flat(f) => f.prefix(idx, ops),
+            Secondary::Bc(t) => absorb_read(t, idx[0], ops),
+            Secondary::Fen(t) => absorb_read(t, idx[0], ops),
+            Secondary::Seg(t) => absorb_read(t, idx[0], ops),
+            Secondary::Tree(t) => t.prefix_counted(idx, ops),
         }
     }
 
@@ -125,23 +127,18 @@ impl<G: AbelianGroup> Secondary<G> {
         delta: G,
         k: usize,
         config: &DdcConfig,
-        counter: &OpCounter,
+        ops: &mut OpSnapshot,
     ) {
         if matches!(self, Secondary::Empty) {
             *self = Self::materialize(idx.len(), k, config);
         }
         match self {
             Secondary::Empty => unreachable!("materialized above"),
-            Secondary::Flat(f) => f.add(idx, delta, counter),
-            Secondary::Blocked(t) => absorb_write(t, idx[0], delta, counter),
-            Secondary::Bc(t) => absorb_write(t, idx[0], delta, counter),
-            Secondary::Fen(t) => absorb_write(t, idx[0], delta, counter),
-            Secondary::Seg(t) => absorb_write(t, idx[0], delta, counter),
-            Secondary::Tree(t) => {
-                let before = t.ops();
-                t.apply_delta(idx, delta);
-                counter.absorb(t.ops() - before);
-            }
+            Secondary::Flat(f) => f.add(idx, delta, ops),
+            Secondary::Bc(t) => absorb_write(t, idx[0], delta, ops),
+            Secondary::Fen(t) => absorb_write(t, idx[0], delta, ops),
+            Secondary::Seg(t) => absorb_write(t, idx[0], delta, ops),
+            Secondary::Tree(t) => t.add_counted(idx, delta, ops),
         }
     }
 
@@ -150,7 +147,6 @@ impl<G: AbelianGroup> Secondary<G> {
         match self {
             Secondary::Empty => 0,
             Secondary::Flat(f) => f.heap_bytes(),
-            Secondary::Blocked(t) => t.heap_bytes(),
             Secondary::Bc(t) => t.heap_bytes(),
             Secondary::Fen(t) => t.heap_bytes(),
             Secondary::Seg(t) => t.heap_bytes(),
@@ -159,14 +155,19 @@ impl<G: AbelianGroup> Secondary<G> {
     }
 }
 
+fn absorb(ops: &mut OpSnapshot, spent: OpSnapshot) {
+    ops.reads += spent.reads;
+    ops.writes += spent.writes;
+}
+
 fn absorb_read<G: AbelianGroup, S: CumulativeStore<G>>(
     store: &S,
     idx: usize,
-    counter: &OpCounter,
+    ops: &mut OpSnapshot,
 ) -> G {
     let before = store.ops();
     let v = store.prefix(idx);
-    counter.absorb(store.ops() - before);
+    absorb(ops, store.ops() - before);
     v
 }
 
@@ -174,11 +175,11 @@ fn absorb_write<G: AbelianGroup, S: CumulativeStore<G>>(
     store: &mut S,
     idx: usize,
     delta: G,
-    counter: &OpCounter,
+    ops: &mut OpSnapshot,
 ) {
     let before = store.ops();
     store.add(idx, delta);
-    counter.absorb(store.ops() - before);
+    absorb(ops, store.ops() - before);
 }
 
 #[cfg(test)]
@@ -187,31 +188,30 @@ mod tests {
 
     #[test]
     fn empty_reads_zero_and_costs_nothing() {
-        let c = OpCounter::new();
+        let mut c = OpSnapshot::default();
         let s = Secondary::<i64>::Empty;
-        assert_eq!(s.prefix(&[3], &c), 0);
-        assert_eq!(c.snapshot().reads, 0);
+        assert_eq!(s.prefix(&[3], &mut c), 0);
+        assert_eq!(c.reads, 0);
         assert_eq!(s.heap_bytes(), 0);
     }
 
     #[test]
     fn one_dimensional_base_stores_agree() {
         for base in [
-            BaseStore::Blocked,
             BaseStore::Bc { fanout: 3 },
             BaseStore::Fenwick,
             BaseStore::SparseSeg,
         ] {
             let config = DdcConfig::dynamic().with_base(base);
-            let c = OpCounter::new();
+            let mut c = OpSnapshot::default();
             let mut s = Secondary::<i64>::Empty;
-            s.add(&[2], 10, 8, &config, &c);
-            s.add(&[0], 4, 8, &config, &c);
-            s.add(&[7], -1, 8, &config, &c);
-            assert_eq!(s.prefix(&[0], &c), 4, "{base:?}");
-            assert_eq!(s.prefix(&[1], &c), 4, "{base:?}");
-            assert_eq!(s.prefix(&[2], &c), 14, "{base:?}");
-            assert_eq!(s.prefix(&[7], &c), 13, "{base:?}");
+            s.add(&[2], 10, 8, &config, &mut c);
+            s.add(&[0], 4, 8, &config, &mut c);
+            s.add(&[7], -1, 8, &config, &mut c);
+            assert_eq!(s.prefix(&[0], &mut c), 4, "{base:?}");
+            assert_eq!(s.prefix(&[1], &mut c), 4, "{base:?}");
+            assert_eq!(s.prefix(&[2], &mut c), 14, "{base:?}");
+            assert_eq!(s.prefix(&[7], &mut c), 13, "{base:?}");
             assert!(s.heap_bytes() > 0);
         }
     }
@@ -219,23 +219,23 @@ mod tests {
     #[test]
     fn basic_mode_materializes_flat() {
         let config = DdcConfig::basic();
-        let c = OpCounter::new();
+        let mut c = OpSnapshot::default();
         let mut s = Secondary::<i64>::Empty;
-        s.add(&[1, 1], 5, 4, &config, &c);
+        s.add(&[1, 1], 5, 4, &config, &mut c);
         assert!(matches!(s, Secondary::Flat(_)));
-        assert_eq!(s.prefix(&[0, 0], &c), 0);
-        assert_eq!(s.prefix(&[3, 3], &c), 5);
+        assert_eq!(s.prefix(&[0, 0], &mut c), 0);
+        assert_eq!(s.prefix(&[3, 3], &mut c), 5);
     }
 
     #[test]
-    fn counter_absorbs_substore_costs() {
-        let config = DdcConfig::dynamic();
-        let c = OpCounter::new();
+    fn caller_absorbs_substore_costs() {
+        let config = DdcConfig::dynamic().with_base(BaseStore::Fenwick);
+        let mut c = OpSnapshot::default();
         let mut s = Secondary::<i64>::Empty;
-        s.add(&[5], 1, 16, &config, &c);
-        assert!(c.snapshot().writes > 0);
-        let before = c.snapshot();
-        let _ = s.prefix(&[10], &c);
-        assert!(c.snapshot().reads > before.reads);
+        s.add(&[5], 1, 16, &config, &mut c);
+        assert!(c.writes > 0);
+        let before = c;
+        let _ = s.prefix(&[10], &mut c);
+        assert!(c.reads > before.reads);
     }
 }

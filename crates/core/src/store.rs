@@ -1,14 +1,14 @@
-//! Arena backends for [`crate::DdcTree`]'s leaf blocks: the
-//! [`NodeStore`] contract, the PR 7 in-memory slab ([`MemStore`]), and
+//! Arena backends for [`crate::DdcTree`]'s leaf blocks: the in-memory
+//! [`CellSlab`] (every block a fixed-size run of one flat `Vec`) and
 //! the out-of-core [`PagedStore`] that serializes records onto the
 //! fixed-size pages of a [`crate::pager::BufferPool`].
 //!
-//! A store is a slab of `u32`-addressed slots holding records of one
-//! type. The tree never holds references into the store across
-//! operations — access is closure-scoped (`with` / `with_mut`), which
-//! is what lets the paged backend decode a record into a stack
-//! temporary, hand it to the closure, and re-encode it afterwards
-//! while holding page pins only for the copy.
+//! Both are slabs of `u32`-addressed slots with free-list reuse. The
+//! tree never holds references into either across operations: the slab
+//! hands out the block's cells in place as a slice, and the paged store
+//! is closure-scoped (`with` / `with_mut`), which is what lets it
+//! decode a record into a stack temporary, hand it to the closure, and
+//! re-encode it afterwards while holding page pins only for the copy.
 //!
 //! [`PagedStore`] maps slot `id` to the fixed byte extent
 //! `[id · record_cap, (id+1) · record_cap)` of the page file, so a
@@ -27,138 +27,101 @@ use crate::sync::untracked::{AtomicU64, Mutex, MutexGuard, Ordering};
 use crate::sync::PoisonError;
 use crate::vfs::{OpenMode, StdVfs, Vfs, VfsFile};
 
-/// The backend contract over the tree's leaf arena (ROADMAP #1's
-/// "NodeStore over the PR 7 arenas").
-///
-/// Slot ids are dense `u32`s handed out by `insert`, reused through an
-/// internal free list after `remove` — exactly the discipline the PR 7
-/// flat arenas established, so [`crate::DdcTree`] runs unchanged on
-/// either backend.
-pub trait NodeStore<T> {
-    /// Stores `item`, returning its slot id (free slots are reused).
-    fn insert(&mut self, item: T) -> u32;
-    /// Vacates slot `id` and free-lists it.
-    fn remove(&mut self, id: u32);
-    /// Removes and returns slot `id`'s record without free-listing it
-    /// (arena compaction).
-    fn take(&mut self, id: u32) -> Option<T>;
-    /// Total slots (live + free).
-    fn slots(&self) -> usize;
-    /// Slots on the free list.
-    fn free_len(&self) -> usize;
-    /// The free list's contents (diagnostics; order unspecified).
-    fn free_ids(&self) -> Vec<u32>;
-    /// True when slot `id` holds a record.
-    fn is_occupied(&self, id: u32) -> bool;
-    /// Invokes `f` with a shared view of slot `id` (`None` if vacant).
-    fn with<R>(&self, id: u32, f: impl FnOnce(Option<&T>) -> R) -> R;
-    /// Invokes `f` with a mutable view of slot `id` (`None` if vacant);
-    /// mutations are persisted when `f` returns.
-    fn with_mut<R>(&mut self, id: u32, f: impl FnOnce(Option<&mut T>) -> R) -> R;
-}
-
 // ---------------------------------------------------------------------
-// MemStore: the PR 7 slab, extracted
+// CellSlab: fixed-size runs of one flat Vec
 // ---------------------------------------------------------------------
 
-/// In-memory slab arena: `Vec<Option<T>>` plus a free list.
+/// In-memory leaf arena: block `id` is the run
+/// `[id · run, (id+1) · run)` of one flat `Vec<G>` — no per-block
+/// header, shape or allocation — plus a free list. A free run is
+/// all-zero, so a slot claimed again needs no clearing.
 #[derive(Debug)]
-pub struct MemStore<T> {
-    slots: Vec<Option<T>>,
+pub struct CellSlab<G> {
+    cells: Vec<G>,
+    run: usize,
     free: Vec<u32>,
 }
 
-impl<T> Default for MemStore<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<T> MemStore<T> {
-    /// An empty slab.
-    pub fn new() -> Self {
+impl<G: ddc_array::AbelianGroup> CellSlab<G> {
+    /// An empty slab of `run`-cell blocks.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `run == 0`.
+    pub fn new(run: usize) -> Self {
+        assert!(run > 0, "leaf blocks hold at least one cell");
         Self {
-            slots: Vec::new(),
+            cells: Vec::new(),
+            run,
             free: Vec::new(),
         }
     }
 
-    /// Appends another slab's slots wholesale (graft fast path),
-    /// returning the id offset its records landed at. The donor's free
-    /// list is carried over, re-based.
-    pub fn absorb(&mut self, other: MemStore<T>) -> u32 {
-        let off = self.slots.len() as u32;
-        self.slots.extend(other.slots);
+    /// Cells per block.
+    pub fn run_len(&self) -> usize {
+        self.run
+    }
+
+    /// Claims an all-zero block, returning its slot id (free slots are
+    /// reused).
+    pub fn insert_zeroed(&mut self) -> u32 {
+        if let Some(id) = self.free.pop() {
+            return id;
+        }
+        let id = self.slots();
+        self.cells.resize(self.cells.len() + self.run, G::ZERO);
+        id as u32
+    }
+
+    /// Zeroes block `id` and free-lists it.
+    pub fn remove(&mut self, id: u32) {
+        self.block_mut(id).fill(G::ZERO);
+        self.free.push(id);
+    }
+
+    /// The cells of block `id`.
+    #[inline]
+    pub fn block(&self, id: u32) -> &[G] {
+        let at = id as usize * self.run;
+        &self.cells[at..at + self.run]
+    }
+
+    /// The cells of block `id`, mutably.
+    #[inline]
+    pub fn block_mut(&mut self, id: u32) -> &mut [G] {
+        let at = id as usize * self.run;
+        &mut self.cells[at..at + self.run]
+    }
+
+    /// Total slots (live + free).
+    pub fn slots(&self) -> usize {
+        self.cells.len() / self.run
+    }
+
+    /// The free list (order unspecified).
+    pub fn free_ids(&self) -> &[u32] {
+        &self.free
+    }
+
+    /// Appends another slab's blocks wholesale (graft fast path),
+    /// returning the id offset they landed at. The donor's free list is
+    /// carried over, re-based.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the two slabs' block sizes differ.
+    pub fn absorb(&mut self, other: CellSlab<G>) -> u32 {
+        assert_eq!(self.run, other.run, "leaf block size mismatch");
+        let off = self.slots() as u32;
+        self.cells.extend(other.cells);
         self.free.extend(other.free.iter().map(|&id| id + off));
         off
     }
 
-    /// Drains every slot in id order (paged conversion / compaction).
-    pub fn into_slots(self) -> (Vec<Option<T>>, Vec<u32>) {
-        (self.slots, self.free)
-    }
-
-    /// Heap bytes of the slab bookkeeping itself (slot vector + free
-    /// list), excluding record internals.
-    pub fn slab_bytes(&self) -> usize {
-        self.slots.capacity() * std::mem::size_of::<Option<T>>()
+    /// Heap bytes held (cells + free list, by capacity).
+    pub fn heap_bytes(&self) -> usize {
+        self.cells.capacity() * std::mem::size_of::<G>()
             + self.free.capacity() * std::mem::size_of::<u32>()
-    }
-
-    /// Iterates the occupied records (stats / serialization).
-    pub fn iter_occupied(&self) -> impl Iterator<Item = (u32, &T)> {
-        self.slots
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| s.as_ref().map(|t| (i as u32, t)))
-    }
-}
-
-impl<T> NodeStore<T> for MemStore<T> {
-    fn insert(&mut self, item: T) -> u32 {
-        if let Some(id) = self.free.pop() {
-            self.slots[id as usize] = Some(item);
-            return id;
-        }
-        let id = self.slots.len() as u32;
-        self.slots.push(Some(item));
-        id
-    }
-
-    fn remove(&mut self, id: u32) {
-        self.slots[id as usize] = None;
-        self.free.push(id);
-    }
-
-    fn take(&mut self, id: u32) -> Option<T> {
-        self.slots[id as usize].take()
-    }
-
-    fn slots(&self) -> usize {
-        self.slots.len()
-    }
-
-    fn free_len(&self) -> usize {
-        self.free.len()
-    }
-
-    fn free_ids(&self) -> Vec<u32> {
-        self.free.clone()
-    }
-
-    fn is_occupied(&self, id: u32) -> bool {
-        self.slots
-            .get(id as usize)
-            .map(Option::is_some)
-            .unwrap_or(false)
-    }
-
-    fn with<R>(&self, id: u32, f: impl FnOnce(Option<&T>) -> R) -> R {
-        f(self.slots[id as usize].as_ref())
-    }
-
-    fn with_mut<R>(&mut self, id: u32, f: impl FnOnce(Option<&mut T>) -> R) -> R {
-        f(self.slots[id as usize].as_mut())
     }
 }
 
@@ -308,9 +271,13 @@ impl<T> PagedStore<T> {
         })
     }
 
-    /// Converts a [`MemStore`] in place, preserving every slot id.
-    pub fn from_mem(
-        mem: MemStore<T>,
+    /// Builds a store whose slot `id` holds the `id`-th item of
+    /// `records` (`None` = vacant), with `free` as its free list — how
+    /// the tree moves a [`CellSlab`] onto pages with every slot id
+    /// preserved.
+    pub fn from_records(
+        records: impl Iterator<Item = Option<T>>,
+        free: Vec<u32>,
         pager: PagerConfig,
         d: usize,
         record_cap: usize,
@@ -318,9 +285,8 @@ impl<T> PagedStore<T> {
     ) -> io::Result<Self> {
         let store = Self::new(pager, d, record_cap, codec)?;
         {
-            let (slots, free) = mem.into_slots();
             let mut g = store.lock();
-            for (id, slot) in slots.into_iter().enumerate() {
+            for (id, slot) in records.enumerate() {
                 g.slots.push(SlotState::Free);
                 if let Some(item) = slot {
                     store_record(&mut g, id as u32, &item, record_cap, codec);
@@ -414,8 +380,9 @@ fn store_record<T>(
     g.scratch = scratch;
 }
 
-impl<T> NodeStore<T> for PagedStore<T> {
-    fn insert(&mut self, item: T) -> u32 {
+impl<T> PagedStore<T> {
+    /// Stores `item`, returning its slot id (free slots are reused).
+    pub fn insert(&mut self, item: T) -> u32 {
         let record_cap = self.record_cap;
         let codec = self.codec;
         let mut g = self.lock();
@@ -430,7 +397,8 @@ impl<T> NodeStore<T> for PagedStore<T> {
         id
     }
 
-    fn remove(&mut self, id: u32) {
+    /// Vacates slot `id` and free-lists it.
+    pub fn remove(&mut self, id: u32) {
         let mut g = self.lock();
         match g.slots.get(id as usize) {
             Some(SlotState::Occupied { .. }) => {}
@@ -441,33 +409,31 @@ impl<T> NodeStore<T> for PagedStore<T> {
         g.free.push(id);
     }
 
-    fn take(&mut self, id: u32) -> Option<T> {
-        let mut g = self.lock();
-        let item = self.load_record(&mut g, id)?;
-        g.slots[id as usize] = SlotState::Free;
-        Some(item)
-    }
-
-    fn slots(&self) -> usize {
+    /// Total slots (live + free).
+    pub fn slots(&self) -> usize {
         self.lock().slots.len()
     }
 
-    fn free_len(&self) -> usize {
+    /// Slots on the free list.
+    pub fn free_len(&self) -> usize {
         self.lock().free.len()
     }
 
-    fn free_ids(&self) -> Vec<u32> {
+    /// The free list's contents (diagnostics; order unspecified).
+    pub fn free_ids(&self) -> Vec<u32> {
         self.lock().free.clone()
     }
 
-    fn is_occupied(&self, id: u32) -> bool {
+    /// True when slot `id` holds a record.
+    pub fn is_occupied(&self, id: u32) -> bool {
         matches!(
             self.lock().slots.get(id as usize),
             Some(SlotState::Occupied { .. })
         )
     }
 
-    fn with<R>(&self, id: u32, f: impl FnOnce(Option<&T>) -> R) -> R {
+    /// Invokes `f` with a shared view of slot `id` (`None` if vacant).
+    pub fn with<R>(&self, id: u32, f: impl FnOnce(Option<&T>) -> R) -> R {
         let item = {
             let mut g = self.lock();
             self.load_record(&mut g, id)
@@ -475,7 +441,9 @@ impl<T> NodeStore<T> for PagedStore<T> {
         f(item.as_ref())
     }
 
-    fn with_mut<R>(&mut self, id: u32, f: impl FnOnce(Option<&mut T>) -> R) -> R {
+    /// Invokes `f` with a mutable view of slot `id` (`None` if vacant);
+    /// mutations are persisted when `f` returns.
+    pub fn with_mut<R>(&mut self, id: u32, f: impl FnOnce(Option<&mut T>) -> R) -> R {
         let mut item = {
             let mut g = self.lock();
             self.load_record(&mut g, id)
@@ -529,9 +497,9 @@ mod tests {
     }
 
     #[test]
-    fn paged_matches_mem_under_churn_with_evictions() {
+    fn paged_matches_model_under_churn_with_evictions() {
         let mut paged = tiny_store(128); // 2 pages resident at most
-        let mut mem = MemStore::<Vec<u8>>::new();
+        let mut model = std::collections::HashMap::<u32, Vec<u8>>::new();
         let mut ids = Vec::new();
         let mut rng = 0x12345678u64;
         for i in 0..400u64 {
@@ -541,10 +509,9 @@ mod tests {
             let op = rng % 3;
             if op == 0 || ids.is_empty() {
                 let rec = vec![(i % 251) as u8; 1 + (rng % 90) as usize];
-                let p = paged.insert(rec.clone());
-                let m = mem.insert(rec);
-                assert_eq!(p, m, "id streams must match");
-                ids.push(p);
+                let id = paged.insert(rec.clone());
+                assert!(model.insert(id, rec).is_none(), "live slot {id} reissued");
+                ids.push(id);
             } else if op == 1 {
                 let id = ids[(rng as usize / 7) % ids.len()];
                 paged.with_mut(id, |v| {
@@ -552,16 +519,12 @@ mod tests {
                         v.push(i as u8);
                     }
                 });
-                mem.with_mut(id, |v| {
-                    if let Some(v) = v {
-                        v.push(i as u8);
-                    }
-                });
+                model.get_mut(&id).expect("live id").push(i as u8);
             } else {
                 let ix = (rng as usize / 11) % ids.len();
                 let id = ids.swap_remove(ix);
                 paged.remove(id);
-                mem.remove(id);
+                model.remove(&id);
             }
         }
         assert!(
@@ -569,22 +532,20 @@ mod tests {
             "{:?}",
             paged.pool_stats()
         );
+        assert_eq!(paged.slots() - paged.free_len(), ids.len());
         for id in ids {
-            let expect = mem.with(id, |v| v.cloned());
-            paged.with(id, |v| assert_eq!(v.cloned(), expect, "slot {id}"));
+            paged.with(id, |v| assert_eq!(v, model.get(&id), "slot {id}"));
         }
         paged.audit();
     }
 
     #[test]
-    fn from_mem_preserves_ids() {
-        let mut mem = MemStore::<Vec<u8>>::new();
-        let a = mem.insert(vec![1]);
-        let b = mem.insert(vec![2, 2]);
-        let c = mem.insert(vec![3; 30]);
-        mem.remove(b);
-        let paged = PagedStore::from_mem(
-            mem,
+    fn from_records_preserves_ids() {
+        let (a, b, c) = (0u32, 1u32, 2u32);
+        let records = vec![Some(vec![1u8]), None, Some(vec![3; 30])];
+        let paged = PagedStore::from_records(
+            records.into_iter(),
+            vec![b],
             PagerConfig::in_mem(128).with_page_bytes(64),
             1,
             100,
@@ -595,5 +556,30 @@ mod tests {
         assert!(!paged.is_occupied(b));
         paged.with(c, |v| assert_eq!(v, Some(&vec![3; 30])));
         assert_eq!(paged.free_ids(), vec![b]);
+    }
+
+    #[test]
+    fn cell_slab_reuses_zeroed_runs_and_absorbs() {
+        let mut slab = CellSlab::<i64>::new(4);
+        let a = slab.insert_zeroed();
+        let b = slab.insert_zeroed();
+        slab.block_mut(a).copy_from_slice(&[1, 2, 3, 4]);
+        slab.block_mut(b)[2] = 9;
+        assert_eq!(slab.block(a), &[1, 2, 3, 4]);
+        assert_eq!(slab.slots(), 2);
+        slab.remove(a);
+        assert_eq!(slab.free_ids(), &[a]);
+        assert_eq!(slab.insert_zeroed(), a, "free slot must be reused");
+        assert_eq!(slab.block(a), &[0; 4], "reused run must read zero");
+        let mut donor = CellSlab::<i64>::new(4);
+        let x = donor.insert_zeroed();
+        let y = donor.insert_zeroed();
+        donor.block_mut(y)[0] = 5;
+        donor.remove(x);
+        let off = slab.absorb(donor);
+        assert_eq!(off, 2);
+        assert_eq!(slab.block(y + off)[0], 5);
+        assert_eq!(slab.free_ids(), &[x + off]);
+        assert_eq!(slab.block(b)[2], 9);
     }
 }

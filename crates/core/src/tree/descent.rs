@@ -1,0 +1,481 @@
+//! The hot path of a [`DdcTree`]: Figure 10's prefix query, Figure 12's
+//! update, and the read-only walks (cell reads, traces, enumeration,
+//! the invariant check) — all index walks over the level slabs.
+//!
+//! Costs are accumulated in a local [`OpSnapshot`] and the tree's
+//! [`ddc_array::OpCounter`] is bumped once per operation; the `_counted`
+//! entry points skip even that, which is how secondary trees report
+//! into their owner's operation.
+
+use ddc_array::{AbelianGroup, OpSnapshot};
+
+use super::arena::NO_BOX;
+use super::{ChildRef, Contribution, DdcTree, TraceStep};
+
+/// Coordinate scratch for this many dimensions lives on the stack;
+/// wider cubes fall back to one heap buffer per operation.
+const INLINE_DIMS: usize = 8;
+
+/// Runs `f` with two zeroed `d`-long coordinate buffers.
+#[inline]
+pub(crate) fn with_coord_bufs<R>(d: usize, f: impl FnOnce(&mut [usize], &mut [usize]) -> R) -> R {
+    let mut stack = [0usize; 2 * INLINE_DIMS];
+    let mut heap = Vec::new();
+    let buf = if d <= INLINE_DIMS {
+        &mut stack[..2 * d]
+    } else {
+        heap.resize(2 * d, 0);
+        &mut heap[..]
+    };
+    let (a, b) = buf.split_at_mut(d);
+    f(a, b)
+}
+
+/// Row-major offset of the block-local point `rel` in a leaf block of
+/// the given side.
+#[inline]
+fn leaf_offset(side: usize, rel: &[usize]) -> usize {
+    rel.iter().fold(0, |at, &r| at * side + r)
+}
+
+/// Adds the cells of the block-local prefix region ending at `rel` onto
+/// `acc`, in row-major order — the "sum the appropriate leaf cells" step
+/// of §4.4 as nested loops over the flat run.
+fn add_leaf_prefix<G: AbelianGroup>(cells: &[G], side: usize, rel: &[usize], acc: G) -> G {
+    match rel {
+        [] => acc,
+        [r] => cells[..=*r].iter().fold(acc, |acc, &v| acc.add(v)),
+        [r, rest @ ..] => {
+            let plane = cells.len() / side;
+            cells
+                .chunks_exact(plane)
+                .take(*r + 1)
+                .fold(acc, |acc, sub| add_leaf_prefix(sub, side, rest, acc))
+        }
+    }
+}
+
+impl<G: AbelianGroup> DdcTree<G> {
+    fn check_point(&self, x: &[usize]) {
+        assert_eq!(x.len(), self.d, "point rank does not match the tree");
+        assert!(
+            x.iter().all(|&c| c < self.side),
+            "{x:?} outside side {}",
+            self.side
+        );
+    }
+
+    /// `SUM(A[0,…,0] : A[x])` — Figure 10's `CalculateRegionSum`, as an
+    /// iterative slab walk. At a node of half-side `k`, let `h` be the
+    /// bitmask of dimensions whose (node-local) target coordinate is in
+    /// the high half; the contributing boxes are exactly the submasks
+    /// `s ⊆ h` — the box covers the target region fully in the
+    /// dimensions `h \ s`, so it contributes its subtotal when
+    /// `h \ s` is every dimension, a row-sum value otherwise, and the
+    /// query descends into the `s = h` box. Cross coordinates are
+    /// mask-selected (full → `k−1`, cut → `x & (k−1)`) with no
+    /// per-dimension branching.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` has the wrong rank or a coordinate `≥ side`.
+    pub fn prefix_sum(&self, x: &[usize]) -> G {
+        let mut ops = OpSnapshot::default();
+        let v = self.prefix_counted(x, &mut ops);
+        self.counter.read(ops.reads);
+        v
+    }
+
+    /// [`DdcTree::prefix_sum`] with the cost added to `ops` instead of
+    /// the tree's own counter.
+    pub(crate) fn prefix_counted(&self, x: &[usize], ops: &mut OpSnapshot) -> G {
+        self.check_point(x);
+        let d = self.d;
+        let all_mask = (1usize << d) - 1;
+        with_coord_bufs(d, |rel, cross| {
+            rel.copy_from_slice(x);
+            let mut cur = self.root;
+            let mut acc = G::ZERO;
+            for level in &self.levels {
+                if cur.is_empty() {
+                    return acc;
+                }
+                let k = level.k;
+                let base = cur.index() << d;
+                let mut h_mask = 0usize;
+                for (i, r) in rel.iter().enumerate() {
+                    h_mask |= usize::from(*r >= k) << i;
+                }
+                // Ascending submask enumeration of h_mask; the final
+                // submask (h_mask itself) is the descend box, handled
+                // after the loop so its subtotal never contributes.
+                let mut s = 0usize;
+                while s != h_mask {
+                    let obox = level.slots[base + s].obox;
+                    if obox != NO_BOX {
+                        let full = h_mask & !s;
+                        if full == all_mask {
+                            ops.reads += 1;
+                            acc = acc.add(level.subtotal(obox));
+                        } else {
+                            let j = full.trailing_zeros() as usize;
+                            let mut w = 0;
+                            for (i, r) in rel.iter().enumerate() {
+                                if i == j {
+                                    continue;
+                                }
+                                let f = ((full >> i) & 1).wrapping_neg();
+                                cross[w] = ((k - 1) & f) | (*r & (k - 1) & !f);
+                                w += 1;
+                            }
+                            acc = acc.add(level.face_prefix(obox, j, &cross[..w], ops));
+                        }
+                    }
+                    s = s.wrapping_sub(h_mask) & h_mask;
+                }
+                cur = level.slots[base + h_mask].child;
+                for r in rel.iter_mut() {
+                    *r &= k - 1;
+                }
+            }
+            if cur.is_empty() {
+                return acc;
+            }
+            ops.reads += rel.iter().map(|&r| r as u64 + 1).product::<u64>();
+            let side = self.leaf_side();
+            acc.add(self.leaves.with(cur.index() as u32, |cells| {
+                add_leaf_prefix(cells, side, rel, G::ZERO)
+            }))
+        })
+    }
+
+    /// Like [`DdcTree::prefix_sum`], additionally recording which overlay
+    /// box contributed what — the paper's Figure 11 walkthrough as data.
+    /// Returns the steps in visit order (box index ascending, descent
+    /// last at each node); the sum of their values is the prefix sum.
+    pub fn trace_prefix(&self, x: &[usize]) -> Vec<TraceStep<G>> {
+        self.check_point(x);
+        let d = self.d;
+        let all_mask = (1usize << d) - 1;
+        let mut ops = OpSnapshot::default();
+        let mut steps = Vec::new();
+        let mut lo = vec![0usize; d];
+        let mut cur = self.root;
+        for (depth, level) in self.levels.iter().enumerate() {
+            if cur.is_empty() {
+                break;
+            }
+            let k = level.k;
+            let base = cur.index() << d;
+            let mut h_mask = 0usize;
+            for i in 0..d {
+                h_mask |= usize::from(x[i] >= lo[i] + k) << i;
+            }
+            let mut s = 0usize;
+            loop {
+                let box_lo: Vec<usize> = (0..d)
+                    .map(|i| lo[i] + if s & (1 << i) != 0 { k } else { 0 })
+                    .collect();
+                if s == h_mask {
+                    // The box covering the target cell: descend.
+                    steps.push(TraceStep {
+                        level: depth,
+                        box_anchor: box_lo.clone(),
+                        box_side: k,
+                        kind: Contribution::Descend,
+                        value: G::ZERO,
+                    });
+                    lo = box_lo;
+                    cur = level.slots[base + s].child;
+                    break;
+                }
+                let obox = level.slots[base + s].obox;
+                if obox != NO_BOX {
+                    let full = h_mask & !s;
+                    let (kind, value) = if full == all_mask {
+                        (Contribution::Subtotal, level.subtotal(obox))
+                    } else {
+                        let j = full.trailing_zeros() as usize;
+                        let cross: Vec<usize> = (0..d)
+                            .filter(|&i| i != j)
+                            .map(|i| {
+                                if (full >> i) & 1 != 0 {
+                                    k - 1
+                                } else {
+                                    x[i] - box_lo[i]
+                                }
+                            })
+                            .collect();
+                        (
+                            Contribution::RowSum { axis: j },
+                            level.face_prefix(obox, j, &cross, &mut ops),
+                        )
+                    };
+                    steps.push(TraceStep {
+                        level: depth,
+                        box_anchor: box_lo,
+                        box_side: k,
+                        kind,
+                        value,
+                    });
+                }
+                s = s.wrapping_sub(h_mask) & h_mask;
+            }
+        }
+        if !cur.is_empty() {
+            let side = self.leaf_side();
+            let rel: Vec<usize> = x.iter().zip(&lo).map(|(&c, &l)| c - l).collect();
+            let cells: usize = rel.iter().map(|&r| r + 1).product();
+            ops.reads += cells as u64;
+            steps.push(TraceStep {
+                level: self.levels.len(),
+                box_anchor: lo,
+                box_side: side,
+                kind: Contribution::LeafCells { cells },
+                value: self.leaves.with(cur.index() as u32, |block| {
+                    add_leaf_prefix(block, side, &rel, G::ZERO)
+                }),
+            });
+        }
+        self.counter.read(ops.reads);
+        steps
+    }
+
+    /// Adds `delta` to cell `x` — Figure 12's `UpdateCell`, expressed with
+    /// the difference value directly. Iterative: one box per level
+    /// absorbs the delta, then the walk reaches the leaf cell,
+    /// materializing nodes, box records and the leaf block on demand.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` has the wrong rank or a coordinate `≥ side`.
+    pub fn apply_delta(&mut self, x: &[usize], delta: G) {
+        let mut ops = OpSnapshot::default();
+        self.add_counted(x, delta, &mut ops);
+        self.counter.absorb(ops);
+    }
+
+    /// [`DdcTree::apply_delta`] with the cost added to `ops` instead of
+    /// the tree's own counter.
+    pub(crate) fn add_counted(&mut self, x: &[usize], delta: G, ops: &mut OpSnapshot) {
+        self.check_point(x);
+        if delta.is_zero() {
+            return;
+        }
+        let d = self.d;
+        let config = self.config;
+        with_coord_bufs(d, |rel, cross| {
+            rel.copy_from_slice(x);
+            // The reference to fill in when `cur` has to be created:
+            // the root, then the slot the walk came through.
+            let mut cur = self.root;
+            let mut parent: Option<(usize, usize)> = None;
+            for l in 0..self.levels.len() {
+                let node = if cur.is_empty() {
+                    let id = self.levels[l].alloc_node();
+                    self.link(parent, ChildRef::node(id));
+                    id as usize
+                } else {
+                    cur.index()
+                };
+                let level = &mut self.levels[l];
+                let k = level.k;
+                // Exactly one box covers the cell (§3.2): its index comes
+                // from the coordinate high bits; rel becomes box-local.
+                let mut bi = 0usize;
+                for (i, r) in rel.iter_mut().enumerate() {
+                    bi |= usize::from(*r >= k) << i;
+                    *r &= k - 1;
+                }
+                let six = (node << d) + bi;
+                if level.slots[six].obox == NO_BOX {
+                    level.slots[six].obox = level.alloc_box();
+                }
+                let slot = level.slots[six];
+                level.box_add(slot.obox, rel, cross, delta, &config, ops);
+                cur = slot.child;
+                parent = Some((l, six));
+            }
+            let leaf = if cur.is_empty() {
+                let id = self.alloc_leaf();
+                self.link(parent, ChildRef::leaf(id));
+                id
+            } else {
+                cur.index() as u32
+            };
+            let at = leaf_offset(self.leaf_side(), rel);
+            self.leaves
+                .with_mut(leaf, |cells| cells[at] = cells[at].add(delta));
+            ops.writes += 1;
+        });
+    }
+
+    /// Stores a freshly created child in the slot the update walk came
+    /// through (`None`: the root).
+    fn link(&mut self, parent: Option<(usize, usize)>, child: ChildRef) {
+        match parent {
+            None => self.root = child,
+            Some((l, six)) => self.levels[l].slots[six].child = child,
+        }
+    }
+
+    /// Reads one raw cell by direct descent (`O(log n)`).
+    pub fn cell(&self, x: &[usize]) -> G {
+        self.check_point(x);
+        let mut cur = self.root;
+        // Nodes are aligned to their (power-of-two) side, so bit `k` of
+        // each coordinate picks the half at the level of half-side `k`,
+        // and the bits below the leaf side are the block-local offset.
+        for level in &self.levels {
+            if cur.is_empty() {
+                return G::ZERO;
+            }
+            let mut bi = 0usize;
+            for (i, &c) in x.iter().enumerate() {
+                bi |= usize::from(c & level.k != 0) << i;
+            }
+            cur = level.slots[(cur.index() << self.d) + bi].child;
+        }
+        if cur.is_empty() {
+            return G::ZERO;
+        }
+        let leaf_side = self.leaf_side();
+        let at = x
+            .iter()
+            .fold(0, |at, &c| at * leaf_side + (c & (leaf_side - 1)));
+        self.counter.read(1);
+        self.leaves.with(cur.index() as u32, |cells| cells[at])
+    }
+
+    /// Sum of the whole space.
+    pub fn total(&self) -> G {
+        if self.root.is_empty() {
+            return G::ZERO;
+        }
+        let Some(top) = self.levels.first() else {
+            return self.leaves.with(self.root.index() as u32, |cells| {
+                cells.iter().fold(G::ZERO, |acc, &v| acc.add(v))
+            });
+        };
+        let base = self.root.index() << self.d;
+        top.slots[base..base + self.stride()]
+            .iter()
+            .filter(|slot| slot.obox != NO_BOX)
+            .fold(G::ZERO, |acc, slot| acc.add(top.subtotal(slot.obox)))
+    }
+
+    /// Invokes `f` for every non-zero raw cell with its coordinates.
+    pub fn for_each_nonzero(&self, f: &mut impl FnMut(&[usize], G)) {
+        let lo = vec![0usize; self.d];
+        self.walk_nonzero(self.root, 0, &lo, f);
+    }
+
+    /// Enumerates the non-zero cells under `c`, a child at depth `l`
+    /// anchored at `lo`.
+    pub(super) fn walk_nonzero(
+        &self,
+        c: ChildRef,
+        l: usize,
+        lo: &[usize],
+        f: &mut impl FnMut(&[usize], G),
+    ) {
+        if c.is_empty() {
+            return;
+        }
+        let d = self.d;
+        if c.is_leaf() {
+            let side = self.leaf_side();
+            let mut abs = lo.to_vec();
+            self.leaves.with(c.index() as u32, |cells| {
+                for (at, &v) in cells.iter().enumerate() {
+                    if !v.is_zero() {
+                        let mut rest = at;
+                        for i in (0..d).rev() {
+                            abs[i] = lo[i] + rest % side;
+                            rest /= side;
+                        }
+                        f(&abs, v);
+                    }
+                }
+            });
+            return;
+        }
+        let level = &self.levels[l];
+        let base = c.index() << d;
+        let mut box_lo = vec![0usize; d];
+        for bi in 0..self.stride() {
+            for i in 0..d {
+                box_lo[i] = lo[i] + if bi & (1 << i) != 0 { level.k } else { 0 };
+            }
+            self.walk_nonzero(level.slots[base + bi].child, l + 1, &box_lo, f);
+        }
+    }
+
+    /// Number of non-zero raw cells.
+    pub fn populated_cells(&self) -> usize {
+        let mut n = 0;
+        self.for_each_nonzero(&mut |_, _| n += 1);
+        n
+    }
+
+    /// Validates structural invariants, returning the tree total:
+    /// every overlay box's subtotal equals its child's content sum, and
+    /// every row-sum group's full-prefix equals the subtotal.
+    ///
+    /// # Panics
+    ///
+    /// Panics on any violation (test/diagnostic use).
+    pub fn check_invariants(&self) -> G {
+        let mut ops = OpSnapshot::default();
+        let total = self.check_child(self.root, 0, &mut ops);
+        self.counter.read(ops.reads);
+        total
+    }
+
+    fn check_child(&self, c: ChildRef, l: usize, ops: &mut OpSnapshot) -> G {
+        let d = self.d;
+        if c.is_empty() {
+            return G::ZERO;
+        }
+        if c.is_leaf() {
+            return self.leaves.with(c.index() as u32, |cells| {
+                assert_eq!(
+                    cells.len(),
+                    self.leaf_side().pow(d as u32),
+                    "leaf block shape mismatch"
+                );
+                cells.iter().fold(G::ZERO, |acc, &v| acc.add(v))
+            });
+        }
+        let level = &self.levels[l];
+        let base = c.index() << d;
+        let full = vec![level.k - 1; d - 1];
+        let mut total = G::ZERO;
+        for slot in &level.slots[base..base + self.stride()] {
+            let child_total = self.check_child(slot.child, l + 1, ops);
+            if slot.obox == NO_BOX {
+                assert!(
+                    child_total.is_zero(),
+                    "missing box over non-empty child (sum {child_total:?})"
+                );
+                continue;
+            }
+            let subtotal = level.subtotal(slot.obox);
+            assert_eq!(
+                subtotal, child_total,
+                "subtotal does not match child content"
+            );
+            let groups = if d >= 2 { d } else { 0 };
+            for j in 0..groups {
+                if level.face_is_unset(slot.obox, j) {
+                    assert!(subtotal.is_zero(), "empty face under non-zero subtotal");
+                    continue;
+                }
+                let fp = level.face_prefix(slot.obox, j, &full, ops);
+                assert_eq!(fp, subtotal, "face {j} full prefix disagrees with subtotal");
+            }
+            total = total.add(subtotal);
+        }
+        total
+    }
+}

@@ -1,0 +1,818 @@
+//! The primary tree of the Dynamic Data Cube (§3.2, §4.2), packed into
+//! per-level slabs.
+//!
+//! A [`DdcTree`] recursively bisects the (power-of-two) data space. Each
+//! node holds `2^d` **overlay boxes** of side `k` (half the node's side);
+//! a box stores the **subtotal** of its region and `d` row-sum groups,
+//! each `(d−1)`-dimensional (§3.1).
+//!
+//! Queries ([`DdcTree::prefix_sum`]) implement Figure 10: at each node,
+//! every overlay box contributes at most one value —
+//!
+//! * nothing, if the target cell precedes the box in some dimension;
+//! * its subtotal, if the target region covers the box entirely;
+//! * one row-sum group value, if the target region cuts the box; or
+//! * a recursive descent, for the single box that covers the target cell.
+//!
+//! Updates ([`DdcTree::apply_delta`]) implement Figure 12 bottom-up with
+//! the difference value: one box per level absorbs the delta into its
+//! subtotal and its `d` row-sum groups.
+//!
+//! ## Level slabs (DESIGN §43)
+//!
+//! Nodes, boxes and leaf blocks are not heap objects. Every record at
+//! one depth has the same size — level `ℓ` holds the nodes of half-side
+//! `k = side >> (ℓ+1)` — so each level owns two flat arrays (`arena`):
+//!
+//! ```text
+//! slots: [ Slot{child, obox} × 2^d ]  per node   node n owns [n·2^d, (n+1)·2^d)
+//! words: [ subtotal | face_0 | … | face_{d−1} ]  per box record `obox`
+//!                     └ k raw values, then the Fenwick summary over
+//!                       16-value blocks (only when k > 16)
+//! ```
+//!
+//! A `Slot` is 8 bytes: a packed `ChildRef` (node id in the next
+//! level, or leaf-block id) and the id of the box record covering that
+//! child. When the row-sum groups are one-dimensional and stored in the
+//! default blocked B^c layout (d = 2, Dynamic mode, `BaseStore::Blocked`)
+//! each face is written **in place** in `words` and driven by the slice
+//! kernels of `ddc_btree::blocked` — one update or query touches one
+//! contiguous record per level, with no pointer to follow. Every other
+//! kind of group (secondary trees for d ≥ 3, the Basic mode's flat
+//! arrays, the ablation base stores) lives out of line in a parallel
+//! `faces: Vec<Secondary>` with stride `d` per box record. Dense leaf
+//! blocks are `leaf_side^d`-cell runs of one flat `Vec` (or records on
+//! pages once [`DdcTree::enable_paging`] has run).
+//!
+//! Box records are allocated **per box**, not per node: a node's slots
+//! exist as soon as the node does (8 bytes each), but a box's words are
+//! claimed only when the first non-zero value lands in its region, so an
+//! empty quadrant of a populated node still costs nothing — §5's
+//! sparsity guarantee is unchanged by the packing. [`DdcTree::grow`]
+//! inserts a fresh level at the front; ids in every other level stay
+//! valid.
+//!
+//! Descent (`descent`) is an index walk over those arrays, and box
+//! classification is branchless: the boxes contributing to a prefix
+//! query at a node are exactly the submasks of the "high-half" bitmask
+//! of the target coordinates, so the query enumerates submasks and
+//! mask-selects the cross coordinates instead of testing per-dimension
+//! statuses. Costs are accumulated in locals and the [`OpCounter`] is
+//! bumped once per operation.
+//!
+//! [`DdcTree::prune`] returns dead nodes, box records and leaf blocks to
+//! per-level free lists; allocation pops a free id before growing a
+//! slab, and when free slots outnumber live ones the whole tree is
+//! compacted into fresh exactly-sized slabs, releasing the memory.
+//! [`DdcTree::check_arena`] audits this bookkeeping (reachability ∪ free
+//! lists = all slots, with no overlap and no dangling or duplicated
+//! references). Bulk construction and growth live in `build`.
+//!
+//! Additional paper features carried by this type:
+//!
+//! * **Level elision (§4.4)** — the `h` lowest levels are replaced by
+//!   dense leaf blocks of side `2^{h+1}`, shrinking storage toward
+//!   `|A|` at the cost of summing at most `2^{(h+1)d}` leaf cells per
+//!   query.
+//! * **Sparsity (§5)** — nodes, boxes, and secondary structures
+//!   materialize lazily; an all-zero region costs nothing.
+//! * **Growth (§5)** — [`DdcTree::grow`] doubles the space in one step by
+//!   re-rooting: the old root becomes one child of a fresh root, and only
+//!   the new root-level overlay box is rebuilt (cost proportional to the
+//!   populated cells, not the space).
+
+mod arena;
+mod build;
+mod descent;
+
+use ddc_array::{AbelianGroup, OpCounter, OpSnapshot};
+
+use crate::config::DdcConfig;
+use arena::{LeafArena, Level};
+pub(crate) use descent::with_coord_bufs;
+
+/// Tag bit distinguishing leaf-arena from node-slab references.
+const LEAF_BIT: u32 = 1 << 31;
+
+/// Packed reference to a child: empty, a node id in the next level's
+/// slab, or a leaf-arena id (tagged with [`LEAF_BIT`]). `u32::MAX` is
+/// the empty sentinel — it has the leaf bit set, so emptiness must be
+/// checked before the leaf tag.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub(crate) struct ChildRef(u32);
+
+impl ChildRef {
+    const EMPTY: ChildRef = ChildRef(u32::MAX);
+
+    fn node(ix: u32) -> Self {
+        assert!(ix < LEAF_BIT, "node arena overflow");
+        ChildRef(ix)
+    }
+
+    fn leaf(ix: u32) -> Self {
+        assert!(ix < LEAF_BIT - 1, "leaf arena overflow");
+        ChildRef(ix | LEAF_BIT)
+    }
+
+    #[inline]
+    fn is_empty(self) -> bool {
+        self.0 == u32::MAX
+    }
+
+    #[inline]
+    fn is_leaf(self) -> bool {
+        !self.is_empty() && self.0 & LEAF_BIT != 0
+    }
+
+    /// Arena index, valid for non-empty references only.
+    #[inline]
+    fn index(self) -> usize {
+        (self.0 & !LEAF_BIT) as usize
+    }
+}
+
+/// How one overlay box contributed to a traced query (Figure 11's
+/// per-box walkthrough, machine-readable).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum Contribution {
+    /// Target region covers the box entirely: its subtotal was added.
+    Subtotal,
+    /// Target region cuts the box: a row-sum group value was added
+    /// (the group's axis is recorded).
+    RowSum {
+        /// The dimension whose group answered.
+        axis: usize,
+    },
+    /// The box covers the target cell: the query descended into it.
+    Descend,
+    /// Cells summed directly from a leaf block (§4.4 elided levels).
+    LeafCells {
+        /// Number of raw cells added.
+        cells: usize,
+    },
+}
+
+/// One step of a traced prefix query.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct TraceStep<G> {
+    /// Tree depth (0 = root node).
+    pub level: usize,
+    /// Anchor of the overlay box (or leaf block) that contributed.
+    pub box_anchor: Vec<usize>,
+    /// Side `k` of the box.
+    pub box_side: usize,
+    /// What the box contributed.
+    pub kind: Contribution,
+    /// The value added to the running total (zero for `Descend`).
+    pub value: G,
+}
+
+/// Structural statistics of one tree (see [`DdcTree::stats`]).
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct TreeStats {
+    /// Materialized interior nodes.
+    pub nodes: usize,
+    /// Materialized overlay boxes.
+    pub boxes: usize,
+    /// Materialized dense leaf blocks.
+    pub leaf_blocks: usize,
+    /// Raw cells held by leaf blocks.
+    pub leaf_cells: usize,
+    /// Heap bytes attributable to secondary (row-sum) structures.
+    pub secondary_bytes: usize,
+    /// Total heap bytes of the tree.
+    pub total_bytes: usize,
+    /// Deepest materialized level (root node = 0).
+    pub depth: usize,
+    /// Per-level breakdown, index = level.
+    pub per_level: Vec<LevelStats>,
+    /// Node-arena slots (live + free-listed).
+    pub node_slots: usize,
+    /// Node-arena slots on the free list.
+    pub free_node_slots: usize,
+    /// Leaf-arena slots (live + free-listed).
+    pub leaf_slots: usize,
+    /// Leaf-arena slots on the free list.
+    pub free_leaf_slots: usize,
+}
+
+/// One level's slice of [`TreeStats`].
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
+pub struct LevelStats {
+    /// Region side covered by children at this level.
+    pub side: usize,
+    /// Interior nodes at this level.
+    pub nodes: usize,
+    /// Overlay boxes at this level.
+    pub boxes: usize,
+    /// Dense leaf blocks at this level.
+    pub leaf_blocks: usize,
+}
+
+/// The Dynamic Data Cube's primary tree over a `d`-dimensional space of
+/// power-of-two side.
+#[derive(Debug)]
+pub struct DdcTree<G: AbelianGroup> {
+    d: usize,
+    side: usize,
+    config: DdcConfig,
+    root: ChildRef,
+    /// One slab per interior depth, root level first: `levels[ℓ]` holds
+    /// the nodes of half-side `side >> (ℓ+1)`; the last level's children
+    /// are leaf blocks. Empty while the whole space is one leaf block.
+    levels: Vec<Level<G>>,
+    /// Leaf-block arena, indexed by [`ChildRef::leaf`] ids — flat
+    /// in-memory slab by default, paged once `enable_paging` has run.
+    leaves: LeafArena<G>,
+    counter: OpCounter,
+}
+
+impl<G: AbelianGroup> DdcTree<G> {
+    /// An empty (all-zero) tree covering `[0, side)^d`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `side` is not a power of two or `d == 0`.
+    pub fn new(d: usize, side: usize, config: DdcConfig) -> Self {
+        assert!(d >= 1, "dimensionality must be at least 1");
+        assert!(side.is_power_of_two(), "side {side} must be a power of two");
+        let leaf_side = config.leaf_block_side().min(side);
+        let mut levels = Vec::new();
+        let mut k = side >> 1;
+        while k >= leaf_side {
+            levels.push(Level::new(d, k, &config));
+            k >>= 1;
+        }
+        Self {
+            d,
+            side,
+            config,
+            root: ChildRef::EMPTY,
+            levels,
+            leaves: LeafArena::slab(d, leaf_side),
+            counter: OpCounter::new(),
+        }
+    }
+
+    /// Box slots per node.
+    #[inline]
+    fn stride(&self) -> usize {
+        1 << self.d
+    }
+
+    /// Side of the dense leaf blocks: boxes of this side hold raw cells
+    /// instead of child nodes (§4.4); the whole space while it is
+    /// smaller than one configured block.
+    fn leaf_side(&self) -> usize {
+        self.config.leaf_block_side().min(self.side)
+    }
+
+    /// Dimensionality `d`.
+    pub fn ndim(&self) -> usize {
+        self.d
+    }
+
+    /// Covered side length (power of two).
+    pub fn side(&self) -> usize {
+        self.side
+    }
+
+    /// The construction configuration.
+    pub fn config(&self) -> &DdcConfig {
+        &self.config
+    }
+
+    /// The tree's operation counter.
+    pub fn counter(&self) -> &OpCounter {
+        &self.counter
+    }
+
+    /// Snapshot of the operation counter.
+    pub fn ops(&self) -> OpSnapshot {
+        self.counter.snapshot()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::{BaseStore, DdcConfig};
+    use ddc_array::{NdArray, Shape};
+
+    fn reference_and_tree(
+        side: usize,
+        d: usize,
+        config: DdcConfig,
+        updates: &[(Vec<usize>, i64)],
+    ) -> (NdArray<i64>, DdcTree<i64>) {
+        let mut a = NdArray::<i64>::zeroed(Shape::cube(d, side));
+        let mut t = DdcTree::<i64>::new(d, side, config);
+        for (p, delta) in updates {
+            a.add_assign(p, *delta);
+            t.apply_delta(p, *delta);
+        }
+        (a, t)
+    }
+
+    fn assert_all_prefixes(a: &NdArray<i64>, t: &DdcTree<i64>) {
+        for p in a.shape().iter_points() {
+            assert_eq!(t.prefix_sum(&p), a.prefix_sum(&p), "prefix {p:?}");
+        }
+    }
+
+    fn dense_updates(side: usize, d: usize) -> Vec<(Vec<usize>, i64)> {
+        Shape::cube(d, side)
+            .iter_points()
+            .enumerate()
+            .map(|(i, p)| (p, (i as i64 * 31 % 17) - 8))
+            .collect()
+    }
+
+    #[test]
+    fn dense_2d_dynamic_matches_reference() {
+        let (a, t) = reference_and_tree(8, 2, DdcConfig::dynamic(), &dense_updates(8, 2));
+        assert_all_prefixes(&a, &t);
+        assert_eq!(t.check_invariants(), a.total());
+    }
+
+    #[test]
+    fn dense_2d_basic_matches_reference() {
+        let (a, t) = reference_and_tree(8, 2, DdcConfig::basic(), &dense_updates(8, 2));
+        assert_all_prefixes(&a, &t);
+    }
+
+    #[test]
+    fn dense_3d_matches_reference() {
+        for config in [
+            DdcConfig::dynamic(),
+            DdcConfig::basic(),
+            DdcConfig::sparse(),
+        ] {
+            let (a, t) = reference_and_tree(8, 3, config, &dense_updates(8, 3));
+            assert_all_prefixes(&a, &t);
+            assert_eq!(t.check_invariants(), a.total());
+        }
+    }
+
+    #[test]
+    fn dense_4d_matches_reference() {
+        let (a, t) = reference_and_tree(4, 4, DdcConfig::dynamic(), &dense_updates(4, 4));
+        assert_all_prefixes(&a, &t);
+    }
+
+    #[test]
+    fn prune_reclaims_cancelled_subtrees() {
+        let mut t = DdcTree::<i64>::new(2, 256, DdcConfig::dynamic());
+        // Populate a diagonal, then cancel it all.
+        for i in 0..256usize {
+            t.apply_delta(&[i, i], 7);
+        }
+        let populated_bytes = t.heap_bytes();
+        for i in 0..256usize {
+            t.apply_delta(&[i, i], -7);
+        }
+        assert_eq!(t.total(), 0);
+        // Structures linger until pruned…
+        assert!(t.heap_bytes() > populated_bytes / 2);
+        let released = t.prune();
+        assert!(released > 0);
+        assert!(
+            t.heap_bytes() < populated_bytes / 10,
+            "{} bytes left",
+            t.heap_bytes()
+        );
+        assert_eq!(t.prefix_sum(&[255, 255]), 0);
+        // The tree stays fully usable afterwards.
+        t.apply_delta(&[100, 100], 3);
+        assert_eq!(t.prefix_sum(&[255, 255]), 3);
+        t.check_invariants();
+    }
+
+    #[test]
+    fn prune_keeps_live_content_intact() {
+        let mut t = DdcTree::<i64>::new(2, 64, DdcConfig::sparse());
+        for (p, v) in dense_updates(8, 2) {
+            t.apply_delta(&[p[0] * 8, p[1] * 8], v);
+        }
+        t.apply_delta(&[5, 5], 9);
+        t.apply_delta(&[5, 5], -9); // one cancelled cell
+        let reference_total = t.total();
+        t.prune();
+        assert_eq!(t.total(), reference_total);
+        assert_eq!(t.cell(&[5, 5]), 0);
+        assert_eq!(t.cell(&[8, 8]), t.cell(&[8, 8]));
+        t.check_invariants();
+    }
+
+    #[test]
+    fn stats_profile_matches_structure() {
+        let (a, t) = reference_and_tree(16, 2, DdcConfig::dynamic(), &dense_updates(16, 2));
+        let s = t.stats();
+        // Dense 16² tree, h = 0: nodes at sides 16, 8, 4; leaf blocks of
+        // side 2 under the side-4 nodes.
+        assert_eq!(s.per_level[0].nodes, 1);
+        assert_eq!(s.per_level[0].side, 16);
+        assert_eq!(s.per_level[1].nodes, 4);
+        assert_eq!(s.per_level[2].nodes, 16);
+        assert_eq!(s.per_level[3].leaf_blocks, 64);
+        assert_eq!(s.leaf_cells, 256);
+        assert_eq!(s.nodes, 21);
+        assert_eq!(s.boxes, 21 * 4);
+        assert_eq!(s.depth, 3);
+        assert_eq!(s.total_bytes, t.heap_bytes());
+        assert!(s.secondary_bytes > 0 && s.secondary_bytes < s.total_bytes);
+        // Arena occupancy: no frees have happened, so every slot is live.
+        assert_eq!(s.node_slots, s.nodes);
+        assert_eq!(s.leaf_slots, s.leaf_blocks);
+        assert_eq!(s.free_node_slots, 0);
+        assert_eq!(s.free_leaf_slots, 0);
+        let _ = a;
+        // Sparse tree: statistics shrink to the populated paths.
+        let mut sparse = DdcTree::<i64>::new(2, 16, DdcConfig::sparse());
+        sparse.apply_delta(&[0, 0], 1);
+        let ss = sparse.stats();
+        assert_eq!(ss.nodes, 3);
+        assert_eq!(ss.boxes, 3);
+        assert_eq!(ss.leaf_blocks, 1);
+    }
+
+    #[test]
+    fn parallel_build_equals_sequential() {
+        let shape = Shape::cube(2, 64);
+        let a = NdArray::from_fn(shape, |p| ((p[0] * 31 + p[1] * 7) % 23) as i64 - 11);
+        let seq = DdcTree::from_array_sized(&a, 64, DdcConfig::dynamic());
+        let par = DdcTree::from_array_parallel(&a, 64, DdcConfig::dynamic());
+        for p in a.shape().iter_points() {
+            assert_eq!(par.prefix_sum(&p), seq.prefix_sum(&p), "{p:?}");
+        }
+        assert_eq!(par.check_invariants(), a.total());
+        par.check_arena();
+        // Degenerate: tiny array below the leaf-block side.
+        let tiny = NdArray::from_rows(&[vec![1i64, 2], vec![3, 4]]);
+        let par_tiny = DdcTree::from_array_parallel(&tiny, 2, DdcConfig::dynamic());
+        assert_eq!(par_tiny.prefix_sum(&[1, 1]), 10);
+    }
+
+    #[test]
+    fn five_dimensional_recursion() {
+        // d = 5 exercises four levels of secondary-tree recursion
+        // (4-D → 3-D → 2-D → 1-D B^c trees).
+        let (a, t) = reference_and_tree(4, 5, DdcConfig::dynamic(), &dense_updates(4, 5));
+        for p in [[0usize; 5], [3; 5], [1, 2, 3, 0, 2], [3, 0, 3, 0, 3]] {
+            assert_eq!(t.prefix_sum(&p), a.prefix_sum(&p), "{p:?}");
+        }
+        assert_eq!(t.check_invariants(), a.total());
+    }
+
+    #[test]
+    fn one_dimensional_tree() {
+        let (a, t) = reference_and_tree(16, 1, DdcConfig::dynamic(), &dense_updates(16, 1));
+        assert_all_prefixes(&a, &t);
+        assert_eq!(t.total(), a.total());
+    }
+
+    #[test]
+    fn elided_levels_match_reference() {
+        for h in 0..=3 {
+            let config = DdcConfig::dynamic().with_elision(h);
+            let (a, t) = reference_and_tree(16, 2, config, &dense_updates(16, 2));
+            assert_all_prefixes(&a, &t);
+            assert_eq!(t.check_invariants(), a.total());
+        }
+    }
+
+    #[test]
+    fn elision_shrinks_storage() {
+        let updates = dense_updates(32, 2);
+        let sizes: Vec<usize> = (0..=3)
+            .map(|h| {
+                let config = DdcConfig::dynamic().with_elision(h);
+                let (_, t) = reference_and_tree(32, 2, config, &updates);
+                t.heap_bytes()
+            })
+            .collect();
+        assert!(
+            sizes.windows(2).all(|w| w[1] < w[0]),
+            "heap bytes should fall as h grows: {sizes:?}"
+        );
+    }
+
+    #[test]
+    fn fenwick_and_seg_bases_match() {
+        for base in [
+            BaseStore::Blocked,
+            BaseStore::Fenwick,
+            BaseStore::SparseSeg,
+            BaseStore::Bc { fanout: 4 },
+        ] {
+            let config = DdcConfig::dynamic().with_base(base);
+            let (a, t) = reference_and_tree(16, 2, config, &dense_updates(16, 2));
+            assert_all_prefixes(&a, &t);
+        }
+    }
+
+    #[test]
+    fn slot_is_eight_bytes() {
+        assert_eq!(std::mem::size_of::<arena::Slot>(), 8);
+    }
+
+    /// Slab index arithmetic would turn an out-of-range coordinate into
+    /// a wrong sum, so the guard must hold in release builds too.
+    #[test]
+    #[should_panic(expected = "outside side 8")]
+    fn prefix_sum_rejects_out_of_range_coordinates() {
+        let mut t = DdcTree::<i64>::new(2, 8, DdcConfig::dynamic());
+        t.apply_delta(&[7, 7], 1);
+        let _ = t.prefix_sum(&[8, 0]);
+    }
+
+    #[test]
+    fn empty_tree_reads_zero_everywhere() {
+        let t = DdcTree::<i64>::new(3, 16, DdcConfig::dynamic());
+        assert_eq!(t.prefix_sum(&[15, 15, 15]), 0);
+        assert_eq!(t.cell(&[3, 4, 5]), 0);
+        assert_eq!(t.total(), 0);
+        assert_eq!(t.populated_cells(), 0);
+    }
+
+    #[test]
+    fn cell_reads_match_updates() {
+        let updates = dense_updates(8, 2);
+        let (a, t) = reference_and_tree(8, 2, DdcConfig::dynamic(), &updates);
+        for p in a.shape().iter_points() {
+            assert_eq!(t.cell(&p), a.get(&p), "cell {p:?}");
+        }
+    }
+
+    #[test]
+    fn sparse_population_costs_little_memory() {
+        let mut dense = DdcTree::<i64>::new(2, 1024, DdcConfig::sparse());
+        dense.apply_delta(&[3, 900], 5);
+        dense.apply_delta(&[800, 2], -9);
+        let sparse_bytes = dense.heap_bytes();
+        // The dense space would be 1024² cells = 8 MiB of i64 alone.
+        assert!(
+            sparse_bytes < 200_000,
+            "sparse cube used {sparse_bytes} bytes"
+        );
+        assert_eq!(dense.prefix_sum(&[1023, 1023]), -4);
+        assert_eq!(dense.populated_cells(), 2);
+    }
+
+    #[test]
+    fn growth_high_preserves_content() {
+        let mut t = DdcTree::<i64>::new(2, 8, DdcConfig::dynamic());
+        let updates = dense_updates(8, 2);
+        let mut a = NdArray::<i64>::zeroed(Shape::cube(2, 16));
+        for (p, delta) in &updates {
+            t.apply_delta(p, *delta);
+            a.add_assign(p, *delta);
+        }
+        t.grow(&[false, false]);
+        assert_eq!(t.side(), 16);
+        t.apply_delta(&[12, 15], 100);
+        a.add_assign(&[12, 15], 100);
+        assert_all_prefixes(&a, &t);
+        assert_eq!(t.check_invariants(), a.total());
+    }
+
+    #[test]
+    fn growth_low_shifts_content() {
+        let mut t = DdcTree::<i64>::new(2, 4, DdcConfig::dynamic());
+        t.apply_delta(&[0, 0], 7);
+        t.apply_delta(&[3, 3], 2);
+        t.grow(&[true, false]); // dim 0 grows low: content shifts up by 4
+        assert_eq!(t.cell(&[4, 0]), 7);
+        assert_eq!(t.cell(&[7, 3]), 2);
+        assert_eq!(t.cell(&[0, 0]), 0);
+        assert_eq!(t.prefix_sum(&[7, 7]), 9);
+        assert_eq!(t.check_invariants(), 9);
+    }
+
+    #[test]
+    fn growth_of_empty_tree_is_free() {
+        let mut t = DdcTree::<i64>::new(3, 4, DdcConfig::dynamic());
+        t.grow(&[true, true, true]);
+        assert_eq!(t.side(), 8);
+        assert_eq!(t.total(), 0);
+        t.apply_delta(&[7, 7, 7], 1);
+        assert_eq!(t.prefix_sum(&[7, 7, 7]), 1);
+    }
+
+    #[test]
+    fn repeated_growth_stays_consistent() {
+        let mut t = DdcTree::<i64>::new(2, 4, DdcConfig::sparse());
+        t.apply_delta(&[1, 1], 10);
+        for step in 0..4 {
+            t.grow(&[step % 2 == 0, step % 2 == 1]);
+        }
+        assert_eq!(t.side(), 64);
+        // Shifts: dim0 grew low at steps 0,2 (+4, +16); dim1 at 1,3 (+8, +32).
+        assert_eq!(t.cell(&[1 + 4 + 16, 1 + 8 + 32]), 10);
+        assert_eq!(t.total(), 10);
+        assert_eq!(t.check_invariants(), 10);
+    }
+
+    #[test]
+    fn for_each_nonzero_reports_cells() {
+        let mut t = DdcTree::<i64>::new(2, 16, DdcConfig::dynamic());
+        t.apply_delta(&[2, 3], 5);
+        t.apply_delta(&[10, 0], -1);
+        let mut seen = Vec::new();
+        t.for_each_nonzero(&mut |p, v| seen.push((p.to_vec(), v)));
+        seen.sort();
+        assert_eq!(seen, vec![(vec![2, 3], 5), (vec![10, 0], -1)]);
+    }
+
+    #[test]
+    fn cancelling_update_keeps_queries_correct() {
+        let mut t = DdcTree::<i64>::new(2, 8, DdcConfig::dynamic());
+        t.apply_delta(&[4, 4], 5);
+        t.apply_delta(&[4, 4], -5);
+        assert_eq!(t.prefix_sum(&[7, 7]), 0);
+        assert_eq!(t.cell(&[4, 4]), 0);
+    }
+
+    #[test]
+    fn update_cost_is_polylogarithmic() {
+        let mut t = DdcTree::<i64>::new(2, 256, DdcConfig::dynamic());
+        // Warm the path so materialization costs are excluded.
+        t.apply_delta(&[0, 0], 1);
+        t.counter().reset();
+        t.apply_delta(&[0, 0], 1);
+        let w = t.ops().writes;
+        // log2(256) = 8 levels × (1 subtotal + 2 B^c paths of ≤ ~2·log k).
+        assert!(w <= 8 * 40, "update wrote {w} values");
+        // …versus the Basic tree, which cascades O(n) at the root.
+        let mut b = DdcTree::<i64>::new(2, 256, DdcConfig::basic());
+        b.apply_delta(&[0, 0], 1);
+        b.counter().reset();
+        b.apply_delta(&[0, 0], 1);
+        assert!(
+            b.ops().writes > w,
+            "basic ({}) should exceed dynamic ({w})",
+            b.ops().writes
+        );
+    }
+
+    #[test]
+    fn query_cost_is_polylogarithmic() {
+        let mut t = DdcTree::<i64>::new(2, 256, DdcConfig::dynamic());
+        for (p, v) in dense_updates(16, 2) {
+            t.apply_delta(&[p[0] * 16, p[1] * 16], v);
+        }
+        t.counter().reset();
+        let _ = t.prefix_sum(&[255, 255]);
+        let r = t.ops().reads;
+        assert!(r <= 8 * 3 * 20, "query read {r} values");
+    }
+
+    #[test]
+    fn arena_free_list_is_reused_after_prune() {
+        let mut t = DdcTree::<i64>::new(2, 64, DdcConfig::dynamic());
+        for i in 0..64usize {
+            t.apply_delta(&[i, i], 3);
+        }
+        t.check_arena();
+        // Materialize one off-diagonal path, then cancel it so prune
+        // frees part of the tree without compacting everything away.
+        t.apply_delta(&[0, 63], 5);
+        let slots_before = t.stats().node_slots;
+        t.apply_delta(&[0, 63], -5);
+        t.prune();
+        t.check_arena();
+        let s = t.stats();
+        assert_eq!(s.node_slots - s.free_node_slots, s.nodes);
+        assert_eq!(s.leaf_slots - s.free_leaf_slots, s.leaf_blocks);
+        // Repopulating pops free slots (or reuses the compacted arena)
+        // instead of growing past the original footprint.
+        t.apply_delta(&[0, 63], 5);
+        t.check_arena();
+        assert!(
+            t.stats().node_slots <= slots_before,
+            "arena grew past its pre-prune footprint"
+        );
+        assert_eq!(t.check_invariants(), 64 * 3 + 5);
+    }
+
+    #[test]
+    fn arena_stays_sound_through_grow_update_prune_cycles() {
+        let mut t = DdcTree::<i64>::new(2, 8, DdcConfig::dynamic());
+        let mut a = NdArray::<i64>::zeroed(Shape::cube(2, 32));
+        for (step, (p, v)) in dense_updates(8, 2).into_iter().enumerate() {
+            t.apply_delta(&p, v);
+            a.add_assign(&p, v);
+            if step % 17 == 0 {
+                t.prune();
+                t.check_arena();
+            }
+        }
+        t.grow(&[false, false]);
+        t.check_arena();
+        t.grow(&[true, true]);
+        t.check_arena();
+        // One high grow then one low grow shifts content by 16 (the
+        // side at the low grow) in both dims.
+        for p in [[0usize, 0], [31, 31], [16, 16], [23, 8]] {
+            let shifted = [p[0].wrapping_sub(16), p[1].wrapping_sub(16)];
+            let expect = if shifted[0] < 32 && shifted[1] < 32 {
+                a.get(&shifted)
+            } else {
+                0
+            };
+            assert_eq!(t.cell(&p), expect, "cell {p:?}");
+        }
+        assert_eq!(t.check_invariants(), a.total());
+        // Cancel everything: prune must return the tree to (near) empty
+        // with a fully consistent arena.
+        let mut cells = Vec::new();
+        t.for_each_nonzero(&mut |p, v| cells.push((p.to_vec(), v)));
+        for (p, v) in cells {
+            t.apply_delta(&p, -v);
+        }
+        t.prune();
+        t.check_arena();
+        assert_eq!(t.total(), 0);
+        let s = t.stats();
+        assert_eq!(s.nodes, 0);
+        assert_eq!(s.leaf_blocks, 0);
+    }
+
+    #[test]
+    fn compaction_triggers_when_free_slots_dominate() {
+        let mut t = DdcTree::<i64>::new(2, 128, DdcConfig::dynamic());
+        for i in 0..128usize {
+            t.apply_delta(&[i, i], 2);
+        }
+        // Keep one corner live; cancel the rest.
+        for i in 1..128usize {
+            t.apply_delta(&[i, i], -2);
+        }
+        t.prune();
+        t.check_arena();
+        let s = t.stats();
+        // Free slots may not outnumber live ones after a compaction.
+        assert!(
+            s.free_node_slots + s.free_leaf_slots
+                <= (s.node_slots - s.free_node_slots) + (s.leaf_slots - s.free_leaf_slots),
+            "compaction left {} free vs {} live slots",
+            s.free_node_slots + s.free_leaf_slots,
+            (s.node_slots - s.free_node_slots) + (s.leaf_slots - s.free_leaf_slots)
+        );
+        assert_eq!(t.cell(&[0, 0]), 2);
+        assert_eq!(t.check_invariants(), 2);
+    }
+
+    #[test]
+    fn paged_tree_matches_slab_through_full_lifecycle() {
+        use crate::config::PagerConfig;
+        // Cap far below the leaf data so the walk below churns through
+        // real evictions, with a tiny page size to multiply traffic.
+        let pager = PagerConfig::in_mem(2048).with_page_bytes(128);
+        let config = DdcConfig::dynamic()
+            .with_elision(1)
+            .with_paged_leaves(pager);
+        let mut paged = DdcTree::<i64>::new(2, 32, config);
+        assert!(paged.enable_paging().unwrap());
+        assert!(paged.is_paged());
+        assert!(paged.enable_paging().unwrap(), "must be idempotent");
+        let mut slab = DdcTree::<i64>::new(2, 32, DdcConfig::dynamic().with_elision(1));
+        let mut a = NdArray::<i64>::zeroed(Shape::cube(2, 32));
+        for i in 0..600usize {
+            let p = [(i * 7) % 32, (i * 13) % 32];
+            let v = (i as i64 % 9) - 4;
+            paged.apply_delta(&p, v);
+            slab.apply_delta(&p, v);
+            a.add_assign(&p, v);
+        }
+        for p in [[0usize, 0], [31, 31], [15, 16], [7, 29]] {
+            assert_eq!(paged.prefix_sum(&p), a.prefix_sum(&p), "prefix {p:?}");
+            assert_eq!(paged.cell(&p), slab.cell(&p), "cell {p:?}");
+        }
+        assert_eq!(paged.check_invariants(), a.total());
+        paged.check_arena();
+        let stats = paged.pool_stats().expect("paged tree has pool stats");
+        assert!(
+            stats.evictions > 0,
+            "cap too generous to exercise eviction: {stats:?}"
+        );
+        // Growth re-roots in place, so the paged arena must survive it.
+        paged.grow(&[false, false]);
+        slab.grow(&[false, false]);
+        assert!(paged.is_paged(), "growth must not drop the paged arena");
+        paged.apply_delta(&[40, 40], 11);
+        slab.apply_delta(&[40, 40], 11);
+        assert_eq!(paged.total(), slab.total());
+        assert_eq!(paged.prefix_sum(&[63, 63]), slab.prefix_sum(&[63, 63]));
+        // Cancel and prune: free-listing + node compaction on pages.
+        let mut cells = Vec::new();
+        paged.for_each_nonzero(&mut |p, v| cells.push((p.to_vec(), v)));
+        for (p, v) in cells {
+            paged.apply_delta(&p, -v);
+        }
+        paged.prune();
+        paged.check_arena();
+        assert_eq!(paged.total(), 0);
+        assert_eq!(paged.stats().leaf_blocks, 0);
+    }
+}

@@ -8,12 +8,17 @@
 //! references, free-list entries cleared — plus the structural
 //! invariants and a sparse oracle for answers. A deterministic
 //! regression test pins `TreeStats`' arena-slot accounting and the
-//! `heap_bytes` reclamation curve across a full lifecycle.
+//! `heap_bytes` reclamation curve across a full lifecycle; a seeded
+//! differential sweep drives the level-slab layout against a brute-force
+//! `NdArray` over every dimensionality, elision depth, mode and base
+//! store; and a layout pin keeps the packed tree's bytes per populated
+//! cell from silently eroding.
 
 use std::collections::HashMap;
 
+use ddc_array::{NdArray, Shape};
 use ddc_core::{BaseStore, DdcConfig, DdcTree};
-use ddc_tests::for_cases;
+use ddc_tests::{for_cases, DdcRng};
 
 type Oracle = HashMap<Vec<usize>, i64>;
 
@@ -176,11 +181,10 @@ for_cases! {
     /// by the sequential bulk path, and one by the parallel bulk path
     /// land on identical answers and pass the same arena audit.
     fn bulk_builds_match_incremental_and_pass_audit(rng, cases = 12) {
-        use ddc_array::NdArray;
         let d = rng.gen_range(1usize..=2);
         let side = 16;
         let config = configs()[rng.gen_range(0usize..4)];
-        let shape = ddc_array::Shape::new(&vec![side; d]);
+        let shape = Shape::new(&vec![side; d]);
         let mut cells = Oracle::new();
         let mut incremental = DdcTree::<i64>::new(d, side, config);
         for _ in 0..rng.gen_range(5usize..40) {
@@ -254,12 +258,18 @@ fn stats_and_heap_bytes_track_the_arena_lifecycle() {
     let populated_bytes = tree.heap_bytes();
     assert_eq!(s2.total_bytes, populated_bytes);
 
-    // Cancel one path and prune: its slots are freed (or the arena is
-    // compacted outright), and the accounting stays reconciled.
+    // Cancel one path and prune: its two nodes and its leaf block go to
+    // the free lists for reuse (3 free ≤ 4 live, so the slabs are not
+    // compacted and keep their capacity), and the accounting stays
+    // reconciled.
     tree.apply_delta(&[15, 15], -7);
-    let freed = tree.prune();
-    assert!(freed > 0, "prune must reclaim the dead path");
+    tree.prune();
     let s3 = tree.stats();
+    assert_eq!(
+        (s3.free_node_slots, s3.free_leaf_slots),
+        (2, 1),
+        "prune must free-list the dead path"
+    );
     let (reach_nodes, reach_leaves) = tree.check_arena();
     assert_eq!(reach_nodes, 3, "back to the single-path structure");
     assert_eq!(reach_leaves, 1);
@@ -286,4 +296,167 @@ fn stats_and_heap_bytes_track_the_arena_lifecycle() {
         populated_bytes
     );
     assert_eq!(tree.total(), 0);
+}
+
+/// Full audit of a tree against the dense reference: slab bookkeeping,
+/// structural invariants, and sampled prefix sums and cell reads
+/// (always including the far corner, i.e. the total).
+fn audit_dense(tree: &DdcTree<i64>, a: &NdArray<i64>, rng: &mut DdcRng, what: &str) {
+    let d = tree.ndim();
+    let side = tree.side();
+    assert_eq!(
+        a.shape().dims(),
+        &vec![side; d][..],
+        "{what}: reference shape"
+    );
+    tree.check_arena();
+    assert_eq!(
+        tree.check_invariants(),
+        a.total(),
+        "{what}: invariant total"
+    );
+    assert_eq!(tree.total(), a.total(), "{what}: total");
+    let mut points = vec![vec![side - 1; d], vec![0; d]];
+    for _ in 0..10 {
+        points.push((0..d).map(|_| rng.gen_range(0..side)).collect());
+    }
+    for x in &points {
+        assert_eq!(
+            tree.prefix_sum(x),
+            a.prefix_sum(x),
+            "{what}: prefix at {x:?}"
+        );
+        assert_eq!(tree.cell(x), a.get(x), "{what}: cell at {x:?}");
+    }
+}
+
+/// The reference's side doubled, content shifted up by the old side in
+/// the `low` dimensions — what [`DdcTree::grow`] does to the tree.
+fn grown(a: &NdArray<i64>, low: &[bool]) -> NdArray<i64> {
+    let d = low.len();
+    let old = a.shape().dim(0);
+    let mut q = vec![0usize; d];
+    NdArray::from_fn(Shape::cube(d, 2 * old), |p| {
+        for i in 0..d {
+            let shift = if low[i] { old } else { 0 };
+            if p[i] < shift || p[i] - shift >= old {
+                return 0;
+            }
+            q[i] = p[i] - shift;
+        }
+        a.get(&q)
+    })
+}
+
+fn random_updates(tree: &mut DdcTree<i64>, a: &mut NdArray<i64>, rng: &mut DdcRng, n: usize) {
+    let (d, side) = (tree.ndim(), tree.side());
+    for _ in 0..n {
+        let p: Vec<usize> = (0..d).map(|_| rng.gen_range(0..side)).collect();
+        let delta = rng.gen_range(1i64..=40);
+        tree.apply_delta(&p, delta);
+        a.add_assign(&p, delta);
+    }
+}
+
+/// Drives every cell but the first `keep` populated ones back to zero.
+fn cancel_all_but(tree: &mut DdcTree<i64>, a: &mut NdArray<i64>, keep: usize) {
+    let mut cells = Vec::new();
+    tree.for_each_nonzero(&mut |p, v| cells.push((p.to_vec(), v)));
+    for (p, v) in cells.into_iter().skip(keep) {
+        tree.apply_delta(&p, -v);
+        a.add_assign(&p, -v);
+    }
+}
+
+/// Seeded differential sweep of the level-slab tree against a
+/// brute-force `NdArray`: d ∈ 1..=4 × `elide_levels` ∈ 0..=3 × {Basic,
+/// Dynamic over every `BaseStore`}, each through update → grow high →
+/// grow low → cancel → prune → forced compaction → bulk rebuild
+/// (sequential and fork-join), with `check_arena` + `check_invariants`
+/// and sampled answers after every phase. Sides are chosen so the sweep
+/// crosses the degenerate single-leaf tree, growth out of it, and
+/// inline (d = 2 blocked) as well as every out-of-line face kind.
+#[test]
+fn slab_tree_matches_brute_force_across_dims_modes_and_bases() {
+    let configs = [
+        DdcConfig::basic(),
+        DdcConfig::dynamic(),
+        DdcConfig::dynamic().with_base(BaseStore::Bc { fanout: 4 }),
+        DdcConfig::dynamic().with_base(BaseStore::Fenwick),
+        DdcConfig::sparse(),
+    ];
+    for d in 1..=4usize {
+        let side = [16, 8, 4, 2][d - 1];
+        for h in 0..=3usize {
+            for (ci, base_config) in configs.iter().enumerate() {
+                let config = base_config.with_elision(h);
+                let what = format!("d={d} h={h} config#{ci}");
+                let mut rng = DdcRng::seed_from_u64(0x51AB_0000 + (d * 100 + h * 10 + ci) as u64);
+                let mut tree = DdcTree::<i64>::new(d, side, config);
+                let mut a = NdArray::<i64>::zeroed(Shape::cube(d, side));
+
+                random_updates(&mut tree, &mut a, &mut rng, 24);
+                audit_dense(&tree, &a, &mut rng, &format!("{what} update"));
+
+                tree.grow(&vec![false; d]);
+                a = grown(&a, &vec![false; d]);
+                random_updates(&mut tree, &mut a, &mut rng, 24);
+                audit_dense(&tree, &a, &mut rng, &format!("{what} grow high"));
+
+                let mut low: Vec<bool> = (0..d).map(|_| rng.gen_range(0usize..2) == 0).collect();
+                low[rng.gen_range(0..d)] = true;
+                tree.grow(&low);
+                a = grown(&a, &low);
+                random_updates(&mut tree, &mut a, &mut rng, 24);
+                audit_dense(&tree, &a, &mut rng, &format!("{what} grow low"));
+                let populated = a.clone();
+
+                let live = tree.populated_cells();
+                cancel_all_but(&mut tree, &mut a, live / 3);
+                audit_dense(&tree, &a, &mut rng, &format!("{what} cancel"));
+                tree.prune();
+                audit_dense(&tree, &a, &mut rng, &format!("{what} prune"));
+
+                // One survivor: the dead slots dominate, so this prune
+                // must compact.
+                cancel_all_but(&mut tree, &mut a, 1);
+                tree.prune();
+                audit_dense(&tree, &a, &mut rng, &format!("{what} compaction"));
+                let s = tree.stats();
+                assert!(
+                    s.free_node_slots + s.free_leaf_slots
+                        <= (s.node_slots - s.free_node_slots) + (s.leaf_slots - s.free_leaf_slots),
+                    "{what}: compaction left free slots outnumbering live ones: {s:?}"
+                );
+                random_updates(&mut tree, &mut a, &mut rng, 12);
+                audit_dense(&tree, &a, &mut rng, &format!("{what} refill"));
+
+                let full = tree.side();
+                let bulk = DdcTree::from_array_sized(&populated, full, config);
+                audit_dense(&bulk, &populated, &mut rng, &format!("{what} bulk"));
+                let parallel = DdcTree::from_array_parallel(&populated, full, config);
+                audit_dense(&parallel, &populated, &mut rng, &format!("{what} parallel"));
+            }
+        }
+    }
+}
+
+/// Layout pin: the paper-scale d = 2 cube (1024², 2^18 seeded cells,
+/// the `core_d2_mixed` population) must stay within 160 heap bytes per
+/// populated cell. The pointer-per-box layout this replaced spent 762.
+#[test]
+fn packed_tree_stays_within_160_bytes_per_cell() {
+    let mut rng = DdcRng::seed_from_u64(0xDDC_0B17);
+    let mut tree = DdcTree::<i64>::new(2, 1024, DdcConfig::dynamic());
+    let mut seen = std::collections::HashSet::new();
+    while seen.len() < 1 << 18 {
+        let p = [rng.gen_range(0usize..1024), rng.gen_range(0usize..1024)];
+        if seen.insert(p) {
+            tree.apply_delta(&p, rng.gen_range(1i64..=100));
+        }
+    }
+    let cells = tree.populated_cells();
+    assert_eq!(cells, 1 << 18);
+    let per_cell = tree.heap_bytes() / cells;
+    assert!(per_cell <= 160, "{per_cell} heap bytes per populated cell");
 }

@@ -17,6 +17,13 @@
 //! with every step toward ROADMAP's ≤ 1.5), and the seeded
 //! stored-values-touched counts ride along as exact-match `count`
 //! metrics — machine-independent evidence of the algorithmic shape.
+//!
+//! A last line reports the growth-phase tail: every update that
+//! populates a fresh 1024² cube with 2^18 distinct cells is timed, so
+//! the operations during which a level slab reallocates (`Vec`
+//! doubling, multi-megabyte at this size) are in the sample. It is
+//! printed, not written to the report: one run's maximum is scheduler
+//! noise as much as engine work, too loose to gate.
 
 use std::time::Instant;
 
@@ -42,9 +49,16 @@ const P99_TOL: f64 = 10.0;
 /// multiple of the committed value.
 const RATIO_TOL: f64 = 1.5;
 
+/// Side and distinct populated cells of the growth-phase cube (the
+/// `core_d2_mixed` population of `benchmark/`).
+const GROWTH_SIDE: usize = 1024;
+const GROWTH_CELLS: usize = 1 << 18;
+
 struct Quantiles {
     p50: u64,
     p99: u64,
+    p999: u64,
+    max: u64,
 }
 
 fn quantiles(mut samples: Vec<u64>) -> Quantiles {
@@ -53,7 +67,28 @@ fn quantiles(mut samples: Vec<u64>) -> Quantiles {
     Quantiles {
         p50: at(0.50),
         p99: at(0.99),
+        p999: at(0.999),
+        max: at(1.0),
     }
+}
+
+/// Times every update that populates a fresh dynamic cube: the ops that
+/// materialize nodes, box records and leaf blocks, including the ones
+/// that grow a slab.
+fn growth_phase() -> Quantiles {
+    let mut r = rng(0xDDC_6120);
+    let mut engine = EngineKind::DynamicDdc.build(Shape::cube(2, GROWTH_SIDE));
+    let mut seen = std::collections::HashSet::with_capacity(GROWTH_CELLS);
+    let mut ns = Vec::with_capacity(GROWTH_CELLS);
+    while seen.len() < GROWTH_CELLS {
+        let p = [r.gen_range(0..GROWTH_SIDE), r.gen_range(0..GROWTH_SIDE)];
+        if seen.insert(p) {
+            let t = Instant::now();
+            engine.apply_delta(&p, 1);
+            ns.push(t.elapsed().as_nanos() as u64);
+        }
+    }
+    quantiles(ns)
 }
 
 struct EngineRow {
@@ -205,6 +240,12 @@ fn main() {
             RATIO_TOL,
         );
     }
+    let growth = growth_phase();
+    println!(
+        "\ndyn-ddc update while populating {GROWTH_SIDE}² with {GROWTH_CELLS} cells: \
+         p50 {}ns  p99 {}ns  p99.9 {}ns  max {}ns",
+        growth.p50, growth.p99, growth.p999, growth.max
+    );
     report.push("config.side", MetricKind::Count, SIDE as f64);
     report.push("config.ops", MetricKind::Count, OPS as f64);
     report.push("config.populate", MetricKind::Count, POPULATE as f64);

@@ -11,6 +11,9 @@
 #![warn(clippy::all)]
 
 mod bc_tree;
+// Public for its slice kernels (`words_for`, `prefix`, `add`, `fill`),
+// which `ddc-core` runs over face runs inside its level slabs; the
+// module holds nothing else beyond `BlockedBc` and `DEFAULT_BLOCK`.
 pub mod blocked;
 mod fenwick;
 mod segtree;

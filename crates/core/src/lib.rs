@@ -45,7 +45,7 @@ pub use growth::GrowableCube;
 pub use pager::{BufferPool, PoolStats, WalBarrier};
 pub use persist::ValueCodec;
 pub use shard::{MetricsSnapshot, ShardConfig, ShardedCube, TryUpdateError};
-pub use store::{CellSlab, PagedStore, RecordCodec};
+pub use store::{PagedStore, RecordCodec};
 pub use tree::{Contribution, DdcTree, LevelStats, TraceStep, TreeStats};
 pub use vfs::{
     FaultKind, FaultPlan, FaultProbs, FaultVfs, MemVfs, OpenMode, PlannedFault, StdVfs, Vfs,

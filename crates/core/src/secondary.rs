@@ -48,8 +48,9 @@ pub(crate) enum Secondary<G: AbelianGroup> {
     Tree(Box<DdcTree<G>>),
 }
 
-/// One-dimensional blocked groups are face runs of the level slab, never
-/// a [`Secondary`].
+/// Invariant behind the `BaseStore::Blocked` arms below: the level slab
+/// holds one-dimensional blocked groups as inline face runs, so no
+/// [`Secondary`] is ever asked to be one.
 const BLOCKED_IS_INLINE: &str = "blocked one-dimensional faces live inline in the level slab";
 
 impl<G: AbelianGroup> Secondary<G> {

@@ -1,7 +1,7 @@
 //! Arena backends for [`crate::DdcTree`]'s leaf blocks: the in-memory
-//! [`CellSlab`] (every block a fixed-size run of one flat `Vec`) and
-//! the out-of-core [`PagedStore`] that serializes records onto the
-//! fixed-size pages of a [`crate::pager::BufferPool`].
+//! `CellSlab` (crate-private; every block a fixed-size run of one flat
+//! `Vec`) and the out-of-core [`PagedStore`] that serializes records
+//! onto the fixed-size pages of a [`crate::pager::BufferPool`].
 //!
 //! Both are slabs of `u32`-addressed slots with free-list reuse. The
 //! tree never holds references into either across operations: the slab
@@ -36,7 +36,7 @@ use crate::vfs::{OpenMode, StdVfs, Vfs, VfsFile};
 /// header, shape or allocation — plus a free list. A free run is
 /// all-zero, so a slot claimed again needs no clearing.
 #[derive(Debug)]
-pub struct CellSlab<G> {
+pub(crate) struct CellSlab<G> {
     cells: Vec<G>,
     run: usize,
     free: Vec<u32>,
@@ -48,7 +48,7 @@ impl<G: ddc_array::AbelianGroup> CellSlab<G> {
     /// # Panics
     ///
     /// Panics if `run == 0`.
-    pub fn new(run: usize) -> Self {
+    pub(crate) fn new(run: usize) -> Self {
         assert!(run > 0, "leaf blocks hold at least one cell");
         Self {
             cells: Vec::new(),
@@ -58,13 +58,13 @@ impl<G: ddc_array::AbelianGroup> CellSlab<G> {
     }
 
     /// Cells per block.
-    pub fn run_len(&self) -> usize {
+    pub(crate) fn run_len(&self) -> usize {
         self.run
     }
 
     /// Claims an all-zero block, returning its slot id (free slots are
     /// reused).
-    pub fn insert_zeroed(&mut self) -> u32 {
+    pub(crate) fn insert_zeroed(&mut self) -> u32 {
         if let Some(id) = self.free.pop() {
             return id;
         }
@@ -74,32 +74,32 @@ impl<G: ddc_array::AbelianGroup> CellSlab<G> {
     }
 
     /// Zeroes block `id` and free-lists it.
-    pub fn remove(&mut self, id: u32) {
+    pub(crate) fn remove(&mut self, id: u32) {
         self.block_mut(id).fill(G::ZERO);
         self.free.push(id);
     }
 
     /// The cells of block `id`.
     #[inline]
-    pub fn block(&self, id: u32) -> &[G] {
+    pub(crate) fn block(&self, id: u32) -> &[G] {
         let at = id as usize * self.run;
         &self.cells[at..at + self.run]
     }
 
     /// The cells of block `id`, mutably.
     #[inline]
-    pub fn block_mut(&mut self, id: u32) -> &mut [G] {
+    pub(crate) fn block_mut(&mut self, id: u32) -> &mut [G] {
         let at = id as usize * self.run;
         &mut self.cells[at..at + self.run]
     }
 
     /// Total slots (live + free).
-    pub fn slots(&self) -> usize {
+    pub(crate) fn slots(&self) -> usize {
         self.cells.len() / self.run
     }
 
     /// The free list (order unspecified).
-    pub fn free_ids(&self) -> &[u32] {
+    pub(crate) fn free_ids(&self) -> &[u32] {
         &self.free
     }
 
@@ -110,7 +110,7 @@ impl<G: ddc_array::AbelianGroup> CellSlab<G> {
     /// # Panics
     ///
     /// Panics if the two slabs' block sizes differ.
-    pub fn absorb(&mut self, other: CellSlab<G>) -> u32 {
+    pub(crate) fn absorb(&mut self, other: CellSlab<G>) -> u32 {
         assert_eq!(self.run, other.run, "leaf block size mismatch");
         let off = self.slots() as u32;
         self.cells.extend(other.cells);
@@ -119,7 +119,7 @@ impl<G: ddc_array::AbelianGroup> CellSlab<G> {
     }
 
     /// Heap bytes held (cells + free list, by capacity).
-    pub fn heap_bytes(&self) -> usize {
+    pub(crate) fn heap_bytes(&self) -> usize {
         self.cells.capacity() * std::mem::size_of::<G>()
             + self.free.capacity() * std::mem::size_of::<u32>()
     }
@@ -273,7 +273,7 @@ impl<T> PagedStore<T> {
 
     /// Builds a store whose slot `id` holds the `id`-th item of
     /// `records` (`None` = vacant), with `free` as its free list — how
-    /// the tree moves a [`CellSlab`] onto pages with every slot id
+    /// the tree moves a `CellSlab` onto pages with every slot id
     /// preserved.
     pub fn from_records(
         records: impl Iterator<Item = Option<T>>,

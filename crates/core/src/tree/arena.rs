@@ -108,6 +108,12 @@ impl<G: AbelianGroup> Level<G> {
         }
     }
 
+    /// Index in `faces` of out-of-line group `j` of box `obox`.
+    #[inline]
+    fn face_at(&self, obox: u32, j: usize) -> usize {
+        obox as usize * self.face_stride() + j
+    }
+
     /// Allocates a node id, preferring the free list; its slots are
     /// vacant.
     pub(super) fn alloc_node(&mut self) -> u32 {
@@ -184,14 +190,14 @@ impl<G: AbelianGroup> Level<G> {
             ops.reads += reads;
             v
         } else {
-            self.faces[obox as usize * self.d + j].prefix(cross, ops)
+            self.faces[self.face_at(obox, j)].prefix(cross, ops)
         }
     }
 
     /// True when group `j` of box `obox` is an unmaterialized
     /// out-of-line group (inline runs always exist).
     pub(super) fn face_is_unset(&self, obox: u32, j: usize) -> bool {
-        self.face_words == 0 && matches!(self.faces[obox as usize * self.d + j], Secondary::Empty)
+        self.face_words == 0 && matches!(self.faces[self.face_at(obox, j)], Secondary::Empty)
     }
 
     /// Figure 12's per-box step: adds `delta` to the subtotal of box
@@ -226,7 +232,8 @@ impl<G: AbelianGroup> Level<G> {
                         w += 1;
                     }
                 }
-                self.faces[obox as usize * self.d + j].add(&cross[..w], delta, self.k, config, ops);
+                let at = self.face_at(obox, j);
+                self.faces[at].add(&cross[..w], delta, self.k, config, ops);
             }
         }
     }
@@ -246,7 +253,8 @@ impl<G: AbelianGroup> Level<G> {
                 let run = self.face_run(obox, j);
                 blocked::fill(&mut self.words[run], raw.as_slice());
             } else {
-                self.faces[obox as usize * self.d + j] = Secondary::build_from_raw(raw, config);
+                let at = self.face_at(obox, j);
+                self.faces[at] = Secondary::build_from_raw(raw, config);
             }
         }
     }
@@ -258,12 +266,9 @@ impl<G: AbelianGroup> Level<G> {
         let rw = self.rec_words;
         self.words[id as usize * rw..][..rw]
             .copy_from_slice(&from.words[obox as usize * rw..][..rw]);
-        let stride = self.face_stride();
-        for j in 0..stride {
-            self.faces[id as usize * stride + j] = std::mem::replace(
-                &mut from.faces[obox as usize * stride + j],
-                Secondary::Empty,
-            );
+        for j in 0..self.face_stride() {
+            let (to, at) = (self.face_at(id, j), from.face_at(obox, j));
+            self.faces[to] = std::mem::replace(&mut from.faces[at], Secondary::Empty);
         }
         id
     }
@@ -306,6 +311,18 @@ impl<G: AbelianGroup> Level<G> {
                 .iter()
                 .map(Secondary::heap_bytes)
                 .sum::<usize>()
+    }
+
+    /// Bytes of this level's records inside the slab arrays, as
+    /// `(live, dead)`: node slots and box records (with their
+    /// out-of-line group headers), the dead ones being those on the
+    /// free lists.
+    fn record_bytes(&self) -> (usize, usize) {
+        let node = std::mem::size_of::<Slot>() << self.d;
+        let rec = self.rec_words * std::mem::size_of::<G>()
+            + self.face_stride() * std::mem::size_of::<Secondary<G>>();
+        let dead = self.node_free.len() * node + self.box_free.len() * rec;
+        (self.nodes() * node + self.boxes() * rec - dead, dead)
     }
 
     /// Heap bytes of the slab: array capacities plus the heap behind
@@ -550,9 +567,14 @@ impl<G: AbelianGroup> DdcTree<G> {
     /// Reclaims storage left behind by cancelling updates: all-zero leaf
     /// blocks and subtrees whose every cell returned to zero go back to
     /// the free lists (with their box records and secondary
-    /// structures), and when free slots outnumber live ones the slabs
-    /// are compacted into exactly-sized replacements, releasing the
-    /// memory. Returns the number of heap bytes released.
+    /// structures), and once the free-listed records amount to more than
+    /// half the live ones in bytes, the slabs are compacted into
+    /// exactly-sized replacements. Returns the number of heap bytes
+    /// released: the heap behind freed out-of-line groups, plus
+    /// everything a compaction gave back. Records freed inside a slab
+    /// release nothing by themselves — they are zeroed and wait for
+    /// reuse — so a prune that neither frees an out-of-line group nor
+    /// reaches the compaction threshold returns 0.
     ///
     /// Lazily materialized structures never free themselves on the update
     /// path (a cell may go through zero transiently); churn-heavy
@@ -599,22 +621,29 @@ impl<G: AbelianGroup> DdcTree<G> {
         any
     }
 
-    /// Compacts when free node + leaf slots outnumber live ones. Every
-    /// live node or leaf below the root sits under exactly one live box
-    /// and boxes are freed with them, so box records follow this
-    /// balance without being counted. Paged leaf slots are excluded
-    /// from the free side: compaction cannot renumber them (ids are
-    /// stable on pages), so they must not be able to force it either.
+    /// Compacts when the dead (free-listed) records hold more than half
+    /// the bytes of the live ones, over the slabs a compaction rewrites
+    /// — so at most a third of the slab bytes ever wait on free lists.
+    /// Bytes rather than slot counts, because records differ in size by
+    /// level: a box record is `1 + d · words_for(k)` words next to the
+    /// root and a handful at the bottom. The heap behind live
+    /// out-of-line groups is not counted (compaction moves a group by
+    /// its header), and neither are paged leaf blocks, on either side:
+    /// compaction cannot renumber them (ids are stable on pages), so
+    /// they can neither force nor hold off a rewrite of the levels.
     fn maybe_compact(&mut self) {
-        let node_slots: usize = self.levels.iter().map(Level::nodes).sum();
-        let node_free: usize = self.levels.iter().map(|lv| lv.node_free.len()).sum();
-        let leaf_free = self.leaves.free_len();
-        let live = node_slots - node_free + self.leaves.slots() - leaf_free;
-        let free = match self.leaves {
-            LeafArena::Mem(_) => node_free + leaf_free,
-            LeafArena::Paged(_) => node_free,
-        };
-        if free > live {
+        let (mut live, mut dead) = (0, 0);
+        for level in &self.levels {
+            let (l, d) = level.record_bytes();
+            live += l;
+            dead += d;
+        }
+        if let LeafArena::Mem(m) = &self.leaves {
+            let block = m.run_len() * std::mem::size_of::<G>();
+            dead += m.free_ids().len() * block;
+            live += (m.slots() - m.free_ids().len()) * block;
+        }
+        if 2 * dead > live {
             self.compact();
         }
     }

@@ -62,8 +62,9 @@
 //!
 //! [`DdcTree::prune`] returns dead nodes, box records and leaf blocks to
 //! per-level free lists; allocation pops a free id before growing a
-//! slab, and when free slots outnumber live ones the whole tree is
-//! compacted into fresh exactly-sized slabs, releasing the memory.
+//! slab, and once the free-listed records hold more than half the bytes
+//! of the live ones the whole tree is compacted into fresh exactly-sized
+//! slabs, releasing the memory.
 //! [`DdcTree::check_arena`] audits this bookkeeping (reachability ∪ free
 //! lists = all slots, with no overlap and no dangling or duplicated
 //! references). Bulk construction and growth live in `build`.

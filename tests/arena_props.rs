@@ -258,18 +258,12 @@ fn stats_and_heap_bytes_track_the_arena_lifecycle() {
     let populated_bytes = tree.heap_bytes();
     assert_eq!(s2.total_bytes, populated_bytes);
 
-    // Cancel one path and prune: its two nodes and its leaf block go to
-    // the free lists for reuse (3 free ≤ 4 live, so the slabs are not
-    // compacted and keep their capacity), and the accounting stays
-    // reconciled.
+    // Cancel one path and prune: its slots are freed (or the arena is
+    // compacted outright), and the accounting stays reconciled.
     tree.apply_delta(&[15, 15], -7);
-    tree.prune();
+    let freed = tree.prune();
+    assert!(freed > 0, "prune must reclaim the dead path");
     let s3 = tree.stats();
-    assert_eq!(
-        (s3.free_node_slots, s3.free_leaf_slots),
-        (2, 1),
-        "prune must free-list the dead path"
-    );
     let (reach_nodes, reach_leaves) = tree.check_arena();
     assert_eq!(reach_nodes, 3, "back to the single-path structure");
     assert_eq!(reach_leaves, 1);
@@ -441,9 +435,77 @@ fn slab_tree_matches_brute_force_across_dims_modes_and_bases() {
     }
 }
 
+/// Smoke case past the stack coordinate scratch (more than eight
+/// dimensions take the heap buffer): a 4^9 cube against brute force,
+/// through the tree's update, prefix, cell and prune paths and the
+/// engine's corner-enumerating range sum.
+#[test]
+fn nine_dimensional_cube_matches_brute_force() {
+    use ddc_array::{RangeSumEngine, Region};
+    let (d, side) = (9, 4);
+    let mut rng = DdcRng::seed_from_u64(0x9D);
+    let mut tree = DdcTree::<i64>::new(d, side, DdcConfig::dynamic());
+    let mut a = NdArray::<i64>::zeroed(Shape::cube(d, side));
+    random_updates(&mut tree, &mut a, &mut rng, 12);
+    audit_dense(&tree, &a, &mut rng, "d=9 update");
+    cancel_all_but(&mut tree, &mut a, 3);
+    tree.prune();
+    audit_dense(&tree, &a, &mut rng, "d=9 prune");
+
+    let engine = ddc_core::DdcEngine::from_array_incremental(&a, DdcConfig::dynamic());
+    for _ in 0..3 {
+        let (lo, hi): (Vec<usize>, Vec<usize>) = (0..d)
+            .map(|_| {
+                let (p, q) = (rng.gen_range(0..side), rng.gen_range(0..side));
+                (p.min(q), p.max(q))
+            })
+            .unzip();
+        let region = Region::new(&lo, &hi);
+        assert_eq!(
+            engine.range_sum(&region),
+            a.region_sum(&region),
+            "d=9 range {lo:?}..={hi:?}"
+        );
+    }
+}
+
+/// The compaction trigger weighs bytes, not slot counts: one dead
+/// root-to-leaf path is a minority of the slots next to a dense live
+/// cluster, but its box records near the root (a side-512 box holds
+/// `1 + 2·(512 + 31)` words) outweigh the cluster, so prune must
+/// rewrite the slabs and report the bytes it gave back.
+#[test]
+fn compaction_is_driven_by_dead_bytes_not_slot_counts() {
+    let mut tree = DdcTree::<i64>::new(2, 1024, DdcConfig::dynamic());
+    for x in 0..8 {
+        for y in 0..8 {
+            tree.apply_delta(&[x, y], 1);
+        }
+    }
+    tree.apply_delta(&[1023, 1023], 5);
+    tree.apply_delta(&[1023, 1023], -5);
+    let before = tree.stats();
+    let released = tree.prune();
+    let after = tree.stats();
+    tree.check_arena();
+    assert_eq!(tree.check_invariants(), 64);
+    let dead = (before.nodes - after.nodes) + (before.leaf_blocks - after.leaf_blocks);
+    assert!(
+        dead < after.nodes + after.leaf_blocks,
+        "the dead path must be the slot minority for this test to bite: {dead} dead"
+    );
+    assert_eq!(
+        (after.free_node_slots, after.free_leaf_slots),
+        (0, 0),
+        "dead bytes dominated, so the slabs must have been compacted"
+    );
+    assert!(released > 0, "compaction must hand the dead bytes back");
+    assert_eq!(after.total_bytes, before.total_bytes - released);
+}
+
 /// Layout pin: the paper-scale d = 2 cube (1024², 2^18 seeded cells,
 /// the `core_d2_mixed` population) must stay within 160 heap bytes per
-/// populated cell. The pointer-per-box layout this replaced spent 762.
+/// populated cell.
 #[test]
 fn packed_tree_stays_within_160_bytes_per_cell() {
     let mut rng = DdcRng::seed_from_u64(0xDDC_0B17);

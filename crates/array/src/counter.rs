@@ -12,8 +12,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 ///
 /// Relaxed atomics so `&self` query paths can record reads and engines
 /// remain `Sync` — concurrent readers may share a structure (see the
-/// `parallel_queries` integration test). Counts are exact under a single
-/// writer, which is the measurement regime of the paper.
+/// `concurrency_and_snapshots` integration tests). Counts are exact
+/// under a single writer, which is the measurement regime of the paper.
 #[derive(Debug, Default)]
 pub struct OpCounter {
     reads: AtomicU64,

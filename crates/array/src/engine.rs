@@ -9,7 +9,7 @@
 
 use crate::counter::{OpCounter, OpSnapshot};
 use crate::group::AbelianGroup;
-use crate::region::Region;
+use crate::region::{with_coord_bufs, Region};
 use crate::shape::Shape;
 
 /// A structure that answers prefix-sum queries and accepts point updates
@@ -55,16 +55,14 @@ pub trait RangeSumEngine<G: AbelianGroup> {
     /// sums (Figure 4). Engines with a cheaper native path may override.
     fn range_sum(&self, region: &Region) -> G {
         region.check_within(self.shape());
-        let mut acc = G::ZERO;
-        for term in region.prefix_decomposition() {
-            let p = self.prefix_sum(&term.corner);
-            acc = if term.sign > 0 {
-                acc.add(p)
-            } else {
-                acc.sub(p)
-            };
-        }
-        acc
+        with_coord_bufs(region.ndim(), |corner, _| {
+            let mut acc = G::ZERO;
+            region.for_each_prefix_term(corner, |sign, corner| {
+                let p = self.prefix_sum(corner);
+                acc = if sign > 0 { acc.add(p) } else { acc.sub(p) };
+            });
+            acc
+        })
     }
 
     /// Current value of one cell of `A`, recovered as the degenerate range

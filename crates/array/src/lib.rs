@@ -27,7 +27,7 @@ pub use coords::{CoordMap, GrowthDirection};
 pub use counter::{OpCounter, OpSnapshot};
 pub use engine::RangeSumEngine;
 pub use group::{AbelianGroup, Checked, Pair};
-pub use region::{PrefixTerm, Region, RegionPointIter};
+pub use region::{with_coord_bufs, PrefixTerm, Region, RegionPointIter};
 pub use shadow::ShadowEngine;
 pub use shape::{PointIter, Shape, ShapeError};
 pub use slice::SliceView;

@@ -176,26 +176,61 @@ impl Region {
     /// assert!(terms.iter().any(|t| t.sign == -1 && t.corner == vec![1, 5]));
     /// ```
     pub fn prefix_decomposition(&self) -> Vec<PrefixTerm> {
-        let d = self.ndim();
-        let mut terms = Vec::with_capacity(1 << d);
-        'mask: for mask in 0u32..(1u32 << d) {
-            let mut corner = Vec::with_capacity(d);
-            let mut sign = 1i8;
-            for axis in 0..d {
-                if mask & (1 << axis) != 0 {
-                    if self.lo[axis] == 0 {
-                        continue 'mask; // empty slab; contributes nothing
-                    }
-                    corner.push(self.lo[axis] - 1);
-                    sign = -sign;
-                } else {
-                    corner.push(self.hi[axis]);
-                }
-            }
-            terms.push(PrefixTerm { sign, corner });
-        }
+        let mut terms = Vec::with_capacity(1 << self.ndim());
+        self.for_each_prefix_term(&mut vec![0; self.ndim()], |sign, corner| {
+            terms.push(PrefixTerm {
+                sign,
+                corner: corner.to_vec(),
+            })
+        });
         terms
     }
+
+    /// [`Region::prefix_decomposition`] without the allocations: calls
+    /// `f(sign, corner)` for each term in the same order, writing every
+    /// corner into the caller's `corner` buffer (`d` long) — what a
+    /// query path uses, once per range sum.
+    pub fn for_each_prefix_term(&self, corner: &mut [usize], mut f: impl FnMut(i8, &[usize])) {
+        let d = self.ndim();
+        assert_eq!(corner.len(), d, "corner buffer must have the region's rank");
+        // Dimensions whose `lo − 1` slab is empty: masks selecting one
+        // of them contribute nothing.
+        let at_origin = self
+            .lo
+            .iter()
+            .enumerate()
+            .fold(0usize, |m, (axis, &l)| m | usize::from(l == 0) << axis);
+        for mask in (0usize..1 << d).filter(|mask| mask & at_origin == 0) {
+            for (axis, c) in corner.iter_mut().enumerate() {
+                *c = if mask >> axis & 1 != 0 {
+                    self.lo[axis] - 1
+                } else {
+                    self.hi[axis]
+                };
+            }
+            let sign = if mask.count_ones() % 2 == 0 { 1 } else { -1 };
+            f(sign, corner);
+        }
+    }
+}
+
+/// Coordinate scratch for this many dimensions lives on the stack;
+/// wider cubes fall back to one heap buffer per operation.
+const INLINE_DIMS: usize = 8;
+
+/// Runs `f` with two zeroed `d`-long coordinate buffers.
+#[inline]
+pub fn with_coord_bufs<R>(d: usize, f: impl FnOnce(&mut [usize], &mut [usize]) -> R) -> R {
+    let mut stack = [0usize; 2 * INLINE_DIMS];
+    let mut heap = Vec::new();
+    let buf = if d <= INLINE_DIMS {
+        &mut stack[..2 * d]
+    } else {
+        heap.resize(2 * d, 0);
+        &mut heap[..]
+    };
+    let (a, b) = buf.split_at_mut(d);
+    f(a, b)
 }
 
 /// Iterator over the points of a [`Region`].

@@ -1,6 +1,5 @@
 //! Construction costs: bulk bottom-up build vs per-cell incremental
-//! insertion vs the parallel fork-join builder, against the baselines'
-//! build paths. Batch-load time is the paper's §1 "first batch load data"
+//! insertion, against the baselines' build paths. Batch-load time is the paper's §1 "first batch load data"
 //! phase — the one cost the prefix-sum family optimizes for.
 //!
 //! ```text
@@ -9,7 +8,7 @@
 
 use ddc_baselines::{PrefixSumEngine, RelativePrefixEngine};
 use ddc_bench::timer::{report, time_quick};
-use ddc_core::{DdcConfig, DdcEngine, DdcTree};
+use ddc_core::{DdcConfig, DdcEngine};
 use ddc_workload::{rng, uniform_array};
 
 fn main() {
@@ -23,14 +22,6 @@ fn main() {
             ));
         });
         report("build", "ddc-bulk", n, &t);
-        let t = time_quick(|| {
-            std::hint::black_box(DdcTree::from_array_parallel(
-                &base,
-                n.next_power_of_two(),
-                DdcConfig::dynamic(),
-            ));
-        });
-        report("build", "ddc-parallel", n, &t);
         let t = time_quick(|| {
             std::hint::black_box(DdcEngine::<i64>::from_array_incremental(
                 &base,

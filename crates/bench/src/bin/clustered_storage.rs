@@ -10,7 +10,7 @@
 use ddc_array::{RangeSumEngine, Shape};
 use ddc_baselines::{PrefixSumEngine, RelativePrefixEngine};
 use ddc_bench::print_row;
-use ddc_core::{DdcConfig, DdcEngine};
+use ddc_core::{DdcConfig, DdcEngine, GrowableCube};
 use ddc_workload::{clustered_points, random_clusters, rng, sparse_array};
 
 fn main() {
@@ -25,7 +25,7 @@ fn main() {
             "cells".into(),
             "prefix-sum".into(),
             "rel-prefix".into(),
-            "ddc(bc)".into(),
+            "ddc(blocked)".into(),
             "ddc(seg)".into(),
         ],
         &widths,
@@ -35,7 +35,7 @@ fn main() {
         let a = sparse_array(&shape, density, 100, &mut r);
         let ps = PrefixSumEngine::from_array(&a);
         let rps = RelativePrefixEngine::from_array(&a);
-        let ddc_bc = DdcEngine::from_array_with(&a, DdcConfig::dynamic().with_elision(1));
+        let ddc_blocked = DdcEngine::from_array_with(&a, DdcConfig::dynamic().with_elision(1));
         let ddc_seg = DdcEngine::from_array_with(&a, DdcConfig::sparse().with_elision(1));
         print_row(
             &[
@@ -43,7 +43,7 @@ fn main() {
                 format!("{}", a.populated_cells()),
                 format!("{}", ps.heap_bytes() / 1024),
                 format!("{}", rps.heap_bytes() / 1024),
-                format!("{}", ddc_bc.heap_bytes() / 1024),
+                format!("{}", ddc_blocked.heap_bytes() / 1024),
                 format!("{}", ddc_seg.heap_bytes() / 1024),
             ],
             &widths,
@@ -54,14 +54,22 @@ fn main() {
     let mut r = rng(777);
     let clusters = random_clusters(2, 4, 1800, 25.0, &mut r);
     let pts = clustered_points(&clusters, 4000, 100, &mut r);
-    let mut cube = ddc_core::GrowableCube::<i64>::new(2, DdcConfig::sparse());
-    for (p, v) in &pts {
-        cube.add(p, *v);
-    }
+    let grown = |config: DdcConfig, pts: &[(Vec<i64>, i64)]| {
+        let mut cube = GrowableCube::<i64>::new(2, config);
+        for (p, v) in pts {
+            cube.add(p, *v);
+        }
+        cube
+    };
+    let cube = grown(DdcConfig::sparse(), &pts);
     let bbox: f64 = cube.extent().iter().map(|&e| e as f64).product();
     println!("populated cells : {}", cube.populated_cells());
     println!("covered space   : {:.2e} cells", bbox);
     println!("DDC heap        : {} KiB", cube.heap_bytes() / 1024);
+    println!(
+        "  blocked faces : {} KiB (the default; smaller while data clusters)",
+        grown(DdcConfig::dynamic(), &pts).heap_bytes() / 1024
+    );
     println!(
         "prefix-sum array over the same space: {:.0} KiB (dense, plus full\n\
          rebuild whenever a new point source appears outside the box)",
@@ -71,4 +79,35 @@ fn main() {
         "\nThe DDC's storage tracks the populated region (§5); the prefix \
          sum\nmethods must materialize every cell of the bounding box."
     );
+
+    // Where the lazy base store earns its place: isolated points in a
+    // wide space, each claiming `k` words per blocked face next to the
+    // root but one root-to-leaf path per lazy face.
+    println!("\n== Isolated points in a wide space: heap by base store (KiB) ==\n");
+    let widths = [10usize, 10, 14, 14];
+    print_row(
+        &[
+            "side".into(),
+            "points".into(),
+            "ddc(blocked)".into(),
+            "ddc(seg)".into(),
+        ],
+        &widths,
+    );
+    for (bits, points) in [(17u32, 500usize), (20, 200)] {
+        let side = 1i64 << bits;
+        let mut r = rng(u64::from(bits));
+        let pts: Vec<(Vec<i64>, i64)> = (0..points)
+            .map(|_| (vec![r.gen_range(0..side), r.gen_range(0..side)], 1))
+            .collect();
+        print_row(
+            &[
+                format!("2^{bits}"),
+                format!("{points}"),
+                format!("{}", grown(DdcConfig::dynamic(), &pts).heap_bytes() / 1024),
+                format!("{}", grown(DdcConfig::sparse(), &pts).heap_bytes() / 1024),
+            ],
+            &widths,
+        );
+    }
 }

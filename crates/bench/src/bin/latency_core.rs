@@ -30,7 +30,6 @@ use std::time::Instant;
 use ddc_array::{RangeSumEngine, Shape};
 use ddc_bench::json::{BenchReport, MetricKind};
 use ddc_bench::print_row;
-use ddc_core::{BaseStore, DdcConfig};
 use ddc_olap::EngineKind;
 use ddc_workload::rng;
 
@@ -152,14 +151,6 @@ fn main() {
     let start = Instant::now();
     let engines: Vec<(&'static str, EngineKind)> = vec![
         ("dyn-ddc", EngineKind::DynamicDdc),
-        (
-            "ddc-bc",
-            EngineKind::CustomDdc(DdcConfig::dynamic().with_base(BaseStore::Bc { fanout: 16 })),
-        ),
-        (
-            "ddc-fenwick",
-            EngineKind::CustomDdc(DdcConfig::dynamic().with_base(BaseStore::Fenwick)),
-        ),
         ("fenwick-nd", EngineKind::FenwickNd),
     ];
 

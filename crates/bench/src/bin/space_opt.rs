@@ -67,34 +67,26 @@ fn main() {
          the final column (the worst-case leaf-cell additions of §4.4)."
     );
 
-    // Base-store ablation: the B^c tree's pointer-rich nodes versus the
-    // flat Fenwick array and the lazy segment tree, at two elision levels.
-    println!("\nBase-store memory ablation (same cube):\n");
-    let widths = [6usize, 14, 14, 14];
+    // The two base stores on this dense cube, at two elision levels:
+    // blocked faces inline in the level slab versus lazy segment trees
+    // out of line.
+    println!("\nBase-store memory (same cube):\n");
+    let widths = [6usize, 14, 14];
     print_row(
-        &[
-            "h".into(),
-            "bc(f=16)".into(),
-            "fenwick".into(),
-            "sparse-seg".into(),
-        ],
+        &["h".into(), "blocked".into(), "sparse-seg".into()],
         &widths,
     );
     for h in [0usize, 2] {
         let mut cells = vec![format!("{h}")];
-        for store in [
-            ddc_core::BaseStore::Bc { fanout: 16 },
-            ddc_core::BaseStore::Fenwick,
-            ddc_core::BaseStore::SparseSeg,
-        ] {
-            let config = DdcConfig::dynamic().with_base(store).with_elision(h);
-            let e = DdcEngine::from_array_with(&base, config);
+        for config in [DdcConfig::dynamic(), DdcConfig::sparse()] {
+            let e = DdcEngine::from_array_with(&base, config.with_elision(h));
             cells.push(format!("{} KiB", e.heap_bytes() / 1024));
         }
         print_row(&cells, &widths);
     }
     println!(
-        "\nFenwick base stores pack row sums into flat arrays — the memory\n\
-         remedy when the data is dense; B^c keeps §5 insertability."
+        "\nDense data is the blocked store's side of the trade; the lazy\n\
+         store earns its place on wide, sparsely populated spaces\n\
+         (clustered_storage)."
     );
 }

@@ -2,10 +2,11 @@
 //!
 //! One-dimensional cumulative stores: the paper's Cumulative B-Tree
 //! ([`BcTree`], §4.1) — the base case of the Dynamic Data Cube's recursion
-//! — its implicit blocked layout ([`BlockedBc`], the hot-path default),
-//! and a Fenwick tree ([`Fenwick`]) ablation. All implement
-//! [`CumulativeStore`], the contract the two-dimensional DDC base case is
-//! generic over.
+//! — its implicit blocked layout ([`BlockedBc`]; `ddc-core` runs the same
+//! slice kernels inside its level slabs), a Fenwick tree ([`Fenwick`])
+//! ablation, and the lazy [`SparseSegTree`] `ddc-core` uses for wide,
+//! sparsely populated spaces. All implement [`CumulativeStore`], so they
+//! can be compared on identical inputs.
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]

@@ -110,11 +110,11 @@ impl<G: AbelianGroup> SparseSegTree<G> {
         self.root.as_ref().map_or(0, |n| n.node_count())
     }
 
-    fn add_rec(node: &mut SegNode<G>, span: usize, index: usize, delta: G, counter: &OpCounter) {
+    /// Returns the number of node sums written.
+    fn add_rec(node: &mut SegNode<G>, span: usize, index: usize, delta: G) -> u64 {
         node.sum = node.sum.add(delta);
-        counter.write(1);
         if span == 1 {
-            return;
+            return 1;
         }
         let half = span / 2;
         let (slot, rel) = if index < half {
@@ -123,29 +123,57 @@ impl<G: AbelianGroup> SparseSegTree<G> {
             (&mut node.right, index - half)
         };
         let child = slot.get_or_insert_with(|| Box::new(SegNode::new()));
-        Self::add_rec(child, half, rel, delta, counter);
+        1 + Self::add_rec(child, half, rel, delta)
     }
 
-    fn prefix_rec(node: &SegNode<G>, span: usize, index: usize, counter: &OpCounter) -> G {
+    fn prefix_rec(node: &SegNode<G>, span: usize, index: usize, reads: &mut u64) -> G {
         if span == 1 || index == span - 1 {
-            counter.read(1);
+            *reads += 1;
             return node.sum;
         }
         let half = span / 2;
         if index < half {
             node.left
                 .as_ref()
-                .map_or(G::ZERO, |l| Self::prefix_rec(l, half, index, counter))
+                .map_or(G::ZERO, |l| Self::prefix_rec(l, half, index, reads))
         } else {
             let left = node.left.as_ref().map_or(G::ZERO, |l| {
-                counter.read(1);
+                *reads += 1;
                 l.sum
             });
-            let right = node.right.as_ref().map_or(G::ZERO, |r| {
-                Self::prefix_rec(r, half, index - half, counter)
-            });
+            let right = node
+                .right
+                .as_ref()
+                .map_or(G::ZERO, |r| Self::prefix_rec(r, half, index - half, reads));
             left.add(right)
         }
+    }
+
+    /// [`CumulativeStore::prefix`] returning the node sums read instead
+    /// of bumping the store's own counter — for owners that account a
+    /// whole operation at once (as the `blocked` kernels do).
+    pub fn prefix_counted(&self, index: usize) -> (G, u64) {
+        assert!(
+            index < self.len,
+            "prefix index {index} beyond length {}",
+            self.len
+        );
+        let mut reads = 0;
+        let v = self.root.as_ref().map_or(G::ZERO, |r| {
+            Self::prefix_rec(r, self.span, index, &mut reads)
+        });
+        (v, reads)
+    }
+
+    /// [`CumulativeStore::add`] returning the node sums written instead
+    /// of bumping the store's own counter.
+    pub fn add_counted(&mut self, index: usize, delta: G) -> u64 {
+        assert!(index < self.len, "index {index} beyond length {}", self.len);
+        if delta.is_zero() {
+            return 0;
+        }
+        let root = self.root.get_or_insert_with(|| Box::new(SegNode::new()));
+        Self::add_rec(root, self.span, index, delta)
     }
 }
 
@@ -159,14 +187,9 @@ impl<G: AbelianGroup> CumulativeStore<G> for SparseSegTree<G> {
     }
 
     fn prefix(&self, index: usize) -> G {
-        assert!(
-            index < self.len,
-            "prefix index {index} beyond length {}",
-            self.len
-        );
-        self.root.as_ref().map_or(G::ZERO, |r| {
-            Self::prefix_rec(r, self.span, index, &self.counter)
-        })
+        let (v, reads) = self.prefix_counted(index);
+        self.counter.read(reads);
+        v
     }
 
     fn value(&self, index: usize) -> G {
@@ -178,12 +201,8 @@ impl<G: AbelianGroup> CumulativeStore<G> for SparseSegTree<G> {
     }
 
     fn add(&mut self, index: usize, delta: G) {
-        assert!(index < self.len, "index {index} beyond length {}", self.len);
-        if delta.is_zero() {
-            return;
-        }
-        let root = self.root.get_or_insert_with(|| Box::new(SegNode::new()));
-        Self::add_rec(root, self.span, index, delta, &self.counter);
+        let writes = self.add_counted(index, delta);
+        self.counter.write(writes);
     }
 
     fn counter(&self) -> &OpCounter {

@@ -4,9 +4,8 @@
 //! DDC with the Cumulative B-Tree (B^c tree). Any structure that maintains
 //! a sequence of values under point updates while answering *cumulative*
 //! (prefix) sums can play that role; [`CumulativeStore`] abstracts it so
-//! the two-dimensional base case of the Dynamic Data Cube can be
-//! instantiated with either the paper's B^c tree or the Fenwick-tree
-//! ablation.
+//! the paper's B^c tree, its blocked layout, the Fenwick-tree ablation
+//! and the lazy segment tree can be compared on identical inputs.
 
 use ddc_array::{AbelianGroup, OpCounter, OpSnapshot};
 

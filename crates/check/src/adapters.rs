@@ -13,8 +13,8 @@ use ddc_baselines::{
     GrowablePrefixSum, MultiFenwick, NaiveEngine, PrefixSumEngine, RelativePrefixEngine,
 };
 use ddc_core::{
-    wal, BaseStore, DdcConfig, DdcEngine, DurableCube, GrowableCube, PagerConfig, ShardConfig,
-    ShardedCube, SharedCube, WalConfig,
+    wal, DdcConfig, DdcEngine, DurableCube, GrowableCube, PagerConfig, ShardConfig, ShardedCube,
+    SharedCube, WalConfig,
 };
 use ddc_workload::BoxState;
 
@@ -595,22 +595,13 @@ pub fn engine_roster(init: &BoxState) -> Vec<Box<dyn CheckEngine>> {
             MultiFenwick::<i64>::zeroed,
         )),
         Box::new(DdcAdapter::new("ddc-basic", init, DdcConfig::basic())),
-        // `dynamic()` is the arena-backed hot path: blocked B^c base over
-        // the flat-arena tree. The explicit base-store variants keep the
-        // pointer-based B^c and the Fenwick ablation in the differential
-        // net, and the elided variant drives the arena's dense leaf
-        // blocks (§4.4) through every trace.
+        // `dynamic()` is the hot path: blocked B^c faces written inline
+        // in the level slabs. `sparse()` keeps the one out-of-line base
+        // store (lazy segment trees behind `Secondary`) in the
+        // differential net, and the elided variant drives the dense
+        // leaf blocks (§4.4) through every trace.
         Box::new(DdcAdapter::new("ddc-dynamic", init, DdcConfig::dynamic())),
-        Box::new(DdcAdapter::new(
-            "ddc-bc16",
-            init,
-            DdcConfig::dynamic().with_base(BaseStore::Bc { fanout: 16 }),
-        )),
-        Box::new(DdcAdapter::new(
-            "ddc-fenwick",
-            init,
-            DdcConfig::dynamic().with_base(BaseStore::Fenwick),
-        )),
+        Box::new(DdcAdapter::new("ddc-sparse", init, DdcConfig::sparse())),
         Box::new(DdcAdapter::new(
             "ddc-elide1",
             init,

@@ -355,6 +355,9 @@ fn note_failure(
                 ));
             }
         }
+        IoError::OutOfRange(e) => report
+            .violations
+            .push(format!("op {i}: generated point refused: {e}")),
     }
 }
 

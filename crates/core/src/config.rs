@@ -17,25 +17,24 @@ pub enum Mode {
 }
 
 /// The structure used for one-dimensional row-sum groups (the recursion
-/// base case of §4.2).
+/// base case of §4.2). Two stores, each measured ahead of the other on
+/// its own kind of input (EXPERIMENTS §4.4); the pointer-based
+/// `ddc_btree::BcTree` of §4.1 and `ddc_btree::Fenwick` stay in
+/// `ddc-btree` as the reproduction artifact and the 1-D ablation
+/// comparators, not as engine configurations.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum BaseStore {
     /// The B^c tree's implicit blocked layout (the default): dense leaf
     /// blocks of raw values under a flat Fenwick-layout summary array —
-    /// same asymptotics as [`BaseStore::Bc`], branchless index
-    /// arithmetic instead of pointer descent.
+    /// the asymptotics of §4.1's B^c tree with branchless index
+    /// arithmetic instead of pointer descent. Allocates all `k` values
+    /// of a group eagerly, which is the right trade for dense and
+    /// clustered data.
     Blocked,
-    /// The paper's Cumulative B-Tree (§4.1) with the given fanout `f`.
-    Bc {
-        /// Maximum children per interior node / values per leaf.
-        fanout: usize,
-    },
-    /// Fenwick tree ablation: same asymptotics, flat-array constants, but
-    /// no positional insertion and eager `O(k)` allocation.
-    Fenwick,
     /// Lazily materialized segment tree: allocates only along update
-    /// paths, which is what makes sparse cubes (§5) occupy memory
-    /// proportional to the populated region.
+    /// paths, which is what makes wide, sparsely populated cubes (§5)
+    /// occupy memory proportional to the populated region rather than
+    /// to the side.
     SparseSeg,
 }
 
@@ -131,8 +130,7 @@ impl Default for DdcConfig {
 
 impl DdcConfig {
     /// The paper's §4 structure with defaults (blocked B^c base, no
-    /// elision). [`BaseStore::Bc`] keeps the pointer-based original for
-    /// comparison runs.
+    /// elision).
     pub fn dynamic() -> Self {
         Self::default()
     }
@@ -156,12 +154,6 @@ impl DdcConfig {
     /// Sets the §4.4 level-elision parameter `h`.
     pub fn with_elision(mut self, h: usize) -> Self {
         self.elide_levels = h;
-        self
-    }
-
-    /// Sets the base store.
-    pub fn with_base(mut self, base: BaseStore) -> Self {
-        self.base = base;
         self
     }
 
@@ -209,7 +201,6 @@ impl Default for WalConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ddc_btree::DEFAULT_FANOUT;
 
     #[test]
     fn wal_defaults_verify() {
@@ -226,16 +217,6 @@ mod tests {
         assert_eq!(c.base, BaseStore::Blocked);
         assert_eq!(c.elide_levels, 0);
         assert_eq!(c.leaf_block_side(), 2);
-        // The pointer-based original stays selectable.
-        let bc = DdcConfig::dynamic().with_base(BaseStore::Bc {
-            fanout: DEFAULT_FANOUT,
-        });
-        assert_eq!(
-            bc.base,
-            BaseStore::Bc {
-                fanout: DEFAULT_FANOUT
-            }
-        );
     }
 
     #[test]
@@ -243,7 +224,6 @@ mod tests {
         let c = DdcConfig::basic().with_elision(2);
         assert_eq!(c.mode, Mode::Basic);
         assert_eq!(c.leaf_block_side(), 8);
-        let s = DdcConfig::sparse().with_base(BaseStore::Fenwick);
-        assert_eq!(s.base, BaseStore::Fenwick);
+        assert_eq!(DdcConfig::sparse().base, BaseStore::SparseSeg);
     }
 }

@@ -7,11 +7,11 @@
 
 use crate::sync::{Arc, OnceLock};
 
-use ddc_array::{AbelianGroup, NdArray, OpCounter, RangeSumEngine, Region, Shape};
+use ddc_array::{AbelianGroup, NdArray, OpCounter, RangeSumEngine, Shape};
 
 use crate::config::{DdcConfig, Mode};
 use crate::obs;
-use crate::tree::{with_coord_bufs, DdcTree};
+use crate::tree::DdcTree;
 
 /// Per-mode latency histograms, resolved once and cached so the hot
 /// paths never touch the registry lock.
@@ -219,39 +219,6 @@ impl<G: AbelianGroup> RangeSumEngine<G> for DdcEngine<G> {
         t.observe(site.update_name, &site.update_ns);
     }
 
-    /// Figure 4's inclusion–exclusion with the ≤ `2^d` signed corners
-    /// enumerated in one reused buffer, in the order (and with the
-    /// `lo = 0` slabs skipped exactly as)
-    /// [`Region::prefix_decomposition`] yields them.
-    fn range_sum(&self, region: &Region) -> G {
-        region.check_within(&self.shape);
-        let (lo, hi) = (region.lo(), region.hi());
-        let d = lo.len();
-        let at_origin = lo
-            .iter()
-            .enumerate()
-            .fold(0usize, |m, (axis, &l)| m | usize::from(l == 0) << axis);
-        with_coord_bufs(d, |corner, _| {
-            let mut acc = G::ZERO;
-            for mask in (0usize..1 << d).filter(|mask| mask & at_origin == 0) {
-                for axis in 0..d {
-                    corner[axis] = if mask >> axis & 1 != 0 {
-                        lo[axis] - 1
-                    } else {
-                        hi[axis]
-                    };
-                }
-                let p = self.prefix_sum(corner);
-                acc = if mask.count_ones() % 2 == 0 {
-                    acc.add(p)
-                } else {
-                    acc.sub(p)
-                };
-            }
-            acc
-        })
-    }
-
     fn cell(&self, point: &[usize]) -> G {
         self.shape.check_point(point);
         self.tree.cell(point)
@@ -269,6 +236,7 @@ impl<G: AbelianGroup> RangeSumEngine<G> for DdcEngine<G> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ddc_array::Region;
 
     /// The worked example of Figures 9 and 11: an 8×8 cube whose query
     /// decomposes into the paper's six components — box Q contributes its

@@ -21,7 +21,7 @@ use ddc_array::{AbelianGroup, CoordMap, GrowthDirection, OpCounter, Region};
 
 use crate::config::DdcConfig;
 use crate::obs;
-use crate::tree::DdcTree;
+use crate::tree::{DdcTree, MAX_SIDE};
 
 struct GrowthObs {
     grow_ns: Arc<obs::Histogram>,
@@ -35,6 +35,25 @@ fn growth_obs() -> &'static GrowthObs {
         doublings: obs::counter("growth.doublings"),
     })
 }
+
+/// Covering the point would double the cube past [`MAX_SIDE`].
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct GrowthError {
+    /// The logical point that cannot be covered.
+    pub point: Vec<i64>,
+}
+
+impl std::fmt::Display for GrowthError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "covering {:?} would grow the cube past side {MAX_SIDE}",
+            self.point
+        )
+    }
+}
+
+impl std::error::Error for GrowthError {}
 
 /// A data cube over signed logical coordinates that grows on demand.
 ///
@@ -96,11 +115,38 @@ impl<G: AbelianGroup> GrowableCube<G> {
         self.tree.side()
     }
 
+    /// Checks that [`GrowableCube::add`]/[`GrowableCube::set`] at
+    /// `logical` would keep the side within [`MAX_SIDE`], by running the
+    /// doubling steps on a copy of the coordinate map. Callers taking
+    /// coordinates from outside the program (a client, a log, a
+    /// snapshot) check before they mutate or log anything.
+    pub fn check_cover(&self, logical: &[i64]) -> Result<(), GrowthError> {
+        // Already covered, the case every logged update pays for: no copy.
+        if self.map.to_internal(logical).is_some() {
+            return Ok(());
+        }
+        let mut map = self.map.clone();
+        while map.to_internal(logical).is_none() {
+            if map.extent()[0] >= MAX_SIDE {
+                return Err(GrowthError {
+                    point: logical.to_vec(),
+                });
+            }
+            for (axis, need) in map.growth_needed(logical).into_iter().enumerate() {
+                map.grow(axis, need.unwrap_or(GrowthDirection::High));
+            }
+        }
+        Ok(())
+    }
+
     /// Grows until `logical` is covered, then returns its internal index.
     fn cover(&mut self, logical: &[i64]) -> Vec<usize> {
         // The common case — already covered — pays no timing overhead.
         if let Some(internal) = self.map.to_internal(logical) {
             return internal;
+        }
+        if let Err(e) = self.check_cover(logical) {
+            panic!("{e}");
         }
         let site = growth_obs();
         let span = obs::timer();
@@ -133,6 +179,10 @@ impl<G: AbelianGroup> GrowableCube<G> {
 
     /// Adds `delta` to the cell at signed `logical` coordinates, growing
     /// the cube as needed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if [`GrowableCube::check_cover`] rejects the point.
     pub fn add(&mut self, logical: &[i64], delta: G) {
         if delta.is_zero() {
             return;
@@ -142,6 +192,10 @@ impl<G: AbelianGroup> GrowableCube<G> {
     }
 
     /// Sets the cell at `logical`, returning its previous value.
+    ///
+    /// # Panics
+    ///
+    /// Panics if [`GrowableCube::check_cover`] rejects the point.
     pub fn set(&mut self, logical: &[i64], value: G) -> G {
         let internal = self.cover(logical);
         let old = self.tree.cell(&internal);
@@ -183,16 +237,12 @@ impl<G: AbelianGroup> GrowableCube<G> {
             clo.push((l - o) as usize);
             chi.push((h - o) as usize);
         }
-        let region = Region::new(&clo, &chi);
         let mut acc = G::ZERO;
-        for term in region.prefix_decomposition() {
-            let v = self.tree.prefix_sum(&term.corner);
-            acc = if term.sign > 0 {
-                acc.add(v)
-            } else {
-                acc.sub(v)
-            };
-        }
+        let mut corner = clo.clone();
+        Region::new(&clo, &chi).for_each_prefix_term(&mut corner, |sign, corner| {
+            let v = self.tree.prefix_sum(corner);
+            acc = if sign > 0 { acc.add(v) } else { acc.sub(v) };
+        });
         acc
     }
 
@@ -346,6 +396,42 @@ mod tests {
         assert!(bytes < 2_000_000, "used {bytes} bytes");
         assert_eq!(cube.total(), 2);
         cube.check_invariants();
+    }
+
+    #[test]
+    fn check_cover_refuses_points_past_the_cap_and_leaves_the_cube_alone() {
+        let mut cube = GrowableCube::<i64>::new(2, DdcConfig::sparse());
+        cube.add(&[3, 3], 1);
+        let side = cube.side();
+        for far in [[1i64 << 40, 0], [0, -(1 << 40)], [i64::MAX, i64::MIN]] {
+            assert_eq!(cube.check_cover(&far).unwrap_err().point, far);
+        }
+        assert_eq!(cube.side(), side);
+        // Growing only upward from the origin reaches exactly the cap.
+        let edge = MAX_SIDE as i64;
+        assert!(cube.check_cover(&[edge, 0]).is_err());
+        assert_eq!(cube.check_cover(&[edge - 1, 0]), Ok(()));
+        cube.add(&[edge - 1, 0], 2);
+        assert_eq!(cube.side(), MAX_SIDE);
+        assert_eq!(cube.range_sum(&[0, 0], &[edge, edge]), 3);
+        // Full-grown, nothing outside the box is reachable any more.
+        assert!(cube.check_cover(&[-1, 0]).is_err());
+        cube.check_invariants();
+    }
+
+    /// The arithmetic in [`MAX_SIDE`]'s doc comment, measured.
+    #[test]
+    fn one_isolated_point_costs_about_17_bytes_per_unit_of_side() {
+        let mut cube = GrowableCube::<i64>::new(2, DdcConfig::dynamic());
+        cube.add(&[(1 << 16) - 1, 0], 1);
+        let per_side = cube.heap_bytes() as f64 / cube.side() as f64;
+        assert!((16.5..18.5).contains(&per_side), "{per_side} bytes × side");
+    }
+
+    #[test]
+    #[should_panic(expected = "past side")]
+    fn add_past_the_cap_panics_instead_of_exhausting_memory() {
+        GrowableCube::<i64>::new(2, DdcConfig::dynamic()).add(&[1 << 40, 0], 1);
     }
 
     #[test]

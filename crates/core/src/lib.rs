@@ -41,12 +41,12 @@ pub use config::{
     BaseStore, DdcConfig, LeafBackend, Mode, PagerConfig, WalConfig, DEFAULT_PAGE_BYTES,
 };
 pub use engine::DdcEngine;
-pub use growth::GrowableCube;
+pub use growth::{GrowableCube, GrowthError};
 pub use pager::{BufferPool, PoolStats, WalBarrier};
 pub use persist::ValueCodec;
 pub use shard::{MetricsSnapshot, ShardConfig, ShardedCube, TryUpdateError};
 pub use store::{PagedStore, RecordCodec};
-pub use tree::{Contribution, DdcTree, LevelStats, TraceStep, TreeStats};
+pub use tree::{Contribution, DdcTree, LevelStats, TraceStep, TreeStats, MAX_SIDE};
 pub use vfs::{
     FaultKind, FaultPlan, FaultProbs, FaultVfs, MemVfs, OpenMode, PlannedFault, StdVfs, Vfs,
     VfsFile,

@@ -12,8 +12,6 @@
 //!
 //! * Shapes and thread counts are tiny on purpose — bounded DFS pays
 //!   for every extra schedule point.
-//! * `parallel_queries` stays off: fork-join reads use
-//!   `std::thread::scope`, which the model deliberately does not track.
 //! * Assertions read through synchronized paths (locks, `Acquire`). The
 //!   weak-memory model has no happens-before recovery, so a `Relaxed`
 //!   load may legally observe stale values even after a join — exactly
@@ -36,7 +34,6 @@ fn shard_config() -> ShardConfig {
     ShardConfig {
         shards: 2,
         batch_capacity: 2,
-        parallel_queries: false,
         queue_capacity: 4,
         max_restarts: 1,
     }

@@ -579,13 +579,6 @@ pub fn prometheus_text_for(reg: &Registry) -> String {
     out
 }
 
-/// Former name of [`prometheus_text`], kept callable while downstream
-/// tooling migrates.
-#[deprecated(note = "renamed to prometheus_text")]
-pub fn render_prometheus() -> String {
-    prometheus_text()
-}
-
 /// Renders every registered metric as a JSON object:
 /// `{"counters": {...}, "gauges": {...}, "histograms": {name:
 /// {count, sum_ns, mean_ns, p50_ns, p90_ns, p99_ns, max_ns}}}`.

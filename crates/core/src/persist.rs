@@ -308,6 +308,7 @@ impl<G: AbelianGroup + ValueCodec> GrowableCube<G> {
             }
             let v = G::decode(input)?;
             if !v.is_zero() {
+                cube.check_cover(&p).map_err(|e| bad(&e.to_string()))?;
                 cube.add(&p, v);
             }
         }

@@ -11,18 +11,17 @@
 //!
 //! * `Flat` — the Basic DDC's direct arrays (§3), kept so the §3.3 cost
 //!   analysis can be measured against §4 on identical trees;
-//! * `Fen` / `Seg` — alternative one-dimensional base stores (Fenwick
-//!   ablation; lazy sparse store for §5 workloads);
+//! * `Seg` — the lazy one-dimensional base store for wide, sparsely
+//!   populated spaces (§5), where an eager `k`-value run per face would
+//!   cost memory proportional to the side;
 //! * `Empty` — nothing materialized yet: an all-zero group occupies no
 //!   memory, which is how empty regions of a sparse cube stay free (§5).
 //!
 //! Costs are accumulated into the caller's [`OpSnapshot`] so a tree
-//! operation bumps its [`ddc_array::OpCounter`] once; only the
-//! self-counting one-dimensional stores still need a before/after
-//! snapshot around the call.
+//! operation bumps its [`ddc_array::OpCounter`] once.
 
 use ddc_array::{AbelianGroup, OpSnapshot};
-use ddc_btree::{BcTree, CumulativeStore, Fenwick, SparseSegTree};
+use ddc_btree::{CumulativeStore, SparseSegTree};
 
 use crate::config::{BaseStore, DdcConfig, Mode};
 use crate::flat_face::FlatFace;
@@ -36,11 +35,6 @@ pub(crate) enum Secondary<G: AbelianGroup> {
     Empty,
     /// Basic mode (§3): cumulative values stored directly.
     Flat(FlatFace<G>),
-    /// Dynamic mode base case (§4.1): one-dimensional group in the
-    /// pointer-based B^c tree.
-    Bc(BcTree<G>),
-    /// One-dimensional group in a Fenwick tree (ablation).
-    Fen(Fenwick<G>),
     /// One-dimensional group in a lazy segment tree (sparse workloads).
     Seg(SparseSegTree<G>),
     /// Dynamic mode, `d − 1 ≥ 2`: the group is itself a Dynamic Data Cube
@@ -64,8 +58,6 @@ impl<G: AbelianGroup> Secondary<G> {
                 if face_dims == 1 {
                     match config.base {
                         BaseStore::Blocked => unreachable!("{BLOCKED_IS_INLINE}"),
-                        BaseStore::Bc { fanout } => Secondary::Bc(BcTree::zeroed(fanout, k)),
-                        BaseStore::Fenwick => Secondary::Fen(Fenwick::zeroed(k)),
                         BaseStore::SparseSeg => Secondary::Seg(SparseSegTree::zeroed(k)),
                     }
                 } else {
@@ -92,10 +84,6 @@ impl<G: AbelianGroup> Secondary<G> {
                 if raw.shape().ndim() == 1 {
                     match config.base {
                         BaseStore::Blocked => unreachable!("{BLOCKED_IS_INLINE}"),
-                        BaseStore::Bc { fanout } => {
-                            Secondary::Bc(BcTree::from_values(fanout, raw.as_slice()))
-                        }
-                        BaseStore::Fenwick => Secondary::Fen(Fenwick::from_values(raw.as_slice())),
                         BaseStore::SparseSeg => {
                             Secondary::Seg(SparseSegTree::from_values(raw.as_slice()))
                         }
@@ -113,9 +101,11 @@ impl<G: AbelianGroup> Secondary<G> {
         match self {
             Secondary::Empty => G::ZERO,
             Secondary::Flat(f) => f.prefix(idx, ops),
-            Secondary::Bc(t) => absorb_read(t, idx[0], ops),
-            Secondary::Fen(t) => absorb_read(t, idx[0], ops),
-            Secondary::Seg(t) => absorb_read(t, idx[0], ops),
+            Secondary::Seg(t) => {
+                let (v, reads) = t.prefix_counted(idx[0]);
+                ops.reads += reads;
+                v
+            }
             Secondary::Tree(t) => t.prefix_counted(idx, ops),
         }
     }
@@ -136,9 +126,7 @@ impl<G: AbelianGroup> Secondary<G> {
         match self {
             Secondary::Empty => unreachable!("materialized above"),
             Secondary::Flat(f) => f.add(idx, delta, ops),
-            Secondary::Bc(t) => absorb_write(t, idx[0], delta, ops),
-            Secondary::Fen(t) => absorb_write(t, idx[0], delta, ops),
-            Secondary::Seg(t) => absorb_write(t, idx[0], delta, ops),
+            Secondary::Seg(t) => ops.writes += t.add_counted(idx[0], delta),
             Secondary::Tree(t) => t.add_counted(idx, delta, ops),
         }
     }
@@ -148,39 +136,10 @@ impl<G: AbelianGroup> Secondary<G> {
         match self {
             Secondary::Empty => 0,
             Secondary::Flat(f) => f.heap_bytes(),
-            Secondary::Bc(t) => t.heap_bytes(),
-            Secondary::Fen(t) => t.heap_bytes(),
             Secondary::Seg(t) => t.heap_bytes(),
             Secondary::Tree(t) => t.heap_bytes(),
         }
     }
-}
-
-fn absorb(ops: &mut OpSnapshot, spent: OpSnapshot) {
-    ops.reads += spent.reads;
-    ops.writes += spent.writes;
-}
-
-fn absorb_read<G: AbelianGroup, S: CumulativeStore<G>>(
-    store: &S,
-    idx: usize,
-    ops: &mut OpSnapshot,
-) -> G {
-    let before = store.ops();
-    let v = store.prefix(idx);
-    absorb(ops, store.ops() - before);
-    v
-}
-
-fn absorb_write<G: AbelianGroup, S: CumulativeStore<G>>(
-    store: &mut S,
-    idx: usize,
-    delta: G,
-    ops: &mut OpSnapshot,
-) {
-    let before = store.ops();
-    store.add(idx, delta);
-    absorb(ops, store.ops() - before);
 }
 
 #[cfg(test)]
@@ -197,24 +156,19 @@ mod tests {
     }
 
     #[test]
-    fn one_dimensional_base_stores_agree() {
-        for base in [
-            BaseStore::Bc { fanout: 3 },
-            BaseStore::Fenwick,
-            BaseStore::SparseSeg,
-        ] {
-            let config = DdcConfig::dynamic().with_base(base);
-            let mut c = OpSnapshot::default();
-            let mut s = Secondary::<i64>::Empty;
-            s.add(&[2], 10, 8, &config, &mut c);
-            s.add(&[0], 4, 8, &config, &mut c);
-            s.add(&[7], -1, 8, &config, &mut c);
-            assert_eq!(s.prefix(&[0], &mut c), 4, "{base:?}");
-            assert_eq!(s.prefix(&[1], &mut c), 4, "{base:?}");
-            assert_eq!(s.prefix(&[2], &mut c), 14, "{base:?}");
-            assert_eq!(s.prefix(&[7], &mut c), 13, "{base:?}");
-            assert!(s.heap_bytes() > 0);
-        }
+    fn one_dimensional_lazy_base_store() {
+        let config = DdcConfig::sparse();
+        let mut c = OpSnapshot::default();
+        let mut s = Secondary::<i64>::Empty;
+        s.add(&[2], 10, 8, &config, &mut c);
+        s.add(&[0], 4, 8, &config, &mut c);
+        s.add(&[7], -1, 8, &config, &mut c);
+        assert!(matches!(s, Secondary::Seg(_)));
+        assert_eq!(s.prefix(&[0], &mut c), 4);
+        assert_eq!(s.prefix(&[1], &mut c), 4);
+        assert_eq!(s.prefix(&[2], &mut c), 14);
+        assert_eq!(s.prefix(&[7], &mut c), 13);
+        assert!(s.heap_bytes() > 0);
     }
 
     #[test]
@@ -230,7 +184,7 @@ mod tests {
 
     #[test]
     fn caller_absorbs_substore_costs() {
-        let config = DdcConfig::dynamic().with_base(BaseStore::Fenwick);
+        let config = DdcConfig::sparse();
         let mut c = OpSnapshot::default();
         let mut s = Secondary::<i64>::Empty;
         s.add(&[5], 1, 16, &config, &mut c);

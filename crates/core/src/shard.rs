@@ -12,9 +12,8 @@
 //!   [`AbelianGroup`] addition commutes) and applied under a *single*
 //!   exclusive acquisition — group commit.
 //! * Prefix/range queries decompose into the ≤ `2^d` Figure-4 prefix
-//!   terms and fan out across the shards whose slab intersects the
-//!   query, optionally on [`std::thread::scope`], combining the partial
-//!   sums with the group operation.
+//!   terms and visit the shards whose slab intersects the query,
+//!   combining the partial sums with the group operation.
 //!
 //! ## Consistency
 //!
@@ -54,14 +53,16 @@
 //! [`try_update`]: ShardedCube::try_update
 
 use std::collections::HashMap;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use crate::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use crate::sync::{
     Arc, Mutex, MutexGuard, OnceLock, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard,
 };
 
-use ddc_array::{AbelianGroup, OpCounter, OpSnapshot, RangeSumEngine, Region, Shape};
+use ddc_array::{
+    with_coord_bufs, AbelianGroup, OpCounter, OpSnapshot, RangeSumEngine, Region, Shape,
+};
 
 use crate::config::DdcConfig;
 use crate::engine::DdcEngine;
@@ -91,11 +92,6 @@ pub struct ShardConfig {
     /// Queue length that triggers a group commit. `1` degenerates to
     /// write-through locking.
     pub batch_capacity: usize,
-    /// Fan queries out on `std::thread::scope` instead of visiting
-    /// shards sequentially. Worth it for expensive per-shard work
-    /// (large `d`, cold caches); for microsecond queries the spawn cost
-    /// dominates, so this defaults to off.
-    pub parallel_queries: bool,
     /// Hard bound on a shard's write queue. A healthy shard commits
     /// inline before ever hitting it; a quarantined or failed shard
     /// rejects once full ([`TryUpdateError::QueueFull`]) instead of
@@ -111,7 +107,6 @@ impl Default for ShardConfig {
         Self {
             shards: 4,
             batch_capacity: 128,
-            parallel_queries: false,
             queue_capacity: 4096,
             max_restarts: 5,
         }
@@ -410,8 +405,7 @@ impl<G: AbelianGroup> ShardedCube<G> {
     /// This is the infallible facade over [`ShardedCube::try_update`]: a
     /// rejected delta (full queue on a quarantined shard, or a failed
     /// shard) is *shed* after being counted in `ops_rejected`. Callers
-    /// that must not lose writes use `try_update` /
-    /// [`ShardedCube::update_timeout`] and handle the error.
+    /// that must not lose writes use `try_update` and handle the error.
     pub fn update(&self, point: &[usize], delta: G) {
         let _ = self.try_update(point, delta);
     }
@@ -431,26 +425,6 @@ impl<G: AbelianGroup> ShardedCube<G> {
         let outcome = self.enqueue_locked(idx, shard, &mut queue, local, delta);
         shard.pending.store(queue.deltas.len(), Ordering::Release);
         outcome
-    }
-
-    /// Retries [`ShardedCube::try_update`] until `timeout` elapses,
-    /// yielding between attempts while the queue is full. A failed shard
-    /// rejects immediately — waiting cannot help it.
-    pub fn update_timeout(
-        &self,
-        point: &[usize],
-        delta: G,
-        timeout: Duration,
-    ) -> Result<(), TryUpdateError> {
-        let deadline = Instant::now() + timeout;
-        loop {
-            match self.try_update(point, delta) {
-                Err(TryUpdateError::QueueFull { .. }) if Instant::now() < deadline => {
-                    std::thread::yield_now();
-                }
-                other => return other,
-            }
-        }
     }
 
     /// One enqueue under the queue lock: backpressure check, push,
@@ -697,23 +671,25 @@ impl<G: AbelianGroup> ShardedCube<G> {
 
     /// The shard's signed contribution to all Figure-4 terms of one
     /// range query, under a single read acquisition.
-    fn shard_terms(&self, shard: &Shard<G>, terms: &[(i8, Vec<usize>)]) -> G {
+    fn shard_terms(&self, shard: &Shard<G>, region: &Region) -> G {
         // Clamp each contributing term into the slab first: terms that
         // clamp to the same local corner with opposite signs cancel, so
         // a slab entirely below the query's dimension-0 range nets to
         // zero and is skipped without touching a single lock.
-        let mut mine: Vec<(i32, Vec<usize>)> = Vec::with_capacity(terms.len());
-        for (sign, corner) in terms {
-            if corner[0] < shard.rows_lo {
-                continue;
-            }
-            let mut local = corner.clone();
-            local[0] = corner[0].min(shard.rows_hi - 1) - shard.rows_lo;
-            match mine.iter_mut().find(|(_, c)| *c == local) {
-                Some((s, _)) => *s += i32::from(*sign),
-                None => mine.push((i32::from(*sign), local)),
-            }
-        }
+        let mut mine: Vec<(i32, Vec<usize>)> = Vec::with_capacity(1 << region.ndim());
+        with_coord_bufs(region.ndim(), |corner, _| {
+            region.for_each_prefix_term(corner, |sign, corner| {
+                if corner[0] < shard.rows_lo {
+                    return;
+                }
+                let mut local = corner.to_vec();
+                local[0] = corner[0].min(shard.rows_hi - 1) - shard.rows_lo;
+                match mine.iter_mut().find(|(_, c)| *c == local) {
+                    Some((s, _)) => *s += i32::from(sign),
+                    None => mine.push((i32::from(sign), local)),
+                }
+            })
+        });
         mine.retain(|(s, _)| *s != 0);
         if mine.is_empty() {
             return G::ZERO;
@@ -750,62 +726,23 @@ impl<G: AbelianGroup> ShardedCube<G> {
         )
     }
 
-    /// `SUM(A[0,…,0] : A[point])`, fanned across the contributing shards.
+    /// `SUM(A[0,…,0] : A[point])`, summed over the contributing shards.
     pub fn query_prefix(&self, point: &[usize]) -> G {
         self.shape.check_point(point);
-        if self.shard_config.parallel_queries && self.shards.len() > 1 {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = self
-                    .shards
-                    .iter()
-                    .map(|shard| scope.spawn(move || self.shard_prefix(shard, point)))
-                    .collect();
-                handles
-                    .into_iter()
-                    .zip(&self.shards)
-                    // A panicked reader thread is not fatal: redo that
-                    // shard's read on the caller thread (reads are pure).
-                    .filter_map(|(h, shard)| {
-                        h.join().unwrap_or_else(|_| self.shard_prefix(shard, point))
-                    })
-                    .fold(G::ZERO, |acc, p| acc.add(p))
-            })
-        } else {
-            self.shards
-                .iter()
-                .filter_map(|shard| self.shard_prefix(shard, point))
-                .fold(G::ZERO, |acc, p| acc.add(p))
-        }
+        self.shards
+            .iter()
+            .filter_map(|shard| self.shard_prefix(shard, point))
+            .fold(G::ZERO, |acc, p| acc.add(p))
     }
 
     /// Sum over `region`: the ≤ `2^d` Figure-4 prefix terms, each term
     /// split across the shards it intersects.
     pub fn query(&self, region: &Region) -> G {
         region.check_within(&self.shape);
-        let terms: Vec<(i8, Vec<usize>)> = region
-            .prefix_decomposition()
-            .into_iter()
-            .map(|t| (t.sign, t.corner))
-            .collect();
-        if self.shard_config.parallel_queries && self.shards.len() > 1 {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = self
-                    .shards
-                    .iter()
-                    .map(|shard| scope.spawn(|| self.shard_terms(shard, &terms)))
-                    .collect();
-                handles
-                    .into_iter()
-                    .zip(&self.shards)
-                    .map(|(h, shard)| h.join().unwrap_or_else(|_| self.shard_terms(shard, &terms)))
-                    .fold(G::ZERO, |acc, p| acc.add(p))
-            })
-        } else {
-            self.shards
-                .iter()
-                .map(|shard| self.shard_terms(shard, &terms))
-                .fold(G::ZERO, |acc, p| acc.add(p))
-        }
+        self.shards
+            .iter()
+            .map(|shard| self.shard_terms(shard, region))
+            .fold(G::ZERO, |acc, p| acc.add(p))
     }
 
     /// One cell's value: served entirely by the owning shard.
@@ -1106,7 +1043,6 @@ mod tests {
                 batch_capacity: 2,
                 queue_capacity: 4,
                 max_restarts: 10,
-                ..ShardConfig::default()
             },
         );
         c.fail_next_flushes(0, 2);
@@ -1149,7 +1085,6 @@ mod tests {
                 batch_capacity: 1,
                 queue_capacity: 2,
                 max_restarts: 0,
-                ..ShardConfig::default()
             },
         );
         c.fail_next_flushes(0, 1);
@@ -1162,34 +1097,6 @@ mod tests {
         c.try_update(&[7, 0], 3).unwrap();
         c.flush();
         assert_eq!(c.metrics()[1].ops_applied, 1);
-    }
-
-    #[test]
-    fn update_timeout_rejects_after_deadline() {
-        let c = ShardedCube::<i64>::new(
-            Shape::new(&[8, 4]),
-            DdcConfig::dynamic(),
-            ShardConfig {
-                shards: 1,
-                batch_capacity: 1,
-                queue_capacity: 1,
-                // The retry loop burns backoff fast; a huge budget keeps
-                // the shard quarantined (not failed) for the whole wait.
-                max_restarts: 1_000_000,
-                ..ShardConfig::default()
-            },
-        );
-        // Enough hook budget that the shard stays quarantined throughout.
-        c.fail_next_flushes(0, 1_000);
-        c.update(&[0, 0], 1); // panics, stays queued; queue now full
-        let err = c
-            .update_timeout(&[1, 0], 1, Duration::from_millis(5))
-            .unwrap_err();
-        assert!(matches!(err, TryUpdateError::QueueFull { .. }));
-        c.fail_next_flushes(0, 0);
-        c.update_timeout(&[1, 0], 1, Duration::from_millis(100))
-            .unwrap();
-        assert_eq!(c.query_prefix(&[7, 3]), 2);
     }
 
     #[test]
@@ -1206,30 +1113,6 @@ mod tests {
         assert_eq!(m[0].records_replayed, 2);
         assert_eq!(m[1].records_replayed, 1);
         assert_eq!(c.query_prefix(&[31, 15]), 11);
-    }
-
-    #[test]
-    fn parallel_queries_agree_with_sequential() {
-        let seq = cube(4, 4);
-        let par = ShardedCube::<i64>::new(
-            Shape::new(&[32, 16]),
-            DdcConfig::dynamic(),
-            ShardConfig {
-                shards: 4,
-                batch_capacity: 4,
-                parallel_queries: true,
-                ..ShardConfig::default()
-            },
-        );
-        for i in 0..32 {
-            seq.update(&[i, i % 16], i as i64);
-            par.update(&[i, i % 16], i as i64);
-        }
-        for p in [[0usize, 0usize], [31, 15], [15, 8], [16, 0]] {
-            assert_eq!(seq.query_prefix(&p), par.query_prefix(&p));
-        }
-        let q = Region::new(&[3, 1], &[29, 14]);
-        assert_eq!(seq.query(&q), par.query(&q));
     }
 
     #[test]

@@ -103,21 +103,6 @@ impl<G: ddc_array::AbelianGroup> CellSlab<G> {
         &self.free
     }
 
-    /// Appends another slab's blocks wholesale (graft fast path),
-    /// returning the id offset they landed at. The donor's free list is
-    /// carried over, re-based.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two slabs' block sizes differ.
-    pub(crate) fn absorb(&mut self, other: CellSlab<G>) -> u32 {
-        assert_eq!(self.run, other.run, "leaf block size mismatch");
-        let off = self.slots() as u32;
-        self.cells.extend(other.cells);
-        self.free.extend(other.free.iter().map(|&id| id + off));
-        off
-    }
-
     /// Heap bytes held (cells + free list, by capacity).
     pub(crate) fn heap_bytes(&self) -> usize {
         self.cells.capacity() * std::mem::size_of::<G>()
@@ -559,7 +544,7 @@ mod tests {
     }
 
     #[test]
-    fn cell_slab_reuses_zeroed_runs_and_absorbs() {
+    fn cell_slab_reuses_zeroed_runs() {
         let mut slab = CellSlab::<i64>::new(4);
         let a = slab.insert_zeroed();
         let b = slab.insert_zeroed();
@@ -571,15 +556,6 @@ mod tests {
         assert_eq!(slab.free_ids(), &[a]);
         assert_eq!(slab.insert_zeroed(), a, "free slot must be reused");
         assert_eq!(slab.block(a), &[0; 4], "reused run must read zero");
-        let mut donor = CellSlab::<i64>::new(4);
-        let x = donor.insert_zeroed();
-        let y = donor.insert_zeroed();
-        donor.block_mut(y)[0] = 5;
-        donor.remove(x);
-        let off = slab.absorb(donor);
-        assert_eq!(off, 2);
-        assert_eq!(slab.block(y + off)[0], 5);
-        assert_eq!(slab.free_ids(), &[x + off]);
         assert_eq!(slab.block(b)[2], 9);
     }
 }

@@ -1,7 +1,7 @@
 //! The slabs behind a [`DdcTree`]: one [`Level`] per interior depth
 //! (node slots + packed box records), the leaf arena, and everything
 //! that manages them — allocation and free lists, pruning, compaction,
-//! grafting, statistics, and the `check_arena` audit. The record layout
+//! statistics, and the `check_arena` audit. The record layout
 //! is drawn in the parent module's docs.
 
 use ddc_array::{AbelianGroup, NdArray, OpSnapshot};
@@ -271,36 +271,6 @@ impl<G: AbelianGroup> Level<G> {
             self.faces[to] = std::mem::replace(&mut from.faces[at], Secondary::Empty);
         }
         id
-    }
-
-    /// Appends a fragment level's nodes and boxes wholesale (graft),
-    /// re-basing its ids: children by `remap`, nodes and boxes by this
-    /// level's current counts.
-    fn absorb(&mut self, frag: Level<G>, remap: impl Fn(ChildRef) -> ChildRef) {
-        debug_assert_eq!(
-            (self.d, self.k, self.rec_words),
-            (frag.d, frag.k, frag.rec_words)
-        );
-        let node_off = self.nodes() as u32;
-        let box_off = self.boxes() as u32;
-        assert!(
-            self.boxes() + frag.boxes() < NO_BOX as usize,
-            "box arena overflow"
-        );
-        self.slots.extend(frag.slots.iter().map(|s| Slot {
-            child: remap(s.child),
-            obox: if s.obox == NO_BOX {
-                NO_BOX
-            } else {
-                s.obox + box_off
-            },
-        }));
-        self.words.extend(frag.words);
-        self.faces.extend(frag.faces);
-        self.node_free
-            .extend(frag.node_free.iter().map(|&id| id + node_off));
-        self.box_free
-            .extend(frag.box_free.iter().map(|&id| id + box_off));
     }
 
     /// Heap bytes attributable to the row-sum groups of box `obox`.
@@ -703,47 +673,6 @@ impl<G: AbelianGroup> DdcTree<G> {
             levels[l].slots[new_base + s] = Slot { child, obox };
         }
         ChildRef::node(id)
-    }
-
-    /// Appends a fragment tree's slabs onto ours, one level down (the
-    /// fragment covers one root quadrant), remapping every reference by
-    /// the slab offsets; returns the fragment's re-based root.
-    pub(super) fn graft(&mut self, frag: DdcTree<G>) -> ChildRef {
-        debug_assert_eq!((frag.d, frag.side * 2), (self.d, self.side));
-        debug_assert_eq!(frag.levels.len() + 1, self.levels.len());
-        let leaf_off = self.leaves.slots() as u32;
-        // Offsets first: fragment level i lands in our level i + 1, and
-        // its children in level i + 2 — before that one has grown.
-        let node_offs: Vec<u32> = self.levels[1..]
-            .iter()
-            .map(|lv| lv.nodes() as u32)
-            .collect();
-        let remap = |c: ChildRef, node_off: Option<&u32>| -> ChildRef {
-            if c.is_empty() {
-                c
-            } else if c.is_leaf() {
-                ChildRef::leaf(c.index() as u32 + leaf_off)
-            } else {
-                match node_off {
-                    Some(off) => ChildRef::node(c.index() as u32 + off),
-                    None => panic!("fragment node below its last level"),
-                }
-            }
-        };
-        let root = remap(frag.root, node_offs.first());
-        for (i, level) in frag.levels.into_iter().enumerate() {
-            self.levels[i + 1].absorb(level, |c| remap(c, node_offs.get(i + 1)));
-        }
-        // Fragments are freshly built, hence always on the slab; grafting
-        // targets freshly built trees too (paging is enabled only after
-        // construction), so the wholesale slab append is the only arm.
-        match (&mut self.leaves, frag.leaves) {
-            (LeafArena::Mem(dst), LeafArena::Mem(src)) => {
-                dst.absorb(src);
-            }
-            _ => panic!("graft requires slab leaf arenas on both sides"),
-        }
-        root
     }
 
     /// Collects structural statistics by one traversal — the storage

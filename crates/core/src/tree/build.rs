@@ -1,12 +1,22 @@
-//! Whole-tree construction: the bottom-up bulk builders (sequential and
-//! fork-join) and §5's growth by re-rooting.
+//! Whole-tree construction: the bottom-up bulk builder and §5's growth
+//! by re-rooting.
 
-use ddc_array::{AbelianGroup, NdArray, OpSnapshot, Region, Shape};
+use ddc_array::{with_coord_bufs, AbelianGroup, NdArray, OpSnapshot, Region, Shape};
 
 use super::arena::{Level, Slot};
-use super::descent::with_coord_bufs;
 use super::{ChildRef, DdcTree};
 use crate::config::DdcConfig;
+
+/// Largest side [`DdcTree::grow`] doubles to. Growth is driven by
+/// coordinates that arrive from clients and log records, and the memory
+/// one point can claim grows with the side: on the default d = 2 blocked
+/// layout an update writes one box record per level,
+/// `1 + 2·(k + k/16)` words at half-side `k`, which sums to ≈ 17·side
+/// bytes of `i64` faces for a single isolated point (up to twice that
+/// while a slab `Vec` doubles). At this cap that is 272 MiB; at the 2^40
+/// a wire coordinate can name it would be 17 TiB, and a few doublings
+/// further the side no longer fits a `usize`.
+pub const MAX_SIDE: usize = 1 << 24;
 
 /// One overlay box accumulated by a region scan: its subtotal and the
 /// raw (non-cumulative) slab sums of each row-sum group.
@@ -60,15 +70,6 @@ fn scan_box<G: AbelianGroup>(a: &NdArray<G>, k: usize, box_lo: &[usize]) -> Opti
     any.then_some(ScannedBox { subtotal, raws })
 }
 
-fn check_fits<G: AbelianGroup>(a: &NdArray<G>, side: usize) {
-    assert!(side.is_power_of_two());
-    assert!(
-        a.shape().dims().iter().all(|&n| n <= side),
-        "array {} exceeds side {side}",
-        a.shape()
-    );
-}
-
 impl<G: AbelianGroup> DdcTree<G> {
     /// Bulk-builds a tree over `a` (padded with zeros up to `side`) in one
     /// bottom-up pass: each overlay box's subtotal and raw row-sum groups
@@ -78,7 +79,11 @@ impl<G: AbelianGroup> DdcTree<G> {
     /// with none of the per-cell structure descents the incremental path
     /// pays.
     pub fn from_array_sized(a: &NdArray<G>, side: usize, config: DdcConfig) -> Self {
-        check_fits(a, side);
+        assert!(
+            a.shape().dims().iter().all(|&n| n <= side),
+            "array {} exceeds side {side}",
+            a.shape()
+        );
         let mut tree = Self::new(a.shape().ndim(), side, config);
         let lo = vec![0usize; tree.d];
         tree.root = tree.build_child(a, 0, &lo);
@@ -137,7 +142,10 @@ impl<G: AbelianGroup> DdcTree<G> {
             if let Some(scanned) = scan_box(a, k, &box_lo) {
                 any_box = true;
                 let child = self.build_child(a, l + 1, &box_lo);
-                self.set_scanned(l, id, bi, &scanned, child);
+                let level = &mut self.levels[l];
+                let obox = level.alloc_box();
+                level.fill_box(obox, scanned.subtotal, &scanned.raws, &self.config);
+                level.slots[((id as usize) << d) + bi] = Slot { child, obox };
             }
         }
         if any_box {
@@ -146,75 +154,6 @@ impl<G: AbelianGroup> DdcTree<G> {
             self.levels[l].free_node(id);
             ChildRef::EMPTY
         }
-    }
-
-    /// Writes a scanned box and the child below it into slot `bi` of
-    /// node `id` at depth `l`.
-    fn set_scanned(
-        &mut self,
-        l: usize,
-        id: u32,
-        bi: usize,
-        scanned: &ScannedBox<G>,
-        child: ChildRef,
-    ) {
-        let level = &mut self.levels[l];
-        let obox = level.alloc_box();
-        level.fill_box(obox, scanned.subtotal, &scanned.raws, &self.config);
-        level.slots[((id as usize) << self.d) + bi] = Slot { child, obox };
-    }
-
-    /// Like [`DdcTree::from_array_sized`], but builds the `2^d` root
-    /// subtrees on separate threads. Each thread builds a standalone
-    /// fragment tree (slab ids are fragment-local); the main thread
-    /// grafts the fragments onto the final slabs with an id remap.
-    /// The subtrees are disjoint, so this is a straightforward
-    /// fork-join; speedup approaches the number of *populated* root
-    /// quadrants.
-    pub fn from_array_parallel(a: &NdArray<G>, side: usize, config: DdcConfig) -> Self {
-        check_fits(a, side);
-        let d = a.shape().ndim();
-        let mut tree = Self::new(d, side, config);
-        if tree.levels.is_empty() {
-            let lo = vec![0usize; d];
-            tree.root = tree.build_child(a, 0, &lo);
-            return tree;
-        }
-        let k = side / 2;
-        let results: Vec<Option<(ScannedBox<G>, DdcTree<G>)>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..(1usize << d))
-                .map(|bi| {
-                    scope.spawn(move || {
-                        let box_lo: Vec<usize> = (0..d)
-                            .map(|i| if bi & (1 << i) != 0 { k } else { 0 })
-                            .collect();
-                        let scanned = scan_box(a, k, &box_lo)?;
-                        let mut frag = Self::new(d, k, config);
-                        frag.root = frag.build_child(a, 0, &box_lo);
-                        Some((scanned, frag))
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("builder thread panicked"))
-                .collect()
-        });
-        let id = tree.levels[0].alloc_node();
-        let mut any = false;
-        for (bi, r) in results.into_iter().enumerate() {
-            if let Some((scanned, frag)) = r {
-                any = true;
-                let child = tree.graft(frag);
-                tree.set_scanned(0, id, bi, &scanned, child);
-            }
-        }
-        if any {
-            tree.root = ChildRef::node(id);
-        } else {
-            tree.levels[0].free_node(id);
-        }
-        tree
     }
 
     /// Doubles the covered side. Dimensions flagged `true` in `low` grow
@@ -226,11 +165,21 @@ impl<G: AbelianGroup> DdcTree<G> {
     /// becomes one child of the new root; only the new root-level
     /// overlay box is rebuilt, by replaying the populated cells into its
     /// subtotal and row-sum groups.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `low` has the wrong rank or the side would pass
+    /// [`MAX_SIDE`] ([`crate::GrowableCube::check_cover`] is the typed
+    /// check for coordinates from outside the program).
     pub fn grow(&mut self, low: &[bool]) {
         let d = self.d;
         assert_eq!(low.len(), d);
         let old_side = self.side;
-        let new_side = old_side.checked_mul(2).expect("side overflow");
+        assert!(
+            old_side < MAX_SIDE,
+            "side {old_side} cannot double past {MAX_SIDE}"
+        );
+        let new_side = old_side * 2;
         let old_root = std::mem::replace(&mut self.root, ChildRef::EMPTY);
         if new_side <= self.config.leaf_block_side() {
             // The grown space still fits in one dense leaf block: rebuild

@@ -7,29 +7,10 @@
 //! entry points skip even that, which is how secondary trees report
 //! into their owner's operation.
 
-use ddc_array::{AbelianGroup, OpSnapshot};
+use ddc_array::{with_coord_bufs, AbelianGroup, OpSnapshot};
 
 use super::arena::NO_BOX;
 use super::{ChildRef, Contribution, DdcTree, TraceStep};
-
-/// Coordinate scratch for this many dimensions lives on the stack;
-/// wider cubes fall back to one heap buffer per operation.
-const INLINE_DIMS: usize = 8;
-
-/// Runs `f` with two zeroed `d`-long coordinate buffers.
-#[inline]
-pub(crate) fn with_coord_bufs<R>(d: usize, f: impl FnOnce(&mut [usize], &mut [usize]) -> R) -> R {
-    let mut stack = [0usize; 2 * INLINE_DIMS];
-    let mut heap = Vec::new();
-    let buf = if d <= INLINE_DIMS {
-        &mut stack[..2 * d]
-    } else {
-        heap.resize(2 * d, 0);
-        &mut heap[..]
-    };
-    let (a, b) = buf.split_at_mut(d);
-    f(a, b)
-}
 
 /// Row-major offset of the block-local point `rel` in a leaf block of
 /// the given side.

@@ -60,7 +60,7 @@ use crate::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use ddc_array::AbelianGroup;
 
 use crate::config::{DdcConfig, WalConfig};
-use crate::growth::GrowableCube;
+use crate::growth::{GrowableCube, GrowthError};
 use crate::obs;
 use crate::pager::WalBarrier;
 use crate::persist::ValueCodec;
@@ -135,6 +135,9 @@ pub enum IoError {
         /// Why the cube degraded.
         reason: String,
     },
+    /// The point lies too far out for the cube to grow to; nothing was
+    /// logged or applied and the cube is healthy. No retry can succeed.
+    OutOfRange(GrowthError),
 }
 
 impl std::fmt::Display for IoError {
@@ -159,6 +162,7 @@ impl std::fmt::Display for IoError {
             IoError::ReadOnly { reason } => {
                 write!(f, "durable store is read-only (degraded): {reason}")
             }
+            IoError::OutOfRange(e) => e.fmt(f),
         }
     }
 }
@@ -792,8 +796,9 @@ pub fn recover<G: AbelianGroup + ValueCodec>(
     ))
 }
 
-/// Applies one decoded record to a growable cube. Arity mismatches are
-/// errors (a record from a different cube), growth is organic.
+/// Applies one decoded record to a growable cube. Arity mismatches (a
+/// record from a different cube) and points the cube cannot grow to are
+/// errors; growth is organic.
 fn apply_to_growable<G: AbelianGroup + ValueCodec>(
     cube: &mut GrowableCube<G>,
     op: &WalOp<G>,
@@ -804,12 +809,14 @@ fn apply_to_growable<G: AbelianGroup + ValueCodec>(
             if point.len() != d {
                 return Err(format!("update arity {} != {d}", point.len()));
             }
+            cube.check_cover(point).map_err(|e| e.to_string())?;
             cube.add(point, *delta);
         }
         WalOp::Set { point, value } => {
             if point.len() != d {
                 return Err(format!("set arity {} != {d}", point.len()));
             }
+            cube.check_cover(point).map_err(|e| e.to_string())?;
             cube.set(point, *value);
         }
         WalOp::Grow { axis, .. } => {
@@ -961,7 +968,7 @@ impl<G: AbelianGroup + ValueCodec, F: VfsFile> DurableCube<G, F> {
             } => self.enter_degraded(format!(
                 "append retry budget exhausted after {retries} retries: {detail}"
             )),
-            IoError::Transient { .. } => {}
+            IoError::Transient { .. } | IoError::OutOfRange(_) => {}
         }
         e
     }
@@ -969,9 +976,12 @@ impl<G: AbelianGroup + ValueCodec, F: VfsFile> DurableCube<G, F> {
     /// Logs, then applies, a point delta. `Err` means *not acknowledged*:
     /// the in-memory cube was left untouched (and, except for the
     /// documented [`IoError::Exhausted`] indeterminate window, neither
-    /// was the durable log).
+    /// was the durable log). A point the cube cannot grow to is refused
+    /// before the append, so the log never holds a record that replay
+    /// could not apply.
     pub fn add(&mut self, point: &[i64], delta: G) -> Result<(), IoError> {
         self.guard_writable()?;
+        self.cube.check_cover(point).map_err(IoError::OutOfRange)?;
         let op = WalOp::Update {
             point: point.to_vec(),
             delta,
@@ -989,6 +999,7 @@ impl<G: AbelianGroup + ValueCodec, F: VfsFile> DurableCube<G, F> {
     /// Logs, then applies, a cell set; returns the previous value.
     pub fn set(&mut self, point: &[i64], value: G) -> Result<G, IoError> {
         self.guard_writable()?;
+        self.cube.check_cover(point).map_err(IoError::OutOfRange)?;
         let op = WalOp::Set {
             point: point.to_vec(),
             value,

@@ -212,7 +212,8 @@ impl ServeBackend for ShardedBackend {
 }
 
 /// [`SharedDurableCube`] backend: growable signed coordinate space,
-/// WAL-acknowledged writes. `Busy` never occurs; a transient log
+/// WAL-acknowledged writes. `Busy` never occurs; a point too far out
+/// to grow to is `OutOfBounds` (400, nothing logged), a transient log
 /// failure is `Io`, while ENOSPC/retry-exhaustion degradation surfaces
 /// as `ReadOnly` (503) and flips `/healthz` to `degraded`.
 pub struct DurableBackend<F: VfsFile + 'static> {
@@ -249,6 +250,7 @@ impl<F: VfsFile + 'static> ServeBackend for DurableBackend<F> {
                 BackendError::from(TryUpdateError::ReadOnly)
             }
             IoError::Transient { .. } => BackendError::Io(e.to_string()),
+            IoError::OutOfRange(_) => BackendError::OutOfBounds(e.to_string()),
         })
     }
 

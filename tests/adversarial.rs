@@ -4,7 +4,7 @@
 
 use ddc_array::{RangeSumEngine, Region, ShadowEngine, Shape};
 use ddc_baselines::NaiveEngine;
-use ddc_core::{BaseStore, DdcConfig, DdcEngine};
+use ddc_core::{DdcConfig, DdcEngine};
 use ddc_workload::{rng, skewed_updates, uniform_regions};
 
 fn shadowed(
@@ -79,8 +79,7 @@ fn zipf_hotspots_under_every_config() {
         DdcConfig::basic(),
         DdcConfig::sparse(),
         DdcConfig::dynamic().with_elision(2),
-        DdcConfig::dynamic().with_base(BaseStore::Fenwick),
-        DdcConfig::dynamic().with_base(BaseStore::Bc { fanout: 3 }),
+        DdcConfig::sparse().with_elision(1),
     ] {
         let mut engine = shadowed(&shape, config);
         let mut r = rng(77);

@@ -17,7 +17,7 @@
 use std::collections::HashMap;
 
 use ddc_array::{NdArray, Shape};
-use ddc_core::{BaseStore, DdcConfig, DdcTree};
+use ddc_core::{DdcConfig, DdcTree};
 use ddc_tests::{for_cases, DdcRng};
 
 type Oracle = HashMap<Vec<usize>, i64>;
@@ -63,7 +63,7 @@ fn audit(tree: &DdcTree<i64>, oracle: &Oracle) {
 fn configs() -> [DdcConfig; 4] {
     [
         DdcConfig::dynamic(),
-        DdcConfig::dynamic().with_base(BaseStore::Bc { fanout: 4 }),
+        DdcConfig::sparse().with_elision(1),
         DdcConfig::dynamic().with_elision(1),
         DdcConfig::sparse(),
     ]
@@ -177,9 +177,9 @@ for_cases! {
         assert_eq!(tree.check_invariants(), 9 * points.len() as i64);
     }
 
-    /// Build-path equivalence: a tree grown update-by-update, one built
-    /// by the sequential bulk path, and one by the parallel bulk path
-    /// land on identical answers and pass the same arena audit.
+    /// Build-path equivalence: a tree grown update-by-update and one
+    /// built by the bulk path land on identical answers and pass the
+    /// same arena audit.
     fn bulk_builds_match_incremental_and_pass_audit(rng, cases = 12) {
         let d = rng.gen_range(1usize..=2);
         let side = 16;
@@ -195,16 +195,13 @@ for_cases! {
         }
         let dense = NdArray::from_fn(shape, |p| cells.get(p).copied().unwrap_or(0));
         let bulk = DdcTree::from_array_sized(&dense, side, config);
-        let parallel = DdcTree::from_array_parallel(&dense, side, config);
-        for t in [&incremental, &bulk, &parallel] {
+        for t in [&incremental, &bulk] {
             t.check_arena();
             t.check_invariants();
         }
         for _ in 0..8 {
             let x: Vec<usize> = (0..d).map(|_| rng.gen_range(0..side)).collect();
-            let want = incremental.prefix_sum(&x);
-            assert_eq!(bulk.prefix_sum(&x), want, "bulk prefix at {x:?}");
-            assert_eq!(parallel.prefix_sum(&x), want, "parallel prefix at {x:?}");
+            assert_eq!(bulk.prefix_sum(&x), incremental.prefix_sum(&x), "bulk prefix at {x:?}");
         }
     }
 }
@@ -364,10 +361,10 @@ fn cancel_all_but(tree: &mut DdcTree<i64>, a: &mut NdArray<i64>, keep: usize) {
 
 /// Seeded differential sweep of the level-slab tree against a
 /// brute-force `NdArray`: d ∈ 1..=4 × `elide_levels` ∈ 0..=3 × {Basic,
-/// Dynamic over every `BaseStore`}, each through update → grow high →
-/// grow low → cancel → prune → forced compaction → bulk rebuild
-/// (sequential and fork-join), with `check_arena` + `check_invariants`
-/// and sampled answers after every phase. Sides are chosen so the sweep
+/// Dynamic over both `BaseStore`s}, each through update → grow high →
+/// grow low → cancel → prune → forced compaction → bulk rebuild, with
+/// `check_arena` + `check_invariants` and sampled answers after every
+/// phase. Sides are chosen so the sweep
 /// crosses the degenerate single-leaf tree, growth out of it, and
 /// inline (d = 2 blocked) as well as every out-of-line face kind.
 #[test]
@@ -375,8 +372,6 @@ fn slab_tree_matches_brute_force_across_dims_modes_and_bases() {
     let configs = [
         DdcConfig::basic(),
         DdcConfig::dynamic(),
-        DdcConfig::dynamic().with_base(BaseStore::Bc { fanout: 4 }),
-        DdcConfig::dynamic().with_base(BaseStore::Fenwick),
         DdcConfig::sparse(),
     ];
     for d in 1..=4usize {
@@ -428,8 +423,6 @@ fn slab_tree_matches_brute_force_across_dims_modes_and_bases() {
                 let full = tree.side();
                 let bulk = DdcTree::from_array_sized(&populated, full, config);
                 audit_dense(&bulk, &populated, &mut rng, &format!("{what} bulk"));
-                let parallel = DdcTree::from_array_parallel(&populated, full, config);
-                audit_dense(&parallel, &populated, &mut rng, &format!("{what} parallel"));
             }
         }
     }

@@ -10,7 +10,7 @@ use ddc_check::{
     check_interleavings, fault_sweep, fault_sweep_growable, fuzz, fuzz_with, roster_with_bug,
     run_trace, run_trace_on, CheckEngine, DdcAdapter,
 };
-use ddc_core::{BaseStore, DdcConfig, DdcEngine, GrowableCube, ShardConfig};
+use ddc_core::{DdcConfig, DdcEngine, GrowableCube, ShardConfig};
 use ddc_tests::for_cases;
 use ddc_workload::{BoxState, CheckTrace, CheckTraceConfig};
 
@@ -102,8 +102,8 @@ fn injected_off_by_one_is_caught_shrunk_and_replayable() {
 
 /// Committed seeded traces (satellite of the arena rewrite): three
 /// checked-in op streams — one per dimensionality — replay with zero
-/// divergences across the full roster, which now includes the explicit
-/// arena base-store variants (`ddc-bc16`, `ddc-fenwick`, `ddc-elide1`).
+/// divergences across the full roster, which includes both base stores
+/// and the elided tree (`ddc-dynamic`, `ddc-sparse`, `ddc-elide1`).
 /// The arena-only roster additionally reproduces its pinned replay
 /// checksums exactly, a determinism anchor for the flat-arena hot path:
 /// any change to descent order, box materialization, or free-list reuse
@@ -114,16 +114,7 @@ fn committed_traces_replay_clean_and_pin_arena_checksums() {
     let arena_roster = |init: &BoxState| -> Vec<Box<dyn CheckEngine>> {
         vec![
             Box::new(DdcAdapter::new("ddc-dynamic", init, DdcConfig::dynamic())),
-            Box::new(DdcAdapter::new(
-                "ddc-bc16",
-                init,
-                DdcConfig::dynamic().with_base(BaseStore::Bc { fanout: 16 }),
-            )),
-            Box::new(DdcAdapter::new(
-                "ddc-fenwick",
-                init,
-                DdcConfig::dynamic().with_base(BaseStore::Fenwick),
-            )),
+            Box::new(DdcAdapter::new("ddc-sparse", init, DdcConfig::sparse())),
             Box::new(DdcAdapter::new(
                 "ddc-elide1",
                 init,
@@ -137,22 +128,22 @@ fn committed_traces_replay_clean_and_pin_arena_checksums() {
             "seed_d1",
             include_str!("traces/seed_d1.trace"),
             120,
-            196,
-            2684,
+            147,
+            2013,
         ),
         (
             "seed_d2",
             include_str!("traces/seed_d2.trace"),
             160,
-            224,
-            -8132,
+            168,
+            -6099,
         ),
         (
             "seed_d3",
             include_str!("traces/seed_d3.trace"),
             140,
-            216,
-            -3692,
+            162,
+            -2769,
         ),
     ];
     for (name, text, ops, comparisons, checksum) in pinned {

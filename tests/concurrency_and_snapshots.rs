@@ -10,7 +10,7 @@ use ddc_core::{DdcConfig, DdcEngine, GrowableCube};
 use ddc_workload::{rng, uniform_array, uniform_regions};
 
 #[test]
-fn parallel_queries_share_one_cube() {
+fn concurrent_readers_share_one_cube() {
     let shape = Shape::cube(2, 128);
     let base = uniform_array(&shape, -100, 100, &mut rng(55));
     let engine = DdcEngine::from_array(&base);

@@ -3,7 +3,7 @@
 //! interleavings of updates and queries, for d ∈ 1..=4.
 
 use ddc_array::{NdArray, RangeSumEngine, Region, Shape};
-use ddc_core::{BaseStore, DdcConfig};
+use ddc_core::DdcConfig;
 use ddc_olap::EngineKind;
 use ddc_tests::{for_cases, DdcRng};
 
@@ -55,9 +55,7 @@ fn all_kinds() -> Vec<EngineKind> {
     let mut v = EngineKind::ALL.to_vec();
     v.push(EngineKind::CustomDdc(DdcConfig::sparse()));
     v.push(EngineKind::CustomDdc(DdcConfig::dynamic().with_elision(2)));
-    v.push(EngineKind::CustomDdc(
-        DdcConfig::dynamic().with_base(BaseStore::Fenwick),
-    ));
+    v.push(EngineKind::CustomDdc(DdcConfig::sparse().with_elision(1)));
     v.push(EngineKind::CustomDdc(DdcConfig::basic().with_elision(1)));
     v
 }

@@ -2,7 +2,7 @@
 //! §2 invertible-operator requirement) and the Figure-4 prefix
 //! decomposition identity on arbitrary regions.
 
-use ddc_array::{AbelianGroup, NdArray, Pair, Region, Shape};
+use ddc_array::{AbelianGroup, NdArray, Pair, PrefixTerm, Region, Shape};
 use ddc_tests::for_cases;
 
 for_cases! {
@@ -50,6 +50,29 @@ for_cases! {
             via_prefix = if term.sign > 0 { via_prefix + p } else { via_prefix - p };
         }
         assert_eq!(direct, via_prefix);
+    }
+
+    /// The allocation-free corner walk yields the terms of
+    /// `prefix_decomposition` one for one — same signs, same corners,
+    /// same order, same `lo = 0` skips — and sums to the region.
+    fn corner_walk_matches_decomposition_term_for_term(rng, cases = 128) {
+        let d = rng.gen_range(1usize..5);
+        // Low bounds hit 0 often, so slabs get skipped in most cases.
+        let lo: Vec<usize> = (0..d).map(|_| rng.gen_range(0usize..3)).collect();
+        let hi: Vec<usize> = lo.iter().map(|&l| l + rng.gen_range(0usize..4)).collect();
+        let region = Region::new(&lo, &hi);
+        let shape = Shape::new(&hi.iter().map(|&h| h + 1).collect::<Vec<_>>());
+        let a = ddc_workload::uniform_array(&shape, -50, 50, &mut ddc_workload::rng(rng.next_u64()));
+
+        let mut walked = Vec::new();
+        let mut sum = 0i64;
+        let mut corner = vec![usize::MAX; d];
+        region.for_each_prefix_term(&mut corner, |sign, c| {
+            walked.push(PrefixTerm { sign, corner: c.to_vec() });
+            sum += i64::from(sign) * a.prefix_sum(c);
+        });
+        assert_eq!(walked, region.prefix_decomposition());
+        assert_eq!(sum, a.region_sum(&region));
     }
 
     /// Decomposition terms are unique corners with correct sign parity.

@@ -14,11 +14,16 @@
 //!   and answer `busy`/429 for the rest — and after healing, the cube
 //!   holds exactly the sum of the acked deltas: no acked update lost,
 //!   no rejected update applied.
+//! * **Unreachable coordinates**: the durable backend refuses a point
+//!   its cube cannot grow to with a 400-class reply, logs nothing for
+//!   it, keeps serving, and restarts cleanly.
 
 use ddc_array::Shape;
 use ddc_core::sync::Arc;
-use ddc_core::{DdcConfig, ShardConfig, ShardedCube};
-use ddc_serve::{ServeBackend, Server, ServerConfig, ShardedBackend};
+use ddc_core::vfs::StdVfs;
+use ddc_core::wal::{self, RetryPolicy};
+use ddc_core::{DdcConfig, ShardConfig, ShardedCube, SharedDurableCube, WalConfig};
+use ddc_serve::{DurableBackend, ServeBackend, Server, ServerConfig, ShardedBackend};
 use ddc_workload::DdcRng;
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -184,7 +189,6 @@ fn backpressure_answers_429_only_when_shard_queues_are_full_and_loses_no_acked_u
             queue_capacity: QUEUE,
             // Keep the shard quarantined (429), never failed (503).
             max_restarts: 1_000_000,
-            ..ShardConfig::default()
         },
     );
     let (server, backend) = start(cube, 2);
@@ -256,4 +260,73 @@ fn metrics_scrape_exposes_serving_counters_after_traffic() {
         "scrape must carry the serve counters: {got:?}"
     );
     server.shutdown();
+}
+
+/// Boots what `ddc serve --durable DIR` serves: a growable cube
+/// recovered from `DIR/wal.log`. Returns the records replayed.
+fn start_durable(dir: &std::path::Path) -> (Server, usize) {
+    let (cube, report) = wal::recover_vfs::<i64, _>(
+        &StdVfs,
+        &dir.join("wal.log").display().to_string(),
+        None,
+        2,
+        DdcConfig::dynamic(),
+        WalConfig::default(),
+        RetryPolicy::default(),
+    )
+    .expect("durable cube recovers");
+    let backend = Arc::new(DurableBackend::new(SharedDurableCube::from_cube(cube)));
+    let server = Server::start(
+        backend as Arc<dyn ServeBackend>,
+        ServerConfig {
+            workers: 2,
+            ..ServerConfig::default()
+        },
+    )
+    .expect("server binds an ephemeral port");
+    (server, report.replayed)
+}
+
+/// One update 2^40 cells out would take forty doublings and terabytes
+/// of row sums. It must be refused before the log append: logged
+/// first, the record would abort every restart that replays it.
+#[test]
+fn durable_backend_refuses_unreachable_coordinates_and_logs_nothing_for_them() {
+    let dir = std::env::temp_dir().join(format!("ddc-serve-far-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let wal_len = || {
+        std::fs::metadata(dir.join("wal.log"))
+            .expect("wal.log")
+            .len()
+    };
+
+    let (server, replayed) = start_durable(&dir);
+    assert_eq!(replayed, 0);
+    let mut stream = TcpStream::connect(server.local_addr()).expect("client connects");
+    assert_eq!(roundtrip(&mut stream, "u 3,4 5\n"), "ok");
+    let acked_len = wal_len();
+
+    let reply = roundtrip(&mut stream, "u 1099511627776,0 1\n");
+    assert!(reply.starts_with("err "), "{reply:?}");
+    assert!(reply.contains("past side"), "{reply:?}");
+    let mut http = TcpStream::connect(server.local_addr()).expect("http connection");
+    http.write_all(b"POST /ingest HTTP/1.1\r\nContent-Length: 19\r\n\r\n0,-1099511627776 1\n\n")
+        .expect("ingest request");
+    http.shutdown(std::net::Shutdown::Write)
+        .expect("half-close");
+    let mut got = String::new();
+    http.read_to_string(&mut got).expect("ingest response");
+    assert!(got.starts_with("HTTP/1.1 400 "), "{got:?}");
+
+    assert_eq!(roundtrip(&mut stream, "ping\n"), "pong");
+    assert_eq!(roundtrip(&mut stream, "q -8,-8 8,8\n"), "5");
+    assert_eq!(wal_len(), acked_len, "a refused update reached the log");
+    server.shutdown();
+
+    let (server, replayed) = start_durable(&dir);
+    assert_eq!(replayed, 1);
+    let mut stream = TcpStream::connect(server.local_addr()).expect("client reconnects");
+    assert_eq!(roundtrip(&mut stream, "q -8,-8 8,8\n"), "5");
+    server.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
 }

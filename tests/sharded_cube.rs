@@ -37,19 +37,6 @@ for_cases! {
         let independent = trace.replay(&mut reference);
         assert_eq!(shadowed, independent, "shards={shards} batch={batch}");
     }
-
-    /// Same lockstep replay with parallel query fan-out enabled.
-    fn parallel_fanout_replay_is_bit_identical(rng, cases = 8) {
-        let shape = Shape::new(&[24, 12]);
-        let trace = Trace::generate(&shape, 120, 0.5, rng);
-        let sharded = ShardedCube::<i64>::new(
-            shape.clone(),
-            DdcConfig::dynamic(),
-            ShardConfig { shards: 4, batch_capacity: 16, parallel_queries: true, ..ShardConfig::default() },
-        );
-        let mut lockstep = ShadowEngine::new(sharded, DdcEngine::<i64>::dynamic(shape));
-        let _ = trace.replay(&mut lockstep);
-    }
 }
 
 /// 4 readers + 2 writers hammer a 256² sharded cube; afterwards every
@@ -276,7 +263,6 @@ fn slow_shard_under_paced_feed_rejects_instead_of_buffering_unboundedly() {
             batch_capacity: 8,
             queue_capacity: CAPACITY,
             max_restarts: u32::MAX, // quarantined forever, never failed
-            ..ShardConfig::default()
         },
     );
     // Shard 0 (rows 0..8) panics on every commit for the whole feed.

@@ -224,6 +224,45 @@ fn failed_fsync_then_crash_never_resurrects_the_unacked_op() {
 /// corruption class when the tail-truncation protocol is disabled, and
 /// stay clean under the production policy (the same check `ddc check
 /// disk` runs in CI, here hermetically via `include_str!`).
+/// A point the cube cannot grow to is refused before the append, so the
+/// log never holds a record replay could not apply; a log that holds
+/// one anyway (written by an older build) is a named error, not an
+/// abort.
+#[test]
+fn unreachable_point_is_refused_before_the_append_and_named_by_recovery() {
+    let far = [1i64 << 40, 0];
+    let mut cube = DurableCube::<i64, Vec<u8>>::new(2, DdcConfig::dynamic(), Vec::new()).unwrap();
+    cube.add(&[1, 1], 4).unwrap();
+    let before = cube.wal_stats();
+    assert!(matches!(cube.add(&far, 1), Err(IoError::OutOfRange(_))));
+    assert!(matches!(cube.set(&far, 1), Err(IoError::OutOfRange(_))));
+    assert_eq!(cube.wal_stats(), before);
+    assert_eq!(cube.cube().total(), 4);
+    assert!(cube.degraded().is_none());
+
+    let mut log = wal::WalWriter::create(Vec::new()).unwrap();
+    log.append(&wal::WalOp::Update {
+        point: vec![1, 1],
+        delta: 4i64,
+    })
+    .unwrap();
+    log.append(&wal::WalOp::Update {
+        point: far.to_vec(),
+        delta: 1i64,
+    })
+    .unwrap();
+    let err = wal::recover::<i64>(
+        2,
+        None,
+        &log.into_inner(),
+        DdcConfig::dynamic(),
+        WalConfig::default(),
+    )
+    .unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    assert!(err.to_string().starts_with("record 1: "), "{err}");
+}
+
 #[test]
 fn committed_fault_schedules_refind_the_seeded_bug() {
     for (name, text) in [

@@ -125,6 +125,13 @@ impl Shape {
         self.dims[axis]
     }
 
+    /// The largest per-dimension size, `max n_i` (at least 1: a shape
+    /// has a dimension and no dimension is empty).
+    #[inline]
+    pub fn max_dim(&self) -> usize {
+        self.dims.iter().fold(1, |m, &n| m.max(n))
+    }
+
     /// Total number of cells, `n_1 · n_2 · … · n_d`.
     #[inline]
     pub fn cells(&self) -> usize {
@@ -291,6 +298,8 @@ mod tests {
         assert_eq!(s.dims(), &[4, 4, 4]);
         assert_eq!(s.cells(), 64);
         assert_eq!(s.to_string(), "4×4×4");
+        assert_eq!(s.max_dim(), 4);
+        assert_eq!(Shape::new(&[3, 9, 1]).max_dim(), 9);
     }
 
     #[test]

@@ -25,7 +25,7 @@
 //! A JSON summary goes to stdout either way so CI can archive it.
 
 use ddc_array::{RangeSumEngine, Region, Shape};
-use ddc_core::{DdcConfig, DdcEngine, PagerConfig};
+use ddc_core::{DdcConfig, DdcEngine, PagerConfig, ValueCodec};
 use std::collections::HashMap;
 
 fn flag(args: &[String], name: &str, default: u64) -> Result<u64, String> {
@@ -92,7 +92,7 @@ fn run(args: &[String]) -> Result<String, (i32, String)> {
         return Err((1, format!("--side must be a multiple of {block}")));
     }
     let blocks_per_axis = side / block;
-    let leaf_bytes = blocks_per_axis * blocks_per_axis * (4 + block * block * 8);
+    let leaf_bytes = blocks_per_axis * blocks_per_axis * block * block * i64::WIDTH;
 
     let mut engine = DdcEngine::<i64>::with_config(Shape::new(&[side, side]), config);
     engine
@@ -173,10 +173,10 @@ fn run(args: &[String]) -> Result<String, (i32, String)> {
         "{{\n  \"bench\": \"paged_rss\",\n  \"mem_cap_bytes\": {mem_cap},\n  \
          \"slack_bytes\": {slack},\n  \"leaf_bytes_total\": {leaf_bytes},\n  \
          \"peak_rss_bytes\": {peak},\n  \"resident_pages\": {},\n  \
-         \"evictions\": {},\n  \"write_backs\": {},\n  \"barrier_stalls\": {},\n  \
+         \"evictions\": {},\n  \"write_backs\": {},\n  \
          \"range_sums\": {sums_checked},\n  \"cube_exceeds_cap\": {exceeded},\n  \
          \"rss_within_budget\": {within}\n}}",
-        stats.resident_pages, stats.evictions, stats.write_backs, stats.barrier_stalls
+        stats.resident_pages, stats.evictions, stats.write_backs
     );
     if !exceeded {
         return Err((

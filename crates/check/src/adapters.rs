@@ -646,9 +646,8 @@ pub fn engine_roster(init: &BoxState) -> Vec<Box<dyn CheckEngine>> {
             init,
             DdcConfig::dynamic(),
         )),
-        // WAL + paged leaves together: dirty pages may only reach the
-        // spill file behind the log barrier, and recovery replays the
-        // log straight onto freshly-faulted pages.
+        // WAL + paged leaves together: recovery replays the log
+        // straight onto freshly-faulted pages.
         Box::new(DurableAdapter::new(
             "durable-paged",
             init,

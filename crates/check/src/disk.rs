@@ -94,30 +94,20 @@ pub fn run_trace_under_faults(
 }
 
 /// [`run_trace_under_faults`] under an explicit engine config — used to
-/// point the fault machinery at the paged leaf backend.
+/// point the fault machinery at the paged leaf backend. Every boot goes
+/// through [`wal::recover_vfs`], which opens a [`PagerConfig::disk`]
+/// pager's spill file in `vfs` next to the log, so an eviction
+/// write-back or a page fault-in can fail like any other disk op.
+///
+/// [`PagerConfig::disk`]: ddc_core::PagerConfig::disk
 pub fn run_trace_under_faults_with(
     trace: &CheckTrace,
     vfs: &FaultVfs,
     policy: RetryPolicy,
     config: DdcConfig,
 ) -> DiskRunReport {
-    // Route pager spill files into the same fault-injecting namespace
-    // as the WAL and snapshot: an eviction write-back or page fault-in
-    // must be able to fail like any other disk op. Each spill file
-    // gets a distinct name so concurrent pools never share extents.
-    let spill_vfs = vfs.clone();
-    let mut spill_seq = 0u64;
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        ddc_core::store::with_spill_source(
-            move || {
-                spill_seq += 1;
-                use ddc_core::vfs::{OpenMode, Vfs, VfsFile};
-                spill_vfs
-                    .open(&format!("pager-{spill_seq}.spill"), OpenMode::Create)
-                    .map(|f| Box::new(f) as Box<dyn VfsFile + Send>)
-            },
-            || drive(trace, vfs, policy, config),
-        )
+        drive(trace, vfs, policy, config)
     }));
     match outcome {
         Ok(report) => report,
@@ -809,11 +799,12 @@ mod tests {
         // Leaf blocks behind a buffer pool small enough that the trace
         // evicts, with write faults likely enough that some land on
         // spill write-backs; the bounded pager retry must absorb them.
-        // A two-page pool: every second leaf record forces an eviction
-        // write-back, so spill I/O happens on virtually every op.
+        // A two-page pool: every second leaf block forces an eviction
+        // write-back, so spill I/O happens on virtually every op. A
+        // `disk` pager, so the spill file is opened through `vfs`.
         let engine = DdcConfig::dynamic()
             .with_elision(1)
-            .with_paged_leaves(PagerConfig::in_mem(512).with_page_bytes(256));
+            .with_paged_leaves(PagerConfig::disk(512).with_page_bytes(256));
         let mut spill_faulted = false;
         for salt in 0..32u64 {
             let schedule = FaultSchedule {

@@ -180,11 +180,26 @@ pub fn run_lints(
     })
 }
 
-/// The PR number "now": the count of non-empty `CHANGES.md` lines (one
-/// line per landed PR). Missing file ⇒ 0 (expiry disabled).
+/// The PR number "now": the largest `PR <N>` label opening a
+/// `CHANGES.md` line (one line per landed PR; numbers may be skipped, so
+/// lines are not counted). Missing file ⇒ 0 (expiry disabled).
 pub fn current_pr_from_changes(root: &Path) -> u64 {
     std::fs::read_to_string(root.join("CHANGES.md"))
-        .map(|t| t.lines().filter(|l| !l.trim().is_empty()).count() as u64)
+        .map(|t| latest_pr_label(&t))
+        .unwrap_or(0)
+}
+
+fn latest_pr_label(changes: &str) -> u64 {
+    changes
+        .lines()
+        .filter_map(|l| {
+            let label = l.trim_start_matches(['-', ' ']).strip_prefix("PR ")?;
+            let digits = label
+                .find(|c: char| !c.is_ascii_digit())
+                .unwrap_or(label.len());
+            label[..digits].parse().ok()
+        })
+        .max()
         .unwrap_or(0)
 }
 
@@ -552,6 +567,19 @@ impl B {
 }
 ";
         assert!(lint_one("crates/core/src/x.rs", paired).is_empty());
+    }
+
+    #[test]
+    fn pr_clock_reads_the_largest_label_not_the_line_count() {
+        let changes =
+            "PR 1: first\n- PR 2: second\n\n- PR 11: eleventh\n- PR 13: no PR 12 landed\n";
+        assert_eq!(latest_pr_label(changes), 13);
+        assert_eq!(
+            latest_pr_label("- PR 14: out of order\n- PR 3: older\n"),
+            14
+        );
+        assert_eq!(latest_pr_label("notes that mention PR 99 mid-line\n"), 0);
+        assert_eq!(latest_pr_label(""), 0);
     }
 
     #[test]

@@ -38,11 +38,14 @@ use ddc_core::{DdcConfig, DdcEngine, GrowableCube, PagerConfig};
 use ddc_workload::{CheckTrace, CheckTraceConfig, DdcRng};
 
 /// Engine config for `--paged` sweeps: leaf blocks (elision 1) behind
-/// a buffer pool small enough that every nontrivial trace evicts.
-fn paged_engine_config() -> DdcConfig {
+/// a buffer pool small enough that every nontrivial trace evicts. The
+/// crash sweep recovers from byte slices and spills to a `Vec`; the
+/// disk sweep asks for a `disk` pager, which `recover_vfs` opens inside
+/// the sweep's fault-injecting (in-memory) namespace.
+fn paged_engine_config(pager: fn(usize) -> PagerConfig) -> DdcConfig {
     DdcConfig::dynamic()
         .with_elision(1)
-        .with_paged_leaves(PagerConfig::in_mem(8 * 1024).with_page_bytes(256))
+        .with_paged_leaves(pager(8 * 1024).with_page_bytes(256))
 }
 
 pub(crate) fn parse_flag(args: &[String], name: &str) -> Result<Option<u64>, String> {
@@ -162,7 +165,7 @@ pub fn run(args: &[String]) -> Result<String, String> {
             let out_path = parse_out(rest)?;
             let paged = rest.iter().any(|a| a == "--paged");
             let engine = if paged {
-                paged_engine_config()
+                paged_engine_config(PagerConfig::in_mem)
             } else {
                 DdcConfig::dynamic()
             };
@@ -260,7 +263,7 @@ pub fn run(args: &[String]) -> Result<String, String> {
                 DiskSweepConfig::full(seed)
             };
             let engine = if paged {
-                paged_engine_config()
+                paged_engine_config(PagerConfig::disk)
             } else {
                 DdcConfig::dynamic()
             };

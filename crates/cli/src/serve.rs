@@ -20,8 +20,8 @@
 //! `degraded`) instead of crashing, and a restart replays the log.
 //! `--mem-cap BYTES` additionally pages the cube's leaf blocks
 //! through a bounded buffer pool that spills cold pages to disk, so
-//! the served cube can exceed RAM; the WAL barrier guarantees no
-//! dirty page reaches the spill file before its log record is synced.
+//! the served cube can exceed RAM; the spill file (unlinked, next to
+//! the log) is scratch that a restart never reads.
 //! `loadgen` drives pipelined mixed traffic — against `--addr`, or
 //! against an in-process server when omitted — and prints throughput
 //! and batch-RTT quantiles; `--json` additionally writes the schema-v1
@@ -77,7 +77,7 @@ pub fn run(args: &[String]) -> Result<String, String> {
                         return Err("--mem-cap must be at least 1 byte".to_string());
                     }
                     // Paged leaves need elision ≥ 1 so leaf blocks
-                    // exist; cold pages spill to an unlinked temp file.
+                    // exist; cold pages spill to an unlinked file in DIR.
                     DdcConfig::dynamic()
                         .with_elision(1)
                         .with_paged_leaves(PagerConfig::disk(cap as usize))

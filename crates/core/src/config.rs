@@ -38,17 +38,19 @@ pub enum BaseStore {
     SparseSeg,
 }
 
-/// Sizing of the paged leaf-block backend (see [`crate::pager`]).
+/// Sizing of the paged leaf-block backend.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct PagerConfig {
     /// Buffer-pool budget in bytes; the pool evicts down to this after
     /// every access (pinned pages can transiently exceed it).
     pub mem_cap_bytes: usize,
-    /// Page size in bytes (power of two; default 4 KiB).
+    /// Page size in bytes (at least 64; default 4 KiB).
     pub page_bytes: usize,
-    /// Spill target: `true` writes evicted pages to an anonymous
-    /// temporary file on disk (bounded RSS); `false` keeps them in an
-    /// in-memory [`Vec<u8>`] file (deterministic tests, no fs access).
+    /// Spill target: `true` writes evicted pages to an unlinked scratch
+    /// file (bounded RSS) — under the OS temp directory, or next to the
+    /// log or snapshot in the [`crate::Vfs`] a `*_vfs` entry point was
+    /// handed; `false` keeps them in an in-memory [`Vec<u8>`] file
+    /// (deterministic tests, no fs access).
     pub spill_to_disk: bool,
 }
 

@@ -73,13 +73,7 @@ pub struct DdcEngine<G: AbelianGroup> {
 impl<G: AbelianGroup> DdcEngine<G> {
     /// An all-zero cube of `shape` with the given configuration.
     pub fn with_config(shape: Shape, config: DdcConfig) -> Self {
-        let side = shape
-            .dims()
-            .iter()
-            .copied()
-            .max()
-            .expect("non-empty shape")
-            .next_power_of_two();
+        let side = shape.max_dim().next_power_of_two();
         let tree = DdcTree::new(shape.ndim(), side, config);
         Self { shape, tree }
     }
@@ -102,14 +96,7 @@ impl<G: AbelianGroup> DdcEngine<G> {
     /// Builds from an array under an explicit configuration, using the
     /// bottom-up bulk constructor (`O(d · N log n)` cell visits).
     pub fn from_array_with(a: &NdArray<G>, config: DdcConfig) -> Self {
-        let side = a
-            .shape()
-            .dims()
-            .iter()
-            .copied()
-            .max()
-            .expect("non-empty shape")
-            .next_power_of_two();
+        let side = a.shape().max_dim().next_power_of_two();
         let tree = DdcTree::from_array_sized(a, side, config);
         Self {
             shape: a.shape().clone(),

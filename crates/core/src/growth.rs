@@ -21,6 +21,7 @@ use ddc_array::{AbelianGroup, CoordMap, GrowthDirection, OpCounter, Region};
 
 use crate::config::DdcConfig;
 use crate::obs;
+use crate::store::SpillFile;
 use crate::tree::{DdcTree, MAX_SIDE};
 
 struct GrowthObs {
@@ -303,6 +304,27 @@ impl<G: AbelianGroup> GrowableCube<G> {
         self.tree.enable_paging()
     }
 
+    /// [`GrowableCube::enable_paging`] over an explicit spill file; see
+    /// [`DdcTree::enable_paging_on`].
+    pub fn enable_paging_on(&mut self, spill: Box<dyn crate::VfsFile + Send>) -> bool
+    where
+        G: crate::ValueCodec,
+    {
+        self.tree.enable_paging_on(spill)
+    }
+
+    /// Pages onto `spill` when the caller opened one, else onto the
+    /// pager's default file.
+    pub(crate) fn page_leaves(&mut self, spill: Option<SpillFile>) -> std::io::Result<bool>
+    where
+        G: crate::ValueCodec,
+    {
+        match spill {
+            Some(file) => Ok(self.enable_paging_on(file)),
+            None => self.enable_paging(),
+        }
+    }
+
     /// True once the leaf arena is paged.
     pub fn is_paged(&self) -> bool {
         self.tree.is_paged()
@@ -311,12 +333,6 @@ impl<G: AbelianGroup> GrowableCube<G> {
     /// Buffer-pool counters of the paged arena (`None` on the slab).
     pub fn pool_stats(&self) -> Option<crate::pager::PoolStats> {
         self.tree.pool_stats()
-    }
-
-    /// WAL barrier of the paged arena (`None` on the slab); see
-    /// [`DdcTree::pager_barrier`].
-    pub fn pager_barrier(&self) -> Option<crate::pager::WalBarrier> {
-        self.tree.pager_barrier()
     }
 
     /// Operation counter of the underlying tree.

@@ -26,11 +26,11 @@ mod growth;
 #[cfg(feature = "ddc_model")]
 pub mod models;
 pub mod obs;
-pub mod pager;
+mod pager;
 mod persist;
 mod secondary;
 mod shard;
-pub mod store;
+mod store;
 pub mod sync;
 mod tree;
 pub mod vfs;
@@ -42,10 +42,9 @@ pub use config::{
 };
 pub use engine::DdcEngine;
 pub use growth::{GrowableCube, GrowthError};
-pub use pager::{BufferPool, PoolStats, WalBarrier};
+pub use pager::PoolStats;
 pub use persist::ValueCodec;
 pub use shard::{MetricsSnapshot, ShardConfig, ShardedCube, TryUpdateError};
-pub use store::{PagedStore, RecordCodec};
 pub use tree::{Contribution, DdcTree, LevelStats, TraceStep, TreeStats, MAX_SIDE};
 pub use vfs::{
     FaultKind, FaultPlan, FaultProbs, FaultVfs, MemVfs, OpenMode, PlannedFault, StdVfs, Vfs,

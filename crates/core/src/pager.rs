@@ -6,82 +6,19 @@
 //! page range they are about to touch, copy bytes in or out, and unpin;
 //! after every unpin the pool evicts back down to its cap with a clock
 //! (second-chance) sweep. Clean victims are dropped; dirty victims are
-//! written back first — but never ahead of the write-ahead log: a dirty
-//! page stamped with log sequence number `L` is not written to disk
-//! until the attached [`WalBarrier`] reports `durable() >= L`
-//! (the WAL-before-data rule, DESIGN S45). Pages whose write-back is
-//! barred behave like pinned pages: the pool over-commits transiently
-//! and counts a [`PoolStats::barrier_stalls`].
+//! written back first.
 //!
 //! The pool is deliberately single-owner (`&mut self` everywhere);
-//! concurrent access is serialized by the owning store (see
-//! `core::store`). Pages are *spill state*, not a recovery root: the
-//! file is rebuilt from snapshot + WAL on boot, so a torn page write
-//! can never corrupt recovery — the barrier exists so a future
-//! page-rooted checkpoint inherits an already-enforced invariant.
+//! concurrent access is serialized by the owning arena (see
+//! `core::store`). Pages are *scratch*, not a recovery root: nothing
+//! reads the file after a crash — a boot rebuilds the leaves from
+//! snapshot + WAL onto a fresh pool — so write-back needs no ordering
+//! against the log (DESIGN S45).
 
 use std::collections::HashMap;
 use std::io;
 
-use crate::sync::untracked::{AtomicU64, Ordering};
-use crate::sync::Arc;
 use crate::vfs::VfsFile;
-
-/// Shared WAL-progress watermark connecting a log writer to every
-/// buffer pool holding data pages for the same store.
-///
-/// Two monotone counters: `appended` (the LSN most recently handed to
-/// the log, used to stamp dirty pages) and `durable` (the LSN most
-/// recently synced). The pool refuses to write back any page whose
-/// stamp exceeds `durable`. Under the repo's log-then-apply discipline
-/// (sync per acknowledged op *before* the in-memory apply) the two
-/// counters advance together and write-back never stalls; the barrier
-/// still enforces the ordering mechanically so the invariant holds for
-/// any future wiring.
-#[derive(Clone, Debug, Default)]
-pub struct WalBarrier {
-    inner: Arc<BarrierInner>,
-}
-
-#[derive(Debug, Default)]
-struct BarrierInner {
-    appended: AtomicU64,
-    durable: AtomicU64,
-}
-
-impl WalBarrier {
-    /// A fresh barrier with both watermarks at zero.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Raises the `appended` watermark to at least `lsn`.
-    pub fn record_append(&self, lsn: u64) {
-        self.inner.appended.fetch_max(lsn, Ordering::Release);
-    }
-
-    /// Raises the `durable` watermark to at least `lsn` (call only
-    /// after the log record for `lsn` is synced).
-    pub fn record_durable(&self, lsn: u64) {
-        self.inner.durable.fetch_max(lsn, Ordering::Release);
-    }
-
-    /// Raises both watermarks (append + sync acknowledged together).
-    pub fn advance(&self, lsn: u64) {
-        self.record_append(lsn);
-        self.record_durable(lsn);
-    }
-
-    /// The LSN most recently handed to the log.
-    pub fn appended(&self) -> u64 {
-        self.inner.appended.load(Ordering::Acquire)
-    }
-
-    /// The LSN most recently synced to the log.
-    pub fn durable(&self) -> u64 {
-        self.inner.durable.load(Ordering::Acquire)
-    }
-}
 
 /// Counter snapshot of one [`BufferPool`]'s activity.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
@@ -94,9 +31,6 @@ pub struct PoolStats {
     pub evictions: u64,
     /// Dirty frames written to the file before eviction.
     pub write_backs: u64,
-    /// Times a dirty victim was skipped because its LSN was ahead of
-    /// the WAL barrier's durable watermark.
-    pub barrier_stalls: u64,
     /// Full clock rotations that found no evictable victim (the pool
     /// stayed over its cap for that round).
     pub stall_rounds: u64,
@@ -129,13 +63,11 @@ struct Frame {
     pins: u32,
     referenced: bool,
     dirty: bool,
-    /// LSN stamped at the last dirtying write (0 = no log dependency).
-    lsn: u64,
 }
 
 /// Transient spill I/O errors (e.g. injected EIO from a fault
 /// harness) are retried this many times before the error propagates
-/// and [`crate::store::PagedStore`]'s process-fatal policy applies.
+/// and `core::store`'s process-fatal policy applies.
 const IO_ATTEMPTS: usize = 8;
 
 /// A clock-eviction buffer pool over one page file.
@@ -150,12 +82,10 @@ pub struct BufferPool {
     hand: usize,
     /// Pages materialized in the file so far (reads beyond are zeros).
     file_pages: u64,
-    barrier: Option<WalBarrier>,
     hits: u64,
     misses: u64,
     evictions: u64,
     write_backs: u64,
-    barrier_stalls: u64,
     stall_rounds: u64,
     io_retries: u64,
 }
@@ -189,30 +119,13 @@ impl BufferPool {
             clock: Vec::new(),
             hand: 0,
             file_pages: 0,
-            barrier: None,
             hits: 0,
             misses: 0,
             evictions: 0,
             write_backs: 0,
-            barrier_stalls: 0,
             stall_rounds: 0,
             io_retries: 0,
         }
-    }
-
-    /// Attaches the WAL barrier gating dirty write-back.
-    pub fn set_barrier(&mut self, barrier: WalBarrier) {
-        self.barrier = Some(barrier);
-    }
-
-    /// The attached barrier, if any.
-    pub fn barrier(&self) -> Option<&WalBarrier> {
-        self.barrier.as_ref()
-    }
-
-    /// Page size in bytes.
-    pub fn page_size(&self) -> usize {
-        self.page_bytes
     }
 
     /// Counter snapshot.
@@ -222,7 +135,6 @@ impl BufferPool {
             misses: self.misses,
             evictions: self.evictions,
             write_backs: self.write_backs,
-            barrier_stalls: self.barrier_stalls,
             stall_rounds: self.stall_rounds,
             io_retries: self.io_retries,
             resident_pages: self.frames.len(),
@@ -277,7 +189,6 @@ impl BufferPool {
                 pins: 1,
                 referenced: true,
                 dirty: false,
-                lsn: 0,
             },
         );
         self.clock.push(page);
@@ -301,22 +212,20 @@ impl BufferPool {
         self.evict_to_cap()
     }
 
-    /// Copies the bytes of resident page `page` to `out`. The caller
-    /// must hold a pin (enforced).
-    pub fn read_page(&self, page: u64, out: &mut [u8]) {
+    /// Copies `out.len()` bytes at `offset` within resident page `page`
+    /// to `out`. The caller must hold a pin (enforced).
+    pub fn read_page(&self, page: u64, offset: usize, out: &mut [u8]) {
         let frame = match self.frames.get(&page) {
             Some(f) => f,
             None => panic!("read of non-resident page {page}"),
         };
         assert!(frame.pins > 0, "read of unpinned page {page}");
-        out.copy_from_slice(&frame.buf[..out.len()]);
+        out.copy_from_slice(&frame.buf[offset..offset + out.len()]);
     }
 
     /// Overwrites `data.len()` bytes at `offset` within resident page
-    /// `page`, marking it dirty and stamping the barrier's current
-    /// append watermark. The caller must hold a pin (enforced).
+    /// `page`, marking it dirty. The caller must hold a pin (enforced).
     pub fn write_page(&mut self, page: u64, offset: usize, data: &[u8]) {
-        let lsn = self.barrier.as_ref().map_or(0, WalBarrier::appended);
         let frame = match self.frames.get_mut(&page) {
             Some(f) => f,
             None => panic!("write to non-resident page {page}"),
@@ -324,36 +233,22 @@ impl BufferPool {
         assert!(frame.pins > 0, "write to unpinned page {page}");
         frame.buf[offset..offset + data.len()].copy_from_slice(data);
         frame.dirty = true;
-        frame.lsn = frame.lsn.max(lsn);
     }
 
     /// Reads `out.len()` bytes at byte `offset` of the file through the
     /// page cache (pins the touched pages for the duration).
     pub fn read_range(&mut self, offset: u64, out: &mut [u8]) -> io::Result<()> {
         self.for_each_segment(offset, out.len(), |pool, page, in_page, start, len| {
-            let frame = match pool.frames.get(&page) {
-                Some(f) => f,
-                None => panic!("segment walk lost page {page}"),
-            };
-            out[start..start + len].copy_from_slice(&frame.buf[in_page..in_page + len]);
-            Ok(())
+            pool.read_page(page, in_page, &mut out[start..start + len]);
         })
     }
 
     /// Writes `data` at byte `offset` of the file through the page
     /// cache: frames are updated in memory and marked dirty; the bytes
-    /// reach the file only on eviction write-back or [`BufferPool::flush`].
+    /// reach the file only on eviction write-back.
     pub fn write_range(&mut self, offset: u64, data: &[u8]) -> io::Result<()> {
-        let lsn = self.barrier.as_ref().map_or(0, WalBarrier::appended);
         self.for_each_segment(offset, data.len(), |pool, page, in_page, start, len| {
-            let frame = match pool.frames.get_mut(&page) {
-                Some(f) => f,
-                None => panic!("segment walk lost page {page}"),
-            };
-            frame.buf[in_page..in_page + len].copy_from_slice(&data[start..start + len]);
-            frame.dirty = true;
-            frame.lsn = frame.lsn.max(lsn);
-            Ok(())
+            pool.write_page(page, in_page, &data[start..start + len]);
         })
     }
 
@@ -365,7 +260,7 @@ impl BufferPool {
         &mut self,
         offset: u64,
         len: usize,
-        mut f: impl FnMut(&mut Self, u64, usize, usize, usize) -> io::Result<()>,
+        mut f: impl FnMut(&mut Self, u64, usize, usize, usize),
     ) -> io::Result<()> {
         if len == 0 {
             return Ok(());
@@ -384,7 +279,7 @@ impl BufferPool {
                 let page_lo = page * pb;
                 let in_page = offset.max(page_lo) - page_lo;
                 let seg = ((page_lo + pb).min(offset + len as u64) - (page_lo + in_page)) as usize;
-                f(self, page, in_page as usize, start, seg)?;
+                f(self, page, in_page as usize, start, seg);
                 start += seg;
             }
             Ok(())
@@ -396,38 +291,9 @@ impl BufferPool {
         result
     }
 
-    /// Writes back every dirty page the WAL barrier permits; returns
-    /// the number of dirty pages still barred (their log records are
-    /// not yet durable).
-    pub fn flush(&mut self) -> io::Result<usize> {
-        let durable = self.barrier.as_ref().map_or(u64::MAX, WalBarrier::durable);
-        let mut barred = 0usize;
-        let pages: Vec<u64> = self.clock.clone();
-        for page in pages {
-            let (dirty, lsn) = match self.frames.get(&page) {
-                Some(f) => (f.dirty, f.lsn),
-                None => continue,
-            };
-            if !dirty {
-                continue;
-            }
-            if lsn > durable {
-                barred += 1;
-                self.barrier_stalls += 1;
-                continue;
-            }
-            self.write_back(page)?;
-        }
-        if barred == 0 {
-            self.file.sync()?;
-        }
-        Ok(barred)
-    }
-
-    /// Clock (second-chance) sweep down to the cap. Pinned pages and
-    /// dirty pages barred by the WAL are skipped; if a full double
-    /// rotation finds no victim the pool stays over-committed and
-    /// counts a stall round.
+    /// Clock (second-chance) sweep down to the cap. Pinned pages are
+    /// skipped; if a full double rotation finds no victim the pool
+    /// stays over-committed and counts a stall round.
     fn evict_to_cap(&mut self) -> io::Result<()> {
         let mut scanned = 0usize;
         while self.frames.len() > self.cap_pages && !self.clock.is_empty() {
@@ -439,8 +305,8 @@ impl BufferPool {
                 self.hand = 0;
             }
             let page = self.clock[self.hand];
-            let (pins, referenced, dirty, lsn) = match self.frames.get_mut(&page) {
-                Some(f) => (f.pins, f.referenced, f.dirty, f.lsn),
+            let (pins, referenced, dirty) = match self.frames.get_mut(&page) {
+                Some(f) => (f.pins, f.referenced, f.dirty),
                 None => panic!("clock entry for non-resident page {page}"),
             };
             if pins > 0 {
@@ -457,15 +323,6 @@ impl BufferPool {
                 continue;
             }
             if dirty {
-                let durable = self.barrier.as_ref().map_or(u64::MAX, WalBarrier::durable);
-                if lsn > durable {
-                    // WAL-before-data: this page's log record is not
-                    // durable yet, so it must not reach the file.
-                    self.barrier_stalls += 1;
-                    self.hand = (self.hand + 1) % self.clock.len();
-                    scanned += 1;
-                    continue;
-                }
                 self.write_back(page)?;
             }
             self.frames.remove(&page);
@@ -541,9 +398,8 @@ impl BufferPool {
     }
 
     /// Audits pool bookkeeping: the clock list mirrors the frame table
-    /// exactly (no duplicates, no strays), the hand is in range, every
-    /// pinned or barred page is resident, and the pool is within its
-    /// cap unless pins or barrier stalls legitimately hold it over.
+    /// exactly (no duplicates, no strays), the hand is in range, and
+    /// the pool is within its cap unless pins legitimately hold it over.
     ///
     /// # Panics
     ///
@@ -566,21 +422,13 @@ impl BufferPool {
             self.clock.is_empty() || self.hand < self.clock.len(),
             "clock hand out of range"
         );
-        let unevictable = self
-            .frames
-            .values()
-            .filter(|f| {
-                f.pins > 0
-                    || (f.dirty
-                        && f.lsn > self.barrier.as_ref().map_or(u64::MAX, WalBarrier::durable))
-            })
-            .count();
+        let pinned = self.frames.values().filter(|f| f.pins > 0).count();
         assert!(
-            self.frames.len() <= self.cap_pages.max(unevictable) + self.cap_pages,
-            "pool resident {} far over cap {} with only {} unevictable pages",
+            self.frames.len() <= self.cap_pages.max(pinned) + self.cap_pages,
+            "pool resident {} far over cap {} with only {} pinned pages",
             self.frames.len(),
             self.cap_pages,
-            unevictable
+            pinned
         );
     }
 }
@@ -633,7 +481,7 @@ mod tests {
         }
         assert!(p.stats().pinned_pages >= 1);
         let mut buf = [0u8; 64];
-        p.read_page(0, &mut buf);
+        p.read_page(0, 0, &mut buf);
         assert_eq!(buf, [7u8; 64]);
         p.unpin(0).unwrap();
         p.audit();
@@ -653,28 +501,6 @@ mod tests {
         p.pin(0).unwrap();
         let _ = p.unpin(0);
         let _ = p.unpin(0);
-    }
-
-    #[test]
-    fn barrier_blocks_write_back_until_durable() {
-        let mut p = pool(1);
-        let barrier = WalBarrier::new();
-        p.set_barrier(barrier.clone());
-        barrier.record_append(5);
-        p.write_range(0, &[1u8; 64]).unwrap(); // dirty, lsn 5, durable 0
-        assert_eq!(p.flush().unwrap(), 1, "page must stay barred");
-        // Pressure cannot push the barred page out either.
-        p.write_range(64, &[2u8; 64]).unwrap();
-        assert!(p.stats().barrier_stalls > 0, "{:?}", p.stats());
-        let mut probe = Vec::new();
-        // The backing file must not contain page 0's bytes yet.
-        assert_eq!(p.file_pages, 0, "page reached disk before the WAL");
-        barrier.record_durable(5);
-        assert_eq!(p.flush().unwrap(), 0);
-        probe.resize(64, 0u8);
-        p.read_range(0, &mut probe).unwrap();
-        assert_eq!(probe, vec![1u8; 64]);
-        p.audit();
     }
 
     #[test]

@@ -23,6 +23,7 @@ use crate::config::DdcConfig;
 use crate::engine::DdcEngine;
 use crate::growth::GrowableCube;
 use crate::obs;
+use crate::store::{self, SpillFile};
 use crate::vfs::{read_stable, Vfs};
 
 const MAGIC: &[u8; 4] = b"DDC1";
@@ -289,6 +290,16 @@ impl<G: AbelianGroup + ValueCodec> GrowableCube<G> {
 
     /// Reads a snapshot written by [`GrowableCube::save`].
     pub fn load(input: &mut impl Read, config: DdcConfig) -> io::Result<Self> {
+        Self::load_spilling(input, config, None)
+    }
+
+    /// [`GrowableCube::load`], paging the leaves onto `spill` when the
+    /// caller opened one.
+    pub(crate) fn load_spilling(
+        input: &mut impl Read,
+        config: DdcConfig,
+        spill: Option<SpillFile>,
+    ) -> io::Result<Self> {
         let site = persist_obs();
         let span = obs::timer();
         let d = read_header(input, 1)?;
@@ -300,7 +311,7 @@ impl<G: AbelianGroup + ValueCodec> GrowableCube<G> {
             usize::try_from(read_u64(input)?).map_err(|_| bad("implausible entry count"))?;
         let mut cube = Self::with_origin(&origin, config);
         // As in `DdcEngine::load`: page the leaves before replaying.
-        cube.enable_paging()?;
+        cube.page_leaves(spill)?;
         let mut p = vec![0i64; d];
         for _ in 0..count {
             for c in p.iter_mut() {
@@ -329,15 +340,21 @@ impl<G: AbelianGroup + ValueCodec> GrowableCube<G> {
 
     /// Loads a snapshot from `path` through a [`Vfs`], re-reading until
     /// two consecutive reads agree (`attempts` bounds the total) so a
-    /// transient read-back bit flip cannot corrupt the load.
+    /// transient read-back bit flip cannot corrupt the load. A
+    /// [`crate::PagerConfig::disk`] pager spills to a scratch file next
+    /// to `path` in the same namespace.
     pub fn load_vfs<V: Vfs>(
         vfs: &V,
         path: &str,
         config: DdcConfig,
         attempts: u32,
-    ) -> io::Result<Self> {
+    ) -> io::Result<Self>
+    where
+        V::File: 'static,
+    {
         let image = read_stable(vfs, path, attempts)?;
-        Self::load(&mut image.as_slice(), config)
+        let spill = store::spill_through(vfs, path, &config)?;
+        Self::load_spilling(&mut image.as_slice(), config, spill)
     }
 }
 

@@ -73,6 +73,7 @@ use crate::obs;
 struct ShardObs {
     queue_wait_ns: Arc<obs::Histogram>,
     commit_ns: Arc<obs::Histogram>,
+    shed: Arc<obs::Counter>,
 }
 
 fn shard_obs() -> &'static ShardObs {
@@ -80,7 +81,18 @@ fn shard_obs() -> &'static ShardObs {
     OBS.get_or_init(|| ShardObs {
         queue_wait_ns: obs::histogram("shard.queue_wait"),
         commit_ns: obs::histogram("shard.commit"),
+        shed: obs::counter("shard.shed"),
     })
+}
+
+/// The shedding contract of the infallible update facades, in one
+/// place: a rejection (already in its shard's `ops_rejected`) is dropped
+/// here and counted in `shard.shed`, so writes lost without the caller
+/// hearing of it show up next to the rejections callers were handed.
+fn shed(outcome: Result<(), TryUpdateError>) {
+    if outcome.is_err() {
+        shard_obs().shed.inc();
+    }
 }
 
 /// Tuning knobs for a [`ShardedCube`].
@@ -407,7 +419,7 @@ impl<G: AbelianGroup> ShardedCube<G> {
     /// shard) is *shed* after being counted in `ops_rejected`. Callers
     /// that must not lose writes use `try_update` and handle the error.
     pub fn update(&self, point: &[usize], delta: G) {
-        let _ = self.try_update(point, delta);
+        shed(self.try_update(point, delta));
     }
 
     /// Adds `delta` at `point` if the owning shard can accept it,
@@ -486,7 +498,7 @@ impl<G: AbelianGroup> ShardedCube<G> {
             let mut queue = lock_queue(shard);
             wait.observe("shard.queue_wait", &shard_obs().queue_wait_ns);
             for (local, delta) in batch {
-                let _ = self.enqueue_locked(idx, shard, &mut queue, local, delta);
+                shed(self.enqueue_locked(idx, shard, &mut queue, local, delta));
             }
             shard.pending.store(queue.deltas.len(), Ordering::Release);
         }
@@ -1092,6 +1104,12 @@ mod tests {
         let err = c.try_update(&[1, 0], 1).unwrap_err();
         assert_eq!(err, TryUpdateError::ShardFailed { shard: 0 });
         assert!(err.to_string().contains("shard 0"));
+        // The infallible facades shed the same rejection, and say so.
+        let shed_before = shard_obs().shed.get();
+        c.update(&[1, 0], 1);
+        c.update_batch(&[(vec![2, 0], 1)]);
+        assert!(shard_obs().shed.get() >= shed_before + 2);
+        assert_eq!(c.metrics()[0].ops_rejected, 3);
         // The sibling shard is unaffected, and flush() skips the corpse
         // instead of deadlocking.
         c.try_update(&[7, 0], 3).unwrap();

@@ -1,227 +1,80 @@
-//! Arena backends for [`crate::DdcTree`]'s leaf blocks: the in-memory
-//! `CellSlab` (crate-private; every block a fixed-size run of one flat
-//! `Vec`) and the out-of-core [`PagedStore`] that serializes records
-//! onto the fixed-size pages of a [`crate::pager::BufferPool`].
+//! The leaf-block arena of a [`crate::DdcTree`]: fixed-size runs of
+//! cells addressed by index arithmetic, in one flat `Vec` or behind a
+//! [`crate::pager::BufferPool`].
 //!
-//! Both are slabs of `u32`-addressed slots with free-list reuse. The
-//! tree never holds references into either across operations: the slab
-//! hands out the block's cells in place as a slice, and the paged store
-//! is closure-scoped (`with` / `with_mut`), which is what lets it
-//! decode a record into a stack temporary, hand it to the closure, and
-//! re-encode it afterwards while holding page pins only for the copy.
+//! Block `id` is cells `[id · run, (id+1) · run)` — no per-block header,
+//! shape or allocation — plus a free list; a free run is all-zero, so a
+//! slot claimed again needs no clearing. Paging changes only where the
+//! cells live: the same run becomes the byte extent
+//! `[id · run · WIDTH, (id+1) · run · WIDTH)` of a spill file, touching
+//! `⌈run · WIDTH / page_bytes⌉ + 1` pages at most, and a run never
+//! written reads zero like the rest of the file.
 //!
-//! [`PagedStore`] maps slot `id` to the fixed byte extent
-//! `[id · record_cap, (id+1) · record_cap)` of the page file, so a
-//! record touches `⌈record_cap / page_bytes⌉ + 1` pages at most and
-//! small records share pages without alignment waste. Spill I/O errors
-//! are process-fatal by design: pages are scratch state below the
+//! The tree never holds references into the arena across operations:
+//! access is closure-scoped (`with` / `with_mut`), which is what lets
+//! the paged backend copy a run out of the pool, hand it to the closure,
+//! and copy it back while holding page pins only for the copy. Spill I/O
+//! errors are process-fatal by design: the file is scratch below the
 //! snapshot + WAL pair, so crashing into recovery is the correct
 //! degraded behavior (DESIGN S45).
 
-use std::cell::RefCell;
 use std::io;
 
-use crate::config::PagerConfig;
-use crate::pager::{BufferPool, PoolStats, WalBarrier};
+use ddc_array::AbelianGroup;
+
+use crate::config::{DdcConfig, LeafBackend, PagerConfig};
+use crate::pager::{BufferPool, PoolStats};
+use crate::persist::ValueCodec;
 use crate::sync::untracked::{AtomicU64, Mutex, MutexGuard, Ordering};
 use crate::sync::PoisonError;
-use crate::vfs::{OpenMode, StdVfs, Vfs, VfsFile};
+use crate::vfs::{StdVfs, Vfs, VfsFile};
 
-// ---------------------------------------------------------------------
-// CellSlab: fixed-size runs of one flat Vec
-// ---------------------------------------------------------------------
+/// The file a paged arena spills to.
+pub(crate) type SpillFile = Box<dyn VfsFile + Send>;
 
-/// In-memory leaf arena: block `id` is the run
-/// `[id · run, (id+1) · run)` of one flat `Vec<G>` — no per-block
-/// header, shape or allocation — plus a free list. A free run is
-/// all-zero, so a slot claimed again needs no clearing.
-#[derive(Debug)]
-pub(crate) struct CellSlab<G> {
-    cells: Vec<G>,
-    run: usize,
-    free: Vec<u32>,
-}
-
-impl<G: ddc_array::AbelianGroup> CellSlab<G> {
-    /// An empty slab of `run`-cell blocks.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `run == 0`.
-    pub(crate) fn new(run: usize) -> Self {
-        assert!(run > 0, "leaf blocks hold at least one cell");
-        Self {
-            cells: Vec::new(),
-            run,
-            free: Vec::new(),
-        }
-    }
-
-    /// Cells per block.
-    pub(crate) fn run_len(&self) -> usize {
-        self.run
-    }
-
-    /// Claims an all-zero block, returning its slot id (free slots are
-    /// reused).
-    pub(crate) fn insert_zeroed(&mut self) -> u32 {
-        if let Some(id) = self.free.pop() {
-            return id;
-        }
-        let id = self.slots();
-        self.cells.resize(self.cells.len() + self.run, G::ZERO);
-        id as u32
-    }
-
-    /// Zeroes block `id` and free-lists it.
-    pub(crate) fn remove(&mut self, id: u32) {
-        self.block_mut(id).fill(G::ZERO);
-        self.free.push(id);
-    }
-
-    /// The cells of block `id`.
-    #[inline]
-    pub(crate) fn block(&self, id: u32) -> &[G] {
-        let at = id as usize * self.run;
-        &self.cells[at..at + self.run]
-    }
-
-    /// The cells of block `id`, mutably.
-    #[inline]
-    pub(crate) fn block_mut(&mut self, id: u32) -> &mut [G] {
-        let at = id as usize * self.run;
-        &mut self.cells[at..at + self.run]
-    }
-
-    /// Total slots (live + free).
-    pub(crate) fn slots(&self) -> usize {
-        self.cells.len() / self.run
-    }
-
-    /// The free list (order unspecified).
-    pub(crate) fn free_ids(&self) -> &[u32] {
-        &self.free
-    }
-
-    /// Heap bytes held (cells + free list, by capacity).
-    pub(crate) fn heap_bytes(&self) -> usize {
-        self.cells.capacity() * std::mem::size_of::<G>()
-            + self.free.capacity() * std::mem::size_of::<u32>()
-    }
-}
-
-// ---------------------------------------------------------------------
-// PagedStore: records on pages behind the buffer pool
-// ---------------------------------------------------------------------
-
-/// Monomorphized encode/decode hooks for one record type, captured as
-/// plain `fn` pointers where the serialization bound is in scope so the
-/// store itself needs none (see `DdcTree::enable_paging`).
-pub struct RecordCodec<T> {
-    /// Serializes a record (appends to the buffer).
-    pub encode: fn(&T, &mut Vec<u8>),
-    /// Rebuilds a record from its bytes; `d` is the owning tree's
-    /// dimensionality.
-    pub decode: fn(usize, &[u8]) -> T,
-}
-
-impl<T> Copy for RecordCodec<T> {}
-impl<T> Clone for RecordCodec<T> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-
-impl<T> std::fmt::Debug for RecordCodec<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("RecordCodec")
-    }
-}
-
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-enum SlotState {
-    Free,
-    Occupied { len: u32 },
-}
-
-#[derive(Debug)]
-struct PagedInner {
-    pool: BufferPool,
-    slots: Vec<SlotState>,
-    free: Vec<u32>,
-    scratch: Vec<u8>,
-}
-
-/// Out-of-core arena: records serialized onto the fixed byte extent
-/// `[id · record_cap, (id+1) · record_cap)` of a page file behind a
-/// capped [`BufferPool`]. Interior mutability (one mutex around the
-/// pool) lets shared queries fault pages in through `&self`.
-#[derive(Debug)]
-pub struct PagedStore<T> {
-    inner: Mutex<PagedInner>,
-    codec: RecordCodec<T>,
-    record_cap: usize,
-    d: usize,
-}
-
-/// Names anonymous spill files uniquely within the process.
+/// Names spill files uniquely within the process.
 static SPILL_SEQ: AtomicU64 = AtomicU64::new(0);
 
-/// A thread-local factory for spill files, installed by
-/// [`with_spill_source`].
-type SpillSource = Box<dyn FnMut() -> io::Result<Box<dyn VfsFile + Send>>>;
-
-thread_local! {
-    static SPILL_SOURCE: RefCell<Option<SpillSource>> = const { RefCell::new(None) };
+/// Opens a scratch file next to `beside` in `vfs`' namespace. Every
+/// call gets its own name, so two pools never share extents.
+fn spill_beside<V: Vfs>(vfs: &V, beside: &str) -> io::Result<SpillFile>
+where
+    V::File: 'static,
+{
+    let path = format!(
+        "{beside}-{}-{}.spill",
+        std::process::id(),
+        SPILL_SEQ.fetch_add(1, Ordering::Relaxed)
+    );
+    Ok(Box::new(vfs.open_scratch(&path)?))
 }
 
-/// Runs `f` with every [`PagedStore`] created on this thread drawing
-/// its spill file from `source` instead of the default [`StdVfs`] temp
-/// file — the seam a fault-injection harness uses to put eviction
-/// write-backs and fault-ins behind a [`crate::vfs::FaultVfs`]. The
-/// override takes precedence over `spill_to_disk` (the harness decides
-/// where spill bytes live) and is restored on exit, including by
-/// panic.
-pub fn with_spill_source<R>(
-    source: impl FnMut() -> io::Result<Box<dyn VfsFile + Send>> + 'static,
-    f: impl FnOnce() -> R,
-) -> R {
-    struct Restore(Option<SpillSource>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            SPILL_SOURCE.with(|s| *s.borrow_mut() = self.0.take());
-        }
+/// The scratch file a `*_vfs` entry point spills to: next to `beside`
+/// in the caller's namespace when `config` asks for a disk pager, so
+/// everything the call puts on disk goes through the one seam. `None`
+/// leaves the pager's default in place.
+pub(crate) fn spill_through<V: Vfs>(
+    vfs: &V,
+    beside: &str,
+    config: &DdcConfig,
+) -> io::Result<Option<SpillFile>>
+where
+    V::File: 'static,
+{
+    match config.leaf_backend {
+        LeafBackend::Paged(pager) if pager.spill_to_disk => spill_beside(vfs, beside).map(Some),
+        _ => Ok(None),
     }
-    let prev = SPILL_SOURCE.with(|s| s.borrow_mut().replace(Box::new(source)));
-    let _restore = Restore(prev);
-    f()
 }
 
-fn open_spill_file(spill_to_disk: bool) -> io::Result<Box<dyn VfsFile + Send>> {
-    if let Some(file) = SPILL_SOURCE.with(|s| s.borrow_mut().as_mut().map(|src| src())) {
-        return file;
-    }
-    if !spill_to_disk {
+/// The spill file of a pager nobody handed one: a `Vec`, or a scratch
+/// file under the OS temp directory.
+pub(crate) fn default_spill(pager: PagerConfig) -> io::Result<SpillFile> {
+    if !pager.spill_to_disk {
         return Ok(Box::new(Vec::<u8>::new()));
     }
-    let vfs = StdVfs;
-    let path = std::env::temp_dir()
-        .join(format!(
-            "ddc-pager-{}-{}.pages",
-            std::process::id(),
-            SPILL_SEQ.fetch_add(1, Ordering::Relaxed)
-        ))
-        .to_string_lossy()
-        .into_owned();
-    let file = vfs.open(&path, OpenMode::Create)?;
-    // Unlink immediately: the open handle keeps the file alive, the
-    // name disappears, and the OS reclaims the space on process exit
-    // even after a crash. Best-effort — on filesystems that refuse,
-    // the file simply remains until deleted. Only the default path
-    // unlinks: an injected source owns its own namespace and may need
-    // the name to survive (e.g. MemVfs, where remove drops the bytes).
-    vfs.remove(&path).ok();
-    Ok(Box::new(file))
+    let stem = std::env::temp_dir().join("ddc-pager");
+    spill_beside(&StdVfs, &stem.to_string_lossy())
 }
 
 /// Spill I/O failure is process-fatal: pages are scratch below the
@@ -233,329 +86,396 @@ fn spill_ok<T>(r: io::Result<T>, what: &str) -> T {
     }
 }
 
-impl<T> PagedStore<T> {
-    /// A paged store for records up to `record_cap` encoded bytes, from
-    /// a `d`-dimensional tree, spilling per `pager`.
-    pub fn new(
-        pager: PagerConfig,
-        d: usize,
-        record_cap: usize,
-        codec: RecordCodec<T>,
-    ) -> io::Result<Self> {
-        let file = open_spill_file(pager.spill_to_disk)?;
-        Ok(Self {
-            inner: Mutex::new(PagedInner {
-                pool: BufferPool::new(file, pager.page_bytes, pager.mem_cap_bytes),
-                slots: Vec::new(),
-                free: Vec::new(),
-                scratch: Vec::new(),
-            }),
-            codec,
-            record_cap,
-            d,
-        })
-    }
-
-    /// Builds a store whose slot `id` holds the `id`-th item of
-    /// `records` (`None` = vacant), with `free` as its free list — how
-    /// the tree moves a `CellSlab` onto pages with every slot id
-    /// preserved.
-    pub fn from_records(
-        records: impl Iterator<Item = Option<T>>,
-        free: Vec<u32>,
-        pager: PagerConfig,
-        d: usize,
-        record_cap: usize,
-        codec: RecordCodec<T>,
-    ) -> io::Result<Self> {
-        let store = Self::new(pager, d, record_cap, codec)?;
-        {
-            let mut g = store.lock();
-            for (id, slot) in records.enumerate() {
-                g.slots.push(SlotState::Free);
-                if let Some(item) = slot {
-                    store_record(&mut g, id as u32, &item, record_cap, codec);
-                }
-            }
-            g.free = free;
+fn encode_cells<G: ValueCodec>(cells: &[G], mut out: &mut [u8]) {
+    for v in cells {
+        if let Err(e) = v.encode(&mut out) {
+            panic!("leaf cell encode failed: {e}");
         }
-        Ok(store)
     }
+}
 
-    fn lock(&self) -> MutexGuard<'_, PagedInner> {
+fn decode_cells<G: ValueCodec>(mut bytes: &[u8], cells: &mut [G]) {
+    for c in cells {
+        *c = match G::decode(&mut bytes) {
+            Ok(v) => v,
+            Err(e) => panic!("leaf cell decode failed: {e}"),
+        };
+    }
+}
+
+/// Where an arena's cells live.
+#[derive(Debug)]
+enum Cells<G> {
+    Mem(Vec<G>),
+    // Boxed: the pool is much bigger than a Vec header, and Mem is the
+    // overwhelmingly common variant.
+    Paged(Box<PagedCells<G>>),
+}
+
+#[derive(Debug)]
+struct PagedInner<G> {
+    pool: BufferPool,
+    /// One run's bytes and cells, reused across accesses. A closure that
+    /// re-enters the arena finds them taken and allocates its own.
+    bytes: Vec<u8>,
+    cells: Vec<G>,
+}
+
+/// Cells behind a capped [`BufferPool`]: cell `i` is bytes
+/// `[i · width, (i+1) · width)` of the spill file. Interior mutability
+/// (one mutex around the pool) lets shared queries fault pages in
+/// through `&self`.
+#[derive(Debug)]
+struct PagedCells<G> {
+    inner: Mutex<PagedInner<G>>,
+    /// [`ValueCodec::WIDTH`] and the codec itself, captured where the
+    /// bound is in scope so every unbounded tree path keeps working.
+    width: usize,
+    encode: fn(&[G], &mut [u8]),
+    decode: fn(&[u8], &mut [G]),
+}
+
+impl<G: AbelianGroup> PagedCells<G> {
+    fn lock(&self) -> MutexGuard<'_, PagedInner<G>> {
         self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    fn load_record(&self, g: &mut PagedInner, id: u32) -> Option<T> {
-        let len = match g.slots.get(id as usize) {
-            Some(SlotState::Occupied { len }) => *len as usize,
-            Some(SlotState::Free) => return None,
-            None => panic!("leaf slot {id} out of bounds"),
-        };
-        let off = id as u64 * self.record_cap as u64;
-        let mut scratch = std::mem::take(&mut g.scratch);
-        scratch.clear();
-        scratch.resize(len, 0);
-        spill_ok(g.pool.read_range(off, &mut scratch), "read");
-        let item = (self.codec.decode)(self.d, &scratch);
-        g.scratch = scratch;
-        Some(item)
-    }
-
-    /// Attaches (creating if needed) the WAL barrier gating dirty page
-    /// write-back, and returns a handle the log writer advances.
-    pub fn ensure_barrier(&self) -> WalBarrier {
+    /// Copies cells `[at, at + run)` out of the pool. The lock is not
+    /// held when the caller goes on to use them.
+    fn read_run(&self, at: usize, run: usize) -> Vec<G> {
         let mut g = self.lock();
-        if let Some(b) = g.pool.barrier() {
-            return b.clone();
-        }
-        let barrier = WalBarrier::new();
-        g.pool.set_barrier(barrier.clone());
-        barrier
+        let mut bytes = std::mem::take(&mut g.bytes);
+        let mut cells = std::mem::take(&mut g.cells);
+        bytes.resize(run * self.width, 0);
+        cells.resize(run, G::ZERO);
+        spill_ok(
+            g.pool.read_range((at * self.width) as u64, &mut bytes),
+            "read",
+        );
+        (self.decode)(&bytes, &mut cells);
+        g.bytes = bytes;
+        cells
     }
 
-    /// Buffer-pool counter snapshot.
-    pub fn pool_stats(&self) -> PoolStats {
-        self.lock().pool.stats()
-    }
-
-    /// Resident heap bytes (pool frames + slot bookkeeping); spilled
-    /// page-file bytes are *not* memory and are excluded.
-    pub fn heap_bytes(&self) -> usize {
-        let g = self.lock();
-        g.pool.heap_bytes()
-            + g.slots.capacity() * std::mem::size_of::<SlotState>()
-            + g.free.capacity() * std::mem::size_of::<u32>()
-            + g.scratch.capacity()
-    }
-
-    /// Audits pool and slot bookkeeping (panics on violation).
-    pub fn audit(&self) {
-        let g = self.lock();
-        g.pool.audit();
-        for &id in &g.free {
-            assert!(
-                matches!(g.slots.get(id as usize), Some(SlotState::Free)),
-                "free-listed slot {id} not vacant"
-            );
-        }
+    /// Writes `cells` back at cell offset `at` and keeps the buffer for
+    /// the next access.
+    fn write_run(&self, at: usize, cells: Vec<G>) {
+        let mut g = self.lock();
+        let mut bytes = std::mem::take(&mut g.bytes);
+        bytes.resize(cells.len() * self.width, 0);
+        (self.encode)(&cells, &mut bytes);
+        spill_ok(
+            g.pool.write_range((at * self.width) as u64, &bytes),
+            "write",
+        );
+        g.bytes = bytes;
+        g.cells = cells;
     }
 }
 
-fn store_record<T>(
-    g: &mut PagedInner,
-    id: u32,
-    item: &T,
-    record_cap: usize,
-    codec: RecordCodec<T>,
-) {
-    let mut scratch = std::mem::take(&mut g.scratch);
-    scratch.clear();
-    (codec.encode)(item, &mut scratch);
-    assert!(
-        scratch.len() <= record_cap,
-        "record {id} encodes to {} bytes, over the {record_cap}-byte slot",
-        scratch.len()
-    );
-    let off = id as u64 * record_cap as u64;
-    spill_ok(g.pool.write_range(off, &scratch), "write");
-    g.slots[id as usize] = SlotState::Occupied {
-        len: scratch.len() as u32,
-    };
-    g.scratch = scratch;
+/// The leaf arena: `run`-cell blocks of one cell array, `u32`-addressed,
+/// with free-list reuse.
+#[derive(Debug)]
+pub(crate) struct LeafArena<G> {
+    run: usize,
+    /// Block ids handed out so far (live + free).
+    slots: usize,
+    free: Vec<u32>,
+    cells: Cells<G>,
 }
 
-impl<T> PagedStore<T> {
-    /// Stores `item`, returning its slot id (free slots are reused).
-    pub fn insert(&mut self, item: T) -> u32 {
-        let record_cap = self.record_cap;
-        let codec = self.codec;
-        let mut g = self.lock();
-        let id = match g.free.pop() {
-            Some(id) => id,
-            None => {
-                g.slots.push(SlotState::Free);
-                (g.slots.len() - 1) as u32
-            }
-        };
-        store_record(&mut g, id, &item, record_cap, codec);
-        id
+impl<G: AbelianGroup> LeafArena<G> {
+    /// An empty in-memory arena of `run`-cell blocks.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `run == 0`.
+    pub(crate) fn new(run: usize) -> Self {
+        assert!(run > 0, "leaf blocks hold at least one cell");
+        Self {
+            run,
+            slots: 0,
+            free: Vec::new(),
+            cells: Cells::Mem(Vec::new()),
+        }
     }
 
-    /// Vacates slot `id` and free-lists it.
-    pub fn remove(&mut self, id: u32) {
-        let mut g = self.lock();
-        match g.slots.get(id as usize) {
-            Some(SlotState::Occupied { .. }) => {}
-            Some(SlotState::Free) => panic!("double free of leaf slot {id}"),
-            None => panic!("free of out-of-bounds leaf slot {id}"),
+    /// Cells per block.
+    pub(crate) fn run_len(&self) -> usize {
+        self.run
+    }
+
+    /// Switches an arena with no live blocks to blocks of `run` cells
+    /// (the degenerate single-block tree grew). Every run is free, so
+    /// every cell is zero and the ids simply start over.
+    pub(crate) fn resize_blocks(&mut self, run: usize) {
+        assert_eq!(self.free.len(), self.slots, "resizing live leaf blocks");
+        assert!(run > 0, "leaf blocks hold at least one cell");
+        self.run = run;
+        self.slots = 0;
+        self.free = Vec::new();
+        if let Cells::Mem(cells) = &mut self.cells {
+            *cells = Vec::new();
         }
-        g.slots[id as usize] = SlotState::Free;
-        g.free.push(id);
+    }
+
+    /// Claims an all-zero block, returning its id (free slots are
+    /// reused).
+    pub(crate) fn insert_zeroed(&mut self) -> u32 {
+        if let Some(id) = self.free.pop() {
+            return id;
+        }
+        let id = self.slots;
+        self.slots += 1;
+        if let Cells::Mem(cells) = &mut self.cells {
+            cells.resize(self.slots * self.run, G::ZERO);
+        }
+        id as u32
+    }
+
+    /// Zeroes block `id` and free-lists it.
+    pub(crate) fn remove(&mut self, id: u32) {
+        self.with_mut(id, |cells| cells.fill(G::ZERO));
+        self.free.push(id);
     }
 
     /// Total slots (live + free).
-    pub fn slots(&self) -> usize {
-        self.lock().slots.len()
+    pub(crate) fn slots(&self) -> usize {
+        self.slots
     }
 
-    /// Slots on the free list.
-    pub fn free_len(&self) -> usize {
-        self.lock().free.len()
+    /// The free list (order unspecified).
+    pub(crate) fn free_ids(&self) -> &[u32] {
+        &self.free
     }
 
-    /// The free list's contents (diagnostics; order unspecified).
-    pub fn free_ids(&self) -> Vec<u32> {
-        self.lock().free.clone()
-    }
-
-    /// True when slot `id` holds a record.
-    pub fn is_occupied(&self, id: u32) -> bool {
-        matches!(
-            self.lock().slots.get(id as usize),
-            Some(SlotState::Occupied { .. })
-        )
-    }
-
-    /// Invokes `f` with a shared view of slot `id` (`None` if vacant).
-    pub fn with<R>(&self, id: u32, f: impl FnOnce(Option<&T>) -> R) -> R {
-        let item = {
-            let mut g = self.lock();
-            self.load_record(&mut g, id)
-        };
-        f(item.as_ref())
-    }
-
-    /// Invokes `f` with a mutable view of slot `id` (`None` if vacant);
-    /// mutations are persisted when `f` returns.
-    pub fn with_mut<R>(&mut self, id: u32, f: impl FnOnce(Option<&mut T>) -> R) -> R {
-        let mut item = {
-            let mut g = self.lock();
-            self.load_record(&mut g, id)
-        };
-        let r = f(item.as_mut());
-        if let Some(t) = &item {
-            let mut g = self.lock();
-            store_record(&mut g, id, t, self.record_cap, self.codec);
+    /// Invokes `f` with the row-major cells of block `id`.
+    #[inline]
+    pub(crate) fn with<R>(&self, id: u32, f: impl FnOnce(&[G]) -> R) -> R {
+        let at = id as usize * self.run;
+        match &self.cells {
+            Cells::Mem(cells) => f(&cells[at..at + self.run]),
+            Cells::Paged(p) => {
+                assert!((id as usize) < self.slots, "leaf slot {id} out of bounds");
+                // Copied out first: `f` may be a user callback that
+                // re-enters the tree (`for_each_nonzero`).
+                let cells = p.read_run(at, self.run);
+                let r = f(&cells);
+                p.lock().cells = cells;
+                r
+            }
         }
-        r
+    }
+
+    /// Invokes `f` with the cells of block `id`, mutably; mutations are
+    /// persisted when `f` returns.
+    #[inline]
+    pub(crate) fn with_mut<R>(&mut self, id: u32, f: impl FnOnce(&mut [G]) -> R) -> R {
+        let at = id as usize * self.run;
+        match &mut self.cells {
+            Cells::Mem(cells) => f(&mut cells[at..at + self.run]),
+            Cells::Paged(p) => {
+                assert!((id as usize) < self.slots, "leaf slot {id} out of bounds");
+                let mut cells = p.read_run(at, self.run);
+                let r = f(&mut cells);
+                p.write_run(at, cells);
+                r
+            }
+        }
+    }
+
+    /// True once the cells live behind a buffer pool.
+    pub(crate) fn is_paged(&self) -> bool {
+        matches!(self.cells, Cells::Paged(_))
+    }
+
+    /// Buffer-pool counter snapshot (`None` in memory).
+    pub(crate) fn pool_stats(&self) -> Option<PoolStats> {
+        match &self.cells {
+            Cells::Mem(_) => None,
+            Cells::Paged(p) => Some(p.lock().pool.stats()),
+        }
+    }
+
+    /// Resident heap bytes: the cell array or the pool's frames and
+    /// scratch, plus the free list, by capacity. Spilled bytes are *not*
+    /// memory and are excluded.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.free.capacity() * std::mem::size_of::<u32>()
+            + match &self.cells {
+                Cells::Mem(cells) => cells.capacity() * std::mem::size_of::<G>(),
+                Cells::Paged(p) => {
+                    let g = p.lock();
+                    g.pool.heap_bytes()
+                        + g.bytes.capacity()
+                        + g.cells.capacity() * std::mem::size_of::<G>()
+                }
+            }
+    }
+
+    /// Audits the pool's bookkeeping when paged (panics on violation).
+    pub(crate) fn audit(&self) {
+        if let Cells::Paged(p) = &self.cells {
+            p.lock().pool.audit();
+        }
+    }
+}
+
+impl<G: AbelianGroup + ValueCodec> LeafArena<G> {
+    /// Moves the cells behind a pool over `file`, byte for byte: ids,
+    /// run length and the free list are untouched. No-op when already
+    /// paged.
+    pub(crate) fn page_onto(&mut self, file: SpillFile, pager: PagerConfig) {
+        let Cells::Mem(cells) = &self.cells else {
+            return;
+        };
+        let mut pool = BufferPool::new(file, pager.page_bytes, pager.mem_cap_bytes);
+        let mut bytes = vec![0u8; self.run * G::WIDTH];
+        for (id, block) in cells.chunks_exact(self.run).enumerate() {
+            encode_cells(block, &mut bytes);
+            spill_ok(pool.write_range((id * bytes.len()) as u64, &bytes), "write");
+        }
+        self.cells = Cells::Paged(Box::new(PagedCells {
+            inner: Mutex::new(PagedInner {
+                pool,
+                bytes,
+                cells: Vec::new(),
+            }),
+            width: G::WIDTH,
+            encode: encode_cells::<G>,
+            decode: decode_cells::<G>,
+        }));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ddc_array::Pair;
 
-    fn codec() -> RecordCodec<Vec<u8>> {
-        RecordCodec {
-            encode: |v, out| out.extend_from_slice(v),
-            decode: |_, bytes| bytes.to_vec(),
+    fn paged<G: AbelianGroup + ValueCodec>(run: usize, cap_bytes: usize) -> LeafArena<G> {
+        let mut arena = LeafArena::new(run);
+        arena.page_onto(
+            Box::new(Vec::<u8>::new()),
+            PagerConfig::in_mem(cap_bytes).with_page_bytes(64),
+        );
+        arena
+    }
+
+    fn read<G: AbelianGroup>(arena: &LeafArena<G>, id: u32) -> Vec<G> {
+        arena.with(id, <[G]>::to_vec)
+    }
+
+    #[test]
+    fn freed_runs_are_reused_and_read_zero() {
+        // 4 × 8 B = half a page per run; the paged twin keeps 2 pages.
+        for mut arena in [LeafArena::<i64>::new(4), paged(4, 128)] {
+            let a = arena.insert_zeroed();
+            let b = arena.insert_zeroed();
+            arena.with_mut(a, |c| c.copy_from_slice(&[1, 2, 3, 4]));
+            arena.with_mut(b, |c| c[2] = 9);
+            assert_eq!(read(&arena, a), [1, 2, 3, 4]);
+            assert_eq!(arena.slots(), 2);
+            arena.remove(a);
+            assert_eq!(arena.free_ids(), &[a]);
+            assert_eq!(arena.insert_zeroed(), a, "free slot must be reused");
+            assert_eq!(read(&arena, a), [0; 4], "reused run must read zero");
+            assert_eq!(read(&arena, b)[2], 9);
+            arena.audit();
         }
     }
 
-    fn tiny_store(cap_bytes: usize) -> PagedStore<Vec<u8>> {
-        PagedStore::new(
-            PagerConfig::in_mem(cap_bytes).with_page_bytes(64),
-            1,
-            100,
-            codec(),
-        )
-        .unwrap()
+    #[test]
+    fn paging_preserves_ids_cells_and_the_free_list() {
+        let mut arena = LeafArena::<Pair<i64, f64>>::new(3);
+        let ids: Vec<u32> = (0..5).map(|_| arena.insert_zeroed()).collect();
+        for &id in &ids {
+            arena.with_mut(id, |c| c[1] = Pair::new(i64::from(id) + 1, 0.5));
+        }
+        arena.remove(ids[3]);
+        // 3 × 16 B runs over 64 B pages: runs 1 and 2 straddle a boundary.
+        arena.page_onto(
+            Box::new(Vec::<u8>::new()),
+            PagerConfig::in_mem(64).with_page_bytes(64),
+        );
+        assert!(arena.is_paged());
+        assert_eq!(arena.free_ids(), &[ids[3]]);
+        for &id in &ids {
+            let want = if id == ids[3] {
+                Pair::ZERO
+            } else {
+                Pair::new(i64::from(id) + 1, 0.5)
+            };
+            assert_eq!(read(&arena, id), [Pair::ZERO, want, Pair::ZERO]);
+        }
+        assert!(arena.pool_stats().unwrap().evictions > 0);
     }
 
     #[test]
-    fn paged_insert_read_remove_reuse() {
-        let mut s = tiny_store(128);
-        let a = s.insert(vec![1, 2, 3]);
-        let b = s.insert(vec![9; 100]);
-        assert_eq!(s.slots(), 2);
-        s.with(a, |v| assert_eq!(v, Some(&vec![1, 2, 3])));
-        s.with(b, |v| assert_eq!(v, Some(&vec![9; 100])));
-        s.with_mut(a, |v| v.unwrap().push(4));
-        s.with(a, |v| assert_eq!(v, Some(&vec![1, 2, 3, 4])));
-        s.remove(a);
-        assert_eq!(s.free_len(), 1);
-        s.with(a, |v| assert!(v.is_none()));
-        let c = s.insert(vec![7]);
-        assert_eq!(c, a, "free slot must be reused");
-        s.audit();
-    }
-
-    #[test]
-    fn paged_matches_model_under_churn_with_evictions() {
-        let mut paged = tiny_store(128); // 2 pages resident at most
-        let mut model = std::collections::HashMap::<u32, Vec<u8>>::new();
+    fn paged_matches_slab_under_churn_with_evictions() {
+        // 13 × 8 = 104 B runs: bigger than a page, never page-aligned.
+        let mut slab = LeafArena::<i64>::new(13);
+        let mut paged = paged::<i64>(13, 128);
         let mut ids = Vec::new();
         let mut rng = 0x12345678u64;
-        for i in 0..400u64 {
+        for i in 0..400i64 {
             rng = rng
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
             let op = rng % 3;
             if op == 0 || ids.is_empty() {
-                let rec = vec![(i % 251) as u8; 1 + (rng % 90) as usize];
-                let id = paged.insert(rec.clone());
-                assert!(model.insert(id, rec).is_none(), "live slot {id} reissued");
+                let id = slab.insert_zeroed();
+                assert_eq!(
+                    paged.insert_zeroed(),
+                    id,
+                    "twins must hand out the same ids"
+                );
+                assert!(!ids.contains(&id), "live slot {id} reissued");
+                assert!(read(&paged, id).iter().all(|&c| c == 0));
                 ids.push(id);
             } else if op == 1 {
                 let id = ids[(rng as usize / 7) % ids.len()];
-                paged.with_mut(id, |v| {
-                    if let Some(v) = v {
-                        v.push(i as u8);
-                    }
-                });
-                model.get_mut(&id).expect("live id").push(i as u8);
+                let at = (rng as usize / 13) % 13;
+                slab.with_mut(id, |c| c[at] += i);
+                paged.with_mut(id, |c| c[at] += i);
             } else {
-                let ix = (rng as usize / 11) % ids.len();
-                let id = ids.swap_remove(ix);
+                let id = ids.swap_remove((rng as usize / 11) % ids.len());
+                slab.remove(id);
                 paged.remove(id);
-                model.remove(&id);
             }
         }
-        assert!(
-            paged.pool_stats().evictions > 50,
-            "{:?}",
-            paged.pool_stats()
-        );
-        assert_eq!(paged.slots() - paged.free_len(), ids.len());
-        for id in ids {
-            paged.with(id, |v| assert_eq!(v, model.get(&id), "slot {id}"));
+        let stats = paged.pool_stats().unwrap();
+        assert!(stats.evictions > 50, "{stats:?}");
+        assert_eq!(paged.slots(), slab.slots());
+        assert_eq!(paged.free_ids(), slab.free_ids());
+        for id in 0..slab.slots() as u32 {
+            assert_eq!(read(&paged, id), read(&slab, id), "slot {id}");
         }
         paged.audit();
     }
 
     #[test]
-    fn from_records_preserves_ids() {
-        let (a, b, c) = (0u32, 1u32, 2u32);
-        let records = vec![Some(vec![1u8]), None, Some(vec![3; 30])];
-        let paged = PagedStore::from_records(
-            records.into_iter(),
-            vec![b],
-            PagerConfig::in_mem(128).with_page_bytes(64),
-            1,
-            100,
-            codec(),
-        )
-        .unwrap();
-        paged.with(a, |v| assert_eq!(v, Some(&vec![1])));
-        assert!(!paged.is_occupied(b));
-        paged.with(c, |v| assert_eq!(v, Some(&vec![3; 30])));
-        assert_eq!(paged.free_ids(), vec![b]);
+    fn a_closure_that_re_enters_the_arena_sees_its_own_cells() {
+        let mut arena = paged::<i64>(2, 128);
+        let (a, b) = (arena.insert_zeroed(), arena.insert_zeroed());
+        arena.with_mut(a, |c| c[0] = 1);
+        arena.with_mut(b, |c| c[0] = 2);
+        arena.with(a, |outer| {
+            assert_eq!(arena.with(b, |inner| inner[0]), 2);
+            assert_eq!(outer[0], 1, "the nested read must not clobber this one");
+        });
     }
 
     #[test]
-    fn cell_slab_reuses_zeroed_runs() {
-        let mut slab = CellSlab::<i64>::new(4);
-        let a = slab.insert_zeroed();
-        let b = slab.insert_zeroed();
-        slab.block_mut(a).copy_from_slice(&[1, 2, 3, 4]);
-        slab.block_mut(b)[2] = 9;
-        assert_eq!(slab.block(a), &[1, 2, 3, 4]);
-        assert_eq!(slab.slots(), 2);
-        slab.remove(a);
-        assert_eq!(slab.free_ids(), &[a]);
-        assert_eq!(slab.insert_zeroed(), a, "free slot must be reused");
-        assert_eq!(slab.block(a), &[0; 4], "reused run must read zero");
-        assert_eq!(slab.block(b)[2], 9);
+    fn resize_starts_over_on_an_all_free_arena() {
+        for mut arena in [LeafArena::<i64>::new(4), paged(4, 128)] {
+            let a = arena.insert_zeroed();
+            arena.with_mut(a, |c| c.fill(7));
+            arena.remove(a);
+            arena.resize_blocks(16);
+            assert_eq!((arena.slots(), arena.run_len()), (0, 16));
+            let b = arena.insert_zeroed();
+            assert_eq!(read(&arena, b), [0; 16], "stale cells survived the resize");
+        }
     }
 }

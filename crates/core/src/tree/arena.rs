@@ -9,10 +9,11 @@ use ddc_btree::blocked;
 
 use super::{ChildRef, DdcTree, LevelStats, TreeStats, LEAF_BIT};
 use crate::config::{BaseStore, DdcConfig, LeafBackend, Mode};
-use crate::pager::{PoolStats, WalBarrier};
+use crate::pager::PoolStats;
 use crate::persist::ValueCodec;
 use crate::secondary::Secondary;
-use crate::store::{CellSlab, PagedStore, RecordCodec};
+use crate::store::{self, LeafArena};
+use crate::vfs::VfsFile;
 
 /// `Slot::obox` of a slot whose box has not been materialized.
 pub(super) const NO_BOX: u32 = u32::MAX;
@@ -357,160 +358,17 @@ fn audit_free_list(what: &str, free: &[u32], seen: &[bool], cleared: impl Fn(u32
     }
 }
 
-/// One dense leaf block as the paged backend stores it: a `u32 LE` side
-/// header, then the row-major cells ([`ValueCodec`]). In memory a block
-/// is just its cells (a run of the [`CellSlab`]); the side travels with
-/// the record because the degenerate single-block tree has blocks
-/// smaller than the configured side.
-#[derive(Debug)]
-pub(crate) struct LeafBlock<G> {
-    side: usize,
-    cells: Vec<G>,
-}
-
-impl<G: AbelianGroup + ValueCodec> LeafBlock<G> {
-    /// Upper bound on a block's encoded size for trees of the given
-    /// config: side header plus a full dense block of values. Every
-    /// block a tree allocates has side ≤ `leaf_block_side()` (smaller
-    /// only while the whole space is one degenerate leaf).
-    fn record_cap(d: usize, leaf_block_side: usize) -> usize {
-        4 + leaf_block_side.pow(d as u32) * G::WIDTH
-    }
-
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&(self.side as u32).to_le_bytes());
-        for v in &self.cells {
-            if let Err(e) = v.encode(out) {
-                panic!("leaf block encode failed: {e}");
-            }
-        }
-    }
-
-    fn decode_from(d: usize, bytes: &[u8]) -> Self {
-        assert!(bytes.len() >= 4, "truncated leaf record");
-        let side = u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]) as usize;
-        let mut input = &bytes[4..];
-        let cells = (0..side.pow(d as u32))
-            .map(|_| match G::decode(&mut input) {
-                Ok(v) => v,
-                Err(e) => panic!("leaf block decode failed: {e}"),
-            })
-            .collect();
-        Self { side, cells }
-    }
-}
-
-/// The leaf-block arena behind a tree: the flat in-memory slab, or
-/// records paged through a capped buffer pool. Either way a block is
-/// handed to the tree as its row-major cells, so every tree operation
-/// is backend-agnostic.
-#[derive(Debug)]
-pub(crate) enum LeafArena<G: AbelianGroup> {
-    Mem(CellSlab<G>),
-    // Boxed: the pool + slot directory are much bigger than the slab's
-    // two Vec headers, and Mem is the overwhelmingly common variant.
-    Paged(Box<PagedStore<LeafBlock<G>>>),
-}
-
-/// A reachable leaf reference must name an occupied slot.
-fn vacant_leaf(id: u32) -> ! {
-    panic!("leaf ref {id} points at a vacant slot")
-}
-
-impl<G: AbelianGroup> LeafArena<G> {
-    /// An empty in-memory arena for `d`-dimensional blocks of `side`.
-    pub(super) fn slab(d: usize, side: usize) -> Self {
-        Self::Mem(CellSlab::new(side.pow(d as u32)))
-    }
-
-    /// Switches an arena with no live blocks to blocks of `side` (the
-    /// degenerate single-block tree grew). Paged records carry their
-    /// own side, so only the slab's run length changes.
-    pub(super) fn resize_blocks(&mut self, d: usize, side: usize) {
-        if let Self::Mem(m) = self {
-            assert_eq!(m.free_ids().len(), m.slots(), "resizing live leaf blocks");
-            *self = Self::slab(d, side);
-        }
-    }
-
-    /// Claims an all-zero block of `side^d` cells, preferring a free
-    /// slot.
-    pub(super) fn alloc(&mut self, d: usize, side: usize) -> u32 {
-        let cells = side.pow(d as u32);
-        let id = match self {
-            Self::Mem(m) => {
-                assert_eq!(m.run_len(), cells, "leaf block size mismatch");
-                m.insert_zeroed()
-            }
-            Self::Paged(p) => p.insert(LeafBlock {
-                side,
-                cells: vec![G::ZERO; cells],
-            }),
-        };
-        assert!(id < LEAF_BIT - 1, "leaf arena overflow");
-        id
-    }
-
-    /// Vacates one leaf slot and free-lists it.
-    pub(super) fn remove(&mut self, id: u32) {
-        match self {
-            Self::Mem(m) => m.remove(id),
-            Self::Paged(p) => p.remove(id),
-        }
-    }
-
-    pub(super) fn slots(&self) -> usize {
-        match self {
-            Self::Mem(m) => m.slots(),
-            Self::Paged(p) => p.slots(),
-        }
-    }
-
-    fn free_len(&self) -> usize {
-        match self {
-            Self::Mem(m) => m.free_ids().len(),
-            Self::Paged(p) => p.free_len(),
-        }
-    }
-
-    fn free_ids(&self) -> Vec<u32> {
-        match self {
-            Self::Mem(m) => m.free_ids().to_vec(),
-            Self::Paged(p) => p.free_ids(),
-        }
-    }
-
-    /// Invokes `f` with the row-major cells of block `id`.
-    #[inline]
-    pub(super) fn with<R>(&self, id: u32, f: impl FnOnce(&[G]) -> R) -> R {
-        match self {
-            Self::Mem(m) => f(m.block(id)),
-            Self::Paged(p) => p.with(id, |b| match b {
-                Some(block) => f(&block.cells),
-                None => vacant_leaf(id),
-            }),
-        }
-    }
-
-    /// Invokes `f` with the cells of block `id`, mutably; mutations are
-    /// persisted when `f` returns.
-    #[inline]
-    pub(super) fn with_mut<R>(&mut self, id: u32, f: impl FnOnce(&mut [G]) -> R) -> R {
-        match self {
-            Self::Mem(m) => f(m.block_mut(id)),
-            Self::Paged(p) => p.with_mut(id, |b| match b {
-                Some(block) => f(&mut block.cells),
-                None => vacant_leaf(id),
-            }),
-        }
-    }
-}
-
 impl<G: AbelianGroup> DdcTree<G> {
     /// Claims a zeroed leaf block of the tree's leaf side.
     pub(super) fn alloc_leaf(&mut self) -> u32 {
-        let side = self.leaf_side();
-        self.leaves.alloc(self.d, side)
+        debug_assert_eq!(
+            self.leaves.run_len(),
+            self.leaf_side().pow(self.d as u32),
+            "leaf block size mismatch"
+        );
+        let id = self.leaves.insert_zeroed();
+        assert!(id < LEAF_BIT - 1, "leaf arena overflow");
+        id
     }
 
     /// Returns a whole subtree's slots to the free lists; `l` is the
@@ -608,10 +466,11 @@ impl<G: AbelianGroup> DdcTree<G> {
             live += l;
             dead += d;
         }
-        if let LeafArena::Mem(m) = &self.leaves {
-            let block = m.run_len() * std::mem::size_of::<G>();
-            dead += m.free_ids().len() * block;
-            live += (m.slots() - m.free_ids().len()) * block;
+        if !self.leaves.is_paged() {
+            let block = self.leaves.run_len() * std::mem::size_of::<G>();
+            let free = self.leaves.free_ids().len();
+            dead += free * block;
+            live += (self.leaves.slots() - free) * block;
         }
         if 2 * dead > live {
             self.compact();
@@ -621,20 +480,17 @@ impl<G: AbelianGroup> DdcTree<G> {
     /// Rewrites the slabs to hold exactly the reachable records
     /// (visit-order renumbering within each level), dropping all
     /// free-list capacity. A paged leaf arena keeps its slot ids — its
-    /// records live on pages, not in a `Vec` whose capacity could be
-    /// returned, so only the levels (and a slab leaf arena, when
-    /// present) are rebuilt.
+    /// cells live on pages, not in a `Vec` whose capacity could be
+    /// returned, so only the levels (and an in-memory leaf arena) are
+    /// rebuilt.
     fn compact(&mut self) {
         let mut levels: Vec<Level<G>> = self.levels.iter().map(Level::compacted_shell).collect();
-        let mut leaves = match &self.leaves {
-            LeafArena::Mem(m) => Some(CellSlab::new(m.run_len())),
-            LeafArena::Paged(_) => None,
-        };
+        let mut leaves = (!self.leaves.is_paged()).then(|| LeafArena::new(self.leaves.run_len()));
         let root = self.root;
         self.root = self.move_child(root, 0, &mut levels, &mut leaves);
         self.levels = levels;
-        if let Some(slab) = leaves {
-            self.leaves = LeafArena::Mem(slab);
+        if let Some(arena) = leaves {
+            self.leaves = arena;
         }
     }
 
@@ -645,18 +501,19 @@ impl<G: AbelianGroup> DdcTree<G> {
         c: ChildRef,
         l: usize,
         levels: &mut [Level<G>],
-        leaves: &mut Option<CellSlab<G>>,
+        leaves: &mut Option<LeafArena<G>>,
     ) -> ChildRef {
         if c.is_empty() {
             return ChildRef::EMPTY;
         }
         if c.is_leaf() {
-            let (Some(slab), LeafArena::Mem(old)) = (leaves, &self.leaves) else {
+            let Some(arena) = leaves else {
                 return c; // paged arena: leaf ids are stable
             };
-            let id = slab.insert_zeroed();
-            slab.block_mut(id)
-                .copy_from_slice(old.block(c.index() as u32));
+            let id = arena.insert_zeroed();
+            self.leaves.with(c.index() as u32, |cells| {
+                arena.with_mut(id, |block| block.copy_from_slice(cells));
+            });
             return ChildRef::leaf(id);
         }
         let old_base = c.index() << self.d;
@@ -684,7 +541,7 @@ impl<G: AbelianGroup> DdcTree<G> {
             node_slots: self.levels.iter().map(Level::nodes).sum(),
             free_node_slots: self.levels.iter().map(|lv| lv.node_free.len()).sum(),
             leaf_slots: self.leaves.slots(),
-            free_leaf_slots: self.leaves.free_len(),
+            free_leaf_slots: self.leaves.free_ids().len(),
             ..TreeStats::default()
         };
         self.collect_stats(self.root, self.side, 0, &mut stats);
@@ -728,12 +585,7 @@ impl<G: AbelianGroup> DdcTree<G> {
         std::mem::size_of::<Self>()
             + self.levels.capacity() * std::mem::size_of::<Level<G>>()
             + self.levels.iter().map(Level::heap_bytes).sum::<usize>()
-            + match &self.leaves {
-                LeafArena::Mem(m) => m.heap_bytes(),
-                // Paged: only *resident* bytes count — spilled pages are
-                // the whole point of the backend.
-                LeafArena::Paged(p) => p.heap_bytes(),
-            }
+            + self.leaves.heap_bytes()
     }
 
     /// Audits the slab bookkeeping: the levels match the side, every
@@ -772,18 +624,10 @@ impl<G: AbelianGroup> DdcTree<G> {
         for (l, level) in self.levels.iter().enumerate() {
             level.audit(&node_seen[l], &box_seen[l]);
         }
-        audit_free_list(
-            "leaf",
-            &self.leaves.free_ids(),
-            &leaf_seen,
-            |id| match &self.leaves {
-                LeafArena::Mem(m) => m.block(id).iter().all(G::is_zero),
-                LeafArena::Paged(p) => !p.is_occupied(id),
-            },
-        );
-        if let LeafArena::Paged(p) = &self.leaves {
-            p.audit();
-        }
+        audit_free_list("leaf", self.leaves.free_ids(), &leaf_seen, |id| {
+            self.leaves.with(id, |cells| cells.iter().all(G::is_zero))
+        });
+        self.leaves.audit();
         (
             node_seen.iter().flatten().filter(|&&v| v).count(),
             leaf_seen.iter().filter(|&&v| v).count(),
@@ -806,12 +650,6 @@ impl<G: AbelianGroup> DdcTree<G> {
             assert_eq!(l, self.levels.len(), "leaf ref {ix} above the leaf depth");
             assert!(ix < leaf_seen.len(), "dangling leaf ref {ix}");
             assert!(!leaf_seen[ix], "leaf slot {ix} referenced twice");
-            if let LeafArena::Paged(p) = &self.leaves {
-                assert!(
-                    p.is_occupied(ix as u32),
-                    "reachable leaf slot {ix} is vacant"
-                );
-            }
             leaf_seen[ix] = true;
             return;
         }
@@ -834,72 +672,46 @@ impl<G: AbelianGroup> DdcTree<G> {
 
     /// True once `enable_paging` has moved the leaf arena onto pages.
     pub fn is_paged(&self) -> bool {
-        matches!(self.leaves, LeafArena::Paged(_))
+        self.leaves.is_paged()
     }
 
-    /// Buffer-pool counters of the paged leaf arena (`None` on the slab).
+    /// Buffer-pool counters of the paged leaf arena (`None` in memory).
     pub fn pool_stats(&self) -> Option<PoolStats> {
-        match &self.leaves {
-            LeafArena::Mem(_) => None,
-            LeafArena::Paged(p) => Some(p.pool_stats()),
-        }
-    }
-
-    /// The WAL barrier gating dirty-page write-back (`None` on the
-    /// slab). Created on first call; the log writer advances it after
-    /// each synced append so eviction never writes a page whose update
-    /// is not yet durable.
-    pub fn pager_barrier(&self) -> Option<WalBarrier> {
-        match &self.leaves {
-            LeafArena::Mem(_) => None,
-            LeafArena::Paged(p) => Some(p.ensure_barrier()),
-        }
+        self.leaves.pool_stats()
     }
 }
 
 impl<G: AbelianGroup + ValueCodec> DdcTree<G> {
     /// Activates the paged leaf backend requested by
-    /// [`crate::LeafBackend::Paged`], moving the slab arena's blocks
-    /// onto pages (slot ids are preserved, so every [`ChildRef`] stays
-    /// valid).
-    ///
-    /// Lives in a [`ValueCodec`]-bounded impl because the pager needs a
-    /// serialization for leaf blocks; the codec is captured as plain
-    /// `fn` pointers, so once enabled, every unbounded code path (grow,
-    /// prune, updates) keeps working. Returns whether the tree is paged
-    /// afterwards: `Ok(false)` means the config never asked for paging.
-    /// Idempotent.
+    /// [`crate::LeafBackend::Paged`], spilling to the pager's default
+    /// file: a `Vec`, or an unlinked file under the OS temp directory
+    /// for [`crate::PagerConfig::disk`]. See
+    /// [`DdcTree::enable_paging_on`].
     pub fn enable_paging(&mut self) -> std::io::Result<bool> {
-        let LeafBackend::Paged(pager) = self.config.leaf_backend else {
-            return Ok(false);
-        };
-        let LeafArena::Mem(slab) = &self.leaves else {
-            return Ok(true);
-        };
-        let codec = RecordCodec::<LeafBlock<G>> {
-            encode: |block, out| block.encode_into(out),
-            decode: LeafBlock::<G>::decode_from,
-        };
-        let record_cap = LeafBlock::<G>::record_cap(self.d, self.config.leaf_block_side());
-        let side = self.leaf_side();
-        let mut vacant = vec![false; slab.slots()];
-        for &id in slab.free_ids() {
-            vacant[id as usize] = true;
+        match self.config.leaf_backend {
+            LeafBackend::Paged(pager) if !self.is_paged() => {
+                Ok(self.enable_paging_on(store::default_spill(pager)?))
+            }
+            _ => Ok(self.is_paged()),
         }
-        let records = vacant.iter().enumerate().map(|(id, &vacant)| {
-            (!vacant).then(|| LeafBlock {
-                side,
-                cells: slab.block(id as u32).to_vec(),
-            })
-        });
-        self.leaves = LeafArena::Paged(Box::new(PagedStore::from_records(
-            records,
-            slab.free_ids().to_vec(),
-            pager,
-            self.d,
-            record_cap,
-            codec,
-        )?));
-        Ok(true)
+    }
+
+    /// Moves the leaf arena's cells behind a buffer pool over `spill`
+    /// when the config asks for [`crate::LeafBackend::Paged`] (block ids
+    /// are preserved, so every [`ChildRef`] stays valid). `spill` is
+    /// scratch space: it should be empty, and nothing reads it back
+    /// after the tree is dropped.
+    ///
+    /// Lives in a [`ValueCodec`]-bounded impl because cells are encoded
+    /// onto pages; once enabled, every unbounded code path (grow, prune,
+    /// updates) keeps working. Returns whether the tree is paged
+    /// afterwards: `false` means the config never asked for paging.
+    /// Idempotent — an already-paged tree keeps its file and drops
+    /// `spill`.
+    pub fn enable_paging_on(&mut self, spill: Box<dyn VfsFile + Send>) -> bool {
+        if let LeafBackend::Paged(pager) = self.config.leaf_backend {
+            self.leaves.page_onto(spill, pager);
+        }
+        self.is_paged()
     }
 }

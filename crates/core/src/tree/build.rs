@@ -193,7 +193,7 @@ impl<G: AbelianGroup> DdcTree<G> {
             });
             self.free_subtree(old_root, 0);
             self.side = new_side;
-            self.leaves.resize_blocks(d, new_side);
+            self.leaves.resize_blocks(new_side.pow(d as u32));
             if !old_root.is_empty() {
                 let id = self.alloc_leaf();
                 self.leaves

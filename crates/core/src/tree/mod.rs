@@ -48,8 +48,8 @@
 //! data, while on a wide, sparsely populated space it pays `k` words
 //! per face next to the root (500 isolated points in 131072²: 132 MiB
 //! against 4.4 MiB for the lazy store; EXPERIMENTS §4.4 and §5).
-//! Dense leaf blocks are `leaf_side^d`-cell runs of one flat `Vec` (or
-//! records on pages once [`DdcTree::enable_paging`] has run).
+//! Dense leaf blocks are `leaf_side^d`-cell runs of one flat `Vec` (the
+//! same runs on pages once [`DdcTree::enable_paging`] has run).
 //!
 //! Box records are allocated **per box**, not per node: a node's slots
 //! exist as soon as the node does (8 bytes each), but a box's words are
@@ -98,7 +98,8 @@ mod descent;
 use ddc_array::{AbelianGroup, OpCounter, OpSnapshot};
 
 use crate::config::DdcConfig;
-use arena::{LeafArena, Level};
+use crate::store::LeafArena;
+use arena::Level;
 pub use build::MAX_SIDE;
 
 /// Tag bit distinguishing leaf-arena from node-slab references.
@@ -259,7 +260,7 @@ impl<G: AbelianGroup> DdcTree<G> {
             config,
             root: ChildRef::EMPTY,
             levels,
-            leaves: LeafArena::slab(d, leaf_side),
+            leaves: LeafArena::new(leaf_side.pow(d as u32)),
             counter: OpCounter::new(),
         }
     }

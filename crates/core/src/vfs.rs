@@ -152,6 +152,12 @@ pub trait Vfs {
         }
         self.rename(&tmp, path)
     }
+    /// Create `path` as scratch space: read + write, empty, and owed to
+    /// nobody once the handle is dropped. A namespace that can drops
+    /// the name right away, so the bytes go with the handle.
+    fn open_scratch(&self, path: &str) -> io::Result<Self::File> {
+        self.open(path, OpenMode::Create)
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -193,6 +199,16 @@ impl Vfs for StdVfs {
             Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(false),
             Err(e) => Err(e),
         }
+    }
+
+    fn open_scratch(&self, path: &str) -> io::Result<std::fs::File> {
+        let file = self.open(path, OpenMode::Create)?;
+        // Unlink immediately: the open handle keeps the file alive, the
+        // name disappears, and the OS reclaims the space on process exit
+        // even after a crash. Best-effort — on filesystems that refuse,
+        // the file simply remains until deleted.
+        self.remove(path).ok();
+        Ok(file)
     }
 }
 

@@ -62,8 +62,8 @@ use ddc_array::AbelianGroup;
 use crate::config::{DdcConfig, WalConfig};
 use crate::growth::{GrowableCube, GrowthError};
 use crate::obs;
-use crate::pager::WalBarrier;
 use crate::persist::ValueCodec;
+use crate::store::{self, SpillFile};
 use crate::vfs::{is_no_space, read_stable, OpenMode, Vfs, VfsFile};
 
 /// Durability-path observability handles: append latency (the full
@@ -751,11 +751,28 @@ pub fn recover<G: AbelianGroup + ValueCodec>(
     config: DdcConfig,
     wal_config: WalConfig,
 ) -> io::Result<(GrowableCube<G>, RecoveryReport)> {
+    recover_spilling(d, snapshot, wal, config, wal_config, None)
+}
+
+/// [`recover`], paging the leaves onto `spill` when the caller opened
+/// one.
+fn recover_spilling<G: AbelianGroup + ValueCodec>(
+    d: usize,
+    snapshot: Option<&[u8]>,
+    wal: &[u8],
+    config: DdcConfig,
+    wal_config: WalConfig,
+    spill: Option<SpillFile>,
+) -> io::Result<(GrowableCube<G>, RecoveryReport)> {
     let site = wal_obs();
     let span = obs::timer();
+    // Paging (when configured) activates before any cell lands — inside
+    // `load_spilling`, or right here without a snapshot — so recovery
+    // literally replays the WAL onto pages and a cube too big for the
+    // memory cap can still be rebuilt.
     let (mut cube, snapshot_loaded) = match snapshot {
         Some(bytes) => {
-            let cube = GrowableCube::<G>::load(&mut { bytes }, config)?;
+            let cube = GrowableCube::<G>::load_spilling(&mut { bytes }, config, spill)?;
             if cube.ndim() != d {
                 return Err(io::Error::new(
                     io::ErrorKind::InvalidData,
@@ -764,13 +781,12 @@ pub fn recover<G: AbelianGroup + ValueCodec>(
             }
             (cube, true)
         }
-        None => (GrowableCube::new(d, config), false),
+        None => {
+            let mut cube = GrowableCube::new(d, config);
+            cube.page_leaves(spill)?;
+            (cube, false)
+        }
     };
-    // Paging (when configured) activates here, before the replay loop:
-    // recovery literally replays the WAL onto pages, so a cube too big
-    // for the memory cap can still be rebuilt. (The snapshot path above
-    // already paged inside `load`; this is idempotent.)
-    cube.enable_paging()?;
     let replay = read_wal::<G>(wal, wal_config)?;
     let mut replayed = 0usize;
     for op in &replay.ops {
@@ -861,13 +877,6 @@ pub struct DurableCube<G: AbelianGroup + ValueCodec, F: VfsFile> {
     wal: WalWriter<F>,
     policy: RetryPolicy,
     degraded: Option<String>,
-    /// Present when the cube's leaf arena is paged: the WAL-before-data
-    /// barrier, advanced after every synced append so dirty pages
-    /// stamped by the subsequent apply are immediately eligible for
-    /// write-back (their record is already durable).
-    barrier: Option<WalBarrier>,
-    /// Monotone op counter doubling as the log sequence number.
-    lsn: u64,
 }
 
 impl<G: AbelianGroup + ValueCodec, F: VfsFile> DurableCube<G, F> {
@@ -893,27 +902,11 @@ impl<G: AbelianGroup + ValueCodec, F: VfsFile> DurableCube<G, F> {
     }
 
     fn from_parts(cube: GrowableCube<G>, wal: WalWriter<F>, policy: RetryPolicy) -> Self {
-        let barrier = cube.pager_barrier();
         Self {
             cube,
             wal,
             policy,
             degraded: None,
-            barrier,
-            lsn: 0,
-        }
-    }
-
-    /// Advances the WAL barrier after a synced append. The append path
-    /// syncs every record before acknowledging, so `appended` and
-    /// `durable` move together; the separation exists for (and is
-    /// exercised by) the pager's own tests, and keeps the no-dirty-page-
-    /// before-its-log-record invariant mechanically enforced rather than
-    /// assumed.
-    fn note_synced_append(&mut self) {
-        if let Some(b) = &self.barrier {
-            self.lsn += 1;
-            b.advance(self.lsn);
         }
     }
 
@@ -988,7 +981,6 @@ impl<G: AbelianGroup + ValueCodec, F: VfsFile> DurableCube<G, F> {
         };
         match self.wal.append_with_retry(&op, &self.policy) {
             Ok(_) => {
-                self.note_synced_append();
                 self.cube.add(point, delta);
                 Ok(())
             }
@@ -1005,10 +997,7 @@ impl<G: AbelianGroup + ValueCodec, F: VfsFile> DurableCube<G, F> {
             value,
         };
         match self.wal.append_with_retry(&op, &self.policy) {
-            Ok(_) => {
-                self.note_synced_append();
-                Ok(self.cube.set(point, value))
-            }
+            Ok(_) => Ok(self.cube.set(point, value)),
             Err(e) => Err(self.note_failure(e)),
         }
     }
@@ -1020,10 +1009,7 @@ impl<G: AbelianGroup + ValueCodec, F: VfsFile> DurableCube<G, F> {
             .wal
             .append_with_retry::<G>(&WalOp::Grow { axis, amount, low }, &self.policy)
         {
-            Ok(_) => {
-                self.note_synced_append();
-                Ok(())
-            }
+            Ok(_) => Ok(()),
             Err(e) => Err(self.note_failure(e)),
         }
     }
@@ -1136,7 +1122,10 @@ impl<G: AbelianGroup + ValueCodec, F: VfsFile> DurableCube<G, F> {
 /// usual torn-tail truncation, repairs the log file back to its valid
 /// prefix, and resumes appending to it. Reads go through
 /// [`read_stable`](crate::vfs::read_stable) so a transient read-back
-/// bit flip cannot corrupt recovery.
+/// bit flip cannot corrupt recovery. A [`crate::PagerConfig::disk`]
+/// pager spills to a scratch file next to the log in the same
+/// namespace, so an eviction write-back or a page fault-in fails (and
+/// is injected) like any other op on that disk.
 pub fn recover_vfs<G: AbelianGroup + ValueCodec, V: Vfs>(
     vfs: &V,
     wal_path: &str,
@@ -1145,19 +1134,24 @@ pub fn recover_vfs<G: AbelianGroup + ValueCodec, V: Vfs>(
     config: DdcConfig,
     wal_config: WalConfig,
     policy: RetryPolicy,
-) -> io::Result<(DurableCube<G, V::File>, RecoveryReport)> {
+) -> io::Result<(DurableCube<G, V::File>, RecoveryReport)>
+where
+    V::File: 'static,
+{
     let attempts = policy.max_retries + 3;
     let snapshot = match snapshot_path {
         Some(p) if vfs.exists(p)? => Some(read_stable(vfs, p, attempts)?),
         _ => None,
     };
+    let spill = store::spill_through(vfs, wal_path, &config)?;
     if !vfs.exists(wal_path)? {
-        let (cube, report) = recover(d, snapshot.as_deref(), &[], config, wal_config)?;
+        let (cube, report) =
+            recover_spilling(d, snapshot.as_deref(), &[], config, wal_config, spill)?;
         let wal = WalWriter::create(vfs.open(wal_path, OpenMode::Create)?)?;
         return Ok((DurableCube::from_parts(cube, wal, policy), report));
     }
     let log = read_stable(vfs, wal_path, attempts)?;
-    let (cube, report) = recover(d, snapshot.as_deref(), &log, config, wal_config)?;
+    let (cube, report) = recover_spilling(d, snapshot.as_deref(), &log, config, wal_config, spill)?;
     let wal = if report.valid_bytes < WAL_HEADER_BYTES as u64 {
         // Torn header: rewrite the log from scratch.
         WalWriter::create(vfs.open(wal_path, OpenMode::Create)?)?

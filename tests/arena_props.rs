@@ -17,7 +17,7 @@
 use std::collections::HashMap;
 
 use ddc_array::{NdArray, Shape};
-use ddc_core::{DdcConfig, DdcTree};
+use ddc_core::{DdcConfig, DdcTree, PagerConfig};
 use ddc_tests::{for_cases, DdcRng};
 
 type Oracle = HashMap<Vec<usize>, i64>;
@@ -361,12 +361,17 @@ fn cancel_all_but(tree: &mut DdcTree<i64>, a: &mut NdArray<i64>, keep: usize) {
 
 /// Seeded differential sweep of the level-slab tree against a
 /// brute-force `NdArray`: d ∈ 1..=4 × `elide_levels` ∈ 0..=3 × {Basic,
-/// Dynamic over both `BaseStore`s}, each through update → grow high →
-/// grow low → cancel → prune → forced compaction → bulk rebuild, with
-/// `check_arena` + `check_invariants` and sampled answers after every
-/// phase. Sides are chosen so the sweep
+/// Dynamic over both `BaseStore`s} × {leaf cells in memory, behind a
+/// two-page pool of 64-byte pages, behind one of 96-byte pages}, each
+/// through update → grow high → grow low → cancel → prune → forced
+/// compaction → bulk rebuild, with `check_arena` + `check_invariants`
+/// and sampled answers after every phase. Sides are chosen so the sweep
 /// crosses the degenerate single-leaf tree, growth out of it, and
-/// inline (d = 2 blocked) as well as every out-of-line face kind.
+/// inline (d = 2 blocked) as well as every out-of-line face kind. The
+/// paged twins move a populated arena onto pages and then grow, free,
+/// reuse and compact there: block runs are 16 B to 4 KiB, so they
+/// share a page, fill whole pages, and — every run of 64 B and up over
+/// 96-byte pages — straddle page boundaries.
 #[test]
 fn slab_tree_matches_brute_force_across_dims_modes_and_bases() {
     let configs = [
@@ -374,58 +379,95 @@ fn slab_tree_matches_brute_force_across_dims_modes_and_bases() {
         DdcConfig::dynamic(),
         DdcConfig::sparse(),
     ];
+    let mut evictions = 0;
     for d in 1..=4usize {
         let side = [16, 8, 4, 2][d - 1];
         for h in 0..=3usize {
             for (ci, base_config) in configs.iter().enumerate() {
-                let config = base_config.with_elision(h);
-                let what = format!("d={d} h={h} config#{ci}");
-                let mut rng = DdcRng::seed_from_u64(0x51AB_0000 + (d * 100 + h * 10 + ci) as u64);
-                let mut tree = DdcTree::<i64>::new(d, side, config);
-                let mut a = NdArray::<i64>::zeroed(Shape::cube(d, side));
+                // A two-page pool re-faults a block on every access, so
+                // the paged twins stop at 4 KiB blocks (64 pages).
+                let pages: &[Option<usize>] = if (h + 1) * d <= 9 {
+                    &[None, Some(64), Some(96)]
+                } else {
+                    &[None]
+                };
+                for &page in pages {
+                    let config = match page {
+                        Some(bytes) => base_config.with_elision(h).with_paged_leaves(
+                            PagerConfig::in_mem(2 * bytes).with_page_bytes(bytes),
+                        ),
+                        None => base_config.with_elision(h),
+                    };
+                    let what = format!("d={d} h={h} config#{ci} page={page:?}");
+                    let mut rng =
+                        DdcRng::seed_from_u64(0x51AB_0000 + (d * 100 + h * 10 + ci) as u64);
+                    let mut tree = DdcTree::<i64>::new(d, side, config);
+                    let mut a = NdArray::<i64>::zeroed(Shape::cube(d, side));
 
-                random_updates(&mut tree, &mut a, &mut rng, 24);
-                audit_dense(&tree, &a, &mut rng, &format!("{what} update"));
+                    random_updates(&mut tree, &mut a, &mut rng, 24);
+                    // A populated arena moves onto pages cell for cell.
+                    let paged = tree.enable_paging().expect("in-memory spill");
+                    assert_eq!(paged, page.is_some(), "{what}");
+                    audit_dense(&tree, &a, &mut rng, &format!("{what} update"));
 
-                tree.grow(&vec![false; d]);
-                a = grown(&a, &vec![false; d]);
-                random_updates(&mut tree, &mut a, &mut rng, 24);
-                audit_dense(&tree, &a, &mut rng, &format!("{what} grow high"));
+                    tree.grow(&vec![false; d]);
+                    a = grown(&a, &vec![false; d]);
+                    random_updates(&mut tree, &mut a, &mut rng, 24);
+                    audit_dense(&tree, &a, &mut rng, &format!("{what} grow high"));
 
-                let mut low: Vec<bool> = (0..d).map(|_| rng.gen_range(0usize..2) == 0).collect();
-                low[rng.gen_range(0..d)] = true;
-                tree.grow(&low);
-                a = grown(&a, &low);
-                random_updates(&mut tree, &mut a, &mut rng, 24);
-                audit_dense(&tree, &a, &mut rng, &format!("{what} grow low"));
-                let populated = a.clone();
+                    let mut low: Vec<bool> =
+                        (0..d).map(|_| rng.gen_range(0usize..2) == 0).collect();
+                    low[rng.gen_range(0..d)] = true;
+                    tree.grow(&low);
+                    a = grown(&a, &low);
+                    random_updates(&mut tree, &mut a, &mut rng, 24);
+                    audit_dense(&tree, &a, &mut rng, &format!("{what} grow low"));
+                    let populated = a.clone();
 
-                let live = tree.populated_cells();
-                cancel_all_but(&mut tree, &mut a, live / 3);
-                audit_dense(&tree, &a, &mut rng, &format!("{what} cancel"));
-                tree.prune();
-                audit_dense(&tree, &a, &mut rng, &format!("{what} prune"));
+                    let live = tree.populated_cells();
+                    cancel_all_but(&mut tree, &mut a, live / 3);
+                    audit_dense(&tree, &a, &mut rng, &format!("{what} cancel"));
+                    tree.prune();
+                    audit_dense(&tree, &a, &mut rng, &format!("{what} prune"));
 
-                // One survivor: the dead slots dominate, so this prune
-                // must compact.
-                cancel_all_but(&mut tree, &mut a, 1);
-                tree.prune();
-                audit_dense(&tree, &a, &mut rng, &format!("{what} compaction"));
-                let s = tree.stats();
-                assert!(
-                    s.free_node_slots + s.free_leaf_slots
-                        <= (s.node_slots - s.free_node_slots) + (s.leaf_slots - s.free_leaf_slots),
-                    "{what}: compaction left free slots outnumbering live ones: {s:?}"
-                );
-                random_updates(&mut tree, &mut a, &mut rng, 12);
-                audit_dense(&tree, &a, &mut rng, &format!("{what} refill"));
+                    // One survivor: the dead slots dominate, so this prune
+                    // must compact.
+                    cancel_all_but(&mut tree, &mut a, 1);
+                    tree.prune();
+                    audit_dense(&tree, &a, &mut rng, &format!("{what} compaction"));
+                    let s = tree.stats();
+                    // Leaf ids are stable on pages: only the levels compact.
+                    let (free_leaves, leaves) = if paged {
+                        (0, 0)
+                    } else {
+                        (s.free_leaf_slots, s.leaf_slots)
+                    };
+                    assert!(
+                        s.free_node_slots + free_leaves
+                            <= (s.node_slots - s.free_node_slots) + (leaves - free_leaves),
+                        "{what}: compaction left free slots outnumbering live ones: {s:?}"
+                    );
+                    random_updates(&mut tree, &mut a, &mut rng, 12);
+                    audit_dense(&tree, &a, &mut rng, &format!("{what} refill"));
+                    assert_eq!(
+                        tree.is_paged(),
+                        paged,
+                        "{what}: growth or compaction changed the backend"
+                    );
+                    evictions += tree.pool_stats().map_or(0, |s| s.evictions);
 
-                let full = tree.side();
-                let bulk = DdcTree::from_array_sized(&populated, full, config);
-                audit_dense(&bulk, &populated, &mut rng, &format!("{what} bulk"));
+                    let full = tree.side();
+                    let mut bulk = DdcTree::from_array_sized(&populated, full, config);
+                    assert_eq!(bulk.enable_paging().expect("in-memory spill"), paged);
+                    audit_dense(&bulk, &populated, &mut rng, &format!("{what} bulk"));
+                }
             }
         }
     }
+    assert!(
+        evictions > 10_000,
+        "two-page pools barely evicted: {evictions}"
+    );
 }
 
 /// Smoke case past the stack coordinate scratch (more than eight

@@ -2,18 +2,22 @@
 //! tentpole).
 //!
 //! The pool's micro-invariants — pin counts never negative, eviction
-//! skipping pinned pages, write-back held behind the WAL barrier —
-//! live next to the implementation as `ddc_core::pager` unit tests.
-//! These suites cover the layer above: a paged cube driven through a
-//! long seeded churn under a cap tiny enough to force thousands of
-//! evictions must stay bit-identical to a `HashMap` oracle and to its
-//! slab twin, survive save/load and growth, and a WAL recovery must
-//! replay onto freshly-faulted pages.
+//! skipping pinned pages, second-chance order — and the arena's — ids,
+//! free list and zero-on-free shared with the in-memory slab — live
+//! next to the implementation as `core::pager` and `core::store` unit
+//! tests. These suites cover the layer above: a paged cube driven
+//! through a long seeded churn under a cap tiny enough to force
+//! thousands of evictions must stay bit-identical to a `HashMap` oracle
+//! and to its slab twin, survive save/load and growth, and a WAL
+//! recovery must replay onto freshly-faulted pages — which are scratch:
+//! recovery never reads a spill file, and a `Vfs` boot leaves none
+//! behind.
 
 use std::collections::HashMap;
 
-use ddc_core::wal::{self};
-use ddc_core::{DdcConfig, DurableCube, GrowableCube, PagerConfig, WalConfig};
+use ddc_array::{AbelianGroup, Pair};
+use ddc_core::wal::{self, RetryPolicy};
+use ddc_core::{DdcConfig, DurableCube, GrowableCube, PagerConfig, StdVfs, ValueCodec, WalConfig};
 use ddc_tests::run_cases;
 
 type Oracle = HashMap<Vec<i64>, i64>;
@@ -41,10 +45,37 @@ fn oracle_range(oracle: &Oracle, lo: &[i64], hi: &[i64]) -> i64 {
 /// answer cross-checked against the oracle and a slab twin.
 #[test]
 fn churn_forces_evictions_and_matches_oracle() {
-    let mut paged = GrowableCube::<i64>::with_origin(&[0, 0], paged_config());
+    churn(paged_config(), |v| v);
+}
+
+/// The same churn over 16-byte cells: each (sum, weight) pair crosses
+/// the pool as one fixed-width cell, exactly like an `i64`.
+#[test]
+fn churn_with_pair_cells_matches_oracle() {
+    churn(paged_config(), |v| Pair::new(v, v as f64 * 0.5));
+}
+
+/// And with blocks of 8 × 8 cells (512 B) over a two-page pool of
+/// 64-byte pages: every block access re-faults its eight pages.
+#[test]
+fn churn_with_blocks_larger_than_the_pool_matches_oracle() {
+    let pager = PagerConfig::in_mem(128).with_page_bytes(64);
+    churn(
+        DdcConfig::dynamic()
+            .with_elision(2)
+            .with_paged_leaves(pager),
+        |v| v,
+    );
+}
+
+/// `lift` maps the `i64` oracle into the cube's group; it must be
+/// additive and exact.
+fn churn<G: AbelianGroup + ValueCodec>(config: DdcConfig, lift: impl Fn(i64) -> G) {
+    let mut paged = GrowableCube::<G>::with_origin(&[0, 0], config);
     assert!(paged.enable_paging().expect("enable paging"));
     assert!(paged.is_paged());
-    let mut slab = GrowableCube::<i64>::with_origin(&[0, 0], DdcConfig::dynamic().with_elision(1));
+    let slab_config = DdcConfig::dynamic().with_elision(config.elide_levels);
+    let mut slab = GrowableCube::<G>::with_origin(&[0, 0], slab_config);
     let mut oracle = Oracle::new();
 
     let mut state = 0xC0FFEEu64;
@@ -57,8 +88,8 @@ fn churn_forces_evictions_and_matches_oracle() {
     for i in 0..4000 {
         let p = [rng(96) as i64 - 48, rng(96) as i64 - 48];
         let delta = rng(9) as i64 - 4;
-        paged.add(&p, delta);
-        slab.add(&p, delta);
+        paged.add(&p, lift(delta));
+        slab.add(&p, lift(delta));
         let v = oracle.entry(p.to_vec()).or_insert(0);
         *v += delta;
         if *v == 0 {
@@ -67,7 +98,10 @@ fn churn_forces_evictions_and_matches_oracle() {
         if i % 97 == 0 {
             let lo = [rng(96) as i64 - 48, rng(96) as i64 - 48];
             let hi = [lo[0] + rng(40) as i64, lo[1] + rng(40) as i64];
-            assert_eq!(paged.range_sum(&lo, &hi), oracle_range(&oracle, &lo, &hi));
+            assert_eq!(
+                paged.range_sum(&lo, &hi),
+                lift(oracle_range(&oracle, &lo, &hi))
+            );
             assert_eq!(paged.range_sum(&lo, &hi), slab.range_sum(&lo, &hi));
         }
     }
@@ -79,22 +113,21 @@ fn churn_forces_evictions_and_matches_oracle() {
         stats.evictions
     );
     for (p, &want) in &oracle {
-        assert_eq!(paged.cell(p), want, "cell {p:?}");
+        assert_eq!(paged.cell(p), lift(want), "cell {p:?}");
     }
 
     // Save/load keeps the backend: load re-enables paging from the
     // config, and the reloaded cube still answers like the oracle.
     let mut buf = Vec::new();
     paged.save(&mut buf).expect("save paged cube");
-    let reloaded =
-        GrowableCube::<i64>::load(&mut buf.as_slice(), paged_config()).expect("load paged cube");
+    let reloaded = GrowableCube::<G>::load(&mut buf.as_slice(), config).expect("load paged cube");
     assert!(reloaded.is_paged());
     for (p, &want) in &oracle {
-        assert_eq!(reloaded.cell(p), want, "reloaded cell {p:?}");
+        assert_eq!(reloaded.cell(p), lift(want), "reloaded cell {p:?}");
     }
 }
 
-/// Growth (re-rooting, §5) must not drop the paged arena: records keep
+/// Growth (re-rooting, §5) must not drop the paged arena: blocks keep
 /// their ids, only the node structure above them is rebuilt.
 #[test]
 fn paged_cube_survives_growth() {
@@ -156,4 +189,58 @@ fn recovery_replays_wal_onto_pages() {
             assert_eq!(recovered.cell(p), want, "recovered cell {p:?}");
         }
     });
+}
+
+/// A boot through a `Vfs` puts a disk pager's spill file in that
+/// namespace, next to the log — and, being scratch, unlinked at once:
+/// the pool evicts and writes back, yet the directory only ever holds
+/// the log.
+#[test]
+fn vfs_boot_spills_beside_the_log_and_leaves_no_file() {
+    let dir = std::env::temp_dir().join(format!("ddc-paged-storage-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    let wal_path = dir.join("wal.log").to_string_lossy().into_owned();
+    let config = DdcConfig::dynamic()
+        .with_elision(1)
+        .with_paged_leaves(PagerConfig::disk(2048).with_page_bytes(128));
+    let boot = || {
+        wal::recover_vfs::<i64, _>(
+            &StdVfs,
+            &wal_path,
+            None,
+            2,
+            config,
+            WalConfig::default(),
+            RetryPolicy::default(),
+        )
+        .expect("boot on the scratch dir")
+    };
+    let (mut durable, _) = boot();
+    for i in 0..300i64 {
+        durable
+            .add(&[i * 7 % 80 - 40, i * 13 % 80 - 40], i % 5 + 1)
+            .expect("append");
+    }
+    let total = durable.cube().total();
+    let stats = durable.pool_stats().expect("a disk pager pages the boot");
+    assert!(
+        stats.write_backs > 0,
+        "nothing reached the spill file: {stats:?}"
+    );
+    let listing = || -> Vec<_> {
+        let mut names: Vec<_> = std::fs::read_dir(&dir)
+            .expect("list scratch dir")
+            .map(|e| e.expect("dir entry").file_name())
+            .collect();
+        names.sort();
+        names
+    };
+    assert_eq!(listing(), ["wal.log"]);
+    drop(durable);
+    let (again, report) = boot();
+    assert_eq!(report.replayed, 300);
+    assert_eq!(again.cube().total(), total);
+    assert_eq!(listing(), ["wal.log"]);
+    drop(again);
+    std::fs::remove_dir_all(&dir).expect("remove scratch dir");
 }

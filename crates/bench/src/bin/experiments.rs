@@ -34,7 +34,6 @@ const EXPERIMENTS: &[(&str, &str)] = &[
         "fenwick_nd",
         "novelty ablation — DDC vs d-dimensional Fenwick tree",
     ),
-    ("concurrent", "readers + writer throughput under one lock"),
 ];
 
 fn main() {

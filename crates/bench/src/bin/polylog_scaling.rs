@@ -5,23 +5,12 @@
 //!
 //! ```text
 //! cargo run --release -p ddc-bench --bin polylog_scaling
-//! cargo run --release -p ddc-bench --bin polylog_scaling -- --json
 //! ```
-//!
-//! `--json` additionally writes `BENCH_polylog_scaling.json` (schema in
-//! `ddc_bench::json`) with the deterministic op counts plus the
-//! engine-latency quantiles the observability layer recorded.
 
-use std::time::Instant;
-
-use ddc_bench::json::{BenchReport, MetricKind};
 use ddc_bench::{measure_prefix_query, measure_worst_case_update, print_row};
 use ddc_olap::EngineKind;
 
 fn main() {
-    let json = std::env::args().any(|a| a == "--json");
-    let start = Instant::now();
-    let mut report = BenchReport::new("polylog_scaling");
     for (d, sizes) in [
         (2usize, vec![16usize, 32, 64, 128, 256, 512]),
         (3, vec![8, 16, 32, 64]),
@@ -43,12 +32,6 @@ fn main() {
         for &n in &sizes {
             let upd = measure_worst_case_update(EngineKind::DynamicDdc, d, n);
             let qry = measure_prefix_query(EngineKind::DynamicDdc, d, n);
-            report.push(format!("upd_ops.d{d}.n{n}"), MetricKind::Count, upd as f64);
-            report.push(
-                format!("qry_reads.d{d}.n{n}"),
-                MetricKind::Count,
-                qry as f64,
-            );
             let logd = (n as f64).log2().powi(d as i32);
             print_row(
                 &[
@@ -67,16 +50,4 @@ fn main() {
         "\nBounded ratio columns confirm Theorem 2: both operations scale\n\
          with log^d n, not with any power of n."
     );
-    if json {
-        report.push(
-            "wall_time_s",
-            MetricKind::Info,
-            start.elapsed().as_secs_f64(),
-        );
-        report.push_obs_latencies(&["engine.update.dynamic_ddc", "engine.prefix_sum.dynamic_ddc"]);
-        let path = report
-            .write(std::path::Path::new("."))
-            .expect("write BENCH_polylog_scaling.json");
-        println!("\nwrote {}", path.display());
-    }
 }

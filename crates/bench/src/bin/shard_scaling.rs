@@ -22,23 +22,20 @@
 //! ```text
 //! cargo run --release -p ddc-bench --bin shard_scaling
 //! cargo run --release -p ddc-bench --bin shard_scaling -- --wal
-//! cargo run --release -p ddc-bench --bin shard_scaling -- --json
 //! ```
 //!
 //! `--wal` runs the durability-cost sweep instead: the same hot-skewed
 //! feed applied closed-loop to a growable cube with and without the
 //! write-ahead log, quantifying what crash safety charges per record.
 //!
-//! `--json` additionally writes `BENCH_shard_scaling.json` (schema in
-//! `ddc_bench::json`) — throughputs are machine-dependent, so the CI
-//! perf-smoke gate only enforces a generous floor against the committed
-//! baseline; the shard/engine latency quantiles ride along.
+//! A printed experiment, not a gate: the tables are wall-clock on
+//! whatever machine runs them. It stays until `benchmark/` measures
+//! `--shards` itself (ROADMAP item 1).
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use ddc_array::{Region, Shape};
-use ddc_bench::json::{BenchReport, MetricKind};
 use ddc_core::{DdcConfig, DurableCube, GrowableCube, ShardConfig, ShardedCube, SharedCube};
 use ddc_workload::{rng, uniform_updates, DdcRng};
 
@@ -257,9 +254,6 @@ fn main() {
         wal_bench();
         return;
     }
-    let json = std::env::args().any(|a| a == "--json");
-    let start = Instant::now();
-    let mut report = BenchReport::new("shard_scaling");
     let shape = Shape::cube(2, N);
     let regions = slice_regions(16, 256, &mut rng(5));
     let feed = hot_feed(&shape, 1 << 16, &mut rng(6));
@@ -290,11 +284,6 @@ fn main() {
             },
         );
         print_row("shared (1 lock)", rate, &score);
-        report.push(
-            format!("queries_per_s.shared.rate{rate}"),
-            MetricKind::Throughput,
-            score.queries_per_s,
-        );
         if rate == RATES[2] {
             shared_q = score.queries_per_s;
         }
@@ -322,11 +311,6 @@ fn main() {
                 },
             );
             print_row(&format!("sharded ×{shards}"), rate, &score);
-            report.push(
-                format!("queries_per_s.sharded{shards}.rate{rate}"),
-                MetricKind::Throughput,
-                score.queries_per_s,
-            );
             if shards == 4 && rate == RATES[2] {
                 sharded4_q = score.queries_per_s;
             }
@@ -342,21 +326,4 @@ fn main() {
         RATES[2],
         sharded4_q / shared_q,
     );
-    if json {
-        report.push(
-            "wall_time_s",
-            MetricKind::Info,
-            start.elapsed().as_secs_f64(),
-        );
-        report.push_obs_latencies(&[
-            "shard.queue_wait",
-            "shard.commit",
-            "engine.update.dynamic_ddc",
-            "engine.prefix_sum.dynamic_ddc",
-        ]);
-        let path = report
-            .write(std::path::Path::new("."))
-            .expect("write BENCH_shard_scaling.json");
-        println!("\nwrote {}", path.display());
-    }
 }

@@ -9,11 +9,10 @@
 //! ```
 //!
 //! `--json` additionally writes `BENCH_update_cost.json` (schema in
-//! `ddc_bench::json`) — op counts are seeded and deterministic, so the
-//! CI perf-smoke gate compares them exactly against the committed
-//! baseline.
-
-use std::time::Instant;
+//! `ddc_bench::json`) into the current directory — op counts are seeded
+//! and deterministic, so the report is byte-identical run to run and
+//! the CI perf-smoke gate compares it exactly against the committed
+//! copy at the repo root.
 
 use ddc_bench::json::{BenchReport, MetricKind};
 use ddc_bench::{measure_engine, measure_worst_case_update, print_row};
@@ -21,7 +20,6 @@ use ddc_olap::EngineKind;
 
 fn main() {
     let json = std::env::args().any(|a| a == "--json");
-    let start = Instant::now();
     let mut report = BenchReport::new("update_cost");
     for (d, sizes) in [(2usize, vec![16usize, 32, 64, 128]), (3, vec![8, 16, 32])] {
         println!("\n== d = {d}: mean values touched per update (uniform updates) ==\n");
@@ -82,17 +80,6 @@ fn main() {
          O(n^(d-1))\n≈ RPS O(n^(d/2)) [d=2] < PS O(n^d); gaps widen with n."
     );
     if json {
-        report.push(
-            "wall_time_s",
-            MetricKind::Info,
-            start.elapsed().as_secs_f64(),
-        );
-        report.push_obs_latencies(&[
-            "engine.update.basic_ddc",
-            "engine.update.dynamic_ddc",
-            "engine.prefix_sum.basic_ddc",
-            "engine.prefix_sum.dynamic_ddc",
-        ]);
         let path = report
             .write(std::path::Path::new("."))
             .expect("write BENCH_update_cost.json");

@@ -1,6 +1,11 @@
 //! Machine-readable bench reports: a minimal JSON emit/parse layer plus
 //! the `BENCH_<name>.json` schema and the perf-smoke gate that compares a
-//! fresh report against a committed baseline.
+//! fresh report against the committed one.
+//!
+//! Only what travels across machines is gated: seeded op counts match
+//! exactly, and in-run ratios (ddc ÷ fenwick-nd) stay under the committed
+//! value × their `tol`. Wall-clock claims belong to `benchmark/` and
+//! `BENCHMARK.json`; latencies recorded here are printed, never gated.
 //!
 //! In-repo so the offline build stays dependency-free, and deliberately
 //! only as general as the bench schema needs: objects, arrays, strings,
@@ -12,10 +17,10 @@ use std::fmt::Write as _;
 /// mismatched versions (schema drift must be an explicit failure, not a
 /// silently ignored metric).
 ///
-/// v2 adds the optional per-metric `tol` field: a tolerance carried by
-/// the metric itself, so latency ceilings and throughput floors can be
-/// tuned per quantile instead of one loose flag for the whole report.
-pub const SCHEMA_VERSION: u64 = 2;
+/// v3 drops the wall-clock kinds (`throughput`, `info`) and allows `tol`
+/// on `ratio` metrics only, so a v2 report — whose latency rows carry
+/// ceilings nothing enforces any more — is rejected, not half-read.
+pub const SCHEMA_VERSION: u64 = 3;
 
 // ---------------------------------------------------------------------
 // JSON values
@@ -260,44 +265,53 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
 // ---------------------------------------------------------------------
 
 /// How the perf-smoke gate treats a metric.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+#[derive(Copy, Clone, Debug, PartialEq)]
 pub enum MetricKind {
-    /// Deterministic (seeded op counts): must match the baseline exactly.
+    /// Deterministic (seeded op counts): must match the committed value
+    /// exactly.
     Count,
-    /// Machine-dependent rate: must stay above `baseline / tolerance`.
-    Throughput,
-    /// Latency quantile in nanoseconds: gated against `baseline × tol`
-    /// when the metric carries a `tol` (or the gate is given a global
-    /// `--latency-tolerance`); informational otherwise.
+    /// Latency quantile in nanoseconds: machine-dependent, so printed
+    /// and never gated.
     LatencyNs,
     /// In-run ratio of two measurements of the same run (e.g. ddc ÷
     /// fenwick-nd p50): machine speed cancels, so it travels across
-    /// runners. Gated against `baseline × tol` when it carries a `tol`;
-    /// informational otherwise.
-    Ratio,
-    /// Anything else worth recording: informational, never gated.
-    Info,
+    /// runners. Fails above `committed × tol`; the tolerance lives in
+    /// the metric (and therefore in the committed report) so the bound
+    /// is reviewable in the diff, and tightening the committed value
+    /// ratchets the gate.
+    Ratio {
+        /// Ceiling as a multiple of the committed value (finite, ≥ 1).
+        tol: f64,
+    },
 }
 
 impl MetricKind {
     fn as_str(self) -> &'static str {
         match self {
             MetricKind::Count => "count",
-            MetricKind::Throughput => "throughput",
             MetricKind::LatencyNs => "latency_ns",
-            MetricKind::Ratio => "ratio",
-            MetricKind::Info => "info",
+            MetricKind::Ratio { .. } => "ratio",
         }
     }
 
-    fn parse(s: &str) -> Result<Self, String> {
-        match s {
-            "count" => Ok(MetricKind::Count),
-            "throughput" => Ok(MetricKind::Throughput),
-            "latency_ns" => Ok(MetricKind::LatencyNs),
-            "ratio" => Ok(MetricKind::Ratio),
-            "info" => Ok(MetricKind::Info),
-            other => Err(format!("unknown metric kind {other:?}")),
+    /// `tol` is the row's `tol` field, present or not: a ratio needs
+    /// one, nothing else may carry one.
+    fn parse(name: &str, kind: &str, tol: Option<&Json>) -> Result<Self, String> {
+        match (kind, tol) {
+            ("count", None) => Ok(MetricKind::Count),
+            ("latency_ns", None) => Ok(MetricKind::LatencyNs),
+            ("ratio", Some(j)) => match j.as_num() {
+                Some(tol) if tol.is_finite() && tol >= 1.0 => Ok(MetricKind::Ratio { tol }),
+                _ => Err(format!(
+                    "{name}: tol {} must be a finite number ≥ 1",
+                    j.render()
+                )),
+            },
+            ("ratio", None) => Err(format!("{name}: ratio metric missing tol")),
+            ("count" | "latency_ns", Some(_)) => Err(format!(
+                "{name}: tol is only valid on ratio metrics, not on kind {kind:?}"
+            )),
+            _ => Err(format!("{name}: unknown metric kind {kind:?}")),
         }
     }
 }
@@ -311,20 +325,12 @@ pub struct Metric {
     pub kind: MetricKind,
     /// The measured value.
     pub value: f64,
-    /// Per-metric gate tolerance (schema v2). For `LatencyNs` and
-    /// `Ratio` the gate enforces `current ≤ baseline × tol` (latencies
-    /// even without a global latency tolerance); for `Throughput` it
-    /// overrides the global floor divisor. `Count` and `Info` metrics
-    /// ignore it. The tolerance lives in the metric (and therefore in
-    /// the committed baseline) so every gated bound is reviewable in
-    /// the diff.
-    pub tol: Option<f64>,
 }
 
 /// The `BENCH_<name>.json` payload a `--json` bench run writes.
 #[derive(Clone, Debug, Default)]
 pub struct BenchReport {
-    /// Which binary produced this (`shard_scaling`, `update_cost`, …).
+    /// Which binary produced this (`update_cost`, `latency_core`).
     pub bench: String,
     /// All measurements, in emission order.
     pub metrics: Vec<Metric>,
@@ -345,48 +351,7 @@ impl BenchReport {
             name: name.into(),
             kind,
             value,
-            tol: None,
         });
-    }
-
-    /// Appends one measurement carrying its own gate tolerance
-    /// (schema v2; see [`Metric::tol`]).
-    pub fn push_gated(&mut self, name: impl Into<String>, kind: MetricKind, value: f64, tol: f64) {
-        self.metrics.push(Metric {
-            name: name.into(),
-            kind,
-            value,
-            tol: Some(tol),
-        });
-    }
-
-    /// Appends the named observability histograms as count/p50/p99/max
-    /// metrics, so bench JSON carries the quantiles `ddc stats` would
-    /// show for the same run. The caller passes an explicit name list
-    /// (not "whatever is registered") so the metric set — which the gate
-    /// checks for schema drift — is deterministic. Latencies are
-    /// informational; the sample counts ride along as `Info` too because
-    /// they depend on wall-clock-paced loops on most benches.
-    pub fn push_obs_latencies(&mut self, names: &[&'static str]) {
-        for name in names {
-            let snap = ddc_core::obs::histogram(name).snapshot();
-            self.push(
-                format!("obs.{name}.count"),
-                MetricKind::Info,
-                snap.count as f64,
-            );
-            for (suffix, v) in [
-                ("p50_ns", snap.quantile(0.5)),
-                ("p99_ns", snap.quantile(0.99)),
-                ("max_ns", snap.max),
-            ] {
-                self.push(
-                    format!("obs.{name}.{suffix}"),
-                    MetricKind::LatencyNs,
-                    v as f64,
-                );
-            }
-        }
     }
 
     /// Serializes to pretty-enough JSON text (one metric per line).
@@ -406,8 +371,8 @@ impl BenchReport {
                 ("kind".to_string(), Json::Str(m.kind.as_str().to_string())),
                 ("value".to_string(), Json::Num(m.value)),
             ];
-            if let Some(t) = m.tol {
-                fields.push(("tol".to_string(), Json::Num(t)));
+            if let MetricKind::Ratio { tol } = m.kind {
+                fields.push(("tol".to_string(), Json::Num(tol)));
             }
             let row = Json::Obj(fields);
             let sep = if i + 1 == self.metrics.len() { "" } else { "," };
@@ -445,31 +410,16 @@ impl BenchReport {
                 .and_then(Json::as_str)
                 .ok_or("metric missing name")?
                 .to_string();
-            let kind = MetricKind::parse(
-                row.get("kind")
-                    .and_then(Json::as_str)
-                    .ok_or("metric missing kind")?,
-            )?;
+            let kind = row
+                .get("kind")
+                .and_then(Json::as_str)
+                .ok_or("metric missing kind")?;
+            let kind = MetricKind::parse(&name, kind, row.get("tol"))?;
             let value = row
                 .get("value")
                 .and_then(Json::as_num)
                 .ok_or("metric missing value")?;
-            let tol = match row.get("tol") {
-                None => None,
-                Some(j) => {
-                    let t = j.as_num().ok_or(format!("{name}: tol must be a number"))?;
-                    if !t.is_finite() || t < 1.0 {
-                        return Err(format!("{name}: tol {t} must be finite and ≥ 1"));
-                    }
-                    Some(t)
-                }
-            };
-            metrics.push(Metric {
-                name,
-                kind,
-                value,
-                tol,
-            });
+            metrics.push(Metric { name, kind, value });
         }
         Ok(Self { bench, metrics })
     }
@@ -486,35 +436,13 @@ impl BenchReport {
 // Perf-smoke gate
 // ---------------------------------------------------------------------
 
-/// Compares `current` against `baseline`. Every baseline metric must be
-/// present in the current report and vice versa (anything else is schema
-/// drift); `Count` metrics must match exactly, `Throughput` metrics must
-/// not fall below `baseline / tolerance`. Returns the per-metric report
-/// text, or the list of violations.
-pub fn gate(
-    baseline: &BenchReport,
-    current: &BenchReport,
-    tolerance: f64,
-) -> Result<String, String> {
-    gate_with_latency(baseline, current, tolerance, None)
-}
-
-/// [`gate`] with an optional latency ceiling: a `LatencyNs` metric
-/// whose baseline carries a per-metric `tol` fails if it exceeds
-/// `baseline × tol`; otherwise, when `latency_tolerance` is `Some(t)`,
-/// it fails above `baseline × t` (latencies stay informational when
-/// neither is present, and a zero baseline — an unexercised histogram —
-/// is never gated). A `Throughput` baseline with a `tol` uses it in
-/// place of the global `tolerance` divisor. This is how latency-quantile
-/// regressions fail perf-smoke without making noisy tails an
-/// exact-match liability, and how each bound stays reviewable in the
-/// committed baseline.
-pub fn gate_with_latency(
-    baseline: &BenchReport,
-    current: &BenchReport,
-    tolerance: f64,
-    latency_tolerance: Option<f64>,
-) -> Result<String, String> {
+/// Compares `current` against the committed `baseline`. Every baseline
+/// metric must be present in the current report and vice versa, with
+/// the same kind and (for ratios) the same `tol` — anything else is
+/// schema drift. `Count` metrics must match exactly, `Ratio` metrics
+/// must not exceed `baseline × tol`, `LatencyNs` metrics are printed.
+/// Returns the per-metric report text, or the list of violations.
+pub fn gate(baseline: &BenchReport, current: &BenchReport) -> Result<String, String> {
     let mut failures = Vec::new();
     let mut lines = Vec::new();
     if baseline.bench != current.bench {
@@ -526,7 +454,8 @@ pub fn gate_with_latency(
     for m in &current.metrics {
         if !baseline.metrics.iter().any(|b| b.name == m.name) {
             failures.push(format!(
-                "schema drift: metric {:?} missing from baseline (re-generate bench/baselines)",
+                "schema drift: metric {:?} missing from baseline (re-generate the committed \
+                 report)",
                 m.name
             ));
         }
@@ -541,16 +470,9 @@ pub fn gate_with_latency(
         };
         if cur.kind != base.kind {
             failures.push(format!(
-                "schema drift: {} kind {:?} vs baseline {:?}",
+                "schema drift: {} kind {:?} vs baseline {:?} (the bench binary sets kind and \
+                 tol; re-generate the committed report)",
                 base.name, cur.kind, base.kind
-            ));
-            continue;
-        }
-        if cur.tol != base.tol {
-            failures.push(format!(
-                "schema drift: {} tol {:?} vs baseline {:?} (the bench binary sets tol; \
-                 re-generate bench/baselines)",
-                base.name, cur.tol, base.tol
             ));
             continue;
         }
@@ -566,54 +488,23 @@ pub fn gate_with_latency(
                     lines.push(format!("ok    {} = {}", base.name, cur.value));
                 }
             }
-            MetricKind::Throughput => {
-                let floor = base.value / base.tol.unwrap_or(tolerance);
-                if cur.value < floor {
+            MetricKind::Ratio { tol } => {
+                let ceiling = base.value * tol;
+                if cur.value > ceiling {
                     failures.push(format!(
-                        "throughput floor: {} = {:.0} < {:.0} (baseline {:.0} / {tolerance}x)",
-                        base.name, cur.value, floor, base.value
+                        "ratio ceiling: {} = {:.2} > {ceiling:.2} (baseline {:.2} × {tol})",
+                        base.name, cur.value, base.value
                     ));
                 } else {
                     lines.push(format!(
-                        "ok    {} = {:.0} (floor {:.0})",
-                        base.name, cur.value, floor
+                        "ok    {} = {:.2} (ceiling {ceiling:.2})",
+                        base.name, cur.value
                     ));
                 }
             }
-            MetricKind::LatencyNs | MetricKind::Ratio => {
-                // Only latencies take the global flag; a ratio is gated
-                // by its own committed tolerance or not at all.
-                let (what, tol, digits, unit) = match base.kind {
-                    MetricKind::Ratio => ("ratio", base.tol, 2, ""),
-                    _ => ("latency", base.tol.or(latency_tolerance), 0, "ns"),
-                };
-                match tol {
-                    Some(t) if base.value > 0.0 => {
-                        let ceiling = base.value * t;
-                        if cur.value > ceiling {
-                            failures.push(format!(
-                                "{what} ceiling: {} = {:.digits$}{unit} > {:.digits$}{unit} \
-                                 (baseline {:.digits$}{unit} × {t})",
-                                base.name, cur.value, ceiling, base.value
-                            ));
-                        } else {
-                            lines.push(format!(
-                                "ok    {} = {:.digits$}{unit} (ceiling {:.digits$}{unit})",
-                                base.name, cur.value, ceiling
-                            ));
-                        }
-                    }
-                    _ => {
-                        lines.push(format!(
-                            "info  {} = {} (baseline {})",
-                            base.name, cur.value, base.value
-                        ));
-                    }
-                }
-            }
-            MetricKind::Info => {
+            MetricKind::LatencyNs => {
                 lines.push(format!(
-                    "info  {} = {} (baseline {})",
+                    "info  {} = {}ns (baseline {}ns)",
                     base.name, cur.value, base.value
                 ));
             }
@@ -630,6 +521,8 @@ pub fn gate_with_latency(
 mod tests {
     use super::*;
 
+    const RATIO: MetricKind = MetricKind::Ratio { tol: 1.5 };
+
     fn report(pairs: &[(&str, MetricKind, f64)]) -> BenchReport {
         let mut r = BenchReport::new("t");
         for (n, k, v) in pairs {
@@ -638,11 +531,16 @@ mod tests {
         r
     }
 
+    /// A one-row report as text, for the parse-error cases.
+    fn text(version: u64, row: &str) -> String {
+        format!(r#"{{"schema_version": {version}, "bench": "t", "metrics": [{row}]}}"#)
+    }
+
     #[test]
     fn json_roundtrip() {
         let r = report(&[
             ("a.count", MetricKind::Count, 42.0),
-            ("b.rate", MetricKind::Throughput, 123456.789),
+            ("b.ratio", RATIO, 1.23456789),
             ("c.p99", MetricKind::LatencyNs, 1e9),
         ]);
         let text = r.to_json();
@@ -650,7 +548,7 @@ mod tests {
         assert_eq!(back.bench, "t");
         assert_eq!(back.metrics.len(), 3);
         assert_eq!(back.metrics[0].kind, MetricKind::Count);
-        assert_eq!(back.metrics[1].value, 123456.789);
+        assert_eq!(back.metrics[1].value, 1.23456789);
     }
 
     #[test]
@@ -665,131 +563,88 @@ mod tests {
 
     #[test]
     fn parse_rejects_version_drift() {
-        let text = "{\"schema_version\": 99, \"bench\": \"t\", \"metrics\": []}";
-        assert!(BenchReport::parse(text)
+        assert!(BenchReport::parse(&text(99, ""))
             .unwrap_err()
             .contains("schema_version"));
     }
 
     #[test]
     fn gate_passes_identical_reports() {
-        let r = report(&[
-            ("a", MetricKind::Count, 7.0),
-            ("b", MetricKind::Throughput, 100.0),
-        ]);
-        assert!(gate(&r, &r, 3.0).is_ok());
+        let r = report(&[("a", MetricKind::Count, 7.0), ("b", RATIO, 2.0)]);
+        assert!(gate(&r, &r).is_ok());
     }
 
     #[test]
-    fn gate_allows_throughput_within_tolerance() {
-        let base = report(&[("q", MetricKind::Throughput, 300_000.0)]);
-        let cur = report(&[("q", MetricKind::Throughput, 110_000.0)]);
-        assert!(gate(&base, &cur, 3.0).is_ok());
-        let slow = report(&[("q", MetricKind::Throughput, 90_000.0)]);
-        assert!(gate(&base, &slow, 3.0).unwrap_err().contains("floor"));
-    }
-
-    #[test]
-    fn latency_ceiling_gates_only_when_enabled() {
+    fn latency_is_printed_never_gated() {
         let base = report(&[("p99", MetricKind::LatencyNs, 1_000.0)]);
-        let slow = report(&[("p99", MetricKind::LatencyNs, 50_000.0)]);
-        // Informational by default.
-        assert!(gate(&base, &slow, 3.0).is_ok());
-        // Gated with an explicit ceiling.
-        let err = gate_with_latency(&base, &slow, 3.0, Some(10.0)).unwrap_err();
-        assert!(err.contains("latency ceiling"), "{err}");
-        let ok = report(&[("p99", MetricKind::LatencyNs, 9_000.0)]);
-        assert!(gate_with_latency(&base, &ok, 3.0, Some(10.0)).is_ok());
-        // A zero baseline (unexercised histogram) is never gated.
-        let zero = report(&[("p99", MetricKind::LatencyNs, 0.0)]);
-        assert!(gate_with_latency(&zero, &slow, 3.0, Some(10.0)).is_ok());
+        let slow = report(&[("p99", MetricKind::LatencyNs, 10_000.0)]);
+        let printed = gate(&base, &slow).expect("ten times the committed p99 passes");
+        assert!(printed.contains("info  p99 = 10000ns"), "{printed}");
     }
 
     #[test]
     fn tol_roundtrips_through_json() {
-        let mut r = BenchReport::new("lat");
-        r.push_gated("prefix.d2.p50_ns", MetricKind::LatencyNs, 180.0, 5.0);
-        r.push_gated("prefix.d2.p99_ns", MetricKind::LatencyNs, 420.0, 8.0);
-        r.push("reads", MetricKind::Count, 37.0);
-        let back = BenchReport::parse(&r.to_json()).unwrap();
-        assert_eq!(back.metrics[0].tol, Some(5.0));
-        assert_eq!(back.metrics[1].tol, Some(8.0));
-        assert_eq!(back.metrics[2].tol, None);
-        assert_eq!(back.metrics[0].kind, MetricKind::LatencyNs);
-        assert_eq!(back.metrics[0].value, 180.0);
+        let r = report(&[
+            ("update.ratio", MetricKind::Ratio { tol: 1.5 }, 1.1),
+            ("prefix.ratio", MetricKind::Ratio { tol: 2.0 }, 1.9),
+            ("reads", MetricKind::Count, 37.0),
+        ]);
+        let json = r.to_json();
+        assert_eq!(json.matches("\"tol\"").count(), 2, "{json}");
+        let back = BenchReport::parse(&json).unwrap();
+        assert_eq!(back.metrics[0].kind, MetricKind::Ratio { tol: 1.5 });
+        assert_eq!(back.metrics[1].kind, MetricKind::Ratio { tol: 2.0 });
+        assert_eq!(back.metrics[2].kind, MetricKind::Count);
+        assert_eq!(back.metrics[0].value, 1.1);
     }
 
     #[test]
     fn parse_rejects_v1_reports_and_bad_tol() {
-        // A v1 report (no tol fields, old version stamp) must be an
-        // explicit failure, not a silently tolerated baseline.
-        let v1 = "{\"schema_version\": 1, \"bench\": \"t\", \"metrics\": [\
-                  {\"name\":\"a\",\"kind\":\"count\",\"value\":1}]}";
-        assert!(BenchReport::parse(v1)
-            .unwrap_err()
-            .contains("schema_version"));
+        // A report stamped with an earlier version must be an explicit
+        // failure, not a half-read baseline — the row itself is fine.
+        let row = r#"{"name":"a","kind":"count","value":1}"#;
+        for old in [1, SCHEMA_VERSION - 1] {
+            let err = BenchReport::parse(&text(old, row)).unwrap_err();
+            assert!(err.contains("schema_version"), "{err}");
+        }
         // tol must be a finite number ≥ 1 (a sub-unity tolerance would
-        // gate tighter than the baseline itself — always a typo).
-        let bad = "{\"schema_version\": 2, \"bench\": \"t\", \"metrics\": [\
-                   {\"name\":\"a\",\"kind\":\"latency_ns\",\"value\":10,\"tol\":0.5}]}";
-        assert!(BenchReport::parse(bad).unwrap_err().contains("tol"));
-        let nan = "{\"schema_version\": 2, \"bench\": \"t\", \"metrics\": [\
-                   {\"name\":\"a\",\"kind\":\"latency_ns\",\"value\":10,\"tol\":\"x\"}]}";
-        assert!(BenchReport::parse(nan).unwrap_err().contains("tol"));
+        // gate tighter than the baseline itself — always a typo), and a
+        // ratio without one would never be gated.
+        for tol in [r#","tol":0.5"#, r#","tol":"x""#, ""] {
+            let row = format!(r#"{{"name":"a","kind":"ratio","value":10{tol}}}"#);
+            let err = BenchReport::parse(&text(SCHEMA_VERSION, &row)).unwrap_err();
+            assert!(err.starts_with("a: ") && err.contains("tol"), "{err}");
+        }
     }
 
     #[test]
-    fn per_metric_tol_gates_latency_without_global_flag() {
-        let mut base = BenchReport::new("t");
-        base.push_gated("p99", MetricKind::LatencyNs, 1_000.0, 5.0);
-        let mut ok = BenchReport::new("t");
-        ok.push_gated("p99", MetricKind::LatencyNs, 4_900.0, 5.0);
-        assert!(gate(&base, &ok, 3.0).is_ok());
-        // 6µs > 1µs × 5: out-of-tolerance p99 regression fails even
-        // though no --latency-tolerance was passed.
-        let mut slow = BenchReport::new("t");
-        slow.push_gated("p99", MetricKind::LatencyNs, 6_000.0, 5.0);
-        let err = gate(&base, &slow, 3.0).unwrap_err();
-        assert!(err.contains("latency ceiling"), "{err}");
+    fn parse_rejects_the_retired_wall_clock_fields() {
+        // The previous schema carried throughput floors and latency
+        // ceilings; re-stamping such a report must not smuggle them in.
+        let floor = r#"{"name":"rate","kind":"throughput","value":9}"#;
+        let err = BenchReport::parse(&text(SCHEMA_VERSION, floor)).unwrap_err();
+        assert_eq!(err, r#"rate: unknown metric kind "throughput""#);
+        let ceiling = r#"{"name":"p99","kind":"latency_ns","value":9,"tol":10}"#;
+        let err = BenchReport::parse(&text(SCHEMA_VERSION, ceiling)).unwrap_err();
+        assert!(err.starts_with("p99: tol is only valid on ratio"), "{err}");
     }
 
     #[test]
     fn ratio_is_gated_against_its_committed_value_times_tol() {
-        let mut base = BenchReport::new("t");
-        base.push_gated("ddc_over_fenwick", MetricKind::Ratio, 2.0, 1.5);
-        let mut ok = BenchReport::new("t");
-        ok.push_gated("ddc_over_fenwick", MetricKind::Ratio, 2.9, 1.5);
-        assert!(gate(&base, &ok, 3.0).is_ok());
-        // 3.1 > 2.0 × 1.5, and no global flag loosens a ratio.
-        let mut worse = BenchReport::new("t");
-        worse.push_gated("ddc_over_fenwick", MetricKind::Ratio, 3.1, 1.5);
-        let err = gate_with_latency(&base, &worse, 3.0, Some(50.0)).unwrap_err();
+        let base = report(&[("ddc_over_fenwick", RATIO, 2.0)]);
+        let ok = report(&[("ddc_over_fenwick", RATIO, 2.9)]);
+        assert!(gate(&base, &ok).is_ok());
+        // 3.1 > 2.0 × 1.5.
+        let worse = report(&[("ddc_over_fenwick", RATIO, 3.1)]);
+        let err = gate(&base, &worse).unwrap_err();
         assert!(err.contains("ratio ceiling"), "{err}");
-        let back = BenchReport::parse(&base.to_json()).unwrap();
-        assert_eq!(back.metrics[0].kind, MetricKind::Ratio);
-    }
-
-    #[test]
-    fn per_metric_tol_overrides_global_throughput_divisor() {
-        let mut base = BenchReport::new("t");
-        base.push_gated("rate", MetricKind::Throughput, 100.0, 1.5);
-        let mut cur = BenchReport::new("t");
-        // Within the loose global 3x but below the metric's own 1.5x
-        // floor: must fail.
-        cur.push_gated("rate", MetricKind::Throughput, 50.0, 1.5);
-        assert!(gate(&base, &cur, 3.0).unwrap_err().contains("floor"));
-        let mut fine = BenchReport::new("t");
-        fine.push_gated("rate", MetricKind::Throughput, 70.0, 1.5);
-        assert!(gate(&base, &fine, 3.0).is_ok());
     }
 
     #[test]
     fn tol_drift_is_schema_drift() {
-        let mut base = BenchReport::new("t");
-        base.push_gated("p99", MetricKind::LatencyNs, 1_000.0, 5.0);
-        let mut cur = BenchReport::new("t");
-        cur.push("p99", MetricKind::LatencyNs, 1_000.0);
-        let err = gate(&base, &cur, 3.0).unwrap_err();
+        let base = report(&[("r", MetricKind::Ratio { tol: 1.5 }, 2.0)]);
+        let cur = report(&[("r", MetricKind::Ratio { tol: 3.0 }, 2.0)]);
+        let err = gate(&base, &cur).unwrap_err();
         assert!(err.contains("schema drift"), "{err}");
     }
 
@@ -797,11 +652,9 @@ mod tests {
     fn gate_fails_on_count_drift_and_schema_drift() {
         let base = report(&[("a", MetricKind::Count, 7.0)]);
         let drifted = report(&[("a", MetricKind::Count, 8.0)]);
-        assert!(gate(&base, &drifted, 3.0)
-            .unwrap_err()
-            .contains("count drift"));
+        assert!(gate(&base, &drifted).unwrap_err().contains("count drift"));
         let renamed = report(&[("z", MetricKind::Count, 7.0)]);
-        let err = gate(&base, &renamed, 3.0).unwrap_err();
+        let err = gate(&base, &renamed).unwrap_err();
         assert!(err.contains("missing from baseline"));
         assert!(err.contains("missing from current"));
     }

@@ -1,15 +1,14 @@
 //! # ddc-bench
 //!
 //! Shared measurement harness for the paper-reproduction binaries (one per
-//! table/figure, see DESIGN.md §3) and the wall-clock micro-benches
-//! (`cargo bench -p ddc-bench --features bench-ext`, timed by the in-repo
-//! [`timer`] so no external harness is needed).
+//! table/figure, see DESIGN.md §3) and the two machine-portable CI gates
+//! (`update_cost`, `latency_core` → [`json`]). Wall-clock claims are made
+//! in `benchmark/`, not here.
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 
 pub mod json;
-pub mod timer;
 
 use ddc_array::{RangeSumEngine, Region, Shape};
 use ddc_olap::EngineKind;

@@ -192,15 +192,11 @@ fn corruptible_byte(wal_bytes: &[u8], ops: &[WalOp<i64>], ends: &[u64]) -> Optio
 /// write-ahead log and verifies the recovery contract at each one:
 /// the recovered cube equals the oracle photo for exactly the records
 /// that survived the cut. Also flips one payload byte and checks the
-/// checksum truncates the log cleanly at the damaged record.
-pub fn crash_sweep(trace: &CheckTrace) -> Result<CrashSweepReport, String> {
-    crash_sweep_with(trace, DdcConfig::dynamic())
-}
-
-/// [`crash_sweep`] under an explicit engine config — used to drive the
-/// sweep over the paged leaf backend, where recovery replays the log
-/// onto buffer-pool pages instead of slab memory.
-pub fn crash_sweep_with(trace: &CheckTrace, config: DdcConfig) -> Result<CrashSweepReport, String> {
+/// checksum truncates the log cleanly at the damaged record. `config`
+/// picks the engine under test — `ddc check crash --paged` passes the
+/// paged leaf backend, where recovery replays the log onto buffer-pool
+/// pages instead of slab memory.
+pub fn crash_sweep(trace: &CheckTrace, config: DdcConfig) -> Result<CrashSweepReport, String> {
     let run = replay_durable(trace, config)?;
     let d = trace.dims.len();
 
@@ -387,7 +383,7 @@ mod tests {
     fn sweep_is_clean_on_seeded_traces() {
         for (seed, d) in [(11u64, 1usize), (12, 2), (13, 3)] {
             let trace = seeded_trace(seed, d, 60);
-            let report = crash_sweep(&trace).unwrap();
+            let report = crash_sweep(&trace, DdcConfig::dynamic()).unwrap();
             assert!(
                 report.is_clean(),
                 "d={d}: {:?}",
@@ -405,7 +401,7 @@ mod tests {
             dims: vec![4],
             ops: Vec::new(),
         };
-        let report = crash_sweep(&trace).unwrap();
+        let report = crash_sweep(&trace, DdcConfig::dynamic()).unwrap();
         assert!(report.is_clean());
         assert_eq!(report.records, 0);
         // Header-only log: 6 kill offsets (0..=5).
@@ -433,6 +429,8 @@ mod tests {
         };
         assert!(corruption_divergence(&trace));
         // …while the checksummed sweep stays clean on the same trace.
-        assert!(crash_sweep(&trace).unwrap().is_clean());
+        assert!(crash_sweep(&trace, DdcConfig::dynamic())
+            .unwrap()
+            .is_clean());
     }
 }

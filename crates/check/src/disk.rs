@@ -28,7 +28,7 @@
 use ddc_core::vfs::{FaultFile, MemFile};
 use ddc_core::wal::{self, IoError, RetryPolicy};
 use ddc_core::{DdcConfig, DurableCube, FaultProbs, FaultVfs, PlannedFault, WalConfig};
-use ddc_workload::{CheckOp, CheckTrace, CheckTraceConfig, DdcRng};
+use ddc_workload::{ddmin, CheckOp, CheckTrace, CheckTraceConfig, DdcRng};
 
 use crate::oracle::Oracle;
 
@@ -85,22 +85,15 @@ impl DiskRunReport {
 /// checking the durability contract at every step. Panics anywhere in
 /// the stack are caught and reported as violations — a chaos run must
 /// end in health or clean degradation, never a crash.
-pub fn run_trace_under_faults(
-    trace: &CheckTrace,
-    vfs: &FaultVfs,
-    policy: RetryPolicy,
-) -> DiskRunReport {
-    run_trace_under_faults_with(trace, vfs, policy, DdcConfig::dynamic())
-}
-
-/// [`run_trace_under_faults`] under an explicit engine config — used to
-/// point the fault machinery at the paged leaf backend. Every boot goes
+///
+/// `config` picks the engine under test, which is how the fault
+/// machinery is pointed at the paged leaf backend: every boot goes
 /// through [`wal::recover_vfs`], which opens a [`PagerConfig::disk`]
 /// pager's spill file in `vfs` next to the log, so an eviction
 /// write-back or a page fault-in can fail like any other disk op.
 ///
 /// [`PagerConfig::disk`]: ddc_core::PagerConfig::disk
-pub fn run_trace_under_faults_with(
+pub fn run_trace_under_faults(
     trace: &CheckTrace,
     vfs: &FaultVfs,
     policy: RetryPolicy,
@@ -536,18 +529,10 @@ impl FaultSchedule {
 /// still violates the durability contract when replayed explicitly
 /// under `policy`. Dropping a fault shifts every later retry, so a
 /// candidate that merely breaks alignment stops failing and is kept —
-/// the classic ddmin fixpoint handles that automatically.
+/// the ddmin fixpoint handles that automatically. `config` is the
+/// engine the violation was found on, so a paged-backend violation
+/// shrinks against the backend that found it.
 pub fn shrink_fault_schedule(
-    trace: &CheckTrace,
-    faults: &[PlannedFault],
-    policy: &RetryPolicy,
-) -> Vec<PlannedFault> {
-    shrink_fault_schedule_with(trace, faults, policy, DdcConfig::dynamic())
-}
-
-/// [`shrink_fault_schedule`] under an explicit engine config, so a
-/// paged-backend violation shrinks against the backend that found it.
-pub fn shrink_fault_schedule_with(
     trace: &CheckTrace,
     faults: &[PlannedFault],
     policy: &RetryPolicy,
@@ -555,35 +540,12 @@ pub fn shrink_fault_schedule_with(
 ) -> Vec<PlannedFault> {
     let fails = |subset: &[PlannedFault]| {
         let vfs = FaultVfs::explicit_mem(subset.to_vec());
-        !run_trace_under_faults_with(trace, &vfs, policy.clone(), config).is_clean()
+        !run_trace_under_faults(trace, &vfs, policy.clone(), config).is_clean()
     };
     if !fails(faults) {
         return faults.to_vec();
     }
-    let mut current = faults.to_vec();
-    let mut chunk = (current.len() / 2).max(1);
-    loop {
-        let mut i = 0;
-        let mut reduced = false;
-        while i < current.len() {
-            let mut candidate = current.clone();
-            candidate.drain(i..(i + chunk).min(candidate.len()));
-            if !candidate.is_empty() && fails(&candidate) {
-                current = candidate;
-                reduced = true;
-            } else {
-                i += chunk;
-            }
-        }
-        if chunk == 1 {
-            if !reduced {
-                break;
-            }
-        } else {
-            chunk = (chunk / 2).max(1);
-        }
-    }
-    current
+    ddmin(faults, |subset| !subset.is_empty() && fails(subset))
 }
 
 // ---------------------------------------------------------------------------
@@ -680,13 +642,9 @@ impl DiskSweepReport {
 /// Runs seeded traces across the fault-probability grid under the
 /// production retry policy (with zero backoff — wall-clock sleeps only
 /// slow the sweep down). Any violation is shrunk before reporting.
-pub fn disk_sweep(config: &DiskSweepConfig) -> DiskSweepReport {
-    disk_sweep_with(config, DdcConfig::dynamic())
-}
-
-/// [`disk_sweep`] under an explicit engine config — `ddc check disk
-/// --paged` points the whole grid at the buffer-pool leaf backend.
-pub fn disk_sweep_with(config: &DiskSweepConfig, engine: DdcConfig) -> DiskSweepReport {
+/// `engine` is the engine config under test — `ddc check disk --paged`
+/// points the whole grid at the buffer-pool leaf backend.
+pub fn disk_sweep(config: &DiskSweepConfig, engine: DdcConfig) -> DiskSweepReport {
     let policy = RetryPolicy::instant();
     let mut report = DiskSweepReport::default();
     let mut run_index = 0u64;
@@ -706,7 +664,7 @@ pub fn disk_sweep_with(config: &DiskSweepConfig, engine: DdcConfig) -> DiskSweep
                 };
                 let trace = schedule.trace();
                 let vfs = schedule.vfs();
-                let run = run_trace_under_faults_with(&trace, &vfs, policy.clone(), engine);
+                let run = run_trace_under_faults(&trace, &vfs, policy.clone(), engine);
                 report.runs += 1;
                 report.faults_injected += run.faults.len();
                 report.acked += run.acked;
@@ -714,7 +672,7 @@ pub fn disk_sweep_with(config: &DiskSweepConfig, engine: DdcConfig) -> DiskSweep
                     report.degraded_runs += 1;
                 }
                 if let Some(detail) = run.violations.first() {
-                    let shrunk = shrink_fault_schedule_with(&trace, &run.faults, &policy, engine);
+                    let shrunk = shrink_fault_schedule(&trace, &run.faults, &policy, engine);
                     report.violations.push(DiskViolation {
                         schedule,
                         detail: detail.clone(),
@@ -750,14 +708,19 @@ pub fn refind_seeded_bug(schedule: &FaultSchedule) -> Result<RefindReport, Strin
         ..RetryPolicy::instant()
     };
     let vfs = schedule.vfs();
-    let weak_run = run_trace_under_faults(&trace, &vfs, weakened.clone());
+    let weak_run = run_trace_under_faults(&trace, &vfs, weakened.clone(), DdcConfig::dynamic());
     let Some(violation) = weak_run.violations.first().cloned() else {
         return Err(
             "schedule no longer re-finds the seeded torn-tail bug under the weakened policy"
                 .to_string(),
         );
     };
-    let production = run_trace_under_faults(&trace, &schedule.vfs(), RetryPolicy::instant());
+    let production = run_trace_under_faults(
+        &trace,
+        &schedule.vfs(),
+        RetryPolicy::instant(),
+        DdcConfig::dynamic(),
+    );
     if let Some(v) = production.violations.first() {
         return Err(format!(
             "schedule violates durability under the PRODUCTION policy: {v}"
@@ -766,7 +729,7 @@ pub fn refind_seeded_bug(schedule: &FaultSchedule) -> Result<RefindReport, Strin
     Ok(RefindReport {
         violation,
         faults: weak_run.faults.len(),
-        shrunk: shrink_fault_schedule(&trace, &weak_run.faults, &weakened),
+        shrunk: shrink_fault_schedule(&trace, &weak_run.faults, &weakened, DdcConfig::dynamic()),
     })
 }
 
@@ -776,7 +739,7 @@ mod tests {
 
     #[test]
     fn quick_sweep_is_clean_under_the_production_policy() {
-        let report = disk_sweep(&DiskSweepConfig::quick(0xD15C));
+        let report = disk_sweep(&DiskSweepConfig::quick(0xD15C), DdcConfig::dynamic());
         assert!(
             report.is_clean(),
             "{:?}",
@@ -815,12 +778,8 @@ mod tests {
                 probs: probs_at(0.05),
             };
             let vfs = schedule.vfs();
-            let run = run_trace_under_faults_with(
-                &schedule.trace(),
-                &vfs,
-                RetryPolicy::instant(),
-                engine,
-            );
+            let run =
+                run_trace_under_faults(&schedule.trace(), &vfs, RetryPolicy::instant(), engine);
             assert!(
                 run.violations.is_empty(),
                 "paged run under spill faults violated the contract: {:?}",
@@ -850,9 +809,19 @@ mod tests {
             probs: probs_at(0.08),
         };
         let trace = schedule.trace();
-        let seeded = run_trace_under_faults(&trace, &schedule.vfs(), RetryPolicy::instant());
+        let seeded = run_trace_under_faults(
+            &trace,
+            &schedule.vfs(),
+            RetryPolicy::instant(),
+            DdcConfig::dynamic(),
+        );
         let replay_vfs = FaultVfs::explicit_mem(seeded.faults.clone());
-        let replay = run_trace_under_faults(&trace, &replay_vfs, RetryPolicy::instant());
+        let replay = run_trace_under_faults(
+            &trace,
+            &replay_vfs,
+            RetryPolicy::instant(),
+            DdcConfig::dynamic(),
+        );
         assert_eq!(seeded.faults, replay.faults);
         assert_eq!(seeded.violations, replay.violations);
         assert_eq!(seeded.acked, replay.acked);
@@ -897,7 +866,12 @@ mod tests {
             },
         };
         let trace = schedule.trace();
-        let run = run_trace_under_faults(&trace, &schedule.vfs(), RetryPolicy::instant());
+        let run = run_trace_under_faults(
+            &trace,
+            &schedule.vfs(),
+            RetryPolicy::instant(),
+            DdcConfig::dynamic(),
+        );
         assert!(run.is_clean(), "{:?}", run.violations);
         assert!(!run.faults.is_empty());
     }
@@ -922,19 +896,24 @@ mod tests {
                 },
             };
             let trace = schedule.trace();
-            let run = run_trace_under_faults(&trace, &schedule.vfs(), weakened.clone());
+            let run = run_trace_under_faults(
+                &trace,
+                &schedule.vfs(),
+                weakened.clone(),
+                DdcConfig::dynamic(),
+            );
             if !run.is_clean() && run.faults.len() >= 2 {
                 found = Some((trace, run.faults));
                 break;
             }
         }
         let (trace, faults) = found.expect("some seed exposes the weakened policy");
-        let shrunk = shrink_fault_schedule(&trace, &faults, &weakened);
+        let shrunk = shrink_fault_schedule(&trace, &faults, &weakened, DdcConfig::dynamic());
         assert!(!shrunk.is_empty());
         assert!(shrunk.len() <= faults.len());
         let vfs = FaultVfs::explicit_mem(shrunk.clone());
         assert!(
-            !run_trace_under_faults(&trace, &vfs, weakened).is_clean(),
+            !run_trace_under_faults(&trace, &vfs, weakened, DdcConfig::dynamic()).is_clean(),
             "shrunk schedule must still reproduce"
         );
     }

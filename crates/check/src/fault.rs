@@ -114,58 +114,43 @@ fn probe(
     }
 }
 
-/// Sweeps an injected fault across every byte offset of `engine`'s
+/// A cube with a snapshot format: the save/load pair [`fault_sweep`]
+/// damages, and the cells an undamaged round trip must preserve.
+pub trait Snapshot: Sized {
+    /// Cell coordinates (`usize` for fixed shapes, `i64` for growable).
+    type Point: Ord;
+    /// Writes the snapshot.
+    fn save(&self, out: &mut impl Write) -> io::Result<u64>;
+    /// Reads a snapshot back under `config`.
+    fn load(input: &mut impl Read, config: DdcConfig) -> io::Result<Self>;
+    /// Populated cells, in any order.
+    fn entries(&self) -> Vec<(Vec<Self::Point>, i64)>;
+}
+
+macro_rules! snapshot_via_inherent {
+    ($cube:ty, $point:ty) => {
+        impl Snapshot for $cube {
+            type Point = $point;
+            fn save(&self, out: &mut impl Write) -> io::Result<u64> {
+                <$cube>::save(self, out)
+            }
+            fn load(input: &mut impl Read, config: DdcConfig) -> io::Result<Self> {
+                <$cube>::load(input, config)
+            }
+            fn entries(&self) -> Vec<(Vec<$point>, i64)> {
+                <$cube>::entries(self)
+            }
+        }
+    };
+}
+snapshot_via_inherent!(DdcEngine<i64>, usize);
+snapshot_via_inherent!(GrowableCube<i64>, i64);
+
+/// Sweeps an injected fault across every byte offset of `cube`'s
 /// snapshot: truncated loads, mid-stream read faults, and mid-stream
 /// write faults must all surface as `Err`, never as panics or silent
 /// corruption.
-pub fn fault_sweep(engine: &DdcEngine<i64>, config: DdcConfig) -> FaultSweepReport {
-    let mut buf = Vec::new();
-    engine.save(&mut buf).expect("in-memory save");
-    let mut report = FaultSweepReport {
-        offsets: buf.len(),
-        ..Default::default()
-    };
-
-    for cut in 0..buf.len() {
-        probe(&mut report, cut, "truncated-load", || {
-            match DdcEngine::<i64>::load(&mut &buf[..cut], config) {
-                Err(_) => Ok(()),
-                Ok(_) => Err("truncated stream loaded".to_string()),
-            }
-        });
-        probe(
-            &mut report,
-            cut,
-            "failing-reader-load",
-            || match DdcEngine::<i64>::load(&mut FailingReader::new(&buf, cut), config) {
-                Err(_) => Ok(()),
-                Ok(_) => Err("faulted read loaded".to_string()),
-            },
-        );
-        probe(&mut report, cut, "failing-writer-save", || {
-            let mut w = FailingWriter::new(cut);
-            match engine.save(&mut w) {
-                Err(_) => Ok(()),
-                Ok(_) => Err("save ignored write fault".to_string()),
-            }
-        });
-    }
-
-    report.roundtrip_ok = match DdcEngine::<i64>::load(&mut buf.as_slice(), config) {
-        Ok(restored) => {
-            let mut a = restored.entries();
-            let mut b = engine.entries();
-            a.sort();
-            b.sort();
-            a == b
-        }
-        Err(_) => false,
-    };
-    report
-}
-
-/// [`fault_sweep`] for the growable cube's signed-coordinate snapshots.
-pub fn fault_sweep_growable(cube: &GrowableCube<i64>, config: DdcConfig) -> FaultSweepReport {
+pub fn fault_sweep<S: Snapshot>(cube: &S, config: DdcConfig) -> FaultSweepReport {
     let mut buf = Vec::new();
     cube.save(&mut buf).expect("in-memory save");
     let mut report = FaultSweepReport {
@@ -175,20 +160,17 @@ pub fn fault_sweep_growable(cube: &GrowableCube<i64>, config: DdcConfig) -> Faul
 
     for cut in 0..buf.len() {
         probe(&mut report, cut, "truncated-load", || {
-            match GrowableCube::<i64>::load(&mut &buf[..cut], config) {
+            match S::load(&mut &buf[..cut], config) {
                 Err(_) => Ok(()),
                 Ok(_) => Err("truncated stream loaded".to_string()),
             }
         });
-        probe(
-            &mut report,
-            cut,
-            "failing-reader-load",
-            || match GrowableCube::<i64>::load(&mut FailingReader::new(&buf, cut), config) {
+        probe(&mut report, cut, "failing-reader-load", || {
+            match S::load(&mut FailingReader::new(&buf, cut), config) {
                 Err(_) => Ok(()),
                 Ok(_) => Err("faulted read loaded".to_string()),
-            },
-        );
+            }
+        });
         probe(&mut report, cut, "failing-writer-save", || {
             let mut w = FailingWriter::new(cut);
             match cube.save(&mut w) {
@@ -198,7 +180,7 @@ pub fn fault_sweep_growable(cube: &GrowableCube<i64>, config: DdcConfig) -> Faul
         });
     }
 
-    report.roundtrip_ok = match GrowableCube::<i64>::load(&mut buf.as_slice(), config) {
+    report.roundtrip_ok = match S::load(&mut buf.as_slice(), config) {
         Ok(restored) => {
             let mut a = restored.entries();
             let mut b = cube.entries();

@@ -36,15 +36,12 @@ pub use adapters::{
     GrowableDenseAdapter, ShardedAdapter, SharedAdapter,
 };
 pub use buggy::{roster_with_bug, OffByOneEngine};
-pub use crash::{corruption_divergence, crash_sweep, crash_sweep_with, CrashSweepReport};
+pub use crash::{corruption_divergence, crash_sweep, CrashSweepReport};
 pub use disk::{
-    disk_sweep, disk_sweep_with, refind_seeded_bug, run_trace_under_faults,
-    run_trace_under_faults_with, shrink_fault_schedule, shrink_fault_schedule_with, DiskRunReport,
+    disk_sweep, refind_seeded_bug, run_trace_under_faults, shrink_fault_schedule, DiskRunReport,
     DiskSweepConfig, DiskSweepReport, DiskViolation, FaultSchedule, RefindReport,
 };
-pub use fault::{
-    fault_sweep, fault_sweep_growable, FailingReader, FailingWriter, FaultSweepReport,
-};
+pub use fault::{fault_sweep, FailingReader, FailingWriter, FaultSweepReport, Snapshot};
 pub use interleave::{check_interleavings, InterleaveReport, Update};
 pub use oracle::Oracle;
 pub use runner::{

@@ -31,8 +31,8 @@
 //! memory cap, so recovery replays the log onto evicting pages.
 
 use ddc_check::{
-    crash_sweep_with, disk_sweep_with, fault_sweep, fault_sweep_growable, fuzz, refind_seeded_bug,
-    run_trace, DiskSweepConfig, FaultSchedule,
+    crash_sweep, disk_sweep, fault_sweep, fuzz, refind_seeded_bug, run_trace, DiskSweepConfig,
+    FaultSchedule,
 };
 use ddc_core::{DdcConfig, DdcEngine, GrowableCube, PagerConfig};
 use ddc_workload::{CheckTrace, CheckTraceConfig, DdcRng};
@@ -137,7 +137,7 @@ pub fn run(args: &[String]) -> Result<String, String> {
                 growable.add(&[p[0] as i64 - 2, p[1] as i64 - 2], v);
             }
             let a = fault_sweep(&fixed, DdcConfig::dynamic());
-            let b = fault_sweep_growable(&growable, DdcConfig::dynamic());
+            let b = fault_sweep(&growable, DdcConfig::dynamic());
             if a.is_clean() && b.is_clean() {
                 Ok(format!(
                     "ok: fault sweep clean over {} + {} byte offsets (seed {seed})",
@@ -169,8 +169,7 @@ pub fn run(args: &[String]) -> Result<String, String> {
             } else {
                 DdcConfig::dynamic()
             };
-            let fails =
-                |t: &CheckTrace| crash_sweep_with(t, engine).map_or(true, |r| !r.is_clean());
+            let fails = |t: &CheckTrace| crash_sweep(t, engine).map_or(true, |r| !r.is_clean());
             let mut offsets = 0usize;
             let mut recoveries = 0usize;
             for case in 0..cases {
@@ -185,7 +184,7 @@ pub fn run(args: &[String]) -> Result<String, String> {
                     &mut rng,
                 );
                 let report =
-                    crash_sweep_with(&trace, engine).map_err(|e| format!("case {case}: {e}"))?;
+                    crash_sweep(&trace, engine).map_err(|e| format!("case {case}: {e}"))?;
                 if !report.is_clean() {
                     let shrunk = ddc_workload::shrink_trace(&trace, fails);
                     std::fs::write(&out_path, shrunk.to_text())
@@ -267,7 +266,7 @@ pub fn run(args: &[String]) -> Result<String, String> {
             } else {
                 DdcConfig::dynamic()
             };
-            let report = disk_sweep_with(&config, engine);
+            let report = disk_sweep(&config, engine);
             if let Some(v) = report.violations.first() {
                 return Err(format!(
                     "disk-fault violation (seed {seed}): {}\n\

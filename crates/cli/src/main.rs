@@ -38,8 +38,8 @@ fn main() {
 
     // `ddc check …` is the differential-fuzzing harness, `ddc lint`
     // the repo-invariant analyzer, `ddc wal …` the log-recovery
-    // tooling, `ddc stats` the metrics dump, and `ddc serve` /
-    // `ddc loadgen` the network front end — subcommands, not scripts.
+    // tooling, `ddc stats` the metrics dump, and `ddc serve` the
+    // network front end — subcommands, not scripts.
     for (name, runner) in [
         (
             "check",
@@ -49,7 +49,6 @@ fn main() {
         ("wal", ddc_cli::wal::run),
         ("stats", ddc_cli::stats::run),
         ("serve", ddc_cli::serve::run),
-        ("loadgen", ddc_cli::serve::run_loadgen),
     ] {
         if args.first().map(String::as_str) == Some(name) {
             match runner(&args[1..]) {

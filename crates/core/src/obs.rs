@@ -28,10 +28,11 @@
 //! nanoseconds). *Timing* is gated on a global flag read with one relaxed
 //! atomic load: when disabled, the instrumented hot paths skip both
 //! `Instant::now()` calls, so the overhead vs. uninstrumented code is a
-//! branch — measured at well under the 5% budget by the `obs_overhead`
-//! bench (see EXPERIMENTS.md). Timing defaults **on** (the histograms are
-//! what `ddc stats` and the bench JSON exist for) and is disabled either
-//! with `DDC_OBS=off` in the environment or [`set_timing_enabled`].
+//! branch; what leaving timing on costs a served cube is
+//! `obs.overhead_ratio` in `BENCHMARK.json` (see EXPERIMENTS.md). Timing
+//! defaults **on** (the histograms are what `ddc stats` and `/metrics`
+//! exist for) and is disabled either with `DDC_OBS=off` in the
+//! environment or [`set_timing_enabled`].
 //!
 //! Tracing (the event ring) defaults **off** and is enabled with
 //! `DDC_TRACE=1` or [`set_trace_enabled`].

@@ -50,13 +50,6 @@ pub struct PoolStats {
     pub cap_pages: usize,
 }
 
-impl PoolStats {
-    /// Bytes currently held by page frames.
-    pub fn resident_bytes(&self) -> usize {
-        self.resident_pages * self.page_bytes
-    }
-}
-
 #[derive(Debug)]
 struct Frame {
     buf: Box<[u8]>,

@@ -23,8 +23,7 @@ use crate::config::DdcConfig;
 use crate::engine::DdcEngine;
 use crate::growth::GrowableCube;
 use crate::obs;
-use crate::store::{self, SpillFile};
-use crate::vfs::{read_stable, Vfs};
+use crate::store::SpillFile;
 
 const MAGIC: &[u8; 4] = b"DDC1";
 
@@ -326,42 +325,11 @@ impl<G: AbelianGroup + ValueCodec> GrowableCube<G> {
         span.observe("persist.load", &site.load_ns);
         Ok(cube)
     }
-
-    /// Writes a snapshot to `path` through a [`Vfs`], atomically: the
-    /// bytes land in a `.tmp` sibling, get synced, and are renamed over
-    /// the target, so readers never observe a partial snapshot even
-    /// under injected disk faults. Returns the snapshot size in bytes.
-    pub fn save_vfs<V: Vfs>(&self, vfs: &V, path: &str) -> io::Result<u64> {
-        let mut image = Vec::new();
-        let bytes = self.save(&mut image)?;
-        vfs.write_atomic(path, &image)?;
-        Ok(bytes)
-    }
-
-    /// Loads a snapshot from `path` through a [`Vfs`], re-reading until
-    /// two consecutive reads agree (`attempts` bounds the total) so a
-    /// transient read-back bit flip cannot corrupt the load. A
-    /// [`crate::PagerConfig::disk`] pager spills to a scratch file next
-    /// to `path` in the same namespace.
-    pub fn load_vfs<V: Vfs>(
-        vfs: &V,
-        path: &str,
-        config: DdcConfig,
-        attempts: u32,
-    ) -> io::Result<Self>
-    where
-        V::File: 'static,
-    {
-        let image = read_stable(vfs, path, attempts)?;
-        let spill = store::spill_through(vfs, path, &config)?;
-        Self::load_spilling(&mut image.as_slice(), config, spill)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::vfs::MemVfs;
     use ddc_array::RangeSumEngine;
 
     #[test]
@@ -391,21 +359,6 @@ mod tests {
         assert_eq!(restored.cell(&[-100, 40]), 6);
         assert_eq!(restored.cell(&[3_000, -2]), 9);
         assert_eq!(restored.total(), 15);
-    }
-
-    #[test]
-    fn growable_save_load_roundtrip_through_vfs() {
-        let mut cube = GrowableCube::<i64>::new(2, DdcConfig::sparse());
-        cube.add(&[7, -7], 11);
-        cube.add(&[0, 4], -2);
-        let vfs = MemVfs::new();
-        let bytes = cube.save_vfs(&vfs, "snap").unwrap();
-        assert_eq!(vfs.contents("snap").unwrap().len() as u64, bytes);
-        assert!(!vfs.exists("snap.tmp").unwrap(), "tmp renamed away");
-        let restored =
-            GrowableCube::<i64>::load_vfs(&vfs, "snap", DdcConfig::dynamic(), 4).unwrap();
-        assert_eq!(restored.cell(&[7, -7]), 11);
-        assert_eq!(restored.total(), 9);
     }
 
     #[test]

@@ -379,16 +379,6 @@ impl<G: AbelianGroup> ShardedCube<G> {
         cube
     }
 
-    /// Number of shards actually in use (after clamping).
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The shard configuration in effect.
-    pub fn shard_config(&self) -> ShardConfig {
-        self.shard_config
-    }
-
     /// Index of the shard owning dimension-0 row `row`.
     fn owner_index(&self, row: usize) -> usize {
         debug_assert!(row < self.shape.dim(0), "row {row} out of bounds");
@@ -941,7 +931,7 @@ mod tests {
                 DdcConfig::dynamic(),
                 ShardConfig::with_shards(s),
             );
-            assert_eq!(c.shard_count(), s.min(n0));
+            assert_eq!(c.shards.len(), s.min(n0));
             let mut next = 0;
             for shard in &c.shards {
                 assert_eq!(shard.rows_lo, next);

@@ -323,11 +323,6 @@ impl MemVfs {
     pub fn contents(&self, path: &str) -> Option<Vec<u8>> {
         lock_store(&self.files).get(path).cloned()
     }
-
-    /// Overwrite `path` with `bytes` directly (test setup helper).
-    pub fn install(&self, path: &str, bytes: Vec<u8>) {
-        lock_store(&self.files).insert(path.to_string(), bytes);
-    }
 }
 
 /// Handle into a [`MemVfs`] entry.

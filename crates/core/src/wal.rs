@@ -910,12 +910,6 @@ impl<G: AbelianGroup + ValueCodec, F: VfsFile> DurableCube<G, F> {
         }
     }
 
-    /// Replaces the retry policy (builder-style).
-    pub fn with_policy(mut self, policy: RetryPolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
     /// The active retry policy.
     pub fn policy(&self) -> &RetryPolicy {
         &self.policy
@@ -1262,12 +1256,6 @@ impl<G: AbelianGroup + ValueCodec, F: VfsFile> SharedDurableCube<G, F> {
     /// slab backend).
     pub fn pool_stats(&self) -> Option<crate::pager::PoolStats> {
         self.lock().pool_stats()
-    }
-
-    /// Runs `f` with the durable cube under the lock (compound
-    /// inspection against one consistent log/cube version).
-    pub fn with_cube<R>(&self, f: impl FnOnce(&DurableCube<G, F>) -> R) -> R {
-        f(&self.lock())
     }
 }
 

@@ -2,10 +2,12 @@
 //!
 //! Zero-dependency network serving layer for the Dynamic Data Cube:
 //! `std::net` TCP, an in-repo incremental HTTP/1.1 + line-protocol
-//! parser, a worker pool on the `core::sync` facade, per-tenant
-//! admission control, and a load generator for the serve-latency
-//! bench. This is ROADMAP item #1 — the paper's range-sum engines
-//! behind a wire so "millions of users" stops being hypothetical.
+//! parser, a worker pool on the `core::sync` facade, and per-tenant
+//! admission control — the paper's range-sum engines behind a wire so
+//! "millions of users" stops being hypothetical. It links the cube
+//! (`ddc-array`, `ddc-core`) and nothing else; load is generated and
+//! timed from outside, by `benchmark/` (`serve_mixed`,
+//! `durable_paged_mixed`).
 //!
 //! Layering (each module only reaches down):
 //!
@@ -17,8 +19,6 @@
 //!   validation and typed backpressure ([`backend::BackendError`]).
 //! * [`admission`] — per-tenant token-bucket rate policy.
 //! * [`server`] — acceptor + worker pool tying the above to sockets.
-//! * [`loadgen`] — pipelined mixed-traffic client emitting the
-//!   `BENCH_serve_latency.json` perf-smoke report.
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]
@@ -26,7 +26,6 @@
 pub mod admission;
 pub mod backend;
 pub mod http;
-pub mod loadgen;
 pub mod protocol;
 pub mod server;
 

@@ -487,17 +487,6 @@ impl CheckTrace {
         trace.validate()?;
         Ok(trace)
     }
-
-    fn without_range(&self, start: usize, len: usize) -> Self {
-        let mut ops = Vec::with_capacity(self.ops.len().saturating_sub(len));
-        ops.extend_from_slice(&self.ops[..start]);
-        ops.extend_from_slice(&self.ops[start + len..]);
-        Self {
-            origin: self.origin.clone(),
-            dims: self.dims.clone(),
-            ops,
-        }
-    }
 }
 
 /// Shrinks a failing trace to a (locally) minimal repro.
@@ -531,25 +520,45 @@ pub fn shrink_trace(trace: &CheckTrace, still_fails: impl Fn(&CheckTrace) -> boo
     best
 }
 
-/// Phase 1: chunked op removal (simplified ddmin).
-fn remove_ops(best: &mut CheckTrace, still_fails: &impl Fn(&CheckTrace) -> bool) {
-    let mut chunk = (best.ops.len() / 2).max(1);
+/// Simplified ddmin, shared by every shrinker in the repo: removes
+/// runs of `items`, halving the run length down to one, keeping each
+/// candidate `still_fails` accepts; single-item passes repeat until one
+/// removes nothing, so no single item of the result can be dropped.
+/// Deterministic.
+pub fn ddmin<T: Clone>(items: &[T], still_fails: impl Fn(&[T]) -> bool) -> Vec<T> {
+    let mut best = items.to_vec();
+    let mut chunk = (best.len() / 2).max(1);
     loop {
         let mut i = 0;
-        while i < best.ops.len() {
-            let len = chunk.min(best.ops.len() - i);
-            let candidate = best.without_range(i, len);
-            if candidate.validate().is_ok() && still_fails(&candidate) {
-                *best = candidate; // same index now names the next chunk
+        let mut reduced = false;
+        while i < best.len() {
+            let len = chunk.min(best.len() - i);
+            let candidate = [&best[..i], &best[i + len..]].concat();
+            if still_fails(&candidate) {
+                best = candidate; // same index now names the next chunk
+                reduced = true;
             } else {
                 i += len;
             }
         }
-        if chunk == 1 {
-            break;
+        if chunk > 1 {
+            chunk /= 2;
+        } else if !reduced {
+            return best;
         }
-        chunk /= 2;
     }
+}
+
+/// Phase 1: [`ddmin`] over the ops, keeping only traces that validate.
+fn remove_ops(best: &mut CheckTrace, still_fails: &impl Fn(&CheckTrace) -> bool) {
+    best.ops = ddmin(&best.ops, |ops| {
+        let candidate = CheckTrace {
+            origin: best.origin.clone(),
+            dims: best.dims.clone(),
+            ops: ops.to_vec(),
+        };
+        candidate.validate().is_ok() && still_fails(&candidate)
+    });
 }
 
 /// Phase 2: per-op value minimization to a fixpoint (bounded passes).
@@ -712,7 +721,8 @@ mod tests {
         assert!(CheckTrace::parse("shape 2 2\nU 5 0 1\n").is_err());
         // Valid only *after* growth — removal of G must invalidate.
         let t = CheckTrace::parse("shape 2 2\nG 0 1 high\nU 2 0 1\n").unwrap();
-        let broken = t.without_range(0, 1);
+        let mut broken = t.clone();
+        broken.ops.remove(0);
         assert!(broken.validate().is_err());
         // Inverted query bounds.
         assert!(CheckTrace::parse("shape 4\nQ 3 1\n").is_err());

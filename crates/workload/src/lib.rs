@@ -17,7 +17,7 @@ pub use data::{
     append_series, clustered_points, emerging_sources, random_clusters, rng, skewed_updates,
     sparse_array, uniform_array, uniform_updates, zipf_index, Cluster, UpdateStream,
 };
-pub use fuzz::{shrink_trace, BoxState, CheckOp, CheckTrace, CheckTraceConfig};
+pub use fuzz::{ddmin, shrink_trace, BoxState, CheckOp, CheckTrace, CheckTraceConfig};
 pub use queries::{prefix_regions, uniform_regions, window_regions};
 pub use rng::{DdcRng, SampleRange};
 pub use trace::{ReplayResult, Trace, TraceOp};

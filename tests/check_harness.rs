@@ -7,8 +7,8 @@
 
 use ddc_array::Shape;
 use ddc_check::{
-    check_interleavings, fault_sweep, fault_sweep_growable, fuzz, fuzz_with, roster_with_bug,
-    run_trace, run_trace_on, CheckEngine, DdcAdapter,
+    check_interleavings, fault_sweep, fuzz, fuzz_with, roster_with_bug, run_trace, run_trace_on,
+    CheckEngine, DdcAdapter,
 };
 use ddc_core::{DdcConfig, DdcEngine, GrowableCube, ShardConfig};
 use ddc_tests::for_cases;
@@ -195,7 +195,7 @@ for_cases! {
         let report = fault_sweep(&fixed, DdcConfig::dynamic());
         assert!(report.is_clean(), "fixed cube: {report:?}");
         assert!(report.offsets > 0);
-        let report = fault_sweep_growable(&growable, DdcConfig::dynamic());
+        let report = fault_sweep(&growable, DdcConfig::dynamic());
         assert!(report.is_clean(), "growable cube: {report:?}");
     }
 

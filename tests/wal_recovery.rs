@@ -53,7 +53,7 @@ fn thousand_op_seeded_trace_survives_a_kill_at_every_wal_byte_offset() {
     trace
         .ops
         .retain(|op| !matches!(op, CheckOp::SaveLoad | CheckOp::Crash));
-    let report = crash_sweep(&trace).expect("sweep harness");
+    let report = crash_sweep(&trace, DdcConfig::dynamic()).expect("sweep harness");
     assert!(
         report.is_clean(),
         "violations: {:?}",
@@ -76,7 +76,7 @@ for_cases! {
         let d = rng.gen_range(1usize..=3);
         let ops = rng.gen_range(30usize..90);
         let trace = CheckTrace::generate(d, CheckTraceConfig { ops, max_cells: 600 }, rng);
-        let report = crash_sweep(&trace).expect("sweep harness");
+        let report = crash_sweep(&trace, DdcConfig::dynamic()).expect("sweep harness");
         assert!(
             report.is_clean(),
             "d={d} ops={ops}: {:?}",
@@ -109,7 +109,9 @@ fn injected_checksum_bug_is_caught_and_shrunk_to_a_replayable_trace() {
     let trace = found.expect("a seeded trace must expose the unchecked-CRC divergence");
 
     // With verification on, the same damage truncates cleanly.
-    assert!(crash_sweep(&trace).expect("sweep harness").is_clean());
+    assert!(crash_sweep(&trace, DdcConfig::dynamic())
+        .expect("sweep harness")
+        .is_clean());
 
     let shrunk = shrink_trace(&trace, corruption_divergence);
     assert!(corruption_divergence(&shrunk), "shrunk repro lost the bug");

@@ -14,7 +14,7 @@ use ddc_baselines::{
 };
 use ddc_core::{
     wal, DdcConfig, DdcEngine, DurableCube, GrowableCube, PagerConfig, ShardConfig, ShardedCube,
-    SharedCube, WalConfig,
+    SharedCube,
 };
 use ddc_workload::BoxState;
 
@@ -512,14 +512,8 @@ impl CheckEngine for DurableAdapter {
         let d = self.durable.cube().ndim();
         // All that survives the kill: the snapshot and the log bytes.
         let log = self.durable.wal().get_ref().clone();
-        let (cube, _report) = wal::recover::<i64>(
-            d,
-            self.snapshot.as_deref(),
-            &log,
-            self.config,
-            WalConfig::default(),
-        )
-        .map_err(|e| format!("recover: {e}"))?;
+        let (cube, _report) = wal::recover::<i64>(d, self.snapshot.as_deref(), &log, self.config)
+            .map_err(|e| format!("recover: {e}"))?;
         // Post-recovery protocol: checkpoint the recovered state, then
         // start a fresh log — the retired log is folded into the
         // snapshot, so a second crash replays from here.

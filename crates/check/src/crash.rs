@@ -10,13 +10,13 @@
 //! **no acknowledged op lost, no unacknowledged op resurrected.**
 //!
 //! The sweep also proves the checksum is load-bearing: a flipped
-//! payload byte must be caught and cleanly truncated when verification
-//! is on, while [`corruption_divergence`] shows the same damage slips
-//! through and silently diverges when it is off — the predicate the
-//! shrinker minimizes into a replayable `.trace`.
+//! payload byte must be caught and cleanly truncated, while
+//! [`corruption_divergence`] re-stamps the damaged frame's CRC and shows
+//! the same damage then slips through and silently diverges — the
+//! predicate the shrinker minimizes into a replayable `.trace`.
 
 use ddc_core::wal::{self, WAL_FRAME_BYTES, WAL_HEADER_BYTES};
-use ddc_core::{DdcConfig, DurableCube, WalConfig, WalOp};
+use ddc_core::{DdcConfig, DurableCube, WalOp};
 use ddc_workload::{CheckOp, CheckTrace};
 
 use crate::oracle::Oracle;
@@ -138,9 +138,8 @@ fn replay_durable(trace: &CheckTrace, config: DdcConfig) -> Result<DurableRun, S
             CheckOp::Crash => {
                 // Mid-trace kill: only snapshot + log bytes survive.
                 let log = durable.wal().get_ref().clone();
-                let (cube, _report) =
-                    wal::recover::<i64>(d, snapshot.as_deref(), &log, config, WalConfig::default())
-                        .map_err(|e| format!("op {i}: recover: {e}"))?;
+                let (cube, _report) = wal::recover::<i64>(d, snapshot.as_deref(), &log, config)
+                    .map_err(|e| format!("op {i}: recover: {e}"))?;
                 let mut got = cube.entries();
                 got.sort();
                 if &got != states.last().expect("states never empty") {
@@ -200,8 +199,7 @@ pub fn crash_sweep(trace: &CheckTrace, config: DdcConfig) -> Result<CrashSweepRe
     let run = replay_durable(trace, config)?;
     let d = trace.dims.len();
 
-    let full = wal::read_wal::<i64>(&run.wal, WalConfig::default())
-        .map_err(|e| format!("final log unreadable: {e}"))?;
+    let full = wal::read_wal::<i64>(&run.wal).map_err(|e| format!("final log unreadable: {e}"))?;
     let mut report = CrashSweepReport {
         wal_bytes: run.wal.len(),
         records: full.ops.len(),
@@ -231,7 +229,7 @@ pub fn crash_sweep(trace: &CheckTrace, config: DdcConfig) -> Result<CrashSweepRe
         while survivors < full.ends.len() && full.ends[survivors] as usize <= cut {
             survivors += 1;
         }
-        let prefix = match wal::read_wal::<i64>(&run.wal[..cut], WalConfig::default()) {
+        let prefix = match wal::read_wal::<i64>(&run.wal[..cut]) {
             Ok(p) => p,
             Err(e) => {
                 report.failures.push(format!("cut {cut}: read: {e}"));
@@ -248,13 +246,7 @@ pub fn crash_sweep(trace: &CheckTrace, config: DdcConfig) -> Result<CrashSweepRe
         if verified == Some(survivors) {
             continue;
         }
-        match wal::recover::<i64>(
-            d,
-            run.snapshot.as_deref(),
-            &run.wal[..cut],
-            config,
-            WalConfig::default(),
-        ) {
+        match wal::recover::<i64>(d, run.snapshot.as_deref(), &run.wal[..cut], config) {
             Ok((cube, rec)) => {
                 report.recoveries += 1;
                 if rec.replayed != survivors {
@@ -283,13 +275,7 @@ pub fn crash_sweep(trace: &CheckTrace, config: DdcConfig) -> Result<CrashSweepRe
         Some((idx, rec)) => {
             let mut damaged = run.wal.clone();
             damaged[idx] ^= 0x01;
-            match wal::recover::<i64>(
-                d,
-                run.snapshot.as_deref(),
-                &damaged,
-                config,
-                WalConfig::default(),
-            ) {
+            match wal::recover::<i64>(d, run.snapshot.as_deref(), &damaged, config) {
                 Ok((cube, rec_report)) => {
                     let mut got = cube.entries();
                     got.sort();
@@ -315,38 +301,34 @@ pub fn crash_sweep(trace: &CheckTrace, config: DdcConfig) -> Result<CrashSweepRe
     Ok(report)
 }
 
-/// The injected-bug detector for the shrinker: with checksum
-/// verification **disabled**, the same flipped payload byte decodes to
-/// a *wrong* record and recovery silently diverges from the oracle.
-/// Returns `true` when `trace` exposes that divergence — pass this to
+/// The injected-bug detector for the shrinker: with the damaged frame's
+/// CRC **re-stamped** over the flipped payload byte — what a log
+/// without a checksum amounts to — the record decodes to a *wrong* one
+/// and recovery silently diverges from the oracle. Returns `true` when
+/// `trace` exposes that divergence — pass this to
 /// [`ddc_workload::shrink_trace`] to minimize the repro.
 pub fn corruption_divergence(trace: &CheckTrace) -> bool {
     let config = DdcConfig::dynamic();
     let Ok(run) = replay_durable(trace, config) else {
         return false;
     };
-    let Ok(full) = wal::read_wal::<i64>(&run.wal, WalConfig::default()) else {
+    let Ok(full) = wal::read_wal::<i64>(&run.wal) else {
         return false;
     };
     if run.states.len() != full.ops.len() + 1 {
         return false;
     }
-    let Some((idx, _)) = corruptible_byte(&run.wal, &full.ops, &full.ends) else {
+    let Some((idx, rec)) = corruptible_byte(&run.wal, &full.ops, &full.ends) else {
         return false;
     };
     let mut damaged = run.wal.clone();
     damaged[idx] ^= 0x01;
-    let unchecked = WalConfig {
-        verify_checksums: false,
-        ..WalConfig::default()
-    };
-    match wal::recover::<i64>(
-        d_of(trace),
-        run.snapshot.as_deref(),
-        &damaged,
-        config,
-        unchecked,
-    ) {
+    // idx = frame | tag(1) | arity(4): the payload starts 5 bytes back
+    // and runs to the record's end; its CRC field sits just before it.
+    let payload = idx - 5..full.ends[rec] as usize;
+    let crc = wal::crc32(&damaged[payload.clone()]);
+    damaged[payload.start - 4..payload.start].copy_from_slice(&crc.to_le_bytes());
+    match wal::recover::<i64>(d_of(trace), run.snapshot.as_deref(), &damaged, config) {
         // Only a *silent* divergence counts: recovery succeeded (the
         // framing did not catch the damage) but the state is wrong.
         Ok((cube, _)) => {
@@ -411,8 +393,9 @@ mod tests {
     #[test]
     fn disabled_checksums_let_damage_diverge() {
         // A trace with at least one update has a corruptible byte, and
-        // without CRC verification the flipped coordinate must surface
-        // as a silent state divergence.
+        // with the CRC re-stamped over it (the checksum disabled from
+        // the outside) the flipped coordinate must surface as a silent
+        // state divergence.
         let trace = CheckTrace {
             origin: vec![0, 0],
             dims: vec![8, 8],

@@ -20,14 +20,14 @@
 //! Failing fault schedules are delta-debugged ([`shrink_fault_schedule`])
 //! to a minimal list of [`PlannedFault`]s that still reproduces. The
 //! sweep's regression teeth are the committed `tests/faults/*.sched`
-//! schedules: replayed with the retry protocol's tail truncation
-//! disabled (`RetryPolicy::truncate_on_retry`, the seeded bug) the
-//! harness must *re-find* a durability violation, and replayed with the
-//! production policy it must come back clean.
+//! schedules: replayed on a disk that loses the retry protocol's tail
+//! truncations ([`FaultVfs::lose_truncations`], the seeded bug) the
+//! harness must *re-find* a durability violation, and replayed on a
+//! disk that honours them it must come back clean.
 
 use ddc_core::vfs::{FaultFile, MemFile};
 use ddc_core::wal::{self, IoError, RetryPolicy};
-use ddc_core::{DdcConfig, DurableCube, FaultProbs, FaultVfs, PlannedFault, WalConfig};
+use ddc_core::{DdcConfig, DurableCube, FaultProbs, FaultVfs, PlannedFault};
 use ddc_workload::{ddmin, CheckOp, CheckTrace, CheckTraceConfig, DdcRng};
 
 use crate::oracle::Oracle;
@@ -81,8 +81,9 @@ impl DiskRunReport {
     }
 }
 
-/// Drives `trace` against a durable cube living on `vfs` under `policy`,
-/// checking the durability contract at every step. Panics anywhere in
+/// Drives `trace` against a durable cube living on `vfs` (zero-backoff
+/// retry policy — wall-clock sleeps only slow a sweep down), checking
+/// the durability contract at every step. Panics anywhere in
 /// the stack are caught and reported as violations — a chaos run must
 /// end in health or clean degradation, never a crash.
 ///
@@ -96,12 +97,10 @@ impl DiskRunReport {
 pub fn run_trace_under_faults(
     trace: &CheckTrace,
     vfs: &FaultVfs,
-    policy: RetryPolicy,
     config: DdcConfig,
 ) -> DiskRunReport {
-    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        drive(trace, vfs, policy, config)
-    }));
+    let outcome =
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| drive(trace, vfs, config)));
     match outcome {
         Ok(report) => report,
         Err(panic) => {
@@ -120,36 +119,30 @@ pub fn run_trace_under_faults(
     }
 }
 
-fn boot(
-    vfs: &FaultVfs,
-    d: usize,
-    config: DdcConfig,
-    policy: &RetryPolicy,
-) -> std::io::Result<DiskCube> {
-    wal::recover_vfs::<i64, _>(
+/// Recovers the cube from `vfs`. The seeded lost-truncation bug is an
+/// append-path bug: recovery's own tail repair keeps truncating, so the
+/// switch is off for the boot and restored after it.
+fn boot(vfs: &FaultVfs, d: usize, config: DdcConfig) -> std::io::Result<DiskCube> {
+    let lossy = vfs.lose_truncations(false);
+    let booted = wal::recover_vfs::<i64, _>(
         vfs,
         WAL_PATH,
         Some(SNAP_PATH),
         d,
         config,
-        WalConfig::default(),
-        policy.clone(),
-    )
-    .map(|(cube, _report)| cube)
+        RetryPolicy::instant(),
+    );
+    vfs.lose_truncations(lossy);
+    booted.map(|(cube, _report)| cube)
 }
 
-fn drive(
-    trace: &CheckTrace,
-    vfs: &FaultVfs,
-    policy: RetryPolicy,
-    config: DdcConfig,
-) -> DiskRunReport {
+fn drive(trace: &CheckTrace, vfs: &FaultVfs, config: DdcConfig) -> DiskRunReport {
     let d = trace.dims.len();
     let mut report = DiskRunReport::default();
 
     // Fault-free boot: the namespace is empty, nothing can be owed yet.
     vfs.arm(false);
-    let mut durable = match boot(vfs, d, config, &policy) {
+    let mut durable = match boot(vfs, d, config) {
         Ok(cube) => cube,
         Err(e) => {
             report
@@ -230,16 +223,7 @@ fn drive(
                 }
             },
             CheckOp::Crash => {
-                match crash_recover(
-                    vfs,
-                    d,
-                    config,
-                    &policy,
-                    i,
-                    &oracle,
-                    &mut pending,
-                    &mut report,
-                ) {
+                match crash_recover(vfs, d, config, i, &oracle, &mut pending, &mut report) {
                     Some(recovered) => {
                         // Resolve the commit window: if the pending op
                         // surfaced, it is durable from here on.
@@ -270,7 +254,7 @@ fn drive(
     vfs.arm(false);
     let degraded = durable.degraded().is_some();
     drop(durable);
-    match boot(vfs, d, config, &RetryPolicy::instant()) {
+    match boot(vfs, d, config) {
         Ok(recovered) => {
             let got = sorted(recovered.cube().entries());
             let want = sorted(oracle.entries());
@@ -348,22 +332,20 @@ fn note_failure(
 /// legitimate transient boot failures), falling back to a disarmed
 /// recovery that *must* succeed. Returns `None` after reporting when
 /// even the fault-free path failed.
-#[allow(clippy::too_many_arguments)]
 fn crash_recover(
     vfs: &FaultVfs,
     d: usize,
     config: DdcConfig,
-    policy: &RetryPolicy,
     i: usize,
     oracle: &Oracle,
     pending: &mut Option<CheckOp>,
     report: &mut DiskRunReport,
 ) -> Option<DiskCube> {
-    let recovered = match boot(vfs, d, config, policy) {
+    let recovered = match boot(vfs, d, config) {
         Ok(cube) => cube,
         Err(_) => {
             vfs.arm(false);
-            let cube = match boot(vfs, d, config, policy) {
+            let cube = match boot(vfs, d, config) {
                 Ok(cube) => cube,
                 Err(e) => {
                     report
@@ -526,21 +508,22 @@ impl FaultSchedule {
 // ---------------------------------------------------------------------------
 
 /// Delta-debugs a failing fault list to a (1-minimal) sublist that
-/// still violates the durability contract when replayed explicitly
-/// under `policy`. Dropping a fault shifts every later retry, so a
-/// candidate that merely breaks alignment stops failing and is kept —
-/// the ddmin fixpoint handles that automatically. `config` is the
+/// still violates the durability contract when replayed explicitly (on
+/// a disk that loses truncations when `lossy`). Dropping a fault shifts
+/// every later retry, so a candidate that merely breaks alignment stops
+/// failing and is kept — the ddmin fixpoint handles that automatically. `config` is the
 /// engine the violation was found on, so a paged-backend violation
 /// shrinks against the backend that found it.
 pub fn shrink_fault_schedule(
     trace: &CheckTrace,
     faults: &[PlannedFault],
-    policy: &RetryPolicy,
+    lossy: bool,
     config: DdcConfig,
 ) -> Vec<PlannedFault> {
     let fails = |subset: &[PlannedFault]| {
         let vfs = FaultVfs::explicit_mem(subset.to_vec());
-        !run_trace_under_faults(trace, &vfs, policy.clone(), config).is_clean()
+        vfs.lose_truncations(lossy);
+        !run_trace_under_faults(trace, &vfs, config).is_clean()
     };
     if !fails(faults) {
         return faults.to_vec();
@@ -639,13 +622,11 @@ impl DiskSweepReport {
     }
 }
 
-/// Runs seeded traces across the fault-probability grid under the
-/// production retry policy (with zero backoff — wall-clock sleeps only
-/// slow the sweep down). Any violation is shrunk before reporting.
+/// Runs seeded traces across the fault-probability grid on a disk that
+/// honours truncations. Any violation is shrunk before reporting.
 /// `engine` is the engine config under test — `ddc check disk --paged`
 /// points the whole grid at the buffer-pool leaf backend.
 pub fn disk_sweep(config: &DiskSweepConfig, engine: DdcConfig) -> DiskSweepReport {
-    let policy = RetryPolicy::instant();
     let mut report = DiskSweepReport::default();
     let mut run_index = 0u64;
     for &d in &config.dims {
@@ -664,7 +645,7 @@ pub fn disk_sweep(config: &DiskSweepConfig, engine: DdcConfig) -> DiskSweepRepor
                 };
                 let trace = schedule.trace();
                 let vfs = schedule.vfs();
-                let run = run_trace_under_faults(&trace, &vfs, policy.clone(), engine);
+                let run = run_trace_under_faults(&trace, &vfs, engine);
                 report.runs += 1;
                 report.faults_injected += run.faults.len();
                 report.acked += run.acked;
@@ -672,7 +653,7 @@ pub fn disk_sweep(config: &DiskSweepConfig, engine: DdcConfig) -> DiskSweepRepor
                     report.degraded_runs += 1;
                 }
                 if let Some(detail) = run.violations.first() {
-                    let shrunk = shrink_fault_schedule(&trace, &run.faults, &policy, engine);
+                    let shrunk = shrink_fault_schedule(&trace, &run.faults, false, engine);
                     report.violations.push(DiskViolation {
                         schedule,
                         detail: detail.clone(),
@@ -688,48 +669,40 @@ pub fn disk_sweep(config: &DiskSweepConfig, engine: DdcConfig) -> DiskSweepRepor
 /// What replaying one committed schedule against the seeded bug found.
 #[derive(Clone, Debug)]
 pub struct RefindReport {
-    /// First violation the weakened policy produced.
+    /// First violation the lossy disk produced.
     pub violation: String,
-    /// Faults the weakened run injected.
+    /// Faults the lossy run injected.
     pub faults: usize,
-    /// Shrunk fault list still reproducing under the weakened policy.
+    /// Shrunk fault list still reproducing on the lossy disk.
     pub shrunk: Vec<PlannedFault>,
 }
 
-/// Replays a committed schedule twice: with
-/// `RetryPolicy::truncate_on_retry` disabled the harness must re-find a
-/// durability violation (the seeded bug), and with the production
-/// policy the same schedule must come back clean. `Err` means the
+/// Replays a committed schedule twice: on a disk that loses
+/// truncations ([`FaultVfs::lose_truncations`]) the harness must
+/// re-find a durability violation (the seeded bug), and on one that
+/// honours them the same schedule must come back clean. `Err` means the
 /// harness lost its teeth — a CI failure.
 pub fn refind_seeded_bug(schedule: &FaultSchedule) -> Result<RefindReport, String> {
     let trace = schedule.trace();
-    let weakened = RetryPolicy {
-        truncate_on_retry: false,
-        ..RetryPolicy::instant()
-    };
     let vfs = schedule.vfs();
-    let weak_run = run_trace_under_faults(&trace, &vfs, weakened.clone(), DdcConfig::dynamic());
-    let Some(violation) = weak_run.violations.first().cloned() else {
+    vfs.lose_truncations(true);
+    let lossy_run = run_trace_under_faults(&trace, &vfs, DdcConfig::dynamic());
+    let Some(violation) = lossy_run.violations.first().cloned() else {
         return Err(
-            "schedule no longer re-finds the seeded torn-tail bug under the weakened policy"
+            "schedule no longer re-finds the seeded torn-tail bug when truncations are lost"
                 .to_string(),
         );
     };
-    let production = run_trace_under_faults(
-        &trace,
-        &schedule.vfs(),
-        RetryPolicy::instant(),
-        DdcConfig::dynamic(),
-    );
+    let production = run_trace_under_faults(&trace, &schedule.vfs(), DdcConfig::dynamic());
     if let Some(v) = production.violations.first() {
         return Err(format!(
-            "schedule violates durability under the PRODUCTION policy: {v}"
+            "schedule violates durability on a disk that HONOURS truncations: {v}"
         ));
     }
     Ok(RefindReport {
         violation,
-        faults: weak_run.faults.len(),
-        shrunk: shrink_fault_schedule(&trace, &weak_run.faults, &weakened, DdcConfig::dynamic()),
+        faults: lossy_run.faults.len(),
+        shrunk: shrink_fault_schedule(&trace, &lossy_run.faults, true, DdcConfig::dynamic()),
     })
 }
 
@@ -778,8 +751,7 @@ mod tests {
                 probs: probs_at(0.05),
             };
             let vfs = schedule.vfs();
-            let run =
-                run_trace_under_faults(&schedule.trace(), &vfs, RetryPolicy::instant(), engine);
+            let run = run_trace_under_faults(&schedule.trace(), &vfs, engine);
             assert!(
                 run.violations.is_empty(),
                 "paged run under spill faults violated the contract: {:?}",
@@ -809,19 +781,9 @@ mod tests {
             probs: probs_at(0.08),
         };
         let trace = schedule.trace();
-        let seeded = run_trace_under_faults(
-            &trace,
-            &schedule.vfs(),
-            RetryPolicy::instant(),
-            DdcConfig::dynamic(),
-        );
+        let seeded = run_trace_under_faults(&trace, &schedule.vfs(), DdcConfig::dynamic());
         let replay_vfs = FaultVfs::explicit_mem(seeded.faults.clone());
-        let replay = run_trace_under_faults(
-            &trace,
-            &replay_vfs,
-            RetryPolicy::instant(),
-            DdcConfig::dynamic(),
-        );
+        let replay = run_trace_under_faults(&trace, &replay_vfs, DdcConfig::dynamic());
         assert_eq!(seeded.faults, replay.faults);
         assert_eq!(seeded.violations, replay.violations);
         assert_eq!(seeded.acked, replay.acked);
@@ -866,23 +828,14 @@ mod tests {
             },
         };
         let trace = schedule.trace();
-        let run = run_trace_under_faults(
-            &trace,
-            &schedule.vfs(),
-            RetryPolicy::instant(),
-            DdcConfig::dynamic(),
-        );
+        let run = run_trace_under_faults(&trace, &schedule.vfs(), DdcConfig::dynamic());
         assert!(run.is_clean(), "{:?}", run.violations);
         assert!(!run.faults.is_empty());
     }
 
     #[test]
     fn shrinker_reduces_a_failing_schedule_and_keeps_it_failing() {
-        // Find a weakened-policy failure, then shrink it.
-        let weakened = RetryPolicy {
-            truncate_on_retry: false,
-            ..RetryPolicy::instant()
-        };
+        // Find a lost-truncation failure, then shrink it.
         let mut found = None;
         for seed in 0..64u64 {
             let schedule = FaultSchedule {
@@ -896,24 +849,22 @@ mod tests {
                 },
             };
             let trace = schedule.trace();
-            let run = run_trace_under_faults(
-                &trace,
-                &schedule.vfs(),
-                weakened.clone(),
-                DdcConfig::dynamic(),
-            );
+            let vfs = schedule.vfs();
+            vfs.lose_truncations(true);
+            let run = run_trace_under_faults(&trace, &vfs, DdcConfig::dynamic());
             if !run.is_clean() && run.faults.len() >= 2 {
                 found = Some((trace, run.faults));
                 break;
             }
         }
-        let (trace, faults) = found.expect("some seed exposes the weakened policy");
-        let shrunk = shrink_fault_schedule(&trace, &faults, &weakened, DdcConfig::dynamic());
+        let (trace, faults) = found.expect("some seed exposes the lost truncations");
+        let shrunk = shrink_fault_schedule(&trace, &faults, true, DdcConfig::dynamic());
         assert!(!shrunk.is_empty());
         assert!(shrunk.len() <= faults.len());
         let vfs = FaultVfs::explicit_mem(shrunk.clone());
+        vfs.lose_truncations(true);
         assert!(
-            !run_trace_under_faults(&trace, &vfs, weakened, DdcConfig::dynamic()).is_clean(),
+            !run_trace_under_faults(&trace, &vfs, DdcConfig::dynamic()).is_clean(),
             "shrunk schedule must still reproduce"
         );
     }

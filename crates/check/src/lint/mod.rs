@@ -420,7 +420,7 @@ mod tests {
         assert!(lint_one("crates/cli/src/main.rs", src).is_empty());
         let net = "fn f() { let l = std::net::TcpListener::bind(a); }\n";
         assert_eq!(
-            rules_of(&lint_one("crates/core/src/wal.rs", net)),
+            rules_of(&lint_one("crates/core/src/wal/log.rs", net)),
             vec!["seam-bypass"]
         );
     }
@@ -535,7 +535,7 @@ fn caller() {
         // `add` has a non-risky overload elsewhere → the name is
         // dropped from the risky set entirely.
         let a = FileModel::build(
-            "crates/core/src/wal.rs",
+            "crates/core/src/wal/durable.rs",
             "impl D { fn add(&mut self) -> Result<(), IoError> { Ok(()) } }\n",
         )
         .expect("model");

@@ -27,7 +27,7 @@ use ddc_array::Shape;
 use ddc_core::sync::Arc;
 use ddc_core::vfs::StdVfs;
 use ddc_core::wal::{self, RetryPolicy};
-use ddc_core::{DdcConfig, PagerConfig, ShardConfig, ShardedCube, SharedDurableCube, WalConfig};
+use ddc_core::{DdcConfig, PagerConfig, ShardConfig, ShardedCube, SharedDurableCube};
 use ddc_serve::{
     AdmissionConfig, DurableBackend, ServeBackend, Server, ServerConfig, ShardedBackend,
 };
@@ -118,7 +118,6 @@ pub fn run(args: &[String]) -> Result<String, String> {
                 Some(&snap_path),
                 dims,
                 config,
-                WalConfig::default(),
                 RetryPolicy::default(),
             )
             .map_err(|e| format!("cannot recover durable cube from {dir}: {e}"))?;

@@ -15,7 +15,8 @@
 
 use ddc_array::{RangeSumEngine, Shape};
 use ddc_core::{
-    obs, wal, DdcConfig, DdcEngine, GrowableCube, ShardConfig, ShardedCube, WalOp, WalWriter,
+    obs, wal, DdcConfig, DdcEngine, GrowableCube, RetryPolicy, ShardConfig, ShardedCube, WalOp,
+    WalWriter,
 };
 use ddc_workload::DdcRng;
 
@@ -81,19 +82,16 @@ fn workload(seed: u64, ops: usize) -> std::io::Result<()> {
     // wal.recover, and the record/byte counters).
     let mut writer = WalWriter::create(Vec::new())?;
     for _ in 0..(ops / 16).max(32) {
-        writer.append(&WalOp::Update {
+        let op = WalOp::Update {
             point: vec![rng.gen_range(-32i64..32), rng.gen_range(-32i64..32)],
             delta: rng.gen_range(-100i64..=100),
-        })?;
+        };
+        writer
+            .append_with_retry(&op, &RetryPolicy::instant())
+            .map_err(std::io::Error::other)?;
     }
     let log = writer.into_inner();
-    let (recovered, _report) = wal::recover::<i64>(
-        2,
-        None,
-        &log,
-        DdcConfig::dynamic(),
-        ddc_core::WalConfig::default(),
-    )?;
+    let (recovered, _report) = wal::recover::<i64>(2, None, &log, DdcConfig::dynamic())?;
 
     // Growth (growth.grow, growth.doublings) and persistence
     // (persist.save / persist.load / persist.save.bytes).

@@ -24,7 +24,7 @@
 
 use ddc_core::vfs::{read_stable, StdVfs, Vfs};
 use ddc_core::wal::{self, WAL_HEADER_BYTES};
-use ddc_core::{DdcConfig, GrowableCube, WalConfig};
+use ddc_core::{DdcConfig, GrowableCube};
 
 /// Read attempts for [`read_stable`] on operator paths.
 const READ_ATTEMPTS: u32 = 4;
@@ -94,14 +94,8 @@ fn recover(args: &[String]) -> Result<String, String> {
         (None, None) => return Err("recover needs --dims D (no snapshot to infer it from)".into()),
     };
 
-    let (cube, report) = wal::recover::<i64>(
-        d,
-        snapshot.as_deref(),
-        &log,
-        DdcConfig::dynamic(),
-        WalConfig::default(),
-    )
-    .map_err(|e| format!("recover: {e}"))?;
+    let (cube, report) = wal::recover::<i64>(d, snapshot.as_deref(), &log, DdcConfig::dynamic())
+        .map_err(|e| format!("recover: {e}"))?;
 
     let mut text = format!(
         "recovered {d}-dimensional cube: snapshot={}, {} records replayed, \
@@ -155,8 +149,7 @@ fn truncate_check(args: &[String]) -> Result<String, String> {
     let log = read_stable(&vfs, &wal_path, READ_ATTEMPTS)
         .map_err(|e| format!("cannot read {wal_path}: {e}"))?;
 
-    let replay =
-        wal::read_wal::<i64>(&log, WalConfig::default()).map_err(|e| format!("{wal_path}: {e}"))?;
+    let replay = wal::read_wal::<i64>(&log).map_err(|e| format!("{wal_path}: {e}"))?;
     if replay.is_clean() {
         return Ok(format!(
             "ok: {wal_path}: {} records, {} bytes, no torn tail",

@@ -177,39 +177,9 @@ impl DdcConfig {
     }
 }
 
-/// Configuration of the write-ahead log reader (see [`crate::wal`]).
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub struct WalConfig {
-    /// Verify the per-record CRC32 during replay. Disabling this is a
-    /// fault-injection hook for the crash harness (it turns silent
-    /// corruption into observable divergence); production always leaves
-    /// it on.
-    pub verify_checksums: bool,
-    /// Upper bound on a single record's payload, in bytes. A frame
-    /// declaring more than this is treated as corruption rather than an
-    /// allocation request — torn length fields must not OOM recovery.
-    pub max_record_bytes: u64,
-}
-
-impl Default for WalConfig {
-    fn default() -> Self {
-        Self {
-            verify_checksums: true,
-            max_record_bytes: 1 << 24,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn wal_defaults_verify() {
-        let w = WalConfig::default();
-        assert!(w.verify_checksums);
-        assert!(w.max_record_bytes >= 1 << 20);
-    }
 
     #[test]
     fn defaults_are_the_paper_structure() {

@@ -37,9 +37,7 @@ pub mod vfs;
 pub mod wal;
 
 pub use concurrent::SharedCube;
-pub use config::{
-    BaseStore, DdcConfig, LeafBackend, Mode, PagerConfig, WalConfig, DEFAULT_PAGE_BYTES,
-};
+pub use config::{BaseStore, DdcConfig, LeafBackend, Mode, PagerConfig, DEFAULT_PAGE_BYTES};
 pub use engine::DdcEngine;
 pub use growth::{GrowableCube, GrowthError};
 pub use pager::PoolStats;
@@ -47,10 +45,7 @@ pub use persist::ValueCodec;
 pub use shard::{MetricsSnapshot, ShardConfig, ShardedCube, TryUpdateError};
 pub use tree::{Contribution, DdcTree, LevelStats, TraceStep, TreeStats, MAX_SIDE};
 pub use vfs::{
-    FaultKind, FaultPlan, FaultProbs, FaultVfs, MemVfs, OpenMode, PlannedFault, StdVfs, Vfs,
-    VfsFile,
+    FaultKind, FaultPlan, FaultProbs, FaultVfs, IoError, MemVfs, OpenMode, PlannedFault,
+    RetryPolicy, StdVfs, Vfs, VfsFile,
 };
-pub use wal::{
-    DurableCube, IoError, RecoveryReport, RetryPolicy, SharedDurableCube, WalOp, WalReplay,
-    WalWriter,
-};
+pub use wal::{DurableCube, RecoveryReport, SharedDurableCube, WalOp, WalReplay, WalWriter};

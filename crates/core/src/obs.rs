@@ -552,7 +552,7 @@ pub fn prometheus_text() -> String {
 /// counters and gauges as single samples, histograms as
 /// `_count`/`_sum_ns` plus `quantile`-labelled samples and `_max_ns`.
 /// Output ordering is stable (metrics sort by name within each kind)
-/// and names are sanitized by [`prom_name`]'s rules.
+/// and names are sanitized (`ddc_` prefix, non-alphanumerics to `_`).
 pub fn prometheus_text_for(reg: &Registry) -> String {
     let mut out = String::new();
     for (name, v) in reg.counters() {

@@ -20,7 +20,7 @@ use std::io;
 
 use crate::vfs::VfsFile;
 
-/// Counter snapshot of one [`BufferPool`]'s activity.
+/// Counter snapshot of one buffer pool's activity.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct PoolStats {
     /// Pin requests satisfied by an already-resident page.

@@ -11,9 +11,11 @@
 //!   Queued deltas are coalesced per cell (sound because
 //!   [`AbelianGroup`] addition commutes) and applied under a *single*
 //!   exclusive acquisition — group commit.
-//! * Prefix/range queries decompose into the ≤ `2^d` Figure-4 prefix
-//!   terms and visit the shards whose slab intersects the query,
-//!   combining the partial sums with the group operation.
+//! * A dimension-0 slab of a cube is itself a cube, so a range query is
+//!   the sum, over the slabs whose rows overlap it, of the slab engine's
+//!   own range sum of the region clamped into the slab — Figure 4's
+//!   ≤ `2^d` prefix terms are formed once, inside the engine. A prefix
+//!   query is the range `[0, point]`.
 //!
 //! ## Consistency
 //!
@@ -60,9 +62,7 @@ use crate::sync::{
     Arc, Mutex, MutexGuard, OnceLock, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard,
 };
 
-use ddc_array::{
-    with_coord_bufs, AbelianGroup, OpCounter, OpSnapshot, RangeSumEngine, Region, Shape,
-};
+use ddc_array::{AbelianGroup, OpCounter, OpSnapshot, RangeSumEngine, Region, Shape};
 
 use crate::config::DdcConfig;
 use crate::engine::DdcEngine;
@@ -152,11 +152,6 @@ pub enum TryUpdateError {
         /// Index of the failed shard.
         shard: usize,
     },
-    /// The durable store is in degraded read-only mode after a disk
-    /// fault (ENOSPC or retry exhaustion — see
-    /// [`IoError`](crate::wal::IoError)); queries keep serving, but
-    /// mutations are rejected until an operator intervenes.
-    ReadOnly,
 }
 
 impl std::fmt::Display for TryUpdateError {
@@ -167,12 +162,6 @@ impl std::fmt::Display for TryUpdateError {
             }
             TryUpdateError::ShardFailed { shard } => {
                 write!(f, "shard {shard} failed (restart budget exhausted)")
-            }
-            TryUpdateError::ReadOnly => {
-                write!(
-                    f,
-                    "durable store is read-only (degraded after a disk fault)"
-                )
             }
         }
     }
@@ -196,7 +185,9 @@ pub struct MetricsSnapshot {
     pub ops_applied: u64,
     /// Group commits performed.
     pub batches_flushed: u64,
-    /// Queries answered (partial prefix sums served by this shard).
+    /// Slab visits: one per range, prefix or cell read that reached this
+    /// shard (each is one engine read under one read-lock acquisition,
+    /// however many Figure-4 terms the engine forms for it).
     pub queries: u64,
     /// Estimated nanoseconds the exclusive engine lock was held for
     /// flushes — the contention budget readers compete against.
@@ -209,8 +200,6 @@ pub struct MetricsSnapshot {
     pub worker_panics: u64,
     /// Successful commits that ended a quarantine.
     pub worker_restarts: u64,
-    /// Entries replayed into this shard by crash recovery.
-    pub records_replayed: u64,
 }
 
 /// Per-shard counters. *Untracked* atomics on purpose: metrics never
@@ -227,7 +216,6 @@ struct ShardMetrics {
     ops_rejected: crate::sync::untracked::AtomicU64,
     worker_panics: crate::sync::untracked::AtomicU64,
     worker_restarts: crate::sync::untracked::AtomicU64,
-    records_replayed: crate::sync::untracked::AtomicU64,
 }
 
 /// Supervisor state of one shard, kept under the queue lock so health
@@ -295,7 +283,8 @@ fn write_engine<G: AbelianGroup>(shard: &Shard<G>) -> RwLockWriteGuard<'_, DdcEn
 }
 
 /// A concurrent cube sharded along dimension 0 with per-shard write
-/// batching. See the [module docs](self) for the protocol.
+/// batching. The protocol — slabs, group commit, read-through,
+/// supervision — is laid out in the `shard` module's source docs.
 ///
 /// # Examples
 ///
@@ -356,29 +345,6 @@ impl<G: AbelianGroup> ShardedCube<G> {
         }
     }
 
-    /// Rebuilds a sharded cube from recovered entries (e.g. WAL recovery
-    /// output rebased to physical coordinates), attributing each replayed
-    /// record to its owning shard's `records_replayed` metric.
-    pub fn from_recovered(
-        shape: Shape,
-        config: DdcConfig,
-        shard_config: ShardConfig,
-        entries: &[(Vec<usize>, G)],
-    ) -> Self {
-        let cube = Self::new(shape, config, shard_config);
-        for (point, value) in entries {
-            cube.shape.check_point(point);
-            let idx = cube.owner_index(point[0]);
-            cube.shards[idx]
-                .metrics
-                .records_replayed
-                .fetch_add(1, Ordering::Relaxed);
-            cube.update(point, *value);
-        }
-        cube.flush();
-        cube
-    }
-
     /// Index of the shard owning dimension-0 row `row`.
     fn owner_index(&self, row: usize) -> usize {
         debug_assert!(row < self.shape.dim(0), "row {row} out of bounds");
@@ -396,11 +362,6 @@ impl<G: AbelianGroup> ShardedCube<G> {
         i
     }
 
-    /// The shard owning dimension-0 row `row`.
-    fn owner(&self, row: usize) -> &Shard<G> {
-        &self.shards[self.owner_index(row)]
-    }
-
     /// Adds `delta` at `point`: routed to the owning shard's queue, with
     /// a group commit once the queue reaches `batch_capacity`.
     ///
@@ -410,6 +371,13 @@ impl<G: AbelianGroup> ShardedCube<G> {
     /// that must not lose writes use `try_update` and handle the error.
     pub fn update(&self, point: &[usize], delta: G) {
         shed(self.try_update(point, delta));
+    }
+
+    /// [`ShardedCube::update`] for each of `updates`, in order.
+    pub fn update_batch(&self, updates: &[(Vec<usize>, G)]) {
+        for (point, delta) in updates {
+            self.update(point, *delta);
+        }
     }
 
     /// Adds `delta` at `point` if the owning shard can accept it,
@@ -424,39 +392,21 @@ impl<G: AbelianGroup> ShardedCube<G> {
         let wait = obs::timer();
         let mut queue = lock_queue(shard);
         wait.observe("shard.queue_wait", &shard_obs().queue_wait_ns);
-        let outcome = self.enqueue_locked(idx, shard, &mut queue, local, delta);
-        shard.pending.store(queue.deltas.len(), Ordering::Release);
-        outcome
-    }
-
-    /// One enqueue under the queue lock: backpressure check, push,
-    /// trigger. Shared by the single and batched update paths.
-    fn enqueue_locked(
-        &self,
-        idx: usize,
-        shard: &Shard<G>,
-        queue: &mut ShardQueue<G>,
-        local: Vec<usize>,
-        delta: G,
-    ) -> Result<(), TryUpdateError> {
-        if queue.health == Health::Failed {
-            shard.metrics.ops_rejected.fetch_add(1, Ordering::Relaxed);
-            return Err(TryUpdateError::ShardFailed { shard: idx });
-        }
         let capacity = self.shard_config.queue_capacity.max(1);
         if queue.deltas.len() >= capacity {
-            // Full: the only way to make room is to land the batch now.
-            self.attempt_commit(shard, queue);
-            if queue.deltas.len() >= capacity {
-                shard.metrics.ops_rejected.fetch_add(1, Ordering::Relaxed);
-                return Err(match queue.health {
-                    Health::Failed => TryUpdateError::ShardFailed { shard: idx },
-                    _ => TryUpdateError::QueueFull {
-                        shard: idx,
-                        capacity,
-                    },
-                });
-            }
+            // Full: the only way to make room is to land the batch now
+            // (a failed shard lands nothing and rejects below).
+            self.attempt_commit(shard, &mut queue);
+        }
+        if queue.health == Health::Failed || queue.deltas.len() >= capacity {
+            shard.metrics.ops_rejected.fetch_add(1, Ordering::Relaxed);
+            return Err(match queue.health {
+                Health::Failed => TryUpdateError::ShardFailed { shard: idx },
+                _ => TryUpdateError::QueueFull {
+                    shard: idx,
+                    capacity,
+                },
+            });
         }
         queue.deltas.push((local, delta));
         shard.metrics.ops_enqueued.fetch_add(1, Ordering::Relaxed);
@@ -465,33 +415,10 @@ impl<G: AbelianGroup> ShardedCube<G> {
             .queue_depth_max
             .fetch_max(queue.deltas.len() as u64, Ordering::Relaxed);
         if queue.deltas.len() >= self.shard_config.batch_capacity.max(1) {
-            self.attempt_commit(shard, queue);
+            self.attempt_commit(shard, &mut queue);
         }
+        shard.pending.store(queue.deltas.len(), Ordering::Release);
         Ok(())
-    }
-
-    /// Applies a batch of updates, locking each touched shard's queue
-    /// once. Rejected deltas are shed and counted, like
-    /// [`ShardedCube::update`].
-    pub fn update_batch(&self, updates: &[(Vec<usize>, G)]) {
-        let mut by_shard: HashMap<usize, Vec<(Vec<usize>, G)>> = HashMap::new();
-        for (point, delta) in updates {
-            self.shape.check_point(point);
-            let idx = self.owner_index(point[0]);
-            let mut local = point.clone();
-            local[0] -= self.shards[idx].rows_lo;
-            by_shard.entry(idx).or_default().push((local, *delta));
-        }
-        for (idx, batch) in by_shard {
-            let shard = &self.shards[idx];
-            let wait = obs::timer();
-            let mut queue = lock_queue(shard);
-            wait.observe("shard.queue_wait", &shard_obs().queue_wait_ns);
-            for (local, delta) in batch {
-                shed(self.enqueue_locked(idx, shard, &mut queue, local, delta));
-            }
-            shard.pending.store(queue.deltas.len(), Ordering::Release);
-        }
     }
 
     /// Flush trigger that respects the supervisor: failed shards are
@@ -620,150 +547,57 @@ impl<G: AbelianGroup> ShardedCube<G> {
         self.shards[shard].fail_flushes.store(n, Ordering::SeqCst);
     }
 
-    /// Sum of queued deltas whose local point is dominated by `corner`
-    /// (their contribution to the local prefix sum at `corner`).
-    fn queued_prefix(queue: &[(Vec<usize>, G)], corner: &[usize]) -> G {
-        let mut acc = G::ZERO;
-        for (p, d) in queue {
-            if p.iter().zip(corner).all(|(a, b)| a <= b) {
-                acc = acc.add(*d);
-            }
-        }
-        acc
-    }
-
-    /// Runs `read` against the shard's engine, reading *through* the
-    /// write queue: the result of `read` plus `queued(queue)` for the
-    /// still-unapplied deltas. The queue mutex is held only until the
+    /// One read of a shard, *through* its write queue: `read` against
+    /// the engine plus the still-queued deltas whose point lies in the
+    /// slab-local region `local`. The queue mutex is held only until the
     /// engine read lock is acquired — the same queue→engine order a
     /// group commit uses — so a concurrent flush can neither apply a
     /// delta we already counted nor sneak one past us. Quarantined
     /// shards stay fully readable: their deltas are simply all queued.
-    fn read_through(
-        shard: &Shard<G>,
-        queued: impl FnOnce(&[(Vec<usize>, G)]) -> G,
-        read: impl FnOnce(&DdcEngine<G>) -> G,
-    ) -> G {
-        if shard.pending.load(Ordering::Acquire) > 0 {
-            let queue = lock_queue(shard);
-            let pending = queued(&queue.deltas);
-            let engine = read_engine(shard);
-            drop(queue);
-            read(&engine).add(pending)
-        } else {
-            read(&read_engine(shard))
-        }
-    }
-
-    /// The shard's partial prefix sum for the global corner `point`,
-    /// or `None` when the slab lies entirely above `point`.
-    fn shard_prefix(&self, shard: &Shard<G>, point: &[usize]) -> Option<G> {
-        if point[0] < shard.rows_lo {
-            return None;
-        }
-        let mut local = point.to_vec();
-        local[0] = point[0].min(shard.rows_hi - 1) - shard.rows_lo;
+    fn read_through(shard: &Shard<G>, local: &Region, read: impl FnOnce(&DdcEngine<G>) -> G) -> G {
         shard.metrics.queries.fetch_add(1, Ordering::Relaxed);
-        Some(Self::read_through(
-            shard,
-            |queue| Self::queued_prefix(queue, &local),
-            |engine| engine.prefix_sum(&local),
-        ))
-    }
-
-    /// The shard's signed contribution to all Figure-4 terms of one
-    /// range query, under a single read acquisition.
-    fn shard_terms(&self, shard: &Shard<G>, region: &Region) -> G {
-        // Clamp each contributing term into the slab first: terms that
-        // clamp to the same local corner with opposite signs cancel, so
-        // a slab entirely below the query's dimension-0 range nets to
-        // zero and is skipped without touching a single lock.
-        let mut mine: Vec<(i32, Vec<usize>)> = Vec::with_capacity(1 << region.ndim());
-        with_coord_bufs(region.ndim(), |corner, _| {
-            region.for_each_prefix_term(corner, |sign, corner| {
-                if corner[0] < shard.rows_lo {
-                    return;
-                }
-                let mut local = corner.to_vec();
-                local[0] = corner[0].min(shard.rows_hi - 1) - shard.rows_lo;
-                match mine.iter_mut().find(|(_, c)| *c == local) {
-                    Some((s, _)) => *s += i32::from(sign),
-                    None => mine.push((i32::from(sign), local)),
-                }
-            })
-        });
-        mine.retain(|(s, _)| *s != 0);
-        if mine.is_empty() {
-            return G::ZERO;
+        if shard.pending.load(Ordering::Acquire) == 0 {
+            return read(&read_engine(shard));
         }
-        // Only a +/- pair can collapse (the pair differs solely in its
-        // dimension-0 coordinate), so surviving signs are unit.
-        debug_assert!(mine.iter().all(|(s, _)| s.abs() == 1));
-        shard
-            .metrics
-            .queries
-            .fetch_add(mine.len() as u64, Ordering::Relaxed);
-        Self::read_through(
-            shard,
-            |queue| {
-                mine.iter().fold(G::ZERO, |acc, (sign, local)| {
-                    let p = Self::queued_prefix(queue, local);
-                    if *sign > 0 {
-                        acc.add(p)
-                    } else {
-                        acc.sub(p)
-                    }
-                })
-            },
-            |engine| {
-                mine.iter().fold(G::ZERO, |acc, (sign, local)| {
-                    let p = engine.prefix_sum(local);
-                    if *sign > 0 {
-                        acc.add(p)
-                    } else {
-                        acc.sub(p)
-                    }
-                })
-            },
-        )
-    }
-
-    /// `SUM(A[0,…,0] : A[point])`, summed over the contributing shards.
-    pub fn query_prefix(&self, point: &[usize]) -> G {
-        self.shape.check_point(point);
-        self.shards
+        let queue = lock_queue(shard);
+        let queued = queue
+            .deltas
             .iter()
-            .filter_map(|shard| self.shard_prefix(shard, point))
-            .fold(G::ZERO, |acc, p| acc.add(p))
+            .filter(|(p, _)| local.contains(p))
+            .fold(G::ZERO, |acc, (_, d)| acc.add(*d));
+        let engine = read_engine(shard);
+        drop(queue);
+        read(&engine).add(queued)
     }
 
-    /// Sum over `region`: the ≤ `2^d` Figure-4 prefix terms, each term
-    /// split across the shards it intersects.
+    /// `SUM(A[0,…,0] : A[point])`: the range sum over `[0, point]`.
+    pub fn query_prefix(&self, point: &[usize]) -> G {
+        self.query(&Region::prefix(point))
+    }
+
+    /// Sum over `region`: each slab whose rows overlap it answers the
+    /// region clamped into the slab (Figure 4 happens in its engine).
     pub fn query(&self, region: &Region) -> G {
         region.check_within(&self.shape);
-        self.shards
-            .iter()
-            .map(|shard| self.shard_terms(shard, region))
-            .fold(G::ZERO, |acc, p| acc.add(p))
+        let (lo, hi) = (region.lo(), region.hi());
+        let mut acc = G::ZERO;
+        for shard in &self.shards[self.owner_index(lo[0])..=self.owner_index(hi[0])] {
+            let (mut l, mut h) = (lo.to_vec(), hi.to_vec());
+            l[0] = lo[0].max(shard.rows_lo) - shard.rows_lo;
+            h[0] = hi[0].min(shard.rows_hi - 1) - shard.rows_lo;
+            let local = Region::new(&l, &h);
+            acc = acc.add(Self::read_through(shard, &local, |e| e.range_sum(&local)));
+        }
+        acc
     }
 
     /// One cell's value: served entirely by the owning shard.
     pub fn cell_value(&self, point: &[usize]) -> G {
         self.shape.check_point(point);
-        let shard = self.owner(point[0]);
+        let shard = &self.shards[self.owner_index(point[0])];
         let mut local = point.to_vec();
         local[0] -= shard.rows_lo;
-        shard.metrics.queries.fetch_add(1, Ordering::Relaxed);
-        Self::read_through(
-            shard,
-            |queue| {
-                queue
-                    .iter()
-                    .filter(|(p, _)| *p == local)
-                    .fold(G::ZERO, |acc, (_, d)| acc.add(*d))
-            },
-            |engine| engine.cell(&local),
-        )
+        Self::read_through(shard, &Region::cell(&local), |e| e.cell(&local))
     }
 
     /// Populated cells in global coordinates (flushes first).
@@ -798,7 +632,6 @@ impl<G: AbelianGroup> ShardedCube<G> {
                 ops_rejected: shard.metrics.ops_rejected.load(Ordering::Relaxed),
                 worker_panics: shard.metrics.worker_panics.load(Ordering::Relaxed),
                 worker_restarts: shard.metrics.worker_restarts.load(Ordering::Relaxed),
-                records_replayed: shard.metrics.records_replayed.load(Ordering::Relaxed),
             })
             .collect()
     }
@@ -831,10 +664,6 @@ impl<G: AbelianGroup> RangeSumEngine<G> for ShardedCube<G> {
 
     fn apply_delta(&mut self, point: &[usize], delta: G) {
         self.update(point, delta);
-    }
-
-    fn apply_batch(&mut self, updates: &[(Vec<usize>, G)]) {
-        self.update_batch(updates);
     }
 
     fn range_sum(&self, region: &Region) -> G {
@@ -882,11 +711,11 @@ impl<G: AbelianGroup> RangeSumEngine<G> for ShardedCube<G> {
     fn metrics_text(&self) -> Option<String> {
         let mut out = String::from(
             "shard  rows          enqueued   applied  batches   queries  rejected  depth^  \
-             panics  restarts  replayed  lock-held\n",
+             panics  restarts  lock-held\n",
         );
         for m in self.metrics() {
             out.push_str(&format!(
-                "{:>5}  [{:>4},{:>4})  {:>8}  {:>8}  {:>7}  {:>8}  {:>8}  {:>6}  {:>6}  {:>8}  {:>8}  {:>7.3}ms\n",
+                "{:>5}  [{:>4},{:>4})  {:>8}  {:>8}  {:>7}  {:>8}  {:>8}  {:>6}  {:>6}  {:>8}  {:>7.3}ms\n",
                 m.shard,
                 m.rows_lo,
                 m.rows_hi,
@@ -898,7 +727,6 @@ impl<G: AbelianGroup> RangeSumEngine<G> for ShardedCube<G> {
                 m.queue_depth_max,
                 m.worker_panics,
                 m.worker_restarts,
-                m.records_replayed,
                 m.lock_hold_nanos as f64 / 1e6,
             ));
         }
@@ -940,7 +768,7 @@ mod tests {
             }
             assert_eq!(next, n0);
             for row in 0..n0 {
-                let o = c.owner(row);
+                let o = &c.shards[c.owner_index(row)];
                 assert!(o.rows_lo <= row && row < o.rows_hi);
             }
         }
@@ -1105,22 +933,6 @@ mod tests {
         c.try_update(&[7, 0], 3).unwrap();
         c.flush();
         assert_eq!(c.metrics()[1].ops_applied, 1);
-    }
-
-    #[test]
-    fn from_recovered_counts_replayed_records() {
-        let entries = vec![(vec![1usize, 1], 5i64), (vec![30, 2], 7), (vec![2, 3], -1)];
-        let c = ShardedCube::from_recovered(
-            Shape::new(&[32, 16]),
-            DdcConfig::dynamic(),
-            ShardConfig::with_shards(2),
-            &entries,
-        );
-        let m = c.metrics();
-        assert_eq!(m.iter().map(|s| s.records_replayed).sum::<u64>(), 3);
-        assert_eq!(m[0].records_replayed, 2);
-        assert_eq!(m[1].records_replayed, 1);
-        assert_eq!(c.query_prefix(&[31, 15]), 11);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! (enforced by `ddc-lint`). In a normal build the re-exports below
 //! *are* the `std` types — the facade compiles away completely. With
 //! the `ddc_model` feature the same names resolve to
-//! [`ddc_model::sync`], whose objects register with the deterministic
+//! `ddc_model::sync`, whose objects register with the deterministic
 //! scheduler when created on a modeled thread and degrade to `std`
 //! behavior everywhere else.
 //!
@@ -25,8 +25,8 @@ pub use std::sync::{Condvar, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockW
 #[cfg(feature = "ddc_model")]
 pub use ddc_model::sync::{Condvar, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-/// Atomic integers with explicit [`Ordering`]; model-aware under
-/// `ddc_model`.
+/// Atomic integers with explicit [`Ordering`](std::sync::atomic::Ordering);
+/// model-aware under `ddc_model`.
 pub mod atomic {
     pub use std::sync::atomic::Ordering;
 

@@ -698,7 +698,7 @@ impl<G: AbelianGroup + ValueCodec> DdcTree<G> {
 
     /// Moves the leaf arena's cells behind a buffer pool over `spill`
     /// when the config asks for [`crate::LeafBackend::Paged`] (block ids
-    /// are preserved, so every [`ChildRef`] stays valid). `spill` is
+    /// are preserved, so every child reference stays valid). `spill` is
     /// scratch space: it should be empty, and nothing reads it back
     /// after the tree is dropped.
     ///

@@ -20,6 +20,9 @@
 //!   an explicit per-op schedule) and every realized fault is recorded,
 //!   so a failing chaos run replays byte-for-byte and shrinks with
 //!   delta debugging (`ddc check disk`).
+//! * [`IoError`] / [`RetryPolicy`] — what a failure on this seam means
+//!   for the caller's state, and how long a caller keeps retrying a
+//!   transient one before it degrades.
 //!
 //! Fault model (one fault at most per file operation, keyed by a global
 //! monotone op counter):
@@ -33,16 +36,21 @@
 //! | `ReadErr`     | `read_at`   | EIO                                      |
 //! | `ReadCorrupt` | `read_at`   | one bit flipped in the *returned* copy   |
 //!
-//! Namespace operations (`open`/`rename`/`remove`) are deliberately not
-//! fault points: the WAL's checkpoint protocol relies on `open(Create)`
-//! truncating atomically, and injecting there would only retest the
-//! crash sweep's byte-offset coverage.
+//! `truncate` draws no fault and counts no op; a [`FaultVfs`] can
+//! instead be told to *lose* truncations
+//! ([`FaultVfs::lose_truncations`]) — the seeded bug `ddc check disk`
+//! must re-find. Namespace operations (`open`/`rename`/`remove`) are
+//! deliberately not fault points: the WAL's checkpoint protocol relies
+//! on `open(Create)` truncating atomically, and injecting there would
+//! only retest the crash sweep's byte-offset coverage.
 
+use crate::growth::GrowthError;
 use crate::sync::untracked::{Mutex, MutexGuard};
 use crate::sync::{Arc, PoisonError};
 use ddc_workload::DdcRng;
 use std::collections::HashMap;
 use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::time::Duration;
 
 /// Raw `errno` for ENOSPC on the platforms we target. We match on the
 /// raw value because `io::ErrorKind::StorageFull` is not stable on the
@@ -55,6 +63,115 @@ pub const EIO: i32 = 5;
 /// error class retrying cannot fix, so callers degrade instead.
 pub fn is_no_space(e: &io::Error) -> bool {
     e.raw_os_error() == Some(ENOSPC)
+}
+
+/// Typed durability-path error. The variant tells the caller what the
+/// failure means for the cube's state, not just what syscall failed.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum IoError {
+    /// The operation failed but the cube is unchanged and healthy —
+    /// retrying the *call* later may succeed (e.g. a codec rejection,
+    /// or a checkpoint that failed before the snapshot rename).
+    Transient {
+        /// Human-readable cause.
+        detail: String,
+        /// IO retries burned before giving up on this call.
+        retries: u32,
+    },
+    /// The bounded retry budget was spent without a successful append.
+    /// The cube has entered degraded read-only mode.
+    Exhausted {
+        /// Human-readable cause (the last underlying IO error).
+        detail: String,
+        /// Retries attempted.
+        retries: u32,
+        /// True when the final failure was at the sync barrier *and*
+        /// the torn-tail cleanup also failed: the record's durability
+        /// is ambiguous (the classic commit window), so recovery may
+        /// legitimately replay this one unacknowledged operation.
+        indeterminate: bool,
+    },
+    /// The cube is in degraded read-only mode (ENOSPC or a previous
+    /// exhaustion); mutations are rejected without touching the log.
+    ReadOnly {
+        /// Why the cube degraded.
+        reason: String,
+    },
+    /// The point lies too far out for the cube to grow to; nothing was
+    /// logged or applied and the cube is healthy. No retry can succeed.
+    OutOfRange(GrowthError),
+}
+
+impl std::fmt::Display for IoError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            IoError::Transient { detail, retries } => {
+                write!(f, "transient IO failure ({retries} retries): {detail}")
+            }
+            IoError::Exhausted {
+                detail,
+                retries,
+                indeterminate,
+            } => write!(
+                f,
+                "IO retry budget exhausted after {retries} retries{}: {detail}",
+                if *indeterminate {
+                    " (durability of the last record is indeterminate)"
+                } else {
+                    ""
+                }
+            ),
+            IoError::ReadOnly { reason } => {
+                write!(f, "durable store is read-only (degraded): {reason}")
+            }
+            IoError::OutOfRange(e) => e.fmt(f),
+        }
+    }
+}
+
+impl std::error::Error for IoError {}
+
+/// Bounded-retry policy for transient disk faults on the append path.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct RetryPolicy {
+    /// Retries after the first attempt before declaring exhaustion.
+    pub max_retries: u32,
+    /// Backoff before the first retry; doubled each subsequent retry.
+    pub base_delay: Duration,
+    /// Ceiling on the per-retry backoff.
+    pub max_delay: Duration,
+}
+
+impl Default for RetryPolicy {
+    fn default() -> Self {
+        Self {
+            max_retries: 4,
+            base_delay: Duration::from_millis(1),
+            max_delay: Duration::from_millis(100),
+        }
+    }
+}
+
+impl RetryPolicy {
+    /// Default budget with zero backoff — for harnesses and tests where
+    /// wall-clock sleeps only slow the sweep down.
+    pub fn instant() -> Self {
+        Self {
+            base_delay: Duration::ZERO,
+            max_delay: Duration::ZERO,
+            ..Self::default()
+        }
+    }
+
+    /// Backoff before retry number `retry` (1-based): `base · 2^(r-1)`,
+    /// capped at [`RetryPolicy::max_delay`].
+    pub fn backoff(&self, retry: u32) -> Duration {
+        if retry == 0 {
+            return Duration::ZERO;
+        }
+        let mult = 1u32 << retry.saturating_sub(1).min(16);
+        self.base_delay.saturating_mul(mult).min(self.max_delay)
+    }
 }
 
 /// How [`Vfs::open`] should treat an existing (or missing) file.
@@ -92,7 +209,7 @@ pub trait VfsFile: Send {
     fn read_at(&mut self, offset: u64, buf: &mut [u8]) -> io::Result<usize>;
     /// Write `buf` at `offset`, zero-extending the file if the write
     /// lands past the current end. Positional writes exist for the page
-    /// file of [`crate::pager`]; append-only log sinks may not support
+    /// file of the buffer pool; append-only log sinks may not support
     /// them, so the default refuses.
     fn write_at(&mut self, offset: u64, buf: &[u8]) -> io::Result<()> {
         let _ = (offset, buf);
@@ -532,6 +649,8 @@ enum PlanState {
 struct FaultState {
     ops: u64,
     armed: bool,
+    /// `truncate` reports success without truncating.
+    lose_truncations: bool,
     plan: PlanState,
     realized: Vec<PlannedFault>,
     /// Path of the file each realized fault fired on, parallel to
@@ -699,6 +818,7 @@ impl<V: Vfs> FaultVfs<V> {
             state: Arc::new(Mutex::new(FaultState {
                 ops: 0,
                 armed: false,
+                lose_truncations: false,
                 plan,
                 realized: Vec::new(),
                 realized_paths: Vec::new(),
@@ -715,6 +835,15 @@ impl<V: Vfs> FaultVfs<V> {
     /// replay at the same indices.
     pub fn arm(&self, on: bool) {
         self.lock().armed = on;
+    }
+
+    /// Makes every `truncate` on this namespace's files report success
+    /// without truncating (a disk that drops the request), or stops
+    /// doing so; returns the previous setting. This is the seeded bug of
+    /// `ddc check disk`: with the WAL's tail restoration lost, a torn or
+    /// synced-but-unacked frame stays under the next append.
+    pub fn lose_truncations(&self, on: bool) -> bool {
+        std::mem::replace(&mut self.lock().lose_truncations, on)
     }
 
     /// Global file-operation count so far.
@@ -750,11 +879,12 @@ pub struct FaultFile<F: VfsFile> {
 }
 
 impl<F: VfsFile> FaultFile<F> {
+    fn state(&self) -> MutexGuard<'_, FaultState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     fn fault_for(&self, class: OpClass) -> Option<FaultKind> {
-        self.state
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .next_fault(class, &self.path)
+        self.state().next_fault(class, &self.path)
     }
 }
 
@@ -792,6 +922,9 @@ impl<F: VfsFile> VfsFile for FaultFile<F> {
     }
 
     fn truncate(&mut self, len: u64) -> io::Result<()> {
+        if self.state().lose_truncations {
+            return Ok(());
+        }
         self.inner.truncate(len)
     }
 

@@ -1,0 +1,522 @@
+//! Cube + log wired together: [`recover`], [`DurableCube`],
+//! [`recover_vfs`] and the thread-shared [`SharedDurableCube`].
+
+use std::io::{self, Write};
+
+use ddc_array::AbelianGroup;
+
+use super::log::{read_wal, WalWriter};
+use super::record::{WalOp, WAL_HEADER_BYTES};
+use super::wal_obs;
+use crate::config::DdcConfig;
+use crate::growth::GrowableCube;
+use crate::obs;
+use crate::persist::ValueCodec;
+use crate::store::{self, SpillFile};
+use crate::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use crate::vfs::{is_no_space, read_stable, IoError, OpenMode, RetryPolicy, Vfs, VfsFile};
+
+/// What [`recover`] did, for operators and metrics.
+#[derive(Clone, Debug)]
+pub struct RecoveryReport {
+    /// True when a snapshot was loaded (vs starting from an empty cube).
+    pub snapshot_loaded: bool,
+    /// Records replayed from the log.
+    pub replayed: usize,
+    /// Valid log prefix in bytes.
+    pub valid_bytes: u64,
+    /// Why the log was truncated, if it was.
+    pub truncated: Option<String>,
+}
+
+/// Rebuilds a cube after a crash: load the last good snapshot (if any),
+/// then replay the WAL, truncating at the first corrupt or partial
+/// record. `d` fixes the dimensionality when no snapshot exists.
+pub fn recover<G: AbelianGroup + ValueCodec>(
+    d: usize,
+    snapshot: Option<&[u8]>,
+    wal: &[u8],
+    config: DdcConfig,
+) -> io::Result<(GrowableCube<G>, RecoveryReport)> {
+    recover_spilling(d, snapshot, wal, config, None)
+}
+
+/// [`recover`], paging the leaves onto `spill` when the caller opened
+/// one.
+fn recover_spilling<G: AbelianGroup + ValueCodec>(
+    d: usize,
+    snapshot: Option<&[u8]>,
+    wal: &[u8],
+    config: DdcConfig,
+    spill: Option<SpillFile>,
+) -> io::Result<(GrowableCube<G>, RecoveryReport)> {
+    let site = wal_obs();
+    let span = obs::timer();
+    // Paging (when configured) activates before any cell lands — inside
+    // `load_spilling`, or right here without a snapshot — so recovery
+    // literally replays the WAL onto pages and a cube too big for the
+    // memory cap can still be rebuilt.
+    let (mut cube, snapshot_loaded) = match snapshot {
+        Some(bytes) => {
+            let cube = GrowableCube::<G>::load_spilling(&mut { bytes }, config, spill)?;
+            if cube.ndim() != d {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!("snapshot is {}-dimensional, expected {d}", cube.ndim()),
+                ));
+            }
+            (cube, true)
+        }
+        None => {
+            let mut cube = GrowableCube::new(d, config);
+            cube.page_leaves(spill)?;
+            (cube, false)
+        }
+    };
+    let replay = read_wal::<G>(wal)?;
+    let mut replayed = 0usize;
+    for op in &replay.ops {
+        apply_to_growable(&mut cube, op, d).map_err(|e| {
+            io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("record {replayed}: {e}"),
+            )
+        })?;
+        replayed += 1;
+    }
+    site.recover_runs.inc();
+    site.recover_records.add(replayed as u64);
+    span.observe("wal.recover", &site.recover_ns);
+    Ok((
+        cube,
+        RecoveryReport {
+            snapshot_loaded,
+            replayed,
+            valid_bytes: replay.valid_bytes,
+            truncated: replay.truncated,
+        },
+    ))
+}
+
+/// Applies one decoded record to a growable cube. Arity mismatches (a
+/// record from a different cube) and points the cube cannot grow to are
+/// errors; growth is organic.
+fn apply_to_growable<G: AbelianGroup + ValueCodec>(
+    cube: &mut GrowableCube<G>,
+    op: &WalOp<G>,
+    d: usize,
+) -> Result<(), String> {
+    match op {
+        WalOp::Update { point, delta } => {
+            if point.len() != d {
+                return Err(format!("update arity {} != {d}", point.len()));
+            }
+            cube.check_cover(point).map_err(|e| e.to_string())?;
+            cube.add(point, *delta);
+        }
+        WalOp::Set { point, value } => {
+            if point.len() != d {
+                return Err(format!("set arity {} != {d}", point.len()));
+            }
+            cube.check_cover(point).map_err(|e| e.to_string())?;
+            cube.set(point, *value);
+        }
+        WalOp::Grow { axis, .. } => {
+            if *axis >= d {
+                return Err(format!("grow axis {axis} out of range for d={d}"));
+            }
+            // Covered-box bookkeeping only: the growable cube re-grows
+            // on demand when a replayed point lands outside its box.
+        }
+    }
+    Ok(())
+}
+
+/// A [`GrowableCube`] whose every mutation is write-ahead logged: the
+/// record is appended and flushed *before* the in-memory apply, so an
+/// acknowledged mutation survives any subsequent kill.
+///
+/// # Examples
+///
+/// ```
+/// use ddc_core::{wal, DdcConfig, DurableCube};
+///
+/// let mut cube = DurableCube::<i64, Vec<u8>>::new(2, DdcConfig::sparse(), Vec::new()).unwrap();
+/// cube.add(&[3, -5], 7).unwrap();
+/// cube.add(&[100, 2], 1).unwrap();
+///
+/// // Simulate a kill: all that survives is the log bytes.
+/// let log = cube.into_wal().into_inner();
+/// let (recovered, report) = wal::recover::<i64>(2, None, &log, DdcConfig::sparse()).unwrap();
+/// assert_eq!(report.replayed, 2);
+/// assert_eq!(recovered.cell(&[3, -5]), 7);
+/// assert_eq!(recovered.total(), 8);
+/// ```
+#[derive(Debug)]
+pub struct DurableCube<G: AbelianGroup + ValueCodec, F: VfsFile> {
+    cube: GrowableCube<G>,
+    wal: WalWriter<F>,
+    policy: RetryPolicy,
+    degraded: Option<String>,
+}
+
+impl<G: AbelianGroup + ValueCodec, F: VfsFile> DurableCube<G, F> {
+    /// An empty durable cube logging to `sink` (starts a fresh log).
+    pub fn new(d: usize, config: DdcConfig, sink: F) -> io::Result<Self> {
+        let mut cube = GrowableCube::new(d, config);
+        cube.enable_paging()?;
+        Self::from_recovered(cube, sink)
+    }
+
+    /// Wraps an already-recovered cube, starting a fresh log on `sink`
+    /// (the caller checkpoints the recovered state separately).
+    pub fn from_recovered(cube: GrowableCube<G>, sink: F) -> io::Result<Self> {
+        Ok(Self::from_parts(
+            cube,
+            WalWriter::create(sink)?,
+            RetryPolicy::default(),
+        ))
+    }
+
+    fn from_parts(cube: GrowableCube<G>, wal: WalWriter<F>, policy: RetryPolicy) -> Self {
+        Self {
+            cube,
+            wal,
+            policy,
+            degraded: None,
+        }
+    }
+
+    /// Why the cube is read-only, when it is. Queries keep serving in
+    /// degraded mode; mutations return [`IoError::ReadOnly`].
+    pub fn degraded(&self) -> Option<&str> {
+        self.degraded.as_deref()
+    }
+
+    fn enter_degraded(&mut self, reason: String) {
+        if self.degraded.is_none() {
+            wal_obs().degraded_mode.set(1);
+            self.degraded = Some(reason);
+        }
+    }
+
+    fn guard_writable(&self) -> Result<(), IoError> {
+        match &self.degraded {
+            Some(reason) => Err(IoError::ReadOnly {
+                reason: reason.clone(),
+            }),
+            None => Ok(()),
+        }
+    }
+
+    /// Classifies an append failure and flips into degraded mode when
+    /// the failure is terminal for the log.
+    fn note_failure(&mut self, e: IoError) -> IoError {
+        match &e {
+            IoError::ReadOnly { reason } => self.enter_degraded(reason.clone()),
+            IoError::Exhausted {
+                detail, retries, ..
+            } => self.enter_degraded(format!(
+                "append retry budget exhausted after {retries} retries: {detail}"
+            )),
+            IoError::Transient { .. } | IoError::OutOfRange(_) => {}
+        }
+        e
+    }
+
+    /// Logs, then applies, a point delta. `Err` means *not acknowledged*:
+    /// the in-memory cube was left untouched (and, except for the
+    /// documented [`IoError::Exhausted`] indeterminate window, neither
+    /// was the durable log). A point the cube cannot grow to is refused
+    /// before the append, so the log never holds a record that replay
+    /// could not apply.
+    pub fn add(&mut self, point: &[i64], delta: G) -> Result<(), IoError> {
+        self.guard_writable()?;
+        self.cube.check_cover(point).map_err(IoError::OutOfRange)?;
+        let op = WalOp::Update {
+            point: point.to_vec(),
+            delta,
+        };
+        match self.wal.append_with_retry(&op, &self.policy) {
+            Ok(_) => {
+                self.cube.add(point, delta);
+                Ok(())
+            }
+            Err(e) => Err(self.note_failure(e)),
+        }
+    }
+
+    /// Logs, then applies, a cell set; returns the previous value.
+    pub fn set(&mut self, point: &[i64], value: G) -> Result<G, IoError> {
+        self.guard_writable()?;
+        self.cube.check_cover(point).map_err(IoError::OutOfRange)?;
+        let op = WalOp::Set {
+            point: point.to_vec(),
+            value,
+        };
+        match self.wal.append_with_retry(&op, &self.policy) {
+            Ok(_) => Ok(self.cube.set(point, value)),
+            Err(e) => Err(self.note_failure(e)),
+        }
+    }
+
+    /// Logs a covered-box growth step (bookkeeping; see [`WalOp::Grow`]).
+    pub fn log_grow(&mut self, axis: usize, amount: usize, low: bool) -> Result<(), IoError> {
+        self.guard_writable()?;
+        match self
+            .wal
+            .append_with_retry::<G>(&WalOp::Grow { axis, amount, low }, &self.policy)
+        {
+            Ok(_) => Ok(()),
+            Err(e) => Err(self.note_failure(e)),
+        }
+    }
+
+    /// The wrapped cube (reads need no logging).
+    pub fn cube(&self) -> &GrowableCube<G> {
+        &self.cube
+    }
+
+    /// Buffer-pool counters of the paged leaf arena (`None` on the
+    /// slab backend).
+    pub fn pool_stats(&self) -> Option<crate::pager::PoolStats> {
+        self.cube.pool_stats()
+    }
+
+    /// Writes a snapshot of the current state to `out`, returning the
+    /// bytes written. After the snapshot is durable the caller may
+    /// truncate/replace the log (see [`DurableCube::reset_wal`]).
+    pub fn checkpoint(&self, out: &mut impl Write) -> io::Result<u64> {
+        self.cube.save(out)
+    }
+
+    /// Checkpoints through a [`Vfs`]: writes the snapshot atomically
+    /// (tmp + sync + rename), then retires the log by starting a fresh
+    /// one at `wal_path`. Ordering guarantees:
+    ///
+    /// 1. Any failure *before* the snapshot rename is
+    ///    [`IoError::Transient`] — the previous snapshot and the full
+    ///    log are untouched, recovery is unaffected, and the call may
+    ///    simply be retried later (ENOSPC degrades instead).
+    /// 2. Once the rename lands, the snapshot is the authoritative
+    ///    base. `open(Create)` truncates the old log before the new
+    ///    header is written, so a crash in between leaves an empty or
+    ///    torn-header log — a valid empty replay. If even the
+    ///    open/header write fails, the stale log is removed outright;
+    ///    when that also fails the cube degrades rather than risk
+    ///    double-applying the old log onto the new snapshot.
+    pub fn checkpoint_vfs<V: Vfs<File = F>>(
+        &mut self,
+        vfs: &V,
+        snapshot_path: &str,
+        wal_path: &str,
+    ) -> Result<u64, IoError> {
+        self.guard_writable()?;
+        let mut image = Vec::new();
+        self.cube.save(&mut image).map_err(|e| IoError::Transient {
+            detail: format!("snapshot encode: {e}"),
+            retries: 0,
+        })?;
+        if let Err(e) = vfs.write_atomic(snapshot_path, &image) {
+            wal_obs().io_faults.inc();
+            return Err(if is_no_space(&e) {
+                let reason = format!("out of disk space during checkpoint: {e}");
+                self.enter_degraded(reason.clone());
+                IoError::ReadOnly { reason }
+            } else {
+                IoError::Transient {
+                    detail: format!("snapshot write: {e}"),
+                    retries: 0,
+                }
+            });
+        }
+        match vfs
+            .open(wal_path, OpenMode::Create)
+            .and_then(WalWriter::create)
+        {
+            Ok(wal) => {
+                self.wal = wal;
+                Ok(image.len() as u64)
+            }
+            Err(e) => {
+                wal_obs().io_faults.inc();
+                let _ = vfs.remove(wal_path);
+                let reason = format!("log rotation failed after checkpoint: {e}");
+                self.enter_degraded(reason.clone());
+                Err(IoError::Exhausted {
+                    detail: reason,
+                    retries: 0,
+                    indeterminate: false,
+                })
+            }
+        }
+    }
+
+    /// Replaces the log with a fresh one on `sink` — the post-checkpoint
+    /// truncation. Returns the retired sink.
+    pub fn reset_wal(&mut self, sink: F) -> io::Result<F> {
+        let old = std::mem::replace(&mut self.wal, WalWriter::create(sink)?);
+        Ok(old.into_inner())
+    }
+
+    /// Log statistics: `(bytes, records)` acknowledged so far.
+    pub fn wal_stats(&self) -> (u64, u64) {
+        (self.wal.bytes(), self.wal.records())
+    }
+
+    /// Borrow of the log writer (e.g. to peek at an in-memory sink).
+    pub fn wal(&self) -> &WalWriter<F> {
+        &self.wal
+    }
+
+    /// Consumes the cube, returning the log writer.
+    pub fn into_wal(self) -> WalWriter<F> {
+        self.wal
+    }
+}
+
+/// Boots a durable cube through a [`Vfs`]: loads the snapshot (when
+/// `snapshot_path` names an existing file), replays the log with the
+/// usual torn-tail truncation, repairs the log file back to its valid
+/// prefix, and resumes appending to it. Reads go through
+/// [`read_stable`](crate::vfs::read_stable) so a transient read-back
+/// bit flip cannot corrupt recovery. A [`crate::PagerConfig::disk`]
+/// pager spills to a scratch file next to the log in the same
+/// namespace, so an eviction write-back or a page fault-in fails (and
+/// is injected) like any other op on that disk.
+pub fn recover_vfs<G: AbelianGroup + ValueCodec, V: Vfs>(
+    vfs: &V,
+    wal_path: &str,
+    snapshot_path: Option<&str>,
+    d: usize,
+    config: DdcConfig,
+    policy: RetryPolicy,
+) -> io::Result<(DurableCube<G, V::File>, RecoveryReport)>
+where
+    V::File: 'static,
+{
+    let attempts = policy.max_retries + 3;
+    let snapshot = match snapshot_path {
+        Some(p) if vfs.exists(p)? => Some(read_stable(vfs, p, attempts)?),
+        _ => None,
+    };
+    let spill = store::spill_through(vfs, wal_path, &config)?;
+    if !vfs.exists(wal_path)? {
+        let (cube, report) = recover_spilling(d, snapshot.as_deref(), &[], config, spill)?;
+        let wal = WalWriter::create(vfs.open(wal_path, OpenMode::Create)?)?;
+        return Ok((DurableCube::from_parts(cube, wal, policy), report));
+    }
+    let log = read_stable(vfs, wal_path, attempts)?;
+    let (cube, report) = recover_spilling(d, snapshot.as_deref(), &log, config, spill)?;
+    let wal = if report.valid_bytes < WAL_HEADER_BYTES as u64 {
+        // Torn header: rewrite the log from scratch.
+        WalWriter::create(vfs.open(wal_path, OpenMode::Create)?)?
+    } else {
+        let mut f = vfs.open(wal_path, OpenMode::Append)?;
+        if report.valid_bytes < log.len() as u64 {
+            f.truncate(report.valid_bytes)?;
+        }
+        WalWriter::resume(f, report.valid_bytes, report.replayed as u64)
+    };
+    Ok((DurableCube::from_parts(cube, wal, policy), report))
+}
+
+/// A [`DurableCube`] shared between threads: one facade mutex holds the
+/// log-then-apply pair, so "acknowledged" (a call returning `Ok`) means
+/// the WAL record was appended *and* the in-memory cube reflects it as
+/// one atomic step with respect to every other thread.
+///
+/// This is the structure the `ddc-model` durability scenarios
+/// (`ddc_core::models`, behind the `ddc_model` feature) check: no schedule may return an ack before the
+/// record count in the log has grown, and concurrent `add`s must be
+/// linearizable against the sequential oracle.
+#[derive(Debug)]
+pub struct SharedDurableCube<G: AbelianGroup + ValueCodec, F: VfsFile> {
+    inner: Arc<Mutex<DurableCube<G, F>>>,
+}
+
+impl<G: AbelianGroup + ValueCodec, F: VfsFile> Clone for SharedDurableCube<G, F> {
+    fn clone(&self) -> Self {
+        Self {
+            inner: Arc::clone(&self.inner),
+        }
+    }
+}
+
+impl<G: AbelianGroup + ValueCodec, F: VfsFile> SharedDurableCube<G, F> {
+    /// An empty shared durable cube logging to `sink`.
+    pub fn new(d: usize, config: DdcConfig, sink: F) -> io::Result<Self> {
+        Ok(Self::from_cube(DurableCube::new(d, config, sink)?))
+    }
+
+    /// Wraps an existing durable cube.
+    pub fn from_cube(cube: DurableCube<G, F>) -> Self {
+        Self {
+            inner: Arc::new(Mutex::new(cube)),
+        }
+    }
+
+    /// Poison-tolerant lock: a panicked appender left state that the
+    /// log-then-apply discipline already bounds (an appended-but-not-
+    /// applied record is exactly what recovery replays), so later
+    /// threads may keep going — the shard-lock pattern from
+    /// [`crate::shard`].
+    fn lock(&self) -> MutexGuard<'_, DurableCube<G, F>> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Logs, then applies, a point delta under the lock. `Ok` is the
+    /// durability acknowledgement.
+    pub fn add(&self, point: &[i64], delta: G) -> Result<(), IoError> {
+        self.lock().add(point, delta)
+    }
+
+    /// Logs, then applies, a cell set; returns the previous value.
+    pub fn set(&self, point: &[i64], value: G) -> Result<G, IoError> {
+        self.lock().set(point, value)
+    }
+
+    /// Why the cube is read-only, when it is (see
+    /// [`DurableCube::degraded`]).
+    pub fn degraded(&self) -> Option<String> {
+        self.lock().degraded().map(str::to_string)
+    }
+
+    /// One cell of the in-memory cube.
+    pub fn cell(&self, point: &[i64]) -> G {
+        self.lock().cube().cell(point)
+    }
+
+    /// Sum of every populated cell.
+    pub fn total(&self) -> G {
+        self.lock().cube().total()
+    }
+
+    /// Dimensionality of the cube.
+    pub fn ndim(&self) -> usize {
+        self.lock().cube().ndim()
+    }
+
+    /// Range sum over the closed logical box `[lo, hi]` — the serving
+    /// read path for durable backends. Parts outside the covered box
+    /// contribute zero.
+    ///
+    /// # Panics
+    ///
+    /// Panics on rank mismatch or inverted bounds (callers validate
+    /// untrusted input first).
+    pub fn range_sum(&self, lo: &[i64], hi: &[i64]) -> G {
+        self.lock().cube().range_sum(lo, hi)
+    }
+
+    /// Log statistics: `(bytes, records)` acknowledged so far.
+    pub fn wal_stats(&self) -> (u64, u64) {
+        self.lock().wal_stats()
+    }
+
+    /// Buffer-pool counters of the paged leaf arena (`None` on the
+    /// slab backend).
+    pub fn pool_stats(&self) -> Option<crate::pager::PoolStats> {
+        self.lock().pool_stats()
+    }
+}

@@ -24,8 +24,8 @@ pub enum BackendError {
     /// to 503.
     Failed(String),
     /// The durable store is in degraded read-only mode after a disk
-    /// fault; queries keep serving, mutations map to 503 until an
-    /// operator intervenes (`/healthz` reports `degraded`).
+    /// fault; queries keep serving, mutations map to 503 whose body
+    /// carries the reason `/healthz` reports after `degraded: `.
     ReadOnly(String),
     /// The durable log could not be appended (a transient, healthy
     /// failure — not degraded). Maps to 500.
@@ -60,7 +60,6 @@ impl From<TryUpdateError> for BackendError {
         match e {
             TryUpdateError::QueueFull { .. } => BackendError::Busy(e.to_string()),
             TryUpdateError::ShardFailed { .. } => BackendError::Failed(e.to_string()),
-            TryUpdateError::ReadOnly => BackendError::ReadOnly(e.to_string()),
         }
     }
 }
@@ -247,7 +246,7 @@ impl<F: VfsFile + 'static> ServeBackend for DurableBackend<F> {
         self.check_rank(point)?;
         self.cube.add(point, delta).map_err(|e| match e {
             IoError::ReadOnly { .. } | IoError::Exhausted { .. } => {
-                BackendError::from(TryUpdateError::ReadOnly)
+                BackendError::ReadOnly(e.to_string())
             }
             IoError::Transient { .. } => BackendError::Io(e.to_string()),
             IoError::OutOfRange(_) => BackendError::OutOfBounds(e.to_string()),
@@ -359,5 +358,53 @@ mod tests {
         assert_eq!(b.query(&[-10, -10], &[20, 20]).expect("box"), 9);
         assert_eq!(b.prefix(&[-3, 10]).expect("prefix"), 7);
         assert_eq!(b.update(&[0], 1).expect_err("rank").status(), 400);
+    }
+
+    /// ENOSPC on an append: the 503 says why (the reason `/healthz`
+    /// shows), reads keep serving the acked prefix, and later writes are
+    /// refused without touching the log.
+    #[test]
+    fn degraded_durable_backend_says_why_and_keeps_serving_reads() {
+        use ddc_core::wal::{self, RetryPolicy};
+        use ddc_core::{FaultKind, FaultVfs, PlannedFault};
+        const LOG: &str = "wal.log";
+        let boot = |vfs: &FaultVfs| {
+            let policy = RetryPolicy::instant();
+            wal::recover_vfs::<i64, _>(vfs, LOG, None, 2, DdcConfig::default(), policy)
+                .expect("boot")
+                .0
+        };
+        // A disarmed boot still counts file ops: probe how many, then
+        // plant the fault on the write of the second append (each clean
+        // append is one write + one sync).
+        let probe = FaultVfs::explicit_mem(Vec::new());
+        drop(boot(&probe));
+        let vfs = FaultVfs::explicit_mem(vec![PlannedFault {
+            op: probe.ops() + 2,
+            kind: FaultKind::NoSpace,
+        }]);
+        let cube = SharedDurableCube::from_cube(boot(&vfs));
+        let b = DurableBackend::new(cube.clone());
+        vfs.arm(true);
+        b.update(&[1, 2], 7).expect("acked before the disk fills");
+        assert_eq!(b.health(), BackendHealth::Ok);
+        let acked = cube.wal_stats();
+
+        let e = b.update(&[3, 4], 5).expect_err("ENOSPC");
+        assert_eq!(e.status(), 503, "{e:?}");
+        let BackendHealth::Degraded(reason) = b.health() else {
+            panic!("an ENOSPC append must degrade the backend");
+        };
+        assert!(reason.contains("out of disk space"), "{reason}");
+        assert!(e.detail().contains(&reason), "{e:?} vs {reason}");
+
+        assert_eq!(b.query(&[0, 0], &[9, 9]).expect("query"), 7);
+        assert_eq!(b.prefix(&[1, 2]).expect("prefix"), 7);
+        let again = b.update(&[3, 4], 5).expect_err("read-only");
+        assert_eq!(again.status(), 503);
+        assert!(again.detail().contains(&reason), "{again:?}");
+        assert_eq!(cube.wal_stats(), acked);
+        let on_disk = vfs.inner().contents(LOG).expect("log exists").len();
+        assert_eq!(on_disk as u64, acked.0);
     }
 }

@@ -13,8 +13,9 @@
 //!   frame against the backend → batch all responses from one read
 //!   into one write (pipelining never pays per-request syscalls).
 //! * Reads carry a short timeout so idle connections observe shutdown
-//!   promptly; a fatal [`ParseError`] answers with its mapped status
-//!   and closes (after a framing error the stream cannot be trusted).
+//!   promptly; a fatal [`ParseError`](crate::http::ParseError) answers
+//!   with its mapped status and closes (after a framing error the
+//!   stream cannot be trusted).
 //!
 //! Backpressure surfaces, in order of checking: connection limit
 //! (503), per-tenant admission ([`Admission`], 429), and engine

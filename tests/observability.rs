@@ -5,7 +5,8 @@
 
 use ddc_array::{RangeSumEngine, Shape};
 use ddc_core::{
-    obs, wal, DdcConfig, DdcEngine, GrowableCube, ShardConfig, ShardedCube, WalOp, WalWriter,
+    obs, wal, DdcConfig, DdcEngine, GrowableCube, RetryPolicy, ShardConfig, ShardedCube, WalOp,
+    WalWriter,
 };
 
 const THREADS: u64 = 8;
@@ -109,22 +110,17 @@ fn instrumented_hot_paths_report_nonzero() {
     // WAL append + recovery replay.
     let mut writer = WalWriter::create(Vec::new()).expect("wal header");
     for i in 0..4i64 {
+        let op = WalOp::Update {
+            point: vec![i, -i],
+            delta: 1,
+        };
         writer
-            .append(&WalOp::Update {
-                point: vec![i, -i],
-                delta: 1,
-            })
+            .append_with_retry(&op, &RetryPolicy::instant())
             .expect("append");
     }
     let log = writer.into_inner();
-    let (_cube, report) = wal::recover::<i64>(
-        2,
-        None,
-        &log,
-        DdcConfig::dynamic(),
-        ddc_core::WalConfig::default(),
-    )
-    .expect("recover");
+    let (_cube, report) =
+        wal::recover::<i64>(2, None, &log, DdcConfig::dynamic()).expect("recover");
     assert_eq!(report.replayed, 4);
 
     // Growth and persistence.

@@ -17,7 +17,7 @@ use std::collections::HashMap;
 
 use ddc_array::{AbelianGroup, Pair};
 use ddc_core::wal::{self, RetryPolicy};
-use ddc_core::{DdcConfig, DurableCube, GrowableCube, PagerConfig, StdVfs, ValueCodec, WalConfig};
+use ddc_core::{DdcConfig, DurableCube, GrowableCube, PagerConfig, StdVfs, ValueCodec};
 use ddc_tests::run_cases;
 
 type Oracle = HashMap<Vec<i64>, i64>;
@@ -176,8 +176,7 @@ fn recovery_replays_wal_onto_pages() {
         }
         let log = durable.into_wal().into_inner();
 
-        let (recovered, report) =
-            wal::recover::<i64>(2, None, &log, config, WalConfig::default()).expect("recover");
+        let (recovered, report) = wal::recover::<i64>(2, None, &log, config).expect("recover");
         assert_eq!(report.replayed, 300);
         assert!(
             recovered.is_paged(),
@@ -204,16 +203,8 @@ fn vfs_boot_spills_beside_the_log_and_leaves_no_file() {
         .with_elision(1)
         .with_paged_leaves(PagerConfig::disk(2048).with_page_bytes(128));
     let boot = || {
-        wal::recover_vfs::<i64, _>(
-            &StdVfs,
-            &wal_path,
-            None,
-            2,
-            config,
-            WalConfig::default(),
-            RetryPolicy::default(),
-        )
-        .expect("boot on the scratch dir")
+        wal::recover_vfs::<i64, _>(&StdVfs, &wal_path, None, 2, config, RetryPolicy::default())
+            .expect("boot on the scratch dir")
     };
     let (mut durable, _) = boot();
     for i in 0..300i64 {

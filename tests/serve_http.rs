@@ -22,7 +22,7 @@ use ddc_array::Shape;
 use ddc_core::sync::Arc;
 use ddc_core::vfs::StdVfs;
 use ddc_core::wal::{self, RetryPolicy};
-use ddc_core::{DdcConfig, ShardConfig, ShardedCube, SharedDurableCube, WalConfig};
+use ddc_core::{DdcConfig, ShardConfig, ShardedCube, SharedDurableCube};
 use ddc_serve::{DurableBackend, ServeBackend, Server, ServerConfig, ShardedBackend};
 use ddc_workload::DdcRng;
 use std::io::{Read, Write};
@@ -271,7 +271,6 @@ fn start_durable(dir: &std::path::Path) -> (Server, usize) {
         None,
         2,
         DdcConfig::dynamic(),
-        WalConfig::default(),
         RetryPolicy::default(),
     )
     .expect("durable cube recovers");

@@ -37,6 +37,81 @@ for_cases! {
         let independent = trace.replay(&mut reference);
         assert_eq!(shadowed, independent, "shards={shards} batch={batch}");
     }
+
+    /// Read-through at the slab cuts. On a cube that never commits (both
+    /// capacities out of reach, so every answer is engine + queue), with
+    /// queued deltas on every cut row and its neighbours, regions whose
+    /// dimension-0 bounds sit on, one below and one above each cut read
+    /// exactly as the unsharded engine does — at 1, 3 and `n0` shards.
+    /// At one shard the two trees have the same shape, so after a flush
+    /// the same reads must also leave the same `ops()` totals: the
+    /// slab-region path hands the engine the identical prefix-sum calls.
+    fn read_through_matches_unsharded_at_every_slab_cut(rng, cases = 12) {
+        let d = rng.gen_range(1usize..=3);
+        let n0 = rng.gen_range(3usize..=10);
+        let mut dims = vec![n0];
+        dims.extend((1..d).map(|_| rng.gen_range(2usize..=5)));
+        let shape = Shape::new(&dims);
+        for shards in [1, 3, n0] {
+            let cube = ShardedCube::<i64>::new(
+                shape.clone(),
+                DdcConfig::dynamic(),
+                ShardConfig {
+                    shards,
+                    batch_capacity: usize::MAX,
+                    queue_capacity: usize::MAX,
+                    ..ShardConfig::default()
+                },
+            );
+            let mut plain = DdcEngine::<i64>::dynamic(shape.clone());
+            let mut rows: Vec<usize> = cube
+                .metrics()
+                .iter()
+                .flat_map(|m| [m.rows_lo.saturating_sub(1), m.rows_lo, (m.rows_lo + 1).min(n0 - 1)])
+                .chain([n0 - 1])
+                .collect();
+            rows.sort_unstable();
+            rows.dedup();
+            for &row in &rows {
+                for _ in 0..3 {
+                    let mut p: Vec<usize> = dims.iter().map(|&n| rng.gen_range(0..n)).collect();
+                    p[0] = row;
+                    // Positive, so no cell cancels to zero and both trees
+                    // allocate the same boxes.
+                    let v = rng.gen_range(1i64..=9);
+                    cube.update(&p, v);
+                    plain.apply_delta(&p, v);
+                }
+            }
+            assert_eq!(cube.metrics().iter().map(|m| m.ops_applied).sum::<u64>(), 0);
+
+            let reads = |rng: &mut ddc_tests::DdcRng| {
+                for (i, &lo0) in rows.iter().enumerate() {
+                    for &hi0 in &rows[i..] {
+                        let (mut lo, mut hi) = (vec![lo0], vec![hi0]);
+                        for &n in &dims[1..] {
+                            let (a, b) = (rng.gen_range(0..n), rng.gen_range(0..n));
+                            lo.push(a.min(b));
+                            hi.push(a.max(b));
+                        }
+                        let q = Region::new(&lo, &hi);
+                        let at = format!("shards={shards} {q:?}");
+                        assert_eq!(cube.query(&q), plain.range_sum(&q), "{at}");
+                        assert_eq!(cube.query_prefix(&hi), plain.prefix_sum(&hi), "{at}");
+                        assert_eq!(cube.cell_value(&lo), plain.cell(&lo), "{at}");
+                    }
+                }
+            };
+            reads(rng);
+            cube.flush();
+            cube.reset_ops();
+            plain.reset_ops();
+            reads(rng);
+            if shards == 1 {
+                assert_eq!(cube.ops(), plain.ops());
+            }
+        }
+    }
 }
 
 /// 4 readers + 2 writers hammer a 256² sharded cube; afterwards every

@@ -11,7 +11,6 @@ use ddc_check::{corruption_divergence, crash_sweep, refind_seeded_bug, FaultSche
 use ddc_core::wal::IoError;
 use ddc_core::{
     wal, DdcConfig, DurableCube, FaultKind, FaultVfs, GrowableCube, PlannedFault, RetryPolicy,
-    WalConfig,
 };
 use ddc_tests::for_cases;
 use ddc_workload::{shrink_trace, CheckOp, CheckTrace, CheckTraceConfig, DdcRng};
@@ -26,7 +25,6 @@ fn boot_on(vfs: &FaultVfs) -> FaultCube {
         Some("snapshot.ddc"),
         2,
         DdcConfig::dynamic(),
-        WalConfig::default(),
         RetryPolicy::instant(),
     )
     .expect("boot")
@@ -243,24 +241,14 @@ fn unreachable_point_is_refused_before_the_append_and_named_by_recovery() {
     assert!(cube.degraded().is_none());
 
     let mut log = wal::WalWriter::create(Vec::new()).unwrap();
-    log.append(&wal::WalOp::Update {
-        point: vec![1, 1],
-        delta: 4i64,
-    })
-    .unwrap();
-    log.append(&wal::WalOp::Update {
-        point: far.to_vec(),
-        delta: 1i64,
-    })
-    .unwrap();
-    let err = wal::recover::<i64>(
-        2,
-        None,
-        &log.into_inner(),
-        DdcConfig::dynamic(),
-        WalConfig::default(),
-    )
-    .unwrap_err();
+    for (point, delta) in [(vec![1, 1], 4i64), (far.to_vec(), 1)] {
+        log.append_with_retry(
+            &wal::WalOp::Update { point, delta },
+            &RetryPolicy::instant(),
+        )
+        .unwrap();
+    }
+    let err = wal::recover::<i64>(2, None, &log.into_inner(), DdcConfig::dynamic()).unwrap_err();
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
     assert!(err.to_string().starts_with("record 1: "), "{err}");
 }
@@ -321,14 +309,8 @@ fn durable_file_cube_recovers_via_the_cli() {
     // Library-level recovery tolerates the torn tail directly…
     let log = std::fs::read(&wal_path).unwrap();
     let snap_bytes = std::fs::read(&snap_path).unwrap();
-    let (cube, report) = wal::recover::<i64>(
-        2,
-        Some(&snap_bytes),
-        &log,
-        DdcConfig::dynamic(),
-        WalConfig::default(),
-    )
-    .unwrap();
+    let (cube, report) =
+        wal::recover::<i64>(2, Some(&snap_bytes), &log, DdcConfig::dynamic()).unwrap();
     assert!(report.snapshot_loaded);
     assert_eq!(report.replayed, 2);
     assert!(report.truncated.is_some());
@@ -389,14 +371,8 @@ fn durable_file_cube_recovers_via_the_cli() {
     let log = std::fs::read(&wal_path).unwrap();
     assert_eq!(log.len(), wal::WAL_HEADER_BYTES);
     let snap_bytes = std::fs::read(&out_path).unwrap();
-    let (cube, report) = wal::recover::<i64>(
-        2,
-        Some(&snap_bytes),
-        &log,
-        DdcConfig::dynamic(),
-        WalConfig::default(),
-    )
-    .unwrap();
+    let (cube, report) =
+        wal::recover::<i64>(2, Some(&snap_bytes), &log, DdcConfig::dynamic()).unwrap();
     assert_eq!(report.replayed, 0);
     assert_eq!(cube.total(), 18);
 

@@ -1,6 +1,8 @@
 //! Per-operation core latency: p50/p99 wall-clock nanoseconds for point
-//! updates and prefix-sum queries on the d=2 hot path, across engines
-//! (experiment L1 in DESIGN.md §43).
+//! updates and prefix-sum queries across engines, on the d=2 hot path
+//! (256²) and on the 64³ cube of `benchmark/`'s `core_d3_query`, where
+//! every row-sum group is a secondary tree (experiment L1 in DESIGN.md
+//! §43).
 //!
 //! ```text
 //! cargo run --release -p ddc-bench --bin latency_core
@@ -32,8 +34,8 @@ use ddc_bench::print_row;
 use ddc_olap::EngineKind;
 use ddc_workload::rng;
 
-/// Side of the d=2 cube under test.
-const SIDE: usize = 256;
+/// The cubes under test, as `(d, side)`.
+const CUBES: [(usize, usize); 2] = [(2, 256), (3, 64)];
 /// Updates applied before measurement starts (structure warm-up).
 const POPULATE: usize = 40_000;
 /// Timed operations per op-kind per engine.
@@ -93,12 +95,13 @@ struct EngineRow {
     reads_per_prefix: f64,
 }
 
-fn measure(label: &'static str, kind: EngineKind) -> EngineRow {
-    let shape = Shape::cube(2, SIDE);
+fn measure(label: &'static str, kind: EngineKind, d: usize, side: usize) -> EngineRow {
     let mut r = rng(0xDDC_1A7E);
-    let mut engine: Box<dyn RangeSumEngine<i64>> = kind.build(shape);
+    let mut engine: Box<dyn RangeSumEngine<i64>> = kind.build(Shape::cube(d, side));
 
-    let point = |r: &mut ddc_workload::DdcRng| vec![r.gen_range(0..SIDE), r.gen_range(0..SIDE)];
+    let point = |r: &mut ddc_workload::DdcRng| -> Vec<usize> {
+        (0..d).map(|_| r.gen_range(0..side)).collect()
+    };
 
     for _ in 0..POPULATE {
         let p = point(&mut r);
@@ -141,15 +144,11 @@ fn measure(label: &'static str, kind: EngineKind) -> EngineRow {
     }
 }
 
-fn main() {
-    let json = std::env::args().any(|a| a == "--json");
-    let engines: Vec<(&'static str, EngineKind)> = vec![
-        ("dyn-ddc", EngineKind::DynamicDdc),
-        ("fenwick-nd", EngineKind::FenwickNd),
-    ];
-
+/// Measures both engines on one cube, prints its table and pushes its
+/// metrics as `<what>.d<d>.<engine>`.
+fn run_cube(d: usize, side: usize, report: &mut BenchReport) {
     println!(
-        "== d=2, side {SIDE}: per-op latency over {OPS} timed ops \
+        "== d={d}, side {side}: per-op latency over {OPS} timed ops \
          ({POPULATE} warm-up updates) ==\n"
     );
     let widths = [12usize, 10, 10, 10, 10, 12, 12];
@@ -165,13 +164,9 @@ fn main() {
         ],
         &widths,
     );
-
-    let mut report = BenchReport::new("latency_core");
-    let rows: Vec<EngineRow> = engines
-        .into_iter()
-        .map(|(label, kind)| measure(label, kind))
-        .collect();
-    for row in &rows {
+    let ddc = measure("dyn-ddc", EngineKind::DynamicDdc, d, side);
+    let fenwick = measure("fenwick-nd", EngineKind::FenwickNd, d, side);
+    for row in [&ddc, &fenwick] {
         print_row(
             &[
                 row.label.into(),
@@ -187,25 +182,23 @@ fn main() {
         for (op, q) in [("update", &row.update), ("prefix", &row.prefix)] {
             for (quantile, ns) in [("p50", q.p50), ("p99", q.p99)] {
                 report.push(
-                    format!("{op}.d2.{}.{quantile}_ns", row.label),
+                    format!("{op}.d{d}.{}.{quantile}_ns", row.label),
                     MetricKind::LatencyNs,
                     ns as f64,
                 );
             }
         }
         report.push(
-            format!("touched_per_update.d2.{}", row.label),
+            format!("touched_per_update.d{d}.{}", row.label),
             MetricKind::Count,
             row.touched_per_update,
         );
         report.push(
-            format!("reads_per_prefix.d2.{}", row.label),
+            format!("reads_per_prefix.d{d}.{}", row.label),
             MetricKind::Count,
             row.reads_per_prefix,
         );
     }
-    let row = |label: &str| rows.iter().find(|r| r.label == label).expect("engine row");
-    let (ddc, fenwick) = (row("dyn-ddc"), row("fenwick-nd"));
     println!();
     for (op, ours, theirs) in [
         ("update", &ddc.update, &fenwick.update),
@@ -214,18 +207,29 @@ fn main() {
         let ratio = ours.p50 as f64 / theirs.p50 as f64;
         println!("{op} p50, dyn-ddc ÷ fenwick-nd: {ratio:.2}");
         report.push(
-            format!("{op}.d2.dyn-ddc_over_fenwick-nd"),
+            format!("{op}.d{d}.dyn-ddc_over_fenwick-nd"),
             MetricKind::Ratio { tol: RATIO_TOL },
             ratio,
         );
     }
+    println!();
+}
+
+fn main() {
+    let json = std::env::args().any(|a| a == "--json");
+    let mut report = BenchReport::new("latency_core");
+    for (d, side) in CUBES {
+        run_cube(d, side, &mut report);
+    }
     let growth = growth_phase();
     println!(
-        "\ndyn-ddc update while populating {GROWTH_SIDE}² with {GROWTH_CELLS} cells: \
+        "dyn-ddc update while populating {GROWTH_SIDE}² with {GROWTH_CELLS} cells: \
          p50 {}ns  p99 {}ns  p99.9 {}ns  max {}ns",
         growth.p50, growth.p99, growth.p999, growth.max
     );
-    report.push("config.side", MetricKind::Count, SIDE as f64);
+    for (d, side) in CUBES {
+        report.push(format!("config.d{d}.side"), MetricKind::Count, side as f64);
+    }
     report.push("config.ops", MetricKind::Count, OPS as f64);
     report.push("config.populate", MetricKind::Count, POPULATE as f64);
 

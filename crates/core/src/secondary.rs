@@ -1,13 +1,14 @@
-//! Secondary structures: how one out-of-line overlay row-sum group is
-//! stored.
+//! Secondary structures: how one row-sum group is stored when it is
+//! neither an inline run of its box record nor a tree in its level's
+//! forest.
 //!
 //! Section 4.2: "the overlay box values of a d-dimensional data cube can
 //! be stored as (d−1)-dimensional data cubes using Dynamic Data Cubes,
 //! recursively; when d = 2, we use the B^c tree to store the row sum
-//! values." [`Secondary`] is that recursion for every group that does
-//! not live inline in the tree's level slab (the default d = 2 base
-//! case — the B^c tree's blocked layout — does; see `tree::arena`),
-//! with three extra arms:
+//! values." Both halves of that sentence live in the level slabs
+//! (`tree::arena`): the B^c tree's blocked layout as inline face runs,
+//! the recursion as one shared forest per level. A [`Secondary`] is one
+//! of the groups that remain:
 //!
 //! * `Flat` — the Basic DDC's direct arrays (§3), kept so the §3.3 cost
 //!   analysis can be measured against §4 on identical trees;
@@ -20,12 +21,11 @@
 //! Costs are accumulated into the caller's [`OpSnapshot`] so a tree
 //! operation bumps its [`ddc_array::OpCounter`] once.
 
-use ddc_array::{AbelianGroup, OpSnapshot};
+use ddc_array::{AbelianGroup, NdArray, OpSnapshot, Shape};
 use ddc_btree::{CumulativeStore, SparseSegTree};
 
 use crate::config::{BaseStore, DdcConfig, Mode};
 use crate::flat_face::FlatFace;
-use crate::tree::DdcTree;
 
 /// Storage for one `(d−1)`-dimensional row-sum group of an overlay box of
 /// side `k`.
@@ -37,61 +37,32 @@ pub(crate) enum Secondary<G: AbelianGroup> {
     Flat(FlatFace<G>),
     /// One-dimensional group in a lazy segment tree (sparse workloads).
     Seg(SparseSegTree<G>),
-    /// Dynamic mode, `d − 1 ≥ 2`: the group is itself a Dynamic Data Cube
-    /// (§4.2's secondary trees).
-    Tree(Box<DdcTree<G>>),
 }
 
-/// Invariant behind the `BaseStore::Blocked` arms below: the level slab
-/// holds one-dimensional blocked groups as inline face runs, so no
-/// [`Secondary`] is ever asked to be one.
-const BLOCKED_IS_INLINE: &str = "blocked one-dimensional faces live inline in the level slab";
+/// Invariant behind the `unreachable!` arms below: the level slab holds
+/// one-dimensional blocked groups as inline face runs and
+/// multi-dimensional Dynamic groups as trees in its forest, so no
+/// [`Secondary`] is ever asked to be either.
+const LIVES_IN_THE_SLAB: &str =
+    "blocked one-dimensional faces and secondary trees live in the level slab";
 
 impl<G: AbelianGroup> Secondary<G> {
-    /// Materializes the appropriate structure for a group with `face_dims`
-    /// dimensions of extent `k` each.
-    fn materialize(face_dims: usize, k: usize, config: &DdcConfig) -> Self {
-        debug_assert!(face_dims >= 1);
-        match config.mode {
-            Mode::Basic => Secondary::Flat(FlatFace::zeroed(ddc_array::Shape::cube(face_dims, k))),
-            Mode::Dynamic => {
-                if face_dims == 1 {
-                    match config.base {
-                        BaseStore::Blocked => unreachable!("{BLOCKED_IS_INLINE}"),
-                        BaseStore::SparseSeg => Secondary::Seg(SparseSegTree::zeroed(k)),
-                    }
-                } else {
-                    Secondary::Tree(Box::new(DdcTree::new(face_dims, k, *config)))
-                }
-            }
-        }
-    }
-
     /// Bulk-builds a group from its raw slab-sum array (`raw[c]` is the
     /// sum of the full row along the group axis at cross-position `c`).
     /// Used by the bottom-up constructor; equivalent to applying
     /// [`Secondary::add`] per populated slab but without per-value
     /// structure descents.
-    pub(crate) fn build_from_raw(raw: &ddc_array::NdArray<G>, config: &DdcConfig) -> Self {
-        let k = raw.shape().dim(0);
-        match config.mode {
-            Mode::Basic => {
+    pub(crate) fn build_from_raw(raw: &NdArray<G>, config: &DdcConfig) -> Self {
+        match (config.mode, config.base) {
+            (Mode::Basic, _) => {
                 let mut flat = FlatFace::zeroed(raw.shape().clone());
                 flat.fill_cumulative(raw);
                 Secondary::Flat(flat)
             }
-            Mode::Dynamic => {
-                if raw.shape().ndim() == 1 {
-                    match config.base {
-                        BaseStore::Blocked => unreachable!("{BLOCKED_IS_INLINE}"),
-                        BaseStore::SparseSeg => {
-                            Secondary::Seg(SparseSegTree::from_values(raw.as_slice()))
-                        }
-                    }
-                } else {
-                    Secondary::Tree(Box::new(DdcTree::from_array_sized(raw, k, *config)))
-                }
+            (Mode::Dynamic, BaseStore::SparseSeg) if raw.shape().ndim() == 1 => {
+                Secondary::Seg(SparseSegTree::from_values(raw.as_slice()))
             }
+            (Mode::Dynamic, _) => unreachable!("{LIVES_IN_THE_SLAB}"),
         }
     }
 
@@ -106,12 +77,12 @@ impl<G: AbelianGroup> Secondary<G> {
                 ops.reads += reads;
                 v
             }
-            Secondary::Tree(t) => t.prefix_counted(idx, ops),
         }
     }
 
-    /// Adds `delta` to the raw slab at `idx`, materializing first if
-    /// needed. `k` and `config` describe the owning overlay box.
+    /// Adds `delta` to the raw slab at `idx`, materializing the group
+    /// (`idx.len()` dimensions of extent `k`, the side of the owning
+    /// overlay box) first if needed.
     pub(crate) fn add(
         &mut self,
         idx: &[usize],
@@ -121,13 +92,18 @@ impl<G: AbelianGroup> Secondary<G> {
         ops: &mut OpSnapshot,
     ) {
         if matches!(self, Secondary::Empty) {
-            *self = Self::materialize(idx.len(), k, config);
+            *self = match (config.mode, config.base) {
+                (Mode::Basic, _) => Secondary::Flat(FlatFace::zeroed(Shape::cube(idx.len(), k))),
+                (Mode::Dynamic, BaseStore::SparseSeg) if idx.len() == 1 => {
+                    Secondary::Seg(SparseSegTree::zeroed(k))
+                }
+                (Mode::Dynamic, _) => unreachable!("{LIVES_IN_THE_SLAB}"),
+            };
         }
         match self {
             Secondary::Empty => unreachable!("materialized above"),
             Secondary::Flat(f) => f.add(idx, delta, ops),
             Secondary::Seg(t) => ops.writes += t.add_counted(idx[0], delta),
-            Secondary::Tree(t) => t.add_counted(idx, delta, ops),
         }
     }
 
@@ -137,7 +113,6 @@ impl<G: AbelianGroup> Secondary<G> {
             Secondary::Empty => 0,
             Secondary::Flat(f) => f.heap_bytes(),
             Secondary::Seg(t) => t.heap_bytes(),
-            Secondary::Tree(t) => t.heap_bytes(),
         }
     }
 }

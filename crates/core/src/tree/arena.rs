@@ -1,13 +1,15 @@
 //! The slabs behind a [`DdcTree`]: one [`Level`] per interior depth
-//! (node slots + packed box records), the leaf arena, and everything
-//! that manages them — allocation and free lists, pruning, compaction,
-//! statistics, and the `check_arena` audit. The record layout
-//! is drawn in the parent module's docs.
+//! (node slots, packed box records, and the level's out-of-line row-sum
+//! groups — at d ≥ 3 the roots of its secondary trees and the forest
+//! they share), the leaf arena, and everything that manages them —
+//! allocation and free lists, pruning, compaction, statistics, and the
+//! `check_arena` audit. The record layout is drawn in the parent
+//! module's docs.
 
 use ddc_array::{AbelianGroup, NdArray, OpSnapshot};
 use ddc_btree::blocked;
 
-use super::{ChildRef, DdcTree, LevelStats, TreeStats, LEAF_BIT};
+use super::{ChildRef, DdcTree, LevelStats, Slabs, TreeStats, LEAF_BIT};
 use crate::config::{BaseStore, DdcConfig, LeafBackend, Mode};
 use crate::pager::PoolStats;
 use crate::persist::ValueCodec;
@@ -33,8 +35,40 @@ impl Slot {
     };
 }
 
+/// Where a level keeps the row-sum groups that are not inline runs of
+/// its box records: `d` per box record, group `j` of box `b` at index
+/// `b·d + j`.
+#[derive(Debug)]
+enum Groups<G: AbelianGroup> {
+    /// Nothing out of line: `d = 1` has no groups, and inline faces are
+    /// part of the box record.
+    InRecord,
+    /// One [`Secondary`] each: the Basic mode's flat arrays and the lazy
+    /// one-dimensional `BaseStore::SparseSeg` groups.
+    Each(Vec<Secondary<G>>),
+    /// Dynamic mode, `d ≥ 3`: every group is a `(d−1)`-dimensional tree
+    /// of side `k` (§4.2), and all of them live in one shared set of
+    /// slabs. A root is `EMPTY` until its group's first non-zero value,
+    /// and the slabs do not exist before the level's first root does.
+    Forest {
+        roots: Vec<ChildRef>,
+        slabs: Option<Box<Slabs<G>>>,
+    },
+}
+
+/// The forest of a level whose boxes have side `k` in `d` dimensions,
+/// created on first use: slabs for `(d−1)`-dimensional trees of side `k`.
+fn forest_of<'a, G: AbelianGroup>(
+    slabs: &'a mut Option<Box<Slabs<G>>>,
+    d: usize,
+    k: usize,
+    config: &DdcConfig,
+) -> &'a mut Slabs<G> {
+    slabs.get_or_insert_with(|| Box::new(Slabs::new(d - 1, k, *config)))
+}
+
 /// The slab of one interior depth: every node of half-side `k`, and
-/// every overlay box of side `k`, of one tree.
+/// every overlay box of side `k`, of the trees sharing it.
 #[derive(Debug)]
 pub(crate) struct Level<G: AbelianGroup> {
     d: usize,
@@ -50,9 +84,7 @@ pub(crate) struct Level<G: AbelianGroup> {
     /// Box record `b` is `words[b·rec_words ..][..rec_words]`:
     /// `[subtotal | face_0 | … | face_{d−1}]`.
     words: Vec<G>,
-    /// Out-of-line row-sum groups, `d` per box record (empty when the
-    /// faces are inline, and for `d = 1`, which has no groups).
-    faces: Vec<Secondary<G>>,
+    groups: Groups<G>,
     box_free: Vec<u32>,
 }
 
@@ -62,6 +94,16 @@ impl<G: AbelianGroup> Level<G> {
     pub(super) fn new(d: usize, k: usize, config: &DdcConfig) -> Self {
         let inline = d == 2 && config.mode == Mode::Dynamic && config.base == BaseStore::Blocked;
         let face_words = if inline { blocked::words_for(k) } else { 0 };
+        let groups = if d == 1 || inline {
+            Groups::InRecord
+        } else if d >= 3 && config.mode == Mode::Dynamic {
+            Groups::Forest {
+                roots: Vec::new(),
+                slabs: None,
+            }
+        } else {
+            Groups::Each(Vec::new())
+        };
         Self {
             d,
             k,
@@ -70,21 +112,30 @@ impl<G: AbelianGroup> Level<G> {
             slots: Vec::new(),
             node_free: Vec::new(),
             words: Vec::new(),
-            faces: Vec::new(),
+            groups,
             box_free: Vec::new(),
         }
     }
 
     /// An empty level of the same shape with room for exactly this
-    /// level's live nodes and boxes (compaction target).
+    /// level's live nodes and boxes (compaction target); its forest is
+    /// the compaction target of this level's.
     fn compacted_shell(&self) -> Self {
         let live_nodes = self.nodes() - self.node_free.len();
         let live_boxes = self.boxes() - self.box_free.len();
+        let groups = match &self.groups {
+            Groups::InRecord => Groups::InRecord,
+            Groups::Each(_) => Groups::Each(Vec::with_capacity(live_boxes * self.d)),
+            Groups::Forest { slabs, .. } => Groups::Forest {
+                roots: Vec::with_capacity(live_boxes * self.d),
+                slabs: slabs.as_ref().map(|s| Box::new(s.compacted_shell())),
+            },
+        };
         Self {
             slots: Vec::with_capacity(live_nodes << self.d),
             node_free: Vec::new(),
             words: Vec::with_capacity(live_boxes * self.rec_words),
-            faces: Vec::with_capacity(live_boxes * self.face_stride()),
+            groups,
             box_free: Vec::new(),
             ..*self
         }
@@ -100,19 +151,15 @@ impl<G: AbelianGroup> Level<G> {
         self.words.len() / self.rec_words
     }
 
-    /// Out-of-line groups per box record.
-    fn face_stride(&self) -> usize {
-        if self.face_words == 0 && self.d >= 2 {
-            self.d
-        } else {
-            0
-        }
+    /// Index in the out-of-line groups of group `j` of box `obox`.
+    #[inline]
+    fn group_at(&self, obox: u32, j: usize) -> usize {
+        obox as usize * self.d + j
     }
 
-    /// Index in `faces` of out-of-line group `j` of box `obox`.
-    #[inline]
-    fn face_at(&self, obox: u32, j: usize) -> usize {
-        obox as usize * self.face_stride() + j
+    /// Indices in the out-of-line groups of all `d` groups of box `obox`.
+    fn groups_of(&self, obox: u32) -> std::ops::Range<usize> {
+        self.group_at(obox, 0)..self.group_at(obox, self.d)
     }
 
     /// Allocates a node id, preferring the free list; its slots are
@@ -136,7 +183,7 @@ impl<G: AbelianGroup> Level<G> {
         self.node_free.push(id);
     }
 
-    /// Allocates an all-zero box record (subtotal zero, faces empty),
+    /// Allocates an all-zero box record (subtotal zero, groups empty),
     /// preferring the free list.
     pub(super) fn alloc_box(&mut self) -> u32 {
         if let Some(id) = self.box_free.pop() {
@@ -146,19 +193,33 @@ impl<G: AbelianGroup> Level<G> {
         assert!(id < NO_BOX as usize, "box arena overflow");
         self.words
             .resize(self.words.len() + self.rec_words, G::ZERO);
-        let faces = self.faces.len() + self.face_stride();
-        self.faces.resize_with(faces, || Secondary::Empty);
+        match &mut self.groups {
+            Groups::InRecord => {}
+            Groups::Each(faces) => faces.resize_with(faces.len() + self.d, || Secondary::Empty),
+            Groups::Forest { roots, .. } => roots.resize(roots.len() + self.d, ChildRef::EMPTY),
+        }
         id as u32
     }
 
-    /// Clears one box record (dropping its out-of-line groups) and
-    /// free-lists it.
+    /// Clears one box record and free-lists it. Its out-of-line groups
+    /// are dropped; its secondary trees go back to the forest's free
+    /// lists.
     pub(super) fn free_box(&mut self, id: u32) {
         let at = id as usize * self.rec_words;
         self.words[at..at + self.rec_words].fill(G::ZERO);
-        let stride = self.face_stride();
-        for face in &mut self.faces[id as usize * stride..][..stride] {
-            *face = Secondary::Empty;
+        let groups = self.groups_of(id);
+        match &mut self.groups {
+            Groups::Each(faces) => faces[groups].fill_with(|| Secondary::Empty),
+            Groups::Forest {
+                roots,
+                slabs: Some(slabs),
+            } => {
+                for root in &mut roots[groups] {
+                    slabs.free_subtree(std::mem::replace(root, ChildRef::EMPTY), 0);
+                }
+            }
+            // No forest yet: every root is still `EMPTY`.
+            Groups::Forest { slabs: None, .. } | Groups::InRecord => {}
         }
         self.box_free.push(id);
     }
@@ -189,16 +250,29 @@ impl<G: AbelianGroup> Level<G> {
         if self.face_words != 0 {
             let (v, reads) = blocked::prefix(&self.words[self.face_run(obox, j)], self.k, cross[0]);
             ops.reads += reads;
-            v
-        } else {
-            self.faces[self.face_at(obox, j)].prefix(cross, ops)
+            return v;
+        }
+        let at = self.group_at(obox, j);
+        match &self.groups {
+            Groups::Each(faces) => faces[at].prefix(cross, ops),
+            Groups::Forest {
+                roots,
+                slabs: Some(slabs),
+            } => slabs.prefix_counted(roots[at], cross, ops),
+            Groups::Forest { slabs: None, .. } => G::ZERO,
+            Groups::InRecord => unreachable!("{NO_GROUPS}"),
         }
     }
 
     /// True when group `j` of box `obox` is an unmaterialized
     /// out-of-line group (inline runs always exist).
     pub(super) fn face_is_unset(&self, obox: u32, j: usize) -> bool {
-        self.face_words == 0 && matches!(self.faces[self.face_at(obox, j)], Secondary::Empty)
+        let at = self.group_at(obox, j);
+        match &self.groups {
+            Groups::InRecord => false,
+            Groups::Each(faces) => matches!(faces[at], Secondary::Empty),
+            Groups::Forest { roots, .. } => roots[at].is_empty(),
+        }
     }
 
     /// Figure 12's per-box step: adds `delta` to the subtotal of box
@@ -225,16 +299,41 @@ impl<G: AbelianGroup> Level<G> {
                 ops.writes += blocked::add(&mut self.words[run], self.k, rel[1 - j], delta);
             }
         } else if self.d >= 2 {
-            for j in 0..self.d {
-                let mut w = 0;
-                for (i, r) in rel.iter().enumerate() {
-                    if i != j {
-                        cross[w] = *r;
-                        w += 1;
-                    }
+            self.groups_add(obox, rel, cross, delta, config, ops);
+        }
+    }
+
+    /// The out-of-line half of [`Level::box_add`], a call of its own so
+    /// the d = 2 update loop that `box_add` is inlined into holds only
+    /// the inline-face arithmetic.
+    fn groups_add(
+        &mut self,
+        obox: u32,
+        rel: &[usize],
+        cross: &mut [usize],
+        delta: G,
+        config: &DdcConfig,
+        ops: &mut OpSnapshot,
+    ) {
+        let (d, k) = (self.d, self.k);
+        for j in 0..d {
+            let mut w = 0;
+            for (i, r) in rel.iter().enumerate() {
+                if i != j {
+                    cross[w] = *r;
+                    w += 1;
                 }
-                let at = self.face_at(obox, j);
-                self.faces[at].add(&cross[..w], delta, self.k, config, ops);
+            }
+            let at = self.group_at(obox, j);
+            match &mut self.groups {
+                Groups::Each(faces) => faces[at].add(&cross[..w], delta, k, config, ops),
+                Groups::Forest { roots, slabs } => forest_of(slabs, d, k, config).add_counted(
+                    &mut roots[at],
+                    &cross[..w],
+                    delta,
+                    ops,
+                ),
+                Groups::InRecord => unreachable!("{NO_GROUPS}"),
             }
         }
     }
@@ -249,66 +348,126 @@ impl<G: AbelianGroup> Level<G> {
         config: &DdcConfig,
     ) {
         self.words[obox as usize * self.rec_words] = subtotal;
+        let (d, k) = (self.d, self.k);
         for (j, raw) in raws.iter().enumerate() {
             if self.face_words != 0 {
                 let run = self.face_run(obox, j);
                 blocked::fill(&mut self.words[run], raw.as_slice());
-            } else {
-                let at = self.face_at(obox, j);
-                self.faces[at] = Secondary::build_from_raw(raw, config);
+                continue;
+            }
+            let at = self.group_at(obox, j);
+            match &mut self.groups {
+                Groups::Each(faces) => faces[at] = Secondary::build_from_raw(raw, config),
+                Groups::Forest { roots, slabs } => {
+                    roots[at] = forest_of(slabs, d, k, config).build_child(raw, 0, &vec![0; d - 1]);
+                }
+                Groups::InRecord => unreachable!("{NO_GROUPS}"),
             }
         }
     }
 
-    /// Moves box record `obox` of `from` (a level of the same shape)
-    /// into a fresh record of this level, returning its id.
+    /// Moves box record `obox` of `from` (the level this one is the
+    /// [`Level::compacted_shell`] of) into a fresh record of this level,
+    /// returning its id. Its out-of-line groups move by their headers,
+    /// its secondary trees into this level's forest.
     fn adopt_box(&mut self, from: &mut Level<G>, obox: u32) -> u32 {
         let id = self.alloc_box();
         let rw = self.rec_words;
         self.words[id as usize * rw..][..rw]
             .copy_from_slice(&from.words[obox as usize * rw..][..rw]);
-        for j in 0..self.face_stride() {
-            let (to, at) = (self.face_at(id, j), from.face_at(obox, j));
-            self.faces[to] = std::mem::replace(&mut from.faces[at], Secondary::Empty);
+        let (to, at) = (self.groups_of(id), from.groups_of(obox));
+        match (&mut self.groups, &mut from.groups) {
+            (Groups::Each(new), Groups::Each(old)) => {
+                for (new, old) in new[to].iter_mut().zip(&mut old[at]) {
+                    *new = std::mem::replace(old, Secondary::Empty);
+                }
+            }
+            (
+                Groups::Forest {
+                    roots: new,
+                    slabs: Some(into),
+                },
+                Groups::Forest {
+                    roots: old,
+                    slabs: Some(slabs),
+                },
+            ) => {
+                for (new, old) in new[to].iter_mut().zip(&old[at]) {
+                    *new = slabs.move_child(*old, 0, into);
+                }
+            }
+            // No forest: the fresh record's `EMPTY` roots are the copy.
+            _ => {}
         }
         id
     }
 
-    /// Heap bytes attributable to the row-sum groups of box `obox`.
+    /// Heap bytes attributable to the row-sum groups of box `obox`,
+    /// except secondary trees, which [`Level::forest_bytes`] counts for
+    /// the whole level.
     fn box_secondary_bytes(&self, obox: u32) -> usize {
-        let stride = self.face_stride();
         self.d * self.face_words * std::mem::size_of::<G>()
-            + self.faces[obox as usize * stride..][..stride]
-                .iter()
-                .map(Secondary::heap_bytes)
-                .sum::<usize>()
+            + match &self.groups {
+                Groups::Each(faces) => faces[self.groups_of(obox)]
+                    .iter()
+                    .map(Secondary::heap_bytes)
+                    .sum(),
+                _ => 0,
+            }
+    }
+
+    /// Heap bytes of the level's secondary trees: the roots and the
+    /// slabs they share, by capacity (0 for every other kind of group).
+    fn forest_bytes(&self) -> usize {
+        let Groups::Forest { roots, slabs } = &self.groups else {
+            return 0;
+        };
+        roots.capacity() * std::mem::size_of::<ChildRef>()
+            + slabs
+                .as_ref()
+                .map_or(0, |s| std::mem::size_of::<Slabs<G>>() + s.heap_bytes())
     }
 
     /// Bytes of this level's records inside the slab arrays, as
     /// `(live, dead)`: node slots and box records (with their
-    /// out-of-line group headers), the dead ones being those on the
-    /// free lists.
+    /// out-of-line group headers or roots), the dead ones being those on
+    /// the free lists — plus the same for the level's forest.
     fn record_bytes(&self) -> (usize, usize) {
         let node = std::mem::size_of::<Slot>() << self.d;
-        let rec = self.rec_words * std::mem::size_of::<G>()
-            + self.face_stride() * std::mem::size_of::<Secondary<G>>();
+        let (group, forest) = match &self.groups {
+            Groups::InRecord => (0, None),
+            Groups::Each(_) => (std::mem::size_of::<Secondary<G>>(), None),
+            Groups::Forest { slabs, .. } => (std::mem::size_of::<ChildRef>(), slabs.as_ref()),
+        };
+        let rec = self.rec_words * std::mem::size_of::<G>() + self.d * group;
         let dead = self.node_free.len() * node + self.box_free.len() * rec;
-        (self.nodes() * node + self.boxes() * rec - dead, dead)
+        let live = self.nodes() * node + self.boxes() * rec - dead;
+        let (forest_live, forest_dead) = forest.map_or((0, 0), |s| s.record_bytes());
+        (live + forest_live, dead + forest_dead)
     }
 
     /// Heap bytes of the slab: array capacities plus the heap behind
-    /// out-of-line groups.
+    /// out-of-line groups and the level's forest.
     fn heap_bytes(&self) -> usize {
         self.slots.capacity() * std::mem::size_of::<Slot>()
             + (self.node_free.capacity() + self.box_free.capacity()) * std::mem::size_of::<u32>()
             + self.words.capacity() * std::mem::size_of::<G>()
-            + self.faces.capacity() * std::mem::size_of::<Secondary<G>>()
-            + self.faces.iter().map(Secondary::heap_bytes).sum::<usize>()
+            + match &self.groups {
+                Groups::InRecord => 0,
+                Groups::Each(faces) => {
+                    faces.capacity() * std::mem::size_of::<Secondary<G>>()
+                        + faces.iter().map(Secondary::heap_bytes).sum::<usize>()
+                }
+                Groups::Forest { .. } => self.forest_bytes(),
+            }
     }
 
     /// Audits the slab against the reachable sets computed by the tree
-    /// walk: array lengths are whole records, and both free lists pass
-    /// [`audit_free_list`].
+    /// walk: array lengths are whole records, both free lists pass
+    /// [`audit_free_list`], and the level's forest passes
+    /// [`Slabs::audit`] for the roots of its box records — a freed box's
+    /// roots are `EMPTY`, so every secondary subtree hangs off exactly
+    /// one root of one live box or waits on the forest's free lists.
     fn audit(&self, node_seen: &[bool], box_seen: &[bool]) {
         let stride = 1usize << self.d;
         assert_eq!(
@@ -321,10 +480,16 @@ impl<G: AbelianGroup> Level<G> {
             0,
             "word slab length not a record multiple"
         );
+        // Out-of-line groups per box record, and in all.
+        let (groups, len) = match &self.groups {
+            Groups::InRecord => (0, 0),
+            Groups::Each(faces) => (self.d, faces.len()),
+            Groups::Forest { roots, .. } => (self.d, roots.len()),
+        };
         assert_eq!(
-            self.faces.len(),
-            self.boxes() * self.face_stride(),
-            "face slab out of step with the box records"
+            len,
+            self.boxes() * groups,
+            "out-of-line groups out of step with the box records"
         );
         audit_free_list("node", &self.node_free, node_seen, |id| {
             self.slots[id as usize * stride..][..stride]
@@ -335,10 +500,25 @@ impl<G: AbelianGroup> Level<G> {
             self.words[id as usize * self.rec_words..][..self.rec_words]
                 .iter()
                 .all(G::is_zero)
-                && (0..self.face_stride()).all(|j| self.face_is_unset(id, j))
+                && (0..groups).all(|j| self.face_is_unset(id, j))
         });
+        if let Groups::Forest { roots, slabs } = &self.groups {
+            match slabs {
+                Some(slabs) => {
+                    slabs.audit(roots.iter().copied());
+                }
+                None => assert!(
+                    roots.iter().all(|r| r.is_empty()),
+                    "secondary root set in a level without a forest"
+                ),
+            }
+        }
     }
 }
+
+/// Invariant behind the `Groups::InRecord` arms: a level with nothing
+/// out of line is never asked for an out-of-line group.
+const NO_GROUPS: &str = "d = 1 has no row-sum groups and inline faces live in the box record";
 
 /// Checks one free list against the ids the tree walk reached: every
 /// entry in bounds, listed once, unreachable and `cleared`; every id
@@ -358,8 +538,8 @@ fn audit_free_list(what: &str, free: &[u32], seen: &[bool], cleared: impl Fn(u32
     }
 }
 
-impl<G: AbelianGroup> DdcTree<G> {
-    /// Claims a zeroed leaf block of the tree's leaf side.
+impl<G: AbelianGroup> Slabs<G> {
+    /// Claims a zeroed leaf block of the slabs' leaf side.
     pub(super) fn alloc_leaf(&mut self) -> u32 {
         debug_assert_eq!(
             self.leaves.run_len(),
@@ -390,32 +570,6 @@ impl<G: AbelianGroup> DdcTree<G> {
             }
         }
         self.levels[l].free_node(c.index() as u32);
-    }
-
-    /// Reclaims storage left behind by cancelling updates: all-zero leaf
-    /// blocks and subtrees whose every cell returned to zero go back to
-    /// the free lists (with their box records and secondary
-    /// structures), and once the free-listed records amount to more than
-    /// half the live ones in bytes, the slabs are compacted into
-    /// exactly-sized replacements. Returns the number of heap bytes
-    /// released: the heap behind freed out-of-line groups, plus
-    /// everything a compaction gave back. Records freed inside a slab
-    /// release nothing by themselves — they are zeroed and wait for
-    /// reuse — so a prune that neither frees an out-of-line group nor
-    /// reaches the compaction threshold returns 0.
-    ///
-    /// Lazily materialized structures never free themselves on the update
-    /// path (a cell may go through zero transiently); churn-heavy
-    /// workloads call this at their own cadence.
-    pub fn prune(&mut self) -> usize {
-        let before = self.heap_bytes();
-        let root = self.root;
-        if !self.prune_live(root, 0) {
-            self.free_subtree(root, 0);
-            self.root = ChildRef::EMPTY;
-        }
-        self.maybe_compact();
-        before.saturating_sub(self.heap_bytes())
     }
 
     /// Returns whether the child still holds any non-zero content; dead
@@ -449,17 +603,12 @@ impl<G: AbelianGroup> DdcTree<G> {
         any
     }
 
-    /// Compacts when the dead (free-listed) records hold more than half
-    /// the bytes of the live ones, over the slabs a compaction rewrites
-    /// — so at most a third of the slab bytes ever wait on free lists.
-    /// Bytes rather than slot counts, because records differ in size by
-    /// level: a box record is `1 + d · words_for(k)` words next to the
-    /// root and a handful at the bottom. The heap behind live
-    /// out-of-line groups is not counted (compaction moves a group by
-    /// its header), and neither are paged leaf blocks, on either side:
-    /// compaction cannot renumber them (ids are stable on pages), so
-    /// they can neither force nor hold off a rewrite of the levels.
-    fn maybe_compact(&mut self) {
+    /// Bytes of the records a compaction rewrites, as `(live, dead)`:
+    /// every level's (forests included) and the in-memory leaf blocks.
+    /// Paged leaf blocks are on neither side: compaction cannot renumber
+    /// them (ids are stable on pages), so they can neither force nor
+    /// hold off a rewrite of the levels.
+    fn record_bytes(&self) -> (usize, usize) {
         let (mut live, mut dead) = (0, 0);
         for level in &self.levels {
             let (l, d) = level.record_bytes();
@@ -472,133 +621,83 @@ impl<G: AbelianGroup> DdcTree<G> {
             dead += free * block;
             live += (self.leaves.slots() - free) * block;
         }
-        if 2 * dead > live {
-            self.compact();
+        (live, dead)
+    }
+
+    /// Empty slabs of the same shape with room for exactly the live
+    /// records of these (compaction target).
+    fn compacted_shell(&self) -> Self {
+        Self {
+            levels: self.levels.iter().map(Level::compacted_shell).collect(),
+            leaves: LeafArena::new(self.leaves.run_len()),
+            ..*self
         }
     }
 
-    /// Rewrites the slabs to hold exactly the reachable records
-    /// (visit-order renumbering within each level), dropping all
-    /// free-list capacity. A paged leaf arena keeps its slot ids — its
+    /// Rewrites the slabs to hold exactly the records reachable from
+    /// `root` (visit-order renumbering within each level, forests
+    /// included), dropping all free-list capacity, and returns the
+    /// tree's new root. A paged leaf arena keeps its slot ids — its
     /// cells live on pages, not in a `Vec` whose capacity could be
     /// returned, so only the levels (and an in-memory leaf arena) are
     /// rebuilt.
-    fn compact(&mut self) {
-        let mut levels: Vec<Level<G>> = self.levels.iter().map(Level::compacted_shell).collect();
-        let mut leaves = (!self.leaves.is_paged()).then(|| LeafArena::new(self.leaves.run_len()));
-        let root = self.root;
-        self.root = self.move_child(root, 0, &mut levels, &mut leaves);
-        self.levels = levels;
-        if let Some(arena) = leaves {
-            self.leaves = arena;
+    fn compact(&mut self, root: ChildRef) -> ChildRef {
+        let mut to = self.compacted_shell();
+        let root = self.move_child(root, 0, &mut to);
+        if self.leaves.is_paged() {
+            std::mem::swap(&mut self.leaves, &mut to.leaves);
         }
+        *self = to;
+        root
     }
 
-    /// Moves one subtree into the replacement slabs. `leaves` is `None`
-    /// when the leaf arena is paged and keeps its ids.
-    fn move_child(
-        &mut self,
-        c: ChildRef,
-        l: usize,
-        levels: &mut [Level<G>],
-        leaves: &mut Option<LeafArena<G>>,
-    ) -> ChildRef {
+    /// Moves one subtree into `to`, the [`Slabs::compacted_shell`] of
+    /// these slabs, returning its new reference. Leaf ids on pages are
+    /// stable and stay as they are.
+    fn move_child(&mut self, c: ChildRef, l: usize, to: &mut Slabs<G>) -> ChildRef {
         if c.is_empty() {
             return ChildRef::EMPTY;
         }
         if c.is_leaf() {
-            let Some(arena) = leaves else {
-                return c; // paged arena: leaf ids are stable
-            };
-            let id = arena.insert_zeroed();
+            if self.leaves.is_paged() {
+                return c;
+            }
+            let id = to.leaves.insert_zeroed();
             self.leaves.with(c.index() as u32, |cells| {
-                arena.with_mut(id, |block| block.copy_from_slice(cells));
+                to.leaves.with_mut(id, |block| block.copy_from_slice(cells));
             });
             return ChildRef::leaf(id);
         }
         let old_base = c.index() << self.d;
-        let id = levels[l].alloc_node();
+        let id = to.levels[l].alloc_node();
         let new_base = (id as usize) << self.d;
         for s in 0..self.stride() {
             let slot = self.levels[l].slots[old_base + s];
             let obox = if slot.obox == NO_BOX {
                 NO_BOX
             } else {
-                levels[l].adopt_box(&mut self.levels[l], slot.obox)
+                to.levels[l].adopt_box(&mut self.levels[l], slot.obox)
             };
-            let child = self.move_child(slot.child, l + 1, levels, leaves);
-            levels[l].slots[new_base + s] = Slot { child, obox };
+            let child = self.move_child(slot.child, l + 1, to);
+            to.levels[l].slots[new_base + s] = Slot { child, obox };
         }
         ChildRef::node(id)
     }
 
-    /// Collects structural statistics by one traversal — the storage
-    /// profile behind Table 2 and §4.4 ("most of the additional storage
-    /// … is found in the lowest levels of the tree") plus the slab
-    /// occupancy counters.
-    pub fn stats(&self) -> TreeStats {
-        let mut stats = TreeStats {
-            node_slots: self.levels.iter().map(Level::nodes).sum(),
-            free_node_slots: self.levels.iter().map(|lv| lv.node_free.len()).sum(),
-            leaf_slots: self.leaves.slots(),
-            free_leaf_slots: self.leaves.free_ids().len(),
-            ..TreeStats::default()
-        };
-        self.collect_stats(self.root, self.side, 0, &mut stats);
-        stats.total_bytes = self.heap_bytes();
-        stats
-    }
-
-    fn collect_stats(&self, c: ChildRef, side: usize, l: usize, stats: &mut TreeStats) {
-        while stats.per_level.len() <= l {
-            stats.per_level.push(LevelStats::default());
-        }
-        stats.per_level[l].side = side;
-        if c.is_empty() {
-            return;
-        }
-        stats.depth = stats.depth.max(l);
-        if c.is_leaf() {
-            stats.leaf_blocks += 1;
-            stats.leaf_cells += side.pow(self.d as u32);
-            stats.per_level[l].leaf_blocks += 1;
-            return;
-        }
-        stats.nodes += 1;
-        stats.per_level[l].nodes += 1;
-        let level = &self.levels[l];
-        let base = c.index() << self.d;
-        for slot in &level.slots[base..base + self.stride()] {
-            if slot.obox != NO_BOX {
-                stats.boxes += 1;
-                stats.per_level[l].boxes += 1;
-                stats.secondary_bytes += level.box_secondary_bytes(slot.obox);
-            }
-            self.collect_stats(slot.child, level.k, l + 1, stats);
-        }
-    }
-
-    /// Approximate heap bytes held by the whole structure: slab
-    /// capacities plus the heap behind out-of-line groups, and the
-    /// resident part of the leaf arena.
-    pub fn heap_bytes(&self) -> usize {
-        std::mem::size_of::<Self>()
-            + self.levels.capacity() * std::mem::size_of::<Level<G>>()
+    /// Heap bytes behind the slabs: array capacities, the heap behind
+    /// out-of-line groups, every level's forest, and the resident part
+    /// of the leaf arena.
+    fn heap_bytes(&self) -> usize {
+        self.levels.capacity() * std::mem::size_of::<Level<G>>()
             + self.levels.iter().map(Level::heap_bytes).sum::<usize>()
             + self.leaves.heap_bytes()
     }
 
-    /// Audits the slab bookkeeping: the levels match the side, every
-    /// reachable reference is in bounds and occupied, no node, box
-    /// record or leaf block is reached twice, free-list entries are
-    /// valid, unique, cleared, and disjoint from the reachable set, and
-    /// every slot is either reachable or free (no leaks). Returns
-    /// `(reachable_nodes, reachable_leaves)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on any violation (test/diagnostic use).
-    pub fn check_arena(&self) -> (usize, usize) {
+    /// Audits the bookkeeping of the slabs against the trees rooted at
+    /// `roots` — the conditions [`DdcTree::check_arena`] lists, for
+    /// these slabs and, through [`Level::audit`], for every forest
+    /// below them. Returns `(reachable_nodes, reachable_leaves)`.
+    fn audit(&self, roots: impl IntoIterator<Item = ChildRef>) -> (usize, usize) {
         let mut k = self.side;
         for level in &self.levels {
             k >>= 1;
@@ -620,7 +719,9 @@ impl<G: AbelianGroup> DdcTree<G> {
             .map(|lv| vec![false; lv.boxes()])
             .collect();
         let mut leaf_seen = vec![false; self.leaves.slots()];
-        self.mark_reachable(self.root, 0, &mut node_seen, &mut box_seen, &mut leaf_seen);
+        for root in roots {
+            self.mark_reachable(root, 0, &mut node_seen, &mut box_seen, &mut leaf_seen);
+        }
         for (l, level) in self.levels.iter().enumerate() {
             level.audit(&node_seen[l], &box_seen[l]);
         }
@@ -669,15 +770,138 @@ impl<G: AbelianGroup> DdcTree<G> {
             self.mark_reachable(slot.child, l + 1, node_seen, box_seen, leaf_seen);
         }
     }
+}
+
+impl<G: AbelianGroup> DdcTree<G> {
+    /// Reclaims storage left behind by cancelling updates: all-zero leaf
+    /// blocks and subtrees whose every cell returned to zero go back to
+    /// the free lists (with their box records and secondary
+    /// structures), and once the free-listed records amount to more than
+    /// half the live ones in bytes, the slabs are compacted into
+    /// exactly-sized replacements. Returns the number of heap bytes
+    /// released: the heap behind freed out-of-line groups (the Basic
+    /// mode's flat arrays and the lazy one-dimensional groups, which are
+    /// dropped on the spot), plus everything a compaction gave back.
+    /// Records freed inside a slab release nothing by themselves — they
+    /// are zeroed and wait for reuse — and at d ≥ 3 that includes every
+    /// secondary tree, whose nodes, box records and leaf blocks go back
+    /// to the free lists of their level's forest: there, and at d = 2
+    /// with inline faces, a prune below the compaction threshold
+    /// returns 0.
+    ///
+    /// Lazily materialized structures never free themselves on the update
+    /// path (a cell may go through zero transiently); churn-heavy
+    /// workloads call this at their own cadence.
+    pub fn prune(&mut self) -> usize {
+        let before = self.heap_bytes();
+        if !self.slabs.prune_live(self.root, 0) {
+            self.slabs.free_subtree(self.root, 0);
+            self.root = ChildRef::EMPTY;
+        }
+        self.maybe_compact();
+        before.saturating_sub(self.heap_bytes())
+    }
+
+    /// Compacts when the dead (free-listed) records hold more than half
+    /// the bytes of the live ones, over the slabs a compaction rewrites
+    /// — so at most a third of the slab bytes ever wait on free lists.
+    /// Bytes rather than slot counts, because records differ in size by
+    /// level: a box record is `1 + d · words_for(k)` words next to the
+    /// root and a handful at the bottom. The records of every level's
+    /// forest count like the primary tree's (a compaction rewrites them
+    /// too); the heap behind live `Secondary` groups does not
+    /// (compaction moves such a group by its header).
+    fn maybe_compact(&mut self) {
+        let (live, dead) = self.slabs.record_bytes();
+        if 2 * dead > live {
+            self.root = self.slabs.compact(self.root);
+        }
+    }
+
+    /// Collects structural statistics by one traversal — the storage
+    /// profile behind Table 2 and §4.4 ("most of the additional storage
+    /// … is found in the lowest levels of the tree") plus the slab
+    /// occupancy counters. Nodes, boxes, leaf blocks and slots are the
+    /// primary tree's; the secondary trees of d ≥ 3 appear as
+    /// `secondary_bytes`, one forest per level.
+    pub fn stats(&self) -> TreeStats {
+        let slabs = &self.slabs;
+        let mut stats = TreeStats {
+            node_slots: slabs.levels.iter().map(Level::nodes).sum(),
+            free_node_slots: slabs.levels.iter().map(|lv| lv.node_free.len()).sum(),
+            leaf_slots: slabs.leaves.slots(),
+            free_leaf_slots: slabs.leaves.free_ids().len(),
+            secondary_bytes: slabs.levels.iter().map(Level::forest_bytes).sum(),
+            ..TreeStats::default()
+        };
+        self.collect_stats(self.root, slabs.side, 0, &mut stats);
+        stats.total_bytes = self.heap_bytes();
+        stats
+    }
+
+    fn collect_stats(&self, c: ChildRef, side: usize, l: usize, stats: &mut TreeStats) {
+        while stats.per_level.len() <= l {
+            stats.per_level.push(LevelStats::default());
+        }
+        stats.per_level[l].side = side;
+        if c.is_empty() {
+            return;
+        }
+        stats.depth = stats.depth.max(l);
+        if c.is_leaf() {
+            stats.leaf_blocks += 1;
+            stats.leaf_cells += side.pow(self.slabs.d as u32);
+            stats.per_level[l].leaf_blocks += 1;
+            return;
+        }
+        stats.nodes += 1;
+        stats.per_level[l].nodes += 1;
+        let level = &self.slabs.levels[l];
+        let base = c.index() << self.slabs.d;
+        for slot in &level.slots[base..base + self.slabs.stride()] {
+            if slot.obox != NO_BOX {
+                stats.boxes += 1;
+                stats.per_level[l].boxes += 1;
+                stats.secondary_bytes += level.box_secondary_bytes(slot.obox);
+            }
+            self.collect_stats(slot.child, level.k, l + 1, stats);
+        }
+    }
+
+    /// Approximate heap bytes held by the whole structure: slab
+    /// capacities (every level's forest included) plus the heap behind
+    /// out-of-line groups, and the resident part of the leaf arena.
+    pub fn heap_bytes(&self) -> usize {
+        std::mem::size_of::<Self>() + self.slabs.heap_bytes()
+    }
+
+    /// Audits the slab bookkeeping: the levels match the side, every
+    /// reachable reference is in bounds and occupied, no node, box
+    /// record or leaf block is reached twice, free-list entries are
+    /// valid, unique, cleared, and disjoint from the reachable set, and
+    /// every slot is either reachable or free (no leaks). The same holds
+    /// inside every level's forest, for the trees rooted at the level's
+    /// `roots`: there is one root per group of every box record, a freed
+    /// box's roots are `EMPTY`, and each forest node, box record and
+    /// leaf block hangs off exactly one root of one live box or is on a
+    /// free list. Returns the primary tree's
+    /// `(reachable_nodes, reachable_leaves)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on any violation (test/diagnostic use).
+    pub fn check_arena(&self) -> (usize, usize) {
+        self.slabs.audit([self.root])
+    }
 
     /// True once `enable_paging` has moved the leaf arena onto pages.
     pub fn is_paged(&self) -> bool {
-        self.leaves.is_paged()
+        self.slabs.leaves.is_paged()
     }
 
     /// Buffer-pool counters of the paged leaf arena (`None` in memory).
     pub fn pool_stats(&self) -> Option<PoolStats> {
-        self.leaves.pool_stats()
+        self.slabs.leaves.pool_stats()
     }
 }
 
@@ -688,7 +912,7 @@ impl<G: AbelianGroup + ValueCodec> DdcTree<G> {
     /// for [`crate::PagerConfig::disk`]. See
     /// [`DdcTree::enable_paging_on`].
     pub fn enable_paging(&mut self) -> std::io::Result<bool> {
-        match self.config.leaf_backend {
+        match self.slabs.config.leaf_backend {
             LeafBackend::Paged(pager) if !self.is_paged() => {
                 Ok(self.enable_paging_on(store::default_spill(pager)?))
             }
@@ -709,9 +933,104 @@ impl<G: AbelianGroup + ValueCodec> DdcTree<G> {
     /// Idempotent — an already-paged tree keeps its file and drops
     /// `spill`.
     pub fn enable_paging_on(&mut self, spill: Box<dyn VfsFile + Send>) -> bool {
-        if let LeafBackend::Paged(pager) = self.config.leaf_backend {
-            self.leaves.page_onto(spill, pager);
+        if let LeafBackend::Paged(pager) = self.slabs.config.leaf_backend {
+            self.slabs.leaves.page_onto(spill, pager);
         }
         self.is_paged()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The roots of one level of a d ≥ 3 Dynamic tree.
+    fn roots(level: &mut Level<i64>) -> &mut Vec<ChildRef> {
+        match &mut level.groups {
+            Groups::Forest { roots, .. } => roots,
+            other => panic!("expected a forested level, found {other:?}"),
+        }
+    }
+
+    /// An 8³ tree with two boxes at the root level (records 0 and 1,
+    /// roots `[0, 3)` and `[3, 6)`), all six secondary trees populated.
+    fn two_box_tree() -> DdcTree<i64> {
+        let mut t = DdcTree::new(3, 8, DdcConfig::dynamic());
+        t.apply_delta(&[1, 2, 3], 5);
+        t.apply_delta(&[6, 5, 7], -2);
+        assert!(roots(&mut t.slabs.levels[0]).iter().all(|r| !r.is_empty()));
+        t.check_arena();
+        t
+    }
+
+    #[test]
+    #[should_panic(expected = "leaked")]
+    fn check_arena_catches_a_leaked_forest_subtree() {
+        let mut t = two_box_tree();
+        roots(&mut t.slabs.levels[0])[4] = ChildRef::EMPTY;
+        t.check_arena();
+    }
+
+    #[test]
+    #[should_panic(expected = "referenced twice")]
+    fn check_arena_catches_a_double_linked_forest_subtree() {
+        let mut t = two_box_tree();
+        let roots = roots(&mut t.slabs.levels[0]);
+        roots[4] = roots[0];
+        t.check_arena();
+    }
+
+    #[test]
+    #[should_panic(expected = "still holds content")]
+    fn check_arena_catches_a_freed_box_that_kept_a_root() {
+        let mut t = two_box_tree();
+        // Enough live content that freeing box 1 does not compact.
+        for x in 0..4 {
+            for y in 0..4 {
+                t.apply_delta(&[x, y, (x + y) % 4], 1);
+            }
+        }
+        t.apply_delta(&[6, 5, 7], 2);
+        t.prune();
+        let roots = roots(&mut t.slabs.levels[0]);
+        assert_eq!(roots.len(), 6, "below the compaction threshold");
+        roots[3] = roots[0];
+        t.check_arena();
+    }
+
+    /// Forests are created with their level's first root: an eager
+    /// forest per level would multiply out to ~10^5 empty `Level`s at
+    /// d = 5 before a single cell is set.
+    #[test]
+    fn forests_are_created_lazily_and_only_along_update_paths() {
+        let empty = DdcTree::<i64>::new(5, 1 << 16, DdcConfig::dynamic());
+        assert!(
+            empty.heap_bytes() < 64 << 10,
+            "empty d = 5 tree holds {} bytes",
+            empty.heap_bytes()
+        );
+
+        // One update: one box record per primary level, its four
+        // secondary trees one path each in the level's forest, and no
+        // box record — so no root — anywhere off those paths.
+        let mut t = DdcTree::<i64>::new(4, 256, DdcConfig::dynamic());
+        t.apply_delta(&[3, 200, 77, 130], 5);
+        assert_eq!(t.slabs.levels.len(), 7);
+        for level in &mut t.slabs.levels {
+            assert_eq!(level.boxes(), 1);
+            let Groups::Forest { roots, slabs } = &mut level.groups else {
+                panic!("d = 4 levels are forested");
+            };
+            assert_eq!(roots.len(), 4);
+            assert!(roots.iter().all(|r| !r.is_empty()));
+            let forest = slabs.as_mut().expect("a set root implies a forest");
+            for sub in &mut forest.levels {
+                assert_eq!(sub.boxes(), 4, "one box per secondary tree");
+                let set = self::roots(sub).iter().filter(|r| !r.is_empty()).count();
+                assert_eq!(set, 4 * 3);
+            }
+        }
+        t.check_arena();
+        assert_eq!(t.check_invariants(), 5);
     }
 }

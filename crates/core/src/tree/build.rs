@@ -4,7 +4,7 @@
 use ddc_array::{with_coord_bufs, AbelianGroup, NdArray, OpSnapshot, Region, Shape};
 
 use super::arena::{Level, Slot};
-use super::{ChildRef, DdcTree};
+use super::{ChildRef, DdcTree, Slabs};
 use crate::config::DdcConfig;
 
 /// Largest side [`DdcTree::grow`] doubles to. Growth is driven by
@@ -74,8 +74,9 @@ impl<G: AbelianGroup> DdcTree<G> {
     /// Bulk-builds a tree over `a` (padded with zeros up to `side`) in one
     /// bottom-up pass: each overlay box's subtotal and raw row-sum groups
     /// are accumulated by a single scan of its region and written as one
-    /// box record (inline faces) or handed to the secondary structures'
-    /// `from_values` constructors — `O(d · N log n)` cell visits in total,
+    /// box record (inline faces), built into the level's forest by this
+    /// same pass one dimension down, or handed to the secondary
+    /// structures' constructors — `O(d · N log n)` cell visits in total,
     /// with none of the per-cell structure descents the incremental path
     /// pays.
     pub fn from_array_sized(a: &NdArray<G>, side: usize, config: DdcConfig) -> Self {
@@ -85,14 +86,17 @@ impl<G: AbelianGroup> DdcTree<G> {
             a.shape()
         );
         let mut tree = Self::new(a.shape().ndim(), side, config);
-        let lo = vec![0usize; tree.d];
-        tree.root = tree.build_child(a, 0, &lo);
+        let lo = vec![0usize; tree.slabs.d];
+        tree.root = tree.slabs.build_child(a, 0, &lo);
         tree
     }
+}
 
-    /// Builds the subtree at depth `l` covering `[lo, lo + side >> l)`
-    /// into the slabs; `EMPTY` when the region holds no non-zero cells.
-    fn build_child(&mut self, a: &NdArray<G>, l: usize, lo: &[usize]) -> ChildRef {
+impl<G: AbelianGroup> Slabs<G> {
+    /// Builds the subtree at depth `l` covering `[lo, lo + side >> l)` of
+    /// `a` into the slabs and returns its reference; `EMPTY` when the
+    /// region holds no non-zero cells.
+    pub(super) fn build_child(&mut self, a: &NdArray<G>, l: usize, lo: &[usize]) -> ChildRef {
         let d = self.d;
         for (&lo_i, &n) in lo.iter().zip(a.shape().dims()) {
             if lo_i >= n {
@@ -155,7 +159,9 @@ impl<G: AbelianGroup> DdcTree<G> {
             ChildRef::EMPTY
         }
     }
+}
 
+impl<G: AbelianGroup> DdcTree<G> {
     /// Doubles the covered side. Dimensions flagged `true` in `low` grow
     /// toward smaller coordinates: existing content shifts up by the old
     /// side in those dimensions (callers track the logical origin with
@@ -172,37 +178,39 @@ impl<G: AbelianGroup> DdcTree<G> {
     /// [`MAX_SIDE`] ([`crate::GrowableCube::check_cover`] is the typed
     /// check for coordinates from outside the program).
     pub fn grow(&mut self, low: &[bool]) {
-        let d = self.d;
+        let slabs = &mut self.slabs;
+        let d = slabs.d;
         assert_eq!(low.len(), d);
-        let old_side = self.side;
+        let old_side = slabs.side;
         assert!(
             old_side < MAX_SIDE,
             "side {old_side} cannot double past {MAX_SIDE}"
         );
         let new_side = old_side * 2;
         let old_root = std::mem::replace(&mut self.root, ChildRef::EMPTY);
-        if new_side <= self.config.leaf_block_side() {
+        if new_side <= slabs.config.leaf_block_side() {
             // The grown space still fits in one dense leaf block: rebuild
             // it with the content shifted in the lowered dimensions.
             let mut cells = vec![G::ZERO; new_side.pow(d as u32)];
-            self.walk_nonzero(old_root, 0, &vec![0usize; d], &mut |p, v| {
+            slabs.walk_nonzero(old_root, 0, &vec![0usize; d], &mut |p, v| {
                 let at = p.iter().zip(low).fold(0, |at, (&c, &shift)| {
                     at * new_side + c + if shift { old_side } else { 0 }
                 });
                 cells[at] = v;
             });
-            self.free_subtree(old_root, 0);
-            self.side = new_side;
-            self.leaves.resize_blocks(new_side.pow(d as u32));
+            slabs.free_subtree(old_root, 0);
+            slabs.side = new_side;
+            slabs.leaves.resize_blocks(new_side.pow(d as u32));
             if !old_root.is_empty() {
-                let id = self.alloc_leaf();
-                self.leaves
+                let id = slabs.alloc_leaf();
+                slabs
+                    .leaves
                     .with_mut(id, |block| block.copy_from_slice(&cells));
                 self.root = ChildRef::leaf(id);
             }
             return;
         }
-        let mut top = Level::new(d, old_side, &self.config);
+        let mut top = Level::new(d, old_side, &slabs.config);
         if !old_root.is_empty() {
             // The old region lands in the high half of every lowered dim.
             let bi = low
@@ -215,8 +223,8 @@ impl<G: AbelianGroup> DdcTree<G> {
             // old space (coordinates are already box-local).
             let mut ops = OpSnapshot::default();
             with_coord_bufs(d, |cross, _| {
-                self.walk_nonzero(old_root, 0, &vec![0usize; d], &mut |p, v| {
-                    top.box_add(obox, p, cross, v, &self.config, &mut ops);
+                slabs.walk_nonzero(old_root, 0, &vec![0usize; d], &mut |p, v| {
+                    top.box_add(obox, p, cross, v, &slabs.config, &mut ops);
                 });
             });
             self.counter.absorb(ops);
@@ -226,7 +234,7 @@ impl<G: AbelianGroup> DdcTree<G> {
             };
             self.root = ChildRef::node(id);
         }
-        self.levels.insert(0, top);
-        self.side = new_side;
+        slabs.levels.insert(0, top);
+        slabs.side = new_side;
     }
 }

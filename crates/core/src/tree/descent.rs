@@ -2,15 +2,18 @@
 //! update, and the read-only walks (cell reads, traces, enumeration,
 //! the invariant check) — all index walks over the level slabs.
 //!
-//! Costs are accumulated in a local [`OpSnapshot`] and the tree's
-//! [`ddc_array::OpCounter`] is bumped once per operation; the `_counted`
-//! entry points skip even that, which is how secondary trees report
-//! into their owner's operation.
+//! The walks that secondary trees share with the primary one are
+//! methods of [`Slabs`] and start from a root the caller supplies; the
+//! rest are [`DdcTree`]'s own. Costs are accumulated in a local
+//! [`OpSnapshot`] and the tree's [`ddc_array::OpCounter`] is bumped once
+//! per operation: the `_counted` walks only add to the snapshot they are
+//! handed, which is how a level's forest reports into the operation of
+//! the tree that owns it.
 
 use ddc_array::{with_coord_bufs, AbelianGroup, OpSnapshot};
 
 use super::arena::NO_BOX;
-use super::{ChildRef, Contribution, DdcTree, TraceStep};
+use super::{ChildRef, Contribution, DdcTree, Slabs, TraceStep};
 
 /// Row-major offset of the block-local point `rel` in a leaf block of
 /// the given side.
@@ -36,7 +39,7 @@ fn add_leaf_prefix<G: AbelianGroup>(cells: &[G], side: usize, rel: &[usize], acc
     }
 }
 
-impl<G: AbelianGroup> DdcTree<G> {
+impl<G: AbelianGroup> Slabs<G> {
     fn check_point(&self, x: &[usize]) {
         assert_eq!(x.len(), self.d, "point rank does not match the tree");
         assert!(
@@ -46,36 +49,16 @@ impl<G: AbelianGroup> DdcTree<G> {
         );
     }
 
-    /// `SUM(A[0,…,0] : A[x])` — Figure 10's `CalculateRegionSum`, as an
-    /// iterative slab walk. At a node of half-side `k`, let `h` be the
-    /// bitmask of dimensions whose (node-local) target coordinate is in
-    /// the high half; the contributing boxes are exactly the submasks
-    /// `s ⊆ h` — the box covers the target region fully in the
-    /// dimensions `h \ s`, so it contributes its subtotal when
-    /// `h \ s` is every dimension, a row-sum value otherwise, and the
-    /// query descends into the `s = h` box. Cross coordinates are
-    /// mask-selected (full → `k−1`, cut → `x & (k−1)`) with no
-    /// per-dimension branching.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` has the wrong rank or a coordinate `≥ side`.
-    pub fn prefix_sum(&self, x: &[usize]) -> G {
-        let mut ops = OpSnapshot::default();
-        let v = self.prefix_counted(x, &mut ops);
-        self.counter.read(ops.reads);
-        v
-    }
-
-    /// [`DdcTree::prefix_sum`] with the cost added to `ops` instead of
-    /// the tree's own counter.
-    pub(crate) fn prefix_counted(&self, x: &[usize], ops: &mut OpSnapshot) -> G {
+    /// The prefix sum at `x` of the tree rooted at `root`
+    /// ([`DdcTree::prefix_sum`] documents the walk), with the cost added
+    /// to `ops`.
+    pub(super) fn prefix_counted(&self, root: ChildRef, x: &[usize], ops: &mut OpSnapshot) -> G {
         self.check_point(x);
         let d = self.d;
         let all_mask = (1usize << d) - 1;
         with_coord_bufs(d, |rel, cross| {
             rel.copy_from_slice(x);
-            let mut cur = self.root;
+            let mut cur = root;
             let mut acc = G::ZERO;
             for level in &self.levels {
                 if cur.is_empty() {
@@ -130,19 +113,204 @@ impl<G: AbelianGroup> DdcTree<G> {
         })
     }
 
+    /// Adds `delta` to cell `x` of the tree rooted at `root`
+    /// ([`DdcTree::apply_delta`] documents the walk), creating the root
+    /// if the tree was empty, with the cost added to `ops`.
+    pub(super) fn add_counted(
+        &mut self,
+        root: &mut ChildRef,
+        x: &[usize],
+        delta: G,
+        ops: &mut OpSnapshot,
+    ) {
+        self.check_point(x);
+        if delta.is_zero() {
+            return;
+        }
+        let d = self.d;
+        let config = self.config;
+        with_coord_bufs(d, |rel, cross| {
+            rel.copy_from_slice(x);
+            // The reference to fill in when `cur` has to be created:
+            // the root, then the slot the walk came through.
+            let mut cur = *root;
+            let mut parent: Option<(usize, usize)> = None;
+            for l in 0..self.levels.len() {
+                let node = if cur.is_empty() {
+                    let id = self.levels[l].alloc_node();
+                    self.link(root, parent, ChildRef::node(id));
+                    id as usize
+                } else {
+                    cur.index()
+                };
+                let level = &mut self.levels[l];
+                let k = level.k;
+                // Exactly one box covers the cell (§3.2): its index comes
+                // from the coordinate high bits; rel becomes box-local.
+                let mut bi = 0usize;
+                for (i, r) in rel.iter_mut().enumerate() {
+                    bi |= usize::from(*r >= k) << i;
+                    *r &= k - 1;
+                }
+                let six = (node << d) + bi;
+                if level.slots[six].obox == NO_BOX {
+                    level.slots[six].obox = level.alloc_box();
+                }
+                let slot = level.slots[six];
+                level.box_add(slot.obox, rel, cross, delta, &config, ops);
+                cur = slot.child;
+                parent = Some((l, six));
+            }
+            let leaf = if cur.is_empty() {
+                let id = self.alloc_leaf();
+                self.link(root, parent, ChildRef::leaf(id));
+                id
+            } else {
+                cur.index() as u32
+            };
+            let at = leaf_offset(self.leaf_side(), rel);
+            self.leaves
+                .with_mut(leaf, |cells| cells[at] = cells[at].add(delta));
+            ops.writes += 1;
+        });
+    }
+
+    /// Stores a freshly created child in the slot the update walk came
+    /// through (`None`: the root).
+    fn link(&mut self, root: &mut ChildRef, parent: Option<(usize, usize)>, child: ChildRef) {
+        match parent {
+            None => *root = child,
+            Some((l, six)) => self.levels[l].slots[six].child = child,
+        }
+    }
+
+    /// Enumerates the non-zero cells under `c`, a child at depth `l`
+    /// anchored at `lo`.
+    pub(super) fn walk_nonzero(
+        &self,
+        c: ChildRef,
+        l: usize,
+        lo: &[usize],
+        f: &mut impl FnMut(&[usize], G),
+    ) {
+        if c.is_empty() {
+            return;
+        }
+        let d = self.d;
+        if c.is_leaf() {
+            let side = self.leaf_side();
+            let mut abs = lo.to_vec();
+            self.leaves.with(c.index() as u32, |cells| {
+                for (at, &v) in cells.iter().enumerate() {
+                    if !v.is_zero() {
+                        let mut rest = at;
+                        for i in (0..d).rev() {
+                            abs[i] = lo[i] + rest % side;
+                            rest /= side;
+                        }
+                        f(&abs, v);
+                    }
+                }
+            });
+            return;
+        }
+        let level = &self.levels[l];
+        let base = c.index() << d;
+        let mut box_lo = vec![0usize; d];
+        for bi in 0..self.stride() {
+            for i in 0..d {
+                box_lo[i] = lo[i] + if bi & (1 << i) != 0 { level.k } else { 0 };
+            }
+            self.walk_nonzero(level.slots[base + bi].child, l + 1, &box_lo, f);
+        }
+    }
+
+    /// Checks the subtree under `c`, a child at depth `l`, returning its
+    /// content sum ([`DdcTree::check_invariants`]).
+    fn check_child(&self, c: ChildRef, l: usize, ops: &mut OpSnapshot) -> G {
+        let d = self.d;
+        if c.is_empty() {
+            return G::ZERO;
+        }
+        if c.is_leaf() {
+            return self.leaves.with(c.index() as u32, |cells| {
+                assert_eq!(
+                    cells.len(),
+                    self.leaf_side().pow(d as u32),
+                    "leaf block shape mismatch"
+                );
+                cells.iter().fold(G::ZERO, |acc, &v| acc.add(v))
+            });
+        }
+        let level = &self.levels[l];
+        let base = c.index() << d;
+        let full = vec![level.k - 1; d - 1];
+        let mut total = G::ZERO;
+        for slot in &level.slots[base..base + self.stride()] {
+            let child_total = self.check_child(slot.child, l + 1, ops);
+            if slot.obox == NO_BOX {
+                assert!(
+                    child_total.is_zero(),
+                    "missing box over non-empty child (sum {child_total:?})"
+                );
+                continue;
+            }
+            let subtotal = level.subtotal(slot.obox);
+            assert_eq!(
+                subtotal, child_total,
+                "subtotal does not match child content"
+            );
+            let groups = if d >= 2 { d } else { 0 };
+            for j in 0..groups {
+                if level.face_is_unset(slot.obox, j) {
+                    assert!(subtotal.is_zero(), "empty face under non-zero subtotal");
+                    continue;
+                }
+                let fp = level.face_prefix(slot.obox, j, &full, ops);
+                assert_eq!(fp, subtotal, "face {j} full prefix disagrees with subtotal");
+            }
+            total = total.add(subtotal);
+        }
+        total
+    }
+}
+
+impl<G: AbelianGroup> DdcTree<G> {
+    /// `SUM(A[0,…,0] : A[x])` — Figure 10's `CalculateRegionSum`, as an
+    /// iterative slab walk. At a node of half-side `k`, let `h` be the
+    /// bitmask of dimensions whose (node-local) target coordinate is in
+    /// the high half; the contributing boxes are exactly the submasks
+    /// `s ⊆ h` — the box covers the target region fully in the
+    /// dimensions `h \ s`, so it contributes its subtotal when
+    /// `h \ s` is every dimension, a row-sum value otherwise, and the
+    /// query descends into the `s = h` box. Cross coordinates are
+    /// mask-selected (full → `k−1`, cut → `x & (k−1)`) with no
+    /// per-dimension branching.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` has the wrong rank or a coordinate `≥ side`.
+    pub fn prefix_sum(&self, x: &[usize]) -> G {
+        let mut ops = OpSnapshot::default();
+        let v = self.slabs.prefix_counted(self.root, x, &mut ops);
+        self.counter.read(ops.reads);
+        v
+    }
+
     /// Like [`DdcTree::prefix_sum`], additionally recording which overlay
     /// box contributed what — the paper's Figure 11 walkthrough as data.
     /// Returns the steps in visit order (box index ascending, descent
     /// last at each node); the sum of their values is the prefix sum.
     pub fn trace_prefix(&self, x: &[usize]) -> Vec<TraceStep<G>> {
-        self.check_point(x);
-        let d = self.d;
+        let slabs = &self.slabs;
+        slabs.check_point(x);
+        let d = slabs.d;
         let all_mask = (1usize << d) - 1;
         let mut ops = OpSnapshot::default();
         let mut steps = Vec::new();
         let mut lo = vec![0usize; d];
         let mut cur = self.root;
-        for (depth, level) in self.levels.iter().enumerate() {
+        for (depth, level) in slabs.levels.iter().enumerate() {
             if cur.is_empty() {
                 break;
             }
@@ -204,16 +372,16 @@ impl<G: AbelianGroup> DdcTree<G> {
             }
         }
         if !cur.is_empty() {
-            let side = self.leaf_side();
+            let side = slabs.leaf_side();
             let rel: Vec<usize> = x.iter().zip(&lo).map(|(&c, &l)| c - l).collect();
             let cells: usize = rel.iter().map(|&r| r + 1).product();
             ops.reads += cells as u64;
             steps.push(TraceStep {
-                level: self.levels.len(),
+                level: slabs.levels.len(),
                 box_anchor: lo,
                 box_side: side,
                 kind: Contribution::LeafCells { cells },
-                value: self.leaves.with(cur.index() as u32, |block| {
+                value: slabs.leaves.with(cur.index() as u32, |block| {
                     add_leaf_prefix(block, side, &rel, G::ZERO)
                 }),
             });
@@ -232,82 +400,19 @@ impl<G: AbelianGroup> DdcTree<G> {
     /// Panics if `x` has the wrong rank or a coordinate `≥ side`.
     pub fn apply_delta(&mut self, x: &[usize], delta: G) {
         let mut ops = OpSnapshot::default();
-        self.add_counted(x, delta, &mut ops);
+        self.slabs.add_counted(&mut self.root, x, delta, &mut ops);
         self.counter.absorb(ops);
-    }
-
-    /// [`DdcTree::apply_delta`] with the cost added to `ops` instead of
-    /// the tree's own counter.
-    pub(crate) fn add_counted(&mut self, x: &[usize], delta: G, ops: &mut OpSnapshot) {
-        self.check_point(x);
-        if delta.is_zero() {
-            return;
-        }
-        let d = self.d;
-        let config = self.config;
-        with_coord_bufs(d, |rel, cross| {
-            rel.copy_from_slice(x);
-            // The reference to fill in when `cur` has to be created:
-            // the root, then the slot the walk came through.
-            let mut cur = self.root;
-            let mut parent: Option<(usize, usize)> = None;
-            for l in 0..self.levels.len() {
-                let node = if cur.is_empty() {
-                    let id = self.levels[l].alloc_node();
-                    self.link(parent, ChildRef::node(id));
-                    id as usize
-                } else {
-                    cur.index()
-                };
-                let level = &mut self.levels[l];
-                let k = level.k;
-                // Exactly one box covers the cell (§3.2): its index comes
-                // from the coordinate high bits; rel becomes box-local.
-                let mut bi = 0usize;
-                for (i, r) in rel.iter_mut().enumerate() {
-                    bi |= usize::from(*r >= k) << i;
-                    *r &= k - 1;
-                }
-                let six = (node << d) + bi;
-                if level.slots[six].obox == NO_BOX {
-                    level.slots[six].obox = level.alloc_box();
-                }
-                let slot = level.slots[six];
-                level.box_add(slot.obox, rel, cross, delta, &config, ops);
-                cur = slot.child;
-                parent = Some((l, six));
-            }
-            let leaf = if cur.is_empty() {
-                let id = self.alloc_leaf();
-                self.link(parent, ChildRef::leaf(id));
-                id
-            } else {
-                cur.index() as u32
-            };
-            let at = leaf_offset(self.leaf_side(), rel);
-            self.leaves
-                .with_mut(leaf, |cells| cells[at] = cells[at].add(delta));
-            ops.writes += 1;
-        });
-    }
-
-    /// Stores a freshly created child in the slot the update walk came
-    /// through (`None`: the root).
-    fn link(&mut self, parent: Option<(usize, usize)>, child: ChildRef) {
-        match parent {
-            None => self.root = child,
-            Some((l, six)) => self.levels[l].slots[six].child = child,
-        }
     }
 
     /// Reads one raw cell by direct descent (`O(log n)`).
     pub fn cell(&self, x: &[usize]) -> G {
-        self.check_point(x);
+        let slabs = &self.slabs;
+        slabs.check_point(x);
         let mut cur = self.root;
         // Nodes are aligned to their (power-of-two) side, so bit `k` of
         // each coordinate picks the half at the level of half-side `k`,
         // and the bits below the leaf side are the block-local offset.
-        for level in &self.levels {
+        for level in &slabs.levels {
             if cur.is_empty() {
                 return G::ZERO;
             }
@@ -315,17 +420,17 @@ impl<G: AbelianGroup> DdcTree<G> {
             for (i, &c) in x.iter().enumerate() {
                 bi |= usize::from(c & level.k != 0) << i;
             }
-            cur = level.slots[(cur.index() << self.d) + bi].child;
+            cur = level.slots[(cur.index() << slabs.d) + bi].child;
         }
         if cur.is_empty() {
             return G::ZERO;
         }
-        let leaf_side = self.leaf_side();
+        let leaf_side = slabs.leaf_side();
         let at = x
             .iter()
             .fold(0, |at, &c| at * leaf_side + (c & (leaf_side - 1)));
         self.counter.read(1);
-        self.leaves.with(cur.index() as u32, |cells| cells[at])
+        slabs.leaves.with(cur.index() as u32, |cells| cells[at])
     }
 
     /// Sum of the whole space.
@@ -333,13 +438,14 @@ impl<G: AbelianGroup> DdcTree<G> {
         if self.root.is_empty() {
             return G::ZERO;
         }
-        let Some(top) = self.levels.first() else {
-            return self.leaves.with(self.root.index() as u32, |cells| {
+        let slabs = &self.slabs;
+        let Some(top) = slabs.levels.first() else {
+            return slabs.leaves.with(self.root.index() as u32, |cells| {
                 cells.iter().fold(G::ZERO, |acc, &v| acc.add(v))
             });
         };
-        let base = self.root.index() << self.d;
-        top.slots[base..base + self.stride()]
+        let base = self.root.index() << slabs.d;
+        top.slots[base..base + slabs.stride()]
             .iter()
             .filter(|slot| slot.obox != NO_BOX)
             .fold(G::ZERO, |acc, slot| acc.add(top.subtotal(slot.obox)))
@@ -347,49 +453,8 @@ impl<G: AbelianGroup> DdcTree<G> {
 
     /// Invokes `f` for every non-zero raw cell with its coordinates.
     pub fn for_each_nonzero(&self, f: &mut impl FnMut(&[usize], G)) {
-        let lo = vec![0usize; self.d];
-        self.walk_nonzero(self.root, 0, &lo, f);
-    }
-
-    /// Enumerates the non-zero cells under `c`, a child at depth `l`
-    /// anchored at `lo`.
-    pub(super) fn walk_nonzero(
-        &self,
-        c: ChildRef,
-        l: usize,
-        lo: &[usize],
-        f: &mut impl FnMut(&[usize], G),
-    ) {
-        if c.is_empty() {
-            return;
-        }
-        let d = self.d;
-        if c.is_leaf() {
-            let side = self.leaf_side();
-            let mut abs = lo.to_vec();
-            self.leaves.with(c.index() as u32, |cells| {
-                for (at, &v) in cells.iter().enumerate() {
-                    if !v.is_zero() {
-                        let mut rest = at;
-                        for i in (0..d).rev() {
-                            abs[i] = lo[i] + rest % side;
-                            rest /= side;
-                        }
-                        f(&abs, v);
-                    }
-                }
-            });
-            return;
-        }
-        let level = &self.levels[l];
-        let base = c.index() << d;
-        let mut box_lo = vec![0usize; d];
-        for bi in 0..self.stride() {
-            for i in 0..d {
-                box_lo[i] = lo[i] + if bi & (1 << i) != 0 { level.k } else { 0 };
-            }
-            self.walk_nonzero(level.slots[base + bi].child, l + 1, &box_lo, f);
-        }
+        let lo = vec![0usize; self.slabs.d];
+        self.slabs.walk_nonzero(self.root, 0, &lo, f);
     }
 
     /// Number of non-zero raw cells.
@@ -408,55 +473,8 @@ impl<G: AbelianGroup> DdcTree<G> {
     /// Panics on any violation (test/diagnostic use).
     pub fn check_invariants(&self) -> G {
         let mut ops = OpSnapshot::default();
-        let total = self.check_child(self.root, 0, &mut ops);
+        let total = self.slabs.check_child(self.root, 0, &mut ops);
         self.counter.read(ops.reads);
-        total
-    }
-
-    fn check_child(&self, c: ChildRef, l: usize, ops: &mut OpSnapshot) -> G {
-        let d = self.d;
-        if c.is_empty() {
-            return G::ZERO;
-        }
-        if c.is_leaf() {
-            return self.leaves.with(c.index() as u32, |cells| {
-                assert_eq!(
-                    cells.len(),
-                    self.leaf_side().pow(d as u32),
-                    "leaf block shape mismatch"
-                );
-                cells.iter().fold(G::ZERO, |acc, &v| acc.add(v))
-            });
-        }
-        let level = &self.levels[l];
-        let base = c.index() << d;
-        let full = vec![level.k - 1; d - 1];
-        let mut total = G::ZERO;
-        for slot in &level.slots[base..base + self.stride()] {
-            let child_total = self.check_child(slot.child, l + 1, ops);
-            if slot.obox == NO_BOX {
-                assert!(
-                    child_total.is_zero(),
-                    "missing box over non-empty child (sum {child_total:?})"
-                );
-                continue;
-            }
-            let subtotal = level.subtotal(slot.obox);
-            assert_eq!(
-                subtotal, child_total,
-                "subtotal does not match child content"
-            );
-            let groups = if d >= 2 { d } else { 0 };
-            for j in 0..groups {
-                if level.face_is_unset(slot.obox, j) {
-                    assert!(subtotal.is_zero(), "empty face under non-zero subtotal");
-                    continue;
-                }
-                let fp = level.face_prefix(slot.obox, j, &full, ops);
-                assert_eq!(fp, subtotal, "face {j} full prefix disagrees with subtotal");
-            }
-            total = total.add(subtotal);
-        }
         total
     }
 }

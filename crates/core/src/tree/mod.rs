@@ -37,19 +37,48 @@
 //! default blocked B^c layout (d = 2, Dynamic mode, `BaseStore::Blocked`)
 //! each face is written **in place** in `words` and driven by the slice
 //! kernels of `ddc_btree::blocked` — one update or query touches one
-//! contiguous record per level, with no pointer to follow. Every other
-//! kind of group (secondary trees for d ≥ 3, the Basic mode's flat
-//! arrays, the lazy `BaseStore::SparseSeg` groups) lives out of line in
-//! a parallel `faces: Vec<Secondary>` with stride `d` per box record.
-//! There are exactly two one-dimensional base stores because each wins
-//! on its own input: against a pointer B^c tree or a Fenwick array
-//! behind a `Secondary` the inline blocked run measured 2.5–2.8× faster
-//! updates, 1.2–2× faster prefix sums and 2.4–3× less heap on clustered
-//! data, while on a wide, sparsely populated space it pays `k` words
-//! per face next to the root (500 isolated points in 131072²: 132 MiB
-//! against 4.4 MiB for the lazy store; EXPERIMENTS §4.4 and §5).
+//! contiguous record per level, with no pointer to follow. There are
+//! exactly two one-dimensional base stores because each wins on its own
+//! input: against a pointer B^c tree or a Fenwick array behind a
+//! `Secondary` the inline blocked run measured 2.5–2.8× faster updates,
+//! 1.2–2× faster prefix sums and 2.4–3× less heap on clustered data,
+//! while on a wide, sparsely populated space it pays `k` words per face
+//! next to the root (500 isolated points in 131072²: 132 MiB against
+//! 4.4 MiB for the lazy store; EXPERIMENTS §4.4 and §5).
 //! Dense leaf blocks are `leaf_side^d`-cell runs of one flat `Vec` (the
 //! same runs on pages once [`DdcTree::enable_paging`] has run).
+//!
+//! ## One forest per level (d ≥ 3)
+//!
+//! §4.2 stores the row-sum groups of a d-dimensional box "as
+//! (d−1)-dimensional data cubes, recursively". Every group of one level
+//! has the same shape — `d − 1` dimensions of side `k` — so the
+//! secondary trees of a level are not objects either: the slabs of a
+//! tree (`Slabs`: its levels and leaf arena) hold **any number of trees
+//! of one shape**, a tree is nothing but a root `ChildRef` into them,
+//! and every walk (`prefix_counted`, `add_counted`, `free_subtree`,
+//! `build_child`, `move_child`, `mark_reachable`) starts from a root its
+//! caller supplies. A [`DdcTree`] is slabs plus one root; in Dynamic
+//! mode at d ≥ 3 a level owns, beside `slots` and `words`,
+//!
+//! ```text
+//! roots: [ root_0 | … | root_{d−1} ]  per box record     4 bytes each,
+//!          │                          `EMPTY` until the group's first
+//!          ▼                          non-zero value
+//! forest: Slabs { d − 1, side k }     one per level, created with the
+//!   levels[0]  slots | words          level's first root; holds the
+//!   levels[1]  slots | words          nodes, box records and leaf
+//!   …                                 blocks of all boxes · d secondary
+//!   leaves     k_leaf^{d−1}-cell runs trees of this level
+//! ```
+//!
+//! so the 98 304 bottom-level groups of a 64³ cube are 98 304 four-cell
+//! runs of one array instead of as many heap-allocated trees. The
+//! forest of a d = 3 level is two-dimensional, i.e. its faces are the
+//! inline runs above; at d ≥ 4 a forest's levels own forests of their
+//! own and the recursion of §4.2 falls out. What is left out of line in
+//! `Secondary` values (`d` per box record, like the roots) is the Basic
+//! mode's flat arrays and the lazy `BaseStore::SparseSeg` groups.
 //!
 //! Box records are allocated **per box**, not per node: a node's slots
 //! exist as soon as the node does (8 bytes each), but a box's words are
@@ -220,31 +249,31 @@ pub struct LevelStats {
     pub leaf_blocks: usize,
 }
 
-/// The Dynamic Data Cube's primary tree over a `d`-dimensional space of
-/// power-of-two side.
+/// The slabs of one tree shape: the nodes, box records and leaf blocks
+/// of any number of trees over `[0, side)^d`. A tree is a root
+/// [`ChildRef`] into them, held by whoever owns the tree — a
+/// [`DdcTree`] for the primary tree, the `roots` of a level for the
+/// secondary trees of its boxes — and passed to every walk.
 #[derive(Debug)]
-pub struct DdcTree<G: AbelianGroup> {
+pub(crate) struct Slabs<G: AbelianGroup> {
     d: usize,
     side: usize,
     config: DdcConfig,
-    root: ChildRef,
     /// One slab per interior depth, root level first: `levels[ℓ]` holds
     /// the nodes of half-side `side >> (ℓ+1)`; the last level's children
     /// are leaf blocks. Empty while the whole space is one leaf block.
     levels: Vec<Level<G>>,
     /// Leaf-block arena, indexed by [`ChildRef::leaf`] ids — flat
-    /// in-memory slab by default, paged once `enable_paging` has run.
+    /// in-memory slab by default; the primary tree's is paged once
+    /// `enable_paging` has run.
     leaves: LeafArena<G>,
-    counter: OpCounter,
 }
 
-impl<G: AbelianGroup> DdcTree<G> {
-    /// An empty (all-zero) tree covering `[0, side)^d`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `side` is not a power of two or `d == 0`.
-    pub fn new(d: usize, side: usize, config: DdcConfig) -> Self {
+impl<G: AbelianGroup> Slabs<G> {
+    /// Empty slabs for trees covering `[0, side)^d`. Costs one empty
+    /// [`Level`] per depth: a level's forest is created with its first
+    /// root, not here.
+    fn new(d: usize, side: usize, config: DdcConfig) -> Self {
         assert!(d >= 1, "dimensionality must be at least 1");
         assert!(side.is_power_of_two(), "side {side} must be a power of two");
         let leaf_side = config.leaf_block_side().min(side);
@@ -258,10 +287,8 @@ impl<G: AbelianGroup> DdcTree<G> {
             d,
             side,
             config,
-            root: ChildRef::EMPTY,
             levels,
             leaves: LeafArena::new(leaf_side.pow(d as u32)),
-            counter: OpCounter::new(),
         }
     }
 
@@ -277,20 +304,44 @@ impl<G: AbelianGroup> DdcTree<G> {
     fn leaf_side(&self) -> usize {
         self.config.leaf_block_side().min(self.side)
     }
+}
+
+/// The Dynamic Data Cube's primary tree over a `d`-dimensional space of
+/// power-of-two side.
+#[derive(Debug)]
+pub struct DdcTree<G: AbelianGroup> {
+    slabs: Slabs<G>,
+    root: ChildRef,
+    counter: OpCounter,
+}
+
+impl<G: AbelianGroup> DdcTree<G> {
+    /// An empty (all-zero) tree covering `[0, side)^d`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `side` is not a power of two or `d == 0`.
+    pub fn new(d: usize, side: usize, config: DdcConfig) -> Self {
+        Self {
+            slabs: Slabs::new(d, side, config),
+            root: ChildRef::EMPTY,
+            counter: OpCounter::new(),
+        }
+    }
 
     /// Dimensionality `d`.
     pub fn ndim(&self) -> usize {
-        self.d
+        self.slabs.d
     }
 
     /// Covered side length (power of two).
     pub fn side(&self) -> usize {
-        self.side
+        self.slabs.side
     }
 
     /// The construction configuration.
     pub fn config(&self) -> &DdcConfig {
-        &self.config
+        &self.slabs.config
     }
 
     /// The tree's operation counter.

@@ -11,8 +11,10 @@
 //! `heap_bytes` reclamation curve across a full lifecycle; a seeded
 //! differential sweep drives the level-slab layout against a brute-force
 //! `NdArray` over every dimensionality, elision depth, mode and base
-//! store; and a layout pin keeps the packed tree's bytes per populated
-//! cell from silently eroding.
+//! store; a d = 3 / d = 4 run cancels a populated tree down to one cell
+//! and audits the per-level forests after every step; and two layout
+//! pins keep the packed tree's bytes per populated cell (d = 2 and
+//! d = 3) from silently eroding.
 
 use std::collections::HashMap;
 
@@ -58,6 +60,29 @@ fn audit(tree: &DdcTree<i64>, oracle: &Oracle) {
         reachable_leaves,
         "live leaf slots vs reachable leaves"
     );
+}
+
+/// [`audit`] plus sampled prefix sums and cell reads against the oracle
+/// (always including the far corner, i.e. the total).
+fn audit_and_sample(tree: &DdcTree<i64>, oracle: &Oracle, rng: &mut DdcRng, what: &str) {
+    audit(tree, oracle);
+    let (d, side) = (tree.ndim(), tree.side());
+    let mut points = vec![vec![side - 1; d]];
+    for _ in 0..6 {
+        points.push((0..d).map(|_| rng.gen_range(0..side)).collect());
+    }
+    for x in &points {
+        assert_eq!(
+            tree.prefix_sum(x),
+            oracle_prefix(oracle, x),
+            "{what}: prefix at {x:?}"
+        );
+        assert_eq!(
+            tree.cell(x),
+            oracle.get(x).copied().unwrap_or(0),
+            "{what}: cell at {x:?}"
+        );
+    }
 }
 
 fn configs() -> [DdcConfig; 4] {
@@ -126,12 +151,7 @@ for_cases! {
                     tree.prune();
                 }
             }
-            audit(&tree, &oracle);
-            for _ in 0..4 {
-                let x: Vec<usize> = (0..d).map(|_| rng.gen_range(0..side_now)).collect();
-                assert_eq!(tree.prefix_sum(&x), oracle_prefix(&oracle, &x), "prefix at {x:?}");
-                assert_eq!(tree.cell(&x), oracle.get(&x).copied().unwrap_or(0));
-            }
+            audit_and_sample(&tree, &oracle, rng, "churn phase");
         }
         assert_eq!(tree.total(), oracle_total(&oracle));
     }
@@ -141,7 +161,7 @@ for_cases! {
     /// population reuses freed slots rather than growing the arenas —
     /// the arena never exceeds its previous peak across the cycle.
     fn freed_slots_are_reused_not_leaked(rng, cases = 16) {
-        let d = rng.gen_range(1usize..=2);
+        let d = rng.gen_range(1usize..=3);
         let side = 16;
         let config = configs()[rng.gen_range(0usize..4)];
         let mut tree = DdcTree::<i64>::new(d, side, config);
@@ -181,7 +201,7 @@ for_cases! {
     /// built by the bulk path land on identical answers and pass the
     /// same arena audit.
     fn bulk_builds_match_incremental_and_pass_audit(rng, cases = 12) {
-        let d = rng.gen_range(1usize..=2);
+        let d = rng.gen_range(1usize..=3);
         let side = 16;
         let config = configs()[rng.gen_range(0usize..4)];
         let shape = Shape::new(&vec![side; d]);
@@ -470,6 +490,73 @@ fn slab_tree_matches_brute_force_across_dims_modes_and_bases() {
     );
 }
 
+/// The forests of d ≥ 3 through their whole lifecycle: a populated
+/// 16³ / 8⁴ tree is cancelled down to one cell, half the remaining cells
+/// a round, with a prune after every round — so secondary subtrees go
+/// back to their forests' free lists, are reused by nothing, and are
+/// finally rewritten away by a compaction. The audit (which walks every
+/// forest from the roots of its level's box records) and sampled
+/// answers run after *every* cancel and *every* prune, not only at the
+/// end. With blocked faces nothing at d ≥ 3 lives outside a slab, so
+/// `prune` releases bytes only when it compacts.
+#[test]
+fn forested_trees_cancel_down_to_one_cell_and_compact() {
+    for (d, side) in [(3usize, 16usize), (4, 8)] {
+        let mut rng = DdcRng::seed_from_u64(0xF0_2E57 + d as u64);
+        let mut tree = DdcTree::<i64>::new(d, side, DdcConfig::dynamic());
+        let mut oracle = Oracle::new();
+        for _ in 0..200 {
+            let p: Vec<usize> = (0..d).map(|_| rng.gen_range(0..side)).collect();
+            let delta = rng.gen_range(1i64..=40);
+            tree.apply_delta(&p, delta);
+            oracle_add(&mut oracle, &p, delta);
+        }
+        audit_and_sample(&tree, &oracle, &mut rng, &format!("d={d} populate"));
+        let populated_bytes = tree.heap_bytes();
+
+        let mut compactions = 0;
+        while oracle.len() > 1 {
+            let mut cells: Vec<(Vec<usize>, i64)> =
+                oracle.iter().map(|(p, &v)| (p.clone(), v)).collect();
+            cells.sort();
+            let what = format!("d={d} at {} cells", cells.len());
+            let cancel = cells.len().div_ceil(2).min(cells.len() - 1);
+            for (p, v) in cells.into_iter().take(cancel) {
+                tree.apply_delta(&p, -v);
+                oracle_add(&mut oracle, &p, -v);
+            }
+            audit_and_sample(&tree, &oracle, &mut rng, &format!("{what}, cancel"));
+            let released = tree.prune();
+            audit_and_sample(&tree, &oracle, &mut rng, &format!("{what}, prune"));
+            if released > 0 {
+                let s = tree.stats();
+                assert_eq!(
+                    s.free_node_slots + s.free_leaf_slots,
+                    0,
+                    "{what}: bytes came back without the slabs being rewritten"
+                );
+                compactions += 1;
+            }
+        }
+        assert!(compactions >= 1, "d={d}: no prune ever compacted");
+        assert_eq!(tree.populated_cells(), 1);
+        assert!(
+            tree.heap_bytes() * 8 < populated_bytes,
+            "d={d}: one cell holds {} of {populated_bytes} bytes",
+            tree.heap_bytes()
+        );
+
+        // The compacted forests take new trees again.
+        for _ in 0..40 {
+            let p: Vec<usize> = (0..d).map(|_| rng.gen_range(0..side)).collect();
+            let delta = rng.gen_range(1i64..=40);
+            tree.apply_delta(&p, delta);
+            oracle_add(&mut oracle, &p, delta);
+        }
+        audit_and_sample(&tree, &oracle, &mut rng, &format!("d={d} refill"));
+    }
+}
+
 /// Smoke case past the stack coordinate scratch (more than eight
 /// dimensions take the heap buffer): a 4^9 cube against brute force,
 /// through the tree's update, prefix, cell and prune paths and the
@@ -556,4 +643,25 @@ fn packed_tree_stays_within_160_bytes_per_cell() {
     assert_eq!(cells, 1 << 18);
     let per_cell = tree.heap_bytes() / cells;
     assert!(per_cell <= 160, "{per_cell} heap bytes per populated cell");
+}
+
+/// The d = 3 twin: the `core_d3_query` population (64³, 2^17 seeded
+/// cells) must stay within 200 heap bytes per populated cell — one
+/// forest per level instead of one heap-allocated tree per row-sum
+/// group.
+#[test]
+fn forested_tree_stays_within_200_bytes_per_cell() {
+    let mut rng = DdcRng::seed_from_u64(0xDDC_0B17);
+    let mut tree = DdcTree::<i64>::new(3, 64, DdcConfig::dynamic());
+    let mut seen = std::collections::HashSet::new();
+    while seen.len() < 1 << 17 {
+        let p = [0; 3].map(|_| rng.gen_range(0usize..64));
+        if seen.insert(p) {
+            tree.apply_delta(&p, rng.gen_range(1i64..=100));
+        }
+    }
+    let cells = tree.populated_cells();
+    assert_eq!(cells, 1 << 17);
+    let per_cell = tree.heap_bytes() / cells;
+    assert!(per_cell <= 200, "{per_cell} heap bytes per populated cell");
 }

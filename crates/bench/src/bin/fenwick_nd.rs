@@ -31,7 +31,9 @@ fn main() {
     for n in [64usize, 256, 1024] {
         let shape = Shape::cube(2, n);
         let base = uniform_array(&shape, -20, 20, &mut rng(1));
-        let mut ddc = DdcEngine::from_array_with(&base, DdcConfig::dynamic());
+        // A table of counts, so the tree the paper counts; the default's
+        // dense leaf blocks are timed against the BIT by `latency_core`.
+        let mut ddc = DdcEngine::from_array_with(&base, DdcConfig::dynamic().with_elision(0));
         let mut bit = MultiFenwick::from_array(&base);
         let stream = uniform_updates(&shape, 128, &mut rng(2));
         let regions = uniform_regions(&shape, 128, &mut rng(3));

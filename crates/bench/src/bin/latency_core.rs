@@ -17,7 +17,11 @@
 //! ROADMAP's ≤ 1.5), the seeded stored-values-touched counts are
 //! exact-match `count` metrics — machine-independent evidence of the
 //! algorithmic shape — and the p50/p99 nanoseconds ride along ungated
-//! (wall-clock claims are `benchmark/`'s).
+//! (wall-clock claims are `benchmark/`'s). `dyn-ddc` is the production
+//! default, `DdcConfig::dynamic()`, not the paper's full tree: the leaf
+//! side it derives for each cube is written as a `count` row too, so a
+//! silent change of the rule fails the gate as drift instead of moving
+//! the ratios.
 //!
 //! A last line reports the growth-phase tail: every update that
 //! populates a fresh 1024² cube with 2^18 distinct cells is timed, so
@@ -31,6 +35,7 @@ use std::time::Instant;
 use ddc_array::{RangeSumEngine, Shape};
 use ddc_bench::json::{BenchReport, MetricKind};
 use ddc_bench::print_row;
+use ddc_core::DdcConfig;
 use ddc_olap::EngineKind;
 use ddc_workload::rng;
 
@@ -40,6 +45,11 @@ const CUBES: [(usize, usize); 2] = [(2, 256), (3, 64)];
 const POPULATE: usize = 40_000;
 /// Timed operations per op-kind per engine.
 const OPS: usize = 30_000;
+
+/// The engine behind every `dyn-ddc` row.
+fn dyn_ddc() -> EngineKind {
+    EngineKind::CustomDdc(DdcConfig::dynamic())
+}
 
 /// Ceiling on the in-run `dyn-ddc ÷ fenwick-nd` p50 ratios, as a
 /// multiple of the committed value.
@@ -73,7 +83,7 @@ fn quantiles(mut samples: Vec<u64>) -> Quantiles {
 /// that grow a slab.
 fn growth_phase() -> Quantiles {
     let mut r = rng(0xDDC_6120);
-    let mut engine = EngineKind::DynamicDdc.build(Shape::cube(2, GROWTH_SIDE));
+    let mut engine = dyn_ddc().build(Shape::cube(2, GROWTH_SIDE));
     let mut seen = std::collections::HashSet::with_capacity(GROWTH_CELLS);
     let mut ns = Vec::with_capacity(GROWTH_CELLS);
     while seen.len() < GROWTH_CELLS {
@@ -164,7 +174,7 @@ fn run_cube(d: usize, side: usize, report: &mut BenchReport) {
         ],
         &widths,
     );
-    let ddc = measure("dyn-ddc", EngineKind::DynamicDdc, d, side);
+    let ddc = measure("dyn-ddc", dyn_ddc(), d, side);
     let fenwick = measure("fenwick-nd", EngineKind::FenwickNd, d, side);
     for row in [&ddc, &fenwick] {
         print_row(
@@ -229,6 +239,11 @@ fn main() {
     );
     for (d, side) in CUBES {
         report.push(format!("config.d{d}.side"), MetricKind::Count, side as f64);
+        report.push(
+            format!("config.d{d}.leaf_side"),
+            MetricKind::Count,
+            DdcConfig::dynamic().leaf_block_side(d) as f64,
+        );
     }
     report.push("config.ops", MetricKind::Count, OPS as f64);
     report.push("config.populate", MetricKind::Count, POPULATE as f64);

@@ -87,7 +87,7 @@ fn run(args: &[String]) -> Result<String, (i32, String)> {
     let config = DdcConfig::dynamic()
         .with_elision(elide)
         .with_paged_leaves(pager);
-    let block = config.leaf_block_side();
+    let block = config.leaf_block_side(2);
     if side % block != 0 {
         return Err((1, format!("--side must be a multiple of {block}")));
     }

@@ -1,6 +1,9 @@
 //! **§4.4 reproduction**: the level-elision space optimization. Sweeping
 //! `h` shows storage shrinking toward `|A|` while queries pay at most
-//! `2^{(h+1)d}` extra leaf-cell additions.
+//! `2^{(h+1)d}` extra leaf-cell additions. The row whose leaf side is the
+//! one `DdcConfig::dynamic()` derives for this `d` is starred; why that
+//! row and not the smallest one is a question of time, not counts
+//! (EXPERIMENTS "§4.4, timed").
 //!
 //! ```text
 //! cargo run --release -p ddc-bench --bin space_opt
@@ -34,8 +37,14 @@ fn main() {
         &widths,
     );
 
+    let derived_side = DdcConfig::dynamic().leaf_block_side(d);
     for h in 0..=4usize {
         let config = DdcConfig::dynamic().with_elision(h);
+        let star = if config.leaf_block_side(d) == derived_side {
+            "*"
+        } else {
+            ""
+        };
         let mut e = DdcEngine::from_array_with(&base, config);
         // Mean query cost over the workload.
         e.reset_ops();
@@ -52,7 +61,7 @@ fn main() {
         let bytes = e.heap_bytes();
         print_row(
             &[
-                format!("{h}"),
+                format!("{h}{star}"),
                 format!("{bytes}"),
                 format!("{:.2}x", bytes as f64 / raw_bytes as f64),
                 format!("{qreads:.1}"),
@@ -64,7 +73,8 @@ fn main() {
     }
     println!(
         "\nStorage falls toward |A| as h grows; query reads rise by at most\n\
-         the final column (the worst-case leaf-cell additions of §4.4)."
+         the final column (the worst-case leaf-cell additions of §4.4).\n\
+         * = the default: DdcConfig::dynamic() derives leaf side {derived_side} at d = {d}."
     );
 
     // The two base stores on this dense cube, at two elision levels:

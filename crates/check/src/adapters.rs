@@ -588,18 +588,31 @@ pub fn engine_roster(init: &BoxState) -> Vec<Box<dyn CheckEngine>> {
             init,
             MultiFenwick::<i64>::zeroed,
         )),
-        Box::new(DdcAdapter::new("ddc-basic", init, DdcConfig::basic())),
-        // `dynamic()` is the hot path: blocked B^c faces written inline
-        // in the level slabs. `sparse()` keeps the one out-of-line base
-        // store (lazy segment trees behind `Secondary`) in the
-        // differential net, and the elided variant drives the dense
-        // leaf blocks (§4.4) through every trace.
-        Box::new(DdcAdapter::new("ddc-dynamic", init, DdcConfig::dynamic())),
-        Box::new(DdcAdapter::new("ddc-sparse", init, DdcConfig::sparse())),
+        // Fuzzed boxes are a few cells a side, and the leaf side that
+        // `dynamic()` derives (16 at d ≤ 2, 8 at d = 3) stores most of
+        // them as one or two dense blocks: `ddc-dynamic` is the
+        // production default and drives those blocks (§4.4) through
+        // every trace. The other three pin `h = 0`, the full tree as
+        // the paper counts it, so each kind of row-sum group stays in
+        // the differential net: the Basic mode's flat arrays, the
+        // blocked B^c faces written inline in the level slabs
+        // (`ddc-elide0`), and the one out-of-line base store (lazy
+        // segment trees behind `Secondary`).
         Box::new(DdcAdapter::new(
-            "ddc-elide1",
+            "ddc-basic",
             init,
-            DdcConfig::dynamic().with_elision(1),
+            DdcConfig::basic().with_elision(0),
+        )),
+        Box::new(DdcAdapter::new("ddc-dynamic", init, DdcConfig::dynamic())),
+        Box::new(DdcAdapter::new(
+            "ddc-sparse",
+            init,
+            DdcConfig::sparse().with_elision(0),
+        )),
+        Box::new(DdcAdapter::new(
+            "ddc-elide0",
+            init,
+            DdcConfig::dynamic().with_elision(0),
         )),
         // Paged leaf arena over a deliberately tiny in-memory buffer
         // pool: every trace churns through pin/unpin, clock eviction

@@ -15,9 +15,10 @@
 //! backend to read-only (mutations 503, `/healthz` reports
 //! `degraded`) instead of crashing, and a restart replays the log.
 //! `--mem-cap BYTES` additionally pages the cube's leaf blocks
-//! through a bounded buffer pool that spills cold pages to disk, so
-//! the served cube can exceed RAM; the spill file (unlinked, next to
-//! the log) is scratch that a restart never reads.
+//! through a buffer pool of that size that spills cold pages to disk;
+//! the cap bounds that pool — the raw cells — not the process: nodes,
+//! box records and row-sum faces stay in memory. The spill file
+//! (unlinked, next to the log) is scratch that a restart never reads.
 //! An argument outside the list above is a usage error, not a silent
 //! default. Load is generated and timed by `benchmark/`
 //! (`serve_mixed`, `durable_paged_mixed`), not from here.
@@ -27,7 +28,7 @@ use ddc_array::Shape;
 use ddc_core::sync::Arc;
 use ddc_core::vfs::StdVfs;
 use ddc_core::wal::{self, RetryPolicy};
-use ddc_core::{DdcConfig, PagerConfig, ShardConfig, ShardedCube, SharedDurableCube};
+use ddc_core::{DdcConfig, DdcEngine, PagerConfig, ShardConfig, ShardedCube, SharedDurableCube};
 use ddc_serve::{
     AdmissionConfig, DurableBackend, ServeBackend, Server, ServerConfig, ShardedBackend,
 };
@@ -101,8 +102,14 @@ pub fn run(args: &[String]) -> Result<String, String> {
                     if cap == 0 {
                         return Err("--mem-cap must be at least 1 byte".to_string());
                     }
-                    // Paged leaves need elision ≥ 1 so leaf blocks
-                    // exist; cold pages spill to an unlinked file in DIR.
+                    // Cold pages spill to an unlinked file in DIR. Paged
+                    // leaves stay at h = 1 (side-4 blocks) instead of the
+                    // side `dynamic()` derives: the arena copies a whole
+                    // block out of and back into the pool on every
+                    // touch, so wider blocks measured slower here —
+                    // `durable_paged_mixed` at h = 1/2/3: 115/80/79 k
+                    // op/s, setup 1.1/1.7/2.0 s (EXPERIMENTS "§4.4,
+                    // timed") — until pool access is cell-granular.
                     DdcConfig::dynamic()
                         .with_elision(1)
                         .with_paged_leaves(PagerConfig::disk(cap as usize))
@@ -141,14 +148,17 @@ pub fn run(args: &[String]) -> Result<String, String> {
             )
         }
         None => {
-            let cube = ShardedCube::<i64>::new(
-                Shape::new(&[side, side]),
-                DdcConfig::default(),
-                ShardConfig::with_shards(shards),
-            );
+            let (shape, config) = (Shape::new(&[side, side]), DdcConfig::default());
+            // What the leaf-side rule picked for a tree of this shape
+            // (an empty engine allocates nothing).
+            let leaf = DdcEngine::<i64>::with_config(shape.clone(), config)
+                .tree()
+                .stats()
+                .leaf_side;
+            let cube = ShardedCube::<i64>::new(shape, config, ShardConfig::with_shards(shards));
             (
                 Arc::new(ShardedBackend::new(cube)),
-                format!("{side}x{side} cube, {shards} shards"),
+                format!("{side}x{side} cube, {leaf}x{leaf} leaf blocks, {shards} shards"),
             )
         }
     };

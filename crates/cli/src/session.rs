@@ -409,7 +409,7 @@ fn engine_kind(word: &str) -> Result<EngineKind, String> {
         "prefix" => EngineKind::PrefixSum,
         "relative" => EngineKind::RelativePrefix,
         "basic" => EngineKind::BasicDdc,
-        "dynamic" => EngineKind::DynamicDdc,
+        "dynamic" => EngineKind::CustomDdc(ddc_core::DdcConfig::dynamic()),
         "sparse" => EngineKind::CustomDdc(ddc_core::DdcConfig::sparse()),
         other => match other.strip_prefix("sharded") {
             // `sharded` (default shard count) or `shardedN` (explicit).

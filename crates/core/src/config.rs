@@ -1,5 +1,7 @@
 //! Construction-time configuration of a Dynamic Data Cube.
 
+use ddc_btree::DEFAULT_BLOCK;
+
 /// How overlay row-sum groups are stored (paper §3 vs §4).
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum Mode {
@@ -57,6 +59,10 @@ pub struct PagerConfig {
 /// Default pager page size (4 KiB).
 pub const DEFAULT_PAGE_BYTES: usize = 4096;
 
+/// Cell budget of a derived leaf block ([`DdcConfig::leaf_block_side`]):
+/// one default page of `i64`.
+pub const LEAF_BLOCK_CELLS: usize = 512;
+
 impl PagerConfig {
     /// Disk-spilling pager with the given pool budget (default pages).
     pub fn disk(mem_cap_bytes: usize) -> Self {
@@ -109,12 +115,14 @@ pub struct DdcConfig {
     /// Base store for one-dimensional row-sum groups (Dynamic mode only).
     pub base: BaseStore,
     /// The space optimization of §4.4: the number `h` of tree levels
-    /// elided immediately above the leaves. `0` keeps the full tree
-    /// (leaf overlay boxes of size `k = 1`); `h ≥ 1` replaces the lowest
-    /// `h` levels with dense leaf blocks of side `2^h`, trading up to
-    /// `2^{(h+1)·d}` leaf-cell additions per query for storage within `ε`
-    /// of `|A|`.
-    pub elide_levels: usize,
+    /// elided immediately above the leaves, replaced by dense leaf blocks
+    /// of side `2^{h+1}` — up to `2^{(h+1)·d}` leaf-cell additions per
+    /// query for storage within `ε` of `|A|`. `Some(0)` is the paper's
+    /// full tree (leaf overlay boxes of size `k = 1`, stored as side-2
+    /// blocks), and an explicit `h` is inherited by every secondary
+    /// tree. `None` (the default) sizes the blocks from each tree's own
+    /// rank instead: see [`DdcConfig::leaf_block_side`].
+    pub elide_levels: Option<usize>,
     /// Backend for the leaf-block arena (in-memory slab or paged).
     pub leaf_backend: LeafBackend,
 }
@@ -124,15 +132,17 @@ impl Default for DdcConfig {
         Self {
             mode: Mode::Dynamic,
             base: BaseStore::Blocked,
-            elide_levels: 0,
+            elide_levels: None,
             leaf_backend: LeafBackend::Mem,
         }
     }
 }
 
 impl DdcConfig {
-    /// The paper's §4 structure with defaults (blocked B^c base, no
-    /// elision).
+    /// The paper's §4 structure in its production layout: blocked B^c
+    /// base, leaf blocks sized from the rank
+    /// ([`DdcConfig::leaf_block_side`]). `.with_elision(0)` is the
+    /// structure exactly as the paper counts it.
     pub fn dynamic() -> Self {
         Self::default()
     }
@@ -153,9 +163,10 @@ impl DdcConfig {
         }
     }
 
-    /// Sets the §4.4 level-elision parameter `h`.
+    /// Sets the §4.4 level-elision parameter `h` explicitly, for the
+    /// primary tree and every secondary tree below it.
     pub fn with_elision(mut self, h: usize) -> Self {
-        self.elide_levels = h;
+        self.elide_levels = Some(h);
         self
     }
 
@@ -166,14 +177,33 @@ impl DdcConfig {
         self
     }
 
-    /// Side of the dense leaf blocks implied by `elide_levels`: `2^{h+1}`.
+    /// Side of the dense leaf blocks of a tree of rank `d`.
     ///
-    /// With `h = 0` the blocks have side 2 and hold exactly the cells the
-    /// paper's leaf-level (`k = 1`, subtotal-only) overlay boxes would —
-    /// the same data stored flat. Each additional elided level doubles
-    /// the block side, replacing the `k = 2 … 2^h` box levels (§4.4).
-    pub fn leaf_block_side(&self) -> usize {
-        1usize << (self.elide_levels + 1)
+    /// An explicit `h` gives `2^{h+1}` whatever the rank: with `h = 0`
+    /// the blocks have side 2 and hold exactly the cells the paper's
+    /// leaf-level (`k = 1`, subtotal-only) overlay boxes would — the
+    /// same data stored flat — and each additional elided level doubles
+    /// the side, replacing the `k = 2 … 2^h` box levels (§4.4).
+    ///
+    /// Otherwise the side is the largest power of two whose rows are at
+    /// most [`ddc_btree::DEFAULT_BLOCK`] cells (the run the blocked
+    /// faces already scan) and whose block is at most
+    /// [`LEAF_BLOCK_CELLS`] cells: 16, 16, 8, 4 for `d` = 1 … 4 and 2
+    /// from there on. The budget is in cells, not levels, because that
+    /// is where the measured optimum sits — a short contiguous scan
+    /// beats the pointer-chased levels it replaces until the block
+    /// outgrows a page (EXPERIMENTS "§4.4, timed") — and every tree
+    /// resolves it with its own rank, so the `(d−1)`-dimensional trees
+    /// of a level's forest get wider blocks than the tree that owns
+    /// them.
+    pub fn leaf_block_side(&self, d: usize) -> usize {
+        let bits = match self.elide_levels {
+            Some(h) => h + 1,
+            // side = 2^b with b·d ≤ log2(cells) and 1 ≤ b ≤ log2(row).
+            None => (LEAF_BLOCK_CELLS.ilog2() as usize / d.max(1))
+                .clamp(1, DEFAULT_BLOCK.ilog2() as usize),
+        };
+        1 << bits
     }
 }
 
@@ -182,20 +212,35 @@ mod tests {
     use super::*;
 
     #[test]
-    fn defaults_are_the_paper_structure() {
+    fn default_leaf_side_is_derived_from_the_rank_and_an_explicit_h_overrides_it() {
         let c = DdcConfig::default();
         assert_eq!(c.mode, Mode::Dynamic);
         // The paper's B^c base case, in its implicit blocked layout.
         assert_eq!(c.base, BaseStore::Blocked);
-        assert_eq!(c.elide_levels, 0);
-        assert_eq!(c.leaf_block_side(), 2);
+        assert_eq!(c.elide_levels, None);
+        let sides: Vec<usize> = (1..=6).map(|d| c.leaf_block_side(d)).collect();
+        assert_eq!(sides, [16, 16, 8, 4, 2, 2]);
+        for d in 1..=16usize {
+            let side = c.leaf_block_side(d);
+            assert!(side.is_power_of_two() && (2..=DEFAULT_BLOCK).contains(&side));
+            // Side 2 is the floor (h = 0), whatever 2^d comes to.
+            assert!(
+                side == 2 || side.pow(d as u32) <= LEAF_BLOCK_CELLS,
+                "d = {d}"
+            );
+            // An explicit h is the same side in the primary tree (rank
+            // d) and in its forests (rank d − 1, d − 2, …).
+            for h in 0..=4 {
+                assert_eq!(c.with_elision(h).leaf_block_side(d), 2 << h);
+            }
+        }
     }
 
     #[test]
     fn builders() {
         let c = DdcConfig::basic().with_elision(2);
         assert_eq!(c.mode, Mode::Basic);
-        assert_eq!(c.leaf_block_side(), 8);
+        assert_eq!(c.leaf_block_side(2), 8);
         assert_eq!(DdcConfig::sparse().base, BaseStore::SparseSeg);
     }
 }

@@ -248,7 +248,7 @@ mod tests {
         a.set(&[3, 7], 8); //  R's excluded column
         a.set(&[6, 7], 2); //  M leaf box
         a.set(&[7, 7], 9); //  O leaf box
-        let e = DdcEngine::from_array(&a);
+        let e = DdcEngine::from_array_with(&a, DdcConfig::dynamic().with_elision(0));
         let expect = a.prefix_sum(&target);
         assert_eq!(expect, 51 + 48 + 24 + 16 + 7 + 5);
         assert_eq!(e.prefix_sum(&target), 151);
@@ -263,7 +263,7 @@ mod tests {
         let mut a = NdArray::<i64>::zeroed(shape);
         a.set(&[7, 6], 5);
         a.set(&[0, 0], 51);
-        let mut e = DdcEngine::from_array(&a);
+        let mut e = DdcEngine::from_array_with(&a, DdcConfig::dynamic().with_elision(0));
         let old = e.set(&[7, 6], 6);
         assert_eq!(old, 5);
         assert_eq!(e.prefix_sum(&[7, 6]), 51 + 6);
@@ -292,7 +292,7 @@ mod tests {
         a.set(&[3, 7], 8); // decoys outside the target region
         a.set(&[6, 7], 2);
         a.set(&[7, 7], 9);
-        let e = DdcEngine::from_array_with(&a, DdcConfig::dynamic());
+        let e = DdcEngine::from_array_with(&a, DdcConfig::dynamic().with_elision(0));
         let steps = e.tree().trace_prefix(&[7, 6]);
 
         // Boxes are visited in index order (dimension-0 high bit first),

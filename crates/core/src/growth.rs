@@ -90,7 +90,7 @@ impl<G: AbelianGroup> GrowableCube<G> {
     /// An empty cube whose initial box starts at `origin`.
     pub fn with_origin(origin: &[i64], config: DdcConfig) -> Self {
         let d = origin.len();
-        let side = config.leaf_block_side().max(2);
+        let side = config.leaf_block_side(d);
         let map = CoordMap::new(origin.to_vec(), vec![side; d]);
         let tree = DdcTree::new(d, side, config);
         Self { map, tree }

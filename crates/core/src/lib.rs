@@ -37,7 +37,9 @@ pub mod vfs;
 pub mod wal;
 
 pub use concurrent::SharedCube;
-pub use config::{BaseStore, DdcConfig, LeafBackend, Mode, PagerConfig, DEFAULT_PAGE_BYTES};
+pub use config::{
+    BaseStore, DdcConfig, LeafBackend, Mode, PagerConfig, DEFAULT_PAGE_BYTES, LEAF_BLOCK_CELLS,
+};
 pub use engine::DdcEngine;
 pub use growth::{GrowableCube, GrowthError};
 pub use pager::PoolStats;

@@ -829,6 +829,7 @@ impl<G: AbelianGroup> DdcTree<G> {
         let mut stats = TreeStats {
             node_slots: slabs.levels.iter().map(Level::nodes).sum(),
             free_node_slots: slabs.levels.iter().map(|lv| lv.node_free.len()).sum(),
+            leaf_side: slabs.leaf_side(),
             leaf_slots: slabs.leaves.slots(),
             free_leaf_slots: slabs.leaves.free_ids().len(),
             secondary_bytes: slabs.levels.iter().map(Level::forest_bytes).sum(),
@@ -955,7 +956,7 @@ mod tests {
     /// An 8³ tree with two boxes at the root level (records 0 and 1,
     /// roots `[0, 3)` and `[3, 6)`), all six secondary trees populated.
     fn two_box_tree() -> DdcTree<i64> {
-        let mut t = DdcTree::new(3, 8, DdcConfig::dynamic());
+        let mut t = DdcTree::new(3, 8, DdcConfig::dynamic().with_elision(0));
         t.apply_delta(&[1, 2, 3], 5);
         t.apply_delta(&[6, 5, 7], -2);
         assert!(roots(&mut t.slabs.levels[0]).iter().all(|r| !r.is_empty()));
@@ -1003,7 +1004,7 @@ mod tests {
     /// d = 5 before a single cell is set.
     #[test]
     fn forests_are_created_lazily_and_only_along_update_paths() {
-        let empty = DdcTree::<i64>::new(5, 1 << 16, DdcConfig::dynamic());
+        let empty = DdcTree::<i64>::new(5, 1 << 16, DdcConfig::dynamic().with_elision(0));
         assert!(
             empty.heap_bytes() < 64 << 10,
             "empty d = 5 tree holds {} bytes",
@@ -1013,7 +1014,7 @@ mod tests {
         // One update: one box record per primary level, its four
         // secondary trees one path each in the level's forest, and no
         // box record — so no root — anywhere off those paths.
-        let mut t = DdcTree::<i64>::new(4, 256, DdcConfig::dynamic());
+        let mut t = DdcTree::<i64>::new(4, 256, DdcConfig::dynamic().with_elision(0));
         t.apply_delta(&[3, 200, 77, 130], 5);
         assert_eq!(t.slabs.levels.len(), 7);
         for level in &mut t.slabs.levels {

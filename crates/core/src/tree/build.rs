@@ -188,7 +188,7 @@ impl<G: AbelianGroup> DdcTree<G> {
         );
         let new_side = old_side * 2;
         let old_root = std::mem::replace(&mut self.root, ChildRef::EMPTY);
-        if new_side <= slabs.config.leaf_block_side() {
+        if new_side <= slabs.config.leaf_block_side(d) {
             // The grown space still fits in one dense leaf block: rebuild
             // it with the content shifted in the lowered dimensions.
             let mut cells = vec![G::ZERO; new_side.pow(d as u32)];

@@ -24,16 +24,25 @@ fn leaf_offset(side: usize, rel: &[usize]) -> usize {
 
 /// Adds the cells of the block-local prefix region ending at `rel` onto
 /// `acc`, in row-major order — the "sum the appropriate leaf cells" step
-/// of §4.4 as nested loops over the flat run.
+/// of §4.4 as nested loops over the flat run. Two dimensions are a loop
+/// of their own rather than one more recursion step: that is every leaf
+/// of a d = 2 tree and of a d = 3 level's forest, and most of a prefix
+/// query's reads under the derived leaf side (traced `tree.prefix_ns`
+/// moved with it on both core workloads; EXPERIMENTS "§4.4, timed").
 fn add_leaf_prefix<G: AbelianGroup>(cells: &[G], side: usize, rel: &[usize], acc: G) -> G {
-    match rel {
+    let row = |acc: G, cells: &[G], r: usize| cells[..=r].iter().fold(acc, |acc, &v| acc.add(v));
+    match *rel {
         [] => acc,
-        [r] => cells[..=*r].iter().fold(acc, |acc, &v| acc.add(v)),
-        [r, rest @ ..] => {
+        [r] => row(acc, cells, r),
+        [r0, r1] => cells
+            .chunks_exact(side)
+            .take(r0 + 1)
+            .fold(acc, |acc, cells| row(acc, cells, r1)),
+        [r, ref rest @ ..] => {
             let plane = cells.len() / side;
             cells
                 .chunks_exact(plane)
-                .take(*r + 1)
+                .take(r + 1)
                 .fold(acc, |acc, sub| add_leaf_prefix(sub, side, rest, acc))
         }
     }

@@ -43,8 +43,8 @@
 //! `Secondary` the inline blocked run measured 2.5–2.8× faster updates,
 //! 1.2–2× faster prefix sums and 2.4–3× less heap on clustered data,
 //! while on a wide, sparsely populated space it pays `k` words per face
-//! next to the root (500 isolated points in 131072²: 132 MiB against
-//! 4.4 MiB for the lazy store; EXPERIMENTS §4.4 and §5).
+//! next to the root (500 isolated points in 131072²: 133 MiB against
+//! 4.9 MiB for the lazy store; EXPERIMENTS §4.4 and §5).
 //! Dense leaf blocks are `leaf_side^d`-cell runs of one flat `Vec` (the
 //! same runs on pages once [`DdcTree::enable_paging`] has run).
 //!
@@ -72,8 +72,11 @@
 //!   leaves     k_leaf^{d−1}-cell runs trees of this level
 //! ```
 //!
-//! so the 98 304 bottom-level groups of a 64³ cube are 98 304 four-cell
-//! runs of one array instead of as many heap-allocated trees. The
+//! so the 98 304 bottom-level groups of a full (`h = 0`) 64³ tree are
+//! 98 304 four-cell runs of one array instead of as many heap-allocated
+//! trees; under the derived leaf side that cube's side-8 and side-16
+//! groups are one leaf run each (a side-16 block holds them whole) and
+//! a side-32 group is one node above four runs. The
 //! forest of a d = 3 level is two-dimensional, i.e. its faces are the
 //! inline runs above; at d ≥ 4 a forest's levels own forests of their
 //! own and the recursion of §4.2 falls out. What is left out of line in
@@ -112,7 +115,12 @@
 //! * **Level elision (§4.4)** — the `h` lowest levels are replaced by
 //!   dense leaf blocks of side `2^{h+1}`, shrinking storage toward
 //!   `|A|` at the cost of summing at most `2^{(h+1)d}` leaf cells per
-//!   query.
+//!   query. It is on by default, sized from the tree's own rank rather
+//!   than by an `h` ([`DdcConfig::leaf_block_side`]: at most 512 cells a
+//!   block, rows of at most 16) — a short contiguous scan is cheaper
+//!   than the levels it replaces — so a 3-d tree has side-8 blocks and
+//!   the 2-d trees of its forests side-16 ones; `with_elision(0)` is the
+//!   full tree the paper counts.
 //! * **Sparsity (§5)** — nodes, boxes, and secondary structures
 //!   materialize lazily; an all-zero region costs nothing.
 //! * **Growth (§5)** — [`DdcTree::grow`] doubles the space in one step by
@@ -218,6 +226,10 @@ pub struct TreeStats {
     pub leaf_blocks: usize,
     /// Raw cells held by leaf blocks.
     pub leaf_cells: usize,
+    /// Side of the primary tree's dense leaf blocks — what
+    /// [`DdcConfig::leaf_block_side`] resolved to for this rank, or the
+    /// whole space while that is smaller.
+    pub leaf_side: usize,
     /// Heap bytes attributable to secondary (row-sum) structures.
     pub secondary_bytes: usize,
     /// Total heap bytes of the tree.
@@ -276,7 +288,7 @@ impl<G: AbelianGroup> Slabs<G> {
     fn new(d: usize, side: usize, config: DdcConfig) -> Self {
         assert!(d >= 1, "dimensionality must be at least 1");
         assert!(side.is_power_of_two(), "side {side} must be a power of two");
-        let leaf_side = config.leaf_block_side().min(side);
+        let leaf_side = config.leaf_block_side(d).min(side);
         let mut levels = Vec::new();
         let mut k = side >> 1;
         while k >= leaf_side {
@@ -302,7 +314,7 @@ impl<G: AbelianGroup> Slabs<G> {
     /// instead of child nodes (§4.4); the whole space while it is
     /// smaller than one configured block.
     fn leaf_side(&self) -> usize {
-        self.config.leaf_block_side().min(self.side)
+        self.config.leaf_block_side(self.d).min(self.side)
     }
 }
 
@@ -361,6 +373,20 @@ mod tests {
     use crate::config::DdcConfig;
     use ddc_array::{NdArray, Shape};
 
+    // These tests pin the shape and the walks of the full tree on cubes
+    // of side 4 to 256, most of which the derived leaf side would store
+    // as one or two blocks: every configuration states `h = 0` unless
+    // the test is about elision.
+    fn dynamic() -> DdcConfig {
+        DdcConfig::dynamic().with_elision(0)
+    }
+    fn basic() -> DdcConfig {
+        DdcConfig::basic().with_elision(0)
+    }
+    fn sparse() -> DdcConfig {
+        DdcConfig::sparse().with_elision(0)
+    }
+
     fn reference_and_tree(
         side: usize,
         d: usize,
@@ -392,24 +418,20 @@ mod tests {
 
     #[test]
     fn dense_2d_dynamic_matches_reference() {
-        let (a, t) = reference_and_tree(8, 2, DdcConfig::dynamic(), &dense_updates(8, 2));
+        let (a, t) = reference_and_tree(8, 2, dynamic(), &dense_updates(8, 2));
         assert_all_prefixes(&a, &t);
         assert_eq!(t.check_invariants(), a.total());
     }
 
     #[test]
     fn dense_2d_basic_matches_reference() {
-        let (a, t) = reference_and_tree(8, 2, DdcConfig::basic(), &dense_updates(8, 2));
+        let (a, t) = reference_and_tree(8, 2, basic(), &dense_updates(8, 2));
         assert_all_prefixes(&a, &t);
     }
 
     #[test]
     fn dense_3d_matches_reference() {
-        for config in [
-            DdcConfig::dynamic(),
-            DdcConfig::basic(),
-            DdcConfig::sparse(),
-        ] {
+        for config in [dynamic(), basic(), sparse()] {
             let (a, t) = reference_and_tree(8, 3, config, &dense_updates(8, 3));
             assert_all_prefixes(&a, &t);
             assert_eq!(t.check_invariants(), a.total());
@@ -418,13 +440,13 @@ mod tests {
 
     #[test]
     fn dense_4d_matches_reference() {
-        let (a, t) = reference_and_tree(4, 4, DdcConfig::dynamic(), &dense_updates(4, 4));
+        let (a, t) = reference_and_tree(4, 4, dynamic(), &dense_updates(4, 4));
         assert_all_prefixes(&a, &t);
     }
 
     #[test]
     fn prune_reclaims_cancelled_subtrees() {
-        let mut t = DdcTree::<i64>::new(2, 256, DdcConfig::dynamic());
+        let mut t = DdcTree::<i64>::new(2, 256, dynamic());
         // Populate a diagonal, then cancel it all.
         for i in 0..256usize {
             t.apply_delta(&[i, i], 7);
@@ -452,7 +474,7 @@ mod tests {
 
     #[test]
     fn prune_keeps_live_content_intact() {
-        let mut t = DdcTree::<i64>::new(2, 64, DdcConfig::sparse());
+        let mut t = DdcTree::<i64>::new(2, 64, sparse());
         for (p, v) in dense_updates(8, 2) {
             t.apply_delta(&[p[0] * 8, p[1] * 8], v);
         }
@@ -468,7 +490,7 @@ mod tests {
 
     #[test]
     fn stats_profile_matches_structure() {
-        let (a, t) = reference_and_tree(16, 2, DdcConfig::dynamic(), &dense_updates(16, 2));
+        let (a, t) = reference_and_tree(16, 2, dynamic(), &dense_updates(16, 2));
         let s = t.stats();
         // Dense 16² tree, h = 0: nodes at sides 16, 8, 4; leaf blocks of
         // side 2 under the side-4 nodes.
@@ -478,6 +500,7 @@ mod tests {
         assert_eq!(s.per_level[2].nodes, 16);
         assert_eq!(s.per_level[3].leaf_blocks, 64);
         assert_eq!(s.leaf_cells, 256);
+        assert_eq!(s.leaf_side, 2);
         assert_eq!(s.nodes, 21);
         assert_eq!(s.boxes, 21 * 4);
         assert_eq!(s.depth, 3);
@@ -490,7 +513,7 @@ mod tests {
         assert_eq!(s.free_leaf_slots, 0);
         let _ = a;
         // Sparse tree: statistics shrink to the populated paths.
-        let mut sparse = DdcTree::<i64>::new(2, 16, DdcConfig::sparse());
+        let mut sparse = DdcTree::<i64>::new(2, 16, sparse());
         sparse.apply_delta(&[0, 0], 1);
         let ss = sparse.stats();
         assert_eq!(ss.nodes, 3);
@@ -502,7 +525,7 @@ mod tests {
     fn five_dimensional_recursion() {
         // d = 5 exercises four levels of secondary-tree recursion
         // (4-D → 3-D → 2-D → 1-D B^c trees).
-        let (a, t) = reference_and_tree(4, 5, DdcConfig::dynamic(), &dense_updates(4, 5));
+        let (a, t) = reference_and_tree(4, 5, dynamic(), &dense_updates(4, 5));
         for p in [[0usize; 5], [3; 5], [1, 2, 3, 0, 2], [3, 0, 3, 0, 3]] {
             assert_eq!(t.prefix_sum(&p), a.prefix_sum(&p), "{p:?}");
         }
@@ -511,16 +534,20 @@ mod tests {
 
     #[test]
     fn one_dimensional_tree() {
-        let (a, t) = reference_and_tree(16, 1, DdcConfig::dynamic(), &dense_updates(16, 1));
+        let (a, t) = reference_and_tree(16, 1, dynamic(), &dense_updates(16, 1));
         assert_all_prefixes(&a, &t);
         assert_eq!(t.total(), a.total());
     }
 
     #[test]
     fn elided_levels_match_reference() {
-        for h in 0..=3 {
-            let config = DdcConfig::dynamic().with_elision(h);
-            let (a, t) = reference_and_tree(16, 2, config, &dense_updates(16, 2));
+        let explicit = (0..=3).map(|h| (DdcConfig::dynamic().with_elision(h), 2 << h));
+        // The derived default: side-16 blocks at d = 2, so a 32² tree
+        // keeps one level above them.
+        for (config, leaf_side) in explicit.chain([(DdcConfig::dynamic(), 16)]) {
+            let (a, t) = reference_and_tree(32, 2, config, &dense_updates(32, 2));
+            assert_eq!(t.stats().leaf_side, leaf_side);
+            assert_eq!(t.stats().depth, 5 - leaf_side.ilog2() as usize);
             assert_all_prefixes(&a, &t);
             assert_eq!(t.check_invariants(), a.total());
         }
@@ -544,7 +571,7 @@ mod tests {
 
     #[test]
     fn blocked_and_seg_bases_match() {
-        for config in [DdcConfig::dynamic(), DdcConfig::sparse()] {
+        for config in [dynamic(), sparse()] {
             let (a, t) = reference_and_tree(16, 2, config, &dense_updates(16, 2));
             assert_all_prefixes(&a, &t);
         }
@@ -560,14 +587,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "outside side 8")]
     fn prefix_sum_rejects_out_of_range_coordinates() {
-        let mut t = DdcTree::<i64>::new(2, 8, DdcConfig::dynamic());
+        let mut t = DdcTree::<i64>::new(2, 8, dynamic());
         t.apply_delta(&[7, 7], 1);
         let _ = t.prefix_sum(&[8, 0]);
     }
 
     #[test]
     fn empty_tree_reads_zero_everywhere() {
-        let t = DdcTree::<i64>::new(3, 16, DdcConfig::dynamic());
+        let t = DdcTree::<i64>::new(3, 16, dynamic());
         assert_eq!(t.prefix_sum(&[15, 15, 15]), 0);
         assert_eq!(t.cell(&[3, 4, 5]), 0);
         assert_eq!(t.total(), 0);
@@ -577,7 +604,7 @@ mod tests {
     #[test]
     fn cell_reads_match_updates() {
         let updates = dense_updates(8, 2);
-        let (a, t) = reference_and_tree(8, 2, DdcConfig::dynamic(), &updates);
+        let (a, t) = reference_and_tree(8, 2, dynamic(), &updates);
         for p in a.shape().iter_points() {
             assert_eq!(t.cell(&p), a.get(&p), "cell {p:?}");
         }
@@ -585,7 +612,7 @@ mod tests {
 
     #[test]
     fn sparse_population_costs_little_memory() {
-        let mut dense = DdcTree::<i64>::new(2, 1024, DdcConfig::sparse());
+        let mut dense = DdcTree::<i64>::new(2, 1024, sparse());
         dense.apply_delta(&[3, 900], 5);
         dense.apply_delta(&[800, 2], -9);
         let sparse_bytes = dense.heap_bytes();
@@ -600,7 +627,7 @@ mod tests {
 
     #[test]
     fn growth_high_preserves_content() {
-        let mut t = DdcTree::<i64>::new(2, 8, DdcConfig::dynamic());
+        let mut t = DdcTree::<i64>::new(2, 8, dynamic());
         let updates = dense_updates(8, 2);
         let mut a = NdArray::<i64>::zeroed(Shape::cube(2, 16));
         for (p, delta) in &updates {
@@ -617,7 +644,7 @@ mod tests {
 
     #[test]
     fn growth_low_shifts_content() {
-        let mut t = DdcTree::<i64>::new(2, 4, DdcConfig::dynamic());
+        let mut t = DdcTree::<i64>::new(2, 4, dynamic());
         t.apply_delta(&[0, 0], 7);
         t.apply_delta(&[3, 3], 2);
         t.grow(&[true, false]); // dim 0 grows low: content shifts up by 4
@@ -630,7 +657,7 @@ mod tests {
 
     #[test]
     fn growth_of_empty_tree_is_free() {
-        let mut t = DdcTree::<i64>::new(3, 4, DdcConfig::dynamic());
+        let mut t = DdcTree::<i64>::new(3, 4, dynamic());
         t.grow(&[true, true, true]);
         assert_eq!(t.side(), 8);
         assert_eq!(t.total(), 0);
@@ -640,7 +667,7 @@ mod tests {
 
     #[test]
     fn repeated_growth_stays_consistent() {
-        let mut t = DdcTree::<i64>::new(2, 4, DdcConfig::sparse());
+        let mut t = DdcTree::<i64>::new(2, 4, sparse());
         t.apply_delta(&[1, 1], 10);
         for step in 0..4 {
             t.grow(&[step % 2 == 0, step % 2 == 1]);
@@ -654,7 +681,7 @@ mod tests {
 
     #[test]
     fn for_each_nonzero_reports_cells() {
-        let mut t = DdcTree::<i64>::new(2, 16, DdcConfig::dynamic());
+        let mut t = DdcTree::<i64>::new(2, 16, dynamic());
         t.apply_delta(&[2, 3], 5);
         t.apply_delta(&[10, 0], -1);
         let mut seen = Vec::new();
@@ -665,7 +692,7 @@ mod tests {
 
     #[test]
     fn cancelling_update_keeps_queries_correct() {
-        let mut t = DdcTree::<i64>::new(2, 8, DdcConfig::dynamic());
+        let mut t = DdcTree::<i64>::new(2, 8, dynamic());
         t.apply_delta(&[4, 4], 5);
         t.apply_delta(&[4, 4], -5);
         assert_eq!(t.prefix_sum(&[7, 7]), 0);
@@ -674,7 +701,7 @@ mod tests {
 
     #[test]
     fn update_cost_is_polylogarithmic() {
-        let mut t = DdcTree::<i64>::new(2, 256, DdcConfig::dynamic());
+        let mut t = DdcTree::<i64>::new(2, 256, dynamic());
         // Warm the path so materialization costs are excluded.
         t.apply_delta(&[0, 0], 1);
         t.counter().reset();
@@ -683,7 +710,7 @@ mod tests {
         // log2(256) = 8 levels × (1 subtotal + 2 B^c paths of ≤ ~2·log k).
         assert!(w <= 8 * 40, "update wrote {w} values");
         // …versus the Basic tree, which cascades O(n) at the root.
-        let mut b = DdcTree::<i64>::new(2, 256, DdcConfig::basic());
+        let mut b = DdcTree::<i64>::new(2, 256, basic());
         b.apply_delta(&[0, 0], 1);
         b.counter().reset();
         b.apply_delta(&[0, 0], 1);
@@ -696,7 +723,7 @@ mod tests {
 
     #[test]
     fn query_cost_is_polylogarithmic() {
-        let mut t = DdcTree::<i64>::new(2, 256, DdcConfig::dynamic());
+        let mut t = DdcTree::<i64>::new(2, 256, dynamic());
         for (p, v) in dense_updates(16, 2) {
             t.apply_delta(&[p[0] * 16, p[1] * 16], v);
         }
@@ -708,7 +735,7 @@ mod tests {
 
     #[test]
     fn arena_free_list_is_reused_after_prune() {
-        let mut t = DdcTree::<i64>::new(2, 64, DdcConfig::dynamic());
+        let mut t = DdcTree::<i64>::new(2, 64, dynamic());
         for i in 0..64usize {
             t.apply_delta(&[i, i], 3);
         }
@@ -736,7 +763,7 @@ mod tests {
 
     #[test]
     fn arena_stays_sound_through_grow_update_prune_cycles() {
-        let mut t = DdcTree::<i64>::new(2, 8, DdcConfig::dynamic());
+        let mut t = DdcTree::<i64>::new(2, 8, dynamic());
         let mut a = NdArray::<i64>::zeroed(Shape::cube(2, 32));
         for (step, (p, v)) in dense_updates(8, 2).into_iter().enumerate() {
             t.apply_delta(&p, v);
@@ -779,7 +806,7 @@ mod tests {
 
     #[test]
     fn compaction_triggers_when_free_slots_dominate() {
-        let mut t = DdcTree::<i64>::new(2, 128, DdcConfig::dynamic());
+        let mut t = DdcTree::<i64>::new(2, 128, dynamic());
         for i in 0..128usize {
             t.apply_delta(&[i, i], 2);
         }

@@ -72,7 +72,8 @@ impl CubeBuilder {
         self
     }
 
-    /// Selects the backing method (default: the Dynamic Data Cube).
+    /// Selects the backing method (default: the Dynamic Data Cube in its
+    /// production layout, [`ddc_core::DdcConfig::dynamic`]).
     pub fn engine(mut self, kind: EngineKind) -> Self {
         self.engine = Some(kind);
         self
@@ -89,7 +90,9 @@ impl CubeBuilder {
             "a data cube needs at least one dimension"
         );
         let shape = Shape::new(&self.dims.iter().map(Dimension::size).collect::<Vec<_>>());
-        let kind = self.engine.unwrap_or(EngineKind::DynamicDdc);
+        let kind = self
+            .engine
+            .unwrap_or(EngineKind::CustomDdc(ddc_core::DdcConfig::dynamic()));
         DataCube {
             dims: self.dims,
             engine: kind.build(shape),

@@ -5,7 +5,11 @@ use ddc_baselines::{MultiFenwick, NaiveEngine, PrefixSumEngine, RelativePrefixEn
 use ddc_core::{DdcConfig, DdcEngine, ShardConfig, ShardedCube};
 
 /// Which range-sum method backs a cube — the five rows of the paper's
-/// comparison (§2, Table 1).
+/// comparison (§2, Table 1). The two DDC rows are the structures as the
+/// paper counts them: the full tree, `with_elision(0)`, so every table
+/// and slope measured through them is independent of the leaf-block
+/// side [`DdcConfig::dynamic`] derives for production use
+/// (`CustomDdc(DdcConfig::dynamic())` builds that one).
 #[derive(Copy, Clone, Debug, PartialEq)]
 pub enum EngineKind {
     /// Scan array `A` directly: `O(n^d)` query, `O(1)` update.
@@ -51,8 +55,14 @@ impl EngineKind {
             EngineKind::Naive => Box::new(NaiveEngine::zeroed(shape)),
             EngineKind::PrefixSum => Box::new(PrefixSumEngine::zeroed(shape)),
             EngineKind::RelativePrefix => Box::new(RelativePrefixEngine::zeroed(shape)),
-            EngineKind::BasicDdc => Box::new(DdcEngine::with_config(shape, DdcConfig::basic())),
-            EngineKind::DynamicDdc => Box::new(DdcEngine::with_config(shape, DdcConfig::dynamic())),
+            EngineKind::BasicDdc => Box::new(DdcEngine::with_config(
+                shape,
+                DdcConfig::basic().with_elision(0),
+            )),
+            EngineKind::DynamicDdc => Box::new(DdcEngine::with_config(
+                shape,
+                DdcConfig::dynamic().with_elision(0),
+            )),
             EngineKind::CustomDdc(config) => Box::new(DdcEngine::with_config(shape, *config)),
             EngineKind::FenwickNd => Box::new(MultiFenwick::zeroed(shape)),
             EngineKind::Sharded { shards } => Box::new(ShardedCube::new(

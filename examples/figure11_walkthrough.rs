@@ -8,7 +8,7 @@
 //! ```
 
 use ddc_array::{NdArray, Shape};
-use ddc_core::{Contribution, DdcEngine};
+use ddc_core::{Contribution, DdcConfig, DdcEngine};
 
 fn main() {
     // An 8×8 array whose regional sums match the figure's components:
@@ -25,7 +25,9 @@ fn main() {
     a.set(&[6, 7], 2);
     a.set(&[7, 7], 9);
 
-    let cube = DdcEngine::from_array(&a);
+    // The full tree as the paper draws it; the default leaf side would
+    // store this 8 × 8 cube as a single block.
+    let cube = DdcEngine::from_array_with(&a, DdcConfig::dynamic().with_elision(0));
     let target = [7usize, 6usize];
     println!("query: SUM(A[0,0] : A[{},{}])\n", target[0], target[1]);
 

@@ -59,7 +59,7 @@ fn main() {
     );
 
     section("§3  The Basic Dynamic Data Cube");
-    let mut basic = DdcEngine::from_array_with(&base, DdcConfig::basic());
+    let mut basic = DdcEngine::from_array_with(&base, DdcConfig::basic().with_elision(0));
     basic.apply_delta(&[0, 0], 1);
     basic.reset_ops();
     basic.apply_delta(&[0, 0], 1);
@@ -70,7 +70,7 @@ fn main() {
     );
 
     section("§4  The Dynamic Data Cube (Theorem 2)");
-    let mut ddc = DdcEngine::from_array_with(&base, DdcConfig::dynamic());
+    let mut ddc = DdcEngine::from_array_with(&base, DdcConfig::dynamic().with_elision(0));
     ddc.apply_delta(&[0, 0], 2); // match the two deltas applied above
     ddc.reset_ops();
     ddc.apply_delta(&[0, 0], 1);

@@ -76,8 +76,9 @@ fn zipf_hotspots_under_every_config() {
     let shape = Shape::cube(2, 32);
     for config in [
         DdcConfig::dynamic(),
-        DdcConfig::basic(),
-        DdcConfig::sparse(),
+        DdcConfig::dynamic().with_elision(0),
+        DdcConfig::basic().with_elision(0),
+        DdcConfig::sparse().with_elision(0),
         DdcConfig::dynamic().with_elision(2),
         DdcConfig::sparse().with_elision(1),
     ] {

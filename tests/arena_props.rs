@@ -19,7 +19,7 @@
 use std::collections::HashMap;
 
 use ddc_array::{NdArray, Shape};
-use ddc_core::{DdcConfig, DdcTree, PagerConfig};
+use ddc_core::{DdcConfig, DdcTree, PagerConfig, LEAF_BLOCK_CELLS};
 use ddc_tests::{for_cases, DdcRng};
 
 type Oracle = HashMap<Vec<usize>, i64>;
@@ -85,12 +85,16 @@ fn audit_and_sample(tree: &DdcTree<i64>, oracle: &Oracle, rng: &mut DdcRng, what
     }
 }
 
-fn configs() -> [DdcConfig; 4] {
+/// Both ends of §4.4 on both base stores, and the derived default
+/// (side-16/16/8 leaf blocks for d = 1/2/3, so the trees below start as
+/// one block and gain their levels by growing).
+fn configs() -> [DdcConfig; 5] {
     [
-        DdcConfig::dynamic(),
+        DdcConfig::dynamic().with_elision(0),
         DdcConfig::sparse().with_elision(1),
         DdcConfig::dynamic().with_elision(1),
-        DdcConfig::sparse(),
+        DdcConfig::sparse().with_elision(0),
+        DdcConfig::dynamic(),
     ]
 }
 
@@ -102,7 +106,7 @@ for_cases! {
     fn arena_survives_update_cancel_grow_prune_churn(rng, cases = 24) {
         let d = rng.gen_range(1usize..=3);
         let side = [8, 16][rng.gen_range(0usize..2)];
-        let config = configs()[rng.gen_range(0usize..4)];
+        let config = configs()[rng.gen_range(0usize..5)];
         let mut tree = DdcTree::<i64>::new(d, side, config);
         let mut oracle = Oracle::new();
         let mut side_now = side;
@@ -163,7 +167,7 @@ for_cases! {
     fn freed_slots_are_reused_not_leaked(rng, cases = 16) {
         let d = rng.gen_range(1usize..=3);
         let side = 16;
-        let config = configs()[rng.gen_range(0usize..4)];
+        let config = configs()[rng.gen_range(0usize..5)];
         let mut tree = DdcTree::<i64>::new(d, side, config);
         let points: Vec<Vec<usize>> = (0..12)
             .map(|_| (0..d).map(|_| rng.gen_range(0..side)).collect())
@@ -203,7 +207,7 @@ for_cases! {
     fn bulk_builds_match_incremental_and_pass_audit(rng, cases = 12) {
         let d = rng.gen_range(1usize..=3);
         let side = 16;
-        let config = configs()[rng.gen_range(0usize..4)];
+        let config = configs()[rng.gen_range(0usize..5)];
         let shape = Shape::new(&vec![side; d]);
         let mut cells = Oracle::new();
         let mut incremental = DdcTree::<i64>::new(d, side, config);
@@ -233,7 +237,7 @@ for_cases! {
 /// so the test does not depend on allocator or `Vec` growth policy.
 #[test]
 fn stats_and_heap_bytes_track_the_arena_lifecycle() {
-    let mut tree = DdcTree::<i64>::new(2, 16, DdcConfig::dynamic());
+    let mut tree = DdcTree::<i64>::new(2, 16, DdcConfig::dynamic().with_elision(0));
 
     // Empty tree: no slots anywhere.
     let s0 = tree.stats();
@@ -380,14 +384,18 @@ fn cancel_all_but(tree: &mut DdcTree<i64>, a: &mut NdArray<i64>, keep: usize) {
 }
 
 /// Seeded differential sweep of the level-slab tree against a
-/// brute-force `NdArray`: d ∈ 1..=4 × `elide_levels` ∈ 0..=3 × {Basic,
-/// Dynamic over both `BaseStore`s} × {leaf cells in memory, behind a
-/// two-page pool of 64-byte pages, behind one of 96-byte pages}, each
-/// through update → grow high → grow low → cancel → prune → forced
-/// compaction → bulk rebuild, with `check_arena` + `check_invariants`
-/// and sampled answers after every phase. Sides are chosen so the sweep
-/// crosses the degenerate single-leaf tree, growth out of it, and
-/// inline (d = 2 blocked) as well as every out-of-line face kind. The
+/// brute-force `NdArray`: d ∈ 1..=4 × `elide_levels` ∈ {0..=3, derived
+/// from the rank} × {Basic, Dynamic over both `BaseStore`s} × {leaf
+/// cells in memory, behind a two-page pool of 64-byte pages, behind one
+/// of 96-byte pages}, each through update → grow high → grow low →
+/// cancel → prune → forced compaction → bulk rebuild, with
+/// `check_arena` + `check_invariants` and sampled answers after every
+/// phase. Sides are chosen so the sweep crosses the degenerate
+/// single-leaf tree, growth out of it, and inline (d = 2 blocked) as
+/// well as every out-of-line face kind. Under the derived default (sides
+/// 16/16/8/4) every tree starts as one leaf block and gains its first
+/// level by growing — a level whose forest, at d ≥ 3, has leaf blocks
+/// wider than its side, i.e. secondary trees of one leaf run each. The
 /// paged twins move a populated arena onto pages and then grow, free,
 /// reuse and compact there: block runs are 16 B to 4 KiB, so they
 /// share a page, fill whole pages, and — every run of 64 B and up over
@@ -402,25 +410,30 @@ fn slab_tree_matches_brute_force_across_dims_modes_and_bases() {
     let mut evictions = 0;
     for d in 1..=4usize {
         let side = [16, 8, 4, 2][d - 1];
-        for h in 0..=3usize {
+        for (hi, h) in [Some(0), Some(1), Some(2), Some(3), None]
+            .into_iter()
+            .enumerate()
+        {
             for (ci, base_config) in configs.iter().enumerate() {
+                let base_config = h.map_or(*base_config, |h| base_config.with_elision(h));
                 // A two-page pool re-faults a block on every access, so
                 // the paged twins stop at 4 KiB blocks (64 pages).
-                let pages: &[Option<usize>] = if (h + 1) * d <= 9 {
+                let block_cells = base_config.leaf_block_side(d).pow(d as u32);
+                let pages: &[Option<usize>] = if block_cells <= LEAF_BLOCK_CELLS {
                     &[None, Some(64), Some(96)]
                 } else {
                     &[None]
                 };
                 for &page in pages {
                     let config = match page {
-                        Some(bytes) => base_config.with_elision(h).with_paged_leaves(
+                        Some(bytes) => base_config.with_paged_leaves(
                             PagerConfig::in_mem(2 * bytes).with_page_bytes(bytes),
                         ),
-                        None => base_config.with_elision(h),
+                        None => base_config,
                     };
-                    let what = format!("d={d} h={h} config#{ci} page={page:?}");
+                    let what = format!("d={d} h={h:?} config#{ci} page={page:?}");
                     let mut rng =
-                        DdcRng::seed_from_u64(0x51AB_0000 + (d * 100 + h * 10 + ci) as u64);
+                        DdcRng::seed_from_u64(0x51AB_0000 + (d * 100 + hi * 10 + ci) as u64);
                     let mut tree = DdcTree::<i64>::new(d, side, config);
                     let mut a = NdArray::<i64>::zeroed(Shape::cube(d, side));
 
@@ -429,6 +442,10 @@ fn slab_tree_matches_brute_force_across_dims_modes_and_bases() {
                     let paged = tree.enable_paging().expect("in-memory spill");
                     assert_eq!(paged, page.is_some(), "{what}");
                     audit_dense(&tree, &a, &mut rng, &format!("{what} update"));
+                    if h.is_none() {
+                        let s = tree.stats();
+                        assert_eq!((s.nodes, s.leaf_blocks), (0, 1), "{what}");
+                    }
 
                     tree.grow(&vec![false; d]);
                     a = grown(&a, &vec![false; d]);
@@ -442,6 +459,11 @@ fn slab_tree_matches_brute_force_across_dims_modes_and_bases() {
                     a = grown(&a, &low);
                     random_updates(&mut tree, &mut a, &mut rng, 24);
                     audit_dense(&tree, &a, &mut rng, &format!("{what} grow low"));
+                    if h.is_none() {
+                        let s = tree.stats();
+                        assert_eq!(s.leaf_side, [16, 16, 8, 4][d - 1], "{what}");
+                        assert!(s.nodes >= 1, "{what}: growth created no level");
+                    }
                     let populated = a.clone();
 
                     let live = tree.populated_cells();
@@ -491,7 +513,9 @@ fn slab_tree_matches_brute_force_across_dims_modes_and_bases() {
 }
 
 /// The forests of d ≥ 3 through their whole lifecycle: a populated
-/// 16³ / 8⁴ tree is cancelled down to one cell, half the remaining cells
+/// 16³ / 8⁴ full tree (`h = 0`: forests of two to four levels) and a
+/// 32³ / 16⁴ tree under the derived leaf side (forests whose trees are
+/// one leaf run) is cancelled down to one cell, half the remaining cells
 /// a round, with a prune after every round — so secondary subtrees go
 /// back to their forests' free lists, are reused by nothing, and are
 /// finally rewritten away by a compaction. The audit (which walks every
@@ -501,9 +525,15 @@ fn slab_tree_matches_brute_force_across_dims_modes_and_bases() {
 /// `prune` releases bytes only when it compacts.
 #[test]
 fn forested_trees_cancel_down_to_one_cell_and_compact() {
-    for (d, side) in [(3usize, 16usize), (4, 8)] {
+    let full = DdcConfig::dynamic().with_elision(0);
+    for (d, side, config) in [
+        (3usize, 16usize, full),
+        (4, 8, full),
+        (3, 32, DdcConfig::dynamic()),
+        (4, 16, DdcConfig::dynamic()),
+    ] {
         let mut rng = DdcRng::seed_from_u64(0xF0_2E57 + d as u64);
-        let mut tree = DdcTree::<i64>::new(d, side, DdcConfig::dynamic());
+        let mut tree = DdcTree::<i64>::new(d, side, config);
         let mut oracle = Oracle::new();
         for _ in 0..200 {
             let p: Vec<usize> = (0..d).map(|_| rng.gen_range(0..side)).collect();
@@ -511,7 +541,12 @@ fn forested_trees_cancel_down_to_one_cell_and_compact() {
             tree.apply_delta(&p, delta);
             oracle_add(&mut oracle, &p, delta);
         }
-        audit_and_sample(&tree, &oracle, &mut rng, &format!("d={d} populate"));
+        audit_and_sample(
+            &tree,
+            &oracle,
+            &mut rng,
+            &format!("d={d} side={side} populate"),
+        );
         let populated_bytes = tree.heap_bytes();
 
         let mut compactions = 0;
@@ -519,7 +554,7 @@ fn forested_trees_cancel_down_to_one_cell_and_compact() {
             let mut cells: Vec<(Vec<usize>, i64)> =
                 oracle.iter().map(|(p, &v)| (p.clone(), v)).collect();
             cells.sort();
-            let what = format!("d={d} at {} cells", cells.len());
+            let what = format!("d={d} side={side} at {} cells", cells.len());
             let cancel = cells.len().div_ceil(2).min(cells.len() - 1);
             for (p, v) in cells.into_iter().take(cancel) {
                 tree.apply_delta(&p, -v);
@@ -538,11 +573,14 @@ fn forested_trees_cancel_down_to_one_cell_and_compact() {
                 compactions += 1;
             }
         }
-        assert!(compactions >= 1, "d={d}: no prune ever compacted");
+        assert!(
+            compactions >= 1,
+            "d={d} side={side}: no prune ever compacted"
+        );
         assert_eq!(tree.populated_cells(), 1);
         assert!(
             tree.heap_bytes() * 8 < populated_bytes,
-            "d={d}: one cell holds {} of {populated_bytes} bytes",
+            "d={d} side={side}: one cell holds {} of {populated_bytes} bytes",
             tree.heap_bytes()
         );
 
@@ -553,7 +591,12 @@ fn forested_trees_cancel_down_to_one_cell_and_compact() {
             tree.apply_delta(&p, delta);
             oracle_add(&mut oracle, &p, delta);
         }
-        audit_and_sample(&tree, &oracle, &mut rng, &format!("d={d} refill"));
+        audit_and_sample(
+            &tree,
+            &oracle,
+            &mut rng,
+            &format!("d={d} side={side} refill"),
+        );
     }
 }
 

@@ -103,9 +103,11 @@ fn injected_off_by_one_is_caught_shrunk_and_replayable() {
 /// Committed seeded traces (satellite of the arena rewrite): three
 /// checked-in op streams — one per dimensionality — replay with zero
 /// divergences across the full roster, which includes both base stores
-/// and the elided tree (`ddc-dynamic`, `ddc-sparse`, `ddc-elide1`).
-/// The arena-only roster additionally reproduces its pinned replay
-/// checksums exactly, a determinism anchor for the flat-arena hot path:
+/// and both ends of §4.4 (`ddc-dynamic`, `ddc-sparse`, `ddc-elide0`).
+/// The arena-only roster — explicit `h`, so these boxes of a few cells
+/// a side are trees and not one leaf block — additionally reproduces
+/// its pinned replay checksums exactly, a determinism anchor for the
+/// flat-arena hot path:
 /// any change to descent order, box materialization, or free-list reuse
 /// that alters an answer shows up here as a checksum drift with the
 /// trace file as the ready-made repro.
@@ -113,8 +115,16 @@ fn injected_off_by_one_is_caught_shrunk_and_replayable() {
 fn committed_traces_replay_clean_and_pin_arena_checksums() {
     let arena_roster = |init: &BoxState| -> Vec<Box<dyn CheckEngine>> {
         vec![
-            Box::new(DdcAdapter::new("ddc-dynamic", init, DdcConfig::dynamic())),
-            Box::new(DdcAdapter::new("ddc-sparse", init, DdcConfig::sparse())),
+            Box::new(DdcAdapter::new(
+                "ddc-elide0",
+                init,
+                DdcConfig::dynamic().with_elision(0),
+            )),
+            Box::new(DdcAdapter::new(
+                "ddc-sparse",
+                init,
+                DdcConfig::sparse().with_elision(0),
+            )),
             Box::new(DdcAdapter::new(
                 "ddc-elide1",
                 init,

@@ -53,7 +53,9 @@ fn scale(frac: &[f64], dims: &[usize]) -> Vec<usize> {
 
 fn all_kinds() -> Vec<EngineKind> {
     let mut v = EngineKind::ALL.to_vec();
-    v.push(EngineKind::CustomDdc(DdcConfig::sparse()));
+    // `ALL` holds the paper's full trees; this is the production layout.
+    v.push(EngineKind::CustomDdc(DdcConfig::dynamic()));
+    v.push(EngineKind::CustomDdc(DdcConfig::sparse().with_elision(0)));
     v.push(EngineKind::CustomDdc(DdcConfig::dynamic().with_elision(2)));
     v.push(EngineKind::CustomDdc(DdcConfig::sparse().with_elision(1)));
     v.push(EngineKind::CustomDdc(DdcConfig::basic().with_elision(1)));

@@ -17,7 +17,9 @@ use std::collections::HashMap;
 
 use ddc_array::{AbelianGroup, Pair};
 use ddc_core::wal::{self, RetryPolicy};
-use ddc_core::{DdcConfig, DurableCube, GrowableCube, PagerConfig, StdVfs, ValueCodec};
+use ddc_core::{
+    DdcConfig, DurableCube, GrowableCube, LeafBackend, PagerConfig, StdVfs, ValueCodec,
+};
 use ddc_tests::run_cases;
 
 type Oracle = HashMap<Vec<i64>, i64>;
@@ -74,7 +76,10 @@ fn churn<G: AbelianGroup + ValueCodec>(config: DdcConfig, lift: impl Fn(i64) -> 
     let mut paged = GrowableCube::<G>::with_origin(&[0, 0], config);
     assert!(paged.enable_paging().expect("enable paging"));
     assert!(paged.is_paged());
-    let slab_config = DdcConfig::dynamic().with_elision(config.elide_levels);
+    let slab_config = DdcConfig {
+        leaf_backend: LeafBackend::Mem,
+        ..config
+    };
     let mut slab = GrowableCube::<G>::with_origin(&[0, 0], slab_config);
     let mut oracle = Oracle::new();
 

@@ -110,7 +110,7 @@ fn elision_brings_storage_near_array_size() {
     let ratio = e.heap_bytes() as f64 / raw as f64;
     assert!(ratio < 1.5, "h=4 ratio {ratio}");
     // And h = 0 is strictly larger — the optimization does something.
-    let e0 = DdcEngine::from_array_with(&a, DdcConfig::dynamic());
+    let e0 = DdcEngine::from_array_with(&a, DdcConfig::dynamic().with_elision(0));
     assert!(e0.heap_bytes() > e.heap_bytes());
 }
 
@@ -125,7 +125,7 @@ fn elision_query_penalty_is_bounded() {
     let shape = Shape::cube(2, 64);
     let a = uniform_array(&shape, 1, 9, &mut rng(4));
     for h in 1..=3usize {
-        let base = DdcEngine::from_array_with(&a, DdcConfig::dynamic());
+        let base = DdcEngine::from_array_with(&a, DdcConfig::dynamic().with_elision(0));
         let elided = DdcEngine::from_array_with(&a, DdcConfig::dynamic().with_elision(h));
         let bound = 1u64 << ((h + 1) * 2);
         for p in [[0usize, 0], [63, 63], [31, 32], [17, 55]] {

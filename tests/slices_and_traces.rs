@@ -46,7 +46,8 @@ fn trace_of_every_query_sums_to_the_prefix() {
     let a = uniform_array(&shape, -20, 20, &mut rng(32));
     for config in [
         DdcConfig::dynamic(),
-        DdcConfig::sparse(),
+        DdcConfig::dynamic().with_elision(0),
+        DdcConfig::sparse().with_elision(0),
         DdcConfig::dynamic().with_elision(2),
     ] {
         let e = DdcEngine::from_array_with(&a, config);
@@ -62,7 +63,7 @@ fn trace_of_every_query_sums_to_the_prefix() {
 fn trace_visits_at_most_constant_boxes_per_level() {
     let shape = Shape::cube(2, 256);
     let a = uniform_array(&shape, 1, 5, &mut rng(33));
-    let e = DdcEngine::from_array(&a);
+    let e = DdcEngine::from_array_with(&a, DdcConfig::dynamic().with_elision(0));
     let steps = e.tree().trace_prefix(&[201, 77]);
     // ≤ 2^d contributions at each level (paper Theorem 1).
     let max_level = steps.iter().map(|s| s.level).max().unwrap_or(0);

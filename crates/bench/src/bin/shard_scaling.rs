@@ -297,7 +297,9 @@ fn main() {
                 DdcConfig::dynamic(),
                 ShardConfig::with_shards(shards),
             );
-            cube.update_batch(&seed);
+            for (point, delta) in &seed {
+                cube.update(point, *delta);
+            }
             cube.flush();
             let score = drive(
                 |i| {

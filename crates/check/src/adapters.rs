@@ -350,13 +350,15 @@ impl CheckEngine for ShardedAdapter {
                 let q: Vec<usize> = p
                     .iter()
                     .zip(self.origin.iter().zip(&new_box.origin))
-                    .map(|(&c, (&old_o, &new_o))| (c as i64 + old_o - new_o) as usize)
+                    .map(|(&c, (&old_o, &new_o))| (c + old_o - new_o) as usize)
                     .collect();
                 (q, v)
             })
             .collect();
         self.cube = ShardedCube::new(Shape::new(&new_box.dims), self.config, self.shard_config);
-        self.cube.update_batch(&shifted);
+        for (point, delta) in &shifted {
+            self.cube.update(point, *delta);
+        }
         self.origin = new_box.origin.clone();
     }
 

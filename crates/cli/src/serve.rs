@@ -6,14 +6,19 @@
 //!           [--durable DIR [--dims D] [--mem-cap BYTES]]
 //! ```
 //!
-//! `serve` binds a [`ShardedCube`] behind the zero-dependency TCP
-//! server and runs until killed; the listening address is printed on
-//! stdout so scripts (the CI smoke job, `benchmark/`) can wait for it.
-//! With `--durable DIR` it instead serves a WAL-backed growable cube
-//! recovered from `DIR/snapshot.ddc` + `DIR/wal.log`: every acked
-//! update is fsynced to the log first, a disk fault degrades the
-//! backend to read-only (mutations 503, `/healthz` reports
-//! `degraded`) instead of crashing, and a restart replays the log.
+//! `serve` binds the commit pipeline ([`ShardedCube`]: door → queue →
+//! \[log\] → apply → ack) behind the zero-dependency TCP server and runs
+//! until killed; the listening address is printed on stdout so scripts
+//! (the CI smoke job, `benchmark/`) can wait for it. Without
+//! `--durable` the pipeline has bounds (`--side`, a square 2-d cube)
+//! and no log: updates are acked on enqueue and group-committed, in
+//! `--shards` dimension-0 slabs (default 1: more did not measure
+//! faster on two cores). With `--durable DIR` the same pipeline runs
+//! over a WAL-backed growable cube recovered from `DIR/snapshot.ddc` +
+//! `DIR/wal.log`, with no bounds and one slab: every acked update is
+//! fsynced to the log first, a disk fault degrades the backend to
+//! read-only (mutations 503, `/healthz` reports `degraded`) instead of
+//! crashing, and a restart replays the log.
 //! `--mem-cap BYTES` additionally pages the cube's leaf blocks
 //! through a buffer pool of that size that spills cold pages to disk;
 //! the cap bounds that pool — the raw cells — not the process: nodes,
@@ -81,7 +86,7 @@ pub fn run(args: &[String]) -> Result<String, String> {
     reject_unknown(args)?;
     let addr = parse_str_flag(args, "--addr")?.unwrap_or_else(|| "127.0.0.1:7171".to_string());
     let side = parse_flag(args, "--side")?.unwrap_or(256) as usize;
-    let shards = (parse_flag(args, "--shards")?.unwrap_or(4) as usize).max(1);
+    let shards = (parse_flag(args, "--shards")?.unwrap_or(1) as usize).max(1);
     let workers = (parse_flag(args, "--workers")?.unwrap_or(4) as usize).max(1);
     let max_connections = parse_flag(args, "--max-conns")?.unwrap_or(256) as usize;
     let rate_per_sec = parse_flag(args, "--rate")?.unwrap_or(0);

@@ -52,9 +52,9 @@ fn workload(seed: u64, ops: usize) -> std::io::Result<()> {
     let mut rng = DdcRng::seed_from_u64(seed);
     let side = 64usize;
 
-    // Sharded cube: queued updates (shard.queue_wait + shard.commit,
-    // engine.update.dynamic_ddc) and fanned prefix queries
-    // (engine.prefix_sum.dynamic_ddc).
+    // The commit pipeline: queued updates (shard.queue_wait +
+    // shard.commit, and engine.update.dynamic_ddc from the slabs'
+    // cubes) and fanned prefix queries (engine.prefix_sum.dynamic_ddc).
     let cube = ShardedCube::<i64>::new(
         Shape::new(&[side, side]),
         DdcConfig::dynamic(),

@@ -14,15 +14,17 @@ use crate::obs;
 use crate::tree::DdcTree;
 
 /// Per-mode latency histograms, resolved once and cached so the hot
-/// paths never touch the registry lock.
-struct EngineObs {
-    update_ns: Arc<obs::Histogram>,
-    update_name: &'static str,
-    prefix_ns: Arc<obs::Histogram>,
-    prefix_name: &'static str,
+/// paths never touch the registry lock. [`DdcEngine`] and
+/// [`GrowableCube`](crate::GrowableCube) report into the same two: both
+/// time one tree update and one tree prefix sum.
+pub(crate) struct EngineObs {
+    pub(crate) update_ns: Arc<obs::Histogram>,
+    pub(crate) update_name: &'static str,
+    pub(crate) prefix_ns: Arc<obs::Histogram>,
+    pub(crate) prefix_name: &'static str,
 }
 
-fn engine_obs(mode: Mode) -> &'static EngineObs {
+pub(crate) fn engine_obs(mode: Mode) -> &'static EngineObs {
     static BASIC: OnceLock<EngineObs> = OnceLock::new();
     static DYNAMIC: OnceLock<EngineObs> = OnceLock::new();
     let (cell, update_name, prefix_name) = match mode {

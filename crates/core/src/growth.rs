@@ -20,6 +20,7 @@ use crate::sync::{Arc, OnceLock};
 use ddc_array::{AbelianGroup, CoordMap, GrowthDirection, OpCounter, Region};
 
 use crate::config::DdcConfig;
+use crate::engine::engine_obs;
 use crate::obs;
 use crate::store::SpillFile;
 use crate::tree::{DdcTree, MAX_SIDE};
@@ -189,7 +190,19 @@ impl<G: AbelianGroup> GrowableCube<G> {
             return;
         }
         let internal = self.cover(logical);
+        let site = engine_obs(self.tree.config().mode);
+        let t = obs::timer();
         self.tree.apply_delta(&internal, delta);
+        t.observe(site.update_name, &site.update_ns);
+    }
+
+    /// [`GrowableCube::add`] for log replay: a replay is one
+    /// `wal.recover` span, not one more per record.
+    pub(crate) fn replay_add(&mut self, logical: &[i64], delta: G) {
+        if !delta.is_zero() {
+            let internal = self.cover(logical);
+            self.tree.apply_delta(&internal, delta);
+        }
     }
 
     /// Sets the cell at `logical`, returning its previous value.
@@ -238,10 +251,13 @@ impl<G: AbelianGroup> GrowableCube<G> {
             clo.push((l - o) as usize);
             chi.push((h - o) as usize);
         }
+        let site = engine_obs(self.tree.config().mode);
         let mut acc = G::ZERO;
         let mut corner = clo.clone();
         Region::new(&clo, &chi).for_each_prefix_term(&mut corner, |sign, corner| {
+            let t = obs::timer();
             let v = self.tree.prefix_sum(corner);
+            t.observe(site.prefix_name, &site.prefix_ns);
             acc = if sign > 0 { acc.add(v) } else { acc.sub(v) };
         });
         acc

@@ -11,6 +11,9 @@
 //! * [`DdcEngine`] — the cube as a [`ddc_array::RangeSumEngine`]
 //!   (fixed logical shape; Basic §3 or Dynamic §4 per [`DdcConfig`]).
 //! * [`GrowableCube`] — signed logical coordinates with on-demand growth.
+//! * [`ShardedCube`] — the commit pipeline every served update takes
+//!   (door → queue → \[log\] → apply → ack) over a [`CommitTarget`]: a
+//!   [`GrowableCube`], or a [`DurableCube`] whose acks are log records.
 //! * [`DdcTree`] — the underlying primary tree, exposed for experiments.
 //! * [`obs`] — the zero-dependency observability layer (metrics
 //!   registry, latency histograms, tracing) every hot path reports into.
@@ -44,7 +47,10 @@ pub use engine::DdcEngine;
 pub use growth::{GrowableCube, GrowthError};
 pub use pager::PoolStats;
 pub use persist::ValueCodec;
-pub use shard::{MetricsSnapshot, ShardConfig, ShardedCube, TryUpdateError};
+pub use shard::{
+    CommitTarget, MetricsSnapshot, OutOfBounds, ShardConfig, ShardedCube, TryUpdateError,
+    PANICKED_AFTER_APPEND, RESTARTS_EXHAUSTED,
+};
 pub use tree::{Contribution, DdcTree, LevelStats, TraceStep, TreeStats, MAX_SIDE};
 pub use vfs::{
     FaultKind, FaultPlan, FaultProbs, FaultVfs, IoError, MemVfs, OpenMode, PlannedFault,

@@ -2,8 +2,10 @@
 //! (`feature = "ddc_model"` only).
 //!
 //! Each function explores one scenario under [`ddc_model::Checker`] and
-//! returns its [`Report`]. The green scenarios drive the *real*
-//! `core::shard` / `core::wal` code through the `core::sync` facade;
+//! returns its [`Report`]. The green scenarios drive the *real* commit
+//! pipeline (`core::shard`) through the `core::sync` facade — two over
+//! its plain target, one over the logged one (`core::wal`), so all
+//! three exercise the same `try_add` → `commit` → read-through code;
 //! the two `buggy_*` fixtures are deliberately broken and exist to
 //! prove the checker finds real schedule bugs (they are asserted to
 //! FAIL by `tests/model_checker.rs` and the `ddc model` CLI).
@@ -28,7 +30,7 @@ use ddc_model::{Checker, CheckerConfig, Report};
 use crate::config::DdcConfig;
 use crate::shard::{ShardConfig, ShardedCube};
 use crate::sync::Arc;
-use crate::wal::SharedDurableCube;
+use crate::wal::{DurableCube, SharedDurableCube};
 
 fn shard_config() -> ShardConfig {
     ShardConfig {
@@ -126,48 +128,44 @@ pub fn shard_queue_drain(cfg: CheckerConfig) -> Report {
     })
 }
 
-/// Log-then-apply: a durability acknowledgement may never be returned
-/// before the WAL record is appended. Every `Ok` from `add` is
-/// immediately cross-checked against the log's record count, and the
+/// Log-then-apply through the pipeline: an acknowledgement may never be
+/// returned before the WAL record is appended. Every `Ok` from
+/// `try_add` is immediately cross-checked against the log's record
+/// count, a racing `flush()` must find nothing to commit twice, and the
 /// final cube/log state must match the sequential oracle.
 pub fn wal_ack_after_append(cfg: CheckerConfig) -> Report {
     Checker::new(cfg).check(|| {
-        let cube = SharedDurableCube::<i64, Vec<u8>>::new(1, DdcConfig::sparse(), Vec::new())
-            .expect("create shared durable cube");
+        let cube = DurableCube::<i64, Vec<u8>>::new(1, DdcConfig::sparse(), Vec::new())
+            .expect("create durable cube");
+        let cube = SharedDurableCube::from_cube(cube);
         // Each appender cross-checks the log length right after every
         // ack: an ack with no matching record is the bug this hunts.
-        let appender = |points: [[i64; 1]; 2]| {
-            let c = cube.clone();
-            thread::spawn(move || {
-                let mut acks = 0u64;
-                for p in points {
-                    if c.add(&p, 1).is_ok() {
-                        acks += 1;
-                        let (_, records) = c.wal_stats();
-                        assert!(
-                            records >= acks,
-                            "durability ack before WAL append: {records} records < {acks} acks"
-                        );
-                    }
+        let append = |c: &ShardedCube<i64, DurableCube<i64, Vec<u8>>>, points: &[i64]| {
+            let mut acks = 0u64;
+            for &p in points {
+                if c.try_add(&[p], 1).is_ok() {
+                    acks += 1;
+                    let (_, records) = c.read_target(0, |durable| durable.wal_stats());
+                    assert!(
+                        records >= acks,
+                        "durability ack before WAL append: {records} records < {acks} acks"
+                    );
                 }
-                acks
-            })
+            }
+            acks
         };
-        let t1 = appender([[0], [1]]);
-        let t2 = appender([[2], [3]]);
-        let mut acks = 0u64;
-        if cube.add(&[4], 1).is_ok() {
-            acks += 1;
-            let (_, records) = cube.wal_stats();
-            assert!(
-                records >= acks,
-                "durability ack before WAL append: {records} records < {acks} acks"
-            );
-        }
-        let acks = acks + t1.join().expect("appender 1") + t2.join().expect("appender 2");
-        let (_, records) = cube.wal_stats();
+        let (c1, c2) = (Arc::clone(&cube), Arc::clone(&cube));
+        let t1 = thread::spawn(move || append(&c1, &[0, 1]));
+        let t2 = thread::spawn(move || {
+            c2.flush();
+            append(&c2, &[2, 3])
+        });
+        let acks =
+            append(&cube, &[4]) + t1.join().expect("appender 1") + t2.join().expect("appender 2");
+        let (records, total) =
+            cube.read_target(0, |durable| (durable.wal_stats().1, durable.cube().total()));
         assert_eq!(records, acks, "log records diverge from acks");
-        assert_eq!(cube.total(), acks as i64, "cube diverges from acked deltas");
+        assert_eq!(total, acks as i64, "cube diverges from acked deltas");
     })
 }
 

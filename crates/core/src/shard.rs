@@ -1,63 +1,87 @@
-//! A sharded concurrent cube: dimension-0 partitioning with write batching.
+//! The commit pipeline: every served update — logged or not — takes the
+//! same path to the cube, and every read the same path back.
 //!
-//! [`SharedCube`](crate::SharedCube) serializes every operation behind one
-//! `RwLock`, so aggregate read throughput stops scaling as soon as a
-//! writer stalls the lock. [`ShardedCube`] removes that single choke
-//! point:
+//! ```text
+//!             ┌ door ┐   ┌──── queue ────┐   ┌──── target ────┐
+//! try_add ──▶ rank and ─▶ bounded, per ───▶ [log: append, sync] ─▶ ack
+//!             bounds      slab; coalesce      apply to the cube
+//! ```
 //!
-//! * The cube is split along **dimension 0** into `S` contiguous slabs,
-//!   each backed by its own independently locked [`DdcEngine`].
-//! * Point updates route to the owning shard's **write-batch queue**.
-//!   Queued deltas are coalesced per cell (sound because
-//!   [`AbelianGroup`] addition commutes) and applied under a *single*
-//!   exclusive acquisition — group commit.
-//! * A dimension-0 slab of a cube is itself a cube, so a range query is
-//!   the sum, over the slabs whose rows overlap it, of the slab engine's
-//!   own range sum of the region clamped into the slab — Figure 4's
-//!   ≤ `2^d` prefix terms are formed once, inside the engine. A prefix
-//!   query is the range `[0, point]`.
+//! [`ShardedCube`] is that pipeline. It is generic over the
+//! [`CommitTarget`] a slab commits into, and there are two:
+//!
+//! * [`GrowableCube`] — apply only. An update is acknowledged when it
+//!   is *enqueued*; the queue is landed in one exclusive acquisition
+//!   once it reaches [`ShardConfig::batch_capacity`] (group commit), and
+//!   queued deltas are coalesced per cell first, which is sound because
+//!   [`AbelianGroup`] addition commutes.
+//! * [`DurableCube`](crate::DurableCube) — append → sync → apply. The
+//!   target states that an acknowledgement needs the commit
+//!   ([`CommitTarget::ACK_NEEDS_COMMIT`]), so the pipeline commits
+//!   inline before [`try_add`] returns and never holds more than that
+//!   one delta.
+//!
+//! State is addressed in signed `i64` coordinates throughout. A cube
+//! built with bounds (a [`Shape`]) refuses coordinates outside them at
+//! the door and is cut along **dimension 0** into
+//! [`ShardConfig::shards`] contiguous slabs, each a cube of its own
+//! behind its own lock; a cube without bounds grows where the data goes
+//! and has one slab, which owns every `i64` row (only a target whose
+//! ack needs the commit may go without bounds: the commit is what
+//! refuses a point the cube cannot grow to). A range query is the sum,
+//! over the slabs whose rows overlap it, of the slab's own range sum of
+//! the box clamped into the slab — Figure 4's ≤ `2^d` prefix terms are
+//! formed once, inside the cube. The `usize` / [`Region`] methods are
+//! casts over the `i64` door for callers that hold checked coordinates
+//! already.
 //!
 //! ## Consistency
 //!
-//! Each shard is linearizable: a query reads *through* the shard's queue
-//! — engine value plus the contribution of the still-queued deltas — so
-//! a thread always reads its own writes and a single-threaded caller
+//! Each slab is linearizable: a query reads *through* the slab's queue
+//! — cube value plus the contribution of the still-queued deltas — so a
+//! thread always reads its own writes and a single-threaded caller
 //! observes exactly the semantics of an unsharded engine (the
-//! `sharded_cube` differential test replays a trace and demands
-//! bit-identical answers). Readers never take the exclusive engine lock;
-//! only group commits do. Across shards there is no global snapshot —
-//! concurrent multi-shard queries may observe one shard before and
-//! another after a concurrent update, the usual trade of sharded stores.
+//! `sharded_cube` differential test demands bit-identical answers after
+//! every step). Readers never take the exclusive target lock; only
+//! commits do. Across slabs there is no global snapshot.
+//!
+//! **Visibility.** An update is visible to other threads only once the
+//! call that made it has been acknowledged (`Ok`). On the logged target
+//! that is after its covering `sync`: the queue lock is held from the
+//! enqueue to the end of the commit, and the cube changes last, under
+//! the exclusive target lock.
 //!
 //! ## Supervision & backpressure
 //!
-//! Shards are built to *survive*, not to assume success:
-//!
-//! * Write queues are **bounded** ([`ShardConfig::queue_capacity`]).
-//!   When a queue is full and a commit cannot make room, [`try_update`]
-//!   rejects with [`TryUpdateError::QueueFull`] instead of growing
-//!   without bound — overload sheds load, it does not OOM.
-//! * Every group commit runs under `catch_unwind`. A panicking commit
-//!   (an engine bug, or the test-only fault hook) **quarantines** the
-//!   shard: its deltas stay queued, reads still see them through the
-//!   read-through path, and retries are paced by an exponential backoff
-//!   of skipped flush triggers. A commit that succeeds ends the
-//!   quarantine and counts a restart; [`ShardConfig::max_restarts`]
-//!   consecutive panics fail the shard permanently
-//!   ([`TryUpdateError::ShardFailed`]).
+//! * Write queues are **bounded** ([`ShardConfig::queue_capacity`]):
+//!   when a queue is full and a commit cannot make room, [`try_add`]
+//!   rejects with [`TryUpdateError::QueueFull`] — overload sheds load,
+//!   it does not OOM.
+//! * Every commit runs under one `catch_unwind`. A commit of
+//!   *acknowledged* deltas that panics or is refused **quarantines** the
+//!   slab: the deltas stay queued, reads still see them, and retries
+//!   are paced by an exponential backoff of skipped flush triggers. A
+//!   commit that succeeds ends the quarantine and counts a restart;
+//!   [`ShardConfig::max_restarts`] consecutive failures fail the slab
+//!   permanently ([`TryUpdateError::ShardFailed`]).
+//! * **A commit that panics after its log append is never retried** —
+//!   a retry would append the record twice. On the logged target a
+//!   typed refusal is handed to the caller (nothing was acknowledged;
+//!   the target keeps its own degraded state), and a panic fails the
+//!   pipeline at once: read-only, reported by [`ShardedCube::health`],
+//!   "restart to recover from the log".
 //! * Lock poisoning never panics a public entry point: the queue mutex
 //!   cannot be poisoned by a supervised commit (the panic is caught
-//!   inside the lock scope), and a poisoned engine lock is recovered —
-//!   the shard is already quarantined at that point, and *exact* repair
-//!   of a half-applied batch is the write-ahead log's job
-//!   ([`crate::wal`]), not the lock's.
+//!   inside the lock scope), and a poisoned target lock is recovered —
+//!   the slab is quarantined or failed by then, and *exact* repair of a
+//!   half-applied batch is the log's job ([`crate::wal`]).
 //!
-//! [`try_update`]: ShardedCube::try_update
+//! [`try_add`]: ShardedCube::try_add
 
 use std::collections::HashMap;
 use std::time::Instant;
 
-use crate::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use crate::sync::atomic::{AtomicUsize, Ordering};
 use crate::sync::{
     Arc, Mutex, MutexGuard, OnceLock, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard,
 };
@@ -65,15 +89,15 @@ use crate::sync::{
 use ddc_array::{AbelianGroup, OpCounter, OpSnapshot, RangeSumEngine, Region, Shape};
 
 use crate::config::DdcConfig;
-use crate::engine::DdcEngine;
+use crate::growth::GrowableCube;
 use crate::obs;
+use crate::vfs::IoError;
 
 /// Cube-wide observability handles (queue-wait vs. commit latency — the
-/// two halves of a sharded write's life), cached off the registry lock.
+/// two halves of a write's life), cached off the registry lock.
 struct ShardObs {
     queue_wait_ns: Arc<obs::Histogram>,
     commit_ns: Arc<obs::Histogram>,
-    shed: Arc<obs::Counter>,
 }
 
 fn shard_obs() -> &'static ShardObs {
@@ -81,35 +105,63 @@ fn shard_obs() -> &'static ShardObs {
     OBS.get_or_init(|| ShardObs {
         queue_wait_ns: obs::histogram("shard.queue_wait"),
         commit_ns: obs::histogram("shard.commit"),
-        shed: obs::counter("shard.shed"),
     })
 }
 
-/// The shedding contract of the infallible update facades, in one
-/// place: a rejection (already in its shard's `ops_rejected`) is dropped
-/// here and counted in `shard.shed`, so writes lost without the caller
-/// hearing of it show up next to the rejections callers were handed.
-fn shed(outcome: Result<(), TryUpdateError>) {
-    if outcome.is_err() {
-        shard_obs().shed.inc();
+/// What a slab of the pipeline commits into: the one seam between the
+/// queue and the state. Implemented by [`GrowableCube`] (apply only) and
+/// [`DurableCube`](crate::DurableCube) (append → sync → apply); tests
+/// substitute a double that fails on demand.
+pub trait CommitTarget<G: AbelianGroup>: Send + Sync {
+    /// The cube every read is answered from.
+    fn cube(&self) -> &GrowableCube<G>;
+
+    /// True when an update may be acknowledged only after its commit
+    /// (a logged target: the ack is the durability promise). The
+    /// pipeline then commits each delta inline, hands a refusal to the
+    /// caller, and never retries a commit that panicked.
+    const ACK_NEEDS_COMMIT: bool;
+
+    /// Lands `batch`, in order. `Err` means none of it is acknowledged.
+    fn commit(&mut self, batch: &[(Vec<i64>, G)]) -> Result<(), IoError>;
+
+    /// Why the target refuses writes, when it does.
+    fn degraded(&self) -> Option<&str> {
+        None
+    }
+}
+
+impl<G: AbelianGroup> CommitTarget<G> for GrowableCube<G> {
+    const ACK_NEEDS_COMMIT: bool = false;
+
+    fn cube(&self) -> &GrowableCube<G> {
+        self
+    }
+
+    fn commit(&mut self, batch: &[(Vec<i64>, G)]) -> Result<(), IoError> {
+        for (point, delta) in batch {
+            self.add(point, *delta);
+        }
+        Ok(())
     }
 }
 
 /// Tuning knobs for a [`ShardedCube`].
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct ShardConfig {
-    /// Requested shard count. Clamped to `1..=n_0` (a slab needs at
-    /// least one row of dimension 0).
+    /// Requested slab count. Clamped to `1..=n_0` (a slab needs at
+    /// least one row of dimension 0); a cube without bounds has one.
     pub shards: usize,
     /// Queue length that triggers a group commit. `1` degenerates to
-    /// write-through locking.
+    /// write-through locking, which is also what a target whose ack
+    /// needs the commit gets whatever this says.
     pub batch_capacity: usize,
-    /// Hard bound on a shard's write queue. A healthy shard commits
-    /// inline before ever hitting it; a quarantined or failed shard
+    /// Hard bound on a slab's write queue. A healthy slab commits
+    /// inline before ever hitting it; a quarantined or failed slab
     /// rejects once full ([`TryUpdateError::QueueFull`]) instead of
     /// growing without bound.
     pub queue_capacity: usize,
-    /// Consecutive panicking commits a shard survives (quarantined,
+    /// Consecutive failing commits a slab survives (quarantined,
     /// retried with backoff) before it is failed permanently.
     pub max_restarts: u32,
 }
@@ -126,7 +178,7 @@ impl Default for ShardConfig {
 }
 
 impl ShardConfig {
-    /// `shards` shards with default batching.
+    /// `shards` slabs with default batching.
     pub fn with_shards(shards: usize) -> Self {
         Self {
             shards,
@@ -135,156 +187,197 @@ impl ShardConfig {
     }
 }
 
-/// Why a bounded-queue update was not accepted.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+/// A coordinate the door refused: wrong rank, outside the bounds, or a
+/// box whose corners are inverted.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct OutOfBounds(pub String);
+
+impl std::fmt::Display for OutOfBounds {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(&self.0)
+    }
+}
+
+impl std::error::Error for OutOfBounds {}
+
+/// Why [`ShardedCube::try_add`] did not acknowledge an update.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum TryUpdateError {
-    /// The owning shard's queue is at capacity and a commit could not
-    /// make room (the shard is quarantined or mid-backoff).
+    /// The point did not pass the door; nothing was queued.
+    OutOfBounds(OutOfBounds),
+    /// The owning slab's queue is at capacity and a commit could not
+    /// make room (the slab is quarantined or mid-backoff).
     QueueFull {
-        /// Index of the rejecting shard.
+        /// Index of the rejecting slab.
         shard: usize,
         /// The queue bound in effect.
         capacity: usize,
     },
-    /// The owning shard exhausted its restart budget and no longer
-    /// accepts writes.
+    /// The owning slab no longer accepts writes.
     ShardFailed {
-        /// Index of the failed shard.
+        /// Index of the failed slab.
         shard: usize,
+        /// Why: [`RESTARTS_EXHAUSTED`] or [`PANICKED_AFTER_APPEND`].
+        cause: &'static str,
     },
+    /// The target refused the commit this ack needed (a logged target:
+    /// degraded, out of retries, or a point it cannot grow to).
+    Refused(IoError),
 }
+
+/// [`TryUpdateError::ShardFailed::cause`] of a slab whose acknowledged
+/// deltas failed to land [`ShardConfig::max_restarts`] times running.
+pub const RESTARTS_EXHAUSTED: &str = "restart budget exhausted";
+
+/// [`TryUpdateError::ShardFailed::cause`] of a logged slab whose commit
+/// panicked: the record may be in the log, so the commit is not retried.
+pub const PANICKED_AFTER_APPEND: &str =
+    "a commit panicked after its log append; restart to recover from the log";
 
 impl std::fmt::Display for TryUpdateError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            TryUpdateError::OutOfBounds(why) => why.fmt(f),
             TryUpdateError::QueueFull { shard, capacity } => {
                 write!(f, "shard {shard} write queue full ({capacity} deltas)")
             }
-            TryUpdateError::ShardFailed { shard } => {
-                write!(f, "shard {shard} failed (restart budget exhausted)")
+            TryUpdateError::ShardFailed { shard, cause } => {
+                write!(f, "shard {shard} failed ({cause})")
             }
+            TryUpdateError::Refused(why) => why.fmt(f),
         }
     }
 }
 
 impl std::error::Error for TryUpdateError {}
 
-/// Point-in-time metrics for one shard (the S3 relaxed-atomic op
-/// counters, extended per shard).
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+/// Point-in-time metrics for one slab (the S3 relaxed-atomic op
+/// counters, extended per slab).
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct MetricsSnapshot {
-    /// Shard index in `0..S`.
+    /// Slab index in `0..S`.
     pub shard: usize,
-    /// First dimension-0 row owned by the shard.
+    /// First dimension-0 row owned by the slab (`0` without bounds).
     pub rows_lo: usize,
-    /// One past the last dimension-0 row owned by the shard.
+    /// One past the last dimension-0 row owned by the slab
+    /// (`i64::MAX` without bounds).
     pub rows_hi: usize,
     /// Deltas pushed onto the write queue.
     pub ops_enqueued: u64,
-    /// Deltas applied to the engine (equals enqueued after a flush).
+    /// Deltas landed in the target (equals enqueued after a flush).
     pub ops_applied: u64,
-    /// Group commits performed.
+    /// Commits performed.
     pub batches_flushed: u64,
     /// Slab visits: one per range, prefix or cell read that reached this
-    /// shard (each is one engine read under one read-lock acquisition,
-    /// however many Figure-4 terms the engine forms for it).
+    /// slab (each is one cube read under one read-lock acquisition,
+    /// however many Figure-4 terms the cube forms for it).
     pub queries: u64,
-    /// Estimated nanoseconds the exclusive engine lock was held for
-    /// flushes — the contention budget readers compete against.
+    /// Estimated nanoseconds the exclusive target lock was held for
+    /// commits — the contention budget readers compete against.
     pub lock_hold_nanos: u64,
     /// High-water mark of the write queue depth.
     pub queue_depth_max: u64,
-    /// Update attempts rejected by backpressure or a failed shard.
+    /// Update attempts that reached the slab and were not acknowledged.
     pub ops_rejected: u64,
-    /// Commits that panicked and were contained by the supervisor.
+    /// Commits that failed and were contained by the supervisor.
     pub worker_panics: u64,
     /// Successful commits that ended a quarantine.
     pub worker_restarts: u64,
 }
 
-/// Per-shard counters. *Untracked* atomics on purpose: metrics never
-/// gate control flow, and some hold wall-clock values that would
-/// otherwise pollute the model checker's state fingerprints.
-#[derive(Debug, Default)]
-struct ShardMetrics {
-    ops_enqueued: crate::sync::untracked::AtomicU64,
-    ops_applied: crate::sync::untracked::AtomicU64,
-    batches_flushed: crate::sync::untracked::AtomicU64,
-    queries: crate::sync::untracked::AtomicU64,
-    lock_hold_nanos: crate::sync::untracked::AtomicU64,
-    queue_depth_max: crate::sync::untracked::AtomicU64,
-    ops_rejected: crate::sync::untracked::AtomicU64,
-    worker_panics: crate::sync::untracked::AtomicU64,
-    worker_restarts: crate::sync::untracked::AtomicU64,
-}
-
-/// Supervisor state of one shard, kept under the queue lock so health
+/// Supervisor state of one slab, kept under the queue lock so health
 /// transitions serialize with enqueues and commits.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 enum Health {
     /// Commits are attempted normally.
     Healthy,
-    /// The last `consecutive` commits panicked; the next `backoff` flush
+    /// The last `consecutive` commits failed; the next `backoff` flush
     /// triggers are skipped before retrying.
     Quarantined { consecutive: u32, backoff: u32 },
-    /// Restart budget exhausted: the shard accepts no more writes.
-    Failed,
+    /// The slab accepts no more writes; the string is the
+    /// [`TryUpdateError::ShardFailed::cause`].
+    Failed(&'static str),
+}
+
+/// How a commit failed. The supervisor has already acted on it.
+enum CommitFault {
+    Refused(IoError),
+    Panicked,
 }
 
 #[derive(Debug)]
 struct ShardQueue<G: AbelianGroup> {
-    /// Pending deltas in *local* coordinates.
-    deltas: Vec<(Vec<usize>, G)>,
+    /// Acknowledged (or, on a logged target, about-to-be) deltas that
+    /// have not landed yet.
+    deltas: Vec<(Vec<i64>, G)>,
     health: Health,
+    /// The slab's counters, kept here because the queue lock already
+    /// serializes everything that writes them — all but `queries`.
+    metrics: MetricsSnapshot,
 }
 
 #[derive(Debug)]
-struct Shard<G: AbelianGroup> {
-    /// Owned dimension-0 rows: `rows_lo..rows_hi` of the logical cube.
-    rows_lo: usize,
-    rows_hi: usize,
-    engine: RwLock<DdcEngine<G>>,
-    /// Queue + supervisor state. Lock order: `queue` before `engine` —
+struct Shard<G: AbelianGroup, T> {
+    /// Owned dimension-0 rows, `rows_lo..=rows_last`: every `i64`
+    /// without bounds, which is why the end is inclusive.
+    rows_lo: i64,
+    rows_last: i64,
+    target: RwLock<T>,
+    /// Queue + supervisor state. Lock order: `queue` before `target` —
     /// commits hold the queue while applying so a concurrent reader that
     /// drains the queue cannot miss deltas enqueued behind it.
     queue: Mutex<ShardQueue<G>>,
     /// Fast-path mirror of the queue length so readers skip the mutex
     /// when nothing is pending.
     pending: AtomicUsize,
-    /// Test-only fault hook: this many upcoming commits panic before
-    /// touching the engine.
-    fail_flushes: AtomicU64,
-    metrics: ShardMetrics,
-    /// Engine-counter totals already absorbed into the facade counter
-    /// (bookkeeping for `sync_counter`; untracked like the metrics).
-    seen_reads: crate::sync::untracked::AtomicU64,
-    seen_writes: crate::sync::untracked::AtomicU64,
+    /// [`MetricsSnapshot::queries`]: reads do not take the queue lock.
+    /// Untracked: it never gates control flow.
+    queries: crate::sync::untracked::AtomicU64,
 }
 
-/// Locks a shard's queue, recovering from poisoning. A supervised commit
+/// Locks a slab's queue, recovering from poisoning. A supervised commit
 /// catches its panic *inside* the lock scope, so the mutex is only ever
 /// poisoned by a panic in trivially transactional code (push/drain);
 /// recovering is sound and keeps poisoning off the public API.
-fn lock_queue<G: AbelianGroup>(shard: &Shard<G>) -> MutexGuard<'_, ShardQueue<G>> {
+fn lock_queue<G: AbelianGroup, T>(shard: &Shard<G, T>) -> MutexGuard<'_, ShardQueue<G>> {
     shard.queue.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Read-locks a shard's engine, recovering from poisoning. A poisoned
-/// engine means a commit panicked mid-apply; the shard is quarantined by
-/// then, and exact repair belongs to WAL recovery, not to refusing reads.
-fn read_engine<G: AbelianGroup>(shard: &Shard<G>) -> RwLockReadGuard<'_, DdcEngine<G>> {
-    shard.engine.read().unwrap_or_else(PoisonError::into_inner)
+/// Read-locks a slab's target, recovering from poisoning. A poisoned
+/// target means a commit panicked mid-apply; the slab is quarantined or
+/// failed by then, and exact repair belongs to log recovery, not to
+/// refusing reads.
+fn read_target<G: AbelianGroup, T>(shard: &Shard<G, T>) -> RwLockReadGuard<'_, T> {
+    shard.target.read().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Write-locks a shard's engine, recovering from poisoning (see
-/// [`read_engine`]).
-fn write_engine<G: AbelianGroup>(shard: &Shard<G>) -> RwLockWriteGuard<'_, DdcEngine<G>> {
-    shard.engine.write().unwrap_or_else(PoisonError::into_inner)
+/// Write-locks a slab's target, recovering from poisoning (see
+/// [`read_target`]).
+fn write_target<G: AbelianGroup, T>(shard: &Shard<G, T>) -> RwLockWriteGuard<'_, T> {
+    shard.target.write().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// A concurrent cube sharded along dimension 0 with per-shard write
-/// batching. The protocol — slabs, group commit, read-through,
-/// supervision — is laid out in the `shard` module's source docs.
+/// Queued deltas summed per cell, zero sums dropped.
+fn coalesce<G: AbelianGroup>(deltas: &[(Vec<i64>, G)]) -> Vec<(Vec<i64>, G)> {
+    let mut cells: HashMap<&[i64], G> = HashMap::with_capacity(deltas.len());
+    for (point, delta) in deltas {
+        let slot = cells.entry(point.as_slice()).or_insert(G::ZERO);
+        *slot = slot.add(*delta);
+    }
+    cells
+        .into_iter()
+        .filter(|(_, d)| !d.is_zero())
+        .map(|(p, d)| (p.to_vec(), d))
+        .collect()
+}
+
+fn signed(point: &[usize]) -> Vec<i64> {
+    point.iter().map(|&c| c as i64).collect()
+}
+
+/// The commit pipeline over one cube (module docs: door, queue, target,
+/// read-through, supervision), cut along dimension 0 into slabs when it
+/// has bounds.
 ///
 /// # Examples
 ///
@@ -300,274 +393,426 @@ fn write_engine<G: AbelianGroup>(shard: &Shard<G>) -> RwLockWriteGuard<'_, DdcEn
 /// cube.update(&[3, 5], 7);
 /// cube.update(&[60, 9], 2);
 /// assert_eq!(cube.query(&Region::new(&[0, 0], &[63, 63])), 9);
+/// // The same cube through its `i64` door, which refuses instead of
+/// // panicking.
+/// assert_eq!(cube.query_box(&[0, 0], &[10, 10]), Ok(7));
+/// assert!(cube.try_add(&[64, 0], 1).is_err());
 /// ```
 #[derive(Debug)]
-pub struct ShardedCube<G: AbelianGroup> {
-    shape: Shape,
+pub struct ShardedCube<G: AbelianGroup, T = GrowableCube<G>> {
+    ndim: usize,
+    bounds: Option<Shape>,
     shard_config: ShardConfig,
-    shards: Vec<Shard<G>>,
+    shards: Vec<Shard<G, T>>,
+    /// What [`RangeSumEngine::counter`] hands out: the trees count, and
+    /// `ops()` sums them into this.
     counter: OpCounter,
 }
 
 impl<G: AbelianGroup> ShardedCube<G> {
-    /// An all-zero sharded cube. The shard count is clamped to the
-    /// number of dimension-0 rows.
+    /// An all-zero cube bounded by `shape`, acknowledged on enqueue. The
+    /// slab count is clamped to the number of dimension-0 rows.
     pub fn new(shape: Shape, config: DdcConfig, shard_config: ShardConfig) -> Self {
+        let d = shape.ndim();
+        Self::bounded(shape, shard_config, |rows_lo| {
+            let mut origin = vec![0; d];
+            origin[0] = rows_lo;
+            GrowableCube::with_origin(&origin, config)
+        })
+    }
+}
+
+impl<G: AbelianGroup, T: CommitTarget<G>> ShardedCube<G, T> {
+    /// The pipeline over one target and no bounds: the cube grows where
+    /// the data goes, and has one slab.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the target's ack needs the commit: whether the cube
+    /// can grow to a point depends on the points before it, so only a
+    /// commit can refuse one, and an ack on enqueue would already be out.
+    pub fn unbounded(target: T, shard_config: ShardConfig) -> Self {
+        assert!(T::ACK_NEEDS_COMMIT, "an ack on enqueue needs bounds");
+        Self::assemble(None, shard_config, vec![(i64::MIN, i64::MAX, target)])
+    }
+
+    /// The pipeline bounded by `shape` over caller-built targets:
+    /// `target(rows_lo)` is called once per slab with the slab's first
+    /// dimension-0 row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a target's rank differs from the shape's.
+    pub fn bounded(
+        shape: Shape,
+        shard_config: ShardConfig,
+        mut target: impl FnMut(i64) -> T,
+    ) -> Self {
         let n0 = shape.dim(0);
         let s = shard_config.shards.clamp(1, n0);
-        let shards = (0..s)
-            .map(|i| {
-                let rows_lo = i * n0 / s;
-                let rows_hi = (i + 1) * n0 / s;
-                let mut dims = shape.dims().to_vec();
-                dims[0] = rows_hi - rows_lo;
-                Shard {
-                    rows_lo,
-                    rows_hi,
-                    engine: RwLock::new(DdcEngine::with_config(Shape::new(&dims), config)),
-                    queue: Mutex::new(ShardQueue {
-                        deltas: Vec::new(),
-                        health: Health::Healthy,
-                    }),
-                    pending: AtomicUsize::new(0),
-                    fail_flushes: AtomicU64::new(0),
-                    metrics: ShardMetrics::default(),
-                    seen_reads: crate::sync::untracked::AtomicU64::new(0),
-                    seen_writes: crate::sync::untracked::AtomicU64::new(0),
-                }
+        let slabs = (0..s)
+            .map(|i| ((i * n0 / s) as i64, ((i + 1) * n0 / s) as i64 - 1))
+            .map(|(rows_lo, rows_last)| (rows_lo, rows_last, target(rows_lo)))
+            .collect();
+        Self::assemble(Some(shape), shard_config, slabs)
+    }
+
+    fn assemble(
+        bounds: Option<Shape>,
+        shard_config: ShardConfig,
+        slabs: Vec<(i64, i64, T)>,
+    ) -> Self {
+        let shards: Vec<Shard<G, T>> = slabs
+            .into_iter()
+            .enumerate()
+            .map(|(shard, (rows_lo, rows_last, target))| Shard {
+                rows_lo,
+                rows_last,
+                target: RwLock::new(target),
+                queue: Mutex::new(ShardQueue {
+                    deltas: Vec::new(),
+                    health: Health::Healthy,
+                    metrics: MetricsSnapshot {
+                        shard,
+                        rows_lo: rows_lo.max(0) as usize,
+                        rows_hi: rows_last.saturating_add(1) as usize,
+                        ..MetricsSnapshot::default()
+                    },
+                }),
+                pending: AtomicUsize::new(0),
+                queries: Default::default(),
             })
             .collect();
+        let ndim = read_target(&shards[0]).cube().ndim();
+        if let Some(shape) = &bounds {
+            assert_eq!(shape.ndim(), ndim, "target rank differs from {shape}");
+        }
         Self {
-            shape,
+            ndim,
+            bounds,
             shard_config,
             shards,
             counter: OpCounter::new(),
         }
     }
 
-    /// Index of the shard owning dimension-0 row `row`.
-    fn owner_index(&self, row: usize) -> usize {
-        debug_assert!(row < self.shape.dim(0), "row {row} out of bounds");
-        // Slab cuts are i·n0/S, so the inverse is (row·S)/n0 — possibly
-        // one off under integer division; fix up locally.
-        let n0 = self.shape.dim(0);
-        let s = self.shards.len();
-        let mut i = (row * s / n0).min(s - 1);
-        while row < self.shards[i].rows_lo {
-            i -= 1;
-        }
-        while row >= self.shards[i].rows_hi {
-            i += 1;
-        }
-        i
+    /// Dimensionality of the cube.
+    pub fn ndim(&self) -> usize {
+        self.ndim
     }
 
-    /// Adds `delta` at `point`: routed to the owning shard's queue, with
-    /// a group commit once the queue reaches `batch_capacity`.
-    ///
-    /// This is the infallible facade over [`ShardedCube::try_update`]: a
-    /// rejected delta (full queue on a quarantined shard, or a failed
-    /// shard) is *shed* after being counted in `ops_rejected`. Callers
-    /// that must not lose writes use `try_update` and handle the error.
-    pub fn update(&self, point: &[usize], delta: G) {
-        shed(self.try_update(point, delta));
+    /// The bounds the door enforces, if the cube has any.
+    pub fn bounds(&self) -> Option<&Shape> {
+        self.bounds.as_ref()
     }
 
-    /// [`ShardedCube::update`] for each of `updates`, in order.
-    pub fn update_batch(&self, updates: &[(Vec<usize>, G)]) {
-        for (point, delta) in updates {
-            self.update(point, *delta);
+    /// The door: rank, and the bounds when there are any.
+    fn check_door(&self, point: &[i64]) -> Result<(), OutOfBounds> {
+        if point.len() != self.ndim {
+            return Err(OutOfBounds(format!(
+                "point rank {} does not match cube rank {}",
+                point.len(),
+                self.ndim
+            )));
         }
-    }
-
-    /// Adds `delta` at `point` if the owning shard can accept it,
-    /// rejecting with [`TryUpdateError`] under overload or failure. A
-    /// healthy shard never rejects — it commits inline to make room.
-    pub fn try_update(&self, point: &[usize], delta: G) -> Result<(), TryUpdateError> {
-        self.shape.check_point(point);
-        let idx = self.owner_index(point[0]);
-        let shard = &self.shards[idx];
-        let mut local = point.to_vec();
-        local[0] -= shard.rows_lo;
-        let wait = obs::timer();
-        let mut queue = lock_queue(shard);
-        wait.observe("shard.queue_wait", &shard_obs().queue_wait_ns);
-        let capacity = self.shard_config.queue_capacity.max(1);
-        if queue.deltas.len() >= capacity {
-            // Full: the only way to make room is to land the batch now
-            // (a failed shard lands nothing and rejects below).
-            self.attempt_commit(shard, &mut queue);
+        let dims = self.bounds.as_ref().map_or(&[][..], Shape::dims);
+        for (axis, (&p, &n)) in point.iter().zip(dims).enumerate() {
+            if p < 0 || p as u64 >= n as u64 {
+                return Err(OutOfBounds(format!(
+                    "coordinate {p} outside dimension {axis} of size {n}"
+                )));
+            }
         }
-        if queue.health == Health::Failed || queue.deltas.len() >= capacity {
-            shard.metrics.ops_rejected.fetch_add(1, Ordering::Relaxed);
-            return Err(match queue.health {
-                Health::Failed => TryUpdateError::ShardFailed { shard: idx },
-                _ => TryUpdateError::QueueFull {
-                    shard: idx,
-                    capacity,
-                },
-            });
-        }
-        queue.deltas.push((local, delta));
-        shard.metrics.ops_enqueued.fetch_add(1, Ordering::Relaxed);
-        shard
-            .metrics
-            .queue_depth_max
-            .fetch_max(queue.deltas.len() as u64, Ordering::Relaxed);
-        if queue.deltas.len() >= self.shard_config.batch_capacity.max(1) {
-            self.attempt_commit(shard, &mut queue);
-        }
-        shard.pending.store(queue.deltas.len(), Ordering::Release);
         Ok(())
     }
 
-    /// Flush trigger that respects the supervisor: failed shards are
-    /// skipped, quarantined shards burn down their backoff before the
+    /// Index of the slab owning dimension-0 row `row` (door-checked, so
+    /// some slab does): the first whose rows do not end before it.
+    fn owner_index(&self, row: i64) -> usize {
+        self.shards.partition_point(|shard| shard.rows_last < row)
+    }
+
+    /// Adds `delta` at `point` if the owning slab can acknowledge it.
+    /// `Ok` is the acknowledgement: the delta is queued (and visible to
+    /// every read) or, on a target whose ack needs the commit, landed.
+    /// A healthy slab never rejects for room — it commits to make some.
+    pub fn try_add(&self, point: &[i64], delta: G) -> Result<(), TryUpdateError> {
+        self.check_door(point)
+            .map_err(TryUpdateError::OutOfBounds)?;
+        let slab = &self.shards[self.owner_index(point[0])];
+        let wait = obs::timer();
+        let mut queue = lock_queue(slab);
+        wait.observe("shard.queue_wait", &shard_obs().queue_wait_ns);
+        let outcome = self.enqueue(slab, &mut queue, point, delta);
+        slab.pending.store(queue.deltas.len(), Ordering::Release);
+        queue.metrics.ops_rejected += u64::from(outcome.is_err());
+        outcome
+    }
+
+    /// [`ShardedCube::try_add`] behind the queue lock.
+    fn enqueue(
+        &self,
+        slab: &Shard<G, T>,
+        queue: &mut ShardQueue<G>,
+        point: &[i64],
+        delta: G,
+    ) -> Result<(), TryUpdateError> {
+        let (shard, capacity) = (queue.metrics.shard, self.shard_config.queue_capacity.max(1));
+        if queue.deltas.len() >= capacity {
+            // Full: the only way to make room is to land the batch now
+            // (a failed slab lands nothing and rejects below).
+            self.attempt_commit(slab, queue);
+        }
+        if let Health::Failed(cause) = queue.health {
+            return Err(TryUpdateError::ShardFailed { shard, cause });
+        }
+        if queue.deltas.len() >= capacity {
+            return Err(TryUpdateError::QueueFull { shard, capacity });
+        }
+        queue.deltas.push((point.to_vec(), delta));
+        queue.metrics.ops_enqueued += 1;
+        queue.metrics.queue_depth_max =
+            queue.metrics.queue_depth_max.max(queue.deltas.len() as u64);
+        if T::ACK_NEEDS_COMMIT {
+            let cause = PANICKED_AFTER_APPEND;
+            return self.commit(slab, queue).map_err(|fault| match fault {
+                CommitFault::Refused(why) => TryUpdateError::Refused(why),
+                CommitFault::Panicked => TryUpdateError::ShardFailed { shard, cause },
+            });
+        }
+        if queue.deltas.len() >= self.shard_config.batch_capacity.max(1) {
+            self.attempt_commit(slab, queue);
+        }
+        Ok(())
+    }
+
+    /// Flush trigger that respects the supervisor: failed slabs are
+    /// skipped, quarantined slabs burn down their backoff before the
     /// commit is retried.
-    fn attempt_commit(&self, shard: &Shard<G>, queue: &mut ShardQueue<G>) -> bool {
-        match queue.health {
-            Health::Failed => false,
-            Health::Quarantined {
-                consecutive,
-                backoff,
-            } if backoff > 0 => {
-                queue.health = Health::Quarantined {
-                    consecutive,
-                    backoff: backoff - 1,
-                };
-                false
-            }
-            _ => self.commit(shard, queue),
+    fn attempt_commit(&self, shard: &Shard<G, T>, queue: &mut ShardQueue<G>) {
+        match &mut queue.health {
+            Health::Failed(_) => {}
+            Health::Quarantined { backoff, .. } if *backoff > 0 => *backoff -= 1,
+            // A fault is already in `queue.health`.
+            _ => drop(self.commit(shard, queue)),
         }
     }
 
-    /// Supervised group commit: coalesce the queued deltas per cell and
-    /// apply them under one exclusive engine acquisition, the whole apply
+    /// Supervised commit: coalesce the queued deltas per cell and land
+    /// them under one exclusive target acquisition, the whole of it
     /// wrapped in `catch_unwind`. Called with the queue lock held so no
     /// concurrent enqueue can slip between coalesce and apply.
     ///
-    /// The queue is drained only *after* a successful apply — a panicking
-    /// commit (fault hook, or an engine bug before it mutates state)
-    /// leaves every delta queued for the retry. A panic *mid-apply* can
-    /// leave the engine half-updated; the shard is quarantined either
-    /// way, and exact repair is WAL recovery's job.
-    fn commit(&self, shard: &Shard<G>, queue: &mut ShardQueue<G>) -> bool {
+    /// The queue is drained only *after* a successful commit. Deltas
+    /// that were acknowledged on enqueue stay queued through a failure
+    /// for the retry (a panic *mid-apply* can leave the cube
+    /// half-updated; the slab is quarantined either way, and exact
+    /// repair is the log's job). A delta whose ack needed this commit
+    /// is dropped instead — it was never acknowledged, and it may
+    /// already be in the log.
+    fn commit(&self, shard: &Shard<G, T>, queue: &mut ShardQueue<G>) -> Result<(), CommitFault> {
         if queue.deltas.is_empty() {
             shard.pending.store(0, Ordering::Release);
-            return true;
+            return Ok(());
         }
         let span = obs::timer();
-        let mut coalesced: HashMap<&[usize], G> = HashMap::with_capacity(queue.deltas.len());
-        for (point, delta) in &queue.deltas {
-            let slot = coalesced.entry(point.as_slice()).or_insert(G::ZERO);
-            *slot = slot.add(*delta);
-        }
-        let batch: Vec<(Vec<usize>, G)> = coalesced
-            .into_iter()
-            .filter(|(_, d)| !d.is_zero())
-            .map(|(p, d)| (p.to_vec(), d))
-            .collect();
+        let coalesced;
+        let batch = if queue.deltas.len() == 1 {
+            // One delta is its own batch — and a logged target records
+            // it even when it is zero: one record per ack.
+            &queue.deltas
+        } else {
+            coalesced = coalesce(&queue.deltas);
+            &coalesced
+        };
         let held = Instant::now();
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            if shard.fail_flushes.load(Ordering::SeqCst) > 0 {
-                shard.fail_flushes.fetch_sub(1, Ordering::SeqCst);
-                panic!("injected flush failure");
+            if batch.is_empty() {
+                return Ok(());
             }
-            if !batch.is_empty() {
-                write_engine(shard).apply_batch(&batch);
-            }
+            write_target(shard).commit(batch)
         }));
-        shard
-            .metrics
-            .lock_hold_nanos
-            .fetch_add(held.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        queue.metrics.lock_hold_nanos += held.elapsed().as_nanos() as u64;
         span.observe("shard.commit", &shard_obs().commit_ns);
-        match outcome {
-            Ok(()) => {
-                let raw = queue.deltas.len() as u64;
+        let fault = match outcome {
+            Ok(Ok(())) => {
+                queue.metrics.ops_applied += queue.deltas.len() as u64;
+                queue.metrics.batches_flushed += 1;
                 queue.deltas.clear();
                 // Cleared only after the apply: a reader that saw
                 // `pending == 0` on its fast path must find every drained
-                // delta already in the engine.
+                // delta already in the cube.
                 shard.pending.store(0, Ordering::Release);
-                shard.metrics.ops_applied.fetch_add(raw, Ordering::Relaxed);
-                shard
-                    .metrics
-                    .batches_flushed
-                    .fetch_add(1, Ordering::Relaxed);
-                if matches!(queue.health, Health::Quarantined { .. }) {
-                    shard
-                        .metrics
-                        .worker_restarts
-                        .fetch_add(1, Ordering::Relaxed);
-                }
+                let restarted = matches!(queue.health, Health::Quarantined { .. });
+                queue.metrics.worker_restarts += u64::from(restarted);
                 queue.health = Health::Healthy;
-                true
+                return Ok(());
             }
-            Err(_) => {
-                shard.metrics.worker_panics.fetch_add(1, Ordering::Relaxed);
-                let consecutive = match queue.health {
-                    Health::Quarantined { consecutive, .. } => consecutive + 1,
-                    _ => 1,
-                };
-                queue.health = if consecutive > self.shard_config.max_restarts {
-                    Health::Failed
-                } else {
-                    Health::Quarantined {
-                        consecutive,
-                        backoff: 1u32 << (consecutive - 1).min(6),
-                    }
-                };
-                false
+            Ok(Err(why)) => CommitFault::Refused(why),
+            Err(_) => CommitFault::Panicked,
+        };
+        if T::ACK_NEEDS_COMMIT {
+            queue.deltas.clear();
+            if matches!(fault, CommitFault::Panicked) {
+                queue.metrics.worker_panics += 1;
+                queue.health = Health::Failed(PANICKED_AFTER_APPEND);
             }
+            return Err(fault);
         }
+        queue.metrics.worker_panics += 1;
+        let consecutive = match queue.health {
+            Health::Quarantined { consecutive, .. } => consecutive + 1,
+            _ => 1,
+        };
+        queue.health = if consecutive > self.shard_config.max_restarts {
+            Health::Failed(RESTARTS_EXHAUSTED)
+        } else {
+            Health::Quarantined {
+                consecutive,
+                backoff: 1u32 << (consecutive - 1).min(6),
+            }
+        };
+        Err(fault)
     }
 
-    /// Forces a group commit on every live shard (e.g. before `entries`,
-    /// or to bound queue staleness from a maintenance thread). Bypasses
+    /// Forces a commit on every live slab (e.g. before `entries`, or to
+    /// bound queue staleness from a maintenance thread). Bypasses
     /// quarantine backoff — an explicit flush *is* the retry — and skips
-    /// failed shards, so it always terminates and never deadlocks; a
-    /// failed shard's queued deltas stay shed (degraded mode, visible in
-    /// the metrics).
+    /// failed slabs, so it always terminates and never deadlocks; a
+    /// failed slab's queued deltas stay readable but never land
+    /// (degraded mode, visible in [`ShardedCube::health`]).
     pub fn flush(&self) {
         for shard in &self.shards {
             let mut queue = lock_queue(shard);
-            if queue.health != Health::Failed {
-                self.commit(shard, &mut queue);
+            if !matches!(queue.health, Health::Failed(_)) {
+                // A fault is already in `queue.health`.
+                drop(self.commit(shard, &mut queue));
             }
         }
     }
 
-    /// Arms the fault hook: the next `n` group commits on shard `shard`
-    /// panic before touching the engine. Test-only — exists so the
-    /// supervisor's quarantine/restart path is exercisable from
-    /// integration tests without an engine bug to trigger it.
-    #[doc(hidden)]
-    pub fn fail_next_flushes(&self, shard: usize, n: u64) {
-        self.shards[shard].fail_flushes.store(n, Ordering::SeqCst);
+    /// Why the cube no longer takes every write, when it does not: the
+    /// first failed slab, else the first degraded target. `None` is
+    /// fully serving; either way reads are served.
+    pub fn health(&self) -> Option<String> {
+        self.shards.iter().enumerate().find_map(|(shard, s)| {
+            let health = lock_queue(s).health;
+            match health {
+                Health::Failed(cause) => {
+                    Some(TryUpdateError::ShardFailed { shard, cause }.to_string())
+                }
+                _ => read_target(s).degraded().map(str::to_string),
+            }
+        })
     }
 
-    /// One read of a shard, *through* its write queue: `read` against
-    /// the engine plus the still-queued deltas whose point lies in the
-    /// slab-local region `local`. The queue mutex is held only until the
-    /// engine read lock is acquired — the same queue→engine order a
-    /// group commit uses — so a concurrent flush can neither apply a
-    /// delta we already counted nor sneak one past us. Quarantined
-    /// shards stay fully readable: their deltas are simply all queued.
-    fn read_through(shard: &Shard<G>, local: &Region, read: impl FnOnce(&DdcEngine<G>) -> G) -> G {
-        shard.metrics.queries.fetch_add(1, Ordering::Relaxed);
+    /// Runs `f` on slab `shard`'s target under its read lock (log
+    /// statistics, pool counters, structural audits).
+    pub fn read_target<R>(&self, shard: usize, f: impl FnOnce(&T) -> R) -> R {
+        f(&read_target(&self.shards[shard]))
+    }
+
+    /// One read of a slab, *through* its write queue: `read` against
+    /// the cube plus the still-queued deltas inside the box `[lo, hi]`.
+    /// The queue mutex is held only until the target read lock is
+    /// acquired — the same queue→target order a commit uses — so a
+    /// concurrent flush can neither apply a delta we already counted
+    /// nor sneak one past us. Quarantined slabs stay fully readable:
+    /// their deltas are simply all queued.
+    fn read_through(
+        shard: &Shard<G, T>,
+        lo: &[i64],
+        hi: &[i64],
+        read: impl FnOnce(&GrowableCube<G>) -> G,
+    ) -> G {
+        shard.queries.fetch_add(1, Ordering::Relaxed);
         if shard.pending.load(Ordering::Acquire) == 0 {
-            return read(&read_engine(shard));
+            return read(read_target(shard).cube());
         }
         let queue = lock_queue(shard);
         let queued = queue
             .deltas
             .iter()
-            .filter(|(p, _)| local.contains(p))
+            .filter(|(p, _)| {
+                p.iter()
+                    .zip(lo.iter().zip(hi))
+                    .all(|(c, (l, h))| l <= c && c <= h)
+            })
             .fold(G::ZERO, |acc, (_, d)| acc.add(*d));
-        let engine = read_engine(shard);
+        let target = read_target(shard);
         drop(queue);
-        read(&engine).add(queued)
+        read(target.cube()).add(queued)
+    }
+
+    /// Sum over the closed box `[lo, hi]`: each slab whose rows overlap
+    /// it answers the box clamped into the slab (Figure 4 happens in
+    /// its cube). Without bounds, parts the cube has not grown to
+    /// contribute zero.
+    pub fn query_box(&self, lo: &[i64], hi: &[i64]) -> Result<G, OutOfBounds> {
+        self.check_door(lo)?;
+        self.check_door(hi)?;
+        if lo.iter().zip(hi).any(|(l, h)| l > h) {
+            return Err(OutOfBounds(format!("inverted box {lo:?}..{hi:?}")));
+        }
+        let (mut l, mut h) = (lo.to_vec(), hi.to_vec());
+        let mut acc = G::ZERO;
+        for shard in &self.shards[self.owner_index(lo[0])..=self.owner_index(hi[0])] {
+            l[0] = lo[0].max(shard.rows_lo);
+            h[0] = hi[0].min(shard.rows_last);
+            acc = acc.add(Self::read_through(shard, &l, &h, |c| c.range_sum(&l, &h)));
+        }
+        Ok(acc)
+    }
+
+    /// One cell's value: served entirely by the owning slab.
+    pub fn cell_at(&self, point: &[i64]) -> Result<G, OutOfBounds> {
+        self.check_door(point)?;
+        let shard = &self.shards[self.owner_index(point[0])];
+        Ok(Self::read_through(shard, point, point, |c| c.cell(point)))
+    }
+
+    /// Populated cells (flushes first).
+    pub fn entries(&self) -> Vec<(Vec<i64>, G)> {
+        self.flush();
+        self.shards
+            .iter()
+            .flat_map(|shard| read_target(shard).cube().entries())
+            .collect()
+    }
+
+    /// [`ShardedCube::try_add`] for checked coordinates.
+    pub fn try_update(&self, point: &[usize], delta: G) -> Result<(), TryUpdateError> {
+        self.try_add(&signed(point), delta)
+    }
+
+    /// The infallible facade over [`ShardedCube::try_update`]: a
+    /// rejected delta (full queue on a quarantined slab, a failed slab,
+    /// a refusing target) is *shed* — it is in its slab's
+    /// `ops_rejected`, and counted in `shard.shed` so writes lost
+    /// without the caller hearing of it show up next to the rejections
+    /// callers were handed. Callers that must not lose writes use
+    /// `try_update` and handle the error.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `point` does not pass the door (a caller bug here, as
+    /// in every [`RangeSumEngine`]).
+    pub fn update(&self, point: &[usize], delta: G) {
+        match self.try_update(point, delta) {
+            Ok(()) => {}
+            Err(TryUpdateError::OutOfBounds(why)) => panic!("{why}"),
+            Err(_) => obs::counter("shard.shed").inc(),
+        }
+    }
+
+    /// [`ShardedCube::query_box`] for a checked region.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `region` does not pass the door.
+    pub fn query(&self, region: &Region) -> G {
+        self.query_box(&signed(region.lo()), &signed(region.hi()))
+            .unwrap_or_else(|why| panic!("{why}"))
     }
 
     /// `SUM(A[0,…,0] : A[point])`: the range sum over `[0, point]`.
@@ -575,87 +820,38 @@ impl<G: AbelianGroup> ShardedCube<G> {
         self.query(&Region::prefix(point))
     }
 
-    /// Sum over `region`: each slab whose rows overlap it answers the
-    /// region clamped into the slab (Figure 4 happens in its engine).
-    pub fn query(&self, region: &Region) -> G {
-        region.check_within(&self.shape);
-        let (lo, hi) = (region.lo(), region.hi());
-        let mut acc = G::ZERO;
-        for shard in &self.shards[self.owner_index(lo[0])..=self.owner_index(hi[0])] {
-            let (mut l, mut h) = (lo.to_vec(), hi.to_vec());
-            l[0] = lo[0].max(shard.rows_lo) - shard.rows_lo;
-            h[0] = hi[0].min(shard.rows_hi - 1) - shard.rows_lo;
-            let local = Region::new(&l, &h);
-            acc = acc.add(Self::read_through(shard, &local, |e| e.range_sum(&local)));
-        }
-        acc
-    }
-
-    /// One cell's value: served entirely by the owning shard.
+    /// [`ShardedCube::cell_at`] for a checked point.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `point` does not pass the door.
     pub fn cell_value(&self, point: &[usize]) -> G {
-        self.shape.check_point(point);
-        let shard = &self.shards[self.owner_index(point[0])];
-        let mut local = point.to_vec();
-        local[0] -= shard.rows_lo;
-        Self::read_through(shard, &Region::cell(&local), |e| e.cell(&local))
+        self.cell_at(&signed(point))
+            .unwrap_or_else(|why| panic!("{why}"))
     }
 
-    /// Populated cells in global coordinates (flushes first).
-    pub fn entries(&self) -> Vec<(Vec<usize>, G)> {
-        self.flush();
-        let mut out = Vec::new();
-        for shard in &self.shards {
-            let engine = read_engine(shard);
-            for (mut p, v) in engine.entries() {
-                p[0] += shard.rows_lo;
-                out.push((p, v));
-            }
-        }
-        out
-    }
-
-    /// Per-shard metrics, in shard order.
+    /// Per-slab metrics, in slab order.
     pub fn metrics(&self) -> Vec<MetricsSnapshot> {
-        self.shards
-            .iter()
-            .enumerate()
-            .map(|(i, shard)| MetricsSnapshot {
-                shard: i,
-                rows_lo: shard.rows_lo,
-                rows_hi: shard.rows_hi,
-                ops_enqueued: shard.metrics.ops_enqueued.load(Ordering::Relaxed),
-                ops_applied: shard.metrics.ops_applied.load(Ordering::Relaxed),
-                batches_flushed: shard.metrics.batches_flushed.load(Ordering::Relaxed),
-                queries: shard.metrics.queries.load(Ordering::Relaxed),
-                lock_hold_nanos: shard.metrics.lock_hold_nanos.load(Ordering::Relaxed),
-                queue_depth_max: shard.metrics.queue_depth_max.load(Ordering::Relaxed),
-                ops_rejected: shard.metrics.ops_rejected.load(Ordering::Relaxed),
-                worker_panics: shard.metrics.worker_panics.load(Ordering::Relaxed),
-                worker_restarts: shard.metrics.worker_restarts.load(Ordering::Relaxed),
-            })
-            .collect()
-    }
-
-    /// Folds the shard engines' op counters into the facade counter,
-    /// tracking what was already absorbed so deltas are counted once.
-    fn sync_counter(&self) {
-        for shard in &self.shards {
-            let snap = read_engine(shard).ops();
-            let prev_r = shard.seen_reads.swap(snap.reads, Ordering::Relaxed);
-            let prev_w = shard.seen_writes.swap(snap.writes, Ordering::Relaxed);
-            self.counter.read(snap.reads.saturating_sub(prev_r));
-            self.counter.write(snap.writes.saturating_sub(prev_w));
-        }
+        let snapshot = |shard: &Shard<G, T>| MetricsSnapshot {
+            queries: shard.queries.load(Ordering::Relaxed),
+            ..lock_queue(shard).metrics
+        };
+        self.shards.iter().map(snapshot).collect()
     }
 }
 
-impl<G: AbelianGroup> RangeSumEngine<G> for ShardedCube<G> {
+/// The engine interface of a cube with bounds.
+impl<G: AbelianGroup, T: CommitTarget<G>> RangeSumEngine<G> for ShardedCube<G, T> {
     fn name(&self) -> &'static str {
         "sharded-ddc"
     }
 
+    /// # Panics
+    ///
+    /// Panics on a cube without bounds: it has no shape.
     fn shape(&self) -> &Shape {
-        &self.shape
+        let bounds = self.bounds.as_ref();
+        bounds.unwrap_or_else(|| panic!("a cube without bounds has no shape"))
     }
 
     fn prefix_sum(&self, point: &[usize]) -> G {
@@ -678,34 +874,39 @@ impl<G: AbelianGroup> RangeSumEngine<G> for ShardedCube<G> {
         &self.counter
     }
 
+    /// The sum of the slab trees' counters, which is also left in
+    /// [`RangeSumEngine::counter`] (as of this call).
     fn ops(&self) -> OpSnapshot {
-        self.sync_counter();
-        self.counter.snapshot()
+        let mut total = OpSnapshot::default();
+        for shard in &self.shards {
+            let slab = read_target(shard).cube().counter().snapshot();
+            total.reads += slab.reads;
+            total.writes += slab.writes;
+        }
+        self.counter.reset();
+        self.counter.read(total.reads);
+        self.counter.write(total.writes);
+        total
     }
 
     fn reset_ops(&self) {
         for shard in &self.shards {
-            read_engine(shard).reset_ops();
-            shard.seen_reads.store(0, Ordering::Relaxed);
-            shard.seen_writes.store(0, Ordering::Relaxed);
+            read_target(shard).cube().counter().reset();
         }
         self.counter.reset();
     }
 
     fn heap_bytes(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|shard| {
-                // Queue capacity is read (and its guard dropped) before
-                // the engine lock: holding engine while taking queue
-                // inverts the documented queue→engine order and can
-                // deadlock against a group commit.
-                let queued = lock_queue(shard).deltas.capacity()
-                    * (std::mem::size_of::<(Vec<usize>, G)>()
-                        + self.shape.ndim() * std::mem::size_of::<usize>());
-                read_engine(shard).heap_bytes() + queued
-            })
-            .sum()
+        let per_delta = std::mem::size_of::<(Vec<i64>, G)>() + self.ndim * 8;
+        let slab = |shard: &Shard<G, T>| {
+            // Queue capacity is read (and its guard dropped) before the
+            // target lock: holding target while taking queue inverts the
+            // documented queue→target order and can deadlock against a
+            // commit.
+            let queued = lock_queue(shard).deltas.capacity() * per_delta;
+            read_target(shard).cube().heap_bytes() + queued
+        };
+        self.shards.iter().map(slab).sum()
     }
 
     fn metrics_text(&self) -> Option<String> {
@@ -738,6 +939,8 @@ impl<G: AbelianGroup> RangeSumEngine<G> for ShardedCube<G> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::DdcEngine;
+    use std::sync::atomic::AtomicU64;
 
     fn cube(shards: usize, batch: usize) -> ShardedCube<i64> {
         ShardedCube::new(
@@ -749,6 +952,35 @@ mod tests {
                 ..ShardConfig::default()
             },
         )
+    }
+
+    /// A target whose next `armed` commits panic before touching the
+    /// cube — what the supervisor exists to contain.
+    struct Flaky {
+        cube: GrowableCube<i64>,
+        armed: Arc<AtomicU64>,
+    }
+
+    impl CommitTarget<i64> for Flaky {
+        const ACK_NEEDS_COMMIT: bool = false;
+        fn cube(&self) -> &GrowableCube<i64> {
+            &self.cube
+        }
+        fn commit(&mut self, batch: &[(Vec<i64>, i64)]) -> Result<(), IoError> {
+            if self.armed.load(Ordering::SeqCst) > 0 {
+                self.armed.fetch_sub(1, Ordering::SeqCst);
+                panic!("injected commit failure");
+            }
+            self.cube.commit(batch)
+        }
+    }
+
+    /// An 8 × 4 cube whose slab 0 fails its next `n` commits.
+    fn flaky(n: u64, shard_config: ShardConfig) -> ShardedCube<i64, Flaky> {
+        ShardedCube::bounded(Shape::new(&[8, 4]), shard_config, |rows_lo| Flaky {
+            cube: GrowableCube::with_origin(&[rows_lo, 0], DdcConfig::dynamic()),
+            armed: Arc::new(AtomicU64::new(if rows_lo == 0 { n } else { 0 })),
+        })
     }
 
     #[test]
@@ -763,13 +995,13 @@ mod tests {
             let mut next = 0;
             for shard in &c.shards {
                 assert_eq!(shard.rows_lo, next);
-                assert!(shard.rows_hi > shard.rows_lo);
-                next = shard.rows_hi;
+                assert!(shard.rows_last >= shard.rows_lo);
+                next = shard.rows_last + 1;
             }
-            assert_eq!(next, n0);
-            for row in 0..n0 {
+            assert_eq!(next, n0 as i64);
+            for row in 0..n0 as i64 {
                 let o = &c.shards[c.owner_index(row)];
-                assert!(o.rows_lo <= row && row < o.rows_hi);
+                assert!(o.rows_lo <= row && row <= o.rows_last);
             }
         }
     }
@@ -834,7 +1066,7 @@ mod tests {
         c.update(&[4, 4], 10);
         c.update(&[4, 4], -10);
         c.flush();
-        // Both raw ops count as applied, but the engine saw a no-op batch.
+        // Both raw ops count as applied, but the cube saw a no-op batch.
         let m = c.metrics();
         assert_eq!(m[0].ops_applied, 2);
         assert_eq!(c.entries().len(), 0);
@@ -865,9 +1097,8 @@ mod tests {
 
     #[test]
     fn quarantined_shard_rejects_when_full_then_recovers() {
-        let c = ShardedCube::<i64>::new(
-            Shape::new(&[8, 4]),
-            DdcConfig::dynamic(),
+        let c = flaky(
+            2,
             ShardConfig {
                 shards: 1,
                 batch_capacity: 2,
@@ -875,15 +1106,15 @@ mod tests {
                 max_restarts: 10,
             },
         );
-        c.fail_next_flushes(0, 2);
         // Each pair of updates triggers a commit; the first two commits
-        // panic, quarantining the shard with its deltas intact.
+        // panic, quarantining the slab with its deltas intact.
         for i in 0..4 {
             c.try_update(&[i, 0], 1).unwrap();
         }
         let m = c.metrics();
         assert!(m[0].worker_panics >= 1, "{m:?}");
-        // Queue is at capacity and the shard is backing off: reject.
+        assert_eq!(c.health(), None, "quarantined is not failed");
+        // Queue is at capacity and the slab is backing off: reject.
         let err = c.try_update(&[4, 0], 1).unwrap_err();
         assert!(matches!(
             err,
@@ -895,7 +1126,7 @@ mod tests {
         assert_eq!(c.metrics()[0].ops_rejected, 1);
         // Reads still see every queued delta.
         assert_eq!(c.query_prefix(&[7, 3]), 4);
-        // Explicit flush bypasses backoff; the hook is exhausted, so the
+        // Explicit flush bypasses backoff; the fault is spent, so the
         // commit lands and ends the quarantine.
         c.flush();
         let m = c.metrics();
@@ -907,9 +1138,8 @@ mod tests {
 
     #[test]
     fn exhausted_restart_budget_fails_the_shard() {
-        let c = ShardedCube::<i64>::new(
-            Shape::new(&[8, 4]),
-            DdcConfig::dynamic(),
+        let c = flaky(
+            1,
             ShardConfig {
                 shards: 2,
                 batch_capacity: 1,
@@ -917,22 +1147,72 @@ mod tests {
                 max_restarts: 0,
             },
         );
-        c.fail_next_flushes(0, 1);
         c.update(&[0, 0], 1); // commit panics; budget 0 → Failed
         let err = c.try_update(&[1, 0], 1).unwrap_err();
-        assert_eq!(err, TryUpdateError::ShardFailed { shard: 0 });
+        let failed = TryUpdateError::ShardFailed {
+            shard: 0,
+            cause: RESTARTS_EXHAUSTED,
+        };
+        assert_eq!(err, failed);
         assert!(err.to_string().contains("shard 0"));
+        assert_eq!(c.health(), Some(failed.to_string()));
         // The infallible facades shed the same rejection, and say so.
-        let shed_before = shard_obs().shed.get();
+        let shed_before = obs::counter("shard.shed").get();
         c.update(&[1, 0], 1);
-        c.update_batch(&[(vec![2, 0], 1)]);
-        assert!(shard_obs().shed.get() >= shed_before + 2);
+        c.update(&[2, 0], 1);
+        assert!(obs::counter("shard.shed").get() >= shed_before + 2);
         assert_eq!(c.metrics()[0].ops_rejected, 3);
-        // The sibling shard is unaffected, and flush() skips the corpse
+        // The sibling slab is unaffected, and flush() skips the corpse
         // instead of deadlocking.
         c.try_update(&[7, 0], 3).unwrap();
         c.flush();
         assert_eq!(c.metrics()[1].ops_applied, 1);
+        // The delta the failed slab acknowledged stays readable.
+        assert_eq!(c.query_prefix(&[7, 3]), 4);
+    }
+
+    #[test]
+    fn the_door_refuses_what_the_usize_facade_panics_on() {
+        let c = cube(2, 8);
+        for bad in [&[32, 0][..], &[-1, 0], &[0], &[0, i64::MAX]] {
+            let refused = c.try_add(bad, 1).unwrap_err();
+            assert!(matches!(refused, TryUpdateError::OutOfBounds(_)), "{bad:?}");
+            assert!(c.cell_at(bad).is_err(), "{bad:?}");
+        }
+        assert!(c.query_box(&[2, 2], &[1, 1]).is_err(), "inverted");
+        assert_eq!(c.metrics()[0].ops_enqueued, 0);
+        let facade = std::panic::catch_unwind(|| c.update(&[32, 0], 1));
+        assert!(facade.is_err(), "update() must not shed a caller bug");
+        // Without bounds the door checks rank only: every `i64` row has
+        // an owner, the commit refuses what the cube cannot grow to, and
+        // reads clip to what it covers.
+        let log = crate::DurableCube::<i64, Vec<u8>>::new(2, DdcConfig::sparse(), Vec::new());
+        let open = ShardedCube::unbounded(log.unwrap(), ShardConfig::default());
+        open.try_add(&[-40_000, 3], 1).unwrap();
+        assert_eq!(open.query_box(&[-50_000, -10], &[20, 10]), Ok(1));
+        for edge in [i64::MIN, i64::MAX, 1 << 40] {
+            for far in [[edge, 0], [0, edge]] {
+                let refused = open.try_add(&far, 1).unwrap_err();
+                assert!(
+                    matches!(refused, TryUpdateError::Refused(IoError::OutOfRange(_))),
+                    "{far:?}: {refused:?}"
+                );
+                assert_eq!(open.cell_at(&far), Ok(0), "{far:?}");
+            }
+        }
+        let everything = open.query_box(&[i64::MIN; 2], &[i64::MAX; 2]);
+        assert_eq!(everything, Ok(1));
+        assert_eq!(open.query_box(&[i64::MAX, 0], &[i64::MAX, 0]), Ok(0));
+        assert_eq!(open.query_box(&[i64::MIN, 0], &[i64::MIN, 0]), Ok(0));
+        assert!(open.try_add(&[0], 1).is_err(), "rank");
+        let slab = &open.metrics()[0];
+        assert_eq!((open.metrics().len(), slab.ops_applied), (1, 1));
+        assert_eq!(open.read_target(0, |t| t.wal_stats().1), 1, "one record");
+        let acked_on_enqueue = std::panic::catch_unwind(|| {
+            let plain = GrowableCube::<i64>::new(2, DdcConfig::sparse());
+            ShardedCube::unbounded(plain, ShardConfig::default())
+        });
+        assert!(acked_on_enqueue.is_err(), "an ack on enqueue needs bounds");
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Cube + log wired together: [`recover`], [`DurableCube`],
-//! [`recover_vfs`] and the thread-shared [`SharedDurableCube`].
+//! [`recover_vfs`] and the thread-shared [`SharedDurableCube`] (the
+//! commit pipeline of [`crate::ShardedCube`] over a `DurableCube`).
 
 use std::io::{self, Write};
 
@@ -12,8 +13,9 @@ use crate::config::DdcConfig;
 use crate::growth::GrowableCube;
 use crate::obs;
 use crate::persist::ValueCodec;
+use crate::shard::{CommitTarget, ShardConfig, ShardedCube};
 use crate::store::{self, SpillFile};
-use crate::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use crate::sync::Arc;
 use crate::vfs::{is_no_space, read_stable, IoError, OpenMode, RetryPolicy, Vfs, VfsFile};
 
 /// What [`recover`] did, for operators and metrics.
@@ -112,7 +114,7 @@ fn apply_to_growable<G: AbelianGroup + ValueCodec>(
                 return Err(format!("update arity {} != {d}", point.len()));
             }
             cube.check_cover(point).map_err(|e| e.to_string())?;
-            cube.add(point, *delta);
+            cube.replay_add(point, *delta);
         }
         WalOp::Set { point, value } => {
             if point.len() != d {
@@ -224,6 +226,15 @@ impl<G: AbelianGroup + ValueCodec, F: VfsFile> DurableCube<G, F> {
         e
     }
 
+    /// Appends `op` to the log (with retries, ending in a sync); a
+    /// terminal failure makes the cube read-only.
+    fn log(&mut self, op: &WalOp<G>) -> Result<(), IoError> {
+        match self.wal.append_with_retry(op, &self.policy) {
+            Ok(_) => Ok(()),
+            Err(e) => Err(self.note_failure(e)),
+        }
+    }
+
     /// Logs, then applies, a point delta. `Err` means *not acknowledged*:
     /// the in-memory cube was left untouched (and, except for the
     /// documented [`IoError::Exhausted`] indeterminate window, neither
@@ -233,43 +244,29 @@ impl<G: AbelianGroup + ValueCodec, F: VfsFile> DurableCube<G, F> {
     pub fn add(&mut self, point: &[i64], delta: G) -> Result<(), IoError> {
         self.guard_writable()?;
         self.cube.check_cover(point).map_err(IoError::OutOfRange)?;
-        let op = WalOp::Update {
+        self.log(&WalOp::Update {
             point: point.to_vec(),
             delta,
-        };
-        match self.wal.append_with_retry(&op, &self.policy) {
-            Ok(_) => {
-                self.cube.add(point, delta);
-                Ok(())
-            }
-            Err(e) => Err(self.note_failure(e)),
-        }
+        })?;
+        self.cube.add(point, delta);
+        Ok(())
     }
 
     /// Logs, then applies, a cell set; returns the previous value.
     pub fn set(&mut self, point: &[i64], value: G) -> Result<G, IoError> {
         self.guard_writable()?;
         self.cube.check_cover(point).map_err(IoError::OutOfRange)?;
-        let op = WalOp::Set {
+        self.log(&WalOp::Set {
             point: point.to_vec(),
             value,
-        };
-        match self.wal.append_with_retry(&op, &self.policy) {
-            Ok(_) => Ok(self.cube.set(point, value)),
-            Err(e) => Err(self.note_failure(e)),
-        }
+        })?;
+        Ok(self.cube.set(point, value))
     }
 
     /// Logs a covered-box growth step (bookkeeping; see [`WalOp::Grow`]).
     pub fn log_grow(&mut self, axis: usize, amount: usize, low: bool) -> Result<(), IoError> {
         self.guard_writable()?;
-        match self
-            .wal
-            .append_with_retry::<G>(&WalOp::Grow { axis, amount, low }, &self.policy)
-        {
-            Ok(_) => Ok(()),
-            Err(e) => Err(self.note_failure(e)),
-        }
+        self.log(&WalOp::Grow { axis, amount, low })
     }
 
     /// The wrapped cube (reads need no logging).
@@ -421,102 +418,56 @@ where
     Ok((DurableCube::from_parts(cube, wal, policy), report))
 }
 
-/// A [`DurableCube`] shared between threads: one facade mutex holds the
-/// log-then-apply pair, so "acknowledged" (a call returning `Ok`) means
-/// the WAL record was appended *and* the in-memory cube reflects it as
-/// one atomic step with respect to every other thread.
+/// The pipeline's logged target: one `add` per delta — append → sync →
+/// apply — so an `Ok` covers every record of the batch, and the first
+/// refusal leaves the rest unlogged.
+impl<G: AbelianGroup + ValueCodec, F: VfsFile + Sync> CommitTarget<G> for DurableCube<G, F> {
+    const ACK_NEEDS_COMMIT: bool = true;
+
+    fn cube(&self) -> &GrowableCube<G> {
+        &self.cube
+    }
+
+    fn commit(&mut self, batch: &[(Vec<i64>, G)]) -> Result<(), IoError> {
+        batch.iter().try_for_each(|(p, delta)| self.add(p, *delta))
+    }
+
+    fn degraded(&self) -> Option<&str> {
+        self.degraded()
+    }
+}
+
+/// A [`DurableCube`] shared between threads: an `Arc` of the commit
+/// pipeline ([`ShardedCube`]) over one logged slab, which it derefs to
+/// (clone that to share it).
+/// "Acknowledged" ([`ShardedCube::try_add`] returning `Ok`) means the
+/// WAL record was appended and synced *and* the in-memory cube reflects
+/// it, as one atomic step with respect to every other thread: the
+/// pipeline commits inline under the slab's queue lock.
 ///
-/// This is the structure the `ddc-model` durability scenarios
-/// (`ddc_core::models`, behind the `ddc_model` feature) check: no schedule may return an ack before the
-/// record count in the log has grown, and concurrent `add`s must be
-/// linearizable against the sequential oracle.
+/// This is the structure the `ddc-model` durability scenario
+/// (`ddc_core::models`, behind the `ddc_model` feature) checks: no
+/// schedule may return an ack before the record count in the log has
+/// grown, and concurrent adds must be linearizable against the
+/// sequential oracle.
 #[derive(Debug)]
 pub struct SharedDurableCube<G: AbelianGroup + ValueCodec, F: VfsFile> {
-    inner: Arc<Mutex<DurableCube<G, F>>>,
+    pipeline: Arc<ShardedCube<G, DurableCube<G, F>>>,
 }
 
-impl<G: AbelianGroup + ValueCodec, F: VfsFile> Clone for SharedDurableCube<G, F> {
-    fn clone(&self) -> Self {
-        Self {
-            inner: Arc::clone(&self.inner),
-        }
+impl<G: AbelianGroup + ValueCodec, F: VfsFile> std::ops::Deref for SharedDurableCube<G, F> {
+    type Target = Arc<ShardedCube<G, DurableCube<G, F>>>;
+
+    fn deref(&self) -> &Self::Target {
+        &self.pipeline
     }
 }
 
-impl<G: AbelianGroup + ValueCodec, F: VfsFile> SharedDurableCube<G, F> {
-    /// An empty shared durable cube logging to `sink`.
-    pub fn new(d: usize, config: DdcConfig, sink: F) -> io::Result<Self> {
-        Ok(Self::from_cube(DurableCube::new(d, config, sink)?))
-    }
-
-    /// Wraps an existing durable cube.
+impl<G: AbelianGroup + ValueCodec, F: VfsFile + Sync> SharedDurableCube<G, F> {
+    /// Shares `cube` behind the pipeline: no bounds, so one slab.
     pub fn from_cube(cube: DurableCube<G, F>) -> Self {
         Self {
-            inner: Arc::new(Mutex::new(cube)),
+            pipeline: Arc::new(ShardedCube::unbounded(cube, ShardConfig::default())),
         }
-    }
-
-    /// Poison-tolerant lock: a panicked appender left state that the
-    /// log-then-apply discipline already bounds (an appended-but-not-
-    /// applied record is exactly what recovery replays), so later
-    /// threads may keep going — the shard-lock pattern from
-    /// [`crate::shard`].
-    fn lock(&self) -> MutexGuard<'_, DurableCube<G, F>> {
-        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Logs, then applies, a point delta under the lock. `Ok` is the
-    /// durability acknowledgement.
-    pub fn add(&self, point: &[i64], delta: G) -> Result<(), IoError> {
-        self.lock().add(point, delta)
-    }
-
-    /// Logs, then applies, a cell set; returns the previous value.
-    pub fn set(&self, point: &[i64], value: G) -> Result<G, IoError> {
-        self.lock().set(point, value)
-    }
-
-    /// Why the cube is read-only, when it is (see
-    /// [`DurableCube::degraded`]).
-    pub fn degraded(&self) -> Option<String> {
-        self.lock().degraded().map(str::to_string)
-    }
-
-    /// One cell of the in-memory cube.
-    pub fn cell(&self, point: &[i64]) -> G {
-        self.lock().cube().cell(point)
-    }
-
-    /// Sum of every populated cell.
-    pub fn total(&self) -> G {
-        self.lock().cube().total()
-    }
-
-    /// Dimensionality of the cube.
-    pub fn ndim(&self) -> usize {
-        self.lock().cube().ndim()
-    }
-
-    /// Range sum over the closed logical box `[lo, hi]` — the serving
-    /// read path for durable backends. Parts outside the covered box
-    /// contribute zero.
-    ///
-    /// # Panics
-    ///
-    /// Panics on rank mismatch or inverted bounds (callers validate
-    /// untrusted input first).
-    pub fn range_sum(&self, lo: &[i64], hi: &[i64]) -> G {
-        self.lock().cube().range_sum(lo, hi)
-    }
-
-    /// Log statistics: `(bytes, records)` acknowledged so far.
-    pub fn wal_stats(&self) -> (u64, u64) {
-        self.lock().wal_stats()
-    }
-
-    /// Buffer-pool counters of the paged leaf arena (`None` on the
-    /// slab backend).
-    pub fn pool_stats(&self) -> Option<crate::pager::PoolStats> {
-        self.lock().pool_stats()
     }
 }

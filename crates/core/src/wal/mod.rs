@@ -57,8 +57,10 @@
 //!
 //! `record` holds the format constants, the CRC and the [`WalOp`]
 //! codec; `log` the [`WalWriter`] and [`read_wal`]; `durable` the
-//! cube-plus-log types ([`DurableCube`], [`recover`], [`recover_vfs`],
-//! [`SharedDurableCube`]). [`IoError`] and [`RetryPolicy`] live beside
+//! cube-plus-log types ([`DurableCube`] — also the logged
+//! [`CommitTarget`](crate::CommitTarget) of the commit pipeline —
+//! [`recover`], [`recover_vfs`], and [`SharedDurableCube`], that
+//! pipeline over a `DurableCube`). [`IoError`] and [`RetryPolicy`] live beside
 //! the [`crate::vfs`] seam and are re-exported here.
 
 use crate::obs;

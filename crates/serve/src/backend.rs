@@ -1,15 +1,24 @@
-//! Storage backends a server can front.
+//! The storage backend a server fronts.
 //!
 //! The wire layer never touches an engine directly: every request is
-//! executed through [`ServeBackend`], which validates untrusted
-//! coordinates *before* they reach engine APIs (whose bounds checks are
-//! assertions, i.e. programming-error panics) and maps engine
-//! backpressure into typed [`BackendError`]s the server turns into
-//! HTTP statuses (`Busy` → 429, `Failed` → 503).
+//! executed through [`ServeBackend`], and there is one implementation —
+//! [`Backend`], a handle on the commit pipeline
+//! ([`ddc_core::ShardedCube`]: door → queue → \[log\] → apply → ack).
+//! `ddc serve` and `ddc serve --durable` differ only in what the
+//! pipeline was built over ([`ShardedBackend`]: bounds, no log;
+//! [`DurableBackend`]: a log, no bounds), so there is one coordinate
+//! check (the pipeline's door, which *refuses* untrusted coordinates
+//! where engine APIs assert), one mapping from a refused update to an
+//! HTTP status ([`BackendError`]'s `From<TryUpdateError>`: `Busy` →
+//! 429, `ReadOnly` → 503), and one health report (a failed
+//! slab or a degraded log, in the words the 503 bodies use).
 
-use ddc_array::{Region, Shape};
+use ddc_core::sync::Arc;
 use ddc_core::wal::IoError;
-use ddc_core::{ShardedCube, SharedDurableCube, TryUpdateError, VfsFile};
+use ddc_core::{
+    CommitTarget, DurableCube, GrowableCube, OutOfBounds, ShardedCube, SharedDurableCube,
+    TryUpdateError, VfsFile,
+};
 
 /// Why a backend refused a request.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -17,15 +26,13 @@ pub enum BackendError {
     /// A coordinate was outside the cube, had the wrong rank, or the
     /// box corners were inverted. Maps to 400.
     OutOfBounds(String),
-    /// Transient overload: the owning shard's write queue is full.
+    /// Transient overload: the owning slab's write queue is full.
     /// Maps to 429 — the client should back off and retry.
     Busy(String),
-    /// Permanent refusal: a shard exhausted its restart budget. Maps
-    /// to 503.
-    Failed(String),
-    /// The durable store is in degraded read-only mode after a disk
-    /// fault; queries keep serving, mutations map to 503 whose body
-    /// carries the reason `/healthz` reports after `degraded: `.
+    /// The pipeline is read-only — a slab out of restarts, a logged
+    /// commit that panicked, or a log degraded by a disk fault; queries
+    /// keep serving, mutations map to 503 whose body carries the reason
+    /// `/healthz` reports after `degraded: `.
     ReadOnly(String),
     /// The durable log could not be appended (a transient, healthy
     /// failure — not degraded). Maps to 500.
@@ -38,7 +45,7 @@ impl BackendError {
         match self {
             BackendError::OutOfBounds(_) => 400,
             BackendError::Busy(_) => 429,
-            BackendError::Failed(_) | BackendError::ReadOnly(_) => 503,
+            BackendError::ReadOnly(_) => 503,
             BackendError::Io(_) => 500,
         }
     }
@@ -48,18 +55,31 @@ impl BackendError {
         match self {
             BackendError::OutOfBounds(d)
             | BackendError::Busy(d)
-            | BackendError::Failed(d)
             | BackendError::ReadOnly(d)
             | BackendError::Io(d) => d,
         }
     }
 }
 
+impl From<OutOfBounds> for BackendError {
+    fn from(e: OutOfBounds) -> Self {
+        BackendError::OutOfBounds(e.0)
+    }
+}
+
 impl From<TryUpdateError> for BackendError {
     fn from(e: TryUpdateError) -> Self {
+        let detail = e.to_string();
         match e {
-            TryUpdateError::QueueFull { .. } => BackendError::Busy(e.to_string()),
-            TryUpdateError::ShardFailed { .. } => BackendError::Failed(e.to_string()),
+            TryUpdateError::OutOfBounds(_) | TryUpdateError::Refused(IoError::OutOfRange(_)) => {
+                BackendError::OutOfBounds(detail)
+            }
+            TryUpdateError::QueueFull { .. } => BackendError::Busy(detail),
+            TryUpdateError::ShardFailed { .. }
+            | TryUpdateError::Refused(IoError::ReadOnly { .. } | IoError::Exhausted { .. }) => {
+                BackendError::ReadOnly(detail)
+            }
+            TryUpdateError::Refused(IoError::Transient { .. }) => BackendError::Io(detail),
         }
     }
 }
@@ -86,8 +106,8 @@ pub struct IngestOutcome {
 }
 
 /// The request-execution surface the server drives. Signed `i64`
-/// coordinates are the wire type; each backend validates them against
-/// its own coordinate space.
+/// coordinates are the wire type; the backend validates them against
+/// its coordinate space.
 pub trait ServeBackend: Send + Sync + 'static {
     /// Dimensionality served (`d` in the paper).
     fn ndim(&self) -> usize;
@@ -106,11 +126,8 @@ pub trait ServeBackend: Send + Sync + 'static {
     /// shutdown; serving reads are already read-through).
     fn flush(&self);
 
-    /// Liveness/served-capability report for `/healthz`. Default: a
-    /// backend with no degraded mode is always [`BackendHealth::Ok`].
-    fn health(&self) -> BackendHealth {
-        BackendHealth::Ok
-    }
+    /// Liveness/served-capability report for `/healthz`.
+    fn health(&self) -> BackendHealth;
 
     /// Applies a batch in order, stopping at the first rejection.
     fn ingest(&self, updates: &[(Vec<i64>, i64)]) -> IngestOutcome {
@@ -129,170 +146,90 @@ pub trait ServeBackend: Send + Sync + 'static {
     }
 }
 
-/// [`ShardedCube`] backend: bounded coordinate space, per-shard
-/// group-commit queues, real backpressure.
-pub struct ShardedBackend {
-    cube: ShardedCube<i64>,
+/// The one [`ServeBackend`]: a handle on a commit pipeline over `T`.
+pub struct Backend<T> {
+    cube: Arc<ShardedCube<i64, T>>,
 }
+
+/// The backend of `ddc serve`: bounded coordinate space, acks on
+/// enqueue, group commits, real backpressure (429).
+pub type ShardedBackend = Backend<GrowableCube<i64>>;
+
+/// The backend of `ddc serve --durable`: growable signed coordinate
+/// space, an ack is a synced WAL record. A point too far out to grow to
+/// is `OutOfBounds` (400, nothing logged), a transient log failure is
+/// `Io`; ENOSPC / retry exhaustion degrade the log and a commit that
+/// panics fails the pipeline — both `ReadOnly` (503), both flip
+/// `/healthz` to `degraded` and leave reads serving.
+pub type DurableBackend<F> = Backend<DurableCube<i64, F>>;
 
 impl ShardedBackend {
-    /// Serves `cube` (callers keep their own handle via
-    /// [`ShardedBackend::cube`] — useful for tests that flush and
-    /// audit totals out of band).
+    /// Serves `cube` (callers keep a handle via [`Backend::cube`] —
+    /// useful for tests that flush and audit totals out of band).
     pub fn new(cube: ShardedCube<i64>) -> Self {
+        Self::over(Arc::new(cube))
+    }
+}
+
+impl<F: VfsFile + Sync> DurableBackend<F> {
+    /// Serves `cube` (callers keep a handle by cloning the `Arc` it
+    /// derefs to).
+    pub fn new(cube: SharedDurableCube<i64, F>) -> Self {
+        Self::over(Arc::clone(&cube))
+    }
+}
+
+impl<T: CommitTarget<i64>> Backend<T> {
+    /// Serves an already shared pipeline.
+    pub fn over(cube: Arc<ShardedCube<i64, T>>) -> Self {
         Self { cube }
     }
 
-    /// The underlying cube.
-    pub fn cube(&self) -> &ShardedCube<i64> {
+    /// The pipeline behind the backend.
+    pub fn cube(&self) -> &ShardedCube<i64, T> {
         &self.cube
     }
-
-    fn shape(&self) -> &Shape {
-        use ddc_array::RangeSumEngine as _;
-        self.cube.shape()
-    }
-
-    /// Converts wire coordinates into a checked in-bounds point.
-    fn checked_point(&self, point: &[i64]) -> Result<Vec<usize>, BackendError> {
-        let shape = self.shape();
-        if point.len() != shape.ndim() {
-            return Err(BackendError::OutOfBounds(format!(
-                "point rank {} does not match cube rank {}",
-                point.len(),
-                shape.ndim()
-            )));
-        }
-        point
-            .iter()
-            .zip(shape.dims().iter())
-            .enumerate()
-            .map(|(axis, (&p, &n))| {
-                if p < 0 || p as u64 >= n as u64 {
-                    Err(BackendError::OutOfBounds(format!(
-                        "coordinate {p} outside dimension {axis} of size {n}"
-                    )))
-                } else {
-                    Ok(p as usize)
-                }
-            })
-            .collect()
-    }
 }
 
-impl ServeBackend for ShardedBackend {
-    fn ndim(&self) -> usize {
-        self.shape().ndim()
-    }
-
-    fn update(&self, point: &[i64], delta: i64) -> Result<(), BackendError> {
-        let point = self.checked_point(point)?;
-        self.cube.try_update(&point, delta).map_err(Into::into)
-    }
-
-    fn query(&self, lo: &[i64], hi: &[i64]) -> Result<i64, BackendError> {
-        let (lo, hi) = (self.checked_point(lo)?, self.checked_point(hi)?);
-        if lo.iter().zip(hi.iter()).any(|(l, h)| l > h) {
-            return Err(BackendError::OutOfBounds(format!(
-                "inverted box {lo:?}..{hi:?}"
-            )));
-        }
-        Ok(self.cube.query(&Region::new(&lo, &hi)))
-    }
-
-    fn prefix(&self, point: &[i64]) -> Result<i64, BackendError> {
-        let point = self.checked_point(point)?;
-        Ok(self.cube.query_prefix(&point))
-    }
-
-    fn flush(&self) {
-        self.cube.flush();
-    }
-}
-
-/// [`SharedDurableCube`] backend: growable signed coordinate space,
-/// WAL-acknowledged writes. `Busy` never occurs; a point too far out
-/// to grow to is `OutOfBounds` (400, nothing logged), a transient log
-/// failure is `Io`, while ENOSPC/retry-exhaustion degradation surfaces
-/// as `ReadOnly` (503) and flips `/healthz` to `degraded`.
-pub struct DurableBackend<F: VfsFile + 'static> {
-    cube: SharedDurableCube<i64, F>,
-}
-
-impl<F: VfsFile + 'static> DurableBackend<F> {
-    /// Serves `cube` (cheaply cloneable; callers keep a handle).
-    pub fn new(cube: SharedDurableCube<i64, F>) -> Self {
-        Self { cube }
-    }
-
-    fn check_rank(&self, point: &[i64]) -> Result<(), BackendError> {
-        if point.len() != self.cube.ndim() {
-            return Err(BackendError::OutOfBounds(format!(
-                "point rank {} does not match cube rank {}",
-                point.len(),
-                self.cube.ndim()
-            )));
-        }
-        Ok(())
-    }
-}
-
-impl<F: VfsFile + 'static> ServeBackend for DurableBackend<F> {
+impl<T: CommitTarget<i64> + 'static> ServeBackend for Backend<T> {
     fn ndim(&self) -> usize {
         self.cube.ndim()
     }
 
     fn update(&self, point: &[i64], delta: i64) -> Result<(), BackendError> {
-        self.check_rank(point)?;
-        self.cube.add(point, delta).map_err(|e| match e {
-            IoError::ReadOnly { .. } | IoError::Exhausted { .. } => {
-                BackendError::ReadOnly(e.to_string())
-            }
-            IoError::Transient { .. } => BackendError::Io(e.to_string()),
-            IoError::OutOfRange(_) => BackendError::OutOfBounds(e.to_string()),
-        })
+        Ok(self.cube.try_add(point, delta)?)
     }
 
     fn query(&self, lo: &[i64], hi: &[i64]) -> Result<i64, BackendError> {
-        self.check_rank(lo)?;
-        self.check_rank(hi)?;
-        if lo.iter().zip(hi.iter()).any(|(l, h)| l > h) {
-            return Err(BackendError::OutOfBounds(format!(
-                "inverted box {lo:?}..{hi:?}"
-            )));
-        }
-        Ok(self.cube.range_sum(lo, hi))
+        Ok(self.cube.query_box(lo, hi)?)
     }
 
     fn prefix(&self, point: &[i64]) -> Result<i64, BackendError> {
-        self.check_rank(point)?;
-        // A growable cube's prefix starts at its (possibly negative)
-        // low corner, clipped inside range_sum.
-        let lo: Vec<i64> = point.iter().map(|_| i64::MIN / 2).collect();
-        if point.iter().any(|&p| p < lo[0]) {
-            return Err(BackendError::OutOfBounds(format!(
-                "prefix corner {point:?} below representable range"
-            )));
-        }
-        Ok(self.cube.range_sum(&lo, point))
+        // A bounded cube's prefix starts at its origin; a growable
+        // cube's at its (possibly negative) low corner, wherever that
+        // is — the box is clipped to what the cube covers.
+        let lo = self.cube.bounds().map_or(i64::MIN / 2, |_| 0);
+        self.query(&vec![lo; point.len()], point)
     }
 
     fn flush(&self) {
-        // Log-then-apply acknowledges synchronously; nothing queued.
+        self.cube.flush();
     }
 
     fn health(&self) -> BackendHealth {
-        match self.cube.degraded() {
-            Some(reason) => BackendHealth::Degraded(reason),
-            None => BackendHealth::Ok,
-        }
+        let health = self.cube.health();
+        health.map_or(BackendHealth::Ok, BackendHealth::Degraded)
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use ddc_core::{DdcConfig, ShardConfig};
+    use ddc_array::Shape;
+    use ddc_core::wal::{self, RetryPolicy};
+    use ddc_core::{DdcConfig, FaultKind, FaultVfs, PlannedFault, ShardConfig, Vfs};
+
+    const LOG: &str = "wal.log";
 
     fn sharded(dims: &[usize]) -> ShardedBackend {
         ShardedBackend::new(ShardedCube::new(
@@ -300,6 +237,30 @@ mod tests {
             DdcConfig::default(),
             ShardConfig::with_shards(2),
         ))
+    }
+
+    /// A durable cube on a disk that takes one append and is full for
+    /// the second: ENOSPC, the fault that degrades the log.
+    pub(crate) fn on_a_disk_that_fills(
+    ) -> (FaultVfs, SharedDurableCube<i64, <FaultVfs as Vfs>::File>) {
+        let boot = |vfs: &FaultVfs| {
+            let policy = RetryPolicy::instant();
+            wal::recover_vfs::<i64, _>(vfs, LOG, None, 2, DdcConfig::default(), policy)
+                .expect("boot")
+                .0
+        };
+        // A disarmed boot still counts file ops: probe how many, then
+        // plant the fault on the write of the second append (each clean
+        // append is one write + one sync).
+        let probe = FaultVfs::explicit_mem(Vec::new());
+        drop(boot(&probe));
+        let vfs = FaultVfs::explicit_mem(vec![PlannedFault {
+            op: probe.ops() + 2,
+            kind: FaultKind::NoSpace,
+        }]);
+        let cube = SharedDurableCube::from_cube(boot(&vfs));
+        vfs.arm(true);
+        (vfs, cube)
     }
 
     #[test]
@@ -311,6 +272,7 @@ mod tests {
         assert_eq!(b.query(&[0, 0], &[7, 7]).expect("full box"), 8);
         assert_eq!(b.prefix(&[1, 2]).expect("prefix"), 5);
         assert_eq!(b.query(&[7, 7], &[7, 7]).expect("cell"), 3);
+        assert_eq!(b.health(), BackendHealth::Ok);
     }
 
     #[test]
@@ -349,15 +311,32 @@ mod tests {
 
     #[test]
     fn durable_backend_serves_growable_coordinates() {
-        let b = DurableBackend::new(
-            SharedDurableCube::<i64, Vec<u8>>::new(2, DdcConfig::default(), Vec::new())
-                .expect("wal"),
-        );
+        let cube = DurableCube::<i64, Vec<u8>>::new(2, DdcConfig::default(), Vec::new());
+        let b = DurableBackend::new(SharedDurableCube::from_cube(cube.expect("wal")));
         b.update(&[-3, 10], 7).expect("growable");
         b.update(&[5, -2], 2).expect("growable");
         assert_eq!(b.query(&[-10, -10], &[20, 20]).expect("box"), 9);
         assert_eq!(b.prefix(&[-3, 10]).expect("prefix"), 7);
         assert_eq!(b.update(&[0], 1).expect_err("rank").status(), 400);
+        assert_eq!(
+            b.query(&[2, 2], &[1, 1]).expect_err("inverted").status(),
+            400
+        );
+        let far = b.update(&[1 << 40, 0], 1).expect_err("past the side cap");
+        assert_eq!(far.status(), 400, "{far:?}");
+        // The wire takes any `i64`, so the ends of dimension 0 have an
+        // owning slab too: refused or clipped, never an index past it.
+        for edge in [i64::MIN, i64::MAX] {
+            let far = b.update(&[edge, 0], 1).expect_err("past the side cap");
+            assert_eq!(far.status(), 400, "{far:?}");
+            assert_eq!(b.query(&[edge, 0], &[edge, 0]), Ok(0));
+        }
+        assert_eq!(b.query(&[i64::MIN, i64::MIN], &[i64::MAX, i64::MAX]), Ok(9));
+        assert_eq!(b.prefix(&[i64::MAX, i64::MAX]), Ok(9));
+        assert_eq!(
+            b.prefix(&[i64::MIN, 0]).expect_err("inverted").status(),
+            400
+        );
     }
 
     /// ENOSPC on an append: the 503 says why (the reason `/healthz`
@@ -365,30 +344,13 @@ mod tests {
     /// refused without touching the log.
     #[test]
     fn degraded_durable_backend_says_why_and_keeps_serving_reads() {
-        use ddc_core::wal::{self, RetryPolicy};
-        use ddc_core::{FaultKind, FaultVfs, PlannedFault};
-        const LOG: &str = "wal.log";
-        let boot = |vfs: &FaultVfs| {
-            let policy = RetryPolicy::instant();
-            wal::recover_vfs::<i64, _>(vfs, LOG, None, 2, DdcConfig::default(), policy)
-                .expect("boot")
-                .0
-        };
-        // A disarmed boot still counts file ops: probe how many, then
-        // plant the fault on the write of the second append (each clean
-        // append is one write + one sync).
-        let probe = FaultVfs::explicit_mem(Vec::new());
-        drop(boot(&probe));
-        let vfs = FaultVfs::explicit_mem(vec![PlannedFault {
-            op: probe.ops() + 2,
-            kind: FaultKind::NoSpace,
-        }]);
-        let cube = SharedDurableCube::from_cube(boot(&vfs));
-        let b = DurableBackend::new(cube.clone());
-        vfs.arm(true);
+        let (vfs, shared) = on_a_disk_that_fills();
+        let cube = Arc::clone(&shared);
+        let b = DurableBackend::new(shared);
+        let wal_stats = || cube.read_target(0, |durable| durable.wal_stats());
         b.update(&[1, 2], 7).expect("acked before the disk fills");
         assert_eq!(b.health(), BackendHealth::Ok);
-        let acked = cube.wal_stats();
+        let acked = wal_stats();
 
         let e = b.update(&[3, 4], 5).expect_err("ENOSPC");
         assert_eq!(e.status(), 503, "{e:?}");
@@ -403,7 +365,7 @@ mod tests {
         let again = b.update(&[3, 4], 5).expect_err("read-only");
         assert_eq!(again.status(), 503);
         assert!(again.detail().contains(&reason), "{again:?}");
-        assert_eq!(cube.wal_stats(), acked);
+        assert_eq!(wal_stats(), acked);
         let on_disk = vfs.inner().contents(LOG).expect("log exists").len();
         assert_eq!(on_disk as u64, acked.0);
     }

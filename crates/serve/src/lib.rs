@@ -31,7 +31,8 @@ pub mod server;
 
 pub use admission::{Admission, AdmissionConfig};
 pub use backend::{
-    BackendError, BackendHealth, DurableBackend, IngestOutcome, ServeBackend, ShardedBackend,
+    Backend, BackendError, BackendHealth, DurableBackend, IngestOutcome, ServeBackend,
+    ShardedBackend,
 };
 pub use http::{Frame, HttpRequest, ParseError, ParserConfig, RequestParser};
 pub use protocol::{RequestError, ServeRequest};

@@ -522,33 +522,17 @@ mod tests {
         server.shutdown();
     }
 
-    /// Backend stub pinned in degraded read-only mode, as a
-    /// [`crate::backend::DurableBackend`] is after an unrecoverable
-    /// disk fault.
-    struct DegradedStub;
-
-    impl ServeBackend for DegradedStub {
-        fn ndim(&self) -> usize {
-            2
-        }
-        fn update(&self, _point: &[i64], _delta: i64) -> Result<(), BackendError> {
-            Err(BackendError::ReadOnly("read-only".to_string()))
-        }
-        fn query(&self, _lo: &[i64], _hi: &[i64]) -> Result<i64, BackendError> {
-            Ok(42)
-        }
-        fn prefix(&self, _point: &[i64]) -> Result<i64, BackendError> {
-            Ok(42)
-        }
-        fn flush(&self) {}
-        fn health(&self) -> BackendHealth {
-            BackendHealth::Degraded("wal append exhausted retries".to_string())
-        }
-    }
-
+    /// A durable backend in degraded read-only mode after ENOSPC:
+    /// `/healthz` is 503 with the reason, reads serve, writes answer 503.
     #[test]
     fn healthz_maps_degraded_backend_to_503_while_queries_serve() {
-        let server = Server::start(Arc::new(DegradedStub), ServerConfig::default()).expect("bind");
+        let (_disk, cube) = crate::backend::tests::on_a_disk_that_fills();
+        let backend = Arc::new(crate::backend::DurableBackend::new(cube));
+        backend
+            .update(&[1, 1], 42)
+            .expect("the one append that fits");
+        backend.update(&[0, 0], 1).expect_err("ENOSPC");
+        let server = Server::start(backend, ServerConfig::default()).expect("bind");
         let addr = server.local_addr();
         let mut s = TcpStream::connect(addr).expect("connect");
         s.write_all(b"GET /healthz HTTP/1.1\r\n\r\n")
@@ -557,10 +541,7 @@ mod tests {
         let mut text = String::new();
         let _ = s.read_to_string(&mut text);
         assert!(text.starts_with("HTTP/1.1 503"), "{text}");
-        assert!(
-            text.contains("degraded: wal append exhausted retries"),
-            "{text}"
-        );
+        assert!(text.contains("degraded: out of disk space"), "{text}");
 
         // Reads still serve (200), mutations answer 503.
         let replies = send(addr, b"q 0,0 1,1\nu 1,1 5\n", 2);

@@ -2,7 +2,8 @@
 //!
 //! Cross-crate test suites (under `/tests`) plus a tiny deterministic
 //! property-test harness that replaces `proptest` so the workspace
-//! builds and tests with zero network access.
+//! builds and tests with zero network access, and [`FlakyTarget`], the
+//! failing-on-demand double the commit-pipeline suites supervise.
 //!
 //! ## The harness
 //!
@@ -26,7 +27,10 @@
 #![warn(clippy::all)]
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::{Arc, Mutex};
 
+use ddc_array::Shape;
+use ddc_core::{CommitTarget, DdcConfig, GrowableCube, IoError, ShardConfig, ShardedCube};
 pub use ddc_workload::DdcRng;
 
 /// Default number of cases when a suite does not override it.
@@ -123,6 +127,122 @@ macro_rules! for_cases {
             }
         )*
     };
+}
+
+/// How an armed [`FlakyTarget`] fails a commit.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub enum Fault {
+    /// Return a typed error before touching the target.
+    Refuse,
+    /// Panic before touching the target.
+    Panic,
+    /// Commit into the target, then panic: on a logged target the
+    /// record is in the log and the caller never hears an ack.
+    PanicAfterCommit,
+}
+
+/// The switch of a [`FlakyTarget`], kept by the test that built it.
+#[derive(Debug)]
+pub struct Faults {
+    /// Commits still to fail, and how.
+    armed: Mutex<(u64, Fault)>,
+}
+
+impl Default for Faults {
+    fn default() -> Self {
+        Self {
+            armed: Mutex::new((0, Fault::Panic)),
+        }
+    }
+}
+
+impl Faults {
+    /// The next `commits` commits fail with `fault` (`u64::MAX`: until
+    /// healed).
+    pub fn arm(&self, fault: Fault, commits: u64) {
+        *self.armed.lock().expect("fault switch") = (commits, fault);
+    }
+
+    /// Commits succeed again.
+    pub fn heal(&self) {
+        self.arm(Fault::Panic, 0);
+    }
+
+    fn take(&self) -> Option<Fault> {
+        let mut armed = self.armed.lock().expect("fault switch");
+        let due = armed.0 > 0;
+        armed.0 = armed.0.saturating_sub(1);
+        due.then_some(armed.1)
+    }
+}
+
+/// A [`CommitTarget`] that is `T` until its [`Faults`] are armed — the
+/// engine bug or failing disk the pipeline's supervisor exists to
+/// contain, on demand. Its [`CommitTarget::ACK_NEEDS_COMMIT`] is
+/// `T`'s, so it is plain- or durable-shaped with what it wraps.
+#[derive(Debug)]
+pub struct FlakyTarget<T> {
+    inner: T,
+    faults: Arc<Faults>,
+}
+
+impl<T> FlakyTarget<T> {
+    /// `inner`, failing as `faults` says.
+    pub fn new(inner: T, faults: Arc<Faults>) -> Self {
+        Self { inner, faults }
+    }
+
+    /// The wrapped target.
+    pub fn inner(&self) -> &T {
+        &self.inner
+    }
+}
+
+impl FlakyTarget<GrowableCube<i64>> {
+    /// A cube like [`ShardedCube::new`]'s whose slab 0 fails as
+    /// `faults` says; the other slabs never do.
+    pub fn sharded(
+        shape: Shape,
+        config: DdcConfig,
+        shard_config: ShardConfig,
+        faults: &Arc<Faults>,
+    ) -> ShardedCube<i64, Self> {
+        let d = shape.ndim();
+        ShardedCube::bounded(shape, shard_config, |rows_lo| {
+            let faults = match rows_lo {
+                0 => Arc::clone(faults),
+                _ => Arc::default(),
+            };
+            Self::new(GrowableCube::new(d, config), faults)
+        })
+    }
+}
+
+impl<T: CommitTarget<i64>> CommitTarget<i64> for FlakyTarget<T> {
+    const ACK_NEEDS_COMMIT: bool = T::ACK_NEEDS_COMMIT;
+
+    fn cube(&self) -> &GrowableCube<i64> {
+        self.inner.cube()
+    }
+
+    fn commit(&mut self, batch: &[(Vec<i64>, i64)]) -> Result<(), IoError> {
+        match self.faults.take() {
+            None => self.inner.commit(batch),
+            Some(Fault::Refuse) => Err(IoError::Transient {
+                detail: "injected commit refusal".to_string(),
+                retries: 0,
+            }),
+            Some(Fault::Panic) => panic!("injected commit failure"),
+            Some(Fault::PanicAfterCommit) => {
+                let landed = self.inner.commit(batch);
+                panic!("injected failure after the commit ({landed:?})");
+            }
+        }
+    }
+
+    fn degraded(&self) -> Option<&str> {
+        self.inner.degraded()
+    }
 }
 
 #[cfg(test)]

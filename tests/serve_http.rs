@@ -9,11 +9,14 @@
 //!   dense-grid oracle maintained alongside the request stream.
 //!   Disjoint slabs make every thread's expected answers deterministic
 //!   even though the cube is shared.
-//! * **Backpressure**: a one-shard cube with a tiny write queue and the
-//!   flush fault hook armed must ack exactly `queue_capacity` updates
-//!   and answer `busy`/429 for the rest — and after healing, the cube
-//!   holds exactly the sum of the acked deltas: no acked update lost,
-//!   no rejected update applied.
+//! * **Backpressure**: a one-shard cube with a tiny write queue whose
+//!   commits all fail (a `FlakyTarget`) must ack exactly
+//!   `queue_capacity` updates and answer `busy`/429 for the rest — and
+//!   after healing, the cube holds exactly the sum of the acked deltas:
+//!   no acked update lost, no rejected update applied.
+//! * **Health**: a slab out of restarts, and a logged commit that
+//!   panics, both answer 503 with the reason `/healthz` then reports —
+//!   one pipeline, one health model — and reads keep being served.
 //! * **Unreachable coordinates**: the durable backend refuses a point
 //!   its cube cannot grow to with a 400-class reply, logs nothing for
 //!   it, keeps serving, and restarts cleanly.
@@ -22,14 +25,21 @@ use ddc_array::Shape;
 use ddc_core::sync::Arc;
 use ddc_core::vfs::StdVfs;
 use ddc_core::wal::{self, RetryPolicy};
-use ddc_core::{DdcConfig, ShardConfig, ShardedCube, SharedDurableCube};
-use ddc_serve::{DurableBackend, ServeBackend, Server, ServerConfig, ShardedBackend};
+use ddc_core::{
+    CommitTarget, DdcConfig, DurableCube, ShardConfig, ShardedCube, SharedDurableCube,
+    PANICKED_AFTER_APPEND, RESTARTS_EXHAUSTED,
+};
+use ddc_serve::{Backend, DurableBackend, ServeBackend, Server, ServerConfig, ShardedBackend};
+use ddc_tests::{Fault, Faults, FlakyTarget};
 use ddc_workload::DdcRng;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 
-fn start(cube: ShardedCube<i64>, workers: usize) -> (Server, Arc<ShardedBackend>) {
-    let backend = Arc::new(ShardedBackend::new(cube));
+fn start<T: CommitTarget<i64> + 'static>(
+    backend: Backend<T>,
+    workers: usize,
+) -> (Server, Arc<Backend<T>>) {
+    let backend = Arc::new(backend);
     let server = Server::start(
         Arc::clone(&backend) as Arc<dyn ServeBackend>,
         ServerConfig {
@@ -126,7 +136,7 @@ fn concurrent_clients_agree_with_naive_oracle_byte_for_byte() {
         DdcConfig::default(),
         ShardConfig::with_shards(THREADS),
     );
-    let (server, backend) = start(cube, THREADS);
+    let (server, backend) = start(ShardedBackend::new(cube), THREADS);
     let addr = server.local_addr().to_string();
 
     let totals: Vec<i64> = std::thread::scope(|scope| {
@@ -178,22 +188,24 @@ fn concurrent_clients_agree_with_naive_oracle_byte_for_byte() {
 #[test]
 fn backpressure_answers_429_only_when_shard_queues_are_full_and_loses_no_acked_update() {
     const QUEUE: usize = 4;
-    let cube = ShardedCube::<i64>::new(
+    let faults = Arc::new(Faults::default());
+    let cube = FlakyTarget::sharded(
         Shape::new(&[8, 8]),
         DdcConfig::default(),
         ShardConfig {
             shards: 1,
-            // Group commits only via the fault-armed full-queue path,
-            // never from batch pressure.
+            // Group commits only via the full-queue path, where every
+            // one of them fails; never from batch pressure.
             batch_capacity: 1024,
             queue_capacity: QUEUE,
             // Keep the shard quarantined (429), never failed (503).
             max_restarts: 1_000_000,
         },
+        &faults,
     );
-    let (server, backend) = start(cube, 2);
+    let (server, backend) = start(Backend::over(Arc::new(cube)), 2);
     let addr = server.local_addr().to_string();
-    backend.cube().fail_next_flushes(0, 1_000_000);
+    faults.arm(Fault::Panic, u64::MAX);
 
     let mut stream = TcpStream::connect(&addr).expect("client connects");
     let mut acked_sum = 0i64;
@@ -228,10 +240,92 @@ fn backpressure_answers_429_only_when_shard_queues_are_full_and_loses_no_acked_u
 
     // Heal the shard and flush: the cube must hold exactly the acked
     // deltas — nothing acked lost, nothing rejected applied.
-    backend.cube().fail_next_flushes(0, 0);
+    faults.heal();
     backend.cube().flush();
     assert_eq!(roundtrip(&mut stream, "q 0,0 7,7\n"), acked_sum.to_string());
     assert_eq!(backend.cube().query_prefix(&[7, 7]), acked_sum);
+    server.shutdown();
+}
+
+/// `GET /healthz` over a fresh connection: the status line and the body.
+fn healthz(addr: &str) -> (String, String) {
+    let mut http = TcpStream::connect(addr).expect("health connection");
+    http.write_all(b"GET /healthz HTTP/1.1\r\nHost: e2e\r\n\r\n")
+        .expect("health request");
+    http.shutdown(std::net::Shutdown::Write)
+        .expect("half-close");
+    let mut got = String::new();
+    http.read_to_string(&mut got).expect("health response");
+    let (head, body) = got.split_once("\r\n\r\n").expect("head and body");
+    let status = head.lines().next().unwrap_or_default().to_string();
+    (status, body.trim_end().to_string())
+}
+
+/// A slab that ran out of restarts refuses writes with a 503 that says
+/// so — and `/healthz` says the same thing, not `ok`. Reads still see
+/// the delta the slab acknowledged and could not land.
+#[test]
+fn a_failed_slab_shows_on_healthz_with_the_reason_its_503_carries() {
+    let faults = Arc::new(Faults::default());
+    let cube = FlakyTarget::sharded(
+        Shape::new(&[8, 8]),
+        DdcConfig::default(),
+        ShardConfig {
+            shards: 1,
+            batch_capacity: 1,
+            max_restarts: 0,
+            ..ShardConfig::default()
+        },
+        &faults,
+    );
+    let (server, _backend) = start(Backend::over(Arc::new(cube)), 2);
+    let addr = server.local_addr().to_string();
+    assert_eq!(healthz(&addr), ("HTTP/1.1 200 OK".into(), "ok".into()));
+
+    faults.arm(Fault::Panic, 1);
+    let mut stream = TcpStream::connect(&addr).expect("client connects");
+    // Acknowledged on enqueue; its commit is the one that panics.
+    assert_eq!(roundtrip(&mut stream, "u 2,3 5\n"), "ok");
+    let reason = format!("shard 0 failed ({RESTARTS_EXHAUSTED})");
+    assert_eq!(roundtrip(&mut stream, "u 2,3 1\n"), format!("err {reason}"));
+    let (status, body) = healthz(&addr);
+    assert!(status.starts_with("HTTP/1.1 503 "), "{status}");
+    assert_eq!(body, format!("degraded: {reason}"));
+    assert_eq!(roundtrip(&mut stream, "q 0,0 7,7\n"), "5");
+    server.shutdown();
+}
+
+/// The durable-shaped pipeline contains a panicking commit like the
+/// plain one does: the update answers 503, `/healthz` flips to
+/// `degraded` with the same reason, and the worker thread that caught
+/// it keeps serving reads on the same connection.
+#[test]
+fn a_panicking_durable_commit_answers_503_and_the_connection_keeps_serving() {
+    let faults = Arc::new(Faults::default());
+    let durable = DurableCube::<i64, Vec<u8>>::new(2, DdcConfig::dynamic(), Vec::new())
+        .expect("in-memory log");
+    let cube = ShardedCube::unbounded(
+        FlakyTarget::new(durable, Arc::clone(&faults)),
+        ShardConfig::default(),
+    );
+    let (server, backend) = start(Backend::over(Arc::new(cube)), 2);
+    let addr = server.local_addr().to_string();
+    let mut stream = TcpStream::connect(&addr).expect("client connects");
+    assert_eq!(roundtrip(&mut stream, "u 3,-4 5\n"), "ok");
+
+    faults.arm(Fault::Panic, 1);
+    let reason = format!("shard 0 failed ({PANICKED_AFTER_APPEND})");
+    assert_eq!(roundtrip(&mut stream, "u 1,1 7\n"), format!("err {reason}"));
+    // Same connection, so the same worker thread: it did not unwind.
+    assert_eq!(roundtrip(&mut stream, "q -8,-8 8,8\n"), "5");
+    assert_eq!(roundtrip(&mut stream, "ping\n"), "pong");
+    let (status, body) = healthz(&addr);
+    assert!(status.starts_with("HTTP/1.1 503 "), "{status}");
+    assert_eq!(body, format!("degraded: {reason}"));
+    // Read-only from here: no retry, no second record.
+    assert_eq!(roundtrip(&mut stream, "u 1,1 7\n"), format!("err {reason}"));
+    let records = backend.cube().read_target(0, |t| t.inner().wal_stats().1);
+    assert_eq!(records, 1, "only the acknowledged update is in the log");
     server.shutdown();
 }
 
@@ -242,7 +336,7 @@ fn metrics_scrape_exposes_serving_counters_after_traffic() {
         DdcConfig::default(),
         ShardConfig::with_shards(2),
     );
-    let (server, _backend) = start(cube, 2);
+    let (server, _backend) = start(ShardedBackend::new(cube), 2);
     let mut stream = TcpStream::connect(server.local_addr()).expect("client connects");
     assert_eq!(roundtrip(&mut stream, "ping\n"), "pong");
     assert_eq!(roundtrip(&mut stream, "u 1,1 7\n"), "ok");
@@ -316,6 +410,16 @@ fn durable_backend_refuses_unreachable_coordinates_and_logs_nothing_for_them() {
     let mut got = String::new();
     http.read_to_string(&mut got).expect("ingest response");
     assert!(got.starts_with("HTTP/1.1 400 "), "{got:?}");
+    // The wire parses any `i64`; the last row of dimension 0 is refused
+    // or clipped like any other, on the same connection.
+    let reply = roundtrip(&mut stream, "u 9223372036854775807,0 1\n");
+    assert!(reply.contains("past side"), "{reply:?}");
+    assert_eq!(roundtrip(&mut stream, "q 0,0 9223372036854775807,9\n"), "5");
+    assert_eq!(roundtrip(&mut stream, "p 9223372036854775807,9\n"), "5");
+    assert_eq!(
+        roundtrip(&mut stream, "q -9223372036854775808,0 0,0\n"),
+        "0"
+    );
 
     assert_eq!(roundtrip(&mut stream, "ping\n"), "pong");
     assert_eq!(roundtrip(&mut stream, "q -8,-8 8,8\n"), "5");

@@ -1,15 +1,157 @@
-//! Concurrency tests for the sharded cube (the tentpole of the
-//! `core::shard` work): a lockstep differential replay proving the
-//! sharded protocol is observably identical to an unsharded engine, and
-//! a reader/writer stress test proving no update is lost or duplicated
+//! Tests for the commit pipeline (`core::shard`): a lockstep
+//! differential replay proving the sharded protocol is observably
+//! identical to an unsharded engine; the same pipeline over both its
+//! targets — plain and logged — audited and compared to an oracle after
+//! *every* enqueue, flush, failed commit, heal and crash; and a
+//! reader/writer stress test proving no update is lost or duplicated
 //! under contention.
 
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 
 use ddc_array::{RangeSumEngine, Region, ShadowEngine, Shape};
-use ddc_core::{DdcConfig, DdcEngine, ShardConfig, ShardedCube, TryUpdateError};
-use ddc_tests::for_cases;
+use ddc_check::Oracle;
+use ddc_core::vfs::{MemFile, MemVfs};
+use ddc_core::wal::{self, RetryPolicy};
+use ddc_core::{
+    CommitTarget, DdcConfig, DdcEngine, DurableCube, GrowableCube, ShardConfig, ShardedCube,
+    TryUpdateError, PANICKED_AFTER_APPEND,
+};
+use ddc_tests::{for_cases, DdcRng, Fault, Faults, FlakyTarget};
 use ddc_workload::Trace;
+
+const LOG: &str = "wal.log";
+
+/// A pipeline under churn: how to boot it (again, for the logged one:
+/// kill = drop, boot = recover from what the disk holds), and what the
+/// log says when there is one.
+trait Rig {
+    type Target: CommitTarget<i64>;
+    fn boot(&self, faults: &Arc<Faults>) -> ShardedCube<i64, FlakyTarget<Self::Target>>;
+    /// Records in the log, `None` without one.
+    fn log_records(&self, _cube: &ShardedCube<i64, FlakyTarget<Self::Target>>) -> Option<u64> {
+        None
+    }
+    /// Coordinates the churn draws from, per axis.
+    fn span(&self) -> std::ops::Range<i64>;
+}
+
+struct Plain {
+    side: usize,
+    config: DdcConfig,
+    shard_config: ShardConfig,
+}
+
+impl Rig for Plain {
+    type Target = GrowableCube<i64>;
+    fn boot(&self, faults: &Arc<Faults>) -> ShardedCube<i64, FlakyTarget<GrowableCube<i64>>> {
+        let shape = Shape::cube(2, self.side);
+        FlakyTarget::sharded(shape, self.config, self.shard_config, faults)
+    }
+    fn span(&self) -> std::ops::Range<i64> {
+        0..self.side as i64
+    }
+}
+
+struct Logged {
+    disk: MemVfs,
+    config: DdcConfig,
+    shard_config: ShardConfig,
+}
+
+impl Rig for Logged {
+    type Target = DurableCube<i64, MemFile>;
+    fn boot(&self, faults: &Arc<Faults>) -> ShardedCube<i64, FlakyTarget<Self::Target>> {
+        let policy = RetryPolicy::instant();
+        let (cube, _report) =
+            wal::recover_vfs::<i64, _>(&self.disk, LOG, None, 2, self.config, policy)
+                .expect("the log recovers");
+        cube.cube().check_invariants();
+        ShardedCube::unbounded(
+            FlakyTarget::new(cube, Arc::clone(faults)),
+            self.shard_config,
+        )
+    }
+    fn log_records(&self, cube: &ShardedCube<i64, FlakyTarget<Self::Target>>) -> Option<u64> {
+        Some(cube.read_target(0, |t| t.inner().wal_stats().1))
+    }
+    fn span(&self) -> std::ops::Range<i64> {
+        -24..24
+    }
+}
+
+/// SNIPPETS.md's cumulant suite (validate the structure and compare the
+/// running aggregate after every step), transposed onto the pipeline:
+/// random enqueues, flushes, failing commits, heals and — with a log —
+/// kills, each followed by `check_invariants()` on every slab and a
+/// comparison of the total, sampled boxes and a cell with the oracle of
+/// *acknowledged* updates. With a log, records == acks after every step.
+fn churn<R: Rig>(rig: &R, rng: &mut DdcRng, steps: usize) {
+    let faults = Arc::new(Faults::default());
+    let mut cube = rig.boot(&faults);
+    let mut oracle = Oracle::new(2);
+    let mut acked = 0u64;
+    let span = rig.span();
+    let (all_lo, all_hi) = ([span.start; 2], [span.end - 1; 2]);
+    let coord = |rng: &mut DdcRng| rng.gen_range(span.clone());
+    for step in 0..=steps {
+        let what = match rng.gen_range(0usize..20) {
+            // The last step of a logged run is always a kill.
+            _ if step == steps => "crash",
+            0..=11 => {
+                let (p, delta) = ([coord(rng), coord(rng)], rng.gen_range(-9i64..=9));
+                match cube.try_add(&p, delta) {
+                    Ok(()) => {
+                        oracle.add(&p, delta);
+                        acked += 1;
+                        "acked add"
+                    }
+                    Err(TryUpdateError::OutOfBounds(why)) => panic!("{p:?}: {why}"),
+                    Err(_) => "refused add",
+                }
+            }
+            12..=13 => {
+                cube.flush();
+                "flush"
+            }
+            14..=16 => {
+                let fault = [Fault::Refuse, Fault::Panic][rng.gen_range(0usize..2)];
+                faults.arm(fault, rng.gen_range(1usize..=3) as u64);
+                "arm"
+            }
+            17..=18 => {
+                faults.heal();
+                cube.flush();
+                "heal"
+            }
+            _ => "crash",
+        };
+        if what == "crash" && rig.log_records(&cube).is_some() {
+            drop(cube);
+            faults.heal();
+            cube = rig.boot(&faults);
+        }
+        let at = format!("step {step} ({what})");
+        for slab in 0..cube.metrics().len() {
+            cube.read_target(slab, |t| t.cube().check_invariants());
+        }
+        if let Some(records) = rig.log_records(&cube) {
+            assert_eq!(records, acked, "{at}: log records != acks");
+        }
+        assert_eq!(cube.query_box(&all_lo, &all_hi), Ok(oracle.total()), "{at}");
+        for _ in 0..3 {
+            let (a, b) = ([coord(rng), coord(rng)], [coord(rng), coord(rng)]);
+            let lo = [a[0].min(b[0]), a[1].min(b[1])];
+            let hi = [a[0].max(b[0]), a[1].max(b[1])];
+            assert_eq!(
+                cube.query_box(&lo, &hi),
+                Ok(oracle.range_sum(&lo, &hi)),
+                "{at} {lo:?}..{hi:?}"
+            );
+            assert_eq!(cube.cell_at(&a), Ok(oracle.cell(&a)), "{at} {a:?}");
+        }
+    }
+}
 
 for_cases! {
     /// Replays a recorded trace through a `ShardedCube` shadowed by a
@@ -36,6 +178,28 @@ for_cases! {
         let mut reference = DdcEngine::<i64>::dynamic(shape);
         let independent = trace.replay(&mut reference);
         assert_eq!(shadowed, independent, "shards={shards} batch={batch}");
+    }
+
+    /// The cumulant suite over both targets: plain × {1, 3} slabs and
+    /// logged × 1, `dynamic()` and `sparse()`, small queues so that
+    /// quarantine, backoff and 429-style rejections all occur.
+    fn every_step_audits_and_matches_the_oracle_on_both_targets(rng, cases = 6) {
+        let shard_config = ShardConfig {
+            batch_capacity: [1usize, 3, 64][rng.gen_range(0usize..3)],
+            queue_capacity: rng.gen_range(2usize..=12),
+            // Quarantined, never failed: heals are what this exercises
+            // (the failed slab has its own tests).
+            max_restarts: u32::MAX,
+            ..ShardConfig::default()
+        };
+        for config in [DdcConfig::dynamic(), DdcConfig::sparse()] {
+            for shards in [1, 3] {
+                let side = rng.gen_range(5usize..=40);
+                let shard_config = ShardConfig { shards, ..shard_config };
+                churn(&Plain { side, config, shard_config }, rng, 120);
+            }
+            churn(&Logged { disk: MemVfs::new(), config, shard_config }, rng, 120);
+        }
     }
 
     /// Read-through at the slab cuts. On a cube that never commits (both
@@ -212,7 +376,8 @@ fn stress_readers_and_writers_preserve_every_update() {
     assert_eq!(applied, (WRITERS * UPDATES_PER_WRITER) as u64);
 }
 
-/// `update_batch` agrees with one-at-a-time updates and a plain engine.
+/// `apply_batch` (the engine interface's batch door) agrees with
+/// one-at-a-time updates and a plain engine.
 #[test]
 fn batched_updates_match_single_updates() {
     let shape = Shape::new(&[40, 10]);
@@ -226,12 +391,12 @@ fn batched_updates_match_single_updates() {
         })
         .collect();
 
-    let batched = ShardedCube::<i64>::new(
+    let mut batched = ShardedCube::<i64>::new(
         shape.clone(),
         DdcConfig::dynamic(),
         ShardConfig::with_shards(3),
     );
-    batched.update_batch(&updates);
+    batched.apply_batch(&updates);
 
     let mut plain = DdcEngine::<i64>::dynamic(shape.clone());
     for (p, v) in &updates {
@@ -330,7 +495,8 @@ fn batch_capacity_threshold_group_commits_automatically() {
 fn slow_shard_under_paced_feed_rejects_instead_of_buffering_unboundedly() {
     const FEED: usize = 5_000;
     const CAPACITY: usize = 32;
-    let cube = ShardedCube::<i64>::new(
+    let faults = Arc::new(Faults::default());
+    let cube = FlakyTarget::sharded(
         Shape::new(&[16, 8]),
         DdcConfig::dynamic(),
         ShardConfig {
@@ -339,9 +505,10 @@ fn slow_shard_under_paced_feed_rejects_instead_of_buffering_unboundedly() {
             queue_capacity: CAPACITY,
             max_restarts: u32::MAX, // quarantined forever, never failed
         },
+        &faults,
     );
     // Shard 0 (rows 0..8) panics on every commit for the whole feed.
-    cube.fail_next_flushes(0, u64::MAX);
+    faults.arm(Fault::Panic, u64::MAX);
 
     let mut accepted_slow = 0u64;
     let mut rejected_slow = 0u64;
@@ -375,7 +542,7 @@ fn slow_shard_under_paced_feed_rejects_instead_of_buffering_unboundedly() {
 
     // Fault clears → an explicit flush drains both shards completely and
     // deterministically: applied == accepted, queues empty.
-    cube.fail_next_flushes(0, 0);
+    faults.heal();
     cube.flush();
     let m = cube.metrics();
     assert_eq!(m[0].ops_applied, accepted_slow);
@@ -384,13 +551,14 @@ fn slow_shard_under_paced_feed_rejects_instead_of_buffering_unboundedly() {
     assert_eq!(cube.query_prefix(&[7, 7]), accepted_slow as i64);
 }
 
-/// Acceptance criterion: a deliberately panicking shard worker (armed
-/// via the test-only hook) is quarantined, `flush()` does not deadlock
+/// Acceptance criterion: a deliberately panicking shard worker (a
+/// `FlakyTarget` armed by the test) is quarantined, `flush()` does not deadlock
 /// on it, and after the fault clears the worker restarts — visibly, in
 /// `MetricsSnapshot::worker_restarts` — with no update lost.
 #[test]
 fn panicking_worker_is_quarantined_then_restarted_without_deadlocking_flush() {
-    let cube = ShardedCube::<i64>::new(
+    let faults = Arc::new(Faults::default());
+    let cube = FlakyTarget::sharded(
         Shape::new(&[8, 8]),
         DdcConfig::dynamic(),
         ShardConfig {
@@ -398,13 +566,14 @@ fn panicking_worker_is_quarantined_then_restarted_without_deadlocking_flush() {
             batch_capacity: 1_000_000, // only explicit flushes commit
             ..ShardConfig::default()
         },
+        &faults,
     );
     for i in 0..8 {
         cube.update(&[i, 0], 1);
     }
-    cube.fail_next_flushes(0, 2);
+    faults.arm(Fault::Panic, 2);
 
-    // Two flushes hit the armed hook: each panic is contained, the call
+    // Two flushes hit the armed target: each panic is contained, the call
     // returns (no deadlock), and the deltas stay queued and readable.
     cube.flush();
     cube.flush();
@@ -414,11 +583,55 @@ fn panicking_worker_is_quarantined_then_restarted_without_deadlocking_flush() {
     assert_eq!(m[0].ops_applied, 0);
     assert_eq!(cube.query_prefix(&[7, 7]), 8, "quarantined deltas readable");
 
-    // Hook exhausted: the next flush lands, ending the quarantine.
+    // Fault spent: the next flush lands, ending the quarantine.
     cube.flush();
     let m = cube.metrics();
     assert_eq!(m[0].worker_restarts, 1, "{m:?}");
     assert_eq!(m[0].ops_applied + m[1].ops_applied, 8);
     assert_eq!(cube.query_prefix(&[7, 7]), 8);
     assert_eq!(cube.entries().len(), 8);
+}
+
+/// The rule the logged target adds to supervision: a commit that panics
+/// *after* its log append is not retried — the record is in the log, so
+/// a retry would append it twice. The pipeline fails instead (read-only,
+/// says why), reads keep serving, and recovery applies the one
+/// unacknowledged record exactly once.
+#[test]
+fn a_logged_commit_that_panics_after_its_append_is_never_retried() {
+    let faults = Arc::new(Faults::default());
+    let rig = Logged {
+        disk: MemVfs::new(),
+        config: DdcConfig::dynamic(),
+        shard_config: ShardConfig::default(),
+    };
+    let cube = rig.boot(&faults);
+    cube.try_add(&[3, -5], 7).expect("acked");
+    cube.try_add(&[100, 2], 1).expect("acked");
+    assert_eq!(cube.health(), None);
+
+    faults.arm(Fault::PanicAfterCommit, 1);
+    let failed = TryUpdateError::ShardFailed {
+        shard: 0,
+        cause: PANICKED_AFTER_APPEND,
+    };
+    assert_eq!(cube.try_add(&[0, 0], 4), Err(failed.clone()));
+    assert_eq!(cube.health(), Some(failed.to_string()));
+    // In the log, never acknowledged — and not appended again by a
+    // flush or by the writes that follow, which are refused.
+    assert_eq!(rig.log_records(&cube), Some(3));
+    cube.flush();
+    assert_eq!(cube.try_add(&[0, 0], 4), Err(failed));
+    assert_eq!(rig.log_records(&cube), Some(3));
+    assert_eq!(cube.metrics()[0].worker_panics, 1);
+    // Reads are served through it all.
+    assert_eq!(cube.query_box(&[-200, -200], &[200, 200]), Ok(12));
+
+    drop(cube);
+    let cube = rig.boot(&faults);
+    assert_eq!(rig.log_records(&cube), Some(3));
+    assert_eq!(cube.query_box(&[-200, -200], &[200, 200]), Ok(12));
+    assert_eq!(cube.cell_at(&[0, 0]), Ok(4), "replayed once, not twice");
+    cube.try_add(&[0, 0], 1)
+        .expect("a restart heals the pipeline");
 }

@@ -199,12 +199,13 @@ fn print_row(label: &str, rate: u64, score: &Score) {
 }
 
 /// WAL-on vs WAL-off update throughput: the same 200k-record hot feed
-/// applied to a growable cube, once in memory only and once with every
+/// applied to a growable cube, once in memory only and then with every
 /// record appended and synced to a log file *before* the apply (the
-/// acknowledgement protocol). Since the vfs seam, an acked append is a
-/// real `sync_data` barrier on `std::fs::File` — `Ok` means the bytes
-/// survive power loss, and the retry/degrade protocol above the format
-/// (S44) assumes the barrier is honest.
+/// acknowledgement protocol) — a sync per record, per 16 and per 256.
+/// Since the vfs seam, an acked append is a real `sync_data` barrier on
+/// `std::fs::File` — `Ok` means the bytes survive power loss, and the
+/// retry/degrade protocol above the format (S44) assumes the barrier is
+/// honest.
 fn wal_bench() {
     const WN: usize = 256;
     const OPS: usize = 200_000;
@@ -222,31 +223,37 @@ fn wal_bench() {
     let off = start.elapsed();
     std::hint::black_box(plain.total());
 
-    let path = std::env::temp_dir().join("ddc_shard_scaling_wal.bin");
-    let file = std::fs::File::create(&path).expect("create wal file");
-    let mut durable =
-        DurableCube::<i64, std::fs::File>::new(2, DdcConfig::dynamic(), file).expect("wal header");
-    let start = Instant::now();
-    for (p, delta) in &feed {
-        durable.add(p, *delta).expect("acked append");
-    }
-    let on = start.elapsed();
-    let (bytes, records) = durable.wal_stats();
-    std::hint::black_box(durable.cube().total());
-    assert_eq!(plain.total(), durable.cube().total());
-    std::fs::remove_file(&path).ok();
-
     let off_rate = OPS as f64 / off.as_secs_f64();
-    let on_rate = OPS as f64 / on.as_secs_f64();
     println!(
         "{OPS} hot-skewed point updates over a {WN}×{WN} dynamic growable cube:\n\
-         wal-off (memory only)   {off_rate:>10.0} updates/s\n\
-         wal-on  (log + sync)    {on_rate:>10.0} updates/s\n\
-         durability cost: {:.2}× slowdown; log {bytes} bytes / {records} records \
-         ({:.1} bytes/record, sync_data per ack)",
-        off_rate / on_rate,
-        bytes as f64 / records.max(1) as f64,
+         wal-off (memory only)             {off_rate:>10.0} updates/s"
     );
+    // The same feed a group at a time: every record of a group in one
+    // write under one sync (`ddc serve --durable` commits a pipelined
+    // run this way); a group of one is the sync per ack.
+    for group in [1usize, 16, 256] {
+        let path = std::env::temp_dir().join("ddc_shard_scaling_wal.bin");
+        let file = std::fs::File::create(&path).expect("create wal file");
+        let mut durable = DurableCube::<i64, std::fs::File>::new(2, DdcConfig::dynamic(), file)
+            .expect("wal header");
+        let start = Instant::now();
+        for run in feed.chunks(group) {
+            durable.add_group(run).expect("acked append");
+        }
+        let on = start.elapsed();
+        let (bytes, records) = durable.wal_stats();
+        assert_eq!(plain.total(), durable.cube().total());
+        std::fs::remove_file(&path).ok();
+        let on_rate = OPS as f64 / on.as_secs_f64();
+        println!(
+            "wal-on  (log + sync per {group:>3} acks)  {on_rate:>10.0} updates/s  \
+             {:>8.2} µs/record  {:.2}× wal-off; log {bytes} bytes / {records} records \
+             ({:.1} bytes/record)",
+            on.as_secs_f64() * 1e6 / OPS as f64,
+            off_rate / on_rate,
+            bytes as f64 / records.max(1) as f64,
+        );
+    }
 }
 
 fn main() {

@@ -9,6 +9,15 @@
 //! result must equal the oracle photo for exactly that many records:
 //! **no acknowledged op lost, no unacknowledged op resurrected.**
 //!
+//! Consecutive updates of the trace are committed in **groups** of
+//! seeded size (1..=8 records: one write, one sync —
+//! [`DurableCube::add_group`], what a pipelined run costs the server),
+//! and for a group the contract the sweep checks reads: every record of
+//! every group whose sync returned survives; what survives any cut is a
+//! *record prefix* of the submitted order; a group cut mid-write may
+//! leave leading records that were never acknowledged — the promise a
+//! single record cut between its write and its sync already had.
+//!
 //! The sweep also proves the checksum is load-bearing: a flipped
 //! payload byte must be caught and cleanly truncated, while
 //! [`corruption_divergence`] re-stamps the damaged frame's CRC and shows
@@ -17,7 +26,7 @@
 
 use ddc_core::wal::{self, WAL_FRAME_BYTES, WAL_HEADER_BYTES};
 use ddc_core::{DdcConfig, DurableCube, WalOp};
-use ddc_workload::{CheckOp, CheckTrace};
+use ddc_workload::{CheckOp, CheckTrace, DdcRng};
 
 use crate::oracle::Oracle;
 
@@ -33,6 +42,11 @@ pub struct CrashSweepReport {
     pub offsets: usize,
     /// Full recoveries performed (one per distinct surviving prefix).
     pub recoveries: usize,
+    /// Group commits that wrote the final log, and the records they
+    /// carried (the rest are sets and grow notes, one record each).
+    pub groups: usize,
+    /// See [`CrashSweepReport::groups`].
+    pub grouped_records: usize,
     /// Human-readable contract violations, empty when clean.
     pub failures: Vec<String>,
     /// True when the flipped-byte probe was truncated cleanly at the
@@ -62,6 +76,8 @@ struct DurableRun {
     /// Differential mismatches observed while replaying (reads compared
     /// against the oracle as a sanity net).
     failures: Vec<String>,
+    /// `(commits, records)` of the groups in the final log.
+    groups: (usize, usize),
 }
 
 fn sorted_entries(oracle: &Oracle) -> Vec<(Vec<i64>, i64)> {
@@ -82,15 +98,33 @@ fn replay_durable(trace: &CheckTrace, config: DdcConfig) -> Result<DurableRun, S
     let mut snapshot: Option<Vec<u8>> = None;
     let mut states = vec![sorted_entries(&oracle)];
     let mut failures = Vec::new();
+    let mut groups = (0, 0);
+    // Group sizes are the trace's own: the same trace, the same log.
+    let mut sizes = DdcRng::seed_from_u64(trace.ops.len() as u64);
 
-    for (i, op) in trace.ops.iter().enumerate() {
+    let mut ops = trace.ops.iter().enumerate().peekable();
+    while let Some((i, op)) = ops.next() {
         match op {
             CheckOp::Update { point, delta } => {
+                // This update and the ones right behind it, up to a
+                // seeded size: one commit.
+                let mut group = vec![(point.clone(), *delta)];
+                let size = sizes.gen_range(1..=8usize);
+                while group.len() < size {
+                    let Some((_, CheckOp::Update { point, delta })) = ops.peek() else {
+                        break;
+                    };
+                    group.push((point.clone(), *delta));
+                    ops.next();
+                }
                 durable
-                    .add(point, *delta)
+                    .add_group(&group)
                     .map_err(|e| format!("op {i}: append: {e}"))?;
-                oracle.add(point, *delta);
-                states.push(sorted_entries(&oracle));
+                for (point, delta) in &group {
+                    oracle.add(point, *delta);
+                    states.push(sorted_entries(&oracle));
+                }
+                groups = (groups.0 + 1, groups.1 + group.len());
             }
             CheckOp::Set { point, value } => {
                 let got = durable
@@ -134,6 +168,7 @@ fn replay_durable(trace: &CheckTrace, config: DdcConfig) -> Result<DurableRun, S
                     .map_err(|e| format!("op {i}: truncate: {e}"))?;
                 snapshot = Some(snap);
                 states = vec![sorted_entries(&oracle)];
+                groups = (0, 0);
             }
             CheckOp::Crash => {
                 // Mid-trace kill: only snapshot + log bytes survive.
@@ -154,6 +189,7 @@ fn replay_durable(trace: &CheckTrace, config: DdcConfig) -> Result<DurableRun, S
                 durable = DurableCube::from_recovered(cube, Vec::new())
                     .map_err(|e| format!("op {i}: fresh log: {e}"))?;
                 states = vec![sorted_entries(&oracle)];
+                groups = (0, 0);
             }
             CheckOp::Flush => {}
         }
@@ -164,6 +200,7 @@ fn replay_durable(trace: &CheckTrace, config: DdcConfig) -> Result<DurableRun, S
         snapshot,
         states,
         failures,
+        groups,
     })
 }
 
@@ -205,6 +242,8 @@ pub fn crash_sweep(trace: &CheckTrace, config: DdcConfig) -> Result<CrashSweepRe
         records: full.ops.len(),
         offsets: run.wal.len() + 1,
         failures: run.failures,
+        groups: run.groups.0,
+        grouped_records: run.groups.1,
         ..Default::default()
     };
     if !full.is_clean() {
@@ -222,7 +261,10 @@ pub fn crash_sweep(trace: &CheckTrace, config: DdcConfig) -> Result<CrashSweepRe
     }
 
     // The sweep proper. `ends` is sorted, so the surviving record count
-    // is monotone in the cut — one recovery per distinct count.
+    // is monotone in the cut — one recovery per distinct count. A cut
+    // inside a group's write is judged like any other: the records whose
+    // last byte made it are a prefix of the submitted order, and the
+    // state is the oracle's after exactly those.
     let mut survivors = 0usize;
     let mut verified: Option<usize> = None;
     for cut in 0..=run.wal.len() {
@@ -238,7 +280,7 @@ pub fn crash_sweep(trace: &CheckTrace, config: DdcConfig) -> Result<CrashSweepRe
         };
         if prefix.ops.len() != survivors {
             report.failures.push(format!(
-                "cut {cut}: {} records parsed, {survivors} were acknowledged",
+                "cut {cut}: {} records parsed, {survivors} were written whole",
                 prefix.ops.len()
             ));
             continue;
@@ -347,7 +389,7 @@ fn d_of(trace: &CheckTrace) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ddc_workload::{CheckTraceConfig, DdcRng};
+    use ddc_workload::CheckTraceConfig;
 
     fn seeded_trace(seed: u64, d: usize, ops: usize) -> CheckTrace {
         let mut rng = DdcRng::seed_from_u64(seed);
@@ -363,6 +405,7 @@ mod tests {
 
     #[test]
     fn sweep_is_clean_on_seeded_traces() {
+        let mut grouped = (0, 0);
         for (seed, d) in [(11u64, 1usize), (12, 2), (13, 3)] {
             let trace = seeded_trace(seed, d, 60);
             let report = crash_sweep(&trace, DdcConfig::dynamic()).unwrap();
@@ -373,7 +416,13 @@ mod tests {
             );
             assert_eq!(report.offsets, report.wal_bytes + 1);
             assert!(report.recoveries >= 1);
+            grouped = (
+                grouped.0 + report.groups,
+                grouped.1 + report.grouped_records,
+            );
         }
+        // Some of those logs were written more than one record a sync.
+        assert!(grouped.1 > grouped.0, "{grouped:?}");
     }
 
     #[test]

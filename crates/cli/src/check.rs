@@ -172,6 +172,7 @@ pub fn run(args: &[String]) -> Result<String, String> {
             let fails = |t: &CheckTrace| crash_sweep(t, engine).map_or(true, |r| !r.is_clean());
             let mut offsets = 0usize;
             let mut recoveries = 0usize;
+            let mut groups = (0usize, 0usize);
             for case in 0..cases {
                 let case_seed = seed ^ ((case as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15));
                 let mut rng = DdcRng::seed_from_u64(case_seed);
@@ -202,11 +203,15 @@ pub fn run(args: &[String]) -> Result<String, String> {
                 }
                 offsets += report.offsets;
                 recoveries += report.recoveries;
+                groups = (groups.0 + report.groups, groups.1 + report.grouped_records);
             }
             let backend = if paged { "paged" } else { "slab" };
             Ok(format!(
                 "ok: {cases} cases, {offsets} kill offsets, {recoveries} recoveries, \
-                 0 violations ({backend} backend, seed {seed})"
+                 0 violations ({backend} backend, seed {seed})\n\
+                 groups swept: {} commits of 1..=8 records, {} records \
+                 (a cut inside a group leaves a record prefix)",
+                groups.0, groups.1
             ))
         }
         Some("serve") => {

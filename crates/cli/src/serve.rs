@@ -16,7 +16,9 @@
 //! faster on two cores). With `--durable DIR` the same pipeline runs
 //! over a WAL-backed growable cube recovered from `DIR/snapshot.ddc` +
 //! `DIR/wal.log`, with no bounds and one slab: every acked update is
-//! fsynced to the log first, a disk fault degrades the backend to
+//! a log record synced before its `ok` leaves — one `sync_data` per
+//! run of updates a client pipelined in one read, one per update when
+//! it did not — a disk fault degrades the backend to
 //! read-only (mutations 503, `/healthz` reports `degraded`) instead of
 //! crashing, and a restart replays the log.
 //! `--mem-cap BYTES` additionally pages the cube's leaf blocks

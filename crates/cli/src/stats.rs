@@ -7,10 +7,13 @@
 //!
 //! The workload touches each hot path the observability layer covers —
 //! sharded updates (queue wait + commit), engine updates and prefix sums
-//! for both engine kinds, WAL appends and recovery replay, cube growth,
+//! for both engine kinds, WAL appends (singles and one group) and
+//! recovery replay, cube growth,
 //! and snapshot save/load — so the dump always shows live numbers. The
 //! default output is Prometheus exposition text; `--json` switches to a
-//! machine-readable object with the same content. Set `DDC_TRACE=1` to
+//! machine-readable object with the same content; the text ends with a
+//! `# wal records per sync` line (`ddc_wal_append_records` ÷
+//! `ddc_wal_syncs`). Set `DDC_TRACE=1` to
 //! also print the recent-span trace ring.
 
 use ddc_array::{RangeSumEngine, Shape};
@@ -40,6 +43,18 @@ pub fn run(args: &[String]) -> Result<String, String> {
     } else {
         obs::prometheus_text()
     };
+    if !json {
+        // How far group commit is amortising the sync: 1 is a sync per
+        // acknowledged update.
+        let (records, syncs) = (
+            obs::counter("wal.append.records").get(),
+            obs::counter("wal.syncs").get(),
+        );
+        let per_sync = records as f64 / syncs.max(1) as f64;
+        out.push_str(&format!(
+            "\n# wal records per sync: {per_sync:.2} ({records} records, {syncs} syncs)"
+        ));
+    }
     if obs::trace_enabled() && !json {
         out.push('\n');
         out.push_str(&obs::trace_dump());
@@ -90,6 +105,18 @@ fn workload(seed: u64, ops: usize) -> std::io::Result<()> {
             .append_with_retry(&op, &RetryPolicy::instant())
             .map_err(std::io::Error::other)?;
     }
+    // …and one seeded group of updates: every frame in one write, one
+    // sync for all of them (what a pipelined run costs `ddc serve
+    // --durable`), so `wal records per sync` reads above 1.
+    let group: Vec<(Vec<i64>, i64)> = (0..rng.gen_range(2usize..=64))
+        .map(|_| {
+            let point = vec![rng.gen_range(-32i64..32), rng.gen_range(-32i64..32)];
+            (point, rng.gen_range(-100i64..=100))
+        })
+        .collect();
+    writer
+        .append_updates(&group, &RetryPolicy::instant())
+        .map_err(std::io::Error::other)?;
     let log = writer.into_inner();
     let (recovered, _report) = wal::recover::<i64>(2, None, &log, DdcConfig::dynamic())?;
 

@@ -117,25 +117,52 @@ impl<G: AbelianGroup> GrowableCube<G> {
         self.tree.side()
     }
 
+    /// True when `logical` lies in the box the cube covers already: an
+    /// add there grows nothing, so nothing can refuse it.
+    pub fn covers(&self, logical: &[i64]) -> bool {
+        let dims = self.origin().iter().zip(self.extent());
+        logical.len() == self.ndim()
+            && (logical.iter().zip(dims))
+                .all(|(&c, (&o, &n))| c >= o && (c.wrapping_sub(o) as u64) < n as u64)
+    }
+
     /// Checks that [`GrowableCube::add`]/[`GrowableCube::set`] at
     /// `logical` would keep the side within [`MAX_SIDE`], by running the
     /// doubling steps on a copy of the coordinate map. Callers taking
     /// coordinates from outside the program (a client, a log, a
     /// snapshot) check before they mutate or log anything.
     pub fn check_cover(&self, logical: &[i64]) -> Result<(), GrowthError> {
+        self.check_cover_all([logical])
+    }
+
+    /// [`GrowableCube::check_cover`] for adds at every one of `points`
+    /// in order — each checked against the box the ones before it leave
+    /// behind, which is what applying them one by one (or replaying
+    /// their log records) would do.
+    pub fn check_cover_all<'a>(
+        &self,
+        points: impl IntoIterator<Item = &'a [i64]>,
+    ) -> Result<(), GrowthError> {
         // Already covered, the case every logged update pays for: no copy.
-        if self.map.to_internal(logical).is_some() {
-            return Ok(());
-        }
-        let mut map = self.map.clone();
-        while map.to_internal(logical).is_none() {
-            if map.extent()[0] >= MAX_SIDE {
-                return Err(GrowthError {
-                    point: logical.to_vec(),
-                });
+        let mut grown: Option<CoordMap> = None;
+        for logical in points {
+            let covered = match &grown {
+                None => self.covers(logical),
+                Some(map) => map.to_internal(logical).is_some(),
+            };
+            if covered {
+                continue;
             }
-            for (axis, need) in map.growth_needed(logical).into_iter().enumerate() {
-                map.grow(axis, need.unwrap_or(GrowthDirection::High));
+            let map = grown.get_or_insert_with(|| self.map.clone());
+            while map.to_internal(logical).is_none() {
+                if map.extent()[0] >= MAX_SIDE {
+                    return Err(GrowthError {
+                        point: logical.to_vec(),
+                    });
+                }
+                for (axis, need) in map.growth_needed(logical).into_iter().enumerate() {
+                    map.grow(axis, need.unwrap_or(GrowthDirection::High));
+                }
             }
         }
         Ok(())

@@ -5,7 +5,8 @@
 //! returns its [`Report`]. The green scenarios drive the *real* commit
 //! pipeline (`core::shard`) through the `core::sync` facade — two over
 //! its plain target, one over the logged one (`core::wal`), so all
-//! three exercise the same `try_add` → `commit` → read-through code;
+//! three exercise the same `try_add_batch` → `commit` → read-through
+//! code;
 //! the two `buggy_*` fixtures are deliberately broken and exist to
 //! prove the checker finds real schedule bugs (they are asserted to
 //! FAIL by `tests/model_checker.rs` and the `ddc model` CLI).
@@ -128,40 +129,44 @@ pub fn shard_queue_drain(cfg: CheckerConfig) -> Report {
     })
 }
 
-/// Log-then-apply through the pipeline: an acknowledgement may never be
-/// returned before the WAL record is appended. Every `Ok` from
-/// `try_add` is immediately cross-checked against the log's record
-/// count, a racing `flush()` must find nothing to commit twice, and the
-/// final cube/log state must match the sequential oracle.
+/// Log-then-apply through the pipeline, a group at a time: a
+/// two-update `try_add_batch` (one commit: one log write, one sync)
+/// races a single `try_add`, a `flush()` that must find nothing to
+/// commit twice, and a read. No ack may be returned before the log
+/// holds *every* record of its group, the read sees the group whole or
+/// not at all, and the final cube/log state must match the sequential
+/// oracle.
 pub fn wal_ack_after_append(cfg: CheckerConfig) -> Report {
     Checker::new(cfg).check(|| {
         let cube = DurableCube::<i64, Vec<u8>>::new(1, DdcConfig::sparse(), Vec::new())
             .expect("create durable cube");
         let cube = SharedDurableCube::from_cube(cube);
-        // Each appender cross-checks the log length right after every
-        // ack: an ack with no matching record is the bug this hunts.
+        // Each appender cross-checks the log length right after its
+        // ack: an ack with a record of its group missing is the bug
+        // this hunts.
         let append = |c: &ShardedCube<i64, DurableCube<i64, Vec<u8>>>, points: &[i64]| {
-            let mut acks = 0u64;
-            for &p in points {
-                if c.try_add(&[p], 1).is_ok() {
-                    acks += 1;
-                    let (_, records) = c.read_target(0, |durable| durable.wal_stats());
-                    assert!(
-                        records >= acks,
-                        "durability ack before WAL append: {records} records < {acks} acks"
-                    );
-                }
-            }
-            acks
+            let run: Vec<_> = points.iter().map(|&p| (vec![p], 1)).collect();
+            let (acks, refused) = c.try_add_batch(&run);
+            assert!(
+                refused.is_none() && acks == run.len(),
+                "{refused:?} after {acks}"
+            );
+            let (_, records) = c.read_target(0, |durable| durable.wal_stats());
+            assert!(
+                records >= acks as u64,
+                "durability ack before WAL append: {records} records < {acks} acks"
+            );
+            acks as u64
         };
         let (c1, c2) = (Arc::clone(&cube), Arc::clone(&cube));
         let t1 = thread::spawn(move || append(&c1, &[0, 1]));
         let t2 = thread::spawn(move || {
             c2.flush();
-            append(&c2, &[2, 3])
+            u64::from(c2.try_add(&[2], 1).is_ok())
         });
-        let acks =
-            append(&cube, &[4]) + t1.join().expect("appender 1") + t2.join().expect("appender 2");
+        let pair = cube.query_box(&[0], &[1]).expect("rank 1");
+        assert!(pair == 0 || pair == 2, "half a group is visible: {pair}");
+        let acks = t1.join().expect("appender 1") + t2.join().expect("appender 2");
         let (records, total) =
             cube.read_target(0, |durable| (durable.wal_stats().1, durable.cube().total()));
         assert_eq!(records, acks, "log records diverge from acks");

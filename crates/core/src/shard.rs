@@ -2,10 +2,14 @@
 //! same path to the cube, and every read the same path back.
 //!
 //! ```text
-//!             ┌ door ┐   ┌──── queue ────┐   ┌──── target ────┐
-//! try_add ──▶ rank and ─▶ bounded, per ───▶ [log: append, sync] ─▶ ack
-//!             bounds      slab; coalesce      apply to the cube
+//!                   ┌ door ┐   ┌──── queue ────┐   ┌──── target ────┐
+//! try_add_batch ──▶ rank and ─▶ bounded, per ───▶ [log: append, sync] ─▶ ack
+//!                   bounds      slab; coalesce      apply to the cube
 //! ```
+//!
+//! The unit it moves is a **run** of updates ([`try_add_batch`];
+//! [`try_add`] is a run of one): each stretch of a run that one slab owns
+//! is enqueued under one acquisition of that slab's queue lock.
 //!
 //! [`ShardedCube`] is that pipeline. It is generic over the
 //! [`CommitTarget`] a slab commits into, and there are two:
@@ -18,8 +22,12 @@
 //! * [`DurableCube`](crate::DurableCube) — append → sync → apply. The
 //!   target states that an acknowledgement needs the commit
 //!   ([`CommitTarget::ACK_NEEDS_COMMIT`]), so the pipeline commits
-//!   inline before [`try_add`] returns and never holds more than that
-//!   one delta.
+//!   inline before [`try_add_batch`] returns, straight from the caller's
+//!   run (nothing sits in the queue, nothing is coalesced: one record
+//!   per ack, in order). The stretch of the run the cube already covers
+//!   is **one** commit — one log write, one sync, all of it acknowledged
+//!   or none — and a point the cube must grow for commits alone, because
+//!   only its own commit can refuse it.
 //!
 //! State is addressed in signed `i64` coordinates throughout. A cube
 //! built with bounds (a [`Shape`]) refuses coordinates outside them at
@@ -47,7 +55,8 @@
 //!
 //! **Visibility.** An update is visible to other threads only once the
 //! call that made it has been acknowledged (`Ok`). On the logged target
-//! that is after its covering `sync`: the queue lock is held from the
+//! that is after its covering `sync` — one sync covers a whole group,
+//! which becomes visible as a whole: the queue lock is held from the
 //! enqueue to the end of the commit, and the cube changes last, under
 //! the exclusive target lock.
 //!
@@ -77,6 +86,7 @@
 //!   half-applied batch is the log's job ([`crate::wal`]).
 //!
 //! [`try_add`]: ShardedCube::try_add
+//! [`try_add_batch`]: ShardedCube::try_add_batch
 
 use std::collections::HashMap;
 use std::time::Instant;
@@ -118,8 +128,9 @@ pub trait CommitTarget<G: AbelianGroup>: Send + Sync {
 
     /// True when an update may be acknowledged only after its commit
     /// (a logged target: the ack is the durability promise). The
-    /// pipeline then commits each delta inline, hands a refusal to the
-    /// caller, and never retries a commit that panicked.
+    /// pipeline then commits each run inline (see the module docs for
+    /// how it is grouped), hands a refusal to the caller, and never
+    /// retries a commit that panicked.
     const ACK_NEEDS_COMMIT: bool;
 
     /// Lands `batch`, in order. `Err` means none of it is acknowledged.
@@ -307,8 +318,8 @@ enum CommitFault {
 
 #[derive(Debug)]
 struct ShardQueue<G: AbelianGroup> {
-    /// Acknowledged (or, on a logged target, about-to-be) deltas that
-    /// have not landed yet.
+    /// Acknowledged deltas that have not landed yet (always empty on a
+    /// target whose ack needs the commit).
     deltas: Vec<(Vec<i64>, G)>,
     health: Health,
     /// The slab's counters, kept here because the queue lock already
@@ -532,58 +543,110 @@ impl<G: AbelianGroup, T: CommitTarget<G>> ShardedCube<G, T> {
         self.shards.partition_point(|shard| shard.rows_last < row)
     }
 
-    /// Adds `delta` at `point` if the owning slab can acknowledge it.
-    /// `Ok` is the acknowledgement: the delta is queued (and visible to
-    /// every read) or, on a target whose ack needs the commit, landed.
-    /// A healthy slab never rejects for room — it commits to make some.
+    /// Adds `delta` at `point` if the owning slab can acknowledge it: a
+    /// run of one (see [`ShardedCube::try_add_batch`]).
     pub fn try_add(&self, point: &[i64], delta: G) -> Result<(), TryUpdateError> {
-        self.check_door(point)
-            .map_err(TryUpdateError::OutOfBounds)?;
-        let slab = &self.shards[self.owner_index(point[0])];
-        let wait = obs::timer();
-        let mut queue = lock_queue(slab);
-        wait.observe("shard.queue_wait", &shard_obs().queue_wait_ns);
-        let outcome = self.enqueue(slab, &mut queue, point, delta);
-        slab.pending.store(queue.deltas.len(), Ordering::Release);
-        queue.metrics.ops_rejected += u64::from(outcome.is_err());
-        outcome
+        let (_, refused) = self.try_add_batch(&[(point.to_vec(), delta)]);
+        refused.map_or(Ok(()), Err)
     }
 
-    /// [`ShardedCube::try_add`] behind the queue lock.
+    /// Adds a run of deltas in order, stopping at the first the cube
+    /// cannot acknowledge: returns how many leading deltas were
+    /// acknowledged and why the next one was not. Acknowledged means
+    /// queued (and visible to every read) or, on a target whose ack
+    /// needs the commit, landed — there the stretch of the run the cube
+    /// already covers is **one** commit (one log write, one sync),
+    /// acknowledged as a whole or not at all, and a point the cube must
+    /// grow for commits alone, since only its own commit can refuse it.
+    /// Each stretch of the run that one slab owns takes that slab's
+    /// queue lock once. A healthy slab never rejects for room — it
+    /// commits to make some.
+    pub fn try_add_batch(&self, run: &[(Vec<i64>, G)]) -> (usize, Option<TryUpdateError>) {
+        let owner = |(point, _): &(Vec<i64>, G)| {
+            let door = self.check_door(point);
+            door.map(|()| self.owner_index(point[0]))
+        };
+        let mut acked = 0;
+        while acked < run.len() {
+            let slab = match owner(&run[acked]) {
+                Ok(slab) => slab,
+                Err(why) => return (acked, Some(TryUpdateError::OutOfBounds(why))),
+            };
+            let rest = &run[acked..];
+            let stretch = rest.iter().take_while(|update| owner(update) == Ok(slab));
+            let stretch = &rest[..stretch.count()];
+            let slab = &self.shards[slab];
+            let wait = obs::timer();
+            let mut queue = lock_queue(slab);
+            wait.observe("shard.queue_wait", &shard_obs().queue_wait_ns);
+            let (landed, refused) = self.enqueue(slab, &mut queue, stretch);
+            slab.pending.store(queue.deltas.len(), Ordering::Release);
+            queue.metrics.ops_rejected += u64::from(refused.is_some());
+            acked += landed;
+            if refused.is_some() {
+                return (acked, refused);
+            }
+        }
+        (acked, None)
+    }
+
+    /// [`ShardedCube::try_add_batch`] for one slab's stretch of the run,
+    /// behind its queue lock.
     fn enqueue(
         &self,
         slab: &Shard<G, T>,
         queue: &mut ShardQueue<G>,
-        point: &[i64],
-        delta: G,
-    ) -> Result<(), TryUpdateError> {
+        run: &[(Vec<i64>, G)],
+    ) -> (usize, Option<TryUpdateError>) {
         let (shard, capacity) = (queue.metrics.shard, self.shard_config.queue_capacity.max(1));
-        if queue.deltas.len() >= capacity {
-            // Full: the only way to make room is to land the batch now
-            // (a failed slab lands nothing and rejects below).
-            self.attempt_commit(slab, queue);
+        let batch = self.shard_config.batch_capacity.max(1);
+        let mut acked = 0;
+        while acked < run.len() {
+            if queue.deltas.len() >= capacity {
+                // Full: the only way to make room is to land the batch now
+                // (a failed slab lands nothing and rejects below).
+                self.attempt_commit(slab, queue);
+            }
+            if let Health::Failed(cause) = queue.health {
+                return (acked, Some(TryUpdateError::ShardFailed { shard, cause }));
+            }
+            if queue.deltas.len() >= capacity {
+                return (acked, Some(TryUpdateError::QueueFull { shard, capacity }));
+            }
+            // How much of the run goes in together. When the ack needs the
+            // commit: the stretch the cube covers already, bounded like a
+            // queue — a point it must grow for goes alone, since only its
+            // own commit can refuse it. Else: up to the next flush
+            // trigger, so a run commits where the same deltas enqueued
+            // one by one would have.
+            let rest = &run[acked..];
+            let room = if T::ACK_NEEDS_COMMIT {
+                let target = read_target(slab);
+                let covered = |(point, _): &&(Vec<i64>, G)| target.cube().covers(point);
+                rest.iter().take(capacity).take_while(covered).count()
+            } else {
+                (capacity - queue.deltas.len()).min(batch.saturating_sub(queue.deltas.len()))
+            };
+            let taken = &rest[..rest.len().min(room.max(1))];
+            let depth = (queue.deltas.len() + taken.len()) as u64;
+            queue.metrics.ops_enqueued += taken.len() as u64;
+            queue.metrics.queue_depth_max = queue.metrics.queue_depth_max.max(depth);
+            if !T::ACK_NEEDS_COMMIT {
+                queue.deltas.extend_from_slice(taken);
+                if queue.deltas.len() >= batch {
+                    self.attempt_commit(slab, queue);
+                }
+            } else if let Err(fault) = self.commit(slab, queue, taken) {
+                let cause = PANICKED_AFTER_APPEND;
+                let refused = match fault {
+                    CommitFault::Refused(why) => TryUpdateError::Refused(why),
+                    CommitFault::Panicked => TryUpdateError::ShardFailed { shard, cause },
+                };
+                return (acked, Some(refused));
+            }
+            acked += taken.len();
         }
-        if let Health::Failed(cause) = queue.health {
-            return Err(TryUpdateError::ShardFailed { shard, cause });
-        }
-        if queue.deltas.len() >= capacity {
-            return Err(TryUpdateError::QueueFull { shard, capacity });
-        }
-        queue.deltas.push((point.to_vec(), delta));
-        queue.metrics.ops_enqueued += 1;
-        queue.metrics.queue_depth_max =
-            queue.metrics.queue_depth_max.max(queue.deltas.len() as u64);
-        if T::ACK_NEEDS_COMMIT {
-            let cause = PANICKED_AFTER_APPEND;
-            return self.commit(slab, queue).map_err(|fault| match fault {
-                CommitFault::Refused(why) => TryUpdateError::Refused(why),
-                CommitFault::Panicked => TryUpdateError::ShardFailed { shard, cause },
-            });
-        }
-        if queue.deltas.len() >= self.shard_config.batch_capacity.max(1) {
-            self.attempt_commit(slab, queue);
-        }
-        Ok(())
+        (acked, None)
     }
 
     /// Flush trigger that respects the supervisor: failed slabs are
@@ -594,37 +657,50 @@ impl<G: AbelianGroup, T: CommitTarget<G>> ShardedCube<G, T> {
             Health::Failed(_) => {}
             Health::Quarantined { backoff, .. } if *backoff > 0 => *backoff -= 1,
             // A fault is already in `queue.health`.
-            _ => drop(self.commit(shard, queue)),
+            _ => drop(self.commit(shard, queue, &[])),
         }
     }
 
-    /// Supervised commit: coalesce the queued deltas per cell and land
-    /// them under one exclusive target acquisition, the whole of it
-    /// wrapped in `catch_unwind`. Called with the queue lock held so no
-    /// concurrent enqueue can slip between coalesce and apply.
+    /// Supervised commit, under one exclusive target acquisition and one
+    /// `catch_unwind`, of what the target's ack rule makes the batch:
+    /// `group` as it stands when the ack needs the commit (one record
+    /// per ack, in order: a logged run is never coalesced, and never
+    /// sits in the queue), else the queue, coalesced per cell. Called
+    /// with the queue lock held so no concurrent enqueue can slip
+    /// between coalesce and apply.
     ///
     /// The queue is drained only *after* a successful commit. Deltas
     /// that were acknowledged on enqueue stay queued through a failure
     /// for the retry (a panic *mid-apply* can leave the cube
     /// half-updated; the slab is quarantined either way, and exact
-    /// repair is the log's job). A delta whose ack needed this commit
+    /// repair is the log's job). A group whose ack needed this commit
     /// is dropped instead — it was never acknowledged, and it may
     /// already be in the log.
-    fn commit(&self, shard: &Shard<G, T>, queue: &mut ShardQueue<G>) -> Result<(), CommitFault> {
-        if queue.deltas.is_empty() {
-            shard.pending.store(0, Ordering::Release);
-            return Ok(());
-        }
-        let span = obs::timer();
+    fn commit(
+        &self,
+        shard: &Shard<G, T>,
+        queue: &mut ShardQueue<G>,
+        group: &[(Vec<i64>, G)],
+    ) -> Result<(), CommitFault> {
         let coalesced;
-        let batch = if queue.deltas.len() == 1 {
-            // One delta is its own batch — and a logged target records
-            // it even when it is zero: one record per ack.
+        let batch = if T::ACK_NEEDS_COMMIT {
+            group
+        } else if queue.deltas.len() == 1 {
             &queue.deltas
         } else {
             coalesced = coalesce(&queue.deltas);
             &coalesced
         };
+        let ops = if T::ACK_NEEDS_COMMIT {
+            group.len() as u64
+        } else {
+            queue.deltas.len() as u64
+        };
+        if ops == 0 {
+            shard.pending.store(0, Ordering::Release);
+            return Ok(());
+        }
+        let span = obs::timer();
         let held = Instant::now();
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             if batch.is_empty() {
@@ -636,7 +712,7 @@ impl<G: AbelianGroup, T: CommitTarget<G>> ShardedCube<G, T> {
         span.observe("shard.commit", &shard_obs().commit_ns);
         let fault = match outcome {
             Ok(Ok(())) => {
-                queue.metrics.ops_applied += queue.deltas.len() as u64;
+                queue.metrics.ops_applied += ops;
                 queue.metrics.batches_flushed += 1;
                 queue.deltas.clear();
                 // Cleared only after the apply: a reader that saw
@@ -652,7 +728,6 @@ impl<G: AbelianGroup, T: CommitTarget<G>> ShardedCube<G, T> {
             Err(_) => CommitFault::Panicked,
         };
         if T::ACK_NEEDS_COMMIT {
-            queue.deltas.clear();
             if matches!(fault, CommitFault::Panicked) {
                 queue.metrics.worker_panics += 1;
                 queue.health = Health::Failed(PANICKED_AFTER_APPEND);
@@ -686,7 +761,7 @@ impl<G: AbelianGroup, T: CommitTarget<G>> ShardedCube<G, T> {
             let mut queue = lock_queue(shard);
             if !matches!(queue.health, Health::Failed(_)) {
                 // A fault is already in `queue.health`.
-                drop(self.commit(shard, &mut queue));
+                drop(self.commit(shard, &mut queue, &[]));
             }
         }
     }
@@ -782,7 +857,8 @@ impl<G: AbelianGroup, T: CommitTarget<G>> ShardedCube<G, T> {
 
     /// [`ShardedCube::try_add`] for checked coordinates.
     pub fn try_update(&self, point: &[usize], delta: G) -> Result<(), TryUpdateError> {
-        self.try_add(&signed(point), delta)
+        let (_, refused) = self.try_add_batch(&[(signed(point), delta)]);
+        refused.map_or(Ok(()), Err)
     }
 
     /// The infallible facade over [`ShardedCube::try_update`]: a
@@ -1213,6 +1289,85 @@ mod tests {
             ShardedCube::unbounded(plain, ShardConfig::default())
         });
         assert!(acked_on_enqueue.is_err(), "an ack on enqueue needs bounds");
+    }
+
+    /// A run is its deltas enqueued one by one — same acks, same commit
+    /// points, same counters — under one lock acquisition per stretch a
+    /// slab owns; it stops at the first point the door refuses.
+    #[test]
+    fn a_run_enqueues_as_its_singles_would() {
+        let (run_fed, singles_fed) = (cube(4, 3), cube(4, 3));
+        let run: Vec<_> = (0..20i64)
+            .map(|i| (vec![(i * 5) % 32, i % 16], i - 7))
+            .collect();
+        assert_eq!(run_fed.try_add_batch(&run), (20, None));
+        for (point, delta) in &run {
+            singles_fed.try_add(point, *delta).unwrap();
+        }
+        let counted = |c: &ShardedCube<i64>| {
+            let untimed = |m| MetricsSnapshot {
+                lock_hold_nanos: 0,
+                ..m
+            };
+            c.metrics().into_iter().map(untimed).collect::<Vec<_>>()
+        };
+        assert_eq!(counted(&run_fed), counted(&singles_fed));
+        assert_eq!(
+            run_fed.query_prefix(&[31, 15]),
+            singles_fed.query_prefix(&[31, 15])
+        );
+
+        let cut = [
+            (vec![1, 1], 1),
+            (vec![30, 1], 1),
+            (vec![32, 0], 1),
+            (vec![2, 2], 1),
+        ];
+        let (acked, refused) = run_fed.try_add_batch(&cut);
+        assert!(
+            matches!(refused, Some(TryUpdateError::OutOfBounds(_))),
+            "{refused:?}"
+        );
+        assert_eq!(acked, 2, "the prefix in front of the refused point");
+    }
+
+    /// On the logged target the stretch of a run the cube covers already
+    /// is one commit — one record per delta, cancelling deltas included —
+    /// and a point it must grow for commits alone, so a point it cannot
+    /// grow to is refused alone.
+    #[test]
+    fn a_logged_run_is_one_commit_per_covered_stretch() {
+        let log = crate::DurableCube::<i64, Vec<u8>>::new(2, DdcConfig::dynamic(), Vec::new());
+        let open = ShardedCube::unbounded(log.unwrap(), ShardConfig::default());
+        let at = |row: i64, delta: i64| (vec![row, 0], delta);
+        let run = [
+            at(1, 5),
+            at(1, -5),
+            at(2, 1),
+            at(40, 1),
+            at(33, 1),
+            at(1 << 40, 1),
+            at(3, 1),
+        ];
+        let (acked, refused) = open.try_add_batch(&run);
+        assert_eq!(acked, 5);
+        assert!(
+            matches!(
+                refused,
+                Some(TryUpdateError::Refused(IoError::OutOfRange(_)))
+            ),
+            "{refused:?}"
+        );
+        let slab = open.metrics()[0];
+        // [1, 1, 2] covered, 40 grows the cube, 33 is covered by then.
+        assert_eq!((slab.ops_applied, slab.batches_flushed), (5, 3));
+        assert_eq!(
+            open.read_target(0, |t| t.wal_stats().1),
+            5,
+            "never coalesced"
+        );
+        assert_eq!(open.try_add_batch(&run[6..]), (1, None));
+        assert_eq!(open.query_box(&[0, 0], &[63, 0]), Ok(4));
     }
 
     #[test]

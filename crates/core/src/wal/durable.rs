@@ -235,20 +235,30 @@ impl<G: AbelianGroup + ValueCodec, F: VfsFile> DurableCube<G, F> {
         }
     }
 
-    /// Logs, then applies, a point delta. `Err` means *not acknowledged*:
-    /// the in-memory cube was left untouched (and, except for the
-    /// documented [`IoError::Exhausted`] indeterminate window, neither
-    /// was the durable log). A point the cube cannot grow to is refused
+    /// Logs, then applies, a point delta: [`DurableCube::add_group`] of
+    /// one.
+    pub fn add(&mut self, point: &[i64], delta: G) -> Result<(), IoError> {
+        self.add_group(&[(point.to_vec(), delta)])
+    }
+
+    /// Logs, then applies, a group of point deltas in order: one record
+    /// each, all in one write under one sync. `Err` means *none of them
+    /// acknowledged*: the in-memory cube was left untouched (and, except
+    /// for the documented [`IoError::Exhausted`] indeterminate window,
+    /// neither was the durable log). A point the cube cannot grow to —
+    /// from the box the points before it leave — refuses the group
     /// before the append, so the log never holds a record that replay
     /// could not apply.
-    pub fn add(&mut self, point: &[i64], delta: G) -> Result<(), IoError> {
+    pub fn add_group(&mut self, updates: &[(Vec<i64>, G)]) -> Result<(), IoError> {
         self.guard_writable()?;
-        self.cube.check_cover(point).map_err(IoError::OutOfRange)?;
-        self.log(&WalOp::Update {
-            point: point.to_vec(),
-            delta,
-        })?;
-        self.cube.add(point, delta);
+        let points = updates.iter().map(|(point, _)| point.as_slice());
+        (self.cube.check_cover_all(points)).map_err(IoError::OutOfRange)?;
+        if let Err(e) = self.wal.append_updates(updates, &self.policy) {
+            return Err(self.note_failure(e));
+        }
+        for (point, delta) in updates {
+            self.cube.add(point, *delta);
+        }
         Ok(())
     }
 
@@ -418,9 +428,9 @@ where
     Ok((DurableCube::from_parts(cube, wal, policy), report))
 }
 
-/// The pipeline's logged target: one `add` per delta — append → sync →
-/// apply — so an `Ok` covers every record of the batch, and the first
-/// refusal leaves the rest unlogged.
+/// The pipeline's logged target: a batch is one
+/// [`DurableCube::add_group`] — append every record, sync once, apply —
+/// so an `Ok` covers every record of it and an `Err` none.
 impl<G: AbelianGroup + ValueCodec, F: VfsFile + Sync> CommitTarget<G> for DurableCube<G, F> {
     const ACK_NEEDS_COMMIT: bool = true;
 
@@ -429,7 +439,7 @@ impl<G: AbelianGroup + ValueCodec, F: VfsFile + Sync> CommitTarget<G> for Durabl
     }
 
     fn commit(&mut self, batch: &[(Vec<i64>, G)]) -> Result<(), IoError> {
-        batch.iter().try_for_each(|(p, delta)| self.add(p, *delta))
+        self.add_group(batch)
     }
 
     fn degraded(&self) -> Option<&str> {

@@ -6,7 +6,8 @@ use std::io;
 use ddc_array::AbelianGroup;
 
 use super::record::{
-    crc32, WalOp, MAX_RECORD_BYTES, WAL_FRAME_BYTES, WAL_HEADER_BYTES, WAL_MAGIC, WAL_VERSION,
+    crc32, encode_update, WalOp, MAX_RECORD_BYTES, WAL_FRAME_BYTES, WAL_HEADER_BYTES, WAL_MAGIC,
+    WAL_VERSION,
 };
 use super::wal_obs;
 use crate::obs;
@@ -23,9 +24,11 @@ enum FrameStage {
     Sync,
 }
 
-/// Appends framed, checksummed records to a [`VfsFile`], issuing the
-/// sync barrier on each one before reporting success — a record is
-/// **acknowledged** exactly when [`WalWriter::append_with_retry`]
+/// Appends framed, checksummed records to a [`VfsFile`], one group at a
+/// time: every frame of the group goes out in one write, and one sync
+/// barrier covers them all before success is reported — a record is
+/// **acknowledged** exactly when the append that carried it
+/// ([`WalWriter::append_with_retry`], [`WalWriter::append_updates`])
 /// returns `Ok`.
 #[derive(Debug)]
 pub struct WalWriter<F: VfsFile> {
@@ -34,6 +37,29 @@ pub struct WalWriter<F: VfsFile> {
     records: u64,
     io_faults: u64,
     io_retries: u64,
+    /// The frames of the group being appended, reused across appends.
+    group: Vec<u8>,
+}
+
+/// Frames one record onto `group`: `u32 len | u32 crc | payload`, the
+/// payload written by `payload` straight behind its frame.
+fn push_frame(
+    group: &mut Vec<u8>,
+    payload: impl FnOnce(&mut Vec<u8>) -> io::Result<()>,
+) -> Result<(), IoError> {
+    // (`as_slice`: a `Vec<u8>` is a `VfsFile` too, and that `len` is not
+    // this one.)
+    let frame = group.as_slice().len();
+    group.extend_from_slice(&[0; WAL_FRAME_BYTES]);
+    payload(group).map_err(|e| IoError::Transient {
+        detail: format!("encode: {e}"),
+        retries: 0,
+    })?;
+    let body = frame + WAL_FRAME_BYTES;
+    let (len, crc) = (group[body..].len() as u32, crc32(&group[body..]));
+    group[frame..frame + 4].copy_from_slice(&len.to_le_bytes());
+    group[frame + 4..body].copy_from_slice(&crc.to_le_bytes());
+    Ok(())
 }
 
 impl<F: VfsFile> WalWriter<F> {
@@ -44,13 +70,7 @@ impl<F: VfsFile> WalWriter<F> {
         header[4] = WAL_VERSION;
         out.write_all(&header)?;
         out.sync()?;
-        Ok(Self {
-            out,
-            bytes: WAL_HEADER_BYTES as u64,
-            records: 0,
-            io_faults: 0,
-            io_retries: 0,
-        })
+        Ok(Self::resume(out, WAL_HEADER_BYTES as u64, 0))
     }
 
     /// Resumes appending to a log that already holds `bytes` valid bytes
@@ -63,64 +83,77 @@ impl<F: VfsFile> WalWriter<F> {
             records,
             io_faults: 0,
             io_retries: 0,
+            group: Vec::new(),
         }
     }
 
-    /// Frames one record: `u32 len | u32 crc | payload` in a single
-    /// buffer, so the fault surface per append is one write plus one
-    /// sync.
-    fn encode_frame<G: AbelianGroup + ValueCodec>(op: &WalOp<G>) -> io::Result<Vec<u8>> {
-        let mut payload = Vec::with_capacity(32);
-        op.encode_payload(&mut payload)?;
-        let mut frame = Vec::with_capacity(WAL_FRAME_BYTES + payload.len());
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&crc32(&payload).to_le_bytes());
-        frame.extend_from_slice(&payload);
-        Ok(frame)
-    }
-
-    /// One write+sync attempt; reports which stage failed.
-    fn append_frame_once(&mut self, frame: &[u8]) -> Result<(), (FrameStage, io::Error)> {
+    /// One write+sync attempt at the whole group; reports which stage
+    /// failed.
+    fn append_group_once(&mut self) -> Result<(), (FrameStage, io::Error)> {
         let site = wal_obs();
         let span = obs::timer();
         self.out
-            .write_all(frame)
+            .write_all(&self.group)
             .map_err(|e| (FrameStage::Write, e))?;
         let sync = obs::timer();
         self.out.sync().map_err(|e| (FrameStage::Sync, e))?;
+        site.syncs.inc();
         sync.observe("wal.fsync", &site.fsync_ns);
         span.observe("wal.append", &site.append_ns);
         Ok(())
     }
 
-    /// Appends one record and syncs, with bounded retry + exponential
-    /// backoff; returns the log size in bytes after the append — the
-    /// durable high-water mark. Before every retry (and after a final
-    /// failure) the log is truncated back to the acknowledged
-    /// high-water mark, so a torn partial frame can never precede a
-    /// later acked record and a synced-but-unacked frame is removed
-    /// rather than duplicated.
-    ///
-    /// ENOSPC is never retried — it returns [`IoError::ReadOnly`]
-    /// immediately so the caller can degrade.
+    /// Appends one record and syncs: the group of one (see
+    /// [`WalWriter::append_updates`] for the retry and truncation
+    /// contract, which is per group).
     pub fn append_with_retry<G: AbelianGroup + ValueCodec>(
         &mut self,
         op: &WalOp<G>,
         policy: &RetryPolicy,
     ) -> Result<u64, IoError> {
-        let frame = Self::encode_frame(op).map_err(|e| IoError::Transient {
-            detail: format!("encode: {e}"),
-            retries: 0,
-        })?;
+        self.group.clear();
+        push_frame(&mut self.group, |out| op.encode_payload(out))?;
+        self.append_group(1, policy)
+    }
+
+    /// Appends one [`WalOp::Update`] record per entry of `updates`, in
+    /// order, as one group: one write of every frame, one sync. `Ok`
+    /// acknowledges all of them; `Err` none (a group cut mid-write by a
+    /// crash may leave leading records that were never acknowledged —
+    /// the promise a single record cut between its write and its sync
+    /// already had). Returns as [`WalWriter::append_with_retry`] does.
+    pub fn append_updates<G: AbelianGroup + ValueCodec>(
+        &mut self,
+        updates: &[(Vec<i64>, G)],
+        policy: &RetryPolicy,
+    ) -> Result<u64, IoError> {
+        self.group.clear();
+        for (point, delta) in updates {
+            push_frame(&mut self.group, |out| encode_update(out, point, delta))?;
+        }
+        self.append_group(updates.len() as u64, policy)
+    }
+
+    /// Writes the `records` frames in `self.group` and syncs, with
+    /// bounded retry + exponential backoff; returns the log size in
+    /// bytes after the append — the durable high-water mark. Before
+    /// every retry (and after a final failure) the log is truncated
+    /// back to the acknowledged high-water mark, so a torn partial frame
+    /// can never precede a later acked record and a synced-but-unacked
+    /// group is removed rather than duplicated.
+    ///
+    /// ENOSPC is never retried — it returns [`IoError::ReadOnly`]
+    /// immediately so the caller can degrade.
+    fn append_group(&mut self, records: u64, policy: &RetryPolicy) -> Result<u64, IoError> {
         let site = wal_obs();
         let mut retries = 0u32;
         loop {
-            match self.append_frame_once(&frame) {
+            match self.append_group_once() {
                 Ok(()) => {
-                    self.bytes += frame.len() as u64;
-                    self.records += 1;
-                    site.append_records.inc();
-                    site.append_bytes.add(frame.len() as u64);
+                    self.bytes += self.group.len() as u64;
+                    self.records += records;
+                    site.append_records.add(records);
+                    site.append_bytes.add(self.group.len() as u64);
                     return Ok(self.bytes);
                 }
                 Err((stage, e)) => {

@@ -78,7 +78,8 @@ pub use record::{
 };
 
 /// Durability-path observability handles: append latency (the full
-/// log-and-sync), the sync portion alone, recovery replay, and the
+/// log-and-sync), the sync portion alone, records against the syncs that
+/// covered them (plain counters: alive with timing off), recovery replay, and the
 /// disk-fault counters surfaced as `ddc_wal_io_faults` /
 /// `ddc_wal_io_retries` / `ddc_degraded_mode`.
 struct WalObs {
@@ -86,6 +87,7 @@ struct WalObs {
     fsync_ns: Arc<obs::Histogram>,
     recover_ns: Arc<obs::Histogram>,
     append_records: Arc<obs::Counter>,
+    syncs: Arc<obs::Counter>,
     append_bytes: Arc<obs::Counter>,
     recover_records: Arc<obs::Counter>,
     recover_runs: Arc<obs::Counter>,
@@ -101,6 +103,7 @@ fn wal_obs() -> &'static WalObs {
         fsync_ns: obs::histogram("wal.fsync"),
         recover_ns: obs::histogram("wal.recover"),
         append_records: obs::counter("wal.append.records"),
+        syncs: obs::counter("wal.syncs"),
         append_bytes: obs::counter("wal.append.bytes"),
         recover_records: obs::counter("wal.recover.records"),
         recover_runs: obs::counter("wal.recover.runs"),
@@ -184,6 +187,33 @@ mod tests {
             // boundary (or the bare header).
             let on_boundary = cut == WAL_HEADER_BYTES || ends.iter().any(|&e| e as usize == cut);
             assert_eq!(replay.is_clean(), on_boundary, "cut at byte {cut}");
+        }
+    }
+
+    /// A group is its records' frames back to back under one sync, so
+    /// a kill anywhere inside its write leaves a record prefix — leading
+    /// records of a group that was never acknowledged included.
+    #[test]
+    fn a_group_cut_at_every_byte_recovers_to_a_record_prefix() {
+        let group = [(vec![1, 2], 5i64), (vec![-3, 7], -9), (vec![1, 2], 4)];
+        let mut w = WalWriter::create(Vec::new()).unwrap();
+        let end = w.append_updates(&group, &RetryPolicy::instant()).unwrap();
+        assert_eq!((w.records(), w.bytes()), (3, end));
+        let log = w.into_inner();
+        let singly = group.iter().map(|(point, delta)| WalOp::Update {
+            point: point.clone(),
+            delta: *delta,
+        });
+        assert_eq!(log, write_log(&singly.collect::<Vec<_>>()).0);
+        let record = (log.len() - WAL_HEADER_BYTES) / group.len();
+        assert_eq!(record, 37);
+        for cut in 0..=log.len() {
+            let survivors = cut.saturating_sub(WAL_HEADER_BYTES) / record;
+            let (cube, report) =
+                recover::<i64>(2, None, &log[..cut], DdcConfig::dynamic()).unwrap();
+            assert_eq!(report.replayed, survivors, "cut at byte {cut}");
+            let prefix: i64 = group[..survivors].iter().map(|(_, delta)| delta).sum();
+            assert_eq!(cube.total(), prefix, "cut at byte {cut}");
         }
     }
 

@@ -90,20 +90,36 @@ const TAG_UPDATE: u8 = 1;
 const TAG_SET: u8 = 2;
 const TAG_GROW: u8 = 3;
 
+fn point_payload<G: ValueCodec>(
+    out: &mut Vec<u8>,
+    tag: u8,
+    point: &[i64],
+    v: &G,
+) -> io::Result<()> {
+    out.push(tag);
+    out.extend_from_slice(&(point.len() as u32).to_le_bytes());
+    for &c in point {
+        out.extend_from_slice(&c.to_le_bytes());
+    }
+    v.encode(out)
+}
+
+/// The payload of a [`WalOp::Update`], from borrowed parts: a group of
+/// updates is framed without building an op per record.
+pub(super) fn encode_update<G: ValueCodec>(
+    out: &mut Vec<u8>,
+    point: &[i64],
+    delta: &G,
+) -> io::Result<()> {
+    point_payload(out, TAG_UPDATE, point, delta)
+}
+
 impl<G: AbelianGroup + ValueCodec> WalOp<G> {
     /// Encodes the record payload (everything after the frame). The
     /// `io::Result` comes from [`ValueCodec::encode`]; writes into a
     /// `Vec<u8>` cannot themselves fail, but a codec is free to reject
     /// a value, and that must surface as an append error, not a panic.
     pub(super) fn encode_payload(&self, out: &mut Vec<u8>) -> io::Result<()> {
-        let point_payload = |out: &mut Vec<u8>, tag: u8, point: &[i64], v: &G| {
-            out.push(tag);
-            out.extend_from_slice(&(point.len() as u32).to_le_bytes());
-            for &c in point {
-                out.extend_from_slice(&c.to_le_bytes());
-            }
-            v.encode(out)
-        };
         match self {
             WalOp::Update { point, delta } => point_payload(out, TAG_UPDATE, point, delta),
             WalOp::Set { point, value } => point_payload(out, TAG_SET, point, value),

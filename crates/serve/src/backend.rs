@@ -12,6 +12,13 @@
 //! HTTP status ([`BackendError`]'s `From<TryUpdateError>`: `Busy` →
 //! 429, `ReadOnly` → 503), and one health report (a failed
 //! slab or a degraded log, in the words the 503 bodies use).
+//!
+//! Updates arrive in runs — [`ServeBackend::ingest`], which is
+//! [`ddc_core::ShardedCube::try_add_batch`]: the server hands over each
+//! run of consecutive updates a client pipelined, and behind a log the
+//! stretch of it the cube already covers costs one write and one
+//! `sync_data` however long it is. [`ServeBackend::update`] is the run
+//! of one.
 
 use ddc_core::sync::Arc;
 use ddc_core::wal::IoError;
@@ -122,28 +129,13 @@ pub trait ServeBackend: Send + Sync + 'static {
     /// Prefix sum `SUM(origin : point)`.
     fn prefix(&self, point: &[i64]) -> Result<i64, BackendError>;
 
-    /// Forces queued writes into the engine (used by tests and
-    /// shutdown; serving reads are already read-through).
-    fn flush(&self);
-
     /// Liveness/served-capability report for `/healthz`.
     fn health(&self) -> BackendHealth;
 
-    /// Applies a batch in order, stopping at the first rejection.
-    fn ingest(&self, updates: &[(Vec<i64>, i64)]) -> IngestOutcome {
-        for (i, (point, delta)) in updates.iter().enumerate() {
-            if let Err(e) = self.update(point, *delta) {
-                return IngestOutcome {
-                    applied: i,
-                    error: Some(e),
-                };
-            }
-        }
-        IngestOutcome {
-            applied: updates.len(),
-            error: None,
-        }
-    }
+    /// Applies a run of updates in order, stopping at the first
+    /// rejection. A backend whose ack is a synced log record covers the
+    /// run with as few syncs as it can: this is the group-commit door.
+    fn ingest(&self, updates: &[(Vec<i64>, i64)]) -> IngestOutcome;
 }
 
 /// The one [`ServeBackend`]: a handle on a commit pipeline over `T`.
@@ -156,7 +148,8 @@ pub struct Backend<T> {
 pub type ShardedBackend = Backend<GrowableCube<i64>>;
 
 /// The backend of `ddc serve --durable`: growable signed coordinate
-/// space, an ack is a synced WAL record. A point too far out to grow to
+/// space, an ack is a synced WAL record (one sync may cover a whole
+/// [`ServeBackend::ingest`]). A point too far out to grow to
 /// is `OutOfBounds` (400, nothing logged), a transient log failure is
 /// `Io`; ENOSPC / retry exhaustion degrade the log and a commit that
 /// panics fails the pipeline — both `ReadOnly` (503), both flip
@@ -212,8 +205,12 @@ impl<T: CommitTarget<i64> + 'static> ServeBackend for Backend<T> {
         self.query(&vec![lo; point.len()], point)
     }
 
-    fn flush(&self) {
-        self.cube.flush();
+    fn ingest(&self, updates: &[(Vec<i64>, i64)]) -> IngestOutcome {
+        let (applied, refused) = self.cube.try_add_batch(updates);
+        IngestOutcome {
+            applied,
+            error: refused.map(BackendError::from),
+        }
     }
 
     fn health(&self) -> BackendHealth {
@@ -268,7 +265,7 @@ pub(crate) mod tests {
         let b = sharded(&[8, 8]);
         b.update(&[1, 2], 5).expect("in bounds");
         b.update(&[7, 7], 3).expect("in bounds");
-        b.flush();
+        b.cube().flush();
         assert_eq!(b.query(&[0, 0], &[7, 7]).expect("full box"), 8);
         assert_eq!(b.prefix(&[1, 2]).expect("prefix"), 5);
         assert_eq!(b.query(&[7, 7], &[7, 7]).expect("cell"), 3);
@@ -305,7 +302,7 @@ pub(crate) mod tests {
         ]);
         assert_eq!(out.applied, 2);
         assert_eq!(out.error.as_ref().map(|e| e.status()), Some(400));
-        b.flush();
+        b.cube().flush();
         assert_eq!(b.query(&[0, 0], &[3, 3]).expect("sum"), 3);
     }
 

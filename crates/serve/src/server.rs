@@ -11,7 +11,11 @@
 //! * [`ServerConfig::workers`] worker threads pop connections and run
 //!   them to completion: read → feed [`RequestParser`] → execute each
 //!   frame against the backend → batch all responses from one read
-//!   into one write (pipelining never pays per-request syscalls).
+//!   into one write (pipelining never pays per-request syscalls). Each
+//!   maximal run of consecutive update frames in a read goes to the
+//!   backend as one [`ServeBackend::ingest`] — behind a log, one write
+//!   and one sync — when the run ends: at a frame that is not an
+//!   update, at a framing error, or with the read.
 //! * Reads carry a short timeout so idle connections observe shutdown
 //!   promptly; a fatal [`ParseError`](crate::http::ParseError) answers
 //!   with its mapped status and closes (after a framing error the
@@ -230,6 +234,9 @@ fn handle_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
     };
     let mut buf = vec![0u8; 16 * 1024];
     let mut out: Vec<u8> = Vec::with_capacity(4 * 1024);
+    // The updates of the read in hand that are parsed but not yet handed
+    // to the backend: a maximal run of consecutive update frames.
+    let mut run: Vec<(Vec<i64>, i64)> = Vec::new();
     let mut last_activity = Instant::now();
     loop {
         let n = match stream.read(&mut buf) {
@@ -258,10 +265,11 @@ fn handle_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
         out.clear();
         loop {
             match parser.poll() {
-                Ok(Some(frame)) => respond(&frame, shared, &mut session, &mut out),
+                Ok(Some(frame)) => respond(&frame, shared, &mut session, &mut run, &mut out),
                 Ok(None) => break,
                 Err(e) => {
                     // Fatal framing error: answer and close.
+                    land_run(shared, &mut run, &mut out);
                     obs::counter("serve.parse_errors").inc();
                     write_http_response(&mut out, e.status(), &format!("{e}\n"));
                     let _ = stream.write_all(&out);
@@ -269,6 +277,7 @@ fn handle_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
                 }
             }
         }
+        land_run(shared, &mut run, &mut out);
         if !out.is_empty() && stream.write_all(&out).is_err() {
             return;
         }
@@ -278,10 +287,46 @@ fn handle_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
     }
 }
 
-/// Executes one frame, appending the wire response to `out`.
-fn respond(frame: &Frame, shared: &Arc<Shared>, session: &mut Session, out: &mut Vec<u8>) {
+/// Hands the run of updates collected so far to the backend as one
+/// ingest — on a logged backend one log write and one sync for all of
+/// it — and appends their reply lines, in request order. A refused
+/// update gets its own reply and the rest of the run goes in again
+/// behind it.
+fn land_run(shared: &Arc<Shared>, run: &mut Vec<(Vec<i64>, i64)>, out: &mut Vec<u8>) {
+    let mut rest = run.as_slice();
+    while !rest.is_empty() {
+        let outcome = shared.backend.ingest(rest);
+        for _ in 0..outcome.applied {
+            reply_line(out, 200, "ok");
+        }
+        let Some(e) = outcome.error else { break };
+        if matches!(e, BackendError::Busy(_)) {
+            obs::counter("serve.rejected.backpressure").inc();
+        }
+        reply_line(out, e.status(), e.detail());
+        rest = &rest[outcome.applied + 1..];
+    }
+    run.clear();
+}
+
+/// Executes one frame, appending the wire response to `out` — or, for
+/// an admitted update, appending it to `run`: consecutive updates are
+/// answered together when the run ends ([`land_run`]), which is before
+/// anything else is answered, so replies stay in request order and a
+/// query reads the connection's own writes.
+fn respond(
+    frame: &Frame,
+    shared: &Arc<Shared>,
+    session: &mut Session,
+    run: &mut Vec<(Vec<i64>, i64)>,
+    out: &mut Vec<u8>,
+) {
     obs::counter("serve.requests").inc();
-    let request = match protocol::decode(frame) {
+    let decoded = protocol::decode(frame);
+    if !matches!(decoded, Ok(ServeRequest::Update { .. })) {
+        land_run(shared, run, out);
+    }
+    let request = match decoded {
         Ok(r) => r,
         Err(e) => {
             obs::counter("serve.bad_requests").inc();
@@ -316,16 +361,16 @@ fn respond(frame: &Frame, shared: &Arc<Shared>, session: &mut Session, out: &mut
         Frame::Line(_) => &session.tenant,
     };
     if !shared.admission.admit(tenant, shared.now_ns()) {
+        // A refused update ends the run it would have joined.
+        land_run(shared, run, out);
         obs::counter("serve.rejected.admission").inc();
         return reply(frame, out, 429, &format!("rate-limited tenant {tenant:?}"));
     }
     let backend = &shared.backend;
-    let result = match &request {
-        ServeRequest::Update { point, delta } => {
-            backend.update(point, *delta).map(|()| "ok".to_string())
-        }
+    let result = match request {
+        ServeRequest::Update { point, delta } => return run.push((point, delta)),
         ServeRequest::Ingest(updates) => {
-            let outcome = backend.ingest(updates);
+            let outcome = backend.ingest(&updates);
             match outcome.error {
                 None => Ok(format!("applied {}", outcome.applied)),
                 Some(e) => {
@@ -346,8 +391,8 @@ fn respond(frame: &Frame, shared: &Arc<Shared>, session: &mut Session, out: &mut
                 }
             }
         }
-        ServeRequest::Query { lo, hi } => backend.query(lo, hi).map(|v| v.to_string()),
-        ServeRequest::Prefix(point) => backend.prefix(point).map(|v| v.to_string()),
+        ServeRequest::Query { lo, hi } => backend.query(&lo, &hi).map(|v| v.to_string()),
+        ServeRequest::Prefix(point) => backend.prefix(&point).map(|v| v.to_string()),
         // Handled above.
         ServeRequest::Tenant(_)
         | ServeRequest::Ping
@@ -377,21 +422,19 @@ fn reply(frame: &Frame, out: &mut Vec<u8>, status: u16, body: &str) {
             }
             write_http_response(out, status, &body);
         }
-        Frame::Line(_) => {
-            match status {
-                200 => out.extend_from_slice(body.as_bytes()),
-                429 => {
-                    out.extend_from_slice(b"busy ");
-                    out.extend_from_slice(body.as_bytes());
-                }
-                _ => {
-                    out.extend_from_slice(b"err ");
-                    out.extend_from_slice(body.as_bytes());
-                }
-            }
-            out.push(b'\n');
-        }
+        Frame::Line(_) => reply_line(out, status, body),
     }
+}
+
+/// [`reply`] to a line frame (an update is always one).
+fn reply_line(out: &mut Vec<u8>, status: u16, body: &str) {
+    match status {
+        200 => {}
+        429 => out.extend_from_slice(b"busy "),
+        _ => out.extend_from_slice(b"err "),
+    }
+    out.extend_from_slice(body.as_bytes());
+    out.push(b'\n');
 }
 
 #[cfg(test)]

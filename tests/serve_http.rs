@@ -17,6 +17,13 @@
 //! * **Health**: a slab out of restarts, and a logged commit that
 //!   panics, both answer 503 with the reason `/healthz` then reports —
 //!   one pipeline, one health model — and reads keep being served.
+//! * **Group commit**: a pipelined run of `u` lines to a durable server
+//!   on a fault-injecting disk is one log write and one sync however
+//!   long it is; a query in the middle splits it (and sees what came
+//!   before it), a refused update in the middle gets its own reply
+//!   between its neighbours' `ok`s, and ENOSPC under a group refuses all
+//!   of it, leaves the log at its high-water mark and keeps reads
+//!   served.
 //! * **Unreachable coordinates**: the durable backend refuses a point
 //!   its cube cannot grow to with a 400-class reply, logs nothing for
 //!   it, keeps serving, and restarts cleanly.
@@ -26,8 +33,8 @@ use ddc_core::sync::Arc;
 use ddc_core::vfs::StdVfs;
 use ddc_core::wal::{self, RetryPolicy};
 use ddc_core::{
-    CommitTarget, DdcConfig, DurableCube, ShardConfig, ShardedCube, SharedDurableCube,
-    PANICKED_AFTER_APPEND, RESTARTS_EXHAUSTED,
+    CommitTarget, DdcConfig, DurableCube, FaultKind, FaultVfs, PlannedFault, ShardConfig,
+    ShardedCube, SharedDurableCube, Vfs, PANICKED_AFTER_APPEND, RESTARTS_EXHAUSTED,
 };
 use ddc_serve::{Backend, DurableBackend, ServeBackend, Server, ServerConfig, ShardedBackend};
 use ddc_tests::{Fault, Faults, FlakyTarget};
@@ -68,6 +75,13 @@ fn roundtrip(stream: &mut TcpStream, request: &str) -> String {
         line.push(byte[0]);
     }
     String::from_utf8(line).expect("utf-8 response")
+}
+
+/// Writes `wire` in one write and reads `n` response lines.
+fn pipelined(stream: &mut TcpStream, wire: &str, n: usize) -> Vec<String> {
+    let mut replies = vec![roundtrip(stream, wire)];
+    replies.extend((1..n).map(|_| roundtrip(stream, "")));
+    replies
 }
 
 /// Reads exactly `want.len()` bytes and asserts byte equality.
@@ -353,6 +367,110 @@ fn metrics_scrape_exposes_serving_counters_after_traffic() {
         got.contains("ddc_serve_requests"),
         "scrape must carry the serve counters: {got:?}"
     );
+    server.shutdown();
+}
+
+type FaultFile = <FaultVfs as Vfs>::File;
+
+/// Boots what `ddc serve --durable` serves on an in-memory disk that
+/// counts file ops — a clean append is two, its write and its sync —
+/// and is full (ENOSPC) for the op after the first `fits` since boot.
+fn start_on_a_counting_disk(
+    fits: Option<u64>,
+) -> (Server, FaultVfs, Arc<DurableBackend<FaultFile>>) {
+    let boot = |vfs: &FaultVfs| {
+        let (config, policy) = (DdcConfig::dynamic(), RetryPolicy::instant());
+        let (cube, _) = wal::recover_vfs::<i64, _>(vfs, "wal.log", None, 2, config, policy)
+            .expect("durable cube boots");
+        cube
+    };
+    // A disarmed boot still counts ops: probe how many.
+    let probe = FaultVfs::explicit_mem(Vec::new());
+    drop(boot(&probe));
+    let fault = |fits| PlannedFault {
+        op: probe.ops() + fits,
+        kind: FaultKind::NoSpace,
+    };
+    let vfs = FaultVfs::explicit_mem(fits.map(fault).into_iter().collect());
+    let cube = SharedDurableCube::from_cube(boot(&vfs));
+    vfs.arm(true);
+    let (server, backend) = start(DurableBackend::new(cube), 2);
+    (server, vfs, backend)
+}
+
+/// The unit of the durable commit is the run the client pipelined, not
+/// the update: N `u` lines in one write are N `ok`, N records, one log
+/// write and one sync. A query ends the run in front of it — it reads
+/// the connection's own writes — and so does an update the cube refuses,
+/// which gets its own reply between its neighbours' `ok`s.
+#[test]
+fn a_pipelined_run_of_updates_is_one_log_write_and_one_sync() {
+    let (server, disk, backend) = start_on_a_counting_disk(None);
+    let log = || backend.cube().read_target(0, |durable| durable.wal_stats());
+    let mut stream = TcpStream::connect(server.local_addr()).expect("client connects");
+    let run = |range: std::ops::Range<i64>| -> String {
+        range
+            .map(|i| format!("u {},{} 1\n", i % 16, i / 16))
+            .collect()
+    };
+
+    let before = disk.ops();
+    assert_eq!(pipelined(&mut stream, &run(0..40), 40), vec!["ok"; 40]);
+    assert_eq!(disk.ops() - before, 2, "one write and one sync for 40 acks");
+    assert_eq!(log().1, 40, "one record per ack, never coalesced");
+
+    let before = disk.ops();
+    let wire = format!("{}q 0,0 15,15\n{}p 15,15\n", run(40..50), run(50..60));
+    let replies = pipelined(&mut stream, &wire, 22);
+    assert_eq!(replies[..10], vec!["ok"; 10]);
+    assert_eq!(replies[10], "50", "the query sees the run in front of it");
+    assert_eq!(replies[11..21], vec!["ok"; 10]);
+    assert_eq!(replies[21], "60");
+    assert_eq!(disk.ops() - before, 4, "the query splits the run in two");
+
+    let before = (disk.ops(), log().0);
+    let wire = format!("{}u 9223372036854775807,0 1\n{}", run(60..63), run(63..66));
+    let replies = pipelined(&mut stream, &wire, 7);
+    assert_eq!(replies[..3], vec!["ok"; 3]);
+    assert!(replies[3].starts_with("err ") && replies[3].contains("past side"));
+    assert_eq!(replies[4..], vec!["ok"; 3]);
+    assert_eq!(
+        disk.ops() - before.0,
+        4,
+        "a group on either side of the 400"
+    );
+    assert_eq!(log().0 - before.1, 6 * 37, "nothing logged for the refusal");
+    assert_eq!(roundtrip(&mut stream, "q 0,0 15,15\n"), "66");
+    server.shutdown();
+}
+
+/// ENOSPC on a group's write: every update of the group is answered
+/// `err` with the reason `/healthz` then shows, the log stays at its
+/// high-water mark, and reads are still served.
+#[test]
+fn enospc_under_a_group_refuses_all_of_it_and_keeps_serving_reads() {
+    // The first group's write and sync fit; the second group's write
+    // does not.
+    let (server, disk, backend) = start_on_a_counting_disk(Some(2));
+    let mut stream = TcpStream::connect(server.local_addr()).expect("client connects");
+    let wire = "u 1,1 1\nu 2,2 2\nu 3,3 3\n";
+    assert_eq!(pipelined(&mut stream, wire, 3), vec!["ok"; 3]);
+    let acked = backend.cube().read_target(0, |durable| durable.wal_stats());
+
+    let replies = pipelined(&mut stream, "u 4,4 4\nu 5,5 5\nu 6,6 6\nq 0,0 9,9\n", 4);
+    for refused in &replies[..3] {
+        assert!(refused.starts_with("err "), "{replies:?}");
+        assert!(refused.contains("out of disk space"), "{replies:?}");
+    }
+    assert_eq!(replies[3], "6", "reads serve the acked prefix");
+    let (status, body) = healthz(&server.local_addr().to_string());
+    assert!(status.starts_with("HTTP/1.1 503 "), "{status}");
+    let reason = body.strip_prefix("degraded: ").expect("a reason");
+    assert!(replies.iter().take(3).all(|r| r.contains(reason)), "{body}");
+    let on_disk = disk.inner().contents("wal.log").expect("log exists");
+    assert_eq!(on_disk.len() as u64, acked.0, "the torn group was cut off");
+    let now = backend.cube().read_target(0, |durable| durable.wal_stats());
+    assert_eq!(now, acked);
     server.shutdown();
 }
 

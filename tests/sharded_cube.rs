@@ -82,7 +82,7 @@ impl Rig for Logged {
 
 /// SNIPPETS.md's cumulant suite (validate the structure and compare the
 /// running aggregate after every step), transposed onto the pipeline:
-/// random enqueues, flushes, failing commits, heals and — with a log —
+/// random runs of enqueues, flushes, failing commits, heals and — with a log —
 /// kills, each followed by `check_invariants()` on every slab and a
 /// comparison of the total, sampled boxes and a cell with the oracle of
 /// *acknowledged* updates. With a log, records == acks after every step.
@@ -99,15 +99,20 @@ fn churn<R: Rig>(rig: &R, rng: &mut DdcRng, steps: usize) {
             // The last step of a logged run is always a kill.
             _ if step == steps => "crash",
             0..=11 => {
-                let (p, delta) = ([coord(rng), coord(rng)], rng.gen_range(-9i64..=9));
-                match cube.try_add(&p, delta) {
-                    Ok(()) => {
-                        oracle.add(&p, delta);
-                        acked += 1;
-                        "acked add"
-                    }
-                    Err(TryUpdateError::OutOfBounds(why)) => panic!("{p:?}: {why}"),
-                    Err(_) => "refused add",
+                // A run of one to six: with a log, one commit per
+                // stretch the cube covers already.
+                let run: Vec<_> = (0..[1, 1, 2, 6][rng.gen_range(0usize..4)])
+                    .map(|_| (vec![coord(rng), coord(rng)], rng.gen_range(-9i64..=9)))
+                    .collect();
+                let (landed, refused) = cube.try_add_batch(&run);
+                for (p, delta) in &run[..landed] {
+                    oracle.add(p, *delta);
+                    acked += 1;
+                }
+                match refused {
+                    None => "acked run",
+                    Some(TryUpdateError::OutOfBounds(why)) => panic!("{run:?}: {why}"),
+                    Some(_) => "refused run",
                 }
             }
             12..=13 => {

@@ -3,31 +3,37 @@
 //! A [`CheckEngine`] speaks the trace's language — signed logical
 //! coordinates, growth in any direction, save/load round-trips, flush
 //! barriers — and each adapter translates that onto one engine's real
-//! API. Fixed-shape engines (the Table-1 baselines) have no growth
-//! story, so their adapter *rebuilds* on [`CheckEngine::grow`] by
-//! copying cells into a larger instance; the growable engines grow
-//! organically and treat it as a no-op.
+//! API. Fixed-shape engines have no growth story, so the one adapter
+//! they share *rebuilds* on [`CheckEngine::grow`] by copying cells into
+//! a larger instance; the growable engines grow organically and treat
+//! it as a no-op; the durable ones are the crate's [`Rig`] on an
+//! in-memory disk, and note the growth in their log.
 
-use ddc_array::{RangeSumEngine, Region, Shape};
+use ddc_array::{OpCounter, RangeSumEngine, Region, Shape};
 use ddc_baselines::{
     GrowablePrefixSum, MultiFenwick, NaiveEngine, PrefixSumEngine, RelativePrefixEngine,
 };
+use ddc_core::vfs::MemVfs;
+use ddc_core::wal::IoError;
 use ddc_core::{
-    wal, DdcConfig, DdcEngine, DurableCube, GrowableCube, PagerConfig, ShardConfig, ShardedCube,
-    SharedCube,
+    DdcConfig, DdcEngine, GrowableCube, PagerConfig, ShardConfig, ShardedCube, SharedCube,
 };
 use ddc_workload::BoxState;
 
+use crate::rig::Rig;
+
 /// One engine under differential test, addressed in trace coordinates.
+/// Only an engine with a log can refuse a mutation (`Err`); the runner
+/// reports that as a divergence.
 pub trait CheckEngine {
     /// Display name, including any config variant.
     fn name(&self) -> &str;
 
     /// Adds `delta` at the signed logical `point`.
-    fn add(&mut self, point: &[i64], delta: i64);
+    fn add(&mut self, point: &[i64], delta: i64) -> Result<(), IoError>;
 
     /// Sets the cell, returning the previous value (compared).
-    fn set(&mut self, point: &[i64], value: i64) -> i64;
+    fn set(&mut self, point: &[i64], value: i64) -> Result<i64, IoError>;
 
     /// Reads one cell (compared).
     fn cell(&self, point: &[i64]) -> i64;
@@ -35,8 +41,18 @@ pub trait CheckEngine {
     /// Range sum over the closed logical box (compared).
     fn range_sum(&self, lo: &[i64], hi: &[i64]) -> i64;
 
-    /// The covered box grew; `new_box` is the box *after* growth.
-    fn grow(&mut self, new_box: &BoxState);
+    /// The covered box grew by `amount` cells along `axis` (at the low
+    /// end when `low`); `new_box` is the box *after* growth. Nothing to
+    /// do for an engine that grows organically.
+    fn grow(
+        &mut self,
+        _new_box: &BoxState,
+        _axis: usize,
+        _amount: usize,
+        _low: bool,
+    ) -> Result<(), IoError> {
+        Ok(())
+    }
 
     /// Save/load round-trip for engines that persist. Non-persistent
     /// engines return `Ok(())` untouched.
@@ -58,22 +74,21 @@ pub trait CheckEngine {
     }
 }
 
-fn phys(point: &[i64], origin: &[i64]) -> Vec<usize> {
-    point
-        .iter()
-        .zip(origin)
-        .map(|(&c, &o)| (c - o) as usize)
-        .collect()
-}
+/// An engine through its snapshot format and back.
+pub type Reload<E> = fn(&E) -> Result<E, String>;
 
-/// Adapter for fixed-shape [`RangeSumEngine`]s: keeps the current box
-/// origin for coordinate translation and rebuilds (copying every
-/// populated cell) when the box grows.
-pub struct FixedAdapter<E: RangeSumEngine<i64>> {
+/// Adapter for every fixed-shape [`RangeSumEngine`]: keeps the current
+/// box origin for coordinate translation and rebuilds (copying every
+/// populated cell) when the box grows. What differs per engine — how to
+/// build one, a save/load round trip, a flush — is supplied where the
+/// roster is built.
+pub struct FixedAdapter<E> {
     label: String,
     engine: E,
     origin: Vec<i64>,
     build: Box<dyn Fn(Shape) -> E + Send>,
+    reload: Option<Reload<E>>,
+    barrier: Option<fn(&mut E)>,
 }
 
 impl<E: RangeSumEngine<i64>> FixedAdapter<E> {
@@ -89,7 +104,27 @@ impl<E: RangeSumEngine<i64>> FixedAdapter<E> {
             engine,
             origin: init.origin.clone(),
             build: Box::new(build),
+            reload: None,
+            barrier: None,
         }
+    }
+
+    /// [`CheckEngine::save_load`] replaces the engine with `reload` of it.
+    pub fn reloading(mut self, reload: Reload<E>) -> Self {
+        self.reload = Some(reload);
+        self
+    }
+
+    /// [`CheckEngine::flush`] calls `barrier`.
+    pub fn flushing(mut self, barrier: fn(&mut E)) -> Self {
+        self.barrier = Some(barrier);
+        self
+    }
+
+    /// Logical → physical: the one coordinate translation.
+    fn phys(&self, point: &[i64]) -> Vec<usize> {
+        let shifted = point.iter().zip(&self.origin);
+        shifted.map(|(&c, &o)| (c - o) as usize).collect()
     }
 }
 
@@ -98,272 +133,118 @@ impl<E: RangeSumEngine<i64>> CheckEngine for FixedAdapter<E> {
         &self.label
     }
 
-    fn add(&mut self, point: &[i64], delta: i64) {
-        self.engine.apply_delta(&phys(point, &self.origin), delta);
+    fn add(&mut self, point: &[i64], delta: i64) -> Result<(), IoError> {
+        self.engine.apply_delta(&self.phys(point), delta);
+        Ok(())
     }
 
-    fn set(&mut self, point: &[i64], value: i64) -> i64 {
-        self.engine.set(&phys(point, &self.origin), value)
+    fn set(&mut self, point: &[i64], value: i64) -> Result<i64, IoError> {
+        Ok(self.engine.set(&self.phys(point), value))
     }
 
     fn cell(&self, point: &[i64]) -> i64 {
-        self.engine.cell(&phys(point, &self.origin))
+        self.engine.cell(&self.phys(point))
     }
 
     fn range_sum(&self, lo: &[i64], hi: &[i64]) -> i64 {
-        self.engine.range_sum(&Region::new(
-            &phys(lo, &self.origin),
-            &phys(hi, &self.origin),
-        ))
+        let region = Region::new(&self.phys(lo), &self.phys(hi));
+        self.engine.range_sum(&region)
     }
 
-    fn grow(&mut self, new_box: &BoxState) {
+    fn grow(&mut self, new_box: &BoxState, _: usize, _: usize, _: bool) -> Result<(), IoError> {
         let mut next = (self.build)(Shape::new(&new_box.dims));
         for p in self.engine.shape().iter_points() {
             let v = self.engine.cell(&p);
             if v != 0 {
                 // Physical-in-old → logical → physical-in-new.
-                let shifted: Vec<usize> = p
-                    .iter()
-                    .zip(self.origin.iter().zip(&new_box.origin))
-                    .map(|(&c, (&old_o, &new_o))| (c as i64 + old_o - new_o) as usize)
-                    .collect();
-                next.apply_delta(&shifted, v);
+                let logical = p.iter().zip(&self.origin).map(|(&c, &o)| c as i64 + o);
+                let moved = logical.zip(&new_box.origin).map(|(c, &o)| (c - o) as usize);
+                next.apply_delta(&moved.collect::<Vec<_>>(), v);
             }
         }
         self.engine = next;
         self.origin = new_box.origin.clone();
-    }
-}
-
-/// Adapter for the DDC engine proper, with a real save/load round-trip
-/// through an in-memory buffer on [`CheckEngine::save_load`].
-pub struct DdcAdapter {
-    label: String,
-    engine: DdcEngine<i64>,
-    origin: Vec<i64>,
-    config: DdcConfig,
-}
-
-impl DdcAdapter {
-    /// Fresh DDC cube over `init` under `config`. If `config` asks for
-    /// paged leaves, the leaf arena is converted before any op lands.
-    pub fn new(label: impl Into<String>, init: &BoxState, config: DdcConfig) -> Self {
-        let mut engine = DdcEngine::with_config(Shape::new(&init.dims), config);
-        engine.enable_paging().expect("enable paged leaf arena");
-        Self {
-            label: label.into(),
-            engine,
-            origin: init.origin.clone(),
-            config,
-        }
-    }
-}
-
-impl CheckEngine for DdcAdapter {
-    fn name(&self) -> &str {
-        &self.label
-    }
-
-    fn add(&mut self, point: &[i64], delta: i64) {
-        self.engine.apply_delta(&phys(point, &self.origin), delta);
-    }
-
-    fn set(&mut self, point: &[i64], value: i64) -> i64 {
-        self.engine.set(&phys(point, &self.origin), value)
-    }
-
-    fn cell(&self, point: &[i64]) -> i64 {
-        self.engine.cell(&phys(point, &self.origin))
-    }
-
-    fn range_sum(&self, lo: &[i64], hi: &[i64]) -> i64 {
-        self.engine.range_sum(&Region::new(
-            &phys(lo, &self.origin),
-            &phys(hi, &self.origin),
-        ))
-    }
-
-    fn grow(&mut self, new_box: &BoxState) {
-        let mut next = DdcEngine::with_config(Shape::new(&new_box.dims), self.config);
-        next.enable_paging().expect("enable paged leaf arena");
-        for (p, v) in self.engine.entries() {
-            let shifted: Vec<usize> = p
-                .iter()
-                .zip(self.origin.iter().zip(&new_box.origin))
-                .map(|(&c, (&old_o, &new_o))| (c as i64 + old_o - new_o) as usize)
-                .collect();
-            next.apply_delta(&shifted, v);
-        }
-        self.engine = next;
-        self.origin = new_box.origin.clone();
+        Ok(())
     }
 
     fn save_load(&mut self) -> Result<(), String> {
-        let mut buf = Vec::new();
-        self.engine
-            .save(&mut buf)
-            .map_err(|e| format!("save: {e}"))?;
-        self.engine =
-            DdcEngine::load(&mut buf.as_slice(), self.config).map_err(|e| format!("load: {e}"))?;
+        if let Some(reload) = self.reload {
+            self.engine = reload(&self.engine)?;
+        }
         Ok(())
-    }
-}
-
-/// Adapter for the lock-guarded [`SharedCube`].
-pub struct SharedAdapter {
-    cube: SharedCube<i64>,
-    origin: Vec<i64>,
-    config: DdcConfig,
-}
-
-impl SharedAdapter {
-    /// Fresh shared cube over `init` under `config`.
-    pub fn new(init: &BoxState, config: DdcConfig) -> Self {
-        Self {
-            cube: SharedCube::new(Shape::new(&init.dims), config),
-            origin: init.origin.clone(),
-            config,
-        }
-    }
-}
-
-impl CheckEngine for SharedAdapter {
-    fn name(&self) -> &str {
-        "shared-cube"
-    }
-
-    fn add(&mut self, point: &[i64], delta: i64) {
-        self.cube.apply_delta(&phys(point, &self.origin), delta);
-    }
-
-    fn set(&mut self, point: &[i64], value: i64) -> i64 {
-        let p = phys(point, &self.origin);
-        self.cube.with_write(|e| e.set(&p, value))
-    }
-
-    fn cell(&self, point: &[i64]) -> i64 {
-        self.cube.cell(&phys(point, &self.origin))
-    }
-
-    fn range_sum(&self, lo: &[i64], hi: &[i64]) -> i64 {
-        self.cube.range_sum(&Region::new(
-            &phys(lo, &self.origin),
-            &phys(hi, &self.origin),
-        ))
-    }
-
-    fn grow(&mut self, new_box: &BoxState) {
-        let shifted: Vec<(Vec<usize>, i64)> = self
-            .cube
-            .entries()
-            .into_iter()
-            .map(|(p, v)| {
-                let q: Vec<usize> = p
-                    .iter()
-                    .zip(self.origin.iter().zip(&new_box.origin))
-                    .map(|(&c, (&old_o, &new_o))| (c as i64 + old_o - new_o) as usize)
-                    .collect();
-                (q, v)
-            })
-            .collect();
-        self.cube = SharedCube::new(Shape::new(&new_box.dims), self.config);
-        self.cube.apply_batch(&shifted);
-        self.origin = new_box.origin.clone();
-    }
-
-    fn save_load(&mut self) -> Result<(), String> {
-        let config = self.config;
-        let loaded = self.cube.with_read(|e| {
-            let mut buf = Vec::new();
-            e.save(&mut buf).map_err(|x| format!("save: {x}"))?;
-            DdcEngine::load(&mut buf.as_slice(), config).map_err(|x| format!("load: {x}"))
-        })?;
-        self.cube = SharedCube::from_engine(loaded);
-        Ok(())
-    }
-}
-
-/// Adapter for the write-batching [`ShardedCube`]; queries read through
-/// the queues, so no flush is needed for correctness — only the
-/// explicit [`CheckEngine::flush`] barrier drains them.
-pub struct ShardedAdapter {
-    label: String,
-    cube: ShardedCube<i64>,
-    origin: Vec<i64>,
-    config: DdcConfig,
-    shard_config: ShardConfig,
-}
-
-impl ShardedAdapter {
-    /// Fresh sharded cube over `init`.
-    pub fn new(
-        label: impl Into<String>,
-        init: &BoxState,
-        config: DdcConfig,
-        shard_config: ShardConfig,
-    ) -> Self {
-        Self {
-            label: label.into(),
-            cube: ShardedCube::new(Shape::new(&init.dims), config, shard_config),
-            origin: init.origin.clone(),
-            config,
-            shard_config,
-        }
-    }
-}
-
-impl CheckEngine for ShardedAdapter {
-    fn name(&self) -> &str {
-        &self.label
-    }
-
-    fn add(&mut self, point: &[i64], delta: i64) {
-        self.cube.update(&phys(point, &self.origin), delta);
-    }
-
-    fn set(&mut self, point: &[i64], value: i64) -> i64 {
-        let p = phys(point, &self.origin);
-        let old = self.cube.cell_value(&p);
-        self.cube.update(&p, value - old);
-        old
-    }
-
-    fn cell(&self, point: &[i64]) -> i64 {
-        self.cube.cell_value(&phys(point, &self.origin))
-    }
-
-    fn range_sum(&self, lo: &[i64], hi: &[i64]) -> i64 {
-        self.cube.query(&Region::new(
-            &phys(lo, &self.origin),
-            &phys(hi, &self.origin),
-        ))
-    }
-
-    fn grow(&mut self, new_box: &BoxState) {
-        self.cube.flush();
-        let shifted: Vec<(Vec<usize>, i64)> = self
-            .cube
-            .entries()
-            .into_iter()
-            .map(|(p, v)| {
-                let q: Vec<usize> = p
-                    .iter()
-                    .zip(self.origin.iter().zip(&new_box.origin))
-                    .map(|(&c, (&old_o, &new_o))| (c + old_o - new_o) as usize)
-                    .collect();
-                (q, v)
-            })
-            .collect();
-        self.cube = ShardedCube::new(Shape::new(&new_box.dims), self.config, self.shard_config);
-        for (point, delta) in &shifted {
-            self.cube.update(point, *delta);
-        }
-        self.origin = new_box.origin.clone();
     }
 
     fn flush(&mut self) {
-        self.cube.flush();
+        if let Some(barrier) = self.barrier {
+            barrier(&mut self.engine);
+        }
+    }
+}
+
+fn reload_ddc(engine: &DdcEngine<i64>) -> Result<DdcEngine<i64>, String> {
+    let mut buf = Vec::new();
+    engine.save(&mut buf).map_err(|e| format!("save: {e}"))?;
+    DdcEngine::load(&mut buf.as_slice(), *engine.config()).map_err(|e| format!("load: {e}"))
+}
+
+/// The DDC engine proper under `config`, with a real save/load
+/// round-trip through an in-memory buffer. If `config` asks for paged
+/// leaves, the leaf arena is converted before any op lands.
+pub fn ddc_adapter(
+    label: &str,
+    init: &BoxState,
+    config: DdcConfig,
+) -> FixedAdapter<DdcEngine<i64>> {
+    let build = move |shape| {
+        let mut engine = DdcEngine::with_config(shape, config);
+        engine.enable_paging().expect("enable paged leaf arena");
+        engine
+    };
+    FixedAdapter::new(label, init, build).reloading(reload_ddc)
+}
+
+/// The lock-guarded [`SharedCube`] behind the engine interface (its own
+/// methods take `&self`, so it has no use for the trait).
+struct Locked {
+    cube: SharedCube<i64>,
+    shape: Shape,
+    ops: OpCounter,
+}
+
+impl Locked {
+    fn over(engine: DdcEngine<i64>) -> Self {
+        Self {
+            shape: engine.shape().clone(),
+            cube: SharedCube::from_engine(engine),
+            ops: OpCounter::new(),
+        }
+    }
+}
+
+impl RangeSumEngine<i64> for Locked {
+    fn name(&self) -> &'static str {
+        "shared-cube"
+    }
+    fn shape(&self) -> &Shape {
+        &self.shape
+    }
+    fn prefix_sum(&self, point: &[usize]) -> i64 {
+        self.cube.prefix_sum(point)
+    }
+    fn apply_delta(&mut self, point: &[usize], delta: i64) {
+        self.cube.apply_delta(point, delta);
+    }
+    fn range_sum(&self, region: &Region) -> i64 {
+        self.cube.range_sum(region)
+    }
+    fn cell(&self, point: &[usize]) -> i64 {
+        self.cube.cell(point)
+    }
+    fn counter(&self) -> &OpCounter {
+        &self.ops
+    }
+    fn heap_bytes(&self) -> usize {
+        self.cube.heap_bytes()
     }
 }
 
@@ -394,12 +275,13 @@ impl CheckEngine for GrowableAdapter {
         &self.label
     }
 
-    fn add(&mut self, point: &[i64], delta: i64) {
+    fn add(&mut self, point: &[i64], delta: i64) -> Result<(), IoError> {
         self.cube.add(point, delta);
+        Ok(())
     }
 
-    fn set(&mut self, point: &[i64], value: i64) -> i64 {
-        self.cube.set(point, value)
+    fn set(&mut self, point: &[i64], value: i64) -> Result<i64, IoError> {
+        Ok(self.cube.set(point, value))
     }
 
     fn cell(&self, point: &[i64]) -> i64 {
@@ -410,8 +292,6 @@ impl CheckEngine for GrowableAdapter {
         self.cube.range_sum(lo, hi)
     }
 
-    fn grow(&mut self, _new_box: &BoxState) {}
-
     fn save_load(&mut self) -> Result<(), String> {
         let mut buf = Vec::new();
         self.cube.save(&mut buf).map_err(|e| format!("save: {e}"))?;
@@ -421,111 +301,72 @@ impl CheckEngine for GrowableAdapter {
     }
 }
 
-/// Adapter for the write-ahead-logged [`DurableCube`]: every mutation
-/// is appended and flushed to an in-memory log *before* it is applied,
-/// snapshots land in an in-memory buffer, and [`CheckEngine::crash`]
-/// drops the cube and rebuilds it from snapshot + log. Since every op
-/// this adapter applied was acknowledged, recovery must reproduce the
-/// oracle's state exactly.
-pub struct DurableAdapter {
+/// The write-ahead-logged cube: the crate's rig (`rig.rs`) on an
+/// in-memory disk. Every mutation is appended and synced to `wal.log`
+/// *before* it is applied, [`CheckEngine::save_load`] checkpoints (and
+/// proves the checkpoint loadable by re-booting from it),
+/// [`CheckEngine::crash`] drops the cube and re-boots it from what the
+/// disk holds. Since every op this engine applied was acknowledged,
+/// recovery must reproduce the oracle's state exactly.
+pub struct DurableEngine {
     label: String,
-    durable: DurableCube<i64, Vec<u8>>,
-    snapshot: Option<Vec<u8>>,
-    prev: BoxState,
-    config: DdcConfig,
+    /// `Err` when the first boot failed; the first mutation reports it.
+    rig: Result<Rig<MemVfs>, String>,
 }
 
-impl DurableAdapter {
-    /// Fresh durable cube over `init`, logging into memory.
-    pub fn new(label: impl Into<String>, init: &BoxState, config: DdcConfig) -> Self {
+impl DurableEngine {
+    /// Boots a durable cube of `init`'s rank on `disk`.
+    pub fn new(label: &str, disk: MemVfs, init: &BoxState, config: DdcConfig) -> Self {
         Self {
-            label: label.into(),
-            durable: DurableCube::new(init.ndim(), config, Vec::new())
-                .expect("in-memory WAL create"),
-            snapshot: None,
-            prev: init.clone(),
-            config,
+            label: label.to_string(),
+            rig: Rig::boot(disk, init.ndim(), config).map_err(|e| format!("boot: {e}")),
         }
+    }
+
+    fn rig(&mut self) -> Result<&mut Rig<MemVfs>, IoError> {
+        self.rig.as_mut().map_err(|why| IoError::Transient {
+            detail: why.clone(),
+            retries: 0,
+        })
     }
 }
 
-impl CheckEngine for DurableAdapter {
+impl CheckEngine for DurableEngine {
     fn name(&self) -> &str {
         &self.label
     }
 
-    fn add(&mut self, point: &[i64], delta: i64) {
-        self.durable
-            .add(point, delta)
-            .expect("in-memory WAL append");
+    fn add(&mut self, point: &[i64], delta: i64) -> Result<(), IoError> {
+        self.rig()?.durable.add(point, delta)
     }
 
-    fn set(&mut self, point: &[i64], value: i64) -> i64 {
-        self.durable
-            .set(point, value)
-            .expect("in-memory WAL append")
+    fn set(&mut self, point: &[i64], value: i64) -> Result<i64, IoError> {
+        self.rig()?.durable.set(point, value)
     }
 
     fn cell(&self, point: &[i64]) -> i64 {
-        self.durable.cube().cell(point)
+        (self.rig.as_ref()).map_or(0, |rig| rig.durable.cube().cell(point))
     }
 
     fn range_sum(&self, lo: &[i64], hi: &[i64]) -> i64 {
-        self.durable.cube().range_sum(lo, hi)
+        (self.rig.as_ref()).map_or(0, |rig| rig.durable.cube().range_sum(lo, hi))
     }
 
-    fn grow(&mut self, new_box: &BoxState) {
-        // The growable cube re-grows organically on replay; the log
-        // records are covered-box bookkeeping, diffed from the box
-        // transition so the Grow record path stays exercised.
-        for axis in 0..new_box.ndim() {
-            let low = (self.prev.origin[axis] - new_box.origin[axis]).max(0) as usize;
-            if low > 0 {
-                self.durable
-                    .log_grow(axis, low, true)
-                    .expect("in-memory WAL append");
-            }
-            let old_hi = self.prev.origin[axis] + self.prev.dims[axis] as i64;
-            let new_hi = new_box.origin[axis] + new_box.dims[axis] as i64;
-            if new_hi > old_hi {
-                self.durable
-                    .log_grow(axis, (new_hi - old_hi) as usize, false)
-                    .expect("in-memory WAL append");
-            }
-        }
-        self.prev = new_box.clone();
+    /// The growable cube re-grows organically on replay; the record is
+    /// covered-box bookkeeping, logged so that path stays exercised.
+    fn grow(&mut self, _: &BoxState, axis: usize, amount: usize, low: bool) -> Result<(), IoError> {
+        self.rig()?.durable.log_grow(axis, amount, low)
     }
 
     fn save_load(&mut self) -> Result<(), String> {
-        // Checkpoint, truncate the log, then prove the checkpoint is
-        // loadable by recovering from it immediately.
-        let mut snap = Vec::new();
-        self.durable
-            .checkpoint(&mut snap)
-            .map_err(|e| format!("checkpoint: {e}"))?;
-        self.durable
-            .reset_wal(Vec::new())
-            .map_err(|e| format!("truncate: {e}"))?;
-        self.snapshot = Some(snap);
+        let rig = self.rig().map_err(|e| e.to_string())?;
+        rig.checkpoint().map_err(|e| format!("checkpoint: {e}"))?;
         self.crash()
     }
 
     fn crash(&mut self) -> Result<(), String> {
-        let d = self.durable.cube().ndim();
-        // All that survives the kill: the snapshot and the log bytes.
-        let log = self.durable.wal().get_ref().clone();
-        let (cube, _report) = wal::recover::<i64>(d, self.snapshot.as_deref(), &log, self.config)
-            .map_err(|e| format!("recover: {e}"))?;
-        // Post-recovery protocol: checkpoint the recovered state, then
-        // start a fresh log — the retired log is folded into the
-        // snapshot, so a second crash replays from here.
-        let mut snap = Vec::new();
-        cube.save(&mut snap)
-            .map_err(|e| format!("checkpoint: {e}"))?;
-        self.snapshot = Some(snap);
-        self.durable =
-            DurableCube::from_recovered(cube, Vec::new()).map_err(|e| format!("fresh log: {e}"))?;
-        Ok(())
+        let rig = self.rig().map_err(|e| e.to_string())?;
+        rig.crash().map_err(|e| format!("recover: {e}"))
     }
 }
 
@@ -549,14 +390,15 @@ impl CheckEngine for GrowableDenseAdapter {
         "growable-dense"
     }
 
-    fn add(&mut self, point: &[i64], delta: i64) {
+    fn add(&mut self, point: &[i64], delta: i64) -> Result<(), IoError> {
         self.cube.add(point, delta);
+        Ok(())
     }
 
-    fn set(&mut self, point: &[i64], value: i64) -> i64 {
+    fn set(&mut self, point: &[i64], value: i64) -> Result<i64, IoError> {
         let old = self.cell(point);
         self.cube.add(point, value - old);
-        old
+        Ok(old)
     }
 
     fn cell(&self, point: &[i64]) -> i64 {
@@ -566,13 +408,19 @@ impl CheckEngine for GrowableDenseAdapter {
     fn range_sum(&self, lo: &[i64], hi: &[i64]) -> i64 {
         self.cube.range_sum(lo, hi)
     }
-
-    fn grow(&mut self, _new_box: &BoxState) {}
 }
 
 /// Every engine in the workspace, wrapped and ready to replay a trace
 /// whose initial covered box is `init`.
 pub fn engine_roster(init: &BoxState) -> Vec<Box<dyn CheckEngine>> {
+    let paged = DdcConfig::dynamic()
+        .with_elision(1)
+        .with_paged_leaves(PagerConfig::in_mem(4 * 1024).with_page_bytes(256));
+    let sharding = ShardConfig {
+        shards: 2,
+        batch_capacity: 4,
+        ..ShardConfig::default()
+    };
     vec![
         Box::new(FixedAdapter::new("naive", init, NaiveEngine::<i64>::zeroed)),
         Box::new(FixedAdapter::new(
@@ -600,18 +448,18 @@ pub fn engine_roster(init: &BoxState) -> Vec<Box<dyn CheckEngine>> {
         // blocked B^c faces written inline in the level slabs
         // (`ddc-elide0`), and the one out-of-line base store (lazy
         // segment trees behind `Secondary`).
-        Box::new(DdcAdapter::new(
+        Box::new(ddc_adapter(
             "ddc-basic",
             init,
             DdcConfig::basic().with_elision(0),
         )),
-        Box::new(DdcAdapter::new("ddc-dynamic", init, DdcConfig::dynamic())),
-        Box::new(DdcAdapter::new(
+        Box::new(ddc_adapter("ddc-dynamic", init, DdcConfig::dynamic())),
+        Box::new(ddc_adapter(
             "ddc-sparse",
             init,
             DdcConfig::sparse().with_elision(0),
         )),
-        Box::new(DdcAdapter::new(
+        Box::new(ddc_adapter(
             "ddc-elide0",
             init,
             DdcConfig::dynamic().with_elision(0),
@@ -620,49 +468,42 @@ pub fn engine_roster(init: &BoxState) -> Vec<Box<dyn CheckEngine>> {
         // pool: every trace churns through pin/unpin, clock eviction
         // and record re-faulting, differentially checked against all
         // the slab engines above.
-        Box::new(DdcAdapter::new(
-            "ddc-paged",
-            init,
-            DdcConfig::dynamic()
-                .with_elision(1)
-                .with_paged_leaves(PagerConfig::in_mem(4 * 1024).with_page_bytes(256)),
-        )),
-        Box::new(SharedAdapter::new(init, DdcConfig::dynamic())),
-        Box::new(ShardedAdapter::new(
-            "sharded(2×4)",
-            init,
-            DdcConfig::dynamic(),
-            ShardConfig {
-                shards: 2,
-                batch_capacity: 4,
-                ..ShardConfig::default()
-            },
-        )),
+        Box::new(ddc_adapter("ddc-paged", init, paged)),
+        // The lock-guarded cube; its round trip saves under the read
+        // lock.
+        Box::new(
+            FixedAdapter::new("shared-cube", init, |shape| {
+                Locked::over(DdcEngine::with_config(shape, DdcConfig::dynamic()))
+            })
+            .reloading(|locked| locked.cube.with_read(reload_ddc).map(Locked::over)),
+        ),
+        // The write-batching pipeline: queries read through the queues,
+        // so only the explicit flush barrier drains them.
+        Box::new(
+            FixedAdapter::new("sharded(2×4)", init, move |shape| {
+                ShardedCube::<i64>::new(shape, DdcConfig::dynamic(), sharding)
+            })
+            .flushing(|cube| cube.flush()),
+        ),
         Box::new(GrowableAdapter::new(
             "growable-ddc",
             init,
             DdcConfig::dynamic(),
         )),
-        Box::new(GrowableAdapter::new(
-            "growable-paged",
-            init,
-            DdcConfig::dynamic()
-                .with_elision(1)
-                .with_paged_leaves(PagerConfig::in_mem(4 * 1024).with_page_bytes(256)),
-        )),
-        Box::new(DurableAdapter::new(
+        Box::new(GrowableAdapter::new("growable-paged", init, paged)),
+        Box::new(DurableEngine::new(
             "durable-wal",
+            MemVfs::new(),
             init,
             DdcConfig::dynamic(),
         )),
         // WAL + paged leaves together: recovery replays the log
         // straight onto freshly-faulted pages.
-        Box::new(DurableAdapter::new(
+        Box::new(DurableEngine::new(
             "durable-paged",
+            MemVfs::new(),
             init,
-            DdcConfig::dynamic()
-                .with_elision(1)
-                .with_paged_leaves(PagerConfig::in_mem(4 * 1024).with_page_bytes(256)),
+            paged,
         )),
         Box::new(GrowableDenseAdapter::new(init)),
     ]

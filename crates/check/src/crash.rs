@@ -2,16 +2,25 @@
 //! offset** of the write-ahead log and check that recovery restores
 //! exactly the acknowledged prefix.
 //!
-//! A [`ddc_core::DurableCube`] and the hash-map [`Oracle`] are driven
-//! through the same [`CheckTrace`]; after every logged record the
-//! oracle's state is photographed. The sweep then cuts the final log at
-//! each byte offset, parses the surviving prefix, and recovers — the
-//! result must equal the oracle photo for exactly that many records:
-//! **no acknowledged op lost, no unacknowledged op resurrected.**
+//! The crate's [`Rig`] — a durable cube on an in-memory disk, booted,
+//! checkpointed and crashed as `ddc serve --durable` would be — is
+//! [`walk`]ed along a [`CheckTrace`] beside the hash-map oracle; after
+//! every logged record the oracle's state is photographed. A checkpoint
+//! rotates the log and starts the photos again from the snapshot; a
+//! mid-trace crash re-boots and *resumes* the log, so the records
+//! before it stay under the sweep. The sweep then reads `wal.log` back
+//! from the disk, cuts it at each byte offset, parses the surviving
+//! prefix, and recovers — the result must equal the oracle photo for
+//! exactly that many records: **no acknowledged op lost, no
+//! unacknowledged op resurrected.** (A cut is a plain byte slice, so
+//! these recoveries — and the corruption probe's — are the one place in
+//! the crate that recovers from slices; that a cut log is then
+//! *resumed* correctly is `rig::tests`' half.)
 //!
 //! Consecutive updates of the trace are committed in **groups** of
 //! seeded size (1..=8 records: one write, one sync —
-//! [`DurableCube::add_group`], what a pipelined run costs the server),
+//! [`ddc_core::DurableCube::add_group`], what a pipelined run costs the
+//! server),
 //! and for a group the contract the sweep checks reads: every record of
 //! every group whose sync returned survives; what survives any cut is a
 //! *record prefix* of the submitted order; a group cut mid-write may
@@ -24,11 +33,15 @@
 //! the same damage then slips through and silently diverges — the
 //! predicate the shrinker minimizes into a replayable `.trace`.
 
-use ddc_core::wal::{self, WAL_FRAME_BYTES, WAL_HEADER_BYTES};
-use ddc_core::{DdcConfig, DurableCube, WalOp};
-use ddc_workload::{CheckOp, CheckTrace, DdcRng};
+use ddc_core::vfs::MemVfs;
+use ddc_core::wal::{self, RecoveryReport, WAL_FRAME_BYTES, WAL_HEADER_BYTES};
+use ddc_core::{DdcConfig, WalOp};
+use ddc_workload::{CheckTrace, DdcRng};
 
-use crate::oracle::Oracle;
+use crate::rig::{walk, Rig, SNAP_PATH, WAL_PATH};
+
+/// Populated cells, sorted.
+type Entries = Vec<(Vec<i64>, i64)>;
 
 /// What a [`crash_sweep`] found. Clean means no failures and the
 /// corruption probe was caught.
@@ -65,142 +78,64 @@ impl CrashSweepReport {
 
 /// The durable side of one trace replay: everything that would survive
 /// a kill (snapshot + log), plus the oracle photos to recover against.
-struct DurableRun {
+pub(crate) struct DurableRun {
     /// Log bytes at end of trace.
-    wal: Vec<u8>,
+    pub(crate) wal: Vec<u8>,
     /// Last checkpoint, if any op took one.
-    snapshot: Option<Vec<u8>>,
-    /// `states[r]` = sorted oracle entries after `r` records of the
-    /// final log were acknowledged (`states[0]` is the snapshot state).
-    states: Vec<Vec<(Vec<i64>, i64)>>,
-    /// Differential mismatches observed while replaying (reads compared
-    /// against the oracle as a sanity net).
+    pub(crate) snapshot: Option<Vec<u8>>,
+    /// `states[r]` = oracle entries after `r` records of the final log
+    /// were acknowledged (`states[0]` is the snapshot state).
+    pub(crate) states: Vec<Entries>,
+    /// What the walk reported while replaying (reads and mid-trace
+    /// recoveries compared against the oracle).
     failures: Vec<String>,
     /// `(commits, records)` of the groups in the final log.
     groups: (usize, usize),
+    d: usize,
+    config: DdcConfig,
 }
 
-fn sorted_entries(oracle: &Oracle) -> Vec<(Vec<i64>, i64)> {
-    let mut e = oracle.entries();
-    e.sort();
-    e
-}
-
-/// Drives a [`DurableCube`] and the oracle through `trace`, simulating
-/// the full durability protocol: [`CheckOp::SaveLoad`] checkpoints and
-/// truncates the log, [`CheckOp::Crash`] recovers mid-trace from
-/// snapshot + log, everything else appends records.
-fn replay_durable(trace: &CheckTrace, config: DdcConfig) -> Result<DurableRun, String> {
-    let d = trace.dims.len();
-    let mut durable = DurableCube::<i64, Vec<u8>>::new(d, config, Vec::new())
-        .map_err(|e| format!("wal create: {e}"))?;
-    let mut oracle = Oracle::new(d);
-    let mut snapshot: Option<Vec<u8>> = None;
-    let mut states = vec![sorted_entries(&oracle)];
-    let mut failures = Vec::new();
-    let mut groups = (0, 0);
-    // Group sizes are the trace's own: the same trace, the same log.
-    let mut sizes = DdcRng::seed_from_u64(trace.ops.len() as u64);
-
-    let mut ops = trace.ops.iter().enumerate().peekable();
-    while let Some((i, op)) = ops.next() {
-        match op {
-            CheckOp::Update { point, delta } => {
-                // This update and the ones right behind it, up to a
-                // seeded size: one commit.
-                let mut group = vec![(point.clone(), *delta)];
-                let size = sizes.gen_range(1..=8usize);
-                while group.len() < size {
-                    let Some((_, CheckOp::Update { point, delta })) = ops.peek() else {
-                        break;
-                    };
-                    group.push((point.clone(), *delta));
-                    ops.next();
-                }
-                durable
-                    .add_group(&group)
-                    .map_err(|e| format!("op {i}: append: {e}"))?;
-                for (point, delta) in &group {
-                    oracle.add(point, *delta);
-                    states.push(sorted_entries(&oracle));
-                }
-                groups = (groups.0 + 1, groups.1 + group.len());
-            }
-            CheckOp::Set { point, value } => {
-                let got = durable
-                    .set(point, *value)
-                    .map_err(|e| format!("op {i}: append: {e}"))?;
-                let want = oracle.set(point, *value);
-                if got != want {
-                    failures.push(format!("op {i}: set-old expected {want}, got {got}"));
-                }
-                states.push(sorted_entries(&oracle));
-            }
-            CheckOp::Query { lo, hi } => {
-                let got = durable.cube().range_sum(lo, hi);
-                let want = oracle.range_sum(lo, hi);
-                if got != want {
-                    failures.push(format!("op {i}: range_sum expected {want}, got {got}"));
-                }
-            }
-            CheckOp::Cell { point } => {
-                let got = durable.cube().cell(point);
-                let want = oracle.cell(point);
-                if got != want {
-                    failures.push(format!("op {i}: cell expected {want}, got {got}"));
-                }
-            }
-            CheckOp::Grow { axis, amount, low } => {
-                durable
-                    .log_grow(*axis, *amount, *low)
-                    .map_err(|e| format!("op {i}: append: {e}"))?;
-                // Bookkeeping record: the oracle state is unchanged but
-                // the record count advanced, so the photo repeats.
-                states.push(sorted_entries(&oracle));
-            }
-            CheckOp::SaveLoad => {
-                let mut snap = Vec::new();
-                durable
-                    .checkpoint(&mut snap)
-                    .map_err(|e| format!("op {i}: checkpoint: {e}"))?;
-                durable
-                    .reset_wal(Vec::new())
-                    .map_err(|e| format!("op {i}: truncate: {e}"))?;
-                snapshot = Some(snap);
-                states = vec![sorted_entries(&oracle)];
-                groups = (0, 0);
-            }
-            CheckOp::Crash => {
-                // Mid-trace kill: only snapshot + log bytes survive.
-                let log = durable.wal().get_ref().clone();
-                let (cube, _report) = wal::recover::<i64>(d, snapshot.as_deref(), &log, config)
-                    .map_err(|e| format!("op {i}: recover: {e}"))?;
-                let mut got = cube.entries();
-                got.sort();
-                if &got != states.last().expect("states never empty") {
-                    failures.push(format!("op {i}: mid-trace recovery diverged from oracle"));
-                }
-                // Fold the retired log into a fresh checkpoint so a
-                // second crash replays from here.
-                let mut snap = Vec::new();
-                cube.save(&mut snap)
-                    .map_err(|e| format!("op {i}: checkpoint: {e}"))?;
-                snapshot = Some(snap);
-                durable = DurableCube::from_recovered(cube, Vec::new())
-                    .map_err(|e| format!("op {i}: fresh log: {e}"))?;
-                states = vec![sorted_entries(&oracle)];
-                groups = (0, 0);
-            }
-            CheckOp::Flush => {}
-        }
+impl DurableRun {
+    /// What a boot would find if the kill left `log` beside the
+    /// snapshot: the recovered entries and the recovery's own account.
+    /// The sweep cuts and damages plain bytes, so this one recovery
+    /// reads slices; every other boot in the crate is the rig's.
+    fn recover(&self, log: &[u8]) -> std::io::Result<(Entries, RecoveryReport)> {
+        let (cube, report) =
+            wal::recover::<i64>(self.d, self.snapshot.as_deref(), log, self.config)?;
+        let mut got = cube.entries();
+        got.sort();
+        Ok((got, report))
     }
+}
 
+/// Walks the rig along `trace` on an in-memory disk — checkpoints
+/// rotate the log, a mid-trace crash re-boots and resumes it, updates
+/// commit in groups of the trace's own seeded sizes (the same trace,
+/// the same log) — photographing the oracle at every record.
+pub(crate) fn replay_durable(trace: &CheckTrace, config: DdcConfig) -> Result<DurableRun, String> {
+    let (disk, d) = (MemVfs::new(), trace.dims.len());
+    let mut rig = Rig::boot(disk.clone(), d, config).map_err(|e| format!("boot: {e}"))?;
+    let mut states = Vec::new();
+    let mut sizes = DdcRng::seed_from_u64(trace.ops.len() as u64);
+    let walked = walk(
+        &mut rig,
+        trace,
+        || sizes.gen_range(1..=8usize),
+        |records, oracle| {
+            // A checkpoint starts the count again from its own state.
+            states.truncate(records as usize);
+            states.push(oracle.entries());
+        },
+    );
     Ok(DurableRun {
-        wal: durable.into_wal().into_inner(),
-        snapshot,
+        wal: disk.contents(WAL_PATH).unwrap_or_default(),
+        snapshot: disk.contents(SNAP_PATH),
         states,
-        failures,
-        groups,
+        failures: walked.violations,
+        groups: walked.groups,
+        d,
+        config,
     })
 }
 
@@ -233,15 +168,14 @@ fn corruptible_byte(wal_bytes: &[u8], ops: &[WalOp<i64>], ends: &[u64]) -> Optio
 /// paged leaf backend, where recovery replays the log onto buffer-pool
 /// pages instead of slab memory.
 pub fn crash_sweep(trace: &CheckTrace, config: DdcConfig) -> Result<CrashSweepReport, String> {
-    let run = replay_durable(trace, config)?;
-    let d = trace.dims.len();
+    let mut run = replay_durable(trace, config)?;
 
     let full = wal::read_wal::<i64>(&run.wal).map_err(|e| format!("final log unreadable: {e}"))?;
     let mut report = CrashSweepReport {
         wal_bytes: run.wal.len(),
         records: full.ops.len(),
         offsets: run.wal.len() + 1,
-        failures: run.failures,
+        failures: std::mem::take(&mut run.failures),
         groups: run.groups.0,
         grouped_records: run.groups.1,
         ..Default::default()
@@ -288,8 +222,8 @@ pub fn crash_sweep(trace: &CheckTrace, config: DdcConfig) -> Result<CrashSweepRe
         if verified == Some(survivors) {
             continue;
         }
-        match wal::recover::<i64>(d, run.snapshot.as_deref(), &run.wal[..cut], config) {
-            Ok((cube, rec)) => {
+        match run.recover(&run.wal[..cut]) {
+            Ok((got, rec)) => {
                 report.recoveries += 1;
                 if rec.replayed != survivors {
                     report.failures.push(format!(
@@ -297,8 +231,6 @@ pub fn crash_sweep(trace: &CheckTrace, config: DdcConfig) -> Result<CrashSweepRe
                         rec.replayed
                     ));
                 }
-                let mut got = cube.entries();
-                got.sort();
                 if got != run.states[survivors] {
                     report.failures.push(format!(
                         "cut {cut}: recovered state diverges after {survivors} records \
@@ -317,10 +249,8 @@ pub fn crash_sweep(trace: &CheckTrace, config: DdcConfig) -> Result<CrashSweepRe
         Some((idx, rec)) => {
             let mut damaged = run.wal.clone();
             damaged[idx] ^= 0x01;
-            match wal::recover::<i64>(d, run.snapshot.as_deref(), &damaged, config) {
-                Ok((cube, rec_report)) => {
-                    let mut got = cube.entries();
-                    got.sort();
+            match run.recover(&damaged) {
+                Ok((got, rec_report)) => {
                     report.corruption_caught = rec_report.truncated.is_some()
                         && rec_report.replayed == rec
                         && got == run.states[rec];
@@ -350,8 +280,7 @@ pub fn crash_sweep(trace: &CheckTrace, config: DdcConfig) -> Result<CrashSweepRe
 /// `trace` exposes that divergence — pass this to
 /// [`ddc_workload::shrink_trace`] to minimize the repro.
 pub fn corruption_divergence(trace: &CheckTrace) -> bool {
-    let config = DdcConfig::dynamic();
-    let Ok(run) = replay_durable(trace, config) else {
+    let Ok(run) = replay_durable(trace, DdcConfig::dynamic()) else {
         return false;
     };
     let Ok(full) = wal::read_wal::<i64>(&run.wal) else {
@@ -370,26 +299,16 @@ pub fn corruption_divergence(trace: &CheckTrace) -> bool {
     let payload = idx - 5..full.ends[rec] as usize;
     let crc = wal::crc32(&damaged[payload.clone()]);
     damaged[payload.start - 4..payload.start].copy_from_slice(&crc.to_le_bytes());
-    match wal::recover::<i64>(d_of(trace), run.snapshot.as_deref(), &damaged, config) {
-        // Only a *silent* divergence counts: recovery succeeded (the
-        // framing did not catch the damage) but the state is wrong.
-        Ok((cube, _)) => {
-            let mut got = cube.entries();
-            got.sort();
-            got != *run.states.last().expect("states never empty")
-        }
-        Err(_) => false,
-    }
-}
-
-fn d_of(trace: &CheckTrace) -> usize {
-    trace.dims.len()
+    // Only a *silent* divergence counts: recovery succeeded (the
+    // framing did not catch the damage) but the state is wrong.
+    run.recover(&damaged)
+        .is_ok_and(|(got, _)| Some(&got) != run.states.last())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ddc_workload::CheckTraceConfig;
+    use ddc_workload::{CheckOp, CheckTraceConfig};
 
     fn seeded_trace(seed: u64, d: usize, ops: usize) -> CheckTrace {
         let mut rng = DdcRng::seed_from_u64(seed);

@@ -1,21 +1,15 @@
 //! `ddc check disk` — disk-fault chaos sweep over the durable cube.
 //!
-//! A [`ddc_core::DurableCube`] is booted through a fault-injecting
-//! [`FaultVfs`] and driven through a seeded [`CheckTrace`] while the
-//! virtual disk throws EIO, ENOSPC, torn short writes, failed sync
-//! barriers, and read-back bit flips at it. The contract checked at
-//! every step (and at a final fault-free recovery):
-//!
-//! * **No acknowledged update is ever lost.** The sparse [`Oracle`]
-//!   tracks exactly the acked ops; every recovery must reproduce it.
-//! * **Every run ends in full health or clean degraded mode.** After
-//!   ENOSPC or retry exhaustion the cube must answer reads that still
-//!   match the oracle and reject writes with `ReadOnly` — it must
-//!   never panic and never silently diverge.
-//! * **The indeterminate window is exactly one op wide.** When an
-//!   append dies at the sync barrier *and* the torn-tail cleanup also
-//!   failed, that one unacked record may legitimately surface after
-//!   recovery; anything beyond it is a violation.
+//! The crate's [`Rig`] is booted on a fault-injecting [`FaultVfs`] and
+//! [`walk`]ed along a seeded [`CheckTrace`] while the virtual disk
+//! throws EIO, ENOSPC, torn short writes, failed sync barriers, and
+//! read-back bit flips at it. The contract is the walk's (see
+//! [`crate::rig`]): no acknowledged update is ever lost, every run ends
+//! in full health or clean degraded mode (reads still matching the
+//! oracle, writes refused with `ReadOnly`, never a panic), and the
+//! indeterminate window of a failed sync barrier is exactly one op
+//! wide. What this module adds is the disk: seeded fault schedules,
+//! the sweep over a probability grid, the shrinker, and the seeded bug.
 //!
 //! Failing fault schedules are delta-debugged ([`shrink_fault_schedule`])
 //! to a minimal list of [`PlannedFault`]s that still reproduces. The
@@ -25,38 +19,10 @@
 //! harness must *re-find* a durability violation, and replayed on a
 //! disk that honours them it must come back clean.
 
-use ddc_core::vfs::{FaultFile, MemFile};
-use ddc_core::wal::{self, IoError, RetryPolicy};
-use ddc_core::{DdcConfig, DurableCube, FaultProbs, FaultVfs, PlannedFault};
-use ddc_workload::{ddmin, CheckOp, CheckTrace, CheckTraceConfig, DdcRng};
+use ddc_core::{DdcConfig, FaultProbs, FaultVfs, PlannedFault};
+use ddc_workload::{ddmin, CheckTrace, CheckTraceConfig, DdcRng};
 
-use crate::oracle::Oracle;
-
-/// Log path inside the virtual namespace.
-const WAL_PATH: &str = "wal.log";
-/// Snapshot path inside the virtual namespace.
-const SNAP_PATH: &str = "snapshot.ddc";
-
-type DiskCube = DurableCube<i64, FaultFile<MemFile>>;
-
-fn sorted(mut entries: Vec<(Vec<i64>, i64)>) -> Vec<(Vec<i64>, i64)> {
-    entries.sort();
-    entries
-}
-
-/// The oracle state with one extra (indeterminate) op applied — the
-/// second legal answer inside the sync-barrier commit window.
-fn entries_with(oracle: &Oracle, op: &CheckOp) -> Vec<(Vec<i64>, i64)> {
-    let mut o = oracle.clone();
-    match op {
-        CheckOp::Update { point, delta } => o.add(point, *delta),
-        CheckOp::Set { point, value } => {
-            o.set(point, *value);
-        }
-        _ => {}
-    }
-    sorted(o.entries())
-}
+use crate::rig::{walk, Rig, WalkReport};
 
 /// What one trace replay under faults observed.
 #[derive(Clone, Debug, Default)]
@@ -70,8 +36,6 @@ pub struct DiskRunReport {
     pub acked: usize,
     /// True when the run ended in degraded read-only mode.
     pub degraded: bool,
-    /// Total file operations the virtual disk served.
-    pub ops: u64,
 }
 
 impl DiskRunReport {
@@ -81,17 +45,19 @@ impl DiskRunReport {
     }
 }
 
-/// Drives `trace` against a durable cube living on `vfs` (zero-backoff
-/// retry policy — wall-clock sleeps only slow a sweep down), checking
-/// the durability contract at every step. Panics anywhere in
-/// the stack are caught and reported as violations — a chaos run must
-/// end in health or clean degradation, never a crash.
+/// Boots the rig on `vfs` (disarmed: the namespace is empty, nothing
+/// can be owed yet) and walks it along `trace` with faults armed,
+/// one commit per update, so a committed schedule fires each fault at
+/// the file op it was recorded at. Panics anywhere in the stack are
+/// caught and reported as violations — a chaos run must end in health
+/// or clean degradation, never a crash.
 ///
 /// `config` picks the engine under test, which is how the fault
 /// machinery is pointed at the paged leaf backend: every boot goes
-/// through [`wal::recover_vfs`], which opens a [`PagerConfig::disk`]
-/// pager's spill file in `vfs` next to the log, so an eviction
-/// write-back or a page fault-in can fail like any other disk op.
+/// through [`ddc_core::wal::recover_vfs`], which opens a
+/// [`PagerConfig::disk`] pager's spill file in `vfs` next to the log,
+/// so an eviction write-back or a page fault-in can fail like any other
+/// disk op.
 ///
 /// [`PagerConfig::disk`]: ddc_core::PagerConfig::disk
 pub fn run_trace_under_faults(
@@ -99,274 +65,30 @@ pub fn run_trace_under_faults(
     vfs: &FaultVfs,
     config: DdcConfig,
 ) -> DiskRunReport {
-    let outcome =
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| drive(trace, vfs, config)));
-    match outcome {
-        Ok(report) => report,
-        Err(panic) => {
-            let msg = panic
-                .downcast_ref::<String>()
-                .map(String::as_str)
-                .or_else(|| panic.downcast_ref::<&str>().copied())
-                .unwrap_or("opaque panic payload");
-            DiskRunReport {
-                violations: vec![format!("panic under disk faults: {msg}")],
-                faults: vfs.realized(),
-                ops: vfs.ops(),
-                ..Default::default()
-            }
-        }
-    }
-}
-
-/// Recovers the cube from `vfs`. The seeded lost-truncation bug is an
-/// append-path bug: recovery's own tail repair keeps truncating, so the
-/// switch is off for the boot and restored after it.
-fn boot(vfs: &FaultVfs, d: usize, config: DdcConfig) -> std::io::Result<DiskCube> {
-    let lossy = vfs.lose_truncations(false);
-    let booted = wal::recover_vfs::<i64, _>(
-        vfs,
-        WAL_PATH,
-        Some(SNAP_PATH),
-        d,
-        config,
-        RetryPolicy::instant(),
-    );
-    vfs.lose_truncations(lossy);
-    booted.map(|(cube, _report)| cube)
-}
-
-fn drive(trace: &CheckTrace, vfs: &FaultVfs, config: DdcConfig) -> DiskRunReport {
-    let d = trace.dims.len();
-    let mut report = DiskRunReport::default();
-
-    // Fault-free boot: the namespace is empty, nothing can be owed yet.
-    vfs.arm(false);
-    let mut durable = match boot(vfs, d, config) {
-        Ok(cube) => cube,
-        Err(e) => {
-            report
-                .violations
-                .push(format!("fault-free boot failed: {e}"));
-            return finish(report, vfs, false);
-        }
+    let broken = |what: String| WalkReport {
+        violations: vec![what],
+        ..Default::default()
     };
-    let mut oracle = Oracle::new(d);
-    // The one op whose durability the sync-barrier commit window left
-    // ambiguous; recovery may surface it or not, but nothing else.
-    let mut pending: Option<CheckOp> = None;
-    vfs.arm(true);
-
-    for (i, op) in trace.ops.iter().enumerate() {
-        match op {
-            CheckOp::Update { point, delta } => match durable.add(point, *delta) {
-                Ok(()) => {
-                    oracle.add(point, *delta);
-                    report.acked += 1;
-                }
-                Err(e) => note_failure(i, &e, &durable, op, &mut pending, &mut report),
-            },
-            CheckOp::Set { point, value } => match durable.set(point, *value) {
-                Ok(old) => {
-                    let want = oracle.set(point, *value);
-                    if old != want {
-                        report
-                            .violations
-                            .push(format!("op {i}: set returned {old}, oracle had {want}"));
-                    }
-                    report.acked += 1;
-                }
-                Err(e) => note_failure(i, &e, &durable, op, &mut pending, &mut report),
-            },
-            CheckOp::Query { lo, hi } => {
-                let got = durable.cube().range_sum(lo, hi);
-                let want = oracle.range_sum(lo, hi);
-                if got != want {
-                    report.violations.push(format!(
-                        "op {i}: range_sum diverged (got {got}, oracle {want}, degraded={})",
-                        durable.degraded().is_some()
-                    ));
-                }
-            }
-            CheckOp::Cell { point } => {
-                let got = durable.cube().cell(point);
-                let want = oracle.cell(point);
-                if got != want {
-                    report
-                        .violations
-                        .push(format!("op {i}: cell diverged (got {got}, oracle {want})"));
-                }
-            }
-            CheckOp::Grow { axis, amount, low } => {
-                // Bookkeeping record; entries are unaffected either way,
-                // so an indeterminate grow needs no pending tracking.
-                if let Err(e) = durable.log_grow(*axis, *amount, *low) {
-                    note_failure(i, &e, &durable, op, &mut pending, &mut report);
-                }
-            }
-            CheckOp::SaveLoad => match durable.checkpoint_vfs(vfs, SNAP_PATH, WAL_PATH) {
-                Ok(_) => {}
-                Err(IoError::Transient { .. }) => {
-                    // Pre-rename failure: old snapshot + full log intact.
-                    if durable.degraded().is_some() {
-                        report.violations.push(format!(
-                            "op {i}: transient checkpoint failure left the cube degraded"
-                        ));
-                    }
-                }
-                Err(e) => {
-                    if durable.degraded().is_none() {
-                        report.violations.push(format!(
-                            "op {i}: terminal checkpoint failure without degraded mode: {e}"
-                        ));
-                    }
-                }
-            },
-            CheckOp::Crash => {
-                match crash_recover(vfs, d, config, i, &oracle, &mut pending, &mut report) {
-                    Some(recovered) => {
-                        // Resolve the commit window: if the pending op
-                        // surfaced, it is durable from here on.
-                        let got = sorted(recovered.cube().entries());
-                        if got != sorted(oracle.entries()) {
-                            if let Some(op) = pending.take() {
-                                match &op {
-                                    CheckOp::Update { point, delta } => oracle.add(point, *delta),
-                                    CheckOp::Set { point, value } => {
-                                        oracle.set(point, *value);
-                                    }
-                                    _ => {}
-                                }
-                            }
-                        }
-                        pending = None;
-                        durable = recovered;
-                    }
-                    None => return finish(report, vfs, false),
-                }
-            }
-            CheckOp::Flush => {}
+    let walked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        match Rig::boot(vfs.clone(), trace.dims.len(), config) {
+            Ok(mut rig) => walk(&mut rig, trace, || 1, |_, _| {}),
+            Err(e) => broken(format!("fault-free boot failed: {e}")),
         }
+    }))
+    .unwrap_or_else(|panic| {
+        let msg = panic
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| panic.downcast_ref::<&str>().copied())
+            .unwrap_or("opaque panic payload");
+        broken(format!("panic under disk faults: {msg}"))
+    });
+    DiskRunReport {
+        violations: walked.violations,
+        faults: vfs.realized(),
+        acked: walked.acked,
+        degraded: walked.degraded,
     }
-
-    // Epilogue: with the disk healthy again, a pristine recovery must
-    // land exactly on the acked state (or acked + the pending op).
-    vfs.arm(false);
-    let degraded = durable.degraded().is_some();
-    drop(durable);
-    match boot(vfs, d, config) {
-        Ok(recovered) => {
-            let got = sorted(recovered.cube().entries());
-            let want = sorted(oracle.entries());
-            let also_legal = pending.as_ref().map(|op| entries_with(&oracle, op));
-            if got != want && Some(&got) != also_legal.as_ref() {
-                report.violations.push(format!(
-                    "final recovery diverged from the acked oracle \
-                     ({} recovered cells vs {} acked; lost an acked op or \
-                     resurrected an unacked one)",
-                    got.len(),
-                    want.len()
-                ));
-            }
-        }
-        Err(e) => report
-            .violations
-            .push(format!("final fault-free recovery failed: {e}")),
-    }
-    finish(report, vfs, degraded)
-}
-
-fn finish(mut report: DiskRunReport, vfs: &FaultVfs, degraded: bool) -> DiskRunReport {
-    report.faults = vfs.realized();
-    report.ops = vfs.ops();
-    report.degraded = degraded;
-    report
-}
-
-/// Checks the typed-error contract for one failed mutation.
-fn note_failure(
-    i: usize,
-    e: &IoError,
-    durable: &DiskCube,
-    op: &CheckOp,
-    pending: &mut Option<CheckOp>,
-    report: &mut DiskRunReport,
-) {
-    match e {
-        IoError::Transient { .. } => {
-            if durable.degraded().is_some() {
-                report
-                    .violations
-                    .push(format!("op {i}: transient failure left the cube degraded"));
-            }
-        }
-        IoError::Exhausted { indeterminate, .. } => {
-            if durable.degraded().is_none() {
-                report
-                    .violations
-                    .push(format!("op {i}: retry exhaustion did not degrade the cube"));
-            }
-            if *indeterminate && matches!(op, CheckOp::Update { .. } | CheckOp::Set { .. }) {
-                if pending.is_some() {
-                    report.violations.push(format!(
-                        "op {i}: second indeterminate op without an intervening recovery"
-                    ));
-                }
-                *pending = Some(op.clone());
-            }
-        }
-        IoError::ReadOnly { .. } => {
-            if durable.degraded().is_none() {
-                report.violations.push(format!(
-                    "op {i}: ReadOnly answered by a cube not in degraded mode"
-                ));
-            }
-        }
-        IoError::OutOfRange(e) => report
-            .violations
-            .push(format!("op {i}: generated point refused: {e}")),
-    }
-}
-
-/// Mid-trace kill: recover with faults still armed (errors there are
-/// legitimate transient boot failures), falling back to a disarmed
-/// recovery that *must* succeed. Returns `None` after reporting when
-/// even the fault-free path failed.
-fn crash_recover(
-    vfs: &FaultVfs,
-    d: usize,
-    config: DdcConfig,
-    i: usize,
-    oracle: &Oracle,
-    pending: &mut Option<CheckOp>,
-    report: &mut DiskRunReport,
-) -> Option<DiskCube> {
-    let recovered = match boot(vfs, d, config) {
-        Ok(cube) => cube,
-        Err(_) => {
-            vfs.arm(false);
-            let cube = match boot(vfs, d, config) {
-                Ok(cube) => cube,
-                Err(e) => {
-                    report
-                        .violations
-                        .push(format!("op {i}: fault-free recovery failed: {e}"));
-                    return None;
-                }
-            };
-            vfs.arm(true);
-            cube
-        }
-    };
-    let got = sorted(recovered.cube().entries());
-    let want = sorted(oracle.entries());
-    let also_legal = pending.as_ref().map(|op| entries_with(oracle, op));
-    if got != want && Some(&got) != also_legal.as_ref() {
-        report.violations.push(format!(
-            "op {i}: mid-trace recovery diverged from the acked oracle"
-        ));
-    }
-    Some(recovered)
 }
 
 // ---------------------------------------------------------------------------
@@ -447,36 +169,20 @@ impl FaultSchedule {
             };
             parsed.map_err(|e| format!("bad integer {tok:?}: {e}"))
         }
-        let mut dims = None;
-        let mut trace_seed = None;
-        let mut trace_ops = None;
-        let mut fault_seed = None;
+        let (mut dims, mut trace_seed, mut trace_ops, mut fault_seed) = (None, None, None, None);
         let mut probs = FaultProbs::none();
         for (no, line) in text.lines().enumerate() {
-            let line = line.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            let mut tok = line.split_whitespace();
-            let key = tok.next().unwrap_or_default();
+            let words: Vec<&str> = line.split_whitespace().collect();
             let err = |what: &str| format!("line {}: {what}: {line:?}", no + 1);
-            match key {
-                "dims" | "trace-seed" | "trace-ops" | "fault-seed" => {
-                    let v = int(tok.next().ok_or_else(|| err("missing value"))?)?;
-                    match key {
-                        "dims" => dims = Some(v as usize),
-                        "trace-seed" => trace_seed = Some(v),
-                        "trace-ops" => trace_ops = Some(v as usize),
-                        _ => fault_seed = Some(v),
-                    }
-                }
-                "p" => {
-                    let kind = tok.next().ok_or_else(|| err("missing fault kind"))?;
-                    let p: f64 = tok
-                        .next()
-                        .ok_or_else(|| err("missing probability"))?
-                        .parse()
-                        .map_err(|e| err(&format!("bad probability: {e}")))?;
+            match words[..] {
+                [] => {}
+                [comment, ..] if comment.starts_with('#') => {}
+                ["dims", v] => dims = Some(int(v)? as usize),
+                ["trace-seed", v] => trace_seed = Some(int(v)?),
+                ["trace-ops", v] => trace_ops = Some(int(v)? as usize),
+                ["fault-seed", v] => fault_seed = Some(int(v)?),
+                ["p", kind, p] => {
+                    let p: f64 = (p.parse()).map_err(|e| err(&format!("bad probability: {e}")))?;
                     match kind {
                         "write_err" => probs.write_err = p,
                         "short_write" => probs.short_write = p,
@@ -484,13 +190,10 @@ impl FaultSchedule {
                         "sync_fail" => probs.sync_fail = p,
                         "read_err" => probs.read_err = p,
                         "read_corrupt" => probs.read_corrupt = p,
-                        other => return Err(err(&format!("unknown fault kind {other:?}"))),
+                        _ => return Err(err("unknown fault kind")),
                     }
                 }
-                other => return Err(err(&format!("unknown key {other:?}"))),
-            }
-            if tok.next().is_some() {
-                return Err(err("trailing tokens"));
+                _ => return Err(err("expected `key value` or `p kind probability`")),
             }
         }
         Ok(Self {

@@ -12,10 +12,17 @@
 //! On divergence the trace is **shrunk** (delta debugging over ops,
 //! then coordinate/value minimization) to a replayable text repro.
 //!
-//! The crate also hosts the persistence fault injectors
-//! ([`FailingWriter`], [`FailingReader`], [`fault_sweep`]) and the
-//! bounded interleaving scheduler for the sharded cube
-//! ([`check_interleavings`]).
+//! Everything durable runs on one rig (`rig.rs`) — a `DurableCube` on a
+//! `Vfs`, booted, checkpointed and crashed by the calls `ddc serve
+//! --durable` makes — and one walk of a trace against it: the roster's
+//! `durable-*` engines, the kill sweep at every byte of the log
+//! ([`crash_sweep`]) and the disk-fault chaos sweep ([`disk_sweep`])
+//! differ in the disk they hand it. The crate also hosts the snapshot
+//! fault injectors ([`FailingWriter`], [`FailingReader`],
+//! [`fault_sweep`]), the wire-parser fuzzer ([`fuzz_serve_parser`]),
+//! the seeded bugs each of them must re-find ([`roster_with_bug`],
+//! [`ParserQuirk`]; the disk's is `FaultVfs::lose_truncations`) and the
+//! repo-invariant [`lint`].
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]
@@ -25,29 +32,28 @@ mod buggy;
 mod crash;
 mod disk;
 mod fault;
-mod interleave;
 pub mod lint;
 mod oracle;
+mod rig;
 mod runner;
 mod serve_fuzz;
 
 pub use adapters::{
-    engine_roster, CheckEngine, DdcAdapter, DurableAdapter, FixedAdapter, GrowableAdapter,
-    GrowableDenseAdapter, ShardedAdapter, SharedAdapter,
+    ddc_adapter, engine_roster, CheckEngine, DurableEngine, FixedAdapter, GrowableAdapter,
+    GrowableDenseAdapter,
 };
-pub use buggy::{roster_with_bug, OffByOneEngine};
+pub use buggy::{roster_with_bug, OffByOneEngine, ParserQuirk};
 pub use crash::{corruption_divergence, crash_sweep, CrashSweepReport};
 pub use disk::{
     disk_sweep, refind_seeded_bug, run_trace_under_faults, shrink_fault_schedule, DiskRunReport,
     DiskSweepConfig, DiskSweepReport, DiskViolation, FaultSchedule, RefindReport,
 };
 pub use fault::{fault_sweep, FailingReader, FailingWriter, FaultSweepReport, Snapshot};
-pub use interleave::{check_interleavings, InterleaveReport, Update};
 pub use oracle::Oracle;
 pub use runner::{
     fuzz, fuzz_with, run_trace, run_trace_on, Divergence, FuzzFailure, FuzzOutcome, RunStats,
 };
 pub use serve_fuzz::{
-    find_parser_quirk, fuzz_parser_config, fuzz_serve_parser, ParserQuirk, ServeFuzzFailure,
-    ServeFuzzReport, ServeOp,
+    find_parser_quirk, fuzz_parser_config, fuzz_serve_parser, ServeFuzzFailure, ServeFuzzReport,
+    ServeOp,
 };

@@ -69,9 +69,11 @@ impl Oracle {
         self.cells.values().sum()
     }
 
-    /// Populated cells in unspecified order.
+    /// Populated cells, sorted.
     pub fn entries(&self) -> Vec<(Vec<i64>, i64)> {
-        self.cells.iter().map(|(p, &v)| (p.clone(), v)).collect()
+        let mut cells: Vec<_> = self.cells.iter().map(|(p, &v)| (p.clone(), v)).collect();
+        cells.sort();
+        cells
     }
 }
 

@@ -5,6 +5,7 @@
 use std::fmt;
 
 use ddc_core::obs;
+use ddc_core::wal::IoError;
 use ddc_workload::{shrink_trace, BoxState, CheckOp, CheckTrace, CheckTraceConfig, DdcRng};
 
 use crate::adapters::{engine_roster, CheckEngine};
@@ -24,7 +25,9 @@ pub struct Divergence {
     /// What the engine answered.
     pub actual: i64,
     /// Which answer diverged (`range_sum`, `cell`, `set-old`,
-    /// `save/load`, `final-total`).
+    /// `final-total`), or which op the engine could not carry out
+    /// (`save/load: …`, `crash-recovery: …`, `durable: …` for a mutation
+    /// its log refused).
     pub what: String,
 }
 
@@ -64,43 +67,51 @@ pub fn run_trace_on(
     let mut state = BoxState::initial(trace);
     let mut stats = RunStats::default();
 
-    let check = |engine: &str,
-                 i: usize,
-                 op: &CheckOp,
-                 what: &str,
-                 expected: i64,
-                 actual: i64|
-     -> Result<(), Box<Divergence>> {
+    // An answer that differs from the oracle's, or (`expected` ==
+    // `actual`) an op the engine could not carry out at all.
+    let diverged = |engine: &dyn CheckEngine,
+                    i: usize,
+                    op: &CheckOp,
+                    what: String,
+                    expected: i64,
+                    actual: i64| {
+        Box::new(Divergence {
+            engine: engine.name().to_string(),
+            op_index: i,
+            op: op.clone(),
+            expected,
+            actual,
+            what,
+        })
+    };
+    let check = |e: &dyn CheckEngine, i, op: &CheckOp, what: &str, expected, actual| {
         if expected == actual {
             Ok(())
         } else {
-            Err(Box::new(Divergence {
-                engine: engine.to_string(),
-                op_index: i,
-                op: op.clone(),
-                expected,
-                actual,
-                what: what.to_string(),
-            }))
+            Err(diverged(e, i, op, what.to_string(), expected, actual))
         }
     };
 
     for (i, op) in trace.ops.iter().enumerate() {
         stats.ops += 1;
+        // Only a logged engine can refuse a mutation: a typed error of
+        // its durable path, reported instead of unwound through.
+        let refused =
+            |e: &dyn CheckEngine, why: IoError| diverged(e, i, op, format!("durable: {why}"), 0, 0);
         match op {
             CheckOp::Update { point, delta } => {
                 oracle.add(point, *delta);
                 for e in engines.iter_mut() {
-                    e.add(point, *delta);
+                    e.add(point, *delta).map_err(|why| refused(&**e, why))?;
                 }
             }
             CheckOp::Set { point, value } => {
                 let expected_old = oracle.set(point, *value);
                 for e in engines.iter_mut() {
-                    let actual_old = e.set(point, *value);
+                    let actual_old = e.set(point, *value).map_err(|why| refused(&**e, why))?;
                     stats.comparisons += 1;
                     stats.checksum = stats.checksum.wrapping_add(actual_old);
-                    check(e.name(), i, op, "set-old", expected_old, actual_old)?;
+                    check(&**e, i, op, "set-old", expected_old, actual_old)?;
                 }
             }
             CheckOp::Query { lo, hi } => {
@@ -109,7 +120,7 @@ pub fn run_trace_on(
                     let actual = e.range_sum(lo, hi);
                     stats.comparisons += 1;
                     stats.checksum = stats.checksum.wrapping_add(actual);
-                    check(e.name(), i, op, "range_sum", expected, actual)?;
+                    check(&**e, i, op, "range_sum", expected, actual)?;
                 }
             }
             CheckOp::Cell { point } => {
@@ -118,27 +129,20 @@ pub fn run_trace_on(
                     let actual = e.cell(point);
                     stats.comparisons += 1;
                     stats.checksum = stats.checksum.wrapping_add(actual);
-                    check(e.name(), i, op, "cell", expected, actual)?;
+                    check(&**e, i, op, "cell", expected, actual)?;
                 }
             }
             CheckOp::Grow { axis, amount, low } => {
                 state.grow(*axis, *amount, *low);
                 for e in engines.iter_mut() {
-                    e.grow(&state);
+                    e.grow(&state, *axis, *amount, *low)
+                        .map_err(|why| refused(&**e, why))?;
                 }
             }
             CheckOp::SaveLoad => {
                 for e in engines.iter_mut() {
-                    if let Err(msg) = e.save_load() {
-                        return Err(Box::new(Divergence {
-                            engine: e.name().to_string(),
-                            op_index: i,
-                            op: op.clone(),
-                            expected: 0,
-                            actual: 0,
-                            what: format!("save/load: {msg}"),
-                        }));
-                    }
+                    e.save_load()
+                        .map_err(|msg| diverged(&**e, i, op, format!("save/load: {msg}"), 0, 0))?;
                 }
             }
             CheckOp::Flush => {
@@ -148,16 +152,9 @@ pub fn run_trace_on(
             }
             CheckOp::Crash => {
                 for e in engines.iter_mut() {
-                    if let Err(msg) = e.crash() {
-                        return Err(Box::new(Divergence {
-                            engine: e.name().to_string(),
-                            op_index: i,
-                            op: op.clone(),
-                            expected: 0,
-                            actual: 0,
-                            what: format!("crash-recovery: {msg}"),
-                        }));
-                    }
+                    e.crash().map_err(|msg| {
+                        diverged(&**e, i, op, format!("crash-recovery: {msg}"), 0, 0)
+                    })?;
                 }
             }
         }
@@ -180,7 +177,7 @@ pub fn run_trace_on(
         let actual = e.range_sum(&lo, &hi);
         stats.comparisons += 1;
         check(
-            e.name(),
+            &**e,
             trace.ops.len(),
             &closing,
             "final-total",

@@ -22,18 +22,19 @@
 //! A truncated replay models the abrupt disconnect: it must yield a
 //! prefix of the expected frames and no spurious error.
 //!
-//! The same harness doubles as the seeded-bug detector, mirroring
-//! [`crate::buggy`]: [`find_parser_quirk`] runs the identical traffic
-//! through a [`ParserQuirk`] fixture and reports the first iteration
-//! whose frames diverge from the real parser. A fuzzer that cannot find
+//! The same harness doubles as the seeded-bug detector:
+//! [`find_parser_quirk`] runs the identical traffic through a
+//! [`ParserQuirk`] of [`crate::buggy`] — the real parser behind a stream
+//! transform — and reports the first iteration whose frames diverge from
+//! the untransformed run. A fuzzer that cannot find
 //! `CaseSensitiveContentLength` or `DropSplitCarriageReturn` is not
 //! exercising header casing or split boundaries, so the test suite
 //! requires both to be found.
 
-pub use ddc_serve::http::ParserQuirk;
-
 use ddc_serve::{Frame, HttpRequest, ParseError, ParserConfig, RequestParser};
 use ddc_workload::DdcRng;
+
+use crate::buggy::ParserQuirk;
 
 /// Bounds used by the fuzzer: small enough that oversized-input
 /// mutations cost bytes, not megabytes, while leaving room for every
@@ -334,9 +335,9 @@ fn gen_chunk_plan(rng: &mut DdcRng, len: usize) -> Vec<usize> {
 /// Everything one parser run produced: frames until the first error (if
 /// any) and that error's status.
 #[derive(Debug, PartialEq, Eq)]
-struct RunResult {
-    frames: Vec<Frame>,
-    error: Option<ParseError>,
+pub(crate) struct RunResult {
+    pub(crate) frames: Vec<Frame>,
+    pub(crate) error: Option<ParseError>,
 }
 
 fn drain(parser: &mut RequestParser, into: &mut RunResult) {
@@ -355,18 +356,28 @@ fn drain(parser: &mut RequestParser, into: &mut RunResult) {
     }
 }
 
-/// Feeds `wire` split at `cuts` (byte offsets, ascending), draining
-/// frames between chunks exactly as the server's read loop does.
-fn run_chunked(parser: &mut RequestParser, wire: &[u8], cuts: &[usize]) -> RunResult {
+/// Feeds `wire` to a fresh parser split at `cuts` (byte offsets,
+/// ascending), draining frames between chunks exactly as the server's
+/// read loop does — through `quirk`'s transforms when one is seeded.
+pub(crate) fn run_chunked(
+    config: ParserConfig,
+    wire: &[u8],
+    cuts: &[usize],
+    quirk: Option<ParserQuirk>,
+) -> RunResult {
+    let mut parser = RequestParser::new(config);
     let mut result = RunResult {
         frames: Vec::new(),
         error: None,
     };
+    let rewritten = quirk.map(|q| q.rewrite(wire));
+    let wire = rewritten.as_deref().unwrap_or(wire);
     let mut prev = 0usize;
     for &cut in cuts.iter().chain(std::iter::once(&wire.len())) {
-        parser.feed(&wire[prev..cut]);
+        let chunk = &wire[prev..cut];
+        parser.feed(quirk.map_or(chunk, |q| q.chunk(chunk)));
         prev = cut;
-        drain(parser, &mut result);
+        drain(&mut parser, &mut result);
     }
     result
 }
@@ -412,8 +423,7 @@ pub fn fuzz_serve_parser(seed: u64, iterations: u64) -> Result<ServeFuzzReport, 
         };
 
         // Whole-stream run against the construction oracle.
-        let mut parser = RequestParser::new(config);
-        let whole = run_chunked(&mut parser, &wire, &[]);
+        let whole = run_chunked(config, &wire, &[], None);
         if whole.frames != want_frames {
             return Err(fail(format!(
                 "whole-stream frames {:?} != expected {:?}",
@@ -432,8 +442,7 @@ pub fn fuzz_serve_parser(seed: u64, iterations: u64) -> Result<ServeFuzzReport, 
 
         // Split-plan run must agree byte-for-byte with the whole run.
         let cuts = gen_chunk_plan(&mut rng, wire.len());
-        let mut parser = RequestParser::new(config);
-        let split = run_chunked(&mut parser, &wire, &cuts);
+        let split = run_chunked(config, &wire, &cuts, None);
         if split != whole {
             return Err(fail(format!(
                 "split plan ({} chunks) diverged: {split:?} != {whole:?}",
@@ -447,8 +456,7 @@ pub fn fuzz_serve_parser(seed: u64, iterations: u64) -> Result<ServeFuzzReport, 
         // error if the full stream would have errored the same way.
         if !wire.is_empty() {
             let keep = rng.gen_range(0..wire.len());
-            let mut parser = RequestParser::new(config);
-            let cut = run_chunked(&mut parser, &wire[..keep], &[]);
+            let cut = run_chunked(config, &wire[..keep], &[], None);
             if cut.frames.len() > want_frames.len()
                 || cut.frames[..] != want_frames[..cut.frames.len()]
             {
@@ -474,8 +482,8 @@ pub fn fuzz_serve_parser(seed: u64, iterations: u64) -> Result<ServeFuzzReport, 
     Ok(report)
 }
 
-/// Runs the fuzzer's traffic through a seeded buggy parser
-/// ([`ParserQuirk`]) alongside the real one and returns the first
+/// Runs the fuzzer's traffic through the parser behind a seeded bug
+/// ([`ParserQuirk`]) alongside the parser alone and returns the first
 /// iteration whose results diverge — the serve-layer analogue of
 /// [`crate::roster_with_bug`]: a fixture the suite must FIND. `None`
 /// means the fuzzer failed to expose the bug within `max_iterations`,
@@ -487,14 +495,11 @@ pub fn find_parser_quirk(quirk: ParserQuirk, seed: u64, max_iterations: u64) -> 
         let ops = gen_ops(&mut rng, &config);
         let wire = wire_of(&ops);
         let cuts = gen_chunk_plan(&mut rng, wire.len());
-        let mut real = RequestParser::new(config);
-        let mut buggy = RequestParser::new_with_quirk(config, quirk);
-        let a = run_chunked(&mut real, &wire, &cuts);
-        let b = run_chunked(&mut buggy, &wire, &cuts);
         // A buggy parser can also diverge by *waiting* — fewer frames
         // with bytes still buffered — which the result compare catches
         // as a frame-list mismatch on the same traffic.
-        if a != b {
+        if run_chunked(config, &wire, &cuts, None) != run_chunked(config, &wire, &cuts, Some(quirk))
+        {
             return Some(iteration);
         }
     }

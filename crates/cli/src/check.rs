@@ -17,18 +17,27 @@
 //! randomized snapshot. `crash` simulates a process kill at every byte
 //! offset of a trace's write-ahead log and verifies recovery restores
 //! exactly the acknowledged prefix (shrinking any violation to a
-//! replayable trace). `serve` fuzzes the network wire parser with
-//! mutated/split/truncated requests and verifies both seeded parser
-//! bugs are found. `disk` runs the disk-fault chaos sweep: seeded
-//! traces against a fault-injecting VFS across a fault-probability
-//! grid (no acked update lost; every run ends healthy or cleanly
-//! degraded), then replays the committed `tests/faults/*.sched`
-//! schedules with the retry protocol's tail truncation disabled and
-//! verifies both seeded corruption classes are re-found.
+//! replayable trace); a checkpoint in the trace rotates the log, a
+//! mid-trace crash re-boots and resumes it, so the log under the sweep
+//! is what a restarted server would hold. `serve` fuzzes the network
+//! wire parser with mutated/split/truncated requests and verifies both
+//! seeded parser bugs (stream transforms in front of the real parser)
+//! are found. `disk` runs the disk-fault chaos sweep: seeded traces
+//! against a fault-injecting VFS across a fault-probability grid (no
+//! acked update lost; every run ends healthy or cleanly degraded), then
+//! replays the committed `tests/faults/*.sched` schedules on a disk
+//! that loses the retry protocol's tail truncations and verifies both
+//! seeded corruption classes are re-found. `crash`, `disk` and the
+//! roster's durable engines under `run` drive one rig — a durable cube
+//! on a `Vfs`, by the calls `ddc serve --durable` makes — and differ
+//! in the disk under it.
 //!
 //! `--paged` (on `crash` and `disk`) runs the same sweep with the
 //! out-of-core leaf backend: a buffer pool under a deliberately tiny
 //! memory cap, so recovery replays the log onto evicting pages.
+//!
+//! Every subcommand refuses an argument it does not accept: a misspelt
+//! `--paged` is a usage error, not a sweep of the default backend.
 
 use ddc_check::{
     crash_sweep, disk_sweep, fault_sweep, fuzz, refind_seeded_bug, run_trace, DiskSweepConfig,
@@ -37,54 +46,39 @@ use ddc_check::{
 use ddc_core::{DdcConfig, DdcEngine, GrowableCube, PagerConfig};
 use ddc_workload::{CheckTrace, CheckTraceConfig, DdcRng};
 
-/// Engine config for `--paged` sweeps: leaf blocks (elision 1) behind
-/// a buffer pool small enough that every nontrivial trace evicts. The
-/// crash sweep recovers from byte slices and spills to a `Vec`; the
-/// disk sweep asks for a `disk` pager, which `recover_vfs` opens inside
-/// the sweep's fault-injecting (in-memory) namespace.
-fn paged_engine_config(pager: fn(usize) -> PagerConfig) -> DdcConfig {
-    DdcConfig::dynamic()
-        .with_elision(1)
-        .with_paged_leaves(pager(8 * 1024).with_page_bytes(256))
+use crate::flags::Flags;
+
+/// The engine a `crash` or `disk` sweep runs on, and what its report
+/// calls the backend. `--paged` is leaf blocks (elision 1) behind a
+/// buffer pool small enough that every nontrivial trace evicts: the
+/// crash sweep spills to memory; the disk sweep asks for a `disk`
+/// pager, which `recover_vfs` opens inside the sweep's fault-injecting
+/// (in-memory) namespace.
+fn engine_under_sweep(paged: bool, pager: fn(usize) -> PagerConfig) -> (DdcConfig, &'static str) {
+    let config = DdcConfig::dynamic();
+    match paged {
+        true => {
+            let pool = pager(8 * 1024).with_page_bytes(256);
+            (config.with_elision(1).with_paged_leaves(pool), "paged")
+        }
+        false => (config, "slab"),
+    }
 }
 
-pub(crate) fn parse_flag(args: &[String], name: &str) -> Result<Option<u64>, String> {
-    for (i, a) in args.iter().enumerate() {
-        if a == name {
-            let v = args
-                .get(i + 1)
-                .ok_or_else(|| format!("{name} needs a value"))?;
-            return v
-                .parse::<u64>()
-                .map(Some)
-                .map_err(|e| format!("{name}: {e}"));
-        }
-    }
-    Ok(None)
-}
-
-fn parse_out(args: &[String]) -> Result<String, String> {
-    for (i, a) in args.iter().enumerate() {
-        if a == "--out" {
-            return args
-                .get(i + 1)
-                .cloned()
-                .ok_or_else(|| "--out needs a path".to_string());
-        }
-    }
-    Ok("ddc-divergence.trace".to_string())
-}
+/// Where a shrunk repro goes unless `--out` says otherwise.
+const DEFAULT_OUT: &str = "ddc-divergence.trace";
 
 /// Executes `ddc check <args>`, returning the report text or an error
 /// (which the caller turns into a non-zero exit).
 pub fn run(args: &[String]) -> Result<String, String> {
+    let rest = args.get(1..).unwrap_or_default();
     match args.first().map(String::as_str) {
         Some("run") => {
-            let rest = &args[1..];
-            let seed = parse_flag(rest, "--seed")?.unwrap_or(0xDDC);
-            let cases = parse_flag(rest, "--cases")?.unwrap_or(25) as usize;
-            let ops = parse_flag(rest, "--ops")?.unwrap_or(200) as usize;
-            let out_path = parse_out(rest)?;
+            let flags = Flags::parse(rest, &["--seed", "--cases", "--ops", "--out"], &[])?;
+            let seed = flags.num("--seed")?.unwrap_or(0xDDCu64);
+            let cases = flags.num("--cases")?.unwrap_or(25usize);
+            let ops = flags.num("--ops")?.unwrap_or(200usize);
+            let out_path = flags.value("--out").unwrap_or(DEFAULT_OUT);
             let outcome = fuzz(
                 seed,
                 cases,
@@ -99,7 +93,7 @@ pub fn run(args: &[String]) -> Result<String, String> {
                     outcome.cases, outcome.ops_run, outcome.comparisons
                 )),
                 Some(f) => {
-                    std::fs::write(&out_path, f.shrunk.to_text())
+                    std::fs::write(out_path, f.shrunk.to_text())
                         .map_err(|e| format!("cannot write {out_path}: {e}"))?;
                     Err(format!(
                         "divergence in case {} (seed {}): {}\n\
@@ -116,16 +110,17 @@ pub fn run(args: &[String]) -> Result<String, String> {
             }
         }
         Some("replay") => {
-            let path = args
-                .get(1)
-                .ok_or_else(|| "usage: ddc check replay FILE".to_string())?;
+            let [path] = rest else {
+                return Err("usage: ddc check replay FILE (one file, nothing else)".to_string());
+            };
             let text =
                 std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
             let trace = CheckTrace::parse(&text).map_err(|e| format!("{path}: {e}"))?;
             replay_text(path, &trace)
         }
         Some("faults") => {
-            let seed = parse_flag(&args[1..], "--seed")?.unwrap_or(0xFA17);
+            let flags = Flags::parse(rest, &["--seed"], &[])?;
+            let seed = flags.num("--seed")?.unwrap_or(0xFA17u64);
             let mut rng = DdcRng::seed_from_u64(seed);
             let mut fixed = DdcEngine::<i64>::dynamic(ddc_array::Shape::new(&[5, 4]));
             let mut growable = GrowableCube::<i64>::new(2, DdcConfig::dynamic());
@@ -158,17 +153,13 @@ pub fn run(args: &[String]) -> Result<String, String> {
             }
         }
         Some("crash") => {
-            let rest = &args[1..];
-            let seed = parse_flag(rest, "--seed")?.unwrap_or(0xC4A5);
-            let cases = parse_flag(rest, "--cases")?.unwrap_or(12) as usize;
-            let ops = parse_flag(rest, "--ops")?.unwrap_or(120) as usize;
-            let out_path = parse_out(rest)?;
-            let paged = rest.iter().any(|a| a == "--paged");
-            let engine = if paged {
-                paged_engine_config(PagerConfig::in_mem)
-            } else {
-                DdcConfig::dynamic()
-            };
+            let values = ["--seed", "--cases", "--ops", "--out"];
+            let flags = Flags::parse(rest, &values, &["--paged"])?;
+            let seed = flags.num("--seed")?.unwrap_or(0xC4A5u64);
+            let cases = flags.num("--cases")?.unwrap_or(12usize);
+            let ops = flags.num("--ops")?.unwrap_or(120usize);
+            let out_path = flags.value("--out").unwrap_or(DEFAULT_OUT);
+            let (engine, backend) = engine_under_sweep(flags.has("--paged"), PagerConfig::in_mem);
             let fails = |t: &CheckTrace| crash_sweep(t, engine).map_or(true, |r| !r.is_clean());
             let mut offsets = 0usize;
             let mut recoveries = 0usize;
@@ -188,7 +179,7 @@ pub fn run(args: &[String]) -> Result<String, String> {
                     crash_sweep(&trace, engine).map_err(|e| format!("case {case}: {e}"))?;
                 if !report.is_clean() {
                     let shrunk = ddc_workload::shrink_trace(&trace, fails);
-                    std::fs::write(&out_path, shrunk.to_text())
+                    std::fs::write(out_path, shrunk.to_text())
                         .map_err(|e| format!("cannot write {out_path}: {e}"))?;
                     return Err(format!(
                         "crash-recovery violation in case {case} (seed {case_seed}): {}\n\
@@ -205,7 +196,6 @@ pub fn run(args: &[String]) -> Result<String, String> {
                 recoveries += report.recoveries;
                 groups = (groups.0 + report.groups, groups.1 + report.grouped_records);
             }
-            let backend = if paged { "paged" } else { "slab" };
             Ok(format!(
                 "ok: {cases} cases, {offsets} kill offsets, {recoveries} recoveries, \
                  0 violations ({backend} backend, seed {seed})\n\
@@ -215,9 +205,9 @@ pub fn run(args: &[String]) -> Result<String, String> {
             ))
         }
         Some("serve") => {
-            let rest = &args[1..];
-            let seed = parse_flag(rest, "--seed")?.unwrap_or(0xF022);
-            let iters = parse_flag(rest, "--iters")?.unwrap_or(400);
+            let flags = Flags::parse(rest, &["--seed", "--iters"], &[])?;
+            let seed = flags.num("--seed")?.unwrap_or(0xF022u64);
+            let iters = flags.num("--iters")?.unwrap_or(400u64);
             let report = ddc_check::fuzz_serve_parser(seed, iters).map_err(|f| f.to_string())?;
             // The harness must also FIND both seeded parser bugs — a
             // fuzzer that misses them is not covering header casing or
@@ -255,22 +245,15 @@ pub fn run(args: &[String]) -> Result<String, String> {
             ))
         }
         Some("disk") => {
-            let rest = &args[1..];
-            let seed = parse_flag(rest, "--seed")?.unwrap_or(0xD15C);
-            let quick = rest.iter().any(|a| a == "--quick");
-            let paged = rest.iter().any(|a| a == "--paged");
-            let schedules_dir =
-                parse_str(rest, "--schedules")?.unwrap_or_else(|| "tests/faults".to_string());
-            let config = if quick {
+            let flags = Flags::parse(rest, &["--seed", "--schedules"], &["--quick", "--paged"])?;
+            let seed = flags.num("--seed")?.unwrap_or(0xD15Cu64);
+            let schedules_dir = flags.value("--schedules").unwrap_or("tests/faults");
+            let config = if flags.has("--quick") {
                 DiskSweepConfig::quick(seed)
             } else {
                 DiskSweepConfig::full(seed)
             };
-            let engine = if paged {
-                paged_engine_config(PagerConfig::disk)
-            } else {
-                DdcConfig::dynamic()
-            };
+            let (engine, backend) = engine_under_sweep(flags.has("--paged"), PagerConfig::disk);
             let report = disk_sweep(&config, engine);
             if let Some(v) = report.violations.first() {
                 return Err(format!(
@@ -285,7 +268,7 @@ pub fn run(args: &[String]) -> Result<String, String> {
             }
             // Regression teeth: every committed schedule must re-find a
             // violation when the tail-truncation protocol is disabled.
-            let mut entries: Vec<_> = std::fs::read_dir(&schedules_dir)
+            let mut entries: Vec<_> = std::fs::read_dir(schedules_dir)
                 .map_err(|e| format!("cannot read schedule dir {schedules_dir}: {e}"))?
                 .filter_map(Result::ok)
                 .map(|d| d.path())
@@ -312,7 +295,6 @@ pub fn run(args: &[String]) -> Result<String, String> {
                     r.violation
                 ));
             }
-            let backend = if paged { "paged" } else { "slab" };
             Ok(format!(
                 "ok: disk sweep: {} runs, {} faults injected, {} acked ops, \
                  {} degraded runs, 0 violations ({backend} backend, seed {seed})\n\
@@ -330,20 +312,6 @@ pub fn run(args: &[String]) -> Result<String, String> {
     }
 }
 
-/// Parses a `--flag value` string option.
-fn parse_str(args: &[String], name: &str) -> Result<Option<String>, String> {
-    for (i, a) in args.iter().enumerate() {
-        if a == name {
-            return args
-                .get(i + 1)
-                .cloned()
-                .map(Some)
-                .ok_or_else(|| format!("{name} needs a value"));
-        }
-    }
-    Ok(None)
-}
-
 /// Replays a parsed trace, reporting stats or the divergence.
 pub fn replay_text(label: &str, trace: &CheckTrace) -> Result<String, String> {
     match run_trace(trace) {
@@ -352,5 +320,55 @@ pub fn replay_text(label: &str, trace: &CheckTrace) -> Result<String, String> {
             stats.ops, stats.comparisons
         )),
         Err(d) => Err(format!("{label}: {d}")),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn refusal(words: &[&str]) -> String {
+        let args: Vec<String> = words.iter().map(|w| w.to_string()).collect();
+        run(&args).expect_err("a misspelt flag must not run the sweep")
+    }
+
+    // One per subcommand: a misspelling used to run the default sweep
+    // and print `ok`, silently weakening whatever gate had asked for more.
+    #[test]
+    fn check_run_refuses_a_misspelt_flag() {
+        assert!(
+            refusal(&["run", "--cases", "1", "--op", "5"]).starts_with("unknown argument --op;")
+        );
+    }
+
+    #[test]
+    fn check_replay_refuses_anything_after_its_file() {
+        assert!(refusal(&["replay", "a.trace", "--seed"]).starts_with("usage: ddc check replay"));
+        assert!(refusal(&["replay"]).starts_with("usage: ddc check replay"));
+    }
+
+    #[test]
+    fn check_faults_refuses_a_misspelt_flag() {
+        assert!(refusal(&["faults", "--sed", "1"]).starts_with("unknown argument --sed;"));
+    }
+
+    #[test]
+    fn check_crash_refuses_a_misspelt_flag() {
+        // `ddc check crash --cases 2 --page` used to sweep the slab backend.
+        let err = refusal(&["crash", "--cases", "2", "--page"]);
+        assert!(err.starts_with("unknown argument --page;"), "{err}");
+        assert!(err.contains("--paged"), "{err}");
+    }
+
+    #[test]
+    fn check_serve_refuses_a_misspelt_flag() {
+        assert!(refusal(&["serve", "--iter", "9"]).starts_with("unknown argument --iter;"));
+    }
+
+    #[test]
+    fn check_disk_refuses_a_misspelt_flag() {
+        // `ddc check disk --quick --pagd` used to report the slab backend.
+        let err = refusal(&["disk", "--quick", "--pagd"]);
+        assert!(err.starts_with("unknown argument --pagd;"), "{err}");
     }
 }

@@ -9,6 +9,7 @@
 
 pub mod check;
 pub mod command;
+mod flags;
 pub mod lint;
 #[cfg(feature = "model")]
 pub mod model;

@@ -17,15 +17,7 @@ use std::time::Instant;
 use ddc_core::models;
 use ddc_model::CheckerConfig;
 
-fn parse_num<T: std::str::FromStr>(flag: &str, value: Option<&String>) -> Result<T, String>
-where
-    T::Err: std::fmt::Display,
-{
-    value
-        .ok_or_else(|| format!("{flag} needs a value"))?
-        .parse()
-        .map_err(|e| format!("{flag}: {e}"))
-}
+use crate::flags::Flags;
 
 /// Entry point for `ddc model`.
 pub fn run(args: &[String]) -> Result<String, String> {
@@ -36,29 +28,14 @@ pub fn run(args: &[String]) -> Result<String, String> {
         preemption_bound: 3,
         ..CheckerConfig::default()
     };
-    let mut skip_buggy = false;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--iterations" => {
-                cfg.max_iterations = parse_num("--iterations", args.get(i + 1))?;
-                i += 2;
-            }
-            "--preemptions" => {
-                cfg.preemption_bound = parse_num("--preemptions", args.get(i + 1))?;
-                i += 2;
-            }
-            "--skip-buggy" => {
-                skip_buggy = true;
-                i += 1;
-            }
-            other => {
-                return Err(format!(
-                    "unknown argument `{other}` (expected --iterations N, --preemptions N, --skip-buggy)"
-                ))
-            }
-        }
+    let flags = Flags::parse(args, &["--iterations", "--preemptions"], &["--skip-buggy"])?;
+    if let Some(n) = flags.num("--iterations")? {
+        cfg.max_iterations = n;
     }
+    if let Some(n) = flags.num("--preemptions")? {
+        cfg.preemption_bound = n;
+    }
+    let skip_buggy = flags.has("--skip-buggy");
 
     let mut out = String::new();
     let mut failed = false;
@@ -149,5 +126,17 @@ pub fn run(args: &[String]) -> Result<String, String> {
         Err(format!("model checking failed\n{out}"))
     } else {
         Ok(out)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn model_refuses_a_misspelt_flag() {
+        let args = ["--iterations", "10", "--skip-bugy"].map(String::from);
+        let err = run(&args).expect_err("unknown argument");
+        assert!(err.starts_with("unknown argument --skip-bugy;"), "{err}");
     }
 }

@@ -30,7 +30,7 @@
 //! default. Load is generated and timed by `benchmark/`
 //! (`serve_mixed`, `durable_paged_mixed`), not from here.
 
-use crate::check::parse_flag;
+use crate::flags::Flags;
 use ddc_array::Shape;
 use ddc_core::sync::Arc;
 use ddc_core::vfs::StdVfs;
@@ -39,17 +39,6 @@ use ddc_core::{DdcConfig, DdcEngine, PagerConfig, ShardConfig, ShardedCube, Shar
 use ddc_serve::{
     AdmissionConfig, DurableBackend, ServeBackend, Server, ServerConfig, ShardedBackend,
 };
-
-fn parse_str_flag(args: &[String], name: &str) -> Result<Option<String>, String> {
-    match args.iter().position(|a| a == name) {
-        None => Ok(None),
-        Some(i) => args
-            .get(i + 1)
-            .cloned()
-            .map(Some)
-            .ok_or_else(|| format!("{name} needs a value")),
-    }
-}
 
 /// Every argument `ddc serve` accepts; each takes one value.
 const FLAGS: [&str; 10] = [
@@ -65,45 +54,30 @@ const FLAGS: [&str; 10] = [
     "--mem-cap",
 ];
 
-/// `parse_flag` only looks for the names it knows, so without this a
-/// misspelt argument (`--shard 2`, `--memcap …`) would serve the
-/// defaults unnoticed.
-fn reject_unknown(args: &[String]) -> Result<(), String> {
-    match args
-        .chunks(2)
-        .find(|pair| !FLAGS.contains(&pair[0].as_str()))
-    {
-        Some(pair) => Err(format!(
-            "unknown argument {}; accepted, each with a value: {}",
-            pair[0],
-            FLAGS.join(" ")
-        )),
-        None => Ok(()),
-    }
-}
-
 /// Executes `ddc serve <args>`. Does not return on success: the server
 /// runs until the process is killed.
 pub fn run(args: &[String]) -> Result<String, String> {
-    reject_unknown(args)?;
-    let addr = parse_str_flag(args, "--addr")?.unwrap_or_else(|| "127.0.0.1:7171".to_string());
-    let side = parse_flag(args, "--side")?.unwrap_or(256) as usize;
-    let shards = (parse_flag(args, "--shards")?.unwrap_or(1) as usize).max(1);
-    let workers = (parse_flag(args, "--workers")?.unwrap_or(4) as usize).max(1);
-    let max_connections = parse_flag(args, "--max-conns")?.unwrap_or(256) as usize;
-    let rate_per_sec = parse_flag(args, "--rate")?.unwrap_or(0);
-    let burst = parse_flag(args, "--burst")?.unwrap_or(256);
+    let flags = Flags::parse(args, &FLAGS, &[])?;
+    let addr = flags
+        .value("--addr")
+        .unwrap_or("127.0.0.1:7171")
+        .to_string();
+    let side = flags.num("--side")?.unwrap_or(256usize);
+    let shards = flags.num("--shards")?.unwrap_or(1usize).max(1);
+    let workers = flags.num("--workers")?.unwrap_or(4usize).max(1);
+    let max_connections = flags.num("--max-conns")?.unwrap_or(256usize);
+    let rate_per_sec = flags.num("--rate")?.unwrap_or(0u64);
+    let burst = flags.num("--burst")?.unwrap_or(256u64);
     if side == 0 {
         return Err("--side must be at least 1".to_string());
     }
-    let (backend, what): (Arc<dyn ServeBackend>, String) = match parse_str_flag(args, "--durable")?
-    {
+    let (backend, what): (Arc<dyn ServeBackend>, String) = match flags.value("--durable") {
         Some(dir) => {
-            let dims = parse_flag(args, "--dims")?.unwrap_or(2) as usize;
+            let dims = flags.num("--dims")?.unwrap_or(2usize);
             if dims == 0 {
                 return Err("--dims must be at least 1".to_string());
             }
-            let mem_cap = parse_flag(args, "--mem-cap")?;
+            let mem_cap: Option<usize> = flags.num("--mem-cap")?;
             let config = match mem_cap {
                 Some(cap) => {
                     if cap == 0 {
@@ -119,11 +93,11 @@ pub fn run(args: &[String]) -> Result<String, String> {
                     // timed") — until pool access is cell-granular.
                     DdcConfig::dynamic()
                         .with_elision(1)
-                        .with_paged_leaves(PagerConfig::disk(cap as usize))
+                        .with_paged_leaves(PagerConfig::disk(cap))
                 }
                 None => DdcConfig::dynamic(),
             };
-            std::fs::create_dir_all(&dir).map_err(|e| format!("cannot create {dir}: {e}"))?;
+            std::fs::create_dir_all(dir).map_err(|e| format!("cannot create {dir}: {e}"))?;
             let wal_path = format!("{dir}/wal.log");
             let snap_path = format!("{dir}/snapshot.ddc");
             let (cube, report) = wal::recover_vfs::<i64, _>(

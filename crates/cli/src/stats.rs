@@ -23,18 +23,14 @@ use ddc_core::{
 };
 use ddc_workload::DdcRng;
 
-use crate::check::parse_flag;
+use crate::flags::Flags;
 
 /// Executes `ddc stats <args>`, returning the rendered registry.
 pub fn run(args: &[String]) -> Result<String, String> {
-    let seed = parse_flag(args, "--seed")?.unwrap_or(0x57A7);
-    let ops = parse_flag(args, "--ops")?.unwrap_or(4096) as usize;
-    let json = args.iter().any(|a| a == "--json");
-    if args.iter().any(|a| {
-        a != "--json" && a != "--seed" && a != "--ops" && !a.chars().all(|c| c.is_ascii_digit())
-    }) {
-        return Err("usage: ddc stats [--seed N] [--ops N] [--json]".to_string());
-    }
+    let flags = Flags::parse(args, &["--seed", "--ops"], &["--json"])?;
+    let seed = flags.num("--seed")?.unwrap_or(0x57A7u64);
+    let ops = flags.num("--ops")?.unwrap_or(4096usize);
+    let json = flags.has("--json");
 
     workload(seed, ops).map_err(|e| format!("stats workload: {e}"))?;
 
@@ -133,4 +129,16 @@ fn workload(seed: u64, ops: usize) -> std::io::Result<()> {
     assert_eq!(reloaded.total(), grown.total());
     assert_eq!(recovered.ndim(), 2);
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn stats_refuses_a_misspelt_flag() {
+        let args = ["--ops", "64", "--jsn"].map(String::from);
+        let err = run(&args).expect_err("unknown argument");
+        assert!(err.starts_with("unknown argument --jsn;"), "{err}");
+    }
 }

@@ -26,36 +26,10 @@ use ddc_core::vfs::{read_stable, StdVfs, Vfs};
 use ddc_core::wal::{self, WAL_HEADER_BYTES};
 use ddc_core::{DdcConfig, GrowableCube};
 
+use crate::flags::Flags;
+
 /// Read attempts for [`read_stable`] on operator paths.
 const READ_ATTEMPTS: u32 = 4;
-
-fn parse_path(args: &[String], name: &str) -> Result<Option<String>, String> {
-    for (i, a) in args.iter().enumerate() {
-        if a == name {
-            return args
-                .get(i + 1)
-                .cloned()
-                .map(Some)
-                .ok_or_else(|| format!("{name} needs a path"));
-        }
-    }
-    Ok(None)
-}
-
-fn parse_dims(args: &[String]) -> Result<Option<usize>, String> {
-    for (i, a) in args.iter().enumerate() {
-        if a == "--dims" {
-            let v = args
-                .get(i + 1)
-                .ok_or_else(|| "--dims needs a value".to_string())?;
-            return v
-                .parse::<usize>()
-                .map(Some)
-                .map_err(|e| format!("--dims: {e}"));
-        }
-    }
-    Ok(None)
-}
 
 /// Executes `ddc wal <args>`, returning the report text or an error
 /// (which the caller turns into a non-zero exit).
@@ -68,14 +42,15 @@ pub fn run(args: &[String]) -> Result<String, String> {
 }
 
 fn recover(args: &[String]) -> Result<String, String> {
-    let wal_path =
-        parse_path(args, "--wal")?.ok_or_else(|| "recover requires --wal FILE".to_string())?;
-    let snap_path = parse_path(args, "--snapshot")?;
-    let out_path = parse_path(args, "--out")?;
+    let values = ["--wal", "--snapshot", "--dims", "--out"];
+    let flags = Flags::parse(args, &values, &["--rotate"])?;
+    let wal_path = flags.value("--wal").ok_or("recover requires --wal FILE")?;
+    let snap_path = flags.value("--snapshot");
+    let out_path = flags.value("--out");
     let vfs = StdVfs;
-    let log = read_stable(&vfs, &wal_path, READ_ATTEMPTS)
+    let log = read_stable(&vfs, wal_path, READ_ATTEMPTS)
         .map_err(|e| format!("cannot read {wal_path}: {e}"))?;
-    let snapshot = match &snap_path {
+    let snapshot = match snap_path {
         Some(p) => {
             Some(read_stable(&vfs, p, READ_ATTEMPTS).map_err(|e| format!("cannot read {p}: {e}"))?)
         }
@@ -84,11 +59,11 @@ fn recover(args: &[String]) -> Result<String, String> {
 
     // Dimensionality comes from --dims, or from the snapshot when one
     // is supplied (recovery re-checks the two agree).
-    let d = match (parse_dims(args)?, &snapshot) {
+    let d = match (flags.num::<usize>("--dims")?, &snapshot) {
         (Some(d), _) => d,
         (None, Some(bytes)) => {
             GrowableCube::<i64>::load(&mut bytes.as_slice(), DdcConfig::dynamic())
-                .map_err(|e| format!("{}: {e}", snap_path.as_deref().unwrap_or("snapshot")))?
+                .map_err(|e| format!("{}: {e}", snap_path.unwrap_or("snapshot")))?
                 .ndim()
         }
         (None, None) => return Err("recover needs --dims D (no snapshot to infer it from)".into()),
@@ -115,18 +90,18 @@ fn recover(args: &[String]) -> Result<String, String> {
         let bytes = cube
             .save(&mut image)
             .map_err(|e| format!("cannot encode snapshot: {e}"))?;
-        vfs.write_atomic(&out, &image)
+        vfs.write_atomic(out, &image)
             .map_err(|e| format!("cannot write {out}: {e}"))?;
         text.push_str(&format!(
             "\nsnapshot written: {out} ({bytes} bytes, atomic)"
         ));
-        if args.iter().any(|a| a == "--rotate") {
+        if flags.has("--rotate") {
             // Checkpoint protocol: only after the snapshot is durably
             // renamed into place may the log it covers be reset.
             let mut header = [0u8; WAL_HEADER_BYTES];
             header[..4].copy_from_slice(wal::WAL_MAGIC);
             header[4] = wal::WAL_VERSION;
-            vfs.write_atomic(&wal_path, &header)
+            vfs.write_atomic(wal_path, &header)
                 .map_err(|e| format!("cannot rotate {wal_path}: {e}"))?;
             text.push_str(&format!("\nlog rotated: {wal_path} reset to a bare header"));
         } else if report.replayed > 0 {
@@ -142,11 +117,11 @@ fn recover(args: &[String]) -> Result<String, String> {
 }
 
 fn truncate_check(args: &[String]) -> Result<String, String> {
-    let wal_path = parse_path(args, "--wal")?
-        .ok_or_else(|| "truncate-check requires --wal FILE".to_string())?;
-    let fix = args.iter().any(|a| a == "--fix");
+    let flags = Flags::parse(args, &["--wal"], &["--fix"])?;
+    let wal_path = (flags.value("--wal")).ok_or("truncate-check requires --wal FILE")?;
+    let fix = flags.has("--fix");
     let vfs = StdVfs;
-    let log = read_stable(&vfs, &wal_path, READ_ATTEMPTS)
+    let log = read_stable(&vfs, wal_path, READ_ATTEMPTS)
         .map_err(|e| format!("cannot read {wal_path}: {e}"))?;
 
     let replay = wal::read_wal::<i64>(&log).map_err(|e| format!("{wal_path}: {e}"))?;
@@ -165,7 +140,7 @@ fn truncate_check(args: &[String]) -> Result<String, String> {
         debug_assert!(replay.valid_bytes >= WAL_HEADER_BYTES as u64);
         let mut keep = log;
         keep.truncate(replay.valid_bytes as usize);
-        vfs.write_atomic(&wal_path, &keep)
+        vfs.write_atomic(wal_path, &keep)
             .map_err(|e| format!("cannot rewrite {wal_path}: {e}"))?;
         Ok(format!(
             "fixed: {wal_path}: truncated to {} records / {} bytes ({garbage} damaged bytes \
@@ -180,5 +155,30 @@ fn truncate_check(args: &[String]) -> Result<String, String> {
             replay.ops.len(),
             replay.valid_bytes
         ))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn wal_refuses_a_misspelt_flag() {
+        // Before any file is read: `--rotat` used to leave the log
+        // un-rotated, `--fixx` to report instead of repair.
+        for (words, offender) in [
+            (
+                &["recover", "--wal", "w", "--out", "o", "--rotat"][..],
+                "--rotat",
+            ),
+            (&["truncate-check", "--wal", "w", "--fixx"][..], "--fixx"),
+        ] {
+            let args: Vec<String> = words.iter().map(|w| w.to_string()).collect();
+            let err = run(&args).expect_err("unknown argument");
+            assert!(
+                err.starts_with(&format!("unknown argument {offender};")),
+                "{err}"
+            );
+        }
     }
 }

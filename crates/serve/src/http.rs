@@ -152,23 +152,6 @@ pub enum Frame {
     Line(String),
 }
 
-/// Test-support quirks for the seeded buggy-parser fixture in
-/// `ddc-check` (mirrors `crates/check/src/buggy.rs`): a realistic
-/// interop bug the request-mutation fuzzer is required to find.
-#[doc(hidden)]
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum ParserQuirk {
-    /// Recognize `Content-Length` only in its canonical spelling — any
-    /// other casing is treated as an unknown header, so the body is
-    /// never consumed and the stream desynchronizes.
-    CaseSensitiveContentLength,
-    /// Lose a `\r` that arrives as the final byte of a read: the
-    /// classic split-terminator bug — `...\r` + `\n...` parses as if
-    /// the line ended in a bare `\n` with the `\r` folded into the
-    /// line content.
-    DropSplitCarriageReturn,
-}
-
 /// What one incremental parsing state is waiting for.
 #[derive(Debug)]
 enum State {
@@ -190,7 +173,6 @@ pub struct RequestParser {
     config: ParserConfig,
     buf: Vec<u8>,
     state: State,
-    quirk: Option<ParserQuirk>,
     /// Set once a `ParseError` was returned: the stream is unusable.
     poisoned: bool,
 }
@@ -212,18 +194,8 @@ impl RequestParser {
             config,
             buf: Vec::new(),
             state: State::Head { scanned: 0 },
-            quirk: None,
             poisoned: false,
         }
-    }
-
-    /// Fixture constructor for the differential fuzz harness: a parser
-    /// with a seeded bug. Not part of the serving API.
-    #[doc(hidden)]
-    pub fn new_with_quirk(config: ParserConfig, quirk: ParserQuirk) -> Self {
-        let mut p = Self::new(config);
-        p.quirk = Some(quirk);
-        p
     }
 
     /// Appends raw bytes from the socket. Cheap; all parsing happens in
@@ -231,13 +203,6 @@ impl RequestParser {
     pub fn feed(&mut self, bytes: &[u8]) {
         if self.poisoned {
             return;
-        }
-        let mut bytes = bytes;
-        if self.quirk == Some(ParserQuirk::DropSplitCarriageReturn) {
-            // The seeded bug: a read ending in '\r' loses that byte.
-            if let [rest @ .., b'\r'] = bytes {
-                bytes = rest;
-            }
         }
         self.buf.extend_from_slice(bytes);
     }
@@ -377,12 +342,7 @@ impl RequestParser {
                 return Err(ParseError::BadHeader(text.to_string()));
             }
             let value = value.trim_matches([' ', '\t']).to_string();
-            let canonical = match self.quirk {
-                // The seeded bug: only the canonical spelling counts.
-                Some(ParserQuirk::CaseSensitiveContentLength) => name == "Content-Length",
-                _ => name.eq_ignore_ascii_case("content-length"),
-            };
-            if canonical {
+            if name.eq_ignore_ascii_case("content-length") {
                 let n: u64 = value
                     .parse()
                     .map_err(|_| ParseError::BadContentLength(value.clone()))?;
@@ -665,40 +625,6 @@ mod tests {
         p.feed(b"GET /a HTTP/1.1\r\nHost:");
         assert_eq!(p.poll().expect("incomplete head"), None);
         assert!(p.buffered() > 0);
-    }
-
-    #[test]
-    fn quirk_fixtures_diverge_from_the_real_parser() {
-        // Case-sensitive Content-Length: lowercase header loses the body.
-        let wire = b"POST / HTTP/1.1\r\ncontent-length: 4\r\n\r\nbodyping\n";
-        let mut real = RequestParser::new(ParserConfig::default());
-        let mut buggy = RequestParser::new_with_quirk(
-            ParserConfig::default(),
-            ParserQuirk::CaseSensitiveContentLength,
-        );
-        let rf = parse_all(&mut real, wire);
-        let bf = parse_all(&mut buggy, wire);
-        assert_ne!(rf, bf);
-
-        // A '\r' lost at a feed boundary inside a counted body shifts
-        // every following byte: the stream desynchronizes.
-        let mut real = RequestParser::new(ParserConfig::default());
-        let mut buggy = RequestParser::new_with_quirk(
-            ParserConfig::default(),
-            ParserQuirk::DropSplitCarriageReturn,
-        );
-        for p in [&mut real, &mut buggy] {
-            p.feed(b"POST /b HTTP/1.1\r\nContent-Length: 3\r\n\r\na\r");
-            p.feed(b"cping\n");
-        }
-        let rf: Vec<Frame> = std::iter::from_fn(|| real.poll().expect("real")).collect();
-        let bf: Vec<Frame> = std::iter::from_fn(|| buggy.poll().expect("buggy")).collect();
-        assert_ne!(rf, bf);
-        match &rf[0] {
-            Frame::Http(r) => assert_eq!(r.body, b"a\rc"),
-            other => panic!("{other:?}"),
-        }
-        assert_eq!(rf[1], Frame::Line("ping".to_string()));
     }
 
     #[test]

@@ -1,16 +1,15 @@
 //! Acceptance tests for the `ddc-check` differential harness (the
 //! tentpole of this change): a fixed-seed fuzz run of ≥10k mixed ops
 //! over every engine with zero divergences, proof that an intentionally
-//! buggy engine is caught and shrunk to a tiny replayable repro, a
-//! byte-offset fault-injection sweep over the persistence layer, and a
-//! bounded interleaving sweep over the sharded cube.
+//! buggy engine is caught and shrunk to a tiny replayable repro, and a
+//! byte-offset fault-injection sweep over the persistence layer.
 
 use ddc_array::Shape;
 use ddc_check::{
-    check_interleavings, fault_sweep, fuzz, fuzz_with, roster_with_bug, run_trace, run_trace_on,
-    CheckEngine, DdcAdapter,
+    ddc_adapter, fault_sweep, fuzz, fuzz_with, roster_with_bug, run_trace, run_trace_on,
+    CheckEngine,
 };
-use ddc_core::{DdcConfig, DdcEngine, GrowableCube, ShardConfig};
+use ddc_core::{DdcConfig, DdcEngine, GrowableCube};
 use ddc_tests::for_cases;
 use ddc_workload::{BoxState, CheckTrace, CheckTraceConfig};
 
@@ -115,17 +114,17 @@ fn injected_off_by_one_is_caught_shrunk_and_replayable() {
 fn committed_traces_replay_clean_and_pin_arena_checksums() {
     let arena_roster = |init: &BoxState| -> Vec<Box<dyn CheckEngine>> {
         vec![
-            Box::new(DdcAdapter::new(
+            Box::new(ddc_adapter(
                 "ddc-elide0",
                 init,
                 DdcConfig::dynamic().with_elision(0),
             )),
-            Box::new(DdcAdapter::new(
+            Box::new(ddc_adapter(
                 "ddc-sparse",
                 init,
                 DdcConfig::sparse().with_elision(0),
             )),
-            Box::new(DdcAdapter::new(
+            Box::new(ddc_adapter(
                 "ddc-elide1",
                 init,
                 DdcConfig::dynamic().with_elision(1),
@@ -207,43 +206,6 @@ for_cases! {
         assert!(report.offsets > 0);
         let report = fault_sweep(&growable, DdcConfig::dynamic());
         assert!(report.is_clean(), "growable cube: {report:?}");
-    }
-
-    /// Bounded interleaving exploration: every merge order of two
-    /// writers' update sequences leaves the sharded cube in the same
-    /// state the oracle predicts, and reads through the write queues
-    /// see every enqueued update immediately — across write-through,
-    /// small-batch, and never-flushing configurations.
-    fn sharded_interleavings_match_oracle(rng, cases = 4) {
-        let shape = Shape::new(&[6, 4]);
-        let gen_updates = |rng: &mut ddc_tests::DdcRng, n: usize| -> Vec<(Vec<usize>, i64)> {
-            (0..n)
-                .map(|_| {
-                    (
-                        vec![rng.gen_range(0usize..6), rng.gen_range(0usize..4)],
-                        rng.gen_range(-20i64..=20),
-                    )
-                })
-                .collect()
-        };
-        let a = gen_updates(rng, 4);
-        let b = gen_updates(rng, 4);
-        for batch_capacity in [1usize, 2, 1_000] {
-            for shards in [1usize, 3] {
-                let report = check_interleavings(
-                    &shape,
-                    DdcConfig::dynamic(),
-                    ShardConfig { shards, batch_capacity, ..ShardConfig::default() },
-                    &a,
-                    &b,
-                    128,
-                )
-                .unwrap_or_else(|e| panic!("shards={shards} batch={batch_capacity}: {e}"));
-                // C(8, 4) = 70 full merge orders per configuration.
-                assert_eq!(report.orders, 70);
-                assert_eq!(report.ops_run, 70 * 8);
-            }
-        }
     }
 
     /// Growth × persistence (satellite): grow a cube in two different

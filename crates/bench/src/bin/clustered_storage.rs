@@ -26,7 +26,7 @@ fn main() {
             "prefix-sum".into(),
             "rel-prefix".into(),
             "ddc(blocked)".into(),
-            "ddc(seg)".into(),
+            "ddc(lazy)".into(),
         ],
         &widths,
     );
@@ -36,7 +36,7 @@ fn main() {
         let ps = PrefixSumEngine::from_array(&a);
         let rps = RelativePrefixEngine::from_array(&a);
         let ddc_blocked = DdcEngine::from_array_with(&a, DdcConfig::dynamic().with_elision(1));
-        let ddc_seg = DdcEngine::from_array_with(&a, DdcConfig::sparse().with_elision(1));
+        let ddc_lazy = DdcEngine::from_array_with(&a, DdcConfig::sparse().with_elision(1));
         print_row(
             &[
                 format!("{density}"),
@@ -44,7 +44,7 @@ fn main() {
                 format!("{}", ps.heap_bytes() / 1024),
                 format!("{}", rps.heap_bytes() / 1024),
                 format!("{}", ddc_blocked.heap_bytes() / 1024),
-                format!("{}", ddc_seg.heap_bytes() / 1024),
+                format!("{}", ddc_lazy.heap_bytes() / 1024),
             ],
             &widths,
         );
@@ -90,7 +90,7 @@ fn main() {
             "side".into(),
             "points".into(),
             "ddc(blocked)".into(),
-            "ddc(seg)".into(),
+            "ddc(lazy)".into(),
         ],
         &widths,
     );

@@ -71,7 +71,7 @@ fn main() {
         &[
             "density".into(),
             "cells".into(),
-            "DDC(seg,h1)".into(),
+            "DDC(lazy,h1)".into(),
             "BIT".into(),
         ],
         &widths,

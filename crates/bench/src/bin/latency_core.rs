@@ -21,7 +21,11 @@
 //! default, `DdcConfig::dynamic()`, not the paper's full tree: the leaf
 //! side it derives for each cube is written as a `count` row too, so a
 //! silent change of the rule fails the gate as drift instead of moving
-//! the ratios.
+//! the ratios. The d = 2 cube has a third row, `lazy-ddc`
+//! (`DdcConfig::sparse()`, whose row-sum groups are one-dimensional
+//! trees in the level's forest): its counts are gated exactly like the
+//! others — nothing else pins that configuration's shape — and it has no
+//! ratio.
 //!
 //! A last line reports the growth-phase tail: every update that
 //! populates a fresh 1024² cube with 2^18 distinct cells is timed, so
@@ -154,7 +158,7 @@ fn measure(label: &'static str, kind: EngineKind, d: usize, side: usize) -> Engi
     }
 }
 
-/// Measures both engines on one cube, prints its table and pushes its
+/// Measures the engines on one cube, prints its table and pushes its
 /// metrics as `<what>.d<d>.<engine>`.
 fn run_cube(d: usize, side: usize, report: &mut BenchReport) {
     println!(
@@ -176,7 +180,11 @@ fn run_cube(d: usize, side: usize, report: &mut BenchReport) {
     );
     let ddc = measure("dyn-ddc", dyn_ddc(), d, side);
     let fenwick = measure("fenwick-nd", EngineKind::FenwickNd, d, side);
-    for row in [&ddc, &fenwick] {
+    let lazy = (d == 2).then(|| {
+        let kind = EngineKind::CustomDdc(DdcConfig::sparse());
+        measure("lazy-ddc", kind, d, side)
+    });
+    for row in [&ddc, &fenwick].into_iter().chain(&lazy) {
         print_row(
             &[
                 row.label.into(),

@@ -78,14 +78,11 @@ fn main() {
     );
 
     // The two base stores on this dense cube, at two elision levels:
-    // blocked faces inline in the level slab versus lazy segment trees
-    // out of line.
+    // blocked faces inline in the level slab versus lazy
+    // one-dimensional trees in the level's forest.
     println!("\nBase-store memory (same cube):\n");
     let widths = [6usize, 14, 14];
-    print_row(
-        &["h".into(), "blocked".into(), "sparse-seg".into()],
-        &widths,
-    );
+    print_row(&["h".into(), "blocked".into(), "lazy".into()], &widths);
     for h in [0usize, 2] {
         let mut cells = vec![format!("{h}")];
         for config in [DdcConfig::dynamic(), DdcConfig::sparse()] {

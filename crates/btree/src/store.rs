@@ -4,8 +4,8 @@
 //! DDC with the Cumulative B-Tree (B^c tree). Any structure that maintains
 //! a sequence of values under point updates while answering *cumulative*
 //! (prefix) sums can play that role; [`CumulativeStore`] abstracts it so
-//! the paper's B^c tree, its blocked layout, the Fenwick-tree ablation
-//! and the lazy segment tree can be compared on identical inputs.
+//! the paper's B^c tree, its blocked layout and the Fenwick-tree
+//! ablation can be compared on identical inputs.
 
 use ddc_array::{AbelianGroup, OpCounter, OpSnapshot};
 
@@ -19,13 +19,13 @@ use ddc_array::{AbelianGroup, OpCounter, OpSnapshot};
 /// All three stores are interchangeable behind this trait:
 ///
 /// ```
-/// use ddc_btree::{BcTree, CumulativeStore, Fenwick, SparseSegTree};
+/// use ddc_btree::{BcTree, BlockedBc, CumulativeStore, Fenwick};
 ///
 /// let values = [3i64, -1, 4, 1, 5];
 /// let stores: Vec<Box<dyn CumulativeStore<i64>>> = vec![
 ///     Box::new(BcTree::from_values(4, &values)),
 ///     Box::new(Fenwick::from_values(&values)),
-///     Box::new(SparseSegTree::from_values(&values)),
+///     Box::new(BlockedBc::from_values(&values)),
 /// ];
 /// for s in &stores {
 ///     assert_eq!(s.prefix(2), 6);

@@ -444,10 +444,10 @@ pub fn engine_roster(init: &BoxState) -> Vec<Box<dyn CheckEngine>> {
         // production default and drives those blocks (§4.4) through
         // every trace. The other three pin `h = 0`, the full tree as
         // the paper counts it, so each kind of row-sum group stays in
-        // the differential net: the Basic mode's flat arrays, the
-        // blocked B^c faces written inline in the level slabs
-        // (`ddc-elide0`), and the one out-of-line base store (lazy
-        // segment trees behind `Secondary`).
+        // the differential net: the Basic mode's flat arrays and the
+        // blocked B^c faces (`ddc-elide0`), both written inline in the
+        // level slabs, and the lazy base store's one-dimensional trees
+        // in the level's forest.
         Box::new(ddc_adapter(
             "ddc-basic",
             init,

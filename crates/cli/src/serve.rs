@@ -27,7 +27,10 @@
 //! box records and row-sum faces stay in memory. The spill file
 //! (unlinked, next to the log) is scratch that a restart never reads.
 //! An argument outside the list above is a usage error, not a silent
-//! default. Load is generated and timed by `benchmark/`
+//! default, and so is one that belongs to the other mode: `--dims` or
+//! `--mem-cap` without `--durable` (a forgotten `--durable` must not
+//! start an unpaged, non-durable server), `--side` or `--shards` with
+//! it. Load is generated and timed by `benchmark/`
 //! (`serve_mixed`, `durable_paged_mixed`), not from here.
 
 use crate::flags::Flags;
@@ -58,6 +61,22 @@ const FLAGS: [&str; 10] = [
 /// runs until the process is killed.
 pub fn run(args: &[String]) -> Result<String, String> {
     let flags = Flags::parse(args, &FLAGS, &[])?;
+    let durable = flags.value("--durable");
+    let (foreign, mode) = match durable {
+        Some(_) => (["--side", "--shards"], "with"),
+        None => (["--dims", "--mem-cap"], "without"),
+    };
+    if let Some(flag) = foreign.iter().find(|f| flags.value(f).is_some()) {
+        let accepted: Vec<String> = FLAGS
+            .iter()
+            .filter(|f| !foreign.contains(f))
+            .map(|f| format!("{f} VALUE"))
+            .collect();
+        return Err(format!(
+            "unknown argument {flag} {mode} --durable; accepted: {}",
+            accepted.join(" ")
+        ));
+    }
     let addr = flags
         .value("--addr")
         .unwrap_or("127.0.0.1:7171")
@@ -71,7 +90,7 @@ pub fn run(args: &[String]) -> Result<String, String> {
     if side == 0 {
         return Err("--side must be at least 1".to_string());
     }
-    let (backend, what): (Arc<dyn ServeBackend>, String) = match flags.value("--durable") {
+    let (backend, what): (Arc<dyn ServeBackend>, String) = match durable {
         Some(dir) => {
             let dims = flags.num("--dims")?.unwrap_or(2usize);
             if dims == 0 {
@@ -178,6 +197,31 @@ mod tests {
     fn serve_rejects_a_zero_sized_cube() {
         let err = run(&["--side".into(), "0".into()]).expect_err("zero side");
         assert!(err.contains("--side"), "{err}");
+    }
+
+    #[test]
+    fn serve_rejects_the_other_modes_arguments() {
+        // A forgotten `--durable` must not start an unpaged,
+        // non-durable server; a durable one has no bounds to set.
+        for (args, offender) in [
+            (&["--dims", "2", "--mem-cap", "4096"][..], "--dims without"),
+            (&["--mem-cap", "4096"][..], "--mem-cap without"),
+            (&["--durable", "unused", "--side", "64"][..], "--side with"),
+            (
+                &["--shards", "2", "--durable", "unused"][..],
+                "--shards with",
+            ),
+        ] {
+            let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+            let err = run(&args).expect_err("flag of the other mode");
+            assert!(
+                err.starts_with(&format!(
+                    "unknown argument {offender} --durable; accepted: "
+                )),
+                "{err}"
+            );
+            assert!(!std::path::Path::new("unused").exists());
+        }
     }
 
     #[test]

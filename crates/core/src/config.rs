@@ -18,26 +18,31 @@ pub enum Mode {
     Dynamic,
 }
 
-/// The structure used for one-dimensional row-sum groups (the recursion
-/// base case of §4.2). Two stores, each measured ahead of the other on
-/// its own kind of input (EXPERIMENTS §4.4); the pointer-based
-/// `ddc_btree::BcTree` of §4.1 and `ddc_btree::Fenwick` stay in
-/// `ddc-btree` as the reproduction artifact and the 1-D ablation
-/// comparators, not as engine configurations.
+/// How the one-dimensional row-sum groups of a two-dimensional tree are
+/// stored — where the recursion of §4.2 stops. Two answers, each
+/// measured ahead of the other on its own kind of input (EXPERIMENTS
+/// §4.4); the pointer-based `ddc_btree::BcTree` of §4.1 and
+/// `ddc_btree::Fenwick` stay in `ddc-btree` as the reproduction
+/// artifact and the 1-D ablation comparators, not as engine
+/// configurations.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum BaseStore {
-    /// The B^c tree's implicit blocked layout (the default): dense leaf
-    /// blocks of raw values under a flat Fenwick-layout summary array —
-    /// the asymptotics of §4.1's B^c tree with branchless index
-    /// arithmetic instead of pointer descent. Allocates all `k` values
-    /// of a group eagerly, which is the right trade for dense and
-    /// clustered data.
+    /// Stop at d = 2 with the B^c tree's implicit blocked layout (the
+    /// default): dense leaf blocks of raw values under a flat
+    /// Fenwick-layout summary array, written in place in the box
+    /// record — the asymptotics of §4.1's B^c tree with branchless
+    /// index arithmetic instead of pointer descent. Allocates all `k`
+    /// values of a group eagerly, which is the right trade for dense
+    /// and clustered data.
     Blocked,
-    /// Lazily materialized segment tree: allocates only along update
-    /// paths, which is what makes wide, sparsely populated cubes (§5)
-    /// occupy memory proportional to the populated region rather than
-    /// to the side.
-    SparseSeg,
+    /// Recurse once more: a one-dimensional group is a one-dimensional
+    /// Dynamic Data Cube — a bisection tree of subtotals over 16-cell
+    /// leaf runs — in its level's forest, like every group of higher
+    /// rank. A group has no root before its first value and nodes only
+    /// along update paths, which is what makes wide, sparsely populated
+    /// cubes (§5) occupy memory proportional to the populated region
+    /// rather than to the side.
+    Lazy,
 }
 
 /// Sizing of the paged leaf-block backend.
@@ -112,7 +117,7 @@ pub enum LeafBackend {
 pub struct DdcConfig {
     /// Basic (§3) or Dynamic (§4) row-sum storage.
     pub mode: Mode,
-    /// Base store for one-dimensional row-sum groups (Dynamic mode only).
+    /// Storage of one-dimensional row-sum groups (Dynamic mode only).
     pub base: BaseStore,
     /// The space optimization of §4.4: the number `h` of tree levels
     /// elided immediately above the leaves, replaced by dense leaf blocks
@@ -155,10 +160,10 @@ impl DdcConfig {
         }
     }
 
-    /// A sparse-friendly dynamic configuration (lazy base stores).
+    /// A sparse-friendly dynamic configuration ([`BaseStore::Lazy`]).
     pub fn sparse() -> Self {
         Self {
-            base: BaseStore::SparseSeg,
+            base: BaseStore::Lazy,
             ..Self::default()
         }
     }
@@ -241,6 +246,6 @@ mod tests {
         let c = DdcConfig::basic().with_elision(2);
         assert_eq!(c.mode, Mode::Basic);
         assert_eq!(c.leaf_block_side(2), 8);
-        assert_eq!(DdcConfig::sparse().base, BaseStore::SparseSeg);
+        assert_eq!(DdcConfig::sparse().base, BaseStore::Lazy);
     }
 }

@@ -31,7 +31,6 @@ pub mod models;
 pub mod obs;
 mod pager;
 mod persist;
-mod secondary;
 mod shard;
 mod store;
 pub mod sync;

@@ -1,7 +1,7 @@
 //! The slabs behind a [`DdcTree`]: one [`Level`] per interior depth
-//! (node slots, packed box records, and the level's out-of-line row-sum
-//! groups — at d ≥ 3 the roots of its secondary trees and the forest
-//! they share), the leaf arena, and everything that manages them —
+//! (node slots, packed box records with their inline face runs, and —
+//! where the row-sum groups are trees — their roots and the forest they
+//! share), the leaf arena, and everything that manages them —
 //! allocation and free lists, pruning, compaction, statistics, and the
 //! `check_arena` audit. The record layout is drawn in the parent
 //! module's docs.
@@ -11,9 +11,9 @@ use ddc_btree::blocked;
 
 use super::{ChildRef, DdcTree, LevelStats, Slabs, TreeStats, LEAF_BIT};
 use crate::config::{BaseStore, DdcConfig, LeafBackend, Mode};
+use crate::flat_face;
 use crate::pager::PoolStats;
 use crate::persist::ValueCodec;
-use crate::secondary::Secondary;
 use crate::store::{self, LeafArena};
 use crate::vfs::VfsFile;
 
@@ -35,29 +35,71 @@ impl Slot {
     };
 }
 
-/// Where a level keeps the row-sum groups that are not inline runs of
-/// its box records: `d` per box record, group `j` of box `b` at index
-/// `b·d + j`.
-#[derive(Debug)]
-enum Groups<G: AbelianGroup> {
-    /// Nothing out of line: `d = 1` has no groups, and inline faces are
-    /// part of the box record.
-    InRecord,
-    /// One [`Secondary`] each: the Basic mode's flat arrays and the lazy
-    /// one-dimensional `BaseStore::SparseSeg` groups.
-    Each(Vec<Secondary<G>>),
-    /// Dynamic mode, `d ≥ 3`: every group is a `(d−1)`-dimensional tree
-    /// of side `k` (§4.2), and all of them live in one shared set of
-    /// slabs. A root is `EMPTY` until its group's first non-zero value,
-    /// and the slabs do not exist before the level's first root does.
-    Forest {
-        roots: Vec<ChildRef>,
-        slabs: Option<Box<Slabs<G>>>,
-    },
+/// The kernels that drive a level's inline face runs, chosen once in
+/// [`Level::new`]: a row-sum group written in place in the box record
+/// is a run of `words(d, k)` words, indexed by the box-local
+/// coordinates of the other `d − 1` dimensions.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+enum Face {
+    /// The B^c tree's blocked layout (`ddc_btree::blocked`) — the
+    /// one-dimensional groups of the Dynamic mode at d = 2.
+    Blocked,
+    /// The Basic mode's cumulative array ([`flat_face`]), any rank.
+    Flat,
 }
 
-/// The forest of a level whose boxes have side `k` in `d` dimensions,
-/// created on first use: slabs for `(d−1)`-dimensional trees of side `k`.
+impl Face {
+    /// Words of one run (none at d = 1, which has no row-sum groups).
+    fn words(self, d: usize, k: usize) -> usize {
+        match self {
+            _ if d == 1 => 0,
+            Face::Blocked => blocked::words_for(k),
+            Face::Flat => k.pow(d as u32 - 1),
+        }
+    }
+
+    /// Cumulative group value at `cross`, and the values read.
+    #[inline]
+    fn prefix<G: AbelianGroup>(self, run: &[G], k: usize, cross: &[usize]) -> (G, u64) {
+        match self {
+            Face::Blocked => blocked::prefix(run, k, cross[0]),
+            Face::Flat => flat_face::prefix(run, k, cross),
+        }
+    }
+
+    /// Adds `delta` to the raw slab at `cross`; returns the values
+    /// written.
+    #[inline]
+    fn add<G: AbelianGroup>(self, run: &mut [G], k: usize, cross: &[usize], delta: G) -> u64 {
+        match self {
+            Face::Blocked => blocked::add(run, k, cross[0], delta),
+            Face::Flat => flat_face::add(run, k, cross, delta),
+        }
+    }
+
+    /// Overwrites the run from the group's raw slab sums.
+    fn fill<G: AbelianGroup>(self, run: &mut [G], k: usize, raw: &[G]) {
+        match self {
+            Face::Blocked => blocked::fill(run, raw),
+            Face::Flat => flat_face::fill(run, k, raw),
+        }
+    }
+}
+
+/// The row-sum groups of a level that are trees (§4.2): `d` per box
+/// record, each `(d−1)`-dimensional of side `k`, all in one shared set
+/// of slabs. Group `j` of box `b` is rooted at `roots[b·d + j]`; a root
+/// is `EMPTY` until its group's first non-zero value, and the slabs do
+/// not exist before the level's first root does.
+#[derive(Debug)]
+struct Forest<G: AbelianGroup> {
+    roots: Vec<ChildRef>,
+    slabs: Option<Box<Slabs<G>>>,
+}
+
+/// The slabs of the forest of a level whose boxes have side `k` in `d`
+/// dimensions, created on first use: `(d−1)`-dimensional trees of side
+/// `k`.
 fn forest_of<'a, G: AbelianGroup>(
     slabs: &'a mut Option<Box<Slabs<G>>>,
     d: usize,
@@ -74,7 +116,10 @@ pub(crate) struct Level<G: AbelianGroup> {
     d: usize,
     /// Side of this level's overlay boxes (half its nodes' side).
     pub(super) k: usize,
-    /// Words of one inline face run; 0 when faces are out of line.
+    /// Kernels of the inline face runs.
+    face: Face,
+    /// Words of one inline face run; 0 when the groups are trees of
+    /// `forest`, and at d = 1.
     face_words: usize,
     /// Words of one box record: `1 + d · face_words`.
     rec_words: usize,
@@ -84,36 +129,39 @@ pub(crate) struct Level<G: AbelianGroup> {
     /// Box record `b` is `words[b·rec_words ..][..rec_words]`:
     /// `[subtotal | face_0 | … | face_{d−1}]`.
     words: Vec<G>,
-    groups: Groups<G>,
     box_free: Vec<u32>,
+    /// The groups that are not inline runs of `words`.
+    forest: Option<Forest<G>>,
 }
 
 impl<G: AbelianGroup> Level<G> {
-    /// An empty level for boxes of side `k`. Faces are inline exactly
-    /// when they are one-dimensional blocked B^c groups.
+    /// An empty level for boxes of side `k`. A row-sum group is an
+    /// inline run of its box record when it is a flat cumulative array
+    /// (Basic mode) or a one-dimensional blocked B^c group, and a tree
+    /// of the level's forest otherwise — down to the one-dimensional
+    /// trees of `BaseStore::Lazy`, where the recursion of §4.2 ends in
+    /// a tree without groups.
     pub(super) fn new(d: usize, k: usize, config: &DdcConfig) -> Self {
-        let inline = d == 2 && config.mode == Mode::Dynamic && config.base == BaseStore::Blocked;
-        let face_words = if inline { blocked::words_for(k) } else { 0 };
-        let groups = if d == 1 || inline {
-            Groups::InRecord
-        } else if d >= 3 && config.mode == Mode::Dynamic {
-            Groups::Forest {
-                roots: Vec::new(),
-                slabs: None,
-            }
-        } else {
-            Groups::Each(Vec::new())
+        let face = match config.mode {
+            Mode::Basic => Face::Flat,
+            Mode::Dynamic => Face::Blocked,
         };
+        let inline = d == 1 || face == Face::Flat || (d == 2 && config.base == BaseStore::Blocked);
+        let face_words = if inline { face.words(d, k) } else { 0 };
         Self {
             d,
             k,
+            face,
             face_words,
             rec_words: 1 + d * face_words,
             slots: Vec::new(),
             node_free: Vec::new(),
             words: Vec::new(),
-            groups,
             box_free: Vec::new(),
+            forest: (!inline).then(|| Forest {
+                roots: Vec::new(),
+                slabs: None,
+            }),
         }
     }
 
@@ -123,20 +171,15 @@ impl<G: AbelianGroup> Level<G> {
     fn compacted_shell(&self) -> Self {
         let live_nodes = self.nodes() - self.node_free.len();
         let live_boxes = self.boxes() - self.box_free.len();
-        let groups = match &self.groups {
-            Groups::InRecord => Groups::InRecord,
-            Groups::Each(_) => Groups::Each(Vec::with_capacity(live_boxes * self.d)),
-            Groups::Forest { slabs, .. } => Groups::Forest {
-                roots: Vec::with_capacity(live_boxes * self.d),
-                slabs: slabs.as_ref().map(|s| Box::new(s.compacted_shell())),
-            },
-        };
         Self {
             slots: Vec::with_capacity(live_nodes << self.d),
             node_free: Vec::new(),
             words: Vec::with_capacity(live_boxes * self.rec_words),
-            groups,
             box_free: Vec::new(),
+            forest: self.forest.as_ref().map(|f| Forest {
+                roots: Vec::with_capacity(live_boxes * self.d),
+                slabs: f.slabs.as_ref().map(|s| Box::new(s.compacted_shell())),
+            }),
             ..*self
         }
     }
@@ -151,15 +194,15 @@ impl<G: AbelianGroup> Level<G> {
         self.words.len() / self.rec_words
     }
 
-    /// Index in the out-of-line groups of group `j` of box `obox`.
+    /// Index in the forest's roots of group `j` of box `obox`.
     #[inline]
-    fn group_at(&self, obox: u32, j: usize) -> usize {
+    fn root_at(&self, obox: u32, j: usize) -> usize {
         obox as usize * self.d + j
     }
 
-    /// Indices in the out-of-line groups of all `d` groups of box `obox`.
-    fn groups_of(&self, obox: u32) -> std::ops::Range<usize> {
-        self.group_at(obox, 0)..self.group_at(obox, self.d)
+    /// Indices in the forest's roots of all `d` groups of box `obox`.
+    fn roots_of(&self, obox: u32) -> std::ops::Range<usize> {
+        self.root_at(obox, 0)..self.root_at(obox, self.d)
     }
 
     /// Allocates a node id, preferring the free list; its slots are
@@ -193,33 +236,29 @@ impl<G: AbelianGroup> Level<G> {
         assert!(id < NO_BOX as usize, "box arena overflow");
         self.words
             .resize(self.words.len() + self.rec_words, G::ZERO);
-        match &mut self.groups {
-            Groups::InRecord => {}
-            Groups::Each(faces) => faces.resize_with(faces.len() + self.d, || Secondary::Empty),
-            Groups::Forest { roots, .. } => roots.resize(roots.len() + self.d, ChildRef::EMPTY),
+        if let Some(forest) = &mut self.forest {
+            forest
+                .roots
+                .resize(forest.roots.len() + self.d, ChildRef::EMPTY);
         }
         id as u32
     }
 
-    /// Clears one box record and free-lists it. Its out-of-line groups
-    /// are dropped; its secondary trees go back to the forest's free
-    /// lists.
+    /// Clears one box record and free-lists it. Its secondary trees go
+    /// back to the forest's free lists.
     pub(super) fn free_box(&mut self, id: u32) {
         let at = id as usize * self.rec_words;
         self.words[at..at + self.rec_words].fill(G::ZERO);
-        let groups = self.groups_of(id);
-        match &mut self.groups {
-            Groups::Each(faces) => faces[groups].fill_with(|| Secondary::Empty),
-            Groups::Forest {
-                roots,
-                slabs: Some(slabs),
-            } => {
-                for root in &mut roots[groups] {
-                    slabs.free_subtree(std::mem::replace(root, ChildRef::EMPTY), 0);
-                }
+        let at = self.roots_of(id);
+        // No slabs yet: every root is still `EMPTY`.
+        if let Some(Forest {
+            roots,
+            slabs: Some(slabs),
+        }) = &mut self.forest
+        {
+            for root in &mut roots[at] {
+                slabs.free_subtree(std::mem::replace(root, ChildRef::EMPTY), 0);
             }
-            // No forest yet: every root is still `EMPTY`.
-            Groups::Forest { slabs: None, .. } | Groups::InRecord => {}
         }
         self.box_free.push(id);
     }
@@ -248,31 +287,26 @@ impl<G: AbelianGroup> Level<G> {
         ops: &mut OpSnapshot,
     ) -> G {
         if self.face_words != 0 {
-            let (v, reads) = blocked::prefix(&self.words[self.face_run(obox, j)], self.k, cross[0]);
+            let run = &self.words[self.face_run(obox, j)];
+            let (v, reads) = self.face.prefix(run, self.k, cross);
             ops.reads += reads;
             return v;
         }
-        let at = self.group_at(obox, j);
-        match &self.groups {
-            Groups::Each(faces) => faces[at].prefix(cross, ops),
-            Groups::Forest {
+        match &self.forest {
+            Some(Forest {
                 roots,
                 slabs: Some(slabs),
-            } => slabs.prefix_counted(roots[at], cross, ops),
-            Groups::Forest { slabs: None, .. } => G::ZERO,
-            Groups::InRecord => unreachable!("{NO_GROUPS}"),
+            }) => slabs.prefix_counted(roots[self.root_at(obox, j)], cross, ops),
+            _ => G::ZERO,
         }
     }
 
-    /// True when group `j` of box `obox` is an unmaterialized
-    /// out-of-line group (inline runs always exist).
+    /// True when group `j` of box `obox` is a tree without a root yet
+    /// (inline runs always exist).
     pub(super) fn face_is_unset(&self, obox: u32, j: usize) -> bool {
-        let at = self.group_at(obox, j);
-        match &self.groups {
-            Groups::InRecord => false,
-            Groups::Each(faces) => matches!(faces[at], Secondary::Empty),
-            Groups::Forest { roots, .. } => roots[at].is_empty(),
-        }
+        self.forest
+            .as_ref()
+            .is_some_and(|f| f.roots[self.root_at(obox, j)].is_empty())
     }
 
     /// Figure 12's per-box step: adds `delta` to the subtotal of box
@@ -292,20 +326,22 @@ impl<G: AbelianGroup> Level<G> {
         let at = obox as usize * self.rec_words;
         self.words[at] = self.words[at].add(delta);
         ops.writes += 1;
-        if self.face_words != 0 {
-            // d = 2: group j is indexed by the one other coordinate.
+        if self.d == 2 && self.face_words != 0 {
+            // Group j is indexed by the one other coordinate.
             for j in 0..2 {
                 let run = self.face_run(obox, j);
-                ops.writes += blocked::add(&mut self.words[run], self.k, rel[1 - j], delta);
+                let other = &rel[1 - j..2 - j];
+                ops.writes += self.face.add(&mut self.words[run], self.k, other, delta);
             }
         } else if self.d >= 2 {
             self.groups_add(obox, rel, cross, delta, config, ops);
         }
     }
 
-    /// The out-of-line half of [`Level::box_add`], a call of its own so
-    /// the d = 2 update loop that `box_add` is inlined into holds only
-    /// the inline-face arithmetic.
+    /// The rest of [`Level::box_add`] — groups of rank two and up, and
+    /// every group that is a tree — a call of its own so the d = 2
+    /// update loop that `box_add` is inlined into holds only the
+    /// inline-face arithmetic.
     fn groups_add(
         &mut self,
         obox: u32,
@@ -324,16 +360,18 @@ impl<G: AbelianGroup> Level<G> {
                     w += 1;
                 }
             }
-            let at = self.group_at(obox, j);
-            match &mut self.groups {
-                Groups::Each(faces) => faces[at].add(&cross[..w], delta, k, config, ops),
-                Groups::Forest { roots, slabs } => forest_of(slabs, d, k, config).add_counted(
+            let at = self.root_at(obox, j);
+            match &mut self.forest {
+                None => {
+                    let run = self.face_run(obox, j);
+                    ops.writes += self.face.add(&mut self.words[run], k, &cross[..w], delta);
+                }
+                Some(Forest { roots, slabs }) => forest_of(slabs, d, k, config).add_counted(
                     &mut roots[at],
                     &cross[..w],
                     delta,
                     ops,
                 ),
-                Groups::InRecord => unreachable!("{NO_GROUPS}"),
             }
         }
     }
@@ -350,116 +388,84 @@ impl<G: AbelianGroup> Level<G> {
         self.words[obox as usize * self.rec_words] = subtotal;
         let (d, k) = (self.d, self.k);
         for (j, raw) in raws.iter().enumerate() {
-            if self.face_words != 0 {
-                let run = self.face_run(obox, j);
-                blocked::fill(&mut self.words[run], raw.as_slice());
-                continue;
-            }
-            let at = self.group_at(obox, j);
-            match &mut self.groups {
-                Groups::Each(faces) => faces[at] = Secondary::build_from_raw(raw, config),
-                Groups::Forest { roots, slabs } => {
+            let at = self.root_at(obox, j);
+            match &mut self.forest {
+                None => {
+                    let run = self.face_run(obox, j);
+                    self.face.fill(&mut self.words[run], k, raw.as_slice());
+                }
+                Some(Forest { roots, slabs }) => {
                     roots[at] = forest_of(slabs, d, k, config).build_child(raw, 0, &vec![0; d - 1]);
                 }
-                Groups::InRecord => unreachable!("{NO_GROUPS}"),
             }
         }
     }
 
     /// Moves box record `obox` of `from` (the level this one is the
     /// [`Level::compacted_shell`] of) into a fresh record of this level,
-    /// returning its id. Its out-of-line groups move by their headers,
-    /// its secondary trees into this level's forest.
+    /// returning its id. Its secondary trees move into this level's
+    /// forest.
     fn adopt_box(&mut self, from: &mut Level<G>, obox: u32) -> u32 {
         let id = self.alloc_box();
         let rw = self.rec_words;
         self.words[id as usize * rw..][..rw]
             .copy_from_slice(&from.words[obox as usize * rw..][..rw]);
-        let (to, at) = (self.groups_of(id), from.groups_of(obox));
-        match (&mut self.groups, &mut from.groups) {
-            (Groups::Each(new), Groups::Each(old)) => {
-                for (new, old) in new[to].iter_mut().zip(&mut old[at]) {
-                    *new = std::mem::replace(old, Secondary::Empty);
-                }
+        let (to, at) = (self.roots_of(id), from.roots_of(obox));
+        // No slabs: the fresh record's `EMPTY` roots are the copy.
+        if let (
+            Some(Forest {
+                roots: new,
+                slabs: Some(into),
+            }),
+            Some(Forest {
+                roots: old,
+                slabs: Some(slabs),
+            }),
+        ) = (&mut self.forest, &mut from.forest)
+        {
+            for (new, old) in new[to].iter_mut().zip(&old[at]) {
+                *new = slabs.move_child(*old, 0, into);
             }
-            (
-                Groups::Forest {
-                    roots: new,
-                    slabs: Some(into),
-                },
-                Groups::Forest {
-                    roots: old,
-                    slabs: Some(slabs),
-                },
-            ) => {
-                for (new, old) in new[to].iter_mut().zip(&old[at]) {
-                    *new = slabs.move_child(*old, 0, into);
-                }
-            }
-            // No forest: the fresh record's `EMPTY` roots are the copy.
-            _ => {}
         }
         id
     }
 
-    /// Heap bytes attributable to the row-sum groups of box `obox`,
-    /// except secondary trees, which [`Level::forest_bytes`] counts for
-    /// the whole level.
-    fn box_secondary_bytes(&self, obox: u32) -> usize {
-        self.d * self.face_words * std::mem::size_of::<G>()
-            + match &self.groups {
-                Groups::Each(faces) => faces[self.groups_of(obox)]
-                    .iter()
-                    .map(Secondary::heap_bytes)
-                    .sum(),
-                _ => 0,
-            }
-    }
-
     /// Heap bytes of the level's secondary trees: the roots and the
-    /// slabs they share, by capacity (0 for every other kind of group).
+    /// slabs they share, by capacity (0 without a forest).
     fn forest_bytes(&self) -> usize {
-        let Groups::Forest { roots, slabs } = &self.groups else {
-            return 0;
-        };
-        roots.capacity() * std::mem::size_of::<ChildRef>()
-            + slabs
-                .as_ref()
-                .map_or(0, |s| std::mem::size_of::<Slabs<G>>() + s.heap_bytes())
+        self.forest.as_ref().map_or(0, |f| {
+            f.roots.capacity() * std::mem::size_of::<ChildRef>()
+                + f.slabs
+                    .as_ref()
+                    .map_or(0, |s| std::mem::size_of::<Slabs<G>>() + s.heap_bytes())
+        })
     }
 
     /// Bytes of this level's records inside the slab arrays, as
-    /// `(live, dead)`: node slots and box records (with their
-    /// out-of-line group headers or roots), the dead ones being those on
-    /// the free lists — plus the same for the level's forest.
+    /// `(live, dead)`: node slots and box records (with their roots),
+    /// the dead ones being those on the free lists — plus the same for
+    /// the level's forest.
     fn record_bytes(&self) -> (usize, usize) {
         let node = std::mem::size_of::<Slot>() << self.d;
-        let (group, forest) = match &self.groups {
-            Groups::InRecord => (0, None),
-            Groups::Each(_) => (std::mem::size_of::<Secondary<G>>(), None),
-            Groups::Forest { slabs, .. } => (std::mem::size_of::<ChildRef>(), slabs.as_ref()),
-        };
-        let rec = self.rec_words * std::mem::size_of::<G>() + self.d * group;
+        let roots = self.forest.as_ref().map_or(0, |_| self.d);
+        let rec =
+            self.rec_words * std::mem::size_of::<G>() + roots * std::mem::size_of::<ChildRef>();
         let dead = self.node_free.len() * node + self.box_free.len() * rec;
         let live = self.nodes() * node + self.boxes() * rec - dead;
-        let (forest_live, forest_dead) = forest.map_or((0, 0), |s| s.record_bytes());
+        let (forest_live, forest_dead) = self
+            .forest
+            .as_ref()
+            .and_then(|f| f.slabs.as_ref())
+            .map_or((0, 0), |s| s.record_bytes());
         (live + forest_live, dead + forest_dead)
     }
 
-    /// Heap bytes of the slab: array capacities plus the heap behind
-    /// out-of-line groups and the level's forest.
+    /// Heap bytes of the slab: array capacities plus the level's forest.
     fn heap_bytes(&self) -> usize {
         self.slots.capacity() * std::mem::size_of::<Slot>()
             + (self.node_free.capacity() + self.box_free.capacity()) * std::mem::size_of::<u32>()
             + self.words.capacity() * std::mem::size_of::<G>()
-            + match &self.groups {
-                Groups::InRecord => 0,
-                Groups::Each(faces) => {
-                    faces.capacity() * std::mem::size_of::<Secondary<G>>()
-                        + faces.iter().map(Secondary::heap_bytes).sum::<usize>()
-                }
-                Groups::Forest { .. } => self.forest_bytes(),
-            }
+            + self.forest_bytes()
     }
 
     /// Audits the slab against the reachable sets computed by the tree
@@ -480,17 +486,13 @@ impl<G: AbelianGroup> Level<G> {
             0,
             "word slab length not a record multiple"
         );
-        // Out-of-line groups per box record, and in all.
-        let (groups, len) = match &self.groups {
-            Groups::InRecord => (0, 0),
-            Groups::Each(faces) => (self.d, faces.len()),
-            Groups::Forest { roots, .. } => (self.d, roots.len()),
-        };
-        assert_eq!(
-            len,
-            self.boxes() * groups,
-            "out-of-line groups out of step with the box records"
-        );
+        if let Some(forest) = &self.forest {
+            assert_eq!(
+                forest.roots.len(),
+                self.boxes() * self.d,
+                "roots out of step with the box records"
+            );
+        }
         audit_free_list("node", &self.node_free, node_seen, |id| {
             self.slots[id as usize * stride..][..stride]
                 .iter()
@@ -500,25 +502,25 @@ impl<G: AbelianGroup> Level<G> {
             self.words[id as usize * self.rec_words..][..self.rec_words]
                 .iter()
                 .all(G::is_zero)
-                && (0..groups).all(|j| self.face_is_unset(id, j))
+                && self.forest.as_ref().map_or(true, |f| {
+                    f.roots[self.roots_of(id)].iter().all(|r| r.is_empty())
+                })
         });
-        if let Groups::Forest { roots, slabs } = &self.groups {
-            match slabs {
-                Some(slabs) => {
-                    slabs.audit(roots.iter().copied());
-                }
-                None => assert!(
-                    roots.iter().all(|r| r.is_empty()),
-                    "secondary root set in a level without a forest"
-                ),
+        match &self.forest {
+            Some(Forest {
+                roots,
+                slabs: Some(slabs),
+            }) => {
+                slabs.audit(roots.iter().copied());
             }
+            Some(Forest { roots, slabs: None }) => assert!(
+                roots.iter().all(|r| r.is_empty()),
+                "secondary root set in a level without a forest"
+            ),
+            None => {}
         }
     }
 }
-
-/// Invariant behind the `Groups::InRecord` arms: a level with nothing
-/// out of line is never asked for an out-of-line group.
-const NO_GROUPS: &str = "d = 1 has no row-sum groups and inline faces live in the box record";
 
 /// Checks one free list against the ids the tree walk reached: every
 /// entry in bounds, listed once, unreachable and `cleared`; every id
@@ -592,7 +594,7 @@ impl<G: AbelianGroup> Slabs<G> {
             } else {
                 self.free_subtree(slot.child, l + 1);
                 // A box over an empty region contributes only zeros;
-                // release it with its secondary structures.
+                // release it with its secondary trees.
                 if slot.obox != NO_BOX {
                     debug_assert!(self.levels[l].subtotal(slot.obox).is_zero());
                     self.levels[l].free_box(slot.obox);
@@ -684,9 +686,8 @@ impl<G: AbelianGroup> Slabs<G> {
         ChildRef::node(id)
     }
 
-    /// Heap bytes behind the slabs: array capacities, the heap behind
-    /// out-of-line groups, every level's forest, and the resident part
-    /// of the leaf arena.
+    /// Heap bytes behind the slabs: array capacities, every level's
+    /// forest, and the resident part of the leaf arena.
     fn heap_bytes(&self) -> usize {
         self.levels.capacity() * std::mem::size_of::<Level<G>>()
             + self.levels.iter().map(Level::heap_bytes).sum::<usize>()
@@ -775,19 +776,16 @@ impl<G: AbelianGroup> Slabs<G> {
 impl<G: AbelianGroup> DdcTree<G> {
     /// Reclaims storage left behind by cancelling updates: all-zero leaf
     /// blocks and subtrees whose every cell returned to zero go back to
-    /// the free lists (with their box records and secondary
-    /// structures), and once the free-listed records amount to more than
-    /// half the live ones in bytes, the slabs are compacted into
-    /// exactly-sized replacements. Returns the number of heap bytes
-    /// released: the heap behind freed out-of-line groups (the Basic
-    /// mode's flat arrays and the lazy one-dimensional groups, which are
-    /// dropped on the spot), plus everything a compaction gave back.
-    /// Records freed inside a slab release nothing by themselves — they
-    /// are zeroed and wait for reuse — and at d ≥ 3 that includes every
-    /// secondary tree, whose nodes, box records and leaf blocks go back
-    /// to the free lists of their level's forest: there, and at d = 2
-    /// with inline faces, a prune below the compaction threshold
-    /// returns 0.
+    /// the free lists (with their box records and secondary trees), and
+    /// once the free-listed records amount to more than half the live
+    /// ones in bytes, the slabs are compacted into exactly-sized
+    /// replacements. Returns the number of heap bytes released, which is
+    /// what a compaction gave back: records freed inside a slab release
+    /// nothing by themselves — they are zeroed and wait for reuse. That
+    /// holds for both kinds of row-sum group: an inline face run is part
+    /// of its box record, and a secondary tree's nodes, box records and
+    /// leaf blocks go back to the free lists of its level's forest. A
+    /// prune below the compaction threshold returns 0.
     ///
     /// Lazily materialized structures never free themselves on the update
     /// path (a cell may go through zero transiently); churn-heavy
@@ -809,8 +807,7 @@ impl<G: AbelianGroup> DdcTree<G> {
     /// level: a box record is `1 + d · words_for(k)` words next to the
     /// root and a handful at the bottom. The records of every level's
     /// forest count like the primary tree's (a compaction rewrites them
-    /// too); the heap behind live `Secondary` groups does not
-    /// (compaction moves such a group by its header).
+    /// too).
     fn maybe_compact(&mut self) {
         let (live, dead) = self.slabs.record_bytes();
         if 2 * dead > live {
@@ -822,8 +819,8 @@ impl<G: AbelianGroup> DdcTree<G> {
     /// profile behind Table 2 and §4.4 ("most of the additional storage
     /// … is found in the lowest levels of the tree") plus the slab
     /// occupancy counters. Nodes, boxes, leaf blocks and slots are the
-    /// primary tree's; the secondary trees of d ≥ 3 appear as
-    /// `secondary_bytes`, one forest per level.
+    /// primary tree's; the row-sum groups appear as `secondary_bytes`
+    /// (inline face runs per box, secondary trees one forest per level).
     pub fn stats(&self) -> TreeStats {
         let slabs = &self.slabs;
         let mut stats = TreeStats {
@@ -863,15 +860,16 @@ impl<G: AbelianGroup> DdcTree<G> {
             if slot.obox != NO_BOX {
                 stats.boxes += 1;
                 stats.per_level[l].boxes += 1;
-                stats.secondary_bytes += level.box_secondary_bytes(slot.obox);
+                // Inline face runs; trees are `forest_bytes` above.
+                stats.secondary_bytes += level.d * level.face_words * std::mem::size_of::<G>();
             }
             self.collect_stats(slot.child, level.k, l + 1, stats);
         }
     }
 
     /// Approximate heap bytes held by the whole structure: slab
-    /// capacities (every level's forest included) plus the heap behind
-    /// out-of-line groups, and the resident part of the leaf arena.
+    /// capacities (every level's forest included) and the resident part
+    /// of the leaf arena.
     pub fn heap_bytes(&self) -> usize {
         std::mem::size_of::<Self>() + self.slabs.heap_bytes()
     }
@@ -945,58 +943,79 @@ impl<G: AbelianGroup + ValueCodec> DdcTree<G> {
 mod tests {
     use super::*;
 
-    /// The roots of one level of a d ≥ 3 Dynamic tree.
+    /// The roots of one forested level.
     fn roots(level: &mut Level<i64>) -> &mut Vec<ChildRef> {
-        match &mut level.groups {
-            Groups::Forest { roots, .. } => roots,
-            other => panic!("expected a forested level, found {other:?}"),
-        }
+        &mut level.forest.as_mut().expect("a forested level").roots
     }
 
-    /// An 8³ tree with two boxes at the root level (records 0 and 1,
-    /// roots `[0, 3)` and `[3, 6)`), all six secondary trees populated.
-    fn two_box_tree() -> DdcTree<i64> {
-        let mut t = DdcTree::new(3, 8, DdcConfig::dynamic().with_elision(0));
-        t.apply_delta(&[1, 2, 3], 5);
-        t.apply_delta(&[6, 5, 7], -2);
-        assert!(roots(&mut t.slabs.levels[0]).iter().all(|r| !r.is_empty()));
+    /// Both kinds of forested level: the two-dimensional trees of a
+    /// d = 3 `dynamic()` cube and the one-dimensional ones of a d = 2
+    /// `sparse()` cube.
+    const FORESTED: [(usize, fn() -> DdcConfig); 2] =
+        [(3, DdcConfig::dynamic), (2, DdcConfig::sparse)];
+
+    /// A side-8 tree with two boxes at the root level (records 0 and 1,
+    /// roots `[0, d)` and `[d, 2d)`), all `2d` secondary trees
+    /// populated.
+    fn two_box_tree(d: usize, config: DdcConfig) -> DdcTree<i64> {
+        let mut t = DdcTree::new(d, 8, config.with_elision(0));
+        t.apply_delta(&[1, 2, 3][..d], 5);
+        t.apply_delta(&[6, 5, 7][..d], -2);
+        let roots = roots(&mut t.slabs.levels[0]);
+        assert_eq!(roots.len(), 2 * d);
+        assert!(roots.iter().all(|r| !r.is_empty()));
         t.check_arena();
         t
+    }
+
+    /// Runs `corrupt` on a [`two_box_tree`] of each forested kind and
+    /// expects `check_arena` to refuse the result with `message` — then
+    /// panics with it, for the caller's `should_panic`.
+    fn audit_must_catch(message: &str, corrupt: impl Fn(&mut DdcTree<i64>, usize)) {
+        for (d, config) in FORESTED {
+            let mut t = two_box_tree(d, config());
+            corrupt(&mut t, d);
+            let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| t.check_arena()))
+                .expect_err("the audit passed a corrupted forest");
+            let said = panic.downcast_ref::<String>().expect("a formatted panic");
+            assert!(said.contains(message), "d = {d}: {said}");
+        }
+        panic!("{message}: refused for every kind of forest");
     }
 
     #[test]
     #[should_panic(expected = "leaked")]
     fn check_arena_catches_a_leaked_forest_subtree() {
-        let mut t = two_box_tree();
-        roots(&mut t.slabs.levels[0])[4] = ChildRef::EMPTY;
-        t.check_arena();
+        audit_must_catch("leaked", |t, d| {
+            roots(&mut t.slabs.levels[0])[d + 1] = ChildRef::EMPTY;
+        });
     }
 
     #[test]
     #[should_panic(expected = "referenced twice")]
     fn check_arena_catches_a_double_linked_forest_subtree() {
-        let mut t = two_box_tree();
-        let roots = roots(&mut t.slabs.levels[0]);
-        roots[4] = roots[0];
-        t.check_arena();
+        audit_must_catch("referenced twice", |t, d| {
+            let roots = roots(&mut t.slabs.levels[0]);
+            roots[d + 1] = roots[0];
+        });
     }
 
     #[test]
     #[should_panic(expected = "still holds content")]
     fn check_arena_catches_a_freed_box_that_kept_a_root() {
-        let mut t = two_box_tree();
-        // Enough live content that freeing box 1 does not compact.
-        for x in 0..4 {
-            for y in 0..4 {
-                t.apply_delta(&[x, y, (x + y) % 4], 1);
+        audit_must_catch("still holds content", |t, d| {
+            // Enough live content that freeing box 1 does not compact.
+            for x in 0..4 {
+                for y in 0..4 {
+                    t.apply_delta(&[x, y, (x + y) % 4][..d], 1);
+                }
             }
-        }
-        t.apply_delta(&[6, 5, 7], 2);
-        t.prune();
-        let roots = roots(&mut t.slabs.levels[0]);
-        assert_eq!(roots.len(), 6, "below the compaction threshold");
-        roots[3] = roots[0];
-        t.check_arena();
+            t.apply_delta(&[6, 5, 7][..d], 2);
+            t.prune();
+            let roots = roots(&mut t.slabs.levels[0]);
+            assert_eq!(roots.len(), 2 * d, "below the compaction threshold");
+            roots[d] = roots[0];
+        });
     }
 
     /// Forests are created with their level's first root: an eager
@@ -1019,9 +1038,7 @@ mod tests {
         assert_eq!(t.slabs.levels.len(), 7);
         for level in &mut t.slabs.levels {
             assert_eq!(level.boxes(), 1);
-            let Groups::Forest { roots, slabs } = &mut level.groups else {
-                panic!("d = 4 levels are forested");
-            };
+            let Forest { roots, slabs } = level.forest.as_mut().expect("d = 4 levels are forested");
             assert_eq!(roots.len(), 4);
             assert!(roots.iter().all(|r| !r.is_empty()));
             let forest = slabs.as_mut().expect("a set root implies a forest");
@@ -1029,6 +1046,28 @@ mod tests {
                 assert_eq!(sub.boxes(), 4, "one box per secondary tree");
                 let set = self::roots(sub).iter().filter(|r| !r.is_empty()).count();
                 assert_eq!(set, 4 * 3);
+            }
+        }
+        t.check_arena();
+        assert_eq!(t.check_invariants(), 5);
+
+        // The same at the bottom of the recursion, d = 2 `sparse()`:
+        // the two groups of a box record are one-dimensional trees of
+        // side `k`, one path of nodes above one 16-cell run each.
+        let mut t = DdcTree::<i64>::new(2, 1 << 16, DdcConfig::sparse());
+        t.apply_delta(&[40_000, 123], 5);
+        assert_eq!(t.slabs.levels.len(), 12);
+        for level in &t.slabs.levels {
+            assert_eq!(level.boxes(), 1);
+            let Forest { roots, slabs } = level.forest.as_ref().expect("lazy groups are trees");
+            assert_eq!(roots.len(), 2);
+            assert!(roots.iter().all(|r| !r.is_empty()));
+            let forest = slabs.as_ref().expect("a set root implies a forest");
+            assert_eq!((forest.d, forest.side), (1, level.k));
+            assert_eq!(forest.leaves.slots(), 2);
+            for sub in &forest.levels {
+                assert!(sub.forest.is_none(), "d = 1 has no row-sum groups");
+                assert_eq!((sub.nodes(), sub.boxes()), (2, 2), "one path per root");
             }
         }
         t.check_arena();

@@ -74,11 +74,10 @@ impl<G: AbelianGroup> DdcTree<G> {
     /// Bulk-builds a tree over `a` (padded with zeros up to `side`) in one
     /// bottom-up pass: each overlay box's subtotal and raw row-sum groups
     /// are accumulated by a single scan of its region and written as one
-    /// box record (inline faces), built into the level's forest by this
-    /// same pass one dimension down, or handed to the secondary
-    /// structures' constructors — `O(d · N log n)` cell visits in total,
-    /// with none of the per-cell structure descents the incremental path
-    /// pays.
+    /// box record (inline faces) or built into the level's forest by this
+    /// same pass one dimension down — `O(d · N log n)` cell visits in
+    /// total, with none of the per-cell structure descents the
+    /// incremental path pays.
     pub fn from_array_sized(a: &NdArray<G>, side: usize, config: DdcConfig) -> Self {
         assert!(
             a.shape().dims().iter().all(|&n| n <= side),

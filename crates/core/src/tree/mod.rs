@@ -27,28 +27,33 @@
 //! ```text
 //! slots: [ Slot{child, obox} × 2^d ]  per node   node n owns [n·2^d, (n+1)·2^d)
 //! words: [ subtotal | face_0 | … | face_{d−1} ]  per box record `obox`
-//!                     └ k raw values, then the Fenwick summary over
-//!                       16-value blocks (only when k > 16)
+//!                     └ blocked: k raw values, then the Fenwick summary
+//!                       over 16-value blocks (only when k > 16)
+//!                     └ flat: k^(d−1) cumulative values
 //! ```
 //!
 //! A `Slot` is 8 bytes: a packed `ChildRef` (node id in the next
 //! level, or leaf-block id) and the id of the box record covering that
-//! child. When the row-sum groups are one-dimensional and stored in the
-//! default blocked B^c layout (d = 2, Dynamic mode, `BaseStore::Blocked`)
-//! each face is written **in place** in `words` and driven by the slice
-//! kernels of `ddc_btree::blocked` — one update or query touches one
-//! contiguous record per level, with no pointer to follow. There are
-//! exactly two one-dimensional base stores because each wins on its own
-//! input: against a pointer B^c tree or a Fenwick array behind a
-//! `Secondary` the inline blocked run measured 2.5–2.8× faster updates,
-//! 1.2–2× faster prefix sums and 2.4–3× less heap on clustered data,
-//! while on a wide, sparsely populated space it pays `k` words per face
-//! next to the root (500 isolated points in 131072²: 133 MiB against
-//! 4.9 MiB for the lazy store; EXPERIMENTS §4.4 and §5).
+//! child. A row-sum group is stored in one of two ways, decided once
+//! per level (`Level::new`). It is a **face run written in place** in
+//! `words` when a slice kernel can drive it — the one-dimensional
+//! groups of the default blocked B^c layout (d = 2, Dynamic mode,
+//! `BaseStore::Blocked`; `ddc_btree::blocked`) and the Basic mode's flat
+//! cumulative arrays at any rank (`flat_face`) — so one update or query
+//! touches one contiguous record per level, with no pointer to follow.
+//! Every other group is a **tree in the level's forest** (next
+//! section). There are exactly two ways to store a one-dimensional
+//! group because each wins on its own input: the inline blocked run
+//! measured 2.5–2.8× faster updates, 1.2–2× faster prefix sums and
+//! 2.4–3× less heap on clustered data than a pointer B^c tree or a
+//! Fenwick array kept out of line, while on a wide, sparsely populated
+//! space it pays `k` words per face next to the root (500 isolated
+//! points in 131072²: 133 MiB against 4.4 MiB for the lazy trees of
+//! `BaseStore::Lazy`; EXPERIMENTS §4.4 and §5).
 //! Dense leaf blocks are `leaf_side^d`-cell runs of one flat `Vec` (the
 //! same runs on pages once [`DdcTree::enable_paging`] has run).
 //!
-//! ## One forest per level (d ≥ 3)
+//! ## One forest per level
 //!
 //! §4.2 stores the row-sum groups of a d-dimensional box "as
 //! (d−1)-dimensional data cubes, recursively". Every group of one level
@@ -58,8 +63,8 @@
 //! of one shape**, a tree is nothing but a root `ChildRef` into them,
 //! and every walk (`prefix_counted`, `add_counted`, `free_subtree`,
 //! `build_child`, `move_child`, `mark_reachable`) starts from a root its
-//! caller supplies. A [`DdcTree`] is slabs plus one root; in Dynamic
-//! mode at d ≥ 3 a level owns, beside `slots` and `words`,
+//! caller supplies. A [`DdcTree`] is slabs plus one root; a level whose
+//! groups are not inline runs owns, beside `slots` and `words`,
 //!
 //! ```text
 //! roots: [ root_0 | … | root_{d−1} ]  per box record     4 bytes each,
@@ -76,12 +81,16 @@
 //! 98 304 four-cell runs of one array instead of as many heap-allocated
 //! trees; under the derived leaf side that cube's side-8 and side-16
 //! groups are one leaf run each (a side-16 block holds them whole) and
-//! a side-32 group is one node above four runs. The
-//! forest of a d = 3 level is two-dimensional, i.e. its faces are the
-//! inline runs above; at d ≥ 4 a forest's levels own forests of their
-//! own and the recursion of §4.2 falls out. What is left out of line in
-//! `Secondary` values (`d` per box record, like the roots) is the Basic
-//! mode's flat arrays and the lazy `BaseStore::SparseSeg` groups.
+//! a side-32 group is one node above four runs. The forest of a d = 3
+//! level is two-dimensional, i.e. its faces are the inline runs above;
+//! at d ≥ 4 a forest's levels own forests of their own and the
+//! recursion of §4.2 falls out. Under `BaseStore::Lazy` it runs one
+//! step further, to where it ends by itself: the groups of a
+//! two-dimensional level are one-dimensional trees of side `k`, and a
+//! one-dimensional tree has no row-sum groups — its box records are
+//! one subtotal each above 16-cell leaf runs, a prefix adds one
+//! subtotal per level where the target is in the high half, and there
+//! are nodes only along update paths. Nothing else is out of line.
 //!
 //! Box records are allocated **per box**, not per node: a node's slots
 //! exist as soon as the node does (8 bytes each), but a box's words are
@@ -121,7 +130,7 @@
 //!   than the levels it replaces — so a 3-d tree has side-8 blocks and
 //!   the 2-d trees of its forests side-16 ones; `with_elision(0)` is the
 //!   full tree the paper counts.
-//! * **Sparsity (§5)** — nodes, boxes, and secondary structures
+//! * **Sparsity (§5)** — nodes, boxes, and secondary trees
 //!   materialize lazily; an all-zero region costs nothing.
 //! * **Growth (§5)** — [`DdcTree::grow`] doubles the space in one step by
 //!   re-rooting: the old root becomes one child of a fresh root, and only

@@ -391,8 +391,9 @@ fn cancel_all_but(tree: &mut DdcTree<i64>, a: &mut NdArray<i64>, keep: usize) {
 /// cancel → prune → forced compaction → bulk rebuild, with
 /// `check_arena` + `check_invariants` and sampled answers after every
 /// phase. Sides are chosen so the sweep crosses the degenerate
-/// single-leaf tree, growth out of it, and inline (d = 2 blocked) as
-/// well as every out-of-line face kind. Under the derived default (sides
+/// single-leaf tree, growth out of it, and both inline face kinds
+/// (blocked, flat) as well as forests of every rank down to the
+/// one-dimensional trees of `sparse()`. Under the derived default (sides
 /// 16/16/8/4) every tree starts as one leaf block and gains its first
 /// level by growing — a level whose forest, at d ≥ 3, has leaf blocks
 /// wider than its side, i.e. secondary trees of one leaf run each. The

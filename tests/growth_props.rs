@@ -117,14 +117,12 @@ for_cases! {
     }
 }
 
-/// Why `BaseStore::SparseSeg` survives next to the blocked default: in
-/// a wide, sparsely populated space every blocked face near the root
-/// claims its full `k` words, while a lazy face costs one path per
-/// point. 500 isolated points in 131072² measure 4.9 MiB lazy against
-/// 133 MiB blocked (`clustered_storage` prints both) — both under the
-/// derived leaf side, where a point costs a 2 KiB leaf block but three
-/// fewer levels: `sparse()` was 4.4 MiB as a full tree, and the bounds
-/// below have not moved.
+/// Why `BaseStore::Lazy` survives next to the blocked default: in a
+/// wide, sparsely populated space every blocked face near the root
+/// claims its full `k` words, while a lazy face — a one-dimensional
+/// tree in its level's forest — costs one path per point. 500 isolated
+/// points in 131072² measure 4.4 MiB lazy against 133 MiB blocked
+/// (`clustered_storage` prints both).
 #[test]
 fn lazy_base_store_keeps_isolated_points_in_a_wide_space_small() {
     let side = 1i64 << 17;
@@ -141,9 +139,33 @@ fn lazy_base_store_keeps_isolated_points_in_a_wide_space_small() {
         cube.heap_bytes()
     };
     let (lazy, blocked) = (heap(DdcConfig::sparse()), heap(DdcConfig::dynamic()));
-    assert!(lazy <= 8 << 20, "sparse() holds {lazy} bytes");
+    assert!(lazy <= 6 << 20, "sparse() holds {lazy} bytes");
     assert!(
         blocked >= 10 * lazy,
         "blocked {blocked} vs lazy {lazy} bytes"
+    );
+}
+
+/// The other side of that trade: on dense data a lazy face is a full
+/// one-dimensional tree — 16-cell leaf runs under a few subtotals —
+/// and must stay close to the blocked run it replaces. A fully
+/// populated 256² cube measures 1 312 KiB lazy against 1 105 KiB
+/// blocked.
+#[test]
+fn lazy_base_store_stays_close_to_blocked_on_dense_data() {
+    let heap = |config: DdcConfig| {
+        let mut cube = GrowableCube::<i64>::new(2, config);
+        for x in 0..256 {
+            for y in 0..256 {
+                cube.add(&[x, y], 1 + (x * 31 + y) % 7);
+            }
+        }
+        cube.check_invariants();
+        cube.heap_bytes()
+    };
+    let (lazy, blocked) = (heap(DdcConfig::sparse()), heap(DdcConfig::dynamic()));
+    assert!(
+        2 * lazy <= 3 * blocked,
+        "sparse() holds {lazy} bytes, dynamic() {blocked}"
     );
 }

@@ -1,8 +1,8 @@
 //! Property tests: the three one-dimensional cumulative stores (B^c tree,
-//! Fenwick tree, sparse segment tree) agree with a scanned `Vec` reference
+//! its blocked layout, Fenwick tree) agree with a scanned `Vec` reference
 //! under arbitrary update sequences, fanouts, and insertions.
 
-use ddc_btree::{BcTree, CumulativeStore, Fenwick, SparseSegTree};
+use ddc_btree::{BcTree, BlockedBc, CumulativeStore, Fenwick};
 use ddc_tests::{for_cases, DdcRng};
 
 #[derive(Clone, Debug)]
@@ -38,7 +38,7 @@ for_cases! {
         let mut stores: Vec<Box<dyn CumulativeStore<i64>>> = vec![
             Box::new(BcTree::zeroed(fanout, len)),
             Box::new(Fenwick::zeroed(len)),
-            Box::new(SparseSegTree::zeroed(len)),
+            Box::new(BlockedBc::zeroed(len)),
         ];
         for op in &ops {
             match op {
@@ -141,16 +141,5 @@ for_cases! {
         for i in 0..values.len() {
             assert_eq!(bulk.prefix(i), grown.prefix(i), "prefix({})", i);
         }
-    }
-
-    fn sparse_seg_memory_tracks_population(rng, cases = 64) {
-        let count = rng.gen_range(1usize..20);
-        let indices: Vec<usize> = (0..count).map(|_| rng.gen_range(0usize..10_000)).collect();
-        let mut t = SparseSegTree::<i64>::zeroed(10_000);
-        for &i in &indices {
-            t.add(i, 1);
-        }
-        // Path length is ⌈log2 10000⌉ + 1 = 15 nodes max per insert.
-        assert!(t.node_count() <= indices.len() * 15);
     }
 }

@@ -1,8 +1,9 @@
 //! Per-operation core latency: p50/p99 wall-clock nanoseconds for point
-//! updates and prefix-sum queries across engines, on the d=2 hot path
-//! (256²) and on the 64³ cube of `benchmark/`'s `core_d3_query`, where
-//! every row-sum group is a secondary tree (experiment L1 in DESIGN.md
-//! §43).
+//! updates, prefix-sum queries and range-sum queries across engines, on
+//! the d=2 hot path (256²) and on the 64³ cube of `benchmark/`'s
+//! `core_d3_query`, where every row-sum group is a secondary tree
+//! (experiment L1 in DESIGN.md §43). A range is a random box: Figure 4's
+//! `2^d` prefix sums for the Fenwick tree, one walk for the DDC.
 //!
 //! ```text
 //! cargo run --release -p ddc-bench --bin latency_core
@@ -11,7 +12,8 @@
 //!
 //! Each op is timed individually with `Instant`; quantiles come from the
 //! sorted sample. `--json` writes `BENCH_latency_core.json` into the
-//! current directory: the in-run `dyn-ddc ÷ fenwick-nd` p50 ratios are
+//! current directory: the in-run `dyn-ddc ÷ fenwick-nd` p50 ratios (update,
+//! prefix, range) are
 //! gated at their committed value × 1.5 (machine speed cancels, so this
 //! catches a 2× regression and is ratcheted down with every step toward
 //! ROADMAP's ≤ 1.5), the seeded stored-values-touched counts are
@@ -36,7 +38,7 @@
 
 use std::time::Instant;
 
-use ddc_array::{RangeSumEngine, Shape};
+use ddc_array::{RangeSumEngine, Region, Shape};
 use ddc_bench::json::{BenchReport, MetricKind};
 use ddc_bench::print_row;
 use ddc_core::DdcConfig;
@@ -105,8 +107,10 @@ struct EngineRow {
     label: &'static str,
     update: Quantiles,
     prefix: Quantiles,
+    range: Quantiles,
     touched_per_update: f64,
     reads_per_prefix: f64,
+    reads_per_range: f64,
 }
 
 fn measure(label: &'static str, kind: EngineKind, d: usize, side: usize) -> EngineRow {
@@ -127,6 +131,16 @@ fn measure(label: &'static str, kind: EngineKind, d: usize, side: usize) -> Engi
         .map(|_| (point(&mut r), r.gen_range(-50i64..50)))
         .collect();
     let queries: Vec<Vec<usize>> = (0..OPS).map(|_| point(&mut r)).collect();
+    // Drawn last, so the update and prefix streams are the ones every
+    // report before the range rows measured.
+    let ranges: Vec<Region> = (0..OPS)
+        .map(|_| {
+            let (p, q) = (point(&mut r), point(&mut r));
+            let lo: Vec<usize> = p.iter().zip(&q).map(|(a, b)| *a.min(b)).collect();
+            let hi: Vec<usize> = p.iter().zip(&q).map(|(a, b)| *a.max(b)).collect();
+            Region::new(&lo, &hi)
+        })
+        .collect();
 
     engine.reset_ops();
     let mut update_ns = Vec::with_capacity(OPS);
@@ -146,15 +160,27 @@ fn measure(label: &'static str, kind: EngineKind, d: usize, side: usize) -> Engi
         prefix_ns.push(t.elapsed().as_nanos() as u64);
         sink = sink.wrapping_add(v);
     }
-    std::hint::black_box(sink);
     let reads_per_prefix = engine.ops().reads as f64 / OPS as f64;
+
+    engine.reset_ops();
+    let mut range_ns = Vec::with_capacity(OPS);
+    for q in &ranges {
+        let t = Instant::now();
+        let v = engine.range_sum(q);
+        range_ns.push(t.elapsed().as_nanos() as u64);
+        sink = sink.wrapping_add(v);
+    }
+    std::hint::black_box(sink);
+    let reads_per_range = engine.ops().reads as f64 / OPS as f64;
 
     EngineRow {
         label,
         update: quantiles(update_ns),
         prefix: quantiles(prefix_ns),
+        range: quantiles(range_ns),
         touched_per_update,
         reads_per_prefix,
+        reads_per_range,
     }
 }
 
@@ -165,7 +191,7 @@ fn run_cube(d: usize, side: usize, report: &mut BenchReport) {
         "== d={d}, side {side}: per-op latency over {OPS} timed ops \
          ({POPULATE} warm-up updates) ==\n"
     );
-    let widths = [12usize, 10, 10, 10, 10, 12, 12];
+    let widths = [12usize, 10, 10, 10, 10, 10, 10, 12, 12, 12];
     print_row(
         &[
             "engine".into(),
@@ -173,8 +199,11 @@ fn run_cube(d: usize, side: usize, report: &mut BenchReport) {
             "upd p99".into(),
             "pfx p50".into(),
             "pfx p99".into(),
+            "rng p50".into(),
+            "rng p99".into(),
             "touched/upd".into(),
             "reads/pfx".into(),
+            "reads/rng".into(),
         ],
         &widths,
     );
@@ -192,12 +221,20 @@ fn run_cube(d: usize, side: usize, report: &mut BenchReport) {
                 format!("{}ns", row.update.p99),
                 format!("{}ns", row.prefix.p50),
                 format!("{}ns", row.prefix.p99),
+                format!("{}ns", row.range.p50),
+                format!("{}ns", row.range.p99),
                 format!("{:.1}", row.touched_per_update),
                 format!("{:.1}", row.reads_per_prefix),
+                format!("{:.1}", row.reads_per_range),
             ],
             &widths,
         );
-        for (op, q) in [("update", &row.update), ("prefix", &row.prefix)] {
+        let ops = [
+            ("update", &row.update),
+            ("prefix", &row.prefix),
+            ("range", &row.range),
+        ];
+        for (op, q) in ops {
             for (quantile, ns) in [("p50", q.p50), ("p99", q.p99)] {
                 report.push(
                     format!("{op}.d{d}.{}.{quantile}_ns", row.label),
@@ -216,11 +253,17 @@ fn run_cube(d: usize, side: usize, report: &mut BenchReport) {
             MetricKind::Count,
             row.reads_per_prefix,
         );
+        report.push(
+            format!("reads_per_range.d{d}.{}", row.label),
+            MetricKind::Count,
+            row.reads_per_range,
+        );
     }
     println!();
     for (op, ours, theirs) in [
         ("update", &ddc.update, &fenwick.update),
         ("prefix", &ddc.prefix, &fenwick.prefix),
+        ("range", &ddc.range, &fenwick.range),
     ] {
         let ratio = ours.p50 as f64 / theirs.p50 as f64;
         println!("{op} p50, dyn-ddc ÷ fenwick-nd: {ratio:.2}");

@@ -1,15 +1,14 @@
-//! Trace replay: run a recorded update/query workload through every
+//! Trace replay: run one seeded update/query trace through every
 //! engine, timing each and cross-checking the query checksums — the
 //! harness for comparing methods on *identical* mixed workloads (the
 //! paper's interactive-commerce regime, §1).
 //!
 //! ```text
-//! cargo run --release -p ddc-bench --bin replay [trace-file]
+//! cargo run --release -p ddc-bench --bin replay
 //! ```
 //!
-//! Without a file, a default 256×256 trace of 5 000 operations (50 %
-//! updates) is generated, printed to `target/replay-default.trace`, and
-//! replayed.
+//! The trace is a seeded 256×256 stream of 5 000 operations (50 %
+//! updates), generated in process; the binary takes no arguments.
 
 use std::time::Instant;
 
@@ -18,27 +17,11 @@ use ddc_olap::EngineKind;
 use ddc_workload::{rng, Trace};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let trace = match args.first() {
-        Some(path) => {
-            let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-                eprintln!("replay: cannot read {path}: {e}");
-                std::process::exit(1);
-            });
-            Trace::parse(&text).unwrap_or_else(|e| {
-                eprintln!("replay: {path}: {e}");
-                std::process::exit(1);
-            })
-        }
-        None => {
-            let t = Trace::generate(&ddc_array::Shape::cube(2, 256), 5_000, 0.5, &mut rng(0xDDC));
-            let path = "target/replay-default.trace";
-            if std::fs::write(path, t.to_text()).is_ok() {
-                println!("generated default trace → {path}\n");
-            }
-            t
-        }
-    };
+    if std::env::args().len() > 1 {
+        eprintln!("usage: replay (no arguments; the trace is generated in process)");
+        std::process::exit(1);
+    }
+    let trace = Trace::generate(&ddc_array::Shape::cube(2, 256), 5_000, 0.5, &mut rng(0xDDC));
 
     println!("trace: shape {:?}, {} ops\n", trace.dims, trace.ops.len());
     let widths = [14usize, 12, 12, 14, 20];

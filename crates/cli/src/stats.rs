@@ -6,8 +6,9 @@
 //! ```
 //!
 //! The workload touches each hot path the observability layer covers —
-//! sharded updates (queue wait + commit), engine updates and prefix sums
-//! for both engine kinds, WAL appends (singles and one group) and
+//! sharded updates (queue wait + commit), engine updates for both engine
+//! kinds, range sums on the pipeline's cubes and prefix sums on the
+//! Basic engine, WAL appends (singles and one group) and
 //! recovery replay, cube growth,
 //! and snapshot save/load — so the dump always shows live numbers. The
 //! default output is Prometheus exposition text; `--json` switches to a
@@ -65,7 +66,8 @@ fn workload(seed: u64, ops: usize) -> std::io::Result<()> {
 
     // The commit pipeline: queued updates (shard.queue_wait +
     // shard.commit, and engine.update.dynamic_ddc from the slabs'
-    // cubes) and fanned prefix queries (engine.prefix_sum.dynamic_ddc).
+    // cubes) and fanned prefix queries — each the box [0, p], one
+    // range walk per slab it reaches (engine.range_sum.dynamic_ddc).
     let cube = ShardedCube::<i64>::new(
         Shape::new(&[side, side]),
         DdcConfig::dynamic(),

@@ -7,7 +7,7 @@
 
 use crate::sync::{Arc, OnceLock};
 
-use ddc_array::{AbelianGroup, NdArray, OpCounter, RangeSumEngine, Shape};
+use ddc_array::{AbelianGroup, NdArray, OpCounter, RangeSumEngine, Region, Shape};
 
 use crate::config::{DdcConfig, Mode};
 use crate::obs;
@@ -15,28 +15,33 @@ use crate::tree::DdcTree;
 
 /// Per-mode latency histograms, resolved once and cached so the hot
 /// paths never touch the registry lock. [`DdcEngine`] and
-/// [`GrowableCube`](crate::GrowableCube) report into the same two: both
-/// time one tree update and one tree prefix sum.
+/// [`GrowableCube`](crate::GrowableCube) report into the same ones:
+/// each times one tree update, one tree prefix sum (the engine only) or
+/// one tree range sum as one observation.
 pub(crate) struct EngineObs {
     pub(crate) update_ns: Arc<obs::Histogram>,
     pub(crate) update_name: &'static str,
     pub(crate) prefix_ns: Arc<obs::Histogram>,
     pub(crate) prefix_name: &'static str,
+    pub(crate) range_ns: Arc<obs::Histogram>,
+    pub(crate) range_name: &'static str,
 }
 
 pub(crate) fn engine_obs(mode: Mode) -> &'static EngineObs {
     static BASIC: OnceLock<EngineObs> = OnceLock::new();
     static DYNAMIC: OnceLock<EngineObs> = OnceLock::new();
-    let (cell, update_name, prefix_name) = match mode {
+    let (cell, update_name, prefix_name, range_name) = match mode {
         Mode::Basic => (
             &BASIC,
             "engine.update.basic_ddc",
             "engine.prefix_sum.basic_ddc",
+            "engine.range_sum.basic_ddc",
         ),
         Mode::Dynamic => (
             &DYNAMIC,
             "engine.update.dynamic_ddc",
             "engine.prefix_sum.dynamic_ddc",
+            "engine.range_sum.dynamic_ddc",
         ),
     };
     cell.get_or_init(|| EngineObs {
@@ -44,6 +49,8 @@ pub(crate) fn engine_obs(mode: Mode) -> &'static EngineObs {
         update_name,
         prefix_ns: obs::histogram(prefix_name),
         prefix_name,
+        range_ns: obs::histogram(range_name),
+        range_name,
     })
 }
 
@@ -200,6 +207,17 @@ impl<G: AbelianGroup> RangeSumEngine<G> for DdcEngine<G> {
         v
     }
 
+    /// One walk of the tree ([`DdcTree::range_sum`]), not the trait's
+    /// `2^d` prefix sums.
+    fn range_sum(&self, region: &Region) -> G {
+        region.check_within(&self.shape);
+        let site = engine_obs(self.tree.config().mode);
+        let t = obs::timer();
+        let v = self.tree.range_sum(region.lo(), region.hi());
+        t.observe(site.range_name, &site.range_ns);
+        v
+    }
+
     fn apply_delta(&mut self, point: &[usize], delta: G) {
         self.shape.check_point(point);
         let site = engine_obs(self.tree.config().mode);
@@ -225,7 +243,6 @@ impl<G: AbelianGroup> RangeSumEngine<G> for DdcEngine<G> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ddc_array::Region;
 
     /// The worked example of Figures 9 and 11: an 8×8 cube whose query
     /// decomposes into the paper's six components — box Q contributes its

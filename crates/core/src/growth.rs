@@ -17,7 +17,7 @@
 
 use crate::sync::{Arc, OnceLock};
 
-use ddc_array::{AbelianGroup, CoordMap, GrowthDirection, OpCounter, Region};
+use ddc_array::{with_coord_bufs, AbelianGroup, CoordMap, GrowthDirection, OpCounter};
 
 use crate::config::DdcConfig;
 use crate::engine::engine_obs;
@@ -255,8 +255,9 @@ impl<G: AbelianGroup> GrowableCube<G> {
         }
     }
 
-    /// Range sum over the closed logical box `[lo, hi]`; parts outside the
-    /// covered box contribute zero.
+    /// Range sum over the closed logical box `[lo, hi]`, by one walk of
+    /// the tree ([`DdcTree::range_sum`]); parts outside the covered box
+    /// contribute zero.
     pub fn range_sum(&self, lo: &[i64], hi: &[i64]) -> G {
         assert_eq!(lo.len(), self.ndim());
         assert_eq!(hi.len(), self.ndim());
@@ -264,30 +265,25 @@ impl<G: AbelianGroup> GrowableCube<G> {
             lo.iter().zip(hi.iter()).all(|(l, h)| l <= h),
             "inverted bounds {lo:?}..{hi:?}"
         );
-        // Clip to the covered box.
-        let mut clo = Vec::with_capacity(self.ndim());
-        let mut chi = Vec::with_capacity(self.ndim());
-        for axis in 0..self.ndim() {
-            let o = self.map.origin()[axis];
-            let e = self.map.extent()[axis] as i64;
-            let l = lo[axis].max(o);
-            let h = hi[axis].min(o + e - 1);
-            if l > h {
-                return G::ZERO;
-            }
-            clo.push((l - o) as usize);
-            chi.push((h - o) as usize);
-        }
         let site = engine_obs(self.tree.config().mode);
-        let mut acc = G::ZERO;
-        let mut corner = clo.clone();
-        Region::new(&clo, &chi).for_each_prefix_term(&mut corner, |sign, corner| {
-            let t = obs::timer();
-            let v = self.tree.prefix_sum(corner);
-            t.observe(site.prefix_name, &site.prefix_ns);
-            acc = if sign > 0 { acc.add(v) } else { acc.sub(v) };
+        let t = obs::timer();
+        let v = with_coord_bufs(self.ndim(), |clo, chi| {
+            // Clip to the covered box.
+            for axis in 0..self.ndim() {
+                let o = self.map.origin()[axis];
+                let e = self.map.extent()[axis] as i64;
+                let l = lo[axis].max(o);
+                let h = hi[axis].min(o + e - 1);
+                if l > h {
+                    return G::ZERO;
+                }
+                clo[axis] = (l - o) as usize;
+                chi[axis] = (h - o) as usize;
+            }
+            self.tree.range_sum(clo, chi)
         });
-        acc
+        t.observe(site.range_name, &site.range_ns);
+        v
     }
 
     /// Sum of the whole cube.

@@ -6,7 +6,7 @@
 //! `check_arena` audit. The record layout is drawn in the parent
 //! module's docs.
 
-use ddc_array::{AbelianGroup, NdArray, OpSnapshot};
+use ddc_array::{with_coord_bufs, AbelianGroup, NdArray, OpSnapshot};
 use ddc_btree::blocked;
 
 use super::{ChildRef, DdcTree, LevelStats, Slabs, TreeStats, LEAF_BIT};
@@ -65,6 +65,45 @@ impl Face {
             Face::Blocked => blocked::prefix(run, k, cross[0]),
             Face::Flat => flat_face::prefix(run, k, cross),
         }
+    }
+
+    /// Group sum over the cross box `[lo, hi]`, and the values read:
+    /// Figure 4 over the run's own prefixes, one term per subset of the
+    /// dimensions where `lo > 0`. The term at the run's far corner is
+    /// the whole group, i.e. `total`, the box's subtotal: one read.
+    fn range<G: AbelianGroup>(
+        self,
+        run: &[G],
+        k: usize,
+        lo: &[usize],
+        hi: &[usize],
+        total: G,
+    ) -> (G, u64) {
+        let cut = (lo.iter().enumerate()).fold(0usize, |m, (i, &a)| m | usize::from(a > 0) << i);
+        with_coord_bufs(lo.len(), |corner, _| {
+            let (mut acc, mut reads) = (G::ZERO, 0);
+            let mut m = 0usize;
+            loop {
+                for (i, c) in corner.iter_mut().enumerate() {
+                    *c = if m >> i & 1 != 0 { lo[i] - 1 } else { hi[i] };
+                }
+                let (v, r) = if corner.iter().all(|&c| c == k - 1) {
+                    (total, 1)
+                } else {
+                    self.prefix(run, k, corner)
+                };
+                acc = if m.count_ones() % 2 == 0 {
+                    acc.add(v)
+                } else {
+                    acc.sub(v)
+                };
+                reads += r;
+                if m == cut {
+                    return (acc, reads);
+                }
+                m = m.wrapping_sub(cut) & cut;
+            }
+        })
     }
 
     /// Adds `delta` to the raw slab at `cross`; returns the values
@@ -297,6 +336,31 @@ impl<G: AbelianGroup> Level<G> {
                 roots,
                 slabs: Some(slabs),
             }) => slabs.prefix_counted(roots[self.root_at(obox, j)], cross, ops),
+            _ => G::ZERO,
+        }
+    }
+
+    /// Sum of row-sum group `j` of box `obox` over the box-local cross
+    /// box `[lo, hi]` (the other `d − 1` dims).
+    pub(super) fn face_range(
+        &self,
+        obox: u32,
+        j: usize,
+        lo: &[usize],
+        hi: &[usize],
+        ops: &mut OpSnapshot,
+    ) -> G {
+        if self.face_words != 0 {
+            let run = &self.words[self.face_run(obox, j)];
+            let (v, reads) = self.face.range(run, self.k, lo, hi, self.subtotal(obox));
+            ops.reads += reads;
+            return v;
+        }
+        match &self.forest {
+            Some(Forest {
+                roots,
+                slabs: Some(slabs),
+            }) => slabs.range_counted(roots[self.root_at(obox, j)], lo, hi, ops),
             _ => G::ZERO,
         }
     }

@@ -14,6 +14,22 @@
 //! * one row-sum group value, if the target region cuts the box; or
 //! * a recursive descent, for the single box that covers the target cell.
 //!
+//! A range sum ([`DdcTree::range_sum`]) is one walk, not Figure 4's
+//! `2^d` signed prefix sums, whose upper-level reads almost all cancel.
+//! At each node every box the region reaches is clipped to it and adds
+//!
+//! * its subtotal, if the region covers it;
+//! * a range of one row-sum group over the other `d − 1` dimensions, if
+//!   the region covers it in some but not all dimensions (a range walk
+//!   in the level's forest, or Figure 4 over an inline run's own
+//!   prefixes, whose far corner is the box's subtotal); or
+//! * a recursive descent, if the region cuts it in every dimension — a
+//!   leaf block then sums only the clipped cells.
+//!
+//! A region anchored at a node's origin is a prefix from there down and
+//! finishes on the prefix walk, so `[0, x]` costs what `prefix_sum(x)`
+//! does.
+//!
 //! Updates ([`DdcTree::apply_delta`]) implement Figure 12 bottom-up with
 //! the difference value: one box per level absorbs the delta into its
 //! subtotal and its `d` row-sum groups.

@@ -1,9 +1,9 @@
 //! Query plans: how a range query decomposes and what it should cost.
 //!
 //! [`DataCube::explain`] resolves the per-dimension specs to the dense
-//! region, lists the Figure-4 prefix terms the engine will combine, and
-//! attaches the paper's analytic cost predictions (Table 1 formulas) so
-//! users can see *why* an engine choice matters before running anything.
+//! region, counts its Figure-4 prefix terms, and attaches the paper's
+//! analytic cost predictions (Table 1 formulas) so users can see *why*
+//! an engine choice matters before running anything.
 
 use ddc_array::{AbelianGroup, Region};
 use ddc_costmodel::table1;
@@ -16,8 +16,13 @@ use crate::dimension::{EncodeError, RangeSpec};
 pub struct QueryPlan {
     /// The dense index region the specs resolve to.
     pub region: Region,
-    /// Number of signed prefix terms the inclusion–exclusion produces
-    /// (1 ≤ terms ≤ 2^d; origin-anchored dimensions drop terms).
+    /// Number of signed prefix terms Figure 4's inclusion–exclusion
+    /// produces (1 ≤ terms ≤ 2^d; origin-anchored dimensions drop
+    /// terms). Engines that answer a range through prefix sums combine
+    /// exactly these. For the Data Cube engines it is Figure 4's upper
+    /// bound, not the terms they combine: they answer a range by one
+    /// walk of the tree, whose reads stay below these terms' over a
+    /// workload.
     pub prefix_terms: usize,
     /// Cells a naive scan of the region would read.
     pub naive_cells: usize,

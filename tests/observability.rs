@@ -3,7 +3,7 @@
 //! instrumented hot paths — engine, shards, WAL, growth, persistence —
 //! actually report into it.
 
-use ddc_array::{RangeSumEngine, Shape};
+use ddc_array::{RangeSumEngine, Region, Shape};
 use ddc_core::{
     obs, wal, DdcConfig, DdcEngine, GrowableCube, RetryPolicy, ShardConfig, ShardedCube, WalOp,
     WalWriter,
@@ -81,18 +81,21 @@ fn concurrent_registration_keeps_names_distinct() {
 }
 
 /// Drives every instrumented subsystem once and asserts each reported:
-/// the `ddc stats` acceptance list — engine updates, engine prefix sums,
-/// shard queue wait, WAL appends, WAL recovery replay — plus growth and
-/// persistence.
+/// the `ddc stats` acceptance list — engine updates, engine prefix and
+/// range sums, shard queue wait, WAL appends, WAL recovery replay — plus
+/// growth and persistence. A prefix or range sum is one observation of
+/// its own family however many corners it has: nothing else in this
+/// binary queries an engine, so the counts are exact.
 #[test]
 fn instrumented_hot_paths_report_nonzero() {
-    // Engine (both kinds).
+    // Engine (both kinds): 8 prefix sums and 8 range sums each.
     let mut basic = DdcEngine::<i64>::basic(Shape::new(&[8, 8]));
     let mut dynamic = DdcEngine::<i64>::dynamic(Shape::new(&[8, 8]));
     for engine in [&mut basic, &mut dynamic] {
         for i in 0..8 {
             engine.apply_delta(&[i, i], 1);
             let _ = engine.prefix_sum(&[i, i]);
+            assert_eq!(engine.range_sum(&Region::new(&[0, 1], &[i, 7])), i as i64);
         }
     }
 
@@ -132,6 +135,11 @@ fn instrumented_hot_paths_report_nonzero() {
     let reloaded =
         GrowableCube::<i64>::load(&mut snapshot.as_slice(), DdcConfig::sparse()).expect("load");
     assert_eq!(reloaded.total(), 2);
+    // Three range sums on the growable cube (`sparse()` is the Dynamic
+    // mode): corners and an empty clip count one each.
+    assert_eq!(grown.range_sum(&[-400, -400], &[400, 400]), 2);
+    assert_eq!(grown.range_sum(&[-300, 1], &[5, 300]), 1);
+    assert_eq!(grown.range_sum(&[1 << 20, 0], &[1 << 21, 0]), 0);
 
     let histograms: std::collections::BTreeMap<&'static str, u64> = obs::registry()
         .histograms()
@@ -156,6 +164,14 @@ fn instrumented_hot_paths_report_nonzero() {
             histograms.get(name).copied().unwrap_or(0) > 0,
             "histogram {name:?} recorded nothing; registry: {histograms:?}"
         );
+    }
+    for (name, count) in [
+        ("engine.prefix_sum.basic_ddc", 8),
+        ("engine.prefix_sum.dynamic_ddc", 8),
+        ("engine.range_sum.basic_ddc", 8),
+        ("engine.range_sum.dynamic_ddc", 8 + 3),
+    ] {
+        assert_eq!(histograms.get(name), Some(&count), "histogram {name:?}");
     }
     assert!(obs::counter("wal.append.records").get() >= 4);
     assert!(obs::counter("wal.recover.records").get() >= 4);

@@ -419,7 +419,6 @@ pub fn engine_roster(init: &BoxState) -> Vec<Box<dyn CheckEngine>> {
     let sharding = ShardConfig {
         shards: 2,
         batch_capacity: 4,
-        ..ShardConfig::default()
     };
     vec![
         Box::new(FixedAdapter::new("naive", init, NaiveEngine::<i64>::zeroed)),

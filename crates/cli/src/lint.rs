@@ -1,68 +1,30 @@
-//! `ddc lint` — the repo-invariant semantic analyzer as a shell
-//! subcommand (the same engine as the `ddc-lint` binary in
-//! `ddc-check`).
+//! `ddc lint` — the repo-invariant semantic analyzer
+//! ([`ddc_check::lint`]) as a shell subcommand.
 //!
 //! ```text
-//! ddc lint [--root DIR] [--allow FILE] [--rule NAME] [--json FILE]
+//! ddc lint [--root DIR] [--allow FILE] [--rule NAME] [--json FILE] [--pr N]
 //! ddc lint --fixtures [--root DIR]
 //! ```
 //!
 //! Errors (and so exits nonzero) on any blocking finding, stale
-//! allowlist entry, or expired allowlist lease.
+//! allowlist entry, or expired allowlist lease; with `--fixtures`,
+//! unless every seeded violation of the corpus is re-found and nothing
+//! else is. An argument it does not accept is refused before anything
+//! is read.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use ddc_check::lint;
 
+use crate::flags::Flags;
+
 /// Runs `ddc lint` with the given arguments, returning the report text.
 pub fn run(args: &[String]) -> Result<String, String> {
-    let mut root = PathBuf::from(".");
-    let mut allow_path: Option<PathBuf> = None;
-    let mut rule: Option<String> = None;
-    let mut json_path: Option<PathBuf> = None;
-    let mut fixtures = false;
-    let mut pr_override: Option<u64> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--root" if i + 1 < args.len() => {
-                root = PathBuf::from(&args[i + 1]);
-                i += 2;
-            }
-            "--allow" if i + 1 < args.len() => {
-                allow_path = Some(PathBuf::from(&args[i + 1]));
-                i += 2;
-            }
-            "--rule" if i + 1 < args.len() => {
-                rule = Some(args[i + 1].clone());
-                i += 2;
-            }
-            "--json" if i + 1 < args.len() => {
-                json_path = Some(PathBuf::from(&args[i + 1]));
-                i += 2;
-            }
-            "--pr" if i + 1 < args.len() => {
-                pr_override = Some(
-                    args[i + 1]
-                        .parse()
-                        .map_err(|_| format!("--pr expects a number, got `{}`", args[i + 1]))?,
-                );
-                i += 2;
-            }
-            "--fixtures" => {
-                fixtures = true;
-                i += 1;
-            }
-            other => {
-                return Err(format!(
-                    "unknown argument `{other}` (expected --root DIR, --allow FILE, --rule NAME, \
-                     --json FILE, --fixtures, --pr N)"
-                ))
-            }
-        }
-    }
+    let values = ["--root", "--allow", "--rule", "--json", "--pr"];
+    let flags = Flags::parse(args, &values, &["--fixtures"])?;
+    let root = Path::new(flags.value("--root").unwrap_or("."));
 
-    if fixtures {
+    if flags.has("--fixtures") {
         let r = lint::run_fixtures(&root.join("crates/check/tests/lint_fixtures"))?;
         let mut out = String::new();
         for (rule, (refound, total)) in &r.per_rule {
@@ -81,18 +43,23 @@ pub fn run(args: &[String]) -> Result<String, String> {
         return if r.is_clean() { Ok(out) } else { Err(out) };
     }
 
-    let allow_path = allow_path.unwrap_or_else(|| root.join("lint-allow.txt"));
+    let allow_path = flags
+        .value("--allow")
+        .map_or_else(|| root.join("lint-allow.txt"), PathBuf::from);
     let allowlist = match std::fs::read_to_string(&allow_path) {
         Ok(s) => s,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => String::new(),
         Err(e) => return Err(format!("cannot read {}: {e}", allow_path.display())),
     };
-    let current_pr = pr_override.unwrap_or_else(|| lint::current_pr_from_changes(&root));
-    let report = lint::run_lints(&root, &allowlist, current_pr, rule.as_deref())?;
+    let current_pr = match flags.num::<u64>("--pr")? {
+        Some(pr) => pr,
+        None => lint::current_pr_from_changes(root),
+    };
+    let report = lint::run_lints(root, &allowlist, current_pr, flags.value("--rule"))?;
 
-    if let Some(p) = &json_path {
+    if let Some(p) = flags.value("--json") {
         std::fs::write(p, lint::report_json(&report))
-            .map_err(|e| format!("cannot write {}: {e}", p.display()))?;
+            .map_err(|e| format!("cannot write {p}: {e}"))?;
     }
 
     let mut out = String::new();
@@ -128,5 +95,19 @@ pub fn run(args: &[String]) -> Result<String, String> {
         Ok(out)
     } else {
         Err(out)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn lint_refuses_a_misspelt_flag() {
+        // In the words of every other subcommand, before any file is
+        // read or written.
+        let args: Vec<String> = ["--jsn", "findings.json"].map(String::from).into();
+        let err = run(&args).expect_err("unknown argument");
+        assert!(err.starts_with("unknown argument --jsn;"), "{err}");
     }
 }

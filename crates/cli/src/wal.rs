@@ -23,7 +23,7 @@
 //! leaves a half-written file where a good one stood.
 
 use ddc_core::vfs::{read_stable, StdVfs, Vfs};
-use ddc_core::wal::{self, WAL_HEADER_BYTES};
+use ddc_core::wal::{self, WalWriter, WAL_HEADER_BYTES};
 use ddc_core::{DdcConfig, GrowableCube};
 
 use crate::flags::Flags;
@@ -98,10 +98,10 @@ fn recover(args: &[String]) -> Result<String, String> {
         if flags.has("--rotate") {
             // Checkpoint protocol: only after the snapshot is durably
             // renamed into place may the log it covers be reset.
-            let mut header = [0u8; WAL_HEADER_BYTES];
-            header[..4].copy_from_slice(wal::WAL_MAGIC);
-            header[4] = wal::WAL_VERSION;
-            vfs.write_atomic(wal_path, &header)
+            let empty = WalWriter::create(Vec::new())
+                .map_err(|e| format!("cannot encode an empty log: {e}"))?
+                .into_inner();
+            vfs.write_atomic(wal_path, &empty)
                 .map_err(|e| format!("cannot rotate {wal_path}: {e}"))?;
             text.push_str(&format!("\nlog rotated: {wal_path} reset to a bare header"));
         } else if report.replayed > 0 {
@@ -180,5 +180,40 @@ mod tests {
                 "{err}"
             );
         }
+    }
+
+    /// `--rotate` leaves the log the writer itself starts: a clean log
+    /// of no records, which the snapshot it was rotated behind pairs
+    /// with without replaying anything twice.
+    #[test]
+    fn a_rotated_log_is_a_fresh_empty_log() {
+        let dir = std::env::temp_dir().join(format!("ddc-wal-rotate-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let path = |name: &str| dir.join(name).display().to_string();
+        let (log, snapshot) = (path("wal.log"), path("snapshot.ddc"));
+        let mut writer = WalWriter::create(Vec::new()).expect("in-memory log");
+        let updates = [(vec![1i64, 2], 5i64), (vec![3, 4], 7)];
+        let policy = wal::RetryPolicy::instant();
+        writer.append_updates(&updates, &policy).expect("append");
+        std::fs::write(&log, writer.into_inner()).expect("log written");
+        let ddc_wal =
+            |words: &[&str]| run(&words.iter().map(|w| w.to_string()).collect::<Vec<_>>());
+
+        let report = ddc_wal(&[
+            "recover", "--wal", &log, "--dims", "2", "--out", &snapshot, "--rotate",
+        ])
+        .expect("recover and rotate");
+        assert!(report.contains("2 records replayed"), "{report}");
+        assert!(report.contains("log rotated"), "{report}");
+        let rotated = std::fs::read(&log).expect("rotated log");
+        let replay = wal::read_wal::<i64>(&rotated).expect("a log");
+        assert!(replay.is_clean(), "{:?}", replay.truncated);
+        assert_eq!(replay.ops.len(), 0);
+
+        let again = ddc_wal(&["recover", "--wal", &log, "--snapshot", &snapshot])
+            .expect("recover the rotated pair");
+        assert!(again.contains("0 records replayed"), "{again}");
+        assert!(again.contains("total 12"), "{again}");
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

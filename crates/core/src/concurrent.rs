@@ -53,7 +53,7 @@ impl<G: AbelianGroup> SharedCube<G> {
 
     /// Poison-tolerant read lock: a panicked writer left the engine in
     /// a state `catch_unwind` already saw; readers may still query it
-    /// (the shard layer's quarantine pattern — see `core::shard`).
+    /// (as the commit pipeline's readers do — see `core::shard`).
     fn read_lock(&self) -> RwLockReadGuard<'_, DdcEngine<G>> {
         self.inner.read().unwrap_or_else(PoisonError::into_inner)
     }

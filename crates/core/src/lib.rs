@@ -48,7 +48,7 @@ pub use pager::PoolStats;
 pub use persist::ValueCodec;
 pub use shard::{
     CommitTarget, MetricsSnapshot, OutOfBounds, ShardConfig, ShardedCube, TryUpdateError,
-    PANICKED_AFTER_APPEND, RESTARTS_EXHAUSTED,
+    COMMIT_FAILED, PANICKED_AFTER_APPEND,
 };
 pub use tree::{Contribution, DdcTree, LevelStats, TraceStep, TreeStats, MAX_SIDE};
 pub use vfs::{

@@ -37,8 +37,6 @@ fn shard_config() -> ShardConfig {
     ShardConfig {
         shards: 2,
         batch_capacity: 2,
-        queue_capacity: 4,
-        max_restarts: 1,
     }
 }
 

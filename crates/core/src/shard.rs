@@ -60,30 +60,30 @@
 //! enqueue to the end of the commit, and the cube changes last, under
 //! the exclusive target lock.
 //!
-//! ## Supervision & backpressure
+//! ## Failure
 //!
-//! * Write queues are **bounded** ([`ShardConfig::queue_capacity`]):
-//!   when a queue is full and a commit cannot make room, [`try_add`]
-//!   rejects with [`TryUpdateError::QueueFull`] — overload sheds load,
-//!   it does not OOM.
-//! * Every commit runs under one `catch_unwind`. A commit of
-//!   *acknowledged* deltas that panics or is refused **quarantines** the
-//!   slab: the deltas stay queued, reads still see them, and retries
-//!   are paced by an exponential backoff of skipped flush triggers. A
-//!   commit that succeeds ends the quarantine and counts a restart;
-//!   [`ShardConfig::max_restarts`] consecutive failures fail the slab
-//!   permanently ([`TryUpdateError::ShardFailed`]).
-//! * **A commit that panics after its log append is never retried** —
-//!   a retry would append the record twice. On the logged target a
-//!   typed refusal is handed to the caller (nothing was acknowledged;
-//!   the target keeps its own degraded state), and a panic fails the
-//!   pipeline at once: read-only, reported by [`ShardedCube::health`],
-//!   "restart to recover from the log".
+//! Every commit runs under one `catch_unwind`, and one rule covers what
+//! it can do wrong: **a commit that does not land fails its slab** —
+//! read-only from then on ([`TryUpdateError::ShardFailed`]), reported
+//! by [`ShardedCube::health`], never retried. A retry is not exact: the
+//! commit may have changed the cube before it failed, and on the logged
+//! target its record may be in the log already. The one exception is a
+//! logged commit's *typed refusal* (ENOSPC, retries exhausted, a point
+//! the cube cannot grow to): nothing was acknowledged, so the refusal
+//! is handed to the caller and the target keeps its own degraded state.
+//!
+//! * A plain slab's queue holds acknowledged deltas, so a failed commit
+//!   leaves them queued and reads keep seeing them ([`COMMIT_FAILED`]
+//!   says that reads may count part of the batch twice, when the commit
+//!   changed the cube before failing). A healthy queue is bounded by
+//!   [`ShardConfig::batch_capacity`], and a failed one takes no more.
+//! * A logged commit that panics fails the pipeline with
+//!   [`PANICKED_AFTER_APPEND`]: "restart to recover from the log".
 //! * Lock poisoning never panics a public entry point: the queue mutex
 //!   cannot be poisoned by a supervised commit (the panic is caught
 //!   inside the lock scope), and a poisoned target lock is recovered —
-//!   the slab is quarantined or failed by then, and *exact* repair of a
-//!   half-applied batch is the log's job ([`crate::wal`]).
+//!   the slab is failed by then, and *exact* repair of a half-applied
+//!   batch is the log's job ([`crate::wal`]).
 //!
 //! [`try_add`]: ShardedCube::try_add
 //! [`try_add_batch`]: ShardedCube::try_add_batch
@@ -163,18 +163,11 @@ pub struct ShardConfig {
     /// Requested slab count. Clamped to `1..=n_0` (a slab needs at
     /// least one row of dimension 0); a cube without bounds has one.
     pub shards: usize,
-    /// Queue length that triggers a group commit. `1` degenerates to
-    /// write-through locking, which is also what a target whose ack
-    /// needs the commit gets whatever this says.
+    /// Queue length that triggers a group commit, and so the bound on a
+    /// slab's queue. `1` degenerates to write-through locking, which is
+    /// also what a target whose ack needs the commit gets whatever this
+    /// says.
     pub batch_capacity: usize,
-    /// Hard bound on a slab's write queue. A healthy slab commits
-    /// inline before ever hitting it; a quarantined or failed slab
-    /// rejects once full ([`TryUpdateError::QueueFull`]) instead of
-    /// growing without bound.
-    pub queue_capacity: usize,
-    /// Consecutive failing commits a slab survives (quarantined,
-    /// retried with backoff) before it is failed permanently.
-    pub max_restarts: u32,
 }
 
 impl Default for ShardConfig {
@@ -182,8 +175,6 @@ impl Default for ShardConfig {
         Self {
             shards: 4,
             batch_capacity: 128,
-            queue_capacity: 4096,
-            max_restarts: 5,
         }
     }
 }
@@ -197,6 +188,10 @@ impl ShardConfig {
         }
     }
 }
+
+/// Most updates of a run one logged commit takes: one log write and one
+/// sync cover at most this many acknowledgements.
+const LOGGED_RUN_CHUNK: usize = 4096;
 
 /// A coordinate the door refused: wrong rank, outside the bounds, or a
 /// box whose corners are inverted.
@@ -216,19 +211,11 @@ impl std::error::Error for OutOfBounds {}
 pub enum TryUpdateError {
     /// The point did not pass the door; nothing was queued.
     OutOfBounds(OutOfBounds),
-    /// The owning slab's queue is at capacity and a commit could not
-    /// make room (the slab is quarantined or mid-backoff).
-    QueueFull {
-        /// Index of the rejecting slab.
-        shard: usize,
-        /// The queue bound in effect.
-        capacity: usize,
-    },
     /// The owning slab no longer accepts writes.
     ShardFailed {
         /// Index of the failed slab.
         shard: usize,
-        /// Why: [`RESTARTS_EXHAUSTED`] or [`PANICKED_AFTER_APPEND`].
+        /// Why: [`COMMIT_FAILED`] or [`PANICKED_AFTER_APPEND`].
         cause: &'static str,
     },
     /// The target refused the commit this ack needed (a logged target:
@@ -236,9 +223,11 @@ pub enum TryUpdateError {
     Refused(IoError),
 }
 
-/// [`TryUpdateError::ShardFailed::cause`] of a slab whose acknowledged
-/// deltas failed to land [`ShardConfig::max_restarts`] times running.
-pub const RESTARTS_EXHAUSTED: &str = "restart budget exhausted";
+/// [`TryUpdateError::ShardFailed::cause`] of a slab whose commit of
+/// acknowledged deltas panicked or was refused. The deltas stay queued
+/// and readable; the commit may have changed the cube before it failed.
+pub const COMMIT_FAILED: &str =
+    "a commit of acknowledged updates failed; reads may include part of its batch twice";
 
 /// [`TryUpdateError::ShardFailed::cause`] of a logged slab whose commit
 /// panicked: the record may be in the log, so the commit is not retried.
@@ -249,9 +238,6 @@ impl std::fmt::Display for TryUpdateError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             TryUpdateError::OutOfBounds(why) => why.fmt(f),
-            TryUpdateError::QueueFull { shard, capacity } => {
-                write!(f, "shard {shard} write queue full ({capacity} deltas)")
-            }
             TryUpdateError::ShardFailed { shard, cause } => {
                 write!(f, "shard {shard} failed ({cause})")
             }
@@ -290,30 +276,9 @@ pub struct MetricsSnapshot {
     pub queue_depth_max: u64,
     /// Update attempts that reached the slab and were not acknowledged.
     pub ops_rejected: u64,
-    /// Commits that failed and were contained by the supervisor.
+    /// Commits that failed the slab (0 or 1: a failed slab commits
+    /// nothing more).
     pub worker_panics: u64,
-    /// Successful commits that ended a quarantine.
-    pub worker_restarts: u64,
-}
-
-/// Supervisor state of one slab, kept under the queue lock so health
-/// transitions serialize with enqueues and commits.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-enum Health {
-    /// Commits are attempted normally.
-    Healthy,
-    /// The last `consecutive` commits failed; the next `backoff` flush
-    /// triggers are skipped before retrying.
-    Quarantined { consecutive: u32, backoff: u32 },
-    /// The slab accepts no more writes; the string is the
-    /// [`TryUpdateError::ShardFailed::cause`].
-    Failed(&'static str),
-}
-
-/// How a commit failed. The supervisor has already acted on it.
-enum CommitFault {
-    Refused(IoError),
-    Panicked,
 }
 
 #[derive(Debug)]
@@ -321,7 +286,11 @@ struct ShardQueue<G: AbelianGroup> {
     /// Acknowledged deltas that have not landed yet (always empty on a
     /// target whose ack needs the commit).
     deltas: Vec<(Vec<i64>, G)>,
-    health: Health,
+    /// The slab's health: `None` while it takes writes, else the
+    /// [`TryUpdateError::ShardFailed::cause`] it refuses them with.
+    /// Kept under the queue lock so it changes in step with enqueues
+    /// and commits.
+    failed: Option<&'static str>,
     /// The slab's counters, kept here because the queue lock already
     /// serializes everything that writes them — all but `queries`.
     metrics: MetricsSnapshot,
@@ -334,7 +303,7 @@ struct Shard<G: AbelianGroup, T> {
     rows_lo: i64,
     rows_last: i64,
     target: RwLock<T>,
-    /// Queue + supervisor state. Lock order: `queue` before `target` —
+    /// Queue + health. Lock order: `queue` before `target` —
     /// commits hold the queue while applying so a concurrent reader that
     /// drains the queue cannot miss deltas enqueued behind it.
     queue: Mutex<ShardQueue<G>>,
@@ -355,9 +324,9 @@ fn lock_queue<G: AbelianGroup, T>(shard: &Shard<G, T>) -> MutexGuard<'_, ShardQu
 }
 
 /// Read-locks a slab's target, recovering from poisoning. A poisoned
-/// target means a commit panicked mid-apply; the slab is quarantined or
-/// failed by then, and exact repair belongs to log recovery, not to
-/// refusing reads.
+/// target means a commit panicked mid-apply; the slab is failed by
+/// then, and exact repair belongs to log recovery, not to refusing
+/// reads.
 fn read_target<G: AbelianGroup, T>(shard: &Shard<G, T>) -> RwLockReadGuard<'_, T> {
     shard.target.read().unwrap_or_else(PoisonError::into_inner)
 }
@@ -482,7 +451,7 @@ impl<G: AbelianGroup, T: CommitTarget<G>> ShardedCube<G, T> {
                 target: RwLock::new(target),
                 queue: Mutex::new(ShardQueue {
                     deltas: Vec::new(),
-                    health: Health::Healthy,
+                    failed: None,
                     metrics: MetricsSnapshot {
                         shard,
                         rows_lo: rows_lo.max(0) as usize,
@@ -559,8 +528,7 @@ impl<G: AbelianGroup, T: CommitTarget<G>> ShardedCube<G, T> {
     /// acknowledged as a whole or not at all, and a point the cube must
     /// grow for commits alone, since only its own commit can refuse it.
     /// Each stretch of the run that one slab owns takes that slab's
-    /// queue lock once. A healthy slab never rejects for room — it
-    /// commits to make some.
+    /// queue lock once.
     pub fn try_add_batch(&self, run: &[(Vec<i64>, G)]) -> (usize, Option<TryUpdateError>) {
         let owner = |(point, _): &(Vec<i64>, G)| {
             let door = self.check_door(point);
@@ -598,34 +566,29 @@ impl<G: AbelianGroup, T: CommitTarget<G>> ShardedCube<G, T> {
         queue: &mut ShardQueue<G>,
         run: &[(Vec<i64>, G)],
     ) -> (usize, Option<TryUpdateError>) {
-        let (shard, capacity) = (queue.metrics.shard, self.shard_config.queue_capacity.max(1));
         let batch = self.shard_config.batch_capacity.max(1);
         let mut acked = 0;
         while acked < run.len() {
-            if queue.deltas.len() >= capacity {
-                // Full: the only way to make room is to land the batch now
-                // (a failed slab lands nothing and rejects below).
-                self.attempt_commit(slab, queue);
-            }
-            if let Health::Failed(cause) = queue.health {
+            if let Some(cause) = queue.failed {
+                let shard = queue.metrics.shard;
                 return (acked, Some(TryUpdateError::ShardFailed { shard, cause }));
             }
-            if queue.deltas.len() >= capacity {
-                return (acked, Some(TryUpdateError::QueueFull { shard, capacity }));
-            }
             // How much of the run goes in together. When the ack needs the
-            // commit: the stretch the cube covers already, bounded like a
-            // queue — a point it must grow for goes alone, since only its
-            // own commit can refuse it. Else: up to the next flush
-            // trigger, so a run commits where the same deltas enqueued
-            // one by one would have.
+            // commit: the stretch the cube covers already, at most a chunk
+            // — a point it must grow for goes alone, since only its own
+            // commit can refuse it. Else: up to the next flush trigger, so
+            // a run commits where the same deltas enqueued one by one
+            // would have.
             let rest = &run[acked..];
             let room = if T::ACK_NEEDS_COMMIT {
                 let target = read_target(slab);
                 let covered = |(point, _): &&(Vec<i64>, G)| target.cube().covers(point);
-                rest.iter().take(capacity).take_while(covered).count()
+                rest.iter()
+                    .take(LOGGED_RUN_CHUNK)
+                    .take_while(covered)
+                    .count()
             } else {
-                (capacity - queue.deltas.len()).min(batch.saturating_sub(queue.deltas.len()))
+                batch.saturating_sub(queue.deltas.len())
             };
             let taken = &rest[..rest.len().min(room.max(1))];
             let depth = (queue.deltas.len() + taken.len()) as u64;
@@ -634,31 +597,16 @@ impl<G: AbelianGroup, T: CommitTarget<G>> ShardedCube<G, T> {
             if !T::ACK_NEEDS_COMMIT {
                 queue.deltas.extend_from_slice(taken);
                 if queue.deltas.len() >= batch {
-                    self.attempt_commit(slab, queue);
+                    // Acknowledged either way: a failed commit fails the
+                    // slab, which refuses the rest of the run above.
+                    drop(self.commit(slab, queue, &[]));
                 }
-            } else if let Err(fault) = self.commit(slab, queue, taken) {
-                let cause = PANICKED_AFTER_APPEND;
-                let refused = match fault {
-                    CommitFault::Refused(why) => TryUpdateError::Refused(why),
-                    CommitFault::Panicked => TryUpdateError::ShardFailed { shard, cause },
-                };
+            } else if let Err(refused) = self.commit(slab, queue, taken) {
                 return (acked, Some(refused));
             }
             acked += taken.len();
         }
         (acked, None)
-    }
-
-    /// Flush trigger that respects the supervisor: failed slabs are
-    /// skipped, quarantined slabs burn down their backoff before the
-    /// commit is retried.
-    fn attempt_commit(&self, shard: &Shard<G, T>, queue: &mut ShardQueue<G>) {
-        match &mut queue.health {
-            Health::Failed(_) => {}
-            Health::Quarantined { backoff, .. } if *backoff > 0 => *backoff -= 1,
-            // A fault is already in `queue.health`.
-            _ => drop(self.commit(shard, queue, &[])),
-        }
     }
 
     /// Supervised commit, under one exclusive target acquisition and one
@@ -669,19 +617,17 @@ impl<G: AbelianGroup, T: CommitTarget<G>> ShardedCube<G, T> {
     /// with the queue lock held so no concurrent enqueue can slip
     /// between coalesce and apply.
     ///
-    /// The queue is drained only *after* a successful commit. Deltas
-    /// that were acknowledged on enqueue stay queued through a failure
-    /// for the retry (a panic *mid-apply* can leave the cube
-    /// half-updated; the slab is quarantined either way, and exact
-    /// repair is the log's job). A group whose ack needed this commit
-    /// is dropped instead — it was never acknowledged, and it may
-    /// already be in the log.
+    /// The queue is drained only *after* a successful commit. A commit
+    /// that panics, or is refused with acknowledged deltas in it, fails
+    /// the slab (module docs: one rule), and its deltas stay queued and
+    /// readable. A logged group that is refused is dropped and handed
+    /// back — it was never acknowledged.
     fn commit(
         &self,
         shard: &Shard<G, T>,
         queue: &mut ShardQueue<G>,
         group: &[(Vec<i64>, G)],
-    ) -> Result<(), CommitFault> {
+    ) -> Result<(), TryUpdateError> {
         let coalesced;
         let batch = if T::ACK_NEEDS_COMMIT {
             group
@@ -710,7 +656,7 @@ impl<G: AbelianGroup, T: CommitTarget<G>> ShardedCube<G, T> {
         }));
         queue.metrics.lock_hold_nanos += held.elapsed().as_nanos() as u64;
         span.observe("shard.commit", &shard_obs().commit_ns);
-        let fault = match outcome {
+        match outcome {
             Ok(Ok(())) => {
                 queue.metrics.ops_applied += ops;
                 queue.metrics.batches_flushed += 1;
@@ -719,48 +665,32 @@ impl<G: AbelianGroup, T: CommitTarget<G>> ShardedCube<G, T> {
                 // `pending == 0` on its fast path must find every drained
                 // delta already in the cube.
                 shard.pending.store(0, Ordering::Release);
-                let restarted = matches!(queue.health, Health::Quarantined { .. });
-                queue.metrics.worker_restarts += u64::from(restarted);
-                queue.health = Health::Healthy;
                 return Ok(());
             }
-            Ok(Err(why)) => CommitFault::Refused(why),
-            Err(_) => CommitFault::Panicked,
-        };
-        if T::ACK_NEEDS_COMMIT {
-            if matches!(fault, CommitFault::Panicked) {
-                queue.metrics.worker_panics += 1;
-                queue.health = Health::Failed(PANICKED_AFTER_APPEND);
-            }
-            return Err(fault);
+            Ok(Err(why)) if T::ACK_NEEDS_COMMIT => return Err(TryUpdateError::Refused(why)),
+            _ => {}
         }
-        queue.metrics.worker_panics += 1;
-        let consecutive = match queue.health {
-            Health::Quarantined { consecutive, .. } => consecutive + 1,
-            _ => 1,
-        };
-        queue.health = if consecutive > self.shard_config.max_restarts {
-            Health::Failed(RESTARTS_EXHAUSTED)
+        let cause = if T::ACK_NEEDS_COMMIT {
+            PANICKED_AFTER_APPEND
         } else {
-            Health::Quarantined {
-                consecutive,
-                backoff: 1u32 << (consecutive - 1).min(6),
-            }
+            COMMIT_FAILED
         };
-        Err(fault)
+        queue.metrics.worker_panics += 1;
+        queue.failed = Some(cause);
+        let shard = queue.metrics.shard;
+        Err(TryUpdateError::ShardFailed { shard, cause })
     }
 
     /// Forces a commit on every live slab (e.g. before `entries`, or to
-    /// bound queue staleness from a maintenance thread). Bypasses
-    /// quarantine backoff — an explicit flush *is* the retry — and skips
-    /// failed slabs, so it always terminates and never deadlocks; a
-    /// failed slab's queued deltas stay readable but never land
-    /// (degraded mode, visible in [`ShardedCube::health`]).
+    /// bound queue staleness from a maintenance thread). Skips failed
+    /// slabs, so it always terminates and never deadlocks; a failed
+    /// slab's queued deltas stay readable but never land (degraded mode,
+    /// visible in [`ShardedCube::health`]).
     pub fn flush(&self) {
         for shard in &self.shards {
             let mut queue = lock_queue(shard);
-            if !matches!(queue.health, Health::Failed(_)) {
-                // A fault is already in `queue.health`.
+            if queue.failed.is_none() {
+                // A failure is in `queue.failed`, for `health()`.
                 drop(self.commit(shard, &mut queue, &[]));
             }
         }
@@ -771,12 +701,10 @@ impl<G: AbelianGroup, T: CommitTarget<G>> ShardedCube<G, T> {
     /// fully serving; either way reads are served.
     pub fn health(&self) -> Option<String> {
         self.shards.iter().enumerate().find_map(|(shard, s)| {
-            let health = lock_queue(s).health;
-            match health {
-                Health::Failed(cause) => {
-                    Some(TryUpdateError::ShardFailed { shard, cause }.to_string())
-                }
-                _ => read_target(s).degraded().map(str::to_string),
+            let failed = lock_queue(s).failed;
+            match failed {
+                Some(cause) => Some(TryUpdateError::ShardFailed { shard, cause }.to_string()),
+                None => read_target(s).degraded().map(str::to_string),
             }
         })
     }
@@ -792,8 +720,8 @@ impl<G: AbelianGroup, T: CommitTarget<G>> ShardedCube<G, T> {
     /// The queue mutex is held only until the target read lock is
     /// acquired — the same queue→target order a commit uses — so a
     /// concurrent flush can neither apply a delta we already counted
-    /// nor sneak one past us. Quarantined slabs stay fully readable:
-    /// their deltas are simply all queued.
+    /// nor sneak one past us. Failed slabs stay readable: their
+    /// acknowledged deltas are simply all queued.
     fn read_through(
         shard: &Shard<G, T>,
         lo: &[i64],
@@ -862,12 +790,11 @@ impl<G: AbelianGroup, T: CommitTarget<G>> ShardedCube<G, T> {
     }
 
     /// The infallible facade over [`ShardedCube::try_update`]: a
-    /// rejected delta (full queue on a quarantined slab, a failed slab,
-    /// a refusing target) is *shed* — it is in its slab's
-    /// `ops_rejected`, and counted in `shard.shed` so writes lost
-    /// without the caller hearing of it show up next to the rejections
-    /// callers were handed. Callers that must not lose writes use
-    /// `try_update` and handle the error.
+    /// rejected delta (a failed slab, a refusing target) is *shed* — it
+    /// is in its slab's `ops_rejected`, and counted in `shard.shed` so
+    /// writes lost without the caller hearing of it show up next to the
+    /// rejections callers were handed. Callers that must not lose writes
+    /// use `try_update` and handle the error.
     ///
     /// # Panics
     ///
@@ -988,11 +915,11 @@ impl<G: AbelianGroup, T: CommitTarget<G>> RangeSumEngine<G> for ShardedCube<G, T
     fn metrics_text(&self) -> Option<String> {
         let mut out = String::from(
             "shard  rows          enqueued   applied  batches   queries  rejected  depth^  \
-             panics  restarts  lock-held\n",
+             panics  lock-held\n",
         );
         for m in self.metrics() {
             out.push_str(&format!(
-                "{:>5}  [{:>4},{:>4})  {:>8}  {:>8}  {:>7}  {:>8}  {:>8}  {:>6}  {:>6}  {:>8}  {:>7.3}ms\n",
+                "{:>5}  [{:>4},{:>4})  {:>8}  {:>8}  {:>7}  {:>8}  {:>8}  {:>6}  {:>6}  {:>7.3}ms\n",
                 m.shard,
                 m.rows_lo,
                 m.rows_hi,
@@ -1003,7 +930,6 @@ impl<G: AbelianGroup, T: CommitTarget<G>> RangeSumEngine<G> for ShardedCube<G, T
                 m.ops_rejected,
                 m.queue_depth_max,
                 m.worker_panics,
-                m.worker_restarts,
                 m.lock_hold_nanos as f64 / 1e6,
             ));
         }
@@ -1025,7 +951,6 @@ mod tests {
             ShardConfig {
                 shards,
                 batch_capacity: batch,
-                ..ShardConfig::default()
             },
         )
     }
@@ -1149,85 +1074,19 @@ mod tests {
     }
 
     #[test]
-    fn healthy_shard_never_rejects_at_queue_capacity() {
-        // batch_capacity > queue_capacity: the queue bound, not the batch
-        // trigger, forces the commit — and it succeeds, so no rejection.
-        let c = ShardedCube::<i64>::new(
-            Shape::new(&[32, 16]),
-            DdcConfig::dynamic(),
-            ShardConfig {
-                shards: 1,
-                batch_capacity: 1_000_000,
-                queue_capacity: 8,
-                ..ShardConfig::default()
-            },
-        );
-        for i in 0..100 {
-            c.try_update(&[i % 32, 0], 1).unwrap();
-        }
-        let m = c.metrics();
-        assert_eq!(m[0].ops_rejected, 0);
-        assert!(m[0].queue_depth_max <= 8);
-        assert_eq!(c.query_prefix(&[31, 15]), 100);
-    }
-
-    #[test]
-    fn quarantined_shard_rejects_when_full_then_recovers() {
-        let c = flaky(
-            2,
-            ShardConfig {
-                shards: 1,
-                batch_capacity: 2,
-                queue_capacity: 4,
-                max_restarts: 10,
-            },
-        );
-        // Each pair of updates triggers a commit; the first two commits
-        // panic, quarantining the slab with its deltas intact.
-        for i in 0..4 {
-            c.try_update(&[i, 0], 1).unwrap();
-        }
-        let m = c.metrics();
-        assert!(m[0].worker_panics >= 1, "{m:?}");
-        assert_eq!(c.health(), None, "quarantined is not failed");
-        // Queue is at capacity and the slab is backing off: reject.
-        let err = c.try_update(&[4, 0], 1).unwrap_err();
-        assert!(matches!(
-            err,
-            TryUpdateError::QueueFull {
-                shard: 0,
-                capacity: 4
-            }
-        ));
-        assert_eq!(c.metrics()[0].ops_rejected, 1);
-        // Reads still see every queued delta.
-        assert_eq!(c.query_prefix(&[7, 3]), 4);
-        // Explicit flush bypasses backoff; the fault is spent, so the
-        // commit lands and ends the quarantine.
-        c.flush();
-        let m = c.metrics();
-        assert_eq!(m[0].worker_restarts, 1, "{m:?}");
-        assert_eq!(m[0].ops_applied, 4);
-        c.try_update(&[4, 0], 1).unwrap();
-        assert_eq!(c.query_prefix(&[7, 3]), 5);
-    }
-
-    #[test]
     fn exhausted_restart_budget_fails_the_shard() {
         let c = flaky(
             1,
             ShardConfig {
                 shards: 2,
                 batch_capacity: 1,
-                queue_capacity: 2,
-                max_restarts: 0,
             },
         );
-        c.update(&[0, 0], 1); // commit panics; budget 0 → Failed
+        c.update(&[0, 0], 1); // its commit panics → Failed, no retry
         let err = c.try_update(&[1, 0], 1).unwrap_err();
         let failed = TryUpdateError::ShardFailed {
             shard: 0,
-            cause: RESTARTS_EXHAUSTED,
+            cause: COMMIT_FAILED,
         };
         assert_eq!(err, failed);
         assert!(err.to_string().contains("shard 0"));
@@ -1396,7 +1255,7 @@ mod tests {
         let text = RangeSumEngine::metrics_text(&c).expect("sharded cube reports metrics");
         assert_eq!(text.lines().count(), 1 + 3, "{text}");
         assert!(text.contains("enqueued"), "{text}");
-        assert!(text.contains("restarts"), "{text}");
+        assert!(text.contains("panics"), "{text}");
     }
 
     #[test]

@@ -9,8 +9,9 @@
 //! [`DurableBackend`]: a log, no bounds), so there is one coordinate
 //! check (the pipeline's door, which *refuses* untrusted coordinates
 //! where engine APIs assert), one mapping from a refused update to an
-//! HTTP status ([`BackendError`]'s `From<TryUpdateError>`: `Busy` →
-//! 429, `ReadOnly` → 503), and one health report (a failed
+//! HTTP status ([`BackendError`]'s `From<TryUpdateError>`: `OutOfBounds`
+//! → 400, `ReadOnly` → 503, `Io` → 500 — never 429, which is the
+//! server's admission control alone), and one health report (a failed
 //! slab or a degraded log, in the words the 503 bodies use).
 //!
 //! Updates arrive in runs — [`ServeBackend::ingest`], which is
@@ -33,11 +34,8 @@ pub enum BackendError {
     /// A coordinate was outside the cube, had the wrong rank, or the
     /// box corners were inverted. Maps to 400.
     OutOfBounds(String),
-    /// Transient overload: the owning slab's write queue is full.
-    /// Maps to 429 — the client should back off and retry.
-    Busy(String),
-    /// The pipeline is read-only — a slab out of restarts, a logged
-    /// commit that panicked, or a log degraded by a disk fault; queries
+    /// The pipeline is read-only — a slab whose commit failed (a logged
+    /// one: panicked), or a log degraded by a disk fault; queries
     /// keep serving, mutations map to 503 whose body carries the reason
     /// `/healthz` reports after `degraded: `.
     ReadOnly(String),
@@ -51,7 +49,6 @@ impl BackendError {
     pub fn status(&self) -> u16 {
         match self {
             BackendError::OutOfBounds(_) => 400,
-            BackendError::Busy(_) => 429,
             BackendError::ReadOnly(_) => 503,
             BackendError::Io(_) => 500,
         }
@@ -60,10 +57,7 @@ impl BackendError {
     /// One-line detail for the response body.
     pub fn detail(&self) -> &str {
         match self {
-            BackendError::OutOfBounds(d)
-            | BackendError::Busy(d)
-            | BackendError::ReadOnly(d)
-            | BackendError::Io(d) => d,
+            BackendError::OutOfBounds(d) | BackendError::ReadOnly(d) | BackendError::Io(d) => d,
         }
     }
 }
@@ -81,7 +75,6 @@ impl From<TryUpdateError> for BackendError {
             TryUpdateError::OutOfBounds(_) | TryUpdateError::Refused(IoError::OutOfRange(_)) => {
                 BackendError::OutOfBounds(detail)
             }
-            TryUpdateError::QueueFull { .. } => BackendError::Busy(detail),
             TryUpdateError::ShardFailed { .. }
             | TryUpdateError::Refused(IoError::ReadOnly { .. } | IoError::Exhausted { .. }) => {
                 BackendError::ReadOnly(detail)
@@ -144,7 +137,8 @@ pub struct Backend<T> {
 }
 
 /// The backend of `ddc serve`: bounded coordinate space, acks on
-/// enqueue, group commits, real backpressure (429).
+/// enqueue, group commits; a commit that fails turns its slab
+/// `ReadOnly` (503).
 pub type ShardedBackend = Backend<GrowableCube<i64>>;
 
 /// The backend of `ddc serve --durable`: growable signed coordinate

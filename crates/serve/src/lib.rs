@@ -16,7 +16,7 @@
 //! * [`protocol`] — frames → typed [`protocol::ServeRequest`]s; the
 //!   protocol grammar lives here.
 //! * [`backend`] — requests → engine calls with untrusted-input
-//!   validation and typed backpressure ([`backend::BackendError`]).
+//!   validation and typed refusals ([`backend::BackendError`]).
 //! * [`admission`] — per-tenant token-bucket rate policy.
 //! * [`server`] — acceptor + worker pool tying the above to sockets.
 

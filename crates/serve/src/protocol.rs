@@ -14,8 +14,9 @@
 //! ```
 //!
 //! Responses are one line each, in request order: `ok` (update), the
-//! decimal sum (query/prefix), `pong`, `busy <detail>` (backpressure,
-//! the line-protocol spelling of HTTP 429), or `err <detail>`.
+//! decimal sum (query/prefix), `pong`, `busy <detail>` (the tenant is
+//! over its admission rate: the line-protocol spelling of HTTP 429), or
+//! `err <detail>`.
 //!
 //! ## HTTP endpoints
 //!

@@ -21,14 +21,16 @@
 //!   with its mapped status and closes (after a framing error the
 //!   stream cannot be trusted).
 //!
-//! Backpressure surfaces, in order of checking: connection limit
-//! (503), per-tenant admission ([`Admission`], 429), and engine
-//! rejection ([`BackendError::Busy`], 429) from the shard write
-//! queues. An update is acknowledged (`ok` / 200) only after the
-//! backend accepted it — acked writes are never lost.
+//! Load is shed at two doors, in order of checking: the connection
+//! limit (503) and per-tenant admission ([`Admission`], 429 — the only
+//! 429). Past them, a refused update carries its
+//! [`BackendError`](crate::backend::BackendError)'s status (400, 500,
+//! or 503 for a read-only pipeline). An update is acknowledged (`ok` /
+//! 200) only after the backend accepted it — acked writes are never
+//! lost.
 
 use crate::admission::{Admission, AdmissionConfig};
-use crate::backend::{BackendError, BackendHealth, ServeBackend};
+use crate::backend::{BackendHealth, ServeBackend};
 use crate::http::{write_http_response, Frame, ParserConfig, RequestParser};
 use crate::protocol::{self, ServeRequest};
 use ddc_core::obs;
@@ -300,9 +302,6 @@ fn land_run(shared: &Arc<Shared>, run: &mut Vec<(Vec<i64>, i64)>, out: &mut Vec<
             reply_line(out, 200, "ok");
         }
         let Some(e) = outcome.error else { break };
-        if matches!(e, BackendError::Busy(_)) {
-            obs::counter("serve.rejected.backpressure").inc();
-        }
         reply_line(out, e.status(), e.detail());
         rest = &rest[outcome.applied + 1..];
     }
@@ -374,9 +373,6 @@ fn respond(
             match outcome.error {
                 None => Ok(format!("applied {}", outcome.applied)),
                 Some(e) => {
-                    if matches!(e, BackendError::Busy(_)) {
-                        obs::counter("serve.rejected.backpressure").inc();
-                    }
                     return reply(
                         frame,
                         out,
@@ -401,18 +397,13 @@ fn respond(
     };
     match result {
         Ok(body) => reply(frame, out, 200, &body),
-        Err(e) => {
-            if matches!(e, BackendError::Busy(_)) {
-                obs::counter("serve.rejected.backpressure").inc();
-            }
-            reply(frame, out, e.status(), e.detail())
-        }
+        Err(e) => reply(frame, out, e.status(), e.detail()),
     }
 }
 
 /// Serializes a response in the syntax the request arrived in. Line
 /// responses are one line: `ok` / value / `pong`, `busy <detail>` for
-/// 429, `err <detail>` otherwise.
+/// 429 (admission), `err <detail>` otherwise.
 fn reply(frame: &Frame, out: &mut Vec<u8>, status: u16, body: &str) {
     match frame {
         Frame::Http(_) => {

@@ -9,14 +9,11 @@
 //!   dense-grid oracle maintained alongside the request stream.
 //!   Disjoint slabs make every thread's expected answers deterministic
 //!   even though the cube is shared.
-//! * **Backpressure**: a one-shard cube with a tiny write queue whose
-//!   commits all fail (a `FlakyTarget`) must ack exactly
-//!   `queue_capacity` updates and answer `busy`/429 for the rest — and
-//!   after healing, the cube holds exactly the sum of the acked deltas:
-//!   no acked update lost, no rejected update applied.
-//! * **Health**: a slab out of restarts, and a logged commit that
-//!   panics, both answer 503 with the reason `/healthz` then reports —
-//!   one pipeline, one health model — and reads keep being served.
+//! * **Health**: a plain commit that fails, and a logged commit that
+//!   panics, both fail their slab (a `FlakyTarget` injects the fault):
+//!   the next update answers 503 with the reason `/healthz` then
+//!   reports — one pipeline, one failure rule — and reads keep being
+//!   served. 429 is admission control's alone.
 //! * **Group commit**: a pipelined run of `u` lines to a durable server
 //!   on a fault-injecting disk is one log write and one sync however
 //!   long it is; a query in the middle splits it (and sees what came
@@ -34,7 +31,7 @@ use ddc_core::vfs::StdVfs;
 use ddc_core::wal::{self, RetryPolicy};
 use ddc_core::{
     CommitTarget, DdcConfig, DurableCube, FaultKind, FaultVfs, PlannedFault, ShardConfig,
-    ShardedCube, SharedDurableCube, Vfs, PANICKED_AFTER_APPEND, RESTARTS_EXHAUSTED,
+    ShardedCube, SharedDurableCube, Vfs, COMMIT_FAILED, PANICKED_AFTER_APPEND,
 };
 use ddc_serve::{Backend, DurableBackend, ServeBackend, Server, ServerConfig, ShardedBackend};
 use ddc_tests::{Fault, Faults, FlakyTarget};
@@ -199,68 +196,6 @@ fn concurrent_clients_agree_with_naive_oracle_byte_for_byte() {
     server.shutdown();
 }
 
-#[test]
-fn backpressure_answers_429_only_when_shard_queues_are_full_and_loses_no_acked_update() {
-    const QUEUE: usize = 4;
-    let faults = Arc::new(Faults::default());
-    let cube = FlakyTarget::sharded(
-        Shape::new(&[8, 8]),
-        DdcConfig::default(),
-        ShardConfig {
-            shards: 1,
-            // Group commits only via the full-queue path, where every
-            // one of them fails; never from batch pressure.
-            batch_capacity: 1024,
-            queue_capacity: QUEUE,
-            // Keep the shard quarantined (429), never failed (503).
-            max_restarts: 1_000_000,
-        },
-        &faults,
-    );
-    let (server, backend) = start(Backend::over(Arc::new(cube)), 2);
-    let addr = server.local_addr().to_string();
-    faults.arm(Fault::Panic, u64::MAX);
-
-    let mut stream = TcpStream::connect(&addr).expect("client connects");
-    let mut acked_sum = 0i64;
-    for i in 0..10i64 {
-        let delta = i + 1;
-        let (r, c) = (i % 8, i % 8);
-        let response = roundtrip(&mut stream, &format!("u {r},{c} {delta}\n"));
-        if (i as usize) < QUEUE {
-            assert_eq!(response, "ok", "update {i} fits the queue");
-            acked_sum += delta;
-        } else {
-            assert!(
-                response.starts_with("busy "),
-                "update {i} must be backpressured, got {response:?}"
-            );
-        }
-    }
-
-    // The same overload over HTTP is a 429, not a dropped write.
-    let mut http = TcpStream::connect(&addr).expect("http connection");
-    http.write_all(b"POST /ingest HTTP/1.1\r\nContent-Length: 6\r\n\r\n0,0 5\n")
-        .expect("ingest request");
-    http.shutdown(std::net::Shutdown::Write)
-        .expect("half-close");
-    let mut got = String::new();
-    http.read_to_string(&mut got).expect("ingest response");
-    assert!(
-        got.starts_with("HTTP/1.1 429 "),
-        "overloaded ingest must answer 429, got {got:?}"
-    );
-    assert!(got.contains("applied 0 of 1"), "{got:?}");
-
-    // Heal the shard and flush: the cube must hold exactly the acked
-    // deltas — nothing acked lost, nothing rejected applied.
-    faults.heal();
-    backend.cube().flush();
-    assert_eq!(roundtrip(&mut stream, "q 0,0 7,7\n"), acked_sum.to_string());
-    assert_eq!(backend.cube().query_prefix(&[7, 7]), acked_sum);
-    server.shutdown();
-}
-
 /// `GET /healthz` over a fresh connection: the status line and the body.
 fn healthz(addr: &str) -> (String, String) {
     let mut http = TcpStream::connect(addr).expect("health connection");
@@ -275,9 +210,9 @@ fn healthz(addr: &str) -> (String, String) {
     (status, body.trim_end().to_string())
 }
 
-/// A slab that ran out of restarts refuses writes with a 503 that says
-/// so — and `/healthz` says the same thing, not `ok`. Reads still see
-/// the delta the slab acknowledged and could not land.
+/// A slab whose commit failed refuses writes with a 503 that says so —
+/// and `/healthz` says the same thing, not `ok`. Reads still see the
+/// delta the slab acknowledged and could not land.
 #[test]
 fn a_failed_slab_shows_on_healthz_with_the_reason_its_503_carries() {
     let faults = Arc::new(Faults::default());
@@ -287,8 +222,6 @@ fn a_failed_slab_shows_on_healthz_with_the_reason_its_503_carries() {
         ShardConfig {
             shards: 1,
             batch_capacity: 1,
-            max_restarts: 0,
-            ..ShardConfig::default()
         },
         &faults,
     );
@@ -300,7 +233,7 @@ fn a_failed_slab_shows_on_healthz_with_the_reason_its_503_carries() {
     let mut stream = TcpStream::connect(&addr).expect("client connects");
     // Acknowledged on enqueue; its commit is the one that panics.
     assert_eq!(roundtrip(&mut stream, "u 2,3 5\n"), "ok");
-    let reason = format!("shard 0 failed ({RESTARTS_EXHAUSTED})");
+    let reason = format!("shard 0 failed ({COMMIT_FAILED})");
     assert_eq!(roundtrip(&mut stream, "u 2,3 1\n"), format!("err {reason}"));
     let (status, body) = healthz(&addr);
     assert!(status.starts_with("HTTP/1.1 503 "), "{status}");

@@ -2,9 +2,10 @@
 //! differential replay proving the sharded protocol is observably
 //! identical to an unsharded engine; the same pipeline over both its
 //! targets — plain and logged — audited and compared to an oracle after
-//! *every* enqueue, flush, failed commit, heal and crash; and a
-//! reader/writer stress test proving no update is lost or duplicated
-//! under contention.
+//! *every* enqueue, flush, failed commit, heal and crash; the one
+//! failure rule (a commit that does not land fails its slab) on both;
+//! and a reader/writer stress test proving no update is lost or
+//! duplicated under contention.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -15,7 +16,7 @@ use ddc_core::vfs::{MemFile, MemVfs};
 use ddc_core::wal::{self, RetryPolicy};
 use ddc_core::{
     CommitTarget, DdcConfig, DdcEngine, DurableCube, GrowableCube, ShardConfig, ShardedCube,
-    TryUpdateError, PANICKED_AFTER_APPEND,
+    TryUpdateError, COMMIT_FAILED, PANICKED_AFTER_APPEND,
 };
 use ddc_tests::{for_cases, DdcRng, Fault, Faults, FlakyTarget};
 use ddc_workload::Trace;
@@ -27,6 +28,8 @@ const LOG: &str = "wal.log";
 /// log says when there is one.
 trait Rig {
     type Target: CommitTarget<i64>;
+    /// The cause a slab fails with when one of its commits panics.
+    const FAILED: &'static str;
     fn boot(&self, faults: &Arc<Faults>) -> ShardedCube<i64, FlakyTarget<Self::Target>>;
     /// Records in the log, `None` without one.
     fn log_records(&self, _cube: &ShardedCube<i64, FlakyTarget<Self::Target>>) -> Option<u64> {
@@ -44,6 +47,7 @@ struct Plain {
 
 impl Rig for Plain {
     type Target = GrowableCube<i64>;
+    const FAILED: &'static str = COMMIT_FAILED;
     fn boot(&self, faults: &Arc<Faults>) -> ShardedCube<i64, FlakyTarget<GrowableCube<i64>>> {
         let shape = Shape::cube(2, self.side);
         FlakyTarget::sharded(shape, self.config, self.shard_config, faults)
@@ -61,6 +65,7 @@ struct Logged {
 
 impl Rig for Logged {
     type Target = DurableCube<i64, MemFile>;
+    const FAILED: &'static str = PANICKED_AFTER_APPEND;
     fn boot(&self, faults: &Arc<Faults>) -> ShardedCube<i64, FlakyTarget<Self::Target>> {
         let policy = RetryPolicy::instant();
         let (cube, _report) =
@@ -104,15 +109,26 @@ fn churn<R: Rig>(rig: &R, rng: &mut DdcRng, steps: usize) {
                 let run: Vec<_> = (0..[1, 1, 2, 6][rng.gen_range(0usize..4)])
                     .map(|_| (vec![coord(rng), coord(rng)], rng.gen_range(-9i64..=9)))
                     .collect();
+                // Slab 0 is the one that fails; once it has, a run that
+                // starts in it is refused whole.
+                let failed = cube.health().is_some_and(|why| why.contains(R::FAILED));
+                let to_failed = failed && run[0].0[0] < cube.metrics()[0].rows_hi as i64;
                 let (landed, refused) = cube.try_add_batch(&run);
                 for (p, delta) in &run[..landed] {
                     oracle.add(p, *delta);
                     acked += 1;
                 }
+                assert!(!to_failed || landed == 0, "{run:?}: acked by a failed slab");
                 match refused {
                     None => "acked run",
-                    Some(TryUpdateError::OutOfBounds(why)) => panic!("{run:?}: {why}"),
-                    Some(_) => "refused run",
+                    Some(TryUpdateError::ShardFailed { shard: 0, cause }) if cause == R::FAILED => {
+                        "refused run"
+                    }
+                    // A logged commit's typed refusal: nothing acked, not failed.
+                    Some(TryUpdateError::Refused(_)) if R::Target::ACK_NEEDS_COMMIT => {
+                        "refused run"
+                    }
+                    Some(other) => panic!("{run:?}: {other}"),
                 }
             }
             12..=13 => {
@@ -174,7 +190,7 @@ for_cases! {
         let sharded = ShardedCube::<i64>::new(
             shape.clone(),
             DdcConfig::dynamic(),
-            ShardConfig { shards, batch_capacity: batch, ..ShardConfig::default() },
+            ShardConfig { shards, batch_capacity: batch },
         );
         let plain = DdcEngine::<i64>::dynamic(shape.clone());
         let mut lockstep = ShadowEngine::new(sharded, plain);
@@ -186,19 +202,18 @@ for_cases! {
     }
 
     /// The cumulant suite over both targets: plain × {1, 3} slabs and
-    /// logged × 1, `dynamic()` and `sparse()`, small queues so that
-    /// quarantine, backoff and 429-style rejections all occur. A batch
-    /// capacity of 1 000 is a queue that never drains on its own: every
-    /// read between two flushes goes through it (what the retired
+    /// logged × 1, `dynamic()` and `sparse()`. An armed fault fails
+    /// slab 0 at its next commit: from then on runs to it are refused
+    /// and reads of it must still match the oracle (the faults fire
+    /// before the cube is touched, so its queue holds exactly what was
+    /// acknowledged); a logged pipeline comes back at the next crash. A
+    /// batch capacity of 1 000 is a queue that never drains on its own:
+    /// every read between two flushes goes through it (what the retired
     /// merge-order enumeration probed after each enqueue; two of the six
     /// seeded cases draw it).
     fn every_step_audits_and_matches_the_oracle_on_both_targets(rng, cases = 6) {
         let shard_config = ShardConfig {
             batch_capacity: [1usize, 3, 64, 1_000][rng.gen_range(0usize..4)],
-            queue_capacity: rng.gen_range(2usize..=12),
-            // Quarantined, never failed: heals are what this exercises
-            // (the failed slab has its own tests).
-            max_restarts: u32::MAX,
             ..ShardConfig::default()
         };
         for config in [DdcConfig::dynamic(), DdcConfig::sparse()] {
@@ -211,8 +226,8 @@ for_cases! {
         }
     }
 
-    /// Read-through at the slab cuts. On a cube that never commits (both
-    /// capacities out of reach, so every answer is engine + queue), with
+    /// Read-through at the slab cuts. On a cube that never commits (its
+    /// batch capacity out of reach, so every answer is engine + queue), with
     /// queued deltas on every cut row and its neighbours, regions whose
     /// dimension-0 bounds sit on, one below and one above each cut read
     /// exactly as the unsharded engine does — at 1, 3 and `n0` shards.
@@ -232,8 +247,6 @@ for_cases! {
                 ShardConfig {
                     shards,
                     batch_capacity: usize::MAX,
-                    queue_capacity: usize::MAX,
-                    ..ShardConfig::default()
                 },
             );
             let mut plain = DdcEngine::<i64>::dynamic(shape.clone());
@@ -317,7 +330,6 @@ fn stress_readers_and_writers_preserve_every_update() {
         ShardConfig {
             shards: 4,
             batch_capacity: 64,
-            ..ShardConfig::default()
         },
     );
     let done = AtomicBool::new(false);
@@ -433,7 +445,6 @@ fn queued_updates_read_through_and_flush_is_observably_silent() {
         ShardConfig {
             shards: 2,
             batch_capacity: 1_000_000,
-            ..ShardConfig::default()
         },
     );
 
@@ -476,7 +487,6 @@ fn batch_capacity_threshold_group_commits_automatically() {
         ShardConfig {
             shards: 1,
             batch_capacity: 4,
-            ..ShardConfig::default()
         },
     );
     // Three updates sit in the queue (below capacity)…
@@ -494,117 +504,50 @@ fn batch_capacity_threshold_group_commits_automatically() {
     }
 }
 
-/// Backpressure (robustness satellite): a shard whose commits keep
-/// panicking cannot drain, so a paced feed of thousands of updates must
-/// hit the queue bound and *reject* — the queue never grows past its
-/// capacity (no unbounded buffering, no OOM) — while the sibling shard
-/// keeps accepting. Once the fault clears, `flush()` drains the survivor
-/// deterministically and the accepted updates are all accounted for.
+/// The one failure rule on the plain target: a commit of acknowledged
+/// deltas that does not land fails its slab at once, and nothing
+/// retries it. Here the commit lands and *then* panics, so a retry
+/// would apply the batch a second time: the slab says so on `health()`,
+/// refuses the next write, and a later `flush()` leaves every read as
+/// it was. The sibling slab keeps taking writes.
 #[test]
-fn slow_shard_under_paced_feed_rejects_instead_of_buffering_unboundedly() {
-    const FEED: usize = 5_000;
-    const CAPACITY: usize = 32;
-    let faults = Arc::new(Faults::default());
-    let cube = FlakyTarget::sharded(
-        Shape::new(&[16, 8]),
-        DdcConfig::dynamic(),
-        ShardConfig {
-            shards: 2,
-            batch_capacity: 8,
-            queue_capacity: CAPACITY,
-            max_restarts: u32::MAX, // quarantined forever, never failed
-        },
-        &faults,
-    );
-    // Shard 0 (rows 0..8) panics on every commit for the whole feed.
-    faults.arm(Fault::Panic, u64::MAX);
-
-    let mut accepted_slow = 0u64;
-    let mut rejected_slow = 0u64;
-    for i in 0..FEED {
-        // Paced feed alternating between the wedged shard and a healthy one.
-        match cube.try_update(&[i % 8, i % 8], 1) {
-            Ok(()) => accepted_slow += 1,
-            Err(TryUpdateError::QueueFull { shard, capacity }) => {
-                assert_eq!((shard, capacity), (0, CAPACITY));
-                rejected_slow += 1;
-            }
-            Err(e) => panic!("unexpected rejection: {e}"),
-        }
-        cube.try_update(&[8 + i % 8, i % 8], 1).unwrap();
-    }
-
-    let m = cube.metrics();
-    // The wedged shard held at most `CAPACITY` deltas at any moment and
-    // shed the overflow instead of buffering it.
-    assert!(m[0].queue_depth_max <= CAPACITY as u64, "{m:?}");
-    assert_eq!(accepted_slow + rejected_slow, FEED as u64);
-    assert!(rejected_slow > 0, "feed never hit the bound: {m:?}");
-    assert_eq!(m[0].ops_rejected, rejected_slow);
-    assert!(m[0].worker_panics > 0);
-    // The healthy shard was untouched by its sibling's quarantine.
-    assert_eq!(m[1].ops_rejected, 0);
-    assert_eq!(
-        cube.query_prefix(&[15, 7]) - cube.query_prefix(&[7, 7]),
-        FEED as i64
-    );
-
-    // Fault clears → an explicit flush drains both shards completely and
-    // deterministically: applied == accepted, queues empty.
-    faults.heal();
-    cube.flush();
-    let m = cube.metrics();
-    assert_eq!(m[0].ops_applied, accepted_slow);
-    assert_eq!(m[1].ops_applied, FEED as u64);
-    assert_eq!(m[0].worker_restarts, 1);
-    assert_eq!(cube.query_prefix(&[7, 7]), accepted_slow as i64);
-}
-
-/// Acceptance criterion: a deliberately panicking shard worker (a
-/// `FlakyTarget` armed by the test) is quarantined, `flush()` does not deadlock
-/// on it, and after the fault clears the worker restarts — visibly, in
-/// `MetricsSnapshot::worker_restarts` — with no update lost.
-#[test]
-fn panicking_worker_is_quarantined_then_restarted_without_deadlocking_flush() {
+fn a_plain_commit_that_does_not_land_fails_its_slab_at_once() {
     let faults = Arc::new(Faults::default());
     let cube = FlakyTarget::sharded(
         Shape::new(&[8, 8]),
         DdcConfig::dynamic(),
         ShardConfig {
             shards: 2,
-            batch_capacity: 1_000_000, // only explicit flushes commit
-            ..ShardConfig::default()
+            batch_capacity: 1,
         },
         &faults,
     );
-    for i in 0..8 {
-        cube.update(&[i, 0], 1);
-    }
-    faults.arm(Fault::Panic, 2);
+    faults.arm(Fault::PanicAfterCommit, 1);
+    cube.try_add(&[2, 3], 5).expect("acknowledged on enqueue");
 
-    // Two flushes hit the armed target: each panic is contained, the call
-    // returns (no deadlock), and the deltas stay queued and readable.
+    let failed = TryUpdateError::ShardFailed {
+        shard: 0,
+        cause: COMMIT_FAILED,
+    };
+    assert_eq!(cube.health(), Some(failed.to_string()));
+    assert_eq!(cube.try_add(&[2, 3], 1), Err(failed.clone()));
+    let total = cube.query_box(&[0, 0], &[7, 7]);
     cube.flush();
-    cube.flush();
+    assert_eq!(cube.query_box(&[0, 0], &[7, 7]), total, "flush retried");
+    assert_eq!(cube.health(), Some(failed.to_string()));
     let m = cube.metrics();
-    assert_eq!(m[0].worker_panics, 2, "{m:?}");
-    assert_eq!(m[0].worker_restarts, 0);
-    assert_eq!(m[0].ops_applied, 0);
-    assert_eq!(cube.query_prefix(&[7, 7]), 8, "quarantined deltas readable");
+    assert_eq!((m[0].worker_panics, m[0].ops_applied), (1, 0), "{m:?}");
 
-    // Fault spent: the next flush lands, ending the quarantine.
+    cube.try_add(&[6, 0], 2)
+        .expect("the sibling slab is unaffected");
     cube.flush();
-    let m = cube.metrics();
-    assert_eq!(m[0].worker_restarts, 1, "{m:?}");
-    assert_eq!(m[0].ops_applied + m[1].ops_applied, 8);
-    assert_eq!(cube.query_prefix(&[7, 7]), 8);
-    assert_eq!(cube.entries().len(), 8);
+    assert_eq!(cube.metrics()[1].ops_applied, 1);
 }
 
-/// The rule the logged target adds to supervision: a commit that panics
-/// *after* its log append is not retried — the record is in the log, so
-/// a retry would append it twice. The pipeline fails instead (read-only,
-/// says why), reads keep serving, and recovery applies the one
+/// The rule on the logged target: a commit that panics *after* its log
+/// append fails the pipeline at once — the record is in the log, so a
+/// retry would append it twice. The pipeline goes read-only and says
+/// why, reads keep serving, and recovery applies the one
 /// unacknowledged record exactly once.
 #[test]
 fn a_logged_commit_that_panics_after_its_append_is_never_retried() {

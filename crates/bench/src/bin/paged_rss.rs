@@ -1,5 +1,6 @@
 //! CI paged-storage gate: build a cube whose leaf data exceeds the
-//! buffer-pool cap, churn it, and fail if peak RSS breaks the budget.
+//! buffer-pool cap, sweep and churn it, and fail if peak RSS breaks the
+//! budget.
 //!
 //! ```text
 //! cargo run --release -p ddc-bench --bin paged_rss -- \
@@ -7,19 +8,23 @@
 //!     [--churn N] [--seed N] [--in-mem]
 //! ```
 //!
-//! The workload materializes one dense leaf block per block-aligned
-//! region of a `side × side` cube (elision `H` makes each block
-//! `2^{H+1}` on a side), so total leaf bytes are known exactly and, by
-//! construction, exceed `--mem-cap`. A seeded churn phase then mixes
-//! random point updates with range sums to force eviction and
-//! re-faulting, a correctness pass checks sampled cells plus the grand
-//! total against an oracle, and the binary reads `VmHWM` from
-//! `/proc/self/status`. Exit status:
+//! The workload materializes one leaf block per block-aligned region of
+//! a `side × side` cube (elision `H` makes each block `2^{H+1}` on a
+//! side), so total leaf bytes are known exactly and, by construction,
+//! exceed `--mem-cap`. Those first adds land in the change buffer, not
+//! on pages. A sweep then sums each block's interior (every row but the
+//! first), which reads every page of every block: the buffered adds
+//! merge into their pages and the pool evicts. A seeded churn phase
+//! mixes random point updates with range sums, and a correctness pass
+//! checks sampled cells plus the grand total. Every range sum, sweep
+//! and churn alike, is compared against an oracle. Last, the binary
+//! reads `VmHWM` from `/proc/self/status`. Exit status:
 //!
-//! * `0` — cube exceeded the cap, answers matched, peak RSS stayed at
-//!   or under `mem-cap + slack`.
-//! * `1` — budget broken or the workload failed to exceed the cap
-//!   (the gate would be vacuous).
+//! * `0` — cube exceeded the cap, the pool evicted and the change
+//!   buffer merged, answers matched, and peak RSS stayed at or under
+//!   `mem-cap + slack`.
+//! * `1` — budget broken, or the workload failed to exceed the cap, to
+//!   evict or to merge (the gate would be vacuous).
 //! * `2` — wrong answers (a paging bug, not a memory bug).
 //!
 //! A JSON summary goes to stdout either way so CI can archive it.
@@ -27,6 +32,9 @@
 use ddc_array::{RangeSumEngine, Region, Shape};
 use ddc_core::{DdcConfig, DdcEngine, PagerConfig, ValueCodec};
 use std::collections::HashMap;
+
+/// Every cell the workload touched, with its value.
+type Oracle = HashMap<(usize, usize), i64>;
 
 fn flag(args: &[String], name: &str, default: u64) -> Result<u64, String> {
     match args.iter().position(|a| a == name) {
@@ -99,10 +107,11 @@ fn run(args: &[String]) -> Result<String, (i32, String)> {
         .enable_paging()
         .map_err(|e| (1, format!("enable_paging: {e}")))?;
 
-    // Phase 1: materialize every leaf block — one touched cell densifies
-    // the whole `block × block` region, so the cube's leaf data hits
-    // `leaf_bytes` while the pool stays under `mem_cap`.
-    let mut oracle: HashMap<(usize, usize), i64> = HashMap::new();
+    // Phase 1: materialize every leaf block — one touched cell claims
+    // the whole `block × block` run, so the cube's leaf data hits
+    // `leaf_bytes`. No page is resident yet, so the adds wait in the
+    // change buffer instead of faulting pages in.
+    let mut oracle = Oracle::new();
     let mut total: i64 = 0;
     for bi in 0..blocks_per_axis {
         for bj in 0..blocks_per_axis {
@@ -112,10 +121,49 @@ fn run(args: &[String]) -> Result<String, (i32, String)> {
         }
     }
 
-    // Phase 2: seeded churn — random updates force dirty write-backs,
-    // interleaved range sums fault cold pages back in.
-    let mut rng = Rng(seed);
     let mut sums_checked = 0u64;
+    let mut check_sum = |engine: &DdcEngine<i64>,
+                         oracle: &Oracle,
+                         lo: [usize; 2],
+                         hi: [usize; 2]|
+     -> Result<(), (i32, String)> {
+        let got = engine.range_sum(&Region::new(&lo, &hi));
+        let want: i64 = oracle
+            .iter()
+            .filter(|(&(x, y), _)| lo[0] <= x && x <= hi[0] && lo[1] <= y && y <= hi[1])
+            .map(|(_, &v)| v)
+            .sum();
+        sums_checked += 1;
+        if got != want {
+            return Err((
+                2,
+                format!("range {lo:?}..={hi:?} diverged: engine {got}, oracle {want}"),
+            ));
+        }
+        Ok(())
+    };
+
+    // Phase 2: sweep — each block's interior (rows 1.. of the block,
+    // columns 1..), which is zero. The scan reads every page of the
+    // block, merging the buffered corner add into its first page; over
+    // all blocks that is twice the pages the pool holds, so it evicts.
+    // (`block` is `2^{H+1}` ≥ 2, so the interior is never empty.)
+    for bi in 0..blocks_per_axis {
+        for bj in 0..blocks_per_axis {
+            let (x, y) = (bi * block, bj * block);
+            check_sum(
+                &engine,
+                &oracle,
+                [x + 1, y + 1],
+                [x + block - 1, y + block - 1],
+            )?;
+        }
+    }
+
+    // Phase 3: seeded churn — random updates, some buffered, some into
+    // resident frames, interleaved with range sums that merge and fault
+    // cold pages back in.
+    let mut rng = Rng(seed);
     for i in 0..churn {
         let p = (
             rng.below(side as u64) as usize,
@@ -134,8 +182,7 @@ fn run(args: &[String]) -> Result<String, (i32, String)> {
                 lo[0] + (rng.below((side - lo[0]) as u64) as usize),
                 lo[1] + (rng.below((side - lo[1]) as u64) as usize),
             ];
-            let _ = engine.range_sum(&Region::new(&lo, &hi));
-            sums_checked += 1;
+            check_sum(&engine, &oracle, lo, hi)?;
         }
     }
 
@@ -174,14 +221,24 @@ fn run(args: &[String]) -> Result<String, (i32, String)> {
          \"slack_bytes\": {slack},\n  \"leaf_bytes_total\": {leaf_bytes},\n  \
          \"peak_rss_bytes\": {peak},\n  \"resident_pages\": {},\n  \
          \"evictions\": {},\n  \"write_backs\": {},\n  \
+         \"buffered\": {},\n  \"merged\": {},\n  \
          \"range_sums\": {sums_checked},\n  \"cube_exceeds_cap\": {exceeded},\n  \
          \"rss_within_budget\": {within}\n}}",
-        stats.resident_pages, stats.evictions, stats.write_backs
+        stats.resident_pages, stats.evictions, stats.write_backs, stats.buffered, stats.merged
     );
     if !exceeded {
         return Err((
             1,
             format!("{json}\nworkload too small: {leaf_bytes} leaf bytes <= {mem_cap} cap"),
+        ));
+    }
+    if stats.evictions == 0 || stats.merged == 0 {
+        return Err((
+            1,
+            format!(
+                "{json}\nthe pool never evicted or the change buffer never merged: \
+                 the cap was not exercised"
+            ),
         ));
     }
     if !within {

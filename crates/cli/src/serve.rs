@@ -104,12 +104,14 @@ pub fn run(args: &[String]) -> Result<String, String> {
                     }
                     // Cold pages spill to an unlinked file in DIR. Paged
                     // leaves stay at h = 1 (side-4 blocks) instead of the
-                    // side `dynamic()` derives: the arena copies a whole
-                    // block out of and back into the pool on every
-                    // touch, so wider blocks measured slower here —
-                    // `durable_paged_mixed` at h = 1/2/3: 115/80/79 k
-                    // op/s, setup 1.1/1.7/2.0 s (EXPERIMENTS "§4.4,
-                    // timed") — until pool access is cell-granular.
+                    // side `dynamic()` derives, although adds and reads
+                    // now touch only their cells and rows: the derived
+                    // leaves are twice a 16 MiB pool, so a range sum
+                    // misses 1.9 times against 0.5, and on
+                    // `durable_paged_mixed` they cost `query_us` +25 %
+                    // and `ops_per_s` −11 % for 44 % less RSS
+                    // (EXPERIMENTS "A paged update never faults a page
+                    // in").
                     DdcConfig::dynamic()
                         .with_elision(1)
                         .with_paged_leaves(PagerConfig::disk(cap))

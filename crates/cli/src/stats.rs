@@ -10,7 +10,9 @@
 //! kinds, range sums on the pipeline's cubes and prefix sums on the
 //! Basic engine, WAL appends (singles and one group) and
 //! recovery replay, cube growth,
-//! and snapshot save/load — so the dump always shows live numbers. The
+//! snapshot save/load, and a small paged cube over an in-memory spill
+//! (pool hits, misses and evictions, change-buffer adds and merges) —
+//! so the dump always shows live numbers. The
 //! default output is Prometheus exposition text; `--json` switches to a
 //! machine-readable object with the same content; the text ends with a
 //! `# wal records per sync` line (`ddc_wal_append_records` ÷
@@ -19,8 +21,8 @@
 
 use ddc_array::{RangeSumEngine, Shape};
 use ddc_core::{
-    obs, wal, DdcConfig, DdcEngine, GrowableCube, RetryPolicy, ShardConfig, ShardedCube, WalOp,
-    WalWriter,
+    obs, wal, DdcConfig, DdcEngine, DdcTree, GrowableCube, PagerConfig, RetryPolicy, ShardConfig,
+    ShardedCube, WalOp, WalWriter,
 };
 use ddc_workload::DdcRng;
 
@@ -127,7 +129,31 @@ fn workload(seed: u64, ops: usize) -> std::io::Result<()> {
     grown.save(&mut snapshot)?;
     let reloaded = GrowableCube::<i64>::load(&mut snapshot.as_slice(), DdcConfig::sparse())?;
 
+    // Paging (pager.*): a 256² tree of 2 KiB leaf blocks under a 16 KiB
+    // cap — three 4 KiB frames and a 64-entry change buffer — spilling
+    // to memory. Updates to cold pages wait in the buffer; range sums
+    // merge them and fault pages in past the cap. A bare `DdcTree`, so
+    // the `engine.*` counts above do not move.
+    let mut paged = DdcTree::<i64>::new(
+        2,
+        256,
+        DdcConfig::dynamic().with_paged_leaves(PagerConfig::in_mem(16 << 10)),
+    );
+    paged.enable_paging()?;
+    for i in 0..(ops / 4).max(64) {
+        let p = [rng.gen_range(0..256), rng.gen_range(0..256)];
+        paged.apply_delta(&p, rng.gen_range(-100i64..=100));
+        if i % 16 == 0 {
+            let lo = [rng.gen_range(0..256), rng.gen_range(0..256)];
+            let _ = paged.range_sum(&lo, &[255, 255]);
+        }
+    }
+
     // Keep the cubes observable side effects (and the optimizer honest).
+    assert_eq!(
+        paged.range_sum(&[0, 0], &[255, 255]),
+        paged.check_invariants()
+    );
     assert_eq!(reloaded.total(), grown.total());
     assert_eq!(recovered.ndim(), 2);
     Ok(())

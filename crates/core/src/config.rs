@@ -48,8 +48,9 @@ pub enum BaseStore {
 /// Sizing of the paged leaf-block backend.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct PagerConfig {
-    /// Buffer-pool budget in bytes; the pool evicts down to this after
-    /// every access (pinned pages can transiently exceed it).
+    /// Budget in bytes of the pool's frames plus the leaf arena's change
+    /// buffer (a sixteenth of it); a fault at the cap evicts a page
+    /// (pinned pages can transiently exceed it).
     pub mem_cap_bytes: usize,
     /// Page size in bytes (at least 64; default 4 KiB).
     pub page_bytes: usize,

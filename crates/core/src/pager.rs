@@ -3,10 +3,13 @@
 //!
 //! A [`BufferPool`] caches fixed-size pages (default 4 KiB) of one
 //! backing [`VfsFile`] under a configurable memory cap. Callers pin the
-//! page range they are about to touch, copy bytes in or out, and unpin;
-//! after every unpin the pool evicts back down to its cap with a clock
-//! (second-chance) sweep. Clean victims are dropped; dirty victims are
-//! written back first.
+//! page range they are about to touch, copy bytes in or out, and unpin.
+//! A page table (`Vec<u32>`, page → frame) finds a resident page; a miss
+//! at the cap evicts one victim chosen by a clock (second-chance) sweep
+//! and reads the page into the victim's buffer, writing the victim back
+//! first if it is dirty. So a miss costs its I/O and nothing else: no
+//! allocation, and no sweep on the unpin that follows. Only a pool held
+//! over its cap by pins (a run wider than the pool) evicts on unpin.
 //!
 //! The pool is deliberately single-owner (`&mut self` everywhere);
 //! concurrent access is serialized by the owning arena (see
@@ -15,9 +18,10 @@
 //! snapshot + WAL onto a fresh pool — so write-back needs no ordering
 //! against the log (DESIGN S45).
 
-use std::collections::HashMap;
 use std::io;
 
+use crate::obs::{self, Counter};
+use crate::sync::{Arc, OnceLock};
 use crate::vfs::VfsFile;
 
 /// Counter snapshot of one buffer pool's activity.
@@ -27,7 +31,7 @@ pub struct PoolStats {
     pub hits: u64,
     /// Pin requests that faulted the page in from the file.
     pub misses: u64,
-    /// Frames dropped by the clock sweep.
+    /// Frames handed to another page (or dropped) by the clock sweep.
     pub evictions: u64,
     /// Dirty frames written to the file before eviction.
     pub write_backs: u64,
@@ -38,6 +42,12 @@ pub struct PoolStats {
     /// fault-in / write-back (each unit is one retried attempt, not
     /// one surviving operation).
     pub io_retries: u64,
+    /// Cell deltas recorded in the arena's change buffer instead of
+    /// faulting their page in (neither a hit nor a miss).
+    pub buffered: u64,
+    /// Buffered deltas applied to their page when it was next read or
+    /// the buffer filled.
+    pub merged: u64,
     /// Pages currently resident.
     pub resident_pages: usize,
     /// Resident pages currently pinned.
@@ -50,13 +60,43 @@ pub struct PoolStats {
     pub cap_pages: usize,
 }
 
+/// The process-wide `pager.*` counters: every pool and change buffer
+/// reports into them, so `/metrics` and `ddc stats` show paging.
+#[derive(Debug)]
+pub(crate) struct PagerObs {
+    pub(crate) hits: Arc<Counter>,
+    pub(crate) misses: Arc<Counter>,
+    pub(crate) evictions: Arc<Counter>,
+    pub(crate) write_backs: Arc<Counter>,
+    pub(crate) io_retries: Arc<Counter>,
+    pub(crate) buffered: Arc<Counter>,
+    pub(crate) merged: Arc<Counter>,
+}
+
+pub(crate) fn pager_obs() -> &'static PagerObs {
+    static OBS: OnceLock<PagerObs> = OnceLock::new();
+    OBS.get_or_init(|| PagerObs {
+        hits: obs::counter("pager.hits"),
+        misses: obs::counter("pager.misses"),
+        evictions: obs::counter("pager.evictions"),
+        write_backs: obs::counter("pager.write_backs"),
+        io_retries: obs::counter("pager.io_retries"),
+        buffered: obs::counter("pager.buffered"),
+        merged: obs::counter("pager.merged"),
+    })
+}
+
 #[derive(Debug)]
 struct Frame {
+    page: u64,
     buf: Box<[u8]>,
     pins: u32,
     referenced: bool,
     dirty: bool,
 }
+
+/// A page-table entry of a page that is not resident.
+const NO_FRAME: u32 = u32::MAX;
 
 /// Transient spill I/O errors (e.g. injected EIO from a fault
 /// harness) are retried this many times before the error propagates
@@ -68,11 +108,14 @@ pub struct BufferPool {
     file: Box<dyn VfsFile + Send>,
     page_bytes: usize,
     cap_pages: usize,
-    frames: HashMap<u64, Frame>,
-    /// Resident page ids in clock order (`hand` indexes the next
-    /// candidate); membership mirrors `frames` exactly.
-    clock: Vec<u64>,
+    /// Page → index into `frames`, [`NO_FRAME`] when not resident.
+    table: Vec<u32>,
+    /// Resident pages in clock order (`hand` indexes the next
+    /// candidate); `table` points at every one of them exactly once.
+    frames: Vec<Frame>,
     hand: usize,
+    /// The second image of the double-read defense, reused per miss.
+    check: Box<[u8]>,
     /// Pages materialized in the file so far (reads beyond are zeros).
     file_pages: u64,
     hits: u64,
@@ -81,6 +124,7 @@ pub struct BufferPool {
     write_backs: u64,
     stall_rounds: u64,
     io_retries: u64,
+    obs: &'static PagerObs,
 }
 
 impl std::fmt::Debug for BufferPool {
@@ -108,9 +152,10 @@ impl BufferPool {
             file,
             page_bytes,
             cap_pages: (mem_cap_bytes / page_bytes).max(1),
-            frames: HashMap::new(),
-            clock: Vec::new(),
+            table: Vec::new(),
+            frames: Vec::new(),
             hand: 0,
+            check: Box::default(),
             file_pages: 0,
             hits: 0,
             misses: 0,
@@ -118,10 +163,16 @@ impl BufferPool {
             write_backs: 0,
             stall_rounds: 0,
             io_retries: 0,
+            obs: pager_obs(),
         }
     }
 
-    /// Counter snapshot.
+    /// Page size in bytes.
+    pub fn page_bytes(&self) -> usize {
+        self.page_bytes
+    }
+
+    /// Counter snapshot (`buffered` and `merged` are the arena's).
     pub fn stats(&self) -> PoolStats {
         PoolStats {
             hits: self.hits,
@@ -131,64 +182,138 @@ impl BufferPool {
             stall_rounds: self.stall_rounds,
             io_retries: self.io_retries,
             resident_pages: self.frames.len(),
-            pinned_pages: self.frames.values().filter(|f| f.pins > 0).count(),
-            dirty_pages: self.frames.values().filter(|f| f.dirty).count(),
+            pinned_pages: self.frames.iter().filter(|f| f.pins > 0).count(),
+            dirty_pages: self.frames.iter().filter(|f| f.dirty).count(),
             page_bytes: self.page_bytes,
             cap_pages: self.cap_pages,
+            ..PoolStats::default()
         }
+    }
+
+    /// The frame holding `page`, if it is resident.
+    #[inline]
+    fn frame_of(&self, page: u64) -> Option<usize> {
+        match self.table.get(page as usize) {
+            Some(&ix) if ix != NO_FRAME => Some(ix as usize),
+            _ => None,
+        }
+    }
+
+    /// True when `page` is in the pool (a pin would be a hit).
+    #[inline]
+    pub fn is_resident(&self, page: u64) -> bool {
+        self.frame_of(page).is_some()
     }
 
     /// Pins `page`, faulting it in from the file if absent. Pinned
     /// pages are never evicted; every successful pin must be paired
     /// with an [`BufferPool::unpin`].
     pub fn pin(&mut self, page: u64) -> io::Result<()> {
-        if let Some(frame) = self.frames.get_mut(&page) {
+        if let Some(ix) = self.frame_of(page) {
+            let frame = &mut self.frames[ix];
             frame.pins += 1;
             frame.referenced = true;
             self.hits += 1;
+            self.obs.hits.inc();
             return Ok(());
         }
         self.misses += 1;
-        let mut buf = vec![0u8; self.page_bytes].into_boxed_slice();
-        if page < self.file_pages {
-            let off = page * self.page_bytes as u64;
-            self.fill(off, &mut buf)?;
-            // Double-read defense: a transient read fault can hand
-            // back a corrupted copy while the stored bytes are fine.
-            // Re-read until two consecutive images agree; persistent
-            // disagreement means the medium itself is unstable, which
-            // is a spill error like any other.
-            let mut check = vec![0u8; self.page_bytes].into_boxed_slice();
-            let mut agreed = false;
-            for _ in 0..IO_ATTEMPTS {
-                self.fill(off, &mut check)?;
-                if check == buf {
-                    agreed = true;
-                    break;
-                }
-                self.io_retries += 1;
-                std::mem::swap(&mut buf, &mut check);
-            }
-            if !agreed {
-                return Err(io::Error::other(format!(
-                    "page {page} image unstable after {IO_ATTEMPTS} re-reads"
-                )));
-            }
+        self.obs.misses.inc();
+        let ix = self.claim_frame()?;
+        let mut buf = std::mem::take(&mut self.frames[ix].buf);
+        let loaded = self.fault_in(page, &mut buf);
+        self.frames[ix].buf = buf;
+        if let Err(e) = loaded {
+            // The claimed frame holds no page: give it back.
+            self.remove_frame(ix);
+            return Err(e);
         }
-        self.frames.insert(
-            page,
-            Frame {
-                buf,
-                pins: 1,
-                referenced: true,
-                dirty: false,
-            },
-        );
-        self.clock.push(page);
+        let frame = &mut self.frames[ix];
+        frame.page = page;
+        frame.pins = 1;
+        frame.referenced = true;
+        frame.dirty = false;
+        if page as usize >= self.table.len() {
+            self.table.resize(page as usize + 1, NO_FRAME);
+        }
+        self.table[page as usize] = ix as u32;
         Ok(())
     }
 
-    /// Releases one pin of `page`, then evicts down to the cap.
+    /// A frame for a page about to be faulted in: a new one below the
+    /// cap, else the clock's victim (written back first if dirty), else
+    /// — every frame pinned — a new one over the cap (a stall round).
+    /// The returned frame is in no page's table entry.
+    fn claim_frame(&mut self) -> io::Result<usize> {
+        if self.frames.len() >= self.cap_pages {
+            match self.victim() {
+                Some(ix) => {
+                    self.evict(ix)?;
+                    return Ok(ix);
+                }
+                None => self.stall_rounds += 1,
+            }
+        }
+        self.frames.push(Frame {
+            page: u64::MAX,
+            buf: vec![0u8; self.page_bytes].into_boxed_slice(),
+            pins: 0,
+            referenced: false,
+            dirty: false,
+        });
+        Ok(self.frames.len() - 1)
+    }
+
+    /// The clock's next victim: an unpinned frame whose reference bit
+    /// is clear, clearing the bits it passes. Two rotations find one
+    /// unless every frame is pinned.
+    fn victim(&mut self) -> Option<usize> {
+        let n = self.frames.len();
+        for _ in 0..2 * n {
+            if self.hand >= n {
+                self.hand = 0;
+            }
+            let ix = self.hand;
+            self.hand += 1;
+            let frame = &mut self.frames[ix];
+            if frame.pins > 0 {
+                continue;
+            }
+            if frame.referenced {
+                frame.referenced = false;
+                continue;
+            }
+            return Some(ix);
+        }
+        None
+    }
+
+    /// Writes frame `ix` back if dirty and takes its page out of the
+    /// table; the frame stays in `frames`, owned by no page.
+    fn evict(&mut self, ix: usize) -> io::Result<()> {
+        if self.frames[ix].dirty {
+            self.write_back(ix)?;
+        }
+        self.table[self.frames[ix].page as usize] = NO_FRAME;
+        self.evictions += 1;
+        self.obs.evictions.inc();
+        Ok(())
+    }
+
+    /// Drops frame `ix`, which no table entry points at.
+    fn remove_frame(&mut self, ix: usize) {
+        self.frames.swap_remove(ix);
+        if let Some(moved) = self.frames.get(ix) {
+            self.table[moved.page as usize] = ix as u32;
+        }
+        if self.hand > self.frames.len() {
+            self.hand = 0;
+        }
+    }
+
+    /// Releases one pin of `page`. A pool that pins held over its cap
+    /// evicts back down to it here; at or under the cap this is a
+    /// counter decrement.
     ///
     /// # Panics
     ///
@@ -196,36 +321,59 @@ impl BufferPool {
     /// unpin is a bookkeeping bug, never valid (pin counts cannot go
     /// negative).
     pub fn unpin(&mut self, page: u64) -> io::Result<()> {
-        let frame = self
-            .frames
-            .get_mut(&page)
+        let ix = self
+            .frame_of(page)
             .unwrap_or_else(|| panic!("unpin of non-resident page {page}"));
+        let frame = &mut self.frames[ix];
         assert!(frame.pins > 0, "unpin of unpinned page {page}");
         frame.pins -= 1;
-        self.evict_to_cap()
+        while self.frames.len() > self.cap_pages {
+            let Some(ix) = self.victim() else {
+                self.stall_rounds += 1;
+                break;
+            };
+            self.evict(ix)?;
+            self.remove_frame(ix);
+        }
+        Ok(())
+    }
+
+    /// The resident frame of `page`, which the caller must hold a pin
+    /// on (enforced).
+    fn pinned(&self, page: u64, what: &str) -> usize {
+        let ix = self
+            .frame_of(page)
+            .unwrap_or_else(|| panic!("{what} non-resident page {page}"));
+        assert!(self.frames[ix].pins > 0, "{what} unpinned page {page}");
+        ix
     }
 
     /// Copies `out.len()` bytes at `offset` within resident page `page`
     /// to `out`. The caller must hold a pin (enforced).
     pub fn read_page(&self, page: u64, offset: usize, out: &mut [u8]) {
-        let frame = match self.frames.get(&page) {
-            Some(f) => f,
-            None => panic!("read of non-resident page {page}"),
-        };
-        assert!(frame.pins > 0, "read of unpinned page {page}");
+        let frame = &self.frames[self.pinned(page, "read of")];
         out.copy_from_slice(&frame.buf[offset..offset + out.len()]);
     }
 
     /// Overwrites `data.len()` bytes at `offset` within resident page
     /// `page`, marking it dirty. The caller must hold a pin (enforced).
     pub fn write_page(&mut self, page: u64, offset: usize, data: &[u8]) {
-        let frame = match self.frames.get_mut(&page) {
-            Some(f) => f,
-            None => panic!("write to non-resident page {page}"),
-        };
-        assert!(frame.pins > 0, "write to unpinned page {page}");
+        let ix = self.pinned(page, "write to");
+        let frame = &mut self.frames[ix];
         frame.buf[offset..offset + data.len()].copy_from_slice(data);
         frame.dirty = true;
+    }
+
+    /// Pins `page` (faulting it in if absent), hands its bytes to `f`
+    /// to change in place, marks it dirty and unpins it.
+    pub fn update_page<R>(&mut self, page: u64, f: impl FnOnce(&mut [u8]) -> R) -> io::Result<R> {
+        self.pin(page)?;
+        let ix = self.pinned(page, "update of");
+        let frame = &mut self.frames[ix];
+        let r = f(&mut frame.buf);
+        frame.dirty = true;
+        self.unpin(page)?;
+        Ok(r)
     }
 
     /// Reads `out.len()` bytes at byte `offset` of the file through the
@@ -247,8 +395,8 @@ impl BufferPool {
 
     /// Pins every page overlapping `[offset, offset + len)`, invokes
     /// `f(pool, page, in_page_offset, buf_start, seg_len)` per page,
-    /// unpins, and evicts to the cap. Pinning the whole range up front
-    /// keeps earlier pages resident while later ones fault in.
+    /// and unpins. Pinning the whole range up front keeps earlier pages
+    /// resident while later ones fault in.
     fn for_each_segment(
         &mut self,
         offset: u64,
@@ -284,49 +432,49 @@ impl BufferPool {
         result
     }
 
-    /// Clock (second-chance) sweep down to the cap. Pinned pages are
-    /// skipped; if a full double rotation finds no victim the pool
-    /// stays over-committed and counts a stall round.
-    fn evict_to_cap(&mut self) -> io::Result<()> {
-        let mut scanned = 0usize;
-        while self.frames.len() > self.cap_pages && !self.clock.is_empty() {
-            if scanned > 2 * self.clock.len() {
-                self.stall_rounds += 1;
-                return Ok(());
-            }
-            if self.hand >= self.clock.len() {
-                self.hand = 0;
-            }
-            let page = self.clock[self.hand];
-            let (pins, referenced, dirty) = match self.frames.get_mut(&page) {
-                Some(f) => (f.pins, f.referenced, f.dirty),
-                None => panic!("clock entry for non-resident page {page}"),
-            };
-            if pins > 0 {
-                self.hand = (self.hand + 1) % self.clock.len();
-                scanned += 1;
-                continue;
-            }
-            if referenced {
-                if let Some(f) = self.frames.get_mut(&page) {
-                    f.referenced = false;
-                }
-                self.hand = (self.hand + 1) % self.clock.len();
-                scanned += 1;
-                continue;
-            }
-            if dirty {
-                self.write_back(page)?;
-            }
-            self.frames.remove(&page);
-            self.clock.swap_remove(self.hand);
-            self.evictions += 1;
-            scanned = 0;
+    /// Reads `page` into `buf`: zeros past the materialized extent,
+    /// else the file's bytes under the double-read defense — a
+    /// transient read fault can hand back a corrupted copy while the
+    /// stored bytes are fine, so the page is re-read until two
+    /// consecutive images agree; persistent disagreement means the
+    /// medium itself is unstable, which is a spill error like any
+    /// other.
+    fn fault_in(&mut self, page: u64, buf: &mut [u8]) -> io::Result<()> {
+        if page >= self.file_pages {
+            buf.fill(0);
+            return Ok(());
         }
-        if self.hand >= self.clock.len() {
-            self.hand = 0;
+        let off = page * self.page_bytes as u64;
+        self.fill(off, buf)?;
+        let mut check = std::mem::take(&mut self.check);
+        if check.len() != buf.len() {
+            check = vec![0u8; buf.len()].into_boxed_slice();
+        }
+        let mut agreed = Ok(false);
+        for _ in 0..IO_ATTEMPTS {
+            if let Err(e) = self.fill(off, &mut check) {
+                agreed = Err(e);
+                break;
+            }
+            if *check == *buf {
+                agreed = Ok(true);
+                break;
+            }
+            self.retried();
+            buf.copy_from_slice(&check);
+        }
+        self.check = check;
+        if !agreed? {
+            return Err(io::Error::other(format!(
+                "page {page} image unstable after {IO_ATTEMPTS} re-reads"
+            )));
         }
         Ok(())
+    }
+
+    fn retried(&mut self) {
+        self.io_retries += 1;
+        self.obs.io_retries.inc();
     }
 
     /// Fills `buf` from file offset `off`, zero-extending past the
@@ -348,77 +496,70 @@ impl BufferPool {
                     if attempts >= IO_ATTEMPTS {
                         return Err(e);
                     }
-                    self.io_retries += 1;
+                    self.retried();
                 }
             }
         }
         Ok(())
     }
 
-    /// Writes one resident page's bytes to the file and clears its
-    /// dirty bit, retrying transient write errors up to
-    /// [`IO_ATTEMPTS`] times.
-    fn write_back(&mut self, page: u64) -> io::Result<()> {
+    /// Writes frame `ix`'s bytes to the file and clears its dirty bit,
+    /// retrying transient write errors up to [`IO_ATTEMPTS`] times.
+    fn write_back(&mut self, ix: usize) -> io::Result<()> {
+        let page = self.frames[ix].page;
         let off = page * self.page_bytes as u64;
-        let frame = match self.frames.get_mut(&page) {
-            Some(f) => f,
-            None => panic!("write-back of non-resident page {page}"),
-        };
         let mut attempts = 0usize;
-        loop {
-            match self.file.write_at(off, &frame.buf) {
-                Ok(()) => break,
-                Err(e) => {
-                    attempts += 1;
-                    if attempts >= IO_ATTEMPTS {
-                        return Err(e);
-                    }
-                    self.io_retries += 1;
-                }
+        while let Err(e) = self.file.write_at(off, &self.frames[ix].buf) {
+            attempts += 1;
+            if attempts >= IO_ATTEMPTS {
+                return Err(e);
             }
+            self.retried();
         }
-        frame.dirty = false;
+        self.frames[ix].dirty = false;
         self.write_backs += 1;
+        self.obs.write_backs.inc();
         self.file_pages = self.file_pages.max(page + 1);
         Ok(())
     }
 
-    /// Heap bytes held by the pool (frames + bookkeeping).
+    /// Heap bytes held by the pool (frames, page table, the re-read
+    /// buffer).
     pub fn heap_bytes(&self) -> usize {
-        self.frames.len() * self.page_bytes
-            + self.frames.capacity() * (std::mem::size_of::<u64>() + std::mem::size_of::<Frame>())
-            + self.clock.capacity() * std::mem::size_of::<u64>()
+        (self.frames.len() + 1) * self.page_bytes
+            + self.frames.capacity() * std::mem::size_of::<Frame>()
+            + self.table.capacity() * std::mem::size_of::<u32>()
     }
 
-    /// Audits pool bookkeeping: the clock list mirrors the frame table
-    /// exactly (no duplicates, no strays), the hand is in range, and
-    /// the pool is within its cap unless pins legitimately hold it over.
+    /// Audits pool bookkeeping: the page table and the frames mirror
+    /// each other exactly (no duplicates, no strays), the hand is in
+    /// range, and the pool is within its cap unless pins legitimately
+    /// hold it over.
     ///
     /// # Panics
     ///
     /// Panics on any violation (test/diagnostic use).
     pub fn audit(&self) {
-        assert_eq!(
-            self.clock.len(),
-            self.frames.len(),
-            "clock list and frame table out of step"
-        );
-        let mut seen = std::collections::HashSet::new();
-        for &page in &self.clock {
-            assert!(seen.insert(page), "page {page} twice on the clock");
-            assert!(
-                self.frames.contains_key(&page),
-                "clock entry {page} has no frame"
+        for (ix, frame) in self.frames.iter().enumerate() {
+            assert_eq!(
+                self.frame_of(frame.page),
+                Some(ix),
+                "frame {ix} (page {}) not in the page table",
+                frame.page
             );
+            assert_eq!(frame.buf.len(), self.page_bytes, "frame {ix} resized");
         }
-        assert!(
-            self.clock.is_empty() || self.hand < self.clock.len(),
-            "clock hand out of range"
+        let mapped = self.table.iter().filter(|&&ix| ix != NO_FRAME).count();
+        assert_eq!(
+            mapped,
+            self.frames.len(),
+            "page table and frames out of step"
         );
-        let pinned = self.frames.values().filter(|f| f.pins > 0).count();
+        assert!(self.hand <= self.frames.len(), "clock hand out of range");
+        let pinned = self.frames.iter().filter(|f| f.pins > 0).count();
         assert!(
-            self.frames.len() <= self.cap_pages.max(pinned) + self.cap_pages,
-            "pool resident {} far over cap {} with only {} pinned pages",
+            self.frames.len() <= self.cap_pages.max(pinned),
+            "pool resident {} over cap {} with only {} pinned pages",
             self.frames.len(),
             self.cap_pages,
             pinned
@@ -481,6 +622,19 @@ mod tests {
     }
 
     #[test]
+    fn a_range_wider_than_the_pool_fits_while_pinned_and_shrinks_back() {
+        let mut p = pool(2);
+        let data: Vec<u8> = (0..320).map(|i| i as u8).collect();
+        p.write_range(0, &data).unwrap();
+        assert_eq!(p.stats().resident_pages, 2, "unpin must evict to the cap");
+        let mut out = vec![0u8; 320];
+        p.read_range(0, &mut out).unwrap();
+        assert_eq!(out, data);
+        assert!(p.stats().stall_rounds > 0);
+        p.audit();
+    }
+
+    #[test]
     #[should_panic(expected = "unpin of non-resident page")]
     fn unbalanced_unpin_panics() {
         let mut p = pool(2);
@@ -504,16 +658,34 @@ mod tests {
         // Force the distinguishing state: page 0 referenced, page 1 not.
         // Under pressure the clock must grant page 0 its second chance
         // and take page 1, regardless of hand position.
-        p.frames.get_mut(&0).unwrap().referenced = true;
-        p.frames.get_mut(&1).unwrap().referenced = false;
+        for frame in &mut p.frames {
+            frame.referenced = frame.page == 0;
+        }
         p.write_range(128, &[3u8; 64]).unwrap();
         let s = p.stats();
         assert_eq!(s.resident_pages, 2);
-        assert!(p.frames.contains_key(&0), "referenced page evicted early");
-        assert!(
-            !p.frames.contains_key(&1),
-            "unreferenced page must be the victim"
-        );
+        assert!(p.is_resident(0), "referenced page evicted early");
+        assert!(!p.is_resident(1), "unreferenced page must be the victim");
+        p.audit();
+    }
+
+    #[test]
+    fn a_miss_reuses_its_victims_frame() {
+        let mut p = pool(2);
+        p.write_range(0, &[0u8; 128]).unwrap();
+        let bufs: Vec<*const u8> = p.frames.iter().map(|f| f.buf.as_ptr()).collect();
+        for i in 2u64..40 {
+            p.write_range(i * 64, &[i as u8; 64]).unwrap();
+        }
+        let now: Vec<*const u8> = p.frames.iter().map(|f| f.buf.as_ptr()).collect();
+        assert_eq!(now, bufs, "a miss at the cap allocated a frame");
+        let mut buf = [0u8; 64];
+        p.read_range(7 * 64, &mut buf).unwrap();
+        assert_eq!(buf, [7u8; 64], "a reused frame kept its old bytes");
+        // A page never written reads zero through a recycled buffer.
+        p.read_range(90 * 64, &mut buf).unwrap();
+        assert_eq!(buf, [0u8; 64]);
+        p.audit();
     }
 
     #[test]
@@ -528,6 +700,23 @@ mod tests {
         let s = p.stats();
         assert!(s.evictions >= 100, "{s:?}");
         assert_eq!(s.pinned_pages, 0);
+        p.audit();
+    }
+
+    #[test]
+    fn update_page_faults_in_and_dirties() {
+        let mut p = pool(1);
+        p.write_range(0, &[5u8; 64]).unwrap();
+        p.write_range(64, &[6u8; 64]).unwrap();
+        let old = p
+            .update_page(0, |bytes| std::mem::replace(&mut bytes[3], 9))
+            .unwrap();
+        assert_eq!(old, 5);
+        p.write_range(128, &[0u8; 64]).unwrap();
+        let mut buf = [0u8; 4];
+        p.read_range(0, &mut buf).unwrap();
+        assert_eq!(buf, [5, 5, 5, 9]);
+        assert_eq!(p.stats().pinned_pages, 0);
         p.audit();
     }
 }

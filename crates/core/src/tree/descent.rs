@@ -25,60 +25,60 @@ fn leaf_offset(side: usize, rel: &[usize]) -> usize {
 
 /// Adds the cells of the block-local prefix region ending at `rel` onto
 /// `acc`, in row-major order — the "sum the appropriate leaf cells" step
-/// of §4.4 as nested loops over the flat run. Two dimensions are a loop
-/// of their own rather than one more recursion step: that is every leaf
-/// of a d = 2 tree and of a d = 3 level's forest, and most of a prefix
-/// query's reads under the derived leaf side (traced `tree.prefix_ns`
-/// moved with it on both core workloads; EXPERIMENTS "§4.4, timed").
-fn add_leaf_prefix<G: AbelianGroup>(cells: &[G], side: usize, rel: &[usize], acc: G) -> G {
-    let row = |acc: G, cells: &[G], r: usize| cells[..=r].iter().fold(acc, |acc, &v| acc.add(v));
+/// of §4.4 as nested loops. `rows` are the block's rows `0..=rel[0]`,
+/// each a `plane`-cell block one rank down (what [`LeafArena::rows`]
+/// hands out), so the scan reads only the rows it needs. Two dimensions
+/// are a loop of their own rather than one more recursion step: that is
+/// every leaf of a d = 2 tree and of a d = 3 level's forest, and most of
+/// a prefix query's reads under the derived leaf side (traced
+/// `tree.prefix_ns` moved with it on both core workloads; EXPERIMENTS
+/// "§4.4, timed").
+///
+/// [`LeafArena::rows`]: crate::store::LeafArena::rows
+fn add_leaf_prefix<G: AbelianGroup>(
+    rows: &[G],
+    plane: usize,
+    side: usize,
+    rel: &[usize],
+    acc: G,
+) -> G {
     match *rel {
-        [] => acc,
-        [r] => row(acc, cells, r),
-        [r0, r1] => cells
-            .chunks_exact(side)
-            .take(r0 + 1)
-            .fold(acc, |acc, cells| row(acc, cells, r1)),
-        [r, ref rest @ ..] => {
-            let plane = cells.len() / side;
-            cells
-                .chunks_exact(plane)
-                .take(r + 1)
-                .fold(acc, |acc, sub| add_leaf_prefix(sub, side, rest, acc))
+        [] | [_] => rows.iter().fold(acc, |acc, &v| acc.add(v)), // `[]`: exhaustiveness only
+        [_, r1] => rows.chunks_exact(side).fold(acc, |acc, row| {
+            row[..=r1].iter().fold(acc, |acc, &v| acc.add(v))
+        }),
+        [_, ref rest @ ..] => {
+            let sub = plane >> side.trailing_zeros();
+            rows.chunks_exact(plane).fold(acc, |acc, block| {
+                add_leaf_prefix(&block[..(rest[0] + 1) * sub], sub, side, rest, acc)
+            })
         }
     }
 }
 
 /// [`add_leaf_prefix`] for the block-local box `[lo, hi]`: a range
-/// walk's boundary leaf block. The prefix scan keeps its own kernel:
-/// routed through this one, traced `tree.prefix_ns` on `core_d3_query`
-/// rose by about a tenth.
+/// walk's boundary leaf block, whose rows `lo[0]..=hi[0]` are `rows`.
+/// The prefix scan keeps its own kernel: routed through this one,
+/// traced `tree.prefix_ns` on `core_d3_query` rose by about a tenth.
 fn add_leaf_region<G: AbelianGroup>(
-    cells: &[G],
+    rows: &[G],
+    plane: usize,
     side: usize,
     lo: &[usize],
     hi: &[usize],
     acc: G,
 ) -> G {
-    let row = |acc: G, cells: &[G], a: usize, b: usize| {
-        cells[a..=b].iter().fold(acc, |acc, &v| acc.add(v))
-    };
     match (lo, hi) {
-        (&[a], &[b]) => row(acc, cells, a, b),
-        (&[a0, a1], &[b0, b1]) => cells
-            .chunks_exact(side)
-            .skip(a0)
-            .take(b0 - a0 + 1)
-            .fold(acc, |acc, cells| row(acc, cells, a1, b1)),
-        (&[a, ref lo_rest @ ..], &[b, ref hi_rest @ ..]) => {
-            let plane = cells.len() / side;
-            cells
-                .chunks_exact(plane)
-                .skip(a)
-                .take(b - a + 1)
-                .fold(acc, |acc, sub| {
-                    add_leaf_region(sub, side, lo_rest, hi_rest, acc)
-                })
+        (&[_], &[_]) => rows.iter().fold(acc, |acc, &v| acc.add(v)),
+        (&[_, a1], &[_, b1]) => rows.chunks_exact(side).fold(acc, |acc, row| {
+            row[a1..=b1].iter().fold(acc, |acc, &v| acc.add(v))
+        }),
+        ([_, lo_rest @ ..], [_, hi_rest @ ..]) => {
+            let sub = plane >> side.trailing_zeros();
+            let cut = lo_rest[0] * sub..(hi_rest[0] + 1) * sub;
+            rows.chunks_exact(plane).fold(acc, |acc, block| {
+                add_leaf_region(&block[cut.clone()], sub, side, lo_rest, hi_rest, acc)
+            })
         }
         _ => acc,
     }
@@ -160,9 +160,13 @@ impl<G: AbelianGroup> Slabs<G> {
             }
             ops.reads += rel.iter().map(|&r| r as u64 + 1).product::<u64>();
             let side = self.leaf_side();
-            acc.add(self.leaves.with(cur.index() as u32, |cells| {
-                add_leaf_prefix(cells, side, rel, G::ZERO)
-            }))
+            let plane = self.leaves.run_len() >> side.trailing_zeros();
+            acc.add(
+                self.leaves
+                    .rows(cur.index() as u32, plane, 0, rel[0], |rows| {
+                        add_leaf_prefix(rows, plane, side, rel, G::ZERO)
+                    }),
+            )
         })
     }
 
@@ -205,9 +209,12 @@ impl<G: AbelianGroup> Slabs<G> {
                 .map(|(&a, &b)| (b - a + 1) as u64)
                 .product::<u64>();
             let side = self.leaf_side();
-            return self.leaves.with(c.index() as u32, |cells| {
-                add_leaf_region(cells, side, lo, hi, G::ZERO)
-            });
+            let plane = self.leaves.run_len() >> side.trailing_zeros();
+            return self
+                .leaves
+                .rows(c.index() as u32, plane, lo[0], hi[0], |rows| {
+                    add_leaf_region(rows, plane, side, lo, hi, G::ZERO)
+                });
         }
         let d = self.d;
         let all_mask = (1usize << d) - 1;
@@ -317,8 +324,7 @@ impl<G: AbelianGroup> Slabs<G> {
                 cur.index() as u32
             };
             let at = leaf_offset(self.leaf_side(), rel);
-            self.leaves
-                .with_mut(leaf, |cells| cells[at] = cells[at].add(delta));
+            self.leaves.add_at(leaf, at, delta);
             ops.writes += 1;
         });
     }
@@ -555,9 +561,14 @@ impl<G: AbelianGroup> DdcTree<G> {
                 box_anchor: lo,
                 box_side: side,
                 kind: Contribution::LeafCells { cells },
-                value: slabs.leaves.with(cur.index() as u32, |block| {
-                    add_leaf_prefix(block, side, &rel, G::ZERO)
-                }),
+                value: {
+                    let plane = slabs.leaves.run_len() >> side.trailing_zeros();
+                    slabs
+                        .leaves
+                        .rows(cur.index() as u32, plane, 0, rel[0], |rows| {
+                            add_leaf_prefix(rows, plane, side, &rel, G::ZERO)
+                        })
+                },
             });
         }
         self.counter.read(ops.reads);
@@ -604,7 +615,7 @@ impl<G: AbelianGroup> DdcTree<G> {
             .iter()
             .fold(0, |at, &c| at * leaf_side + (c & (leaf_side - 1)));
         self.counter.read(1);
-        slabs.leaves.with(cur.index() as u32, |cells| cells[at])
+        slabs.leaves.cell(cur.index() as u32, at)
     }
 
     /// Sum of the whole space.

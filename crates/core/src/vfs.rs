@@ -49,7 +49,7 @@ use crate::sync::untracked::{Mutex, MutexGuard};
 use crate::sync::{Arc, PoisonError};
 use ddc_workload::DdcRng;
 use std::collections::HashMap;
-use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::io::{self, Seek, SeekFrom, Write};
 use std::time::Duration;
 
 /// Raw `errno` for ENOSPC on the platforms we target. We match on the
@@ -349,14 +349,27 @@ impl VfsFile for std::fs::File {
         self.set_len(len)
     }
 
+    /// Positional (`pread`): one system call, and the cursor `write_all`
+    /// appends at is left alone.
+    #[cfg(unix)]
     fn read_at(&mut self, offset: u64, buf: &mut [u8]) -> io::Result<usize> {
-        self.seek(SeekFrom::Start(offset))?;
-        Read::read(self, buf)
+        std::os::unix::fs::FileExt::read_at(self, buf, offset)
     }
 
+    #[cfg(not(unix))]
+    fn read_at(&mut self, offset: u64, buf: &mut [u8]) -> io::Result<usize> {
+        self.seek(SeekFrom::Start(offset))?;
+        io::Read::read(self, buf)
+    }
+
+    /// Positional (`pwrite`); a write past EOF is a sparse extension.
+    #[cfg(unix)]
     fn write_at(&mut self, offset: u64, buf: &[u8]) -> io::Result<()> {
-        // Seek-then-write (not `FileExt::write_at`) keeps this portable;
-        // a seek past EOF followed by a write is a sparse extension.
+        std::os::unix::fs::FileExt::write_all_at(self, buf, offset)
+    }
+
+    #[cfg(not(unix))]
+    fn write_at(&mut self, offset: u64, buf: &[u8]) -> io::Result<()> {
         self.seek(SeekFrom::Start(offset))?;
         Write::write_all(self, buf)
     }

@@ -559,6 +559,48 @@ fn slab_tree_matches_brute_force_across_dims_modes_and_bases() {
     );
 }
 
+/// Paged twins under a tiny cap — 1 KiB: a three-page pool of 256-byte
+/// pages and a four-entry change buffer — answer every sampled prefix
+/// and range like the in-memory tree after *every* update, at d = 1, 2
+/// and 3 under the derived leaf side, and pass the arena audit (which
+/// checks the buffer's chains and counters) after every update too.
+/// A leaf scan copies only the rows it reads; at d = 3 those are rows
+/// of a rank-3 block (8 × 8 × 8), each a plane of 64 cells, and the
+/// scan descends into each plane's own rows.
+#[test]
+fn paged_twins_under_a_tiny_cap_match_memory_after_every_update() {
+    let pager = PagerConfig::in_mem(1024).with_page_bytes(256);
+    for (d, side) in [(1usize, 1024usize), (2, 64), (3, 16)] {
+        let config = DdcConfig::dynamic();
+        let mut mem = DdcTree::<i64>::new(d, side, config);
+        let mut paged = DdcTree::<i64>::new(d, side, config.with_paged_leaves(pager));
+        assert!(paged.enable_paging().expect("in-memory spill"));
+        let mut rng = DdcRng::seed_from_u64(0x9A6E_D000 + d as u64);
+        for step in 0..200 {
+            // Bursts of updates between reads let the buffer fill.
+            for _ in 0..rng.gen_range(1usize..=6) {
+                let p: Vec<usize> = (0..d).map(|_| rng.gen_range(0..side)).collect();
+                let delta = rng.gen_range(-20i64..=20);
+                mem.apply_delta(&p, delta);
+                paged.apply_delta(&p, delta);
+            }
+            for region in sample_regions(d, side, 1, &mut rng) {
+                let (lo, hi) = (region.lo(), region.hi());
+                let what = format!("d={d} step {step}: {lo:?}..={hi:?}");
+                assert_eq!(paged.range_sum(lo, hi), mem.range_sum(lo, hi), "{what}");
+                assert_eq!(paged.prefix_sum(hi), mem.prefix_sum(hi), "{what}");
+            }
+            paged.check_arena();
+        }
+        assert_eq!(paged.check_invariants(), mem.check_invariants());
+        let stats = paged.pool_stats().expect("paged tree");
+        assert!(
+            stats.buffered > 0 && stats.merged > 0 && stats.evictions > 0,
+            "d={d}: {stats:?}"
+        );
+    }
+}
+
 /// The forests of d ≥ 3 through their whole lifecycle: a populated
 /// 16³ / 8⁴ full tree (`h = 0`: forests of two to four levels) and a
 /// 32³ / 16⁴ tree under the derived leaf side (forests whose trees are

@@ -102,7 +102,7 @@ pub trait RangeSumEngine<G: AbelianGroup> {
     fn heap_bytes(&self) -> usize;
 
     /// Human-readable internal metrics, if the engine keeps any beyond
-    /// the [`OpCounter`] (e.g. per-shard queue statistics). `None` — the
+    /// the [`OpCounter`] (e.g. per-shard commit statistics). `None` — the
     /// default — means the engine has nothing extra to report.
     fn metrics_text(&self) -> Option<String> {
         None

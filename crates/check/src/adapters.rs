@@ -1,9 +1,9 @@
 //! Uniform drivers over every engine in the workspace.
 //!
 //! A [`CheckEngine`] speaks the trace's language — signed logical
-//! coordinates, growth in any direction, save/load round-trips, flush
-//! barriers — and each adapter translates that onto one engine's real
-//! API. Fixed-shape engines have no growth story, so the one adapter
+//! coordinates, growth in any direction, save/load round-trips — and
+//! each adapter translates that onto one engine's real API.
+//! Fixed-shape engines have no growth story, so the one adapter
 //! they share *rebuilds* on [`CheckEngine::grow`] by copying cells into
 //! a larger instance; the growable engines grow organically and treat
 //! it as a no-op; the durable ones are the crate's [`Rig`] on an
@@ -60,9 +60,6 @@ pub trait CheckEngine {
         Ok(())
     }
 
-    /// Group-commit barrier for engines with write queues.
-    fn flush(&mut self) {}
-
     /// Simulated process kill: drop every volatile structure and
     /// rebuild from the last snapshot plus the write-ahead log. Every
     /// acknowledged op must survive; none that was never acked may
@@ -88,7 +85,6 @@ pub struct FixedAdapter<E> {
     origin: Vec<i64>,
     build: Box<dyn Fn(Shape) -> E + Send>,
     reload: Option<Reload<E>>,
-    barrier: Option<fn(&mut E)>,
 }
 
 impl<E: RangeSumEngine<i64>> FixedAdapter<E> {
@@ -105,19 +101,12 @@ impl<E: RangeSumEngine<i64>> FixedAdapter<E> {
             origin: init.origin.clone(),
             build: Box::new(build),
             reload: None,
-            barrier: None,
         }
     }
 
     /// [`CheckEngine::save_load`] replaces the engine with `reload` of it.
     pub fn reloading(mut self, reload: Reload<E>) -> Self {
         self.reload = Some(reload);
-        self
-    }
-
-    /// [`CheckEngine::flush`] calls `barrier`.
-    pub fn flushing(mut self, barrier: fn(&mut E)) -> Self {
-        self.barrier = Some(barrier);
         self
     }
 
@@ -172,12 +161,6 @@ impl<E: RangeSumEngine<i64>> CheckEngine for FixedAdapter<E> {
             self.engine = reload(&self.engine)?;
         }
         Ok(())
-    }
-
-    fn flush(&mut self) {
-        if let Some(barrier) = self.barrier {
-            barrier(&mut self.engine);
-        }
     }
 }
 
@@ -416,10 +399,7 @@ pub fn engine_roster(init: &BoxState) -> Vec<Box<dyn CheckEngine>> {
     let paged = DdcConfig::dynamic()
         .with_elision(1)
         .with_paged_leaves(PagerConfig::in_mem(4 * 1024).with_page_bytes(256));
-    let sharding = ShardConfig {
-        shards: 2,
-        batch_capacity: 4,
-    };
+    let sharding = ShardConfig::with_shards(2);
     vec![
         Box::new(FixedAdapter::new("naive", init, NaiveEngine::<i64>::zeroed)),
         Box::new(FixedAdapter::new(
@@ -476,14 +456,11 @@ pub fn engine_roster(init: &BoxState) -> Vec<Box<dyn CheckEngine>> {
             })
             .reloading(|locked| locked.cube.with_read(reload_ddc).map(Locked::over)),
         ),
-        // The write-batching pipeline: queries read through the queues,
-        // so only the explicit flush barrier drains them.
-        Box::new(
-            FixedAdapter::new("sharded(2×4)", init, move |shape| {
-                ShardedCube::<i64>::new(shape, DdcConfig::dynamic(), sharding)
-            })
-            .flushing(|cube| cube.flush()),
-        ),
+        // The commit pipeline over two slabs: a run that crosses the
+        // cut is two commits.
+        Box::new(FixedAdapter::new("sharded(2)", init, move |shape| {
+            ShardedCube::<i64>::new(shape, DdcConfig::dynamic(), sharding)
+        })),
         Box::new(GrowableAdapter::new(
             "growable-ddc",
             init,

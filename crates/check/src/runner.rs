@@ -145,11 +145,8 @@ pub fn run_trace_on(
                         .map_err(|msg| diverged(&**e, i, op, format!("save/load: {msg}"), 0, 0))?;
                 }
             }
-            CheckOp::Flush => {
-                for e in engines.iter_mut() {
-                    e.flush();
-                }
-            }
+            // No engine queues writes: a flush is a no-op everywhere.
+            CheckOp::Flush => {}
             CheckOp::Crash => {
                 for e in engines.iter_mut() {
                     e.crash().map_err(|msg| {

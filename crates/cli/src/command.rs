@@ -70,7 +70,7 @@ pub enum Command {
         /// Cube name.
         cube: String,
     },
-    /// `metrics <cube>` — per-shard queue statistics (sharded engines).
+    /// `metrics <cube>` — per-shard commit statistics (sharded engines).
     Metrics {
         /// Cube name.
         cube: String,

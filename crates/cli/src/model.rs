@@ -50,7 +50,7 @@ pub fn run(args: &[String]) -> Result<String, String> {
     type Scenario = fn(CheckerConfig) -> ddc_model::Report;
     let green: [(&str, Scenario); 3] = [
         ("shard_concurrent_updates", models::shard_concurrent_updates),
-        ("shard_queue_drain", models::shard_queue_drain),
+        ("shard_run_lands_whole", models::shard_run_lands_whole),
         ("wal_ack_after_append", models::wal_ack_after_append),
     ];
     let buggy: [(&str, Scenario); 2] = [

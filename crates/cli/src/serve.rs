@@ -6,12 +6,13 @@
 //!           [--durable DIR [--dims D] [--mem-cap BYTES]]
 //! ```
 //!
-//! `serve` binds the commit pipeline ([`ShardedCube`]: door → queue →
-//! \[log\] → apply → ack) behind the zero-dependency TCP server and runs
+//! `serve` binds the commit pipeline ([`ShardedCube`]: door → \[log\] →
+//! apply → ack) behind the zero-dependency TCP server and runs
 //! until killed; the listening address is printed on stdout so scripts
 //! (the CI smoke job, `benchmark/`) can wait for it. Without
 //! `--durable` the pipeline has bounds (`--side`, a square 2-d cube)
-//! and no log: updates are acked on enqueue and group-committed, in
+//! and no log: an update is acked once it is applied to the cube (one
+//! commit per run of updates a client pipelined in one read), in
 //! `--shards` dimension-0 slabs (default 1: more did not measure
 //! faster on two cores). With `--durable DIR` the same pipeline runs
 //! over a WAL-backed growable cube recovered from `DIR/snapshot.ddc` +

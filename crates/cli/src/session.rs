@@ -52,7 +52,7 @@ commands:
   groupby <cube> <dim-name> <range…>   one aggregate row per bucket
   rolling <cube> <dim-name> <w> <range…>  trailing windows of width w
   stats  <cube>                        engine, shape, memory
-  metrics <cube>                       per-shard queue statistics (sharded engines)
+  metrics <cube>                       per-shard commit statistics (sharded engines)
   save   <cube> <path>   /  load <cube> <path>
   help   /  quit";
 

@@ -6,7 +6,7 @@
 //! ```
 //!
 //! The workload touches each hot path the observability layer covers —
-//! sharded updates (queue wait + commit), engine updates for both engine
+//! sharded updates (commit-lock wait + commit), engine updates for both engine
 //! kinds, range sums on the pipeline's cubes and prefix sums on the
 //! Basic engine, WAL appends (singles and one group) and
 //! recovery replay, cube growth,
@@ -66,9 +66,9 @@ fn workload(seed: u64, ops: usize) -> std::io::Result<()> {
     let mut rng = DdcRng::seed_from_u64(seed);
     let side = 64usize;
 
-    // The commit pipeline: queued updates (shard.queue_wait +
-    // shard.commit, and engine.update.dynamic_ddc from the slabs'
-    // cubes) and fanned prefix queries — each the box [0, p], one
+    // The commit pipeline: updates, each one commit (shard.queue_wait —
+    // the wait for the slab's commit lock — + shard.commit, and
+    // engine.update.dynamic_ddc from the slabs' cubes) and fanned prefix queries — each the box [0, p], one
     // range walk per slab it reaches (engine.range_sum.dynamic_ddc).
     let cube = ShardedCube::<i64>::new(
         Shape::new(&[side, side]),
@@ -79,7 +79,6 @@ fn workload(seed: u64, ops: usize) -> std::io::Result<()> {
         let p = [rng.gen_range(0..side), rng.gen_range(0..side)];
         cube.update(&p, rng.gen_range(-100i64..=100));
     }
-    cube.flush();
     for _ in 0..(ops / 8).max(16) {
         let p = [rng.gen_range(0..side), rng.gen_range(0..side)];
         let _ = cube.query_prefix(&p);

@@ -12,7 +12,7 @@
 //!   (fixed logical shape; Basic §3 or Dynamic §4 per [`DdcConfig`]).
 //! * [`GrowableCube`] — signed logical coordinates with on-demand growth.
 //! * [`ShardedCube`] — the commit pipeline every served update takes
-//!   (door → queue → \[log\] → apply → ack) over a [`CommitTarget`]: a
+//!   (door → \[log\] → apply → ack) over a [`CommitTarget`]: a
 //!   [`GrowableCube`], or a [`DurableCube`] whose acks are log records.
 //! * [`DdcTree`] — the underlying primary tree, exposed for experiments.
 //! * [`obs`] — the zero-dependency observability layer (metrics

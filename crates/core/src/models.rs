@@ -5,8 +5,7 @@
 //! returns its [`Report`]. The green scenarios drive the *real* commit
 //! pipeline (`core::shard`) through the `core::sync` facade — two over
 //! its plain target, one over the logged one (`core::wal`), so all
-//! three exercise the same `try_add_batch` → `commit` → read-through
-//! code;
+//! three exercise the same `try_add_batch` → `commit` → read code;
 //! the two `buggy_*` fixtures are deliberately broken and exist to
 //! prove the checker finds real schedule bugs (they are asserted to
 //! FAIL by `tests/model_checker.rs` and the `ddc model` CLI).
@@ -34,17 +33,14 @@ use crate::sync::Arc;
 use crate::wal::{DurableCube, SharedDurableCube};
 
 fn shard_config() -> ShardConfig {
-    ShardConfig {
-        shards: 2,
-        batch_capacity: 2,
-    }
+    ShardConfig::with_shards(2)
 }
 
 /// Linearizability of concurrent `try_update`s against the sequential
-/// oracle: three writers race a reader; after all join and a final
-/// flush, the cube total must equal exactly the acknowledged deltas —
-/// nothing lost, nothing applied twice — and every in-flight read must
-/// see a consistent cut (`0..=6` for six `+1` deltas).
+/// oracle: three writers race a reader; after all join, the cube total
+/// must equal exactly the acknowledged deltas — nothing lost, nothing
+/// applied twice — and every in-flight read must see a consistent cut
+/// (`0..=6` for six `+1` deltas).
 pub fn shard_concurrent_updates(cfg: CheckerConfig) -> Report {
     Checker::new(cfg).check(|| {
         let shape = Shape::cube(1, 4);
@@ -66,74 +62,69 @@ pub fn shard_concurrent_updates(cfg: CheckerConfig) -> Report {
                 })
             })
             .collect();
-        // Read-through while the writers are in flight: any consistent
-        // cut of six +1 deltas.
+        // A read while the writers are in flight: any consistent cut of
+        // six +1 deltas.
         let seen = cube.query(&full);
-        assert!(
-            (0..=6).contains(&seen),
-            "inconsistent read-through cut: {seen}"
-        );
+        assert!((0..=6).contains(&seen), "inconsistent cut: {seen}");
         let acked: i64 = writers.into_iter().map(|w| w.join().expect("writer")).sum();
-        cube.flush();
         let total = cube.query(&full);
         assert_eq!(total, acked, "acked {acked} deltas but cube totals {total}");
     })
 }
 
-/// Queue drain never strands an acknowledged delta: a writer enqueues
-/// while a drainer races `flush()`; the final flush must surface every
-/// ack in the engine, with reads through the queue staying monotone.
-pub fn shard_queue_drain(cfg: CheckerConfig) -> Report {
+/// A plain slab acknowledges a run once its commit has landed: on each
+/// of two slabs a two-update `try_add_batch` (one commit: the slab
+/// covers both cells from the start) races a single `try_add` to the
+/// same slab, and three threads read both runs' pairs. Every read sees
+/// each run whole or not at all, a writer's own ack is in the cube when
+/// it returns, and the final total equals the acks.
+pub fn shard_run_lands_whole(cfg: CheckerConfig) -> Report {
     Checker::new(cfg).check(|| {
-        let shape = Shape::cube(1, 4);
-        let full = Region::full(&shape);
         let cube = Arc::new(ShardedCube::<i64>::new(
-            shape,
+            Shape::cube(1, 8),
             DdcConfig::dynamic(),
-            // batch_capacity above the enqueue count: commits happen
-            // only through the racing flush() and the final drain.
-            ShardConfig {
-                batch_capacity: 8,
-                ..shard_config()
-            },
+            shard_config(),
         ));
-        let c1 = cube.clone();
-        let writer = thread::spawn(move || {
-            let mut acked = 0i64;
-            for p in [0usize, 3, 0, 1] {
-                acked += i64::from(c1.try_update(&[p], 1).is_ok());
+        // Slab 0 owns rows 0..=3, slab 1 rows 4..=7.
+        let pairs = [[0i64, 1], [4, 5]];
+        let whole = move |c: &ShardedCube<i64>| {
+            for [lo, hi] in pairs {
+                let pair = c.query_box(&[lo], &[hi]).expect("rank 1");
+                assert!(pair == 0 || pair == 2, "half a run is visible: {pair}");
             }
-            acked
-        });
-        let drainers: Vec<_> = (0..2)
-            .map(|_| {
-                let c = cube.clone();
-                thread::spawn(move || c.flush())
+        };
+        let runs = pairs.map(|[lo, hi]| {
+            let c = Arc::clone(&cube);
+            thread::spawn(move || {
+                let (acks, refused) = c.try_add_batch(&[(vec![lo], 1), (vec![hi], 1)]);
+                assert!(refused.is_none() && acks == 2, "{refused:?} after {acks}");
+                let pair = c.query_box(&[lo], &[hi]).expect("rank 1");
+                assert_eq!(pair, 2, "an acked run is not in the cube");
+                2
             })
-            .collect();
-        // Reads through the live queue must never go backwards.
-        let first = cube.query(&full);
-        let second = cube.query(&full);
-        assert!(
-            second >= first,
-            "read-through went backwards: {first} -> {second}"
-        );
-        let acked = writer.join().expect("writer");
-        for d in drainers {
-            d.join().expect("drainer");
-        }
-        cube.flush();
-        assert_eq!(cube.query(&full), acked, "drain lost an acked delta");
+        });
+        let singles = [2i64, 6].map(|p| {
+            let c = Arc::clone(&cube);
+            thread::spawn(move || {
+                whole(&c);
+                i64::from(c.try_add(&[p], 10).is_ok()) * 10
+            })
+        });
+        whole(&cube);
+        let acked: i64 = (runs.into_iter().chain(singles))
+            .map(|w| w.join().expect("writer"))
+            .sum();
+        let total = cube.query_box(&[0], &[7]).expect("rank 1");
+        assert_eq!(total, acked, "acked {acked} but cube totals {total}");
     })
 }
 
 /// Log-then-apply through the pipeline, a group at a time: a
 /// two-update `try_add_batch` (one commit: one log write, one sync)
-/// races a single `try_add`, a `flush()` that must find nothing to
-/// commit twice, and a read. No ack may be returned before the log
-/// holds *every* record of its group, the read sees the group whole or
-/// not at all, and the final cube/log state must match the sequential
-/// oracle.
+/// races a single `try_add` and a read. No ack may be returned before
+/// the log holds *every* record of its group, the read sees the group
+/// whole or not at all, and the final cube/log state must match the
+/// sequential oracle.
 pub fn wal_ack_after_append(cfg: CheckerConfig) -> Report {
     Checker::new(cfg).check(|| {
         let cube = DurableCube::<i64, Vec<u8>>::new(1, DdcConfig::sparse(), Vec::new())
@@ -158,10 +149,7 @@ pub fn wal_ack_after_append(cfg: CheckerConfig) -> Report {
         };
         let (c1, c2) = (Arc::clone(&cube), Arc::clone(&cube));
         let t1 = thread::spawn(move || append(&c1, &[0, 1]));
-        let t2 = thread::spawn(move || {
-            c2.flush();
-            u64::from(c2.try_add(&[2], 1).is_ok())
-        });
+        let t2 = thread::spawn(move || u64::from(c2.try_add(&[2], 1).is_ok()));
         let pair = cube.query_box(&[0], &[1]).expect("rank 1");
         assert!(pair == 0 || pair == 2, "half a group is visible: {pair}");
         let acks = t1.join().expect("appender 1") + t2.join().expect("appender 2");
@@ -222,7 +210,7 @@ pub fn all_green(cfg: CheckerConfig) -> Vec<(&'static str, Report)> {
             "shard_concurrent_updates",
             shard_concurrent_updates(cfg.clone()),
         ),
-        ("shard_queue_drain", shard_queue_drain(cfg.clone())),
+        ("shard_run_lands_whole", shard_run_lands_whole(cfg.clone())),
         ("wal_ack_after_append", wal_ack_after_append(cfg)),
     ]
 }

@@ -2,96 +2,82 @@
 //! same path to the cube, and every read the same path back.
 //!
 //! ```text
-//!                   ┌ door ┐   ┌──── queue ────┐   ┌──── target ────┐
-//! try_add_batch ──▶ rank and ─▶ bounded, per ───▶ [log: append, sync] ─▶ ack
-//!                   bounds      slab; coalesce      apply to the cube
+//!                   ┌ door ┐    ┌──────── commit, both targets ────────┐
+//! try_add_batch ──▶ rank and ─▶ [log: append, sync] ─▶ apply to the cube ─▶ ack
+//!                   bounds      (logged only)          (write lock)
 //! ```
 //!
 //! The unit it moves is a **run** of updates ([`try_add_batch`];
-//! [`try_add`] is a run of one): each stretch of a run that one slab owns
-//! is enqueued under one acquisition of that slab's queue lock.
+//! [`try_add`] is a run of one), and the rule is the same on every
+//! target: **an update is acknowledged once its commit has landed**.
+//! Each stretch of a run that one slab owns takes that slab's commit
+//! lock once; within it, the stretch the cube already covers is **one**
+//! commit — one exclusive target acquisition, applied in order and
+//! never coalesced, acknowledged as a whole or not at all — and a point
+//! the cube must grow for commits alone, because only its own commit
+//! can refuse it.
 //!
 //! [`ShardedCube`] is that pipeline. It is generic over the
 //! [`CommitTarget`] a slab commits into, and there are two:
 //!
-//! * [`GrowableCube`] — apply only. An update is acknowledged when it
-//!   is *enqueued*; the queue is landed in one exclusive acquisition
-//!   once it reaches [`ShardConfig::batch_capacity`] (group commit), and
-//!   queued deltas are coalesced per cell first, which is sound because
-//!   [`AbelianGroup`] addition commutes.
-//! * [`DurableCube`](crate::DurableCube) — append → sync → apply. The
-//!   target states that an acknowledgement needs the commit
-//!   ([`CommitTarget::ACK_NEEDS_COMMIT`]), so the pipeline commits
-//!   inline before [`try_add_batch`] returns, straight from the caller's
-//!   run (nothing sits in the queue, nothing is coalesced: one record
-//!   per ack, in order). The stretch of the run the cube already covers
-//!   is **one** commit — one log write, one sync, all of it acknowledged
-//!   or none — and a point the cube must grow for commits alone, because
-//!   only its own commit can refuse it.
+//! * [`GrowableCube`] — apply only.
+//! * [`DurableCube`](crate::DurableCube) — append → sync → apply: one
+//!   log write and one sync per commit, one record per ack.
 //!
 //! State is addressed in signed `i64` coordinates throughout. A cube
 //! built with bounds (a [`Shape`]) refuses coordinates outside them at
 //! the door and is cut along **dimension 0** into
 //! [`ShardConfig::shards`] contiguous slabs, each a cube of its own
 //! behind its own lock; a cube without bounds grows where the data goes
-//! and has one slab, which owns every `i64` row (only a target whose
-//! ack needs the commit may go without bounds: the commit is what
-//! refuses a point the cube cannot grow to). A range query is the sum,
-//! over the slabs whose rows overlap it, of the slab's own range sum of
-//! the box clamped into the slab — Figure 4's ≤ `2^d` prefix terms are
-//! formed once, inside the cube. The `usize` / [`Region`] methods are
-//! casts over the `i64` door for callers that hold checked coordinates
+//! and has one slab, which owns every `i64` row (its commit refuses a
+//! point the cube cannot grow to). A range query is the sum, over the
+//! slabs whose rows overlap it, of the slab's own range sum of the box
+//! clamped into the slab — Figure 4's ≤ `2^d` prefix terms are formed
+//! once, inside the cube. The `usize` / [`Region`] methods are casts
+//! over the `i64` door for callers that hold checked coordinates
 //! already.
 //!
 //! ## Consistency
 //!
-//! Each slab is linearizable: a query reads *through* the slab's queue
-//! — cube value plus the contribution of the still-queued deltas — so a
-//! thread always reads its own writes and a single-threaded caller
-//! observes exactly the semantics of an unsharded engine (the
-//! `sharded_cube` differential test demands bit-identical answers after
-//! every step). Readers never take the exclusive target lock; only
-//! commits do. Across slabs there is no global snapshot.
-//!
-//! **Visibility.** An update is visible to other threads only once the
-//! call that made it has been acknowledged (`Ok`). On the logged target
-//! that is after its covering `sync` — one sync covers a whole group,
-//! which becomes visible as a whole: the queue lock is held from the
-//! enqueue to the end of the commit, and the cube changes last, under
-//! the exclusive target lock.
+//! Each slab is linearizable: a read is one read lock on the slab's
+//! target and one read of its cube, and a commit applies under the
+//! exclusive lock, so a read sees a commit whole or not at all. An
+//! update is visible from the moment its commit applies it, which is
+//! before its call returns: a thread always reads its own acknowledged
+//! writes, and a single-threaded caller observes exactly the semantics
+//! of an unsharded engine (the `sharded_cube` differential test demands
+//! bit-identical answers after every step). Readers never take the
+//! commit lock or the exclusive target lock. Across slabs there is no
+//! global snapshot.
 //!
 //! ## Failure
 //!
 //! Every commit runs under one `catch_unwind`, and one rule covers what
 //! it can do wrong: **a commit that does not land fails its slab** —
 //! read-only from then on ([`TryUpdateError::ShardFailed`]), reported
-//! by [`ShardedCube::health`], never retried. A retry is not exact: the
-//! commit may have changed the cube before it failed, and on the logged
-//! target its record may be in the log already. The one exception is a
-//! logged commit's *typed refusal* (ENOSPC, retries exhausted, a point
-//! the cube cannot grow to): nothing was acknowledged, so the refusal
-//! is handed to the caller and the target keeps its own degraded state.
+//! by [`ShardedCube::health`], never retried — and none of its run is
+//! acknowledged. A retry is not exact: the commit may have changed the
+//! cube before it failed, and on the logged target its record may be in
+//! the log already. The one exception is a *typed refusal* (ENOSPC,
+//! retries exhausted, a point the cube cannot grow to): nothing changed,
+//! so the refusal is handed to the caller and the target keeps its own
+//! degraded state.
 //!
-//! * A plain slab's queue holds acknowledged deltas, so a failed commit
-//!   leaves them queued and reads keep seeing them ([`COMMIT_FAILED`]
-//!   says that reads may count part of the batch twice, when the commit
-//!   changed the cube before failing). A healthy queue is bounded by
-//!   [`ShardConfig::batch_capacity`], and a failed one takes no more.
-//! * A logged commit that panics fails the pipeline with
-//!   [`PANICKED_AFTER_APPEND`]: "restart to recover from the log".
-//! * Lock poisoning never panics a public entry point: the queue mutex
+//! * A plain slab whose commit panicked says [`COMMIT_FAILED`]; a
+//!   logged one says [`PANICKED_AFTER_APPEND`]: "restart to recover
+//!   from the log" ([`CommitTarget::PANIC_CAUSE`]).
+//! * Lock poisoning never panics a public entry point: the commit mutex
 //!   cannot be poisoned by a supervised commit (the panic is caught
 //!   inside the lock scope), and a poisoned target lock is recovered —
 //!   the slab is failed by then, and *exact* repair of a half-applied
-//!   batch is the log's job ([`crate::wal`]).
+//!   commit is the log's job ([`crate::wal`]).
 //!
 //! [`try_add`]: ShardedCube::try_add
 //! [`try_add_batch`]: ShardedCube::try_add_batch
 
-use std::collections::HashMap;
 use std::time::Instant;
 
-use crate::sync::atomic::{AtomicUsize, Ordering};
+use crate::sync::atomic::Ordering;
 use crate::sync::{
     Arc, Mutex, MutexGuard, OnceLock, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard,
 };
@@ -103,8 +89,10 @@ use crate::growth::GrowableCube;
 use crate::obs;
 use crate::vfs::IoError;
 
-/// Cube-wide observability handles (queue-wait vs. commit latency — the
-/// two halves of a write's life), cached off the registry lock.
+/// Cube-wide observability handles (the wait for a slab's commit lock
+/// vs. the commit itself — the two halves of a write's life), cached
+/// off the registry lock. The wait keeps its `shard.queue_wait` name
+/// for the dashboards that scrape it.
 struct ShardObs {
     queue_wait_ns: Arc<obs::Histogram>,
     commit_ns: Arc<obs::Histogram>,
@@ -119,19 +107,16 @@ fn shard_obs() -> &'static ShardObs {
 }
 
 /// What a slab of the pipeline commits into: the one seam between the
-/// queue and the state. Implemented by [`GrowableCube`] (apply only) and
+/// door and the state. Implemented by [`GrowableCube`] (apply only) and
 /// [`DurableCube`](crate::DurableCube) (append → sync → apply); tests
 /// substitute a double that fails on demand.
 pub trait CommitTarget<G: AbelianGroup>: Send + Sync {
     /// The cube every read is answered from.
     fn cube(&self) -> &GrowableCube<G>;
 
-    /// True when an update may be acknowledged only after its commit
-    /// (a logged target: the ack is the durability promise). The
-    /// pipeline then commits each run inline (see the module docs for
-    /// how it is grouped), hands a refusal to the caller, and never
-    /// retries a commit that panicked.
-    const ACK_NEEDS_COMMIT: bool;
+    /// [`TryUpdateError::ShardFailed::cause`] of a slab one of whose
+    /// commits panicked.
+    const PANIC_CAUSE: &'static str = COMMIT_FAILED;
 
     /// Lands `batch`, in order. `Err` means none of it is acknowledged.
     fn commit(&mut self, batch: &[(Vec<i64>, G)]) -> Result<(), IoError>;
@@ -142,14 +127,17 @@ pub trait CommitTarget<G: AbelianGroup>: Send + Sync {
     }
 }
 
+/// Refuses a batch with a point the cube cannot grow to before applying
+/// any of it, as [`DurableCube::add_group`](crate::DurableCube::add_group)
+/// does before its append.
 impl<G: AbelianGroup> CommitTarget<G> for GrowableCube<G> {
-    const ACK_NEEDS_COMMIT: bool = false;
-
     fn cube(&self) -> &GrowableCube<G> {
         self
     }
 
     fn commit(&mut self, batch: &[(Vec<i64>, G)]) -> Result<(), IoError> {
+        let points = batch.iter().map(|(point, _)| point.as_slice());
+        self.check_cover_all(points).map_err(IoError::OutOfRange)?;
         for (point, delta) in batch {
             self.add(point, *delta);
         }
@@ -163,35 +151,25 @@ pub struct ShardConfig {
     /// Requested slab count. Clamped to `1..=n_0` (a slab needs at
     /// least one row of dimension 0); a cube without bounds has one.
     pub shards: usize,
-    /// Queue length that triggers a group commit, and so the bound on a
-    /// slab's queue. `1` degenerates to write-through locking, which is
-    /// also what a target whose ack needs the commit gets whatever this
-    /// says.
-    pub batch_capacity: usize,
 }
 
 impl Default for ShardConfig {
     fn default() -> Self {
-        Self {
-            shards: 4,
-            batch_capacity: 128,
-        }
+        Self::with_shards(4)
     }
 }
 
 impl ShardConfig {
-    /// `shards` slabs with default batching.
+    /// `shards` slabs.
     pub fn with_shards(shards: usize) -> Self {
-        Self {
-            shards,
-            ..Self::default()
-        }
+        Self { shards }
     }
 }
 
-/// Most updates of a run one logged commit takes: one log write and one
-/// sync cover at most this many acknowledgements.
-const LOGGED_RUN_CHUNK: usize = 4096;
+/// Most updates of a run one commit takes: one exclusive acquisition
+/// (and, logged, one log write and one sync) covers at most this many
+/// acknowledgements.
+const RUN_CHUNK: usize = 4096;
 
 /// A coordinate the door refused: wrong rank, outside the bounds, or a
 /// box whose corners are inverted.
@@ -209,25 +187,26 @@ impl std::error::Error for OutOfBounds {}
 /// Why [`ShardedCube::try_add`] did not acknowledge an update.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum TryUpdateError {
-    /// The point did not pass the door; nothing was queued.
+    /// The point did not pass the door; nothing was committed.
     OutOfBounds(OutOfBounds),
     /// The owning slab no longer accepts writes.
     ShardFailed {
         /// Index of the failed slab.
         shard: usize,
-        /// Why: [`COMMIT_FAILED`] or [`PANICKED_AFTER_APPEND`].
+        /// Why: the target's [`CommitTarget::PANIC_CAUSE`]
+        /// ([`COMMIT_FAILED`] or [`PANICKED_AFTER_APPEND`]).
         cause: &'static str,
     },
-    /// The target refused the commit this ack needed (a logged target:
-    /// degraded, out of retries, or a point it cannot grow to).
+    /// The target refused the commit this ack needed (degraded, out of
+    /// retries, or a point the cube cannot grow to).
     Refused(IoError),
 }
 
-/// [`TryUpdateError::ShardFailed::cause`] of a slab whose commit of
-/// acknowledged deltas panicked or was refused. The deltas stay queued
-/// and readable; the commit may have changed the cube before it failed.
+/// [`TryUpdateError::ShardFailed::cause`] of a plain slab whose commit
+/// panicked: its run was not acknowledged, but the commit may have
+/// changed the cube before it failed.
 pub const COMMIT_FAILED: &str =
-    "a commit of acknowledged updates failed; reads may include part of its batch twice";
+    "a commit panicked and was not acknowledged; reads may include part of its run";
 
 /// [`TryUpdateError::ShardFailed::cause`] of a logged slab whose commit
 /// panicked: the record may be in the log, so the commit is not retried.
@@ -259,9 +238,7 @@ pub struct MetricsSnapshot {
     /// One past the last dimension-0 row owned by the slab
     /// (`i64::MAX` without bounds).
     pub rows_hi: usize,
-    /// Deltas pushed onto the write queue.
-    pub ops_enqueued: u64,
-    /// Deltas landed in the target (equals enqueued after a flush).
+    /// Updates landed in the target, each acknowledged.
     pub ops_applied: u64,
     /// Commits performed.
     pub batches_flushed: u64,
@@ -272,8 +249,6 @@ pub struct MetricsSnapshot {
     /// Estimated nanoseconds the exclusive target lock was held for
     /// commits — the contention budget readers compete against.
     pub lock_hold_nanos: u64,
-    /// High-water mark of the write queue depth.
-    pub queue_depth_max: u64,
     /// Update attempts that reached the slab and were not acknowledged.
     pub ops_rejected: u64,
     /// Commits that failed the slab (0 or 1: a failed slab commits
@@ -281,83 +256,62 @@ pub struct MetricsSnapshot {
     pub worker_panics: u64,
 }
 
+/// What a slab's commit lock guards.
 #[derive(Debug)]
-struct ShardQueue<G: AbelianGroup> {
-    /// Acknowledged deltas that have not landed yet (always empty on a
-    /// target whose ack needs the commit).
-    deltas: Vec<(Vec<i64>, G)>,
+struct SlabState {
     /// The slab's health: `None` while it takes writes, else the
     /// [`TryUpdateError::ShardFailed::cause`] it refuses them with.
-    /// Kept under the queue lock so it changes in step with enqueues
-    /// and commits.
     failed: Option<&'static str>,
-    /// The slab's counters, kept here because the queue lock already
+    /// The slab's counters, kept here because the commit lock already
     /// serializes everything that writes them — all but `queries`.
     metrics: MetricsSnapshot,
 }
 
 #[derive(Debug)]
-struct Shard<G: AbelianGroup, T> {
+struct Shard<T> {
     /// Owned dimension-0 rows, `rows_lo..=rows_last`: every `i64`
     /// without bounds, which is why the end is inclusive.
     rows_lo: i64,
     rows_last: i64,
     target: RwLock<T>,
-    /// Queue + health. Lock order: `queue` before `target` —
-    /// commits hold the queue while applying so a concurrent reader that
-    /// drains the queue cannot miss deltas enqueued behind it.
-    queue: Mutex<ShardQueue<G>>,
-    /// Fast-path mirror of the queue length so readers skip the mutex
-    /// when nothing is pending.
-    pending: AtomicUsize,
-    /// [`MetricsSnapshot::queries`]: reads do not take the queue lock.
+    /// The commit lock: it serializes the slab's commits, so the
+    /// coverage a commit is cut by and its health cannot change under
+    /// it. Lock order: `state` before `target`.
+    state: Mutex<SlabState>,
+    /// [`MetricsSnapshot::queries`]: reads do not take the commit lock.
     /// Untracked: it never gates control flow.
     queries: crate::sync::untracked::AtomicU64,
 }
 
-/// Locks a slab's queue, recovering from poisoning. A supervised commit
-/// catches its panic *inside* the lock scope, so the mutex is only ever
-/// poisoned by a panic in trivially transactional code (push/drain);
-/// recovering is sound and keeps poisoning off the public API.
-fn lock_queue<G: AbelianGroup, T>(shard: &Shard<G, T>) -> MutexGuard<'_, ShardQueue<G>> {
-    shard.queue.lock().unwrap_or_else(PoisonError::into_inner)
+/// Locks a slab's commit lock, recovering from poisoning. A supervised
+/// commit catches its panic *inside* the lock scope, so the mutex is
+/// only ever poisoned by a panic in trivially transactional code
+/// (counter updates); recovering is sound and keeps poisoning off the
+/// public API.
+fn lock_state<T>(shard: &Shard<T>) -> MutexGuard<'_, SlabState> {
+    shard.state.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Read-locks a slab's target, recovering from poisoning. A poisoned
 /// target means a commit panicked mid-apply; the slab is failed by
 /// then, and exact repair belongs to log recovery, not to refusing
 /// reads.
-fn read_target<G: AbelianGroup, T>(shard: &Shard<G, T>) -> RwLockReadGuard<'_, T> {
+fn read_target<T>(shard: &Shard<T>) -> RwLockReadGuard<'_, T> {
     shard.target.read().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Write-locks a slab's target, recovering from poisoning (see
 /// [`read_target`]).
-fn write_target<G: AbelianGroup, T>(shard: &Shard<G, T>) -> RwLockWriteGuard<'_, T> {
+fn write_target<T>(shard: &Shard<T>) -> RwLockWriteGuard<'_, T> {
     shard.target.write().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Queued deltas summed per cell, zero sums dropped.
-fn coalesce<G: AbelianGroup>(deltas: &[(Vec<i64>, G)]) -> Vec<(Vec<i64>, G)> {
-    let mut cells: HashMap<&[i64], G> = HashMap::with_capacity(deltas.len());
-    for (point, delta) in deltas {
-        let slot = cells.entry(point.as_slice()).or_insert(G::ZERO);
-        *slot = slot.add(*delta);
-    }
-    cells
-        .into_iter()
-        .filter(|(_, d)| !d.is_zero())
-        .map(|(p, d)| (p.to_vec(), d))
-        .collect()
 }
 
 fn signed(point: &[usize]) -> Vec<i64> {
     point.iter().map(|&c| c as i64).collect()
 }
 
-/// The commit pipeline over one cube (module docs: door, queue, target,
-/// read-through, supervision), cut along dimension 0 into slabs when it
-/// has bounds.
+/// The commit pipeline over one cube (module docs: door, commit,
+/// supervision), cut along dimension 0 into slabs when it has bounds.
 ///
 /// # Examples
 ///
@@ -382,16 +336,16 @@ fn signed(point: &[usize]) -> Vec<i64> {
 pub struct ShardedCube<G: AbelianGroup, T = GrowableCube<G>> {
     ndim: usize,
     bounds: Option<Shape>,
-    shard_config: ShardConfig,
-    shards: Vec<Shard<G, T>>,
+    shards: Vec<Shard<T>>,
     /// What [`RangeSumEngine::counter`] hands out: the trees count, and
     /// `ops()` sums them into this.
     counter: OpCounter,
+    group: std::marker::PhantomData<G>,
 }
 
 impl<G: AbelianGroup> ShardedCube<G> {
-    /// An all-zero cube bounded by `shape`, acknowledged on enqueue. The
-    /// slab count is clamped to the number of dimension-0 rows.
+    /// An all-zero cube bounded by `shape`. The slab count is clamped
+    /// to the number of dimension-0 rows.
     pub fn new(shape: Shape, config: DdcConfig, shard_config: ShardConfig) -> Self {
         let d = shape.ndim();
         Self::bounded(shape, shard_config, |rows_lo| {
@@ -405,15 +359,8 @@ impl<G: AbelianGroup> ShardedCube<G> {
 impl<G: AbelianGroup, T: CommitTarget<G>> ShardedCube<G, T> {
     /// The pipeline over one target and no bounds: the cube grows where
     /// the data goes, and has one slab.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless the target's ack needs the commit: whether the cube
-    /// can grow to a point depends on the points before it, so only a
-    /// commit can refuse one, and an ack on enqueue would already be out.
-    pub fn unbounded(target: T, shard_config: ShardConfig) -> Self {
-        assert!(T::ACK_NEEDS_COMMIT, "an ack on enqueue needs bounds");
-        Self::assemble(None, shard_config, vec![(i64::MIN, i64::MAX, target)])
+    pub fn unbounded(target: T) -> Self {
+        Self::assemble(None, vec![(i64::MIN, i64::MAX, target)])
     }
 
     /// The pipeline bounded by `shape` over caller-built targets:
@@ -434,23 +381,18 @@ impl<G: AbelianGroup, T: CommitTarget<G>> ShardedCube<G, T> {
             .map(|i| ((i * n0 / s) as i64, ((i + 1) * n0 / s) as i64 - 1))
             .map(|(rows_lo, rows_last)| (rows_lo, rows_last, target(rows_lo)))
             .collect();
-        Self::assemble(Some(shape), shard_config, slabs)
+        Self::assemble(Some(shape), slabs)
     }
 
-    fn assemble(
-        bounds: Option<Shape>,
-        shard_config: ShardConfig,
-        slabs: Vec<(i64, i64, T)>,
-    ) -> Self {
-        let shards: Vec<Shard<G, T>> = slabs
+    fn assemble(bounds: Option<Shape>, slabs: Vec<(i64, i64, T)>) -> Self {
+        let shards: Vec<Shard<T>> = slabs
             .into_iter()
             .enumerate()
             .map(|(shard, (rows_lo, rows_last, target))| Shard {
                 rows_lo,
                 rows_last,
                 target: RwLock::new(target),
-                queue: Mutex::new(ShardQueue {
-                    deltas: Vec::new(),
+                state: Mutex::new(SlabState {
                     failed: None,
                     metrics: MetricsSnapshot {
                         shard,
@@ -459,7 +401,6 @@ impl<G: AbelianGroup, T: CommitTarget<G>> ShardedCube<G, T> {
                         ..MetricsSnapshot::default()
                     },
                 }),
-                pending: AtomicUsize::new(0),
                 queries: Default::default(),
             })
             .collect();
@@ -470,9 +411,9 @@ impl<G: AbelianGroup, T: CommitTarget<G>> ShardedCube<G, T> {
         Self {
             ndim,
             bounds,
-            shard_config,
             shards,
             counter: OpCounter::new(),
+            group: std::marker::PhantomData,
         }
     }
 
@@ -521,14 +462,12 @@ impl<G: AbelianGroup, T: CommitTarget<G>> ShardedCube<G, T> {
 
     /// Adds a run of deltas in order, stopping at the first the cube
     /// cannot acknowledge: returns how many leading deltas were
-    /// acknowledged and why the next one was not. Acknowledged means
-    /// queued (and visible to every read) or, on a target whose ack
-    /// needs the commit, landed — there the stretch of the run the cube
-    /// already covers is **one** commit (one log write, one sync),
+    /// acknowledged — landed in the cube, and logged first on a logged
+    /// target — and why the next one was not. Each stretch of the run
+    /// that one slab owns takes that slab's commit lock once; the
+    /// stretch of it the cube already covers is **one** commit,
     /// acknowledged as a whole or not at all, and a point the cube must
     /// grow for commits alone, since only its own commit can refuse it.
-    /// Each stretch of the run that one slab owns takes that slab's
-    /// queue lock once.
     pub fn try_add_batch(&self, run: &[(Vec<i64>, G)]) -> (usize, Option<TryUpdateError>) {
         let owner = |(point, _): &(Vec<i64>, G)| {
             let door = self.check_door(point);
@@ -543,13 +482,7 @@ impl<G: AbelianGroup, T: CommitTarget<G>> ShardedCube<G, T> {
             let rest = &run[acked..];
             let stretch = rest.iter().take_while(|update| owner(update) == Ok(slab));
             let stretch = &rest[..stretch.count()];
-            let slab = &self.shards[slab];
-            let wait = obs::timer();
-            let mut queue = lock_queue(slab);
-            wait.observe("shard.queue_wait", &shard_obs().queue_wait_ns);
-            let (landed, refused) = self.enqueue(slab, &mut queue, stretch);
-            slab.pending.store(queue.deltas.len(), Ordering::Release);
-            queue.metrics.ops_rejected += u64::from(refused.is_some());
+            let (landed, refused) = Self::commit_stretch(&self.shards[slab], stretch);
             acked += landed;
             if refused.is_some() {
                 return (acked, refused);
@@ -559,49 +492,25 @@ impl<G: AbelianGroup, T: CommitTarget<G>> ShardedCube<G, T> {
     }
 
     /// [`ShardedCube::try_add_batch`] for one slab's stretch of the run,
-    /// behind its queue lock.
-    fn enqueue(
-        &self,
-        slab: &Shard<G, T>,
-        queue: &mut ShardQueue<G>,
-        run: &[(Vec<i64>, G)],
-    ) -> (usize, Option<TryUpdateError>) {
-        let batch = self.shard_config.batch_capacity.max(1);
+    /// behind its commit lock: one commit per stretch the cube covers
+    /// already (at most [`RUN_CHUNK`]), one per point it must grow for.
+    fn commit_stretch(slab: &Shard<T>, run: &[(Vec<i64>, G)]) -> (usize, Option<TryUpdateError>) {
+        let wait = obs::timer();
+        let mut state = lock_state(slab);
+        wait.observe("shard.queue_wait", &shard_obs().queue_wait_ns);
         let mut acked = 0;
         while acked < run.len() {
-            if let Some(cause) = queue.failed {
-                let shard = queue.metrics.shard;
-                return (acked, Some(TryUpdateError::ShardFailed { shard, cause }));
-            }
-            // How much of the run goes in together. When the ack needs the
-            // commit: the stretch the cube covers already, at most a chunk
-            // — a point it must grow for goes alone, since only its own
-            // commit can refuse it. Else: up to the next flush trigger, so
-            // a run commits where the same deltas enqueued one by one
-            // would have.
             let rest = &run[acked..];
-            let room = if T::ACK_NEEDS_COMMIT {
-                let target = read_target(slab);
-                let covered = |(point, _): &&(Vec<i64>, G)| target.cube().covers(point);
-                rest.iter()
-                    .take(LOGGED_RUN_CHUNK)
-                    .take_while(covered)
-                    .count()
+            let covered = if rest.len() == 1 {
+                1
             } else {
-                batch.saturating_sub(queue.deltas.len())
+                let target = read_target(slab);
+                let covers = |(point, _): &&(Vec<i64>, G)| target.cube().covers(point);
+                rest.iter().take(RUN_CHUNK).take_while(covers).count()
             };
-            let taken = &rest[..rest.len().min(room.max(1))];
-            let depth = (queue.deltas.len() + taken.len()) as u64;
-            queue.metrics.ops_enqueued += taken.len() as u64;
-            queue.metrics.queue_depth_max = queue.metrics.queue_depth_max.max(depth);
-            if !T::ACK_NEEDS_COMMIT {
-                queue.deltas.extend_from_slice(taken);
-                if queue.deltas.len() >= batch {
-                    // Acknowledged either way: a failed commit fails the
-                    // slab, which refuses the rest of the run above.
-                    drop(self.commit(slab, queue, &[]));
-                }
-            } else if let Err(refused) = self.commit(slab, queue, taken) {
+            let taken = &rest[..covered.max(1)];
+            if let Err(refused) = Self::commit(slab, &mut state, taken) {
+                state.metrics.ops_rejected += 1;
                 return (acked, Some(refused));
             }
             acked += taken.len();
@@ -609,99 +518,51 @@ impl<G: AbelianGroup, T: CommitTarget<G>> ShardedCube<G, T> {
         (acked, None)
     }
 
-    /// Supervised commit, under one exclusive target acquisition and one
-    /// `catch_unwind`, of what the target's ack rule makes the batch:
-    /// `group` as it stands when the ack needs the commit (one record
-    /// per ack, in order: a logged run is never coalesced, and never
-    /// sits in the queue), else the queue, coalesced per cell. Called
-    /// with the queue lock held so no concurrent enqueue can slip
-    /// between coalesce and apply.
-    ///
-    /// The queue is drained only *after* a successful commit. A commit
-    /// that panics, or is refused with acknowledged deltas in it, fails
-    /// the slab (module docs: one rule), and its deltas stay queued and
-    /// readable. A logged group that is refused is dropped and handed
-    /// back — it was never acknowledged.
+    /// Supervised commit of `batch`, in order, under one exclusive
+    /// target acquisition and one `catch_unwind`, with the slab's commit
+    /// lock held. A typed refusal changed nothing and is handed back; a
+    /// commit that panics fails the slab (module docs: one rule).
     fn commit(
-        &self,
-        shard: &Shard<G, T>,
-        queue: &mut ShardQueue<G>,
-        group: &[(Vec<i64>, G)],
+        shard: &Shard<T>,
+        state: &mut SlabState,
+        batch: &[(Vec<i64>, G)],
     ) -> Result<(), TryUpdateError> {
-        let coalesced;
-        let batch = if T::ACK_NEEDS_COMMIT {
-            group
-        } else if queue.deltas.len() == 1 {
-            &queue.deltas
-        } else {
-            coalesced = coalesce(&queue.deltas);
-            &coalesced
-        };
-        let ops = if T::ACK_NEEDS_COMMIT {
-            group.len() as u64
-        } else {
-            queue.deltas.len() as u64
-        };
-        if ops == 0 {
-            shard.pending.store(0, Ordering::Release);
-            return Ok(());
+        let slab = state.metrics.shard;
+        if let Some(cause) = state.failed {
+            return Err(TryUpdateError::ShardFailed { shard: slab, cause });
         }
         let span = obs::timer();
         let held = Instant::now();
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            if batch.is_empty() {
-                return Ok(());
-            }
             write_target(shard).commit(batch)
         }));
-        queue.metrics.lock_hold_nanos += held.elapsed().as_nanos() as u64;
+        state.metrics.lock_hold_nanos += held.elapsed().as_nanos() as u64;
         span.observe("shard.commit", &shard_obs().commit_ns);
         match outcome {
             Ok(Ok(())) => {
-                queue.metrics.ops_applied += ops;
-                queue.metrics.batches_flushed += 1;
-                queue.deltas.clear();
-                // Cleared only after the apply: a reader that saw
-                // `pending == 0` on its fast path must find every drained
-                // delta already in the cube.
-                shard.pending.store(0, Ordering::Release);
-                return Ok(());
+                state.metrics.ops_applied += batch.len() as u64;
+                state.metrics.batches_flushed += 1;
+                Ok(())
             }
-            Ok(Err(why)) if T::ACK_NEEDS_COMMIT => return Err(TryUpdateError::Refused(why)),
-            _ => {}
+            Ok(Err(why)) => Err(TryUpdateError::Refused(why)),
+            Err(_) => {
+                state.metrics.worker_panics += 1;
+                let cause = T::PANIC_CAUSE;
+                state.failed = Some(cause);
+                Err(TryUpdateError::ShardFailed { shard: slab, cause })
+            }
         }
-        let cause = if T::ACK_NEEDS_COMMIT {
-            PANICKED_AFTER_APPEND
-        } else {
-            COMMIT_FAILED
-        };
-        queue.metrics.worker_panics += 1;
-        queue.failed = Some(cause);
-        let shard = queue.metrics.shard;
-        Err(TryUpdateError::ShardFailed { shard, cause })
     }
 
-    /// Forces a commit on every live slab (e.g. before `entries`, or to
-    /// bound queue staleness from a maintenance thread). Skips failed
-    /// slabs, so it always terminates and never deadlocks; a failed
-    /// slab's queued deltas stay readable but never land (degraded mode,
-    /// visible in [`ShardedCube::health`]).
-    pub fn flush(&self) {
-        for shard in &self.shards {
-            let mut queue = lock_queue(shard);
-            if queue.failed.is_none() {
-                // A failure is in `queue.failed`, for `health()`.
-                drop(self.commit(shard, &mut queue, &[]));
-            }
-        }
-    }
+    /// Does nothing: nothing is ever queued, every acknowledged update is in its cube.
+    pub fn flush(&self) {}
 
     /// Why the cube no longer takes every write, when it does not: the
     /// first failed slab, else the first degraded target. `None` is
     /// fully serving; either way reads are served.
     pub fn health(&self) -> Option<String> {
         self.shards.iter().enumerate().find_map(|(shard, s)| {
-            let failed = lock_queue(s).failed;
+            let failed = lock_state(s).failed;
             match failed {
                 Some(cause) => Some(TryUpdateError::ShardFailed { shard, cause }.to_string()),
                 None => read_target(s).degraded().map(str::to_string),
@@ -715,36 +576,11 @@ impl<G: AbelianGroup, T: CommitTarget<G>> ShardedCube<G, T> {
         f(&read_target(&self.shards[shard]))
     }
 
-    /// One read of a slab, *through* its write queue: `read` against
-    /// the cube plus the still-queued deltas inside the box `[lo, hi]`.
-    /// The queue mutex is held only until the target read lock is
-    /// acquired — the same queue→target order a commit uses — so a
-    /// concurrent flush can neither apply a delta we already counted
-    /// nor sneak one past us. Failed slabs stay readable: their
-    /// acknowledged deltas are simply all queued.
-    fn read_through(
-        shard: &Shard<G, T>,
-        lo: &[i64],
-        hi: &[i64],
-        read: impl FnOnce(&GrowableCube<G>) -> G,
-    ) -> G {
+    /// One read of a slab: `read` against its cube, under the target's
+    /// read lock. Failed slabs stay readable.
+    fn read(shard: &Shard<T>, read: impl FnOnce(&GrowableCube<G>) -> G) -> G {
         shard.queries.fetch_add(1, Ordering::Relaxed);
-        if shard.pending.load(Ordering::Acquire) == 0 {
-            return read(read_target(shard).cube());
-        }
-        let queue = lock_queue(shard);
-        let queued = queue
-            .deltas
-            .iter()
-            .filter(|(p, _)| {
-                p.iter()
-                    .zip(lo.iter().zip(hi))
-                    .all(|(c, (l, h))| l <= c && c <= h)
-            })
-            .fold(G::ZERO, |acc, (_, d)| acc.add(*d));
-        let target = read_target(shard);
-        drop(queue);
-        read(target.cube()).add(queued)
+        read(read_target(shard).cube())
     }
 
     /// Sum over the closed box `[lo, hi]`: each slab whose rows overlap
@@ -762,7 +598,7 @@ impl<G: AbelianGroup, T: CommitTarget<G>> ShardedCube<G, T> {
         for shard in &self.shards[self.owner_index(lo[0])..=self.owner_index(hi[0])] {
             l[0] = lo[0].max(shard.rows_lo);
             h[0] = hi[0].min(shard.rows_last);
-            acc = acc.add(Self::read_through(shard, &l, &h, |c| c.range_sum(&l, &h)));
+            acc = acc.add(Self::read(shard, |c| c.range_sum(&l, &h)));
         }
         Ok(acc)
     }
@@ -771,12 +607,11 @@ impl<G: AbelianGroup, T: CommitTarget<G>> ShardedCube<G, T> {
     pub fn cell_at(&self, point: &[i64]) -> Result<G, OutOfBounds> {
         self.check_door(point)?;
         let shard = &self.shards[self.owner_index(point[0])];
-        Ok(Self::read_through(shard, point, point, |c| c.cell(point)))
+        Ok(Self::read(shard, |c| c.cell(point)))
     }
 
-    /// Populated cells (flushes first).
+    /// Populated cells.
     pub fn entries(&self) -> Vec<(Vec<i64>, G)> {
-        self.flush();
         self.shards
             .iter()
             .flat_map(|shard| read_target(shard).cube().entries())
@@ -835,9 +670,9 @@ impl<G: AbelianGroup, T: CommitTarget<G>> ShardedCube<G, T> {
 
     /// Per-slab metrics, in slab order.
     pub fn metrics(&self) -> Vec<MetricsSnapshot> {
-        let snapshot = |shard: &Shard<G, T>| MetricsSnapshot {
+        let snapshot = |shard: &Shard<T>| MetricsSnapshot {
             queries: shard.queries.load(Ordering::Relaxed),
-            ..lock_queue(shard).metrics
+            ..lock_state(shard).metrics
         };
         self.shards.iter().map(snapshot).collect()
     }
@@ -900,35 +735,24 @@ impl<G: AbelianGroup, T: CommitTarget<G>> RangeSumEngine<G> for ShardedCube<G, T
     }
 
     fn heap_bytes(&self) -> usize {
-        let per_delta = std::mem::size_of::<(Vec<i64>, G)>() + self.ndim * 8;
-        let slab = |shard: &Shard<G, T>| {
-            // Queue capacity is read (and its guard dropped) before the
-            // target lock: holding target while taking queue inverts the
-            // documented queue→target order and can deadlock against a
-            // commit.
-            let queued = lock_queue(shard).deltas.capacity() * per_delta;
-            read_target(shard).cube().heap_bytes() + queued
-        };
+        let slab = |shard: &Shard<T>| read_target(shard).cube().heap_bytes();
         self.shards.iter().map(slab).sum()
     }
 
     fn metrics_text(&self) -> Option<String> {
         let mut out = String::from(
-            "shard  rows          enqueued   applied  batches   queries  rejected  depth^  \
-             panics  lock-held\n",
+            "shard  rows          applied  batches   queries  rejected  panics  lock-held\n",
         );
         for m in self.metrics() {
             out.push_str(&format!(
-                "{:>5}  [{:>4},{:>4})  {:>8}  {:>8}  {:>7}  {:>8}  {:>8}  {:>6}  {:>6}  {:>7.3}ms\n",
+                "{:>5}  [{:>4},{:>4})  {:>8}  {:>7}  {:>8}  {:>8}  {:>6}  {:>7.3}ms\n",
                 m.shard,
                 m.rows_lo,
                 m.rows_hi,
-                m.ops_enqueued,
                 m.ops_applied,
                 m.batches_flushed,
                 m.queries,
                 m.ops_rejected,
-                m.queue_depth_max,
                 m.worker_panics,
                 m.lock_hold_nanos as f64 / 1e6,
             ));
@@ -944,14 +768,11 @@ mod tests {
     use crate::engine::DdcEngine;
     use std::sync::atomic::AtomicU64;
 
-    fn cube(shards: usize, batch: usize) -> ShardedCube<i64> {
+    fn cube(shards: usize) -> ShardedCube<i64> {
         ShardedCube::new(
             Shape::new(&[32, 16]),
             DdcConfig::dynamic(),
-            ShardConfig {
-                shards,
-                batch_capacity: batch,
-            },
+            ShardConfig::with_shards(shards),
         )
     }
 
@@ -963,7 +784,6 @@ mod tests {
     }
 
     impl CommitTarget<i64> for Flaky {
-        const ACK_NEEDS_COMMIT: bool = false;
         fn cube(&self) -> &GrowableCube<i64> {
             &self.cube
         }
@@ -977,7 +797,8 @@ mod tests {
     }
 
     /// An 8 × 4 cube whose slab 0 fails its next `n` commits.
-    fn flaky(n: u64, shard_config: ShardConfig) -> ShardedCube<i64, Flaky> {
+    fn flaky(n: u64, shards: usize) -> ShardedCube<i64, Flaky> {
+        let shard_config = ShardConfig::with_shards(shards);
         ShardedCube::bounded(Shape::new(&[8, 4]), shard_config, |rows_lo| Flaky {
             cube: GrowableCube::with_origin(&[rows_lo, 0], DdcConfig::dynamic()),
             armed: Arc::new(AtomicU64::new(if rows_lo == 0 { n } else { 0 })),
@@ -1010,7 +831,7 @@ mod tests {
     #[test]
     fn matches_unsharded_engine_on_every_prefix() {
         let mut plain = DdcEngine::<i64>::dynamic(Shape::new(&[32, 16]));
-        let c = cube(4, 8);
+        let c = cube(4);
         let pts: [([usize; 2], i64); 6] = [
             ([0, 0], 3),
             ([31, 15], 4),
@@ -1032,29 +853,8 @@ mod tests {
     }
 
     #[test]
-    fn queue_batches_and_flushes_on_capacity() {
-        let c = cube(2, 4);
-        for i in 0..3 {
-            c.update(&[i, 0], 1);
-        }
-        // Below capacity: nothing applied yet.
-        let m = c.metrics();
-        assert_eq!(m.iter().map(|s| s.ops_enqueued).sum::<u64>(), 3);
-        assert_eq!(m.iter().map(|s| s.ops_applied).sum::<u64>(), 0);
-        c.update(&[3, 0], 1); // fourth hits capacity on shard 0
-        let m = c.metrics();
-        assert_eq!(m[0].ops_applied, 4);
-        assert_eq!(m[0].batches_flushed, 1);
-        assert_eq!(m[0].queue_depth_max, 4);
-        // Queries read through the queues without forcing extra commits.
-        assert_eq!(c.query_prefix(&[31, 15]), 4);
-        let m = c.metrics();
-        assert_eq!(m.iter().map(|s| s.ops_applied).sum::<u64>(), 4);
-    }
-
-    #[test]
     fn queries_see_queued_writes_immediately() {
-        let c = cube(4, 1_000_000); // batch capacity never reached
+        let c = cube(4);
         c.update(&[10, 10], 7);
         assert_eq!(c.query_prefix(&[31, 15]), 7);
         c.update(&[10, 10], -7);
@@ -1062,32 +862,15 @@ mod tests {
     }
 
     #[test]
-    fn coalescing_cancels_opposing_deltas() {
-        let c = cube(1, 1_000_000);
-        c.update(&[4, 4], 10);
-        c.update(&[4, 4], -10);
-        c.flush();
-        // Both raw ops count as applied, but the cube saw a no-op batch.
-        let m = c.metrics();
-        assert_eq!(m[0].ops_applied, 2);
-        assert_eq!(c.entries().len(), 0);
-    }
-
-    #[test]
     fn exhausted_restart_budget_fails_the_shard() {
-        let c = flaky(
-            1,
-            ShardConfig {
-                shards: 2,
-                batch_capacity: 1,
-            },
-        );
-        c.update(&[0, 0], 1); // its commit panics → Failed, no retry
-        let err = c.try_update(&[1, 0], 1).unwrap_err();
+        let c = flaky(1, 2);
         let failed = TryUpdateError::ShardFailed {
             shard: 0,
             cause: COMMIT_FAILED,
         };
+        // Its commit panics → failed, not acknowledged, no retry.
+        assert_eq!(c.try_update(&[0, 0], 1), Err(failed.clone()));
+        let err = c.try_update(&[1, 0], 1).unwrap_err();
         assert_eq!(err, failed);
         assert!(err.to_string().contains("shard 0"));
         assert_eq!(c.health(), Some(failed.to_string()));
@@ -1096,33 +879,38 @@ mod tests {
         c.update(&[1, 0], 1);
         c.update(&[2, 0], 1);
         assert!(obs::counter("shard.shed").get() >= shed_before + 2);
-        assert_eq!(c.metrics()[0].ops_rejected, 3);
-        // The sibling slab is unaffected, and flush() skips the corpse
-        // instead of deadlocking.
+        assert_eq!(c.metrics()[0].ops_rejected, 4);
+        // The sibling slab is unaffected.
         c.try_update(&[7, 0], 3).unwrap();
-        c.flush();
         assert_eq!(c.metrics()[1].ops_applied, 1);
-        // The delta the failed slab acknowledged stays readable.
-        assert_eq!(c.query_prefix(&[7, 3]), 4);
+        // The failed slab stays readable; the refused delta is not in it.
+        assert_eq!(c.query_prefix(&[7, 3]), 3);
     }
 
     #[test]
     fn the_door_refuses_what_the_usize_facade_panics_on() {
-        let c = cube(2, 8);
+        let c = cube(2);
         for bad in [&[32, 0][..], &[-1, 0], &[0], &[0, i64::MAX]] {
             let refused = c.try_add(bad, 1).unwrap_err();
             assert!(matches!(refused, TryUpdateError::OutOfBounds(_)), "{bad:?}");
             assert!(c.cell_at(bad).is_err(), "{bad:?}");
         }
         assert!(c.query_box(&[2, 2], &[1, 1]).is_err(), "inverted");
-        assert_eq!(c.metrics()[0].ops_enqueued, 0);
+        assert_eq!(c.metrics()[0].ops_applied, 0);
         let facade = std::panic::catch_unwind(|| c.update(&[32, 0], 1));
         assert!(facade.is_err(), "update() must not shed a caller bug");
         // Without bounds the door checks rank only: every `i64` row has
         // an owner, the commit refuses what the cube cannot grow to, and
-        // reads clip to what it covers.
+        // reads clip to what it covers — on either target.
         let log = crate::DurableCube::<i64, Vec<u8>>::new(2, DdcConfig::sparse(), Vec::new());
-        let open = ShardedCube::unbounded(log.unwrap(), ShardConfig::default());
+        let open = ShardedCube::unbounded(log.unwrap());
+        unbounded_refuses_what_it_cannot_grow_to(&open);
+        assert_eq!(open.read_target(0, |t| t.wal_stats().1), 1, "one record");
+        let plain = ShardedCube::unbounded(GrowableCube::<i64>::new(2, DdcConfig::sparse()));
+        unbounded_refuses_what_it_cannot_grow_to(&plain);
+    }
+
+    fn unbounded_refuses_what_it_cannot_grow_to<T: CommitTarget<i64>>(open: &ShardedCube<i64, T>) {
         open.try_add(&[-40_000, 3], 1).unwrap();
         assert_eq!(open.query_box(&[-50_000, -10], &[20, 10]), Ok(1));
         for edge in [i64::MIN, i64::MAX, 1 << 40] {
@@ -1142,20 +930,16 @@ mod tests {
         assert!(open.try_add(&[0], 1).is_err(), "rank");
         let slab = &open.metrics()[0];
         assert_eq!((open.metrics().len(), slab.ops_applied), (1, 1));
-        assert_eq!(open.read_target(0, |t| t.wal_stats().1), 1, "one record");
-        let acked_on_enqueue = std::panic::catch_unwind(|| {
-            let plain = GrowableCube::<i64>::new(2, DdcConfig::sparse());
-            ShardedCube::unbounded(plain, ShardConfig::default())
-        });
-        assert!(acked_on_enqueue.is_err(), "an ack on enqueue needs bounds");
+        open.read_target(0, |t| t.cube().check_invariants());
     }
 
-    /// A run is its deltas enqueued one by one — same acks, same commit
-    /// points, same counters — under one lock acquisition per stretch a
-    /// slab owns; it stops at the first point the door refuses.
+    /// A run is acknowledged as its deltas one by one would be — same
+    /// acks, same applied counts, same answers — under one commit lock
+    /// acquisition per stretch a slab owns, and one commit per stretch
+    /// the cube covers; it stops at the first point the door refuses.
     #[test]
     fn a_run_enqueues_as_its_singles_would() {
-        let (run_fed, singles_fed) = (cube(4, 3), cube(4, 3));
+        let (run_fed, singles_fed) = (cube(4), cube(4));
         let run: Vec<_> = (0..20i64)
             .map(|i| (vec![(i * 5) % 32, i % 16], i - 7))
             .collect();
@@ -1164,13 +948,18 @@ mod tests {
             singles_fed.try_add(point, *delta).unwrap();
         }
         let counted = |c: &ShardedCube<i64>| {
-            let untimed = |m| MetricsSnapshot {
+            let uncommitted = |m| MetricsSnapshot {
                 lock_hold_nanos: 0,
+                batches_flushed: 0,
                 ..m
             };
-            c.metrics().into_iter().map(untimed).collect::<Vec<_>>()
+            c.metrics().into_iter().map(uncommitted).collect::<Vec<_>>()
         };
         assert_eq!(counted(&run_fed), counted(&singles_fed));
+        let commits =
+            |c: &ShardedCube<i64>| c.metrics().iter().map(|m| m.batches_flushed).sum::<u64>();
+        assert!(commits(&run_fed) < commits(&singles_fed));
+        assert_eq!(commits(&singles_fed), 20);
         assert_eq!(
             run_fed.query_prefix(&[31, 15]),
             singles_fed.query_prefix(&[31, 15])
@@ -1197,7 +986,7 @@ mod tests {
     #[test]
     fn a_logged_run_is_one_commit_per_covered_stretch() {
         let log = crate::DurableCube::<i64, Vec<u8>>::new(2, DdcConfig::dynamic(), Vec::new());
-        let open = ShardedCube::unbounded(log.unwrap(), ShardConfig::default());
+        let open = ShardedCube::unbounded(log.unwrap());
         let at = |row: i64, delta: i64| (vec![row, 0], delta);
         let run = [
             at(1, 5),
@@ -1231,7 +1020,7 @@ mod tests {
 
     #[test]
     fn facade_counter_absorbs_shard_ops() {
-        let c = cube(4, 1);
+        let c = cube(4);
         assert_eq!(c.ops(), OpSnapshot::default());
         for i in 0..16 {
             c.update(&[i, 0], 1);
@@ -1250,17 +1039,17 @@ mod tests {
 
     #[test]
     fn metrics_text_is_one_row_per_shard() {
-        let c = cube(3, 2);
+        let c = cube(3);
         c.update(&[0, 0], 1);
         let text = RangeSumEngine::metrics_text(&c).expect("sharded cube reports metrics");
         assert_eq!(text.lines().count(), 1 + 3, "{text}");
-        assert!(text.contains("enqueued"), "{text}");
+        assert!(text.contains("applied"), "{text}");
         assert!(text.contains("panics"), "{text}");
     }
 
     #[test]
     fn trait_object_round_trip() {
-        let mut c: Box<dyn RangeSumEngine<i64>> = Box::new(cube(4, 8));
+        let mut c: Box<dyn RangeSumEngine<i64>> = Box::new(cube(4));
         c.apply_delta(&[1, 2], 5);
         assert_eq!(c.set(&[1, 2], 9), 5);
         assert_eq!(c.cell(&[1, 2]), 9);

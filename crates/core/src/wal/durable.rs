@@ -13,7 +13,7 @@ use crate::config::DdcConfig;
 use crate::growth::GrowableCube;
 use crate::obs;
 use crate::persist::ValueCodec;
-use crate::shard::{CommitTarget, ShardConfig, ShardedCube};
+use crate::shard::{CommitTarget, ShardedCube, PANICKED_AFTER_APPEND};
 use crate::store::{self, SpillFile};
 use crate::sync::Arc;
 use crate::vfs::{is_no_space, read_stable, IoError, OpenMode, RetryPolicy, Vfs, VfsFile};
@@ -432,7 +432,7 @@ where
 /// [`DurableCube::add_group`] — append every record, sync once, apply —
 /// so an `Ok` covers every record of it and an `Err` none.
 impl<G: AbelianGroup + ValueCodec, F: VfsFile + Sync> CommitTarget<G> for DurableCube<G, F> {
-    const ACK_NEEDS_COMMIT: bool = true;
+    const PANIC_CAUSE: &'static str = PANICKED_AFTER_APPEND;
 
     fn cube(&self) -> &GrowableCube<G> {
         &self.cube
@@ -453,7 +453,8 @@ impl<G: AbelianGroup + ValueCodec, F: VfsFile + Sync> CommitTarget<G> for Durabl
 /// "Acknowledged" ([`ShardedCube::try_add`] returning `Ok`) means the
 /// WAL record was appended and synced *and* the in-memory cube reflects
 /// it, as one atomic step with respect to every other thread: the
-/// pipeline commits inline under the slab's queue lock.
+/// pipeline commits under the slab's commit lock, and applies under
+/// the exclusive target lock readers wait on.
 ///
 /// This is the structure the `ddc-model` durability scenario
 /// (`ddc_core::models`, behind the `ddc_model` feature) checks: no
@@ -477,7 +478,7 @@ impl<G: AbelianGroup + ValueCodec, F: VfsFile + Sync> SharedDurableCube<G, F> {
     /// Shares `cube` behind the pipeline: no bounds, so one slab.
     pub fn from_cube(cube: DurableCube<G, F>) -> Self {
         Self {
-            pipeline: Arc::new(ShardedCube::unbounded(cube, ShardConfig::default())),
+            pipeline: Arc::new(ShardedCube::unbounded(cube)),
         }
     }
 }

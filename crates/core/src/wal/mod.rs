@@ -2,7 +2,7 @@
 //!
 //! The paper's headline property — the cube stays *updatable in place*
 //! (§4–§6) — is worthless in a serving deployment if a process kill
-//! loses every queued update. This module makes the update path
+//! loses every acknowledged update. This module makes the update path
 //! crash-safe with the classic two-piece protocol:
 //!
 //! 1. **Snapshot** — a point-in-time image written by

@@ -122,7 +122,7 @@ impl<G: AbelianGroup> DataCube<G> {
     }
 
     /// The backing engine's extra metrics report, if it keeps one (the
-    /// sharded engine reports per-shard queue and lock statistics).
+    /// sharded engine reports per-shard commit and lock statistics).
     pub fn metrics_text(&self) -> Option<String> {
         self.engine.metrics_text()
     }

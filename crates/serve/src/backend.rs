@@ -3,7 +3,7 @@
 //! The wire layer never touches an engine directly: every request is
 //! executed through [`ServeBackend`], and there is one implementation —
 //! [`Backend`], a handle on the commit pipeline
-//! ([`ddc_core::ShardedCube`]: door → queue → \[log\] → apply → ack).
+//! ([`ddc_core::ShardedCube`]: door → \[log\] → apply → ack).
 //! `ddc serve` and `ddc serve --durable` differ only in what the
 //! pipeline was built over ([`ShardedBackend`]: bounds, no log;
 //! [`DurableBackend`]: a log, no bounds), so there is one coordinate
@@ -136,9 +136,10 @@ pub struct Backend<T> {
     cube: Arc<ShardedCube<i64, T>>,
 }
 
-/// The backend of `ddc serve`: bounded coordinate space, acks on
-/// enqueue, group commits; a commit that fails turns its slab
-/// `ReadOnly` (503).
+/// The backend of `ddc serve`: bounded coordinate space, an ack is an
+/// update applied to its slab's cube (one commit may cover a whole
+/// [`ServeBackend::ingest`] stretch); a commit that panics turns its
+/// slab `ReadOnly` (503).
 pub type ShardedBackend = Backend<GrowableCube<i64>>;
 
 /// The backend of `ddc serve --durable`: growable signed coordinate
@@ -152,7 +153,7 @@ pub type DurableBackend<F> = Backend<DurableCube<i64, F>>;
 
 impl ShardedBackend {
     /// Serves `cube` (callers keep a handle via [`Backend::cube`] —
-    /// useful for tests that flush and audit totals out of band).
+    /// useful for tests that audit totals out of band).
     pub fn new(cube: ShardedCube<i64>) -> Self {
         Self::over(Arc::new(cube))
     }
@@ -259,7 +260,6 @@ pub(crate) mod tests {
         let b = sharded(&[8, 8]);
         b.update(&[1, 2], 5).expect("in bounds");
         b.update(&[7, 7], 3).expect("in bounds");
-        b.cube().flush();
         assert_eq!(b.query(&[0, 0], &[7, 7]).expect("full box"), 8);
         assert_eq!(b.prefix(&[1, 2]).expect("prefix"), 5);
         assert_eq!(b.query(&[7, 7], &[7, 7]).expect("cell"), 3);
@@ -296,7 +296,6 @@ pub(crate) mod tests {
         ]);
         assert_eq!(out.applied, 2);
         assert_eq!(out.error.as_ref().map(|e| e.status()), Some(400));
-        b.cube().flush();
         assert_eq!(b.query(&[0, 0], &[3, 3]).expect("sum"), 3);
     }
 

@@ -178,8 +178,8 @@ impl Faults {
 
 /// A [`CommitTarget`] that is `T` until its [`Faults`] are armed — the
 /// engine bug or failing disk the pipeline's supervisor exists to
-/// contain, on demand. Its [`CommitTarget::ACK_NEEDS_COMMIT`] is
-/// `T`'s, so it is plain- or durable-shaped with what it wraps.
+/// contain, on demand. Its [`CommitTarget::PANIC_CAUSE`] is `T`'s, so
+/// it is plain- or durable-shaped with what it wraps.
 #[derive(Debug)]
 pub struct FlakyTarget<T> {
     inner: T,
@@ -219,7 +219,7 @@ impl FlakyTarget<GrowableCube<i64>> {
 }
 
 impl<T: CommitTarget<i64>> CommitTarget<i64> for FlakyTarget<T> {
-    const ACK_NEEDS_COMMIT: bool = T::ACK_NEEDS_COMMIT;
+    const PANIC_CAUSE: &'static str = T::PANIC_CAUSE;
 
     fn cube(&self) -> &GrowableCube<i64> {
         self.inner.cube()

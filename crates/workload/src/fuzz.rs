@@ -3,8 +3,8 @@
 //! A [`CheckTrace`] is richer than the plain benchmark [`crate::Trace`]:
 //! coordinates are *signed* logical positions inside a covered box that
 //! can **grow in any direction** mid-trace (the paper's §5 star-catalog
-//! story), and the op set includes persistence round-trips and shard
-//! group-commit barriers. The format stays line-oriented text so a
+//! story), and the op set includes persistence round-trips and flush
+//! barriers. The format stays line-oriented text so a
 //! shrunk repro is diffable and replayable by hand:
 //!
 //! ```text
@@ -70,7 +70,9 @@ pub enum CheckOp {
     /// Save/load round-trip for engines that persist; a round-trip error
     /// or any post-round-trip divergence is a failure.
     SaveLoad,
-    /// Flush barrier: engines with write queues must group-commit.
+    /// Flush barrier. No engine queues writes, so every engine treats it
+    /// as a no-op; it stays so recorded traces keep parsing and seeded
+    /// runs keep drawing the same ops.
     Flush,
     /// Simulated process kill for engines with a durability story: drop
     /// all volatile state and recover from snapshot + WAL. Acknowledged

@@ -87,11 +87,11 @@ fn ported_shard_model_is_linearizable() {
 }
 
 #[test]
-fn ported_shard_model_never_loses_queued_deltas() {
-    let report = models::shard_queue_drain(cfg());
+fn ported_shard_model_acks_a_run_once_it_has_landed() {
+    let report = models::shard_run_lands_whole(cfg());
     assert!(
         report.passed(),
-        "shard_queue_drain failed:\n{}",
+        "shard_run_lands_whole failed:\n{}",
         report.failure.map(|f| f.to_string()).unwrap_or_default()
     );
     assert!(!report.capped, "bounded space should be exhausted");

@@ -108,7 +108,6 @@ fn instrumented_hot_paths_report_nonzero() {
     for i in 0..16 {
         cube.update(&[i, i % 4], 1);
     }
-    cube.flush();
 
     // WAL append + recovery replay.
     let mut writer = WalWriter::create(Vec::new()).expect("wal header");

@@ -210,30 +210,28 @@ fn healthz(addr: &str) -> (String, String) {
     (status, body.trim_end().to_string())
 }
 
-/// A slab whose commit failed refuses writes with a 503 that says so —
-/// and `/healthz` says the same thing, not `ok`. Reads still see the
-/// delta the slab acknowledged and could not land.
+/// A slab whose commit failed refuses writes with a 503 that says so,
+/// the update whose commit panicked included — and `/healthz` says the
+/// same thing, not `ok`. Reads keep serving what the slab acknowledged.
 #[test]
 fn a_failed_slab_shows_on_healthz_with_the_reason_its_503_carries() {
     let faults = Arc::new(Faults::default());
     let cube = FlakyTarget::sharded(
         Shape::new(&[8, 8]),
         DdcConfig::default(),
-        ShardConfig {
-            shards: 1,
-            batch_capacity: 1,
-        },
+        ShardConfig::with_shards(1),
         &faults,
     );
     let (server, _backend) = start(Backend::over(Arc::new(cube)), 2);
     let addr = server.local_addr().to_string();
     assert_eq!(healthz(&addr), ("HTTP/1.1 200 OK".into(), "ok".into()));
 
-    faults.arm(Fault::Panic, 1);
     let mut stream = TcpStream::connect(&addr).expect("client connects");
-    // Acknowledged on enqueue; its commit is the one that panics.
     assert_eq!(roundtrip(&mut stream, "u 2,3 5\n"), "ok");
+    faults.arm(Fault::Panic, 1);
+    // Its commit is the one that panics: refused, not acknowledged.
     let reason = format!("shard 0 failed ({COMMIT_FAILED})");
+    assert_eq!(roundtrip(&mut stream, "u 2,3 1\n"), format!("err {reason}"));
     assert_eq!(roundtrip(&mut stream, "u 2,3 1\n"), format!("err {reason}"));
     let (status, body) = healthz(&addr);
     assert!(status.starts_with("HTTP/1.1 503 "), "{status}");
@@ -251,10 +249,7 @@ fn a_panicking_durable_commit_answers_503_and_the_connection_keeps_serving() {
     let faults = Arc::new(Faults::default());
     let durable = DurableCube::<i64, Vec<u8>>::new(2, DdcConfig::dynamic(), Vec::new())
         .expect("in-memory log");
-    let cube = ShardedCube::unbounded(
-        FlakyTarget::new(durable, Arc::clone(&faults)),
-        ShardConfig::default(),
-    );
+    let cube = ShardedCube::unbounded(FlakyTarget::new(durable, Arc::clone(&faults)));
     let (server, backend) = start(Backend::over(Arc::new(cube)), 2);
     let addr = server.local_addr().to_string();
     let mut stream = TcpStream::connect(&addr).expect("client connects");

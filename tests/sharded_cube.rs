@@ -2,10 +2,11 @@
 //! differential replay proving the sharded protocol is observably
 //! identical to an unsharded engine; the same pipeline over both its
 //! targets — plain and logged — audited and compared to an oracle after
-//! *every* enqueue, flush, failed commit, heal and crash; the one
-//! failure rule (a commit that does not land fails its slab) on both;
-//! and a reader/writer stress test proving no update is lost or
-//! duplicated under contention.
+//! *every* run, failed commit, heal and crash; the one ack rule (an
+//! update is acknowledged once its commit has landed) and the one
+//! failure rule (a commit that does not land fails its slab, and is not
+//! acknowledged) on both; and a reader/writer stress test proving no
+//! update is lost or duplicated under contention.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -60,7 +61,6 @@ impl Rig for Plain {
 struct Logged {
     disk: MemVfs,
     config: DdcConfig,
-    shard_config: ShardConfig,
 }
 
 impl Rig for Logged {
@@ -72,10 +72,7 @@ impl Rig for Logged {
             wal::recover_vfs::<i64, _>(&self.disk, LOG, None, 2, self.config, policy)
                 .expect("the log recovers");
         cube.cube().check_invariants();
-        ShardedCube::unbounded(
-            FlakyTarget::new(cube, Arc::clone(faults)),
-            self.shard_config,
-        )
+        ShardedCube::unbounded(FlakyTarget::new(cube, Arc::clone(faults)))
     }
     fn log_records(&self, cube: &ShardedCube<i64, FlakyTarget<Self::Target>>) -> Option<u64> {
         Some(cube.read_target(0, |t| t.inner().wal_stats().1))
@@ -87,7 +84,7 @@ impl Rig for Logged {
 
 /// SNIPPETS.md's cumulant suite (validate the structure and compare the
 /// running aggregate after every step), transposed onto the pipeline:
-/// random runs of enqueues, flushes, failing commits, heals and — with a log —
+/// random runs of updates, failing commits, heals and — with a log —
 /// kills, each followed by `check_invariants()` on every slab and a
 /// comparison of the total, sampled boxes and a cell with the oracle of
 /// *acknowledged* updates. With a log, records == acks after every step.
@@ -103,9 +100,9 @@ fn churn<R: Rig>(rig: &R, rng: &mut DdcRng, steps: usize) {
         let what = match rng.gen_range(0usize..20) {
             // The last step of a logged run is always a kill.
             _ if step == steps => "crash",
-            0..=11 => {
-                // A run of one to six: with a log, one commit per
-                // stretch the cube covers already.
+            0..=13 => {
+                // A run of one to six: one commit per stretch the cube
+                // covers already.
                 let run: Vec<_> = (0..[1, 1, 2, 6][rng.gen_range(0usize..4)])
                     .map(|_| (vec![coord(rng), coord(rng)], rng.gen_range(-9i64..=9)))
                     .collect();
@@ -124,16 +121,10 @@ fn churn<R: Rig>(rig: &R, rng: &mut DdcRng, steps: usize) {
                     Some(TryUpdateError::ShardFailed { shard: 0, cause }) if cause == R::FAILED => {
                         "refused run"
                     }
-                    // A logged commit's typed refusal: nothing acked, not failed.
-                    Some(TryUpdateError::Refused(_)) if R::Target::ACK_NEEDS_COMMIT => {
-                        "refused run"
-                    }
+                    // A typed refusal: nothing acked, not failed.
+                    Some(TryUpdateError::Refused(_)) => "refused run",
                     Some(other) => panic!("{run:?}: {other}"),
                 }
-            }
-            12..=13 => {
-                cube.flush();
-                "flush"
             }
             14..=16 => {
                 let fault = [Fault::Refuse, Fault::Panic][rng.gen_range(0usize..2)];
@@ -142,7 +133,6 @@ fn churn<R: Rig>(rig: &R, rng: &mut DdcRng, steps: usize) {
             }
             17..=18 => {
                 faults.heal();
-                cube.flush();
                 "heal"
             }
             _ => "crash",
@@ -184,13 +174,12 @@ for_cases! {
         let n1 = rng.gen_range(4usize..24);
         let shape = Shape::new(&[n0, n1]);
         let shards = rng.gen_range(1usize..=6);
-        let batch = [1usize, 4, 64, 1_000_000][rng.gen_range(0usize..4)];
         let trace = Trace::generate(&shape, rng.gen_range(50usize..300), 0.6, rng);
 
         let sharded = ShardedCube::<i64>::new(
             shape.clone(),
             DdcConfig::dynamic(),
-            ShardConfig { shards, batch_capacity: batch },
+            ShardConfig::with_shards(shards),
         );
         let plain = DdcEngine::<i64>::dynamic(shape.clone());
         let mut lockstep = ShadowEngine::new(sharded, plain);
@@ -198,42 +187,35 @@ for_cases! {
 
         let mut reference = DdcEngine::<i64>::dynamic(shape);
         let independent = trace.replay(&mut reference);
-        assert_eq!(shadowed, independent, "shards={shards} batch={batch}");
+        assert_eq!(shadowed, independent, "shards={shards}");
     }
 
     /// The cumulant suite over both targets: plain × {1, 3} slabs and
-    /// logged × 1, `dynamic()` and `sparse()`. An armed fault fails
-    /// slab 0 at its next commit: from then on runs to it are refused
-    /// and reads of it must still match the oracle (the faults fire
-    /// before the cube is touched, so its queue holds exactly what was
-    /// acknowledged); a logged pipeline comes back at the next crash. A
-    /// batch capacity of 1 000 is a queue that never drains on its own:
-    /// every read between two flushes goes through it (what the retired
-    /// merge-order enumeration probed after each enqueue; two of the six
-    /// seeded cases draw it).
+    /// logged × 1, `dynamic()` and `sparse()`. An armed panic fails
+    /// slab 0 at its next commit: that run and every later one to it
+    /// are refused, and reads of it must still match the oracle (the
+    /// faults fire before the cube is touched, so it holds exactly what
+    /// was acknowledged); an armed refusal refuses the runs it hits and
+    /// leaves the slab serving; a logged pipeline comes back at the next
+    /// crash.
     fn every_step_audits_and_matches_the_oracle_on_both_targets(rng, cases = 6) {
-        let shard_config = ShardConfig {
-            batch_capacity: [1usize, 3, 64, 1_000][rng.gen_range(0usize..4)],
-            ..ShardConfig::default()
-        };
         for config in [DdcConfig::dynamic(), DdcConfig::sparse()] {
             for shards in [1, 3] {
                 let side = rng.gen_range(5usize..=40);
-                let shard_config = ShardConfig { shards, ..shard_config };
+                let shard_config = ShardConfig::with_shards(shards);
                 churn(&Plain { side, config, shard_config }, rng, 120);
             }
-            churn(&Logged { disk: MemVfs::new(), config, shard_config }, rng, 120);
+            churn(&Logged { disk: MemVfs::new(), config }, rng, 120);
         }
     }
 
-    /// Read-through at the slab cuts. On a cube that never commits (its
-    /// batch capacity out of reach, so every answer is engine + queue), with
-    /// queued deltas on every cut row and its neighbours, regions whose
-    /// dimension-0 bounds sit on, one below and one above each cut read
-    /// exactly as the unsharded engine does — at 1, 3 and `n0` shards.
-    /// At one shard the two trees have the same shape, so after a flush
-    /// the same reads must also leave the same `ops()` totals: the
-    /// slab-region path hands the engine the identical prefix-sum calls.
+    /// Reads at the slab cuts. With deltas on every cut row and its
+    /// neighbours, regions whose dimension-0 bounds sit on, one below
+    /// and one above each cut read exactly as the unsharded engine does
+    /// — at 1, 3 and `n0` shards. At one shard the two trees have the
+    /// same shape, so the same reads must also leave the same `ops()`
+    /// totals: the slab-region path hands the engine the identical
+    /// prefix-sum calls.
     fn read_through_matches_unsharded_at_every_slab_cut(rng, cases = 12) {
         let d = rng.gen_range(1usize..=3);
         let n0 = rng.gen_range(3usize..=10);
@@ -244,10 +226,7 @@ for_cases! {
             let cube = ShardedCube::<i64>::new(
                 shape.clone(),
                 DdcConfig::dynamic(),
-                ShardConfig {
-                    shards,
-                    batch_capacity: usize::MAX,
-                },
+                ShardConfig::with_shards(shards),
             );
             let mut plain = DdcEngine::<i64>::dynamic(shape.clone());
             let mut rows: Vec<usize> = cube
@@ -269,7 +248,8 @@ for_cases! {
                     plain.apply_delta(&p, v);
                 }
             }
-            assert_eq!(cube.metrics().iter().map(|m| m.ops_applied).sum::<u64>(), 0);
+            let applied = cube.metrics().iter().map(|m| m.ops_applied).sum::<u64>();
+            assert_eq!(applied, 3 * rows.len() as u64, "every acked update is in a cube");
 
             let reads = |rng: &mut ddc_tests::DdcRng| {
                 for (i, &lo0) in rows.iter().enumerate() {
@@ -289,7 +269,6 @@ for_cases! {
                 }
             };
             reads(rng);
-            cube.flush();
             cube.reset_ops();
             plain.reset_ops();
             reads(rng);
@@ -327,10 +306,7 @@ fn stress_readers_and_writers_preserve_every_update() {
     let cube = ShardedCube::<i64>::new(
         shape.clone(),
         DdcConfig::dynamic(),
-        ShardConfig {
-            shards: 4,
-            batch_capacity: 64,
-        },
+        ShardConfig::with_shards(4),
     );
     let done = AtomicBool::new(false);
     let (cube_ref, done_ref) = (&cube, &done);
@@ -357,16 +333,14 @@ fn stress_readers_and_writers_preserve_every_update() {
                 }
             });
         }
-        // Readers run until every writer delta has been enqueued; without
-        // the flag the scope's implicit join would deadlock on them.
+        // Readers run until every writer delta has landed; without the
+        // flag the scope's implicit join would deadlock on them.
         let expected = (WRITERS * UPDATES_PER_WRITER) as u64;
-        while cube.metrics().iter().map(|m| m.ops_enqueued).sum::<u64>() < expected {
+        while cube.metrics().iter().map(|m| m.ops_applied).sum::<u64>() < expected {
             std::thread::yield_now();
         }
         done.store(true, Ordering::Relaxed);
     });
-
-    cube.flush();
 
     // Single-threaded ground truth over the concatenated streams (group
     // addition commutes, so interleaving order cannot matter).
@@ -429,118 +403,65 @@ fn batched_updates_match_single_updates() {
     }
 }
 
-/// Queue semantics (read-through and explicit drain): an enqueued update
-/// is visible to point reads and range queries *immediately* — before
-/// any group commit — and an explicit `flush` moves it from the queue to
-/// the underlying engine without changing any observable value.
+/// The ack rule on the plain target: an update is acknowledged once its
+/// commit has landed, so the moment `try_add` returns `Ok` the slab's
+/// cube holds the delta — no queue, nothing for a flush to move.
 #[test]
-fn queued_updates_read_through_and_flush_is_observably_silent() {
-    let shape = Shape::new(&[8, 8]);
+fn a_plain_update_is_in_the_cube_when_it_is_acknowledged() {
     let cube = ShardedCube::<i64>::new(
-        shape.clone(),
+        Shape::new(&[8, 8]),
         DdcConfig::dynamic(),
-        // A batch capacity far above the update count: nothing will
-        // group-commit on its own, so every read below goes through a
-        // non-empty queue.
-        ShardConfig {
-            shards: 2,
-            batch_capacity: 1_000_000,
-        },
+        ShardConfig::with_shards(2),
     );
-
-    cube.update(&[1, 2], 5);
-    cube.update(&[7, 0], -3);
-    cube.update(&[1, 2], 4);
-
-    // Visible immediately after enqueue, before any flush.
-    assert_eq!(cube.cell_value(&[1, 2]), 9);
-    assert_eq!(cube.cell_value(&[7, 0]), -3);
-    assert_eq!(cube.query(&Region::full(&shape)), 6);
-    let applied_before: u64 = cube.metrics().iter().map(|m| m.ops_applied).sum();
-    assert_eq!(applied_before, 0, "nothing should have committed yet");
-
-    // Explicit flush drains the queues into the engine…
-    cube.flush();
-    let applied_after: u64 = cube.metrics().iter().map(|m| m.ops_applied).sum();
-    assert_eq!(applied_after, 3, "flush must apply every queued delta once");
-
-    // …without changing what any observer sees.
-    assert_eq!(cube.cell_value(&[1, 2]), 9);
-    assert_eq!(cube.cell_value(&[7, 0]), -3);
-    assert_eq!(cube.query(&Region::full(&shape)), 6);
-
-    // A second flush of empty queues is a no-op, not a double apply.
-    cube.flush();
-    let applied_again: u64 = cube.metrics().iter().map(|m| m.ops_applied).sum();
-    assert_eq!(applied_again, 3);
-    assert_eq!(cube.query(&Region::full(&shape)), 6);
+    let in_cube = |slab| cube.read_target(slab, |t| t.cube().total());
+    cube.try_add(&[1, 2], 5).expect("acked");
+    assert_eq!(in_cube(0), 5);
+    cube.try_add(&[7, 0], -3).expect("acked");
+    assert_eq!((in_cube(0), in_cube(1)), (5, -3));
+    let run = [(vec![1, 2], 4), (vec![0, 7], 1)];
+    assert_eq!(cube.try_add_batch(&run), (2, None));
+    assert_eq!(in_cube(0), 10);
+    let m = cube.metrics();
+    assert_eq!((m[0].ops_applied, m[0].batches_flushed), (3, 2), "{m:?}");
+    assert_eq!(cube.query_box(&[0, 0], &[7, 7]), Ok(7));
 }
 
-/// Crossing `batch_capacity` triggers the group commit automatically:
-/// the queue drains without an explicit flush, and values still read
-/// identically before and after the threshold.
-#[test]
-fn batch_capacity_threshold_group_commits_automatically() {
-    let cube = ShardedCube::<i64>::new(
-        Shape::new(&[4, 4]),
-        DdcConfig::dynamic(),
-        ShardConfig {
-            shards: 1,
-            batch_capacity: 4,
-        },
-    );
-    // Three updates sit in the queue (below capacity)…
-    for i in 0..3 {
-        cube.update(&[i, i], 1);
-    }
-    assert_eq!(cube.metrics()[0].ops_applied, 0);
-    assert_eq!(cube.metrics()[0].ops_enqueued, 3);
-    // …the fourth crosses the threshold and commits the batch.
-    cube.update(&[3, 3], 1);
-    assert_eq!(cube.metrics()[0].ops_applied, 4);
-    assert!(cube.metrics()[0].batches_flushed >= 1);
-    for i in 0..4 {
-        assert_eq!(cube.cell_value(&[i, i]), 1);
-    }
-}
-
-/// The one failure rule on the plain target: a commit of acknowledged
-/// deltas that does not land fails its slab at once, and nothing
-/// retries it. Here the commit lands and *then* panics, so a retry
-/// would apply the batch a second time: the slab says so on `health()`,
-/// refuses the next write, and a later `flush()` leaves every read as
-/// it was. The sibling slab keeps taking writes.
+/// The one failure rule on the plain target: a commit that does not
+/// land fails its slab at once, its run is refused rather than
+/// acknowledged, and nothing retries it. Here the commit lands and
+/// *then* panics, so a retry would apply the run a second time: the
+/// caller hears `ShardFailed`, the slab says so on `health()`, refuses
+/// the next write, and every read stays as the commit left it. The
+/// sibling slab keeps taking writes.
 #[test]
 fn a_plain_commit_that_does_not_land_fails_its_slab_at_once() {
     let faults = Arc::new(Faults::default());
     let cube = FlakyTarget::sharded(
         Shape::new(&[8, 8]),
         DdcConfig::dynamic(),
-        ShardConfig {
-            shards: 2,
-            batch_capacity: 1,
-        },
+        ShardConfig::with_shards(2),
         &faults,
     );
+    cube.try_add(&[1, 1], 1).expect("acked");
     faults.arm(Fault::PanicAfterCommit, 1);
-    cube.try_add(&[2, 3], 5).expect("acknowledged on enqueue");
-
     let failed = TryUpdateError::ShardFailed {
         shard: 0,
         cause: COMMIT_FAILED,
     };
+    let run = [(vec![2, 3], 5), (vec![3, 0], 2)];
+    assert_eq!(cube.try_add_batch(&run), (0, Some(failed.clone())));
     assert_eq!(cube.health(), Some(failed.to_string()));
     assert_eq!(cube.try_add(&[2, 3], 1), Err(failed.clone()));
-    let total = cube.query_box(&[0, 0], &[7, 7]);
-    cube.flush();
-    assert_eq!(cube.query_box(&[0, 0], &[7, 7]), total, "flush retried");
+    // The panicking commit changed the cube before it failed (what
+    // COMMIT_FAILED warns of); nothing after it did.
+    assert_eq!(cube.query_box(&[0, 0], &[7, 7]), Ok(8));
     assert_eq!(cube.health(), Some(failed.to_string()));
     let m = cube.metrics();
-    assert_eq!((m[0].worker_panics, m[0].ops_applied), (1, 0), "{m:?}");
+    let counted = (m[0].worker_panics, m[0].ops_applied, m[0].ops_rejected);
+    assert_eq!(counted, (1, 1, 2), "{m:?}");
 
     cube.try_add(&[6, 0], 2)
         .expect("the sibling slab is unaffected");
-    cube.flush();
     assert_eq!(cube.metrics()[1].ops_applied, 1);
 }
 
@@ -555,7 +476,6 @@ fn a_logged_commit_that_panics_after_its_append_is_never_retried() {
     let rig = Logged {
         disk: MemVfs::new(),
         config: DdcConfig::dynamic(),
-        shard_config: ShardConfig::default(),
     };
     let cube = rig.boot(&faults);
     cube.try_add(&[3, -5], 7).expect("acked");
@@ -569,10 +489,9 @@ fn a_logged_commit_that_panics_after_its_append_is_never_retried() {
     };
     assert_eq!(cube.try_add(&[0, 0], 4), Err(failed.clone()));
     assert_eq!(cube.health(), Some(failed.to_string()));
-    // In the log, never acknowledged — and not appended again by a
-    // flush or by the writes that follow, which are refused.
+    // In the log, never acknowledged — and not appended again by the
+    // writes that follow, which are refused.
     assert_eq!(rig.log_records(&cube), Some(3));
-    cube.flush();
     assert_eq!(cube.try_add(&[0, 0], 4), Err(failed));
     assert_eq!(rig.log_records(&cube), Some(3));
     assert_eq!(cube.metrics()[0].worker_panics, 1);

@@ -5,9 +5,9 @@
 //! each adapter translates that onto one engine's real API.
 //! Fixed-shape engines have no growth story, so the one adapter
 //! they share *rebuilds* on [`CheckEngine::grow`] by copying cells into
-//! a larger instance; the growable engines grow organically and treat
-//! it as a no-op; the durable ones are the crate's [`Rig`] on an
-//! in-memory disk, and note the growth in their log.
+//! a larger instance; every other engine grows organically and treats
+//! it as a no-op — the durable ones too, the crate's [`Rig`] on an
+//! in-memory disk.
 
 use ddc_array::{OpCounter, RangeSumEngine, Region, Shape};
 use ddc_baselines::{
@@ -285,8 +285,9 @@ impl CheckEngine for GrowableAdapter {
 }
 
 /// The write-ahead-logged cube: the crate's rig (`rig.rs`) on an
-/// in-memory disk. Every mutation is appended and synced to `wal.log`
-/// *before* it is applied, [`CheckEngine::save_load`] checkpoints (and
+/// in-memory disk. Every mutation is an update record appended and
+/// synced to `wal.log` *before* it is applied (a set is the update of
+/// `value − cell`), [`CheckEngine::save_load`] checkpoints (and
 /// proves the checkpoint loadable by re-booting from it),
 /// [`CheckEngine::crash`] drops the cube and re-boots it from what the
 /// disk holds. Since every op this engine applied was acknowledged,
@@ -324,7 +325,7 @@ impl CheckEngine for DurableEngine {
     }
 
     fn set(&mut self, point: &[i64], value: i64) -> Result<i64, IoError> {
-        self.rig()?.durable.set(point, value)
+        self.rig()?.set(point, value)
     }
 
     fn cell(&self, point: &[i64]) -> i64 {
@@ -333,12 +334,6 @@ impl CheckEngine for DurableEngine {
 
     fn range_sum(&self, lo: &[i64], hi: &[i64]) -> i64 {
         (self.rig.as_ref()).map_or(0, |rig| rig.durable.cube().range_sum(lo, hi))
-    }
-
-    /// The growable cube re-grows organically on replay; the record is
-    /// covered-box bookkeeping, logged so that path stays exercised.
-    fn grow(&mut self, _: &BoxState, axis: usize, amount: usize, low: bool) -> Result<(), IoError> {
-        self.rig()?.durable.log_grow(axis, amount, low)
     }
 
     fn save_load(&mut self) -> Result<(), String> {

@@ -35,7 +35,7 @@
 
 use ddc_core::vfs::MemVfs;
 use ddc_core::wal::{self, RecoveryReport, WAL_FRAME_BYTES, WAL_HEADER_BYTES};
-use ddc_core::{DdcConfig, WalOp};
+use ddc_core::DdcConfig;
 use ddc_workload::{CheckTrace, DdcRng};
 
 use crate::rig::{walk, Rig, SNAP_PATH, WAL_PATH};
@@ -55,8 +55,9 @@ pub struct CrashSweepReport {
     pub offsets: usize,
     /// Full recoveries performed (one per distinct surviving prefix).
     pub recoveries: usize,
-    /// Group commits that wrote the final log, and the records they
-    /// carried (the rest are sets and grow notes, one record each).
+    /// Commits of consecutive trace updates that wrote the final log,
+    /// and the records they carried (the rest are the trace's cell
+    /// sets, each an update record committed alone).
     pub groups: usize,
     /// See [`CrashSweepReport::groups`].
     pub grouped_records: usize,
@@ -139,25 +140,11 @@ pub(crate) fn replay_durable(trace: &CheckTrace, config: DdcConfig) -> Result<Du
     })
 }
 
-/// Byte offset of the first corruptible payload byte — the low byte of
-/// the first coordinate of the first `Update`/`Set` record — plus that
-/// record's index. `None` when the log holds no such record.
-fn corruptible_byte(wal_bytes: &[u8], ops: &[WalOp<i64>], ends: &[u64]) -> Option<(usize, usize)> {
-    for (i, op) in ops.iter().enumerate() {
-        if matches!(op, WalOp::Update { .. } | WalOp::Set { .. }) {
-            let start = if i == 0 {
-                WAL_HEADER_BYTES
-            } else {
-                ends[i - 1] as usize
-            };
-            // frame | tag(1) | arity(4) | first coordinate…
-            let idx = start + WAL_FRAME_BYTES + 1 + 4;
-            debug_assert!(idx < wal_bytes.len());
-            return Some((idx, i));
-        }
-    }
-    None
-}
+/// The byte the corruption probe flips: the low byte of the first
+/// coordinate of the log's first record (header | frame | tag(1) |
+/// arity(4) | first coordinate…). Every record is an update, so any
+/// non-empty log has one.
+const CORRUPTIBLE_BYTE: usize = WAL_HEADER_BYTES + WAL_FRAME_BYTES + 1 + 4;
 
 /// Simulates a kill at **every byte offset** of the trace's final
 /// write-ahead log and verifies the recovery contract at each one:
@@ -244,30 +231,29 @@ pub fn crash_sweep(trace: &CheckTrace, config: DdcConfig) -> Result<CrashSweepRe
     }
 
     // Corruption probe: one flipped payload byte must be caught by the
-    // CRC and cleanly truncated at the damaged record.
-    match corruptible_byte(&run.wal, &full.ops, &full.ends) {
-        Some((idx, rec)) => {
-            let mut damaged = run.wal.clone();
-            damaged[idx] ^= 0x01;
-            match run.recover(&damaged) {
-                Ok((got, rec_report)) => {
-                    report.corruption_caught = rec_report.truncated.is_some()
-                        && rec_report.replayed == rec
-                        && got == run.states[rec];
-                    if !report.corruption_caught {
-                        report.failures.push(format!(
-                            "corrupt byte {idx}: expected clean truncation at record {rec}, \
-                             got replayed={} truncated={:?}",
-                            rec_report.replayed, rec_report.truncated
-                        ));
-                    }
-                }
-                Err(e) => report
-                    .failures
-                    .push(format!("corrupt byte {idx}: recover errored: {e}")),
+    // CRC and cleanly truncated at the damaged record, the first.
+    if full.ops.is_empty() {
+        report.corruption_caught = true;
+        return Ok(report);
+    }
+    let idx = CORRUPTIBLE_BYTE;
+    let mut damaged = run.wal.clone();
+    damaged[idx] ^= 0x01;
+    match run.recover(&damaged) {
+        Ok((got, rec_report)) => {
+            report.corruption_caught =
+                rec_report.truncated.is_some() && rec_report.replayed == 0 && got == run.states[0];
+            if !report.corruption_caught {
+                report.failures.push(format!(
+                    "corrupt byte {idx}: expected clean truncation at record 0, \
+                     got replayed={} truncated={:?}",
+                    rec_report.replayed, rec_report.truncated
+                ));
             }
         }
-        None => report.corruption_caught = true,
+        Err(e) => report
+            .failures
+            .push(format!("corrupt byte {idx}: recover errored: {e}")),
     }
 
     Ok(report)
@@ -286,17 +272,14 @@ pub fn corruption_divergence(trace: &CheckTrace) -> bool {
     let Ok(full) = wal::read_wal::<i64>(&run.wal) else {
         return false;
     };
-    if run.states.len() != full.ops.len() + 1 {
+    if run.states.len() != full.ops.len() + 1 || full.ops.is_empty() {
         return false;
     }
-    let Some((idx, rec)) = corruptible_byte(&run.wal, &full.ops, &full.ends) else {
-        return false;
-    };
     let mut damaged = run.wal.clone();
-    damaged[idx] ^= 0x01;
-    // idx = frame | tag(1) | arity(4): the payload starts 5 bytes back
-    // and runs to the record's end; its CRC field sits just before it.
-    let payload = idx - 5..full.ends[rec] as usize;
+    damaged[CORRUPTIBLE_BYTE] ^= 0x01;
+    // The first record's payload runs from just past its frame to its
+    // end; its CRC field sits just before it.
+    let payload = WAL_HEADER_BYTES + WAL_FRAME_BYTES..full.ends[0] as usize;
     let crc = wal::crc32(&damaged[payload.clone()]);
     damaged[payload.start - 4..payload.start].copy_from_slice(&crc.to_le_bytes());
     // Only a *silent* divergence counts: recovery succeeded (the

@@ -1,8 +1,10 @@
 //! The one durable rig: a [`DurableCube`] living on a [`Vfs`], driven
 //! by the calls `ddc serve --durable` makes.
 //!
-//! Boot is [`wal::recover_vfs`], a checkpoint is
-//! [`DurableCube::checkpoint_vfs`], and a crash is a drop and a re-boot:
+//! Boot is [`wal::recover_vfs`], a write is [`DurableCube::add_group`]
+//! (a trace's cell set too: the update of `value − cell`, see
+//! [`Rig::set`]), a checkpoint is [`DurableCube::checkpoint_vfs`], and
+//! a crash is a drop and a re-boot:
 //! the log is *resumed* (tail repaired, appends continue), as a
 //! restarted server resumes it. Everything in this crate that needs a
 //! durable cube holds a [`Rig`] — the roster's `durable-*` engines and
@@ -94,6 +96,14 @@ where
         booted.map(|(cube, _report)| cube)
     }
 
+    /// Sets a cell as a server client would: reads it, then commits the
+    /// update of `value − old` as a group of one. Returns `old`.
+    pub(crate) fn set(&mut self, point: &[i64], value: i64) -> Result<i64, IoError> {
+        let old = self.durable.cube().cell(point);
+        self.durable.add_group(&[(point.to_vec(), value - old)])?;
+        Ok(old)
+    }
+
     /// Snapshot, then rotate the log.
     pub(crate) fn checkpoint(&mut self) -> Result<u64, IoError> {
         self.durable.checkpoint_vfs(&self.vfs, SNAP_PATH, WAL_PATH)
@@ -146,7 +156,9 @@ struct Ledger {
 /// recovery. Consecutive updates are committed
 /// [`DurableCube::add_group`]s of `group_size()` records (asked once per
 /// group; the chaos sweep says 1, so that a committed fault schedule
-/// fires at the same file ops); [`CheckOp::SaveLoad`] checkpoints,
+/// fires at the same file ops), a [`CheckOp::Set`] is [`Rig::set`], a
+/// commit of its own, [`CheckOp::Grow`] writes nothing (the cube grows
+/// where the data lands), [`CheckOp::SaveLoad`] checkpoints,
 /// [`CheckOp::Crash`] kills and re-boots. `logged(n, oracle)` is called
 /// whenever the log is known to hold `n` records with `oracle` the
 /// state they and the snapshot add up to: at the start, after each
@@ -198,7 +210,7 @@ where
                     Err(e) => book.refused(i, op, &e, rig.durable.degraded()),
                 }
             }
-            CheckOp::Set { point, value } => match rig.durable.set(point, *value) {
+            CheckOp::Set { point, value } => match rig.set(point, *value) {
                 Ok(old) => {
                     let want = book.oracle.set(point, *value);
                     if old != want {
@@ -226,14 +238,6 @@ where
                     book.violation(format!("op {i}: cell diverged (got {got}, oracle {want})"));
                 }
             }
-            // A bookkeeping record: the state is unchanged either way,
-            // so an indeterminate grow needs no pending tracking.
-            CheckOp::Grow { axis, amount, low } => {
-                match rig.durable.log_grow(*axis, *amount, *low) {
-                    Ok(()) => logged(rig.durable.wal_stats().1, &book.oracle),
-                    Err(e) => book.refused(i, op, &e, rig.durable.degraded()),
-                }
-            }
             CheckOp::SaveLoad => match (rig.checkpoint(), rig.durable.degraded()) {
                 (Ok(_), _) => {
                     book.report.groups = (0, 0);
@@ -253,7 +257,7 @@ where
                     return book.report;
                 }
             }
-            CheckOp::Flush => {}
+            CheckOp::Grow { .. } | CheckOp::Flush => {}
         }
     }
 
@@ -478,6 +482,72 @@ mod tests {
             let log = wal::read_wal::<i64>(&disk.contents(WAL_PATH).unwrap()).unwrap();
             assert!(log.is_clean(), "cut {cut}: {:?}", log.truncated);
             assert_eq!(log.ops.len(), survivors + 1, "cut {cut}");
+        }
+    }
+
+    /// Tags 2 and 3 (a cell set, a covered-box growth note) are retired.
+    /// A log whose third record carries one, framed with a valid CRC,
+    /// reads as the two records before it and names the tag; a boot cuts
+    /// the file there; one more acknowledged update and a kill recover
+    /// to that prefix plus the update. Each step is audited against the
+    /// oracle.
+    #[test]
+    fn a_retired_record_tag_truncates_replay_and_the_next_ack_survives() {
+        let (d, config) = (2, DdcConfig::dynamic());
+        let prefix = [(vec![1, 2], 5i64), (vec![-3, 7], -9)];
+        // The payloads the two retired encoders wrote: set [4, 4] to 11,
+        // and "axis 1 grew by 4 at its low end".
+        let (coordinate, value) = (4i64.to_le_bytes(), 11i64.to_le_bytes());
+        let set = [
+            &[2u8][..],
+            &2u32.to_le_bytes(),
+            &coordinate,
+            &coordinate,
+            &value,
+        ]
+        .concat();
+        let grow = [&[3u8][..], &1u32.to_le_bytes(), &4u64.to_le_bytes(), &[1]].concat();
+        for (tag, payload) in [(2, set), (3, grow)] {
+            let mut writer = wal::WalWriter::create(Vec::new()).unwrap();
+            let kept = (writer.append_updates(&prefix, &RetryPolicy::instant())).unwrap();
+            let mut log = writer.into_inner();
+            let first = log[WAL_HEADER_BYTES..][..(kept as usize - WAL_HEADER_BYTES) / 2].to_vec();
+            log.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            log.extend_from_slice(&wal::crc32(&payload).to_le_bytes());
+            log.extend_from_slice(&payload);
+            // A whole update behind it goes with it.
+            log.extend_from_slice(&first);
+            let mut want = Oracle::new(d);
+            for (point, delta) in &prefix {
+                want.add(point, *delta);
+            }
+
+            let replay = wal::read_wal::<i64>(&log).unwrap();
+            assert_eq!((&replay.ops[..], replay.valid_bytes), (&prefix[..], kept));
+            let why = replay.truncated.unwrap_or_default();
+            assert!(why.contains(&format!("unknown record tag {tag}")), "{why}");
+            let (cube, _) = wal::recover::<i64>(d, None, &log, config).unwrap();
+            let mut got = cube.entries();
+            got.sort();
+            assert_eq!(got, want.entries(), "tag {tag}: read");
+
+            let disk = MemVfs::new();
+            disk.write_atomic(WAL_PATH, &log).unwrap();
+            let mut rig = Rig::boot(disk.clone(), d, config).expect("boot on the prefix");
+            assert_eq!(rig.durable.wal_stats(), (kept, 2), "tag {tag}");
+            let on_disk = disk.contents(WAL_PATH).map(|log| log.len() as u64);
+            assert_eq!(on_disk, Some(kept), "tag {tag}: truncated at the record");
+            let mut got = rig.durable.cube().entries();
+            got.sort();
+            assert_eq!(got, want.entries(), "tag {tag}: boot");
+
+            rig.durable.add(&[3, -2], 41).expect("acked");
+            want.add(&[3, -2], 41);
+            rig.crash().expect("re-boot");
+            assert_eq!(entries_on(&disk, d), want.entries(), "tag {tag}: kill");
+            let log = wal::read_wal::<i64>(&disk.contents(WAL_PATH).unwrap()).unwrap();
+            assert!(log.is_clean(), "tag {tag}: {:?}", log.truncated);
+            assert_eq!(log.ops.len(), 3, "tag {tag}");
         }
     }
 }

@@ -22,7 +22,7 @@
 use ddc_array::{RangeSumEngine, Shape};
 use ddc_core::{
     obs, wal, DdcConfig, DdcEngine, DdcTree, GrowableCube, PagerConfig, RetryPolicy, ShardConfig,
-    ShardedCube, WalOp, WalWriter,
+    ShardedCube, WalWriter,
 };
 use ddc_workload::DdcRng;
 
@@ -93,15 +93,13 @@ fn workload(seed: u64, ops: usize) -> std::io::Result<()> {
     }
 
     // WAL: append a log, then recover it (wal.append, wal.fsync,
-    // wal.recover, and the record/byte counters).
+    // wal.recover, and the record/byte counters), one update a sync…
     let mut writer = WalWriter::create(Vec::new())?;
     for _ in 0..(ops / 16).max(32) {
-        let op = WalOp::Update {
-            point: vec![rng.gen_range(-32i64..32), rng.gen_range(-32i64..32)],
-            delta: rng.gen_range(-100i64..=100),
-        };
+        let point = vec![rng.gen_range(-32i64..32), rng.gen_range(-32i64..32)];
+        let update = (point, rng.gen_range(-100i64..=100));
         writer
-            .append_with_retry(&op, &RetryPolicy::instant())
+            .append_updates(&[update], &RetryPolicy::instant())
             .map_err(std::io::Error::other)?;
     }
     // …and one seeded group of updates: every frame in one write, one

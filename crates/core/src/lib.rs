@@ -55,4 +55,4 @@ pub use vfs::{
     FaultKind, FaultPlan, FaultProbs, FaultVfs, IoError, MemVfs, OpenMode, PlannedFault,
     RetryPolicy, StdVfs, Vfs, VfsFile,
 };
-pub use wal::{DurableCube, RecoveryReport, SharedDurableCube, WalOp, WalReplay, WalWriter};
+pub use wal::{DurableCube, RecoveryReport, SharedDurableCube, WalReplay, WalWriter};

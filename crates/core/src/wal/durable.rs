@@ -2,12 +2,12 @@
 //! [`recover_vfs`] and the thread-shared [`SharedDurableCube`] (the
 //! commit pipeline of [`crate::ShardedCube`] over a `DurableCube`).
 
-use std::io::{self, Write};
+use std::io;
 
 use ddc_array::AbelianGroup;
 
 use super::log::{read_wal, WalWriter};
-use super::record::{WalOp, WAL_HEADER_BYTES};
+use super::record::WAL_HEADER_BYTES;
 use super::wal_obs;
 use crate::config::DdcConfig;
 use crate::growth::GrowableCube;
@@ -77,8 +77,8 @@ fn recover_spilling<G: AbelianGroup + ValueCodec>(
     };
     let replay = read_wal::<G>(wal)?;
     let mut replayed = 0usize;
-    for op in &replay.ops {
-        apply_to_growable(&mut cube, op, d).map_err(|e| {
+    for (point, delta) in &replay.ops {
+        replay_update(&mut cube, point, *delta, d).map_err(|e| {
             io::Error::new(
                 io::ErrorKind::InvalidData,
                 format!("record {replayed}: {e}"),
@@ -100,37 +100,20 @@ fn recover_spilling<G: AbelianGroup + ValueCodec>(
     ))
 }
 
-/// Applies one decoded record to a growable cube. Arity mismatches (a
+/// Applies one decoded update to a growable cube. Arity mismatches (a
 /// record from a different cube) and points the cube cannot grow to are
 /// errors; growth is organic.
-fn apply_to_growable<G: AbelianGroup + ValueCodec>(
+fn replay_update<G: AbelianGroup + ValueCodec>(
     cube: &mut GrowableCube<G>,
-    op: &WalOp<G>,
+    point: &[i64],
+    delta: G,
     d: usize,
 ) -> Result<(), String> {
-    match op {
-        WalOp::Update { point, delta } => {
-            if point.len() != d {
-                return Err(format!("update arity {} != {d}", point.len()));
-            }
-            cube.check_cover(point).map_err(|e| e.to_string())?;
-            cube.replay_add(point, *delta);
-        }
-        WalOp::Set { point, value } => {
-            if point.len() != d {
-                return Err(format!("set arity {} != {d}", point.len()));
-            }
-            cube.check_cover(point).map_err(|e| e.to_string())?;
-            cube.set(point, *value);
-        }
-        WalOp::Grow { axis, .. } => {
-            if *axis >= d {
-                return Err(format!("grow axis {axis} out of range for d={d}"));
-            }
-            // Covered-box bookkeeping only: the growable cube re-grows
-            // on demand when a replayed point lands outside its box.
-        }
+    if point.len() != d {
+        return Err(format!("update arity {} != {d}", point.len()));
     }
+    cube.check_cover(point).map_err(|e| e.to_string())?;
+    cube.replay_add(point, delta);
     Ok(())
 }
 
@@ -226,15 +209,6 @@ impl<G: AbelianGroup + ValueCodec, F: VfsFile> DurableCube<G, F> {
         e
     }
 
-    /// Appends `op` to the log (with retries, ending in a sync); a
-    /// terminal failure makes the cube read-only.
-    fn log(&mut self, op: &WalOp<G>) -> Result<(), IoError> {
-        match self.wal.append_with_retry(op, &self.policy) {
-            Ok(_) => Ok(()),
-            Err(e) => Err(self.note_failure(e)),
-        }
-    }
-
     /// Logs, then applies, a point delta: [`DurableCube::add_group`] of
     /// one.
     pub fn add(&mut self, point: &[i64], delta: G) -> Result<(), IoError> {
@@ -262,23 +236,6 @@ impl<G: AbelianGroup + ValueCodec, F: VfsFile> DurableCube<G, F> {
         Ok(())
     }
 
-    /// Logs, then applies, a cell set; returns the previous value.
-    pub fn set(&mut self, point: &[i64], value: G) -> Result<G, IoError> {
-        self.guard_writable()?;
-        self.cube.check_cover(point).map_err(IoError::OutOfRange)?;
-        self.log(&WalOp::Set {
-            point: point.to_vec(),
-            value,
-        })?;
-        Ok(self.cube.set(point, value))
-    }
-
-    /// Logs a covered-box growth step (bookkeeping; see [`WalOp::Grow`]).
-    pub fn log_grow(&mut self, axis: usize, amount: usize, low: bool) -> Result<(), IoError> {
-        self.guard_writable()?;
-        self.log(&WalOp::Grow { axis, amount, low })
-    }
-
     /// The wrapped cube (reads need no logging).
     pub fn cube(&self) -> &GrowableCube<G> {
         &self.cube
@@ -288,13 +245,6 @@ impl<G: AbelianGroup + ValueCodec, F: VfsFile> DurableCube<G, F> {
     /// slab backend).
     pub fn pool_stats(&self) -> Option<crate::pager::PoolStats> {
         self.cube.pool_stats()
-    }
-
-    /// Writes a snapshot of the current state to `out`, returning the
-    /// bytes written. After the snapshot is durable the caller may
-    /// truncate/replace the log (see [`DurableCube::reset_wal`]).
-    pub fn checkpoint(&self, out: &mut impl Write) -> io::Result<u64> {
-        self.cube.save(out)
     }
 
     /// Checkpoints through a [`Vfs`]: writes the snapshot atomically
@@ -359,21 +309,9 @@ impl<G: AbelianGroup + ValueCodec, F: VfsFile> DurableCube<G, F> {
         }
     }
 
-    /// Replaces the log with a fresh one on `sink` — the post-checkpoint
-    /// truncation. Returns the retired sink.
-    pub fn reset_wal(&mut self, sink: F) -> io::Result<F> {
-        let old = std::mem::replace(&mut self.wal, WalWriter::create(sink)?);
-        Ok(old.into_inner())
-    }
-
     /// Log statistics: `(bytes, records)` acknowledged so far.
     pub fn wal_stats(&self) -> (u64, u64) {
         (self.wal.bytes(), self.wal.records())
-    }
-
-    /// Borrow of the log writer (e.g. to peek at an in-memory sink).
-    pub fn wal(&self) -> &WalWriter<F> {
-        &self.wal
     }
 
     /// Consumes the cube, returning the log writer.

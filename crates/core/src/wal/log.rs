@@ -3,11 +3,9 @@
 
 use std::io;
 
-use ddc_array::AbelianGroup;
-
 use super::record::{
-    crc32, encode_update, WalOp, MAX_RECORD_BYTES, WAL_FRAME_BYTES, WAL_HEADER_BYTES, WAL_MAGIC,
-    WAL_VERSION,
+    crc32, decode_update, encode_update, MAX_RECORD_BYTES, WAL_FRAME_BYTES, WAL_HEADER_BYTES,
+    WAL_MAGIC, WAL_VERSION,
 };
 use super::wal_obs;
 use crate::obs;
@@ -27,16 +25,13 @@ enum FrameStage {
 /// Appends framed, checksummed records to a [`VfsFile`], one group at a
 /// time: every frame of the group goes out in one write, and one sync
 /// barrier covers them all before success is reported — a record is
-/// **acknowledged** exactly when the append that carried it
-/// ([`WalWriter::append_with_retry`], [`WalWriter::append_updates`])
-/// returns `Ok`.
+/// **acknowledged** exactly when the [`WalWriter::append_updates`] that
+/// carried it returns `Ok`. A single record is a group of one.
 #[derive(Debug)]
 pub struct WalWriter<F: VfsFile> {
     out: F,
     bytes: u64,
     records: u64,
-    io_faults: u64,
-    io_retries: u64,
     /// The frames of the group being appended, reused across appends.
     group: Vec<u8>,
 }
@@ -81,8 +76,6 @@ impl<F: VfsFile> WalWriter<F> {
             out,
             bytes,
             records,
-            io_faults: 0,
-            io_retries: 0,
             group: Vec::new(),
         }
     }
@@ -103,26 +96,13 @@ impl<F: VfsFile> WalWriter<F> {
         Ok(())
     }
 
-    /// Appends one record and syncs: the group of one (see
-    /// [`WalWriter::append_updates`] for the retry and truncation
-    /// contract, which is per group).
-    pub fn append_with_retry<G: AbelianGroup + ValueCodec>(
-        &mut self,
-        op: &WalOp<G>,
-        policy: &RetryPolicy,
-    ) -> Result<u64, IoError> {
-        self.group.clear();
-        push_frame(&mut self.group, |out| op.encode_payload(out))?;
-        self.append_group(1, policy)
-    }
-
-    /// Appends one [`WalOp::Update`] record per entry of `updates`, in
-    /// order, as one group: one write of every frame, one sync. `Ok`
-    /// acknowledges all of them; `Err` none (a group cut mid-write by a
-    /// crash may leave leading records that were never acknowledged —
-    /// the promise a single record cut between its write and its sync
-    /// already had). Returns as [`WalWriter::append_with_retry`] does.
-    pub fn append_updates<G: AbelianGroup + ValueCodec>(
+    /// Appends one update record per entry of `updates`, in order, as
+    /// one group: one write of every frame, one sync, with retry and
+    /// truncation per group. `Ok` acknowledges all of them; `Err` none (a
+    /// group cut mid-write by a crash may leave leading records that
+    /// were never acknowledged — the promise a single record cut between
+    /// its write and its sync already had).
+    pub fn append_updates<G: ValueCodec>(
         &mut self,
         updates: &[(Vec<i64>, G)],
         policy: &RetryPolicy,
@@ -157,7 +137,6 @@ impl<F: VfsFile> WalWriter<F> {
                     return Ok(self.bytes);
                 }
                 Err((stage, e)) => {
-                    self.io_faults += 1;
                     site.io_faults.inc();
                     // Restore the tail to the acknowledged high-water mark.
                     let torn = self.out.truncate(self.bytes).is_err();
@@ -184,7 +163,6 @@ impl<F: VfsFile> WalWriter<F> {
                         });
                     }
                     retries += 1;
-                    self.io_retries += 1;
                     site.io_retries.inc();
                     let delay = policy.backoff(retries);
                     if !delay.is_zero() {
@@ -205,24 +183,6 @@ impl<F: VfsFile> WalWriter<F> {
         self.records
     }
 
-    /// Failed IO attempts observed on this writer (also exported
-    /// globally as `ddc_wal_io_faults`).
-    pub fn io_faults(&self) -> u64 {
-        self.io_faults
-    }
-
-    /// Retries performed on this writer (also exported globally as
-    /// `ddc_wal_io_retries`).
-    pub fn io_retries(&self) -> u64 {
-        self.io_retries
-    }
-
-    /// Shared view of the sink (e.g. a `Vec<u8>` used as an in-memory
-    /// log by the crash harness).
-    pub fn get_ref(&self) -> &F {
-        &self.out
-    }
-
     /// Consumes the writer, returning the sink.
     pub fn into_inner(self) -> F {
         self.out
@@ -233,8 +193,8 @@ impl<F: VfsFile> WalWriter<F> {
 /// stopped.
 #[derive(Clone, Debug)]
 pub struct WalReplay<G> {
-    /// Decoded records, in append order.
-    pub ops: Vec<WalOp<G>>,
+    /// Decoded updates `(point, delta)`, in append order.
+    pub ops: Vec<(Vec<i64>, G)>,
     /// Bytes of the valid prefix (header + intact records). Truncating
     /// the log file to this length yields a clean log.
     pub valid_bytes: u64,
@@ -259,7 +219,7 @@ impl<G> WalReplay<G> {
 /// Errors only on a *structurally alien* input: an intact-length header
 /// whose magic or version is wrong. A header cut short by a crash is a
 /// valid empty log with a torn tail.
-pub fn read_wal<G: AbelianGroup + ValueCodec>(data: &[u8]) -> io::Result<WalReplay<G>> {
+pub fn read_wal<G: ValueCodec>(data: &[u8]) -> io::Result<WalReplay<G>> {
     let mut replay = WalReplay {
         ops: Vec::new(),
         valid_bytes: 0,
@@ -319,8 +279,8 @@ pub fn read_wal<G: AbelianGroup + ValueCodec>(data: &[u8]) -> io::Result<WalRepl
             replay.truncated = Some(format!("checksum mismatch at byte {offset}"));
             break;
         }
-        match WalOp::<G>::decode_payload(payload) {
-            Ok(op) => replay.ops.push(op),
+        match decode_update(payload) {
+            Ok(update) => replay.ops.push(update),
             Err(reason) => {
                 replay.truncated = Some(format!("undecodable record at byte {offset}: {reason}"));
                 break;

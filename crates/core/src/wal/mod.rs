@@ -8,7 +8,7 @@
 //! 1. **Snapshot** — a point-in-time image written by
 //!    [`GrowableCube::save`](crate::GrowableCube::save), taken at
 //!    checkpoints.
-//! 2. **Write-ahead log** — every mutation is appended to a checksummed,
+//! 2. **Write-ahead log** — every update is appended to a checksummed,
 //!    length-prefixed log *and flushed* before it is acknowledged and
 //!    applied in memory.
 //!
@@ -25,11 +25,14 @@
 //! ```text
 //! header:  magic "DDCW" | u8 version (1)
 //! record:  u32 payload_len | u32 crc32(payload) | payload
-//! payload: u8 tag
-//!          tag 1 Update: u32 d | d × i64 point | value bytes
-//!          tag 2 Set:    u32 d | d × i64 point | value bytes
-//!          tag 3 Grow:   u32 axis | u64 amount | u8 low
+//! payload: u8 tag (1) | u32 d | d × i64 point | value bytes
 //! ```
+//!
+//! The log holds one record kind, the update: the paper's one mutation,
+//! and the only record `ddc serve --durable` writes. Tags 2 (cell set)
+//! and 3 (covered-box growth note) are retired — no shipped path wrote
+//! them — and replay truncates at one as at any undecodable record
+//! ("unknown record tag").
 //!
 //! All integers are little-endian; values go through
 //! [`ValueCodec`](crate::ValueCodec) like snapshots do. The CRC32 (IEEE
@@ -55,9 +58,9 @@
 //!
 //! ## Layout
 //!
-//! `record` holds the format constants, the CRC and the [`WalOp`]
-//! codec; `log` the [`WalWriter`] and [`read_wal`]; `durable` the
-//! cube-plus-log types ([`DurableCube`] — also the logged
+//! `record` holds the format constants, the CRC and the update
+//! record's codec; `log` the [`WalWriter`] and [`read_wal`]; `durable`
+//! the cube-plus-log types ([`DurableCube`] — also the logged
 //! [`CommitTarget`](crate::CommitTarget) of the commit pipeline —
 //! [`recover`], [`recover_vfs`], and [`SharedDurableCube`], that
 //! pipeline over a `DurableCube`). [`IoError`] and [`RetryPolicy`] live beside
@@ -74,7 +77,7 @@ pub use crate::vfs::{IoError, RetryPolicy};
 pub use durable::{recover, recover_vfs, DurableCube, RecoveryReport, SharedDurableCube};
 pub use log::{read_wal, WalReplay, WalWriter};
 pub use record::{
-    crc32, WalOp, MAX_RECORD_BYTES, WAL_FRAME_BYTES, WAL_HEADER_BYTES, WAL_MAGIC, WAL_VERSION,
+    crc32, MAX_RECORD_BYTES, WAL_FRAME_BYTES, WAL_HEADER_BYTES, WAL_MAGIC, WAL_VERSION,
 };
 
 /// Durability-path observability handles: append latency (the full
@@ -121,33 +124,22 @@ mod tests {
     use crate::vfs::{FaultKind, FaultVfs, PlannedFault};
     use std::time::Duration;
 
-    fn sample_ops() -> Vec<WalOp<i64>> {
+    fn sample_ops() -> Vec<(Vec<i64>, i64)> {
         vec![
-            WalOp::Update {
-                point: vec![0, 0],
-                delta: 5,
-            },
-            WalOp::Set {
-                point: vec![-3, 7],
-                value: -9,
-            },
-            WalOp::Grow {
-                axis: 1,
-                amount: 4,
-                low: true,
-            },
-            WalOp::Update {
-                point: vec![-3, 7],
-                delta: 2,
-            },
+            (vec![0, 0], 5),
+            (vec![-3, 7], -9),
+            (vec![4, -1], 3),
+            (vec![-3, 7], 2),
         ]
     }
 
-    fn write_log(ops: &[WalOp<i64>]) -> (Vec<u8>, Vec<u64>) {
+    /// Appends each update as a group of one.
+    fn write_log(ops: &[(Vec<i64>, i64)]) -> (Vec<u8>, Vec<u64>) {
         let mut w = WalWriter::create(Vec::new()).unwrap();
         let mut ends = Vec::new();
         for op in ops {
-            ends.push(w.append_with_retry(op, &RetryPolicy::instant()).unwrap());
+            let single = std::slice::from_ref(op);
+            ends.push(w.append_updates(single, &RetryPolicy::instant()).unwrap());
         }
         (w.into_inner(), ends)
     }
@@ -200,11 +192,7 @@ mod tests {
         let end = w.append_updates(&group, &RetryPolicy::instant()).unwrap();
         assert_eq!((w.records(), w.bytes()), (3, end));
         let log = w.into_inner();
-        let singly = group.iter().map(|(point, delta)| WalOp::Update {
-            point: point.clone(),
-            delta: *delta,
-        });
-        assert_eq!(log, write_log(&singly.collect::<Vec<_>>()).0);
+        assert_eq!(log, write_log(&group).0);
         let record = (log.len() - WAL_HEADER_BYTES) / group.len();
         assert_eq!(record, 37);
         for cut in 0..=log.len() {
@@ -280,16 +268,7 @@ mod tests {
         let mut snapshot = Vec::new();
         base.save(&mut snapshot).unwrap();
         // …then more acknowledged work in the log.
-        let (log, _) = write_log(&[
-            WalOp::Update {
-                point: vec![1, 1],
-                delta: -10,
-            },
-            WalOp::Set {
-                point: vec![9, 9],
-                value: 4,
-            },
-        ]);
+        let (log, _) = write_log(&[(vec![1, 1], -10), (vec![9, 9], 4)]);
         let (cube, report) = recover::<i64>(2, Some(&snapshot), &log, DdcConfig::sparse()).unwrap();
         assert!(report.snapshot_loaded);
         assert_eq!(report.replayed, 2);
@@ -317,29 +296,6 @@ mod tests {
     fn recover_rejects_arity_mismatch() {
         let (log, _) = write_log(&sample_ops()); // 2-dimensional records
         assert!(recover::<i64>(3, None, &log, DdcConfig::dynamic()).is_err());
-    }
-
-    #[test]
-    fn durable_cube_checkpoint_and_reset() {
-        let mut cube =
-            DurableCube::<i64, Vec<u8>>::new(1, DdcConfig::dynamic(), Vec::new()).unwrap();
-        cube.add(&[5], 2).unwrap();
-        cube.add(&[-1], 8).unwrap();
-        assert_eq!(cube.wal_stats().1, 2);
-        let mut snapshot = Vec::new();
-        let bytes = cube.checkpoint(&mut snapshot).unwrap();
-        assert_eq!(bytes as usize, snapshot.len());
-        let old_log = cube.reset_wal(Vec::new()).unwrap();
-        assert!(old_log.len() > WAL_HEADER_BYTES);
-        assert_eq!(cube.wal_stats().1, 0);
-        cube.set(&[5], 1).unwrap();
-        // Crash now: snapshot + fresh log reproduce the state exactly.
-        let log = cube.into_wal().into_inner();
-        let (recovered, report) =
-            recover::<i64>(1, Some(&snapshot), &log, DdcConfig::dynamic()).unwrap();
-        assert_eq!(report.replayed, 1);
-        assert_eq!(recovered.cell(&[5]), 1);
-        assert_eq!(recovered.cell(&[-1]), 8);
     }
 
     const WAL: &str = "cube.wal";
@@ -373,8 +329,9 @@ mod tests {
         let mut cube = boot(&vfs);
         vfs.arm(true);
         cube.add(&[1, 2], 7).unwrap();
-        assert_eq!(cube.wal().io_faults(), 1);
-        assert_eq!(cube.wal().io_retries(), 1);
+        // One fault, one retry: the failed write, then write + sync.
+        assert_eq!(vfs.realized().len(), 1);
+        assert_eq!(vfs.ops(), boot_ops + 3);
         assert!(cube.degraded().is_none());
         vfs.arm(false);
         drop(cube);
@@ -397,8 +354,11 @@ mod tests {
         let err = cube.add(&[1, 1], 9).unwrap_err();
         assert!(matches!(err, IoError::ReadOnly { .. }), "{err}");
         assert!(cube.degraded().is_some());
-        // No retries for ENOSPC, queries still serve the acked prefix.
-        assert_eq!(cube.wal().io_retries(), 0);
+        // No retries for ENOSPC (the first append's write + sync, the
+        // second's failed write, nothing after), queries still serve the
+        // acked prefix.
+        assert_eq!(vfs.realized().len(), 1);
+        assert_eq!(vfs.ops(), boot_ops + 3);
         assert_eq!(cube.cube().cell(&[0, 0]), 5);
         // Further mutations are rejected without touching the log.
         let ops_before = vfs.ops();
@@ -439,7 +399,7 @@ mod tests {
             "{err}"
         );
         assert!(cube.degraded().is_some());
-        assert_eq!(cube.wal().io_faults(), 5);
+        assert_eq!(vfs.realized().len(), 5);
         vfs.arm(false);
         drop(cube);
         let recovered = boot(&vfs);

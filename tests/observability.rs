@@ -5,8 +5,7 @@
 
 use ddc_array::{RangeSumEngine, Region, Shape};
 use ddc_core::{
-    obs, wal, DdcConfig, DdcEngine, GrowableCube, RetryPolicy, ShardConfig, ShardedCube, WalOp,
-    WalWriter,
+    obs, wal, DdcConfig, DdcEngine, GrowableCube, RetryPolicy, ShardConfig, ShardedCube, WalWriter,
 };
 
 const THREADS: u64 = 8;
@@ -112,12 +111,8 @@ fn instrumented_hot_paths_report_nonzero() {
     // WAL append + recovery replay.
     let mut writer = WalWriter::create(Vec::new()).expect("wal header");
     for i in 0..4i64 {
-        let op = WalOp::Update {
-            point: vec![i, -i],
-            delta: 1,
-        };
         writer
-            .append_with_retry(&op, &RetryPolicy::instant())
+            .append_updates(&[(vec![i, -i], 1)], &RetryPolicy::instant())
             .expect("append");
     }
     let log = writer.into_inner();

@@ -8,6 +8,7 @@
 //! `ddc wal truncate-check`) round-trips real files.
 
 use ddc_check::{corruption_divergence, crash_sweep, refind_seeded_bug, FaultSchedule};
+use ddc_core::vfs::StdVfs;
 use ddc_core::wal::IoError;
 use ddc_core::{
     wal, DdcConfig, DurableCube, FaultKind, FaultVfs, GrowableCube, PlannedFault, RetryPolicy,
@@ -31,7 +32,7 @@ fn boot_on(vfs: &FaultVfs) -> FaultCube {
     .0
 }
 
-/// The headline sweep: 1000 mixed ops (updates, sets, growth records,
+/// The headline sweep: 1000 mixed ops (updates, sets, growth steps,
 /// checkpoints, mid-trace crashes) and a kill at every byte offset of
 /// the surviving log.
 #[test]
@@ -219,10 +220,6 @@ fn failed_fsync_then_crash_never_resurrects_the_unacked_op() {
     );
 }
 
-/// The committed chaos schedules stay sharp: each must re-find its
-/// corruption class when the tail-truncation protocol is disabled, and
-/// stay clean under the production policy (the same check `ddc check
-/// disk` runs in CI, here hermetically via `include_str!`).
 /// A point the cube cannot grow to is refused before the append, so the
 /// log never holds a record replay could not apply; a log that holds
 /// one anyway (written by an older build) is a named error, not an
@@ -234,24 +231,31 @@ fn unreachable_point_is_refused_before_the_append_and_named_by_recovery() {
     cube.add(&[1, 1], 4).unwrap();
     let before = cube.wal_stats();
     assert!(matches!(cube.add(&far, 1), Err(IoError::OutOfRange(_))));
-    assert!(matches!(cube.set(&far, 1), Err(IoError::OutOfRange(_))));
+    // A group naming it behind a reachable point is refused whole.
+    let group = [(vec![2, 2], 1), (far.to_vec(), 1)];
+    assert!(matches!(
+        cube.add_group(&group),
+        Err(IoError::OutOfRange(_))
+    ));
     assert_eq!(cube.wal_stats(), before);
     assert_eq!(cube.cube().total(), 4);
     assert!(cube.degraded().is_none());
 
     let mut log = wal::WalWriter::create(Vec::new()).unwrap();
-    for (point, delta) in [(vec![1, 1], 4i64), (far.to_vec(), 1)] {
-        log.append_with_retry(
-            &wal::WalOp::Update { point, delta },
-            &RetryPolicy::instant(),
-        )
-        .unwrap();
-    }
+    log.append_updates(
+        &[(vec![1, 1], 4i64), (far.to_vec(), 1)],
+        &RetryPolicy::instant(),
+    )
+    .unwrap();
     let err = wal::recover::<i64>(2, None, &log.into_inner(), DdcConfig::dynamic()).unwrap_err();
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
     assert!(err.to_string().starts_with("record 1: "), "{err}");
 }
 
+/// The committed chaos schedules stay sharp: each must re-find its
+/// corruption class when the tail-truncation protocol is disabled, and
+/// stay clean under the production policy (the same check `ddc check
+/// disk` runs in CI, here hermetically via `include_str!`).
 #[test]
 fn committed_fault_schedules_refind_the_seeded_bug() {
     for (name, text) in [
@@ -268,29 +272,41 @@ fn committed_fault_schedules_refind_the_seeded_bug() {
 }
 
 /// A file-backed [`DurableCube`] killed mid-stream — with a checkpoint,
-/// a log truncation, post-checkpoint writes, and a torn tail — is
+/// a log rotation, post-checkpoint writes, and a torn tail — is
 /// repaired and recovered through the operator CLI.
 #[test]
 fn durable_file_cube_recovers_via_the_cli() {
-    let dir = std::env::temp_dir();
-    let wal_path = dir.join("ddc_wal_recovery_test.wal");
-    let snap_path = dir.join("ddc_wal_recovery_test.snap");
-    let out_path = dir.join("ddc_wal_recovery_test.out");
+    // A directory of this process's own: concurrent runs do not share
+    // files.
+    let dir = std::env::temp_dir().join(format!("ddc-wal-recovery-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let wal_path = dir.join("wal.log");
+    let snap_path = dir.join("snapshot.ddc");
+    let out_path = dir.join("recovered.ddc");
     let p = |path: &std::path::Path| path.display().to_string();
 
-    // Phase 1: live process — populate, checkpoint, keep writing.
+    // Phase 1: live process, on the calls `ddc serve --durable` makes —
+    // boot, populate, checkpoint (snapshot + rotate), keep writing.
     {
-        let file = std::fs::File::create(&wal_path).unwrap();
-        let mut cube =
-            DurableCube::<i64, std::fs::File>::new(2, DdcConfig::dynamic(), file).unwrap();
+        let (vfs, wal_file, snap_file) = (StdVfs, p(&wal_path), p(&snap_path));
+        let policy = RetryPolicy::default();
+        let (mut cube, _) = wal::recover_vfs::<i64, _>(
+            &vfs,
+            &wal_file,
+            Some(&snap_file),
+            2,
+            DdcConfig::dynamic(),
+            policy,
+        )
+        .unwrap();
         cube.add(&[1, 2], 5).unwrap();
         cube.add(&[-3, 7], 9).unwrap();
-        let mut snap = std::fs::File::create(&snap_path).unwrap();
-        cube.checkpoint(&mut snap).unwrap();
-        cube.reset_wal(std::fs::File::create(&wal_path).unwrap())
-            .unwrap();
+        cube.checkpoint_vfs(&vfs, &snap_file, &wal_file).unwrap();
         cube.add(&[4, 4], -2).unwrap();
-        assert_eq!(cube.set(&[1, 2], 11).unwrap(), 5);
+        // Setting [1, 2] to 11 is the update of 11 − the cell.
+        let old = cube.cube().cell(&[1, 2]);
+        assert_eq!(old, 5);
+        cube.add(&[1, 2], 11 - old).unwrap();
         // The kill: the cube drops here; only the two files survive.
     }
 
@@ -375,7 +391,5 @@ fn durable_file_cube_recovers_via_the_cli() {
     assert_eq!(report.replayed, 0);
     assert_eq!(cube.total(), 18);
 
-    for path in [&wal_path, &snap_path, &out_path] {
-        std::fs::remove_file(path).ok();
-    }
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -18,11 +18,17 @@
 //! truncations ([`FaultVfs::lose_truncations`], the seeded bug) the
 //! harness must *re-find* a durability violation, and replayed on a
 //! disk that honours them it must come back clean.
+//!
+//! [`snapshot_sweep`] points the same walk at the checkpoint: a fault
+//! at every byte of the snapshot the rig writes and boots from.
 
-use ddc_core::{DdcConfig, FaultProbs, FaultVfs, PlannedFault};
-use ddc_workload::{ddmin, CheckTrace, CheckTraceConfig, DdcRng};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use crate::rig::{walk, Rig, WalkReport};
+use ddc_core::vfs::{MemVfs, Vfs};
+use ddc_core::{DdcConfig, FaultKind, FaultProbs, FaultVfs, PlannedFault};
+use ddc_workload::{ddmin, CheckOp, CheckTrace, CheckTraceConfig, DdcRng};
+
+use crate::rig::{walk, Rig, WalkReport, SNAP_PATH};
 
 /// What one trace replay under faults observed.
 #[derive(Clone, Debug, Default)]
@@ -69,7 +75,7 @@ pub fn run_trace_under_faults(
         violations: vec![what],
         ..Default::default()
     };
-    let walked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+    let walked = catch_unwind(AssertUnwindSafe(|| {
         match Rig::boot(vfs.clone(), trace.dims.len(), config) {
             Ok(mut rig) => walk(&mut rig, trace, || 1, |_, _| {}),
             Err(e) => broken(format!("fault-free boot failed: {e}")),
@@ -89,6 +95,86 @@ pub fn run_trace_under_faults(
         acked: walked.acked,
         degraded: walked.degraded,
     }
+}
+
+/// Sweeps a fault across every byte offset of the snapshot the rig's
+/// checkpoint writes. The walk is `trace`'s updates and a
+/// [`CheckOp::SaveLoad`], then a [`CheckOp::Crash`]; a disarmed dry run
+/// gives the snapshot's bytes, the file op that writes them and the
+/// `Crash` boot's first read of them. Then, at each offset `k`:
+///
+/// 1. the write torn after `k` bytes leaves the walk clean — the
+///    checkpoint is refused as transient, the cube is not degraded, and
+///    recovery lands on the oracle;
+/// 2. a `snapshot.ddc` cut to its first `k` bytes is refused at boot,
+///    with an error and never a panic;
+/// 3. the boot's read of the snapshot with bit `8k` flipped still
+///    recovers to the oracle (as does, once, a failed read).
+///
+/// Every injected fault must land on the file its probe names, so the
+/// sweep cannot quietly test nothing. Returns the offsets swept, or the
+/// first failure.
+pub fn snapshot_sweep(trace: &CheckTrace, config: DdcConfig) -> Result<usize, String> {
+    let mut ops: Vec<CheckOp> = trace
+        .ops
+        .iter()
+        .filter(|op| matches!(op, CheckOp::Update { .. }))
+        .cloned()
+        .collect();
+    ops.push(CheckOp::SaveLoad);
+    let saved = CheckTrace {
+        origin: trace.origin.clone(),
+        dims: trace.dims.clone(),
+        ops,
+    };
+    let mut crashed = saved.clone();
+    crashed.ops.push(CheckOp::Crash);
+    let d = trace.dims.len();
+
+    // The file-op index at every `logged` call: the last two are the
+    // next op before the checkpoint (its write) and after it (the boot).
+    let dry = FaultVfs::explicit_mem(vec![]);
+    let mut marks = Vec::new();
+    let mut rig = Rig::boot(dry.clone(), d, config).map_err(|e| format!("dry boot: {e}"))?;
+    let walked = walk(&mut rig, &crashed, || 1, |_, _| marks.push(dry.ops()));
+    if let Some(v) = walked.violations.first() {
+        return Err(format!("dry run: {v}"));
+    }
+    let (Some(image), &[.., write, read]) = (dry.inner().contents(SNAP_PATH), &marks[..]) else {
+        return Err("dry run wrote no snapshot".to_string());
+    };
+
+    // A walk that ends at the checkpoint reports the degraded mode the
+    // refused checkpoint left; one that crashes after it, the boot's.
+    let probe = |trace: &CheckTrace, kind: FaultKind, op: u64, target: &str| {
+        let vfs = FaultVfs::explicit_mem(vec![PlannedFault { op, kind }]);
+        let run = run_trace_under_faults(trace, &vfs, config);
+        if vfs.realized_paths() != [target] {
+            return Err(format!("{kind:?} landed on {:?}", vfs.realized_paths()));
+        }
+        match run.violations.first() {
+            Some(v) => Err(format!("{kind:?} on {target}: {v}")),
+            None if run.degraded => Err(format!("{kind:?} on {target} degraded the cube")),
+            None => Ok(()),
+        }
+    };
+    let tmp = format!("{SNAP_PATH}.tmp");
+    probe(&crashed, FaultKind::ReadErr, read, SNAP_PATH)?;
+    for k in 0..image.len() {
+        let torn = FaultKind::ShortWrite { keep: k as u32 };
+        probe(&saved, torn, write, &tmp)?;
+        let disk = MemVfs::new();
+        disk.write_atomic(SNAP_PATH, &image[..k])
+            .map_err(|e| e.to_string())?;
+        match catch_unwind(|| Rig::boot(disk, d, config).is_ok()) {
+            Ok(false) => {}
+            Ok(true) => return Err(format!("snapshot cut at {k}: booted")),
+            Err(_) => return Err(format!("snapshot cut at {k}: boot panicked")),
+        }
+        let flipped = FaultKind::ReadCorrupt { bit: 8 * k as u32 };
+        probe(&crashed, flipped, read, SNAP_PATH)?;
+    }
+    Ok(image.len())
 }
 
 // ---------------------------------------------------------------------------

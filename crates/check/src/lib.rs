@@ -16,13 +16,12 @@
 //! `Vfs`, booted, checkpointed and crashed by the calls `ddc serve
 //! --durable` makes — and one walk of a trace against it: the roster's
 //! `durable-*` engines, the kill sweep at every byte of the log
-//! ([`crash_sweep`]) and the disk-fault chaos sweep ([`disk_sweep`])
-//! differ in the disk they hand it. The crate also hosts the snapshot
-//! fault injectors ([`FailingWriter`], [`FailingReader`],
-//! [`fault_sweep`]), the wire-parser fuzzer ([`fuzz_serve_parser`]),
-//! the seeded bugs each of them must re-find ([`roster_with_bug`],
-//! [`ParserQuirk`]; the disk's is `FaultVfs::lose_truncations`) and the
-//! repo-invariant [`lint`].
+//! ([`crash_sweep`]), the disk-fault chaos sweep ([`disk_sweep`]) and
+//! the fault at every byte of the checkpoint ([`snapshot_sweep`])
+//! differ in the disk they hand it. The crate also hosts the
+//! wire-parser fuzzer ([`fuzz_serve_parser`]), the seeded bugs each of
+//! them must re-find ([`roster_with_bug`], [`ParserQuirk`]; the disk's
+//! is `FaultVfs::lose_truncations`) and the repo-invariant [`lint`].
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]
@@ -31,7 +30,6 @@ mod adapters;
 mod buggy;
 mod crash;
 mod disk;
-mod fault;
 pub mod lint;
 mod oracle;
 mod rig;
@@ -45,10 +43,9 @@ pub use adapters::{
 pub use buggy::{roster_with_bug, OffByOneEngine, ParserQuirk};
 pub use crash::{corruption_divergence, crash_sweep, CrashSweepReport};
 pub use disk::{
-    disk_sweep, refind_seeded_bug, run_trace_under_faults, shrink_fault_schedule, DiskRunReport,
-    DiskSweepConfig, DiskSweepReport, DiskViolation, FaultSchedule, RefindReport,
+    disk_sweep, refind_seeded_bug, run_trace_under_faults, shrink_fault_schedule, snapshot_sweep,
+    DiskRunReport, DiskSweepConfig, DiskSweepReport, DiskViolation, FaultSchedule, RefindReport,
 };
-pub use fault::{fault_sweep, FailingReader, FailingWriter, FaultSweepReport, Snapshot};
 pub use oracle::Oracle;
 pub use runner::{
     fuzz, fuzz_with, run_trace, run_trace_on, Divergence, FuzzFailure, FuzzOutcome, RunStats,

@@ -12,8 +12,6 @@
 //!   seam and whitelisted operator/harness modules.
 //! * **`lock-order`** — static lock-acquisition graph over the
 //!   `core::sync` guards; cycles fail with a witness path.
-//! * **`pin-discipline`** — `BufferPool::pin` matched by `unpin` on
-//!   all scope exits, or closure-scoped.
 //! * **`result-discard`** — dropped `Result`s carrying `IoError` /
 //!   `TryUpdateError`.
 //! * **`ordering-pairs`** — every `Release` store has an acquire-side
@@ -467,46 +465,6 @@ fn drain(s: &S) { let e = write_engine(s); let q = lock_queue(s); drop(q); drop(
         let f = lint_one("crates/core/src/x.rs", src);
         assert_eq!(rules_of(&f), vec!["lock-order"], "{f:?}");
         assert!(f[0].detail.contains("via "), "{}", f[0].detail);
-    }
-
-    #[test]
-    fn pin_without_unpin_and_early_exit() {
-        let leak = "\
-impl P {
-    fn f(&mut self) { self.pin(0); self.use_page(); }
-}
-";
-        let f = lint_one("crates/core/src/x.rs", leak);
-        assert_eq!(rules_of(&f), vec!["pin-discipline"], "{f:?}");
-
-        let early = "\
-impl P {
-    fn f(&mut self) -> io::Result<()> { self.pin(0); self.read_at(b)?; self.unpin(0); Ok(()) }
-}
-";
-        let f = lint_one("crates/core/src/x.rs", early);
-        assert_eq!(rules_of(&f), vec!["pin-discipline"], "{f:?}");
-        assert!(f[0].detail.contains("early exit"), "{}", f[0].detail);
-    }
-
-    #[test]
-    fn pin_closure_scoped_accessor_is_clean() {
-        // The for_each_segment shape: pin inside an IIFE closure with
-        // `?`, unpin unconditionally after.
-        let src = "\
-impl P {
-    fn seg(&mut self) -> io::Result<()> {
-        let res = (|| -> io::Result<()> {
-            for p in 0..4 { self.pin(p)?; }
-            Ok(())
-        })();
-        for p in 0..4 { self.unpin(p)?; }
-        res
-    }
-}
-";
-        let f = lint_one("crates/core/src/x.rs", src);
-        assert!(f.is_empty(), "{f:?}");
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //!
 //! The rules themselves mostly walk the *flat* token vector using
 //! [`BracketMap`] to jump over balanced groups — that keeps scope
-//! analysis (guard lifetimes, pin balances) linear and simple — while
+//! analysis (guard lifetimes) linear and simple — while
 //! the tree form exists to prove the stream is well-formed and to give
 //! the property tests a structural round-trip target.
 

@@ -1,4 +1,4 @@
-//! The rule set. Per-file rules (`legacy`, `seam`, `pins`) take one
+//! The rule set. Per-file rules (`legacy`, `seam`) take one
 //! [`FileModel`]; whole-workspace rules (`results`, `ordering`,
 //! `locks`) take all of them and correlate across files.
 
@@ -9,7 +9,6 @@ use crate::lint::lexer::{Delim, TokKind};
 pub mod legacy;
 pub mod locks;
 pub mod ordering;
-pub mod pins;
 pub mod results;
 pub mod seam;
 
@@ -20,7 +19,6 @@ pub const ALL_RULES: &[&str] = &[
     "named-ordering",
     "seam-bypass",
     "lock-order",
-    "pin-discipline",
     "result-discard",
     "ordering-pairs",
 ];
@@ -32,7 +30,6 @@ pub fn analyze(models: &[FileModel]) -> Vec<Finding> {
     for m in models {
         out.extend(legacy::check(m));
         out.extend(seam::check(m));
-        out.extend(pins::check(m));
     }
     out.extend(results::check(models));
     out.extend(ordering::check(models));

@@ -30,6 +30,12 @@
 //! `CaseSensitiveContentLength` or `DropSplitCarriageReturn` is not
 //! exercising header casing or split boundaries, so the test suite
 //! requires both to be found.
+//!
+//! It keeps its own run loop rather than walking the durable rig on a
+//! `FaultVfs` as the crash, disk and snapshot sweeps do: what it fuzzes
+//! is wire bytes, not a disk, so there is no file op for a `FaultVfs`
+//! to inject into. Its front end is shared: `ddc check serve` reads its
+//! arguments with the same `Flags` reader as every `ddc check` command.
 
 use ddc_serve::{Frame, HttpRequest, ParseError, ParserConfig, RequestParser};
 use ddc_workload::DdcRng;

@@ -34,7 +34,6 @@ fn corpus_meets_its_coverage_floor() {
     for rule in [
         "seam-bypass",
         "lock-order",
-        "pin-discipline",
         "result-discard",
         "ordering-pairs",
     ] {

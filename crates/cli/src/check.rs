@@ -13,8 +13,11 @@
 //! shrunk repro is written to `--out` (default `ddc-divergence.trace`)
 //! and the command fails. `replay` re-executes a repro file — the
 //! round-trip that makes a shrunk trace an actionable bug report.
-//! `faults` sweeps an injected I/O fault across every byte offset of a
-//! randomized snapshot. `crash` simulates a process kill at every byte
+//! `faults` sweeps a fault across every byte offset of the snapshot a
+//! seeded trace's checkpoint writes, on the in-memory and the paged
+//! leaf backend: a torn write, a cut `snapshot.ddc` and a failed or
+//! bit-flipped read of it at boot (see `ddc_check::snapshot_sweep`).
+//! `crash` simulates a process kill at every byte
 //! offset of a trace's write-ahead log and verifies recovery restores
 //! exactly the acknowledged prefix (shrinking any violation to a
 //! replayable trace); a checkpoint in the trace rotates the log, a
@@ -27,10 +30,10 @@
 //! acked update lost; every run ends healthy or cleanly degraded), then
 //! replays the committed `tests/faults/*.sched` schedules on a disk
 //! that loses the retry protocol's tail truncations and verifies both
-//! seeded corruption classes are re-found. `crash`, `disk` and the
-//! roster's durable engines under `run` drive one rig — a durable cube
-//! on a `Vfs`, by the calls `ddc serve --durable` makes — and differ
-//! in the disk under it.
+//! seeded corruption classes are re-found. `crash`, `disk`, `faults`
+//! and the roster's durable engines under `run` drive one rig — a
+//! durable cube on a `Vfs`, by the calls `ddc serve --durable` makes —
+//! and differ in the disk under it.
 //!
 //! `--paged` (on `crash` and `disk`) runs the same sweep with the
 //! out-of-core leaf backend: a buffer pool under a deliberately tiny
@@ -40,20 +43,20 @@
 //! `--paged` is a usage error, not a sweep of the default backend.
 
 use ddc_check::{
-    crash_sweep, disk_sweep, fault_sweep, fuzz, refind_seeded_bug, run_trace, DiskSweepConfig,
+    crash_sweep, disk_sweep, fuzz, refind_seeded_bug, run_trace, snapshot_sweep, DiskSweepConfig,
     FaultSchedule,
 };
-use ddc_core::{DdcConfig, DdcEngine, GrowableCube, PagerConfig};
+use ddc_core::{DdcConfig, PagerConfig};
 use ddc_workload::{CheckTrace, CheckTraceConfig, DdcRng};
 
 use crate::flags::Flags;
 
-/// The engine a `crash` or `disk` sweep runs on, and what its report
-/// calls the backend. `--paged` is leaf blocks (elision 1) behind a
+/// The engine a `crash`, `disk` or `faults` sweep runs on, and what its
+/// report calls the backend. Paged is leaf blocks (elision 1) behind a
 /// buffer pool small enough that every nontrivial trace evicts: the
-/// crash sweep spills to memory; the disk sweep asks for a `disk`
-/// pager, which `recover_vfs` opens inside the sweep's fault-injecting
-/// (in-memory) namespace.
+/// crash sweep spills to memory; the disk and snapshot sweeps ask for a
+/// `disk` pager, which `recover_vfs` opens inside the sweep's
+/// fault-injecting (in-memory) namespace.
 fn engine_under_sweep(paged: bool, pager: fn(usize) -> PagerConfig) -> (DdcConfig, &'static str) {
     let config = DdcConfig::dynamic();
     match paged {
@@ -122,35 +125,21 @@ pub fn run(args: &[String]) -> Result<String, String> {
             let flags = Flags::parse(rest, &["--seed"], &[])?;
             let seed = flags.num("--seed")?.unwrap_or(0xFA17u64);
             let mut rng = DdcRng::seed_from_u64(seed);
-            let mut fixed = DdcEngine::<i64>::dynamic(ddc_array::Shape::new(&[5, 4]));
-            let mut growable = GrowableCube::<i64>::new(2, DdcConfig::dynamic());
-            for _ in 0..12 {
-                let p = [rng.gen_range(0usize..5), rng.gen_range(0usize..4)];
-                let v = rng.gen_range(-50i64..=50);
-                use ddc_array::RangeSumEngine;
-                fixed.apply_delta(&p, v);
-                growable.add(&[p[0] as i64 - 2, p[1] as i64 - 2], v);
-            }
-            let a = fault_sweep(&fixed, DdcConfig::dynamic());
-            let b = fault_sweep(&growable, DdcConfig::dynamic());
-            if a.is_clean() && b.is_clean() {
-                Ok(format!(
-                    "ok: fault sweep clean over {} + {} byte offsets (seed {seed})",
-                    a.offsets, b.offsets
-                ))
-            } else {
-                Err(format!(
-                    "fault sweep found problems: fixed {{panics: {:?}, accepted: {:?}, \
-                     roundtrip_ok: {}}}, growable {{panics: {:?}, accepted: {:?}, \
-                     roundtrip_ok: {}}}",
-                    a.panicked,
-                    a.silently_accepted,
-                    a.roundtrip_ok,
-                    b.panicked,
-                    b.silently_accepted,
-                    b.roundtrip_ok
-                ))
-            }
+            let config = CheckTraceConfig {
+                ops: 40,
+                max_cells: 512,
+            };
+            let trace = CheckTrace::generate(2, config, &mut rng);
+            let sweep = |paged| {
+                let (engine, backend) = engine_under_sweep(paged, PagerConfig::disk);
+                snapshot_sweep(&trace, engine).map_err(|e| {
+                    format!("snapshot fault sweep ({backend} backend, seed {seed}): {e}")
+                })
+            };
+            let (slab, paged) = (sweep(false)?, sweep(true)?);
+            Ok(format!(
+                "ok: snapshot fault sweep clean over {slab} + {paged} byte offsets (seed {seed})"
+            ))
         }
         Some("crash") => {
             let values = ["--seed", "--cases", "--ops", "--out"];
@@ -350,6 +339,16 @@ mod tests {
     #[test]
     fn check_faults_refuses_a_misspelt_flag() {
         assert!(refusal(&["faults", "--sed", "1"]).starts_with("unknown argument --sed;"));
+    }
+
+    #[test]
+    fn check_faults_sweeps_both_leaf_backends() {
+        let args: Vec<String> = ["faults", "--seed", "1"].map(String::from).to_vec();
+        let report = run(&args).expect("clean sweep");
+        // `… clean over N + M byte offsets (seed 1)`: both counts > 0.
+        let counts: Vec<usize> = report.split(' ').filter_map(|w| w.parse().ok()).collect();
+        assert!(report.contains("clean over"), "{report}");
+        assert!(counts.len() == 2 && !counts.contains(&0), "{report}");
     }
 
     #[test]

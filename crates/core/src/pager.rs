@@ -2,14 +2,17 @@
 //! ROADMAP #1's out-of-core backing store.
 //!
 //! A [`BufferPool`] caches fixed-size pages (default 4 KiB) of one
-//! backing [`VfsFile`] under a configurable memory cap. Callers pin the
-//! page range they are about to touch, copy bytes in or out, and unpin.
-//! A page table (`Vec<u32>`, page → frame) finds a resident page; a miss
-//! at the cap evicts one victim chosen by a clock (second-chance) sweep
-//! and reads the page into the victim's buffer, writing the victim back
-//! first if it is dirty. So a miss costs its I/O and nothing else: no
-//! allocation, and no sweep on the unpin that follows. Only a pool held
-//! over its cap by pins (a run wider than the pool) evicts on unpin.
+//! backing [`VfsFile`] under a configurable memory cap. Callers never
+//! pin: [`BufferPool::update_page`], [`BufferPool::read_range`] and
+//! [`BufferPool::write_range`] pin the pages they touch, copy bytes in
+//! or out, and unpin every one of them on every exit, a failed I/O
+//! included. A page table (`Vec<u32>`, page → frame) finds a resident
+//! page; a miss at the cap evicts one victim chosen by a clock
+//! (second-chance) sweep and reads the page into the victim's buffer,
+//! writing the victim back first if it is dirty. So a miss costs its I/O
+//! and nothing else: no allocation, and no sweep on the unpin that
+//! follows. Only a pool held over its cap by pins (a run wider than the
+//! pool) evicts on unpin.
 //!
 //! The pool is deliberately single-owner (`&mut self` everywhere);
 //! concurrent access is serialized by the owning arena (see
@@ -118,6 +121,10 @@ pub struct BufferPool {
     check: Box<[u8]>,
     /// Pages materialized in the file so far (reads beyond are zeros).
     file_pages: u64,
+    /// The last unpin that found the pool over its cap could not evict
+    /// back down to it (a victim's write-back failed); the next unpin
+    /// tries again.
+    shrink_failed: bool,
     hits: u64,
     misses: u64,
     evictions: u64,
@@ -157,6 +164,7 @@ impl BufferPool {
             hand: 0,
             check: Box::default(),
             file_pages: 0,
+            shrink_failed: false,
             hits: 0,
             misses: 0,
             evictions: 0,
@@ -208,7 +216,7 @@ impl BufferPool {
     /// Pins `page`, faulting it in from the file if absent. Pinned
     /// pages are never evicted; every successful pin must be paired
     /// with an [`BufferPool::unpin`].
-    pub fn pin(&mut self, page: u64) -> io::Result<()> {
+    fn pin(&mut self, page: u64) -> io::Result<()> {
         if let Some(ix) = self.frame_of(page) {
             let frame = &mut self.frames[ix];
             frame.pins += 1;
@@ -313,14 +321,15 @@ impl BufferPool {
 
     /// Releases one pin of `page`. A pool that pins held over its cap
     /// evicts back down to it here; at or under the cap this is a
-    /// counter decrement.
+    /// counter decrement. The pin is released even when an eviction
+    /// write-back fails.
     ///
     /// # Panics
     ///
     /// Panics if `page` is not resident or not pinned — an unbalanced
     /// unpin is a bookkeeping bug, never valid (pin counts cannot go
     /// negative).
-    pub fn unpin(&mut self, page: u64) -> io::Result<()> {
+    fn unpin(&mut self, page: u64) -> io::Result<()> {
         let ix = self
             .frame_of(page)
             .unwrap_or_else(|| panic!("unpin of non-resident page {page}"));
@@ -332,9 +341,13 @@ impl BufferPool {
                 self.stall_rounds += 1;
                 break;
             };
-            self.evict(ix)?;
+            if let Err(e) = self.evict(ix) {
+                self.shrink_failed = true;
+                return Err(e);
+            }
             self.remove_frame(ix);
         }
+        self.shrink_failed = false;
         Ok(())
     }
 
@@ -350,14 +363,14 @@ impl BufferPool {
 
     /// Copies `out.len()` bytes at `offset` within resident page `page`
     /// to `out`. The caller must hold a pin (enforced).
-    pub fn read_page(&self, page: u64, offset: usize, out: &mut [u8]) {
+    fn read_page(&self, page: u64, offset: usize, out: &mut [u8]) {
         let frame = &self.frames[self.pinned(page, "read of")];
         out.copy_from_slice(&frame.buf[offset..offset + out.len()]);
     }
 
     /// Overwrites `data.len()` bytes at `offset` within resident page
     /// `page`, marking it dirty. The caller must hold a pin (enforced).
-    pub fn write_page(&mut self, page: u64, offset: usize, data: &[u8]) {
+    fn write_page(&mut self, page: u64, offset: usize, data: &[u8]) {
         let ix = self.pinned(page, "write to");
         let frame = &mut self.frames[ix];
         frame.buf[offset..offset + data.len()].copy_from_slice(data);
@@ -425,11 +438,14 @@ impl BufferPool {
             }
             Ok(())
         })();
+        // Unpin exactly what was pinned, even on a faulted fast exit or
+        // after an unpin whose eviction write-back failed; the first
+        // error is the one returned.
+        let mut unpinned = Ok(());
         for page in first..pinned {
-            // Unpin exactly what was pinned, even on a faulted fast exit.
-            self.unpin(page)?;
+            unpinned = unpinned.and(self.unpin(page));
         }
-        result
+        result.and(unpinned)
     }
 
     /// Reads `page` into `buf`: zeros past the materialized extent,
@@ -534,7 +550,8 @@ impl BufferPool {
     /// Audits pool bookkeeping: the page table and the frames mirror
     /// each other exactly (no duplicates, no strays), the hand is in
     /// range, and the pool is within its cap unless pins legitimately
-    /// hold it over.
+    /// hold it over or the last eviction back down to it failed its
+    /// write-back.
     ///
     /// # Panics
     ///
@@ -558,7 +575,7 @@ impl BufferPool {
         assert!(self.hand <= self.frames.len(), "clock hand out of range");
         let pinned = self.frames.iter().filter(|f| f.pins > 0).count();
         assert!(
-            self.frames.len() <= self.cap_pages.max(pinned),
+            self.frames.len() <= self.cap_pages.max(pinned) || self.shrink_failed,
             "pool resident {} over cap {} with only {} pinned pages",
             self.frames.len(),
             self.cap_pages,
@@ -701,6 +718,67 @@ mod tests {
         assert!(s.evictions >= 100, "{s:?}");
         assert_eq!(s.pinned_pages, 0);
         p.audit();
+    }
+
+    /// Every error exit of the pool's three accessors leaves no page
+    /// pinned: the unpin write-back of `write_range` / `read_range`, a
+    /// fault-in that fails mid-range, and `update_page` whose pin fails.
+    /// `for_each_segment` used to unpin with `?` in a loop, so one failed
+    /// eviction write-back left every later page of the range pinned.
+    #[test]
+    fn a_failed_write_back_on_unpin_leaves_no_page_pinned() {
+        use crate::vfs::{OpenMode, Vfs};
+        use crate::{FaultProbs, FaultVfs};
+        let failing = FaultProbs {
+            write_err: 1.0,
+            read_err: 1.0,
+            ..FaultProbs::none()
+        };
+        let pool = |vfs: &FaultVfs, cap_pages: usize| {
+            let file = vfs.open("pool.spill", OpenMode::Create).unwrap();
+            BufferPool::new(Box::new(file), 64, cap_pages * 64)
+        };
+        let unpinned = |p: &BufferPool, what: &str| {
+            assert_eq!(p.stats().pinned_pages, 0, "{what}: {:?}", p.stats());
+            p.audit();
+        };
+
+        // write_range over 4 pages of a 2-page pool: every unpin's
+        // eviction write-back fails.
+        let vfs = FaultVfs::seeded_mem(1, failing);
+        let mut p = pool(&vfs, 2);
+        vfs.arm(true);
+        assert!(p.write_range(0, &[1u8; 256]).is_err());
+        unpinned(&p, "write_range");
+
+        // read_range over two dirty resident pages and two fresh ones:
+        // the unpin that shrinks back to the cap must write one back.
+        let vfs = FaultVfs::seeded_mem(2, failing);
+        let mut p = pool(&vfs, 2);
+        p.write_range(0, &[2u8; 128]).unwrap();
+        vfs.arm(true);
+        assert!(p.read_range(0, &mut [0u8; 256]).is_err());
+        unpinned(&p, "read_range");
+
+        // A fault-in that fails mid-range: page 1 is resident and clean,
+        // page 2 exists in the file and cannot be read.
+        let vfs = FaultVfs::seeded_mem(3, failing);
+        let mut p = pool(&vfs, 2);
+        p.write_range(0, &[3u8; 128]).unwrap();
+        p.write_range(128, &[4u8; 128]).unwrap();
+        p.read_range(0, &mut [0u8; 128]).unwrap();
+        assert_eq!(p.stats().dirty_pages, 0, "{:?}", p.stats());
+        vfs.arm(true);
+        assert!(p.read_range(64, &mut [0u8; 128]).is_err());
+        unpinned(&p, "fault-in mid-range");
+
+        // update_page whose pin fails: the only victim is dirty.
+        let vfs = FaultVfs::seeded_mem(4, failing);
+        let mut p = pool(&vfs, 1);
+        p.write_range(0, &[5u8; 64]).unwrap();
+        vfs.arm(true);
+        assert!(p.update_page(1, |bytes| bytes[0] = 6).is_err());
+        unpinned(&p, "update_page");
     }
 
     #[test]

@@ -2,14 +2,13 @@
 //! tentpole of this change): a fixed-seed fuzz run of ≥10k mixed ops
 //! over every engine with zero divergences, proof that an intentionally
 //! buggy engine is caught and shrunk to a tiny replayable repro, and a
-//! byte-offset fault-injection sweep over the persistence layer.
+//! byte-offset fault-injection sweep over the checkpoint.
 
-use ddc_array::Shape;
 use ddc_check::{
-    ddc_adapter, fault_sweep, fuzz, fuzz_with, roster_with_bug, run_trace, run_trace_on,
+    ddc_adapter, fuzz, fuzz_with, roster_with_bug, run_trace, run_trace_on, snapshot_sweep,
     CheckEngine,
 };
-use ddc_core::{DdcConfig, DdcEngine, GrowableCube};
+use ddc_core::{DdcConfig, GrowableCube};
 use ddc_tests::for_cases;
 use ddc_workload::{BoxState, CheckTrace, CheckTraceConfig};
 
@@ -181,31 +180,20 @@ fn cli_check_run_reports_clean() {
 }
 
 for_cases! {
-    /// Fault-injection sweep (satellite of the persistence hardening):
-    /// for randomized cubes, truncating the snapshot at *every* byte
-    /// offset, failing the reader mid-stream, and failing the writer
-    /// mid-stream must all produce clean `io::Error`s — no panics, no
-    /// silently accepted corruption — and the undamaged snapshot must
-    /// round-trip exactly.
+    /// Fault-injection sweep over the checkpoint: for randomized traces,
+    /// a write torn at *every* byte offset of the snapshot, the snapshot
+    /// cut at every offset, and a failed or bit-flipped read of it at
+    /// boot must each end in a refused checkpoint, a refused boot or an
+    /// exact recovery — no panics, no silently accepted corruption.
     fn persistence_fault_sweep_is_clean(rng, cases = 6) {
         let d = rng.gen_range(1usize..=3);
-        let dims: Vec<usize> = (0..d).map(|_| rng.gen_range(2usize..7)).collect();
-        let shape = Shape::new(&dims);
-        let mut fixed = DdcEngine::<i64>::dynamic(shape.clone());
-        let mut growable = GrowableCube::<i64>::new(d, DdcConfig::dynamic());
-        for _ in 0..rng.gen_range(1usize..15) {
-            let p: Vec<usize> = dims.iter().map(|&n| rng.gen_range(0usize..n)).collect();
-            let v = rng.gen_range(-99i64..=99);
-            use ddc_array::RangeSumEngine;
-            fixed.apply_delta(&p, v);
-            let signed: Vec<i64> = p.iter().map(|&c| c as i64 - 3).collect();
-            growable.add(&signed, v);
-        }
-        let report = fault_sweep(&fixed, DdcConfig::dynamic());
-        assert!(report.is_clean(), "fixed cube: {report:?}");
-        assert!(report.offsets > 0);
-        let report = fault_sweep(&growable, DdcConfig::dynamic());
-        assert!(report.is_clean(), "growable cube: {report:?}");
+        let config = CheckTraceConfig {
+            ops: rng.gen_range(10usize..40),
+            max_cells: 512,
+        };
+        let trace = CheckTrace::generate(d, config, rng);
+        let offsets = snapshot_sweep(&trace, DdcConfig::dynamic()).unwrap();
+        assert!(offsets > 0);
     }
 
     /// Growth × persistence (satellite): grow a cube in two different

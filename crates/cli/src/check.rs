@@ -46,7 +46,7 @@ use ddc_check::{
     crash_sweep, disk_sweep, fuzz, refind_seeded_bug, run_trace, snapshot_sweep, DiskSweepConfig,
     FaultSchedule,
 };
-use ddc_core::{DdcConfig, PagerConfig};
+use ddc_core::{DdcConfig, PagerConfig, MAX_RANK};
 use ddc_workload::{CheckTrace, CheckTraceConfig, DdcRng};
 
 use crate::flags::Flags;
@@ -119,6 +119,13 @@ pub fn run(args: &[String]) -> Result<String, String> {
             let text =
                 std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
             let trace = CheckTrace::parse(&text).map_err(|e| format!("{path}: {e}"))?;
+            if trace.dims.len() > MAX_RANK {
+                return Err(format!(
+                    "{path}: a {}-dimensional shape; the roster's cubes have at most \
+                     MAX_RANK = {MAX_RANK}",
+                    trace.dims.len()
+                ));
+            }
             replay_text(path, &trace)
         }
         Some("faults") => {
@@ -334,6 +341,15 @@ mod tests {
     fn check_replay_refuses_anything_after_its_file() {
         assert!(refusal(&["replay", "a.trace", "--seed"]).starts_with("usage: ddc check replay"));
         assert!(refusal(&["replay"]).starts_with("usage: ddc check replay"));
+    }
+
+    #[test]
+    fn check_replay_refuses_a_rank_past_the_bound() {
+        let path = std::env::temp_dir().join(format!("ddc-rank-{}.trace", std::process::id()));
+        std::fs::write(&path, "shape 2 2 2 2 2 2 2 2 2\nU 0 0 0 0 0 0 0 0 0 1\n").expect("trace");
+        let err = refusal(&["replay", &path.display().to_string()]);
+        std::fs::remove_file(&path).ok();
+        assert!(err.contains("MAX_RANK = 8"), "{err}");
     }
 
     #[test]

@@ -5,6 +5,8 @@
 
 use std::str::FromStr;
 
+use ddc_core::MAX_RANK;
+
 /// One subcommand's arguments, every one of them known to it.
 pub(crate) struct Flags<'a> {
     args: &'a [String],
@@ -79,6 +81,19 @@ impl<'a> Flags<'a> {
         self.value(name)
             .map(|v| v.parse().map_err(|e| format!("{name}: {e}")))
             .transpose()
+    }
+
+    /// [`Flags::num`] for a cube's rank: refused outside
+    /// `1..=MAX_RANK`, the ranks a tree is built for.
+    pub(crate) fn rank(&self, name: &str) -> Result<Option<usize>, String> {
+        let d = self.num::<usize>(name)?;
+        match d {
+            Some(d) if !(1..=MAX_RANK).contains(&d) => Err(format!(
+                "{name} {d} outside 1..={MAX_RANK}: a cube has at most MAX_RANK = \
+                 {MAX_RANK} dimensions"
+            )),
+            _ => Ok(d),
+        }
     }
 
     /// Whether the bare switch `name` was given.

@@ -93,10 +93,7 @@ pub fn run(args: &[String]) -> Result<String, String> {
     }
     let (backend, what): (Arc<dyn ServeBackend>, String) = match durable {
         Some(dir) => {
-            let dims = flags.num("--dims")?.unwrap_or(2usize);
-            if dims == 0 {
-                return Err("--dims must be at least 1".to_string());
-            }
+            let dims = flags.rank("--dims")?.unwrap_or(2);
             let mem_cap: Option<usize> = flags.num("--mem-cap")?;
             let config = match mem_cap {
                 Some(cap) => {
@@ -200,6 +197,23 @@ mod tests {
     fn serve_rejects_a_zero_sized_cube() {
         let err = run(&["--side".into(), "0".into()]).expect_err("zero side");
         assert!(err.contains("--side"), "{err}");
+    }
+
+    #[test]
+    fn serve_rejects_a_rank_past_the_bound() {
+        for dims in ["0", "9"] {
+            let args: Vec<String> = ["--durable", "unused", "--dims", dims]
+                .iter()
+                .map(|a| a.to_string())
+                .collect();
+            let err = run(&args).expect_err("rank out of bounds");
+            assert!(
+                err.starts_with(&format!("--dims {dims} outside 1..=8: "))
+                    && err.contains("MAX_RANK"),
+                "{err}"
+            );
+            assert!(!std::path::Path::new("unused").exists());
+        }
     }
 
     #[test]

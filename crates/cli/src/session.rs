@@ -84,6 +84,12 @@ impl Session {
                     return Err(format!("cube '{name}' already exists"));
                 }
                 let kind = engine_kind(&engine)?;
+                if let Some(max) = kind.max_rank().filter(|&max| dims.len() > max) {
+                    return Err(format!(
+                        "engine {engine} has at most MAX_RANK = {max} dimensions, got {}",
+                        dims.len()
+                    ));
+                }
                 // Validate the cell count before the builder allocates:
                 // user-typed domains like x:int:0:9223372036854775807 must
                 // produce an error, not a panic or an absurd allocation.
@@ -551,6 +557,29 @@ mod tests {
         assert!(s
             .execute_line("create d engine=warp dims=x:int:0:9")
             .is_err());
+    }
+
+    #[test]
+    fn create_refuses_more_dimensions_than_a_ddc_engine_builds() {
+        let dims = |n: usize| {
+            (0..n)
+                .map(|i| format!("x{i}:int:0:1"))
+                .collect::<Vec<_>>()
+                .join(",")
+        };
+        let mut s = Session::new();
+        for engine in ["basic", "dynamic", "sparse", "sharded2"] {
+            let err = s
+                .execute_line(&format!("create c engine={engine} dims={}", dims(9)))
+                .expect_err("nine dimensions");
+            assert!(err.contains("MAX_RANK = 8"), "{err}");
+            run(
+                &mut s,
+                &format!("create {engine} engine={engine} dims={}", dims(8)),
+            );
+        }
+        // A flat baseline has no rank bound.
+        run(&mut s, &format!("create n engine=naive dims={}", dims(9)));
     }
 
     #[test]

@@ -47,6 +47,7 @@ fn recover(args: &[String]) -> Result<String, String> {
     let wal_path = flags.value("--wal").ok_or("recover requires --wal FILE")?;
     let snap_path = flags.value("--snapshot");
     let out_path = flags.value("--out");
+    let dims = flags.rank("--dims")?;
     let vfs = StdVfs;
     let log = read_stable(&vfs, wal_path, READ_ATTEMPTS)
         .map_err(|e| format!("cannot read {wal_path}: {e}"))?;
@@ -59,7 +60,7 @@ fn recover(args: &[String]) -> Result<String, String> {
 
     // Dimensionality comes from --dims, or from the snapshot when one
     // is supplied (recovery re-checks the two agree).
-    let d = match (flags.num::<usize>("--dims")?, &snapshot) {
+    let d = match (dims, &snapshot) {
         (Some(d), _) => d,
         (None, Some(bytes)) => {
             GrowableCube::<i64>::load(&mut bytes.as_slice(), DdcConfig::dynamic())
@@ -180,6 +181,16 @@ mod tests {
                 "{err}"
             );
         }
+    }
+
+    #[test]
+    fn wal_recover_refuses_a_rank_past_the_bound() {
+        let args: Vec<String> = ["recover", "--wal", "w", "--dims", "9"]
+            .iter()
+            .map(|w| w.to_string())
+            .collect();
+        let err = run(&args).expect_err("rank out of bounds");
+        assert!(err.starts_with("--dims 9 outside 1..=8: "), "{err}");
     }
 
     /// `--rotate` leaves the log the writer itself starts: a clean log

@@ -50,7 +50,7 @@ pub use shard::{
     CommitTarget, MetricsSnapshot, OutOfBounds, ShardConfig, ShardedCube, TryUpdateError,
     COMMIT_FAILED, PANICKED_AFTER_APPEND,
 };
-pub use tree::{Contribution, DdcTree, LevelStats, TraceStep, TreeStats, MAX_SIDE};
+pub use tree::{Contribution, DdcTree, LevelStats, TraceStep, TreeStats, MAX_RANK, MAX_SIDE};
 pub use vfs::{
     FaultKind, FaultPlan, FaultProbs, FaultVfs, IoError, MemVfs, OpenMode, PlannedFault,
     RetryPolicy, StdVfs, Vfs, VfsFile,

@@ -24,6 +24,7 @@ use crate::engine::DdcEngine;
 use crate::growth::GrowableCube;
 use crate::obs;
 use crate::store::SpillFile;
+use crate::tree::MAX_RANK;
 
 const MAGIC: &[u8; 4] = b"DDC1";
 
@@ -171,8 +172,10 @@ fn read_header(input: &mut impl Read, expect_kind: u8) -> io::Result<usize> {
         return Err(bad("snapshot kind mismatch (fixed vs growable)"));
     }
     let d = read_u32(input)? as usize;
-    if d == 0 || d > 64 {
-        return Err(bad("implausible dimensionality"));
+    if d == 0 || d > MAX_RANK {
+        return Err(bad(&format!(
+            "implausible dimensionality {d} (a cube has 1..={MAX_RANK})"
+        )));
     }
     Ok(d)
 }
@@ -447,6 +450,15 @@ mod tests {
         buf.extend_from_slice(&(1u32 << 31).to_le_bytes());
         let err = DdcEngine::<i64>::load(&mut buf.as_slice(), DdcConfig::dynamic()).unwrap_err();
         assert!(err.to_string().contains("dimensionality"), "{err}");
+
+        // One rank past what a tree is built for, in either kind.
+        let mut buf = fixed_header(&[2; MAX_RANK + 1], 0);
+        let err = DdcEngine::<i64>::load(&mut buf.as_slice(), DdcConfig::dynamic()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        assert!(err.to_string().contains("1..=8"), "{err}");
+        buf[4] = 1;
+        let err = GrowableCube::<i64>::load(&mut buf.as_slice(), DdcConfig::dynamic()).unwrap_err();
+        assert!(err.to_string().contains("1..=8"), "{err}");
 
         // Shape whose cell count overflows usize must not reach Shape::new.
         let buf = fixed_header(&[1 << 40, 1 << 40], 0);

@@ -70,7 +70,8 @@ impl Face {
     /// Group sum over the cross box `[lo, hi]`, and the values read:
     /// Figure 4 over the run's own prefixes, one term per subset of the
     /// dimensions where `lo > 0`. The term at the run's far corner is
-    /// the whole group, i.e. `total`, the box's subtotal: one read.
+    /// the whole group, i.e. `total`, the box's subtotal: one read. A
+    /// one-dimensional group is that loop's two terms, read directly.
     fn range<G: AbelianGroup>(
         self,
         run: &[G],
@@ -79,6 +80,18 @@ impl Face {
         hi: &[usize],
         total: G,
     ) -> (G, u64) {
+        if let (&[a], &[b]) = (lo, hi) {
+            let (vb, rb) = if b == k - 1 {
+                (total, 1)
+            } else {
+                self.prefix(run, k, &[b])
+            };
+            if a == 0 {
+                return (vb, rb);
+            }
+            let (va, ra) = self.prefix(run, k, &[a - 1]);
+            return (vb.sub(va), rb + ra);
+        }
         let cut = (lo.iter().enumerate()).fold(0usize, |m, (i, &a)| m | usize::from(a > 0) << i);
         with_coord_bufs(lo.len(), |corner, _| {
             let (mut acc, mut reads) = (G::ZERO, 0);

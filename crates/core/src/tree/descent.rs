@@ -11,10 +11,16 @@
 //! handed, which is how a level's forest reports into the operation of
 //! the tree that owns it.
 
-use ddc_array::{with_coord_bufs, AbelianGroup, OpSnapshot};
+use ddc_array::{AbelianGroup, OpSnapshot};
 
 use super::arena::NO_BOX;
 use super::{ChildRef, Contribution, DdcTree, Slabs, TraceStep};
+
+/// `x` as a point of rank `D`; the entry points check the rank first.
+#[inline]
+fn rank<const D: usize>(x: &[usize]) -> [usize; D] {
+    std::array::from_fn(|i| x[i])
+}
 
 /// Row-major offset of the block-local point `rel` in a leaf block of
 /// the given side.
@@ -99,75 +105,79 @@ impl<G: AbelianGroup> Slabs<G> {
     /// to `ops`.
     pub(super) fn prefix_counted(&self, root: ChildRef, x: &[usize], ops: &mut OpSnapshot) -> G {
         self.check_point(x);
-        self.prefix_from(root, 0, x, ops)
+        with_rank!(self.d, D => self.prefix_walk::<D>(root, 0, &rank(x), ops))
     }
 
     /// The prefix walk of [`Slabs::prefix_counted`] from `root`, a child
     /// at depth `l`, to the point `x` in its own coordinates — where the
     /// range walk hands over once its box starts at a node's origin.
     #[inline]
-    fn prefix_from(&self, root: ChildRef, l: usize, x: &[usize], ops: &mut OpSnapshot) -> G {
-        let d = self.d;
-        let all_mask = (1usize << d) - 1;
-        with_coord_bufs(d, |rel, cross| {
-            rel.copy_from_slice(x);
-            let mut cur = root;
-            let mut acc = G::ZERO;
-            for level in &self.levels[l..] {
-                if cur.is_empty() {
-                    return acc;
-                }
-                let k = level.k;
-                let base = cur.index() << d;
-                let mut h_mask = 0usize;
-                for (i, r) in rel.iter().enumerate() {
-                    h_mask |= usize::from(*r >= k) << i;
-                }
-                // Ascending submask enumeration of h_mask; the final
-                // submask (h_mask itself) is the descend box, handled
-                // after the loop so its subtotal never contributes.
-                let mut s = 0usize;
-                while s != h_mask {
-                    let obox = level.slots[base + s].obox;
-                    if obox != NO_BOX {
-                        let full = h_mask & !s;
-                        if full == all_mask {
-                            ops.reads += 1;
-                            acc = acc.add(level.subtotal(obox));
-                        } else {
-                            let j = full.trailing_zeros() as usize;
-                            let mut w = 0;
-                            for (i, r) in rel.iter().enumerate() {
-                                if i == j {
-                                    continue;
-                                }
-                                let f = ((full >> i) & 1).wrapping_neg();
-                                cross[w] = ((k - 1) & f) | (*r & (k - 1) & !f);
-                                w += 1;
-                            }
-                            acc = acc.add(level.face_prefix(obox, j, &cross[..w], ops));
-                        }
-                    }
-                    s = s.wrapping_sub(h_mask) & h_mask;
-                }
-                cur = level.slots[base + h_mask].child;
-                for r in rel.iter_mut() {
-                    *r &= k - 1;
-                }
-            }
+    fn prefix_walk<const D: usize>(
+        &self,
+        root: ChildRef,
+        l: usize,
+        x: &[usize; D],
+        ops: &mut OpSnapshot,
+    ) -> G {
+        let all_mask = (1usize << D) - 1;
+        let mut rel = *x;
+        let mut cross = [0usize; D];
+        let mut cur = root;
+        let mut acc = G::ZERO;
+        for level in &self.levels[l..] {
             if cur.is_empty() {
                 return acc;
             }
-            ops.reads += rel.iter().map(|&r| r as u64 + 1).product::<u64>();
-            let side = self.leaf_side();
-            let plane = self.leaves.run_len() >> side.trailing_zeros();
-            acc.add(
-                self.leaves
-                    .rows(cur.index() as u32, plane, 0, rel[0], |rows| {
-                        add_leaf_prefix(rows, plane, side, rel, G::ZERO)
-                    }),
-            )
-        })
+            let k = level.k;
+            let base = cur.index() << D;
+            let mut h_mask = 0usize;
+            for (i, r) in rel.iter().enumerate() {
+                h_mask |= usize::from(*r >= k) << i;
+            }
+            // Ascending submask enumeration of h_mask; the final
+            // submask (h_mask itself) is the descend box, handled
+            // after the loop so its subtotal never contributes.
+            let mut s = 0usize;
+            while s != h_mask {
+                let obox = level.slots[base + s].obox;
+                if obox != NO_BOX {
+                    let full = h_mask & !s;
+                    if full == all_mask {
+                        ops.reads += 1;
+                        acc = acc.add(level.subtotal(obox));
+                    } else {
+                        let j = full.trailing_zeros() as usize;
+                        let mut w = 0;
+                        for (i, r) in rel.iter().enumerate() {
+                            if i == j {
+                                continue;
+                            }
+                            let f = ((full >> i) & 1).wrapping_neg();
+                            cross[w] = ((k - 1) & f) | (*r & (k - 1) & !f);
+                            w += 1;
+                        }
+                        acc = acc.add(level.face_prefix(obox, j, &cross[..D - 1], ops));
+                    }
+                }
+                s = s.wrapping_sub(h_mask) & h_mask;
+            }
+            cur = level.slots[base + h_mask].child;
+            for r in &mut rel {
+                *r &= k - 1;
+            }
+        }
+        if cur.is_empty() {
+            return acc;
+        }
+        ops.reads += rel.iter().map(|&r| r as u64 + 1).product::<u64>();
+        let side = self.leaf_side();
+        let plane = self.leaves.run_len() >> side.trailing_zeros();
+        acc.add(
+            self.leaves
+                .rows(cur.index() as u32, plane, 0, rel[0], |rows| {
+                    add_leaf_prefix(rows, plane, side, &rel, G::ZERO)
+                }),
+        )
     }
 
     /// The sum over the closed box `[lo, hi]` of the tree rooted at
@@ -185,24 +195,24 @@ impl<G: AbelianGroup> Slabs<G> {
             lo.len() == self.d && lo.iter().zip(hi).all(|(a, b)| a <= b),
             "bounds {lo:?}..={hi:?} inverted or of the wrong rank"
         );
-        self.range_from(root, 0, lo, hi, ops)
+        with_rank!(self.d, D => self.range_walk::<D>(root, 0, &rank(lo), &rank(hi), ops))
     }
 
     /// The range walk from `c`, a child at depth `l`, over the box
     /// `[lo, hi]` in its own coordinates.
-    fn range_from(
+    fn range_walk<const D: usize>(
         &self,
         c: ChildRef,
         l: usize,
-        lo: &[usize],
-        hi: &[usize],
+        lo: &[usize; D],
+        hi: &[usize; D],
         ops: &mut OpSnapshot,
     ) -> G {
         if c.is_empty() {
             return G::ZERO;
         }
         if lo.iter().all(|&a| a == 0) {
-            return self.prefix_from(c, l, hi, ops);
+            return self.prefix_walk(c, l, hi, ops);
         }
         if c.is_leaf() {
             ops.reads += (lo.iter().zip(hi))
@@ -216,11 +226,10 @@ impl<G: AbelianGroup> Slabs<G> {
                     add_leaf_region(rows, plane, side, lo, hi, G::ZERO)
                 });
         }
-        let d = self.d;
-        let all_mask = (1usize << d) - 1;
+        let all_mask = (1usize << D) - 1;
         let level = &self.levels[l];
         let k = level.k;
-        let base = c.index() << d;
+        let base = c.index() << D;
         // The boxes the region reaches: high half in the dimensions of
         // `must`, either half in those of `free`, low half elsewhere.
         let (mut must, mut may) = (0usize, 0usize);
@@ -229,43 +238,42 @@ impl<G: AbelianGroup> Slabs<G> {
             may |= usize::from(b >= k) << i;
         }
         let free = may & !must;
-        with_coord_bufs(d, |blo, bhi| {
-            let mut acc = G::ZERO;
-            // Ascending submask enumeration of `free`, last one included.
-            let mut t = 0usize;
-            loop {
-                let slot = level.slots[base + (must | t)];
-                if slot.obox != NO_BOX {
-                    // The region clipped to the box, box-local; `full`
-                    // marks the dimensions where it spans the box.
-                    let mut full = 0usize;
-                    for i in 0..d {
-                        let off = k & ((must | t) >> i & 1).wrapping_neg();
-                        blo[i] = lo[i].max(off) - off;
-                        bhi[i] = hi[i].min(off + k - 1) - off;
-                        full |= usize::from(blo[i] == 0 && bhi[i] == k - 1) << i;
-                    }
-                    let v = if full == all_mask {
-                        ops.reads += 1;
-                        level.subtotal(slot.obox)
-                    } else if full != 0 {
-                        // Row-sum group `j` has summed dimension `j` out:
-                        // a range over the other `d − 1`.
-                        let j = full.trailing_zeros() as usize;
-                        blo.copy_within(j + 1.., j);
-                        bhi.copy_within(j + 1.., j);
-                        level.face_range(slot.obox, j, &blo[..d - 1], &bhi[..d - 1], ops)
-                    } else {
-                        self.range_from(slot.child, l + 1, blo, bhi, ops)
-                    };
-                    acc = acc.add(v);
+        let (mut blo, mut bhi) = ([0usize; D], [0usize; D]);
+        let mut acc = G::ZERO;
+        // Ascending submask enumeration of `free`, last one included.
+        let mut t = 0usize;
+        loop {
+            let slot = level.slots[base + (must | t)];
+            if slot.obox != NO_BOX {
+                // The region clipped to the box, box-local; `full`
+                // marks the dimensions where it spans the box.
+                let mut full = 0usize;
+                for i in 0..D {
+                    let off = k & ((must | t) >> i & 1).wrapping_neg();
+                    blo[i] = lo[i].max(off) - off;
+                    bhi[i] = hi[i].min(off + k - 1) - off;
+                    full |= usize::from(blo[i] == 0 && bhi[i] == k - 1) << i;
                 }
-                if t == free {
-                    return acc;
-                }
-                t = t.wrapping_sub(free) & free;
+                let v = if full == all_mask {
+                    ops.reads += 1;
+                    level.subtotal(slot.obox)
+                } else if full != 0 {
+                    // Row-sum group `j` has summed dimension `j` out:
+                    // a range over the other `d − 1`.
+                    let j = full.trailing_zeros() as usize;
+                    blo.copy_within(j + 1.., j);
+                    bhi.copy_within(j + 1.., j);
+                    level.face_range(slot.obox, j, &blo[..D - 1], &bhi[..D - 1], ops)
+                } else {
+                    self.range_walk(slot.child, l + 1, &blo, &bhi, ops)
+                };
+                acc = acc.add(v);
             }
-        })
+            if t == free {
+                return acc;
+            }
+            t = t.wrapping_sub(free) & free;
+        }
     }
 
     /// Adds `delta` to cell `x` of the tree rooted at `root`
@@ -282,51 +290,60 @@ impl<G: AbelianGroup> Slabs<G> {
         if delta.is_zero() {
             return;
         }
-        let d = self.d;
+        with_rank!(self.d, D => self.add_walk::<D>(root, &rank(x), delta, ops));
+    }
+
+    /// The update walk of [`Slabs::add_counted`].
+    fn add_walk<const D: usize>(
+        &mut self,
+        root: &mut ChildRef,
+        x: &[usize; D],
+        delta: G,
+        ops: &mut OpSnapshot,
+    ) {
         let config = self.config;
-        with_coord_bufs(d, |rel, cross| {
-            rel.copy_from_slice(x);
-            // The reference to fill in when `cur` has to be created:
-            // the root, then the slot the walk came through.
-            let mut cur = *root;
-            let mut parent: Option<(usize, usize)> = None;
-            for l in 0..self.levels.len() {
-                let node = if cur.is_empty() {
-                    let id = self.levels[l].alloc_node();
-                    self.link(root, parent, ChildRef::node(id));
-                    id as usize
-                } else {
-                    cur.index()
-                };
-                let level = &mut self.levels[l];
-                let k = level.k;
-                // Exactly one box covers the cell (§3.2): its index comes
-                // from the coordinate high bits; rel becomes box-local.
-                let mut bi = 0usize;
-                for (i, r) in rel.iter_mut().enumerate() {
-                    bi |= usize::from(*r >= k) << i;
-                    *r &= k - 1;
-                }
-                let six = (node << d) + bi;
-                if level.slots[six].obox == NO_BOX {
-                    level.slots[six].obox = level.alloc_box();
-                }
-                let slot = level.slots[six];
-                level.box_add(slot.obox, rel, cross, delta, &config, ops);
-                cur = slot.child;
-                parent = Some((l, six));
-            }
-            let leaf = if cur.is_empty() {
-                let id = self.alloc_leaf();
-                self.link(root, parent, ChildRef::leaf(id));
-                id
+        let mut rel = *x;
+        let mut cross = [0usize; D];
+        // The reference to fill in when `cur` has to be created: the
+        // root, then the slot the walk came through.
+        let mut cur = *root;
+        let mut parent: Option<(usize, usize)> = None;
+        for l in 0..self.levels.len() {
+            let node = if cur.is_empty() {
+                let id = self.levels[l].alloc_node();
+                self.link(root, parent, ChildRef::node(id));
+                id as usize
             } else {
-                cur.index() as u32
+                cur.index()
             };
-            let at = leaf_offset(self.leaf_side(), rel);
-            self.leaves.add_at(leaf, at, delta);
-            ops.writes += 1;
-        });
+            let level = &mut self.levels[l];
+            let k = level.k;
+            // Exactly one box covers the cell (§3.2): its index comes
+            // from the coordinate high bits; rel becomes box-local.
+            let mut bi = 0usize;
+            for (i, r) in rel.iter_mut().enumerate() {
+                bi |= usize::from(*r >= k) << i;
+                *r &= k - 1;
+            }
+            let six = (node << D) + bi;
+            if level.slots[six].obox == NO_BOX {
+                level.slots[six].obox = level.alloc_box();
+            }
+            let slot = level.slots[six];
+            level.box_add(slot.obox, &rel, &mut cross, delta, &config, ops);
+            cur = slot.child;
+            parent = Some((l, six));
+        }
+        let leaf = if cur.is_empty() {
+            let id = self.alloc_leaf();
+            self.link(root, parent, ChildRef::leaf(id));
+            id
+        } else {
+            cur.index() as u32
+        };
+        let at = leaf_offset(self.leaf_side(), &rel);
+        self.leaves.add_at(leaf, at, delta);
+        ops.writes += 1;
     }
 
     /// Stores a freshly created child in the slot the update walk came

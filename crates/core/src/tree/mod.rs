@@ -121,8 +121,11 @@
 //! query at a node are exactly the submasks of the "high-half" bitmask
 //! of the target coordinates, so the query enumerates submasks and
 //! mask-selects the cross coordinates instead of testing per-dimension
-//! statuses. Costs are accumulated in locals and the [`OpCounter`] is
-//! bumped once per operation.
+//! statuses. The prefix, range and update walks are compiled once per
+//! rank up to [`MAX_RANK`], with their coordinates in `[usize; D]`
+//! locals: every tree fixes its rank at construction, and a call picks
+//! its walk once, where it enters the slabs. Costs are accumulated in
+//! locals and the [`OpCounter`] is bumped once per operation.
 //!
 //! [`DdcTree::prune`] returns dead nodes, box records and leaf blocks to
 //! per-level free lists; allocation pops a free id before growing a
@@ -152,6 +155,31 @@
 //!   re-rooting: the old root becomes one child of a fresh root, and only
 //!   the new root-level overlay box is rebuilt (cost proportional to the
 //!   populated cells, not the space).
+
+/// Largest rank a [`DdcTree`] is built for. The hot walks are compiled
+/// once per rank, for every rank up to this one; the doors that read a
+/// rank from outside input (a snapshot header, `ddc serve --dims`, the
+/// shell's `create`) refuse a larger one with a typed error.
+pub const MAX_RANK: usize = 8;
+
+/// Evaluates `$body` with the constant `$D` bound to the rank `$d`
+/// (`1..=MAX_RANK`): the one place a walk's rank turns from a runtime
+/// value into a compile-time one.
+macro_rules! with_rank {
+    ($d:expr, $D:ident => $body:expr) => {
+        with_rank!(@arms $d, $D, $body, 1 2 3 4 5 6 7 8)
+    };
+    (@arms $d:expr, $D:ident, $body:expr, $($rank:literal)*) => {
+        match $d {
+            $($rank => {
+                const $D: usize = $rank;
+                $body
+            })*
+            d => unreachable!("rank {d} outside 1..=MAX_RANK"),
+        }
+    };
+}
+const _: () = assert!(MAX_RANK == 8, "with_rank! has one arm per rank");
 
 mod arena;
 mod build;
@@ -311,7 +339,7 @@ impl<G: AbelianGroup> Slabs<G> {
     /// [`Level`] per depth: a level's forest is created with its first
     /// root, not here.
     fn new(d: usize, side: usize, config: DdcConfig) -> Self {
-        assert!(d >= 1, "dimensionality must be at least 1");
+        assert!(matches!(d, 1..=MAX_RANK), "rank {d} outside 1..={MAX_RANK}");
         assert!(side.is_power_of_two(), "side {side} must be a power of two");
         let leaf_side = config.leaf_block_side(d).min(side);
         let mut levels = Vec::new();
@@ -357,7 +385,8 @@ impl<G: AbelianGroup> DdcTree<G> {
     ///
     /// # Panics
     ///
-    /// Panics if `side` is not a power of two or `d == 0`.
+    /// Panics if `side` is not a power of two, `d == 0` or
+    /// `d > MAX_RANK`.
     pub fn new(d: usize, side: usize, config: DdcConfig) -> Self {
         Self {
             slabs: Slabs::new(d, side, config),

@@ -2,7 +2,7 @@
 
 use ddc_array::{AbelianGroup, RangeSumEngine, Shape};
 use ddc_baselines::{MultiFenwick, NaiveEngine, PrefixSumEngine, RelativePrefixEngine};
-use ddc_core::{DdcConfig, DdcEngine, ShardConfig, ShardedCube};
+use ddc_core::{DdcConfig, DdcEngine, ShardConfig, ShardedCube, MAX_RANK};
 
 /// Which range-sum method backs a cube — the five rows of the paper's
 /// comparison (§2, Table 1). The two DDC rows are the structures as the
@@ -70,6 +70,21 @@ impl EngineKind {
                 DdcConfig::dynamic(),
                 ShardConfig::with_shards(*shards),
             )),
+        }
+    }
+
+    /// The largest rank this kind builds: [`MAX_RANK`] for the kinds
+    /// backed by a Dynamic Data Cube, `None` for the flat baselines.
+    pub fn max_rank(&self) -> Option<usize> {
+        match self {
+            EngineKind::Naive
+            | EngineKind::PrefixSum
+            | EngineKind::RelativePrefix
+            | EngineKind::FenwickNd => None,
+            EngineKind::BasicDdc
+            | EngineKind::DynamicDdc
+            | EngineKind::CustomDdc(_)
+            | EngineKind::Sharded { .. } => Some(MAX_RANK),
         }
     }
 

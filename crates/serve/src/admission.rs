@@ -86,8 +86,11 @@ impl Admission {
             .buckets
             .lock()
             .unwrap_or_else(ddc_core::sync::PoisonError::into_inner);
-        let key: &str = if buckets.len() >= self.config.max_tenants && !buckets.contains_key(tenant)
-        {
+        // A known tenant is found by `&str`: only a new bucket allocates.
+        if let Some(bucket) = buckets.get_mut(tenant) {
+            return self.charge(bucket, now_ns, cap_milli);
+        }
+        let key = if buckets.len() >= self.config.max_tenants {
             "\u{0}overflow"
         } else {
             tenant
@@ -96,6 +99,12 @@ impl Admission {
             tokens: cap_milli,
             last_ns: now_ns,
         });
+        self.charge(bucket, now_ns, cap_milli)
+    }
+
+    /// Refills `bucket` for the time since its last charge, then takes
+    /// one token from it if it has one.
+    fn charge(&self, bucket: &mut Bucket, now_ns: u64, cap_milli: u64) -> bool {
         let elapsed = now_ns.saturating_sub(bucket.last_ns);
         bucket.last_ns = now_ns;
         let refill = (elapsed as u128 * self.config.rate_per_sec as u128 * MILLI as u128

@@ -171,7 +171,11 @@ enum State {
 #[derive(Debug)]
 pub struct RequestParser {
     config: ParserConfig,
+    /// Fed bytes; those before `start` are consumed, and go at the next
+    /// feed, so a read of n pipelined frames moves its bytes once, not
+    /// once per frame.
     buf: Vec<u8>,
+    start: usize,
     state: State,
     /// Set once a `ParseError` was returned: the stream is unusable.
     poisoned: bool,
@@ -193,6 +197,7 @@ impl RequestParser {
         Self {
             config,
             buf: Vec::new(),
+            start: 0,
             state: State::Head { scanned: 0 },
             poisoned: false,
         }
@@ -204,13 +209,25 @@ impl RequestParser {
         if self.poisoned {
             return;
         }
+        self.buf.drain(..self.start);
+        self.start = 0;
         self.buf.extend_from_slice(bytes);
     }
 
-    /// Bytes currently buffered (bounded by the config caps plus one
-    /// socket read).
+    /// Bytes currently buffered and not yet consumed (bounded by the
+    /// config caps plus one socket read).
     pub fn buffered(&self) -> usize {
-        self.buf.len()
+        self.pending().len()
+    }
+
+    /// The fed bytes not yet consumed by a frame.
+    fn pending(&self) -> &[u8] {
+        &self.buf[self.start..]
+    }
+
+    /// Marks the next `n` pending bytes consumed.
+    fn consume(&mut self, n: usize) {
+        self.start += n;
     }
 
     /// Yields the next complete frame, `Ok(None)` when more bytes are
@@ -232,7 +249,7 @@ impl RequestParser {
         loop {
             // Body state: wait for the declared byte count, then emit.
             if let State::Body { need, .. } = &self.state {
-                if self.buf.len() < *need {
+                if self.pending().len() < *need {
                     return Ok(None);
                 }
                 let State::Body { mut request, need } =
@@ -240,42 +257,43 @@ impl RequestParser {
                 else {
                     unreachable!("checked Body above")
                 };
-                request.body = self.buf.drain(..need).collect();
+                request.body = self.pending()[..need].to_vec();
+                self.consume(need);
                 return Ok(Some(Frame::Http(request)));
             }
 
             // Head state. Skip blank separator lines between messages.
-            while self.buf.first() == Some(&b'\n')
-                || (self.buf.first() == Some(&b'\r') && self.buf.get(1) == Some(&b'\n'))
-            {
-                let skip = if self.buf[0] == b'\n' { 1 } else { 2 };
-                self.buf.drain(..skip);
+            while let Some(skip) = match self.pending() {
+                [b'\n', ..] => Some(1),
+                [b'\r', b'\n', ..] => Some(2),
+                _ => None,
+            } {
+                self.consume(skip);
                 self.state = State::Head { scanned: 0 };
             }
-            if self.buf.is_empty() {
+            let pending = self.pending().len();
+            if pending == 0 {
                 return Ok(None);
             }
             let scanned = match self.state {
-                State::Head { scanned } => scanned.min(self.buf.len()),
+                State::Head { scanned } => scanned.min(pending),
                 State::Body { .. } => 0,
             };
-            let Some(line_end) = find_byte(&self.buf, scanned, b'\n') else {
-                self.state = State::Head {
-                    scanned: self.buf.len(),
-                };
-                if self.buf.len() > self.config.max_head_bytes {
+            let Some(line_end) = find_byte(self.pending(), scanned, b'\n') else {
+                self.state = State::Head { scanned: pending };
+                if pending > self.config.max_head_bytes {
                     return Err(ParseError::HeadTooLarge);
                 }
                 return Ok(None);
             };
-            let first_line = trim_cr(&self.buf[..line_end]);
+            let first_line = trim_cr(&self.pending()[..line_end]);
             if first_line.len() > self.config.max_head_bytes {
                 return Err(ParseError::HeadTooLarge);
             }
             if claims_http(first_line) {
                 match self.try_http_head()? {
                     HeadProgress::NeedMore => {
-                        if self.buf.len() > self.config.max_head_bytes {
+                        if self.pending().len() > self.config.max_head_bytes {
                             return Err(ParseError::HeadTooLarge);
                         }
                         return Ok(None);
@@ -293,7 +311,7 @@ impl RequestParser {
             if line.bytes().any(|b| b == 0) {
                 return Err(ParseError::BadLine);
             }
-            self.buf.drain(..=line_end);
+            self.consume(line_end + 1);
             self.state = State::Head { scanned: 0 };
             return Ok(Some(Frame::Line(line)));
         }
@@ -304,10 +322,10 @@ impl RequestParser {
     fn try_http_head(&mut self) -> Result<HeadProgress, ParseError> {
         // Locate the blank line terminating the head. Accept both CRLF
         // and bare-LF line endings (tolerant-reader rule).
-        let Some(head_end) = find_head_end(&self.buf, self.config.max_head_bytes)? else {
+        let Some(head_end) = find_head_end(self.pending(), self.config.max_head_bytes)? else {
             return Ok(HeadProgress::NeedMore);
         };
-        let mut lines = self.buf[..head_end]
+        let mut lines = self.pending()[..head_end]
             .split(|&b| b == b'\n')
             .map(trim_cr)
             .filter(|l| !l.is_empty());
@@ -362,14 +380,10 @@ impl RequestParser {
         if need > self.config.max_body_bytes as u64 {
             return Err(ParseError::BodyTooLarge(need));
         }
-        self.buf.drain(..head_end);
-        // Consume the blank line (CRLF or LF) closing the head.
-        let blank = if self.buf.first() == Some(&b'\r') {
-            2
-        } else {
-            1
-        };
-        self.buf.drain(..blank.min(self.buf.len()));
+        // Consume the head and the blank line (CRLF or LF) closing it.
+        let rest = &self.pending()[head_end..];
+        let blank = if rest.first() == Some(&b'\r') { 2 } else { 1 };
+        self.consume(head_end + blank.min(rest.len()));
         Ok(HeadProgress::Parsed {
             request: HttpRequest {
                 method: method.to_string(),
@@ -545,6 +559,32 @@ mod tests {
             })
             .collect();
         assert_eq!(targets, ["/a", "/b", "q 0,0 1,1"]);
+    }
+
+    #[test]
+    fn one_read_of_many_pipelined_lines_is_consumed_in_one_pass() {
+        let mut p = RequestParser::new(ParserConfig::default());
+        let mut read: Vec<u8> = (0..10_000)
+            .flat_map(|i| format!("ping {i}\n").into_bytes())
+            .collect();
+        read.extend_from_slice(b"pi");
+        p.feed(&read);
+        for i in 0..10_000 {
+            assert_eq!(
+                p.poll().expect("line"),
+                Some(Frame::Line(format!("ping {i}")))
+            );
+        }
+        assert_eq!(p.poll().expect("partial line"), None);
+        assert_eq!(p.buffered(), 2);
+        // The next feed compacts the consumed lines away, keeping the
+        // partial one.
+        p.feed(b"ng\n");
+        assert_eq!(
+            p.poll().expect("line"),
+            Some(Frame::Line("ping".to_string()))
+        );
+        assert_eq!(p.buffered(), 0);
     }
 
     #[test]

@@ -19,7 +19,7 @@
 use std::collections::HashMap;
 
 use ddc_array::{NdArray, Region, Shape};
-use ddc_core::{DdcConfig, DdcTree, PagerConfig, LEAF_BLOCK_CELLS};
+use ddc_core::{DdcConfig, DdcTree, PagerConfig, LEAF_BLOCK_CELLS, MAX_RANK};
 use ddc_tests::{for_cases, DdcRng};
 
 type Oracle = HashMap<Vec<usize>, i64>;
@@ -430,8 +430,8 @@ fn cancel_all_but(tree: &mut DdcTree<i64>, a: &mut NdArray<i64>, keep: usize) {
 }
 
 /// Seeded differential sweep of the level-slab tree against a
-/// brute-force `NdArray`: d ∈ 1..=4 × `elide_levels` ∈ {0..=3, derived
-/// from the rank} × {Basic, Dynamic over both `BaseStore`s} × {leaf
+/// brute-force `NdArray`: d ∈ 1..=`MAX_RANK` × `elide_levels` ∈ {0..=3,
+/// derived from the rank} × {Basic, Dynamic over both `BaseStore`s} × {leaf
 /// cells in memory, behind a two-page pool of 64-byte pages, behind one
 /// of 96-byte pages}, each through update → grow high → grow low →
 /// cancel → prune → forced compaction → bulk rebuild, with
@@ -446,7 +446,11 @@ fn cancel_all_but(tree: &mut DdcTree<i64>, a: &mut NdArray<i64>, keep: usize) {
 /// paged twins move a populated arena onto pages and then grow, free,
 /// reuse and compact there: block runs are 16 B to 4 KiB, so they
 /// share a page, fill whole pages, and — every run of 64 B and up over
-/// 96-byte pages — straddle page boundaries.
+/// 96-byte pages — straddle page boundaries. Past d = 4 a grown
+/// reference would not fit in memory: those ranks run the derived leaf
+/// side only (2, the same as `h = 0`) at side 4, so every walk compiled
+/// for them crosses an overlay level, and they skip the two growth
+/// phases.
 #[test]
 fn slab_tree_matches_brute_force_across_dims_modes_and_bases() {
     let configs = [
@@ -455,14 +459,21 @@ fn slab_tree_matches_brute_force_across_dims_modes_and_bases() {
         DdcConfig::sparse(),
     ];
     let mut evictions = 0;
-    for d in 1..=4usize {
-        let side = [16, 8, 4, 2][d - 1];
+    for d in 1..=MAX_RANK {
+        let (side, grows) = if d <= 4 {
+            ([16, 8, 4, 2][d - 1], true)
+        } else {
+            (4, false)
+        };
         for (hi, h) in [Some(0), Some(1), Some(2), Some(3), None]
             .into_iter()
             .enumerate()
         {
             for (ci, base_config) in configs.iter().enumerate() {
                 let base_config = h.map_or(*base_config, |h| base_config.with_elision(h));
+                if !grows && h.is_some() {
+                    continue;
+                }
                 // A two-page pool re-faults a block on every access, so
                 // the paged twins stop at 4 KiB blocks (64 pages).
                 let block_cells = base_config.leaf_block_side(d).pow(d as u32);
@@ -489,27 +500,31 @@ fn slab_tree_matches_brute_force_across_dims_modes_and_bases() {
                     let paged = tree.enable_paging().expect("in-memory spill");
                     assert_eq!(paged, page.is_some(), "{what}");
                     audit_dense(&tree, &a, &mut rng, &format!("{what} update"));
-                    if h.is_none() {
-                        let s = tree.stats();
-                        assert_eq!((s.nodes, s.leaf_blocks), (0, 1), "{what}");
-                    }
+                    if grows {
+                        if h.is_none() {
+                            let s = tree.stats();
+                            assert_eq!((s.nodes, s.leaf_blocks), (0, 1), "{what}");
+                        }
 
-                    tree.grow(&vec![false; d]);
-                    a = grown(&a, &vec![false; d]);
-                    random_updates(&mut tree, &mut a, &mut rng, 24);
-                    audit_dense(&tree, &a, &mut rng, &format!("{what} grow high"));
+                        tree.grow(&vec![false; d]);
+                        a = grown(&a, &vec![false; d]);
+                        random_updates(&mut tree, &mut a, &mut rng, 24);
+                        audit_dense(&tree, &a, &mut rng, &format!("{what} grow high"));
 
-                    let mut low: Vec<bool> =
-                        (0..d).map(|_| rng.gen_range(0usize..2) == 0).collect();
-                    low[rng.gen_range(0..d)] = true;
-                    tree.grow(&low);
-                    a = grown(&a, &low);
-                    random_updates(&mut tree, &mut a, &mut rng, 24);
-                    audit_dense(&tree, &a, &mut rng, &format!("{what} grow low"));
-                    if h.is_none() {
-                        let s = tree.stats();
-                        assert_eq!(s.leaf_side, [16, 16, 8, 4][d - 1], "{what}");
-                        assert!(s.nodes >= 1, "{what}: growth created no level");
+                        let mut low: Vec<bool> =
+                            (0..d).map(|_| rng.gen_range(0usize..2) == 0).collect();
+                        low[rng.gen_range(0..d)] = true;
+                        tree.grow(&low);
+                        a = grown(&a, &low);
+                        random_updates(&mut tree, &mut a, &mut rng, 24);
+                        audit_dense(&tree, &a, &mut rng, &format!("{what} grow low"));
+                        if h.is_none() {
+                            let s = tree.stats();
+                            assert_eq!(s.leaf_side, [16, 16, 8, 4][d - 1], "{what}");
+                            assert!(s.nodes >= 1, "{what}: growth created no level");
+                        }
+                    } else {
+                        assert!(tree.stats().nodes >= 1, "{what}: no overlay level");
                     }
                     let populated = a.clone();
 
@@ -689,22 +704,29 @@ fn forested_trees_cancel_down_to_one_cell_and_compact() {
     }
 }
 
-/// Smoke case past the stack coordinate scratch (more than eight
-/// dimensions take the heap buffer): a 4^9 cube against brute force,
-/// through the tree's update, prefix, range, cell and prune paths and
-/// the engine's range sum.
+/// Smoke case at the largest rank a tree is built for: a 4^8 cube
+/// against brute force, through the tree's update, prefix, range, cell
+/// and prune paths and the engine's range sum. One rank more is refused
+/// when the tree is built.
 #[test]
-fn nine_dimensional_cube_matches_brute_force() {
+fn top_rank_cube_matches_brute_force() {
     use ddc_array::RangeSumEngine;
-    let (d, side) = (9, 4);
+    let (d, side) = (MAX_RANK, 4);
+    let refused =
+        std::panic::catch_unwind(|| DdcTree::<i64>::new(MAX_RANK + 1, side, DdcConfig::dynamic()));
+    assert!(
+        refused.is_err(),
+        "a tree of rank {} was built",
+        MAX_RANK + 1
+    );
     let mut rng = DdcRng::seed_from_u64(0x9D);
     let mut tree = DdcTree::<i64>::new(d, side, DdcConfig::dynamic());
     let mut a = NdArray::<i64>::zeroed(Shape::cube(d, side));
     random_updates(&mut tree, &mut a, &mut rng, 12);
-    audit_dense(&tree, &a, &mut rng, "d=9 update");
+    audit_dense(&tree, &a, &mut rng, "top rank update");
     cancel_all_but(&mut tree, &mut a, 3);
     tree.prune();
-    audit_dense(&tree, &a, &mut rng, "d=9 prune");
+    audit_dense(&tree, &a, &mut rng, "top rank prune");
 
     let engine = ddc_core::DdcEngine::from_array_incremental(&a, DdcConfig::dynamic());
     for _ in 0..3 {
@@ -718,36 +740,43 @@ fn nine_dimensional_cube_matches_brute_force() {
         assert_eq!(
             engine.range_sum(&region),
             a.region_sum(&region),
-            "d=9 range {lo:?}..={hi:?}"
+            "top rank range {lo:?}..={hi:?}"
         );
     }
 }
 
 /// The range walk never reads more than Figure 4 in aggregate: for
 /// `dynamic()`, `basic()` and `sparse()` at the derived leaf side,
-/// `h = 0` and `h = 1`, d = 1…4, over a few hundred sampled regions of a
-/// populated tree, both the walk's total reads and its largest reads
-/// for one region are at most the Figure 4 sum of `prefix_sum`s'. Not
-/// per region: a leaf block the region cuts at its low end is scanned
-/// as a suffix, which can be more cells than the prefix Figure 4 reads
-/// in it.
+/// `h = 0` and `h = 1`, d = 1…`MAX_RANK`, over a few hundred sampled
+/// regions of a populated tree, both the walk's total reads and its
+/// largest reads for one region are at most the Figure 4 sum of
+/// `prefix_sum`s'. Not per region: a leaf block the region cuts at its
+/// low end is scanned as a suffix, which can be more cells than the
+/// prefix Figure 4 reads in it. Past d = 4 the side is 4, twice the
+/// leaf side at `h = 0` and derived (`h = 1` is left out there), so
+/// every walk crosses an overlay level.
 #[test]
 fn range_walk_reads_no_more_than_figure4() {
-    for d in 1..=4usize {
-        let side = [256, 64, 32, 16][d - 1];
+    for d in 1..=MAX_RANK {
+        let side = [256, 64, 32, 16].get(d - 1).copied().unwrap_or(4);
         for base in [
             DdcConfig::dynamic(),
             DdcConfig::basic(),
             DdcConfig::sparse(),
         ] {
             for config in [base, base.with_elision(0), base.with_elision(1)] {
+                if 2 * config.leaf_block_side(d) > side {
+                    continue;
+                }
                 let what = format!("d={d} {config:?}");
                 let mut rng = DdcRng::seed_from_u64(0x4A1C + d as u64);
                 let mut tree = DdcTree::<i64>::new(d, side, config);
                 let mut a = NdArray::<i64>::zeroed(Shape::cube(d, side));
                 random_updates(&mut tree, &mut a, &mut rng, 1500);
                 let (mut walk, mut fig4) = ((0u64, 0u64), (0u64, 0u64));
-                for region in sample_regions(d, side, 50, &mut rng) {
+                // Figure 4 costs 2^d prefix sums a region.
+                let each = 50 >> d.saturating_sub(5);
+                for region in sample_regions(d, side, each, &mut rng) {
                     let (lo, hi) = (region.lo(), region.hi());
                     let before = tree.ops().reads;
                     let got = tree.range_sum(lo, hi);

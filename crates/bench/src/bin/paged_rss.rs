@@ -15,9 +15,11 @@
 //! on pages. A sweep then sums each block's interior (every row but the
 //! first), which reads every page of every block: the buffered adds
 //! merge into their pages and the pool evicts. A seeded churn phase
-//! mixes random point updates with range sums, and a correctness pass
-//! checks sampled cells plus the grand total. Every range sum, sweep
-//! and churn alike, is compared against an oracle. Last, the binary
+//! mixes random point updates with range sums, then the tree's arena
+//! audit runs once (it asserts, among the rest, that the pool holds no
+//! more pages than its cap: these blocks span pages), and a correctness
+//! pass checks sampled cells plus the grand total. Every range sum,
+//! sweep and churn alike, is compared against an oracle. Last, the binary
 //! reads `VmHWM` from `/proc/self/status`. Exit status:
 //!
 //! * `0` — cube exceeded the cap, the pool evicted and the change
@@ -185,6 +187,7 @@ fn run(args: &[String]) -> Result<String, (i32, String)> {
             check_sum(&engine, &oracle, lo, hi)?;
         }
     }
+    engine.tree().check_arena();
 
     // Correctness pass: the grand total plus a sample of touched cells
     // must match the oracle — a silently-corrupting pager must not be
@@ -219,12 +222,17 @@ fn run(args: &[String]) -> Result<String, (i32, String)> {
     let json = format!(
         "{{\n  \"bench\": \"paged_rss\",\n  \"mem_cap_bytes\": {mem_cap},\n  \
          \"slack_bytes\": {slack},\n  \"leaf_bytes_total\": {leaf_bytes},\n  \
-         \"peak_rss_bytes\": {peak},\n  \"resident_pages\": {},\n  \
+         \"peak_rss_bytes\": {peak},\n  \"resident_pages\": {},\n  \"cap_pages\": {},\n  \
          \"evictions\": {},\n  \"write_backs\": {},\n  \
          \"buffered\": {},\n  \"merged\": {},\n  \
          \"range_sums\": {sums_checked},\n  \"cube_exceeds_cap\": {exceeded},\n  \
          \"rss_within_budget\": {within}\n}}",
-        stats.resident_pages, stats.evictions, stats.write_backs, stats.buffered, stats.merged
+        stats.resident_pages,
+        stats.cap_pages,
+        stats.evictions,
+        stats.write_backs,
+        stats.buffered,
+        stats.merged
     );
     if !exceeded {
         return Err((

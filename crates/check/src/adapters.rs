@@ -439,7 +439,7 @@ pub fn engine_roster(init: &BoxState) -> Vec<Box<dyn CheckEngine>> {
             DdcConfig::dynamic().with_elision(0),
         )),
         // Paged leaf arena over a deliberately tiny in-memory buffer
-        // pool: every trace churns through pin/unpin, clock eviction
+        // pool: every trace churns through page faults, clock eviction
         // and record re-faulting, differentially checked against all
         // the slab engines above.
         Box::new(ddc_adapter("ddc-paged", init, paged)),

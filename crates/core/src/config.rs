@@ -49,8 +49,8 @@ pub enum BaseStore {
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct PagerConfig {
     /// Budget in bytes of the pool's frames plus the leaf arena's change
-    /// buffer (a sixteenth of it); a fault at the cap evicts a page
-    /// (pinned pages can transiently exceed it).
+    /// buffer (a sixteenth of it); a fault at the cap evicts a page, so
+    /// the pool never holds more than its share.
     pub mem_cap_bytes: usize,
     /// Page size in bytes (at least 64; default 4 KiB).
     pub page_bytes: usize,
@@ -80,7 +80,7 @@ impl PagerConfig {
     }
 
     /// In-memory-spill pager (for tests and the differential harness):
-    /// the full pin/evict/write-back machinery runs, but the backing
+    /// the full fault/evict/write-back machinery runs, but the backing
     /// "file" is a `Vec<u8>`, so construction cannot fail.
     pub fn in_mem(mem_cap_bytes: usize) -> Self {
         Self {
@@ -104,7 +104,7 @@ pub enum LeafBackend {
     /// plus a free list) — zero indirection, unbounded memory.
     Mem,
     /// Leaf blocks serialized onto fixed-size pages behind a buffer
-    /// pool with a configurable memory cap (ROADMAP #1). Requested via
+    /// pool with a configurable memory cap (DESIGN S45). Requested via
     /// config, *activated* by the `ValueCodec`-bounded constructors
     /// ([`crate::GrowableCube`] persistence/recovery paths and the
     /// explicit `enable_paging` hooks) — plain constructors without a

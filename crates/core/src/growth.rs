@@ -22,7 +22,6 @@ use ddc_array::{with_coord_bufs, AbelianGroup, CoordMap, GrowthDirection, OpCoun
 use crate::config::DdcConfig;
 use crate::engine::engine_obs;
 use crate::obs;
-use crate::store::SpillFile;
 use crate::tree::{DdcTree, MAX_SIDE};
 
 struct GrowthObs {
@@ -78,7 +77,7 @@ impl std::error::Error for GrowthError {}
 #[derive(Debug)]
 pub struct GrowableCube<G: AbelianGroup> {
     map: CoordMap,
-    tree: DdcTree<G>,
+    pub(crate) tree: DdcTree<G>,
 }
 
 impl<G: AbelianGroup> GrowableCube<G> {
@@ -341,27 +340,6 @@ impl<G: AbelianGroup> GrowableCube<G> {
         G: crate::ValueCodec,
     {
         self.tree.enable_paging()
-    }
-
-    /// [`GrowableCube::enable_paging`] over an explicit spill file; see
-    /// [`DdcTree::enable_paging_on`].
-    pub fn enable_paging_on(&mut self, spill: Box<dyn crate::VfsFile + Send>) -> bool
-    where
-        G: crate::ValueCodec,
-    {
-        self.tree.enable_paging_on(spill)
-    }
-
-    /// Pages onto `spill` when the caller opened one, else onto the
-    /// pager's default file.
-    pub(crate) fn page_leaves(&mut self, spill: Option<SpillFile>) -> std::io::Result<bool>
-    where
-        G: crate::ValueCodec,
-    {
-        match spill {
-            Some(file) => Ok(self.enable_paging_on(file)),
-            None => self.enable_paging(),
-        }
     }
 
     /// True once the leaf arena is paged.

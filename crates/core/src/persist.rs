@@ -313,7 +313,7 @@ impl<G: AbelianGroup + ValueCodec> GrowableCube<G> {
             usize::try_from(read_u64(input)?).map_err(|_| bad("implausible entry count"))?;
         let mut cube = Self::with_origin(&origin, config);
         // As in `DdcEngine::load`: page the leaves before replaying.
-        cube.page_leaves(spill)?;
+        cube.tree.page_leaves(spill)?;
         let mut p = vec![0i64; d];
         for _ in 0..count {
             for c in p.iter_mut() {

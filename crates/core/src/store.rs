@@ -16,8 +16,8 @@
 //! (`rows`), and whole blocks, closure-scoped, for build, removal and
 //! enumeration (`with` / `with_mut`). In memory these are slices of the
 //! one `Vec`. Paged, a read copies just the rows or cells it asked for
-//! out of the pool, so a closure that re-enters the tree never runs with
-//! a page pinned, and an add never faults a page in: a delta for a cell
+//! out of the pool, so a closure that re-enters the tree never runs
+//! inside the pool, and an add never faults a page in: a delta for a cell
 //! whose page is not resident waits in a change buffer (below) until
 //! the page is next read. Spill I/O errors are process-fatal by design:
 //! the file is scratch below the snapshot + WAL pair, so crashing into

@@ -14,8 +14,7 @@ use crate::config::{BaseStore, DdcConfig, LeafBackend, Mode};
 use crate::flat_face;
 use crate::pager::PoolStats;
 use crate::persist::ValueCodec;
-use crate::store::{self, LeafArena};
-use crate::vfs::VfsFile;
+use crate::store::{self, LeafArena, SpillFile};
 
 /// `Slot::obox` of a slot whose box has not been materialized.
 pub(super) const NO_BOX: u32 = u32::MAX;
@@ -985,34 +984,35 @@ impl<G: AbelianGroup + ValueCodec> DdcTree<G> {
     /// Activates the paged leaf backend requested by
     /// [`crate::LeafBackend::Paged`], spilling to the pager's default
     /// file: a `Vec`, or an unlinked file under the OS temp directory
-    /// for [`crate::PagerConfig::disk`]. See
-    /// [`DdcTree::enable_paging_on`].
-    pub fn enable_paging(&mut self) -> std::io::Result<bool> {
-        match self.slabs.config.leaf_backend {
-            LeafBackend::Paged(pager) if !self.is_paged() => {
-                Ok(self.enable_paging_on(store::default_spill(pager)?))
-            }
-            _ => Ok(self.is_paged()),
-        }
-    }
-
-    /// Moves the leaf arena's cells behind a buffer pool over `spill`
-    /// when the config asks for [`crate::LeafBackend::Paged`] (block ids
-    /// are preserved, so every child reference stays valid). `spill` is
-    /// scratch space: it should be empty, and nothing reads it back
-    /// after the tree is dropped.
+    /// for [`crate::PagerConfig::disk`].
     ///
     /// Lives in a [`ValueCodec`]-bounded impl because cells are encoded
     /// onto pages; once enabled, every unbounded code path (grow, prune,
     /// updates) keeps working. Returns whether the tree is paged
     /// afterwards: `false` means the config never asked for paging.
-    /// Idempotent — an already-paged tree keeps its file and drops
-    /// `spill`.
-    pub fn enable_paging_on(&mut self, spill: Box<dyn VfsFile + Send>) -> bool {
+    /// Idempotent.
+    pub fn enable_paging(&mut self) -> std::io::Result<bool> {
+        self.page_leaves(None)
+    }
+
+    /// Moves the leaf arena's cells behind a buffer pool over `spill`,
+    /// or over the pager's default file when `spill` is `None`, if the
+    /// config asks for [`crate::LeafBackend::Paged`] (block ids are
+    /// preserved, so every child reference stays valid). `spill` is
+    /// scratch space: it should be empty, and nothing reads it back
+    /// after the tree is dropped. An already-paged tree keeps its file
+    /// and drops `spill`.
+    pub(crate) fn page_leaves(&mut self, spill: Option<SpillFile>) -> std::io::Result<bool> {
         if let LeafBackend::Paged(pager) = self.slabs.config.leaf_backend {
-            self.slabs.leaves.page_onto(spill, pager);
+            if !self.is_paged() {
+                let spill = match spill {
+                    Some(file) => file,
+                    None => store::default_spill(pager)?,
+                };
+                self.slabs.leaves.page_onto(spill, pager);
+            }
         }
-        self.is_paged()
+        Ok(self.is_paged())
     }
 }
 

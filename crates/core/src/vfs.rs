@@ -4,8 +4,8 @@
 //! files directly, which made disk faults (EIO, ENOSPC, short writes,
 //! failed fsync, read-back corruption) an untested path even though the
 //! crash sweep proves we survive *process* death at every byte offset.
-//! This module is the single chokepoint ROADMAP #1's buffer pool will
-//! also plug into:
+//! This module is the single chokepoint, and the paged leaf arena's
+//! buffer pool (`core::pager`) spills through it too:
 //!
 //! * [`VfsFile`] — an open file handle: append-oriented `write_all`,
 //!   a durability barrier `sync`, `len`, `truncate`, and positional

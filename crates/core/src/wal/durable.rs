@@ -71,7 +71,7 @@ fn recover_spilling<G: AbelianGroup + ValueCodec>(
         }
         None => {
             let mut cube = GrowableCube::new(d, config);
-            cube.page_leaves(spill)?;
+            cube.tree.page_leaves(spill)?;
             (cube, false)
         }
     };

@@ -1,8 +1,8 @@
 //! Out-of-core paged storage, end to end (satellite of the buffer-pool
 //! tentpole).
 //!
-//! The pool's micro-invariants — pin counts never negative, eviction
-//! skipping pinned pages, second-chance order — and the arena's — ids,
+//! The pool's micro-invariants — never over its cap, on an error exit
+//! too, second-chance order — and the arena's — ids,
 //! free list and zero-on-free shared with the in-memory slab — live
 //! next to the implementation as `core::pager` and `core::store` unit
 //! tests. These suites cover the layer above: a paged cube driven

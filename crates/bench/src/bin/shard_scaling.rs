@@ -30,7 +30,7 @@
 //!
 //! A printed experiment, not a gate: the tables are wall-clock on
 //! whatever machine runs them. It stays until `benchmark/` measures
-//! `--shards` itself (ROADMAP item 1).
+//! `--shards` itself (ROADMAP item 6(b)).
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};

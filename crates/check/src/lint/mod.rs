@@ -6,34 +6,28 @@
 //! [`rules`] set that includes whole-workspace passes:
 //!
 //! * **`no-unwrap`**, **`no-bare-std-sync`**, **`named-ordering`** —
-//!   the v1 rules, re-expressed over tokens (same scoping, same
-//!   excerpts, so existing waiver needles keep matching).
+//!   the v1 rules, re-expressed over tokens.
 //! * **`seam-bypass`** — no `std::fs`/`std::net` outside the `Vfs`
 //!   seam and whitelisted operator/harness modules.
 //! * **`lock-order`** — static lock-acquisition graph over the
 //!   `core::sync` guards; cycles fail with a witness path.
 //! * **`result-discard`** — dropped `Result`s carrying `IoError` /
 //!   `TryUpdateError`.
-//! * **`ordering-pairs`** — every `Release` store has an acquire-side
-//!   load of the same field in the same crate.
 //!
-//! Waivers live in `lint-allow.txt` (see [`allow`]) and now carry
-//! `expires=<PR>` leases. Each rule ships a seeded-violation fixture
-//! corpus under `crates/check/tests/lint_fixtures/` that
-//! [`run_fixtures`] must re-find — the same "re-discover planted bugs"
-//! contract the fuzzer and chaos sweeps obey.
+//! Any finding fails the run; nothing waives one. Each rule ships a
+//! seeded-violation fixture corpus under
+//! `crates/check/tests/lint_fixtures/` that [`run_fixtures`] must
+//! re-find — the same "re-discover planted bugs" contract the fuzzer
+//! and chaos sweeps obey.
 
 use std::collections::BTreeMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
 
-pub mod allow;
 pub mod lexer;
 pub mod model;
 pub mod parse;
 pub mod rules;
-
-pub use allow::{apply_allowlist, parse_allowlist, AllowEntry, Applied};
 
 /// One lint hit.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -115,39 +109,9 @@ pub fn collect_models(root: &Path) -> Result<Vec<model::FileModel>, String> {
     Ok(models)
 }
 
-/// What a full lint run produces.
-#[derive(Debug)]
-pub struct LintReport {
-    /// Findings no live waiver covers — these fail the run.
-    pub blocking: Vec<Finding>,
-    /// Findings waived by a live allowlist entry.
-    pub waived: Vec<Finding>,
-    /// Indices into `entries` of live entries that matched nothing.
-    pub stale: Vec<usize>,
-    /// Indices into `entries` of entries past their `expires` PR.
-    pub expired: Vec<usize>,
-    /// The parsed allowlist.
-    pub entries: Vec<AllowEntry>,
-}
-
-impl LintReport {
-    /// A run passes only with no blocking findings and a fully live,
-    /// fully used allowlist.
-    pub fn is_clean(&self) -> bool {
-        self.blocking.is_empty() && self.stale.is_empty() && self.expired.is_empty()
-    }
-}
-
-/// Run the full suite from a repo root. `rule` restricts the run to a
-/// single rule id (allowlist entries for other rules are then ignored
-/// rather than reported stale); `current_pr` drives waiver expiry —
-/// use [`current_pr_from_changes`].
-pub fn run_lints(
-    root: &Path,
-    allowlist: &str,
-    current_pr: u64,
-    rule: Option<&str>,
-) -> Result<LintReport, String> {
+/// Run the full suite from a repo root and return every finding.
+/// `rule` restricts the run to a single rule id.
+pub fn run_lints(root: &Path, rule: Option<&str>) -> Result<Vec<Finding>, String> {
     if let Some(r) = rule {
         if !rules::ALL_RULES.contains(&r) {
             return Err(format!(
@@ -156,49 +120,11 @@ pub fn run_lints(
             ));
         }
     }
-    let mut entries = parse_allowlist(allowlist)?;
-    let models = collect_models(root)?;
-    let mut findings = rules::analyze(&models);
+    let mut findings = rules::analyze(&collect_models(root)?);
     if let Some(r) = rule {
         findings.retain(|f| f.rule == r);
-        entries.retain(|a| a.rule == r);
     }
-    let Applied {
-        blocking,
-        waived,
-        stale,
-        expired,
-    } = apply_allowlist(findings, &entries, current_pr);
-    Ok(LintReport {
-        blocking,
-        waived,
-        stale,
-        expired,
-        entries,
-    })
-}
-
-/// The PR number "now": the largest `PR <N>` label opening a
-/// `CHANGES.md` line (one line per landed PR; numbers may be skipped, so
-/// lines are not counted). Missing file ⇒ 0 (expiry disabled).
-pub fn current_pr_from_changes(root: &Path) -> u64 {
-    std::fs::read_to_string(root.join("CHANGES.md"))
-        .map(|t| latest_pr_label(&t))
-        .unwrap_or(0)
-}
-
-fn latest_pr_label(changes: &str) -> u64 {
-    changes
-        .lines()
-        .filter_map(|l| {
-            let label = l.trim_start_matches(['-', ' ']).strip_prefix("PR ")?;
-            let digits = label
-                .find(|c: char| !c.is_ascii_digit())
-                .unwrap_or(label.len());
-            label[..digits].parse().ok()
-        })
-        .max()
-        .unwrap_or(0)
+    Ok(findings)
 }
 
 // ---------------------------------------------------------------------------
@@ -294,50 +220,26 @@ pub fn run_fixtures(fixture_root: &Path) -> Result<FixtureReport, String> {
 // JSON findings output
 // ---------------------------------------------------------------------------
 
-/// Render a report as JSON (hand-rolled — the repo is zero-dep) for
+/// Render findings as JSON (hand-rolled — the repo is zero-dep) for
 /// the CI findings artifact.
-pub fn report_json(r: &LintReport) -> String {
-    let findings = |fs: &[Finding]| -> String {
-        let items: Vec<String> = fs
-            .iter()
-            .map(|f| {
-                format!(
-                    "{{\"rule\":\"{}\",\"path\":\"{}\",\"line\":{},\"excerpt\":\"{}\",\"detail\":\"{}\"}}",
-                    esc(f.rule),
-                    esc(&f.path),
-                    f.line,
-                    esc(&f.excerpt),
-                    esc(&f.detail)
-                )
-            })
-            .collect();
-        format!("[{}]", items.join(","))
-    };
-    let entries = |idx: &[usize]| -> String {
-        let items: Vec<String> = idx
-            .iter()
-            .filter_map(|&i| r.entries.get(i))
-            .map(|a| {
-                format!(
-                    "{{\"rule\":\"{}\",\"path\":\"{}\",\"expires\":{},\"needle\":\"{}\",\"rationale\":\"{}\",\"line\":{}}}",
-                    esc(&a.rule),
-                    esc(&a.path),
-                    a.expires,
-                    esc(&a.needle),
-                    esc(&a.rationale),
-                    a.line
-                )
-            })
-            .collect();
-        format!("[{}]", items.join(","))
-    };
+pub fn report_json(findings: &[Finding]) -> String {
+    let items: Vec<String> = findings
+        .iter()
+        .map(|f| {
+            format!(
+                "{{\"rule\":\"{}\",\"path\":\"{}\",\"line\":{},\"excerpt\":\"{}\",\"detail\":\"{}\"}}",
+                esc(f.rule),
+                esc(&f.path),
+                f.line,
+                esc(&f.excerpt),
+                esc(&f.detail)
+            )
+        })
+        .collect();
     format!(
-        "{{\"schema\":1,\"clean\":{},\"blocking\":{},\"waived\":{},\"stale\":{},\"expired\":{}}}",
-        r.is_clean(),
-        findings(&r.blocking),
-        findings(&r.waived),
-        entries(&r.stale),
-        entries(&r.expired)
+        "{{\"schema\":2,\"clean\":{},\"findings\":[{}]}}",
+        findings.is_empty(),
+        items.join(",")
     )
 }
 
@@ -507,108 +409,25 @@ fn caller() {
     }
 
     #[test]
-    fn ordering_pairs_release_needs_acquire_load() {
-        let unpaired = "\
-struct B { seq: AtomicU64 }
-impl B {
-    fn publish(&self) { self.seq.store(1, Ordering::Release); }
-}
-";
-        let f = lint_one("crates/core/src/x.rs", unpaired);
-        assert_eq!(rules_of(&f), vec!["ordering-pairs"], "{f:?}");
-
-        let paired = "\
-struct B { seq: AtomicU64 }
-impl B {
-    fn publish(&self) { self.seq.store(1, Ordering::Release); }
-    fn observe(&self) -> u64 { self.seq.load(Ordering::Acquire) }
-}
-";
-        assert!(lint_one("crates/core/src/x.rs", paired).is_empty());
-    }
-
-    #[test]
-    fn pr_clock_reads_the_largest_label_not_the_line_count() {
-        let changes =
-            "PR 1: first\n- PR 2: second\n\n- PR 11: eleventh\n- PR 13: no PR 12 landed\n";
-        assert_eq!(latest_pr_label(changes), 13);
-        assert_eq!(
-            latest_pr_label("- PR 14: out of order\n- PR 3: older\n"),
-            14
-        );
-        assert_eq!(latest_pr_label("notes that mention PR 99 mid-line\n"), 0);
-        assert_eq!(latest_pr_label(""), 0);
-    }
-
-    #[test]
-    fn allowlist_waives_and_reports_stale_and_expired() {
-        let mk = |rule: &'static str, excerpt: &str| Finding {
-            rule,
-            path: "crates/core/src/a.rs".into(),
-            line: 3,
-            excerpt: excerpt.into(),
-            detail: String::new(),
-        };
-        let allow = parse_allowlist(
-            "# builder threads are joined at construction time;\n\
-             # a panic there is a programming error, not input-driven.\n\
-             no-unwrap crates/core/src/a.rs expires=14 builder thread panicked\n\
-             no-unwrap crates/core/src/a.rs expires=14 stale entry\n\
-             no-unwrap crates/core/src/a.rs expires=3 long gone\n",
-        )
-        .expect("parses");
-        assert!(allow[0].rationale.contains("programming error"));
-        let findings = vec![mk(
-            "no-unwrap",
-            "h.join().expect(\"builder thread panicked\")",
-        )];
-        let a = apply_allowlist(findings, &allow, 10);
-        assert!(a.blocking.is_empty());
-        assert_eq!(a.waived.len(), 1);
-        assert_eq!(a.stale, vec![1]);
-        assert_eq!(a.expired, vec![2]);
-    }
-
-    #[test]
-    fn allowlist_rejects_missing_expires() {
-        assert!(parse_allowlist("no-unwrap crates/core/src/a.rs some needle\n").is_err());
-        assert!(parse_allowlist("no-unwrap crates/core/src/a.rs expires=x needle\n").is_err());
-    }
-
-    #[test]
-    fn expired_entry_stops_waiving() {
-        let findings = vec![Finding {
-            rule: "no-unwrap",
-            path: "crates/core/src/a.rs".into(),
-            line: 3,
-            excerpt: "v.expect(\"reason\")".into(),
-            detail: String::new(),
-        }];
-        let allow =
-            parse_allowlist("no-unwrap crates/core/src/a.rs expires=4 reason\n").expect("parses");
-        let a = apply_allowlist(findings, &allow, 10);
-        assert_eq!(a.blocking.len(), 1, "expired waiver must not mask");
-        assert_eq!(a.expired, vec![0]);
-    }
-
-    #[test]
     fn json_report_escapes_and_round_trips_shape() {
-        let r = LintReport {
-            blocking: vec![Finding {
-                rule: "seam-bypass",
-                path: "crates/core/src/a.rs".into(),
-                line: 1,
-                excerpt: "std::fs::File::open(\"x\")".into(),
-                detail: "line1\nline2".into(),
-            }],
-            waived: vec![],
-            stale: vec![],
-            expired: vec![],
-            entries: vec![],
+        let f = Finding {
+            rule: "seam-bypass",
+            path: "crates/core/src/a.rs".into(),
+            line: 1,
+            excerpt: "std::fs::File::open(\"x\")".into(),
+            detail: "line1\nline2".into(),
         };
-        let j = report_json(&r);
+        let j = report_json(&[f]);
+        assert!(
+            j.starts_with("{\"schema\":2,\"clean\":false,\"findings\":[{"),
+            "{j}"
+        );
         assert!(j.contains("\\\"x\\\""), "{j}");
         assert!(j.contains("line1\\nline2"), "{j}");
-        assert!(j.contains("\"clean\":false"), "{j}");
+        assert!(j.ends_with("}]}"), "{j}");
+        assert_eq!(
+            report_json(&[]),
+            "{\"schema\":2,\"clean\":true,\"findings\":[]}"
+        );
     }
 }

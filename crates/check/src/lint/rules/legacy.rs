@@ -1,7 +1,6 @@
 //! The three v1 rules (`no-unwrap`, `no-bare-std-sync`,
-//! `named-ordering`), re-expressed over the token stream. Scoping and
-//! excerpt shape match v1 exactly so existing `lint-allow.txt` needles
-//! keep matching.
+//! `named-ordering`), re-expressed over the token stream with v1's
+//! scoping.
 
 use super::super::model::FileModel;
 use super::{method_call, mk};

@@ -1,6 +1,6 @@
 //! The rule set. Per-file rules (`legacy`, `seam`) take one
-//! [`FileModel`]; whole-workspace rules (`results`, `ordering`,
-//! `locks`) take all of them and correlate across files.
+//! [`FileModel`]; whole-workspace rules (`results`, `locks`) take all
+//! of them and correlate across files.
 
 use super::model::FileModel;
 use super::Finding;
@@ -8,7 +8,6 @@ use crate::lint::lexer::{Delim, TokKind};
 
 pub mod legacy;
 pub mod locks;
-pub mod ordering;
 pub mod results;
 pub mod seam;
 
@@ -20,7 +19,6 @@ pub const ALL_RULES: &[&str] = &[
     "seam-bypass",
     "lock-order",
     "result-discard",
-    "ordering-pairs",
 ];
 
 /// Run every rule over the models; findings sorted by (path, line,
@@ -32,7 +30,6 @@ pub fn analyze(models: &[FileModel]) -> Vec<Finding> {
         out.extend(seam::check(m));
     }
     out.extend(results::check(models));
-    out.extend(ordering::check(models));
     out.extend(locks::check(models));
     out.sort_by(|a, b| (a.path.as_str(), a.line, a.rule).cmp(&(b.path.as_str(), b.line, b.rule)));
     out
@@ -61,17 +58,4 @@ pub(crate) fn method_call(m: &FileModel, i: usize) -> Option<(&str, usize)> {
     }
     let open = i + 2;
     (m.toks.get(open)?.kind == TokKind::Open(Delim::Paren)).then_some((name.text.as_str(), open))
-}
-
-/// True when the call's argument tokens `[open+1, close)` name an
-/// explicit `Ordering::X` (or anything path-qualified as `X` from the
-/// given set) — i.e. contain one of `idents`.
-pub(crate) fn args_contain(m: &FileModel, open: usize, idents: &[&str]) -> bool {
-    let close = m.brackets.matching(open);
-    if close == usize::MAX {
-        return false;
-    }
-    m.toks[open + 1..close]
-        .iter()
-        .any(|t| t.kind == TokKind::Ident && idents.contains(&t.text.as_str()))
 }

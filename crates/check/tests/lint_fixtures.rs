@@ -1,7 +1,7 @@
 //! CI teeth for the seeded-violation corpus: the v2 analyzer must
 //! re-find every `//~ rule` marker under `tests/lint_fixtures/` and
 //! report nothing else, with the coverage floor the corpus promises
-//! (at least two seeds per semantic rule, at least ten overall).
+//! (at least two seeds per rule, at least ten overall).
 
 use std::path::PathBuf;
 
@@ -31,12 +31,7 @@ fn corpus_meets_its_coverage_floor() {
         "corpus shrank below ten seeded violations ({})",
         report.expected
     );
-    for rule in [
-        "seam-bypass",
-        "lock-order",
-        "result-discard",
-        "ordering-pairs",
-    ] {
+    for &rule in lint::rules::ALL_RULES {
         let (_, total) = report.per_rule.get(rule).copied().unwrap_or((0, 0));
         assert!(
             total >= 2,

@@ -2,17 +2,16 @@
 //! ([`ddc_check::lint`]) as a shell subcommand.
 //!
 //! ```text
-//! ddc lint [--root DIR] [--allow FILE] [--rule NAME] [--json FILE] [--pr N]
+//! ddc lint [--root DIR] [--rule NAME] [--json FILE]
 //! ddc lint --fixtures [--root DIR]
 //! ```
 //!
-//! Errors (and so exits nonzero) on any blocking finding, stale
-//! allowlist entry, or expired allowlist lease; with `--fixtures`,
+//! Errors (and so exits nonzero) on any finding; with `--fixtures`,
 //! unless every seeded violation of the corpus is re-found and nothing
 //! else is. An argument it does not accept is refused before anything
 //! is read.
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use ddc_check::lint;
 
@@ -20,8 +19,7 @@ use crate::flags::Flags;
 
 /// Runs `ddc lint` with the given arguments, returning the report text.
 pub fn run(args: &[String]) -> Result<String, String> {
-    let values = ["--root", "--allow", "--rule", "--json", "--pr"];
-    let flags = Flags::parse(args, &values, &["--fixtures"])?;
+    let flags = Flags::parse(args, &["--root", "--rule", "--json"], &["--fixtures"])?;
     let root = Path::new(flags.value("--root").unwrap_or("."));
 
     if flags.has("--fixtures") {
@@ -43,55 +41,18 @@ pub fn run(args: &[String]) -> Result<String, String> {
         return if r.is_clean() { Ok(out) } else { Err(out) };
     }
 
-    let allow_path = flags
-        .value("--allow")
-        .map_or_else(|| root.join("lint-allow.txt"), PathBuf::from);
-    let allowlist = match std::fs::read_to_string(&allow_path) {
-        Ok(s) => s,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => String::new(),
-        Err(e) => return Err(format!("cannot read {}: {e}", allow_path.display())),
-    };
-    let current_pr = match flags.num::<u64>("--pr")? {
-        Some(pr) => pr,
-        None => lint::current_pr_from_changes(root),
-    };
-    let report = lint::run_lints(root, &allowlist, current_pr, flags.value("--rule"))?;
-
+    let findings = lint::run_lints(root, flags.value("--rule"))?;
     if let Some(p) = flags.value("--json") {
-        std::fs::write(p, lint::report_json(&report))
+        std::fs::write(p, lint::report_json(&findings))
             .map_err(|e| format!("cannot write {p}: {e}"))?;
     }
 
     let mut out = String::new();
-    for f in &report.blocking {
+    for f in &findings {
         out.push_str(&format!("{f}\n"));
     }
-    for i in &report.stale {
-        let a = &report.entries[*i];
-        out.push_str(&format!(
-            "stale allowlist entry (line {}, matched nothing — remove it): {} {} expires={} {}\n",
-            a.line, a.rule, a.path, a.expires, a.needle
-        ));
-    }
-    for i in &report.expired {
-        let a = &report.entries[*i];
-        out.push_str(&format!(
-            "expired allowlist entry (line {}, lease ended at PR {}, now PR {current_pr}): \
-             {} {} {}\n",
-            a.line, a.expires, a.rule, a.path, a.needle
-        ));
-        if !a.rationale.is_empty() {
-            out.push_str(&format!("  original rationale: {}\n", a.rationale));
-        }
-    }
-    out.push_str(&format!(
-        "{} blocking, {} waived, {} stale, {} expired (PR {current_pr})",
-        report.blocking.len(),
-        report.waived.len(),
-        report.stale.len(),
-        report.expired.len()
-    ));
-    if report.is_clean() {
+    out.push_str(&format!("{} findings", findings.len()));
+    if findings.is_empty() {
         Ok(out)
     } else {
         Err(out)
@@ -109,5 +70,21 @@ mod tests {
         let args: Vec<String> = ["--jsn", "findings.json"].map(String::from).into();
         let err = run(&args).expect_err("unknown argument");
         assert!(err.starts_with("unknown argument --jsn;"), "{err}");
+    }
+
+    #[test]
+    fn lint_refuses_the_retired_waiver_flags() {
+        // No waiver file and no PR clock: both flags are unknown, and
+        // the refusal comes before any file is read (the root does not
+        // exist).
+        for args in [["--allow", "FILE"], ["--pr", "5"]] {
+            let mut args: Vec<String> = args.map(String::from).into();
+            args.extend(["--root", "/nonexistent-lint-root"].map(String::from));
+            let err = run(&args).expect_err("unknown argument");
+            assert!(
+                err.starts_with(&format!("unknown argument {};", args[0])),
+                "{err}"
+            );
+        }
     }
 }

@@ -84,23 +84,25 @@ struct Shared {
     backend: Arc<dyn ServeBackend>,
     config: ServerConfig,
     admission: Admission,
-    /// Hand-off queue of accepted connections.
-    queue: Mutex<VecDeque<TcpStream>>,
+    /// Hand-off queue of accepted connections and the shutdown flag.
+    queue: Mutex<Queue>,
     /// Signals workers that the queue or the shutdown flag changed.
     wake: Condvar,
     /// Queued + in-flight connections (the 503 limit).
     open: AtomicUsize,
-    /// 1 once shutdown began.
-    stopping: AtomicUsize,
     /// Monotonic epoch for admission timestamps.
     epoch: Instant,
 }
 
-impl Shared {
-    fn stopping(&self) -> bool {
-        self.stopping.load(Ordering::Acquire) != 0
-    }
+/// What [`Shared::wake`] announces. The flag lives under the queue's
+/// lock so that a worker which finds the queue empty and the flag clear
+/// is already waiting when shutdown sets it: one notify reaches it.
+struct Queue {
+    conns: VecDeque<TcpStream>,
+    stopping: bool,
+}
 
+impl Shared {
     fn now_ns(&self) -> u64 {
         self.epoch.elapsed().as_nanos() as u64
     }
@@ -125,10 +127,12 @@ impl Server {
             backend,
             admission: Admission::new(config.admission),
             config,
-            queue: Mutex::new(VecDeque::new()),
+            queue: Mutex::new(Queue {
+                conns: VecDeque::new(),
+                stopping: false,
+            }),
             wake: Condvar::new(),
             open: AtomicUsize::new(0),
-            stopping: AtomicUsize::new(0),
             epoch: Instant::now(),
         });
         let workers = (0..shared.config.workers.max(1))
@@ -157,12 +161,11 @@ impl Server {
     /// Stops accepting, drains workers, and joins every thread.
     /// In-flight connections are closed at their next read timeout.
     pub fn shutdown(self) {
-        self.shared.stopping.store(1, Ordering::Release);
+        lock(&self.shared.queue).stopping = true;
         self.shared.wake.notify_all();
         // Unblock the acceptor with one last connection.
         let _ = TcpStream::connect(self.local_addr);
         let _ = self.acceptor.join();
-        self.shared.wake.notify_all();
         for w in self.workers {
             let _ = w.join();
         }
@@ -182,10 +185,13 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
             Err(e) if e.kind() == ErrorKind::Interrupted => continue,
             Err(_) => break,
         };
-        if shared.stopping() {
+        let mut queue = lock(&shared.queue);
+        if queue.stopping {
             break;
         }
         if shared.open.load(Ordering::Acquire) >= shared.config.max_connections {
+            // The 503 is written with the lock released.
+            drop(queue);
             shed.inc();
             let mut out = Vec::new();
             write_http_response(&mut out, 503, "connection limit reached\n");
@@ -195,7 +201,8 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
         }
         accepted.inc();
         shared.open.fetch_add(1, Ordering::AcqRel);
-        lock(&shared.queue).push_back(stream);
+        queue.conns.push_back(stream);
+        drop(queue);
         shared.wake.notify_one();
     }
 }
@@ -205,10 +212,10 @@ fn worker_loop(shared: &Arc<Shared>) {
         let stream = {
             let mut queue = lock(&shared.queue);
             loop {
-                if let Some(s) = queue.pop_front() {
+                if let Some(s) = queue.conns.pop_front() {
                     break s;
                 }
-                if shared.stopping() {
+                if queue.stopping {
                     return;
                 }
                 queue = shared
@@ -245,7 +252,7 @@ fn handle_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
             Ok(0) => return,
             Ok(n) => n,
             Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                if shared.stopping() {
+                if lock(&shared.queue).stopping {
                     return;
                 }
                 // Idle reaper: a connection that has gone quiet past
@@ -283,7 +290,7 @@ fn handle_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
         if !out.is_empty() && stream.write_all(&out).is_err() {
             return;
         }
-        if shared.stopping() {
+        if lock(&shared.queue).stopping {
             return;
         }
     }

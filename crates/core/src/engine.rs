@@ -201,9 +201,9 @@ impl<G: AbelianGroup> RangeSumEngine<G> for DdcEngine<G> {
     fn prefix_sum(&self, point: &[usize]) -> G {
         self.shape.check_point(point);
         let site = engine_obs(self.tree.config().mode);
-        let t = obs::timer();
+        let span = site.prefix_ns.span(site.prefix_name);
         let v = self.tree.prefix_sum(point);
-        t.observe(site.prefix_name, &site.prefix_ns);
+        span.end();
         v
     }
 
@@ -212,18 +212,18 @@ impl<G: AbelianGroup> RangeSumEngine<G> for DdcEngine<G> {
     fn range_sum(&self, region: &Region) -> G {
         region.check_within(&self.shape);
         let site = engine_obs(self.tree.config().mode);
-        let t = obs::timer();
+        let span = site.range_ns.span(site.range_name);
         let v = self.tree.range_sum(region.lo(), region.hi());
-        t.observe(site.range_name, &site.range_ns);
+        span.end();
         v
     }
 
     fn apply_delta(&mut self, point: &[usize], delta: G) {
         self.shape.check_point(point);
         let site = engine_obs(self.tree.config().mode);
-        let t = obs::timer();
+        let span = site.update_ns.span(site.update_name);
         self.tree.apply_delta(point, delta);
-        t.observe(site.update_name, &site.update_ns);
+        span.end();
     }
 
     fn cell(&self, point: &[usize]) -> G {

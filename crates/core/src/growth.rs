@@ -177,10 +177,10 @@ impl<G: AbelianGroup> GrowableCube<G> {
             panic!("{e}");
         }
         let site = growth_obs();
-        let span = obs::timer();
+        let span = site.grow_ns.span("growth.grow");
         loop {
             if let Some(internal) = self.map.to_internal(logical) {
-                span.observe("growth.grow", &site.grow_ns);
+                span.end();
                 return internal;
             }
             // One doubling step: dimensions that need to reach below the
@@ -217,9 +217,9 @@ impl<G: AbelianGroup> GrowableCube<G> {
         }
         let internal = self.cover(logical);
         let site = engine_obs(self.tree.config().mode);
-        let t = obs::timer();
+        let span = site.update_ns.span(site.update_name);
         self.tree.apply_delta(&internal, delta);
-        t.observe(site.update_name, &site.update_ns);
+        span.end();
     }
 
     /// [`GrowableCube::add`] for log replay: a replay is one
@@ -265,7 +265,7 @@ impl<G: AbelianGroup> GrowableCube<G> {
             "inverted bounds {lo:?}..{hi:?}"
         );
         let site = engine_obs(self.tree.config().mode);
-        let t = obs::timer();
+        let span = site.range_ns.span(site.range_name);
         let v = with_coord_bufs(self.ndim(), |clo, chi| {
             // Clip to the covered box.
             for axis in 0..self.ndim() {
@@ -281,7 +281,7 @@ impl<G: AbelianGroup> GrowableCube<G> {
             }
             self.tree.range_sum(clo, chi)
         });
-        t.observe(site.range_name, &site.range_ns);
+        span.end();
         v
     }
 

@@ -16,26 +16,37 @@
 //! * **[`Registry`]** — a process-global name → metric map. Lookups take
 //!   a `RwLock` read; hot call sites cache the returned `Arc` in a
 //!   `OnceLock` so steady-state cost is one pointer load.
-//! * **Spans** — [`timer`] / [`Timer::observe`] wrap a region, feed its
-//!   latency into a histogram, and (when tracing is on) push a
-//!   [`TraceEvent`] onto a bounded ring buffer that [`trace_dump`]
-//!   renders — the `TraceDump` hook `ddc-check` attaches to failing
-//!   shrunken traces.
+//! * **Spans** — [`Histogram::span`] / [`Span::end`] wrap a region,
+//!   count it into a histogram, time a sample of them, and (when tracing
+//!   is on) push a [`TraceEvent`] onto a bounded ring buffer that
+//!   [`trace_dump`] renders — the `TraceDump` hook `ddc-check` attaches
+//!   to failing shrunken traces.
 //!
 //! ## Cost model
 //!
-//! Counters are always on (one relaxed `fetch_add`, low single-digit
-//! nanoseconds). *Timing* is gated on a global flag read with one relaxed
-//! atomic load: when disabled, the instrumented hot paths skip both
-//! `Instant::now()` calls, so the overhead vs. uninstrumented code is a
-//! branch; what leaving timing on costs a served cube is
-//! `obs.overhead_ratio` in `BENCHMARK.json` (see EXPERIMENTS.md). Timing
-//! defaults **on** (the histograms are what `ddc stats` and `/metrics`
-//! exist for) and is disabled either with `DDC_OBS=off` in the
-//! environment or [`set_timing_enabled`].
+//! Counters are always on (one relaxed `fetch_add`). Every span that ends is **counted** exactly, but only a
+//! sample is **timed**: a span reads the clock when its histogram had
+//! completed fewer than [`SAMPLE_EVERY`] spans, or a multiple of it, at
+//! the span's start — so a histogram's first 16 spans and then one in 16.
+//! An untimed span is three relaxed loads and one relaxed `fetch_add`; a
+//! timed one adds two `Instant::now()` calls and the other three RMWs of
+//! [`Histogram::record`]. On a 2-vCPU x86-64 VM where a clock pair costs
+//! ~100 ns and a relaxed RMW ~9 ns, spans run back to back on one
+//! histogram average ~27 ns (a timed one ~140 ns), where timing every
+//! span cost ~145 ns; inside a `core_d2_mixed` update they add ~20 ns
+//! over `DDC_OBS=off`. Quantiles, the max and the mean come from the
+//! timed sample; `_count` stays exact. A timed span's closing clock read
+//! follows a rarely taken branch, so a served cube's sampled p50s read
+//! ~10–30 ns above what timing every span read (EXPERIMENTS.md "One span
+//! in sixteen"). What leaving timing on
+//! costs a served cube is `obs.overhead_ratio` in `BENCHMARK.json` (see
+//! EXPERIMENTS.md). Timing defaults **on** (the histograms are what
+//! `ddc stats` and `/metrics` exist for) and is disabled either with
+//! `DDC_OBS=off` in the environment or [`set_timing_enabled`], which
+//! reduces a span to its two flag loads; it then counts nothing.
 //!
 //! Tracing (the event ring) defaults **off** and is enabled with
-//! `DDC_TRACE=1` or [`set_trace_enabled`].
+//! `DDC_TRACE=1` or [`set_trace_enabled`]; under it every span is timed.
 
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
@@ -55,6 +66,10 @@ pub const HISTOGRAM_BUCKETS: usize = 64;
 
 /// Capacity of the trace ring buffer (older events are dropped).
 pub const TRACE_RING_CAPACITY: usize = 512;
+
+/// A histogram times its first `SAMPLE_EVERY` spans, then one in
+/// `SAMPLE_EVERY` (see [`Histogram::span`]); every span is counted.
+pub const SAMPLE_EVERY: u64 = 16;
 
 // ---------------------------------------------------------------------
 // Counters and gauges
@@ -131,8 +146,11 @@ fn bucket_bounds(b: usize) -> (u64, u64) {
 /// A lock-free log-bucketed latency histogram.
 ///
 /// Values are arbitrary `u64`s; by convention the instrumented paths
-/// record **nanoseconds**. Recording is wait-free (three relaxed atomic
-/// RMWs); reading takes a consistent-enough snapshot bucket by bucket.
+/// record **nanoseconds**. `count` is every observation, timed or not;
+/// `sum`, `max` and the buckets describe the timed ones. Recording a
+/// timed value is wait-free (four relaxed atomic RMWs), counting an
+/// untimed one is a single RMW; reading takes a consistent-enough
+/// snapshot bucket by bucket.
 #[derive(Debug)]
 pub struct Histogram {
     count: AtomicU64,
@@ -153,7 +171,7 @@ impl Default for Histogram {
 }
 
 impl Histogram {
-    /// Records one observation.
+    /// Records one timed observation.
     pub fn record(&self, v: u64) {
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(v, Ordering::Relaxed);
@@ -161,28 +179,78 @@ impl Histogram {
         self.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Observations recorded so far.
+    /// Starts a span that ends in this histogram under `name` (its
+    /// registry name, for the trace ring). When timing and tracing are
+    /// both off it reads the two flags and nothing else, and is never
+    /// counted. Otherwise it loads the completed count `c` (relaxed) and
+    /// reads the clock only if `c < SAMPLE_EVERY` or `c` is a multiple
+    /// of [`SAMPLE_EVERY`], or tracing is on; the span is counted when it
+    /// ends either way.
+    #[inline]
+    pub fn span(&self, name: &'static str) -> Span<'_> {
+        let clock = if !spans_on() {
+            Clock::Off
+        } else if sampled(self.count()) || trace_enabled() {
+            Clock::Timed(Instant::now())
+        } else {
+            Clock::Counted
+        };
+        Span {
+            hist: self,
+            name,
+            clock,
+        }
+    }
+
+    /// Ends a span the caller timed itself, from `started`, `dur_ns`
+    /// long: counted and timed when spans are on, like a timed
+    /// [`Span`]. For a site that reads the clock anyway and must not read
+    /// it twice.
+    pub(crate) fn observe(&self, name: &'static str, started: Instant, dur_ns: u64) {
+        if spans_on() {
+            self.record_span(name, started, dur_ns);
+        }
+    }
+
+    /// Out of line: it runs for one span in [`SAMPLE_EVERY`], and keeps
+    /// the inlined [`Span::end`] small.
+    #[inline(never)]
+    fn record_span(&self, name: &'static str, started: Instant, dur_ns: u64) {
+        self.record(dur_ns);
+        if trace_enabled() {
+            push_trace(name, started, dur_ns);
+        }
+    }
+
+    /// Observations counted so far, timed or not.
+    #[inline]
     pub fn count(&self) -> u64 {
         self.count.load(Ordering::Relaxed)
     }
 
-    /// Sum of all recorded values.
+    /// Sum of the timed values.
     pub fn sum(&self) -> u64 {
         self.sum.load(Ordering::Relaxed)
     }
 
-    /// Largest recorded value (0 when empty).
+    /// Largest timed value (0 when none).
     pub fn max(&self) -> u64 {
         self.max.load(Ordering::Relaxed)
     }
 
     /// A point-in-time copy suitable for quantile estimation.
     pub fn snapshot(&self) -> HistogramSnapshot {
+        let buckets: [u64; HISTOGRAM_BUCKETS] =
+            std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed));
+        let timed = buckets.iter().sum();
         HistogramSnapshot {
-            count: self.count(),
+            // Relaxed loads of different atomics may see a concurrent
+            // record's bucket before its count.
+            count: self.count().max(timed),
+            timed,
             sum: self.sum(),
             max: self.max(),
-            buckets: std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed)),
+            buckets,
         }
     }
 
@@ -195,11 +263,15 @@ impl Histogram {
 /// A frozen copy of a [`Histogram`]'s state.
 #[derive(Clone, Debug)]
 pub struct HistogramSnapshot {
-    /// Observations recorded.
+    /// Observations counted, timed or not (exact).
     pub count: u64,
-    /// Sum of recorded values.
+    /// Observations timed: the sample `sum`, `max` and the buckets
+    /// describe (the buckets' total).
+    pub timed: u64,
+    /// Sum of the timed values.
     pub sum: u64,
-    /// Largest recorded value.
+    /// Largest timed value: the exact max while every observation is
+    /// timed (a histogram's first [`SAMPLE_EVERY`], or under tracing).
     pub max: u64,
     /// Per-bucket counts (see [`Histogram`] for the bucket layout).
     pub buckets: [u64; HISTOGRAM_BUCKETS],
@@ -211,7 +283,7 @@ impl HistogramSnapshot {
     /// Returns 0 for an empty histogram; the estimate never exceeds the
     /// recorded maximum.
     pub fn quantile(&self, q: f64) -> u64 {
-        let total: u64 = self.buckets.iter().sum();
+        let total = self.timed;
         if total == 0 {
             return 0;
         }
@@ -236,13 +308,19 @@ impl HistogramSnapshot {
         self.max
     }
 
-    /// Mean of the recorded values (0 when empty).
+    /// Mean of the timed values (0 when none).
     pub fn mean(&self) -> f64 {
-        if self.count == 0 {
+        if self.timed == 0 {
             0.0
         } else {
-            self.sum as f64 / self.count as f64
+            self.sum as f64 / self.timed as f64
         }
+    }
+
+    /// The timed sum scaled up to every counted observation: the
+    /// sample mean times `count`, rounded.
+    fn scaled_sum(&self) -> u64 {
+        (self.mean() * self.count as f64).round() as u64
     }
 }
 
@@ -359,22 +437,27 @@ fn env_default(var: &str, default_on: bool) -> bool {
     }
 }
 
+#[inline]
 fn flag_state(flag: &AtomicU64, env: &'static str, default_on: bool) -> bool {
     match flag.load(Ordering::Relaxed) {
         1 => false,
         2 => true,
-        _ => {
-            // Resolve the environment once and latch the answer.
-            let on = env_default(env, default_on);
-            flag.store(if on { 2 } else { 1 }, Ordering::Relaxed);
-            on
-        }
+        _ => latch(flag, env, default_on),
     }
+}
+
+/// Resolves the environment once and latches the answer.
+#[cold]
+fn latch(flag: &AtomicU64, env: &'static str, default_on: bool) -> bool {
+    let on = env_default(env, default_on);
+    flag.store(if on { 2 } else { 1 }, Ordering::Relaxed);
+    on
 }
 
 /// Whether span timing (and thus latency histograms) is active. Defaults
 /// on; `DDC_OBS=off` (or `0`/`false`/`no`) in the environment disables
 /// it, [`set_timing_enabled`] overrides either way.
+#[inline]
 pub fn timing_enabled() -> bool {
     flag_state(&TIMING, "DDC_OBS", true)
 }
@@ -388,6 +471,7 @@ pub fn set_timing_enabled(on: bool) -> bool {
 
 /// Whether the trace ring records events. Defaults off; `DDC_TRACE=1`
 /// enables it, [`set_trace_enabled`] overrides either way.
+#[inline]
 pub fn trace_enabled() -> bool {
     flag_state(&TRACING, "DDC_TRACE", false)
 }
@@ -397,6 +481,19 @@ pub fn set_trace_enabled(on: bool) -> bool {
     let prev = trace_enabled();
     TRACING.store(if on { 2 } else { 1 }, Ordering::Relaxed);
     prev
+}
+
+/// Whether a span is counted at all.
+#[inline]
+fn spans_on() -> bool {
+    timing_enabled() || trace_enabled()
+}
+
+/// Whether a span that starts after `completed` others ended in its
+/// histogram reads the clock.
+#[inline]
+fn sampled(completed: u64) -> bool {
+    completed < SAMPLE_EVERY || completed % SAMPLE_EVERY == 0
 }
 
 // ---------------------------------------------------------------------
@@ -475,43 +572,46 @@ pub fn trace_dump() -> String {
     out
 }
 
-/// An in-flight span: holds the start instant when timing or tracing is
-/// active, and nothing (two no-op branches) otherwise.
+/// An in-flight span from [`Histogram::span`]. It is counted only when
+/// [`Span::end`] is called: a span dropped on an error path leaves its
+/// histogram as it was.
 #[derive(Debug)]
-#[must_use = "a Timer only measures when observe() is called"]
-pub struct Timer {
-    start: Option<Instant>,
+#[must_use = "a span is only counted when end() is called"]
+pub struct Span<'a> {
+    hist: &'a Histogram,
+    name: &'static str,
+    clock: Clock,
 }
 
-/// Starts a span. When both timing and tracing are disabled this is a
-/// single relaxed atomic load and no clock read.
-pub fn timer() -> Timer {
-    Timer {
-        start: if timing_enabled() || trace_enabled() {
-            Some(Instant::now())
-        } else {
-            None
-        },
-    }
+/// What a [`Span`] does when it ends.
+#[derive(Debug)]
+enum Clock {
+    /// Timing and tracing are off: nothing.
+    Off,
+    /// Count it.
+    Counted,
+    /// Count and time it from this start.
+    Timed(Instant),
 }
 
-impl Timer {
-    /// Ends the span: records its duration into `hist` and, when tracing
-    /// is on, pushes a [`TraceEvent`] named `name` onto the ring.
-    pub fn observe(self, name: &'static str, hist: &Histogram) {
-        if let Some(started) = self.start {
-            let dur_ns = started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-            hist.record(dur_ns);
-            if trace_enabled() {
-                push_trace(name, started, dur_ns);
+impl Span<'_> {
+    /// Ends the span: counts it, and when it read the clock at its start
+    /// records its duration and, under tracing, pushes a [`TraceEvent`]
+    /// onto the ring.
+    #[inline]
+    pub fn end(self) {
+        match self.clock {
+            Clock::Off => {}
+            Clock::Counted => {
+                self.hist.count.fetch_add(1, Ordering::Relaxed);
+            }
+            Clock::Timed(started) => {
+                // Read the clock before the out-of-line record, so the
+                // call is not part of the span.
+                let dur_ns = started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
+                self.hist.record_span(self.name, started, dur_ns);
             }
         }
-    }
-
-    /// Elapsed nanoseconds so far (`None` when the span is disabled).
-    pub fn elapsed_ns(&self) -> Option<u64> {
-        self.start
-            .map(|s| s.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64)
     }
 }
 
@@ -549,8 +649,10 @@ pub fn prometheus_text() -> String {
 }
 
 /// Renders every metric in `reg` in Prometheus exposition style:
-/// counters and gauges as single samples, histograms as
-/// `_count`/`_sum_ns` plus `quantile`-labelled samples and `_max_ns`.
+/// counters and gauges as single samples, histograms as the exact
+/// `_count`, the sample size `_timed`, `_sum_ns` (the timed sum scaled
+/// to `_count`), and the timed sample's `quantile`-labelled samples and
+/// `_max_ns`.
 /// Output ordering is stable (metrics sort by name within each kind)
 /// and names are sanitized (`ddc_` prefix, non-alphanumerics to `_`).
 pub fn prometheus_text_for(reg: &Registry) -> String {
@@ -567,7 +669,8 @@ pub fn prometheus_text_for(reg: &Registry) -> String {
         let p = prom_name(name);
         out.push_str(&format!("# TYPE {p} summary\n"));
         out.push_str(&format!("{p}_count {}\n", h.count));
-        out.push_str(&format!("{p}_sum_ns {}\n", h.sum));
+        out.push_str(&format!("{p}_timed {}\n", h.timed));
+        out.push_str(&format!("{p}_sum_ns {}\n", h.scaled_sum()));
         for (label, q) in [("0.5", 0.5), ("0.9", 0.9), ("0.99", 0.99)] {
             out.push_str(&format!(
                 "{p}_ns{{quantile=\"{label}\"}} {}\n",
@@ -582,7 +685,9 @@ pub fn prometheus_text_for(reg: &Registry) -> String {
 
 /// Renders every registered metric as a JSON object:
 /// `{"counters": {...}, "gauges": {...}, "histograms": {name:
-/// {count, sum_ns, mean_ns, p50_ns, p90_ns, p99_ns, max_ns}}}`.
+/// {count, timed, sum_ns, mean_ns, p50_ns, p90_ns, p99_ns, max_ns}}}`,
+/// with `sum_ns` scaled to `count` as in [`prometheus_text_for`] and the
+/// rest from the timed sample.
 /// Metric names are static identifiers, so no string escaping is needed.
 pub fn render_json() -> String {
     let reg = registry();
@@ -603,10 +708,11 @@ pub fn render_json() -> String {
     for (i, (name, h)) in hists.iter().enumerate() {
         let sep = if i == 0 { "" } else { "," };
         out.push_str(&format!(
-            "{sep}\n    \"{name}\": {{\"count\": {}, \"sum_ns\": {}, \"mean_ns\": {}, \
-             \"p50_ns\": {}, \"p90_ns\": {}, \"p99_ns\": {}, \"max_ns\": {}}}",
+            "{sep}\n    \"{name}\": {{\"count\": {}, \"timed\": {}, \"sum_ns\": {}, \
+             \"mean_ns\": {}, \"p50_ns\": {}, \"p90_ns\": {}, \"p99_ns\": {}, \"max_ns\": {}}}",
             h.count,
-            h.sum,
+            h.timed,
+            h.scaled_sum(),
             json_num(h.mean()),
             h.quantile(0.5),
             h.quantile(0.9),
@@ -726,6 +832,7 @@ mod tests {
         let json = render_json();
         assert!(json.contains("\"obs.test.render\": 7"), "{json}");
         assert!(json.contains("\"p99_ns\""), "{json}");
+        assert!(json.contains("\"count\": 1, \"timed\": 1,"), "{json}");
     }
 
     #[test]
@@ -749,6 +856,7 @@ mod tests {
              ddc_queue_depth -2\n\
              # TYPE ddc_rt summary\n\
              ddc_rt_count 2\n\
+             ddc_rt_timed 2\n\
              ddc_rt_sum_ns 1\n\
              ddc_rt_ns{quantile=\"0.5\"} 0\n\
              ddc_rt_ns{quantile=\"0.9\"} 1\n\
@@ -757,35 +865,113 @@ mod tests {
         );
     }
 
-    #[test]
-    fn timer_records_into_histogram_and_ring() {
-        let _guard = global_state_lock();
-        let h = Histogram::default();
-        clear_trace();
-        let prev_t = set_timing_enabled(true);
-        let prev_r = set_trace_enabled(true);
-        let t = timer();
-        std::hint::black_box(0u64);
-        t.observe("obs.test.span", &h);
-        set_trace_enabled(prev_r);
-        set_timing_enabled(prev_t);
-        assert_eq!(h.count(), 1);
-        let dump = trace_dump();
-        assert!(dump.contains("obs.test.span"), "{dump}");
+    /// Sets both flags for the life of the guard, restoring them after.
+    struct Flags {
+        timing: bool,
+        tracing: bool,
+        _guard: std::sync::MutexGuard<'static, ()>,
+    }
+
+    fn flags(timing: bool, tracing: bool) -> Flags {
+        let guard = global_state_lock();
+        Flags {
+            timing: set_timing_enabled(timing),
+            tracing: set_trace_enabled(tracing),
+            _guard: guard,
+        }
+    }
+
+    impl Drop for Flags {
+        fn drop(&mut self) {
+            set_timing_enabled(self.timing);
+            set_trace_enabled(self.tracing);
+        }
     }
 
     #[test]
-    fn disabled_timer_is_inert() {
-        let _guard = global_state_lock();
+    fn every_span_is_counted_and_one_in_sixteen_is_timed() {
+        let _flags = flags(true, false);
         let h = Histogram::default();
-        let prev_t = set_timing_enabled(false);
-        let prev_r = set_trace_enabled(false);
-        let t = timer();
-        assert!(t.elapsed_ns().is_none());
-        t.observe("obs.test.disabled", &h);
-        set_timing_enabled(prev_t);
-        set_trace_enabled(prev_r);
+        for _ in 0..1000 {
+            h.span("obs.test.sampled").end();
+        }
+        let expected = (0..1000u64)
+            .filter(|&c| c < SAMPLE_EVERY || c % SAMPLE_EVERY == 0)
+            .count() as u64;
+        assert_eq!(expected, 78);
+        let snap = h.snapshot();
+        assert_eq!(snap.count, 1000);
+        assert_eq!(snap.timed, expected);
+    }
+
+    #[test]
+    fn traced_spans_are_all_timed_and_pushed_to_the_ring() {
+        let _flags = flags(true, true);
+        let h = Histogram::default();
+        clear_trace();
+        for _ in 0..100 {
+            h.span("obs.test.span").end();
+        }
+        let snap = h.snapshot();
+        assert_eq!((snap.count, snap.timed), (100, 100));
+        let pushed = take_trace()
+            .iter()
+            .filter(|e| e.name == "obs.test.span")
+            .count();
+        assert_eq!(pushed, 100);
+    }
+
+    #[test]
+    fn disabled_spans_count_nothing() {
+        let _flags = flags(false, false);
+        let h = Histogram::default();
+        for _ in 0..100 {
+            h.span("obs.test.disabled").end();
+        }
+        h.observe("obs.test.disabled", Instant::now(), 5);
         assert_eq!(h.count(), 0);
+        assert_eq!(h.snapshot().timed, 0);
+    }
+
+    #[test]
+    fn a_dropped_span_is_not_counted() {
+        let _flags = flags(true, false);
+        let h = Histogram::default();
+        let fallible = |fail: bool| -> Result<(), ()> {
+            let span = h.span("obs.test.dropped");
+            if fail {
+                return Err(());
+            }
+            span.end();
+            Ok(())
+        };
+        assert!(fallible(true).is_err());
+        assert_eq!(h.count(), 0);
+        assert!(fallible(false).is_ok());
+        assert_eq!(h.count(), 1);
+    }
+
+    #[test]
+    fn renderers_scale_the_sum_to_the_exact_count() {
+        let _flags = flags(true, false);
+        let reg = Registry::default();
+        let h = reg.histogram("scaled");
+        for _ in 0..100 {
+            h.span("scaled").end();
+        }
+        let snap = h.snapshot();
+        let (count, timed) = (snap.count, snap.timed);
+        assert!(timed < count, "{timed} of {count} timed");
+        let prom = prometheus_text_for(&reg);
+        let line = |suffix: &str| -> u64 {
+            let key = format!("ddc_scaled_{suffix} ");
+            let line = prom.lines().find_map(|l| l.strip_prefix(&key));
+            line.and_then(|v| v.parse().ok()).expect(&key)
+        };
+        assert_eq!(line("count"), count);
+        assert_eq!(line("timed"), timed);
+        let mean = line("sum_ns") as f64 / count as f64;
+        assert!((mean - snap.mean()).abs() <= 1.0 / count as f64, "{prom}");
     }
 
     #[test]

@@ -186,7 +186,7 @@ impl<G: AbelianGroup + ValueCodec> DdcEngine<G> {
     /// callers can fsync/verify the exact durable extent.
     pub fn save(&self, out: &mut impl Write) -> io::Result<u64> {
         let site = persist_obs();
-        let span = obs::timer();
+        let span = site.save_ns.span("persist.save");
         let mut w = CountingWriter::new(io::BufWriter::new(&mut *out));
         w.write_all(MAGIC)?;
         w.write_all(&[0u8])?;
@@ -205,7 +205,7 @@ impl<G: AbelianGroup + ValueCodec> DdcEngine<G> {
         }
         w.flush()?;
         site.save_bytes.add(w.written);
-        span.observe("persist.save", &site.save_ns);
+        span.end();
         Ok(w.written)
     }
 
@@ -213,7 +213,7 @@ impl<G: AbelianGroup + ValueCodec> DdcEngine<G> {
     /// `config` (snapshots are structure-agnostic).
     pub fn load(input: &mut impl Read, config: DdcConfig) -> io::Result<Self> {
         let site = persist_obs();
-        let span = obs::timer();
+        let span = site.load_ns.span("persist.load");
         let d = read_header(input, 0)?;
         let mut dims = Vec::with_capacity(d);
         for _ in 0..d {
@@ -256,7 +256,7 @@ impl<G: AbelianGroup + ValueCodec> DdcEngine<G> {
                 engine.apply_delta(&p, v);
             }
         }
-        span.observe("persist.load", &site.load_ns);
+        span.end();
         Ok(engine)
     }
 }
@@ -267,7 +267,7 @@ impl<G: AbelianGroup + ValueCodec> GrowableCube<G> {
     /// in bytes.
     pub fn save(&self, out: &mut impl Write) -> io::Result<u64> {
         let site = persist_obs();
-        let span = obs::timer();
+        let span = site.save_ns.span("persist.save");
         let mut w = CountingWriter::new(io::BufWriter::new(&mut *out));
         w.write_all(MAGIC)?;
         w.write_all(&[1u8])?;
@@ -286,7 +286,7 @@ impl<G: AbelianGroup + ValueCodec> GrowableCube<G> {
         }
         w.flush()?;
         site.save_bytes.add(w.written);
-        span.observe("persist.save", &site.save_ns);
+        span.end();
         Ok(w.written)
     }
 
@@ -303,7 +303,7 @@ impl<G: AbelianGroup + ValueCodec> GrowableCube<G> {
         spill: Option<SpillFile>,
     ) -> io::Result<Self> {
         let site = persist_obs();
-        let span = obs::timer();
+        let span = site.load_ns.span("persist.load");
         let d = read_header(input, 1)?;
         let mut origin = Vec::with_capacity(d);
         for _ in 0..d {
@@ -325,7 +325,7 @@ impl<G: AbelianGroup + ValueCodec> GrowableCube<G> {
                 cube.add(&p, v);
             }
         }
-        span.observe("persist.load", &site.load_ns);
+        span.end();
         Ok(cube)
     }
 }

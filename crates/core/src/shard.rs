@@ -495,9 +495,9 @@ impl<G: AbelianGroup, T: CommitTarget<G>> ShardedCube<G, T> {
     /// behind its commit lock: one commit per stretch the cube covers
     /// already (at most [`RUN_CHUNK`]), one per point it must grow for.
     fn commit_stretch(slab: &Shard<T>, run: &[(Vec<i64>, G)]) -> (usize, Option<TryUpdateError>) {
-        let wait = obs::timer();
+        let wait = shard_obs().queue_wait_ns.span("shard.queue_wait");
         let mut state = lock_state(slab);
-        wait.observe("shard.queue_wait", &shard_obs().queue_wait_ns);
+        wait.end();
         let mut acked = 0;
         while acked < run.len() {
             let rest = &run[acked..];
@@ -531,13 +531,15 @@ impl<G: AbelianGroup, T: CommitTarget<G>> ShardedCube<G, T> {
         if let Some(cause) = state.failed {
             return Err(TryUpdateError::ShardFailed { shard: slab, cause });
         }
-        let span = obs::timer();
+        // One clock pair feeds both the exact lock-hold total and the
+        // span, so every commit is timed.
         let held = Instant::now();
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             write_target(shard).commit(batch)
         }));
-        state.metrics.lock_hold_nanos += held.elapsed().as_nanos() as u64;
-        span.observe("shard.commit", &shard_obs().commit_ns);
+        let held_ns = held.elapsed().as_nanos() as u64;
+        state.metrics.lock_hold_nanos += held_ns;
+        shard_obs().commit_ns.observe("shard.commit", held, held_ns);
         match outcome {
             Ok(Ok(())) => {
                 state.metrics.ops_applied += batch.len() as u64;

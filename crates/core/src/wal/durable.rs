@@ -11,7 +11,6 @@ use super::record::WAL_HEADER_BYTES;
 use super::wal_obs;
 use crate::config::DdcConfig;
 use crate::growth::GrowableCube;
-use crate::obs;
 use crate::persist::ValueCodec;
 use crate::shard::{CommitTarget, ShardedCube, PANICKED_AFTER_APPEND};
 use crate::store::{self, SpillFile};
@@ -53,7 +52,7 @@ fn recover_spilling<G: AbelianGroup + ValueCodec>(
     spill: Option<SpillFile>,
 ) -> io::Result<(GrowableCube<G>, RecoveryReport)> {
     let site = wal_obs();
-    let span = obs::timer();
+    let span = site.recover_ns.span("wal.recover");
     // Paging (when configured) activates before any cell lands — inside
     // `load_spilling`, or right here without a snapshot — so recovery
     // literally replays the WAL onto pages and a cube too big for the
@@ -88,7 +87,7 @@ fn recover_spilling<G: AbelianGroup + ValueCodec>(
     }
     site.recover_runs.inc();
     site.recover_records.add(replayed as u64);
-    span.observe("wal.recover", &site.recover_ns);
+    span.end();
     Ok((
         cube,
         RecoveryReport {

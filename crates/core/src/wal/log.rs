@@ -8,7 +8,6 @@ use super::record::{
     WAL_MAGIC, WAL_VERSION,
 };
 use super::wal_obs;
-use crate::obs;
 use crate::persist::ValueCodec;
 use crate::vfs::{is_no_space, IoError, RetryPolicy, VfsFile};
 
@@ -84,15 +83,15 @@ impl<F: VfsFile> WalWriter<F> {
     /// failed.
     fn append_group_once(&mut self) -> Result<(), (FrameStage, io::Error)> {
         let site = wal_obs();
-        let span = obs::timer();
+        let span = site.append_ns.span("wal.append");
         self.out
             .write_all(&self.group)
             .map_err(|e| (FrameStage::Write, e))?;
-        let sync = obs::timer();
+        let sync = site.fsync_ns.span("wal.fsync");
         self.out.sync().map_err(|e| (FrameStage::Sync, e))?;
         site.syncs.inc();
-        sync.observe("wal.fsync", &site.fsync_ns);
-        span.observe("wal.append", &site.append_ns);
+        sync.end();
+        span.end();
         Ok(())
     }
 

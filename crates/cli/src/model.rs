@@ -22,7 +22,7 @@ use crate::flags::Flags;
 /// Entry point for `ddc model`.
 pub fn run(args: &[String]) -> Result<String, String> {
     // The CLI sweep digs one preemption deeper than the library
-    // default: ~30k interleavings in seconds, still exhaustive on two
+    // default: ~27k interleavings in seconds, still exhaustive on two
     // of the three ported models.
     let mut cfg = CheckerConfig {
         preemption_bound: 3,
@@ -47,19 +47,8 @@ pub fn run(args: &[String]) -> Result<String, String> {
         "model checker: preemption bound {}, iteration cap {} per scenario",
         cfg.preemption_bound, cfg.max_iterations
     );
-    type Scenario = fn(CheckerConfig) -> ddc_model::Report;
-    let green: [(&str, Scenario); 3] = [
-        ("shard_concurrent_updates", models::shard_concurrent_updates),
-        ("shard_run_lands_whole", models::shard_run_lands_whole),
-        ("wal_ack_after_append", models::wal_ack_after_append),
-    ];
-    let buggy: [(&str, Scenario); 2] = [
-        ("buggy_counter", models::buggy_counter),
-        ("buggy_handoff", models::buggy_handoff),
-    ];
-
     let _ = writeln!(out, "\nported models (must pass):");
-    for (name, scenario) in green {
+    for (name, scenario) in models::GREEN {
         let t = Instant::now();
         let report = scenario(cfg.clone());
         total_iterations += report.iterations;
@@ -88,7 +77,7 @@ pub fn run(args: &[String]) -> Result<String, String> {
 
     if !skip_buggy {
         let _ = writeln!(out, "\nseeded buggy fixtures (must be detected):");
-        for (name, scenario) in buggy {
+        for (name, scenario) in models::BUGGY {
             let t = Instant::now();
             let report = scenario(cfg.clone());
             total_iterations += report.iterations;

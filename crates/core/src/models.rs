@@ -14,16 +14,16 @@
 //!
 //! * Shapes and thread counts are tiny on purpose — bounded DFS pays
 //!   for every extra schedule point.
-//! * Assertions read through synchronized paths (locks, `Acquire`). The
-//!   weak-memory model has no happens-before recovery, so a `Relaxed`
-//!   load may legally observe stale values even after a join — exactly
-//!   why metrics atomics are untracked (see `core::sync::untracked`).
+//! * Everything a scenario asserts on is reached through a modeled
+//!   lock, `spawn` or `join`: the state-hash prune tells two states
+//!   apart only by what flowed through those. Metrics atomics are
+//!   untracked (see `core::sync::untracked`) and never steer control
+//!   flow.
 //! * Scenario state is created *inside* the checked closure, so every
 //!   object registers with the scheduler and every iteration starts
 //!   from the same model state.
 
 use ddc_array::{Region, Shape};
-use ddc_model::sync::atomic::{AtomicU64, Ordering};
 use ddc_model::sync::{thread, Condvar, Mutex};
 use ddc_model::{Checker, CheckerConfig, Report};
 
@@ -160,21 +160,22 @@ pub fn wal_ack_after_append(cfg: CheckerConfig) -> Report {
     })
 }
 
-/// Known-buggy fixture #1: two threads increment a counter with a
-/// load/store pair instead of an RMW. The checker must find the lost
-/// update (this fixture is asserted to FAIL).
+/// Known-buggy fixture #1: two threads increment a mutex-guarded
+/// counter with the read and the write in separate critical sections.
+/// The checker must find the lost update (this fixture is asserted to
+/// FAIL).
 pub fn buggy_counter(cfg: CheckerConfig) -> Report {
     Checker::new(cfg).check(|| {
-        let counter = Arc::new(AtomicU64::new(0));
+        let counter = Arc::new(Mutex::new(0u64));
         let c2 = counter.clone();
-        let t = thread::spawn(move || {
-            let v = c2.load(Ordering::SeqCst);
-            c2.store(v + 1, Ordering::SeqCst);
-        });
-        let v = counter.load(Ordering::SeqCst);
-        counter.store(v + 1, Ordering::SeqCst);
+        let increment = |c: &Mutex<u64>| {
+            let v = *c.lock().expect("counter lock");
+            *c.lock().expect("counter lock") = v + 1;
+        };
+        let t = thread::spawn(move || increment(&c2));
+        increment(&counter);
         t.join().expect("incrementer");
-        assert_eq!(counter.load(Ordering::SeqCst), 2, "lost update");
+        assert_eq!(*counter.lock().expect("counter lock"), 2, "lost update");
     })
 }
 
@@ -202,66 +203,18 @@ pub fn buggy_handoff(cfg: CheckerConfig) -> Report {
     })
 }
 
-/// Every scenario with its name, in a stable order: the green ported
-/// models first, then the two must-fail fixtures.
-pub fn all_green(cfg: CheckerConfig) -> Vec<(&'static str, Report)> {
-    vec![
-        (
-            "shard_concurrent_updates",
-            shard_concurrent_updates(cfg.clone()),
-        ),
-        ("shard_run_lands_whole", shard_run_lands_whole(cfg.clone())),
-        ("wal_ack_after_append", wal_ack_after_append(cfg)),
-    ]
-}
+/// A scenario: explores its interleavings under the given bounds.
+pub type Scenario = fn(CheckerConfig) -> Report;
 
-/// The two seeded-buggy fixtures (expected to fail).
-pub fn all_buggy(cfg: CheckerConfig) -> Vec<(&'static str, Report)> {
-    vec![
-        ("buggy_counter", buggy_counter(cfg.clone())),
-        ("buggy_handoff", buggy_handoff(cfg)),
-    ]
-}
+/// The ported models, by name, in a stable order (expected to pass).
+pub const GREEN: [(&str, Scenario); 3] = [
+    ("shard_concurrent_updates", shard_concurrent_updates),
+    ("shard_run_lands_whole", shard_run_lands_whole),
+    ("wal_ack_after_append", wal_ack_after_append),
+];
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// Small budget for unit-level smoke runs; the full-budget sweep
-    /// lives in `tests/model_checker.rs` and the `ddc model` CLI.
-    fn smoke_cfg() -> CheckerConfig {
-        CheckerConfig {
-            max_iterations: 2_000,
-            ..CheckerConfig::default()
-        }
-    }
-
-    #[test]
-    fn green_scenarios_pass_smoke() {
-        for (name, report) in all_green(smoke_cfg()) {
-            assert!(
-                report.passed(),
-                "{name} failed:\n{}",
-                report
-                    .failure
-                    .as_ref()
-                    .map(ToString::to_string)
-                    .unwrap_or_default()
-            );
-            assert!(report.iterations > 0, "{name} explored nothing");
-        }
-    }
-
-    #[test]
-    fn buggy_fixtures_are_detected() {
-        for (name, report) in all_buggy(smoke_cfg()) {
-            let failure = report.failure.as_ref();
-            assert!(failure.is_some(), "{name} was not detected");
-            let failure = failure.expect("checked above");
-            assert!(
-                !failure.trace.is_empty(),
-                "{name} failure has no replayable trace"
-            );
-        }
-    }
-}
+/// The two seeded-buggy fixtures, by name (expected to fail).
+pub const BUGGY: [(&str, Scenario); 2] = [
+    ("buggy_counter", buggy_counter),
+    ("buggy_handoff", buggy_handoff),
+];

@@ -77,7 +77,7 @@
 
 use std::time::Instant;
 
-use crate::sync::atomic::Ordering;
+use crate::sync::untracked::Ordering;
 use crate::sync::{
     Arc, Mutex, MutexGuard, OnceLock, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard,
 };

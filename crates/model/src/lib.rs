@@ -4,7 +4,7 @@
 //! mini-[loom]) for the ddc workspace.
 //!
 //! Scenarios are ordinary closures written against [`sync`] — drop-in
-//! mirrors of `std::sync::{Mutex, Condvar, RwLock}`, the atomics, and
+//! mirrors of `std::sync::{Mutex, Condvar, RwLock}` and
 //! `thread::{spawn, join}`. [`Checker::check`] runs the closure under
 //! every thread interleaving a bounded DFS can reach:
 //!
@@ -14,11 +14,10 @@
 //! * **Bounded preemption**: involuntary switches consume a budget
 //!   (default 2); voluntary ones (block, finish) are free.
 //! * **State hashing**: a fingerprint of thread positions/observations
-//!   plus all lock/condvar/atomic state prunes schedules whose
-//!   continuation was already explored.
-//! * **Weak memory**: `Relaxed` loads may branch over a bounded buffer
-//!   of recent stores (per-location coherent); RMWs and
-//!   `Acquire`/`SeqCst` loads always see the newest store.
+//!   plus all lock/condvar state prunes schedules whose continuation
+//!   was already explored. Each lock carries a *history* hash of its
+//!   holders' states at release, folded into whoever acquires it next,
+//!   so states that differ only in lock-guarded data hash apart.
 //! * **Failure replay**: panics, deadlocks, and livelocks are reported
 //!   as a *minimized* schedule (preemptions greedily removed while the
 //!   failure still reproduces) printed as a per-thread event trace, in
@@ -31,17 +30,16 @@
 //! ```
 //! use ddc_model::{sync, Checker};
 //! use std::sync::Arc;
-//! use std::sync::atomic::Ordering;
 //!
 //! let report = Checker::with_defaults().check(|| {
-//!     let counter = Arc::new(sync::atomic::AtomicU64::new(0));
+//!     let counter = Arc::new(sync::Mutex::new(0u64));
 //!     let c2 = counter.clone();
 //!     let t = sync::thread::spawn(move || {
-//!         c2.fetch_add(1, Ordering::SeqCst);
+//!         *c2.lock().unwrap() += 1;
 //!     });
-//!     counter.fetch_add(1, Ordering::SeqCst);
+//!     *counter.lock().unwrap() += 1;
 //!     t.join().unwrap();
-//!     assert_eq!(counter.load(Ordering::SeqCst), 2);
+//!     assert_eq!(*counter.lock().unwrap(), 2);
 //! });
 //! assert!(report.passed(), "{report}");
 //! ```
@@ -60,8 +58,7 @@ pub use trace::{Event, FailureKind, FailureReport, Report};
 
 #[cfg(test)]
 mod tests {
-    use super::sync::atomic::{AtomicU64, Ordering};
-    use super::sync::{thread, Condvar, Mutex};
+    use super::sync::{thread, Condvar, Mutex, RwLock};
     use super::{Checker, CheckerConfig, FailureKind};
     use std::sync::Arc;
 
@@ -72,51 +69,75 @@ mod tests {
         })
     }
 
-    /// Two threads doing load-then-store increments lose an update
-    /// under the right interleaving; the checker must find it.
+    /// Two threads increment a mutex-guarded counter with the read and
+    /// the write in separate critical sections.
+    fn racy_mutex_counter() {
+        let counter = Arc::new(Mutex::new(0u64));
+        let c2 = counter.clone();
+        let t = thread::spawn(move || {
+            let v = *c2.lock().unwrap();
+            *c2.lock().unwrap() = v + 1;
+        });
+        let v = *counter.lock().unwrap();
+        *counter.lock().unwrap() = v + 1;
+        t.join().unwrap();
+        assert_eq!(*counter.lock().unwrap(), 2, "lost update");
+    }
+
+    /// The racy counter loses an update under the right interleaving;
+    /// the checker must find it. States that differ only in the
+    /// counter's value must not be pruned as one.
     #[test]
     fn finds_racy_counter_lost_update() {
-        let report = small().check(|| {
-            let counter = Arc::new(AtomicU64::new(0));
-            let c2 = counter.clone();
-            let t = thread::spawn(move || {
-                let v = c2.load(Ordering::SeqCst);
-                c2.store(v + 1, Ordering::SeqCst);
-            });
-            let v = counter.load(Ordering::SeqCst);
-            counter.store(v + 1, Ordering::SeqCst);
-            t.join().unwrap();
-            assert_eq!(counter.load(Ordering::SeqCst), 2, "lost update");
-        });
-        let failure = report.failure.expect("checker must find the lost update");
+        let failure = small()
+            .check(racy_mutex_counter)
+            .failure
+            .expect("checker must find the lost update");
         assert_eq!(failure.kind, FailureKind::Panic);
         assert!(failure.message.contains("lost update"), "{failure}");
         // The minimal schedule needs exactly one preemption (split the
-        // load/store of one thread around the other's increment).
+        // read/write of one thread around the other's increment).
         assert_eq!(failure.preemptions, 1, "{failure}");
         assert!(!failure.trace.is_empty());
     }
 
-    /// The same race is reachable purely through the weak-memory model:
-    /// even if the threads run sequentially, a `Relaxed` load may
-    /// observe the stale initial value from the store buffer.
+    /// The same lost update through an `RwLock`: a read guard, then a
+    /// write guard. Read guards fold the lock's history too.
     #[test]
-    fn finds_stale_relaxed_read() {
+    fn finds_rwlock_read_then_write_lost_update() {
         let report = small().check(|| {
-            let flag = Arc::new(AtomicU64::new(0));
-            let f2 = flag.clone();
+            let counter = Arc::new(RwLock::new(0u64));
+            let c2 = counter.clone();
             let t = thread::spawn(move || {
-                f2.store(1, Ordering::Relaxed);
+                let v = *c2.read().unwrap();
+                *c2.write().unwrap() = v + 1;
             });
+            let v = *counter.read().unwrap();
+            *counter.write().unwrap() = v + 1;
             t.join().unwrap();
-            // Bug: the join ordered the threads, but `Relaxed` gives no
-            // memory-visibility guarantee in the model.
-            let seen = flag.load(Ordering::Relaxed);
-            assert_eq!(seen, 1, "stale relaxed read");
+            assert_eq!(*counter.read().unwrap(), 2, "lost update");
         });
-        let failure = report.failure.expect("stale read must be reachable");
-        assert_eq!(failure.kind, FailureKind::Panic);
-        assert!(failure.message.contains("stale relaxed read"), "{failure}");
+        let failure = report.failure.expect("checker must find the lost update");
+        assert!(failure.message.contains("lost update"), "{failure}");
+        assert_eq!(failure.preemptions, 1, "{failure}");
+    }
+
+    /// A child that reads a mutex before its parent writes it returns a
+    /// stale value through `join`: the child starts from its parent's
+    /// state and the join folds the child's state into the parent, so
+    /// the two orders hash apart.
+    #[test]
+    fn finds_child_reading_before_parent_writes() {
+        let report = small().check(|| {
+            let cell = Arc::new(Mutex::new(0u64));
+            let c2 = cell.clone();
+            let t = thread::spawn(move || *c2.lock().unwrap());
+            *cell.lock().unwrap() = 1;
+            let seen = t.join().unwrap();
+            assert_eq!(seen, 1, "child read before the write");
+        });
+        let failure = report.failure.expect("checker must find the early read");
+        assert!(failure.message.contains("before the write"), "{failure}");
     }
 
     /// Check-then-wait without holding the lock across the check: the
@@ -222,20 +243,8 @@ mod tests {
     /// identical minimized schedule.
     #[test]
     fn exploration_is_deterministic() {
-        let scenario = || {
-            let counter = Arc::new(AtomicU64::new(0));
-            let c2 = counter.clone();
-            let t = thread::spawn(move || {
-                let v = c2.load(Ordering::SeqCst);
-                c2.store(v + 1, Ordering::SeqCst);
-            });
-            let v = counter.load(Ordering::SeqCst);
-            counter.store(v + 1, Ordering::SeqCst);
-            t.join().unwrap();
-            assert_eq!(counter.load(Ordering::SeqCst), 2, "lost update");
-        };
-        let r1 = small().check(scenario);
-        let r2 = small().check(scenario);
+        let r1 = small().check(racy_mutex_counter);
+        let r2 = small().check(racy_mutex_counter);
         assert_eq!(r1.iterations, r2.iterations);
         let (f1, f2) = (r1.failure.unwrap(), r2.failure.unwrap());
         assert_eq!(f1.trace, f2.trace);
@@ -249,9 +258,6 @@ mod tests {
         let m = Mutex::new(5u64);
         *m.lock().unwrap() += 1;
         assert_eq!(*m.lock().unwrap(), 6);
-        let a = AtomicU64::new(1);
-        assert_eq!(a.fetch_add(2, Ordering::Relaxed), 1);
-        assert_eq!(a.load(Ordering::Acquire), 3);
         let h = thread::spawn(|| 7u64);
         assert_eq!(h.join().unwrap(), 7);
     }
@@ -259,7 +265,6 @@ mod tests {
     /// RwLock: writer exclusion is enforced; concurrent reads allowed.
     #[test]
     fn rwlock_write_exclusion_passes() {
-        use super::sync::RwLock;
         let report = small().check(|| {
             let cell = Arc::new(RwLock::new((0u64, 0u64)));
             let c2 = cell.clone();

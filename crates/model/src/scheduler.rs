@@ -3,16 +3,17 @@
 //! facade operation is a *schedule point* where the scheduler consults a
 //! recorded path (DFS replay) or extends it with a default choice.
 //!
-//! Exploration is depth-first over the tree of scheduling (and, for
-//! `Relaxed` loads, value) choices, with three bounds:
+//! Exploration is depth-first over the tree of scheduling choices, with
+//! three bounds:
 //!
 //! * a **preemption budget** — involuntary context switches cost budget,
 //!   voluntary ones (block/finish) are free (Musuvathi & Qadeer's
 //!   iterative context bounding);
-//! * a **state hash** — a fingerprint of thread positions + every model
-//!   object; a schedule point whose fingerprint was already visited
-//!   terminates the iteration early (the continuation is determined by
-//!   the fingerprint, so it has already been explored);
+//! * a **state hash** — a fingerprint of thread positions, observations
+//!   and every model object, lock histories included; a schedule point
+//!   whose fingerprint was already visited terminates the iteration
+//!   early (the continuation is determined by the fingerprint, so it has
+//!   already been explored);
 //! * a **step budget** per iteration as a livelock guard.
 //!
 //! A failing schedule is minimized by greedily re-running with each
@@ -137,46 +138,41 @@ pub(crate) struct ThreadSt {
     /// Number of schedule points this thread has passed (its "program
     /// position" for the state fingerprint).
     ops: u64,
-    /// Rolling hash of everything this thread has observed (lock ids
-    /// acquired, values loaded). Position + observations determine the
-    /// future behavior of deterministic scenario code.
+    /// Rolling hash of everything this thread has observed: the
+    /// histories of the locks it acquired, its parent's state, and the
+    /// states of the threads it joined. Position + observations
+    /// determine the future behavior of deterministic scenario code.
     obs: u64,
-    /// Per-atomic coherence floor: lowest store sequence this thread is
-    /// still allowed to read (per-location coherence for Relaxed loads).
-    floors: Vec<u64>,
 }
 
 impl ThreadSt {
-    fn new() -> Self {
+    fn new(obs: u64) -> Self {
         ThreadSt {
             status: Status::Runnable,
             ops: 0,
-            obs: 0,
-            floors: Vec::new(),
+            obs,
         }
     }
-    fn floor(&self, atomic: usize) -> u64 {
-        self.floors.get(atomic).copied().unwrap_or(0)
-    }
-    fn raise_floor(&mut self, atomic: usize, seq: u64) {
-        if self.floors.len() <= atomic {
-            self.floors.resize(atomic + 1, 0);
-        }
-        if self.floors[atomic] < seq {
-            self.floors[atomic] = seq;
-        }
+    /// Everything this thread can have written so far.
+    fn state(&self) -> u64 {
+        mix(self.obs, self.ops)
     }
 }
 
 #[derive(Default)]
 pub(crate) struct LockSt {
     pub(crate) holder: Option<usize>,
+    /// The states of its holders at each release, folded in order: the
+    /// data the lock guards is a function of it.
+    history: u64,
 }
 
 #[derive(Default)]
 pub(crate) struct RwSt {
     pub(crate) writer: Option<usize>,
     pub(crate) readers: Vec<usize>,
+    /// As [`LockSt::history`], folded at each write release.
+    history: u64,
 }
 
 #[derive(Default)]
@@ -185,54 +181,19 @@ pub(crate) struct CvSt {
     pub(crate) waiters: VecDeque<usize>,
 }
 
-pub(crate) struct AtomicSt {
-    /// Store sequence counter; the newest entry in `buf` has this seq.
-    seq: u64,
-    /// Recent stores, oldest first; the back entry is the latest value.
-    buf: VecDeque<(u64, u64)>,
-}
-
-impl AtomicSt {
-    fn new(init: u64) -> Self {
-        AtomicSt {
-            seq: 0,
-            buf: VecDeque::from([(0, init)]),
-        }
-    }
-    fn latest(&self) -> (u64, u64) {
-        *self.buf.back().expect("atomic buffer never empty")
-    }
-    fn push(&mut self, val: u64, keep: usize) {
-        self.seq += 1;
-        self.buf.push_back((self.seq, val));
-        while self.buf.len() > keep.max(1) {
-            self.buf.pop_front();
-        }
-    }
-}
-
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub(crate) enum ChoiceKind {
-    /// Which runnable thread runs next.
-    Sched,
-    /// Which buffered store a `Relaxed` load observes (options are store
-    /// sequence numbers, newest first).
-    Value,
-}
-
+/// Which runnable thread runs next.
 #[derive(Clone, Debug)]
 pub(crate) struct Choice {
-    kind: ChoiceKind,
     options: Vec<usize>,
     pick: usize,
-    /// For `Sched`: the thread that held the token and was still
-    /// runnable (picking anyone else is a preemption).
+    /// The thread that held the token and was still runnable (picking
+    /// anyone else is a preemption).
     current: Option<usize>,
 }
 
 impl Choice {
     fn preemptive_at(&self, pick: usize) -> bool {
-        self.kind == ChoiceKind::Sched && matches!(self.current, Some(c) if self.options[pick] != c)
+        matches!(self.current, Some(c) if self.options[pick] != c)
     }
     fn preemptive(&self) -> bool {
         self.preemptive_at(self.pick)
@@ -245,7 +206,6 @@ pub(crate) struct ExecState {
     pub(crate) locks: Vec<LockSt>,
     pub(crate) rws: Vec<RwSt>,
     pub(crate) cvs: Vec<CvSt>,
-    pub(crate) atomics: Vec<AtomicSt>,
     path: Vec<Choice>,
     cursor: usize,
     forced: usize,
@@ -257,7 +217,6 @@ pub(crate) struct ExecState {
     visited: HashSet<u64>,
     no_prune: bool,
     max_steps: u64,
-    value_buffer: usize,
     real: Vec<std::thread::JoinHandle<()>>,
 }
 
@@ -315,15 +274,14 @@ fn fingerprint(st: &ExecState, me: usize) -> u64 {
         f.word(arg);
         f.word(t.ops);
         f.word(t.obs);
-        for &fl in &t.floors {
-            f.word(fl);
-        }
     }
     for l in &st.locks {
         f.word(l.holder.map_or(u64::MAX, |h| h as u64));
+        f.word(l.history);
     }
     for r in &st.rws {
         f.word(r.writer.map_or(u64::MAX, |h| h as u64));
+        f.word(r.history);
         f.word(r.readers.len() as u64);
         for &rd in &r.readers {
             f.word(rd as u64);
@@ -333,13 +291,6 @@ fn fingerprint(st: &ExecState, me: usize) -> u64 {
         f.word(c.waiters.len() as u64);
         for &w in &c.waiters {
             f.word(w as u64);
-        }
-    }
-    for a in &st.atomics {
-        f.word(a.seq);
-        for &(s, v) in &a.buf {
-            f.word(s);
-            f.word(v);
         }
     }
     f.0
@@ -358,7 +309,8 @@ fn fail(exec: &Execution, st: &mut StGuard<'_>, kind: FailureKind, msg: String) 
 }
 
 /// Terminate this thread's participation in the iteration. Never called
-/// from drop paths while unwinding (those use the quiet releases).
+/// from drop paths while unwinding (an unlock then skips its schedule
+/// point).
 fn bail(exec: &Execution, st: StGuard<'_>) -> ! {
     exec.cv.notify_all();
     drop(st);
@@ -377,35 +329,30 @@ fn wait_for_token<'a>(exec: &'a Execution, me: usize, mut st: StGuard<'a>) -> St
     }
 }
 
-/// Record (or replay) one decision. Returns the chosen option *value*.
+/// Record (or replay) one decision. Returns the thread chosen to run.
 fn decide(
     exec: &Execution,
     st: &mut StGuard<'_>,
-    kind: ChoiceKind,
     options: Vec<usize>,
     current: Option<usize>,
 ) -> usize {
     debug_assert!(!options.is_empty());
     let idx = if st.cursor < st.path.len() {
         let rec = &st.path[st.cursor];
-        if rec.kind != kind || rec.options != options {
+        if rec.options != options {
             let msg = format!(
-                "schedule replay diverged at step {}: recorded {:?}{:?}, observed {:?}{:?}",
-                st.cursor, rec.kind, rec.options, kind, options
+                "schedule replay diverged at step {}: recorded {:?}, observed {:?}",
+                st.cursor, rec.options, options
             );
             fail(exec, st, FailureKind::NonDeterminism, msg);
             return options[0];
         }
         rec.pick
     } else {
-        let pick = match kind {
-            ChoiceKind::Sched => current
-                .and_then(|c| options.iter().position(|&o| o == c))
-                .unwrap_or(0),
-            ChoiceKind::Value => 0,
-        };
+        let pick = current
+            .and_then(|c| options.iter().position(|&o| o == c))
+            .unwrap_or(0);
         let choice = Choice {
-            kind,
             options: options.clone(),
             pick,
             current,
@@ -429,7 +376,7 @@ fn runnable_threads(st: &ExecState) -> Vec<usize> {
 /// Pass the token on when the current thread can no longer run (it just
 /// blocked or finished). Detects deadlock: live threads but none
 /// runnable.
-fn hand_off(exec: &Execution, st: &mut StGuard<'_>, _me: usize) {
+fn hand_off(exec: &Execution, st: &mut StGuard<'_>) {
     let runnable = runnable_threads(st);
     if runnable.is_empty() {
         if st.threads.iter().all(|t| t.status == Status::Finished) {
@@ -449,7 +396,7 @@ fn hand_off(exec: &Execution, st: &mut StGuard<'_>, _me: usize) {
         fail(exec, st, FailureKind::Deadlock, blocked.join("; "));
         return;
     }
-    let next = decide(exec, st, ChoiceKind::Sched, runnable, None);
+    let next = decide(exec, st, runnable, None);
     st.active = Some(next);
     exec.cv.notify_all();
 }
@@ -481,7 +428,7 @@ pub(crate) fn schedule_point(ctx: &Ctx) {
         }
     }
     let runnable = runnable_threads(&st);
-    let next = decide(exec, &mut st, ChoiceKind::Sched, runnable, Some(me));
+    let next = decide(exec, &mut st, runnable, Some(me));
     if st.abort {
         bail(exec, st);
     }
@@ -521,12 +468,6 @@ pub(crate) fn register_cv(exec: &Execution) -> usize {
     st.cvs.len() - 1
 }
 
-pub(crate) fn register_atomic(exec: &Execution, init: u64) -> usize {
-    let mut st = exec.st();
-    st.atomics.push(AtomicSt::new(init));
-    st.atomics.len() - 1
-}
-
 // ---------------------------------------------------------------------------
 // Mutex
 // ---------------------------------------------------------------------------
@@ -541,12 +482,12 @@ fn acquire_lock(ctx: &Ctx, id: usize) {
         }
         if st.locks[id].holder.is_none() {
             st.locks[id].holder = Some(me);
-            st.threads[me].obs = mix(st.threads[me].obs, 0x10 + id as u64);
+            st.threads[me].obs = mix(st.threads[me].obs, st.locks[id].history);
             push_event(&mut st, me, format!("lock m{id}"));
             return;
         }
         st.threads[me].status = Status::Blocked(BlockOn::Lock(id));
-        hand_off(exec, &mut st, me);
+        hand_off(exec, &mut st);
         if st.abort {
             bail(exec, st);
         }
@@ -559,8 +500,9 @@ pub(crate) fn mutex_lock(ctx: &Ctx, id: usize) {
     acquire_lock(ctx, id);
 }
 
-fn release_lock_locked(st: &mut StGuard<'_>, id: usize) {
+fn release_lock_locked(st: &mut StGuard<'_>, id: usize, me: usize) {
     st.locks[id].holder = None;
+    st.locks[id].history = mix(st.locks[id].history, st.threads[me].state());
     for t in st.threads.iter_mut() {
         if t.status == Status::Blocked(BlockOn::Lock(id)) {
             t.status = Status::Runnable;
@@ -572,8 +514,8 @@ pub(crate) fn mutex_unlock(ctx: &Ctx, id: usize) {
     {
         let exec = &*ctx.exec;
         let mut st = exec.st();
-        release_lock_locked(&mut st, id);
         let me = ctx.id;
+        release_lock_locked(&mut st, id, me);
         push_event(&mut st, me, format!("unlock m{id}"));
         exec.cv.notify_all();
     }
@@ -583,14 +525,6 @@ pub(crate) fn mutex_unlock(ctx: &Ctx, id: usize) {
     if !std::thread::panicking() {
         schedule_point(ctx);
     }
-}
-
-/// Release from a thread outside the scheduler (defensive: tracked
-/// object escaped to an unmodeled thread). No schedule point.
-pub(crate) fn mutex_unlock_quiet(exec: &Execution, id: usize) {
-    let mut st = exec.st();
-    release_lock_locked(&mut st, id);
-    exec.cv.notify_all();
 }
 
 // ---------------------------------------------------------------------------
@@ -617,7 +551,7 @@ pub(crate) fn rw_lock(ctx: &Ctx, id: usize, write: bool) {
             } else {
                 st.rws[id].readers.push(me);
             }
-            st.threads[me].obs = mix(st.threads[me].obs, 0x20 + id as u64);
+            st.threads[me].obs = mix(st.threads[me].obs, st.rws[id].history);
             let mode = if write { "write" } else { "read" };
             push_event(&mut st, me, format!("rw-{mode} r{id}"));
             return;
@@ -628,7 +562,7 @@ pub(crate) fn rw_lock(ctx: &Ctx, id: usize, write: bool) {
             BlockOn::RwRead(id)
         };
         st.threads[me].status = Status::Blocked(reason);
-        hand_off(exec, &mut st, me);
+        hand_off(exec, &mut st);
         if st.abort {
             bail(exec, st);
         }
@@ -639,6 +573,7 @@ pub(crate) fn rw_lock(ctx: &Ctx, id: usize, write: bool) {
 fn release_rw_locked(st: &mut StGuard<'_>, id: usize, me: usize, write: bool) {
     if write {
         st.rws[id].writer = None;
+        st.rws[id].history = mix(st.rws[id].history, st.threads[me].state());
     } else {
         st.rws[id].readers.retain(|&r| r != me);
     }
@@ -669,12 +604,6 @@ pub(crate) fn rw_unlock(ctx: &Ctx, id: usize, write: bool) {
     }
 }
 
-pub(crate) fn rw_unlock_quiet(exec: &Execution, id: usize, me: usize, write: bool) {
-    let mut st = exec.st();
-    release_rw_locked(&mut st, id, me, write);
-    exec.cv.notify_all();
-}
-
 // ---------------------------------------------------------------------------
 // Condvar
 // ---------------------------------------------------------------------------
@@ -690,11 +619,11 @@ pub(crate) fn cv_wait(ctx: &Ctx, cv_id: usize, lock_id: usize) {
         if st.abort {
             bail(exec, st);
         }
-        release_lock_locked(&mut st, lock_id);
+        release_lock_locked(&mut st, lock_id, me);
         st.cvs[cv_id].waiters.push_back(me);
         st.threads[me].status = Status::Blocked(BlockOn::Cv(cv_id));
         push_event(&mut st, me, format!("wait cv{cv_id} (releases m{lock_id})"));
-        hand_off(exec, &mut st, me);
+        hand_off(exec, &mut st);
         if st.abort {
             bail(exec, st);
         }
@@ -736,104 +665,6 @@ pub(crate) fn cv_notify(ctx: &Ctx, cv_id: usize, all: bool) {
     };
     push_event(&mut st, me, format!("{kind} cv{cv_id}{detail}"));
     exec.cv.notify_all();
-}
-
-// ---------------------------------------------------------------------------
-// Atomics (value space is u64 bit patterns; wrappers cast)
-// ---------------------------------------------------------------------------
-
-pub(crate) fn atomic_load(ctx: &Ctx, id: usize, order: std::sync::atomic::Ordering) -> u64 {
-    use std::sync::atomic::Ordering;
-    schedule_point(ctx);
-    let exec = &*ctx.exec;
-    let me = ctx.id;
-    let mut st = exec.st();
-    let val = if order == Ordering::Relaxed {
-        let floor = st.threads[me].floor(id);
-        // Visible stores, newest first (default pick = newest, i.e. the
-        // sequentially-consistent answer; alternatives model staleness).
-        let cands: Vec<(u64, u64)> = st.atomics[id]
-            .buf
-            .iter()
-            .rev()
-            .filter(|&&(s, _)| s >= floor)
-            .copied()
-            .collect();
-        debug_assert!(!cands.is_empty(), "coherence floor above latest store");
-        let (seq, val) = if cands.len() > 1 {
-            let options: Vec<usize> = cands.iter().map(|&(s, _)| s as usize).collect();
-            let chosen = decide(exec, &mut st, ChoiceKind::Value, options, None) as u64;
-            if st.abort {
-                bail(exec, st);
-            }
-            *cands
-                .iter()
-                .find(|&&(s, _)| s == chosen)
-                .expect("chosen seq is a candidate")
-        } else {
-            cands[0]
-        };
-        st.threads[me].raise_floor(id, seq);
-        val
-    } else {
-        let (seq, val) = st.atomics[id].latest();
-        st.threads[me].raise_floor(id, seq);
-        val
-    };
-    st.threads[me].obs = mix(st.threads[me].obs, val);
-    push_event(&mut st, me, format!("load({order:?}) a{id} -> {val}"));
-    val
-}
-
-pub(crate) fn atomic_store(ctx: &Ctx, id: usize, val: u64, order: std::sync::atomic::Ordering) {
-    schedule_point(ctx);
-    let exec = &*ctx.exec;
-    let me = ctx.id;
-    let mut st = exec.st();
-    let keep = st.value_buffer;
-    st.atomics[id].push(val, keep);
-    let seq = st.atomics[id].seq;
-    st.threads[me].raise_floor(id, seq);
-    push_event(&mut st, me, format!("store({order:?}) a{id} <- {val}"));
-}
-
-/// Read-modify-write: always acts on the latest value (RMWs are
-/// coherent regardless of ordering). Returns the previous value.
-pub(crate) fn atomic_rmw(ctx: &Ctx, id: usize, desc: &str, f: impl FnOnce(u64) -> u64) -> u64 {
-    schedule_point(ctx);
-    let exec = &*ctx.exec;
-    let me = ctx.id;
-    let mut st = exec.st();
-    let (_, old) = st.atomics[id].latest();
-    let new = f(old);
-    let keep = st.value_buffer;
-    st.atomics[id].push(new, keep);
-    let seq = st.atomics[id].seq;
-    st.threads[me].raise_floor(id, seq);
-    st.threads[me].obs = mix(st.threads[me].obs, old);
-    push_event(&mut st, me, format!("{desc} a{id}: {old} -> {new}"));
-    old
-}
-
-/// Coherent access from an unmodeled thread (defensive fallback): no
-/// schedule point, latest value semantics.
-pub(crate) fn atomic_load_quiet(exec: &Execution, id: usize) -> u64 {
-    exec.st().atomics[id].latest().1
-}
-
-pub(crate) fn atomic_store_quiet(exec: &Execution, id: usize, val: u64) {
-    let mut st = exec.st();
-    let keep = st.value_buffer;
-    st.atomics[id].push(val, keep);
-}
-
-pub(crate) fn atomic_rmw_quiet(exec: &Execution, id: usize, f: impl FnOnce(u64) -> u64) -> u64 {
-    let mut st = exec.st();
-    let (_, old) = st.atomics[id].latest();
-    let new = f(old);
-    let keep = st.value_buffer;
-    st.atomics[id].push(new, keep);
-    old
 }
 
 // ---------------------------------------------------------------------------
@@ -884,7 +715,7 @@ fn finish_thread(exec: &Execution, me: usize, result: std::thread::Result<()>) {
         exec.cv.notify_all();
     } else {
         push_event(&mut st, me, "exit".to_string());
-        hand_off(exec, &mut st, me);
+        hand_off(exec, &mut st);
     }
 }
 
@@ -894,7 +725,8 @@ pub(crate) fn spawn_thread(ctx: &Ctx, f: impl FnOnce() + Send + 'static) -> usiz
     let exec = &ctx.exec;
     let child = {
         let mut st = exec.st();
-        st.threads.push(ThreadSt::new());
+        let parent = st.threads[ctx.id].state();
+        st.threads.push(ThreadSt::new(parent));
         let child = st.threads.len() - 1;
         let handle = thread_shim(exec.clone(), child, f);
         st.real.push(handle);
@@ -916,12 +748,12 @@ pub(crate) fn thread_join(ctx: &Ctx, target: usize) {
             bail(exec, st);
         }
         if st.threads[target].status == Status::Finished {
-            st.threads[me].obs = mix(st.threads[me].obs, 0x40 + target as u64);
+            st.threads[me].obs = mix(st.threads[me].obs, st.threads[target].state());
             push_event(&mut st, me, format!("join t{target}"));
             return;
         }
         st.threads[me].status = Status::Blocked(BlockOn::Join(target));
-        hand_off(exec, &mut st, me);
+        hand_off(exec, &mut st);
         if st.abort {
             bail(exec, st);
         }
@@ -944,8 +776,6 @@ pub struct CheckerConfig {
     pub max_iterations: u64,
     /// Per-iteration schedule-point budget (livelock guard).
     pub max_steps: u64,
-    /// How many recent stores a `Relaxed` load may observe.
-    pub value_buffer: usize,
 }
 
 impl Default for CheckerConfig {
@@ -954,7 +784,6 @@ impl Default for CheckerConfig {
             preemption_bound: 2,
             max_iterations: 20_000,
             max_steps: 100_000,
-            value_buffer: 3,
         }
     }
 }
@@ -1043,12 +872,11 @@ impl Checker {
     ) -> IterOut {
         let exec = Arc::new(Execution {
             state: StdMutex::new(ExecState {
-                threads: vec![ThreadSt::new()],
+                threads: vec![ThreadSt::new(0)],
                 active: None,
                 locks: Vec::new(),
                 rws: Vec::new(),
                 cvs: Vec::new(),
-                atomics: Vec::new(),
                 path,
                 cursor: 0,
                 forced,
@@ -1060,7 +888,6 @@ impl Checker {
                 visited,
                 no_prune,
                 max_steps: self.cfg.max_steps,
-                value_buffer: self.cfg.value_buffer,
                 real: Vec::new(),
             }),
             cv: StdCondvar::new(),

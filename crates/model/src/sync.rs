@@ -1,9 +1,9 @@
-//! Model-aware drop-in replacements for the `std::sync` primitives the
+//! Model-aware drop-in replacements for the `std::sync` locks the
 //! workspace uses, plus `thread::{spawn, JoinHandle}`.
 //!
 //! Every type is *dual-mode*: an object created on a modeled thread is
 //! registered with the scheduler and all its operations become schedule
-//! points; an object created outside the scheduler (or touched from an
+//! points; an object created outside the scheduler (or locked from an
 //! unmodeled thread) behaves exactly like its `std` counterpart. This
 //! keeps feature-enabled builds fully functional for ordinary tests and
 //! lets the CLI run normally even when compiled with the model crate.
@@ -136,9 +136,10 @@ impl<T: ?Sized> Drop for MutexGuard<'_, T> {
             .reg
             .as_ref()
             .expect("tracked guard has registration");
-        match reg.ctx() {
-            Some(ctx) => scheduler::mutex_unlock(&ctx, reg.id),
-            None => scheduler::mutex_unlock_quiet(&reg.exec, reg.id),
+        // A guard is not `Send`: a tracked one drops on the modeled
+        // thread that took it.
+        if let Some(ctx) = reg.ctx() {
+            scheduler::mutex_unlock(&ctx, reg.id);
         }
     }
 }
@@ -268,7 +269,6 @@ pub struct RwLockReadGuard<'a, T: ?Sized> {
     lock: &'a RwLock<T>,
     inner: Option<StdRwLockReadGuard<'a, T>>,
     tracked: bool,
-    thread: usize,
 }
 
 /// Exclusive-write guard for [`RwLock`].
@@ -276,7 +276,6 @@ pub struct RwLockWriteGuard<'a, T: ?Sized> {
     lock: &'a RwLock<T>,
     inner: Option<StdRwLockWriteGuard<'a, T>>,
     tracked: bool,
-    thread: usize,
 }
 
 impl<T> RwLock<T> {
@@ -313,7 +312,6 @@ impl<T: ?Sized> RwLock<T> {
                     lock: self,
                     inner: Some(inner),
                     tracked: true,
-                    thread: ctx.id,
                 });
             }
         }
@@ -322,13 +320,11 @@ impl<T: ?Sized> RwLock<T> {
                 lock: self,
                 inner: Some(g),
                 tracked: false,
-                thread: 0,
             }),
             Err(p) => Err(PoisonError::new(RwLockReadGuard {
                 lock: self,
                 inner: Some(p.into_inner()),
                 tracked: false,
-                thread: 0,
             })),
         }
     }
@@ -347,7 +343,6 @@ impl<T: ?Sized> RwLock<T> {
                     lock: self,
                     inner: Some(inner),
                     tracked: true,
-                    thread: ctx.id,
                 });
             }
         }
@@ -356,13 +351,11 @@ impl<T: ?Sized> RwLock<T> {
                 lock: self,
                 inner: Some(g),
                 tracked: false,
-                thread: 0,
             }),
             Err(p) => Err(PoisonError::new(RwLockWriteGuard {
                 lock: self,
                 inner: Some(p.into_inner()),
                 tracked: false,
-                thread: 0,
             })),
         }
     }
@@ -393,9 +386,8 @@ macro_rules! rw_guard_impls {
                     .reg
                     .as_ref()
                     .expect("tracked guard has registration");
-                match reg.ctx() {
-                    Some(ctx) => scheduler::rw_unlock(&ctx, reg.id, $write),
-                    None => scheduler::rw_unlock_quiet(&reg.exec, reg.id, self.thread, $write),
+                if let Some(ctx) = reg.ctx() {
+                    scheduler::rw_unlock(&ctx, reg.id, $write);
                 }
             }
         }
@@ -421,163 +413,6 @@ impl<T: ?Sized + std::fmt::Debug> std::fmt::Debug for RwLock<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         self.inner.fmt(f)
     }
-}
-
-// ---------------------------------------------------------------------------
-// Atomics
-// ---------------------------------------------------------------------------
-
-/// Model-aware atomics. Values are stored as `u64` bit patterns in the
-/// scheduler; only `Relaxed` *loads* get weak-memory treatment
-/// (store-buffer value sets) — RMWs and `Acquire`/`SeqCst` loads are
-/// always coherent with the newest store.
-pub mod atomic {
-    pub use std::sync::atomic::Ordering;
-
-    use super::{cur_ctx, scheduler, Reg};
-
-    macro_rules! model_atomic {
-        ($name:ident, $std:ty, $prim:ty, $from_bits:expr, $to_bits:expr) => {
-            /// Model-aware atomic integer; see [module docs](self).
-            pub struct $name {
-                reg: Option<Reg>,
-                inner: $std,
-            }
-
-            impl $name {
-                /// Create an atomic; registers with the scheduler when
-                /// called on a modeled thread.
-                pub fn new(value: $prim) -> Self {
-                    let reg = cur_ctx().map(|ctx| Reg {
-                        id: scheduler::register_atomic(&ctx.exec, ($to_bits)(value)),
-                        exec: ctx.exec,
-                    });
-                    Self {
-                        reg,
-                        inner: <$std>::new(value),
-                    }
-                }
-
-                /// Atomic load; `Relaxed` may observe stale buffered
-                /// stores under the model.
-                pub fn load(&self, order: Ordering) -> $prim {
-                    if let Some(reg) = &self.reg {
-                        return match reg.ctx() {
-                            Some(ctx) => ($from_bits)(scheduler::atomic_load(&ctx, reg.id, order)),
-                            None => ($from_bits)(scheduler::atomic_load_quiet(&reg.exec, reg.id)),
-                        };
-                    }
-                    self.inner.load(order)
-                }
-
-                /// Atomic store.
-                pub fn store(&self, value: $prim, order: Ordering) {
-                    if let Some(reg) = &self.reg {
-                        match reg.ctx() {
-                            Some(ctx) => {
-                                scheduler::atomic_store(&ctx, reg.id, ($to_bits)(value), order)
-                            }
-                            None => {
-                                scheduler::atomic_store_quiet(&reg.exec, reg.id, ($to_bits)(value))
-                            }
-                        }
-                        return;
-                    }
-                    self.inner.store(value, order)
-                }
-
-                /// Atomic add; returns the previous value.
-                pub fn fetch_add(&self, value: $prim, order: Ordering) -> $prim {
-                    self.rmw(
-                        order,
-                        "fetch_add",
-                        move |v| v.wrapping_add(value),
-                        move |i| i.fetch_add(value, order),
-                    )
-                }
-
-                /// Atomic subtract; returns the previous value.
-                pub fn fetch_sub(&self, value: $prim, order: Ordering) -> $prim {
-                    self.rmw(
-                        order,
-                        "fetch_sub",
-                        move |v| v.wrapping_sub(value),
-                        move |i| i.fetch_sub(value, order),
-                    )
-                }
-
-                /// Atomic max; returns the previous value.
-                pub fn fetch_max(&self, value: $prim, order: Ordering) -> $prim {
-                    self.rmw(
-                        order,
-                        "fetch_max",
-                        move |v| v.max(value),
-                        move |i| i.fetch_max(value, order),
-                    )
-                }
-
-                /// Atomic swap; returns the previous value.
-                pub fn swap(&self, value: $prim, order: Ordering) -> $prim {
-                    self.rmw(order, "swap", move |_| value, move |i| i.swap(value, order))
-                }
-
-                fn rmw(
-                    &self,
-                    _order: Ordering,
-                    desc: &str,
-                    model_op: impl FnOnce($prim) -> $prim,
-                    std_op: impl FnOnce(&$std) -> $prim,
-                ) -> $prim {
-                    if let Some(reg) = &self.reg {
-                        let op = move |bits: u64| ($to_bits)(model_op(($from_bits)(bits)));
-                        return match reg.ctx() {
-                            Some(ctx) => {
-                                ($from_bits)(scheduler::atomic_rmw(&ctx, reg.id, desc, op))
-                            }
-                            None => {
-                                ($from_bits)(scheduler::atomic_rmw_quiet(&reg.exec, reg.id, op))
-                            }
-                        };
-                    }
-                    std_op(&self.inner)
-                }
-            }
-
-            impl Default for $name {
-                fn default() -> Self {
-                    Self::new(Default::default())
-                }
-            }
-
-            impl std::fmt::Debug for $name {
-                fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-                    self.inner.fmt(f)
-                }
-            }
-        };
-    }
-
-    model_atomic!(
-        AtomicU64,
-        std::sync::atomic::AtomicU64,
-        u64,
-        (|bits: u64| bits),
-        (|v: u64| v)
-    );
-    model_atomic!(
-        AtomicUsize,
-        std::sync::atomic::AtomicUsize,
-        usize,
-        (|bits: u64| bits as usize),
-        (|v: usize| v as u64)
-    );
-    model_atomic!(
-        AtomicI64,
-        std::sync::atomic::AtomicI64,
-        i64,
-        (|bits: u64| bits as i64),
-        (|v: i64| v as u64)
-    );
 }
 
 // ---------------------------------------------------------------------------
@@ -642,15 +477,6 @@ pub mod thread {
                     }
                 }
             }
-        }
-    }
-
-    /// Voluntarily yield: a pure schedule point under the model.
-    pub fn yield_now() {
-        if let Some(ctx) = cur_ctx() {
-            scheduler::schedule_point(&ctx);
-        } else {
-            std::thread::yield_now();
         }
     }
 }

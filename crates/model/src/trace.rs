@@ -15,7 +15,7 @@ pub struct Event {
     /// Model thread id (0 is the root thread running the scenario).
     pub thread: usize,
     /// Human-readable description of the operation (`lock m2`,
-    /// `load(Relaxed) a0 -> 1`, ...).
+    /// `rw-read r0`, `join t1`, ...).
     pub op: String,
 }
 

@@ -34,7 +34,6 @@ use crate::backend::{BackendHealth, ServeBackend};
 use crate::http::{write_http_response, Frame, ParserConfig, RequestParser};
 use crate::protocol::{self, ServeRequest};
 use ddc_core::obs;
-use ddc_core::sync::atomic::{AtomicUsize, Ordering};
 use ddc_core::sync::thread::{spawn, JoinHandle};
 use ddc_core::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
 use std::collections::VecDeque;
@@ -84,12 +83,11 @@ struct Shared {
     backend: Arc<dyn ServeBackend>,
     config: ServerConfig,
     admission: Admission,
-    /// Hand-off queue of accepted connections and the shutdown flag.
+    /// Hand-off queue of accepted connections, their census and the
+    /// shutdown flag.
     queue: Mutex<Queue>,
     /// Signals workers that the queue or the shutdown flag changed.
     wake: Condvar,
-    /// Queued + in-flight connections (the 503 limit).
-    open: AtomicUsize,
     /// Monotonic epoch for admission timestamps.
     epoch: Instant,
 }
@@ -99,6 +97,9 @@ struct Shared {
 /// is already waiting when shutdown sets it: one notify reaches it.
 struct Queue {
     conns: VecDeque<TcpStream>,
+    /// Queued + in-flight connections (the 503 limit): the acceptor
+    /// counts one in as it queues it, a worker out once it has closed it.
+    open: usize,
     stopping: bool,
 }
 
@@ -129,10 +130,10 @@ impl Server {
             config,
             queue: Mutex::new(Queue {
                 conns: VecDeque::new(),
+                open: 0,
                 stopping: false,
             }),
             wake: Condvar::new(),
-            open: AtomicUsize::new(0),
             epoch: Instant::now(),
         });
         let workers = (0..shared.config.workers.max(1))
@@ -189,7 +190,7 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
         if queue.stopping {
             break;
         }
-        if shared.open.load(Ordering::Acquire) >= shared.config.max_connections {
+        if queue.open >= shared.config.max_connections {
             // The 503 is written with the lock released.
             drop(queue);
             shed.inc();
@@ -200,7 +201,7 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
             continue;
         }
         accepted.inc();
-        shared.open.fetch_add(1, Ordering::AcqRel);
+        queue.open += 1;
         queue.conns.push_back(stream);
         drop(queue);
         shared.wake.notify_one();
@@ -225,7 +226,7 @@ fn worker_loop(shared: &Arc<Shared>) {
             }
         };
         handle_connection(stream, shared);
-        shared.open.fetch_sub(1, Ordering::AcqRel);
+        lock(&shared.queue).open -= 1;
     }
 }
 

@@ -111,9 +111,10 @@ fn ported_wal_model_never_acks_before_append() {
 #[test]
 fn sweep_explores_ten_thousand_interleavings_in_budget() {
     let started = std::time::Instant::now();
-    let total: u64 = models::all_green(sweep_cfg())
+    let total: u64 = models::GREEN
         .into_iter()
-        .map(|(name, r)| {
+        .map(|(name, scenario)| {
+            let r = scenario(sweep_cfg());
             assert!(r.passed(), "{name} failed during sweep");
             r.iterations
         })

@@ -21,6 +21,9 @@
 //!   between its neighbours' `ok`s, and ENOSPC under a group refuses all
 //!   of it, leaves the log at its high-water mark and keeps reads
 //!   served.
+//! * **Connection limit**: past `max_connections` queued + in-flight
+//!   connections the acceptor answers 503 and closes; a closed
+//!   connection gives its slot back.
 //! * **Unreachable coordinates**: the durable backend refuses a point
 //!   its cube cannot grow to with a 400-class reply, logs nothing for
 //!   it, keeps serving, and restarts cleanly.
@@ -36,8 +39,9 @@ use ddc_core::{
 use ddc_serve::{Backend, DurableBackend, ServeBackend, Server, ServerConfig, ShardedBackend};
 use ddc_tests::{Fault, Faults, FlakyTarget};
 use ddc_workload::DdcRng;
-use std::io::{Read, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
+use std::time::{Duration, Instant};
 
 fn start<T: CommitTarget<i64> + 'static>(
     backend: Backend<T>,
@@ -295,6 +299,69 @@ fn metrics_scrape_exposes_serving_counters_after_traffic() {
         got.contains("ddc_serve_requests"),
         "scrape must carry the serve counters: {got:?}"
     );
+    server.shutdown();
+}
+
+/// Connects, sends `ping` and reads one line back, whatever it is.
+fn ping_once(addr: &str) -> std::io::Result<String> {
+    let mut stream = TcpStream::connect(addr)?;
+    stream.set_read_timeout(Some(Duration::from_secs(5)))?;
+    stream.write_all(b"ping\n")?;
+    let mut line = String::new();
+    BufReader::new(stream).read_line(&mut line)?;
+    Ok(line)
+}
+
+/// One worker, one connection: while connection A is held open, a
+/// second connection is shed with `503 connection limit reached`, and
+/// once A closes its slot comes back — a new connection is served.
+#[test]
+fn the_connection_limit_sheds_with_503_and_frees_a_slot_on_close() {
+    let cube = ShardedCube::<i64>::new(
+        Shape::new(&[8, 8]),
+        DdcConfig::default(),
+        ShardConfig::with_shards(1),
+    );
+    let server = Server::start(
+        Arc::new(ShardedBackend::new(cube)),
+        ServerConfig {
+            workers: 1,
+            max_connections: 1,
+            ..ServerConfig::default()
+        },
+    )
+    .expect("server binds an ephemeral port");
+    let addr = server.local_addr().to_string();
+
+    // A pong means the worker holds A: the one slot is taken.
+    let mut a = TcpStream::connect(&addr).expect("connection A");
+    assert_eq!(roundtrip(&mut a, "ping\n"), "pong");
+
+    let mut b = TcpStream::connect(&addr).expect("connection B");
+    b.set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("read timeout");
+    let mut shed = String::new();
+    b.read_to_string(&mut shed).expect("the 503 and a close");
+    assert!(shed.starts_with("HTTP/1.1 503 "), "{shed:?}");
+    assert!(
+        shed.ends_with("\r\n\r\nconnection limit reached\n"),
+        "{shed:?}"
+    );
+
+    // The worker counts A out once it sees A close; a connection that
+    // races ahead of that is shed, so retry until the deadline.
+    drop(a);
+    let deadline = Instant::now() + Duration::from_secs(5);
+    loop {
+        match ping_once(&addr) {
+            Ok(line) if line == "pong\n" => break,
+            outcome => assert!(
+                Instant::now() < deadline,
+                "no connection served 5 s after A closed: {outcome:?}"
+            ),
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
     server.shutdown();
 }
 

@@ -34,7 +34,7 @@
 //! predicate the shrinker minimizes into a replayable `.trace`.
 
 use ddc_core::vfs::MemVfs;
-use ddc_core::wal::{self, RecoveryReport, WAL_FRAME_BYTES, WAL_HEADER_BYTES};
+use ddc_core::wal::{self, RecoveryReport, WalScan, WAL_FRAME_BYTES, WAL_HEADER_BYTES};
 use ddc_core::DdcConfig;
 use ddc_workload::{CheckTrace, DdcRng};
 
@@ -140,6 +140,17 @@ pub(crate) fn replay_durable(trace: &CheckTrace, config: DdcConfig) -> Result<Du
     })
 }
 
+/// Scans `log`, collecting each intact record's end offset: `ends[i]`
+/// is the log's length once record `i` was acknowledged.
+pub(crate) fn record_ends(log: &[u8]) -> std::io::Result<(Vec<u64>, WalScan)> {
+    let mut ends = Vec::new();
+    let scan = wal::scan_wal::<i64>(log, |_, _, end| {
+        ends.push(end);
+        Ok(())
+    })?;
+    Ok((ends, scan))
+}
+
 /// The byte the corruption probe flips: the low byte of the first
 /// coordinate of the log's first record (header | frame | tag(1) |
 /// arity(4) | first coordinate…). Every record is an update, so any
@@ -157,10 +168,10 @@ const CORRUPTIBLE_BYTE: usize = WAL_HEADER_BYTES + WAL_FRAME_BYTES + 1 + 4;
 pub fn crash_sweep(trace: &CheckTrace, config: DdcConfig) -> Result<CrashSweepReport, String> {
     let mut run = replay_durable(trace, config)?;
 
-    let full = wal::read_wal::<i64>(&run.wal).map_err(|e| format!("final log unreadable: {e}"))?;
+    let (ends, full) = record_ends(&run.wal).map_err(|e| format!("final log unreadable: {e}"))?;
     let mut report = CrashSweepReport {
         wal_bytes: run.wal.len(),
-        records: full.ops.len(),
+        records: ends.len(),
         offsets: run.wal.len() + 1,
         failures: std::mem::take(&mut run.failures),
         groups: run.groups.0,
@@ -172,11 +183,11 @@ pub fn crash_sweep(trace: &CheckTrace, config: DdcConfig) -> Result<CrashSweepRe
             .failures
             .push(format!("final log truncated: {:?}", full.truncated));
     }
-    if run.states.len() != full.ops.len() + 1 {
+    if run.states.len() != ends.len() + 1 {
         report.failures.push(format!(
             "bookkeeping: {} oracle photos for {} records",
             run.states.len(),
-            full.ops.len()
+            ends.len()
         ));
         return Ok(report);
     }
@@ -189,20 +200,20 @@ pub fn crash_sweep(trace: &CheckTrace, config: DdcConfig) -> Result<CrashSweepRe
     let mut survivors = 0usize;
     let mut verified: Option<usize> = None;
     for cut in 0..=run.wal.len() {
-        while survivors < full.ends.len() && full.ends[survivors] as usize <= cut {
+        while survivors < ends.len() && ends[survivors] as usize <= cut {
             survivors += 1;
         }
-        let prefix = match wal::read_wal::<i64>(&run.wal[..cut]) {
+        let prefix = match wal::scan_wal::<i64>(&run.wal[..cut], |_, _, _| Ok(())) {
             Ok(p) => p,
             Err(e) => {
                 report.failures.push(format!("cut {cut}: read: {e}"));
                 continue;
             }
         };
-        if prefix.ops.len() != survivors {
+        if prefix.records as usize != survivors {
             report.failures.push(format!(
                 "cut {cut}: {} records parsed, {survivors} were written whole",
-                prefix.ops.len()
+                prefix.records
             ));
             continue;
         }
@@ -232,7 +243,7 @@ pub fn crash_sweep(trace: &CheckTrace, config: DdcConfig) -> Result<CrashSweepRe
 
     // Corruption probe: one flipped payload byte must be caught by the
     // CRC and cleanly truncated at the damaged record, the first.
-    if full.ops.is_empty() {
+    if ends.is_empty() {
         report.corruption_caught = true;
         return Ok(report);
     }
@@ -269,17 +280,17 @@ pub fn corruption_divergence(trace: &CheckTrace) -> bool {
     let Ok(run) = replay_durable(trace, DdcConfig::dynamic()) else {
         return false;
     };
-    let Ok(full) = wal::read_wal::<i64>(&run.wal) else {
+    let Ok((ends, _)) = record_ends(&run.wal) else {
         return false;
     };
-    if run.states.len() != full.ops.len() + 1 || full.ops.is_empty() {
+    if run.states.len() != ends.len() + 1 || ends.is_empty() {
         return false;
     }
     let mut damaged = run.wal.clone();
     damaged[CORRUPTIBLE_BYTE] ^= 0x01;
     // The first record's payload runs from just past its frame to its
     // end; its CRC field sits just before it.
-    let payload = WAL_HEADER_BYTES + WAL_FRAME_BYTES..full.ends[0] as usize;
+    let payload = WAL_HEADER_BYTES + WAL_FRAME_BYTES..ends[0] as usize;
     let crc = wal::crc32(&damaged[payload.clone()]);
     damaged[payload.start - 4..payload.start].copy_from_slice(&crc.to_le_bytes());
     // Only a *silent* divergence counts: recovery succeeded (the

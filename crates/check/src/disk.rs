@@ -36,7 +36,7 @@ pub struct DiskRunReport {
     /// Contract violations, empty when the run upheld durability.
     pub violations: Vec<String>,
     /// Every fault that actually fired, in order — replayable via
-    /// [`ddc_core::FaultPlan::Explicit`].
+    /// [`ddc_core::FaultVfs::explicit_mem`].
     pub faults: Vec<PlannedFault>,
     /// Mutations acknowledged (and therefore owed durability).
     pub acked: usize,

@@ -340,7 +340,7 @@ impl Ledger {
 mod tests {
     use super::*;
     use crate::adapters::DurableEngine;
-    use crate::crash::replay_durable;
+    use crate::crash::{record_ends, replay_durable};
     use crate::disk::run_trace_under_faults;
     use crate::runner::run_trace_on;
     use ddc_core::wal::WAL_HEADER_BYTES;
@@ -446,7 +446,7 @@ mod tests {
         let (d, config) = (2, DdcConfig::dynamic());
         let trace = seeded_trace(12, d, 60, 512);
         let run = replay_durable(&trace, config).expect("replay");
-        let ends = wal::read_wal::<i64>(&run.wal).expect("final log").ends;
+        let (ends, _) = record_ends(&run.wal).expect("final log");
         assert_eq!(run.states.len(), ends.len() + 1);
         assert!(ends.len() > 5, "{} records", ends.len());
 
@@ -479,9 +479,9 @@ mod tests {
             }
             want.add(&[3, -2], 41);
             assert_eq!(entries_on(&disk, d), want.entries(), "cut {cut}");
-            let log = wal::read_wal::<i64>(&disk.contents(WAL_PATH).unwrap()).unwrap();
+            let (_, log) = record_ends(&disk.contents(WAL_PATH).unwrap()).unwrap();
             assert!(log.is_clean(), "cut {cut}: {:?}", log.truncated);
-            assert_eq!(log.ops.len(), survivors + 1, "cut {cut}");
+            assert_eq!(log.records as usize, survivors + 1, "cut {cut}");
         }
     }
 
@@ -522,9 +522,14 @@ mod tests {
                 want.add(point, *delta);
             }
 
-            let replay = wal::read_wal::<i64>(&log).unwrap();
-            assert_eq!((&replay.ops[..], replay.valid_bytes), (&prefix[..], kept));
-            let why = replay.truncated.unwrap_or_default();
+            let mut ops = Vec::new();
+            let scan = wal::scan_wal(&log, |point, delta: i64, _| {
+                ops.push((point.to_vec(), delta));
+                Ok(())
+            })
+            .unwrap();
+            assert_eq!((&ops[..], scan.valid_bytes), (&prefix[..], kept));
+            let why = scan.truncated.unwrap_or_default();
             assert!(why.contains(&format!("unknown record tag {tag}")), "{why}");
             let (cube, _) = wal::recover::<i64>(d, None, &log, config).unwrap();
             let mut got = cube.entries();
@@ -545,9 +550,9 @@ mod tests {
             want.add(&[3, -2], 41);
             rig.crash().expect("re-boot");
             assert_eq!(entries_on(&disk, d), want.entries(), "tag {tag}: kill");
-            let log = wal::read_wal::<i64>(&disk.contents(WAL_PATH).unwrap()).unwrap();
+            let (_, log) = record_ends(&disk.contents(WAL_PATH).unwrap()).unwrap();
             assert!(log.is_clean(), "tag {tag}: {:?}", log.truncated);
-            assert_eq!(log.ops.len(), 3, "tag {tag}");
+            assert_eq!(log.records, 3, "tag {tag}");
         }
     }
 }

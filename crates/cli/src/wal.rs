@@ -10,20 +10,24 @@
 //! recovered state as a fresh snapshot (`--out`). A snapshot that
 //! *includes* the log's records must not be paired with that same log
 //! again — recovery would apply every record twice — so `--out` warns
-//! unless `--rotate` also resets the log to a bare header (the
-//! checkpoint protocol, done after the snapshot is durably in place).
+//! unless `--rotate` also resets the log to a bare header. `--out` is
+//! the checkpoint's snapshot half ([`wal::write_snapshot`]) and
+//! `--rotate` its rotation half ([`wal::rotate_wal`]), the calls
+//! `DurableCube::checkpoint_vfs` makes, in its order and under its
+//! failure rule: a log that cannot be rotated is removed.
 //! `truncate-check` inspects a log for a torn or corrupt tail; with
-//! `--fix` it truncates the file to the last whole record, which is
-//! exactly what recovery would ignore anyway.
+//! `--fix` it applies boot's repair ([`wal::repair_tail`]): it truncates
+//! the file to the last whole record, which is exactly what recovery
+//! would ignore anyway, and rewrites a torn header as an empty log.
 //!
 //! All file IO goes through the [`ddc_core::vfs`] seam: reads use
 //! [`read_stable`] (two consecutive identical reads defeat a transient
 //! read-back bit flip) and snapshot writes are atomic
-//! (tmp + sync + rename), so a crash mid-`--out` or mid-`--fix` never
-//! leaves a half-written file where a good one stood.
+//! (tmp + sync + rename), so a crash mid-`--out` never leaves a
+//! half-written file where a good one stood.
 
-use ddc_core::vfs::{read_stable, StdVfs, Vfs};
-use ddc_core::wal::{self, WalWriter, WAL_HEADER_BYTES};
+use ddc_core::vfs::{read_stable, StdVfs};
+use ddc_core::wal;
 use ddc_core::{DdcConfig, GrowableCube};
 
 use crate::flags::Flags;
@@ -49,24 +53,17 @@ fn recover(args: &[String]) -> Result<String, String> {
     let out_path = flags.value("--out");
     let dims = flags.rank("--dims")?;
     let vfs = StdVfs;
-    let log = read_stable(&vfs, wal_path, READ_ATTEMPTS)
-        .map_err(|e| format!("cannot read {wal_path}: {e}"))?;
-    let snapshot = match snap_path {
-        Some(p) => {
-            Some(read_stable(&vfs, p, READ_ATTEMPTS).map_err(|e| format!("cannot read {p}: {e}"))?)
-        }
-        None => None,
-    };
+    let read =
+        |p: &str| read_stable(&vfs, p, READ_ATTEMPTS).map_err(|e| format!("cannot read {p}: {e}"));
+    let log = read(wal_path)?;
+    let snapshot = snap_path.map(read).transpose()?;
 
-    // Dimensionality comes from --dims, or from the snapshot when one
-    // is supplied (recovery re-checks the two agree).
+    // Dimensionality comes from --dims, or from the snapshot's header
+    // when one is supplied (recovery re-checks the two agree).
     let d = match (dims, &snapshot) {
         (Some(d), _) => d,
-        (None, Some(bytes)) => {
-            GrowableCube::<i64>::load(&mut bytes.as_slice(), DdcConfig::dynamic())
-                .map_err(|e| format!("{}: {e}", snap_path.unwrap_or("snapshot")))?
-                .ndim()
-        }
+        (None, Some(bytes)) => GrowableCube::<i64>::snapshot_rank(&mut bytes.as_slice())
+            .map_err(|e| format!("{}: {e}", snap_path.unwrap_or("snapshot")))?,
         (None, None) => return Err("recover needs --dims D (no snapshot to infer it from)".into()),
     };
 
@@ -87,23 +84,14 @@ fn recover(args: &[String]) -> Result<String, String> {
         None => text.push_str("\nlog was clean"),
     }
     if let Some(out) = out_path {
-        let mut image = Vec::new();
-        let bytes = cube
-            .save(&mut image)
-            .map_err(|e| format!("cannot encode snapshot: {e}"))?;
-        vfs.write_atomic(out, &image)
+        let bytes = wal::write_snapshot(&vfs, out, &cube)
             .map_err(|e| format!("cannot write {out}: {e}"))?;
         text.push_str(&format!(
             "\nsnapshot written: {out} ({bytes} bytes, atomic)"
         ));
         if flags.has("--rotate") {
-            // Checkpoint protocol: only after the snapshot is durably
-            // renamed into place may the log it covers be reset.
-            let empty = WalWriter::create(Vec::new())
-                .map_err(|e| format!("cannot encode an empty log: {e}"))?
-                .into_inner();
-            vfs.write_atomic(wal_path, &empty)
-                .map_err(|e| format!("cannot rotate {wal_path}: {e}"))?;
+            wal::rotate_wal(&vfs, wal_path)
+                .map_err(|e| format!("cannot rotate {wal_path} behind {out}: {e}"))?;
             text.push_str(&format!("\nlog rotated: {wal_path} reset to a bare header"));
         } else if report.replayed > 0 {
             text.push_str(&format!(
@@ -120,41 +108,34 @@ fn recover(args: &[String]) -> Result<String, String> {
 fn truncate_check(args: &[String]) -> Result<String, String> {
     let flags = Flags::parse(args, &["--wal"], &["--fix"])?;
     let wal_path = (flags.value("--wal")).ok_or("truncate-check requires --wal FILE")?;
-    let fix = flags.has("--fix");
     let vfs = StdVfs;
     let log = read_stable(&vfs, wal_path, READ_ATTEMPTS)
         .map_err(|e| format!("cannot read {wal_path}: {e}"))?;
 
-    let replay = wal::read_wal::<i64>(&log).map_err(|e| format!("{wal_path}: {e}"))?;
-    if replay.is_clean() {
+    let scan =
+        wal::scan_wal::<i64>(&log, |_, _, _| Ok(())).map_err(|e| format!("{wal_path}: {e}"))?;
+    if scan.is_clean() {
         return Ok(format!(
             "ok: {wal_path}: {} records, {} bytes, no torn tail",
-            replay.ops.len(),
-            replay.valid_bytes
+            scan.records, scan.valid_bytes
         ));
     }
-    let why = replay.truncated.as_deref().unwrap_or("torn tail");
-    let garbage = log.len() as u64 - replay.valid_bytes;
-    if fix {
-        // A log truncated below its header would stop being a log;
-        // valid_bytes never falls under the header for a parsable file.
-        debug_assert!(replay.valid_bytes >= WAL_HEADER_BYTES as u64);
-        let mut keep = log;
-        keep.truncate(replay.valid_bytes as usize);
-        vfs.write_atomic(wal_path, &keep)
-            .map_err(|e| format!("cannot rewrite {wal_path}: {e}"))?;
+    let why = scan.truncated.as_deref().unwrap_or("torn tail");
+    let garbage = log.len() as u64 - scan.valid_bytes;
+    if flags.has("--fix") {
+        let kept = wal::repair_tail(&vfs, wal_path, &scan)
+            .map_err(|e| format!("cannot repair {wal_path}: {e}"))?;
         Ok(format!(
             "fixed: {wal_path}: truncated to {} records / {} bytes ({garbage} damaged bytes \
              dropped: {why})",
-            replay.ops.len(),
-            replay.valid_bytes
+            kept.records(),
+            kept.bytes()
         ))
     } else {
         Err(format!(
             "torn tail: {wal_path}: {} whole records / {} valid bytes, then: {why} \
              ({garbage} bytes would be dropped; rerun with --fix to truncate)",
-            replay.ops.len(),
-            replay.valid_bytes
+            scan.records, scan.valid_bytes
         ))
     }
 }
@@ -202,7 +183,7 @@ mod tests {
         std::fs::create_dir_all(&dir).expect("temp dir");
         let path = |name: &str| dir.join(name).display().to_string();
         let (log, snapshot) = (path("wal.log"), path("snapshot.ddc"));
-        let mut writer = WalWriter::create(Vec::new()).expect("in-memory log");
+        let mut writer = wal::WalWriter::create(Vec::new()).expect("in-memory log");
         let updates = [(vec![1i64, 2], 5i64), (vec![3, 4], 7)];
         let policy = wal::RetryPolicy::instant();
         writer.append_updates(&updates, &policy).expect("append");
@@ -217,14 +198,71 @@ mod tests {
         assert!(report.contains("2 records replayed"), "{report}");
         assert!(report.contains("log rotated"), "{report}");
         let rotated = std::fs::read(&log).expect("rotated log");
-        let replay = wal::read_wal::<i64>(&rotated).expect("a log");
-        assert!(replay.is_clean(), "{:?}", replay.truncated);
-        assert_eq!(replay.ops.len(), 0);
+        let scan = wal::scan_wal::<i64>(&rotated, |_, _, _| Ok(())).expect("a log");
+        assert!(scan.is_clean(), "{:?}", scan.truncated);
+        assert_eq!(scan.records, 0);
 
         let again = ddc_wal(&["recover", "--wal", &log, "--snapshot", &snapshot])
             .expect("recover the rotated pair");
         assert!(again.contains("0 records replayed"), "{again}");
         assert!(again.contains("total 12"), "{again}");
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A log cut inside its 5-byte header (an empty file included) is a
+    /// torn, empty log: `recover` replays nothing, `--fix` rewrites the
+    /// header as boot does, and the log then checks clean.
+    #[test]
+    fn a_log_cut_inside_its_header_is_fixed_to_an_empty_log() {
+        let dir = std::env::temp_dir().join(format!("ddc-wal-torn-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let log = dir.join("wal.log").display().to_string();
+        let ddc_wal =
+            |words: &[&str]| run(&words.iter().map(|w| w.to_string()).collect::<Vec<_>>());
+        let header = [&wal::WAL_MAGIC[..], &[wal::WAL_VERSION]].concat();
+        for cut in 0..wal::WAL_HEADER_BYTES {
+            std::fs::write(&log, &header[..cut]).expect("cut log written");
+            let recovered = ddc_wal(&["recover", "--wal", &log, "--dims", "2"]).expect("recover");
+            assert!(
+                recovered.contains("0 records replayed"),
+                "cut {cut}: {recovered}"
+            );
+            let fixed = ddc_wal(&["truncate-check", "--wal", &log, "--fix"]).expect("fix");
+            assert!(fixed.starts_with("fixed: "), "cut {cut}: {fixed}");
+            let checked = ddc_wal(&["truncate-check", "--wal", &log]).expect("clean");
+            assert!(checked.starts_with("ok: "), "cut {cut}: {checked}");
+            assert!(
+                checked.contains(" 0 records, 5 bytes"),
+                "cut {cut}: {checked}"
+            );
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A rotation whose header write fails leaves no stale log beside
+    /// the snapshot it was rotated behind — the failure rule `--rotate`
+    /// shares with the cube's checkpoint.
+    #[test]
+    fn a_failed_rotation_leaves_no_stale_log() {
+        use ddc_core::vfs::{FaultKind, FaultVfs, PlannedFault, Vfs};
+        let vfs = FaultVfs::explicit_mem(vec![PlannedFault {
+            op: 0,
+            kind: FaultKind::WriteErr,
+        }]);
+        let mut writer = wal::WalWriter::create(Vec::new()).expect("in-memory log");
+        let policy = wal::RetryPolicy::instant();
+        writer
+            .append_updates(&[(vec![1i64, 2], 5i64)], &policy)
+            .expect("append");
+        vfs.inner()
+            .write_atomic("wal.log", &writer.into_inner())
+            .expect("log written");
+        vfs.arm(true);
+        assert!(wal::rotate_wal(&vfs, "wal.log").is_err());
+        assert_eq!(vfs.realized().len(), 1, "the header write failed");
+        assert!(
+            !vfs.exists("wal.log").expect("exists"),
+            "stale log left behind"
+        );
     }
 }

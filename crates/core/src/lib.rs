@@ -52,7 +52,7 @@ pub use shard::{
 };
 pub use tree::{Contribution, DdcTree, LevelStats, TraceStep, TreeStats, MAX_RANK, MAX_SIDE};
 pub use vfs::{
-    FaultKind, FaultPlan, FaultProbs, FaultVfs, IoError, MemVfs, OpenMode, PlannedFault,
-    RetryPolicy, StdVfs, Vfs, VfsFile,
+    FaultKind, FaultProbs, FaultVfs, IoError, MemVfs, OpenMode, PlannedFault, RetryPolicy, StdVfs,
+    Vfs, VfsFile,
 };
-pub use wal::{DurableCube, RecoveryReport, SharedDurableCube, WalReplay, WalWriter};
+pub use wal::{DurableCube, RecoveryReport, SharedDurableCube, WalScan, WalWriter};

@@ -109,10 +109,6 @@ fn write_u64(out: &mut impl Write, v: u64) -> io::Result<()> {
     out.write_all(&v.to_le_bytes())
 }
 
-fn write_i64(out: &mut impl Write, v: i64) -> io::Result<()> {
-    out.write_all(&v.to_le_bytes())
-}
-
 fn read_u32(input: &mut impl Read) -> io::Result<u32> {
     let mut b = [0u8; 4];
     input.read_exact(&mut b)?;
@@ -123,12 +119,6 @@ fn read_u64(input: &mut impl Read) -> io::Result<u64> {
     let mut b = [0u8; 8];
     input.read_exact(&mut b)?;
     Ok(u64::from_le_bytes(b))
-}
-
-fn read_i64(input: &mut impl Read) -> io::Result<i64> {
-    let mut b = [0u8; 8];
-    input.read_exact(&mut b)?;
-    Ok(i64::from_le_bytes(b))
 }
 
 fn bad(msg: &str) -> io::Error {
@@ -180,84 +170,118 @@ fn read_header(input: &mut impl Read, expect_kind: u8) -> io::Result<usize> {
     Ok(d)
 }
 
+/// Writes a snapshot of `kind` through a buffered writer, flushing
+/// before return: the magic, the kind, one `header` word per dimension,
+/// the entry count, then each entry's coordinates and value, every
+/// header word and coordinate `word`'s eight little-endian bytes.
+/// Returns the snapshot size in bytes so callers can fsync/verify the
+/// exact durable extent.
+fn save_snapshot<C: Copy, G: ValueCodec>(
+    out: &mut impl Write,
+    kind: u8,
+    header: &[C],
+    entries: &[(Vec<C>, G)],
+    word: fn(C) -> u64,
+) -> io::Result<u64> {
+    let site = persist_obs();
+    let span = site.save_ns.span("persist.save");
+    let mut w = CountingWriter::new(io::BufWriter::new(&mut *out));
+    w.write_all(MAGIC)?;
+    w.write_all(&[kind])?;
+    write_u32(&mut w, header.len() as u32)?;
+    for &h in header {
+        write_u64(&mut w, word(h))?;
+    }
+    write_u64(&mut w, entries.len() as u64)?;
+    for (p, v) in entries {
+        for &c in p {
+            write_u64(&mut w, word(c))?;
+        }
+        v.encode(&mut w)?;
+    }
+    w.flush()?;
+    site.save_bytes.add(w.written);
+    span.end();
+    Ok(w.written)
+}
+
+/// Reads a snapshot of `kind` written by [`save_snapshot`]: `start`
+/// builds the cube from the raw header words and the entry count, and
+/// `put` checks and lands each entry, its coordinates read by `coord`.
+fn load_snapshot<C: Copy + Default, G: ValueCodec, T>(
+    input: &mut impl Read,
+    kind: u8,
+    coord: fn(u64) -> C,
+    start: impl FnOnce(&[u64], usize) -> io::Result<T>,
+    mut put: impl FnMut(&mut T, &[C], G) -> io::Result<()>,
+) -> io::Result<T> {
+    let site = persist_obs();
+    let span = site.load_ns.span("persist.load");
+    let d = read_header(input, kind)?;
+    let header = (0..d)
+        .map(|_| read_u64(input))
+        .collect::<io::Result<Vec<_>>>()?;
+    let count = usize::try_from(read_u64(input)?).map_err(|_| bad("implausible entry count"))?;
+    let mut cube = start(&header, count)?;
+    let mut p = vec![C::default(); d];
+    for _ in 0..count {
+        for c in p.iter_mut() {
+            *c = coord(read_u64(input)?);
+        }
+        put(&mut cube, &p, G::decode(input)?)?;
+    }
+    span.end();
+    Ok(cube)
+}
+
 impl<G: AbelianGroup + ValueCodec> DdcEngine<G> {
     /// Writes a sparse snapshot of the cube through a buffered writer,
     /// flushing before return. Returns the snapshot size in bytes so
     /// callers can fsync/verify the exact durable extent.
     pub fn save(&self, out: &mut impl Write) -> io::Result<u64> {
-        let site = persist_obs();
-        let span = site.save_ns.span("persist.save");
-        let mut w = CountingWriter::new(io::BufWriter::new(&mut *out));
-        w.write_all(MAGIC)?;
-        w.write_all(&[0u8])?;
-        let d = self.shape().ndim();
-        write_u32(&mut w, d as u32)?;
-        for &n in self.shape().dims() {
-            write_u64(&mut w, n as u64)?;
-        }
-        let entries = self.entries();
-        write_u64(&mut w, entries.len() as u64)?;
-        for (p, v) in &entries {
-            for &c in p {
-                write_u64(&mut w, c as u64)?;
-            }
-            v.encode(&mut w)?;
-        }
-        w.flush()?;
-        site.save_bytes.add(w.written);
-        span.end();
-        Ok(w.written)
+        save_snapshot(out, 0, self.shape().dims(), &self.entries(), |c| c as u64)
     }
 
     /// Reads a snapshot written by [`DdcEngine::save`], rebuilding under
     /// `config` (snapshots are structure-agnostic).
     pub fn load(input: &mut impl Read, config: DdcConfig) -> io::Result<Self> {
-        let site = persist_obs();
-        let span = site.load_ns.span("persist.load");
-        let d = read_header(input, 0)?;
-        let mut dims = Vec::with_capacity(d);
-        for _ in 0..d {
-            let n = read_u64(input)?;
-            let n =
-                usize::try_from(n).map_err(|_| bad("dimension extent exceeds address space"))?;
-            // The engine rounds each extent up to a power of two; an extent
-            // with no representable next power of two would panic the
-            // constructor, so reject it as a corrupt header here.
-            if n.checked_next_power_of_two().is_none() {
-                return Err(bad("dimension extent exceeds address space"));
+        let start = |extents: &[u64], count: usize| {
+            // The engine rounds each extent up to a power of two; an
+            // extent with no representable next power of two would panic
+            // the constructor, so reject it as a corrupt header here.
+            let mut dims = Vec::with_capacity(extents.len());
+            for &n in extents {
+                match usize::try_from(n) {
+                    Ok(n) if n.checked_next_power_of_two().is_some() => dims.push(n),
+                    _ => return Err(bad("dimension extent exceeds address space")),
+                }
             }
-            dims.push(n);
-        }
-        // try_new re-checks emptiness and rejects cell-count overflow, so a
-        // corrupt header can't panic the allocator downstream.
-        let shape = Shape::try_new(&dims)
-            .map_err(|e| bad(&format!("implausible shape in snapshot header: {e}")))?;
-        let count =
-            usize::try_from(read_u64(input)?).map_err(|_| bad("implausible entry count"))?;
-        // Entries are distinct populated cells; more entries than cells
-        // means the header lies, so fail before looping over the payload.
-        if count > shape.cells() {
-            return Err(bad("entry count exceeds cube capacity"));
-        }
-        let mut engine = Self::with_config(shape.clone(), config);
-        // Paging activates before replay so the rebuilt leaves land on
-        // pages from the start (the bound is in scope here).
-        engine.enable_paging()?;
-        let mut p = vec![0usize; d];
-        for _ in 0..count {
-            for c in p.iter_mut() {
-                *c = read_u64(input)? as usize;
+            // try_new re-checks emptiness and rejects cell-count overflow,
+            // so a corrupt header can't panic the allocator downstream.
+            let shape = Shape::try_new(&dims)
+                .map_err(|e| bad(&format!("implausible shape in snapshot header: {e}")))?;
+            // Entries are distinct populated cells; more entries than
+            // cells means the header lies, so fail before looping over
+            // the payload.
+            if count > shape.cells() {
+                return Err(bad("entry count exceeds cube capacity"));
             }
-            if !shape.contains(&p) {
+            let mut engine = Self::with_config(shape, config);
+            // Paging activates before replay so the rebuilt leaves land
+            // on pages from the start (the bound is in scope here).
+            engine.enable_paging()?;
+            Ok(engine)
+        };
+        let put = |engine: &mut Self, p: &[usize], v: G| {
+            if !engine.shape().contains(p) {
                 return Err(bad("entry outside declared shape"));
             }
-            let v = G::decode(input)?;
             if !v.is_zero() {
-                engine.apply_delta(&p, v);
+                engine.apply_delta(p, v);
             }
-        }
-        span.end();
-        Ok(engine)
+            Ok(())
+        };
+        load_snapshot(input, 0, |c| c as usize, start, put)
     }
 }
 
@@ -266,33 +290,18 @@ impl<G: AbelianGroup + ValueCodec> GrowableCube<G> {
     /// buffered writer, flushing before return. Returns the snapshot size
     /// in bytes.
     pub fn save(&self, out: &mut impl Write) -> io::Result<u64> {
-        let site = persist_obs();
-        let span = site.save_ns.span("persist.save");
-        let mut w = CountingWriter::new(io::BufWriter::new(&mut *out));
-        w.write_all(MAGIC)?;
-        w.write_all(&[1u8])?;
-        let d = self.ndim();
-        write_u32(&mut w, d as u32)?;
-        for &o in self.origin() {
-            write_i64(&mut w, o)?;
-        }
-        let entries = self.entries();
-        write_u64(&mut w, entries.len() as u64)?;
-        for (p, v) in &entries {
-            for &c in p {
-                write_i64(&mut w, c)?;
-            }
-            v.encode(&mut w)?;
-        }
-        w.flush()?;
-        site.save_bytes.add(w.written);
-        span.end();
-        Ok(w.written)
+        save_snapshot(out, 1, self.origin(), &self.entries(), |c| c as u64)
     }
 
     /// Reads a snapshot written by [`GrowableCube::save`].
     pub fn load(input: &mut impl Read, config: DdcConfig) -> io::Result<Self> {
         Self::load_spilling(input, config, None)
+    }
+
+    /// The rank a [`GrowableCube::save`] snapshot declares, read from its
+    /// header alone.
+    pub fn snapshot_rank(input: &mut impl Read) -> io::Result<usize> {
+        read_header(input, 1)
     }
 
     /// [`GrowableCube::load`], paging the leaves onto `spill` when the
@@ -302,31 +311,21 @@ impl<G: AbelianGroup + ValueCodec> GrowableCube<G> {
         config: DdcConfig,
         spill: Option<SpillFile>,
     ) -> io::Result<Self> {
-        let site = persist_obs();
-        let span = site.load_ns.span("persist.load");
-        let d = read_header(input, 1)?;
-        let mut origin = Vec::with_capacity(d);
-        for _ in 0..d {
-            origin.push(read_i64(input)?);
-        }
-        let count =
-            usize::try_from(read_u64(input)?).map_err(|_| bad("implausible entry count"))?;
-        let mut cube = Self::with_origin(&origin, config);
-        // As in `DdcEngine::load`: page the leaves before replaying.
-        cube.tree.page_leaves(spill)?;
-        let mut p = vec![0i64; d];
-        for _ in 0..count {
-            for c in p.iter_mut() {
-                *c = read_i64(input)?;
-            }
-            let v = G::decode(input)?;
+        let start = |origin: &[u64], _| {
+            let origin: Vec<i64> = origin.iter().map(|&o| o as i64).collect();
+            let mut cube = Self::with_origin(&origin, config);
+            // As in `DdcEngine::load`: page the leaves before replaying.
+            cube.tree.page_leaves(spill)?;
+            Ok(cube)
+        };
+        let put = |cube: &mut Self, p: &[i64], v: G| {
             if !v.is_zero() {
-                cube.check_cover(&p).map_err(|e| bad(&e.to_string()))?;
-                cube.add(&p, v);
+                cube.check_cover(p).map_err(|e| bad(&e.to_string()))?;
+                cube.add(p, v);
             }
-        }
-        span.end();
-        Ok(cube)
+            Ok(())
+        };
+        load_snapshot(input, 1, |c| c as i64, start, put)
     }
 }
 
@@ -362,6 +361,68 @@ mod tests {
         assert_eq!(restored.cell(&[-100, 40]), 6);
         assert_eq!(restored.cell(&[3_000, -2]), 9);
         assert_eq!(restored.total(), 15);
+    }
+
+    /// Snapshot format v1 as the writer before the shared codec saved
+    /// it, one image per kind: the codec must still write these bytes
+    /// and load them back.
+    #[test]
+    fn v1_snapshots_are_written_and_read_byte_for_byte() {
+        let word = |w: i64| w.to_le_bytes();
+        let fixed = [
+            &b"DDC1"[..],
+            &[0],
+            &2u32.to_le_bytes(),
+            &word(3), // shape 3 × 5
+            &word(5),
+            &word(2), // two entries
+            &word(0),
+            &word(1),
+            &word(7), // [0, 1] = 7
+            &word(2),
+            &word(4),
+            &word(-4), // [2, 4] = -4
+        ]
+        .concat();
+        let growable = [
+            &b"DDC1"[..],
+            &[1],
+            &2u32.to_le_bytes(),
+            &word(-16), // origin (-16, -32)
+            &word(-32),
+            &word(2), // two entries
+            &word(2),
+            &word(-1),
+            &word(-6), // [2, -1] = -6
+            &word(-3),
+            &word(5),
+            &word(11), // [-3, 5] = 11
+        ]
+        .concat();
+
+        let mut e = DdcEngine::<i64>::dynamic(Shape::new(&[3, 5]));
+        e.apply_delta(&[0, 1], 7);
+        e.apply_delta(&[2, 4], -4);
+        let mut buf = Vec::new();
+        assert_eq!(e.save(&mut buf).unwrap(), fixed.len() as u64);
+        assert_eq!(buf, fixed);
+        let loaded = DdcEngine::<i64>::load(&mut fixed.as_slice(), DdcConfig::dynamic()).unwrap();
+        assert_eq!(loaded.entries(), e.entries());
+
+        let mut cube = GrowableCube::<i64>::new(2, DdcConfig::sparse());
+        cube.add(&[-3, 5], 11);
+        cube.add(&[2, -1], -6);
+        let mut buf = Vec::new();
+        assert_eq!(cube.save(&mut buf).unwrap(), growable.len() as u64);
+        assert_eq!(buf, growable);
+        assert_eq!(
+            GrowableCube::<i64>::snapshot_rank(&mut growable.as_slice()).unwrap(),
+            2
+        );
+        let loaded =
+            GrowableCube::<i64>::load(&mut growable.as_slice(), DdcConfig::dynamic()).unwrap();
+        assert_eq!(loaded.origin(), &[-16, -32]);
+        assert_eq!(loaded.entries(), cube.entries());
     }
 
     #[test]

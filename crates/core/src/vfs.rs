@@ -15,8 +15,8 @@
 //!   plus an atomic whole-file write helper.
 //! * [`StdVfs`] — thin `std::fs` passthrough, the production default.
 //! * [`MemVfs`] — shared in-memory namespace for tests and harnesses.
-//! * [`FaultVfs`] — a deterministic fault-injecting *wrapper* around any
-//!   inner [`Vfs`]. Faults are drawn from a seeded [`DdcRng`] plan (or
+//! * [`FaultVfs`] — a deterministic fault-injecting *wrapper* around a
+//!   [`MemVfs`]. Faults are drawn from a seeded [`DdcRng`] plan (or
 //!   an explicit per-op schedule) and every realized fault is recorded,
 //!   so a failing chaos run replays byte-for-byte and shrinks with
 //!   delta debugging (`ddc check disk`).
@@ -639,21 +639,6 @@ impl FaultProbs {
 }
 
 /// Where a [`FaultVfs`] gets its faults from.
-#[derive(Clone, Debug)]
-pub enum FaultPlan {
-    /// Draw faults per-op from a seeded [`DdcRng`]: deterministic for a
-    /// fixed seed *and* a fixed operation sequence.
-    Seeded {
-        /// RNG seed.
-        seed: u64,
-        /// Per-kind probabilities.
-        probs: FaultProbs,
-    },
-    /// Fire exactly the listed faults at their recorded op indices —
-    /// the replay/shrink form.
-    Explicit(Vec<PlannedFault>),
-}
-
 enum PlanState {
     Seeded { rng: DdcRng, probs: FaultProbs },
     Explicit(HashMap<u64, FaultKind>),
@@ -777,57 +762,42 @@ impl FaultState {
     }
 }
 
-/// Deterministic fault-injecting wrapper around an inner [`Vfs`].
+/// Deterministic fault-injecting wrapper around a [`MemVfs`].
 ///
 /// Construction starts *disarmed*: boot-time setup runs fault-free,
 /// then the harness calls [`FaultVfs::arm`] before driving the workload
 /// and disarms again for the final pristine-recovery check. Clones
-/// share the same fault state and op counter.
-pub struct FaultVfs<V: Vfs = MemVfs> {
-    inner: V,
+/// share the same namespace, fault state and op counter.
+#[derive(Clone)]
+pub struct FaultVfs {
+    inner: MemVfs,
     state: Arc<Mutex<FaultState>>,
 }
 
-impl<V: Vfs> Clone for FaultVfs<V>
-where
-    V: Clone,
-{
-    fn clone(&self) -> Self {
-        Self {
-            inner: self.inner.clone(),
-            state: Arc::clone(&self.state),
-        }
-    }
-}
-
-impl FaultVfs<MemVfs> {
+impl FaultVfs {
     /// Seeded fault plan over a fresh in-memory namespace — the chaos
-    /// sweep's standard configuration.
+    /// sweep's standard configuration. Faults are drawn per op from a
+    /// [`DdcRng`] seeded with `seed`: deterministic for a fixed seed
+    /// *and* a fixed operation sequence.
     pub fn seeded_mem(seed: u64, probs: FaultProbs) -> Self {
-        Self::new(MemVfs::new(), FaultPlan::Seeded { seed, probs })
+        Self::with_plan(PlanState::Seeded {
+            rng: DdcRng::seed_from_u64(seed),
+            probs,
+        })
     }
 
     /// Explicit fault schedule over a fresh in-memory namespace — the
-    /// replay/shrink configuration.
+    /// replay/shrink configuration: exactly the listed faults fire, at
+    /// their recorded op indices.
     pub fn explicit_mem(faults: Vec<PlannedFault>) -> Self {
-        Self::new(MemVfs::new(), FaultPlan::Explicit(faults))
+        Self::with_plan(PlanState::Explicit(
+            faults.into_iter().map(|f| (f.op, f.kind)).collect(),
+        ))
     }
-}
 
-impl<V: Vfs> FaultVfs<V> {
-    /// Wrap `inner` with the given fault plan, initially disarmed.
-    pub fn new(inner: V, plan: FaultPlan) -> Self {
-        let plan = match plan {
-            FaultPlan::Seeded { seed, probs } => PlanState::Seeded {
-                rng: DdcRng::seed_from_u64(seed),
-                probs,
-            },
-            FaultPlan::Explicit(faults) => {
-                PlanState::Explicit(faults.into_iter().map(|f| (f.op, f.kind)).collect())
-            }
-        };
+    fn with_plan(plan: PlanState) -> Self {
         Self {
-            inner,
+            inner: MemVfs::new(),
             state: Arc::new(Mutex::new(FaultState {
                 ops: 0,
                 armed: false,
@@ -865,7 +835,7 @@ impl<V: Vfs> FaultVfs<V> {
     }
 
     /// Every fault that actually fired, in firing order — feed back via
-    /// [`FaultPlan::Explicit`] for a deterministic replay.
+    /// [`FaultVfs::explicit_mem`] for a deterministic replay.
     pub fn realized(&self) -> Vec<PlannedFault> {
         self.lock().realized.clone()
     }
@@ -878,26 +848,45 @@ impl<V: Vfs> FaultVfs<V> {
     }
 
     /// The wrapped namespace (e.g. to inspect surviving bytes).
-    pub fn inner(&self) -> &V {
+    pub fn inner(&self) -> &MemVfs {
         &self.inner
     }
 }
 
 /// File handle produced by [`FaultVfs`]; consults the shared fault
 /// state on every operation.
-pub struct FaultFile<F: VfsFile> {
-    inner: F,
+pub struct FaultFile {
+    inner: MemFile,
     path: String,
     state: Arc<Mutex<FaultState>>,
 }
 
-impl<F: VfsFile> FaultFile<F> {
+impl FaultFile {
     fn state(&self) -> MutexGuard<'_, FaultState> {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     fn fault_for(&self, class: OpClass) -> Option<FaultKind> {
         self.state().next_fault(class, &self.path)
+    }
+
+    /// One write — an append or a positional write, through `write` —
+    /// under the write-fault budget: a short write leaves a torn prefix.
+    fn faulted_write(
+        &mut self,
+        buf: &[u8],
+        write: impl Fn(&mut MemFile, &[u8]) -> io::Result<()>,
+    ) -> io::Result<()> {
+        match self.fault_for(OpClass::Write { len: buf.len() }) {
+            Some(FaultKind::WriteErr) => Err(eio("write failed")),
+            Some(FaultKind::ShortWrite { keep }) => {
+                let keep = (keep as usize).min(buf.len());
+                write(&mut self.inner, &buf[..keep])?;
+                Err(eio("short write"))
+            }
+            Some(FaultKind::NoSpace) => Err(io::Error::from_raw_os_error(ENOSPC)),
+            _ => write(&mut self.inner, buf),
+        }
     }
 }
 
@@ -908,19 +897,9 @@ fn eio(detail: &str) -> io::Error {
     ))
 }
 
-impl<F: VfsFile> VfsFile for FaultFile<F> {
+impl VfsFile for FaultFile {
     fn write_all(&mut self, buf: &[u8]) -> io::Result<()> {
-        match self.fault_for(OpClass::Write { len: buf.len() }) {
-            None => self.inner.write_all(buf),
-            Some(FaultKind::WriteErr) => Err(eio("write failed")),
-            Some(FaultKind::ShortWrite { keep }) => {
-                let keep = (keep as usize).min(buf.len());
-                self.inner.write_all(&buf[..keep])?;
-                Err(eio("short write"))
-            }
-            Some(FaultKind::NoSpace) => Err(io::Error::from_raw_os_error(ENOSPC)),
-            Some(_) => self.inner.write_all(buf),
-        }
+        self.faulted_write(buf, |file, bytes| file.write_all(bytes))
     }
 
     fn sync(&mut self) -> io::Result<()> {
@@ -961,24 +940,13 @@ impl<F: VfsFile> VfsFile for FaultFile<F> {
     }
 
     fn write_at(&mut self, offset: u64, buf: &[u8]) -> io::Result<()> {
-        // Positional writes draw from the same write-fault budget as
-        // appends; a short write leaves a torn page prefix behind.
-        match self.fault_for(OpClass::Write { len: buf.len() }) {
-            None => self.inner.write_at(offset, buf),
-            Some(FaultKind::WriteErr) => Err(eio("write failed")),
-            Some(FaultKind::ShortWrite { keep }) => {
-                let keep = (keep as usize).min(buf.len());
-                self.inner.write_at(offset, &buf[..keep])?;
-                Err(eio("short write"))
-            }
-            Some(FaultKind::NoSpace) => Err(io::Error::from_raw_os_error(ENOSPC)),
-            Some(_) => self.inner.write_at(offset, buf),
-        }
+        // A short positional write leaves a torn page prefix behind.
+        self.faulted_write(buf, |file, bytes| file.write_at(offset, bytes))
     }
 }
 
-impl<V: Vfs> Vfs for FaultVfs<V> {
-    type File = FaultFile<V::File>;
+impl Vfs for FaultVfs {
+    type File = FaultFile;
 
     fn open(&self, path: &str, mode: OpenMode) -> io::Result<Self::File> {
         let inner = self.inner.open(path, mode)?;
@@ -1129,8 +1097,7 @@ mod tests {
 
     #[test]
     fn seeded_plan_replays_identically_through_explicit_schedule() {
-        let run = |plan: FaultPlan| {
-            let vfs = FaultVfs::new(MemVfs::new(), plan);
+        let run = |vfs: FaultVfs| {
             vfs.arm(true);
             let mut f = vfs.open("x", OpenMode::Create).unwrap();
             let mut outcomes = Vec::new();
@@ -1140,16 +1107,12 @@ mod tests {
             }
             (outcomes, vfs.inner().contents("x"), vfs.realized())
         };
-        let plan = FaultPlan::Seeded {
-            seed: 9,
-            probs: FaultProbs::uniform(0.1),
-        };
-        let (outcomes, bytes, realized) = run(plan);
+        let (outcomes, bytes, realized) = run(FaultVfs::seeded_mem(9, FaultProbs::uniform(0.1)));
         assert!(
             outcomes.iter().any(|ok| !ok),
             "seed 9 should inject something"
         );
-        let (outcomes2, bytes2, realized2) = run(FaultPlan::Explicit(realized.clone()));
+        let (outcomes2, bytes2, realized2) = run(FaultVfs::explicit_mem(realized.clone()));
         assert_eq!(outcomes, outcomes2);
         assert_eq!(bytes, bytes2);
         assert_eq!(realized, realized2);

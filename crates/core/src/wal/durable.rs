@@ -1,13 +1,13 @@
 //! Cube + log wired together: [`recover`], [`DurableCube`],
-//! [`recover_vfs`] and the thread-shared [`SharedDurableCube`] (the
-//! commit pipeline of [`crate::ShardedCube`] over a `DurableCube`).
+//! [`recover_vfs`], the checkpoint's snapshot half ([`write_snapshot`])
+//! and the thread-shared [`SharedDurableCube`] (the commit pipeline of
+//! [`crate::ShardedCube`] over a `DurableCube`).
 
 use std::io;
 
 use ddc_array::AbelianGroup;
 
-use super::log::{read_wal, WalWriter};
-use super::record::WAL_HEADER_BYTES;
+use super::log::{repair_tail, rotate_wal, scan_wal, WalScan, WalWriter};
 use super::wal_obs;
 use crate::config::DdcConfig;
 use crate::growth::GrowableCube;
@@ -15,7 +15,7 @@ use crate::persist::ValueCodec;
 use crate::shard::{CommitTarget, ShardedCube, PANICKED_AFTER_APPEND};
 use crate::store::{self, SpillFile};
 use crate::sync::Arc;
-use crate::vfs::{is_no_space, read_stable, IoError, OpenMode, RetryPolicy, Vfs, VfsFile};
+use crate::vfs::{is_no_space, read_stable, IoError, RetryPolicy, Vfs, VfsFile};
 
 /// What [`recover`] did, for operators and metrics.
 #[derive(Clone, Debug)]
@@ -30,6 +30,17 @@ pub struct RecoveryReport {
     pub truncated: Option<String>,
 }
 
+impl RecoveryReport {
+    fn new(snapshot_loaded: bool, scan: WalScan) -> Self {
+        Self {
+            snapshot_loaded,
+            replayed: scan.records as usize,
+            valid_bytes: scan.valid_bytes,
+            truncated: scan.truncated,
+        }
+    }
+}
+
 /// Rebuilds a cube after a crash: load the last good snapshot (if any),
 /// then replay the WAL, truncating at the first corrupt or partial
 /// record. `d` fixes the dimensionality when no snapshot exists.
@@ -39,81 +50,53 @@ pub fn recover<G: AbelianGroup + ValueCodec>(
     wal: &[u8],
     config: DdcConfig,
 ) -> io::Result<(GrowableCube<G>, RecoveryReport)> {
-    recover_spilling(d, snapshot, wal, config, None)
+    let (cube, scan) = recover_spilling(d, snapshot, wal, config, None)?;
+    Ok((cube, RecoveryReport::new(snapshot.is_some(), scan)))
 }
 
 /// [`recover`], paging the leaves onto `spill` when the caller opened
-/// one.
+/// one; returns the cube and the log's scan.
 fn recover_spilling<G: AbelianGroup + ValueCodec>(
     d: usize,
     snapshot: Option<&[u8]>,
     wal: &[u8],
     config: DdcConfig,
     spill: Option<SpillFile>,
-) -> io::Result<(GrowableCube<G>, RecoveryReport)> {
+) -> io::Result<(GrowableCube<G>, WalScan)> {
     let site = wal_obs();
     let span = site.recover_ns.span("wal.recover");
     // Paging (when configured) activates before any cell lands — inside
     // `load_spilling`, or right here without a snapshot — so recovery
     // literally replays the WAL onto pages and a cube too big for the
     // memory cap can still be rebuilt.
-    let (mut cube, snapshot_loaded) = match snapshot {
-        Some(bytes) => {
-            let cube = GrowableCube::<G>::load_spilling(&mut { bytes }, config, spill)?;
-            if cube.ndim() != d {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("snapshot is {}-dimensional, expected {d}", cube.ndim()),
-                ));
-            }
-            (cube, true)
-        }
+    let mut cube = match snapshot {
+        Some(bytes) => GrowableCube::<G>::load_spilling(&mut { bytes }, config, spill)?,
         None => {
             let mut cube = GrowableCube::new(d, config);
             cube.tree.page_leaves(spill)?;
-            (cube, false)
+            cube
         }
     };
-    let replay = read_wal::<G>(wal)?;
-    let mut replayed = 0usize;
-    for (point, delta) in &replay.ops {
-        replay_update(&mut cube, point, *delta, d).map_err(|e| {
-            io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("record {replayed}: {e}"),
-            )
-        })?;
-        replayed += 1;
+    if cube.ndim() != d {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("snapshot is {}-dimensional, expected {d}", cube.ndim()),
+        ));
     }
+    // Arity mismatches (a record from a different cube) and points the
+    // cube cannot grow to are errors; growth is organic.
+    let scan = scan_wal(wal, |point, delta: G, _| {
+        if point.len() != d {
+            return Err(format!("update arity {} != {d}", point.len()));
+        }
+        cube.check_cover(point).map_err(|e| e.to_string())?;
+        cube.replay_add(point, delta);
+        Ok(())
+    })?;
     site.recover_runs.inc();
-    site.recover_records.add(replayed as u64);
+    site.recover_records.add(scan.records);
     span.end();
-    Ok((
-        cube,
-        RecoveryReport {
-            snapshot_loaded,
-            replayed,
-            valid_bytes: replay.valid_bytes,
-            truncated: replay.truncated,
-        },
-    ))
-}
-
-/// Applies one decoded update to a growable cube. Arity mismatches (a
-/// record from a different cube) and points the cube cannot grow to are
-/// errors; growth is organic.
-fn replay_update<G: AbelianGroup + ValueCodec>(
-    cube: &mut GrowableCube<G>,
-    point: &[i64],
-    delta: G,
-    d: usize,
-) -> Result<(), String> {
-    if point.len() != d {
-        return Err(format!("update arity {} != {d}", point.len()));
-    }
-    cube.check_cover(point).map_err(|e| e.to_string())?;
-    cube.replay_add(point, delta);
-    Ok(())
+    Ok((cube, scan))
 }
 
 /// A [`GrowableCube`] whose every mutation is write-ahead logged: the
@@ -246,9 +229,9 @@ impl<G: AbelianGroup + ValueCodec, F: VfsFile> DurableCube<G, F> {
         self.cube.pool_stats()
     }
 
-    /// Checkpoints through a [`Vfs`]: writes the snapshot atomically
-    /// (tmp + sync + rename), then retires the log by starting a fresh
-    /// one at `wal_path`. Ordering guarantees:
+    /// Checkpoints through a [`Vfs`]: [`write_snapshot`] (tmp + sync +
+    /// rename), then [`rotate_wal`] — a fresh log at `wal_path`.
+    /// Ordering guarantees:
     ///
     /// 1. Any failure *before* the snapshot rename is
     ///    [`IoError::Transient`] — the previous snapshot and the full
@@ -256,11 +239,14 @@ impl<G: AbelianGroup + ValueCodec, F: VfsFile> DurableCube<G, F> {
     ///    simply be retried later (ENOSPC degrades instead).
     /// 2. Once the rename lands, the snapshot is the authoritative
     ///    base. `open(Create)` truncates the old log before the new
-    ///    header is written, so a crash in between leaves an empty or
-    ///    torn-header log — a valid empty replay. If even the
-    ///    open/header write fails, the stale log is removed outright;
-    ///    when that also fails the cube degrades rather than risk
-    ///    double-applying the old log onto the new snapshot.
+    ///    header is written, so a crash after that open leaves an empty
+    ///    or torn-header log — a valid empty replay. If the open or the
+    ///    header write fails, the stale log is removed and the cube
+    ///    degrades rather than append to a log it no longer holds.
+    /// 3. **Not covered:** a kill *between* the rename and the open
+    ///    leaves the new snapshot beside the old, full log, and the next
+    ///    boot replays every record of it a second time. Nothing in the
+    ///    two files tells them apart yet (ROADMAP item 1).
     pub fn checkpoint_vfs<V: Vfs<File = F>>(
         &mut self,
         vfs: &V,
@@ -268,44 +254,18 @@ impl<G: AbelianGroup + ValueCodec, F: VfsFile> DurableCube<G, F> {
         wal_path: &str,
     ) -> Result<u64, IoError> {
         self.guard_writable()?;
-        let mut image = Vec::new();
-        self.cube.save(&mut image).map_err(|e| IoError::Transient {
-            detail: format!("snapshot encode: {e}"),
-            retries: 0,
+        let bytes =
+            write_snapshot(vfs, snapshot_path, &self.cube).map_err(|e| self.note_failure(e))?;
+        self.wal = rotate_wal(vfs, wal_path).map_err(|e| {
+            let reason = format!("log rotation failed after checkpoint: {e}");
+            self.enter_degraded(reason.clone());
+            IoError::Exhausted {
+                detail: reason,
+                retries: 0,
+                indeterminate: false,
+            }
         })?;
-        if let Err(e) = vfs.write_atomic(snapshot_path, &image) {
-            wal_obs().io_faults.inc();
-            return Err(if is_no_space(&e) {
-                let reason = format!("out of disk space during checkpoint: {e}");
-                self.enter_degraded(reason.clone());
-                IoError::ReadOnly { reason }
-            } else {
-                IoError::Transient {
-                    detail: format!("snapshot write: {e}"),
-                    retries: 0,
-                }
-            });
-        }
-        match vfs
-            .open(wal_path, OpenMode::Create)
-            .and_then(WalWriter::create)
-        {
-            Ok(wal) => {
-                self.wal = wal;
-                Ok(image.len() as u64)
-            }
-            Err(e) => {
-                wal_obs().io_faults.inc();
-                let _ = vfs.remove(wal_path);
-                let reason = format!("log rotation failed after checkpoint: {e}");
-                self.enter_degraded(reason.clone());
-                Err(IoError::Exhausted {
-                    detail: reason,
-                    retries: 0,
-                    indeterminate: false,
-                })
-            }
-        }
+        Ok(bytes)
     }
 
     /// Log statistics: `(bytes, records)` acknowledged so far.
@@ -319,10 +279,41 @@ impl<G: AbelianGroup + ValueCodec, F: VfsFile> DurableCube<G, F> {
     }
 }
 
+/// The checkpoint's first half: writes `cube`'s snapshot to `path`
+/// atomically (tmp + sync + rename) and returns its size. A failure
+/// leaves the previous snapshot at `path` untouched: ENOSPC is
+/// [`IoError::ReadOnly`], anything else [`IoError::Transient`].
+pub fn write_snapshot<G: AbelianGroup + ValueCodec, V: Vfs>(
+    vfs: &V,
+    path: &str,
+    cube: &GrowableCube<G>,
+) -> Result<u64, IoError> {
+    let mut image = Vec::new();
+    cube.save(&mut image).map_err(|e| IoError::Transient {
+        detail: format!("snapshot encode: {e}"),
+        retries: 0,
+    })?;
+    vfs.write_atomic(path, &image).map_err(|e| {
+        wal_obs().io_faults.inc();
+        if is_no_space(&e) {
+            IoError::ReadOnly {
+                reason: format!("out of disk space during checkpoint: {e}"),
+            }
+        } else {
+            IoError::Transient {
+                detail: format!("snapshot write: {e}"),
+                retries: 0,
+            }
+        }
+    })?;
+    Ok(image.len() as u64)
+}
+
 /// Boots a durable cube through a [`Vfs`]: loads the snapshot (when
 /// `snapshot_path` names an existing file), replays the log with the
 /// usual torn-tail truncation, repairs the log file back to its valid
-/// prefix, and resumes appending to it. Reads go through
+/// prefix ([`repair_tail`]; a missing log is a torn header), and resumes
+/// appending to it. Reads go through
 /// [`read_stable`](crate::vfs::read_stable) so a transient read-back
 /// bit flip cannot corrupt recovery. A [`crate::PagerConfig::disk`]
 /// pager spills to a scratch file next to the log in the same
@@ -345,23 +336,14 @@ where
         _ => None,
     };
     let spill = store::spill_through(vfs, wal_path, &config)?;
-    if !vfs.exists(wal_path)? {
-        let (cube, report) = recover_spilling(d, snapshot.as_deref(), &[], config, spill)?;
-        let wal = WalWriter::create(vfs.open(wal_path, OpenMode::Create)?)?;
-        return Ok((DurableCube::from_parts(cube, wal, policy), report));
-    }
-    let log = read_stable(vfs, wal_path, attempts)?;
-    let (cube, report) = recover_spilling(d, snapshot.as_deref(), &log, config, spill)?;
-    let wal = if report.valid_bytes < WAL_HEADER_BYTES as u64 {
-        // Torn header: rewrite the log from scratch.
-        WalWriter::create(vfs.open(wal_path, OpenMode::Create)?)?
+    let log = if vfs.exists(wal_path)? {
+        read_stable(vfs, wal_path, attempts)?
     } else {
-        let mut f = vfs.open(wal_path, OpenMode::Append)?;
-        if report.valid_bytes < log.len() as u64 {
-            f.truncate(report.valid_bytes)?;
-        }
-        WalWriter::resume(f, report.valid_bytes, report.replayed as u64)
+        Vec::new()
     };
+    let (cube, scan) = recover_spilling(d, snapshot.as_deref(), &log, config, spill)?;
+    let wal = repair_tail(vfs, wal_path, &scan)?;
+    let report = RecoveryReport::new(snapshot.is_some(), scan);
     Ok((DurableCube::from_parts(cube, wal, policy), report))
 }
 

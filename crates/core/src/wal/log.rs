@@ -1,5 +1,6 @@
-//! Appending to the log ([`WalWriter`]) and scanning it back
-//! ([`read_wal`]).
+//! Appending to the log ([`WalWriter`]), scanning it back
+//! ([`scan_wal`]), repairing its tail ([`repair_tail`]) and starting it
+//! afresh behind a snapshot ([`rotate_wal`]).
 
 use std::io;
 
@@ -9,7 +10,7 @@ use super::record::{
 };
 use super::wal_obs;
 use crate::persist::ValueCodec;
-use crate::vfs::{is_no_space, IoError, RetryPolicy, VfsFile};
+use crate::vfs::{is_no_space, IoError, OpenMode, RetryPolicy, Vfs, VfsFile};
 
 /// Where a failed append attempt died — before or after the bytes
 /// reached the file. Sync-stage failures leave a complete frame whose
@@ -68,9 +69,9 @@ impl<F: VfsFile> WalWriter<F> {
     }
 
     /// Resumes appending to a log that already holds `bytes` valid bytes
-    /// and `records` records (as reported by [`read_wal`]). The caller
-    /// must have truncated the sink to exactly `bytes` first.
-    pub fn resume(out: F, bytes: u64, records: u64) -> Self {
+    /// and `records` records. The caller must have truncated the sink to
+    /// exactly `bytes` first.
+    fn resume(out: F, bytes: u64, records: u64) -> Self {
         Self {
             out,
             bytes,
@@ -188,106 +189,131 @@ impl<F: VfsFile> WalWriter<F> {
     }
 }
 
-/// What a log scan recovered: the decoded prefix plus where and why it
-/// stopped.
-#[derive(Clone, Debug)]
-pub struct WalReplay<G> {
-    /// Decoded updates `(point, delta)`, in append order.
-    pub ops: Vec<(Vec<i64>, G)>,
+/// What a log scan found: how many intact records, where the valid
+/// prefix ends, and why the scan stopped.
+#[derive(Clone, Debug, Default)]
+pub struct WalScan {
+    /// Intact records handed to the visitor, in append order.
+    pub records: u64,
     /// Bytes of the valid prefix (header + intact records). Truncating
     /// the log file to this length yields a clean log.
     pub valid_bytes: u64,
-    /// End offset of each intact record, in order — `ends[i]` is the
-    /// log length after record `i` was acknowledged.
-    pub ends: Vec<u64>,
     /// Why the scan stopped before the end of the input, if it did.
     /// `None` means the log is clean end to end.
     pub truncated: Option<String>,
 }
 
-impl<G> WalReplay<G> {
+impl WalScan {
     /// True when no torn or corrupt tail was dropped.
     pub fn is_clean(&self) -> bool {
         self.truncated.is_none()
     }
 }
 
-/// Scans a log image, decoding every intact record and truncating at the
-/// first torn or corrupt one (see the module docs for the contract).
+fn invalid_data(why: String) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, why)
+}
+
+/// The record framed at the start of `rest`, `offset` bytes into the
+/// log — its frame's length, and its delta with the point decoded into
+/// `point` — or why there is no intact one there.
+fn next_record<G: ValueCodec>(
+    rest: &[u8],
+    offset: usize,
+    point: &mut Vec<i64>,
+) -> Result<(usize, G), String> {
+    if rest.len() < WAL_FRAME_BYTES {
+        return Err(format!("torn frame at byte {offset}"));
+    }
+    let word = |at: usize| u32::from_le_bytes([rest[at], rest[at + 1], rest[at + 2], rest[at + 3]]);
+    let (len, crc) = (word(0) as usize, word(4));
+    if len as u64 > MAX_RECORD_BYTES {
+        return Err(format!(
+            "implausible record length {len} at byte {offset} (corrupt frame)"
+        ));
+    }
+    let payload = (rest.get(WAL_FRAME_BYTES..WAL_FRAME_BYTES + len))
+        .ok_or_else(|| format!("torn record at byte {offset}"))?;
+    if crc32(payload) != crc {
+        return Err(format!("checksum mismatch at byte {offset}"));
+    }
+    let delta = decode_update(payload, point)
+        .map_err(|reason| format!("undecodable record at byte {offset}: {reason}"))?;
+    Ok((WAL_FRAME_BYTES + len, delta))
+}
+
+/// Scans a log image, handing every intact record to `visit` as it is
+/// decoded — its point, its delta, and the log's length once it was
+/// acknowledged — and stopping at the first torn or corrupt one (see
+/// the module docs for the contract). One point buffer serves every
+/// record, so the scan allocates nothing per record.
 ///
-/// Errors only on a *structurally alien* input: an intact-length header
-/// whose magic or version is wrong. A header cut short by a crash is a
-/// valid empty log with a torn tail.
-pub fn read_wal<G: ValueCodec>(data: &[u8]) -> io::Result<WalReplay<G>> {
-    let mut replay = WalReplay {
-        ops: Vec::new(),
-        valid_bytes: 0,
-        ends: Vec::new(),
-        truncated: None,
-    };
+/// Errors on a *structurally alien* input — an intact-length header
+/// whose magic or version is wrong — and when `visit` refuses a record,
+/// as `InvalidData` "record N: …" (N counts from 0). A header cut short
+/// by a crash is a valid empty log with a torn tail.
+pub fn scan_wal<G: ValueCodec>(
+    data: &[u8],
+    mut visit: impl FnMut(&[i64], G, u64) -> Result<(), String>,
+) -> io::Result<WalScan> {
+    let mut scan = WalScan::default();
+    if !WAL_MAGIC.starts_with(&data[..data.len().min(4)]) {
+        return Err(invalid_data("not a DDC WAL (bad magic)".to_string()));
+    }
     if data.len() < WAL_HEADER_BYTES {
         // A kill before the header hit the disk: an empty log, torn.
-        if !WAL_MAGIC.starts_with(&data[..data.len().min(4)]) {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "not a DDC WAL (bad magic)",
-            ));
-        }
-        replay.truncated = Some("torn header".to_string());
-        return Ok(replay);
-    }
-    if &data[..4] != WAL_MAGIC {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "not a DDC WAL (bad magic)",
-        ));
+        scan.truncated = Some("torn header".to_string());
+        return Ok(scan);
     }
     if data[4] != WAL_VERSION {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("unsupported WAL version {}", data[4]),
-        ));
+        return Err(invalid_data(format!("unsupported WAL version {}", data[4])));
     }
+    let mut point = Vec::new();
     let mut offset = WAL_HEADER_BYTES;
-    replay.valid_bytes = offset as u64;
+    scan.valid_bytes = offset as u64;
     while offset < data.len() {
-        let rest = &data[offset..];
-        if rest.len() < WAL_FRAME_BYTES {
-            replay.truncated = Some(format!("torn frame at byte {offset}"));
-            break;
-        }
-        // `rest` is at least WAL_FRAME_BYTES long (checked above), so
-        // both frame fields are present; decode without panicking paths.
-        let mut b4 = [0u8; 4];
-        b4.copy_from_slice(&rest[..4]);
-        let len = u32::from_le_bytes(b4) as usize;
-        b4.copy_from_slice(&rest[4..8]);
-        let crc = u32::from_le_bytes(b4);
-        if len as u64 > MAX_RECORD_BYTES {
-            replay.truncated = Some(format!(
-                "implausible record length {len} at byte {offset} (corrupt frame)"
-            ));
-            break;
-        }
-        if rest.len() < WAL_FRAME_BYTES + len {
-            replay.truncated = Some(format!("torn record at byte {offset}"));
-            break;
-        }
-        let payload = &rest[WAL_FRAME_BYTES..WAL_FRAME_BYTES + len];
-        if crc32(payload) != crc {
-            replay.truncated = Some(format!("checksum mismatch at byte {offset}"));
-            break;
-        }
-        match decode_update(payload) {
-            Ok(update) => replay.ops.push(update),
-            Err(reason) => {
-                replay.truncated = Some(format!("undecodable record at byte {offset}: {reason}"));
+        let (len, delta) = match next_record(&data[offset..], offset, &mut point) {
+            Ok(record) => record,
+            Err(why) => {
+                scan.truncated = Some(why);
                 break;
             }
-        }
-        offset += WAL_FRAME_BYTES + len;
-        replay.valid_bytes = offset as u64;
-        replay.ends.push(offset as u64);
+        };
+        offset += len;
+        visit(&point, delta, offset as u64)
+            .map_err(|e| invalid_data(format!("record {}: {e}", scan.records)))?;
+        scan.records += 1;
+        scan.valid_bytes = offset as u64;
     }
-    Ok(replay)
+    Ok(scan)
+}
+
+/// Cuts the log at `path` back to the valid prefix its `scan` found and
+/// opens it for appending: a torn header is written afresh (the log
+/// starts over, empty), a torn or corrupt tail is truncated to
+/// [`WalScan::valid_bytes`]. Boot resumes the returned writer;
+/// `ddc wal truncate-check --fix` drops it.
+pub fn repair_tail<V: Vfs>(vfs: &V, path: &str, scan: &WalScan) -> io::Result<WalWriter<V::File>> {
+    if scan.valid_bytes < WAL_HEADER_BYTES as u64 {
+        return WalWriter::create(vfs.open(path, OpenMode::Create)?);
+    }
+    let mut file = vfs.open(path, OpenMode::Append)?;
+    if !scan.is_clean() {
+        file.truncate(scan.valid_bytes)?;
+    }
+    Ok(WalWriter::resume(file, scan.valid_bytes, scan.records))
+}
+
+/// The checkpoint's second half: retires the log at `path`, which the
+/// snapshot just written covers, by starting a fresh one there —
+/// `open(Create)` truncates it, then the header is written and synced.
+/// If that fails the stale log is removed (best effort), so it cannot be
+/// replayed onto a snapshot it is already baked into.
+pub fn rotate_wal<V: Vfs>(vfs: &V, path: &str) -> io::Result<WalWriter<V::File>> {
+    let fresh = vfs.open(path, OpenMode::Create).and_then(WalWriter::create);
+    if fresh.is_err() {
+        wal_obs().io_faults.inc();
+        let _ = vfs.remove(path);
+    }
+    fresh
 }

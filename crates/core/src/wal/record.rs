@@ -75,10 +75,14 @@ pub(super) fn encode_update<G: ValueCodec>(
     delta.encode(out)
 }
 
-/// Decodes one update payload. Any structural problem — a retired or
-/// unknown tag included — is an error: the caller treats it as a
-/// corrupt record and truncates there.
-pub(super) fn decode_update<G: ValueCodec>(mut payload: &[u8]) -> Result<(Vec<i64>, G), String> {
+/// Decodes one update payload into `point` (cleared first, so a scan
+/// reuses one buffer for every record) and returns its delta. Any
+/// structural problem — a retired or unknown tag included — is an
+/// error: the caller treats it as a corrupt record and truncates there.
+pub(super) fn decode_update<G: ValueCodec>(
+    mut payload: &[u8],
+    point: &mut Vec<i64>,
+) -> Result<G, String> {
     let input = &mut payload;
     let mut tag = [0u8; 1];
     read_exactly(input, &mut tag)?;
@@ -91,7 +95,7 @@ pub(super) fn decode_update<G: ValueCodec>(mut payload: &[u8]) -> Result<(Vec<i6
     if d == 0 || d > 64 {
         return Err(format!("implausible dimensionality {d}"));
     }
-    let mut point = Vec::with_capacity(d);
+    point.clear();
     let mut b8 = [0u8; 8];
     for _ in 0..d {
         read_exactly(input, &mut b8)?;
@@ -101,7 +105,7 @@ pub(super) fn decode_update<G: ValueCodec>(mut payload: &[u8]) -> Result<(Vec<i6
     if !input.is_empty() {
         return Err(format!("{} trailing payload bytes", input.len()));
     }
-    Ok((point, delta))
+    Ok(delta)
 }
 
 fn read_exactly(input: &mut &[u8], buf: &mut [u8]) -> Result<(), String> {

@@ -16,7 +16,7 @@ use ddc_core::{
 use ddc_tests::for_cases;
 use ddc_workload::{shrink_trace, CheckOp, CheckTrace, CheckTraceConfig, DdcRng};
 
-type FaultCube = DurableCube<i64, ddc_core::vfs::FaultFile<ddc_core::vfs::MemFile>>;
+type FaultCube = DurableCube<i64, ddc_core::vfs::FaultFile>;
 
 /// Boots a durable cube on a fault-injecting in-memory namespace.
 fn boot_on(vfs: &FaultVfs) -> FaultCube {

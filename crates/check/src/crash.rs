@@ -102,8 +102,9 @@ impl DurableRun {
     /// The sweep cuts and damages plain bytes, so this one recovery
     /// reads slices; every other boot in the crate is the rig's.
     fn recover(&self, log: &[u8]) -> std::io::Result<(Entries, RecoveryReport)> {
-        let (cube, report) =
-            wal::recover::<i64>(self.d, self.snapshot.as_deref(), log, self.config)?;
+        let mut snapshot = self.snapshot.as_deref();
+        let snapshot = snapshot.as_mut().map(|s| s as &mut dyn std::io::Read);
+        let (cube, report) = wal::recover::<i64>(self.d, snapshot, log, self.config)?;
         let mut got = cube.entries();
         got.sort();
         Ok((got, report))

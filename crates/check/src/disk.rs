@@ -164,7 +164,7 @@ pub fn snapshot_sweep(trace: &CheckTrace, config: DdcConfig) -> Result<usize, St
         let torn = FaultKind::ShortWrite { keep: k as u32 };
         probe(&saved, torn, write, &tmp)?;
         let disk = MemVfs::new();
-        disk.write_atomic(SNAP_PATH, &image[..k])
+        disk.write_atomic(SNAP_PATH, |w| w.write_all(&image[..k]))
             .map_err(|e| e.to_string())?;
         match catch_unwind(|| Rig::boot(disk, d, config).is_ok()) {
             Ok(false) => {}

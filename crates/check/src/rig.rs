@@ -464,9 +464,11 @@ mod tests {
         cuts.extend([(0, 0), (WAL_HEADER_BYTES / 2, 0)]);
         for (cut, survivors) in cuts {
             let disk = MemVfs::new();
-            disk.write_atomic(WAL_PATH, &run.wal[..cut]).unwrap();
+            disk.write_atomic(WAL_PATH, |w| w.write_all(&run.wal[..cut]))
+                .unwrap();
             if let Some(snapshot) = &run.snapshot {
-                disk.write_atomic(SNAP_PATH, snapshot).unwrap();
+                disk.write_atomic(SNAP_PATH, |w| w.write_all(snapshot))
+                    .unwrap();
             }
             let mut rig = Rig::boot(disk.clone(), d, config).expect("boot on the cut log");
             assert_eq!(rig.durable.wal_stats().1, survivors as u64, "cut {cut}");
@@ -523,7 +525,7 @@ mod tests {
             }
 
             let mut ops = Vec::new();
-            let scan = wal::scan_wal(&log, |point, delta: i64, _| {
+            let scan = wal::scan_wal(&log[..], |point, delta: i64, _| {
                 ops.push((point.to_vec(), delta));
                 Ok(())
             })
@@ -531,13 +533,13 @@ mod tests {
             assert_eq!((&ops[..], scan.valid_bytes), (&prefix[..], kept));
             let why = scan.truncated.unwrap_or_default();
             assert!(why.contains(&format!("unknown record tag {tag}")), "{why}");
-            let (cube, _) = wal::recover::<i64>(d, None, &log, config).unwrap();
+            let (cube, _) = wal::recover::<i64>(d, None, &log[..], config).unwrap();
             let mut got = cube.entries();
             got.sort();
             assert_eq!(got, want.entries(), "tag {tag}: read");
 
             let disk = MemVfs::new();
-            disk.write_atomic(WAL_PATH, &log).unwrap();
+            disk.write_atomic(WAL_PATH, |w| w.write_all(&log)).unwrap();
             let mut rig = Rig::boot(disk.clone(), d, config).expect("boot on the prefix");
             assert_eq!(rig.durable.wal_stats(), (kept, 2), "tag {tag}");
             let on_disk = disk.contents(WAL_PATH).map(|log| log.len() as u64);

@@ -115,7 +115,7 @@ fn workload(seed: u64, ops: usize) -> std::io::Result<()> {
         .append_updates(&group, &RetryPolicy::instant())
         .map_err(std::io::Error::other)?;
     let log = writer.into_inner();
-    let (recovered, _report) = wal::recover::<i64>(2, None, &log, DdcConfig::dynamic())?;
+    let (recovered, _report) = wal::recover::<i64>(2, None, &log[..], DdcConfig::dynamic())?;
 
     // Growth (growth.grow, growth.doublings) and persistence
     // (persist.save / persist.load / persist.save.bytes).

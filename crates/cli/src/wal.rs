@@ -20,20 +20,21 @@
 //! the file to the last whole record, which is exactly what recovery
 //! would ignore anyway, and rewrites a torn header as an empty log.
 //!
-//! All file IO goes through the [`ddc_core::vfs`] seam: reads use
-//! [`read_stable`] (two consecutive identical reads defeat a transient
-//! read-back bit flip) and snapshot writes are atomic
-//! (tmp + sync + rename), so a crash mid-`--out` never leaves a
-//! half-written file where a good one stood.
+//! All file IO goes through the [`ddc_core::vfs`] seam, as boot's does:
+//! the log and the snapshot stream in through a [`VerifiedReader`] (each
+//! chunk read until two consecutive images agree, so a transient
+//! read-back bit flip is defeated and no file is ever whole in memory),
+//! and snapshot writes stream atomically (tmp + sync + rename), so a
+//! crash mid-`--out` never leaves a half-written file where a good one
+//! stood.
 
-use ddc_core::vfs::{read_stable, StdVfs};
+use std::io::Read;
+
+use ddc_core::vfs::{StdVfs, VerifiedReader};
 use ddc_core::wal;
 use ddc_core::{DdcConfig, GrowableCube};
 
 use crate::flags::Flags;
-
-/// Read attempts for [`read_stable`] on operator paths.
-const READ_ATTEMPTS: u32 = 4;
 
 /// Executes `ddc wal <args>`, returning the report text or an error
 /// (which the caller turns into a non-zero exit).
@@ -53,21 +54,22 @@ fn recover(args: &[String]) -> Result<String, String> {
     let out_path = flags.value("--out");
     let dims = flags.rank("--dims")?;
     let vfs = StdVfs;
-    let read =
-        |p: &str| read_stable(&vfs, p, READ_ATTEMPTS).map_err(|e| format!("cannot read {p}: {e}"));
-    let log = read(wal_path)?;
-    let snapshot = snap_path.map(read).transpose()?;
+    let open = |p: &str| VerifiedReader::open(&vfs, p).map_err(|e| format!("cannot read {p}: {e}"));
+    let log = open(wal_path)?;
+    let mut snapshot = snap_path.map(open).transpose()?;
 
     // Dimensionality comes from --dims, or from the snapshot's header
     // when one is supplied (recovery re-checks the two agree).
-    let d = match (dims, &snapshot) {
+    let d = match (dims, snap_path) {
         (Some(d), _) => d,
-        (None, Some(bytes)) => GrowableCube::<i64>::snapshot_rank(&mut bytes.as_slice())
-            .map_err(|e| format!("{}: {e}", snap_path.unwrap_or("snapshot")))?,
+        (None, Some(p)) => {
+            GrowableCube::<i64>::snapshot_rank(&mut open(p)?).map_err(|e| format!("{p}: {e}"))?
+        }
         (None, None) => return Err("recover needs --dims D (no snapshot to infer it from)".into()),
     };
 
-    let (cube, report) = wal::recover::<i64>(d, snapshot.as_deref(), &log, DdcConfig::dynamic())
+    let snapshot = snapshot.as_mut().map(|s| s as &mut dyn Read);
+    let (cube, report) = wal::recover::<i64>(d, snapshot, log, DdcConfig::dynamic())
         .map_err(|e| format!("recover: {e}"))?;
 
     let mut text = format!(
@@ -76,7 +78,7 @@ fn recover(args: &[String]) -> Result<String, String> {
         if report.snapshot_loaded { "yes" } else { "no" },
         report.replayed,
         report.valid_bytes,
-        cube.entries().len(),
+        cube.populated_cells(),
         cube.total(),
     );
     match &report.truncated {
@@ -109,11 +111,10 @@ fn truncate_check(args: &[String]) -> Result<String, String> {
     let flags = Flags::parse(args, &["--wal"], &["--fix"])?;
     let wal_path = (flags.value("--wal")).ok_or("truncate-check requires --wal FILE")?;
     let vfs = StdVfs;
-    let log = read_stable(&vfs, wal_path, READ_ATTEMPTS)
-        .map_err(|e| format!("cannot read {wal_path}: {e}"))?;
-
+    let mut log =
+        VerifiedReader::open(&vfs, wal_path).map_err(|e| format!("cannot read {wal_path}: {e}"))?;
     let scan =
-        wal::scan_wal::<i64>(&log, |_, _, _| Ok(())).map_err(|e| format!("{wal_path}: {e}"))?;
+        wal::scan_wal::<i64>(&mut log, |_, _, _| Ok(())).map_err(|e| format!("{wal_path}: {e}"))?;
     if scan.is_clean() {
         return Ok(format!(
             "ok: {wal_path}: {} records, {} bytes, no torn tail",
@@ -121,7 +122,7 @@ fn truncate_check(args: &[String]) -> Result<String, String> {
         ));
     }
     let why = scan.truncated.as_deref().unwrap_or("torn tail");
-    let garbage = log.len() as u64 - scan.valid_bytes;
+    let garbage = log.file_len() - scan.valid_bytes;
     if flags.has("--fix") {
         let kept = wal::repair_tail(&vfs, wal_path, &scan)
             .map_err(|e| format!("cannot repair {wal_path}: {e}"))?;
@@ -198,7 +199,7 @@ mod tests {
         assert!(report.contains("2 records replayed"), "{report}");
         assert!(report.contains("log rotated"), "{report}");
         let rotated = std::fs::read(&log).expect("rotated log");
-        let scan = wal::scan_wal::<i64>(&rotated, |_, _, _| Ok(())).expect("a log");
+        let scan = wal::scan_wal::<i64>(&rotated[..], |_, _, _| Ok(())).expect("a log");
         assert!(scan.is_clean(), "{:?}", scan.truncated);
         assert_eq!(scan.records, 0);
 
@@ -254,9 +255,8 @@ mod tests {
         writer
             .append_updates(&[(vec![1i64, 2], 5i64)], &policy)
             .expect("append");
-        vfs.inner()
-            .write_atomic("wal.log", &writer.into_inner())
-            .expect("log written");
+        let log = writer.into_inner();
+        (vfs.inner().write_atomic("wal.log", |w| w.write_all(&log))).expect("log written");
         vfs.arm(true);
         assert!(wal::rotate_wal(&vfs, "wal.log").is_err());
         assert_eq!(vfs.realized().len(), 1, "the header write failed");

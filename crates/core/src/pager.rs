@@ -28,7 +28,7 @@ use std::ops::Range;
 
 use crate::obs::{self, Counter};
 use crate::sync::{Arc, OnceLock};
-use crate::vfs::VfsFile;
+use crate::vfs::{read_verified, VfsFile};
 
 /// Counter snapshot of one buffer pool's activity.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
@@ -41,9 +41,10 @@ pub struct PoolStats {
     pub evictions: u64,
     /// Dirty frames written to the file before eviction.
     pub write_backs: u64,
-    /// Transient spill I/O failures absorbed by the bounded retry in
-    /// fault-in / write-back (each unit is one retried attempt, not
-    /// one surviving operation).
+    /// Transient spill I/O failures absorbed by the bounded retry: each
+    /// fault-in read beyond the two a verified read needs, and each
+    /// retried write-back (one unit per retried attempt, not per
+    /// surviving operation).
     pub io_retries: u64,
     /// Cell deltas recorded in the arena's change buffer instead of
     /// faulting their page in (neither a hit nor a miss).
@@ -98,10 +99,11 @@ struct Frame {
 /// A page-table entry of a page that is not resident.
 const NO_FRAME: u32 = u32::MAX;
 
-/// Transient spill I/O errors (e.g. injected EIO from a fault
-/// harness) are retried this many times before the error propagates
-/// and `core::store`'s process-fatal policy applies.
-const IO_ATTEMPTS: usize = 8;
+/// A write-back that fails (e.g. injected EIO from a fault harness) is
+/// attempted this many times before the error propagates and
+/// `core::store`'s process-fatal policy applies. Fault-in reads spend
+/// [`crate::vfs::READ_ATTEMPTS`].
+const WRITE_ATTEMPTS: usize = 8;
 
 /// A clock-eviction buffer pool over one page file.
 pub struct BufferPool {
@@ -114,7 +116,7 @@ pub struct BufferPool {
     /// candidate); `table` points at every one of them exactly once.
     frames: Vec<Frame>,
     hand: usize,
-    /// The second image of the double-read defense, reused per miss.
+    /// The second image of a verified fault-in read, reused per miss.
     check: Box<[u8]>,
     /// Pages materialized in the file so far (reads beyond are zeros).
     file_pages: u64,
@@ -154,7 +156,7 @@ impl BufferPool {
             table: Vec::new(),
             frames: Vec::new(),
             hand: 0,
-            check: Box::default(),
+            check: vec![0u8; page_bytes].into_boxed_slice(),
             file_pages: 0,
             hits: 0,
             misses: 0,
@@ -226,10 +228,7 @@ impl BufferPool {
         self.misses += 1;
         self.obs.misses.inc();
         let ix = self.claim_frame()?;
-        let mut buf = std::mem::take(&mut self.frames[ix].buf);
-        let loaded = self.fault_in(page, &mut buf);
-        self.frames[ix].buf = buf;
-        if let Err(e) = loaded {
+        if let Err(e) = self.fault_in(page, ix) {
             // The claimed frame holds no page: give it back.
             self.remove_frame(ix);
             return Err(e);
@@ -354,89 +353,37 @@ impl BufferPool {
         Ok(())
     }
 
-    /// Reads `page` into `buf`: zeros past the materialized extent,
-    /// else the file's bytes under the double-read defense — a
-    /// transient read fault can hand back a corrupted copy while the
-    /// stored bytes are fine, so the page is re-read until two
-    /// consecutive images agree; persistent disagreement means the
-    /// medium itself is unstable, which is a spill error like any
-    /// other.
-    fn fault_in(&mut self, page: u64, buf: &mut [u8]) -> io::Result<()> {
-        if page >= self.file_pages {
-            buf.fill(0);
-            return Ok(());
+    /// Reads `page` into frame `ix`: zeros past the materialized extent,
+    /// else the file's bytes through [`read_verified`] (zeros past the
+    /// end of the file). An image that never verifies is a spill error
+    /// like any other.
+    fn fault_in(&mut self, page: u64, ix: usize) -> io::Result<()> {
+        let buf = &mut self.frames[ix].buf;
+        let mut n = 0;
+        if page < self.file_pages {
+            let off = page * self.page_bytes as u64;
+            let (read, reads) = read_verified(&mut *self.file, off, buf, &mut self.check)?;
+            n = read;
+            self.io_retries += u64::from(reads - 2);
+            self.obs.io_retries.add(u64::from(reads - 2));
         }
-        let off = page * self.page_bytes as u64;
-        self.fill(off, buf)?;
-        let mut check = std::mem::take(&mut self.check);
-        if check.len() != buf.len() {
-            check = vec![0u8; buf.len()].into_boxed_slice();
-        }
-        let mut agreed = Ok(false);
-        for _ in 0..IO_ATTEMPTS {
-            if let Err(e) = self.fill(off, &mut check) {
-                agreed = Err(e);
-                break;
-            }
-            if *check == *buf {
-                agreed = Ok(true);
-                break;
-            }
-            self.retried();
-            buf.copy_from_slice(&check);
-        }
-        self.check = check;
-        if !agreed? {
-            return Err(io::Error::other(format!(
-                "page {page} image unstable after {IO_ATTEMPTS} re-reads"
-            )));
-        }
-        Ok(())
-    }
-
-    fn retried(&mut self) {
-        self.io_retries += 1;
-        self.obs.io_retries.inc();
-    }
-
-    /// Fills `buf` from file offset `off`, zero-extending past the
-    /// materialized extent and retrying transient read errors up to
-    /// [`IO_ATTEMPTS`] times.
-    fn fill(&mut self, off: u64, buf: &mut [u8]) -> io::Result<()> {
-        let mut filled = 0usize;
-        let mut attempts = 0usize;
-        while filled < buf.len() {
-            match self.file.read_at(off + filled as u64, &mut buf[filled..]) {
-                Ok(0) => {
-                    // Rest of the page never materialized: zeros.
-                    buf[filled..].fill(0);
-                    break;
-                }
-                Ok(n) => filled += n,
-                Err(e) => {
-                    attempts += 1;
-                    if attempts >= IO_ATTEMPTS {
-                        return Err(e);
-                    }
-                    self.retried();
-                }
-            }
-        }
+        buf[n..].fill(0);
         Ok(())
     }
 
     /// Writes frame `ix`'s bytes to the file and clears its dirty bit,
-    /// retrying transient write errors up to [`IO_ATTEMPTS`] times.
+    /// retrying transient write errors up to [`WRITE_ATTEMPTS`] times.
     fn write_back(&mut self, ix: usize) -> io::Result<()> {
         let page = self.frames[ix].page;
         let off = page * self.page_bytes as u64;
         let mut attempts = 0usize;
         while let Err(e) = self.file.write_at(off, &self.frames[ix].buf) {
             attempts += 1;
-            if attempts >= IO_ATTEMPTS {
+            if attempts >= WRITE_ATTEMPTS {
                 return Err(e);
             }
-            self.retried();
+            self.io_retries += 1;
+            self.obs.io_retries.inc();
         }
         self.frames[ix].dirty = false;
         self.write_backs += 1;

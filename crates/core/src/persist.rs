@@ -57,33 +57,26 @@ pub trait ValueCodec: Sized {
     fn decode(input: &mut impl Read) -> io::Result<Self>;
 }
 
-impl ValueCodec for i64 {
-    const WIDTH: usize = 8;
+/// The stock scalars: eight little-endian bytes each.
+macro_rules! le_codec {
+    ($($t:ty),*) => {$(
+        impl ValueCodec for $t {
+            const WIDTH: usize = 8;
 
-    fn encode(&self, out: &mut impl Write) -> io::Result<()> {
-        out.write_all(&self.to_le_bytes())
-    }
+            fn encode(&self, out: &mut impl Write) -> io::Result<()> {
+                out.write_all(&self.to_le_bytes())
+            }
 
-    fn decode(input: &mut impl Read) -> io::Result<Self> {
-        let mut b = [0u8; 8];
-        input.read_exact(&mut b)?;
-        Ok(i64::from_le_bytes(b))
-    }
+            fn decode(input: &mut impl Read) -> io::Result<Self> {
+                let mut b = [0u8; 8];
+                input.read_exact(&mut b)?;
+                Ok(<$t>::from_le_bytes(b))
+            }
+        }
+    )*};
 }
 
-impl ValueCodec for f64 {
-    const WIDTH: usize = 8;
-
-    fn encode(&self, out: &mut impl Write) -> io::Result<()> {
-        out.write_all(&self.to_le_bytes())
-    }
-
-    fn decode(input: &mut impl Read) -> io::Result<Self> {
-        let mut b = [0u8; 8];
-        input.read_exact(&mut b)?;
-        Ok(f64::from_le_bytes(b))
-    }
-}
+le_codec!(i64, f64);
 
 impl<A: ValueCodec, B: ValueCodec> ValueCodec for Pair<A, B> {
     const WIDTH: usize = A::WIDTH + B::WIDTH;
@@ -99,10 +92,6 @@ impl<A: ValueCodec, B: ValueCodec> ValueCodec for Pair<A, B> {
             b: B::decode(input)?,
         })
     }
-}
-
-fn write_u32(out: &mut impl Write, v: u32) -> io::Result<()> {
-    out.write_all(&v.to_le_bytes())
 }
 
 fn write_u64(out: &mut impl Write, v: u64) -> io::Result<()> {
@@ -125,31 +114,6 @@ fn bad(msg: &str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg)
 }
 
-/// Counts logical bytes as they pass through to the sink, so `save` can
-/// report the exact snapshot size for fsync/verify bookkeeping.
-struct CountingWriter<W: Write> {
-    inner: W,
-    written: u64,
-}
-
-impl<W: Write> CountingWriter<W> {
-    fn new(inner: W) -> Self {
-        Self { inner, written: 0 }
-    }
-}
-
-impl<W: Write> Write for CountingWriter<W> {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        let n = self.inner.write(buf)?;
-        self.written += n as u64;
-        Ok(n)
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        self.inner.flush()
-    }
-}
-
 fn read_header(input: &mut impl Read, expect_kind: u8) -> io::Result<usize> {
     let mut magic = [0u8; 4];
     input.read_exact(&mut magic)?;
@@ -170,39 +134,46 @@ fn read_header(input: &mut impl Read, expect_kind: u8) -> io::Result<usize> {
     Ok(d)
 }
 
-/// Writes a snapshot of `kind` through a buffered writer, flushing
-/// before return: the magic, the kind, one `header` word per dimension,
-/// the entry count, then each entry's coordinates and value, every
-/// header word and coordinate `word`'s eight little-endian bytes.
-/// Returns the snapshot size in bytes so callers can fsync/verify the
-/// exact durable extent.
+/// Writes a snapshot of `kind` straight into `out` (the caller buffers:
+/// a `Vec`, or a [`Vfs::write_atomic`](crate::vfs::Vfs::write_atomic)
+/// writer): the magic, the kind, one `header` word per dimension, the
+/// entry `count`, then each entry `walk` visits — its coordinates and
+/// value — every header word and coordinate `word`'s eight
+/// little-endian bytes. Nothing is collected first, so the only heap a
+/// save holds is the walk's. Returns the snapshot size in bytes so
+/// callers can fsync/verify the exact durable extent.
 fn save_snapshot<C: Copy, G: ValueCodec>(
     out: &mut impl Write,
     kind: u8,
     header: &[C],
-    entries: &[(Vec<C>, G)],
+    count: usize,
+    walk: impl FnOnce(&mut dyn FnMut(&[C], G)),
     word: fn(C) -> u64,
 ) -> io::Result<u64> {
     let site = persist_obs();
     let span = site.save_ns.span("persist.save");
-    let mut w = CountingWriter::new(io::BufWriter::new(&mut *out));
-    w.write_all(MAGIC)?;
-    w.write_all(&[kind])?;
-    write_u32(&mut w, header.len() as u32)?;
+    out.write_all(MAGIC)?;
+    out.write_all(&[kind])?;
+    out.write_all(&(header.len() as u32).to_le_bytes())?;
     for &h in header {
-        write_u64(&mut w, word(h))?;
+        write_u64(out, word(h))?;
     }
-    write_u64(&mut w, entries.len() as u64)?;
-    for (p, v) in entries {
-        for &c in p {
-            write_u64(&mut w, word(c))?;
+    write_u64(out, count as u64)?;
+    // The walk cannot stop: after a failed write it writes nothing more.
+    let mut written = Ok(());
+    walk(&mut |p, v| {
+        if written.is_ok() {
+            written =
+                (p.iter().try_for_each(|&c| write_u64(out, word(c)))).and_then(|()| v.encode(out));
         }
-        v.encode(&mut w)?;
-    }
-    w.flush()?;
-    site.save_bytes.add(w.written);
+    });
+    written?;
+    // Magic, kind byte, `u32` rank, header words and the count word.
+    let head = MAGIC.len() + 1 + 4 + 8 * (header.len() + 1);
+    let bytes = (head + count * (8 * header.len() + G::WIDTH)) as u64;
+    site.save_bytes.add(bytes);
     span.end();
-    Ok(w.written)
+    Ok(bytes)
 }
 
 /// Reads a snapshot of `kind` written by [`save_snapshot`]: `start`
@@ -235,11 +206,14 @@ fn load_snapshot<C: Copy + Default, G: ValueCodec, T>(
 }
 
 impl<G: AbelianGroup + ValueCodec> DdcEngine<G> {
-    /// Writes a sparse snapshot of the cube through a buffered writer,
-    /// flushing before return. Returns the snapshot size in bytes so
-    /// callers can fsync/verify the exact durable extent.
+    /// Streams a sparse snapshot of the cube into `out`, unbuffered.
+    /// Returns the snapshot size in bytes so callers can fsync/verify the
+    /// exact durable extent.
     pub fn save(&self, out: &mut impl Write) -> io::Result<u64> {
-        save_snapshot(out, 0, self.shape().dims(), &self.entries(), |c| c as u64)
+        let (dims, count) = (self.shape().dims(), self.populated_cells());
+        let walk =
+            |f: &mut dyn FnMut(&[usize], G)| self.tree().for_each_nonzero(&mut |p, v| f(p, v));
+        save_snapshot(out, 0, dims, count, walk, |c| c as u64)
     }
 
     /// Reads a snapshot written by [`DdcEngine::save`], rebuilding under
@@ -286,11 +260,13 @@ impl<G: AbelianGroup + ValueCodec> DdcEngine<G> {
 }
 
 impl<G: AbelianGroup + ValueCodec> GrowableCube<G> {
-    /// Writes a sparse snapshot with signed logical coordinates through a
-    /// buffered writer, flushing before return. Returns the snapshot size
-    /// in bytes.
+    /// Streams a sparse snapshot with signed logical coordinates into
+    /// `out`, unbuffered. Returns the snapshot size in bytes.
     pub fn save(&self, out: &mut impl Write) -> io::Result<u64> {
-        save_snapshot(out, 1, self.origin(), &self.entries(), |c| c as u64)
+        let walk = |f: &mut dyn FnMut(&[i64], G)| self.for_each_nonzero(f);
+        save_snapshot(out, 1, self.origin(), self.populated_cells(), walk, |c| {
+            c as u64
+        })
     }
 
     /// Reads a snapshot written by [`GrowableCube::save`].

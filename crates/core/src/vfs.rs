@@ -11,8 +11,14 @@
 //!   a durability barrier `sync`, `len`, `truncate`, and positional
 //!   `read_at`. Implemented for `std::fs::File` (real disk) and
 //!   `Vec<u8>` (infallible in-memory sink, used throughout the tests).
-//! * [`Vfs`] — the namespace: `open`/`read`/`rename`/`remove`/`exists`
-//!   plus an atomic whole-file write helper.
+//! * [`Vfs`] — the namespace: `open`/`rename`/`remove`/`exists` plus
+//!   [`Vfs::write_atomic`], the one way a whole file is written: streamed
+//!   into a `.tmp` sibling in [`CHUNK_BYTES`] writes, synced, renamed.
+//! * [`read_verified`] — the one way bytes are trusted off a disk: read
+//!   twice, accept when two consecutive images agree, within
+//!   [`READ_ATTEMPTS`] reads. The pager's fault-in calls it per page;
+//!   [`VerifiedReader`] streams a whole file through it a chunk at a
+//!   time, so no load or scan holds a whole file.
 //! * [`StdVfs`] — thin `std::fs` passthrough, the production default.
 //! * [`MemVfs`] — shared in-memory namespace for tests and harnesses.
 //! * [`FaultVfs`] — a deterministic fault-injecting *wrapper* around a
@@ -49,7 +55,7 @@ use crate::sync::untracked::{Mutex, MutexGuard};
 use crate::sync::{Arc, PoisonError};
 use ddc_workload::DdcRng;
 use std::collections::HashMap;
-use std::io::{self, Seek, SeekFrom, Write};
+use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::time::Duration;
 
 /// Raw `errno` for ENOSPC on the platforms we target. We match on the
@@ -218,23 +224,6 @@ pub trait VfsFile: Send {
             "positional writes not supported by this file",
         ))
     }
-    /// Read the entire file into memory.
-    fn read_all(&mut self) -> io::Result<Vec<u8>> {
-        let len = self.len()?;
-        let len = usize::try_from(len)
-            .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "file too large for memory"))?;
-        let mut out = vec![0u8; len];
-        let mut filled = 0;
-        while filled < out.len() {
-            let n = self.read_at(filled as u64, &mut out[filled..])?;
-            if n == 0 {
-                out.truncate(filled);
-                break;
-            }
-            filled += n;
-        }
-        Ok(out)
-    }
 }
 
 /// A file namespace: the only way durable code opens, renames, or
@@ -251,23 +240,30 @@ pub trait Vfs {
     fn remove(&self, path: &str) -> io::Result<()>;
     /// True when `path` exists.
     fn exists(&self, path: &str) -> io::Result<bool>;
-    /// Read the whole file at `path`.
-    fn read(&self, path: &str) -> io::Result<Vec<u8>> {
-        self.open(path, OpenMode::Read)?.read_all()
-    }
-    /// Write `bytes` to `path` atomically: write + sync a `.tmp`
-    /// sibling, then rename over the target. Readers never observe a
-    /// partially written file.
-    fn write_atomic(&self, path: &str, bytes: &[u8]) -> io::Result<()> {
+    /// Writes `path` atomically from what `write` streams into it: whole
+    /// [`CHUNK_BYTES`] chunks go to a `.tmp` sibling as they fill, the
+    /// last one when `write` returns, then a sync and a rename over the
+    /// target. Readers never observe a partially written file; a failure
+    /// removes the `.tmp`. A file no larger than one chunk is one write.
+    fn write_atomic<T>(
+        &self,
+        path: &str,
+        write: impl FnOnce(&mut dyn Write) -> io::Result<T>,
+    ) -> io::Result<T> {
         let tmp = format!("{path}.tmp");
-        let mut f = self.open(&tmp, OpenMode::Create)?;
-        let write = f.write_all(bytes).and_then(|()| f.sync());
-        drop(f);
-        if let Err(e) = write {
+        let mut out = ChunkWriter {
+            file: self.open(&tmp, OpenMode::Create)?,
+            chunk: Vec::with_capacity(CHUNK_BYTES),
+        };
+        let written = write(&mut out).and_then(|t| {
+            out.file.write_all(&out.chunk)?;
+            out.file.sync().map(|()| t)
+        });
+        drop(out);
+        if written.is_err() {
             let _ = self.remove(&tmp);
-            return Err(e);
         }
-        self.rename(&tmp, path)
+        written.and_then(|t| self.rename(&tmp, path).map(|()| t))
     }
     /// Create `path` as scratch space: read + write, empty, and owed to
     /// nobody once the handle is dropped. A namespace that can drops
@@ -311,11 +307,7 @@ impl Vfs for StdVfs {
     }
 
     fn exists(&self, path: &str) -> io::Result<bool> {
-        match std::fs::metadata(path) {
-            Ok(_) => Ok(true),
-            Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(false),
-            Err(e) => Err(e),
-        }
+        std::path::Path::new(path).try_exists()
     }
 
     fn open_scratch(&self, path: &str) -> io::Result<std::fs::File> {
@@ -394,21 +386,14 @@ impl VfsFile for Vec<u8> {
     fn truncate(&mut self, len: u64) -> io::Result<()> {
         let len = usize::try_from(len)
             .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "length out of range"))?;
-        if len <= Vec::len(self) {
-            Vec::truncate(self, len);
-        } else {
-            self.resize(len, 0);
-        }
+        self.resize(len, 0);
         Ok(())
     }
 
     fn read_at(&mut self, offset: u64, buf: &mut [u8]) -> io::Result<usize> {
-        let start = usize::try_from(offset)
-            .unwrap_or(usize::MAX)
-            .min(Vec::len(self));
-        let n = buf.len().min(Vec::len(self) - start);
-        buf[..n].copy_from_slice(&self[start..start + n]);
-        Ok(n)
+        let mut rest =
+            usize::try_from(offset).map_or(&[][..], |at| self.get(at..).unwrap_or_default());
+        rest.read(buf)
     }
 
     fn write_at(&mut self, offset: u64, buf: &[u8]) -> io::Result<()> {
@@ -506,17 +491,12 @@ impl Vfs for MemVfs {
     fn open(&self, path: &str, mode: OpenMode) -> io::Result<MemFile> {
         let mut files = lock_store(&self.files);
         match mode {
-            OpenMode::Read => {
-                if !files.contains_key(path) {
-                    return Err(io::Error::new(io::ErrorKind::NotFound, path.to_string()));
-                }
+            OpenMode::Read if !files.contains_key(path) => {
+                return Err(io::Error::new(io::ErrorKind::NotFound, path.to_string()))
             }
-            OpenMode::Create => {
-                files.insert(path.to_string(), Vec::new());
-            }
-            OpenMode::Append => {
-                files.entry(path.to_string()).or_default();
-            }
+            OpenMode::Read => {}
+            OpenMode::Create => _ = files.insert(path.to_string(), Vec::new()),
+            OpenMode::Append => _ = files.entry(path.to_string()).or_default(),
         }
         drop(files);
         Ok(MemFile {
@@ -680,21 +660,9 @@ impl FaultState {
                 let aux = rng.next_u64();
                 Self::pick(*probs, &class, roll, aux)
             }
-            PlanState::Explicit(map) => map.get(&op).copied().map(|kind| match (kind, &class) {
-                // Clamp recorded offsets to this op's actual extent so a
-                // shrunk schedule stays well-formed.
-                (FaultKind::ShortWrite { keep }, OpClass::Write { len }) => FaultKind::ShortWrite {
-                    keep: keep.min(*len as u32),
-                },
-                (FaultKind::ReadCorrupt { bit }, OpClass::Read { len }) => FaultKind::ReadCorrupt {
-                    bit: if *len == 0 {
-                        0
-                    } else {
-                        bit % (*len as u32 * 8)
-                    },
-                },
-                _ => kind,
-            }),
+            // An explicit kind fires as recorded: a torn length or a
+            // flipped bit past this op's extent is clamped where it fires.
+            PlanState::Explicit(map) => map.get(&op).copied(),
         };
         let kind = drawn?;
         if !self.armed || !Self::applies(kind, &class) {
@@ -970,58 +938,191 @@ impl Vfs for FaultVfs {
     }
 }
 
-/// Read `path` until two consecutive reads return identical bytes —
-/// defeats transient read-back bit corruption so recovery never acts on
-/// a flipped bit. IO errors consume attempts too. `attempts` bounds the
-/// total number of reads (minimum 2 enforced).
-pub fn read_stable<V: Vfs>(vfs: &V, path: &str, attempts: u32) -> io::Result<Vec<u8>> {
-    let attempts = attempts.max(2);
-    let mut last: Option<Vec<u8>> = None;
-    let mut last_err = None;
-    for _ in 0..attempts {
-        match vfs.read(path) {
-            Ok(bytes) => {
-                if last.as_ref() == Some(&bytes) {
-                    return Ok(bytes);
-                }
-                last = Some(bytes);
+// ---------------------------------------------------------------------------
+// Streaming: one verified read, one chunked write
+// ---------------------------------------------------------------------------
+
+/// Reads one [`read_verified`] call may spend. Every read of an image
+/// spends one, failed or not, and two consecutive images that agree end
+/// the call. The one read budget: boot, `ddc wal` and the pager's
+/// fault-in all read through it ([`RetryPolicy`] governs appends only).
+pub const READ_ATTEMPTS: u32 = 8;
+
+/// Bytes a [`VerifiedReader`] verifies at a time and a
+/// [`Vfs::write_atomic`] writer hands the file at a time.
+pub const CHUNK_BYTES: usize = 8 << 10;
+
+/// Reads `buf.len()` bytes at `offset` (fewer only at the end of the
+/// file) under the double-read rule: a transient fault can hand back a
+/// corrupted copy while the stored bytes are fine, so the range is read
+/// again into `check` until two consecutive images agree. A failed read
+/// breaks the chain. Returns the image's length and the reads it took;
+/// after [`READ_ATTEMPTS`] reads without agreement, the last read error
+/// (or `InvalidData`, if every read succeeded and none agreed).
+///
+/// # Panics
+///
+/// Panics if `check` is shorter than `buf`.
+pub fn read_verified<F: VfsFile + ?Sized>(
+    file: &mut F,
+    offset: u64,
+    buf: &mut [u8],
+    check: &mut [u8],
+) -> io::Result<(usize, u32)> {
+    let check = &mut check[..buf.len()];
+    // The length of the last good image, which `buf` holds.
+    let (mut held, mut failed) = (None, None);
+    for reads in 1..=READ_ATTEMPTS {
+        let image = if held.is_some() {
+            &mut *check
+        } else {
+            &mut *buf
+        };
+        match read_image(file, offset, image) {
+            Err(e) => (held, failed) = (None, Some(e)),
+            Ok(n) if held == Some(n) && buf[..n] == check[..n] => return Ok((n, reads)),
+            Ok(n) if held.is_some() => {
+                buf[..n].copy_from_slice(&check[..n]);
+                held = Some(n);
             }
-            Err(e) => {
-                last = None;
-                last_err = Some(e);
-            }
+            Ok(n) => held = Some(n),
         }
     }
-    Err(last_err.unwrap_or_else(|| {
-        io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("{path}: reads never stabilized after {attempts} attempts"),
-        )
+    Err(failed.unwrap_or_else(|| {
+        let why = format!("reads at byte {offset} never agreed in {READ_ATTEMPTS} attempts");
+        io::Error::new(io::ErrorKind::InvalidData, why)
     }))
+}
+
+/// One image: `buf` filled from `offset`, short only at the end of the
+/// file.
+fn read_image<F: VfsFile + ?Sized>(file: &mut F, offset: u64, buf: &mut [u8]) -> io::Result<usize> {
+    let mut filled = 0;
+    while filled < buf.len() {
+        match file.read_at(offset + filled as u64, &mut buf[filled..])? {
+            0 => break,
+            n => filled += n,
+        }
+    }
+    Ok(filled)
+}
+
+/// A file streamed through [`read_verified`] one [`CHUNK_BYTES`] chunk
+/// at a time, up to the length it had when opened: the [`Read`] every
+/// durable load and log scan takes its bytes from. The first chunk is
+/// read on open, so a boot that opens its snapshot and its log reads
+/// both before it decodes either.
+pub struct VerifiedReader<F> {
+    file: F,
+    len: u64,
+    /// File offset just past `chunk`, and the bytes of it handed out.
+    next: u64,
+    at: usize,
+    chunk: Vec<u8>,
+    check: Vec<u8>,
+}
+
+impl<F: VfsFile> VerifiedReader<F> {
+    /// Opens `path` for reading and verifies its first chunk.
+    pub fn open<V: Vfs<File = F>>(vfs: &V, path: &str) -> io::Result<Self> {
+        let mut file = vfs.open(path, OpenMode::Read)?;
+        let len = file.len()?;
+        let check = vec![0; CHUNK_BYTES];
+        let mut reader = Self {
+            file,
+            len,
+            next: 0,
+            at: 0,
+            chunk: Vec::new(),
+            check,
+        };
+        reader.refill()?;
+        Ok(reader)
+    }
+
+    /// The file's length when it was opened (where reading stops).
+    pub fn file_len(&self) -> u64 {
+        self.len
+    }
+
+    fn refill(&mut self) -> io::Result<()> {
+        let want = (self.len - self.next).min(CHUNK_BYTES as u64);
+        self.chunk.resize(want as usize, 0);
+        let (n, _) = read_verified(&mut self.file, self.next, &mut self.chunk, &mut self.check)?;
+        self.chunk.truncate(n);
+        (self.next, self.at) = (self.next + n as u64, 0);
+        Ok(())
+    }
+}
+
+impl<F: VfsFile> Read for VerifiedReader<F> {
+    fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
+        if self.at == self.chunk.len() && self.next < self.len {
+            self.refill()?;
+        }
+        let n = (&self.chunk[self.at..]).read(out)?;
+        self.at += n;
+        Ok(n)
+    }
+}
+
+/// The writer [`Vfs::write_atomic`] hands out: it passes the file whole
+/// chunks, and `write_atomic` the last one.
+struct ChunkWriter<F> {
+    file: F,
+    chunk: Vec<u8>,
+}
+
+impl<F: VfsFile> Write for ChunkWriter<F> {
+    fn write(&mut self, data: &[u8]) -> io::Result<usize> {
+        if self.chunk.len() == CHUNK_BYTES {
+            self.flush()?;
+        }
+        let n = data.len().min(CHUNK_BYTES - self.chunk.len());
+        self.chunk.extend_from_slice(&data[..n]);
+        Ok(n)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.file.write_all(&self.chunk)?;
+        self.chunk.clear();
+        Ok(())
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// `path`'s bytes as a [`VerifiedReader`] streams them.
+    fn read_through<V: Vfs>(vfs: &V, path: &str) -> io::Result<Vec<u8>> {
+        let mut bytes = Vec::new();
+        VerifiedReader::open(vfs, path)?.read_to_end(&mut bytes)?;
+        Ok(bytes)
+    }
+
+    fn put<V: Vfs>(vfs: &V, path: &str, bytes: &[u8]) {
+        vfs.write_atomic(path, |w| w.write_all(bytes)).unwrap();
+    }
+
     #[test]
     fn mem_vfs_round_trips_and_renames() {
         let vfs = MemVfs::new();
-        vfs.write_atomic("a", b"hello").unwrap();
-        assert_eq!(vfs.read("a").unwrap(), b"hello");
+        put(&vfs, "a", b"hello");
+        assert_eq!(read_through(&vfs, "a").unwrap(), b"hello");
         assert!(vfs.exists("a").unwrap());
         assert!(!vfs.exists("a.tmp").unwrap());
         vfs.rename("a", "b").unwrap();
         assert!(!vfs.exists("a").unwrap());
-        assert_eq!(vfs.read("b").unwrap(), b"hello");
+        assert_eq!(read_through(&vfs, "b").unwrap(), b"hello");
         let mut f = vfs.open("b", OpenMode::Append).unwrap();
         f.write_all(b" world").unwrap();
         f.sync().unwrap();
-        assert_eq!(f.read_all().unwrap(), b"hello world");
+        assert_eq!(read_through(&vfs, "b").unwrap(), b"hello world");
         f.truncate(5).unwrap();
         assert_eq!(vfs.contents("b").unwrap(), b"hello");
         vfs.remove("b").unwrap();
-        assert!(vfs.read("b").is_err());
+        assert!(read_through(&vfs, "b").is_err());
     }
 
     #[test]
@@ -1045,7 +1146,7 @@ mod tests {
         let path = dir.join("probe.bin");
         let path = path.to_str().unwrap();
         let vfs = StdVfs;
-        vfs.write_atomic(path, b"0123456789").unwrap();
+        put(&vfs, path, b"0123456789");
         let mut f = vfs.open(path, OpenMode::Append).unwrap();
         VfsFile::write_all(&mut f, b"ab").unwrap();
         VfsFile::sync(&mut f).unwrap();
@@ -1054,7 +1155,7 @@ mod tests {
         assert_eq!(VfsFile::read_at(&mut f, 8, &mut buf).unwrap(), 4);
         assert_eq!(&buf, b"89ab");
         VfsFile::truncate(&mut f, 10).unwrap();
-        assert_eq!(vfs.read(path).unwrap(), b"0123456789");
+        assert_eq!(read_through(&vfs, path).unwrap(), b"0123456789");
         vfs.remove(path).unwrap();
         assert!(!vfs.exists(path).unwrap());
     }
@@ -1119,7 +1220,7 @@ mod tests {
     }
 
     #[test]
-    fn read_corrupt_is_transient_and_read_stable_defeats_it() {
+    fn read_corrupt_is_transient_and_read_verified_defeats_it() {
         let vfs = FaultVfs::explicit_mem(vec![PlannedFault {
             op: 2, // ops 0,1 are write+sync below; op 2 is the first read
             kind: FaultKind::ReadCorrupt { bit: 5 },
@@ -1128,12 +1229,94 @@ mod tests {
         let mut f = vfs.open("x", OpenMode::Create).unwrap();
         f.write_all(b"payload").unwrap();
         f.sync().unwrap();
-        drop(f);
-        let corrupted = vfs.read("x").unwrap();
-        assert_ne!(corrupted, b"payload");
-        assert_eq!(vfs.read("x").unwrap(), b"payload", "store itself untouched");
-        let stable = read_stable(&vfs, "x", 6).unwrap();
-        assert_eq!(stable, b"payload");
+        let mut corrupted = [0u8; 7];
+        assert_eq!(f.read_at(0, &mut corrupted).unwrap(), 7);
+        assert_ne!(&corrupted, b"payload");
+        assert_eq!(
+            vfs.inner().contents("x").unwrap(),
+            b"payload",
+            "store untouched"
+        );
+        // The flip lands on the first image: three reads, two that agree.
+        let faults = vec![PlannedFault {
+            op: 0,
+            kind: FaultKind::ReadCorrupt { bit: 5 },
+        }];
+        let vfs = FaultVfs::explicit_mem(faults);
+        put(vfs.inner(), "x", b"payload");
+        vfs.arm(true);
+        let (mut buf, mut check) = ([0u8; 16], [0u8; 16]);
+        let mut f = vfs.open("x", OpenMode::Read).unwrap();
+        let read = read_verified(&mut f, 0, &mut buf, &mut check).unwrap();
+        assert_eq!((read, &buf[..7]), ((7, 3), &b"payload"[..]));
+        assert_eq!(vfs.realized().len(), 1);
+    }
+
+    /// Every read spends one attempt, a failed read breaks the chain,
+    /// and a budget spent without two agreeing images is an error.
+    #[test]
+    fn read_verified_spends_one_attempt_per_read() {
+        let at = |ops: &[u64], kind: FaultKind| {
+            let faults = ops.iter().map(|&op| PlannedFault { op, kind }).collect();
+            let vfs = FaultVfs::explicit_mem(faults);
+            put(vfs.inner(), "x", b"abcdef");
+            vfs.arm(true);
+            let mut f = vfs.open("x", OpenMode::Read).unwrap();
+            let (mut buf, mut check) = ([0u8; 6], [0u8; 6]);
+            let read = read_verified(&mut f, 0, &mut buf, &mut check);
+            (read.map(|(n, reads)| (n, reads, buf)), vfs.ops())
+        };
+        // A good image, a failed read, then two that agree: four reads.
+        let (read, ops) = at(&[1], FaultKind::ReadErr);
+        assert_eq!((read.unwrap(), ops), ((6, 4, *b"abcdef"), 4));
+        let every = (0..u64::from(READ_ATTEMPTS)).collect::<Vec<_>>();
+        let (read, ops) = at(&every, FaultKind::ReadErr);
+        assert!(read.unwrap_err().to_string().contains("read failed"));
+        assert_eq!(ops, u64::from(READ_ATTEMPTS));
+        // Every other image flipped: no two consecutive ones agree.
+        let odd: Vec<u64> = every.iter().copied().filter(|op| op % 2 == 1).collect();
+        let (read, ops) = at(&odd, FaultKind::ReadCorrupt { bit: 0 });
+        assert_eq!(read.unwrap_err().kind(), io::ErrorKind::InvalidData);
+        assert_eq!(ops, u64::from(READ_ATTEMPTS));
+    }
+
+    /// A file larger than a chunk streams out whole through a verified
+    /// reader and writes in whole chunks, the last one short.
+    #[test]
+    fn a_file_of_several_chunks_streams_both_ways() {
+        let bytes: Vec<u8> = (0..CHUNK_BYTES * 3 + 17).map(|i| (i * 7) as u8).collect();
+        let vfs = FaultVfs::explicit_mem(Vec::new());
+        let written = vfs.write_atomic("x", |w| {
+            for piece in bytes.chunks(1000) {
+                w.write_all(piece)?;
+            }
+            Ok(bytes.len())
+        });
+        assert_eq!(written.unwrap(), bytes.len());
+        // Four writes and a sync; then two reads per chunk.
+        assert_eq!(vfs.ops(), 5);
+        let mut reader = VerifiedReader::open(&vfs, "x").unwrap();
+        assert_eq!(reader.file_len(), bytes.len() as u64);
+        let mut back = Vec::new();
+        reader.read_to_end(&mut back).unwrap();
+        assert_eq!(back, bytes);
+        assert_eq!(vfs.ops(), 5 + 2 * 4);
+        assert!(!vfs.exists("x.tmp").unwrap());
+    }
+
+    /// A failed streamed write leaves the target as it was and no tmp.
+    #[test]
+    fn a_failed_atomic_write_leaves_the_old_file() {
+        let vfs = FaultVfs::explicit_mem(vec![PlannedFault {
+            op: 1,
+            kind: FaultKind::WriteErr,
+        }]);
+        put(vfs.inner(), "x", b"old");
+        vfs.arm(true);
+        let big = vec![1u8; CHUNK_BYTES * 2 + 1];
+        assert!(vfs.write_atomic("x", |w| w.write_all(&big)).is_err());
+        assert_eq!(vfs.inner().contents("x").unwrap(), b"old");
+        assert!(!vfs.exists("x.tmp").unwrap());
     }
 
     #[test]

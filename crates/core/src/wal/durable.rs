@@ -3,7 +3,7 @@
 //! and the thread-shared [`SharedDurableCube`] (the commit pipeline of
 //! [`crate::ShardedCube`] over a `DurableCube`).
 
-use std::io;
+use std::io::{self, Read};
 
 use ddc_array::AbelianGroup;
 
@@ -15,7 +15,7 @@ use crate::persist::ValueCodec;
 use crate::shard::{CommitTarget, ShardedCube, PANICKED_AFTER_APPEND};
 use crate::store::{self, SpillFile};
 use crate::sync::Arc;
-use crate::vfs::{is_no_space, read_stable, IoError, RetryPolicy, Vfs, VfsFile};
+use crate::vfs::{is_no_space, IoError, RetryPolicy, VerifiedReader, Vfs, VfsFile};
 
 /// What [`recover`] did, for operators and metrics.
 #[derive(Clone, Debug)]
@@ -43,23 +43,26 @@ impl RecoveryReport {
 
 /// Rebuilds a cube after a crash: load the last good snapshot (if any),
 /// then replay the WAL, truncating at the first corrupt or partial
-/// record. `d` fixes the dimensionality when no snapshot exists.
+/// record. `d` fixes the dimensionality when no snapshot exists. Both
+/// are streamed — byte slices, or [`VerifiedReader`]s off a disk.
 pub fn recover<G: AbelianGroup + ValueCodec>(
     d: usize,
-    snapshot: Option<&[u8]>,
-    wal: &[u8],
+    snapshot: Option<&mut dyn Read>,
+    wal: impl Read,
     config: DdcConfig,
 ) -> io::Result<(GrowableCube<G>, RecoveryReport)> {
-    let (cube, scan) = recover_spilling(d, snapshot, wal, config, None)?;
-    Ok((cube, RecoveryReport::new(snapshot.is_some(), scan)))
+    let loaded = snapshot.is_some();
+    let (cube, scan) = recover_spilling(d, snapshot, Some(wal), config, None)?;
+    Ok((cube, RecoveryReport::new(loaded, scan)))
 }
 
 /// [`recover`], paging the leaves onto `spill` when the caller opened
-/// one; returns the cube and the log's scan.
+/// one; returns the cube and the log's scan. No log at all reads as an
+/// empty one: a torn header.
 fn recover_spilling<G: AbelianGroup + ValueCodec>(
     d: usize,
-    snapshot: Option<&[u8]>,
-    wal: &[u8],
+    snapshot: Option<&mut dyn Read>,
+    wal: Option<impl Read>,
     config: DdcConfig,
     spill: Option<SpillFile>,
 ) -> io::Result<(GrowableCube<G>, WalScan)> {
@@ -70,7 +73,7 @@ fn recover_spilling<G: AbelianGroup + ValueCodec>(
     // literally replays the WAL onto pages and a cube too big for the
     // memory cap can still be rebuilt.
     let mut cube = match snapshot {
-        Some(bytes) => GrowableCube::<G>::load_spilling(&mut { bytes }, config, spill)?,
+        Some(mut bytes) => GrowableCube::<G>::load_spilling(&mut bytes, config, spill)?,
         None => {
             let mut cube = GrowableCube::new(d, config);
             cube.tree.page_leaves(spill)?;
@@ -85,14 +88,18 @@ fn recover_spilling<G: AbelianGroup + ValueCodec>(
     }
     // Arity mismatches (a record from a different cube) and points the
     // cube cannot grow to are errors; growth is organic.
-    let scan = scan_wal(wal, |point, delta: G, _| {
+    let visit = |point: &[i64], delta: G, _| {
         if point.len() != d {
             return Err(format!("update arity {} != {d}", point.len()));
         }
         cube.check_cover(point).map_err(|e| e.to_string())?;
         cube.replay_add(point, delta);
         Ok(())
-    })?;
+    };
+    let scan = match wal {
+        Some(log) => scan_wal(log, visit),
+        None => scan_wal(io::empty(), visit),
+    }?;
     site.recover_runs.inc();
     site.recover_records.add(scan.records);
     span.end();
@@ -114,7 +121,7 @@ fn recover_spilling<G: AbelianGroup + ValueCodec>(
 ///
 /// // Simulate a kill: all that survives is the log bytes.
 /// let log = cube.into_wal().into_inner();
-/// let (recovered, report) = wal::recover::<i64>(2, None, &log, DdcConfig::sparse()).unwrap();
+/// let (recovered, report) = wal::recover::<i64>(2, None, &log[..], DdcConfig::sparse()).unwrap();
 /// assert_eq!(report.replayed, 2);
 /// assert_eq!(recovered.cell(&[3, -5]), 7);
 /// assert_eq!(recovered.total(), 8);
@@ -279,46 +286,43 @@ impl<G: AbelianGroup + ValueCodec, F: VfsFile> DurableCube<G, F> {
     }
 }
 
-/// The checkpoint's first half: writes `cube`'s snapshot to `path`
-/// atomically (tmp + sync + rename) and returns its size. A failure
-/// leaves the previous snapshot at `path` untouched: ENOSPC is
+/// The checkpoint's first half: streams `cube`'s snapshot to `path`
+/// atomically ([`Vfs::write_atomic`]: tmp + sync + rename) and returns
+/// its size; no image of it is built on the heap. A failure leaves the
+/// previous snapshot at `path` untouched: ENOSPC is
 /// [`IoError::ReadOnly`], anything else [`IoError::Transient`].
 pub fn write_snapshot<G: AbelianGroup + ValueCodec, V: Vfs>(
     vfs: &V,
     path: &str,
     cube: &GrowableCube<G>,
 ) -> Result<u64, IoError> {
-    let mut image = Vec::new();
-    cube.save(&mut image).map_err(|e| IoError::Transient {
-        detail: format!("snapshot encode: {e}"),
-        retries: 0,
-    })?;
-    vfs.write_atomic(path, &image).map_err(|e| {
-        wal_obs().io_faults.inc();
-        if is_no_space(&e) {
-            IoError::ReadOnly {
-                reason: format!("out of disk space during checkpoint: {e}"),
+    vfs.write_atomic(path, |mut w| cube.save(&mut w))
+        .map_err(|e| {
+            wal_obs().io_faults.inc();
+            if is_no_space(&e) {
+                IoError::ReadOnly {
+                    reason: format!("out of disk space during checkpoint: {e}"),
+                }
+            } else {
+                IoError::Transient {
+                    detail: format!("snapshot write: {e}"),
+                    retries: 0,
+                }
             }
-        } else {
-            IoError::Transient {
-                detail: format!("snapshot write: {e}"),
-                retries: 0,
-            }
-        }
-    })?;
-    Ok(image.len() as u64)
+        })
 }
 
 /// Boots a durable cube through a [`Vfs`]: loads the snapshot (when
 /// `snapshot_path` names an existing file), replays the log with the
 /// usual torn-tail truncation, repairs the log file back to its valid
 /// prefix ([`repair_tail`]; a missing log is a torn header), and resumes
-/// appending to it. Reads go through
-/// [`read_stable`](crate::vfs::read_stable) so a transient read-back
-/// bit flip cannot corrupt recovery. A [`crate::PagerConfig::disk`]
-/// pager spills to a scratch file next to the log in the same
-/// namespace, so an eviction write-back or a page fault-in fails (and
-/// is injected) like any other op on that disk.
+/// appending to it. Both files stream through a [`VerifiedReader`], so a
+/// transient read-back bit flip cannot corrupt recovery and neither file
+/// is ever whole on the heap; a read that never verifies fails the boot
+/// and leaves the log as it was. A [`crate::PagerConfig::disk`] pager
+/// spills to a scratch file next to the log in the same namespace, so
+/// an eviction write-back or a page fault-in fails (and is injected)
+/// like any other op on that disk.
 pub fn recover_vfs<G: AbelianGroup + ValueCodec, V: Vfs>(
     vfs: &V,
     wal_path: &str,
@@ -330,18 +334,14 @@ pub fn recover_vfs<G: AbelianGroup + ValueCodec, V: Vfs>(
 where
     V::File: 'static,
 {
-    let attempts = policy.max_retries + 3;
-    let snapshot = match snapshot_path {
-        Some(p) if vfs.exists(p)? => Some(read_stable(vfs, p, attempts)?),
+    let mut snapshot = match snapshot_path {
+        Some(p) if vfs.exists(p)? => Some(VerifiedReader::open(vfs, p)?),
         _ => None,
     };
     let spill = store::spill_through(vfs, wal_path, &config)?;
-    let log = if vfs.exists(wal_path)? {
-        read_stable(vfs, wal_path, attempts)?
-    } else {
-        Vec::new()
-    };
-    let (cube, scan) = recover_spilling(d, snapshot.as_deref(), &log, config, spill)?;
+    let snapshot_read = snapshot.as_mut().map(|s| s as &mut dyn Read);
+    let log = (vfs.exists(wal_path)?).then(|| VerifiedReader::open(vfs, wal_path));
+    let (cube, scan) = recover_spilling(d, snapshot_read, log.transpose()?, config, spill)?;
     let wal = repair_tail(vfs, wal_path, &scan)?;
     let report = RecoveryReport::new(snapshot.is_some(), scan);
     Ok((DurableCube::from_parts(cube, wal, policy), report))

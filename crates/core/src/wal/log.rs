@@ -2,7 +2,7 @@
 //! ([`scan_wal`]), repairing its tail ([`repair_tail`]) and starting it
 //! afresh behind a snapshot ([`rotate_wal`]).
 
-use std::io;
+use std::io::{self, Read};
 
 use super::record::{
     crc32, decode_update, encode_update, MAX_RECORD_BYTES, WAL_FRAME_BYTES, WAL_HEADER_BYTES,
@@ -214,76 +214,112 @@ fn invalid_data(why: String) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, why)
 }
 
-/// The record framed at the start of `rest`, `offset` bytes into the
-/// log — its frame's length, and its delta with the point decoded into
-/// `point` — or why there is no intact one there.
-fn next_record<G: ValueCodec>(
-    rest: &[u8],
-    offset: usize,
-    point: &mut Vec<i64>,
-) -> Result<(usize, G), String> {
-    if rest.len() < WAL_FRAME_BYTES {
-        return Err(format!("torn frame at byte {offset}"));
+/// Reads into `buf` until it is full or the input ends; returns the
+/// bytes read. The end of the input is the one short read a scan
+/// forgives (a torn tail); every other error is the caller's.
+fn fill(input: &mut impl Read, buf: &mut [u8]) -> io::Result<usize> {
+    let mut filled = 0;
+    while filled < buf.len() {
+        match input.read(&mut buf[filled..]) {
+            Ok(0) => break,
+            Ok(n) => filled += n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
     }
-    let word = |at: usize| u32::from_le_bytes([rest[at], rest[at + 1], rest[at + 2], rest[at + 3]]);
-    let (len, crc) = (word(0) as usize, word(4));
-    if len as u64 > MAX_RECORD_BYTES {
-        return Err(format!(
-            "implausible record length {len} at byte {offset} (corrupt frame)"
-        ));
-    }
-    let payload = (rest.get(WAL_FRAME_BYTES..WAL_FRAME_BYTES + len))
-        .ok_or_else(|| format!("torn record at byte {offset}"))?;
-    if crc32(payload) != crc {
-        return Err(format!("checksum mismatch at byte {offset}"));
-    }
-    let delta = decode_update(payload, point)
-        .map_err(|reason| format!("undecodable record at byte {offset}: {reason}"))?;
-    Ok((WAL_FRAME_BYTES + len, delta))
+    Ok(filled)
 }
 
-/// Scans a log image, handing every intact record to `visit` as it is
-/// decoded — its point, its delta, and the log's length once it was
+/// The record framed next in `input`, `offset` bytes into the log — its
+/// frame's length, and its delta with the point decoded into `point` —
+/// `Ok(None)` at a clean end, or `Err(why)` when there is no intact one
+/// there. `payload` is the reused payload buffer.
+fn next_record<G: ValueCodec>(
+    input: &mut impl Read,
+    offset: u64,
+    payload: &mut Vec<u8>,
+    point: &mut Vec<i64>,
+) -> io::Result<Result<Option<(usize, G)>, String>> {
+    let mut frame = [0u8; WAL_FRAME_BYTES];
+    match fill(input, &mut frame)? {
+        0 => return Ok(Ok(None)),
+        WAL_FRAME_BYTES => {}
+        _ => return Ok(Err(format!("torn frame at byte {offset}"))),
+    }
+    let word =
+        |at: usize| u32::from_le_bytes([frame[at], frame[at + 1], frame[at + 2], frame[at + 3]]);
+    let (len, crc) = (word(0) as usize, word(4));
+    if len as u64 > MAX_RECORD_BYTES {
+        return Ok(Err(format!(
+            "implausible record length {len} at byte {offset} (corrupt frame)"
+        )));
+    }
+    // At most MAX_RECORD_BYTES, whatever a torn length says.
+    payload.resize(len, 0);
+    if fill(input, payload)? < len {
+        return Ok(Err(format!("torn record at byte {offset}")));
+    }
+    if crc32(payload) != crc {
+        return Ok(Err(format!("checksum mismatch at byte {offset}")));
+    }
+    Ok(decode_update(payload, point)
+        .map(|delta| Some((WAL_FRAME_BYTES + len, delta)))
+        .map_err(|reason| format!("undecodable record at byte {offset}: {reason}")))
+}
+
+/// Scans a log, handing every intact record to `visit` as it is decoded
+/// — its point, its delta, and the log's length once it was
 /// acknowledged — and stopping at the first torn or corrupt one (see
-/// the module docs for the contract). One point buffer serves every
-/// record, so the scan allocates nothing per record.
+/// the module docs for the contract). The log streams in: a byte slice,
+/// or a [`VerifiedReader`](crate::vfs::VerifiedReader) off a disk. One
+/// point buffer and one payload buffer serve every record, so the scan
+/// allocates nothing per record and holds no more of the log than one
+/// record.
 ///
-/// Errors on a *structurally alien* input — an intact-length header
-/// whose magic or version is wrong — and when `visit` refuses a record,
-/// as `InvalidData` "record N: …" (N counts from 0). A header cut short
-/// by a crash is a valid empty log with a torn tail.
+/// The end of the input mid-record is a torn tail; any other read error
+/// propagates, and nothing has been truncated. Errors too on a
+/// *structurally alien* input — an intact-length header whose magic or
+/// version is wrong — and when `visit` refuses a record, as
+/// `InvalidData` "record N: …" (N counts from 0). A header cut short by
+/// a crash is a valid empty log with a torn tail.
 pub fn scan_wal<G: ValueCodec>(
-    data: &[u8],
+    mut log: impl Read,
     mut visit: impl FnMut(&[i64], G, u64) -> Result<(), String>,
 ) -> io::Result<WalScan> {
     let mut scan = WalScan::default();
-    if !WAL_MAGIC.starts_with(&data[..data.len().min(4)]) {
+    let mut header = [0u8; WAL_HEADER_BYTES];
+    let got = fill(&mut log, &mut header)?;
+    if !WAL_MAGIC.starts_with(&header[..got.min(4)]) {
         return Err(invalid_data("not a DDC WAL (bad magic)".to_string()));
     }
-    if data.len() < WAL_HEADER_BYTES {
+    if got < WAL_HEADER_BYTES {
         // A kill before the header hit the disk: an empty log, torn.
         scan.truncated = Some("torn header".to_string());
         return Ok(scan);
     }
-    if data[4] != WAL_VERSION {
-        return Err(invalid_data(format!("unsupported WAL version {}", data[4])));
+    if header[4] != WAL_VERSION {
+        return Err(invalid_data(format!(
+            "unsupported WAL version {}",
+            header[4]
+        )));
     }
-    let mut point = Vec::new();
-    let mut offset = WAL_HEADER_BYTES;
-    scan.valid_bytes = offset as u64;
-    while offset < data.len() {
-        let (len, delta) = match next_record(&data[offset..], offset, &mut point) {
-            Ok(record) => record,
+    let (mut payload, mut point) = (Vec::new(), Vec::new());
+    scan.valid_bytes = WAL_HEADER_BYTES as u64;
+    loop {
+        let at = scan.valid_bytes;
+        let (len, delta) = match next_record(&mut log, at, &mut payload, &mut point)? {
+            Ok(Some(record)) => record,
+            Ok(None) => break,
             Err(why) => {
                 scan.truncated = Some(why);
                 break;
             }
         };
-        offset += len;
-        visit(&point, delta, offset as u64)
+        let end = at + len as u64;
+        visit(&point, delta, end)
             .map_err(|e| invalid_data(format!("record {}: {e}", scan.records)))?;
         scan.records += 1;
-        scan.valid_bytes = offset as u64;
+        scan.valid_bytes = end;
     }
     Ok(scan)
 }

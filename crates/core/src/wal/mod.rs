@@ -263,7 +263,7 @@ mod tests {
         let mut cube = GrowableCube::<i64>::new(2, DdcConfig::sparse());
         let mut oracle = std::collections::HashMap::<Vec<i64>, i64>::new();
         let (mut seen, mut last_end) = (0u64, WAL_HEADER_BYTES as u64);
-        let scan = scan_wal(&log, |point, delta: i64, end| {
+        let scan = scan_wal(&log[..], |point, delta: i64, end| {
             cube.check_cover(point).map_err(|e| e.to_string())?;
             cube.add(point, delta);
             *oracle.entry(point.to_vec()).or_default() += delta;
@@ -352,7 +352,8 @@ mod tests {
         base.save(&mut snapshot).unwrap();
         // …then more acknowledged work in the log.
         let (log, _) = write_log(&[(vec![1, 1], -10), (vec![9, 9], 4)]);
-        let (cube, report) = recover::<i64>(2, Some(&snapshot), &log, DdcConfig::sparse()).unwrap();
+        let (cube, report) =
+            recover::<i64>(2, Some(&mut &snapshot[..]), &log[..], DdcConfig::sparse()).unwrap();
         assert!(report.snapshot_loaded);
         assert_eq!(report.replayed, 2);
         assert!(report.truncated.is_none());
@@ -378,7 +379,7 @@ mod tests {
     #[test]
     fn recover_rejects_arity_mismatch() {
         let (log, _) = write_log(&sample_ops()); // 2-dimensional records
-        let err = recover::<i64>(3, None, &log, DdcConfig::dynamic()).unwrap_err();
+        let err = recover::<i64>(3, None, &log[..], DdcConfig::dynamic()).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
         assert_eq!(err.to_string(), "record 0: update arity 2 != 3");
     }
@@ -564,7 +565,9 @@ mod tests {
         let before = vfs.ops();
         assert_eq!(boot(&vfs).cube().total(), 10);
         let reboot = vfs.ops() - before;
-        vfs.inner().write_atomic(WAL, &WAL_MAGIC[..2]).unwrap();
+        (vfs.inner()
+            .write_atomic(WAL, |w| w.write_all(&WAL_MAGIC[..2])))
+        .unwrap();
         let before = vfs.ops();
         assert_eq!(boot(&vfs).cube().total(), 4);
         let torn = vfs.ops() - before;

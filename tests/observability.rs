@@ -117,7 +117,7 @@ fn instrumented_hot_paths_report_nonzero() {
     }
     let log = writer.into_inner();
     let (_cube, report) =
-        wal::recover::<i64>(2, None, &log, DdcConfig::dynamic()).expect("recover");
+        wal::recover::<i64>(2, None, &log[..], DdcConfig::dynamic()).expect("recover");
     assert_eq!(report.replayed, 4);
 
     // Growth and persistence.

@@ -247,7 +247,8 @@ fn unreachable_point_is_refused_before_the_append_and_named_by_recovery() {
         &RetryPolicy::instant(),
     )
     .unwrap();
-    let err = wal::recover::<i64>(2, None, &log.into_inner(), DdcConfig::dynamic()).unwrap_err();
+    let err =
+        wal::recover::<i64>(2, None, &log.into_inner()[..], DdcConfig::dynamic()).unwrap_err();
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
     assert!(err.to_string().starts_with("record 1: "), "{err}");
 }
@@ -324,8 +325,13 @@ fn durable_file_cube_recovers_via_the_cli() {
     // Library-level recovery tolerates the torn tail directly…
     let log = std::fs::read(&wal_path).unwrap();
     let snap_bytes = std::fs::read(&snap_path).unwrap();
-    let (cube, report) =
-        wal::recover::<i64>(2, Some(&snap_bytes), &log, DdcConfig::dynamic()).unwrap();
+    let (cube, report) = wal::recover::<i64>(
+        2,
+        Some(&mut &snap_bytes[..]),
+        &log[..],
+        DdcConfig::dynamic(),
+    )
+    .unwrap();
     assert!(report.snapshot_loaded);
     assert_eq!(report.replayed, 2);
     assert!(report.truncated.is_some());
@@ -386,10 +392,174 @@ fn durable_file_cube_recovers_via_the_cli() {
     let log = std::fs::read(&wal_path).unwrap();
     assert_eq!(log.len(), wal::WAL_HEADER_BYTES);
     let snap_bytes = std::fs::read(&out_path).unwrap();
-    let (cube, report) =
-        wal::recover::<i64>(2, Some(&snap_bytes), &log, DdcConfig::dynamic()).unwrap();
+    let (cube, report) = wal::recover::<i64>(
+        2,
+        Some(&mut &snap_bytes[..]),
+        &log[..],
+        DdcConfig::dynamic(),
+    )
+    .unwrap();
     assert_eq!(report.replayed, 0);
     assert_eq!(cube.total(), 18);
 
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Bytes of one d = 2 update record (frame + tag + arity + 2 × i64 +
+/// i64 delta).
+const RECORD: usize = 37;
+
+/// The update the log tests append as record `i`: cells of a 25 × 15
+/// patch, and every 97th one far out, so the cube grows mid-log.
+fn update(i: usize) -> (Vec<i64>, i64) {
+    let far = if i % 97 == 96 { 300 } else { 0 };
+    let point = vec![
+        (i * 7 % 25) as i64 - 12 + far,
+        (i * 13 % 15) as i64 - 7 - far,
+    ];
+    (point, (i % 9) as i64 - 4)
+}
+
+/// A log of the first `records` updates, appended in groups of 16.
+fn log_of(records: usize) -> Vec<u8> {
+    let mut writer = wal::WalWriter::create(Vec::new()).expect("in-memory log");
+    let updates: Vec<_> = (0..records).map(update).collect();
+    for group in updates.chunks(16) {
+        writer
+            .append_updates(group, &RetryPolicy::instant())
+            .expect("append");
+    }
+    writer.into_inner()
+}
+
+/// A read that never verifies is an I/O error, not a torn tail: with
+/// every attempt at the log's second chunk failing, the boot fails and
+/// `wal.log` keeps every byte (a scan that took the error for the end of
+/// the log would truncate it to the first chunk's records). One failed
+/// read is absorbed, and the same log boots whole.
+#[test]
+fn a_persistent_read_error_mid_log_fails_the_boot_and_never_truncates() {
+    use ddc_core::vfs::{Vfs, CHUNK_BYTES, READ_ATTEMPTS};
+    let records = 3 * CHUNK_BYTES / RECORD;
+    let log = log_of(records);
+    // The boot reads chunk 0 twice on open (ops 0 and 1); chunk 1's
+    // reads start at op 2.
+    let boot = |failing: std::ops::Range<u64>| {
+        let faults = failing
+            .map(|op| PlannedFault {
+                op,
+                kind: FaultKind::ReadErr,
+            })
+            .collect();
+        let vfs = FaultVfs::explicit_mem(faults);
+        (vfs.inner().write_atomic("wal.log", |w| w.write_all(&log))).expect("log written");
+        vfs.arm(true);
+        let booted = wal::recover_vfs::<i64, _>(
+            &vfs,
+            "wal.log",
+            None,
+            2,
+            DdcConfig::dynamic(),
+            RetryPolicy::instant(),
+        );
+        (
+            booted.map(|(cube, report)| (cube.cube().total(), report)),
+            vfs,
+        )
+    };
+
+    let (booted, vfs) = boot(2..2 + u64::from(READ_ATTEMPTS));
+    let err = booted.expect_err("a chunk that never reads must fail the boot");
+    assert!(err.to_string().contains("read failed"), "{err}");
+    assert_eq!(vfs.realized_paths().len(), READ_ATTEMPTS as usize);
+    assert!(vfs.realized_paths().iter().all(|path| path == "wal.log"));
+    assert_eq!(vfs.inner().contents("wal.log"), Some(log.clone()));
+
+    let (booted, vfs) = boot(2..3);
+    let (total, report) = booted.expect("one failed read is retried");
+    assert_eq!((report.replayed, report.truncated), (records, None));
+    assert_eq!(total, (0..records).map(|i| update(i).1).sum::<i64>());
+    assert_eq!(vfs.realized().len(), 1);
+}
+
+/// Appends `records` updates one at a time to a durable cube on `vfs`;
+/// after each, drops the cube, calls `before_boot` with the log's length,
+/// boots again and checks the cube against the oracle: its invariants,
+/// its total, every cell, and a clean replay of every record so far.
+fn boot_after_every_record<V: ddc_core::vfs::Vfs>(
+    vfs: &V,
+    wal_path: &str,
+    records: usize,
+    mut before_boot: impl FnMut(u64),
+) where
+    V::File: 'static,
+{
+    let boot = || {
+        let config = DdcConfig::dynamic();
+        wal::recover_vfs::<i64, _>(vfs, wal_path, None, 2, config, RetryPolicy::instant())
+            .expect("boot")
+    };
+    let mut oracle = std::collections::HashMap::<Vec<i64>, i64>::new();
+    let mut cube = boot().0;
+    for i in 0..records {
+        let (point, delta) = update(i);
+        cube.add(&point, delta).expect("append");
+        *oracle.entry(point).or_default() += delta;
+        let log_bytes = cube.wal_stats().0;
+        drop(cube);
+        before_boot(log_bytes);
+        let (booted, report) = boot();
+        cube = booted;
+        let total: i64 = oracle.values().sum();
+        assert_eq!(cube.cube().check_invariants(), total, "record {i}");
+        assert_eq!(cube.cube().total(), total, "record {i}");
+        for (p, &want) in &oracle {
+            assert_eq!(cube.cube().cell(p), want, "record {i}: cell {p:?}");
+        }
+        assert_eq!((report.replayed, &report.truncated), (i + 1, &None));
+    }
+}
+
+/// The cumulant shape over a log of several chunks, a record straddling
+/// every chunk boundary: after each appended record, a kill and a boot
+/// land on the oracle — on a fault-injecting disk whose read of a later
+/// chunk comes back with a bit flipped once, and on the real disk.
+#[test]
+fn every_boot_of_a_log_spanning_several_chunks_matches_the_oracle() {
+    use ddc_core::vfs::CHUNK_BYTES;
+    let records = 7 * CHUNK_BYTES / 2 / RECORD;
+    let log_bytes = (wal::WAL_HEADER_BYTES + records * RECORD) as u64;
+    assert!(log_bytes > 3 * CHUNK_BYTES as u64);
+    for boundary in (1..=3).map(|k| k * CHUNK_BYTES) {
+        let inside = (boundary - wal::WAL_HEADER_BYTES) % RECORD;
+        assert_ne!(inside, 0, "a record ends on the chunk boundary {boundary}");
+    }
+
+    // A dry run finds the op the last boot starts at and the reads it
+    // spends per chunk (two); its log spans four chunks, and its first
+    // read of the third is flipped.
+    let dry = FaultVfs::explicit_mem(Vec::new());
+    let mut last_boot = 0;
+    boot_after_every_record(&dry, "wal.log", records, |_| last_boot = dry.ops());
+    let chunks = log_bytes.div_ceil(CHUNK_BYTES as u64);
+    let per_chunk = (dry.ops() - last_boot) / chunks;
+    assert_eq!(per_chunk, 2, "a clean chunk is two reads");
+    let op = last_boot + 2 * per_chunk;
+    let vfs = FaultVfs::explicit_mem(vec![PlannedFault {
+        op,
+        kind: FaultKind::ReadCorrupt { bit: 8 * 77 + 3 },
+    }]);
+    vfs.arm(true);
+    boot_after_every_record(&vfs, "wal.log", records, |_| {});
+    assert_eq!(vfs.realized_paths(), ["wal.log"]);
+    assert_eq!(vfs.realized()[0].op, op);
+
+    let dir = std::env::temp_dir().join(format!("ddc-wal-chunks-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("wal.log").display().to_string();
+    let mut last = 0;
+    boot_after_every_record(&StdVfs, &path, records, |bytes| last = bytes);
+    assert_eq!(last, log_bytes);
+    assert_eq!(std::fs::metadata(&path).expect("log").len(), log_bytes);
     std::fs::remove_dir_all(&dir).ok();
 }

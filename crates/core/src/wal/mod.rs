@@ -58,6 +58,10 @@
 //!   **degraded read-only mode** — queries keep serving, mutations
 //!   return [`IoError::ReadOnly`] — surfaced through the
 //!   `ddc_degraded_mode` gauge and `ddc serve`'s `/healthz`;
+//! * reads are streamed and verified ([`crate::vfs::VerifiedReader`]:
+//!   each chunk read until two consecutive images agree, within
+//!   [`crate::vfs::READ_ATTEMPTS`]); a read that never verifies is an
+//!   error recovery returns, never a torn tail it truncates;
 //! * the `ddc check disk` chaos sweep drives seeded fault schedules
 //!   through this path and asserts no acked update is ever lost.
 //!

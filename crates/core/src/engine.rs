@@ -102,21 +102,11 @@ impl<G: AbelianGroup> DdcEngine<G> {
         Self::from_array_with(a, DdcConfig::dynamic())
     }
 
-    /// Builds from an array under an explicit configuration, using the
-    /// bottom-up bulk constructor (`O(d · N log n)` cell visits).
+    /// Builds from an array under an explicit configuration: one point
+    /// update per non-zero cell, in row-major order — the one way the
+    /// tree receives content. The returned engine's
+    /// [`RangeSumEngine::ops`] read zero.
     pub fn from_array_with(a: &NdArray<G>, config: DdcConfig) -> Self {
-        let side = a.shape().max_dim().next_power_of_two();
-        let tree = DdcTree::from_array_sized(a, side, config);
-        Self {
-            shape: a.shape().clone(),
-            tree,
-        }
-    }
-
-    /// Builds from an array by per-cell incremental updates — the same
-    /// result as [`DdcEngine::from_array_with`], exercised against it by
-    /// property tests.
-    pub fn from_array_incremental(a: &NdArray<G>, config: DdcConfig) -> Self {
         let mut e = Self::with_config(a.shape().clone(), config);
         let mut iter = a.shape().iter_points();
         let mut buf = vec![0usize; a.shape().ndim()];
@@ -126,6 +116,7 @@ impl<G: AbelianGroup> DdcEngine<G> {
                 e.tree.apply_delta(&buf, v);
             }
         }
+        e.reset_ops();
         e
     }
 

@@ -7,10 +7,10 @@
 //! region contains the changed cell — the Figure 13 dependency cascade
 //! that makes Basic-DDC updates `O(n^{d-1})` (§3.3) and motivates §4.
 //!
-//! Like `ddc_btree::blocked`, the arithmetic is slice kernels — [`prefix`],
-//! [`add`], [`fill`] — over a run written in place in a level's box
-//! record: `cum[c] = Σ_{c' ≤ c} raw[c']`, row-major, every dimension of
-//! extent `k`. Each returns the number of stored values it read or wrote.
+//! Like `ddc_btree::blocked`, the arithmetic is slice kernels — [`prefix`]
+//! and [`add`] — over a run written in place in a level's box record:
+//! `cum[c] = Σ_{c' ≤ c} raw[c']`, row-major, every dimension of extent
+//! `k`. Each returns the number of stored values it read or wrote.
 
 use ddc_array::AbelianGroup;
 
@@ -36,21 +36,6 @@ pub(crate) fn add<G: AbelianGroup>(cum: &mut [G], k: usize, idx: &[usize], delta
             .skip(i)
             .map(|plane| add(plane, k, rest, delta))
             .sum(),
-    }
-}
-
-/// Overwrites the face with the cumulative form of `raw` (same shape,
-/// non-cumulative) by one running-sum sweep per axis.
-pub(crate) fn fill<G: AbelianGroup>(cum: &mut [G], k: usize, raw: &[G]) {
-    cum.copy_from_slice(raw);
-    let mut stride = 1;
-    while stride < cum.len() {
-        for at in stride..cum.len() {
-            if (at / stride) % k != 0 {
-                cum[at] = cum[at].add(cum[at - stride]);
-            }
-        }
-        stride *= k;
     }
 }
 
@@ -91,10 +76,6 @@ mod tests {
         for point in raw.shape().iter_points() {
             assert_eq!(prefix(&f, 4, &point).0, raw.prefix_sum(&point), "{point:?}");
         }
-        // A bulk fill of the same raw values lands on the same words.
-        let mut filled = [0i64; 16];
-        fill(&mut filled, 4, raw.as_slice());
-        assert_eq!(filled, f);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! `check_arena` audit. The record layout is drawn in the parent
 //! module's docs.
 
-use ddc_array::{with_coord_bufs, AbelianGroup, NdArray, OpSnapshot};
+use ddc_array::{with_coord_bufs, AbelianGroup, OpSnapshot};
 use ddc_btree::blocked;
 
 use super::{ChildRef, DdcTree, LevelStats, Slabs, TreeStats, LEAF_BIT};
@@ -125,14 +125,6 @@ impl Face {
         match self {
             Face::Blocked => blocked::add(run, k, cross[0], delta),
             Face::Flat => flat_face::add(run, k, cross, delta),
-        }
-    }
-
-    /// Overwrites the run from the group's raw slab sums.
-    fn fill<G: AbelianGroup>(self, run: &mut [G], k: usize, raw: &[G]) {
-        match self {
-            Face::Blocked => blocked::fill(run, raw),
-            Face::Flat => flat_face::fill(run, k, raw),
         }
     }
 }
@@ -448,31 +440,6 @@ impl<G: AbelianGroup> Level<G> {
                     delta,
                     ops,
                 ),
-            }
-        }
-    }
-
-    /// Bulk-writes a freshly allocated box record from a region scan:
-    /// its subtotal and the raw slab sums of each row-sum group.
-    pub(super) fn fill_box(
-        &mut self,
-        obox: u32,
-        subtotal: G,
-        raws: &[NdArray<G>],
-        config: &DdcConfig,
-    ) {
-        self.words[obox as usize * self.rec_words] = subtotal;
-        let (d, k) = (self.d, self.k);
-        for (j, raw) in raws.iter().enumerate() {
-            let at = self.root_at(obox, j);
-            match &mut self.forest {
-                None => {
-                    let run = self.face_run(obox, j);
-                    self.face.fill(&mut self.words[run], k, raw.as_slice());
-                }
-                Some(Forest { roots, slabs }) => {
-                    roots[at] = forest_of(slabs, d, k, config).build_child(raw, 0, &vec![0; d - 1]);
-                }
             }
         }
     }

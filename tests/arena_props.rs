@@ -19,7 +19,7 @@
 use std::collections::HashMap;
 
 use ddc_array::{NdArray, Region, Shape};
-use ddc_core::{DdcConfig, DdcTree, PagerConfig, LEAF_BLOCK_CELLS, MAX_RANK};
+use ddc_core::{DdcConfig, DdcEngine, DdcTree, PagerConfig, LEAF_BLOCK_CELLS, MAX_RANK};
 use ddc_tests::{for_cases, DdcRng};
 
 type Oracle = HashMap<Vec<usize>, i64>;
@@ -201,31 +201,48 @@ for_cases! {
         assert_eq!(tree.check_invariants(), 9 * points.len() as i64);
     }
 
-    /// Build-path equivalence: a tree grown update-by-update and one
-    /// built by the bulk path land on identical answers and pass the
-    /// same arena audit.
-    fn bulk_builds_match_incremental_and_pass_audit(rng, cases = 12) {
-        let d = rng.gen_range(1usize..=3);
+    /// Build-order independence on the one construction path:
+    /// `from_array_with` (one point update per non-zero cell, row-major)
+    /// and the same cells applied in a seeded shuffled order land on
+    /// equal `stats()` and the array's prefix sums, and both pass the arena
+    /// audit — at every rank 1..=3 under every configuration. A fresh
+    /// engine's op counter reads zero, whatever building it cost.
+    fn from_array_matches_shuffled_point_updates_and_passes_audit(rng, cases = 4) {
+        use ddc_array::{OpSnapshot, RangeSumEngine};
         let side = 16;
-        let config = configs()[rng.gen_range(0usize..5)];
-        let shape = Shape::new(&vec![side; d]);
-        let mut cells = Oracle::new();
-        let mut incremental = DdcTree::<i64>::new(d, side, config);
-        for _ in 0..rng.gen_range(5usize..40) {
-            let p: Vec<usize> = (0..d).map(|_| rng.gen_range(0..side)).collect();
-            let delta = rng.gen_range(-20i64..=20);
-            oracle_add(&mut cells, &p, delta);
-            incremental.apply_delta(&p, delta);
-        }
-        let dense = NdArray::from_fn(shape, |p| cells.get(p).copied().unwrap_or(0));
-        let bulk = DdcTree::from_array_sized(&dense, side, config);
-        for t in [&incremental, &bulk] {
-            t.check_arena();
-            t.check_invariants();
-        }
-        for _ in 0..8 {
-            let x: Vec<usize> = (0..d).map(|_| rng.gen_range(0..side)).collect();
-            assert_eq!(bulk.prefix_sum(&x), incremental.prefix_sum(&x), "bulk prefix at {x:?}");
+        for d in 1..=3 {
+            for config in configs() {
+                let shape = Shape::new(&vec![side; d]);
+                let mut cells = Oracle::new();
+                for _ in 0..rng.gen_range(5usize..40) {
+                    let p: Vec<usize> = (0..d).map(|_| rng.gen_range(0..side)).collect();
+                    oracle_add(&mut cells, &p, rng.gen_range(-20i64..=20));
+                }
+                let dense = NdArray::from_fn(shape, |p| cells.get(p).copied().unwrap_or(0));
+                let built = DdcEngine::from_array_with(&dense, config);
+                assert_eq!(built.ops(), OpSnapshot::default());
+                let mut order: Vec<(Vec<usize>, i64)> = cells.into_iter().collect();
+                order.sort();
+                for i in (1..order.len()).rev() {
+                    order.swap(i, rng.gen_range(0..=i));
+                }
+                let mut shuffled = DdcTree::<i64>::new(d, side, config);
+                for (p, v) in &order {
+                    shuffled.apply_delta(p, *v);
+                }
+                let what = format!("d={d} {config:?}");
+                for t in [built.tree(), &shuffled] {
+                    t.check_arena();
+                    assert_eq!(t.check_invariants(), dense.total(), "{what}");
+                }
+                assert_eq!(built.tree().stats(), shuffled.stats(), "{what}: stats");
+                for _ in 0..8 {
+                    let x: Vec<usize> = (0..d).map(|_| rng.gen_range(0..side)).collect();
+                    let want = dense.prefix_sum(&x);
+                    assert_eq!(built.tree().prefix_sum(&x), want, "{what}: prefix at {x:?}");
+                    assert_eq!(shuffled.prefix_sum(&x), want, "{what}: shuffled prefix at {x:?}");
+                }
+            }
         }
     }
 }
@@ -434,7 +451,7 @@ fn cancel_all_but(tree: &mut DdcTree<i64>, a: &mut NdArray<i64>, keep: usize) {
 /// derived from the rank} × {Basic, Dynamic over both `BaseStore`s} × {leaf
 /// cells in memory, behind a two-page pool of 64-byte pages, behind one
 /// of 96-byte pages}, each through update → grow high → grow low →
-/// cancel → prune → forced compaction → bulk rebuild, with
+/// cancel → prune → forced compaction → rebuild by `from_array_with`, with
 /// `check_arena` + `check_invariants` and sampled answers after every
 /// phase. Sides are chosen so the sweep crosses the degenerate
 /// single-leaf tree, growth out of it, and both inline face kinds
@@ -560,10 +577,14 @@ fn slab_tree_matches_brute_force_across_dims_modes_and_bases() {
                     );
                     evictions += tree.pool_stats().map_or(0, |s| s.evictions);
 
-                    let full = tree.side();
-                    let mut bulk = DdcTree::from_array_sized(&populated, full, config);
-                    assert_eq!(bulk.enable_paging().expect("in-memory spill"), paged);
-                    audit_dense(&bulk, &populated, &mut rng, &format!("{what} bulk"));
+                    let mut rebuilt = DdcEngine::from_array_with(&populated, config);
+                    assert_eq!(rebuilt.enable_paging().expect("in-memory spill"), paged);
+                    audit_dense(
+                        rebuilt.tree(),
+                        &populated,
+                        &mut rng,
+                        &format!("{what} rebuilt"),
+                    );
                 }
             }
         }
@@ -728,7 +749,7 @@ fn top_rank_cube_matches_brute_force() {
     tree.prune();
     audit_dense(&tree, &a, &mut rng, "top rank prune");
 
-    let engine = ddc_core::DdcEngine::from_array_incremental(&a, DdcConfig::dynamic());
+    let engine = DdcEngine::from_array_with(&a, DdcConfig::dynamic());
     for _ in 0..3 {
         let (lo, hi): (Vec<usize>, Vec<usize>) = (0..d)
             .map(|_| {

@@ -117,23 +117,4 @@ for_cases! {
             assert_eq!(e.cell(&p), truth.get(&p), "{} cell", e.name());
         }
     }
-
-    fn from_array_equals_incremental(rng, cases = 48) {
-        let dims = gen_shape(rng);
-        let seed = rng.next_u64();
-        let shape = Shape::new(&dims);
-        let base = ddc_workload::uniform_array(&shape, -20, 20, &mut ddc_workload::rng(seed));
-        let built = ddc_core::DdcEngine::from_array(&base);
-        let mut incremental = ddc_core::DdcEngine::dynamic(shape.clone());
-        for p in shape.iter_points() {
-            let v = base.get(&p);
-            if v != 0 {
-                incremental.apply_delta(&p, v);
-            }
-        }
-        let corner: Vec<usize> = dims.iter().map(|&n| n - 1).collect();
-        assert_eq!(built.prefix_sum(&corner), incremental.prefix_sum(&corner));
-        built.check_invariants();
-        incremental.check_invariants();
-    }
 }

@@ -97,20 +97,58 @@ fn table2_rows() {
 
 /// §4.4: "By setting the appropriate value of h, one can reduce the
 /// storage … to within ε of the size of array A" — measured on the real
-/// structure: h = 4 must bring a 256² cube under 1.5× |A|.
+/// structure: h = 4 must bring a 256² cube under 1.5× |A|. The byte and
+/// structure counts of both trees are pinned exactly: the full cube
+/// materializes every node, `4^l` at level `l`, each with four boxes.
 #[test]
 fn elision_brings_storage_near_array_size() {
     use ddc_array::{RangeSumEngine, Shape};
-    use ddc_core::{DdcConfig, DdcEngine};
+    use ddc_core::{DdcConfig, DdcEngine, LevelStats, TreeStats};
     use ddc_workload::{rng, uniform_array};
     let shape = Shape::cube(2, 256);
     let a = uniform_array(&shape, -20, 20, &mut rng(3));
     let raw = a.heap_bytes();
+    let full = |depth: usize, leaf_side: usize, secondary_bytes, total_bytes| {
+        let mut per_level: Vec<LevelStats> = (0..depth)
+            .map(|l| LevelStats {
+                side: 256 >> l,
+                nodes: 1 << (2 * l),
+                boxes: 4 << (2 * l),
+                leaf_blocks: 0,
+            })
+            .collect();
+        let (nodes, leaf_blocks) = ((1 << (2 * depth)) / 3, 1 << (2 * depth));
+        per_level.push(LevelStats {
+            side: leaf_side,
+            nodes: 0,
+            boxes: 0,
+            leaf_blocks,
+        });
+        TreeStats {
+            nodes,
+            boxes: 4 * nodes,
+            leaf_blocks,
+            leaf_cells: 256 * 256,
+            leaf_side,
+            secondary_bytes,
+            total_bytes,
+            depth,
+            per_level,
+            node_slots: nodes,
+            free_node_slots: 0,
+            leaf_slots: leaf_blocks,
+            free_leaf_slots: 0,
+        }
+    };
     let e = DdcEngine::from_array_with(&a, DdcConfig::dynamic().with_elision(4));
+    assert_eq!(e.heap_bytes(), 586_256);
+    assert_eq!(e.tree().stats(), full(3, 32, 59_584, 586_064));
     let ratio = e.heap_bytes() as f64 / raw as f64;
     assert!(ratio < 1.5, "h=4 ratio {ratio}");
     // And h = 0 is strictly larger — the optimization does something.
     let e0 = DdcEngine::from_array_with(&a, DdcConfig::dynamic().with_elision(0));
+    assert_eq!(e0.heap_bytes(), 1_918_128);
+    assert_eq!(e0.tree().stats(), full(7, 2, 1_042_624, 1_917_936));
     assert!(e0.heap_bytes() > e.heap_bytes());
 }
 

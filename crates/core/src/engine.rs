@@ -149,11 +149,6 @@ impl<G: AbelianGroup> DdcEngine<G> {
         self.tree.populated_cells()
     }
 
-    /// Reclaims storage from cancelled subtrees; see [`DdcTree::prune`].
-    pub fn prune(&mut self) -> usize {
-        self.tree.prune()
-    }
-
     /// Extracts a sparse snapshot: every non-zero cell with its value, in
     /// tree order. Suitable for persistence or engine migration; restore
     /// with [`DdcEngine::from_entries`].

@@ -304,12 +304,6 @@ impl<G: AbelianGroup> GrowableCube<G> {
         });
     }
 
-    /// Reclaims storage from cancelled subtrees; see
-    /// [`crate::DdcTree::prune`].
-    pub fn prune(&mut self) -> usize {
-        self.tree.prune()
-    }
-
     /// Extracts a sparse snapshot of every non-zero cell in logical
     /// coordinates; restore with [`GrowableCube::from_entries`].
     pub fn entries(&self) -> Vec<(Vec<i64>, G)> {

@@ -41,9 +41,9 @@
 //! in sixteen"). What leaving timing on
 //! costs a served cube is `obs.overhead_ratio` in `BENCHMARK.json` (see
 //! EXPERIMENTS.md). Timing defaults **on** (the histograms are what
-//! `ddc stats` and `/metrics` exist for) and is disabled either with
-//! `DDC_OBS=off` in the environment or [`set_timing_enabled`], which
-//! reduces a span to its two flag loads; it then counts nothing.
+//! `ddc stats` and `/metrics` exist for) and is disabled with
+//! `DDC_OBS=off` in the environment, which reduces a span to its two
+//! flag loads; it then counts nothing.
 //!
 //! Tracing (the event ring) defaults **off** and is enabled with
 //! `DDC_TRACE=1` or [`set_trace_enabled`]; under it every span is timed.
@@ -456,17 +456,10 @@ fn latch(flag: &AtomicU64, env: &'static str, default_on: bool) -> bool {
 
 /// Whether span timing (and thus latency histograms) is active. Defaults
 /// on; `DDC_OBS=off` (or `0`/`false`/`no`) in the environment disables
-/// it, [`set_timing_enabled`] overrides either way.
+/// it.
 #[inline]
 pub fn timing_enabled() -> bool {
     flag_state(&TIMING, "DDC_OBS", true)
-}
-
-/// Forces timing on or off, returning the previous effective state.
-pub fn set_timing_enabled(on: bool) -> bool {
-    let prev = timing_enabled();
-    TIMING.store(if on { 2 } else { 1 }, Ordering::Relaxed);
-    prev
 }
 
 /// Whether the trace ring records events. Defaults off; `DDC_TRACE=1`
@@ -535,15 +528,6 @@ fn push_trace(name: &'static str, started: Instant, dur_ns: u64) {
         start_us,
         dur_ns,
     });
-}
-
-/// Drains and returns the trace ring's events, oldest first.
-pub fn take_trace() -> Vec<TraceEvent> {
-    trace_ring()
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .drain(..)
-        .collect()
 }
 
 /// Empties the trace ring.
@@ -655,7 +639,7 @@ pub fn prometheus_text() -> String {
 /// `_max_ns`.
 /// Output ordering is stable (metrics sort by name within each kind)
 /// and names are sanitized (`ddc_` prefix, non-alphanumerics to `_`).
-pub fn prometheus_text_for(reg: &Registry) -> String {
+fn prometheus_text_for(reg: &Registry) -> String {
     let mut out = String::new();
     for (name, v) in reg.counters() {
         let p = prom_name(name);
@@ -686,7 +670,7 @@ pub fn prometheus_text_for(reg: &Registry) -> String {
 /// Renders every registered metric as a JSON object:
 /// `{"counters": {...}, "gauges": {...}, "histograms": {name:
 /// {count, timed, sum_ns, mean_ns, p50_ns, p90_ns, p99_ns, max_ns}}}`,
-/// with `sum_ns` scaled to `count` as in [`prometheus_text_for`] and the
+/// with `sum_ns` scaled to `count` as in [`prometheus_text`] and the
 /// rest from the timed sample.
 /// Metric names are static identifiers, so no string escaping is needed.
 pub fn render_json() -> String {
@@ -727,6 +711,22 @@ pub fn render_json() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Forces timing on or off, returning the previous effective state.
+    fn set_timing_enabled(on: bool) -> bool {
+        let prev = timing_enabled();
+        TIMING.store(if on { 2 } else { 1 }, Ordering::Relaxed);
+        prev
+    }
+
+    /// Drains and returns the trace ring's events, oldest first.
+    fn take_trace() -> Vec<TraceEvent> {
+        trace_ring()
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .drain(..)
+            .collect()
+    }
 
     /// Tests that mutate the global timing/tracing flags or the shared
     /// trace ring must not interleave under the parallel test runner.

@@ -3,17 +3,16 @@
 //! [`crate::pager::BufferPool`].
 //!
 //! Block `id` is cells `[id · run, (id+1) · run)` — no per-block header,
-//! shape or allocation — plus a free list; a free run is all-zero, so a
-//! slot claimed again needs no clearing. Paging changes only where the
-//! cells live: the same run becomes the byte extent
-//! `[id · run · WIDTH, (id+1) · run · WIDTH)` of a spill file, touching
-//! `⌈run · WIDTH / page_bytes⌉ + 1` pages at most, and a run never
-//! written reads zero like the rest of the file.
+//! shape or allocation. Blocks are only ever appended, and a new one is
+//! all-zero. Paging changes only where the cells live: the same run
+//! becomes the byte extent `[id · run · WIDTH, (id+1) · run · WIDTH)` of
+//! a spill file, touching `⌈run · WIDTH / page_bytes⌉ + 1` pages at
+//! most, and a run never written reads zero like the rest of the file.
 //!
 //! The tree never holds references into the arena across operations,
 //! and it asks for the shape it needs: one cell to add to (`add_at`),
 //! one cell to read (`cell`), a run of rows for a prefix or range scan
-//! (`rows`), and whole blocks, closure-scoped, for build, removal and
+//! (`rows`), and whole blocks, closure-scoped, for growth and
 //! enumeration (`with` / `with_mut`). In memory these are slices of the
 //! one `Vec`. Paged, a read copies just the rows or cells it asked for
 //! out of the pool, so a closure that re-enters the tree never runs
@@ -424,13 +423,12 @@ impl<G: AbelianGroup> PagedCells<G> {
 }
 
 /// The leaf arena: `run`-cell blocks of one cell array, `u32`-addressed,
-/// with free-list reuse.
+/// append-only.
 #[derive(Debug)]
 pub(crate) struct LeafArena<G> {
     run: usize,
-    /// Block ids handed out so far (live + free).
+    /// Block ids handed out so far.
     slots: usize,
-    free: Vec<u32>,
     cells: Cells<G>,
 }
 
@@ -445,7 +443,6 @@ impl<G: AbelianGroup> LeafArena<G> {
         Self {
             run,
             slots: 0,
-            free: Vec::new(),
             cells: Cells::Mem(Vec::new()),
         }
     }
@@ -455,26 +452,26 @@ impl<G: AbelianGroup> LeafArena<G> {
         self.run
     }
 
-    /// Switches an arena with no live blocks to blocks of `run` cells
-    /// (the degenerate single-block tree grew). Every run is free, so
-    /// every cell is zero and the ids simply start over.
+    /// Restarts an arena of at most one block at blocks of `run` cells
+    /// (the degenerate single-block tree grew; its caller has copied the
+    /// block out). The old block is zeroed first, so a paged arena reads
+    /// zero wherever the new blocks are not written, and the ids start
+    /// over.
     pub(crate) fn resize_blocks(&mut self, run: usize) {
-        assert_eq!(self.free.len(), self.slots, "resizing live leaf blocks");
+        assert!(self.slots <= 1, "resizing {} leaf blocks", self.slots);
         assert!(run > 0, "leaf blocks hold at least one cell");
+        if self.slots == 1 {
+            self.with_mut(0, |cells| cells.fill(G::ZERO));
+        }
         self.run = run;
         self.slots = 0;
-        self.free = Vec::new();
         if let Cells::Mem(cells) = &mut self.cells {
             *cells = Vec::new();
         }
     }
 
-    /// Claims an all-zero block, returning its id (free slots are
-    /// reused).
+    /// Appends an all-zero block, returning its id.
     pub(crate) fn insert_zeroed(&mut self) -> u32 {
-        if let Some(id) = self.free.pop() {
-            return id;
-        }
         let id = self.slots;
         self.slots += 1;
         if let Cells::Mem(cells) = &mut self.cells {
@@ -483,20 +480,9 @@ impl<G: AbelianGroup> LeafArena<G> {
         id as u32
     }
 
-    /// Zeroes block `id` and free-lists it.
-    pub(crate) fn remove(&mut self, id: u32) {
-        self.with_mut(id, |cells| cells.fill(G::ZERO));
-        self.free.push(id);
-    }
-
-    /// Total slots (live + free).
+    /// Blocks handed out so far.
     pub(crate) fn slots(&self) -> usize {
         self.slots
-    }
-
-    /// The free list (order unspecified).
-    pub(crate) fn free_ids(&self) -> &[u32] {
-        &self.free
     }
 
     /// Invokes `f` with the row-major cells of block `id`.
@@ -607,20 +593,19 @@ impl<G: AbelianGroup> LeafArena<G> {
     }
 
     /// Resident heap bytes: the cell array, or the pool's frames, the
-    /// change buffer and the scratch, plus the free list, by capacity.
-    /// Spilled bytes are *not* memory and are excluded.
+    /// change buffer and the scratch, by capacity. Spilled bytes are
+    /// *not* memory and are excluded.
     pub(crate) fn heap_bytes(&self) -> usize {
-        self.free.capacity() * std::mem::size_of::<u32>()
-            + match &self.cells {
-                Cells::Mem(cells) => cells.capacity() * std::mem::size_of::<G>(),
-                Cells::Paged(p) => {
-                    let g = p.lock();
-                    g.pool.heap_bytes()
-                        + g.buffer.heap_bytes()
-                        + g.bytes.capacity()
-                        + g.cells.capacity() * std::mem::size_of::<G>()
-                }
+        match &self.cells {
+            Cells::Mem(cells) => cells.capacity() * std::mem::size_of::<G>(),
+            Cells::Paged(p) => {
+                let g = p.lock();
+                g.pool.heap_bytes()
+                    + g.buffer.heap_bytes()
+                    + g.bytes.capacity()
+                    + g.cells.capacity() * std::mem::size_of::<G>()
             }
+        }
     }
 
     /// Audits the pool's and the change buffer's bookkeeping when paged
@@ -633,10 +618,10 @@ impl<G: AbelianGroup> LeafArena<G> {
 }
 
 impl<G: AbelianGroup + ValueCodec> LeafArena<G> {
-    /// Moves the cells behind a pool over `file`, byte for byte: ids,
-    /// run length and the free list are untouched. The cap is split: a
-    /// [`BUFFER_SHARE`]th for the change buffer's entries, the rest for
-    /// the pool's frames. No-op when already paged.
+    /// Moves the cells behind a pool over `file`, byte for byte: ids and
+    /// run length are untouched. The cap is split: a [`BUFFER_SHARE`]th
+    /// for the change buffer's entries, the rest for the pool's frames.
+    /// No-op when already paged.
     pub(crate) fn page_onto(&mut self, file: SpillFile, pager: PagerConfig) {
         let Cells::Mem(cells) = &self.cells else {
             return;
@@ -683,45 +668,21 @@ mod tests {
     }
 
     #[test]
-    fn freed_runs_are_reused_and_read_zero() {
-        // 4 × 8 B = half a page per run; the paged twin keeps 2 pages.
-        for mut arena in [LeafArena::<i64>::new(4), paged(4, 128)] {
-            let a = arena.insert_zeroed();
-            let b = arena.insert_zeroed();
-            arena.with_mut(a, |c| c.copy_from_slice(&[1, 2, 3, 4]));
-            arena.with_mut(b, |c| c[2] = 9);
-            assert_eq!(read(&arena, a), [1, 2, 3, 4]);
-            assert_eq!(arena.slots(), 2);
-            arena.remove(a);
-            assert_eq!(arena.free_ids(), &[a]);
-            assert_eq!(arena.insert_zeroed(), a, "free slot must be reused");
-            assert_eq!(read(&arena, a), [0; 4], "reused run must read zero");
-            assert_eq!(read(&arena, b)[2], 9);
-            arena.audit();
-        }
-    }
-
-    #[test]
-    fn paging_preserves_ids_cells_and_the_free_list() {
+    fn paging_preserves_ids_and_cells() {
         let mut arena = LeafArena::<Pair<i64, f64>>::new(3);
         let ids: Vec<u32> = (0..5).map(|_| arena.insert_zeroed()).collect();
         for &id in &ids {
             arena.with_mut(id, |c| c[1] = Pair::new(i64::from(id) + 1, 0.5));
         }
-        arena.remove(ids[3]);
         // 3 × 16 B runs over 64 B pages: runs 1 and 2 straddle a boundary.
         arena.page_onto(
             Box::new(Vec::<u8>::new()),
             PagerConfig::in_mem(64).with_page_bytes(64),
         );
         assert!(arena.is_paged());
-        assert_eq!(arena.free_ids(), &[ids[3]]);
+        assert_eq!(arena.slots(), ids.len());
         for &id in &ids {
-            let want = if id == ids[3] {
-                Pair::ZERO
-            } else {
-                Pair::new(i64::from(id) + 1, 0.5)
-            };
+            let want = Pair::new(i64::from(id) + 1, 0.5);
             assert_eq!(read(&arena, id), [Pair::ZERO, want, Pair::ZERO]);
         }
         assert!(arena.pool_stats().unwrap().evictions > 0);
@@ -755,15 +716,13 @@ mod tests {
                 slab.with_mut(id, |c| c[at] += i);
                 paged.with_mut(id, |c| c[at] += i);
             } else {
-                let id = ids.swap_remove((rng as usize / 11) % ids.len());
-                slab.remove(id);
-                paged.remove(id);
+                let id = ids[(rng as usize / 11) % ids.len()];
+                assert_eq!(read(&paged, id), read(&slab, id), "step {i}: slot {id}");
             }
         }
         let stats = paged.pool_stats().unwrap();
         assert!(stats.evictions > 50, "{stats:?}");
         assert_eq!(paged.slots(), slab.slots());
-        assert_eq!(paged.free_ids(), slab.free_ids());
         for id in 0..slab.slots() as u32 {
             assert_eq!(read(&paged, id), read(&slab, id), "slot {id}");
         }
@@ -772,7 +731,7 @@ mod tests {
 
     /// The change buffer in the cumulant shape: a paged twin with a
     /// two-page pool and a four-entry buffer runs random `add_at` bursts
-    /// / `rows` / `cell` / `with` / `remove` / `insert_zeroed` against the
+    /// / `rows` / `cell` / `with` / `with_mut` / `insert_zeroed` against the
     /// in-memory arena, and after *every* step the twins hold equal
     /// cells and the paged one passes its audit (pool and buffer
     /// bookkeeping, buffer counters against the chains). 13-cell runs
@@ -843,9 +802,10 @@ mod tests {
                 let id = ids[next(ids.len())];
                 assert_eq!(read(&paged, id), read(&slab, id), "step {step}: with");
             } else {
-                let id = ids.swap_remove(next(ids.len()));
-                slab.remove(id);
-                paged.remove(id);
+                let id = ids[next(ids.len())];
+                let fill = |c: &mut [i64]| c.iter_mut().for_each(|v| *v = step - *v);
+                slab.with_mut(id, fill);
+                paged.with_mut(id, fill);
             }
             paged.audit();
             for id in 0..slab.slots() as u32 {
@@ -914,12 +874,14 @@ mod tests {
         });
     }
 
+    /// The single-block tree's growth: the one old block was copied out,
+    /// and the new, wider block at id 0 must not see its cells — on pages
+    /// it covers the old block's bytes.
     #[test]
-    fn resize_starts_over_on_an_all_free_arena() {
+    fn resize_starts_over_from_a_single_block() {
         for mut arena in [LeafArena::<i64>::new(4), paged(4, 128)] {
             let a = arena.insert_zeroed();
             arena.with_mut(a, |c| c.fill(7));
-            arena.remove(a);
             arena.resize_blocks(16);
             assert_eq!((arena.slots(), arena.run_len()), (0, 16));
             let b = arena.insert_zeroed();

@@ -2,9 +2,8 @@
 //! (node slots, packed box records with their inline face runs, and —
 //! where the row-sum groups are trees — their roots and the forest they
 //! share), the leaf arena, and everything that manages them —
-//! allocation and free lists, pruning, compaction, statistics, and the
-//! `check_arena` audit. The record layout is drawn in the parent
-//! module's docs.
+//! append-only allocation, statistics, and the `check_arena` audit. The
+//! record layout is drawn in the parent module's docs.
 
 use ddc_array::{with_coord_bufs, AbelianGroup, OpSnapshot};
 use ddc_btree::blocked;
@@ -14,7 +13,7 @@ use crate::config::{BaseStore, DdcConfig, LeafBackend, Mode};
 use crate::flat_face;
 use crate::pager::PoolStats;
 use crate::persist::ValueCodec;
-use crate::store::{self, LeafArena, SpillFile};
+use crate::store::{self, SpillFile};
 
 /// `Slot::obox` of a slot whose box has not been materialized.
 pub(super) const NO_BOX: u32 = u32::MAX;
@@ -168,11 +167,9 @@ pub(crate) struct Level<G: AbelianGroup> {
     rec_words: usize,
     /// Node `n` owns slots `[n·2^d, (n+1)·2^d)`.
     pub(super) slots: Vec<Slot>,
-    node_free: Vec<u32>,
     /// Box record `b` is `words[b·rec_words ..][..rec_words]`:
     /// `[subtotal | face_0 | … | face_{d−1}]`.
     words: Vec<G>,
-    box_free: Vec<u32>,
     /// The groups that are not inline runs of `words`.
     forest: Option<Forest<G>>,
 }
@@ -198,9 +195,7 @@ impl<G: AbelianGroup> Level<G> {
             face_words,
             rec_words: 1 + d * face_words,
             slots: Vec::new(),
-            node_free: Vec::new(),
             words: Vec::new(),
-            box_free: Vec::new(),
             forest: (!inline).then(|| Forest {
                 roots: Vec::new(),
                 slabs: None,
@@ -208,31 +203,12 @@ impl<G: AbelianGroup> Level<G> {
         }
     }
 
-    /// An empty level of the same shape with room for exactly this
-    /// level's live nodes and boxes (compaction target); its forest is
-    /// the compaction target of this level's.
-    fn compacted_shell(&self) -> Self {
-        let live_nodes = self.nodes() - self.node_free.len();
-        let live_boxes = self.boxes() - self.box_free.len();
-        Self {
-            slots: Vec::with_capacity(live_nodes << self.d),
-            node_free: Vec::new(),
-            words: Vec::with_capacity(live_boxes * self.rec_words),
-            box_free: Vec::new(),
-            forest: self.forest.as_ref().map(|f| Forest {
-                roots: Vec::with_capacity(live_boxes * self.d),
-                slabs: f.slabs.as_ref().map(|s| Box::new(s.compacted_shell())),
-            }),
-            ..*self
-        }
-    }
-
-    /// Node ids handed out so far (live + free).
+    /// Node ids handed out so far.
     fn nodes(&self) -> usize {
         self.slots.len() >> self.d
     }
 
-    /// Box record ids handed out so far (live + free).
+    /// Box record ids handed out so far.
     fn boxes(&self) -> usize {
         self.words.len() / self.rec_words
     }
@@ -243,17 +219,8 @@ impl<G: AbelianGroup> Level<G> {
         obox as usize * self.d + j
     }
 
-    /// Indices in the forest's roots of all `d` groups of box `obox`.
-    fn roots_of(&self, obox: u32) -> std::ops::Range<usize> {
-        self.root_at(obox, 0)..self.root_at(obox, self.d)
-    }
-
-    /// Allocates a node id, preferring the free list; its slots are
-    /// vacant.
+    /// Appends a node with vacant slots and returns its id.
     pub(super) fn alloc_node(&mut self) -> u32 {
-        if let Some(id) = self.node_free.pop() {
-            return id;
-        }
         let id = self.nodes() as u32;
         assert!(id < LEAF_BIT, "node arena overflow");
         self.slots
@@ -261,20 +228,9 @@ impl<G: AbelianGroup> Level<G> {
         id
     }
 
-    /// Vacates one node's slots and free-lists it. The caller has
-    /// already released the boxes and children the slots named.
-    pub(super) fn free_node(&mut self, id: u32) {
-        let base = (id as usize) << self.d;
-        self.slots[base..base + (1 << self.d)].fill(Slot::VACANT);
-        self.node_free.push(id);
-    }
-
-    /// Allocates an all-zero box record (subtotal zero, groups empty),
-    /// preferring the free list.
+    /// Appends an all-zero box record (subtotal zero, groups empty) and
+    /// returns its id.
     pub(super) fn alloc_box(&mut self) -> u32 {
-        if let Some(id) = self.box_free.pop() {
-            return id;
-        }
         let id = self.boxes();
         assert!(id < NO_BOX as usize, "box arena overflow");
         self.words
@@ -285,25 +241,6 @@ impl<G: AbelianGroup> Level<G> {
                 .resize(forest.roots.len() + self.d, ChildRef::EMPTY);
         }
         id as u32
-    }
-
-    /// Clears one box record and free-lists it. Its secondary trees go
-    /// back to the forest's free lists.
-    pub(super) fn free_box(&mut self, id: u32) {
-        let at = id as usize * self.rec_words;
-        self.words[at..at + self.rec_words].fill(G::ZERO);
-        let at = self.roots_of(id);
-        // No slabs yet: every root is still `EMPTY`.
-        if let Some(Forest {
-            roots,
-            slabs: Some(slabs),
-        }) = &mut self.forest
-        {
-            for root in &mut roots[at] {
-                slabs.free_subtree(std::mem::replace(root, ChildRef::EMPTY), 0);
-            }
-        }
-        self.box_free.push(id);
     }
 
     /// Sum of every cell covered by box `obox`.
@@ -444,35 +381,6 @@ impl<G: AbelianGroup> Level<G> {
         }
     }
 
-    /// Moves box record `obox` of `from` (the level this one is the
-    /// [`Level::compacted_shell`] of) into a fresh record of this level,
-    /// returning its id. Its secondary trees move into this level's
-    /// forest.
-    fn adopt_box(&mut self, from: &mut Level<G>, obox: u32) -> u32 {
-        let id = self.alloc_box();
-        let rw = self.rec_words;
-        self.words[id as usize * rw..][..rw]
-            .copy_from_slice(&from.words[obox as usize * rw..][..rw]);
-        let (to, at) = (self.roots_of(id), from.roots_of(obox));
-        // No slabs: the fresh record's `EMPTY` roots are the copy.
-        if let (
-            Some(Forest {
-                roots: new,
-                slabs: Some(into),
-            }),
-            Some(Forest {
-                roots: old,
-                slabs: Some(slabs),
-            }),
-        ) = (&mut self.forest, &mut from.forest)
-        {
-            for (new, old) in new[to].iter_mut().zip(&old[at]) {
-                *new = slabs.move_child(*old, 0, into);
-            }
-        }
-        id
-    }
-
     /// Heap bytes of the level's secondary trees: the roots and the
     /// slabs they share, by capacity (0 without a forest).
     fn forest_bytes(&self) -> usize {
@@ -484,39 +392,18 @@ impl<G: AbelianGroup> Level<G> {
         })
     }
 
-    /// Bytes of this level's records inside the slab arrays, as
-    /// `(live, dead)`: node slots and box records (with their roots),
-    /// the dead ones being those on the free lists — plus the same for
-    /// the level's forest.
-    fn record_bytes(&self) -> (usize, usize) {
-        let node = std::mem::size_of::<Slot>() << self.d;
-        let roots = self.forest.as_ref().map_or(0, |_| self.d);
-        let rec =
-            self.rec_words * std::mem::size_of::<G>() + roots * std::mem::size_of::<ChildRef>();
-        let dead = self.node_free.len() * node + self.box_free.len() * rec;
-        let live = self.nodes() * node + self.boxes() * rec - dead;
-        let (forest_live, forest_dead) = self
-            .forest
-            .as_ref()
-            .and_then(|f| f.slabs.as_ref())
-            .map_or((0, 0), |s| s.record_bytes());
-        (live + forest_live, dead + forest_dead)
-    }
-
     /// Heap bytes of the slab: array capacities plus the level's forest.
     fn heap_bytes(&self) -> usize {
         self.slots.capacity() * std::mem::size_of::<Slot>()
-            + (self.node_free.capacity() + self.box_free.capacity()) * std::mem::size_of::<u32>()
             + self.words.capacity() * std::mem::size_of::<G>()
             + self.forest_bytes()
     }
 
     /// Audits the slab against the reachable sets computed by the tree
-    /// walk: array lengths are whole records, both free lists pass
-    /// [`audit_free_list`], and the level's forest passes
-    /// [`Slabs::audit`] for the roots of its box records — a freed box's
-    /// roots are `EMPTY`, so every secondary subtree hangs off exactly
-    /// one root of one live box or waits on the forest's free lists.
+    /// walk: array lengths are whole records, every node and box record
+    /// was reached, and the level's forest passes [`Slabs::audit`] for
+    /// the roots of its box records — so every secondary subtree hangs
+    /// off exactly one root of one box.
     fn audit(&self, node_seen: &[bool], box_seen: &[bool]) {
         let stride = 1usize << self.d;
         assert_eq!(
@@ -536,19 +423,8 @@ impl<G: AbelianGroup> Level<G> {
                 "roots out of step with the box records"
             );
         }
-        audit_free_list("node", &self.node_free, node_seen, |id| {
-            self.slots[id as usize * stride..][..stride]
-                .iter()
-                .all(|s| *s == Slot::VACANT)
-        });
-        audit_free_list("box", &self.box_free, box_seen, |id| {
-            self.words[id as usize * self.rec_words..][..self.rec_words]
-                .iter()
-                .all(G::is_zero)
-                && self.forest.as_ref().map_or(true, |f| {
-                    f.roots[self.roots_of(id)].iter().all(|r| r.is_empty())
-                })
-        });
+        all_reached("node", node_seen);
+        all_reached("box record", box_seen);
         match &self.forest {
             Some(Forest {
                 roots,
@@ -565,21 +441,12 @@ impl<G: AbelianGroup> Level<G> {
     }
 }
 
-/// Checks one free list against the ids the tree walk reached: every
-/// entry in bounds, listed once, unreachable and `cleared`; every id
-/// reachable or free (no leaks).
-fn audit_free_list(what: &str, free: &[u32], seen: &[bool], cleared: impl Fn(u32) -> bool) {
-    let mut freed = vec![false; seen.len()];
-    for &id in free {
-        let ix = id as usize;
-        assert!(ix < seen.len(), "free {what} id {id} out of bounds");
-        assert!(!freed[ix], "{what} id {id} twice on the free list");
-        freed[ix] = true;
-        assert!(!seen[ix], "{what} id {id} both free and reachable");
-        assert!(cleared(id), "free {what} {id} still holds content");
-    }
-    for ix in 0..seen.len() {
-        assert!(seen[ix] || freed[ix], "{what} slot {ix} leaked");
+/// Panics unless the tree walk reached every id it was handed: the
+/// slabs are append-only, so an allocated record nothing refers to is a
+/// leak.
+fn all_reached(what: &str, seen: &[bool]) {
+    if let Some(ix) = seen.iter().position(|&v| !v) {
+        panic!("{what} {ix} leaked: allocated but unreachable");
     }
 }
 
@@ -594,139 +461,6 @@ impl<G: AbelianGroup> Slabs<G> {
         let id = self.leaves.insert_zeroed();
         assert!(id < LEAF_BIT - 1, "leaf arena overflow");
         id
-    }
-
-    /// Returns a whole subtree's slots to the free lists; `l` is the
-    /// level a node `c` lives at.
-    pub(super) fn free_subtree(&mut self, c: ChildRef, l: usize) {
-        if c.is_empty() {
-            return;
-        }
-        if c.is_leaf() {
-            self.leaves.remove(c.index() as u32);
-            return;
-        }
-        let base = c.index() << self.d;
-        for s in 0..self.stride() {
-            let slot = self.levels[l].slots[base + s];
-            self.free_subtree(slot.child, l + 1);
-            if slot.obox != NO_BOX {
-                self.levels[l].free_box(slot.obox);
-            }
-        }
-        self.levels[l].free_node(c.index() as u32);
-    }
-
-    /// Returns whether the child still holds any non-zero content; dead
-    /// descendants are freed and their slots vacated.
-    fn prune_live(&mut self, c: ChildRef, l: usize) -> bool {
-        if c.is_empty() {
-            return false;
-        }
-        if c.is_leaf() {
-            return self
-                .leaves
-                .with(c.index() as u32, |cells| !cells.iter().all(G::is_zero));
-        }
-        let base = c.index() << self.d;
-        let mut any = false;
-        for s in 0..self.stride() {
-            let slot = self.levels[l].slots[base + s];
-            if self.prune_live(slot.child, l + 1) {
-                any = true;
-            } else {
-                self.free_subtree(slot.child, l + 1);
-                // A box over an empty region contributes only zeros;
-                // release it with its secondary trees.
-                if slot.obox != NO_BOX {
-                    debug_assert!(self.levels[l].subtotal(slot.obox).is_zero());
-                    self.levels[l].free_box(slot.obox);
-                }
-                self.levels[l].slots[base + s] = Slot::VACANT;
-            }
-        }
-        any
-    }
-
-    /// Bytes of the records a compaction rewrites, as `(live, dead)`:
-    /// every level's (forests included) and the in-memory leaf blocks.
-    /// Paged leaf blocks are on neither side: compaction cannot renumber
-    /// them (ids are stable on pages), so they can neither force nor
-    /// hold off a rewrite of the levels.
-    fn record_bytes(&self) -> (usize, usize) {
-        let (mut live, mut dead) = (0, 0);
-        for level in &self.levels {
-            let (l, d) = level.record_bytes();
-            live += l;
-            dead += d;
-        }
-        if !self.leaves.is_paged() {
-            let block = self.leaves.run_len() * std::mem::size_of::<G>();
-            let free = self.leaves.free_ids().len();
-            dead += free * block;
-            live += (self.leaves.slots() - free) * block;
-        }
-        (live, dead)
-    }
-
-    /// Empty slabs of the same shape with room for exactly the live
-    /// records of these (compaction target).
-    fn compacted_shell(&self) -> Self {
-        Self {
-            levels: self.levels.iter().map(Level::compacted_shell).collect(),
-            leaves: LeafArena::new(self.leaves.run_len()),
-            ..*self
-        }
-    }
-
-    /// Rewrites the slabs to hold exactly the records reachable from
-    /// `root` (visit-order renumbering within each level, forests
-    /// included), dropping all free-list capacity, and returns the
-    /// tree's new root. A paged leaf arena keeps its slot ids — its
-    /// cells live on pages, not in a `Vec` whose capacity could be
-    /// returned, so only the levels (and an in-memory leaf arena) are
-    /// rebuilt.
-    fn compact(&mut self, root: ChildRef) -> ChildRef {
-        let mut to = self.compacted_shell();
-        let root = self.move_child(root, 0, &mut to);
-        if self.leaves.is_paged() {
-            std::mem::swap(&mut self.leaves, &mut to.leaves);
-        }
-        *self = to;
-        root
-    }
-
-    /// Moves one subtree into `to`, the [`Slabs::compacted_shell`] of
-    /// these slabs, returning its new reference. Leaf ids on pages are
-    /// stable and stay as they are.
-    fn move_child(&mut self, c: ChildRef, l: usize, to: &mut Slabs<G>) -> ChildRef {
-        if c.is_empty() {
-            return ChildRef::EMPTY;
-        }
-        if c.is_leaf() {
-            if self.leaves.is_paged() {
-                return c;
-            }
-            let id = to.leaves.insert_zeroed();
-            self.leaves.with(c.index() as u32, |cells| {
-                to.leaves.with_mut(id, |block| block.copy_from_slice(cells));
-            });
-            return ChildRef::leaf(id);
-        }
-        let old_base = c.index() << self.d;
-        let id = to.levels[l].alloc_node();
-        let new_base = (id as usize) << self.d;
-        for s in 0..self.stride() {
-            let slot = self.levels[l].slots[old_base + s];
-            let obox = if slot.obox == NO_BOX {
-                NO_BOX
-            } else {
-                to.levels[l].adopt_box(&mut self.levels[l], slot.obox)
-            };
-            let child = self.move_child(slot.child, l + 1, to);
-            to.levels[l].slots[new_base + s] = Slot { child, obox };
-        }
-        ChildRef::node(id)
     }
 
     /// Heap bytes behind the slabs: array capacities, every level's
@@ -769,9 +503,7 @@ impl<G: AbelianGroup> Slabs<G> {
         for (l, level) in self.levels.iter().enumerate() {
             level.audit(&node_seen[l], &box_seen[l]);
         }
-        audit_free_list("leaf", self.leaves.free_ids(), &leaf_seen, |id| {
-            self.leaves.with(id, |cells| cells.iter().all(G::is_zero))
-        });
+        all_reached("leaf block", &leaf_seen);
         self.leaves.audit();
         (
             node_seen.iter().flatten().filter(|&&v| v).count(),
@@ -817,61 +549,16 @@ impl<G: AbelianGroup> Slabs<G> {
 }
 
 impl<G: AbelianGroup> DdcTree<G> {
-    /// Reclaims storage left behind by cancelling updates: all-zero leaf
-    /// blocks and subtrees whose every cell returned to zero go back to
-    /// the free lists (with their box records and secondary trees), and
-    /// once the free-listed records amount to more than half the live
-    /// ones in bytes, the slabs are compacted into exactly-sized
-    /// replacements. Returns the number of heap bytes released, which is
-    /// what a compaction gave back: records freed inside a slab release
-    /// nothing by themselves — they are zeroed and wait for reuse. That
-    /// holds for both kinds of row-sum group: an inline face run is part
-    /// of its box record, and a secondary tree's nodes, box records and
-    /// leaf blocks go back to the free lists of its level's forest. A
-    /// prune below the compaction threshold returns 0.
-    ///
-    /// Lazily materialized structures never free themselves on the update
-    /// path (a cell may go through zero transiently); churn-heavy
-    /// workloads call this at their own cadence.
-    pub fn prune(&mut self) -> usize {
-        let before = self.heap_bytes();
-        if !self.slabs.prune_live(self.root, 0) {
-            self.slabs.free_subtree(self.root, 0);
-            self.root = ChildRef::EMPTY;
-        }
-        self.maybe_compact();
-        before.saturating_sub(self.heap_bytes())
-    }
-
-    /// Compacts when the dead (free-listed) records hold more than half
-    /// the bytes of the live ones, over the slabs a compaction rewrites
-    /// — so at most a third of the slab bytes ever wait on free lists.
-    /// Bytes rather than slot counts, because records differ in size by
-    /// level: a box record is `1 + d · words_for(k)` words next to the
-    /// root and a handful at the bottom. The records of every level's
-    /// forest count like the primary tree's (a compaction rewrites them
-    /// too).
-    fn maybe_compact(&mut self) {
-        let (live, dead) = self.slabs.record_bytes();
-        if 2 * dead > live {
-            self.root = self.slabs.compact(self.root);
-        }
-    }
-
     /// Collects structural statistics by one traversal — the storage
     /// profile behind Table 2 and §4.4 ("most of the additional storage
-    /// … is found in the lowest levels of the tree") plus the slab
-    /// occupancy counters. Nodes, boxes, leaf blocks and slots are the
-    /// primary tree's; the row-sum groups appear as `secondary_bytes`
-    /// (inline face runs per box, secondary trees one forest per level).
+    /// … is found in the lowest levels of the tree"). Nodes, boxes and
+    /// leaf blocks are the primary tree's; the row-sum groups appear as
+    /// `secondary_bytes` (inline face runs per box, secondary trees one
+    /// forest per level).
     pub fn stats(&self) -> TreeStats {
         let slabs = &self.slabs;
         let mut stats = TreeStats {
-            node_slots: slabs.levels.iter().map(Level::nodes).sum(),
-            free_node_slots: slabs.levels.iter().map(|lv| lv.node_free.len()).sum(),
             leaf_side: slabs.leaf_side(),
-            leaf_slots: slabs.leaves.slots(),
-            free_leaf_slots: slabs.leaves.free_ids().len(),
             secondary_bytes: slabs.levels.iter().map(Level::forest_bytes).sum(),
             ..TreeStats::default()
         };
@@ -918,15 +605,13 @@ impl<G: AbelianGroup> DdcTree<G> {
     }
 
     /// Audits the slab bookkeeping: the levels match the side, every
-    /// reachable reference is in bounds and occupied, no node, box
-    /// record or leaf block is reached twice, free-list entries are
-    /// valid, unique, cleared, and disjoint from the reachable set, and
-    /// every slot is either reachable or free (no leaks). The same holds
+    /// reachable reference is in bounds, and every allocated node, box
+    /// record and leaf block is reached exactly once — the slabs are
+    /// append-only, so one never reached is a leak. The same holds
     /// inside every level's forest, for the trees rooted at the level's
-    /// `roots`: there is one root per group of every box record, a freed
-    /// box's roots are `EMPTY`, and each forest node, box record and
-    /// leaf block hangs off exactly one root of one live box or is on a
-    /// free list. Returns the primary tree's
+    /// `roots`: there is one root per group of every box record, and
+    /// each forest node, box record and leaf block hangs off exactly one
+    /// root of one box. Returns the primary tree's
     /// `(reachable_nodes, reachable_leaves)`.
     ///
     /// # Panics
@@ -954,7 +639,7 @@ impl<G: AbelianGroup + ValueCodec> DdcTree<G> {
     /// for [`crate::PagerConfig::disk`].
     ///
     /// Lives in a [`ValueCodec`]-bounded impl because cells are encoded
-    /// onto pages; once enabled, every unbounded code path (grow, prune,
+    /// onto pages; once enabled, every unbounded code path (grow,
     /// updates) keeps working. Returns whether the tree is paged
     /// afterwards: `false` means the config never asked for paging.
     /// Idempotent.
@@ -1044,22 +729,41 @@ mod tests {
         });
     }
 
+    /// An allocated node, box record or leaf block that no reference
+    /// reaches is a leak, in the primary tree's slabs and in a level's
+    /// forest alike: the slabs are append-only, so nothing else can hold
+    /// it.
     #[test]
-    #[should_panic(expected = "still holds content")]
-    fn check_arena_catches_a_freed_box_that_kept_a_root() {
-        audit_must_catch("still holds content", |t, d| {
-            // Enough live content that freeing box 1 does not compact.
-            for x in 0..4 {
-                for y in 0..4 {
-                    t.apply_delta(&[x, y, (x + y) % 4][..d], 1);
+    fn check_arena_catches_an_allocated_but_unreachable_record() {
+        type Corrupt = fn(&mut Slabs<i64>) -> u32;
+        let kinds: [(&str, Corrupt); 3] = [
+            ("node", |s| s.levels[0].alloc_node()),
+            ("box record", |s| s.levels[0].alloc_box()),
+            ("leaf block", Slabs::alloc_leaf),
+        ];
+        for (d, config) in FORESTED {
+            for (what, corrupt) in kinds {
+                for in_forest in [false, true] {
+                    let mut t = two_box_tree(d, config());
+                    let slabs = if in_forest {
+                        let forest = t.slabs.levels[0].forest.as_mut().expect("forested");
+                        forest.slabs.as_deref_mut().expect("populated")
+                    } else {
+                        &mut t.slabs
+                    };
+                    let id = corrupt(slabs);
+                    let panic =
+                        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| t.check_arena()))
+                            .expect_err("the audit passed an unreachable record");
+                    let said = panic.downcast_ref::<String>().expect("a formatted panic");
+                    let want = format!("{what} {id} leaked");
+                    assert!(
+                        said.contains(&want),
+                        "d = {d}, in forest {in_forest}: {said}"
+                    );
                 }
             }
-            t.apply_delta(&[6, 5, 7][..d], 2);
-            t.prune();
-            let roots = roots(&mut t.slabs.levels[0]);
-            assert_eq!(roots.len(), 2 * d, "below the compaction threshold");
-            roots[d] = roots[0];
-        });
+        }
     }
 
     /// Forests are created with their level's first root: an eager

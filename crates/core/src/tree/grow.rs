@@ -54,7 +54,6 @@ impl<G: AbelianGroup> DdcTree<G> {
                 });
                 cells[at] = v;
             });
-            slabs.free_subtree(old_root, 0);
             slabs.side = new_side;
             slabs.leaves.resize_blocks(new_side.pow(d as u32));
             if !old_root.is_empty() {

@@ -77,10 +77,10 @@
 //! secondary trees of a level are not objects either: the slabs of a
 //! tree (`Slabs`: its levels and leaf arena) hold **any number of trees
 //! of one shape**, a tree is nothing but a root `ChildRef` into them,
-//! and every walk (`prefix_counted`, `add_counted`, `free_subtree`,
-//! `move_child`, `mark_reachable`) starts from a root its caller
-//! supplies. A [`DdcTree`] is slabs plus one root; a level whose groups
-//! are not inline runs owns, beside `slots` and `words`,
+//! and every walk (`prefix_counted`, `add_counted`, `mark_reachable`)
+//! starts from a root its caller supplies. A [`DdcTree`] is slabs plus
+//! one root; a level whose groups are not inline runs owns, beside
+//! `slots` and `words`,
 //!
 //! ```text
 //! roots: [ root_0 | … | root_{d−1} ]  per box record     4 bytes each,
@@ -127,14 +127,13 @@
 //! its walk once, where it enters the slabs. Costs are accumulated in
 //! locals and the [`OpCounter`] is bumped once per operation.
 //!
-//! [`DdcTree::prune`] returns dead nodes, box records and leaf blocks to
-//! per-level free lists; allocation pops a free id before growing a
-//! slab, and once the free-listed records hold more than half the bytes
-//! of the live ones the whole tree is compacted into fresh exactly-sized
-//! slabs, releasing the memory.
-//! [`DdcTree::check_arena`] audits this bookkeeping (reachability ∪ free
-//! lists = all slots, with no overlap and no dangling or duplicated
-//! references). A tree receives content one way, the point update
+//! The slabs are append-only: a record, once allocated, stays for the
+//! tree's lifetime, even when cancelling updates bring its region back
+//! to zero. A snapshot holds only the populated cells, so saving and
+//! reloading is what reclaims that storage.
+//! [`DdcTree::check_arena`] audits this bookkeeping (every allocated
+//! record reached exactly once, no dangling references). A tree
+//! receives content one way, the point update
 //! ([`DdcTree::apply_delta`]); growth (in `grow`) re-roots it. Slabs are
 //! only ever filled in place, so there is no operation that appends one
 //! tree's slabs to another's.
@@ -292,14 +291,6 @@ pub struct TreeStats {
     pub depth: usize,
     /// Per-level breakdown, index = level.
     pub per_level: Vec<LevelStats>,
-    /// Node-arena slots (live + free-listed).
-    pub node_slots: usize,
-    /// Node-arena slots on the free list.
-    pub free_node_slots: usize,
-    /// Leaf-arena slots (live + free-listed).
-    pub leaf_slots: usize,
-    /// Leaf-arena slots on the free list.
-    pub free_leaf_slots: usize,
 }
 
 /// One level's slice of [`TreeStats`].
@@ -500,50 +491,6 @@ mod tests {
     }
 
     #[test]
-    fn prune_reclaims_cancelled_subtrees() {
-        let mut t = DdcTree::<i64>::new(2, 256, dynamic());
-        // Populate a diagonal, then cancel it all.
-        for i in 0..256usize {
-            t.apply_delta(&[i, i], 7);
-        }
-        let populated_bytes = t.heap_bytes();
-        for i in 0..256usize {
-            t.apply_delta(&[i, i], -7);
-        }
-        assert_eq!(t.total(), 0);
-        // Structures linger until pruned…
-        assert!(t.heap_bytes() > populated_bytes / 2);
-        let released = t.prune();
-        assert!(released > 0);
-        assert!(
-            t.heap_bytes() < populated_bytes / 10,
-            "{} bytes left",
-            t.heap_bytes()
-        );
-        assert_eq!(t.prefix_sum(&[255, 255]), 0);
-        // The tree stays fully usable afterwards.
-        t.apply_delta(&[100, 100], 3);
-        assert_eq!(t.prefix_sum(&[255, 255]), 3);
-        t.check_invariants();
-    }
-
-    #[test]
-    fn prune_keeps_live_content_intact() {
-        let mut t = DdcTree::<i64>::new(2, 64, sparse());
-        for (p, v) in dense_updates(8, 2) {
-            t.apply_delta(&[p[0] * 8, p[1] * 8], v);
-        }
-        t.apply_delta(&[5, 5], 9);
-        t.apply_delta(&[5, 5], -9); // one cancelled cell
-        let reference_total = t.total();
-        t.prune();
-        assert_eq!(t.total(), reference_total);
-        assert_eq!(t.cell(&[5, 5]), 0);
-        assert_eq!(t.cell(&[8, 8]), t.cell(&[8, 8]));
-        t.check_invariants();
-    }
-
-    #[test]
     fn stats_profile_matches_structure() {
         let (a, t) = reference_and_tree(16, 2, dynamic(), &dense_updates(16, 2));
         let s = t.stats();
@@ -561,11 +508,6 @@ mod tests {
         assert_eq!(s.depth, 3);
         assert_eq!(s.total_bytes, t.heap_bytes());
         assert!(s.secondary_bytes > 0 && s.secondary_bytes < s.total_bytes);
-        // Arena occupancy: no frees have happened, so every slot is live.
-        assert_eq!(s.node_slots, s.nodes);
-        assert_eq!(s.leaf_slots, s.leaf_blocks);
-        assert_eq!(s.free_node_slots, 0);
-        assert_eq!(s.free_leaf_slots, 0);
         let _ = a;
         // Sparse tree: statistics shrink to the populated paths.
         let mut sparse = DdcTree::<i64>::new(2, 16, sparse());
@@ -789,42 +731,13 @@ mod tests {
     }
 
     #[test]
-    fn arena_free_list_is_reused_after_prune() {
-        let mut t = DdcTree::<i64>::new(2, 64, dynamic());
-        for i in 0..64usize {
-            t.apply_delta(&[i, i], 3);
-        }
-        t.check_arena();
-        // Materialize one off-diagonal path, then cancel it so prune
-        // frees part of the tree without compacting everything away.
-        t.apply_delta(&[0, 63], 5);
-        let slots_before = t.stats().node_slots;
-        t.apply_delta(&[0, 63], -5);
-        t.prune();
-        t.check_arena();
-        let s = t.stats();
-        assert_eq!(s.node_slots - s.free_node_slots, s.nodes);
-        assert_eq!(s.leaf_slots - s.free_leaf_slots, s.leaf_blocks);
-        // Repopulating pops free slots (or reuses the compacted arena)
-        // instead of growing past the original footprint.
-        t.apply_delta(&[0, 63], 5);
-        t.check_arena();
-        assert!(
-            t.stats().node_slots <= slots_before,
-            "arena grew past its pre-prune footprint"
-        );
-        assert_eq!(t.check_invariants(), 64 * 3 + 5);
-    }
-
-    #[test]
-    fn arena_stays_sound_through_grow_update_prune_cycles() {
+    fn arena_stays_sound_through_grow_and_update_cycles() {
         let mut t = DdcTree::<i64>::new(2, 8, dynamic());
         let mut a = NdArray::<i64>::zeroed(Shape::cube(2, 32));
         for (step, (p, v)) in dense_updates(8, 2).into_iter().enumerate() {
             t.apply_delta(&p, v);
             a.add_assign(&p, v);
             if step % 17 == 0 {
-                t.prune();
                 t.check_arena();
             }
         }
@@ -844,44 +757,18 @@ mod tests {
             assert_eq!(t.cell(&p), expect, "cell {p:?}");
         }
         assert_eq!(t.check_invariants(), a.total());
-        // Cancel everything: prune must return the tree to (near) empty
-        // with a fully consistent arena.
+        // Cancel everything: the structure stays, reads zero, and the
+        // arena stays consistent.
+        let before = t.stats();
         let mut cells = Vec::new();
         t.for_each_nonzero(&mut |p, v| cells.push((p.to_vec(), v)));
         for (p, v) in cells {
             t.apply_delta(&p, -v);
         }
-        t.prune();
         t.check_arena();
         assert_eq!(t.total(), 0);
-        let s = t.stats();
-        assert_eq!(s.nodes, 0);
-        assert_eq!(s.leaf_blocks, 0);
-    }
-
-    #[test]
-    fn compaction_triggers_when_free_slots_dominate() {
-        let mut t = DdcTree::<i64>::new(2, 128, dynamic());
-        for i in 0..128usize {
-            t.apply_delta(&[i, i], 2);
-        }
-        // Keep one corner live; cancel the rest.
-        for i in 1..128usize {
-            t.apply_delta(&[i, i], -2);
-        }
-        t.prune();
-        t.check_arena();
-        let s = t.stats();
-        // Free slots may not outnumber live ones after a compaction.
-        assert!(
-            s.free_node_slots + s.free_leaf_slots
-                <= (s.node_slots - s.free_node_slots) + (s.leaf_slots - s.free_leaf_slots),
-            "compaction left {} free vs {} live slots",
-            s.free_node_slots + s.free_leaf_slots,
-            (s.node_slots - s.free_node_slots) + (s.leaf_slots - s.free_leaf_slots)
-        );
-        assert_eq!(t.cell(&[0, 0]), 2);
-        assert_eq!(t.check_invariants(), 2);
+        assert_eq!(t.check_invariants(), 0);
+        assert_eq!(t.stats(), before);
     }
 
     #[test]
@@ -925,15 +812,15 @@ mod tests {
         slab.apply_delta(&[40, 40], 11);
         assert_eq!(paged.total(), slab.total());
         assert_eq!(paged.prefix_sum(&[63, 63]), slab.prefix_sum(&[63, 63]));
-        // Cancel and prune: free-listing + node compaction on pages.
+        // Cancel everything: every block on pages reads zero again.
         let mut cells = Vec::new();
         paged.for_each_nonzero(&mut |p, v| cells.push((p.to_vec(), v)));
         for (p, v) in cells {
             paged.apply_delta(&p, -v);
         }
-        paged.prune();
         paged.check_arena();
         assert_eq!(paged.total(), 0);
-        assert_eq!(paged.stats().leaf_blocks, 0);
+        assert_eq!(paged.check_invariants(), 0);
+        assert_eq!(paged.populated_cells(), 0);
     }
 }

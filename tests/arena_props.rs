@@ -1,20 +1,21 @@
-//! Arena invariant properties (satellite of the flat-arena rewrite).
+//! Arena invariant properties.
 //!
-//! The primary tree now lives in `Vec`-indexed arenas with free-list
-//! slot reuse and opportunistic compaction. These suites churn trees
-//! through randomized update / cancel / grow / prune cycles and, after
-//! every phase, audit the bookkeeping the pointer-based tree never
-//! needed: every slot reachable-or-free, no dangling or duplicated
-//! references, free-list entries cleared — plus the structural
-//! invariants and a sparse oracle for answers. A deterministic
-//! regression test pins `TreeStats`' arena-slot accounting and the
-//! `heap_bytes` reclamation curve across a full lifecycle; a seeded
-//! differential sweep drives the level-slab layout against a brute-force
-//! `NdArray` over every dimensionality, elision depth, mode and base
-//! store; a d = 3 / d = 4 run cancels a populated tree down to one cell
-//! and audits the per-level forests after every step; and two layout
-//! pins keep the packed tree's bytes per populated cell (d = 2 and
-//! d = 3) from silently eroding.
+//! The tree lives in append-only, `Vec`-indexed slabs: a record, once
+//! allocated, is never freed, and saving and reloading the cube is what
+//! reclaims the storage of cancelled regions. These suites churn trees
+//! through randomized update / cancel / grow cycles and, after every
+//! phase, audit the bookkeeping the pointer-based tree never needed:
+//! every allocated record reached exactly once, no dangling references
+//! — plus the structural invariants and a sparse oracle for answers. A
+//! deterministic regression test pins `TreeStats` and `heap_bytes`
+//! across a full lifecycle; a cumulant-shaped churn checks that a
+//! reloaded snapshot holds exactly what a tree built from the surviving
+//! cells does; a seeded differential sweep drives the level-slab layout
+//! against a brute-force `NdArray` over every dimensionality, elision
+//! depth, mode and base store; a d = 3 / d = 4 run cancels a populated
+//! tree down to one cell and audits the per-level forests after every
+//! step; and two layout pins keep the packed tree's bytes per populated
+//! cell (d = 2 and d = 3) from silently eroding.
 
 use std::collections::HashMap;
 
@@ -47,18 +48,13 @@ fn oracle_prefix(oracle: &Oracle, x: &[usize]) -> i64 {
 /// Full audit after a phase: arena bookkeeping, structural invariants,
 /// and the invariant-walk total against the oracle.
 fn audit(tree: &DdcTree<i64>, oracle: &Oracle) {
-    let (reachable_nodes, reachable_leaves) = tree.check_arena();
+    let reachable = tree.check_arena();
     assert_eq!(tree.check_invariants(), oracle_total(oracle));
     let stats = tree.stats();
     assert_eq!(
-        stats.node_slots - stats.free_node_slots,
-        reachable_nodes,
-        "live node slots vs reachable nodes"
-    );
-    assert_eq!(
-        stats.leaf_slots - stats.free_leaf_slots,
-        reachable_leaves,
-        "live leaf slots vs reachable leaves"
+        (stats.nodes, stats.leaf_blocks),
+        reachable,
+        "counted vs reachable nodes and leaf blocks"
     );
 }
 
@@ -100,10 +96,10 @@ fn configs() -> [DdcConfig; 5] {
 
 for_cases! {
     /// Randomized churn: interleaved updates, cancellations (driving
-    /// cells back to zero), growth in random directions, and prunes.
-    /// After every phase the arena audit passes, the invariant walk
-    /// reconciles with the oracle total, and sampled prefix sums agree.
-    fn arena_survives_update_cancel_grow_prune_churn(rng, cases = 24) {
+    /// cells back to zero) and growth in random directions. After every
+    /// phase the arena audit passes, the invariant walk reconciles with
+    /// the oracle total, and sampled prefix sums agree.
+    fn arena_survives_update_cancel_grow_churn(rng, cases = 24) {
         let d = rng.gen_range(1usize..=3);
         let side = [8, 16][rng.gen_range(0usize..2)];
         let config = configs()[rng.gen_range(0usize..5)];
@@ -112,7 +108,7 @@ for_cases! {
         let mut side_now = side;
 
         for _phase in 0..6 {
-            match rng.gen_range(0usize..10) {
+            match rng.gen_range(0usize..9) {
                 // Mostly updates: a burst of random deltas.
                 0..=5 => {
                     for _ in 0..rng.gen_range(4usize..20) {
@@ -134,7 +130,7 @@ for_cases! {
                 }
                 // Growth: double the side, shifting content on the
                 // low-grown axes by the old side.
-                8 => {
+                _ => {
                     let low: Vec<bool> = (0..d).map(|_| rng.gen_range(0usize..2) == 0).collect();
                     tree.grow(&low);
                     oracle = oracle
@@ -150,55 +146,10 @@ for_cases! {
                         .collect();
                     side_now *= 2;
                 }
-                // Prune: structure-only, answers must not move.
-                _ => {
-                    tree.prune();
-                }
             }
             audit_and_sample(&tree, &oracle, rng, "churn phase");
         }
         assert_eq!(tree.total(), oracle_total(&oracle));
-    }
-
-    /// Free-list discipline: cancelling and pruning a populated tree
-    /// frees slots without leaking them, and rebuilding the same
-    /// population reuses freed slots rather than growing the arenas —
-    /// the arena never exceeds its previous peak across the cycle.
-    fn freed_slots_are_reused_not_leaked(rng, cases = 16) {
-        let d = rng.gen_range(1usize..=3);
-        let side = 16;
-        let config = configs()[rng.gen_range(0usize..5)];
-        let mut tree = DdcTree::<i64>::new(d, side, config);
-        let points: Vec<Vec<usize>> = (0..12)
-            .map(|_| (0..d).map(|_| rng.gen_range(0..side)).collect())
-            .collect();
-
-        for p in &points {
-            tree.apply_delta(p, 7);
-        }
-        let peak = tree.stats().node_slots;
-        // Cancel everything; prune reclaims the dead structure.
-        for p in &points {
-            tree.apply_delta(p, -7);
-        }
-        tree.prune();
-        tree.check_arena();
-        assert_eq!(tree.total(), 0);
-
-        // The same population must fit in the recycled (or compacted)
-        // arena: no monotonic slot growth across cycles.
-        for p in &points {
-            tree.apply_delta(p, 9);
-        }
-        let after = tree.stats();
-        assert!(
-            after.node_slots <= peak,
-            "node arena grew across a cancel/prune/rebuild cycle: {} -> {}",
-            peak,
-            after.node_slots
-        );
-        tree.check_arena();
-        assert_eq!(tree.check_invariants(), 9 * points.len() as i64);
     }
 
     /// Build-order independence on the one construction path:
@@ -247,27 +198,21 @@ for_cases! {
     }
 }
 
-/// Deterministic `TreeStats` / `heap_bytes` regression (satellite 4):
-/// a fixed lifecycle on a d=2 tree pins the arena-slot accounting at
-/// every stage. Structural counts are exact; byte totals are asserted
-/// relationally (monotone under reclamation, consistent with `stats`)
-/// so the test does not depend on allocator or `Vec` growth policy.
+/// Deterministic `TreeStats` / `heap_bytes` regression: a fixed
+/// lifecycle on a d=2 tree pins the structure at every stage. Structural
+/// counts are exact; byte totals are asserted relationally (consistent
+/// with `stats`, unchanged where nothing is allocated) so the test does
+/// not depend on allocator or `Vec` growth policy. Cancelling a path
+/// frees nothing: its records stay, read zero, and the audit still
+/// reaches every one of them.
 #[test]
 fn stats_and_heap_bytes_track_the_arena_lifecycle() {
     let mut tree = DdcTree::<i64>::new(2, 16, DdcConfig::dynamic().with_elision(0));
 
-    // Empty tree: no slots anywhere.
+    // Empty tree: nothing allocated anywhere.
     let s0 = tree.stats();
-    assert_eq!(
-        (
-            s0.node_slots,
-            s0.free_node_slots,
-            s0.leaf_slots,
-            s0.free_leaf_slots
-        ),
-        (0, 0, 0, 0)
-    );
-    assert_eq!(s0.nodes, 0);
+    assert_eq!((s0.nodes, s0.boxes, s0.leaf_blocks), (0, 0, 0));
+    assert_eq!(tree.check_arena(), (0, 0));
     assert_eq!(s0.total_bytes, tree.heap_bytes());
 
     // One deep path: root(16) -> node(8) -> node(4) -> leaf block(2x2).
@@ -276,8 +221,7 @@ fn stats_and_heap_bytes_track_the_arena_lifecycle() {
     assert_eq!(s1.nodes, 3, "three interior levels above the leaf block");
     assert_eq!(s1.leaf_blocks, 1);
     assert_eq!(s1.leaf_cells, 4);
-    assert_eq!((s1.node_slots, s1.free_node_slots), (3, 0));
-    assert_eq!((s1.leaf_slots, s1.free_leaf_slots), (1, 0));
+    assert_eq!(tree.check_arena(), (3, 1));
     assert_eq!(s1.boxes, 3, "one overlay box per interior level");
     assert_eq!(s1.depth, 3);
     assert_eq!(s1.total_bytes, tree.heap_bytes());
@@ -291,43 +235,90 @@ fn stats_and_heap_bytes_track_the_arena_lifecycle() {
         "two extra interior nodes under the shared root"
     );
     assert_eq!(s2.leaf_blocks, 2);
-    assert_eq!((s2.node_slots, s2.free_node_slots), (5, 0));
-    assert_eq!((s2.leaf_slots, s2.free_leaf_slots), (2, 0));
+    assert_eq!(tree.check_arena(), (5, 2));
     let populated_bytes = tree.heap_bytes();
     assert_eq!(s2.total_bytes, populated_bytes);
 
-    // Cancel one path and prune: its slots are freed (or the arena is
-    // compacted outright), and the accounting stays reconciled.
-    tree.apply_delta(&[15, 15], -7);
-    let freed = tree.prune();
-    assert!(freed > 0, "prune must reclaim the dead path");
-    let s3 = tree.stats();
-    let (reach_nodes, reach_leaves) = tree.check_arena();
-    assert_eq!(reach_nodes, 3, "back to the single-path structure");
-    assert_eq!(reach_leaves, 1);
-    assert_eq!(s3.node_slots - s3.free_node_slots, reach_nodes);
-    assert_eq!(s3.leaf_slots - s3.free_leaf_slots, reach_leaves);
-    assert_eq!(s3.total_bytes, tree.heap_bytes());
-
-    // Cancel the last path: after prune + compaction the tree is empty
-    // and the bytes drop strictly below the populated peak.
-    tree.apply_delta(&[0, 0], -5);
-    tree.prune();
-    let s4 = tree.stats();
-    assert_eq!(tree.check_arena(), (0, 0));
-    assert_eq!((s4.nodes, s4.leaf_blocks), (0, 0));
-    assert_eq!(
-        s4.node_slots, s4.free_node_slots,
-        "every remaining node slot is on the free list"
-    );
-    assert_eq!(s4.leaf_slots, s4.free_leaf_slots);
-    assert!(
-        tree.heap_bytes() < populated_bytes,
-        "empty tree must not hold the populated peak: {} vs {}",
-        tree.heap_bytes(),
-        populated_bytes
-    );
+    // Cancel one path, then the other: the structure and its bytes stay
+    // exactly as they were, and every record is still reached.
+    for (p, v) in [([15, 15], -7), ([0, 0], -5)] {
+        tree.apply_delta(&p, v);
+        assert_eq!(tree.stats(), s2);
+        assert_eq!(tree.check_arena(), (5, 2));
+        assert_eq!(tree.heap_bytes(), populated_bytes);
+    }
     assert_eq!(tree.total(), 0);
+    assert_eq!(tree.check_invariants(), 0);
+    assert_eq!(tree.populated_cells(), 0);
+}
+
+/// One step of a cumulant-shaped churn: the update, then the full audit.
+fn churn_step(
+    engine: &mut DdcEngine<i64>,
+    oracle: &mut Oracle,
+    rng: &mut DdcRng,
+    (p, v): (&[usize], i64),
+    what: &str,
+) {
+    use ddc_array::RangeSumEngine;
+    engine.apply_delta(p, v);
+    oracle_add(oracle, p, v);
+    audit_and_sample(engine.tree(), oracle, rng, what);
+}
+
+/// Reload is the reclamation path, in the cumulant shape: seeded updates
+/// and exact cancellations at d = 2 and 3 under `dynamic()` and
+/// `sparse()`, with the arena audit, the invariant walk and sampled
+/// prefix sums against an oracle after *every* step. A closing phase
+/// cancels half the surviving cells. The snapshot of the churned cube
+/// then loads into a tree whose `stats()` and `heap_bytes()` are those
+/// of a tree built from the surviving `entries()` alone — and smaller
+/// than the churned one, whose cancelled paths are still allocated.
+#[test]
+fn reload_holds_what_the_surviving_cells_build() {
+    use ddc_array::RangeSumEngine;
+    // Spaces wide enough that most cells have a leaf block to themselves.
+    for (d, side) in [(2usize, 1024usize), (3, 64)] {
+        for config in [DdcConfig::dynamic(), DdcConfig::sparse()] {
+            let what = format!("d={d} {config:?}");
+            let mut rng = DdcRng::seed_from_u64(0x2E10_AD00 + d as u64);
+            let shape = Shape::cube(d, side);
+            let mut engine = DdcEngine::<i64>::with_config(shape.clone(), config);
+            let mut oracle = Oracle::new();
+            for _ in 0..240 {
+                // One step in three cancels a populated cell exactly.
+                let cancel = rng.gen_range(0usize..3) == 0 && !oracle.is_empty();
+                let (p, v) = if cancel {
+                    let mut cells: Vec<_> = oracle.iter().map(|(p, &v)| (p.clone(), -v)).collect();
+                    cells.sort();
+                    cells.swap_remove(rng.gen_range(0..cells.len()))
+                } else {
+                    let p: Vec<usize> = (0..d).map(|_| rng.gen_range(0..side)).collect();
+                    (p, rng.gen_range(-30i64..=30))
+                };
+                churn_step(&mut engine, &mut oracle, &mut rng, (&p, v), &what);
+            }
+            let mut survivors: Vec<_> = oracle.iter().map(|(p, &v)| (p.clone(), v)).collect();
+            survivors.sort();
+            for (p, v) in survivors.into_iter().step_by(2) {
+                churn_step(&mut engine, &mut oracle, &mut rng, (&p, -v), &what);
+            }
+
+            let mut snapshot = Vec::new();
+            engine.save(&mut snapshot).expect("save to memory");
+            let loaded = DdcEngine::<i64>::load(&mut &snapshot[..], config).expect("load");
+            let built = DdcEngine::from_entries(shape, config, &engine.entries());
+            audit(loaded.tree(), &oracle);
+            assert_eq!(loaded.tree().stats(), built.tree().stats(), "{what}");
+            assert_eq!(loaded.heap_bytes(), built.heap_bytes(), "{what}");
+            let (churned, reloaded) = (engine.tree().stats(), loaded.tree().stats());
+            assert!(
+                reloaded.leaf_blocks < churned.leaf_blocks,
+                "{what}: reload kept every leaf block: {reloaded:?}"
+            );
+            assert!(loaded.heap_bytes() < engine.heap_bytes(), "{what}");
+        }
+    }
 }
 
 /// Regions of a `d`-cube of `side` to sample a range walk on: the full
@@ -451,7 +442,8 @@ fn cancel_all_but(tree: &mut DdcTree<i64>, a: &mut NdArray<i64>, keep: usize) {
 /// derived from the rank} × {Basic, Dynamic over both `BaseStore`s} × {leaf
 /// cells in memory, behind a two-page pool of 64-byte pages, behind one
 /// of 96-byte pages}, each through update → grow high → grow low →
-/// cancel → prune → forced compaction → rebuild by `from_array_with`, with
+/// cancel a third → cancel to one cell → refill → rebuild by
+/// `from_array_with`, with
 /// `check_arena` + `check_invariants` and sampled answers after every
 /// phase. Sides are chosen so the sweep crosses the degenerate
 /// single-leaf tree, growth out of it, and both inline face kinds
@@ -460,8 +452,8 @@ fn cancel_all_but(tree: &mut DdcTree<i64>, a: &mut NdArray<i64>, keep: usize) {
 /// 16/16/8/4) every tree starts as one leaf block and gains its first
 /// level by growing — a level whose forest, at d ≥ 3, has leaf blocks
 /// wider than its side, i.e. secondary trees of one leaf run each. The
-/// paged twins move a populated arena onto pages and then grow, free,
-/// reuse and compact there: block runs are 16 B to 4 KiB, so they
+/// paged twins move a populated arena onto pages and then grow, cancel
+/// and refill there: block runs are 16 B to 4 KiB, so they
 /// share a page, fill whole pages, and — every run of 64 B and up over
 /// 96-byte pages — straddle page boundaries. Past d = 4 a grown
 /// reference would not fit in memory: those ranks run the derived leaf
@@ -548,33 +540,12 @@ fn slab_tree_matches_brute_force_across_dims_modes_and_bases() {
                     let live = tree.populated_cells();
                     cancel_all_but(&mut tree, &mut a, live / 3);
                     audit_dense(&tree, &a, &mut rng, &format!("{what} cancel"));
-                    tree.prune();
-                    audit_dense(&tree, &a, &mut rng, &format!("{what} prune"));
 
-                    // One survivor: the dead slots dominate, so this prune
-                    // must compact.
                     cancel_all_but(&mut tree, &mut a, 1);
-                    tree.prune();
-                    audit_dense(&tree, &a, &mut rng, &format!("{what} compaction"));
-                    let s = tree.stats();
-                    // Leaf ids are stable on pages: only the levels compact.
-                    let (free_leaves, leaves) = if paged {
-                        (0, 0)
-                    } else {
-                        (s.free_leaf_slots, s.leaf_slots)
-                    };
-                    assert!(
-                        s.free_node_slots + free_leaves
-                            <= (s.node_slots - s.free_node_slots) + (leaves - free_leaves),
-                        "{what}: compaction left free slots outnumbering live ones: {s:?}"
-                    );
+                    audit_dense(&tree, &a, &mut rng, &format!("{what} one survivor"));
                     random_updates(&mut tree, &mut a, &mut rng, 12);
                     audit_dense(&tree, &a, &mut rng, &format!("{what} refill"));
-                    assert_eq!(
-                        tree.is_paged(),
-                        paged,
-                        "{what}: growth or compaction changed the backend"
-                    );
+                    assert_eq!(tree.is_paged(), paged, "{what}: growth changed the backend");
                     evictions += tree.pool_stats().map_or(0, |s| s.evictions);
 
                     let mut rebuilt = DdcEngine::from_array_with(&populated, config);
@@ -641,15 +612,12 @@ fn paged_twins_under_a_tiny_cap_match_memory_after_every_update() {
 /// 16³ / 8⁴ full tree (`h = 0`: forests of two to four levels) and a
 /// 32³ / 16⁴ tree under the derived leaf side (forests whose trees are
 /// one leaf run) is cancelled down to one cell, half the remaining cells
-/// a round, with a prune after every round — so secondary subtrees go
-/// back to their forests' free lists, are reused by nothing, and are
-/// finally rewritten away by a compaction. The audit (which walks every
-/// forest from the roots of its level's box records) and sampled
-/// answers run after *every* cancel and *every* prune, not only at the
-/// end. With blocked faces nothing at d ≥ 3 lives outside a slab, so
-/// `prune` releases bytes only when it compacts.
+/// a round, and then refilled. The audit (which walks every forest from
+/// the roots of its level's box records) and sampled answers run after
+/// *every* round, not only at the end. A cancel writes only into records
+/// its cell's earlier updates allocated, so the heap does not move.
 #[test]
-fn forested_trees_cancel_down_to_one_cell_and_compact() {
+fn forested_trees_cancel_down_to_one_cell() {
     let full = DdcConfig::dynamic().with_elision(0);
     for (d, side, config) in [
         (3usize, 16usize, full),
@@ -674,7 +642,6 @@ fn forested_trees_cancel_down_to_one_cell_and_compact() {
         );
         let populated_bytes = tree.heap_bytes();
 
-        let mut compactions = 0;
         while oracle.len() > 1 {
             let mut cells: Vec<(Vec<usize>, i64)> =
                 oracle.iter().map(|(p, &v)| (p.clone(), v)).collect();
@@ -686,30 +653,11 @@ fn forested_trees_cancel_down_to_one_cell_and_compact() {
                 oracle_add(&mut oracle, &p, -v);
             }
             audit_and_sample(&tree, &oracle, &mut rng, &format!("{what}, cancel"));
-            let released = tree.prune();
-            audit_and_sample(&tree, &oracle, &mut rng, &format!("{what}, prune"));
-            if released > 0 {
-                let s = tree.stats();
-                assert_eq!(
-                    s.free_node_slots + s.free_leaf_slots,
-                    0,
-                    "{what}: bytes came back without the slabs being rewritten"
-                );
-                compactions += 1;
-            }
+            assert_eq!(tree.heap_bytes(), populated_bytes, "{what}");
         }
-        assert!(
-            compactions >= 1,
-            "d={d} side={side}: no prune ever compacted"
-        );
         assert_eq!(tree.populated_cells(), 1);
-        assert!(
-            tree.heap_bytes() * 8 < populated_bytes,
-            "d={d} side={side}: one cell holds {} of {populated_bytes} bytes",
-            tree.heap_bytes()
-        );
 
-        // The compacted forests take new trees again.
+        // The forests take new trees again.
         for _ in 0..40 {
             let p: Vec<usize> = (0..d).map(|_| rng.gen_range(0..side)).collect();
             let delta = rng.gen_range(1i64..=40);
@@ -726,8 +674,8 @@ fn forested_trees_cancel_down_to_one_cell_and_compact() {
 }
 
 /// Smoke case at the largest rank a tree is built for: a 4^8 cube
-/// against brute force, through the tree's update, prefix, range, cell
-/// and prune paths and the engine's range sum. One rank more is refused
+/// against brute force, through the tree's update, prefix, range and
+/// cell paths and the engine's range sum. One rank more is refused
 /// when the tree is built.
 #[test]
 fn top_rank_cube_matches_brute_force() {
@@ -746,8 +694,7 @@ fn top_rank_cube_matches_brute_force() {
     random_updates(&mut tree, &mut a, &mut rng, 12);
     audit_dense(&tree, &a, &mut rng, "top rank update");
     cancel_all_but(&mut tree, &mut a, 3);
-    tree.prune();
-    audit_dense(&tree, &a, &mut rng, "top rank prune");
+    audit_dense(&tree, &a, &mut rng, "top rank cancel");
 
     let engine = DdcEngine::from_array_with(&a, DdcConfig::dynamic());
     for _ in 0..3 {
@@ -818,40 +765,6 @@ fn range_walk_reads_no_more_than_figure4() {
             }
         }
     }
-}
-
-/// The compaction trigger weighs bytes, not slot counts: one dead
-/// root-to-leaf path is a minority of the slots next to a dense live
-/// cluster, but its box records near the root (a side-512 box holds
-/// `1 + 2·(512 + 31)` words) outweigh the cluster, so prune must
-/// rewrite the slabs and report the bytes it gave back.
-#[test]
-fn compaction_is_driven_by_dead_bytes_not_slot_counts() {
-    let mut tree = DdcTree::<i64>::new(2, 1024, DdcConfig::dynamic());
-    for x in 0..8 {
-        for y in 0..8 {
-            tree.apply_delta(&[x, y], 1);
-        }
-    }
-    tree.apply_delta(&[1023, 1023], 5);
-    tree.apply_delta(&[1023, 1023], -5);
-    let before = tree.stats();
-    let released = tree.prune();
-    let after = tree.stats();
-    tree.check_arena();
-    assert_eq!(tree.check_invariants(), 64);
-    let dead = (before.nodes - after.nodes) + (before.leaf_blocks - after.leaf_blocks);
-    assert!(
-        dead < after.nodes + after.leaf_blocks,
-        "the dead path must be the slot minority for this test to bite: {dead} dead"
-    );
-    assert_eq!(
-        (after.free_node_slots, after.free_leaf_slots),
-        (0, 0),
-        "dead bytes dominated, so the slabs must have been compacted"
-    );
-    assert!(released > 0, "compaction must hand the dead bytes back");
-    assert_eq!(after.total_bytes, before.total_bytes - released);
 }
 
 /// Layout pin: the paper-scale d = 2 cube (1024², 2^18 seeded cells,

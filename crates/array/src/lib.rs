@@ -7,7 +7,10 @@
 //! paper, and the operation counters behind the Table-1 experiments.
 //!
 //! This crate has no dependencies; everything above it (`ddc-btree`,
-//! `ddc-baselines`, `ddc-core`, `ddc-olap`) builds on these types.
+//! `ddc-baselines`, `ddc-core`, `ddc-olap`) builds on these types. It
+//! holds no test harness: engines are checked against each other by
+//! `ddc-check`, which runs one trace through all of them and compares
+//! every answer with a hash-map oracle.
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]
@@ -18,7 +21,6 @@ mod counter;
 mod engine;
 mod group;
 mod region;
-mod shadow;
 mod shape;
 mod slice;
 
@@ -28,6 +30,5 @@ pub use counter::{OpCounter, OpSnapshot};
 pub use engine::RangeSumEngine;
 pub use group::{AbelianGroup, Checked, Pair};
 pub use region::{with_coord_bufs, PrefixTerm, Region, RegionPointIter};
-pub use shadow::ShadowEngine;
 pub use shape::{PointIter, Shape, ShapeError};
 pub use slice::SliceView;

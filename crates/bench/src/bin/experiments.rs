@@ -3,12 +3,16 @@
 //! everything EXPERIMENTS.md reports.
 //!
 //! ```text
+//! cargo build --release -p ddc-bench --bins
 //! cargo run --release -p ddc-bench --bin experiments
 //! ```
 //!
-//! Each sub-experiment runs in this process (they are plain functions of
-//! the same crate's binaries re-exposed through `std::process` would be
-//! heavier); failures abort with the failing experiment's name.
+//! Each experiment is a sibling binary in this binary's own directory,
+//! run as a child process that inherits stdout and stderr under a
+//! banner. A binary that fails or cannot start is reported on stderr and
+//! the run goes on to the next one; at the end the orchestrator prints
+//! the list of failures and exits 1, or says that all completed. Every
+//! experiment prints counts, not timings, so two runs print the same.
 
 use std::process::Command;
 
@@ -29,7 +33,6 @@ const EXPERIMENTS: &[(&str, &str)] = &[
         "§5 — growth in any direction + forced materialization",
     ),
     ("clustered_storage", "§5 — sparse and clustered storage"),
-    ("replay", "mixed-workload trace replay"),
     (
         "fenwick_nd",
         "novelty ablation — DDC vs d-dimensional Fenwick tree",

@@ -7,7 +7,9 @@
 //! same randomized [`ddc_workload::CheckTrace`] op streams (updates,
 //! sets, range queries, cell reads, growth in any direction, save/load
 //! round-trips, flush barriers) and compared answer-by-answer against a
-//! sparse hash-map oracle.
+//! sparse hash-map oracle. [`run_trace_on`] is the workspace's one
+//! differential path: the suites that compare engines hand it their own
+//! traces and engine sets rather than keep a harness of their own.
 //!
 //! On divergence the trace is **shrunk** (delta debugging over ops,
 //! then coordinate/value minimization) to a replayable text repro.

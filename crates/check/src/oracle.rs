@@ -1,6 +1,7 @@
 //! The reference model every engine is compared against: a sparse map
 //! from signed logical coordinates to values, with O(population) range
-//! sums. Too slow to ship, too simple to be wrong.
+//! sums. Too slow to ship, too simple to be wrong. Its arithmetic wraps,
+//! as `AbelianGroup for i64` does in every engine it checks.
 
 use std::collections::HashMap;
 
@@ -29,7 +30,7 @@ impl Oracle {
     pub fn add(&mut self, point: &[i64], delta: i64) {
         debug_assert_eq!(point.len(), self.d);
         let v = self.cells.entry(point.to_vec()).or_insert(0);
-        *v += delta;
+        *v = v.wrapping_add(delta);
         if *v == 0 {
             self.cells.remove(point);
         }
@@ -38,7 +39,7 @@ impl Oracle {
     /// Sets the cell to `value`, returning the previous value.
     pub fn set(&mut self, point: &[i64], value: i64) -> i64 {
         let old = self.cell(point);
-        self.add(point, value - old);
+        self.add(point, value.wrapping_sub(old));
         old
     }
 
@@ -60,13 +61,12 @@ impl Oracle {
                     .zip(lo.iter().zip(hi))
                     .all(|(&c, (&l, &h))| c >= l && c <= h)
             })
-            .map(|(_, &v)| v)
-            .sum()
+            .fold(0, |sum, (_, &v)| sum.wrapping_add(v))
     }
 
     /// Sum of every populated cell.
     pub fn total(&self) -> i64 {
-        self.cells.values().sum()
+        self.cells.values().fold(0, |sum, &v| sum.wrapping_add(v))
     }
 
     /// Populated cells, sorted.
@@ -94,5 +94,18 @@ mod tests {
         // Cells cancelling back to zero leave the population.
         o.add(&[2, -1], -3);
         assert_eq!(o.entries().len(), 1);
+    }
+
+    #[test]
+    fn extreme_values_wrap_like_the_engines() {
+        let mut o = Oracle::new(2);
+        o.add(&[0, 0], i64::MAX);
+        o.add(&[0, 0], i64::MAX);
+        o.add(&[7, 7], i64::MIN);
+        assert_eq!(o.cell(&[0, 0]), -2);
+        assert_eq!(o.range_sum(&[0, 0], &[7, 7]), i64::MAX - 1);
+        assert_eq!(o.total(), i64::MAX - 1);
+        assert_eq!(o.set(&[7, 7], 1), i64::MIN);
+        assert_eq!(o.total(), -1);
     }
 }

@@ -222,13 +222,37 @@ impl<G: AbelianGroup> RangeSumEngine<G> for DdcEngine<G> {
     }
 
     fn heap_bytes(&self) -> usize {
-        std::mem::size_of::<Self>() + self.tree.heap_bytes()
+        // The tree counts its own inline bytes; add only the wrapper's.
+        std::mem::size_of::<Self>() - std::mem::size_of::<DdcTree<G>>() + self.tree.heap_bytes()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A wrapper holds its tree inline, so the tree's own bytes are in
+    /// `size_of::<DdcTree>` once: the wrapper adds only its other fields.
+    #[test]
+    fn wrappers_count_their_inline_tree_once() {
+        use crate::GrowableCube;
+        use std::mem::size_of;
+        let mut engine = DdcEngine::<i64>::dynamic(Shape::cube(2, 64));
+        let mut cube = GrowableCube::<i64>::new(2, DdcConfig::dynamic());
+        for i in 0..40 {
+            engine.apply_delta(&[i, 63 - i], 1);
+            cube.add(&[i as i64 * 3, -(i as i64)], 1);
+        }
+        let tree = size_of::<DdcTree<i64>>();
+        assert_eq!(
+            engine.heap_bytes() - engine.tree().heap_bytes(),
+            size_of::<DdcEngine<i64>>() - tree
+        );
+        assert_eq!(
+            cube.heap_bytes() - cube.tree.heap_bytes(),
+            size_of::<GrowableCube<i64>>() - tree
+        );
+    }
 
     /// The worked example of Figures 9 and 11: an 8×8 cube whose query
     /// decomposes into the paper's six components — box Q contributes its

@@ -323,7 +323,8 @@ impl<G: AbelianGroup> GrowableCube<G> {
 
     /// Approximate heap bytes held by the cube.
     pub fn heap_bytes(&self) -> usize {
-        std::mem::size_of::<Self>() + self.tree.heap_bytes()
+        // The tree counts its own inline bytes; add only the wrapper's.
+        std::mem::size_of::<Self>() - std::mem::size_of::<DdcTree<G>>() + self.tree.heap_bytes()
     }
 
     /// Activates the paged leaf backend if the config requests it; see

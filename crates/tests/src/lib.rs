@@ -5,6 +5,9 @@
 //! builds and tests with zero network access, and [`FlakyTarget`], the
 //! failing-on-demand double the commit-pipeline suites supervise.
 //!
+//! It also holds [`fixed_shape_trace`], the op generator of the suites
+//! that run fixed-shape engines through `ddc_check::run_trace_on`.
+//!
 //! ## The harness
 //!
 //! [`run_cases`] runs a closure over `cases` independently seeded
@@ -32,6 +35,7 @@ use std::sync::{Arc, Mutex};
 use ddc_array::Shape;
 use ddc_core::{CommitTarget, DdcConfig, GrowableCube, IoError, ShardConfig, ShardedCube};
 pub use ddc_workload::DdcRng;
+use ddc_workload::{CheckOp, CheckTrace};
 
 /// Default number of cases when a suite does not override it.
 pub const DEFAULT_CASES: usize = 32;
@@ -127,6 +131,42 @@ macro_rules! for_cases {
             }
         )*
     };
+}
+
+/// A differential trace over the fixed box `[0, dims)`: `ops` point
+/// updates, sets, range sums and cell reads (4 : 2 : 3 : 1), values in
+/// ±1000. It never grows, round-trips or crashes, so any engine of shape
+/// `dims` can replay it, and `ddc_check::run_trace_on` compares each of
+/// its answers with the oracle.
+pub fn fixed_shape_trace(dims: &[usize], ops: usize, rng: &mut DdcRng) -> CheckTrace {
+    let point = |rng: &mut DdcRng| -> Vec<i64> {
+        dims.iter().map(|&n| rng.gen_range(0..n as i64)).collect()
+    };
+    let ops = (0..ops)
+        .map(|_| match rng.gen_range(0usize..10) {
+            0..=3 => CheckOp::Update {
+                point: point(rng),
+                delta: rng.gen_range(-1000i64..=1000),
+            },
+            4..=5 => CheckOp::Set {
+                point: point(rng),
+                value: rng.gen_range(-1000i64..=1000),
+            },
+            6..=8 => {
+                let (a, b) = (point(rng), point(rng));
+                CheckOp::Query {
+                    lo: a.iter().zip(&b).map(|(&x, &y)| x.min(y)).collect(),
+                    hi: a.iter().zip(&b).map(|(&x, &y)| x.max(y)).collect(),
+                }
+            }
+            _ => CheckOp::Cell { point: point(rng) },
+        })
+        .collect();
+    CheckTrace {
+        origin: vec![0; dims.len()],
+        dims: dims.to_vec(),
+        ops,
+    }
 }
 
 /// How an armed [`FlakyTarget`] fails a commit.

@@ -1,11 +1,11 @@
 //! Differential-check traces: the op model behind the `ddc-check` fuzzer.
 //!
-//! A [`CheckTrace`] is richer than the plain benchmark [`crate::Trace`]:
-//! coordinates are *signed* logical positions inside a covered box that
-//! can **grow in any direction** mid-trace (the paper's §5 star-catalog
-//! story), and the op set includes persistence round-trips and flush
-//! barriers. The format stays line-oriented text so a
-//! shrunk repro is diffable and replayable by hand:
+//! In a [`CheckTrace`], coordinates are *signed* logical positions
+//! inside a covered box that can **grow in any direction** mid-trace
+//! (the paper's §5 star-catalog story), and the op set includes
+//! persistence round-trips, simulated kills and flush barriers. The
+//! format is line-oriented text so a shrunk repro is diffable and
+//! replayable by hand:
 //!
 //! ```text
 //! # ddc check trace
@@ -17,7 +17,8 @@
 //! C 1 2              # read one cell (answer compared)
 //! G 0 2 low          # grow axis 0 by 2 cells at the low end
 //! R                  # save/load round-trip (engines that persist)
-//! F                  # flush / shard group commit barrier
+//! F                  # flush barrier (a no-op everywhere)
+//! K                  # simulated kill + recovery (engines with a log)
 //! ```
 //!
 //! The module also hosts the **trace shrinker**: delta debugging over the

@@ -2,7 +2,11 @@
 //!
 //! Deterministic synthetic workloads for the paper's experiments: dense /
 //! sparse / clustered data (§5's EOSDIS and star-catalog narratives),
-//! uniform and Zipf-skewed update streams, and range-query generators.
+//! uniform and Zipf-skewed update streams, and range-query generators —
+//! plus [`CheckTrace`], the workspace's one op-trace format: the
+//! differential checker's workload (signed coordinates, growth in any
+//! direction, save/load and crash steps), its text repro and its
+//! shrinker.
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]
@@ -11,7 +15,6 @@ mod data;
 mod fuzz;
 mod queries;
 mod rng;
-mod trace;
 
 pub use data::{
     append_series, clustered_points, emerging_sources, random_clusters, rng, skewed_updates,
@@ -20,4 +23,3 @@ pub use data::{
 pub use fuzz::{ddmin, shrink_trace, BoxState, CheckOp, CheckTrace, CheckTraceConfig};
 pub use queries::{prefix_regions, uniform_regions, window_regions};
 pub use rng::{DdcRng, SampleRange};
-pub use trace::{ReplayResult, Trace, TraceOp};

@@ -1,26 +1,76 @@
-//! Adversarial and fault-detection tests: lockstep shadow runs against
-//! the naive ground truth under pathological update patterns, numeric
-//! extremes, and configuration corners.
+//! Adversarial and fault-detection tests: a `DdcEngine` checked against
+//! the oracle after every op under pathological update patterns,
+//! numeric extremes, and configuration corners.
 
-use ddc_array::{RangeSumEngine, Region, ShadowEngine, Shape};
-use ddc_baselines::NaiveEngine;
+use ddc_array::{RangeSumEngine, Region, Shape};
+use ddc_check::Oracle;
 use ddc_core::{DdcConfig, DdcEngine};
 use ddc_workload::{rng, skewed_updates, uniform_regions};
 
-fn shadowed(
-    shape: &Shape,
-    config: DdcConfig,
-) -> ShadowEngine<i64, DdcEngine<i64>, NaiveEngine<i64>> {
-    ShadowEngine::new(
-        DdcEngine::with_config(shape.clone(), config),
-        NaiveEngine::zeroed(shape.clone()),
-    )
+/// A `DdcEngine` beside the oracle. Every op goes to both, and every
+/// answer the engine gives is asserted equal to the oracle's; an update
+/// is followed by a read of its cell and of the whole cube.
+struct Checked {
+    engine: DdcEngine<i64>,
+    oracle: Oracle,
 }
 
-/// Every query here goes through both engines and asserts equality, so a
-/// silent divergence in any structure fails loudly at the exact query.
+fn signed(p: &[usize]) -> Vec<i64> {
+    p.iter().map(|&c| c as i64).collect()
+}
+
+impl Checked {
+    fn new(shape: &Shape, config: DdcConfig) -> Self {
+        Self {
+            engine: DdcEngine::with_config(shape.clone(), config),
+            oracle: Oracle::new(shape.ndim()),
+        }
+    }
+
+    fn apply_delta(&mut self, p: &[usize], delta: i64) {
+        self.engine.apply_delta(p, delta);
+        self.oracle.add(&signed(p), delta);
+        self.cell(p);
+        self.range_sum(&Region::full(self.engine.shape()));
+    }
+
+    fn set(&mut self, p: &[usize], value: i64) {
+        let old = self.engine.set(p, value);
+        assert_eq!(
+            old,
+            self.oracle.set(&signed(p), value),
+            "set({p:?}) old value"
+        );
+        self.cell(p);
+    }
+
+    fn cell(&self, p: &[usize]) {
+        assert_eq!(
+            self.engine.cell(p),
+            self.oracle.cell(&signed(p)),
+            "cell({p:?})"
+        );
+    }
+
+    fn range_sum(&self, q: &Region) {
+        let expected = self.oracle.range_sum(&signed(q.lo()), &signed(q.hi()));
+        assert_eq!(self.engine.range_sum(q), expected, "range_sum({q:?})");
+    }
+
+    fn prefix_sum(&self, p: &[usize]) {
+        let expected = self.oracle.range_sum(&vec![0; p.len()], &signed(p));
+        assert_eq!(self.engine.prefix_sum(p), expected, "prefix_sum({p:?})");
+    }
+
+    fn check_invariants(self) {
+        self.engine.check_invariants();
+    }
+}
+
+/// Every op here is checked against the oracle, so a silent divergence
+/// in any structure fails loudly at the exact op.
 fn stress(shape: Shape, config: DdcConfig, pattern: impl Fn(usize, &Shape) -> Vec<usize>) {
-    let mut engine = shadowed(&shape, config);
+    let mut engine = Checked::new(&shape, config);
     let mut r = rng(13);
     let queries = uniform_regions(&shape, 8, &mut r);
     for step in 0..200 {
@@ -29,12 +79,12 @@ fn stress(shape: Shape, config: DdcConfig, pattern: impl Fn(usize, &Shape) -> Ve
         engine.apply_delta(&p, delta);
         if step % 20 == 0 {
             for q in &queries {
-                let _ = engine.range_sum(q);
+                engine.range_sum(q);
             }
-            let _ = engine.cell(&p);
+            engine.cell(&p);
         }
     }
-    engine.into_primary().check_invariants();
+    engine.check_invariants();
 }
 
 #[test]
@@ -82,7 +132,7 @@ fn zipf_hotspots_under_every_config() {
         DdcConfig::dynamic().with_elision(2),
         DdcConfig::sparse().with_elision(1),
     ] {
-        let mut engine = shadowed(&shape, config);
+        let mut engine = Checked::new(&shape, config);
         let mut r = rng(77);
         let stream = skewed_updates(&shape, 150, 1.2, &mut r);
         let queries = uniform_regions(&shape, 6, &mut r);
@@ -90,11 +140,11 @@ fn zipf_hotspots_under_every_config() {
             engine.apply_delta(p, *delta);
             if i % 25 == 0 {
                 for q in &queries {
-                    let _ = engine.range_sum(q);
+                    engine.range_sum(q);
                 }
             }
         }
-        engine.into_primary().check_invariants();
+        engine.check_invariants();
     }
 }
 
@@ -102,13 +152,13 @@ fn zipf_hotspots_under_every_config() {
 fn extreme_magnitudes_wrap_consistently() {
     // Wrapping arithmetic must wrap the same way in every structure.
     let shape = Shape::cube(2, 8);
-    let mut engine = shadowed(&shape, DdcConfig::dynamic());
+    let mut engine = Checked::new(&shape, DdcConfig::dynamic());
     engine.apply_delta(&[0, 0], i64::MAX);
     engine.apply_delta(&[0, 0], i64::MAX);
     engine.apply_delta(&[7, 7], i64::MIN);
     let full = Region::full(&shape);
-    let _ = engine.range_sum(&full);
-    let _ = engine.prefix_sum(&[3, 3]);
+    engine.range_sum(&full);
+    engine.prefix_sum(&[3, 3]);
 }
 
 #[test]
@@ -116,30 +166,30 @@ fn narrow_shapes() {
     // 1×n and n×1 cubes: every box is degenerate in one dimension.
     for dims in [[1usize, 64], [64, 1], [1, 1]] {
         let shape = Shape::new(&dims);
-        let mut engine = shadowed(&shape, DdcConfig::dynamic());
+        let mut engine = Checked::new(&shape, DdcConfig::dynamic());
         for i in 0..40 {
             let p = vec![i % dims[0], i % dims[1]];
             engine.apply_delta(&p, i as i64 + 1);
         }
         let full = Region::full(&shape);
-        let _ = engine.range_sum(&full);
-        engine.into_primary().check_invariants();
+        engine.range_sum(&full);
+        engine.check_invariants();
     }
 }
 
 #[test]
 fn set_after_heavy_churn() {
     let shape = Shape::cube(2, 32);
-    let mut engine = shadowed(&shape, DdcConfig::dynamic());
+    let mut engine = Checked::new(&shape, DdcConfig::dynamic());
     let mut r = rng(5);
     let stream = skewed_updates(&shape, 100, 0.5, &mut r);
     for (p, delta) in &stream.updates {
         engine.apply_delta(p, *delta);
     }
-    // set() must return identical old values from both engines (checked
-    // inside ShadowEngine::set).
+    // set() must return the oracle's old value (checked inside
+    // Checked::set).
     for (p, _) in stream.updates.iter().take(30) {
-        let _ = engine.set(p, 42);
+        engine.set(p, 42);
     }
-    let _ = engine.range_sum(&Region::full(&shape));
+    engine.range_sum(&Region::full(&shape));
 }

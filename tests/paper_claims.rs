@@ -137,13 +137,13 @@ fn elision_brings_storage_near_array_size() {
         }
     };
     let e = DdcEngine::from_array_with(&a, DdcConfig::dynamic().with_elision(4));
-    assert_eq!(e.heap_bytes(), 586_016);
+    assert_eq!(e.heap_bytes(), 585_864);
     assert_eq!(e.tree().stats(), full(3, 32, 59_584, 585_848));
     let ratio = e.heap_bytes() as f64 / raw as f64;
     assert!(ratio < 1.5, "h=4 ratio {ratio}");
     // And h = 0 is strictly larger — the optimization does something.
     let e0 = DdcEngine::from_array_with(&a, DdcConfig::dynamic().with_elision(0));
-    assert_eq!(e0.heap_bytes(), 1_917_696);
+    assert_eq!(e0.heap_bytes(), 1_917_544);
     assert_eq!(e0.tree().stats(), full(7, 2, 1_042_624, 1_917_528));
     assert!(e0.heap_bytes() > e.heap_bytes());
 }

@@ -1,6 +1,6 @@
-//! Tests for the commit pipeline (`core::shard`): a lockstep
-//! differential replay proving the sharded protocol is observably
-//! identical to an unsharded engine; the same pipeline over both its
+//! Tests for the commit pipeline (`core::shard`): a differential
+//! replay proving the sharded protocol answers every query as the
+//! oracle and an unsharded engine do; the same pipeline over both its
 //! targets — plain and logged — audited and compared to an oracle after
 //! *every* run, failed commit, heal and crash; the one ack rule (an
 //! update is acknowledged once its commit has landed) and the one
@@ -11,16 +11,16 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use ddc_array::{RangeSumEngine, Region, ShadowEngine, Shape};
-use ddc_check::Oracle;
+use ddc_array::{RangeSumEngine, Region, Shape};
+use ddc_check::{ddc_adapter, run_trace_on, CheckEngine, FixedAdapter, Oracle};
 use ddc_core::vfs::{MemFile, MemVfs};
 use ddc_core::wal::{self, RetryPolicy};
 use ddc_core::{
     CommitTarget, DdcConfig, DdcEngine, DurableCube, GrowableCube, ShardConfig, ShardedCube,
     TryUpdateError, COMMIT_FAILED, PANICKED_AFTER_APPEND,
 };
-use ddc_tests::{for_cases, DdcRng, Fault, Faults, FlakyTarget};
-use ddc_workload::Trace;
+use ddc_tests::{fixed_shape_trace, for_cases, DdcRng, Fault, Faults, FlakyTarget};
+use ddc_workload::BoxState;
 
 const LOG: &str = "wal.log";
 
@@ -165,29 +165,24 @@ fn churn<R: Rig>(rig: &R, rng: &mut DdcRng, steps: usize) {
 }
 
 for_cases! {
-    /// Replays a recorded trace through a `ShardedCube` shadowed by a
-    /// plain `DdcEngine`: the `ShadowEngine` panics on the first query
-    /// where the two disagree, and the final checksums must match a
-    /// third, independent replay bit for bit.
+    /// Replays one fixed-shape trace through a `ShardedCube` of 1–6
+    /// slabs and an unsharded `DdcEngine`: `run_trace_on` compares every
+    /// answer of both with the oracle, so the first query where either
+    /// is wrong fails the case.
     fn sharded_replay_is_bit_identical_to_unsharded(rng, cases = 24) {
-        let n0 = rng.gen_range(8usize..40);
-        let n1 = rng.gen_range(4usize..24);
-        let shape = Shape::new(&[n0, n1]);
+        let dims = [rng.gen_range(8usize..40), rng.gen_range(4usize..24)];
         let shards = rng.gen_range(1usize..=6);
-        let trace = Trace::generate(&shape, rng.gen_range(50usize..300), 0.6, rng);
+        let trace = fixed_shape_trace(&dims, rng.gen_range(50usize..300), rng);
 
-        let sharded = ShardedCube::<i64>::new(
-            shape.clone(),
-            DdcConfig::dynamic(),
-            ShardConfig::with_shards(shards),
-        );
-        let plain = DdcEngine::<i64>::dynamic(shape.clone());
-        let mut lockstep = ShadowEngine::new(sharded, plain);
-        let shadowed = trace.replay(&mut lockstep);
-
-        let mut reference = DdcEngine::<i64>::dynamic(shape);
-        let independent = trace.replay(&mut reference);
-        assert_eq!(shadowed, independent, "shards={shards}");
+        let init = BoxState::initial(&trace);
+        let sharded = FixedAdapter::new(format!("sharded({shards})"), &init, move |shape| {
+            ShardedCube::<i64>::new(shape, DdcConfig::dynamic(), ShardConfig::with_shards(shards))
+        });
+        let plain = ddc_adapter("ddc-dynamic", &init, DdcConfig::dynamic());
+        let engines: Vec<Box<dyn CheckEngine>> = vec![Box::new(sharded), Box::new(plain)];
+        if let Err(divergence) = run_trace_on(&trace, engines) {
+            panic!("{divergence}\n{}", trace.to_text());
+        }
     }
 
     /// The cumulant suite over both targets: plain × {1, 3} slabs and

@@ -11,6 +11,7 @@
 //! signed coordinates into internal unsigned indices and records how far
 //! the origin has moved.
 
+use crate::point::{Point, MAX_RANK};
 use crate::shape::Shape;
 
 /// Maps logical signed coordinates to internal zero-based indices.
@@ -26,10 +27,14 @@ pub struct CoordMap {
 
 impl CoordMap {
     /// A map whose internal box is `[origin, origin + extent)` in logical
-    /// space.
+    /// space, of rank `1..=MAX_RANK`.
     pub fn new(origin: Vec<i64>, extent: Vec<usize>) -> Self {
         assert_eq!(origin.len(), extent.len());
-        assert!(!origin.is_empty());
+        let d = origin.len();
+        assert!(
+            (1..=MAX_RANK).contains(&d),
+            "rank {d} outside 1..={MAX_RANK}"
+        );
         assert!(extent.iter().all(|&e| e > 0));
         Self { origin, extent }
     }
@@ -62,9 +67,9 @@ impl CoordMap {
 
     /// Translates a logical point into internal indices, or `None` if it
     /// falls outside the current box (the caller must grow first).
-    pub fn to_internal(&self, logical: &[i64]) -> Option<Vec<usize>> {
+    pub fn to_internal(&self, logical: &[i64]) -> Option<Point<usize>> {
         assert_eq!(logical.len(), self.ndim(), "coordinate rank mismatch");
-        let mut out = Vec::with_capacity(self.ndim());
+        let mut out = Point::new();
         for ((&c, &o), &e) in logical
             .iter()
             .zip(self.origin.iter())
@@ -74,7 +79,8 @@ impl CoordMap {
             if rel < 0 || rel as usize >= e {
                 return None;
             }
-            out.push(rel as usize);
+            // The rank is at most `MAX_RANK` (checked in `new`).
+            let _ = out.push(rel as usize);
         }
         Some(out)
     }
@@ -143,7 +149,7 @@ mod tests {
     #[test]
     fn roundtrip_at_zero() {
         let m = CoordMap::at_zero(vec![8, 8]);
-        assert_eq!(m.to_internal(&[3, 7]), Some(vec![3, 7]));
+        assert_eq!(m.to_internal(&[3, 7]).as_deref(), Some(&[3, 7][..]));
         assert_eq!(m.to_logical(&[3, 7]), vec![3, 7]);
         assert_eq!(m.to_internal(&[8, 0]), None);
         assert_eq!(m.to_internal(&[-1, 0]), None);
@@ -155,7 +161,7 @@ mod tests {
         let shift = m.grow(0, GrowthDirection::High);
         assert_eq!(shift, 0);
         assert_eq!(m.extent(), &[8]);
-        assert_eq!(m.to_internal(&[7]), Some(vec![7]));
+        assert_eq!(m.to_internal(&[7]).as_deref(), Some(&[7][..]));
         assert_eq!(m.origin(), &[0]);
     }
 
@@ -167,8 +173,8 @@ mod tests {
         assert_eq!(m.origin(), &[-4]);
         assert_eq!(m.extent(), &[8]);
         // Logical 0 is now internal 4.
-        assert_eq!(m.to_internal(&[0]), Some(vec![4]));
-        assert_eq!(m.to_internal(&[-4]), Some(vec![0]));
+        assert_eq!(m.to_internal(&[0]).as_deref(), Some(&[4][..]));
+        assert_eq!(m.to_internal(&[-4]).as_deref(), Some(&[0][..]));
         assert_eq!(m.to_logical(&[0]), vec![-4]);
     }
 
@@ -193,8 +199,8 @@ mod tests {
         m.grow(0, GrowthDirection::Low); // origin -6, extent 8
         assert_eq!(m.origin(), &[-6]);
         assert_eq!(m.extent(), &[8]);
-        assert_eq!(m.to_internal(&[-6]), Some(vec![0]));
-        assert_eq!(m.to_internal(&[1]), Some(vec![7]));
+        assert_eq!(m.to_internal(&[-6]).as_deref(), Some(&[0][..]));
+        assert_eq!(m.to_internal(&[1]).as_deref(), Some(&[7][..]));
         assert_eq!(m.to_internal(&[2]), None);
     }
 

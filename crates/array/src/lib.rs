@@ -20,6 +20,7 @@ mod coords;
 mod counter;
 mod engine;
 mod group;
+mod point;
 mod region;
 mod shape;
 mod slice;
@@ -29,6 +30,7 @@ pub use coords::{CoordMap, GrowthDirection};
 pub use counter::{OpCounter, OpSnapshot};
 pub use engine::RangeSumEngine;
 pub use group::{AbelianGroup, Checked, Pair};
+pub use point::{Point, MAX_RANK};
 pub use region::{with_coord_bufs, PrefixTerm, Region, RegionPointIter};
 pub use shape::{PointIter, Shape, ShapeError};
 pub use slice::SliceView;

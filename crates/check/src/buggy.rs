@@ -118,8 +118,8 @@ impl ParserQuirk {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::serve_fuzz::run_chunked;
-    use ddc_serve::{Frame, ParserConfig};
+    use crate::serve_fuzz::{run_chunked, OwnedFrame};
+    use ddc_serve::{ParserConfig, ServeRequest};
 
     #[test]
     fn quirk_fixtures_diverge_from_the_real_parser() {
@@ -132,11 +132,16 @@ mod tests {
         let wire = b"POST / HTTP/1.1\r\ncontent-length: 4\r\n\r\nbodyping\n";
         let quirk = ParserQuirk::CaseSensitiveContentLength;
         let (real, buggy) = (run(wire, &[], None), run(wire, &[], Some(quirk)));
+        let ping = OwnedFrame::Line {
+            text: "ping".to_string(),
+            decoded: Ok(ServeRequest::Ping),
+        };
         assert_eq!(real.len(), 2);
-        assert_eq!(real[1], Frame::Line("ping".to_string()));
+        assert_eq!(real[1], ping);
         match &buggy[..] {
-            [Frame::Http(r), Frame::Line(l)] => {
-                assert!(r.body.is_empty() && l == "bodyping", "{r:?} {l}");
+            [OwnedFrame::Http(r), OwnedFrame::Line { text, decoded }] => {
+                assert!(r.body.is_empty() && text == "bodyping", "{r:?} {text}");
+                assert_eq!(*decoded, Err(404), "an unknown command");
             }
             other => panic!("{other:?}"),
         }
@@ -155,10 +160,10 @@ mod tests {
         let real = run(&wire, &[head.len()], None);
         assert_ne!(real, run(&wire, &[head.len()], Some(quirk)));
         match &real[0] {
-            Frame::Http(r) => assert_eq!(r.body, b"a\rc"),
+            OwnedFrame::Http(r) => assert_eq!(r.body, b"a\rc"),
             other => panic!("{other:?}"),
         }
-        assert_eq!(real[1], Frame::Line("ping".to_string()));
+        assert_eq!(real[1], ping);
         // Fed whole, no read ends in that '\r' and nothing is lost.
         assert_eq!(real, run(&wire, &[], Some(quirk)));
     }

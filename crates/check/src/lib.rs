@@ -53,6 +53,6 @@ pub use runner::{
     fuzz, fuzz_with, run_trace, run_trace_on, Divergence, FuzzFailure, FuzzOutcome, RunStats,
 };
 pub use serve_fuzz::{
-    find_parser_quirk, fuzz_parser_config, fuzz_serve_parser, ServeFuzzFailure, ServeFuzzReport,
-    ServeOp,
+    find_parser_quirk, fuzz_parser_config, fuzz_serve_parser, OwnedFrame, ServeFuzzFailure,
+    ServeFuzzReport, ServeOp,
 };

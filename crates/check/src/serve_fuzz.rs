@@ -10,15 +10,22 @@
 //! seeded op stream, run it through the subject, and compare against an
 //! oracle constructed alongside the stream.
 //!
-//! A [`ServeOp`] is one message on the wire: a valid line-protocol
-//! command, a valid HTTP/1.1 request (randomized header casing, bodies
-//! salted with `\r` and `\n`), or a terminal mutation (malformed start
-//! line, oversized head, too many headers, bad or conflicting
-//! `Content-Length`, chunked transfer-encoding, non-UTF-8 line). Valid
-//! ops carry their expected [`Frame`]; mutations carry the status the
-//! parser must answer before closing. The serialized stream is then fed
-//! twice — once whole, once under a random chunk-split plan (sometimes
-//! byte-at-a-time) — and both runs must agree with the oracle exactly.
+//! A [`ServeOp`] is one message on the wire: a line-protocol command,
+//! a valid HTTP/1.1 request (randomized header casing, bodies salted
+//! with `\r` and `\n`), or a terminal mutation (malformed start line,
+//! oversized head, too many headers, bad or conflicting
+//! `Content-Length`, chunked transfer-encoding, non-UTF-8 line). A line
+//! is spelt as the grammar allows — tabs and extra spaces around its
+//! tokens, a space after a comma, `-0`, leading zeros — or as it
+//! refuses: `+5`, an empty token, an `i64` overflow, more than
+//! [`MAX_RANK`] coordinates. Valid ops carry their expected
+//! [`OwnedFrame`], a line with the request [`protocol::decode`] must
+//! make of it (or the status it must refuse it with); mutations carry
+//! the status the parser must answer before closing. The serialized
+//! stream is then fed twice — once whole, once under a random
+//! chunk-split plan (sometimes byte-at-a-time) — every line frame of
+//! both runs is decoded, and both runs must agree with the oracle
+//! exactly.
 //! A truncated replay models the abrupt disconnect: it must yield a
 //! prefix of the expected frames and no spurious error.
 //!
@@ -37,6 +44,8 @@
 //! to inject into. Its front end is shared: `ddc check serve` reads its
 //! arguments with the same `Flags` reader as every `ddc check` command.
 
+use ddc_array::{Point, MAX_RANK};
+use ddc_serve::protocol::{self, ServeRequest};
 use ddc_serve::{Frame, HttpRequest, ParseError, ParserConfig, RequestParser};
 use ddc_workload::DdcRng;
 
@@ -53,16 +62,46 @@ pub fn fuzz_parser_config() -> ParserConfig {
     }
 }
 
+/// A frame the fuzzer can hold across feeds: a line is copied out of
+/// the parser's buffer, together with what [`protocol::decode`] made of
+/// it.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum OwnedFrame {
+    /// An HTTP/1.1 request.
+    Http(HttpRequest),
+    /// A line-protocol command.
+    Line {
+        /// The line, terminator stripped.
+        text: String,
+        /// Its request, or the status it is refused with.
+        decoded: Result<ServeRequest, u16>,
+    },
+}
+
+impl OwnedFrame {
+    /// Copies `frame` out of the parser, decoding it if it is a line.
+    pub(crate) fn of(frame: Frame<'_>) -> Self {
+        let decoded = protocol::decode(&frame).map_err(|e| e.status());
+        match frame {
+            Frame::Http(request) => OwnedFrame::Http(request),
+            Frame::Line(text) => OwnedFrame::Line {
+                text: text.to_string(),
+                decoded,
+            },
+        }
+    }
+}
+
 /// One generated message plus what the parser must do with it.
 #[derive(Clone, Debug)]
 pub enum ServeOp {
-    /// A well-formed message: the wire bytes and the exact frame they
+    /// A well-framed message: the wire bytes and the exact frame they
     /// must produce.
     Valid {
         /// Serialized bytes as they would arrive from the socket.
         wire: Vec<u8>,
         /// The frame the parser must yield for them.
-        expect: Frame,
+        expect: OwnedFrame,
     },
     /// A mutation the parser must reject. Terminal: the parser poisons
     /// itself, so nothing can follow on the stream.
@@ -89,6 +128,8 @@ pub struct ServeFuzzReport {
     pub iterations: u64,
     /// Frames compared against the oracle across all runs.
     pub frames: u64,
+    /// Line frames among them, each decoded and its request compared.
+    pub lines: u64,
     /// Mutations whose rejection status was verified.
     pub mutations: u64,
     /// Truncated (abrupt-disconnect) replays executed.
@@ -135,36 +176,125 @@ fn line_terminator(rng: &mut DdcRng) -> &'static str {
     }
 }
 
-/// A valid line-protocol command and its expected frame.
-fn gen_line_op(rng: &mut DdcRng) -> ServeOp {
-    let text = match rng.gen_range(0..5usize) {
-        0 => "ping".to_string(),
-        1 => format!(
-            "u {},{} {}",
-            rng.gen_range(0..64usize),
-            rng.gen_range(0..64usize),
-            rng.gen_range(-100i64..=100)
-        ),
-        2 => {
-            let (x, y) = (rng.gen_range(0..32usize), rng.gen_range(0..32usize));
-            format!(
-                "q {x},{y} {},{}",
-                x + rng.gen_range(0..8usize),
-                y + rng.gen_range(0..8usize)
+/// Padding the grammar allows around a token: mostly none, else spaces
+/// and tabs — tabs only where a space would end the token's field (the
+/// low corner of `q`).
+fn gen_pad(rng: &mut DdcRng, tabs_only: bool) -> &'static str {
+    match rng.gen_range(0..6usize) {
+        0..=3 => "",
+        4 => "\t",
+        _ if tabs_only => "\t\t",
+        _ => [" ", " \t", "\t "][rng.gen_range(0..3usize)],
+    }
+}
+
+/// `value` in one of its accepted spellings: plain, `-0` for zero, or
+/// with leading zeros.
+fn spell_int(rng: &mut DdcRng, value: i64) -> String {
+    match rng.gen_range(0..4usize) {
+        0 if value == 0 => "-0".to_string(),
+        1 => {
+            let zeros = "00"[..rng.gen_range(1..=2usize)].to_string();
+            match value < 0 {
+                true => format!("-{zeros}{}", value.unsigned_abs()),
+                false => format!("{zeros}{value}"),
+            }
+        }
+        _ => value.to_string(),
+    }
+}
+
+/// A point of 1–3 small coordinates, each token padded at random (with
+/// tabs alone when `tabs_only`), and its value.
+fn gen_point(rng: &mut DdcRng, tabs_only: bool) -> (String, Point) {
+    let mut text = String::new();
+    let mut point = Point::new();
+    for i in 0..rng.gen_range(1..=3usize) {
+        if i > 0 {
+            text.push(',');
+        }
+        let value = rng.gen_range(0..64i64);
+        text.push_str(gen_pad(rng, tabs_only));
+        text.push_str(&spell_int(rng, value));
+        text.push_str(gen_pad(rng, tabs_only));
+        let _ = point.push(value);
+    }
+    (text, point)
+}
+
+/// A line-protocol command in a spelling the grammar accepts, and the
+/// request it decodes to.
+fn gen_line_request(rng: &mut DdcRng) -> (String, ServeRequest) {
+    match rng.gen_range(0..5usize) {
+        0 => ("ping".to_string(), ServeRequest::Ping),
+        1 => {
+            let (text, point) = gen_point(rng, false);
+            let delta = rng.gen_range(-100i64..=100);
+            let (pad, delta_text) = (gen_pad(rng, false), spell_int(rng, delta));
+            (
+                format!("u {text} {pad}{delta_text}"),
+                ServeRequest::Update { point, delta },
             )
         }
-        3 => format!(
-            "p {},{}",
-            rng.gen_range(0..64usize),
-            rng.gen_range(0..64usize)
-        ),
-        _ => format!("t tenant-{}", rng.gen_range(0..9usize)),
+        2 => {
+            let (lo_text, lo) = gen_point(rng, true);
+            let mut hi = lo;
+            let mut hi_text = String::new();
+            for (i, c) in hi.iter_mut().enumerate() {
+                *c += rng.gen_range(0..8i64);
+                let comma = if i > 0 {
+                    [",", ", "][rng.gen_range(0..2usize)]
+                } else {
+                    ""
+                };
+                hi_text.push_str(&format!("{comma}{}", spell_int(rng, *c)));
+            }
+            let pad = gen_pad(rng, false);
+            let text = format!("q {lo_text} {pad}{hi_text}");
+            (text, ServeRequest::Query { lo, hi })
+        }
+        3 => {
+            let (text, point) = gen_point(rng, false);
+            (format!("p {text}"), ServeRequest::Prefix(point))
+        }
+        _ => {
+            let name = format!("tenant-{}", rng.gen_range(0..9usize));
+            (format!("t {name}"), ServeRequest::Tenant(name))
+        }
+    }
+}
+
+/// A well-framed line the grammar refuses with a 400: `+5`, an empty
+/// token, an `i64` overflow, a point past [`MAX_RANK`].
+fn gen_refused_line(rng: &mut DdcRng) -> String {
+    let x = rng.gen_range(0..64usize);
+    match rng.gen_range(0..5usize) {
+        0 => format!("u {x},+5 1"),
+        1 => format!("u {x},,1 1"),
+        2 => format!("p {x},"),
+        3 => format!("q 0,0 {x},9223372036854775808"),
+        _ => format!("p {}", vec![x.to_string(); MAX_RANK + 1].join(",")),
+    }
+}
+
+/// A line-protocol command and its expected frame.
+fn gen_line_op(rng: &mut DdcRng) -> ServeOp {
+    let (mut text, decoded) = match rng.gen_bool(0.15) {
+        true => (gen_refused_line(rng), Err(400)),
+        false => {
+            let (text, request) = gen_line_request(rng);
+            (text, Ok(request))
+        }
     };
+    // Padding around the whole line, which the decoder trims.
+    if rng.gen_bool(0.2) {
+        text = format!("{}{text}{}", gen_pad(rng, false), gen_pad(rng, false));
+    }
     let mut wire = text.clone().into_bytes();
     wire.extend_from_slice(line_terminator(rng).as_bytes());
     ServeOp::Valid {
         wire,
-        expect: Frame::Line(text),
+        expect: OwnedFrame::Line { text, decoded },
     }
 }
 
@@ -235,7 +365,7 @@ fn gen_http_op(rng: &mut DdcRng) -> ServeOp {
     wire.extend_from_slice(&body);
     ServeOp::Valid {
         wire,
-        expect: Frame::Http(HttpRequest {
+        expect: OwnedFrame::Http(HttpRequest {
             method,
             target,
             minor_version: 1,
@@ -342,7 +472,7 @@ fn gen_chunk_plan(rng: &mut DdcRng, len: usize) -> Vec<usize> {
 /// any) and that error's status.
 #[derive(Debug, PartialEq, Eq)]
 pub(crate) struct RunResult {
-    pub(crate) frames: Vec<Frame>,
+    pub(crate) frames: Vec<OwnedFrame>,
     pub(crate) error: Option<ParseError>,
 }
 
@@ -352,7 +482,7 @@ fn drain(parser: &mut RequestParser, into: &mut RunResult) {
     }
     loop {
         match parser.poll() {
-            Ok(Some(f)) => into.frames.push(f),
+            Ok(Some(f)) => into.frames.push(OwnedFrame::of(f)),
             Ok(None) => return,
             Err(e) => {
                 into.error = Some(e);
@@ -388,7 +518,7 @@ pub(crate) fn run_chunked(
     result
 }
 
-fn expected_of(ops: &[ServeOp]) -> (Vec<Frame>, Option<u16>) {
+fn expected_of(ops: &[ServeOp]) -> (Vec<OwnedFrame>, Option<u16>) {
     let mut frames = Vec::new();
     let mut status = None;
     for op in ops {
@@ -483,6 +613,8 @@ pub fn fuzz_serve_parser(seed: u64, iterations: u64) -> Result<ServeFuzzReport, 
 
         report.iterations += 1;
         report.frames += want_frames.len() as u64 * 2;
+        let is_line = |f: &&OwnedFrame| matches!(f, OwnedFrame::Line { .. });
+        report.lines += want_frames.iter().filter(is_line).count() as u64 * 2;
         report.mutations += u64::from(want_status.is_some());
     }
     Ok(report)
@@ -523,6 +655,7 @@ mod tests {
         let report = fuzz_serve_parser(FUZZ_SEED, 400).expect("real parser must not diverge");
         assert_eq!(report.iterations, 400);
         assert!(report.frames > 500, "frames compared: {}", report.frames);
+        assert!(report.lines > 250, "lines decoded: {}", report.lines);
         assert!(report.mutations > 50, "mutations hit: {}", report.mutations);
         assert!(report.chunks > report.iterations);
     }

@@ -230,10 +230,11 @@ pub fn run(args: &[String]) -> Result<String, String> {
                 }
             }
             Ok(format!(
-                "ok: {} iterations, {} frames, {} mutations, {} truncations, {} chunks \
-                 (seed {seed}); seeded bugs found: {}",
+                "ok: {} iterations, {} frames ({} lines decoded), {} mutations, \
+                 {} truncations, {} chunks (seed {seed}); seeded bugs found: {}",
                 report.iterations,
                 report.frames,
+                report.lines,
                 report.mutations,
                 report.truncations,
                 report.chunks,

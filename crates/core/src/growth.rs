@@ -17,7 +17,7 @@
 
 use crate::sync::{Arc, OnceLock};
 
-use ddc_array::{with_coord_bufs, AbelianGroup, CoordMap, GrowthDirection, OpCounter};
+use ddc_array::{with_coord_bufs, AbelianGroup, CoordMap, GrowthDirection, OpCounter, Point};
 
 use crate::config::DdcConfig;
 use crate::engine::engine_obs;
@@ -168,7 +168,7 @@ impl<G: AbelianGroup> GrowableCube<G> {
     }
 
     /// Grows until `logical` is covered, then returns its internal index.
-    fn cover(&mut self, logical: &[i64]) -> Vec<usize> {
+    fn cover(&mut self, logical: &[i64]) -> Point<usize> {
         // The common case — already covered — pays no timing overhead.
         if let Some(internal) = self.map.to_internal(logical) {
             return internal;

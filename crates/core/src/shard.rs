@@ -82,7 +82,7 @@ use crate::sync::{
     Arc, Mutex, MutexGuard, OnceLock, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard,
 };
 
-use ddc_array::{AbelianGroup, OpCounter, OpSnapshot, RangeSumEngine, Region, Shape};
+use ddc_array::{AbelianGroup, OpCounter, OpSnapshot, Point, RangeSumEngine, Region, Shape};
 
 use crate::config::DdcConfig;
 use crate::growth::GrowableCube;
@@ -119,7 +119,7 @@ pub trait CommitTarget<G: AbelianGroup>: Send + Sync {
     const PANIC_CAUSE: &'static str = COMMIT_FAILED;
 
     /// Lands `batch`, in order. `Err` means none of it is acknowledged.
-    fn commit(&mut self, batch: &[(Vec<i64>, G)]) -> Result<(), IoError>;
+    fn commit<P: AsRef<[i64]>>(&mut self, batch: &[(P, G)]) -> Result<(), IoError>;
 
     /// Why the target refuses writes, when it does.
     fn degraded(&self) -> Option<&str> {
@@ -135,11 +135,11 @@ impl<G: AbelianGroup> CommitTarget<G> for GrowableCube<G> {
         self
     }
 
-    fn commit(&mut self, batch: &[(Vec<i64>, G)]) -> Result<(), IoError> {
-        let points = batch.iter().map(|(point, _)| point.as_slice());
+    fn commit<P: AsRef<[i64]>>(&mut self, batch: &[(P, G)]) -> Result<(), IoError> {
+        let points = batch.iter().map(|(point, _)| point.as_ref());
         self.check_cover_all(points).map_err(IoError::OutOfRange)?;
         for (point, delta) in batch {
-            self.add(point, *delta);
+            self.add(point.as_ref(), *delta);
         }
         Ok(())
     }
@@ -306,10 +306,6 @@ fn write_target<T>(shard: &Shard<T>) -> RwLockWriteGuard<'_, T> {
     shard.target.write().unwrap_or_else(PoisonError::into_inner)
 }
 
-fn signed(point: &[usize]) -> Vec<i64> {
-    point.iter().map(|&c| c as i64).collect()
-}
-
 /// The commit pipeline over one cube (module docs: door, commit,
 /// supervision), cut along dimension 0 into slabs when it has bounds.
 ///
@@ -427,14 +423,18 @@ impl<G: AbelianGroup, T: CommitTarget<G>> ShardedCube<G, T> {
         self.bounds.as_ref()
     }
 
+    /// The door's refusal of a point of rank `rank`.
+    fn rank_mismatch(&self, rank: usize) -> OutOfBounds {
+        OutOfBounds(format!(
+            "point rank {rank} does not match cube rank {}",
+            self.ndim
+        ))
+    }
+
     /// The door: rank, and the bounds when there are any.
     fn check_door(&self, point: &[i64]) -> Result<(), OutOfBounds> {
         if point.len() != self.ndim {
-            return Err(OutOfBounds(format!(
-                "point rank {} does not match cube rank {}",
-                point.len(),
-                self.ndim
-            )));
+            return Err(self.rank_mismatch(point.len()));
         }
         let dims = self.bounds.as_ref().map_or(&[][..], Shape::dims);
         for (axis, (&p, &n)) in point.iter().zip(dims).enumerate() {
@@ -456,7 +456,7 @@ impl<G: AbelianGroup, T: CommitTarget<G>> ShardedCube<G, T> {
     /// Adds `delta` at `point` if the owning slab can acknowledge it: a
     /// run of one (see [`ShardedCube::try_add_batch`]).
     pub fn try_add(&self, point: &[i64], delta: G) -> Result<(), TryUpdateError> {
-        let (_, refused) = self.try_add_batch(&[(point.to_vec(), delta)]);
+        let (_, refused) = self.try_add_batch(&[(point, delta)]);
         refused.map_or(Ok(()), Err)
     }
 
@@ -468,8 +468,14 @@ impl<G: AbelianGroup, T: CommitTarget<G>> ShardedCube<G, T> {
     /// stretch of it the cube already covers is **one** commit,
     /// acknowledged as a whole or not at all, and a point the cube must
     /// grow for commits alone, since only its own commit can refuse it.
-    pub fn try_add_batch(&self, run: &[(Vec<i64>, G)]) -> (usize, Option<TryUpdateError>) {
-        let owner = |(point, _): &(Vec<i64>, G)| {
+    /// The points are borrowed (`&[i64]`, `Vec<i64>`) or inline
+    /// ([`Point`]): the run is never copied.
+    pub fn try_add_batch<P: AsRef<[i64]>>(
+        &self,
+        run: &[(P, G)],
+    ) -> (usize, Option<TryUpdateError>) {
+        let owner = |(point, _): &(P, G)| {
+            let point = point.as_ref();
             let door = self.check_door(point);
             door.map(|()| self.owner_index(point[0]))
         };
@@ -494,7 +500,10 @@ impl<G: AbelianGroup, T: CommitTarget<G>> ShardedCube<G, T> {
     /// [`ShardedCube::try_add_batch`] for one slab's stretch of the run,
     /// behind its commit lock: one commit per stretch the cube covers
     /// already (at most [`RUN_CHUNK`]), one per point it must grow for.
-    fn commit_stretch(slab: &Shard<T>, run: &[(Vec<i64>, G)]) -> (usize, Option<TryUpdateError>) {
+    fn commit_stretch<P: AsRef<[i64]>>(
+        slab: &Shard<T>,
+        run: &[(P, G)],
+    ) -> (usize, Option<TryUpdateError>) {
         let wait = shard_obs().queue_wait_ns.span("shard.queue_wait");
         let mut state = lock_state(slab);
         wait.end();
@@ -505,7 +514,7 @@ impl<G: AbelianGroup, T: CommitTarget<G>> ShardedCube<G, T> {
                 1
             } else {
                 let target = read_target(slab);
-                let covers = |(point, _): &&(Vec<i64>, G)| target.cube().covers(point);
+                let covers = |(point, _): &&(P, G)| target.cube().covers(point.as_ref());
                 rest.iter().take(RUN_CHUNK).take_while(covers).count()
             };
             let taken = &rest[..covered.max(1)];
@@ -522,10 +531,10 @@ impl<G: AbelianGroup, T: CommitTarget<G>> ShardedCube<G, T> {
     /// target acquisition and one `catch_unwind`, with the slab's commit
     /// lock held. A typed refusal changed nothing and is handed back; a
     /// commit that panics fails the slab (module docs: one rule).
-    fn commit(
+    fn commit<P: AsRef<[i64]>>(
         shard: &Shard<T>,
         state: &mut SlabState,
-        batch: &[(Vec<i64>, G)],
+        batch: &[(P, G)],
     ) -> Result<(), TryUpdateError> {
         let slab = state.metrics.shard;
         if let Some(cause) = state.failed {
@@ -595,7 +604,9 @@ impl<G: AbelianGroup, T: CommitTarget<G>> ShardedCube<G, T> {
         if lo.iter().zip(hi).any(|(l, h)| l > h) {
             return Err(OutOfBounds(format!("inverted box {lo:?}..{hi:?}")));
         }
-        let (mut l, mut h) = (lo.to_vec(), hi.to_vec());
+        let (Some(mut l), Some(mut h)) = (Point::from_slice(lo), Point::from_slice(hi)) else {
+            unreachable!("the door passed a corner of more than MAX_RANK coordinates")
+        };
         let mut acc = G::ZERO;
         for shard in &self.shards[self.owner_index(lo[0])..=self.owner_index(hi[0])] {
             l[0] = lo[0].max(shard.rows_lo);
@@ -620,10 +631,22 @@ impl<G: AbelianGroup, T: CommitTarget<G>> ShardedCube<G, T> {
             .collect()
     }
 
+    /// `point` in signed coordinates; more than [`ddc_array::MAX_RANK`]
+    /// of them is a rank no cube has.
+    fn signed(&self, point: &[usize]) -> Result<Point, OutOfBounds> {
+        let mut signed = Point::new();
+        for &c in point {
+            if !signed.push(c as i64) {
+                return Err(self.rank_mismatch(point.len()));
+            }
+        }
+        Ok(signed)
+    }
+
     /// [`ShardedCube::try_add`] for checked coordinates.
     pub fn try_update(&self, point: &[usize], delta: G) -> Result<(), TryUpdateError> {
-        let (_, refused) = self.try_add_batch(&[(signed(point), delta)]);
-        refused.map_or(Ok(()), Err)
+        let point = self.signed(point).map_err(TryUpdateError::OutOfBounds)?;
+        self.try_add(&point, delta)
     }
 
     /// The infallible facade over [`ShardedCube::try_update`]: a
@@ -651,8 +674,8 @@ impl<G: AbelianGroup, T: CommitTarget<G>> ShardedCube<G, T> {
     ///
     /// Panics if `region` does not pass the door.
     pub fn query(&self, region: &Region) -> G {
-        self.query_box(&signed(region.lo()), &signed(region.hi()))
-            .unwrap_or_else(|why| panic!("{why}"))
+        let sum = || self.query_box(&self.signed(region.lo())?, &self.signed(region.hi())?);
+        sum().unwrap_or_else(|why| panic!("{why}"))
     }
 
     /// `SUM(A[0,…,0] : A[point])`: the range sum over `[0, point]`.
@@ -666,8 +689,9 @@ impl<G: AbelianGroup, T: CommitTarget<G>> ShardedCube<G, T> {
     ///
     /// Panics if `point` does not pass the door.
     pub fn cell_value(&self, point: &[usize]) -> G {
-        self.cell_at(&signed(point))
-            .unwrap_or_else(|why| panic!("{why}"))
+        let point = self.signed(point);
+        let value = point.and_then(|point| self.cell_at(&point));
+        value.unwrap_or_else(|why| panic!("{why}"))
     }
 
     /// Per-slab metrics, in slab order.
@@ -789,7 +813,7 @@ mod tests {
         fn cube(&self) -> &GrowableCube<i64> {
             &self.cube
         }
-        fn commit(&mut self, batch: &[(Vec<i64>, i64)]) -> Result<(), IoError> {
+        fn commit<P: AsRef<[i64]>>(&mut self, batch: &[(P, i64)]) -> Result<(), IoError> {
             if self.armed.load(Ordering::SeqCst) > 0 {
                 self.armed.fetch_sub(1, Ordering::SeqCst);
                 panic!("injected commit failure");

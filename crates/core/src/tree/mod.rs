@@ -156,11 +156,7 @@
 //!   the new root-level overlay box is rebuilt (cost proportional to the
 //!   populated cells, not the space).
 
-/// Largest rank a [`DdcTree`] is built for. The hot walks are compiled
-/// once per rank, for every rank up to this one; the doors that read a
-/// rank from outside input (a snapshot header, `ddc serve --dims`, the
-/// shell's `create`) refuse a larger one with a typed error.
-pub const MAX_RANK: usize = 8;
+pub use ddc_array::MAX_RANK;
 
 /// Evaluates `$body` with the constant `$D` bound to the rank `$d`
 /// (`1..=MAX_RANK`): the one place a walk's rank turns from a runtime

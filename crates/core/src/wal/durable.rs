@@ -201,7 +201,7 @@ impl<G: AbelianGroup + ValueCodec, F: VfsFile> DurableCube<G, F> {
     /// Logs, then applies, a point delta: [`DurableCube::add_group`] of
     /// one.
     pub fn add(&mut self, point: &[i64], delta: G) -> Result<(), IoError> {
-        self.add_group(&[(point.to_vec(), delta)])
+        self.add_group(&[(point, delta)])
     }
 
     /// Logs, then applies, a group of point deltas in order: one record
@@ -212,15 +212,15 @@ impl<G: AbelianGroup + ValueCodec, F: VfsFile> DurableCube<G, F> {
     /// from the box the points before it leave — refuses the group
     /// before the append, so the log never holds a record that replay
     /// could not apply.
-    pub fn add_group(&mut self, updates: &[(Vec<i64>, G)]) -> Result<(), IoError> {
+    pub fn add_group<P: AsRef<[i64]>>(&mut self, updates: &[(P, G)]) -> Result<(), IoError> {
         self.guard_writable()?;
-        let points = updates.iter().map(|(point, _)| point.as_slice());
+        let points = updates.iter().map(|(point, _)| point.as_ref());
         (self.cube.check_cover_all(points)).map_err(IoError::OutOfRange)?;
         if let Err(e) = self.wal.append_updates(updates, &self.policy) {
             return Err(self.note_failure(e));
         }
         for (point, delta) in updates {
-            self.cube.add(point, *delta);
+            self.cube.add(point.as_ref(), *delta);
         }
         Ok(())
     }
@@ -357,7 +357,7 @@ impl<G: AbelianGroup + ValueCodec, F: VfsFile + Sync> CommitTarget<G> for Durabl
         &self.cube
     }
 
-    fn commit(&mut self, batch: &[(Vec<i64>, G)]) -> Result<(), IoError> {
+    fn commit<P: AsRef<[i64]>>(&mut self, batch: &[(P, G)]) -> Result<(), IoError> {
         self.add_group(batch)
     }
 

@@ -102,14 +102,16 @@ impl<F: VfsFile> WalWriter<F> {
     /// group cut mid-write by a crash may leave leading records that
     /// were never acknowledged — the promise a single record cut between
     /// its write and its sync already had).
-    pub fn append_updates<G: ValueCodec>(
+    pub fn append_updates<G: ValueCodec, P: AsRef<[i64]>>(
         &mut self,
-        updates: &[(Vec<i64>, G)],
+        updates: &[(P, G)],
         policy: &RetryPolicy,
     ) -> Result<u64, IoError> {
         self.group.clear();
         for (point, delta) in updates {
-            push_frame(&mut self.group, |out| encode_update(out, point, delta))?;
+            push_frame(&mut self.group, |out| {
+                encode_update(out, point.as_ref(), delta)
+            })?;
         }
         self.append_group(updates.len() as u64, policy)
     }

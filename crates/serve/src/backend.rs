@@ -20,7 +20,12 @@
 //! stretch of it the cube already covers costs one write and one
 //! `sync_data` however long it is. [`ServeBackend::update`] is the run
 //! of one.
+//!
+//! Points cross this layer borrowed (`&[i64]`) or inline (a run of
+//! fixed-width [`Point`]s), and a sum goes back as an `i64`: a request
+//! that the cube answers allocates nothing here or below.
 
+use ddc_array::{Point, MAX_RANK};
 use ddc_core::sync::Arc;
 use ddc_core::wal::IoError;
 use ddc_core::{
@@ -128,7 +133,7 @@ pub trait ServeBackend: Send + Sync + 'static {
     /// Applies a run of updates in order, stopping at the first
     /// rejection. A backend whose ack is a synced log record covers the
     /// run with as few syncs as it can: this is the group-commit door.
-    fn ingest(&self, updates: &[(Vec<i64>, i64)]) -> IngestOutcome;
+    fn ingest(&self, updates: &[(Point, i64)]) -> IngestOutcome;
 }
 
 /// The one [`ServeBackend`]: a handle on a commit pipeline over `T`.
@@ -196,11 +201,13 @@ impl<T: CommitTarget<i64> + 'static> ServeBackend for Backend<T> {
         // A bounded cube's prefix starts at its origin; a growable
         // cube's at its (possibly negative) low corner, wherever that
         // is — the box is clipped to what the cube covers.
-        let lo = self.cube.bounds().map_or(i64::MIN / 2, |_| 0);
-        self.query(&vec![lo; point.len()], point)
+        let lo = [self.cube.bounds().map_or(i64::MIN / 2, |_| 0); MAX_RANK];
+        // A point past `MAX_RANK` has no low corner of its rank: it is
+        // its own, and the door refuses its rank.
+        self.query(lo.get(..point.len()).unwrap_or(point), point)
     }
 
-    fn ingest(&self, updates: &[(Vec<i64>, i64)]) -> IngestOutcome {
+    fn ingest(&self, updates: &[(Point, i64)]) -> IngestOutcome {
         let (applied, refused) = self.cube.try_add_batch(updates);
         IngestOutcome {
             applied,
@@ -283,16 +290,19 @@ pub(crate) mod tests {
             400
         );
         assert_eq!(b.prefix(&[9, 9]).expect_err("oob").status(), 400);
+        let past = b.prefix(&[0; MAX_RANK + 1]).expect_err("rank");
+        assert_eq!(past.detail(), "point rank 9 does not match cube rank 2");
     }
 
     #[test]
     fn ingest_stops_at_first_rejection_and_reports_applied_count() {
         let b = sharded(&[4, 4]);
+        let at = |c: &[i64]| Point::from_slice(c).expect("rank 2");
         let out = b.ingest(&[
-            (vec![0, 0], 1),
-            (vec![1, 1], 2),
-            (vec![9, 9], 3),
-            (vec![2, 2], 4),
+            (at(&[0, 0]), 1),
+            (at(&[1, 1]), 2),
+            (at(&[9, 9]), 3),
+            (at(&[2, 2]), 4),
         ]);
         assert_eq!(out.applied, 2);
         assert_eq!(out.error.as_ref().map(|e| e.status()), Some(400));

@@ -12,9 +12,10 @@
 //!   `POST`, …) starts an **HTTP/1.1 request**: start line, up to
 //!   [`ParserConfig::max_headers`] headers, then a `Content-Length` body.
 //! * Any other non-empty line is a **line-protocol command**, handed up
-//!   verbatim (terminator stripped) for [`crate::protocol`] to interpret.
-//!   Line commands are lowercase by convention, so the two grammars
-//!   cannot collide.
+//!   verbatim (terminator stripped) for [`crate::protocol`] to interpret,
+//!   as a slice of the parser's own buffer: framing a line copies and
+//!   allocates nothing. Line commands are lowercase by convention, so
+//!   the two grammars cannot collide.
 //!
 //! Malformed input is a typed [`ParseError`], never a panic, and always
 //! fatal for the connection (the server answers with the mapped status
@@ -143,13 +144,15 @@ impl HttpRequest {
     }
 }
 
-/// One complete incoming message.
+/// One complete incoming message. A line borrows the parser's buffer,
+/// so a frame lives until the next [`RequestParser::poll`] or
+/// [`RequestParser::feed`].
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Frame {
+pub enum Frame<'a> {
     /// An HTTP/1.1 request.
     Http(HttpRequest),
     /// A line-protocol command (terminator stripped, never empty).
-    Line(String),
+    Line(&'a str),
 }
 
 /// What one incremental parsing state is waiting for.
@@ -167,7 +170,9 @@ enum State {
 
 /// The incremental parser. Feed raw socket bytes with
 /// [`RequestParser::feed`], then drain completed frames with
-/// [`RequestParser::poll`] until it returns `Ok(None)`.
+/// [`RequestParser::poll`] until it returns `Ok(None)`. In steady state
+/// it allocates nothing for a line command: its buffer is reused, and a
+/// line frame is a slice of it.
 #[derive(Debug)]
 pub struct RequestParser {
     config: ParserConfig,
@@ -217,43 +222,69 @@ impl RequestParser {
     /// Bytes currently buffered and not yet consumed (bounded by the
     /// config caps plus one socket read).
     pub fn buffered(&self) -> usize {
-        self.pending().len()
-    }
-
-    /// The fed bytes not yet consumed by a frame.
-    fn pending(&self) -> &[u8] {
-        &self.buf[self.start..]
-    }
-
-    /// Marks the next `n` pending bytes consumed.
-    fn consume(&mut self, n: usize) {
-        self.start += n;
+        self.buf.len() - self.start
     }
 
     /// Yields the next complete frame, `Ok(None)` when more bytes are
     /// needed, or a fatal [`ParseError`]. After an error every further
     /// call returns the erroring state's behavior — callers close the
     /// connection.
-    pub fn poll(&mut self) -> Result<Option<Frame>, ParseError> {
+    pub fn poll(&mut self) -> Result<Option<Frame<'_>>, ParseError> {
         if self.poisoned {
             return Ok(None);
         }
-        let r = self.poll_inner();
-        if r.is_err() {
-            self.poisoned = true;
-        }
-        r
+        // The frame borrows the buffer alone, so the poison flag stays
+        // writable beside it.
+        let Self {
+            config,
+            buf,
+            start,
+            state,
+            poisoned,
+        } = self;
+        let cursor = Cursor {
+            config: *config,
+            buf,
+            start,
+            state,
+        };
+        let frame = cursor.next_frame();
+        *poisoned = frame.is_err();
+        frame
+    }
+}
+
+/// The parser's scan position over its buffer for one
+/// [`RequestParser::poll`]: the buffer is borrowed shared, so a line
+/// frame can be a slice of it.
+struct Cursor<'p> {
+    config: ParserConfig,
+    buf: &'p [u8],
+    start: &'p mut usize,
+    state: &'p mut State,
+}
+
+impl<'p> Cursor<'p> {
+    /// The fed bytes not yet consumed by a frame.
+    fn pending(&self) -> &'p [u8] {
+        &self.buf[*self.start..]
     }
 
-    fn poll_inner(&mut self) -> Result<Option<Frame>, ParseError> {
+    /// Marks the next `n` pending bytes consumed.
+    fn consume(&mut self, n: usize) {
+        *self.start += n;
+    }
+
+    /// What [`RequestParser::poll`] yields.
+    fn next_frame(mut self) -> Result<Option<Frame<'p>>, ParseError> {
         loop {
             // Body state: wait for the declared byte count, then emit.
-            if let State::Body { need, .. } = &self.state {
+            if let State::Body { need, .. } = &*self.state {
                 if self.pending().len() < *need {
                     return Ok(None);
                 }
                 let State::Body { mut request, need } =
-                    std::mem::replace(&mut self.state, State::Head { scanned: 0 })
+                    std::mem::replace(self.state, State::Head { scanned: 0 })
                 else {
                     unreachable!("checked Body above")
                 };
@@ -269,18 +300,18 @@ impl RequestParser {
                 _ => None,
             } {
                 self.consume(skip);
-                self.state = State::Head { scanned: 0 };
+                *self.state = State::Head { scanned: 0 };
             }
             let pending = self.pending().len();
             if pending == 0 {
                 return Ok(None);
             }
-            let scanned = match self.state {
+            let scanned = match *self.state {
                 State::Head { scanned } => scanned.min(pending),
                 State::Body { .. } => 0,
             };
             let Some(line_end) = find_byte(self.pending(), scanned, b'\n') else {
-                self.state = State::Head { scanned: pending };
+                *self.state = State::Head { scanned: pending };
                 if pending > self.config.max_head_bytes {
                     return Err(ParseError::HeadTooLarge);
                 }
@@ -299,20 +330,19 @@ impl RequestParser {
                         return Ok(None);
                     }
                     HeadProgress::Parsed { request, need } => {
-                        self.state = State::Body { request, need };
+                        *self.state = State::Body { request, need };
                         continue;
                     }
                 }
             }
-            // A line-protocol command: one line, consumed whole.
-            let line = std::str::from_utf8(first_line)
-                .map_err(|_| ParseError::BadLine)?
-                .to_string();
-            if line.bytes().any(|b| b == 0) {
+            // A line-protocol command: one line, consumed whole. Its
+            // bytes stay in the buffer until the next feed.
+            if first_line.contains(&0) {
                 return Err(ParseError::BadLine);
             }
+            let line = std::str::from_utf8(first_line).map_err(|_| ParseError::BadLine)?;
             self.consume(line_end + 1);
-            self.state = State::Head { scanned: 0 };
+            *self.state = State::Head { scanned: 0 };
             return Ok(Some(Frame::Line(line)));
         }
     }
@@ -473,11 +503,32 @@ pub fn write_http_response(out: &mut Vec<u8>, status: u16, body: &str) {
 mod tests {
     use super::*;
 
-    fn parse_all(parser: &mut RequestParser, bytes: &[u8]) -> Vec<Frame> {
+    /// A frame with its line copied out of the parser, so a test can
+    /// hold it across polls.
+    #[derive(Debug, PartialEq, Eq)]
+    enum Owned {
+        Http(HttpRequest),
+        Line(String),
+    }
+
+    impl From<Frame<'_>> for Owned {
+        fn from(frame: Frame<'_>) -> Self {
+            match frame {
+                Frame::Http(r) => Owned::Http(r),
+                Frame::Line(l) => Owned::Line(l.to_string()),
+            }
+        }
+    }
+
+    fn line(text: &str) -> Owned {
+        Owned::Line(text.to_string())
+    }
+
+    fn parse_all(parser: &mut RequestParser, bytes: &[u8]) -> Vec<Owned> {
         parser.feed(bytes);
         let mut frames = Vec::new();
         while let Some(f) = parser.poll().expect("parse") {
-            frames.push(f);
+            frames.push(f.into());
         }
         frames
     }
@@ -490,9 +541,9 @@ mod tests {
             b"ping\nGET /metrics HTTP/1.1\r\nHost: x\r\n\r\nu 1,2 5\n",
         );
         assert_eq!(frames.len(), 3);
-        assert_eq!(frames[0], Frame::Line("ping".to_string()));
+        assert_eq!(frames[0], line("ping"));
         match &frames[1] {
-            Frame::Http(r) => {
+            Owned::Http(r) => {
                 assert_eq!(r.method, "GET");
                 assert_eq!(r.target, "/metrics");
                 assert_eq!(r.header("host"), Some("x"));
@@ -500,7 +551,7 @@ mod tests {
             }
             other => panic!("expected http frame, got {other:?}"),
         }
-        assert_eq!(frames[2], Frame::Line("u 1,2 5".to_string()));
+        assert_eq!(frames[2], line("u 1,2 5"));
     }
 
     #[test]
@@ -511,15 +562,15 @@ mod tests {
             p.feed(&wire[..split]);
             let mut frames = Vec::new();
             while let Some(f) = p.poll().expect("first half") {
-                frames.push(f);
+                frames.push(Owned::from(f));
             }
             p.feed(&wire[split..]);
             while let Some(f) = p.poll().expect("second half") {
-                frames.push(f);
+                frames.push(f.into());
             }
             assert_eq!(frames.len(), 1, "split at {split}");
             match &frames[0] {
-                Frame::Http(r) => assert_eq!(r.body, b"0,0 5\n1,1 2", "split at {split}"),
+                Owned::Http(r) => assert_eq!(r.body, b"0,0 5\n1,1 2", "split at {split}"),
                 other => panic!("expected http, got {other:?}"),
             }
         }
@@ -533,13 +584,13 @@ mod tests {
         for &b in wire.iter() {
             p.feed(&[b]);
             while let Some(f) = p.poll().expect("byte at a time") {
-                frames.push(f);
+                frames.push(Owned::from(f));
             }
         }
         assert_eq!(frames.len(), 2);
-        assert_eq!(frames[0], Frame::Line("p 3,4".to_string()));
+        assert_eq!(frames[0], line("p 3,4"));
         match &frames[1] {
-            Frame::Http(r) => assert_eq!(r.body, b"ok"),
+            Owned::Http(r) => assert_eq!(r.body, b"ok"),
             other => panic!("{other:?}"),
         }
     }
@@ -554,8 +605,8 @@ mod tests {
         let targets: Vec<String> = frames
             .iter()
             .map(|f| match f {
-                Frame::Http(r) => r.target.clone(),
-                Frame::Line(l) => l.clone(),
+                Owned::Http(r) => r.target.clone(),
+                Owned::Line(l) => l.clone(),
             })
             .collect();
         assert_eq!(targets, ["/a", "/b", "q 0,0 1,1"]);
@@ -572,7 +623,7 @@ mod tests {
         for i in 0..10_000 {
             assert_eq!(
                 p.poll().expect("line"),
-                Some(Frame::Line(format!("ping {i}")))
+                Some(Frame::Line(format!("ping {i}").as_str()))
             );
         }
         assert_eq!(p.poll().expect("partial line"), None);
@@ -580,10 +631,7 @@ mod tests {
         // The next feed compacts the consumed lines away, keeping the
         // partial one.
         p.feed(b"ng\n");
-        assert_eq!(
-            p.poll().expect("line"),
-            Some(Frame::Line("ping".to_string()))
-        );
+        assert_eq!(p.poll().expect("line"), Some(Frame::Line("ping")));
         assert_eq!(p.buffered(), 0);
     }
 
@@ -644,7 +692,7 @@ mod tests {
         let mut p = RequestParser::new(ParserConfig::default());
         let frames = parse_all(&mut p, b"POST /x HTTP/1.1\nContent-Length: 1\n\nZ");
         match &frames[0] {
-            Frame::Http(r) => {
+            Owned::Http(r) => {
                 assert_eq!(r.body, b"Z");
                 assert_eq!(r.header("Content-Length"), Some("1"));
             }

@@ -12,13 +12,18 @@
 //! Layering (each module only reaches down):
 //!
 //! * [`http`] — bytes → [`http::Frame`]s (incremental, allocation-
-//!   bounded, pipelining-safe) and response serialization.
-//! * [`protocol`] — frames → typed [`protocol::ServeRequest`]s; the
-//!   protocol grammar lives here.
+//!   bounded, pipelining-safe; a line frame borrows the parser's
+//!   buffer) and response serialization.
+//! * [`protocol`] — frames → typed [`protocol::ServeRequest`]s, with
+//!   points decoded into fixed-width [`ddc_array::Point`]s; the protocol
+//!   grammar lives here.
 //! * [`backend`] — requests → engine calls with untrusted-input
 //!   validation and typed refusals ([`backend::BackendError`]).
 //! * [`admission`] — per-tenant token-bucket rate policy.
 //! * [`server`] — acceptor + worker pool tying the above to sockets.
+//!
+//! A line-protocol update, range sum or prefix allocates nothing on its
+//! way through these layers and the cube (`tests/request_allocs.rs`).
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]

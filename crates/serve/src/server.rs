@@ -16,6 +16,11 @@
 //!   backend as one [`ServeBackend::ingest`] — behind a log, one write
 //!   and one sync — when the run ends: at a frame that is not an
 //!   update, at a framing error, or with the read.
+//! * The line-protocol path allocates nothing per request in steady
+//!   state: a line frame is a slice of the parser's buffer, it decodes
+//!   into fixed-width points on the stack, the run of updates is a
+//!   reused `Vec` of them, and a sum is formatted straight into the
+//!   reply buffer (`tests/request_allocs.rs` pins it at 0).
 //! * Reads carry a short timeout so idle connections observe shutdown
 //!   promptly; a fatal [`ParseError`](crate::http::ParseError) answers
 //!   with its mapped status and closes (after a framing error the
@@ -33,6 +38,7 @@ use crate::admission::{Admission, AdmissionConfig};
 use crate::backend::{BackendHealth, ServeBackend};
 use crate::http::{write_http_response, Frame, ParserConfig, RequestParser};
 use crate::protocol::{self, ServeRequest};
+use ddc_array::Point;
 use ddc_core::obs;
 use ddc_core::sync::thread::{spawn, JoinHandle};
 use ddc_core::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
@@ -246,7 +252,7 @@ fn handle_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
     let mut out: Vec<u8> = Vec::with_capacity(4 * 1024);
     // The updates of the read in hand that are parsed but not yet handed
     // to the backend: a maximal run of consecutive update frames.
-    let mut run: Vec<(Vec<i64>, i64)> = Vec::new();
+    let mut run: Vec<(Point, i64)> = Vec::new();
     let mut last_activity = Instant::now();
     loop {
         let n = match stream.read(&mut buf) {
@@ -314,7 +320,7 @@ fn serve_obs() -> &'static ServeObs {
 /// it — and appends their reply lines, in request order. A refused
 /// update gets its own reply and the rest of the run goes in again
 /// behind it.
-fn land_run(shared: &Arc<Shared>, run: &mut Vec<(Vec<i64>, i64)>, out: &mut Vec<u8>) {
+fn land_run(shared: &Arc<Shared>, run: &mut Vec<(Point, i64)>, out: &mut Vec<u8>) {
     let mut rest = run.as_slice();
     while !rest.is_empty() {
         let outcome = shared.backend.ingest(rest);
@@ -334,10 +340,10 @@ fn land_run(shared: &Arc<Shared>, run: &mut Vec<(Vec<i64>, i64)>, out: &mut Vec<
 /// anything else is answered, so replies stay in request order and a
 /// query reads the connection's own writes.
 fn respond(
-    frame: &Frame,
+    frame: &Frame<'_>,
     shared: &Arc<Shared>,
     session: &mut Session,
-    run: &mut Vec<(Vec<i64>, i64)>,
+    run: &mut Vec<(Point, i64)>,
     out: &mut Vec<u8>,
 ) {
     serve_obs().requests.inc();
@@ -355,7 +361,7 @@ fn respond(
     // Session commands and cheap probes bypass admission.
     match &request {
         ServeRequest::Tenant(name) => {
-            session.tenant = name.clone();
+            session.tenant.clone_from(name);
             return reply(frame, out, 200, "ok");
         }
         ServeRequest::Ping => return reply(frame, out, 200, "pong"),
@@ -388,45 +394,51 @@ fn respond(
         return reply(frame, out, 429, &format!("rate-limited tenant {tenant:?}"));
     }
     let backend = &shared.backend;
-    let result = match request {
+    let sum = match request {
         ServeRequest::Update { point, delta } => return run.push((point, delta)),
         ServeRequest::Ingest(updates) => {
             let outcome = backend.ingest(&updates);
-            match outcome.error {
-                None => Ok(format!("applied {}", outcome.applied)),
-                Some(e) => {
-                    return reply(
-                        frame,
-                        out,
-                        e.status(),
-                        &format!(
-                            "applied {} of {}: {}",
-                            outcome.applied,
-                            updates.len(),
-                            e.detail()
-                        ),
-                    );
-                }
-            }
+            return match outcome.error {
+                None => reply(frame, out, 200, &format!("applied {}", outcome.applied)),
+                Some(e) => reply(
+                    frame,
+                    out,
+                    e.status(),
+                    &format!(
+                        "applied {} of {}: {}",
+                        outcome.applied,
+                        updates.len(),
+                        e.detail()
+                    ),
+                ),
+            };
         }
-        ServeRequest::Query { lo, hi } => backend.query(&lo, &hi).map(|v| v.to_string()),
-        ServeRequest::Prefix(point) => backend.prefix(&point).map(|v| v.to_string()),
+        ServeRequest::Query { lo, hi } => backend.query(&lo, &hi),
+        ServeRequest::Prefix(point) => backend.prefix(&point),
         // Handled above.
         ServeRequest::Tenant(_)
         | ServeRequest::Ping
         | ServeRequest::Health
-        | ServeRequest::Metrics => Ok(String::new()),
+        | ServeRequest::Metrics => return reply(frame, out, 200, ""),
     };
-    match result {
-        Ok(body) => reply(frame, out, 200, &body),
+    match sum {
+        Ok(sum) => reply_sum(frame, out, sum),
         Err(e) => reply(frame, out, e.status(), e.detail()),
+    }
+}
+
+/// Answers a sum: on a line frame its digits go straight into `out`.
+fn reply_sum(frame: &Frame<'_>, out: &mut Vec<u8>, sum: i64) {
+    match frame {
+        Frame::Http(_) => write_http_response(out, 200, &format!("{sum}\n")),
+        Frame::Line(_) => _ = writeln!(out, "{sum}"),
     }
 }
 
 /// Serializes a response in the syntax the request arrived in. Line
 /// responses are one line: `ok` / value / `pong`, `busy <detail>` for
 /// 429 (admission), `err <detail>` otherwise.
-fn reply(frame: &Frame, out: &mut Vec<u8>, status: u16, body: &str) {
+fn reply(frame: &Frame<'_>, out: &mut Vec<u8>, status: u16, body: &str) {
     match frame {
         Frame::Http(_) => {
             let mut body = body.to_string();

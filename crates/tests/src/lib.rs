@@ -6,7 +6,9 @@
 //! failing-on-demand double the commit-pipeline suites supervise.
 //!
 //! It also holds [`fixed_shape_trace`], the op generator of the suites
-//! that run fixed-shape engines through `ddc_check::run_trace_on`.
+//! that run fixed-shape engines through `ddc_check::run_trace_on`, and
+//! [`Counting`], the heap-counting allocator of the suites that pin what
+//! a path allocates.
 //!
 //! ## The harness
 //!
@@ -29,7 +31,9 @@
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 
+use std::alloc::{GlobalAlloc, Layout, System};
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use ddc_array::Shape;
@@ -169,6 +173,69 @@ pub fn fixed_shape_trace(dims: &[usize], ops: usize, rng: &mut DdcRng) -> CheckT
     }
 }
 
+/// `System`, counting the allocations made (reallocations included),
+/// the bytes live and the most ever live at once. A suite installs it
+/// in its own binary —
+/// `#[global_allocator] static ALLOCATOR: Counting = Counting;` — and
+/// keeps to one test, so no other thread of the binary allocates while
+/// it measures.
+pub struct Counting;
+
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+static LIVE: AtomicUsize = AtomicUsize::new(0);
+static PEAK: AtomicUsize = AtomicUsize::new(0);
+
+fn grew(by: usize) {
+    ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    let live = LIVE.fetch_add(by, Ordering::Relaxed) + by;
+    PEAK.fetch_max(live, Ordering::Relaxed);
+}
+
+// SAFETY: every call is forwarded to `System` unchanged; the counters
+// are plain atomics and never allocate.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let p = System.alloc(layout);
+        if !p.is_null() {
+            grew(layout.size());
+        }
+        p
+    }
+
+    unsafe fn dealloc(&self, p: *mut u8, layout: Layout) {
+        System.dealloc(p, layout);
+        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
+    }
+
+    unsafe fn realloc(&self, p: *mut u8, layout: Layout, size: usize) -> *mut u8 {
+        let q = System.realloc(p, layout, size);
+        if !q.is_null() {
+            match size.checked_sub(layout.size()) {
+                Some(more) => grew(more),
+                None => {
+                    ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+                    LIVE.fetch_sub(layout.size() - size, Ordering::Relaxed);
+                }
+            }
+        }
+        q
+    }
+}
+
+/// Allocations and reallocations made so far under [`Counting`].
+pub fn allocations() -> u64 {
+    ALLOCATIONS.load(Ordering::Relaxed)
+}
+
+/// Runs `f` under [`Counting`], returning its result and the most heap
+/// live at once while it ran, above what was live when it started.
+pub fn peak_during<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    let base = LIVE.load(Ordering::Relaxed);
+    PEAK.store(base, Ordering::Relaxed);
+    let out = f();
+    (out, PEAK.load(Ordering::Relaxed) - base)
+}
+
 /// How an armed [`FlakyTarget`] fails a commit.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum Fault {
@@ -265,7 +332,7 @@ impl<T: CommitTarget<i64>> CommitTarget<i64> for FlakyTarget<T> {
         self.inner.cube()
     }
 
-    fn commit(&mut self, batch: &[(Vec<i64>, i64)]) -> Result<(), IoError> {
+    fn commit<P: AsRef<[i64]>>(&mut self, batch: &[(P, i64)]) -> Result<(), IoError> {
         match self.faults.take() {
             None => self.inner.commit(batch),
             Some(Fault::Refuse) => Err(IoError::Transient {
@@ -291,18 +358,21 @@ mod tests {
 
     #[test]
     fn cases_are_deterministic() {
-        let mut first: Vec<i64> = Vec::new();
-        run_cases("collect", 8, |rng| {
-            // Interior mutability not needed: closure is Fn, so collect
-            // through a RefCell-free channel — recompute instead.
-            let _ = rng.gen_range(0i64..100);
-        });
-        // Seeds derive purely from (master, index): same inputs, same seeds.
-        let a: Vec<u64> = (0..8).map(|i| derive(DEFAULT_SEED, i)).collect();
-        let b: Vec<u64> = (0..8).map(|i| derive(DEFAULT_SEED, i)).collect();
-        assert_eq!(a, b);
-        first.push(0);
-        assert_eq!(first.len(), 1);
+        // The closure is `Fn`, so the draws are collected through a lock.
+        let draws = || {
+            let seen = Mutex::new(Vec::new());
+            run_cases("collect", 8, |rng| {
+                let draw = rng.next_u64();
+                seen.lock().expect("draws").push(draw);
+            });
+            seen.into_inner().expect("draws")
+        };
+        let (first, second) = (draws(), draws());
+        assert_eq!(first, second, "same master seed, same draws");
+        let mut distinct = first.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
+        assert_eq!(distinct.len(), 8, "eight cases, eight seeds: {first:?}");
     }
 
     #[test]

@@ -7,61 +7,13 @@
 //! (above the heap the cube itself holds). One test, so no other thread
 //! of this binary allocates while it measures.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
-
 use ddc_core::vfs::{OpenMode, StdVfs, Vfs, CHUNK_BYTES};
 use ddc_core::wal::{self, RetryPolicy, WalWriter};
 use ddc_core::DdcConfig;
-
-/// `System`, counting the bytes live and the most ever live at once.
-struct Counting;
-
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-static PEAK: AtomicUsize = AtomicUsize::new(0);
-
-fn grew(by: usize) {
-    let live = LIVE.fetch_add(by, Relaxed) + by;
-    PEAK.fetch_max(live, Relaxed);
-}
-
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let p = System.alloc(layout);
-        if !p.is_null() {
-            grew(layout.size());
-        }
-        p
-    }
-
-    unsafe fn dealloc(&self, p: *mut u8, layout: Layout) {
-        System.dealloc(p, layout);
-        LIVE.fetch_sub(layout.size(), Relaxed);
-    }
-
-    unsafe fn realloc(&self, p: *mut u8, layout: Layout, size: usize) -> *mut u8 {
-        let q = System.realloc(p, layout, size);
-        if !q.is_null() {
-            match size.checked_sub(layout.size()) {
-                Some(more) => grew(more),
-                None => _ = LIVE.fetch_sub(layout.size() - size, Relaxed),
-            }
-        }
-        q
-    }
-}
+use ddc_tests::{peak_during, Counting};
 
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
-
-/// Runs `f`, returning its result and the most heap live at once while
-/// it ran, above what was live when it started.
-fn peak_during<T>(f: impl FnOnce() -> T) -> (T, usize) {
-    let base = LIVE.load(Relaxed);
-    PEAK.store(base, Relaxed);
-    let out = f();
-    (out, PEAK.load(Relaxed) - base)
-}
 
 /// Writes a log of `records` updates that cycle through `cells` cells
 /// of a 1024-wide strip, with positive deltas (no cell returns to zero).

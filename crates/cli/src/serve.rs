@@ -39,7 +39,7 @@ use ddc_array::Shape;
 use ddc_core::sync::Arc;
 use ddc_core::vfs::StdVfs;
 use ddc_core::wal::{self, RetryPolicy};
-use ddc_core::{DdcConfig, DdcEngine, PagerConfig, ShardConfig, ShardedCube, SharedDurableCube};
+use ddc_core::{DdcConfig, DdcTree, PagerConfig, ShardConfig, ShardedCube, SharedDurableCube};
 use ddc_serve::{
     AdmissionConfig, DurableBackend, ServeBackend, Server, ServerConfig, ShardedBackend,
 };
@@ -150,9 +150,9 @@ pub fn run(args: &[String]) -> Result<String, String> {
         None => {
             let (shape, config) = (Shape::new(&[side, side]), DdcConfig::default());
             // What the leaf-side rule picked for a tree of this shape
-            // (an empty engine allocates nothing).
-            let leaf = DdcEngine::<i64>::with_config(shape.clone(), config)
-                .tree()
+            // (an empty tree allocates nothing; an engine would reserve
+            // its leaf arena).
+            let leaf = DdcTree::<i64>::new(2, side.next_power_of_two(), config)
                 .stats()
                 .leaf_side;
             let cube = ShardedCube::<i64>::new(shape, config, ShardConfig::with_shards(shards));

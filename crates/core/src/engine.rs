@@ -83,7 +83,8 @@ impl<G: AbelianGroup> DdcEngine<G> {
     /// An all-zero cube of `shape` with the given configuration.
     pub fn with_config(shape: Shape, config: DdcConfig) -> Self {
         let side = shape.max_dim().next_power_of_two();
-        let tree = DdcTree::new(shape.ndim(), side, config);
+        let mut tree = DdcTree::new(shape.ndim(), side, config);
+        tree.reserve_bounded_leaves();
         Self { shape, tree }
     }
 

@@ -356,6 +356,15 @@ impl<G: AbelianGroup> GrowableCube<G> {
     pub fn check_invariants(&self) -> G {
         self.tree.check_invariants()
     }
+
+    /// Audits the tree's slab bookkeeping ([`DdcTree::check_arena`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics on any violation (test/diagnostic use).
+    pub fn check_arena(&self) -> (usize, usize) {
+        self.tree.check_arena()
+    }
 }
 
 #[cfg(test)]

@@ -31,6 +31,7 @@ pub mod models;
 pub mod obs;
 mod pager;
 mod persist;
+mod row_cum;
 mod shard;
 mod store;
 pub mod sync;

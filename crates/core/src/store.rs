@@ -470,6 +470,14 @@ impl<G: AbelianGroup> LeafArena<G> {
         }
     }
 
+    /// Reserves room for `blocks` blocks in all, so the in-memory cell
+    /// array is allocated once instead of doubling its way there.
+    pub(crate) fn reserve_blocks(&mut self, blocks: usize) {
+        if let Cells::Mem(cells) = &mut self.cells {
+            cells.reserve_exact((blocks * self.run).saturating_sub(cells.len()));
+        }
+    }
+
     /// Appends an all-zero block, returning its id.
     pub(crate) fn insert_zeroed(&mut self) -> u32 {
         let id = self.slots;

@@ -1,7 +1,8 @@
 //! The slabs behind a [`DdcTree`]: one [`Level`] per interior depth
-//! (node slots, packed box records with their inline face runs, and —
-//! where the row-sum groups are trees — their roots and the forest they
-//! share), the leaf arena, and everything that manages them —
+//! (node slots, packed box records with their inline face runs —
+//! blocked, flat or row-cumulative — and, where the row-sum groups are
+//! trees, their roots and the forest they share), the leaf arena, and
+//! everything that manages them —
 //! append-only allocation, statistics, and the `check_arena` audit. The
 //! record layout is drawn in the parent module's docs.
 
@@ -13,6 +14,7 @@ use crate::config::{BaseStore, DdcConfig, LeafBackend, Mode};
 use crate::flat_face;
 use crate::pager::PoolStats;
 use crate::persist::ValueCodec;
+use crate::row_cum;
 use crate::store::{self, SpillFile};
 
 /// `Slot::obox` of a slot whose box has not been materialized.
@@ -33,6 +35,29 @@ impl Slot {
     };
 }
 
+/// Largest side of a two-dimensional row-sum group that [`Level::new`]
+/// writes in place as a [`Face::RowCum`] run: `32² = 1 024` words, 8 KiB
+/// of `i64`, per group. Measured at 64³ (EXPERIMENTS "Row-cumulative
+/// groups"): a prefix sum took ~1 100 ns with every such group a forest
+/// tree, ~845 ns with side ≤ 16 inline and ~600 ns with side ≤ 32. At
+/// 128³ side ≤ 64 timed like side ≤ 32, but 500 isolated points in
+/// 4096³ held +44 % heap against +5.6 %: a run's words are paid per box
+/// whatever the box holds.
+const ROW_CUM_MAX_SIDE: usize = 32;
+
+/// Most leaf blocks [`DdcTree::reserve_bounded_leaves`] reserves up
+/// front: 512 blocks of at most [`crate::LEAF_BLOCK_CELLS`] cells, at
+/// most 2 MiB of `i64` (all of a 64³ cube; a 1024² one grows on demand).
+const RESERVED_LEAF_BLOCKS: usize = 512;
+
+/// The production layout: blocked base, leaf side derived from the rank.
+/// The inline layouts chosen beyond the paper's (row-cumulative groups,
+/// a reserved leaf arena) apply under it only, so an explicit `h` or the
+/// lazy base builds the structure exactly as the paper counts it.
+fn derived_blocked(config: &DdcConfig) -> bool {
+    config.base == BaseStore::Blocked && config.elide_levels.is_none()
+}
+
 /// The kernels that drive a level's inline face runs, chosen once in
 /// [`Level::new`]: a row-sum group written in place in the box record
 /// is a run of `words(d, k)` words, indexed by the box-local
@@ -44,6 +69,10 @@ enum Face {
     Blocked,
     /// The Basic mode's cumulative array ([`flat_face`]), any rank.
     Flat,
+    /// Row-cumulative sums ([`row_cum`]) — the two-dimensional groups
+    /// of side at most [`ROW_CUM_MAX_SIDE`] of the Dynamic mode's
+    /// three-dimensional levels under the derived leaf side.
+    RowCum,
 }
 
 impl Face {
@@ -52,7 +81,7 @@ impl Face {
         match self {
             _ if d == 1 => 0,
             Face::Blocked => blocked::words_for(k),
-            Face::Flat => k.pow(d as u32 - 1),
+            Face::Flat | Face::RowCum => k.pow(d as u32 - 1),
         }
     }
 
@@ -62,14 +91,17 @@ impl Face {
         match self {
             Face::Blocked => blocked::prefix(run, k, cross[0]),
             Face::Flat => flat_face::prefix(run, k, cross),
+            Face::RowCum => row_cum::prefix(run, k, cross[0], cross[1]),
         }
     }
 
-    /// Group sum over the cross box `[lo, hi]`, and the values read:
-    /// Figure 4 over the run's own prefixes, one term per subset of the
-    /// dimensions where `lo > 0`. The term at the run's far corner is
-    /// the whole group, i.e. `total`, the box's subtotal: one read. A
-    /// one-dimensional group is that loop's two terms, read directly.
+    /// Group sum over the cross box `[lo, hi]`, and the values read. A
+    /// one-dimensional group is Figure 4's two terms, read directly —
+    /// the term at the run's far corner is the whole group, i.e.
+    /// `total`, the box's subtotal: one read. A row-cumulative run reads
+    /// two words a row ([`row_cum::range`]). A flat run of rank ≥ 2 runs
+    /// Figure 4 over its own prefixes, one term per subset of the
+    /// dimensions where `lo > 0`.
     fn range<G: AbelianGroup>(
         self,
         run: &[G],
@@ -89,6 +121,9 @@ impl Face {
             }
             let (va, ra) = self.prefix(run, k, &[a - 1]);
             return (vb.sub(va), rb + ra);
+        }
+        if let (Face::RowCum, &[a0, a1], &[b0, b1]) = (self, lo, hi) {
+            return row_cum::range(run, k, [a0, a1], [b0, b1]);
         }
         let cut = (lo.iter().enumerate()).fold(0usize, |m, (i, &a)| m | usize::from(a > 0) << i);
         with_coord_bufs(lo.len(), |corner, _| {
@@ -124,6 +159,7 @@ impl Face {
         match self {
             Face::Blocked => blocked::add(run, k, cross[0], delta),
             Face::Flat => flat_face::add(run, k, cross, delta),
+            Face::RowCum => row_cum::add(run, k, cross[0], cross[1], delta),
         }
     }
 }
@@ -177,16 +213,24 @@ pub(crate) struct Level<G: AbelianGroup> {
 impl<G: AbelianGroup> Level<G> {
     /// An empty level for boxes of side `k`. A row-sum group is an
     /// inline run of its box record when it is a flat cumulative array
-    /// (Basic mode) or a one-dimensional blocked B^c group, and a tree
-    /// of the level's forest otherwise — down to the one-dimensional
-    /// trees of `BaseStore::Lazy`, where the recursion of §4.2 ends in
-    /// a tree without groups.
+    /// (Basic mode), a one-dimensional blocked B^c group, or — under
+    /// the blocked base with the derived leaf side — a two-dimensional
+    /// group of side at most [`ROW_CUM_MAX_SIDE`] (row-cumulative), and
+    /// a tree of the level's forest otherwise — down to the
+    /// one-dimensional trees of `BaseStore::Lazy`, where the recursion
+    /// of §4.2 ends in a tree without groups. The rule is the level's
+    /// rank and side, like the leaf side: an explicit `h` keeps every
+    /// two-dimensional group a tree, as the paper counts it.
     pub(super) fn new(d: usize, k: usize, config: &DdcConfig) -> Self {
         let face = match config.mode {
             Mode::Basic => Face::Flat,
+            Mode::Dynamic if d == 3 && k <= ROW_CUM_MAX_SIDE && derived_blocked(config) => {
+                Face::RowCum
+            }
             Mode::Dynamic => Face::Blocked,
         };
-        let inline = d == 1 || face == Face::Flat || (d == 2 && config.base == BaseStore::Blocked);
+        let inline =
+            d == 1 || face != Face::Blocked || (d == 2 && config.base == BaseStore::Blocked);
         let face_words = if inline { face.words(d, k) } else { 0 };
         Self {
             d,
@@ -619,6 +663,28 @@ impl<G: AbelianGroup> DdcTree<G> {
     /// Panics on any violation (test/diagnostic use).
     pub fn check_arena(&self) -> (usize, usize) {
         self.slabs.audit([self.root])
+    }
+
+    /// Reserves the leaf arena for every block of the space, for a tree
+    /// that will not grow (a [`crate::DdcEngine`]'s), when the layout is
+    /// the derived blocked one and the space is at most
+    /// [`RESERVED_LEAF_BLOCKS`] blocks. Such an arena is allocated once
+    /// instead of doubling its way there: the last doubling's `realloc`
+    /// is the one allocation large enough to be copied, and while it is,
+    /// the old and the new array are both resident (EXPERIMENTS
+    /// "Row-cumulative groups", peak RSS). Block counts are powers of
+    /// two, so a space whose every block is populated ends at the
+    /// capacity doubling reaches and its `heap_bytes` does not change; a
+    /// partly populated one counts the whole arena from the start. An
+    /// explicit `h` and `sparse()` keep growing on demand.
+    pub(crate) fn reserve_bounded_leaves(&mut self) {
+        let slabs = &mut self.slabs;
+        let blocks = (slabs.side / slabs.leaf_side()).checked_pow(slabs.d as u32);
+        let reserved =
+            blocks.filter(|&b| b <= RESERVED_LEAF_BLOCKS && derived_blocked(&slabs.config));
+        if let Some(blocks) = reserved {
+            slabs.leaves.reserve_blocks(blocks);
+        }
     }
 
     /// True once `enable_paging` has moved the leaf arena onto pages.

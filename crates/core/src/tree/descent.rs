@@ -473,9 +473,10 @@ impl<G: AbelianGroup> DdcTree<G> {
     /// reaches is clipped to it: a box the region covers adds its
     /// subtotal; a box it covers in the dimensions `F ≠ ∅` adds a range
     /// of row-sum group `min F` over the other dimensions (a range walk
-    /// in the level's forest, or Figure 4 over an inline run's own
-    /// prefixes); only a box it cuts in every dimension is descended
-    /// into, and a leaf block sums just the clipped cells. A region
+    /// in the level's forest, two words a row of a row-cumulative run,
+    /// or Figure 4 over another inline run's own prefixes); only a box
+    /// it cuts in every dimension is descended into, and a leaf block
+    /// sums just the clipped cells. A region
     /// anchored at a node's origin is a prefix from there on and
     /// finishes on the [`DdcTree::prefix_sum`] walk, so `[0, x]` costs
     /// exactly one prefix sum. The reads are bounded by Figure 4's in

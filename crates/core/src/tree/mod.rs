@@ -21,8 +21,9 @@
 //! * its subtotal, if the region covers it;
 //! * a range of one row-sum group over the other `d − 1` dimensions, if
 //!   the region covers it in some but not all dimensions (a range walk
-//!   in the level's forest, or Figure 4 over an inline run's own
-//!   prefixes, whose far corner is the box's subtotal); or
+//!   in the level's forest, two words a row of a row-cumulative run, or
+//!   Figure 4 over another inline run's own prefixes, whose far corner
+//!   is the box's subtotal); or
 //! * a recursive descent, if the region cuts it in every dimension — a
 //!   leaf block then sums only the clipped cells.
 //!
@@ -46,26 +47,35 @@
 //!                     └ blocked: k raw values, then the Fenwick summary
 //!                       over 16-value blocks (only when k > 16)
 //!                     └ flat: k^(d−1) cumulative values
+//!                     └ row-cumulative: k² values, row r cumulative
+//!                       along the second cross coordinate (k ≤ 32)
 //! ```
 //!
-//! A `Slot` is 8 bytes: a packed `ChildRef` (node id in the next
-//! level, or leaf-block id) and the id of the box record covering that
-//! child. A row-sum group is stored in one of two ways, decided once
-//! per level (`Level::new`). It is a **face run written in place** in
-//! `words` when a slice kernel can drive it — the one-dimensional
-//! groups of the default blocked B^c layout (d = 2, Dynamic mode,
-//! `BaseStore::Blocked`; `ddc_btree::blocked`) and the Basic mode's flat
-//! cumulative arrays at any rank (`flat_face`) — so one update or query
-//! touches one contiguous record per level, with no pointer to follow.
-//! Every other group is a **tree in the level's forest** (next
-//! section). There are exactly two ways to store a one-dimensional
-//! group because each wins on its own input: the inline blocked run
-//! measured 2.5–2.8× faster updates, 1.2–2× faster prefix sums and
+//! A `Slot` is 8 bytes: a packed `ChildRef` (node id in the next level,
+//! or leaf-block id) and the id of the box record covering that child.
+//! A row-sum group is stored in one of two ways, decided once per level
+//! (`Level::new`) from its rank and side. It is a **face run written in
+//! place** in `words` when a slice kernel can drive it — the
+//! one-dimensional groups of the default blocked B^c layout (d = 2,
+//! Dynamic mode, `BaseStore::Blocked`; `ddc_btree::blocked`), the Basic
+//! mode's flat cumulative arrays at any rank (`flat_face`), and, under
+//! the blocked base with the derived leaf side, the two-dimensional
+//! groups of side ≤ 32 of a three-dimensional level (`row_cum`: a
+//! prefix reads one word a row, a range two, an add writes the rest of
+//! one row) — so one update or query touches one contiguous record per
+//! level, with no pointer to follow. Every other group is a **tree in
+//! the level's forest** (next section). Runs and trees both stay
+//! because each wins on its own input. A one-dimensional inline blocked
+//! run measured 2.5–2.8× faster updates, 1.2–2× faster prefix sums and
 //! 2.4–3× less heap on clustered data than a pointer B^c tree or a
 //! Fenwick array kept out of line, while on a wide, sparsely populated
 //! space it pays `k` words per face next to the root (500 isolated
 //! points in 131072²: 133 MiB against 4.4 MiB for the lazy trees of
-//! `BaseStore::Lazy`; EXPERIMENTS §4.4 and §5).
+//! `BaseStore::Lazy`; EXPERIMENTS §4.4 and §5). A row-cumulative run
+//! cut the values a prefix sum reads at 64³ from 594 to 164 and its
+//! time by ~45 %, for 92 values written per update instead of 22; past
+//! side 32 its `k²` words stop paying (EXPERIMENTS "Row-cumulative
+//! groups").
 //! Dense leaf blocks are `leaf_side^d`-cell runs of one flat `Vec` (the
 //! same runs on pages once [`DdcTree::enable_paging`] has run).
 //!
@@ -95,12 +105,14 @@
 //!
 //! so the 98 304 bottom-level groups of a full (`h = 0`) 64³ tree are
 //! 98 304 four-cell runs of one array instead of as many heap-allocated
-//! trees; under the derived leaf side that cube's side-8 and side-16
-//! groups are one leaf run each (a side-16 block holds them whole) and
-//! a side-32 group is one node above four runs. The forest of a d = 3
-//! level is two-dimensional, i.e. its faces are the inline runs above;
-//! at d ≥ 4 a forest's levels own forests of their own and the
-//! recursion of §4.2 falls out. Under `BaseStore::Lazy` it runs one
+//! trees. Under the derived leaf side that cube has no forest at all:
+//! its side-8, -16 and -32 groups are row-cumulative runs, and at 128³
+//! only the root level's side-64 groups are trees (one node above four
+//! 16 × 16 leaf runs each). The forest of a d = 3 level is
+//! two-dimensional, i.e. its faces are the one-dimensional inline runs
+//! above; at d ≥ 4 a forest's levels own forests of their own — or, at
+//! rank 3 and side ≤ 32, row-cumulative runs — and the recursion of
+//! §4.2 falls out. Under `BaseStore::Lazy` it runs one
 //! step further, to where it ends by itself: the groups of a
 //! two-dimensional level are one-dimensional trees of side `k`, and a
 //! one-dimensional tree has no row-sum groups — its box records are

@@ -14,13 +14,17 @@
 //! against a brute-force `NdArray` over every dimensionality, elision
 //! depth, mode and base store; a d = 3 / d = 4 run cancels a populated
 //! tree down to one cell and audits the per-level forests after every
-//! step; and two layout pins keep the packed tree's bytes per populated
-//! cell (d = 2 and d = 3) from silently eroding.
+//! step; a cumulant-shaped run checks the row-cumulative runs of a 64³
+//! engine and of growing d = 3 / d = 4 cubes against the oracle after
+//! every step; and two layout pins keep the packed tree's bytes per
+//! populated cell (d = 2 and d = 3) from silently eroding.
 
 use std::collections::HashMap;
 
-use ddc_array::{NdArray, Region, Shape};
-use ddc_core::{DdcConfig, DdcEngine, DdcTree, PagerConfig, LEAF_BLOCK_CELLS, MAX_RANK};
+use ddc_array::{NdArray, RangeSumEngine, Region, Shape};
+use ddc_core::{
+    DdcConfig, DdcEngine, DdcTree, GrowableCube, PagerConfig, LEAF_BLOCK_CELLS, MAX_RANK,
+};
 use ddc_tests::{for_cases, DdcRng};
 
 type Oracle = HashMap<Vec<usize>, i64>;
@@ -610,8 +614,9 @@ fn paged_twins_under_a_tiny_cap_match_memory_after_every_update() {
 
 /// The forests of d ≥ 3 through their whole lifecycle: a populated
 /// 16³ / 8⁴ full tree (`h = 0`: forests of two to four levels) and a
-/// 32³ / 16⁴ tree under the derived leaf side (forests whose trees are
-/// one leaf run) is cancelled down to one cell, half the remaining cells
+/// 32³ / 16⁴ tree under the derived leaf side (row-cumulative runs at
+/// d = 3, forests whose trees are one leaf run at d = 4) is cancelled
+/// down to one cell, half the remaining cells
 /// a round, and then refilled. The audit (which walks every forest from
 /// the roots of its level's box records) and sampled answers run after
 /// *every* round, not only at the end. A cancel writes only into records
@@ -790,7 +795,8 @@ fn packed_tree_stays_within_160_bytes_per_cell() {
 /// The d = 3 twin: the `core_d3_query` population (64³, 2^17 seeded
 /// cells) must stay within 200 heap bytes per populated cell — one
 /// forest per level instead of one heap-allocated tree per row-sum
-/// group.
+/// group, and since the side ≤ 32 groups are row-cumulative runs, no
+/// forest at all (~27 bytes).
 #[test]
 fn forested_tree_stays_within_200_bytes_per_cell() {
     let mut rng = DdcRng::seed_from_u64(0xDDC_0B17);
@@ -806,4 +812,103 @@ fn forested_tree_stays_within_200_bytes_per_cell() {
     assert_eq!(cells, 1 << 17);
     let per_cell = tree.heap_bytes() / cells;
     assert!(per_cell <= 200, "{per_cell} heap bytes per populated cell");
+}
+
+/// One cumulant-shaped step on a cube of signed coordinates: the
+/// update (or, every fourth step, the cancellation of a populated
+/// cell) of a point in `(−span, span]^d` on the oracle. Returns the
+/// point and the delta for the cube under test.
+fn signed_step(
+    oracle: &mut ddc_check::Oracle,
+    step: usize,
+    span: i64,
+    rng: &mut DdcRng,
+) -> (Vec<i64>, i64) {
+    let d = oracle.ndim();
+    let entries = oracle.entries();
+    let (p, delta) = if step % 4 == 3 && !entries.is_empty() {
+        let (p, v) = &entries[rng.gen_range(0..entries.len())];
+        (p.clone(), -v)
+    } else {
+        let p: Vec<i64> = (0..d).map(|_| rng.gen_range(1 - span..=span)).collect();
+        (p, rng.gen_range(1i64..=40))
+    };
+    oracle.add(&p, delta);
+    (p, delta)
+}
+
+/// Row-cumulative runs (the inline layout of a d = 3 level's groups of
+/// side ≤ 32 under `dynamic()`) through their whole lifecycle, in the
+/// cumulant shape: after *every* update or cancellation the total, a
+/// prefix sum and a range sum against the oracle, then
+/// `check_invariants` (every run's far corner is its box's subtotal)
+/// and `check_arena`. On a bounded 64³ engine, whose every level keeps
+/// its groups as runs, and on growable cubes at d = 3 and d = 4 that
+/// start inside a 2-wide box and grow past side 64: each doubling's
+/// `grow` rebuilds the new top level's runs from the populated cells,
+/// and at d = 4 the runs are those of the rank-3 levels of the forests.
+#[test]
+fn row_cumulative_runs_match_the_oracle_after_every_step() {
+    let mut rng = DdcRng::seed_from_u64(0x20C0_3333);
+    let mut engine = DdcEngine::<i64>::dynamic(Shape::cube(3, 64));
+    let mut oracle = ddc_check::Oracle::new(3);
+    for step in 0..300 {
+        let (p, delta) = signed_step(&mut oracle, step, 32, &mut rng);
+        let p: Vec<usize> = p.iter().map(|&c| (c + 31) as usize).collect();
+        engine.apply_delta(&p, delta);
+        let corner =
+            |rng: &mut DdcRng| -> Vec<usize> { (0..3).map(|_| rng.gen_range(0..64)).collect() };
+        let (a, b) = (corner(&mut rng), corner(&mut rng));
+        let lo: Vec<usize> = a.iter().zip(&b).map(|(&x, &y)| x.min(y)).collect();
+        let hi: Vec<usize> = a.iter().zip(&b).map(|(&x, &y)| x.max(y)).collect();
+        let signed = |v: &[usize]| -> Vec<i64> { v.iter().map(|&c| c as i64 - 31).collect() };
+        let what = format!("64³ step {step}: {lo:?}..={hi:?}");
+        assert_eq!(
+            engine.range_sum(&Region::new(&lo, &hi)),
+            oracle.range_sum(&signed(&lo), &signed(&hi)),
+            "{what}"
+        );
+        assert_eq!(
+            engine.prefix_sum(&hi),
+            oracle.range_sum(&[-31; 3], &signed(&hi)),
+            "{what}"
+        );
+        assert_eq!(engine.tree().check_invariants(), oracle.total(), "{what}");
+        engine.tree().check_arena();
+    }
+
+    for (d, steps) in [(3usize, 240usize), (4, 120)] {
+        let mut cube = GrowableCube::<i64>::new(d, DdcConfig::dynamic());
+        let mut oracle = ddc_check::Oracle::new(d);
+        for step in 0..steps {
+            // The span widens from a 2-wide box to ±48, past side 64.
+            let span = 1 + (48 * step / steps) as i64;
+            let (p, delta) = signed_step(&mut oracle, step, span, &mut rng);
+            cube.add(&p, delta);
+            let lo = cube.origin().to_vec();
+            let hi: Vec<i64> = (lo.iter().zip(cube.extent()))
+                .map(|(&o, &n)| rng.gen_range(o..o + n as i64))
+                .collect();
+            let mid: Vec<i64> = lo
+                .iter()
+                .zip(&hi)
+                .map(|(&a, &b)| rng.gen_range(a..=b))
+                .collect();
+            let what = format!("d={d} side {} step {step}: ..={hi:?}", cube.side());
+            assert_eq!(cube.total(), oracle.total(), "{what}");
+            assert_eq!(
+                cube.range_sum(&lo, &hi),
+                oracle.range_sum(&lo, &hi),
+                "{what}"
+            );
+            assert_eq!(
+                cube.range_sum(&mid, &hi),
+                oracle.range_sum(&mid, &hi),
+                "{what}"
+            );
+            assert_eq!(cube.check_invariants(), oracle.total(), "{what}");
+            cube.check_arena();
+        }
+        assert!(cube.side() > 64, "d={d}: grew only to side {}", cube.side());
+    }
 }

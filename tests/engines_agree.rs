@@ -41,3 +41,16 @@ for_cases! {
         }
     }
 }
+
+/// The roster on a 64³ box, where the default `ddc-dynamic` keeps the
+/// row-sum groups of every level as row-cumulative runs (side 32, 16
+/// and 8): the fuzzed shapes above are one or two leaf blocks a side.
+#[test]
+fn all_engines_agree_on_a_64_cube() {
+    let mut rng = DdcRng::seed_from_u64(0x64_0003);
+    let trace = fixed_shape_trace(&[64, 64, 64], 120, &mut rng);
+    let init = BoxState::initial(&trace);
+    if let Err(divergence) = run_trace_on(&trace, engine_roster(&init)) {
+        panic!("{divergence}\n{}", trace.to_text());
+    }
+}

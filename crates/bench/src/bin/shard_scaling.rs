@@ -1,7 +1,7 @@
-//! Shard-scaling sweep: aggregate read throughput of the [`ShardedCube`]
-//! against the single-lock [`SharedCube`] baseline under §1's deployment
-//! mix — analysts issuing drill-down slice queries while a live feed
-//! applies point updates.
+//! Read throughput of the commit pipeline ([`ShardedCube`]) against the
+//! single-lock [`SharedCube`] under §1's deployment mix — analysts
+//! issuing drill-down slice queries while a live feed applies point
+//! updates.
 //!
 //! The feed is **open loop**: a paced stream of single records at a fixed
 //! target rate that both engines must sustain, skewed toward a small hot
@@ -9,9 +9,9 @@
 //!
 //! * `SharedCube` applies each record under the global write lock as it
 //!   arrives (the S32 per-op protocol);
-//! * `ShardedCube` commits each record to the owning shard's cube under
-//!   that shard's write lock before acknowledging it, so readers of the
-//!   other shards never wait on it.
+//! * `ShardedCube` passes each record through its door and commits it
+//!   under its commit lock and the cube's write lock before
+//!   acknowledging it.
 //!
 //! The feed has priority (a lagging feed backs up without bound), so the
 //! readers run under admission control: while the writer is behind its
@@ -29,8 +29,9 @@
 //! write-ahead log, quantifying what crash safety charges per record.
 //!
 //! A printed experiment, not a gate: the tables are wall-clock on
-//! whatever machine runs them. It stays until `benchmark/` measures
-//! `--shards` itself (ROADMAP item 6(b)).
+//! whatever machine runs them. The last line is the pipeline's read
+//! throughput over the single lock's at each feed rate: what the
+//! pipeline adds to a read, since both answer from the same tree.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -273,10 +274,8 @@ fn main() {
          Reads: ≤16-row dimension-0 slices.\n"
     );
 
-    let mut shared_q = 0.0f64;
-    let mut sharded4_q = 0.0f64;
-
-    for &rate in &RATES {
+    let mut shared_q = [0.0f64; RATES.len()];
+    for (k, &rate) in RATES.iter().enumerate() {
         let cube = SharedCube::<i64>::new(shape.clone(), DdcConfig::dynamic());
         cube.apply_batch(&seed);
         let score = drive(
@@ -291,47 +290,33 @@ fn main() {
             },
         );
         print_row("shared (1 lock)", rate, &score);
-        if rate == RATES[2] {
-            shared_q = score.queries_per_s;
-        }
+        shared_q[k] = score.queries_per_s;
     }
     println!();
 
-    for shards in [1usize, 2, 4, 8] {
-        for &rate in &RATES {
-            let cube = ShardedCube::<i64>::new(
-                shape.clone(),
-                DdcConfig::dynamic(),
-                ShardConfig::with_shards(shards),
-            );
-            for (point, delta) in &seed {
-                cube.update(point, *delta);
-            }
-            let score = drive(
-                |i| {
-                    std::hint::black_box(cube.query(&regions[i % regions.len()]));
-                },
-                |stop, lagging| {
-                    paced_feed(stop, lagging, rate, |i| {
-                        let (p, delta) = &feed[i % feed.len()];
-                        cube.update(p, *delta);
-                    })
-                },
-            );
-            print_row(&format!("sharded ×{shards}"), rate, &score);
-            if shards == 4 && rate == RATES[2] {
-                sharded4_q = score.queries_per_s;
-            }
+    let mut ratios = Vec::new();
+    for (k, &rate) in RATES.iter().enumerate() {
+        let cube =
+            ShardedCube::<i64>::new(shape.clone(), DdcConfig::dynamic(), ShardConfig::default());
+        for (point, delta) in &seed {
+            cube.update(point, *delta);
         }
-        println!();
+        let score = drive(
+            |i| {
+                std::hint::black_box(cube.query(&regions[i % regions.len()]));
+            },
+            |stop, lagging| {
+                paced_feed(stop, lagging, rate, |i| {
+                    let (p, delta) = &feed[i % feed.len()];
+                    cube.update(p, *delta);
+                })
+            },
+        );
+        print_row("pipeline", rate, &score);
+        ratios.push(format!("{:.2}×", score.queries_per_s / shared_q[k]));
     }
-
     println!(
-        "headline: under the {READERS}-reader/1-writer mix at {} records/s,\n\
-         sharded ×4 sustains {:.2}× the single-lock cube's aggregate read\n\
-         throughput (each record is committed to its shard before its ack;\n\
-         readers of the other shards never wait on it).",
-        RATES[2],
-        sharded4_q / shared_q,
+        "\npipeline ÷ one lock, aggregate reads at feed {RATES:?} records/s: {}",
+        ratios.join(" / ")
     );
 }

@@ -394,7 +394,6 @@ pub fn engine_roster(init: &BoxState) -> Vec<Box<dyn CheckEngine>> {
     let paged = DdcConfig::dynamic()
         .with_elision(1)
         .with_paged_leaves(PagerConfig::in_mem(4 * 1024).with_page_bytes(256));
-    let sharding = ShardConfig::with_shards(2);
     vec![
         Box::new(FixedAdapter::new("naive", init, NaiveEngine::<i64>::zeroed)),
         Box::new(FixedAdapter::new(
@@ -451,10 +450,10 @@ pub fn engine_roster(init: &BoxState) -> Vec<Box<dyn CheckEngine>> {
             })
             .reloading(|locked| locked.cube.with_read(reload_ddc).map(Locked::over)),
         ),
-        // The commit pipeline over two slabs: a run that crosses the
-        // cut is two commits.
-        Box::new(FixedAdapter::new("sharded(2)", init, move |shape| {
-            ShardedCube::<i64>::new(shape, DdcConfig::dynamic(), sharding)
+        // The commit pipeline: a run is one commit per stretch the cube
+        // covers.
+        Box::new(FixedAdapter::new("sharded", init, |shape| {
+            ShardedCube::<i64>::new(shape, DdcConfig::dynamic(), ShardConfig::default())
         })),
         Box::new(GrowableAdapter::new(
             "growable-ddc",

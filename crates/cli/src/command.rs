@@ -26,7 +26,8 @@ pub enum Command {
         /// Cube name.
         name: String,
         /// Engine keyword (`naive`, `prefix`, `relative`, `basic`, `dynamic`,
-        /// `sparse`, or `sharded[N]` for an `N`-way sharded dynamic cube).
+        /// `sparse`, or `sharded` for a dynamic cube behind the commit
+        /// pipeline).
         engine: String,
         /// Dimension specs.
         dims: Vec<DimSpec>,
@@ -70,7 +71,7 @@ pub enum Command {
         /// Cube name.
         cube: String,
     },
-    /// `metrics <cube>` — per-shard commit statistics (sharded engines).
+    /// `metrics <cube>` — commit statistics (the sharded engine).
     Metrics {
         /// Cube name.
         cube: String,

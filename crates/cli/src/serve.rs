@@ -1,7 +1,7 @@
 //! `ddc serve` — the network front end on the command line.
 //!
 //! ```text
-//! ddc serve [--addr HOST:PORT] [--side N] [--shards N] [--workers N]
+//! ddc serve [--addr HOST:PORT] [--side N] [--shards 1] [--workers N]
 //!           [--max-conns N] [--rate N] [--burst N]
 //!           [--durable DIR [--dims D] [--mem-cap BYTES]]
 //! ```
@@ -12,11 +12,12 @@
 //! (the CI smoke job, `benchmark/`) can wait for it. Without
 //! `--durable` the pipeline has bounds (`--side`, a square 2-d cube)
 //! and no log: an update is acked once it is applied to the cube (one
-//! commit per run of updates a client pipelined in one read), in
-//! `--shards` dimension-0 slabs (default 1: more did not measure
-//! faster on two cores). With `--durable DIR` the same pipeline runs
+//! commit per run of updates a client pipelined in one read). The cube
+//! is not cut along dimension 0: `--shards` takes only 1 (no slab count
+//! measured 1.3× one on the §1 mix), and any other count is a usage
+//! error. With `--durable DIR` the same pipeline runs
 //! over a WAL-backed growable cube recovered from `DIR/snapshot.ddc` +
-//! `DIR/wal.log`, with no bounds and one slab: every acked update is
+//! `DIR/wal.log`, with no bounds: every acked update is
 //! a log record synced before its `ok` leaves — one `sync_data` per
 //! run of updates a client pipelined in one read, one per update when
 //! it did not — a disk fault degrades the backend to
@@ -83,7 +84,11 @@ pub fn run(args: &[String]) -> Result<String, String> {
         .unwrap_or("127.0.0.1:7171")
         .to_string();
     let side = flags.num("--side")?.unwrap_or(256usize);
-    let shards = flags.num("--shards")?.unwrap_or(1usize).max(1);
+    if let Some(shards) = flags.num::<usize>("--shards")?.filter(|&n| n != 1) {
+        return Err(format!(
+            "--shards {shards}: the cube is one slab, so --shards takes only 1"
+        ));
+    }
     let workers = flags.num("--workers")?.unwrap_or(4usize).max(1);
     let max_connections = flags.num("--max-conns")?.unwrap_or(256usize);
     let rate_per_sec = flags.num("--rate")?.unwrap_or(0u64);
@@ -155,10 +160,10 @@ pub fn run(args: &[String]) -> Result<String, String> {
             let leaf = DdcTree::<i64>::new(2, side.next_power_of_two(), config)
                 .stats()
                 .leaf_side;
-            let cube = ShardedCube::<i64>::new(shape, config, ShardConfig::with_shards(shards));
+            let cube = ShardedCube::<i64>::new(shape, config, ShardConfig::default());
             (
                 Arc::new(ShardedBackend::new(cube)),
-                format!("{side}x{side} cube, {leaf}x{leaf} leaf blocks, {shards} shards"),
+                format!("{side}x{side} cube, {leaf}x{leaf} leaf blocks"),
             )
         }
     };
@@ -197,6 +202,23 @@ mod tests {
     fn serve_rejects_a_zero_sized_cube() {
         let err = run(&["--side".into(), "0".into()]).expect_err("zero side");
         assert!(err.contains("--side"), "{err}");
+    }
+
+    #[test]
+    fn serve_refuses_every_slab_count_but_one() {
+        // `run` only returns before its server starts: an `Err` here is
+        // a usage error that bound nothing.
+        for shards in ["0", "2", "4", "8"] {
+            let args: Vec<String> = ["--addr", "127.0.0.1:0", "--side", "16", "--shards", shards]
+                .iter()
+                .map(|a| a.to_string())
+                .collect();
+            let err = run(&args).expect_err("a slab count other than 1");
+            assert_eq!(
+                err,
+                format!("--shards {shards}: the cube is one slab, so --shards takes only 1")
+            );
+        }
     }
 
     #[test]

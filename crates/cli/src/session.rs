@@ -39,7 +39,7 @@ struct Slot {
 
 const HELP: &str = "\
 commands:
-  create <cube> engine=<naive|prefix|relative|basic|dynamic|sparse|sharded[N]> \\
+  create <cube> engine=<naive|prefix|relative|basic|dynamic|sparse|sharded> \\
          dims=<name:int:lo:hi | name:cat:a|b|c>,…
   add    <cube> <coord…> <amount>      record one observation
   set    <cube> <coord…> <amount>      overwrite a cell's sum
@@ -52,7 +52,7 @@ commands:
   groupby <cube> <dim-name> <range…>   one aggregate row per bucket
   rolling <cube> <dim-name> <w> <range…>  trailing windows of width w
   stats  <cube>                        engine, shape, memory
-  metrics <cube>                       per-shard commit statistics (sharded engines)
+  metrics <cube>                       commit statistics (the sharded engine)
   save   <cube> <path>   /  load <cube> <path>
   help   /  quit";
 
@@ -192,7 +192,7 @@ impl Session {
                 match slot.cube.metrics_text() {
                     Some(text) => Ok(Output::Text(text.trim_end().to_string())),
                     None => Ok(Output::Text(format!(
-                        "engine {} keeps no extra metrics (try a sharded engine)",
+                        "engine {} keeps no extra metrics (try the sharded engine)",
                         slot.cube.engine_name()
                     ))),
                 }
@@ -417,22 +417,13 @@ fn engine_kind(word: &str) -> Result<EngineKind, String> {
         "basic" => EngineKind::BasicDdc,
         "dynamic" => EngineKind::CustomDdc(ddc_core::DdcConfig::dynamic()),
         "sparse" => EngineKind::CustomDdc(ddc_core::DdcConfig::sparse()),
-        other => match other.strip_prefix("sharded") {
-            // `sharded` (default shard count) or `shardedN` (explicit).
-            Some("") => EngineKind::Sharded {
-                shards: ddc_core::ShardConfig::default().shards,
-            },
-            Some(n) => {
-                let shards: usize = n
-                    .parse()
-                    .map_err(|_| format!("bad shard count '{n}' in '{other}'"))?;
-                if shards == 0 {
-                    return Err("shard count must be at least 1".to_string());
-                }
-                EngineKind::Sharded { shards }
-            }
-            None => return Err(format!("unknown engine '{other}'")),
-        },
+        "sharded" => EngineKind::Sharded,
+        other if other.starts_with("sharded") => {
+            return Err(format!(
+                "unknown engine '{other}': the sharded engine is one slab, say 'sharded'"
+            ))
+        }
+        other => return Err(format!("unknown engine '{other}'")),
     })
 }
 
@@ -568,7 +559,7 @@ mod tests {
                 .join(",")
         };
         let mut s = Session::new();
-        for engine in ["basic", "dynamic", "sparse", "sharded2"] {
+        for engine in ["basic", "dynamic", "sparse", "sharded"] {
             let err = s
                 .execute_line(&format!("create c engine={engine} dims={}", dims(9)))
                 .expect_err("nine dimensions");
@@ -725,7 +716,7 @@ mod tests {
         let mut s = Session::new();
         run(
             &mut s,
-            "create sales engine=sharded4 dims=age:int:0:99,day:int:1:365",
+            "create sales engine=sharded dims=age:int:0:99,day:int:1:365",
         );
         run(&mut s, "add sales 37 220 120");
         run(&mut s, "add sales 37 220 80");
@@ -747,25 +738,22 @@ mod tests {
         let Output::Text(m) = run(&mut s, "metrics sales") else {
             panic!("expected metrics text");
         };
-        assert!(m.contains("shard"), "{m}");
-        assert!(
-            m.lines().count() >= 5,
-            "one header plus four shard rows: {m}"
-        );
+        assert!(m.contains("applied"), "{m}");
+        assert_eq!(m.lines().count(), 2, "one header, one row: {m}");
 
-        // Default shard count and the non-sharded fallback message.
-        run(&mut s, "create plain engine=sharded dims=x:int:0:9");
+        // The non-sharded fallback message.
         run(&mut s, "create d engine=dynamic dims=x:int:0:9");
         let Output::Text(none) = run(&mut s, "metrics d") else {
             panic!("expected fallback text");
         };
         assert!(none.contains("no extra metrics"), "{none}");
-        assert!(s
-            .execute_line("create bad engine=sharded0 dims=x:int:0:9")
-            .is_err());
-        assert!(s
-            .execute_line("create bad engine=shardedx dims=x:int:0:9")
-            .is_err());
+        // A slab count is refused with an error, not a panic.
+        for old in ["sharded0", "sharded1", "sharded4", "shardedx"] {
+            let err = s
+                .execute_line(&format!("create bad engine={old} dims=x:int:0:9"))
+                .expect_err("a slab count");
+            assert!(err.contains("say 'sharded'"), "{err}");
+        }
     }
 
     #[test]

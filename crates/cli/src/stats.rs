@@ -6,8 +6,8 @@
 //! ```
 //!
 //! The workload touches each hot path the observability layer covers —
-//! sharded updates (commit-lock wait + commit), engine updates for both engine
-//! kinds, range sums on the pipeline's cubes and prefix sums on the
+//! pipeline updates (commit-lock wait + commit), engine updates for both engine
+//! kinds, range sums on the pipeline's cube and prefix sums on the
 //! Basic engine, WAL appends (singles and one group) and
 //! recovery replay, cube growth,
 //! snapshot save/load, and a small paged cube over an in-memory spill
@@ -67,13 +67,13 @@ fn workload(seed: u64, ops: usize) -> std::io::Result<()> {
     let side = 64usize;
 
     // The commit pipeline: updates, each one commit (shard.queue_wait —
-    // the wait for the slab's commit lock — + shard.commit, and
-    // engine.update.dynamic_ddc from the slabs' cubes) and fanned prefix queries — each the box [0, p], one
-    // range walk per slab it reaches (engine.range_sum.dynamic_ddc).
+    // the wait for the commit lock — + shard.commit, and
+    // engine.update.dynamic_ddc from its cube) and prefix queries — each
+    // the box [0, p], one range walk (engine.range_sum.dynamic_ddc).
     let cube = ShardedCube::<i64>::new(
         Shape::new(&[side, side]),
         DdcConfig::dynamic(),
-        ShardConfig::with_shards(4),
+        ShardConfig::default(),
     );
     for _ in 0..ops {
         let p = [rng.gen_range(0..side), rng.gen_range(0..side)];

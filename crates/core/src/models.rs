@@ -32,10 +32,6 @@ use crate::shard::{ShardConfig, ShardedCube};
 use crate::sync::Arc;
 use crate::wal::{DurableCube, SharedDurableCube};
 
-fn shard_config() -> ShardConfig {
-    ShardConfig::with_shards(2)
-}
-
 /// Linearizability of concurrent `try_update`s against the sequential
 /// oracle: three writers race a reader; after all join, the cube total
 /// must equal exactly the acknowledged deltas — nothing lost, nothing
@@ -48,7 +44,7 @@ pub fn shard_concurrent_updates(cfg: CheckerConfig) -> Report {
         let cube = Arc::new(ShardedCube::<i64>::new(
             shape,
             DdcConfig::dynamic(),
-            shard_config(),
+            ShardConfig::default(),
         ));
         let writers: Vec<_> = [[0usize, 2], [1, 3], [2, 1]]
             .into_iter()
@@ -72,20 +68,19 @@ pub fn shard_concurrent_updates(cfg: CheckerConfig) -> Report {
     })
 }
 
-/// A plain slab acknowledges a run once its commit has landed: on each
-/// of two slabs a two-update `try_add_batch` (one commit: the slab
-/// covers both cells from the start) races a single `try_add` to the
-/// same slab, and three threads read both runs' pairs. Every read sees
-/// each run whole or not at all, a writer's own ack is in the cube when
-/// it returns, and the final total equals the acks.
+/// A plain pipeline acknowledges a run once its commit has landed: two
+/// two-update `try_add_batch`es (one commit each: the cube covers every
+/// cell from the start) race two single `try_add`s, and three threads
+/// read both runs' pairs. Every read sees each run whole or not at all,
+/// a writer's own ack is in the cube when it returns, and the final
+/// total equals the acks.
 pub fn shard_run_lands_whole(cfg: CheckerConfig) -> Report {
     Checker::new(cfg).check(|| {
         let cube = Arc::new(ShardedCube::<i64>::new(
             Shape::cube(1, 8),
             DdcConfig::dynamic(),
-            shard_config(),
+            ShardConfig::default(),
         ));
-        // Slab 0 owns rows 0..=3, slab 1 rows 4..=7.
         let pairs = [[0i64, 1], [4, 5]];
         let whole = move |c: &ShardedCube<i64>| {
             for [lo, hi] in pairs {
@@ -140,7 +135,7 @@ pub fn wal_ack_after_append(cfg: CheckerConfig) -> Report {
                 refused.is_none() && acks == run.len(),
                 "{refused:?} after {acks}"
             );
-            let (_, records) = c.read_target(0, |durable| durable.wal_stats());
+            let (_, records) = c.read_target(|durable| durable.wal_stats());
             assert!(
                 records >= acks as u64,
                 "durability ack before WAL append: {records} records < {acks} acks"
@@ -154,7 +149,7 @@ pub fn wal_ack_after_append(cfg: CheckerConfig) -> Report {
         assert!(pair == 0 || pair == 2, "half a group is visible: {pair}");
         let acks = t1.join().expect("appender 1") + t2.join().expect("appender 2");
         let (records, total) =
-            cube.read_target(0, |durable| (durable.wal_stats().1, durable.cube().total()));
+            cube.read_target(|durable| (durable.wal_stats().1, durable.cube().total()));
         assert_eq!(records, acks, "log records diverge from acks");
         assert_eq!(total, acks as i64, "cube diverges from acked deltas");
     })

@@ -367,12 +367,12 @@ impl<G: AbelianGroup + ValueCodec, F: VfsFile + Sync> CommitTarget<G> for Durabl
 }
 
 /// A [`DurableCube`] shared between threads: an `Arc` of the commit
-/// pipeline ([`ShardedCube`]) over one logged slab, which it derefs to
+/// pipeline ([`ShardedCube`]) over a logged cube, which it derefs to
 /// (clone that to share it).
 /// "Acknowledged" ([`ShardedCube::try_add`] returning `Ok`) means the
 /// WAL record was appended and synced *and* the in-memory cube reflects
 /// it, as one atomic step with respect to every other thread: the
-/// pipeline commits under the slab's commit lock, and applies under
+/// pipeline commits under its commit lock, and applies under
 /// the exclusive target lock readers wait on.
 ///
 /// This is the structure the `ddc-model` durability scenario
@@ -394,7 +394,7 @@ impl<G: AbelianGroup + ValueCodec, F: VfsFile> std::ops::Deref for SharedDurable
 }
 
 impl<G: AbelianGroup + ValueCodec, F: VfsFile + Sync> SharedDurableCube<G, F> {
-    /// Shares `cube` behind the pipeline: no bounds, so one slab.
+    /// Shares `cube` behind the pipeline, with no bounds.
     pub fn from_cube(cube: DurableCube<G, F>) -> Self {
         Self {
             pipeline: Arc::new(ShardedCube::unbounded(cube)),

@@ -30,13 +30,10 @@ pub enum EngineKind {
     /// no sparsity, no insertion (the novelty-band comparator; not part
     /// of the paper's Table 1 and therefore not in [`EngineKind::ALL`]).
     FenwickNd,
-    /// A Dynamic Data Cube sharded along dimension 0 with per-shard
-    /// write batching — the concurrent deployment of §1 (not a paper
-    /// method, so not in [`EngineKind::ALL`]).
-    Sharded {
-        /// Shard count (clamped to the dimension-0 extent at build time).
-        shards: usize,
-    },
+    /// A Dynamic Data Cube behind the commit pipeline — the concurrent
+    /// deployment of §1 (not a paper method, so not in
+    /// [`EngineKind::ALL`]).
+    Sharded,
 }
 
 impl EngineKind {
@@ -65,10 +62,10 @@ impl EngineKind {
             )),
             EngineKind::CustomDdc(config) => Box::new(DdcEngine::with_config(shape, *config)),
             EngineKind::FenwickNd => Box::new(MultiFenwick::zeroed(shape)),
-            EngineKind::Sharded { shards } => Box::new(ShardedCube::new(
+            EngineKind::Sharded => Box::new(ShardedCube::new(
                 shape,
                 DdcConfig::dynamic(),
-                ShardConfig::with_shards(*shards),
+                ShardConfig::default(),
             )),
         }
     }
@@ -84,7 +81,7 @@ impl EngineKind {
             EngineKind::BasicDdc
             | EngineKind::DynamicDdc
             | EngineKind::CustomDdc(_)
-            | EngineKind::Sharded { .. } => Some(MAX_RANK),
+            | EngineKind::Sharded => Some(MAX_RANK),
         }
     }
 
@@ -98,7 +95,7 @@ impl EngineKind {
             EngineKind::DynamicDdc => "dynamic-ddc",
             EngineKind::CustomDdc(_) => "custom-ddc",
             EngineKind::FenwickNd => "fenwick-nd",
-            EngineKind::Sharded { .. } => "sharded-ddc",
+            EngineKind::Sharded => "sharded-ddc",
         }
     }
 }

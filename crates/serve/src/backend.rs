@@ -12,7 +12,7 @@
 //! HTTP status ([`BackendError`]'s `From<TryUpdateError>`: `OutOfBounds`
 //! → 400, `ReadOnly` → 503, `Io` → 500 — never 429, which is the
 //! server's admission control alone), and one health report (a failed
-//! slab or a degraded log, in the words the 503 bodies use).
+//! commit or a degraded log, in the words the 503 bodies use).
 //!
 //! Updates arrive in runs — [`ServeBackend::ingest`], which is
 //! [`ddc_core::ShardedCube::try_add_batch`]: the server hands over each
@@ -39,8 +39,8 @@ pub enum BackendError {
     /// A coordinate was outside the cube, had the wrong rank, or the
     /// box corners were inverted. Maps to 400.
     OutOfBounds(String),
-    /// The pipeline is read-only — a slab whose commit failed (a logged
-    /// one: panicked), or a log degraded by a disk fault; queries
+    /// The pipeline is read-only — a commit failed (a logged one:
+    /// panicked), or a log degraded by a disk fault; queries
     /// keep serving, mutations map to 503 whose body carries the reason
     /// `/healthz` reports after `degraded: `.
     ReadOnly(String),
@@ -142,9 +142,9 @@ pub struct Backend<T> {
 }
 
 /// The backend of `ddc serve`: bounded coordinate space, an ack is an
-/// update applied to its slab's cube (one commit may cover a whole
-/// [`ServeBackend::ingest`] stretch); a commit that panics turns its
-/// slab `ReadOnly` (503).
+/// update applied to the cube (one commit may cover a whole
+/// [`ServeBackend::ingest`] stretch); a commit that panics turns the
+/// pipeline `ReadOnly` (503).
 pub type ShardedBackend = Backend<GrowableCube<i64>>;
 
 /// The backend of `ddc serve --durable`: growable signed coordinate
@@ -234,7 +234,7 @@ pub(crate) mod tests {
         ShardedBackend::new(ShardedCube::new(
             Shape::new(dims),
             DdcConfig::default(),
-            ShardConfig::with_shards(2),
+            ShardConfig::default(),
         ))
     }
 
@@ -324,8 +324,8 @@ pub(crate) mod tests {
         );
         let far = b.update(&[1 << 40, 0], 1).expect_err("past the side cap");
         assert_eq!(far.status(), 400, "{far:?}");
-        // The wire takes any `i64`, so the ends of dimension 0 have an
-        // owning slab too: refused or clipped, never an index past it.
+        // The wire takes any `i64`, the ends of dimension 0 included:
+        // refused or clipped, never an index past the cube.
         for edge in [i64::MIN, i64::MAX] {
             let far = b.update(&[edge, 0], 1).expect_err("past the side cap");
             assert_eq!(far.status(), 400, "{far:?}");
@@ -347,7 +347,7 @@ pub(crate) mod tests {
         let (vfs, shared) = on_a_disk_that_fills();
         let cube = Arc::clone(&shared);
         let b = DurableBackend::new(shared);
-        let wal_stats = || cube.read_target(0, |durable| durable.wal_stats());
+        let wal_stats = || cube.read_target(|durable| durable.wal_stats());
         b.update(&[1, 2], 7).expect("acked before the disk fills");
         assert_eq!(b.health(), BackendHealth::Ok);
         let acked = wal_stats();

@@ -474,7 +474,7 @@ mod tests {
         let cube = ShardedCube::<i64>::new(
             Shape::new(&[64, 64]),
             DdcConfig::default(),
-            ShardConfig::with_shards(2),
+            ShardConfig::default(),
         );
         Server::start(Arc::new(ShardedBackend::new(cube)), ServerConfig::default())
             .expect("bind ephemeral")
@@ -562,7 +562,7 @@ mod tests {
         let cube = ShardedCube::<i64>::new(
             Shape::new(&[8, 8]),
             DdcConfig::default(),
-            ShardConfig::with_shards(1),
+            ShardConfig::default(),
         );
         let server = Server::start(
             Arc::new(ShardedBackend::new(cube)),
@@ -623,7 +623,7 @@ mod tests {
         let cube = ShardedCube::<i64>::new(
             Shape::new(&[8, 8]),
             DdcConfig::default(),
-            ShardConfig::with_shards(1),
+            ShardConfig::default(),
         );
         let server = Server::start(
             Arc::new(ShardedBackend::new(cube)),

@@ -37,7 +37,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use ddc_array::Shape;
-use ddc_core::{CommitTarget, DdcConfig, GrowableCube, IoError, ShardConfig, ShardedCube};
+use ddc_core::{CommitTarget, DdcConfig, GrowableCube, IoError, ShardedCube};
 pub use ddc_workload::DdcRng;
 use ddc_workload::{CheckOp, CheckTrace};
 
@@ -306,22 +306,14 @@ impl<T> FlakyTarget<T> {
 }
 
 impl FlakyTarget<GrowableCube<i64>> {
-    /// A cube like [`ShardedCube::new`]'s whose slab 0 fails as
-    /// `faults` says; the other slabs never do.
+    /// A cube like [`ShardedCube::new`]'s that fails as `faults` says.
     pub fn sharded(
         shape: Shape,
         config: DdcConfig,
-        shard_config: ShardConfig,
         faults: &Arc<Faults>,
     ) -> ShardedCube<i64, Self> {
-        let d = shape.ndim();
-        ShardedCube::bounded(shape, shard_config, |rows_lo| {
-            let faults = match rows_lo {
-                0 => Arc::clone(faults),
-                _ => Arc::default(),
-            };
-            Self::new(GrowableCube::new(d, config), faults)
-        })
+        let cube = GrowableCube::new(shape.ndim(), config);
+        ShardedCube::bounded(shape, Self::new(cube, Arc::clone(faults)))
     }
 }
 

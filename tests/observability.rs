@@ -1,6 +1,6 @@
 //! Integration tests for the observability layer (`ddc_core::obs`): the
 //! registry under multi-threaded fire, and end-to-end proof that the
-//! instrumented hot paths — engine, shards, WAL, growth, persistence —
+//! instrumented hot paths — engine, commit pipeline, WAL, growth, persistence —
 //! actually report into it.
 
 use ddc_array::{RangeSumEngine, Region, Shape};
@@ -81,7 +81,7 @@ fn concurrent_registration_keeps_names_distinct() {
 
 /// Drives every instrumented subsystem once and asserts each reported:
 /// the `ddc stats` acceptance list — engine updates, engine prefix and
-/// range sums, shard queue wait, WAL appends, WAL recovery replay — plus
+/// range sums, commit-lock wait, WAL appends, WAL recovery replay — plus
 /// growth and persistence. A prefix or range sum is one observation of
 /// its own family however many corners it has: nothing else in this
 /// binary queries an engine, so the counts are exact.
@@ -98,11 +98,11 @@ fn instrumented_hot_paths_report_nonzero() {
         }
     }
 
-    // Shards.
+    // The commit pipeline.
     let cube = ShardedCube::<i64>::new(
         Shape::new(&[16, 4]),
         DdcConfig::dynamic(),
-        ShardConfig::with_shards(2),
+        ShardConfig::default(),
     );
     for i in 0..16 {
         cube.update(&[i, i % 4], 1);

@@ -94,7 +94,7 @@ fn a_line_request_allocates_nothing_in_steady_state() {
     let plain = ShardedBackend::new(ShardedCube::new(
         Shape::new(&[256, 256]),
         DdcConfig::dynamic(),
-        ShardConfig::with_shards(1),
+        ShardConfig::default(),
     ));
     let plain = allocations_per_request(plain);
     // Both passes log every update: 37 B a record at d = 2.

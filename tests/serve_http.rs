@@ -10,7 +10,7 @@
 //!   Disjoint slabs make every thread's expected answers deterministic
 //!   even though the cube is shared.
 //! * **Health**: a plain commit that fails, and a logged commit that
-//!   panics, both fail their slab (a `FlakyTarget` injects the fault):
+//!   panics, both fail the pipeline (a `FlakyTarget` injects the fault):
 //!   the next update answers 503 with the reason `/healthz` then
 //!   reports — one pipeline, one failure rule — and reads keep being
 //!   served. 429 is admission control's alone.
@@ -149,7 +149,7 @@ fn concurrent_clients_agree_with_naive_oracle_byte_for_byte() {
     let cube = ShardedCube::<i64>::new(
         Shape::new(&[SIDE, SIDE]),
         DdcConfig::default(),
-        ShardConfig::with_shards(THREADS),
+        ShardConfig::default(),
     );
     let (server, backend) = start(ShardedBackend::new(cube), THREADS);
     let addr = server.local_addr().to_string();
@@ -214,18 +214,13 @@ fn healthz(addr: &str) -> (String, String) {
     (status, body.trim_end().to_string())
 }
 
-/// A slab whose commit failed refuses writes with a 503 that says so,
-/// the update whose commit panicked included — and `/healthz` says the
-/// same thing, not `ok`. Reads keep serving what the slab acknowledged.
+/// A pipeline whose commit failed refuses writes with a 503 that says
+/// so, the update whose commit panicked included — and `/healthz` says
+/// the same thing, not `ok`. Reads keep serving what it acknowledged.
 #[test]
 fn a_failed_slab_shows_on_healthz_with_the_reason_its_503_carries() {
     let faults = Arc::new(Faults::default());
-    let cube = FlakyTarget::sharded(
-        Shape::new(&[8, 8]),
-        DdcConfig::default(),
-        ShardConfig::with_shards(1),
-        &faults,
-    );
+    let cube = FlakyTarget::sharded(Shape::new(&[8, 8]), DdcConfig::default(), &faults);
     let (server, _backend) = start(Backend::over(Arc::new(cube)), 2);
     let addr = server.local_addr().to_string();
     assert_eq!(healthz(&addr), ("HTTP/1.1 200 OK".into(), "ok".into()));
@@ -234,7 +229,7 @@ fn a_failed_slab_shows_on_healthz_with_the_reason_its_503_carries() {
     assert_eq!(roundtrip(&mut stream, "u 2,3 5\n"), "ok");
     faults.arm(Fault::Panic, 1);
     // Its commit is the one that panics: refused, not acknowledged.
-    let reason = format!("shard 0 failed ({COMMIT_FAILED})");
+    let reason = COMMIT_FAILED;
     assert_eq!(roundtrip(&mut stream, "u 2,3 1\n"), format!("err {reason}"));
     assert_eq!(roundtrip(&mut stream, "u 2,3 1\n"), format!("err {reason}"));
     let (status, body) = healthz(&addr);
@@ -260,7 +255,7 @@ fn a_panicking_durable_commit_answers_503_and_the_connection_keeps_serving() {
     assert_eq!(roundtrip(&mut stream, "u 3,-4 5\n"), "ok");
 
     faults.arm(Fault::Panic, 1);
-    let reason = format!("shard 0 failed ({PANICKED_AFTER_APPEND})");
+    let reason = PANICKED_AFTER_APPEND;
     assert_eq!(roundtrip(&mut stream, "u 1,1 7\n"), format!("err {reason}"));
     // Same connection, so the same worker thread: it did not unwind.
     assert_eq!(roundtrip(&mut stream, "q -8,-8 8,8\n"), "5");
@@ -270,7 +265,7 @@ fn a_panicking_durable_commit_answers_503_and_the_connection_keeps_serving() {
     assert_eq!(body, format!("degraded: {reason}"));
     // Read-only from here: no retry, no second record.
     assert_eq!(roundtrip(&mut stream, "u 1,1 7\n"), format!("err {reason}"));
-    let records = backend.cube().read_target(0, |t| t.inner().wal_stats().1);
+    let records = backend.cube().read_target(|t| t.inner().wal_stats().1);
     assert_eq!(records, 1, "only the acknowledged update is in the log");
     server.shutdown();
 }
@@ -280,7 +275,7 @@ fn metrics_scrape_exposes_serving_counters_after_traffic() {
     let cube = ShardedCube::<i64>::new(
         Shape::new(&[8, 8]),
         DdcConfig::default(),
-        ShardConfig::with_shards(2),
+        ShardConfig::default(),
     );
     let (server, _backend) = start(ShardedBackend::new(cube), 2);
     let mut stream = TcpStream::connect(server.local_addr()).expect("client connects");
@@ -320,7 +315,7 @@ fn the_connection_limit_sheds_with_503_and_frees_a_slot_on_close() {
     let cube = ShardedCube::<i64>::new(
         Shape::new(&[8, 8]),
         DdcConfig::default(),
-        ShardConfig::with_shards(1),
+        ShardConfig::default(),
     );
     let server = Server::start(
         Arc::new(ShardedBackend::new(cube)),
@@ -401,7 +396,7 @@ fn start_on_a_counting_disk(
 #[test]
 fn a_pipelined_run_of_updates_is_one_log_write_and_one_sync() {
     let (server, disk, backend) = start_on_a_counting_disk(None);
-    let log = || backend.cube().read_target(0, |durable| durable.wal_stats());
+    let log = || backend.cube().read_target(|durable| durable.wal_stats());
     let mut stream = TcpStream::connect(server.local_addr()).expect("client connects");
     let run = |range: std::ops::Range<i64>| -> String {
         range
@@ -450,7 +445,7 @@ fn enospc_under_a_group_refuses_all_of_it_and_keeps_serving_reads() {
     let mut stream = TcpStream::connect(server.local_addr()).expect("client connects");
     let wire = "u 1,1 1\nu 2,2 2\nu 3,3 3\n";
     assert_eq!(pipelined(&mut stream, wire, 3), vec!["ok"; 3]);
-    let acked = backend.cube().read_target(0, |durable| durable.wal_stats());
+    let acked = backend.cube().read_target(|durable| durable.wal_stats());
 
     let replies = pipelined(&mut stream, "u 4,4 4\nu 5,5 5\nu 6,6 6\nq 0,0 9,9\n", 4);
     for refused in &replies[..3] {
@@ -464,7 +459,7 @@ fn enospc_under_a_group_refuses_all_of_it_and_keeps_serving_reads() {
     assert!(replies.iter().take(3).all(|r| r.contains(reason)), "{body}");
     let on_disk = disk.inner().contents("wal.log").expect("log exists");
     assert_eq!(on_disk.len() as u64, acked.0, "the torn group was cut off");
-    let now = backend.cube().read_target(0, |durable| durable.wal_stats());
+    let now = backend.cube().read_target(|durable| durable.wal_stats());
     assert_eq!(now, acked);
     server.shutdown();
 }

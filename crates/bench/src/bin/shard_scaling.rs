@@ -10,8 +10,9 @@
 //! * `SharedCube` applies each record under the global write lock as it
 //!   arrives (the S32 per-op protocol);
 //! * `ShardedCube` passes each record through its door and commits it
-//!   under its commit lock and the cube's write lock before
-//!   acknowledging it.
+//!   under one exclusive hold of its one lock (the same kind of lock
+//!   `SharedCube` takes, which also guards the pipeline's health and
+//!   counters) before acknowledging it.
 //!
 //! The feed has priority (a lagging feed backs up without bound), so the
 //! readers run under admission control: while the writer is behind its

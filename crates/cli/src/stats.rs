@@ -67,7 +67,7 @@ fn workload(seed: u64, ops: usize) -> std::io::Result<()> {
     let side = 64usize;
 
     // The commit pipeline: updates, each one commit (shard.queue_wait —
-    // the wait for the commit lock — + shard.commit, and
+    // the wait for the cube's exclusive lock — + shard.commit, and
     // engine.update.dynamic_ddc from its cube) and prefix queries — each
     // the box [0, p], one range walk (engine.range_sum.dynamic_ddc).
     let cube = ShardedCube::<i64>::new(

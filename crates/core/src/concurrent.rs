@@ -88,11 +88,6 @@ impl<G: AbelianGroup> SharedCube<G> {
         self.write_lock().apply_batch(updates);
     }
 
-    /// Snapshot of populated cells (read lock held for the walk).
-    pub fn entries(&self) -> Vec<(Vec<usize>, G)> {
-        self.read_lock().entries()
-    }
-
     /// Heap bytes of the underlying structure.
     pub fn heap_bytes(&self) -> usize {
         self.read_lock().heap_bytes()
@@ -102,12 +97,6 @@ impl<G: AbelianGroup> SharedCube<G> {
     /// against one consistent version).
     pub fn with_read<R>(&self, f: impl FnOnce(&DdcEngine<G>) -> R) -> R {
         f(&self.read_lock())
-    }
-
-    /// Runs `f` with the engine under the write lock (compound updates
-    /// applied atomically with respect to readers).
-    pub fn with_write<R>(&self, f: impl FnOnce(&mut DdcEngine<G>) -> R) -> R {
-        f(&mut self.write_lock())
     }
 }
 
@@ -148,37 +137,10 @@ mod tests {
     }
 
     #[test]
-    fn compound_operations_are_atomic_to_readers() {
-        let cube = SharedCube::<i64>::new(Shape::cube(1, 16), DdcConfig::dynamic());
-        // Transfer-style compound write: -5 here, +5 there, atomically.
-        cube.apply_delta(&[3], 10);
-        let mover = cube.clone();
-        std::thread::scope(|s| {
-            let m = s.spawn(move || {
-                for _ in 0..100 {
-                    mover.with_write(|e| {
-                        e.apply_delta(&[3], -5);
-                        e.apply_delta(&[12], 5);
-                        e.apply_delta(&[3], 5);
-                        e.apply_delta(&[12], -5);
-                    });
-                }
-            });
-            let full = Region::full(&Shape::cube(1, 16));
-            for _ in 0..300 {
-                // Every observed total sees both sides of the transfer.
-                assert_eq!(cube.range_sum(&full), 10);
-            }
-            m.join().expect("mover");
-        });
-    }
-
-    #[test]
     fn batch_takes_one_lock() {
         let cube = SharedCube::<i64>::new(Shape::cube(2, 8), DdcConfig::dynamic());
         let updates: Vec<(Vec<usize>, i64)> = (0..8).map(|i| (vec![i, i], i as i64)).collect();
         cube.apply_batch(&updates);
         assert_eq!(cube.prefix_sum(&[7, 7]), (0..8).sum::<i64>());
-        assert_eq!(cube.entries().len(), 7); // cell (0,0) holds 0
     }
 }

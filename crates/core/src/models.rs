@@ -28,6 +28,7 @@ use ddc_model::sync::{thread, Condvar, Mutex};
 use ddc_model::{Checker, CheckerConfig, Report};
 
 use crate::config::DdcConfig;
+use crate::growth::GrowableCube;
 use crate::shard::{ShardConfig, ShardedCube};
 use crate::sync::Arc;
 use crate::wal::{DurableCube, SharedDurableCube};
@@ -68,27 +69,25 @@ pub fn shard_concurrent_updates(cfg: CheckerConfig) -> Report {
     })
 }
 
-/// A plain pipeline acknowledges a run once its commit has landed: two
-/// two-update `try_add_batch`es (one commit each: the cube covers every
-/// cell from the start) race two single `try_add`s, and three threads
-/// read both runs' pairs. Every read sees each run whole or not at all,
-/// a writer's own ack is in the cube when it returns, and the final
-/// total equals the acks.
+/// A plain pipeline acknowledges a run once its commits have landed,
+/// each whole, and another writer's commit may land between two commits
+/// of one run. On a growable 1-d cube whose initial box is `[0, 16)`,
+/// the run `{15, 16}` is two commits (16 needs the cube to grow, so it
+/// commits alone) and the run `{4, 5}` one; they race two single
+/// `try_add`s, and three threads read. Every read sees the one-commit
+/// run whole or not at all, a writer's own run is in the cube when its
+/// ack returns, and the final total equals the acks.
 pub fn shard_run_lands_whole(cfg: CheckerConfig) -> Report {
     Checker::new(cfg).check(|| {
-        let cube = Arc::new(ShardedCube::<i64>::new(
-            Shape::cube(1, 8),
+        let cube = Arc::new(ShardedCube::unbounded(GrowableCube::<i64>::new(
+            1,
             DdcConfig::dynamic(),
-            ShardConfig::default(),
-        ));
-        let pairs = [[0i64, 1], [4, 5]];
-        let whole = move |c: &ShardedCube<i64>| {
-            for [lo, hi] in pairs {
-                let pair = c.query_box(&[lo], &[hi]).expect("rank 1");
-                assert!(pair == 0 || pair == 2, "half a run is visible: {pair}");
-            }
+        )));
+        let whole = |c: &ShardedCube<i64>| {
+            let pair = c.query_box(&[4], &[5]).expect("rank 1");
+            assert!(pair == 0 || pair == 2, "half a commit is visible: {pair}");
         };
-        let runs = pairs.map(|[lo, hi]| {
+        let runs = [[15i64, 16], [4, 5]].map(|[lo, hi]| {
             let c = Arc::clone(&cube);
             thread::spawn(move || {
                 let (acks, refused) = c.try_add_batch(&[(vec![lo], 1), (vec![hi], 1)]);
@@ -109,8 +108,10 @@ pub fn shard_run_lands_whole(cfg: CheckerConfig) -> Report {
         let acked: i64 = (runs.into_iter().chain(singles))
             .map(|w| w.join().expect("writer"))
             .sum();
-        let total = cube.query_box(&[0], &[7]).expect("rank 1");
+        let total = cube.query_box(&[0], &[16]).expect("rank 1");
         assert_eq!(total, acked, "acked {acked} but cube totals {total}");
+        let commits = cube.metrics()[0].batches_flushed;
+        assert_eq!(commits, 5, "the run {{15, 16}} is not two commits");
     })
 }
 

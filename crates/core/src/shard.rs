@@ -10,15 +10,16 @@
 //! The unit it moves is a **run** of updates ([`try_add_batch`];
 //! [`try_add`] is a run of one), and the rule is the same on every
 //! target: **an update is acknowledged once its commit has landed**.
-//! A run takes the commit lock once; within it, the stretch the cube
-//! already covers is **one** commit — one exclusive target acquisition,
-//! applied in order and never coalesced, acknowledged as a whole or not
-//! at all — and a point the cube must grow for commits alone, because
-//! only its own commit can refuse it.
+//! Within a run, the stretch the cube already covers is **one** commit
+//! — one exclusive lock acquisition, applied in order and never
+//! coalesced, acknowledged as a whole or not at all — and a point the
+//! cube must grow for commits alone, because only its own commit can
+//! refuse it.
 //!
-//! [`ShardedCube`] is that pipeline over one target, behind one commit
-//! lock (a mutex) and one target lock (a read-write lock). It is
-//! generic over the [`CommitTarget`] it commits into, and there are two:
+//! [`ShardedCube`] is that pipeline over one target, behind one lock: a
+//! read-write lock over the target, the pipeline's health and its
+//! counters. It is generic over the [`CommitTarget`] it commits into,
+//! and there are two:
 //!
 //! * [`GrowableCube`] — apply only.
 //! * [`DurableCube`](crate::DurableCube) — append → sync → apply: one
@@ -37,15 +38,16 @@
 //!
 //! ## Consistency
 //!
-//! The cube is linearizable: a read is one read lock on the target and
-//! one read of its cube, and a commit applies under the exclusive lock,
-//! so a read sees a commit whole or not at all. An update is visible
-//! from the moment its commit applies it, which is before its call
-//! returns: a thread always reads its own acknowledged writes, and a
-//! single-threaded caller observes exactly the semantics of an engine
-//! (the `sharded_cube` tests demand bit-identical answers after every
-//! step). Readers never take the commit lock or the exclusive target
-//! lock.
+//! The cube is linearizable: a read is one shared hold of the lock and
+//! one read of its cube, and a commit cuts its stretch, applies it and
+//! books its counters under one exclusive hold, so a read sees a commit
+//! whole or not at all. An update is visible from the moment its commit
+//! applies it, which is before its call returns: a thread always reads
+//! its own acknowledged writes, and a single-threaded caller observes
+//! exactly the semantics of an engine (the `sharded_cube` tests demand
+//! bit-identical answers after every step). A run of several commits
+//! releases the lock between them, so another writer's commit may land
+//! between two of its commits; each still lands whole.
 //!
 //! ## Failure
 //!
@@ -63,20 +65,18 @@
 //! * A plain pipeline whose commit panicked says [`COMMIT_FAILED`]; a
 //!   logged one says [`PANICKED_AFTER_APPEND`]: "restart to recover
 //!   from the log" ([`CommitTarget::PANIC_CAUSE`]).
-//! * Lock poisoning never panics a public entry point: the commit mutex
-//!   cannot be poisoned by a supervised commit (the panic is caught
-//!   inside the lock scope), and a poisoned target lock is recovered —
-//!   the pipeline is failed by then, and *exact* repair of a
-//!   half-applied commit is the log's job ([`crate::wal`]).
+//! * Lock poisoning never panics a public entry point: a supervised
+//!   commit cannot poison the lock (the panic is caught inside the
+//!   exclusive hold), and a lock poisoned anyway is recovered — *exact*
+//!   repair of a half-applied commit is the log's job ([`crate::wal`]).
 //!
 //! [`try_add`]: ShardedCube::try_add
 //! [`try_add_batch`]: ShardedCube::try_add_batch
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
-use crate::sync::{
-    Arc, Mutex, MutexGuard, OnceLock, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard,
-};
+use crate::sync::{Arc, OnceLock, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use ddc_array::{AbelianGroup, OpCounter, OpSnapshot, Point, RangeSumEngine, Region, Shape};
 
@@ -85,10 +85,10 @@ use crate::growth::GrowableCube;
 use crate::obs;
 use crate::vfs::IoError;
 
-/// Cube-wide observability handles (the wait for the commit lock vs.
-/// the commit itself — the two halves of a write's life), cached off
-/// the registry lock. The wait keeps its `shard.queue_wait` name for
-/// the dashboards that scrape it.
+/// Cube-wide observability handles (the wait for the exclusive lock
+/// vs. the commit itself — the two halves of a write's life), cached
+/// off the registry lock. The wait keeps its `shard.queue_wait` name
+/// for the dashboards that scrape it.
 struct ShardObs {
     queue_wait_ns: Arc<obs::Histogram>,
     commit_ns: Arc<obs::Histogram>,
@@ -227,8 +227,9 @@ pub struct MetricsSnapshot {
     pub ops_applied: u64,
     /// Commits performed.
     pub batches_flushed: u64,
-    /// Estimated nanoseconds the exclusive target lock was held for
-    /// commits — the contention budget readers compete against.
+    /// Nanoseconds the exclusive lock was held for commits, from the
+    /// moment it was granted — the contention budget readers compete
+    /// against.
     pub lock_hold_nanos: u64,
     /// Update attempts that passed the door and were not acknowledged.
     pub ops_rejected: u64,
@@ -237,13 +238,15 @@ pub struct MetricsSnapshot {
     pub worker_panics: u64,
 }
 
-/// What the commit lock guards.
-#[derive(Debug, Default)]
-struct CommitState {
+/// What the pipeline's one lock guards.
+#[derive(Debug)]
+struct State<T> {
+    /// What every commit lands in and every read is answered from.
+    target: T,
     /// The pipeline's health: `None` while it takes writes, else the
     /// [`TryUpdateError::ShardFailed::cause`] it refuses them with.
     failed: Option<&'static str>,
-    /// The counters, kept here because the commit lock already
+    /// The counters, kept here because the exclusive hold already
     /// serializes everything that writes them.
     metrics: MetricsSnapshot,
 }
@@ -274,11 +277,9 @@ struct CommitState {
 pub struct ShardedCube<G: AbelianGroup, T = GrowableCube<G>> {
     ndim: usize,
     bounds: Option<Shape>,
-    target: RwLock<T>,
-    /// The commit lock: it serializes commits, so the coverage a commit
-    /// is cut by and the pipeline's health cannot change under it. Lock
-    /// order: `state` before `target`.
-    state: Mutex<CommitState>,
+    /// The one lock: a commit holds it exclusively, so the coverage it
+    /// is cut by and the pipeline's health cannot change under it.
+    state: RwLock<State<T>>,
     /// What [`RangeSumEngine::counter`] hands out: the tree counts, and
     /// `ops()` copies it into this.
     counter: OpCounter,
@@ -324,34 +325,29 @@ impl<G: AbelianGroup, T: CommitTarget<G>> ShardedCube<G, T> {
         Self {
             ndim,
             bounds,
-            target: RwLock::new(target),
-            state: Mutex::new(CommitState::default()),
+            state: RwLock::new(State {
+                target,
+                failed: None,
+                metrics: MetricsSnapshot::default(),
+            }),
             counter: OpCounter::new(),
             group: std::marker::PhantomData,
         }
     }
 
-    /// Locks the commit lock, recovering from poisoning. A supervised
-    /// commit catches its panic *inside* the lock scope, so the mutex is
-    /// only ever poisoned by a panic in trivially transactional code
+    /// Takes the lock shared, recovering from poisoning. A supervised
+    /// commit catches its panic *inside* the exclusive hold, so the lock
+    /// is only ever poisoned by a panic in trivially transactional code
     /// (counter updates); recovering is sound and keeps poisoning off
     /// the public API.
-    fn lock_state(&self) -> MutexGuard<'_, CommitState> {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    fn read_lock(&self) -> RwLockReadGuard<'_, State<T>> {
+        self.state.read().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Read-locks the target, recovering from poisoning. A poisoned
-    /// target means a commit panicked mid-apply; the pipeline is failed
-    /// by then, and exact repair belongs to log recovery, not to
-    /// refusing reads.
-    fn read_lock(&self) -> RwLockReadGuard<'_, T> {
-        self.target.read().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Write-locks the target, recovering from poisoning (see
+    /// Takes the lock exclusively, recovering from poisoning (see
     /// [`ShardedCube::read_lock`]).
-    fn write_lock(&self) -> RwLockWriteGuard<'_, T> {
-        self.target.write().unwrap_or_else(PoisonError::into_inner)
+    fn write_lock(&self) -> RwLockWriteGuard<'_, State<T>> {
+        self.state.write().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Dimensionality of the cube.
@@ -398,13 +394,12 @@ impl<G: AbelianGroup, T: CommitTarget<G>> ShardedCube<G, T> {
     /// Adds a run of deltas in order, stopping at the first the cube
     /// cannot acknowledge: returns how many leading deltas were
     /// acknowledged — landed in the cube, and logged first on a logged
-    /// target — and why the next one was not. The stretch of the run in
-    /// front of the first point the door refuses takes the commit lock
-    /// once; the stretch of it the cube already covers is **one**
-    /// commit, acknowledged as a whole or not at all, and a point the
-    /// cube must grow for commits alone, since only its own commit can
-    /// refuse it. The points are borrowed (`&[i64]`, `Vec<i64>`) or
-    /// inline ([`Point`]): the run is never copied.
+    /// target — and why the next one was not. In front of the first
+    /// point the door refuses, each stretch the cube already covers is
+    /// **one** commit, acknowledged as a whole or not at all, and a
+    /// point the cube must grow for commits alone, since only its own
+    /// commit can refuse it. The points are borrowed (`&[i64]`,
+    /// `Vec<i64>`) or inline ([`Point`]): the run is never copied.
     pub fn try_add_batch<P: AsRef<[i64]>>(
         &self,
         run: &[(P, G)],
@@ -424,67 +419,53 @@ impl<G: AbelianGroup, T: CommitTarget<G>> ShardedCube<G, T> {
     }
 
     /// [`ShardedCube::try_add_batch`] for a run that passed the door,
-    /// behind the commit lock: one commit per stretch the cube covers
-    /// already (at most [`RUN_CHUNK`]), one per point it must grow for.
+    /// one exclusive hold per commit. Under the hold a commit cuts its
+    /// stretch — what the cube covers already (at most [`RUN_CHUNK`]),
+    /// else the one point it must grow for — and lands it under one
+    /// `catch_unwind`. A typed refusal changed nothing and is handed
+    /// back; a commit that panics fails the pipeline (module docs: one
+    /// rule).
     fn commit_run<P: AsRef<[i64]>>(&self, run: &[(P, G)]) -> (usize, Option<TryUpdateError>) {
-        let wait = shard_obs().queue_wait_ns.span("shard.queue_wait");
-        let mut state = self.lock_state();
-        wait.end();
         let mut acked = 0;
         while acked < run.len() {
-            let rest = &run[acked..];
-            let covered = if rest.len() == 1 {
-                1
-            } else {
-                let target = self.read_lock();
-                let covers = |(point, _): &&(P, G)| target.cube().covers(point.as_ref());
-                rest.iter().take(RUN_CHUNK).take_while(covers).count()
-            };
-            let taken = &rest[..covered.max(1)];
-            if let Err(refused) = self.commit(&mut state, taken) {
+            let wait = shard_obs().queue_wait_ns.span("shard.queue_wait");
+            let mut guard = self.write_lock();
+            wait.end();
+            let state = &mut *guard;
+            if let Some(cause) = state.failed {
                 state.metrics.ops_rejected += 1;
-                return (acked, Some(refused));
+                return (acked, Some(TryUpdateError::ShardFailed { cause }));
             }
-            acked += taken.len();
+            // One clock pair feeds both the exact lock-hold total and the
+            // span, so every commit is timed.
+            let held = Instant::now();
+            let rest = &run[acked..];
+            let covers = |(point, _): &&(P, G)| state.target.cube().covers(point.as_ref());
+            let covered = rest.iter().take(RUN_CHUNK).take_while(covers).count();
+            let taken = &rest[..covered.max(1)];
+            let outcome = catch_unwind(AssertUnwindSafe(|| state.target.commit(taken)));
+            let held_ns = held.elapsed().as_nanos() as u64;
+            state.metrics.lock_hold_nanos += held_ns;
+            shard_obs().commit_ns.observe("shard.commit", held, held_ns);
+            let refused = match outcome {
+                Ok(Ok(())) => {
+                    state.metrics.ops_applied += taken.len() as u64;
+                    state.metrics.batches_flushed += 1;
+                    acked += taken.len();
+                    continue;
+                }
+                Ok(Err(why)) => TryUpdateError::Refused(why),
+                Err(_) => {
+                    state.metrics.worker_panics += 1;
+                    let cause = T::PANIC_CAUSE;
+                    state.failed = Some(cause);
+                    TryUpdateError::ShardFailed { cause }
+                }
+            };
+            state.metrics.ops_rejected += 1;
+            return (acked, Some(refused));
         }
         (acked, None)
-    }
-
-    /// Supervised commit of `batch`, in order, under one exclusive
-    /// target acquisition and one `catch_unwind`, with the commit lock
-    /// held. A typed refusal changed nothing and is handed back; a
-    /// commit that panics fails the pipeline (module docs: one rule).
-    fn commit<P: AsRef<[i64]>>(
-        &self,
-        state: &mut CommitState,
-        batch: &[(P, G)],
-    ) -> Result<(), TryUpdateError> {
-        if let Some(cause) = state.failed {
-            return Err(TryUpdateError::ShardFailed { cause });
-        }
-        // One clock pair feeds both the exact lock-hold total and the
-        // span, so every commit is timed.
-        let held = Instant::now();
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            self.write_lock().commit(batch)
-        }));
-        let held_ns = held.elapsed().as_nanos() as u64;
-        state.metrics.lock_hold_nanos += held_ns;
-        shard_obs().commit_ns.observe("shard.commit", held, held_ns);
-        match outcome {
-            Ok(Ok(())) => {
-                state.metrics.ops_applied += batch.len() as u64;
-                state.metrics.batches_flushed += 1;
-                Ok(())
-            }
-            Ok(Err(why)) => Err(TryUpdateError::Refused(why)),
-            Err(_) => {
-                state.metrics.worker_panics += 1;
-                let cause = T::PANIC_CAUSE;
-                state.failed = Some(cause);
-                Err(TryUpdateError::ShardFailed { cause })
-            }
-        }
     }
 
     /// Does nothing: nothing is ever queued, every acknowledged update is in its cube.
@@ -494,23 +475,23 @@ impl<G: AbelianGroup, T: CommitTarget<G>> ShardedCube<G, T> {
     /// failed commit, else a degraded target. `None` is fully serving;
     /// either way reads are served.
     pub fn health(&self) -> Option<String> {
-        let failed = self.lock_state().failed;
-        match failed {
+        let state = self.read_lock();
+        match state.failed {
             Some(cause) => Some(TryUpdateError::ShardFailed { cause }.to_string()),
-            None => self.read_lock().degraded().map(str::to_string),
+            None => state.target.degraded().map(str::to_string),
         }
     }
 
-    /// Runs `f` on the target under its read lock (log statistics, pool
-    /// counters, structural audits).
+    /// Runs `f` on the target under the shared lock (log statistics,
+    /// pool counters, structural audits).
     pub fn read_target<R>(&self, f: impl FnOnce(&T) -> R) -> R {
-        f(&self.read_lock())
+        f(&self.read_lock().target)
     }
 
-    /// One read of the cube, under the target's read lock. A failed
-    /// pipeline stays readable.
+    /// One read of the cube, under the shared lock. A failed pipeline
+    /// stays readable.
     fn read(&self, read: impl FnOnce(&GrowableCube<G>) -> G) -> G {
-        read(self.read_lock().cube())
+        read(self.read_lock().target.cube())
     }
 
     /// Sum over the closed box `[lo, hi]` (Figure 4 happens in the
@@ -533,7 +514,7 @@ impl<G: AbelianGroup, T: CommitTarget<G>> ShardedCube<G, T> {
 
     /// Populated cells.
     pub fn entries(&self) -> Vec<(Vec<i64>, G)> {
-        self.read_lock().cube().entries()
+        self.read_lock().target.cube().entries()
     }
 
     /// `point` in signed coordinates; more than [`ddc_array::MAX_RANK`]
@@ -602,7 +583,7 @@ impl<G: AbelianGroup, T: CommitTarget<G>> ShardedCube<G, T> {
     /// The commit metrics, as a one-entry list (the shape callers index
     /// with `[0]`).
     pub fn metrics(&self) -> Vec<MetricsSnapshot> {
-        vec![self.lock_state().metrics]
+        vec![self.read_lock().metrics]
     }
 }
 
@@ -643,7 +624,7 @@ impl<G: AbelianGroup, T: CommitTarget<G>> RangeSumEngine<G> for ShardedCube<G, T
     /// The tree's counter, which is also left in
     /// [`RangeSumEngine::counter`] (as of this call).
     fn ops(&self) -> OpSnapshot {
-        let total = self.read_lock().cube().counter().snapshot();
+        let total = self.read_lock().target.cube().counter().snapshot();
         self.counter.reset();
         self.counter.read(total.reads);
         self.counter.write(total.writes);
@@ -651,16 +632,16 @@ impl<G: AbelianGroup, T: CommitTarget<G>> RangeSumEngine<G> for ShardedCube<G, T
     }
 
     fn reset_ops(&self) {
-        self.read_lock().cube().counter().reset();
+        self.read_lock().target.cube().counter().reset();
         self.counter.reset();
     }
 
     fn heap_bytes(&self) -> usize {
-        self.read_lock().cube().heap_bytes()
+        self.read_lock().target.cube().heap_bytes()
     }
 
     fn metrics_text(&self) -> Option<String> {
-        let m = self.lock_state().metrics;
+        let m = self.read_lock().metrics;
         Some(format!(
             "applied  batches  rejected  panics  lock-held\n\
              {:>7}  {:>7}  {:>8}  {:>6}  {:>7.3}ms",
@@ -677,7 +658,6 @@ impl<G: AbelianGroup, T: CommitTarget<G>> RangeSumEngine<G> for ShardedCube<G, T
 mod tests {
     use super::*;
     use crate::engine::DdcEngine;
-    use std::sync::atomic::{AtomicU64, Ordering};
 
     fn cube() -> ShardedCube<i64> {
         ShardedCube::new(
@@ -687,37 +667,8 @@ mod tests {
         )
     }
 
-    /// A target whose next `armed` commits panic before touching the
-    /// cube — what the supervisor exists to contain.
-    struct Flaky {
-        cube: GrowableCube<i64>,
-        armed: Arc<AtomicU64>,
-    }
-
-    impl CommitTarget<i64> for Flaky {
-        fn cube(&self) -> &GrowableCube<i64> {
-            &self.cube
-        }
-        fn commit<P: AsRef<[i64]>>(&mut self, batch: &[(P, i64)]) -> Result<(), IoError> {
-            if self.armed.load(Ordering::SeqCst) > 0 {
-                self.armed.fetch_sub(1, Ordering::SeqCst);
-                panic!("injected commit failure");
-            }
-            self.cube.commit(batch)
-        }
-    }
-
-    /// An 8 × 4 cube that fails its next `n` commits.
-    fn flaky(n: u64) -> ShardedCube<i64, Flaky> {
-        let flaky = Flaky {
-            cube: GrowableCube::new(2, DdcConfig::dynamic()),
-            armed: Arc::new(AtomicU64::new(n)),
-        };
-        ShardedCube::bounded(Shape::new(&[8, 4]), flaky)
-    }
-
     #[test]
-    fn matches_unsharded_engine_on_every_prefix() {
+    fn matches_a_plain_engine_on_every_prefix() {
         let mut plain = DdcEngine::<i64>::dynamic(Shape::new(&[32, 16]));
         let c = cube();
         let pts: [([usize; 2], i64); 6] = [
@@ -741,35 +692,12 @@ mod tests {
     }
 
     #[test]
-    fn queries_see_queued_writes_immediately() {
+    fn a_read_sees_an_update_once_it_returns() {
         let c = cube();
         c.update(&[10, 10], 7);
         assert_eq!(c.query_prefix(&[31, 15]), 7);
         c.update(&[10, 10], -7);
         assert_eq!(c.query(&Region::full(&Shape::new(&[32, 16]))), 0);
-    }
-
-    #[test]
-    fn exhausted_restart_budget_fails_the_shard() {
-        let c = flaky(1);
-        let failed = TryUpdateError::ShardFailed {
-            cause: COMMIT_FAILED,
-        };
-        // Its commit panics → failed, not acknowledged, no retry.
-        assert_eq!(c.try_update(&[0, 0], 1), Err(failed.clone()));
-        let err = c.try_update(&[1, 0], 1).unwrap_err();
-        assert_eq!(err, failed);
-        assert_eq!(err.to_string(), COMMIT_FAILED);
-        assert_eq!(c.health(), Some(failed.to_string()));
-        // The infallible facades shed the same rejection, and say so.
-        let shed_before = obs::counter("shard.shed").get();
-        c.update(&[1, 0], 1);
-        c.update(&[2, 0], 1);
-        assert!(obs::counter("shard.shed").get() >= shed_before + 2);
-        assert_eq!(c.metrics()[0].ops_rejected, 4);
-        // The failed pipeline stays readable; the refused deltas are not
-        // in it.
-        assert_eq!(c.query_prefix(&[7, 3]), 0);
     }
 
     #[test]
@@ -818,11 +746,11 @@ mod tests {
     }
 
     /// A run is acknowledged as its deltas one by one would be — same
-    /// acks, same applied counts, same answers — under one commit lock
-    /// acquisition, and one commit per stretch the cube covers; it stops
-    /// at the first point the door refuses.
+    /// acks, same applied counts, same answers — with one commit per
+    /// stretch the cube covers; it stops at the first point the door
+    /// refuses.
     #[test]
-    fn a_run_enqueues_as_its_singles_would() {
+    fn a_run_is_acknowledged_as_its_singles_would_be() {
         let (run_fed, singles_fed) = (cube(), cube());
         let run: Vec<_> = (0..20i64)
             .map(|i| (vec![(i * 5) % 32, i % 16], i - 7))
@@ -889,16 +817,16 @@ mod tests {
             ),
             "{refused:?}"
         );
-        let slab = open.metrics()[0];
+        let m = open.metrics()[0];
         // [1, 1, 2] covered, 40 grows the cube, 33 is covered by then.
-        assert_eq!((slab.ops_applied, slab.batches_flushed), (5, 3));
+        assert_eq!((m.ops_applied, m.batches_flushed), (5, 3));
         assert_eq!(open.read_target(|t| t.wal_stats().1), 5, "never coalesced");
         assert_eq!(open.try_add_batch(&run[6..]), (1, None));
         assert_eq!(open.query_box(&[0, 0], &[63, 0]), Ok(4));
     }
 
     #[test]
-    fn facade_counter_absorbs_shard_ops() {
+    fn ops_reads_the_tree_counts_without_double_counting() {
         let c = cube();
         assert_eq!(c.ops(), OpSnapshot::default());
         for i in 0..16 {

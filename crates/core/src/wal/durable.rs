@@ -372,8 +372,8 @@ impl<G: AbelianGroup + ValueCodec, F: VfsFile + Sync> CommitTarget<G> for Durabl
 /// "Acknowledged" ([`ShardedCube::try_add`] returning `Ok`) means the
 /// WAL record was appended and synced *and* the in-memory cube reflects
 /// it, as one atomic step with respect to every other thread: the
-/// pipeline commits under its commit lock, and applies under
-/// the exclusive target lock readers wait on.
+/// pipeline appends, syncs and applies under one exclusive hold of the
+/// cube's one lock, which readers wait on.
 ///
 /// This is the structure the `ddc-model` durability scenario
 /// (`ddc_core::models`, behind the `ddc_model` feature) checks: no

@@ -15,7 +15,7 @@ use ddc_check::Oracle;
 use ddc_core::vfs::{MemFile, MemVfs};
 use ddc_core::wal::{self, RetryPolicy};
 use ddc_core::{
-    CommitTarget, DdcConfig, DdcEngine, DurableCube, GrowableCube, ShardConfig, ShardedCube,
+    obs, CommitTarget, DdcConfig, DdcEngine, DurableCube, GrowableCube, ShardConfig, ShardedCube,
     TryUpdateError, COMMIT_FAILED, PANICKED_AFTER_APPEND,
 };
 use ddc_tests::{for_cases, DdcRng, Fault, Faults, FlakyTarget};
@@ -370,10 +370,10 @@ fn a_plain_update_is_in_the_cube_when_it_is_acknowledged() {
 /// acknowledged, and nothing retries it. Here the commit lands and
 /// *then* panics, so a retry would apply the run a second time: the
 /// caller hears `ShardFailed`, the pipeline says so on `health()`,
-/// refuses every later write, and every read stays as the commit left
-/// it.
+/// refuses every later write — the infallible `update` facade sheds
+/// them, and counts them — and every read stays as the commit left it.
 #[test]
-fn a_plain_commit_that_does_not_land_fails_its_slab_at_once() {
+fn a_plain_commit_that_does_not_land_fails_the_pipeline_at_once() {
     let faults = Arc::new(Faults::default());
     let cube = FlakyTarget::sharded(Shape::new(&[8, 8]), DdcConfig::dynamic(), &faults);
     cube.try_add(&[1, 1], 1).expect("acked");
@@ -386,13 +386,18 @@ fn a_plain_commit_that_does_not_land_fails_its_slab_at_once() {
     assert_eq!(cube.health(), Some(failed.to_string()));
     assert_eq!(cube.try_add(&[2, 3], 1), Err(failed.clone()));
     assert_eq!(cube.try_add(&[6, 0], 2), Err(failed.clone()));
+    let shed = obs::counter("shard.shed");
+    let shed_before = shed.get();
+    cube.update(&[6, 0], 2);
+    cube.update(&[7, 0], 2);
+    assert!(shed.get() >= shed_before + 2, "shed without a word");
     // The panicking commit changed the cube before it failed (what
     // COMMIT_FAILED warns of); nothing after it did.
     assert_eq!(cube.query_box(&[0, 0], &[7, 7]), Ok(8));
     assert_eq!(cube.health(), Some(failed.to_string()));
     let m = cube.metrics();
     let counted = (m[0].worker_panics, m[0].ops_applied, m[0].ops_rejected);
-    assert_eq!(counted, (1, 1, 3), "{m:?}");
+    assert_eq!(counted, (1, 1, 5), "{m:?}");
 }
 
 /// The rule on the logged target: a commit that panics *after* its log

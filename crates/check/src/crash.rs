@@ -124,6 +124,7 @@ pub(crate) fn replay_durable(trace: &CheckTrace, config: DdcConfig) -> Result<Du
         &mut rig,
         trace,
         || sizes.gen_range(1..=8usize),
+        || {},
         |records, oracle| {
             // A checkpoint starts the count again from its own state.
             states.truncate(records as usize);

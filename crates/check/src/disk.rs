@@ -8,13 +8,15 @@
 //! in full health or clean degraded mode (reads still matching the
 //! oracle, writes refused with `ReadOnly`, never a panic), and the
 //! indeterminate window of a failed sync barrier is exactly one op
-//! wide. What this module adds is the disk: seeded fault schedules,
-//! the sweep over a probability grid, the shrinker, and the seeded bug.
+//! wide. What this module adds is the disk: seeded fault streams, the
+//! sweep over a probability grid, and the seeded bug.
 //!
-//! Failing fault schedules are delta-debugged ([`shrink_fault_schedule`])
-//! to a minimal list of [`PlannedFault`]s that still reproduces. The
-//! sweep's regression teeth are the committed `tests/faults/*.sched`
-//! schedules: replayed on a disk that loses the retry protocol's tail
+//! A failing run is written down as a trace like any other: the faults
+//! it realised go in as [`CheckOp::Fault`] ops ([`DiskRunReport::inlined`]),
+//! so the trace alone replays the run on a disk with no plan of its own,
+//! and [`shrink_trace`] minimises its ops and faults together. The
+//! sweep's regression teeth are the committed `tests/faults/*.trace`
+//! repros: replayed on a disk that loses the retry protocol's tail
 //! truncations ([`FaultVfs::lose_truncations`], the seeded bug) the
 //! harness must *re-find* a durability violation, and replayed on a
 //! disk that honours them it must come back clean.
@@ -26,7 +28,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use ddc_core::vfs::{MemVfs, Vfs};
 use ddc_core::{DdcConfig, FaultKind, FaultProbs, FaultVfs, PlannedFault};
-use ddc_workload::{ddmin, CheckOp, CheckTrace, CheckTraceConfig, DdcRng};
+use ddc_workload::{shrink_trace, CheckOp, CheckTrace, CheckTraceConfig, DdcRng};
 
 use crate::rig::{walk, Rig, WalkReport, SNAP_PATH};
 
@@ -35,13 +37,16 @@ use crate::rig::{walk, Rig, WalkReport, SNAP_PATH};
 pub struct DiskRunReport {
     /// Contract violations, empty when the run upheld durability.
     pub violations: Vec<String>,
-    /// Every fault that actually fired, in order — replayable via
-    /// [`ddc_core::FaultVfs::explicit_mem`].
+    /// Every fault that actually fired, in order.
     pub faults: Vec<PlannedFault>,
+    /// How many of them fired on a pager's spill file.
+    pub spill_faults: usize,
     /// Mutations acknowledged (and therefore owed durability).
     pub acked: usize,
     /// True when the run ended in degraded read-only mode.
     pub degraded: bool,
+    /// The disk's file-op count as each trace op began.
+    starts: Vec<u64>,
 }
 
 impl DiskRunReport {
@@ -49,12 +54,40 @@ impl DiskRunReport {
     pub fn is_clean(&self) -> bool {
         self.violations.is_empty()
     }
+
+    /// `trace`, the trace this run walked, with the faults it realised
+    /// written in: each as a [`CheckOp::Fault`] before the op during
+    /// which it fired, `after` counted from the file-op count at that
+    /// op's start. The fault ops `trace` held are dropped (what they
+    /// planned and fired is among the realised faults), so the result
+    /// replays this run on [`FaultVfs::explicit_mem`]`(vec![])`.
+    pub fn inlined(&self, trace: &CheckTrace) -> CheckTrace {
+        let mut faults = self.faults.iter().peekable();
+        let mut ops = Vec::with_capacity(trace.ops.len() + self.faults.len());
+        for (i, op) in trace.ops.iter().enumerate() {
+            if let Some(&start) = self.starts.get(i) {
+                // An op that made no file op hands its faults on.
+                let end = self.starts.get(i + 1).copied().unwrap_or(u64::MAX);
+                while let Some(f) = faults.next_if(|f| f.op < end) {
+                    let (after, kind) = (f.op - start, f.kind);
+                    ops.push(CheckOp::Fault { after, kind });
+                }
+            }
+            if !matches!(op, CheckOp::Fault { .. }) {
+                ops.push(op.clone());
+            }
+        }
+        CheckTrace {
+            ops,
+            ..trace.clone()
+        }
+    }
 }
 
 /// Boots the rig on `vfs` (disarmed: the namespace is empty, nothing
 /// can be owed yet) and walks it along `trace` with faults armed,
-/// one commit per update, so a committed schedule fires each fault at
-/// the file op it was recorded at. Panics anywhere in the stack are
+/// one commit per update, so a trace's fault ops fire at the file ops
+/// they were recorded at. Panics anywhere in the stack are
 /// caught and reported as violations — a chaos run must end in health
 /// or clean degradation, never a crash.
 ///
@@ -75,9 +108,11 @@ pub fn run_trace_under_faults(
         violations: vec![what],
         ..Default::default()
     };
+    // Outside the unwind, so a run that panicked still places its faults.
+    let mut starts = Vec::with_capacity(trace.ops.len());
     let walked = catch_unwind(AssertUnwindSafe(|| {
         match Rig::boot(vfs.clone(), trace.dims.len(), config) {
-            Ok(mut rig) => walk(&mut rig, trace, || 1, |_, _| {}),
+            Ok(mut rig) => walk(&mut rig, trace, || 1, || starts.push(vfs.ops()), |_, _| {}),
             Err(e) => broken(format!("fault-free boot failed: {e}")),
         }
     }))
@@ -89,11 +124,14 @@ pub fn run_trace_under_faults(
             .unwrap_or("opaque panic payload");
         broken(format!("panic under disk faults: {msg}"))
     });
+    let spill = |path: &&String| path.ends_with(".spill");
     DiskRunReport {
         violations: walked.violations,
         faults: vfs.realized(),
+        spill_faults: vfs.realized_paths().iter().filter(spill).count(),
         acked: walked.acked,
         degraded: walked.degraded,
+        starts,
     }
 }
 
@@ -136,7 +174,13 @@ pub fn snapshot_sweep(trace: &CheckTrace, config: DdcConfig) -> Result<usize, St
     let dry = FaultVfs::explicit_mem(vec![]);
     let mut marks = Vec::new();
     let mut rig = Rig::boot(dry.clone(), d, config).map_err(|e| format!("dry boot: {e}"))?;
-    let walked = walk(&mut rig, &crashed, || 1, |_, _| marks.push(dry.ops()));
+    let walked = walk(
+        &mut rig,
+        &crashed,
+        || 1,
+        || {},
+        |_, _| marks.push(dry.ops()),
+    );
     if let Some(v) = walked.violations.first() {
         return Err(format!("dry run: {v}"));
     }
@@ -178,149 +222,6 @@ pub fn snapshot_sweep(trace: &CheckTrace, config: DdcConfig) -> Result<usize, St
 }
 
 // ---------------------------------------------------------------------------
-// Seeded schedules: the committed, replayable unit
-// ---------------------------------------------------------------------------
-
-/// A replayable chaos run: everything needed to regenerate the trace
-/// and the fault stream. Serialized as the line-oriented text committed
-/// under `tests/faults/*.sched`.
-#[derive(Clone, Debug, PartialEq)]
-pub struct FaultSchedule {
-    /// Cube dimensionality of the generated trace.
-    pub dims: usize,
-    /// Seed for [`CheckTrace::generate`].
-    pub trace_seed: u64,
-    /// Ops in the generated trace.
-    pub trace_ops: usize,
-    /// Seed for the [`FaultVfs`] fault stream.
-    pub fault_seed: u64,
-    /// Per-kind fault probabilities.
-    pub probs: FaultProbs,
-}
-
-impl FaultSchedule {
-    /// The trace this schedule drives.
-    pub fn trace(&self) -> CheckTrace {
-        let mut rng = DdcRng::seed_from_u64(self.trace_seed);
-        CheckTrace::generate(
-            self.dims,
-            CheckTraceConfig {
-                ops: self.trace_ops,
-                max_cells: 512,
-            },
-            &mut rng,
-        )
-    }
-
-    /// A fresh fault-injecting namespace for one replay.
-    pub fn vfs(&self) -> FaultVfs {
-        FaultVfs::seeded_mem(self.fault_seed, self.probs)
-    }
-
-    /// Serializes to the committed text form.
-    pub fn to_text(&self) -> String {
-        let p = &self.probs;
-        format!(
-            "# ddc check disk fault schedule\n\
-             dims {}\n\
-             trace-seed {:#x}\n\
-             trace-ops {}\n\
-             fault-seed {:#x}\n\
-             p write_err {}\n\
-             p short_write {}\n\
-             p no_space {}\n\
-             p sync_fail {}\n\
-             p read_err {}\n\
-             p read_corrupt {}\n",
-            self.dims,
-            self.trace_seed,
-            self.trace_ops,
-            self.fault_seed,
-            p.write_err,
-            p.short_write,
-            p.no_space,
-            p.sync_fail,
-            p.read_err,
-            p.read_corrupt,
-        )
-    }
-
-    /// Parses the text form; unknown keys are rejected so a typo in a
-    /// committed schedule fails loudly instead of silently weakening it.
-    pub fn parse(text: &str) -> Result<Self, String> {
-        fn int(tok: &str) -> Result<u64, String> {
-            let parsed = match tok.strip_prefix("0x") {
-                Some(hex) => u64::from_str_radix(hex, 16),
-                None => tok.parse(),
-            };
-            parsed.map_err(|e| format!("bad integer {tok:?}: {e}"))
-        }
-        let (mut dims, mut trace_seed, mut trace_ops, mut fault_seed) = (None, None, None, None);
-        let mut probs = FaultProbs::none();
-        for (no, line) in text.lines().enumerate() {
-            let words: Vec<&str> = line.split_whitespace().collect();
-            let err = |what: &str| format!("line {}: {what}: {line:?}", no + 1);
-            match words[..] {
-                [] => {}
-                [comment, ..] if comment.starts_with('#') => {}
-                ["dims", v] => dims = Some(int(v)? as usize),
-                ["trace-seed", v] => trace_seed = Some(int(v)?),
-                ["trace-ops", v] => trace_ops = Some(int(v)? as usize),
-                ["fault-seed", v] => fault_seed = Some(int(v)?),
-                ["p", kind, p] => {
-                    let p: f64 = (p.parse()).map_err(|e| err(&format!("bad probability: {e}")))?;
-                    match kind {
-                        "write_err" => probs.write_err = p,
-                        "short_write" => probs.short_write = p,
-                        "no_space" => probs.no_space = p,
-                        "sync_fail" => probs.sync_fail = p,
-                        "read_err" => probs.read_err = p,
-                        "read_corrupt" => probs.read_corrupt = p,
-                        _ => return Err(err("unknown fault kind")),
-                    }
-                }
-                _ => return Err(err("expected `key value` or `p kind probability`")),
-            }
-        }
-        Ok(Self {
-            dims: dims.ok_or("missing dims")?,
-            trace_seed: trace_seed.ok_or("missing trace-seed")?,
-            trace_ops: trace_ops.ok_or("missing trace-ops")?,
-            fault_seed: fault_seed.ok_or("missing fault-seed")?,
-            probs,
-        })
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Shrinker
-// ---------------------------------------------------------------------------
-
-/// Delta-debugs a failing fault list to a (1-minimal) sublist that
-/// still violates the durability contract when replayed explicitly (on
-/// a disk that loses truncations when `lossy`). Dropping a fault shifts
-/// every later retry, so a candidate that merely breaks alignment stops
-/// failing and is kept — the ddmin fixpoint handles that automatically. `config` is the
-/// engine the violation was found on, so a paged-backend violation
-/// shrinks against the backend that found it.
-pub fn shrink_fault_schedule(
-    trace: &CheckTrace,
-    faults: &[PlannedFault],
-    lossy: bool,
-    config: DdcConfig,
-) -> Vec<PlannedFault> {
-    let fails = |subset: &[PlannedFault]| {
-        let vfs = FaultVfs::explicit_mem(subset.to_vec());
-        vfs.lose_truncations(lossy);
-        !run_trace_under_faults(trace, &vfs, config).is_clean()
-    };
-    if !fails(faults) {
-        return faults.to_vec();
-    }
-    ddmin(faults, |subset| !subset.is_empty() && fails(subset))
-}
-
-// ---------------------------------------------------------------------------
 // The sweep and the seeded-bug re-finder
 // ---------------------------------------------------------------------------
 
@@ -331,7 +232,7 @@ pub struct DiskSweepConfig {
     pub seed: u64,
     /// Seeded traces per (dimension, probability) grid point.
     pub traces: usize,
-    /// Ops per trace.
+    /// Op rolls per trace ([`CheckTraceConfig::ops`]).
     pub trace_ops: usize,
     /// Dimensionalities exercised.
     pub dims: Vec<usize>,
@@ -378,15 +279,43 @@ fn probs_at(p: f64) -> FaultProbs {
     }
 }
 
+/// The `d`-dimensional trace of `ops` rolls a sweep run walks.
+fn seeded_trace(d: usize, seed: u64, ops: usize) -> CheckTrace {
+    let mut rng = DdcRng::seed_from_u64(seed);
+    let config = CheckTraceConfig {
+        ops,
+        max_cells: 512,
+    };
+    CheckTrace::generate(d, config, &mut rng)
+}
+
+/// `trace` walked on a disk with no plan but the trace's own fault ops,
+/// one that loses truncations when `lossy`.
+fn replay(trace: &CheckTrace, lossy: bool, config: DdcConfig) -> DiskRunReport {
+    let vfs = FaultVfs::explicit_mem(vec![]);
+    vfs.lose_truncations(lossy);
+    run_trace_under_faults(trace, &vfs, config)
+}
+
+/// `trace` shrunk with [`shrink_trace`] against its [`replay`] failing,
+/// or as it is if it does not fail there.
+fn shrink_on_disk(trace: &CheckTrace, lossy: bool, config: DdcConfig) -> CheckTrace {
+    let fails = |t: &CheckTrace| !replay(t, lossy, config).is_clean();
+    match fails(trace) {
+        true => shrink_trace(trace, fails),
+        false => trace.clone(),
+    }
+}
+
 /// One surviving contract violation, shrunk and replayable.
 #[derive(Clone, Debug)]
 pub struct DiskViolation {
-    /// The seeded schedule that produced it.
-    pub schedule: FaultSchedule,
     /// First violation message.
     pub detail: String,
-    /// Shrunk explicit fault list that still reproduces.
-    pub shrunk: Vec<PlannedFault>,
+    /// The run's trace with the faults it realised inline.
+    pub trace: CheckTrace,
+    /// `trace` shrunk: ops and faults that still reproduce.
+    pub shrunk: CheckTrace,
 }
 
 /// What a [`disk_sweep`] measured.
@@ -396,6 +325,8 @@ pub struct DiskSweepReport {
     pub runs: usize,
     /// Faults injected across all runs.
     pub faults_injected: usize,
+    /// Of those, the ones that landed on a pager's spill file.
+    pub spill_faults: usize,
     /// Runs that ended in (clean) degraded mode.
     pub degraded_runs: usize,
     /// Mutations acknowledged across all runs.
@@ -412,9 +343,10 @@ impl DiskSweepReport {
 }
 
 /// Runs seeded traces across the fault-probability grid on a disk that
-/// honours truncations. Any violation is shrunk before reporting.
-/// `engine` is the engine config under test — `ddc check disk --paged`
-/// points the whole grid at the buffer-pool leaf backend.
+/// honours truncations. Any violation is written with its faults inline
+/// and shrunk before reporting. `engine` is the engine config under
+/// test — `ddc check disk --paged` points the whole grid at the
+/// buffer-pool leaf backend.
 pub fn disk_sweep(config: &DiskSweepConfig, engine: DdcConfig) -> DiskSweepReport {
     let mut report = DiskSweepReport::default();
     let mut run_index = 0u64;
@@ -422,31 +354,25 @@ pub fn disk_sweep(config: &DiskSweepConfig, engine: DdcConfig) -> DiskSweepRepor
         for &p in &config.grid {
             for t in 0..config.traces {
                 run_index += 1;
-                let schedule = FaultSchedule {
-                    dims: d,
-                    trace_seed: config
-                        .seed
-                        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                        .wrapping_add(run_index),
-                    trace_ops: config.trace_ops,
-                    fault_seed: config.seed ^ (run_index << 20) ^ t as u64,
-                    probs: probs_at(p),
-                };
-                let trace = schedule.trace();
-                let vfs = schedule.vfs();
+                let trace_seed =
+                    (config.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15)).wrapping_add(run_index);
+                let fault_seed = config.seed ^ (run_index << 20) ^ t as u64;
+                let trace = seeded_trace(d, trace_seed, config.trace_ops);
+                let vfs = FaultVfs::seeded_mem(fault_seed, probs_at(p));
                 let run = run_trace_under_faults(&trace, &vfs, engine);
                 report.runs += 1;
                 report.faults_injected += run.faults.len();
+                report.spill_faults += run.spill_faults;
                 report.acked += run.acked;
                 if run.degraded {
                     report.degraded_runs += 1;
                 }
                 if let Some(detail) = run.violations.first() {
-                    let shrunk = shrink_fault_schedule(&trace, &run.faults, false, engine);
+                    let trace = run.inlined(&trace);
                     report.violations.push(DiskViolation {
-                        schedule,
                         detail: detail.clone(),
-                        shrunk,
+                        shrunk: shrink_on_disk(&trace, false, engine),
+                        trace,
                     });
                 }
             }
@@ -455,43 +381,32 @@ pub fn disk_sweep(config: &DiskSweepConfig, engine: DdcConfig) -> DiskSweepRepor
     report
 }
 
-/// What replaying one committed schedule against the seeded bug found.
+/// What replaying one committed repro against the seeded bug found.
 #[derive(Clone, Debug)]
 pub struct RefindReport {
     /// First violation the lossy disk produced.
     pub violation: String,
-    /// Faults the lossy run injected.
-    pub faults: usize,
-    /// Shrunk fault list still reproducing on the lossy disk.
-    pub shrunk: Vec<PlannedFault>,
+    /// The repro shrunk: ops and faults still failing on the lossy disk.
+    pub shrunk: CheckTrace,
 }
 
-/// Replays a committed schedule twice: on a disk that loses
-/// truncations ([`FaultVfs::lose_truncations`]) the harness must
-/// re-find a durability violation (the seeded bug), and on one that
-/// honours them the same schedule must come back clean. `Err` means the
-/// harness lost its teeth — a CI failure.
-pub fn refind_seeded_bug(schedule: &FaultSchedule) -> Result<RefindReport, String> {
-    let trace = schedule.trace();
-    let vfs = schedule.vfs();
-    vfs.lose_truncations(true);
-    let lossy_run = run_trace_under_faults(&trace, &vfs, DdcConfig::dynamic());
-    let Some(violation) = lossy_run.violations.first().cloned() else {
-        return Err(
-            "schedule no longer re-finds the seeded torn-tail bug when truncations are lost"
-                .to_string(),
-        );
+/// Replays a committed repro twice, on disks with no plan of their own
+/// (its fault ops are the plan): on one that loses truncations
+/// ([`FaultVfs::lose_truncations`]) the harness must re-find a
+/// durability violation (the seeded bug), and on one that honours them
+/// the same trace must come back clean. `Err` means the harness lost
+/// its teeth — a CI failure.
+pub fn refind_seeded_bug(trace: &CheckTrace) -> Result<RefindReport, String> {
+    let config = DdcConfig::dynamic();
+    let Some(violation) = replay(trace, true, config).violations.first().cloned() else {
+        return Err("no violation on a disk that loses truncations".to_string());
     };
-    let production = run_trace_under_faults(&trace, &schedule.vfs(), DdcConfig::dynamic());
-    if let Some(v) = production.violations.first() {
-        return Err(format!(
-            "schedule violates durability on a disk that HONOURS truncations: {v}"
-        ));
+    if let Some(v) = replay(trace, false, config).violations.first() {
+        return Err(format!("violation on a disk that HONOURS truncations: {v}"));
     }
     Ok(RefindReport {
         violation,
-        faults: lossy_run.faults.len(),
-        shrunk: shrink_fault_schedule(&trace, &lossy_run.faults, true, DdcConfig::dynamic()),
+        shrunk: shrink_on_disk(trace, true, config),
     })
 }
 
@@ -532,23 +447,15 @@ mod tests {
             .with_paged_leaves(PagerConfig::disk(512).with_page_bytes(256));
         let mut spill_faulted = false;
         for salt in 0..32u64 {
-            let schedule = FaultSchedule {
-                dims: 2,
-                trace_seed: 0x5B1F ^ salt,
-                trace_ops: 60,
-                fault_seed: 0xFA57 ^ (salt << 8),
-                probs: probs_at(0.05),
-            };
-            let vfs = schedule.vfs();
-            let run = run_trace_under_faults(&schedule.trace(), &vfs, engine);
+            let vfs = FaultVfs::seeded_mem(0xFA57 ^ (salt << 8), probs_at(0.05));
+            let run = run_trace_under_faults(&seeded_trace(2, 0x5B1F ^ salt, 60), &vfs, engine);
             assert!(
                 run.violations.is_empty(),
                 "paged run under spill faults violated the contract: {:?}",
                 run.violations
             );
-            let paths = vfs.realized_paths();
-            assert_eq!(paths.len(), run.faults.len());
-            if paths.iter().any(|p| p.ends_with(".spill")) {
+            assert_eq!(vfs.realized_paths().len(), run.faults.len());
+            if run.spill_faults > 0 {
                 spill_faulted = true;
                 break;
             }
@@ -560,45 +467,32 @@ mod tests {
         );
     }
 
+    /// A seeded run written with its faults inline replays on a disk
+    /// with no plan of its own: the same faults at the same file ops,
+    /// the same verdict, the same acknowledgements — and so does the
+    /// inlined trace's text.
     #[test]
     fn explicit_replay_of_realized_faults_is_deterministic() {
-        let schedule = FaultSchedule {
-            dims: 2,
-            trace_seed: 0x51,
-            trace_ops: 50,
-            fault_seed: 0x52,
-            probs: probs_at(0.08),
-        };
-        let trace = schedule.trace();
-        let seeded = run_trace_under_faults(&trace, &schedule.vfs(), DdcConfig::dynamic());
-        let replay_vfs = FaultVfs::explicit_mem(seeded.faults.clone());
-        let replay = run_trace_under_faults(&trace, &replay_vfs, DdcConfig::dynamic());
-        assert_eq!(seeded.faults, replay.faults);
-        assert_eq!(seeded.violations, replay.violations);
-        assert_eq!(seeded.acked, replay.acked);
-    }
-
-    #[test]
-    fn schedule_text_round_trips() {
-        let schedule = FaultSchedule {
-            dims: 3,
-            trace_seed: 0xDEAD_BEEF,
-            trace_ops: 77,
-            fault_seed: 42,
-            probs: FaultProbs {
-                write_err: 0.01,
-                short_write: 0.25,
-                no_space: 0.0,
-                sync_fail: 0.125,
-                read_err: 0.0,
-                read_corrupt: 0.0625,
-            },
-        };
-        let parsed = FaultSchedule::parse(&schedule.to_text()).expect("round trip");
-        assert_eq!(parsed, schedule);
-        assert!(FaultSchedule::parse("dims 2\nbogus 4\n").is_err());
-        assert!(FaultSchedule::parse("p gremlins 0.5\n").is_err());
-        assert!(FaultSchedule::parse("dims 2\n").is_err(), "missing fields");
+        let trace = seeded_trace(2, 0x51, 50);
+        let seeded = run_trace_under_faults(
+            &trace,
+            &FaultVfs::seeded_mem(0x52, probs_at(0.08)),
+            DdcConfig::dynamic(),
+        );
+        assert!(seeded.faults.len() > 1, "{seeded:?}");
+        let inlined = seeded.inlined(&trace);
+        assert_eq!(inlined.faults(), seeded.faults.len());
+        assert_eq!(inlined.ops.len(), trace.ops.len() + seeded.faults.len());
+        let text = CheckTrace::parse(&inlined.to_text()).expect("parses");
+        for replayed in [&inlined, &text] {
+            // On `FaultVfs::explicit_mem(vec![])`: the trace is the plan.
+            let replay = replay(replayed, false, DdcConfig::dynamic());
+            assert_eq!(seeded.faults, replay.faults);
+            assert_eq!(seeded.violations, replay.violations);
+            assert_eq!(seeded.acked, replay.acked);
+            // Inlining the replay changes nothing.
+            assert_eq!(replay.inlined(replayed), inlined);
+        }
     }
 
     #[test]
@@ -606,55 +500,36 @@ mod tests {
         // A plan that throws ENOSPC at every write once armed: the very
         // first logged op degrades the cube; queries must keep serving
         // the (empty-prefix) acked state and recovery must be exact.
-        let schedule = FaultSchedule {
-            dims: 2,
-            trace_seed: 0x77,
-            trace_ops: 40,
-            fault_seed: 0x78,
-            probs: FaultProbs {
-                no_space: 1.0,
-                ..FaultProbs::none()
-            },
+        let probs = FaultProbs {
+            no_space: 1.0,
+            ..FaultProbs::none()
         };
-        let trace = schedule.trace();
-        let run = run_trace_under_faults(&trace, &schedule.vfs(), DdcConfig::dynamic());
+        let trace = seeded_trace(2, 0x77, 40);
+        let vfs = FaultVfs::seeded_mem(0x78, probs);
+        let run = run_trace_under_faults(&trace, &vfs, DdcConfig::dynamic());
         assert!(run.is_clean(), "{:?}", run.violations);
         assert!(!run.faults.is_empty());
     }
 
     #[test]
     fn shrinker_reduces_a_failing_schedule_and_keeps_it_failing() {
-        // Find a lost-truncation failure, then shrink it.
-        let mut found = None;
-        for seed in 0..64u64 {
-            let schedule = FaultSchedule {
-                dims: 2,
-                trace_seed: seed.wrapping_mul(131) + 7,
-                trace_ops: 40,
-                fault_seed: seed,
-                probs: FaultProbs {
-                    short_write: 0.3,
-                    ..FaultProbs::none()
-                },
-            };
-            let trace = schedule.trace();
-            let vfs = schedule.vfs();
+        // Find a lost-truncation failure, then shrink it: ops and faults.
+        let probs = FaultProbs {
+            short_write: 0.3,
+            ..FaultProbs::none()
+        };
+        let found = (0..64u64).find_map(|seed| {
+            let trace = seeded_trace(2, seed.wrapping_mul(131) + 7, 40);
+            let vfs = FaultVfs::seeded_mem(seed, probs);
             vfs.lose_truncations(true);
             let run = run_trace_under_faults(&trace, &vfs, DdcConfig::dynamic());
-            if !run.is_clean() && run.faults.len() >= 2 {
-                found = Some((trace, run.faults));
-                break;
-            }
-        }
-        let (trace, faults) = found.expect("some seed exposes the lost truncations");
-        let shrunk = shrink_fault_schedule(&trace, &faults, true, DdcConfig::dynamic());
-        assert!(!shrunk.is_empty());
-        assert!(shrunk.len() <= faults.len());
-        let vfs = FaultVfs::explicit_mem(shrunk.clone());
-        vfs.lose_truncations(true);
-        assert!(
-            !run_trace_under_faults(&trace, &vfs, DdcConfig::dynamic()).is_clean(),
-            "shrunk schedule must still reproduce"
-        );
+            (!run.is_clean() && run.faults.len() >= 2).then(|| run.inlined(&trace))
+        });
+        let trace = found.expect("some seed exposes the lost truncations");
+        let shrunk = shrink_on_disk(&trace, true, DdcConfig::dynamic());
+        assert!(shrunk.faults() >= 1 && shrunk.faults() <= trace.faults());
+        assert!(shrunk.ops.len() < trace.ops.len(), "{}", shrunk.to_text());
+        let again = replay(&shrunk, true, DdcConfig::dynamic());
+        assert!(!again.is_clean(), "shrunk trace must still reproduce");
     }
 }

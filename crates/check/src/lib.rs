@@ -6,13 +6,15 @@
 //! concurrent cubes, and both growable cubes — is driven through the
 //! same randomized [`ddc_workload::CheckTrace`] op streams (updates,
 //! sets, range queries, cell reads, growth in any direction, save/load
-//! round-trips, flush barriers) and compared answer-by-answer against a
+//! round-trips, kills) and compared answer-by-answer against a
 //! sparse hash-map oracle. [`run_trace_on`] is the workspace's one
 //! differential path: the suites that compare engines hand it their own
 //! traces and engine sets rather than keep a harness of their own.
 //!
 //! On divergence the trace is **shrunk** (delta debugging over ops,
-//! then coordinate/value minimization) to a replayable text repro.
+//! then coordinate/value minimization) to a replayable text repro. A
+//! disk-fault repro is the same format: its faults are ops of the trace
+//! (`X` lines), replayed by the durable rig, shrunk by the same shrinker.
 //!
 //! Everything durable runs on one rig (`rig.rs`) — a `DurableCube` on a
 //! `Vfs`, booted, checkpointed and crashed by the calls `ddc serve
@@ -45,8 +47,8 @@ pub use adapters::{
 pub use buggy::{roster_with_bug, OffByOneEngine, ParserQuirk};
 pub use crash::{corruption_divergence, crash_sweep, CrashSweepReport};
 pub use disk::{
-    disk_sweep, refind_seeded_bug, run_trace_under_faults, shrink_fault_schedule, snapshot_sweep,
-    DiskRunReport, DiskSweepConfig, DiskSweepReport, DiskViolation, FaultSchedule, RefindReport,
+    disk_sweep, refind_seeded_bug, run_trace_under_faults, snapshot_sweep, DiskRunReport,
+    DiskSweepConfig, DiskSweepReport, DiskViolation, RefindReport,
 };
 pub use oracle::Oracle;
 pub use runner::{

@@ -10,7 +10,9 @@
 //! durable cube holds a [`Rig`] — the roster's `durable-*` engines and
 //! the kill sweep on a [`MemVfs`], the chaos sweep on a [`FaultVfs`] —
 //! and [`walk`] is the one replay of a [`CheckTrace`] against it, beside
-//! the [`Oracle`] of acknowledged ops.
+//! the [`Oracle`] of acknowledged ops. A trace's [`CheckOp::Fault`] is
+//! planned on the disk as the walk reaches it; a [`MemVfs`] cannot fail
+//! and ignores it.
 //!
 //! The contract [`walk`] checks at every step and at a final recovery:
 //!
@@ -30,7 +32,7 @@ use std::io;
 
 use ddc_core::vfs::{MemVfs, Vfs};
 use ddc_core::wal::{self, IoError, RetryPolicy};
-use ddc_core::{DdcConfig, DurableCube, FaultVfs};
+use ddc_core::{DdcConfig, DurableCube, FaultKind, FaultVfs};
 use ddc_workload::{CheckOp, CheckTrace};
 
 use crate::oracle::Oracle;
@@ -40,8 +42,8 @@ pub(crate) const WAL_PATH: &str = "wal.log";
 /// Snapshot path inside the rig's namespace.
 pub(crate) const SNAP_PATH: &str = "snapshot.ddc";
 
-/// The rig's disk: a namespace, plus the two switches a fault-injecting
-/// one has (no-ops on a disk that cannot fail).
+/// The rig's disk: a namespace, plus the three switches a
+/// fault-injecting one has (no-ops on a disk that cannot fail).
 pub(crate) trait RigDisk: Vfs {
     /// Arms or disarms fault injection.
     fn arm(&self, _on: bool) {}
@@ -49,6 +51,8 @@ pub(crate) trait RigDisk: Vfs {
     fn lose_truncations(&self, _on: bool) -> bool {
         false
     }
+    /// Fails the `after`-th file operation from now with `kind`.
+    fn plan(&self, _after: u64, _kind: FaultKind) {}
 }
 
 impl RigDisk for MemVfs {}
@@ -59,6 +63,9 @@ impl RigDisk for FaultVfs {
     }
     fn lose_truncations(&self, on: bool) -> bool {
         FaultVfs::lose_truncations(self, on)
+    }
+    fn plan(&self, after: u64, kind: FaultKind) {
+        FaultVfs::plan(self, after, kind);
     }
 }
 
@@ -155,11 +162,14 @@ struct Ledger {
 /// arming the disk for the ops and disarming it for a final kill and
 /// recovery. Consecutive updates are committed
 /// [`DurableCube::add_group`]s of `group_size()` records (asked once per
-/// group; the chaos sweep says 1, so that a committed fault schedule
-/// fires at the same file ops), a [`CheckOp::Set`] is [`Rig::set`], a
-/// commit of its own, [`CheckOp::Grow`] writes nothing (the cube grows
+/// group; the chaos sweep says 1, so that a trace's faults fire at the
+/// file ops they were recorded at), a [`CheckOp::Set`] is [`Rig::set`],
+/// a commit of its own, [`CheckOp::Grow`] writes nothing (the cube grows
 /// where the data lands), [`CheckOp::SaveLoad`] checkpoints,
-/// [`CheckOp::Crash`] kills and re-boots. `logged(n, oracle)` is called
+/// [`CheckOp::Crash`] kills and re-boots, and a [`CheckOp::Fault`] is
+/// planned on the disk ([`RigDisk::plan`]). `began()` is called as each
+/// op begins (an update committed with the one before it begins with
+/// it). `logged(n, oracle)` is called
 /// whenever the log is known to hold `n` records with `oracle` the
 /// state they and the snapshot add up to: at the start, after each
 /// acknowledged record, after a checkpoint (`n` = 0).
@@ -167,6 +177,7 @@ pub(crate) fn walk<V: RigDisk>(
     rig: &mut Rig<V>,
     trace: &CheckTrace,
     mut group_size: impl FnMut() -> usize,
+    mut began: impl FnMut(),
     mut logged: impl FnMut(u64, &Oracle),
 ) -> WalkReport
 where
@@ -182,6 +193,7 @@ where
 
     let mut ops = trace.ops.iter().enumerate().peekable();
     while let Some((i, op)) = ops.next() {
+        began();
         match op {
             CheckOp::Update { point, delta } => {
                 // This update and the ones right behind it: one commit.
@@ -192,6 +204,7 @@ where
                         break;
                     };
                     group.push((point.clone(), *delta));
+                    began();
                     ops.next();
                 }
                 match rig.durable.add_group(&group) {
@@ -257,7 +270,8 @@ where
                     return book.report;
                 }
             }
-            CheckOp::Grow { .. } | CheckOp::Flush => {}
+            CheckOp::Fault { after, kind } => rig.vfs.plan(*after, *kind),
+            CheckOp::Grow { .. } => {}
         }
     }
 
@@ -406,9 +420,9 @@ mod tests {
         }
     }
 
-    /// A mutation the log refuses is the runner's to report — a typed
-    /// error in a `Divergence` the shrinker can work on, not an unwind
-    /// through the fuzzer.
+    /// A mutation the log refuses, or a disk fault the roster cannot
+    /// take, is the runner's to report — a typed error in a `Divergence`
+    /// the shrinker can work on, not an unwind through the fuzzer.
     #[test]
     fn a_refused_mutation_is_a_divergence_not_a_panic() {
         let trace = CheckTrace {
@@ -434,6 +448,15 @@ mod tests {
             ("durable-wal", 1)
         );
         assert!(refused.what.starts_with("durable: "), "{}", refused.what);
+
+        // A disk fault is the rig's to take, not the roster's.
+        let mut faulted = trace.clone();
+        let kind = ddc_core::FaultKind::SyncFail;
+        faulted.ops.insert(1, CheckOp::Fault { after: 0, kind });
+        let engine = DurableEngine::new("durable-wal", MemVfs::new(), &init, DdcConfig::dynamic());
+        let refused = run_trace_on(&faulted, vec![Box::new(engine)]).expect_err("refused");
+        assert_eq!(refused.op_index, 1);
+        assert!(refused.what.starts_with("fault: "), "{}", refused.what);
     }
 
     /// The half of `recover_vfs` a recovery from byte slices never runs:

@@ -27,7 +27,7 @@ pub struct Divergence {
     /// Which answer diverged (`range_sum`, `cell`, `set-old`,
     /// `final-total`), or which op the engine could not carry out
     /// (`save/load: …`, `crash-recovery: …`, `durable: …` for a mutation
-    /// its log refused).
+    /// its log refused, `fault: …` for a disk fault).
     pub what: String,
 }
 
@@ -145,8 +145,14 @@ pub fn run_trace_on(
                         .map_err(|msg| diverged(&**e, i, op, format!("save/load: {msg}"), 0, 0))?;
                 }
             }
-            // No engine queues writes: a flush is a no-op everywhere.
-            CheckOp::Flush => {}
+            // The roster's engines live on disks that cannot fail; a
+            // trace with faults is the durable rig's (`ddc check replay`).
+            CheckOp::Fault { .. } => {
+                if let Some(e) = engines.first() {
+                    let what = "fault: the roster takes no disk faults".to_string();
+                    return Err(diverged(&**e, i, op, what, 0, 0));
+                }
+            }
             CheckOp::Crash => {
                 for e in engines.iter_mut() {
                     e.crash().map_err(|msg| {

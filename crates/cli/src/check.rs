@@ -12,7 +12,9 @@
 //! `run` fuzzes every engine against the oracle; on divergence the
 //! shrunk repro is written to `--out` (default `ddc-divergence.trace`)
 //! and the command fails. `replay` re-executes a repro file — the
-//! round-trip that makes a shrunk trace an actionable bug report.
+//! round-trip that makes a shrunk trace an actionable bug report; a
+//! trace with fault ops (`X` lines) is a disk repro and replays on the
+//! durable rig over a fault-injecting disk that honours truncations.
 //! `faults` sweeps a fault across every byte offset of the snapshot a
 //! seeded trace's checkpoint writes, on the in-memory and the paged
 //! leaf backend: a torn write, a cut `snapshot.ddc` and a failed or
@@ -27,8 +29,10 @@
 //! seeded parser bugs (stream transforms in front of the real parser)
 //! are found. `disk` runs the disk-fault chaos sweep: seeded traces
 //! against a fault-injecting VFS across a fault-probability grid (no
-//! acked update lost; every run ends healthy or cleanly degraded), then
-//! replays the committed `tests/faults/*.sched` schedules on a disk
+//! acked update lost; every run ends healthy or cleanly degraded; a
+//! violation is written with its faults inline, shrunk, to
+//! `ddc-divergence.trace`), then replays the committed repros in
+//! `--schedules DIR` (default `tests/faults`, every `*.trace`) on a disk
 //! that loses the retry protocol's tail truncations and verifies both
 //! seeded corruption classes are re-found. `crash`, `disk`, `faults`
 //! and the roster's durable engines under `run` drive one rig — a
@@ -37,35 +41,42 @@
 //!
 //! `--paged` (on `crash` and `disk`) runs the same sweep with the
 //! out-of-core leaf backend: a buffer pool under a deliberately tiny
-//! memory cap, so recovery replays the log onto evicting pages.
+//! memory cap, so recovery replays the log onto evicting pages. The
+//! disk sweep's pool is two pages, so faults land on the spill file;
+//! it reports how many and fails if none did.
 //!
 //! Every subcommand refuses an argument it does not accept: a misspelt
 //! `--paged` is a usage error, not a sweep of the default backend.
 
 use ddc_check::{
-    crash_sweep, disk_sweep, fuzz, refind_seeded_bug, run_trace, snapshot_sweep, DiskSweepConfig,
-    FaultSchedule,
+    crash_sweep, disk_sweep, fuzz, refind_seeded_bug, run_trace, run_trace_under_faults,
+    snapshot_sweep, DiskSweepConfig,
 };
-use ddc_core::{DdcConfig, PagerConfig, MAX_RANK};
+use ddc_core::{DdcConfig, FaultVfs, PagerConfig, MAX_RANK};
 use ddc_workload::{CheckTrace, CheckTraceConfig, DdcRng};
 
 use crate::flags::Flags;
 
 /// The engine a `crash`, `disk` or `faults` sweep runs on, and what its
-/// report calls the backend. Paged is leaf blocks (elision 1) behind a
-/// buffer pool small enough that every nontrivial trace evicts: the
-/// crash sweep spills to memory; the disk and snapshot sweeps ask for a
-/// `disk` pager, which `recover_vfs` opens inside the sweep's
-/// fault-injecting (in-memory) namespace.
-fn engine_under_sweep(paged: bool, pager: fn(usize) -> PagerConfig) -> (DdcConfig, &'static str) {
+/// report calls the backend. Paged is leaf blocks (elision 1) of 256-byte
+/// pages behind `pool`: the crash sweep spills to memory; the disk and
+/// snapshot sweeps ask for a `disk` pager, which `recover_vfs` opens
+/// inside the sweep's fault-injecting (in-memory) namespace.
+fn engine_under_sweep(paged: bool, pool: PagerConfig) -> (DdcConfig, &'static str) {
     let config = DdcConfig::dynamic();
     match paged {
         true => {
-            let pool = pager(8 * 1024).with_page_bytes(256);
+            let pool = pool.with_page_bytes(256);
             (config.with_elision(1).with_paged_leaves(pool), "paged")
         }
         false => (config, "slab"),
     }
+}
+
+/// `N ops + F faults`: a disk repro's length, its fault ops apart.
+fn repro_length(trace: &CheckTrace) -> String {
+    let faults = trace.faults();
+    format!("{} ops + {faults} faults", trace.ops.len() - faults)
 }
 
 /// Where a shrunk repro goes unless `--out` says otherwise.
@@ -138,7 +149,7 @@ pub fn run(args: &[String]) -> Result<String, String> {
             };
             let trace = CheckTrace::generate(2, config, &mut rng);
             let sweep = |paged| {
-                let (engine, backend) = engine_under_sweep(paged, PagerConfig::disk);
+                let (engine, backend) = engine_under_sweep(paged, PagerConfig::disk(8 * 1024));
                 snapshot_sweep(&trace, engine).map_err(|e| {
                     format!("snapshot fault sweep ({backend} backend, seed {seed}): {e}")
                 })
@@ -155,7 +166,8 @@ pub fn run(args: &[String]) -> Result<String, String> {
             let cases = flags.num("--cases")?.unwrap_or(12usize);
             let ops = flags.num("--ops")?.unwrap_or(120usize);
             let out_path = flags.value("--out").unwrap_or(DEFAULT_OUT);
-            let (engine, backend) = engine_under_sweep(flags.has("--paged"), PagerConfig::in_mem);
+            let pool = PagerConfig::in_mem(8 * 1024);
+            let (engine, backend) = engine_under_sweep(flags.has("--paged"), pool);
             let fails = |t: &CheckTrace| crash_sweep(t, engine).map_or(true, |r| !r.is_clean());
             let mut offsets = 0usize;
             let mut recoveries = 0usize;
@@ -244,36 +256,54 @@ pub fn run(args: &[String]) -> Result<String, String> {
         Some("disk") => {
             let flags = Flags::parse(rest, &["--seed", "--schedules"], &["--quick", "--paged"])?;
             let seed = flags.num("--seed")?.unwrap_or(0xD15Cu64);
-            let schedules_dir = flags.value("--schedules").unwrap_or("tests/faults");
+            let repro_dir = flags.value("--schedules").unwrap_or("tests/faults");
             let config = if flags.has("--quick") {
                 DiskSweepConfig::quick(seed)
             } else {
                 DiskSweepConfig::full(seed)
             };
-            let (engine, backend) = engine_under_sweep(flags.has("--paged"), PagerConfig::disk);
+            // A two-page pool: the grid's traces evict, so faults land on
+            // the spill file's write-backs and fault-ins.
+            let paged = flags.has("--paged");
+            let (engine, backend) = engine_under_sweep(paged, PagerConfig::disk(512));
             let report = disk_sweep(&config, engine);
             if let Some(v) = report.violations.first() {
+                std::fs::write(DEFAULT_OUT, v.shrunk.to_text())
+                    .map_err(|e| format!("cannot write {DEFAULT_OUT}: {e}"))?;
                 return Err(format!(
                     "disk-fault violation (seed {seed}): {}\n\
-                     schedule:\n{}\
-                     shrunk to {} faults: {:?}",
+                     {} shrunk to {} -> {DEFAULT_OUT}\n\
+                     replay with: ddc check replay {DEFAULT_OUT}",
                     v.detail,
-                    v.schedule.to_text(),
-                    v.shrunk.len(),
-                    v.shrunk
+                    repro_length(&v.trace),
+                    repro_length(&v.shrunk),
                 ));
             }
-            // Regression teeth: every committed schedule must re-find a
+            let mut lines = vec![format!(
+                "ok: disk sweep: {} runs, {} faults injected, {} acked ops, \
+                 {} degraded runs, 0 violations ({backend} backend, seed {seed})",
+                report.runs, report.faults_injected, report.acked, report.degraded_runs,
+            )];
+            if paged {
+                if report.spill_faults == 0 {
+                    return Err(format!(
+                        "{}\nno fault landed on a spill file: the paged sweep is vacuous",
+                        lines[0]
+                    ));
+                }
+                lines.push(format!("spill faults: {}", report.spill_faults));
+            }
+            // Regression teeth: every committed repro must re-find a
             // violation when the tail-truncation protocol is disabled.
-            let mut entries: Vec<_> = std::fs::read_dir(schedules_dir)
-                .map_err(|e| format!("cannot read schedule dir {schedules_dir}: {e}"))?
+            let mut entries: Vec<_> = std::fs::read_dir(repro_dir)
+                .map_err(|e| format!("cannot read repro dir {repro_dir}: {e}"))?
                 .filter_map(Result::ok)
                 .map(|d| d.path())
-                .filter(|p| p.extension().is_some_and(|x| x == "sched"))
+                .filter(|p| p.extension().is_some_and(|x| x == "trace"))
                 .collect();
             entries.sort();
             if entries.is_empty() {
-                return Err(format!("no .sched schedules in {schedules_dir}"));
+                return Err(format!("no .trace repros in {repro_dir}"));
             }
             let mut refound = Vec::new();
             for path in &entries {
@@ -283,34 +313,46 @@ pub fn run(args: &[String]) -> Result<String, String> {
                     .unwrap_or_else(|| path.display().to_string());
                 let text = std::fs::read_to_string(path)
                     .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-                let schedule = FaultSchedule::parse(&text).map_err(|e| format!("{name}: {e}"))?;
-                let r = refind_seeded_bug(&schedule).map_err(|e| format!("{name}: {e}"))?;
+                let trace = CheckTrace::parse(&text).map_err(|e| format!("{name}: {e}"))?;
+                let r = refind_seeded_bug(&trace).map_err(|e| format!("{name}: {e}"))?;
                 refound.push(format!(
-                    "{name} ({} faults, shrunk to {}): {}",
-                    r.faults,
-                    r.shrunk.len(),
+                    "{name} ({}, shrunk to {}): {}",
+                    repro_length(&trace),
+                    repro_length(&r.shrunk),
                     r.violation
                 ));
             }
-            Ok(format!(
-                "ok: disk sweep: {} runs, {} faults injected, {} acked ops, \
-                 {} degraded runs, 0 violations ({backend} backend, seed {seed})\n\
-                 seeded bugs re-found: {}/{}\n  {}",
-                report.runs,
-                report.faults_injected,
-                report.acked,
-                report.degraded_runs,
+            lines.push(format!(
+                "seeded bugs re-found: {}/{}",
                 refound.len(),
-                entries.len(),
-                refound.join("\n  ")
-            ))
+                entries.len()
+            ));
+            lines.extend(refound.iter().map(|r| format!("  {r}")));
+            Ok(lines.join("\n"))
         }
         _ => Err("usage: ddc check run|replay|faults|crash|serve|disk …".to_string()),
     }
 }
 
-/// Replays a parsed trace, reporting stats or the divergence.
+/// Replays a parsed trace, reporting stats or the divergence. A trace
+/// with fault ops is a disk repro: it is walked by the durable rig on a
+/// fault-injecting disk that honours truncations and has no plan but
+/// the trace's.
 pub fn replay_text(label: &str, trace: &CheckTrace) -> Result<String, String> {
+    if trace.faults() > 0 {
+        let vfs = FaultVfs::explicit_mem(vec![]);
+        let run = run_trace_under_faults(trace, &vfs, DdcConfig::dynamic());
+        let summary = format!(
+            "{label}: {} on the durable rig, {} faults fired, {} acked",
+            repro_length(trace),
+            run.faults.len(),
+            run.acked
+        );
+        return match run.violations.first() {
+            None => Ok(format!("ok: {summary}, 0 violations")),
+            Some(v) => Err(format!("{summary}: {v}")),
+        };
+    }
     match run_trace(trace) {
         Ok(stats) => Ok(format!(
             "ok: {label}: {} ops replayed, {} answers compared, 0 divergences",
@@ -351,6 +393,22 @@ mod tests {
         let err = refusal(&["replay", &path.display().to_string()]);
         std::fs::remove_file(&path).ok();
         assert!(err.contains("MAX_RANK = 8"), "{err}");
+    }
+
+    #[test]
+    fn check_replay_walks_a_fault_trace_on_the_durable_rig() {
+        let path = std::env::temp_dir().join(format!("ddc-fault-{}.trace", std::process::id()));
+        std::fs::write(&path, "shape 2 2\nX 0 short 1\nU 0 0 1\nK\n").expect("trace");
+        let args = ["replay".to_string(), path.display().to_string()];
+        let report = run(&args);
+        std::fs::remove_file(&path).ok();
+        let report = report.expect("an honest disk loses nothing");
+        assert!(
+            report.ends_with(
+                "2 ops + 1 faults on the durable rig, 1 faults fired, 1 acked, 0 violations"
+            ),
+            "{report}"
+        );
     }
 
     #[test]

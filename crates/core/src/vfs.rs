@@ -22,10 +22,12 @@
 //! * [`StdVfs`] — thin `std::fs` passthrough, the production default.
 //! * [`MemVfs`] — shared in-memory namespace for tests and harnesses.
 //! * [`FaultVfs`] — a deterministic fault-injecting *wrapper* around a
-//!   [`MemVfs`]. Faults are drawn from a seeded [`DdcRng`] plan (or
-//!   an explicit per-op schedule) and every realized fault is recorded,
-//!   so a failing chaos run replays byte-for-byte and shrinks with
-//!   delta debugging (`ddc check disk`).
+//!   [`MemVfs`]. Faults are drawn from a seeded [`DdcRng`] plan, or
+//!   planned at given op indices (an explicit list, or a trace's fault
+//!   ops as the walk reaches them), and every realized fault is
+//!   recorded, so `ddc check disk` writes a failing chaos run as a
+//!   trace with its faults inline that replays byte-for-byte and
+//!   shrinks like any other.
 //! * [`IoError`] / [`RetryPolicy`] — what a failure on this seam means
 //!   for the caller's state, and how long a caller keeps retrying a
 //!   transient one before it degrades.
@@ -54,6 +56,10 @@ use crate::growth::GrowthError;
 use crate::sync::untracked::{Mutex, MutexGuard};
 use crate::sync::{Arc, PoisonError};
 use ddc_workload::DdcRng;
+/// The injectable fault kinds (see the module docs' table). A trace's
+/// [`ddc_workload::CheckOp::Fault`] carries one, so the type lives with
+/// the trace format.
+pub use ddc_workload::FaultKind;
 use std::collections::HashMap;
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::time::Duration;
@@ -544,35 +550,6 @@ pub struct PlannedFault {
     pub kind: FaultKind,
 }
 
-/// The injectable fault kinds. See the module docs for the table of
-/// which file operation each applies to.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum FaultKind {
-    /// `write_all` fails with EIO; nothing is written.
-    WriteErr,
-    /// `write_all` persists only the first `keep` bytes, then fails
-    /// with EIO — a torn append.
-    ShortWrite {
-        /// Bytes that land before the failure.
-        keep: u32,
-    },
-    /// `write_all` fails with ENOSPC; nothing is written.
-    NoSpace,
-    /// `sync` fails with EIO. The preceding writes reached the store,
-    /// so the frame's durability is ambiguous — the classic commit
-    /// window the WAL's truncate-on-retry protocol exists for.
-    SyncFail,
-    /// `read_at` fails with EIO.
-    ReadErr,
-    /// `read_at` succeeds but bit `bit` (counting from the start of the
-    /// returned buffer) is flipped in the copy handed to the caller;
-    /// the stored bytes are untouched, so a re-read sees clean data.
-    ReadCorrupt {
-        /// Bit index within the bytes returned by this read.
-        bit: u32,
-    },
-}
-
 /// Per-operation fault probabilities for a seeded plan. At most one
 /// fault fires per file op; probabilities for the kinds applicable to
 /// that op are stacked cumulatively.
@@ -618,22 +595,20 @@ impl FaultProbs {
     }
 }
 
-/// Where a [`FaultVfs`] gets its faults from.
-enum PlanState {
-    Seeded { rng: DdcRng, probs: FaultProbs },
-    Explicit(HashMap<u64, FaultKind>),
-}
-
 struct FaultState {
     ops: u64,
     armed: bool,
     /// `truncate` reports success without truncating.
     lose_truncations: bool,
-    plan: PlanState,
+    /// A seeded plan's stream: one draw per op.
+    seeded: Option<(DdcRng, FaultProbs)>,
+    /// Faults planned at given op indices; they take precedence over a
+    /// seeded draw.
+    planned: HashMap<u64, FaultKind>,
     realized: Vec<PlannedFault>,
     /// Path of the file each realized fault fired on, parallel to
     /// `realized` (kept out of [`PlannedFault`] so explicit replay
-    /// schedules stay path-independent).
+    /// plans stay path-independent).
     realized_paths: Vec<String>,
 }
 
@@ -654,17 +629,14 @@ impl FaultState {
         self.ops += 1;
         // Seeded plans consume one RNG draw per op regardless of arming
         // so the stream stays aligned with the op counter.
-        let drawn = match &mut self.plan {
-            PlanState::Seeded { rng, probs } => {
-                let roll = rng.next_f64();
-                let aux = rng.next_u64();
-                Self::pick(*probs, &class, roll, aux)
-            }
-            // An explicit kind fires as recorded: a torn length or a
-            // flipped bit past this op's extent is clamped where it fires.
-            PlanState::Explicit(map) => map.get(&op).copied(),
-        };
-        let kind = drawn?;
+        let drawn = self.seeded.as_mut().and_then(|(rng, probs)| {
+            let roll = rng.next_f64();
+            let aux = rng.next_u64();
+            Self::pick(*probs, &class, roll, aux)
+        });
+        // A planned kind fires as recorded: a torn length or a flipped
+        // bit past this op's extent is clamped where it fires.
+        let kind = self.planned.get(&op).copied().or(drawn)?;
         if !self.armed || !Self::applies(kind, &class) {
             return None;
         }
@@ -748,29 +720,25 @@ impl FaultVfs {
     /// [`DdcRng`] seeded with `seed`: deterministic for a fixed seed
     /// *and* a fixed operation sequence.
     pub fn seeded_mem(seed: u64, probs: FaultProbs) -> Self {
-        Self::with_plan(PlanState::Seeded {
-            rng: DdcRng::seed_from_u64(seed),
-            probs,
-        })
+        Self::with_plan(Some((DdcRng::seed_from_u64(seed), probs)), Vec::new())
     }
 
-    /// Explicit fault schedule over a fresh in-memory namespace — the
-    /// replay/shrink configuration: exactly the listed faults fire, at
-    /// their recorded op indices.
+    /// Explicit fault plan over a fresh in-memory namespace — the
+    /// replay configuration: exactly the listed faults fire, at their
+    /// recorded op indices, and any [`FaultVfs::plan`]ned later.
     pub fn explicit_mem(faults: Vec<PlannedFault>) -> Self {
-        Self::with_plan(PlanState::Explicit(
-            faults.into_iter().map(|f| (f.op, f.kind)).collect(),
-        ))
+        Self::with_plan(None, faults)
     }
 
-    fn with_plan(plan: PlanState) -> Self {
+    fn with_plan(seeded: Option<(DdcRng, FaultProbs)>, faults: Vec<PlannedFault>) -> Self {
         Self {
             inner: MemVfs::new(),
             state: Arc::new(Mutex::new(FaultState {
                 ops: 0,
                 armed: false,
                 lose_truncations: false,
-                plan,
+                seeded,
+                planned: faults.into_iter().map(|f| (f.op, f.kind)).collect(),
                 realized: Vec::new(),
                 realized_paths: Vec::new(),
             })),
@@ -782,7 +750,7 @@ impl FaultVfs {
     }
 
     /// Arm or disarm fault injection. The op counter keeps advancing
-    /// while disarmed so schedules recorded against an armed window
+    /// while disarmed so faults recorded against an armed window
     /// replay at the same indices.
     pub fn arm(&self, on: bool) {
         self.lock().armed = on;
@@ -800,6 +768,14 @@ impl FaultVfs {
     /// Global file-operation count so far.
     pub fn ops(&self) -> u64 {
         self.lock().ops
+    }
+
+    /// Plans `kind` at the `after`-th file operation from now (0 = the
+    /// next one): a trace's [`ddc_workload::CheckOp::Fault`].
+    pub fn plan(&self, after: u64, kind: FaultKind) {
+        let mut state = self.lock();
+        let op = state.ops + after;
+        state.planned.insert(op, kind);
     }
 
     /// Every fault that actually fired, in firing order — feed back via

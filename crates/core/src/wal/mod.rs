@@ -62,7 +62,8 @@
 //!   each chunk read until two consecutive images agree, within
 //!   [`crate::vfs::READ_ATTEMPTS`]); a read that never verifies is an
 //!   error recovery returns, never a torn tail it truncates;
-//! * the `ddc check disk` chaos sweep drives seeded fault schedules
+//! * the `ddc check disk` chaos sweep drives seeded fault streams and
+//!   the committed fault repros (traces with their faults inline)
 //!   through this path and asserts no acked update is ever lost.
 //!
 //! ## Layout
@@ -552,9 +553,10 @@ mod tests {
         assert_eq!(boot(&vfs).cube().total(), 10);
     }
 
-    /// A boot and a checkpoint cost fixed file-op counts: committed
-    /// fault schedules (`tests/faults/*.sched`) and `ddc check faults`
-    /// index faults by them.
+    /// A boot and a checkpoint cost fixed file-op counts: the committed
+    /// disk repros (`tests/faults/*.trace`, whose fault ops count file
+    /// ops from the op they precede) and `ddc check faults` index
+    /// faults by them.
     #[test]
     fn boot_and_checkpoint_file_op_counts_are_pinned() {
         let vfs = FaultVfs::explicit_mem(Vec::new());

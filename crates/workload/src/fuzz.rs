@@ -3,7 +3,7 @@
 //! In a [`CheckTrace`], coordinates are *signed* logical positions
 //! inside a covered box that can **grow in any direction** mid-trace
 //! (the paper's §5 star-catalog story), and the op set includes
-//! persistence round-trips, simulated kills and flush barriers. The
+//! persistence round-trips, simulated kills and disk faults. The
 //! format is line-oriented text so a shrunk repro is diffable and
 //! replayable by hand:
 //!
@@ -17,9 +17,17 @@
 //! C 1 2              # read one cell (answer compared)
 //! G 0 2 low          # grow axis 0 by 2 cells at the low end
 //! R                  # save/load round-trip (engines that persist)
-//! F                  # flush barrier (a no-op everywhere)
 //! K                  # simulated kill + recovery (engines with a log)
+//! X 2 sync           # the 3rd file op from here fails (durable rig only)
 //! ```
+//!
+//! An `X after kind [arg]` line is a [`CheckOp::Fault`]: the `after`-th
+//! file operation counted from the next op (0 = its first) fails with
+//! `kind` — `write`, `short KEEP`, `nospace`, `sync`, `read` or
+//! `flip BIT` (see [`FaultKind`]). Only the durable rig on a
+//! fault-injecting disk takes them; `ddc check disk` writes the faults a
+//! failing run realised this way, so a disk repro is a trace like any
+//! other and shrinks with [`shrink_trace`].
 //!
 //! The module also hosts the **trace shrinker**: delta debugging over the
 //! op list followed by per-op coordinate/value minimization, driven by an
@@ -71,15 +79,89 @@ pub enum CheckOp {
     /// Save/load round-trip for engines that persist; a round-trip error
     /// or any post-round-trip divergence is a failure.
     SaveLoad,
-    /// Flush barrier. No engine queues writes, so every engine treats it
-    /// as a no-op; it stays so recorded traces keep parsing and seeded
-    /// runs keep drawing the same ops.
-    Flush,
     /// Simulated process kill for engines with a durability story: drop
     /// all volatile state and recover from snapshot + WAL. Acknowledged
     /// ops must survive; a recovery error or post-crash divergence is a
     /// failure. Engines without durability treat it as a no-op.
     Crash,
+    /// A disk fault: the `after`-th file operation from here (0 = the
+    /// first one the next op makes) fails with `kind`. Only the durable
+    /// rig on a fault-injecting disk can take it.
+    Fault {
+        /// File operations that pass before the one that fails.
+        after: u64,
+        /// How it fails.
+        kind: FaultKind,
+    },
+}
+
+/// The injectable disk faults, one per file operation. A kind fires
+/// only on the operation it applies to: the first three on a write,
+/// `SyncFail` on a sync, the last two on a read.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub enum FaultKind {
+    /// `write_all` fails with EIO; nothing is written.
+    WriteErr,
+    /// `write_all` persists only the first `keep` bytes, then fails
+    /// with EIO — a torn append.
+    ShortWrite {
+        /// Bytes that land before the failure.
+        keep: u32,
+    },
+    /// `write_all` fails with ENOSPC; nothing is written.
+    NoSpace,
+    /// `sync` fails with EIO. The preceding writes reached the store,
+    /// so the frame's durability is ambiguous — the classic commit
+    /// window the WAL's truncate-on-retry protocol exists for.
+    SyncFail,
+    /// `read_at` fails with EIO.
+    ReadErr,
+    /// `read_at` succeeds but bit `bit` (counting from the start of the
+    /// returned buffer) is flipped in the copy handed to the caller;
+    /// the stored bytes are untouched, so a re-read sees clean data.
+    ReadCorrupt {
+        /// Bit index within the bytes returned by this read.
+        bit: u32,
+    },
+}
+
+impl FaultKind {
+    /// The trace text after `X after`: `write`, `short KEEP`, `nospace`,
+    /// `sync`, `read` or `flip BIT`.
+    fn to_text(self) -> String {
+        match self {
+            Self::WriteErr => "write".to_string(),
+            Self::ShortWrite { keep } => format!("short {keep}"),
+            Self::NoSpace => "nospace".to_string(),
+            Self::SyncFail => "sync".to_string(),
+            Self::ReadErr => "read".to_string(),
+            Self::ReadCorrupt { bit } => format!("flip {bit}"),
+        }
+    }
+
+    /// Parses the words [`FaultKind::to_text`] writes.
+    fn parse(words: &[&str]) -> Result<Self, String> {
+        let arg = |what: &str| match words {
+            [_, n] => n.parse().map_err(|_| format!("bad {what} '{n}'")),
+            _ => Err(format!("{} wants one {what}", words[0])),
+        };
+        let bare = |kind: Self| match words {
+            [_] => Ok(kind),
+            _ => Err(format!("{} takes no argument", words[0])),
+        };
+        match words.first().copied() {
+            Some("write") => bare(Self::WriteErr),
+            Some("short") => Ok(Self::ShortWrite {
+                keep: arg("length")?,
+            }),
+            Some("nospace") => bare(Self::NoSpace),
+            Some("sync") => bare(Self::SyncFail),
+            Some("read") => bare(Self::ReadErr),
+            Some("flip") => Ok(Self::ReadCorrupt { bit: arg("bit")? }),
+            Some(other) => Err(format!("bad fault kind '{other}'")),
+            None => Err("X wants a fault kind".to_string()),
+        }
+    }
 }
 
 /// The covered logical box at some point of a trace: low corner plus
@@ -143,7 +225,8 @@ pub struct CheckTrace {
 /// Knobs for [`CheckTrace::generate`].
 #[derive(Copy, Clone, Debug)]
 pub struct CheckTraceConfig {
-    /// Number of operations to generate.
+    /// Op rolls to draw. 7 % of rolls yield no op (see
+    /// [`CheckTrace::generate`]), so a trace holds about 93 % of this many.
     pub ops: usize,
     /// Growth stops once the covered box reaches this many cells (keeps
     /// the `O(n^d)`-update baselines affordable inside the fuzz loop).
@@ -162,7 +245,7 @@ impl Default for CheckTraceConfig {
 impl CheckTrace {
     /// Generates a mixed trace over a random small box of `d` dimensions:
     /// updates, sets, range queries, cell reads, growth in random
-    /// directions, save/load round-trips, and flush barriers.
+    /// directions, save/load round-trips and kills; never a disk fault.
     pub fn generate(d: usize, config: CheckTraceConfig, rng: &mut DdcRng) -> Self {
         assert!(d >= 1, "need at least one dimension");
         let dims: Vec<usize> = (0..d).map(|_| rng.gen_range(2usize..=6)).collect();
@@ -173,7 +256,7 @@ impl CheckTrace {
         };
         let mut ops = Vec::with_capacity(config.ops);
         for _ in 0..config.ops {
-            ops.push(Self::gen_op(&mut state, config.max_cells, rng));
+            ops.extend(Self::gen_op(&mut state, config.max_cells, rng));
         }
         Self { origin, dims, ops }
     }
@@ -187,9 +270,9 @@ impl CheckTrace {
             .collect()
     }
 
-    fn gen_op(state: &mut BoxState, max_cells: usize, rng: &mut DdcRng) -> CheckOp {
+    fn gen_op(state: &mut BoxState, max_cells: usize, rng: &mut DdcRng) -> Option<CheckOp> {
         let roll = rng.gen_range(0usize..100);
-        match roll {
+        Some(match roll {
             // 40% point updates.
             0..=39 => CheckOp::Update {
                 point: Self::gen_point(state, rng),
@@ -232,9 +315,11 @@ impl CheckTrace {
             86..=89 => CheckOp::SaveLoad,
             // 3% simulated kills + recovery.
             90..=92 => CheckOp::Crash,
-            // 7% flush barriers.
-            _ => CheckOp::Flush,
-        }
+            // 7%: no op and no further draw. The band held the flush
+            // barrier, a no-op everywhere; keeping the roll keeps every
+            // other op of a seeded trace, so pinned runs stay comparable.
+            _ => return None,
+        })
     }
 
     /// Checks structural well-formedness: every coordinate has the right
@@ -285,10 +370,17 @@ impl CheckTrace {
                     Shape::try_new(&dims).map_err(|e| format!("op {i}: growth overflow: {e}"))?;
                     state.grow(*axis, *amount, *low);
                 }
-                CheckOp::SaveLoad | CheckOp::Flush | CheckOp::Crash => {}
+                CheckOp::SaveLoad | CheckOp::Crash | CheckOp::Fault { .. } => {}
             }
         }
         Ok(())
+    }
+
+    /// How many of the ops are disk faults.
+    pub fn faults(&self) -> usize {
+        (self.ops.iter())
+            .filter(|op| matches!(op, CheckOp::Fault { .. }))
+            .count()
     }
 
     /// The box state after the whole trace (useful for reporting).
@@ -304,184 +396,45 @@ impl CheckTrace {
 
     /// Serializes to the line format.
     pub fn to_text(&self) -> String {
-        let mut out = String::from("# ddc check trace\n");
-        out.push_str("shape");
-        for &n in &self.dims {
-            out.push_str(&format!(" {n}"));
-        }
-        out.push('\n');
-        if self.origin.iter().any(|&o| o != 0) {
-            out.push_str("origin");
-            for &o in &self.origin {
-                out.push_str(&format!(" {o}"));
-            }
-            out.push('\n');
-        }
-        let coords = |out: &mut String, p: &[i64]| {
-            for &c in p {
-                out.push_str(&format!(" {c}"));
-            }
+        let line = |tag: &str, nums: &[i64]| {
+            nums.iter()
+                .fold(tag.to_string(), |line, n| format!("{line} {n}"))
+                + "\n"
         };
+        let dims: Vec<i64> = self.dims.iter().map(|&n| n as i64).collect();
+        let mut out = format!("# ddc check trace\n{}", line("shape", &dims));
+        if self.origin.iter().any(|&o| o != 0) {
+            out += &line("origin", &self.origin);
+        }
         for op in &self.ops {
-            match op {
-                CheckOp::Update { point, delta } => {
-                    out.push('U');
-                    coords(&mut out, point);
-                    out.push_str(&format!(" {delta}\n"));
-                }
-                CheckOp::Set { point, value } => {
-                    out.push('S');
-                    coords(&mut out, point);
-                    out.push_str(&format!(" {value}\n"));
-                }
-                CheckOp::Query { lo, hi } => {
-                    out.push('Q');
-                    coords(&mut out, lo);
-                    coords(&mut out, hi);
-                    out.push('\n');
-                }
-                CheckOp::Cell { point } => {
-                    out.push('C');
-                    coords(&mut out, point);
-                    out.push('\n');
-                }
+            out += &match op {
+                CheckOp::Update { point, delta } => line("U", &[&point[..], &[*delta]].concat()),
+                CheckOp::Set { point, value } => line("S", &[&point[..], &[*value]].concat()),
+                CheckOp::Query { lo, hi } => line("Q", &[&lo[..], hi].concat()),
+                CheckOp::Cell { point } => line("C", point),
                 CheckOp::Grow { axis, amount, low } => {
-                    out.push_str(&format!(
-                        "G {axis} {amount} {}\n",
-                        if *low { "low" } else { "high" }
-                    ));
+                    format!("G {axis} {amount} {}\n", if *low { "low" } else { "high" })
                 }
-                CheckOp::SaveLoad => out.push_str("R\n"),
-                CheckOp::Flush => out.push_str("F\n"),
-                CheckOp::Crash => out.push_str("K\n"),
-            }
+                CheckOp::SaveLoad => "R\n".to_string(),
+                CheckOp::Crash => "K\n".to_string(),
+                CheckOp::Fault { after, kind } => format!("X {after} {}\n", kind.to_text()),
+            };
         }
         out
     }
 
     /// Parses the line format and validates the result.
     pub fn parse(text: &str) -> Result<Self, String> {
-        let mut dims: Option<Vec<usize>> = None;
-        let mut origin: Option<Vec<i64>> = None;
-        let mut ops = Vec::new();
-        for (no, raw) in text.lines().enumerate() {
-            let line = raw.trim();
-            let line = match line.find('#') {
-                Some(0) => continue,
-                Some(pos) => line[..pos].trim_end(),
-                None => line,
-            };
-            if line.is_empty() {
-                continue;
-            }
-            let mut it = line.split_whitespace();
-            let tag = it.next().expect("non-empty");
-            let nums: Result<Vec<i64>, _> = it.map(str::parse::<i64>).collect();
-            let nums = match tag {
-                "G" => {
-                    // `G axis amount low|high` — last token is a word.
-                    let toks: Vec<&str> = line.split_whitespace().skip(1).collect();
-                    if toks.len() != 3 {
-                        return Err(format!("line {}: G wants axis amount low|high", no + 1));
-                    }
-                    let axis: usize = toks[0]
-                        .parse()
-                        .map_err(|_| format!("line {}: bad axis '{}'", no + 1, toks[0]))?;
-                    let amount: usize = toks[1]
-                        .parse()
-                        .map_err(|_| format!("line {}: bad amount '{}'", no + 1, toks[1]))?;
-                    let low = match toks[2] {
-                        "low" => true,
-                        "high" => false,
-                        other => {
-                            return Err(format!("line {}: bad direction '{other}'", no + 1));
-                        }
-                    };
-                    ops.push(CheckOp::Grow { axis, amount, low });
-                    continue;
-                }
-                _ => nums.map_err(|e| format!("line {}: {e}", no + 1))?,
-            };
-            let d = || -> Result<usize, String> {
-                dims.as_ref()
-                    .map(Vec::len)
-                    .ok_or_else(|| format!("line {}: op before shape", no + 1))
-            };
-            match tag {
-                "shape" => {
-                    if nums.is_empty() || nums.iter().any(|&n| n <= 0) {
-                        return Err(format!("line {}: bad shape", no + 1));
-                    }
-                    dims = Some(nums.iter().map(|&n| n as usize).collect());
-                }
-                "origin" => {
-                    if nums.len() != d()? {
-                        return Err(format!("line {}: origin arity mismatch", no + 1));
-                    }
-                    if !ops.is_empty() {
-                        return Err(format!("line {}: origin after first op", no + 1));
-                    }
-                    origin = Some(nums);
-                }
-                "U" | "S" => {
-                    let d = d()?;
-                    if nums.len() != d + 1 {
-                        return Err(format!("line {}: {tag} wants {d} coords + value", no + 1));
-                    }
-                    let point = nums[..d].to_vec();
-                    ops.push(if tag == "U" {
-                        CheckOp::Update {
-                            point,
-                            delta: nums[d],
-                        }
-                    } else {
-                        CheckOp::Set {
-                            point,
-                            value: nums[d],
-                        }
-                    });
-                }
-                "Q" => {
-                    let d = d()?;
-                    if nums.len() != 2 * d {
-                        return Err(format!("line {}: Q wants 2·{d} coords", no + 1));
-                    }
-                    ops.push(CheckOp::Query {
-                        lo: nums[..d].to_vec(),
-                        hi: nums[d..].to_vec(),
-                    });
-                }
-                "C" => {
-                    let d = d()?;
-                    if nums.len() != d {
-                        return Err(format!("line {}: C wants {d} coords", no + 1));
-                    }
-                    ops.push(CheckOp::Cell {
-                        point: nums.to_vec(),
-                    });
-                }
-                "R" => {
-                    if !nums.is_empty() {
-                        return Err(format!("line {}: R takes no arguments", no + 1));
-                    }
-                    ops.push(CheckOp::SaveLoad);
-                }
-                "F" => {
-                    if !nums.is_empty() {
-                        return Err(format!("line {}: F takes no arguments", no + 1));
-                    }
-                    ops.push(CheckOp::Flush);
-                }
-                "K" => {
-                    if !nums.is_empty() {
-                        return Err(format!("line {}: K takes no arguments", no + 1));
-                    }
-                    ops.push(CheckOp::Crash);
-                }
-                other => return Err(format!("line {}: unknown tag '{other}'", no + 1)),
+        let (mut dims, mut origin, mut ops) = (None, None, Vec::new());
+        for (no, line) in text.lines().enumerate() {
+            // A `#` starts a comment.
+            let line = line.split('#').next().unwrap_or_default().trim();
+            if !line.is_empty() {
+                Self::parse_line(line, &mut dims, &mut origin, &mut ops)
+                    .map_err(|e| format!("line {}: {e}", no + 1))?;
             }
         }
-        let dims = dims.ok_or("missing shape line")?;
+        let dims: Vec<usize> = dims.ok_or("missing shape line")?;
         let trace = Self {
             origin: origin.unwrap_or_else(|| vec![0; dims.len()]),
             dims,
@@ -489,6 +442,102 @@ impl CheckTrace {
         };
         trace.validate()?;
         Ok(trace)
+    }
+
+    /// One non-empty line of [`CheckTrace::parse`]: a header or an op.
+    fn parse_line(
+        line: &str,
+        dims: &mut Option<Vec<usize>>,
+        origin: &mut Option<Vec<i64>>,
+        ops: &mut Vec<CheckOp>,
+    ) -> Result<(), String> {
+        let words: Vec<&str> = line.split_whitespace().collect();
+        let (tag, args) = (words[0], &words[1..]);
+        let bad = |what: &str, tok: &str| format!("bad {what} '{tok}'");
+        let op = match (tag, args) {
+            // The two ops with words among their arguments.
+            ("G", [axis, amount, low]) => CheckOp::Grow {
+                axis: axis.parse().map_err(|_| bad("axis", axis))?,
+                amount: amount.parse().map_err(|_| bad("amount", amount))?,
+                low: match *low {
+                    "low" => true,
+                    "high" => false,
+                    other => return Err(bad("direction", other)),
+                },
+            },
+            ("G", _) => return Err("G wants axis amount low|high".to_string()),
+            ("X", _) => {
+                let (after, kind) = args.split_first().ok_or("X wants after kind")?;
+                CheckOp::Fault {
+                    after: after.parse().map_err(|_| bad("after", after))?,
+                    kind: FaultKind::parse(kind)?,
+                }
+            }
+            _ => {
+                let nums = (args.iter().map(|w| w.parse::<i64>()))
+                    .collect::<Result<Vec<i64>, _>>()
+                    .map_err(|e| e.to_string())?;
+                let d = || dims.as_ref().map(Vec::len).ok_or("op before shape");
+                let arity = |want: usize, what: &str| match nums.len() == want {
+                    true => Ok(()),
+                    false => Err(format!("{tag} wants {what}")),
+                };
+                match tag {
+                    "shape" => {
+                        if nums.is_empty() || nums.iter().any(|&n| n <= 0) {
+                            return Err("bad shape".to_string());
+                        }
+                        *dims = Some(nums.iter().map(|&n| n as usize).collect());
+                        return Ok(());
+                    }
+                    "origin" => {
+                        if nums.len() != d()? {
+                            return Err("origin arity mismatch".to_string());
+                        }
+                        if !ops.is_empty() {
+                            return Err("origin after first op".to_string());
+                        }
+                        *origin = Some(nums);
+                        return Ok(());
+                    }
+                    "U" | "S" => {
+                        let d = d()?;
+                        arity(d + 1, &format!("{d} coords + value"))?;
+                        let (point, value) = (nums[..d].to_vec(), nums[d]);
+                        match tag {
+                            "U" => CheckOp::Update {
+                                point,
+                                delta: value,
+                            },
+                            _ => CheckOp::Set { point, value },
+                        }
+                    }
+                    "Q" => {
+                        let d = d()?;
+                        arity(2 * d, &format!("2·{d} coords"))?;
+                        let (lo, hi) = nums.split_at(d);
+                        CheckOp::Query {
+                            lo: lo.to_vec(),
+                            hi: hi.to_vec(),
+                        }
+                    }
+                    "C" => {
+                        arity(d()?, &format!("{} coords", d()?))?;
+                        CheckOp::Cell { point: nums }
+                    }
+                    "R" | "K" => {
+                        arity(0, "no arguments")?;
+                        match tag {
+                            "R" => CheckOp::SaveLoad,
+                            _ => CheckOp::Crash,
+                        }
+                    }
+                    other => return Err(format!("unknown tag '{other}'")),
+                }
+            }
+        };
+        ops.push(op);
+        Ok(())
     }
 }
 
@@ -502,7 +551,8 @@ impl CheckTrace {
 ///    that still validates and still fails.
 /// 2. **Coordinate/value minimization** — per surviving op, pull
 ///    coordinates toward the box's low corner, deltas toward ±1, set
-///    values toward 0, and query boxes toward single cells.
+///    values toward 0, query boxes toward single cells, and a fault's
+///    `after`, torn length and flipped bit toward 0.
 ///
 /// Deterministic: no randomness, so the same failure always shrinks to
 /// the same repro.
@@ -523,12 +573,12 @@ pub fn shrink_trace(trace: &CheckTrace, still_fails: impl Fn(&CheckTrace) -> boo
     best
 }
 
-/// Simplified ddmin, shared by every shrinker in the repo: removes
+/// Simplified ddmin, the shrinker's op-removal phase: removes
 /// runs of `items`, halving the run length down to one, keeping each
 /// candidate `still_fails` accepts; single-item passes repeat until one
 /// removes nothing, so no single item of the result can be dropped.
 /// Deterministic.
-pub fn ddmin<T: Clone>(items: &[T], still_fails: impl Fn(&[T]) -> bool) -> Vec<T> {
+fn ddmin<T: Clone>(items: &[T], still_fails: impl Fn(&[T]) -> bool) -> Vec<T> {
     let mut best = items.to_vec();
     let mut chunk = (best.len() / 2).max(1);
     loop {
@@ -687,6 +737,24 @@ fn simpler_variants(trace: &CheckTrace, i: usize) -> Vec<CheckOp> {
             amount: 1,
             low: *low,
         }],
+        // A fault moves toward the next op's first file operation, a torn
+        // length and a flipped bit toward 0.
+        CheckOp::Fault { after, kind } => {
+            let smaller = |n: u64| [0, n / 2].into_iter().filter(move |&m| m < n);
+            let fault = |after, kind| CheckOp::Fault { after, kind };
+            let mut v: Vec<CheckOp> = smaller(*after).map(|a| fault(a, *kind)).collect();
+            v.extend(match *kind {
+                FaultKind::ShortWrite { keep } => smaller(keep.into())
+                    .map(|k| fault(*after, FaultKind::ShortWrite { keep: k as u32 }))
+                    .collect(),
+                FaultKind::ReadCorrupt { bit } => smaller(bit.into())
+                    .map(|b| fault(*after, FaultKind::ReadCorrupt { bit: b as u32 }))
+                    .collect(),
+                _ => Vec::new(),
+            });
+            v.dedup();
+            v
+        }
         _ => Vec::new(),
     }
 }
@@ -707,6 +775,24 @@ mod tests {
             let parsed = CheckTrace::parse(&text).unwrap();
             assert_eq!(parsed, t, "seed {seed}");
         }
+        // Every fault kind, as `ddc check disk` writes them.
+        let text = "shape 3\nX 5 write\nX 4 short 17\nX 3 nospace\nX 2 sync\nX 1 read\n\
+                    X 0 flip 203\nU 1 5\n";
+        let t = CheckTrace::parse(text).unwrap();
+        assert_eq!(t.to_text(), format!("# ddc check trace\n{text}"));
+        use FaultKind::*;
+        let kinds = [
+            WriteErr,
+            ShortWrite { keep: 17 },
+            NoSpace,
+            SyncFail,
+            ReadErr,
+        ];
+        let faults = kinds.into_iter().chain([ReadCorrupt { bit: 203 }]);
+        let want = faults
+            .zip((0..6).rev())
+            .map(|(kind, after)| CheckOp::Fault { after, kind });
+        assert_eq!(t.ops[..6], want.collect::<Vec<_>>());
     }
 
     #[test]
@@ -735,21 +821,24 @@ mod tests {
 
     #[test]
     fn parse_errors_are_specific() {
-        assert!(CheckTrace::parse("U 1 1 1")
-            .unwrap_err()
-            .contains("before shape"));
-        assert!(CheckTrace::parse("shape 4\nR 9")
-            .unwrap_err()
-            .contains("no arguments"));
-        assert!(CheckTrace::parse("shape 4\nG 0 1 sideways")
-            .unwrap_err()
-            .contains("bad direction"));
-        assert!(CheckTrace::parse("shape 4\nX 1")
-            .unwrap_err()
-            .contains("unknown tag"));
-        assert!(CheckTrace::parse("# nothing")
-            .unwrap_err()
-            .contains("missing shape"));
+        for (text, error) in [
+            ("U 1 1 1", "line 1: op before shape"),
+            ("shape 4\nR 9", "line 2: R wants no arguments"),
+            ("shape 4\nG 0 1 sideways", "bad direction 'sideways'"),
+            // `F` was the flush barrier; no op takes its place.
+            ("shape 4\nF", "unknown tag 'F'"),
+            ("shape 4\nX 1 gremlin", "bad fault kind 'gremlin'"),
+            ("shape 4\nX 1 short", "short wants one length"),
+            ("shape 4\nX 0 flip x", "bad bit 'x'"),
+            ("shape 4\nX 2 sync 9", "sync takes no argument"),
+            ("shape 4\nX sync", "bad after 'sync'"),
+            ("shape 4\nX 3", "X wants a fault kind"),
+            ("shape 4\nX", "X wants after kind"),
+            ("# nothing", "missing shape"),
+        ] {
+            let got = CheckTrace::parse(text).unwrap_err();
+            assert!(got.contains(error), "{text:?}: {got}");
+        }
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! `.trace`; and the operator CLI (`ddc wal recover` /
 //! `ddc wal truncate-check`) round-trips real files.
 
-use ddc_check::{corruption_divergence, crash_sweep, refind_seeded_bug, FaultSchedule};
+use ddc_check::{corruption_divergence, crash_sweep, refind_seeded_bug};
 use ddc_core::vfs::StdVfs;
 use ddc_core::wal::IoError;
 use ddc_core::{
@@ -253,22 +253,29 @@ fn unreachable_point_is_refused_before_the_append_and_named_by_recovery() {
     assert!(err.to_string().starts_with("record 1: "), "{err}");
 }
 
-/// The committed chaos schedules stay sharp: each must re-find its
-/// corruption class when the tail-truncation protocol is disabled, and
-/// stay clean under the production policy (the same check `ddc check
-/// disk` runs in CI, here hermetically via `include_str!`).
+/// The committed disk repros stay sharp: each must re-find its
+/// corruption class when the tail-truncation protocol is disabled, stay
+/// clean under the production policy, and shrink — ops and faults
+/// together — to a shorter trace that still fails (the same check
+/// `ddc check disk` runs in CI, here hermetically via `include_str!`).
 #[test]
 fn committed_fault_schedules_refind_the_seeded_bug() {
     for (name, text) in [
-        ("torn_append", include_str!("faults/torn_append.sched")),
+        ("torn_append", include_str!("faults/torn_append.trace")),
         (
             "sync_ambiguity",
-            include_str!("faults/sync_ambiguity.sched"),
+            include_str!("faults/sync_ambiguity.trace"),
         ),
     ] {
-        let schedule = FaultSchedule::parse(text).unwrap_or_else(|e| panic!("{name}: {e}"));
-        let report = refind_seeded_bug(&schedule).unwrap_or_else(|e| panic!("{name}: {e}"));
-        assert!(!report.shrunk.is_empty(), "{name}: empty shrunk schedule");
+        let trace = CheckTrace::parse(text).unwrap_or_else(|e| panic!("{name}: {e}"));
+        let report = refind_seeded_bug(&trace).unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert!(report.shrunk.faults() > 0, "{name}: no fault left");
+        let ops = |t: &CheckTrace| t.ops.len() - t.faults();
+        assert!(
+            ops(&report.shrunk) < ops(&trace),
+            "{name}: {}",
+            report.shrunk.to_text()
+        );
     }
 }
 
